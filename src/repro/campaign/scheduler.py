@@ -275,6 +275,8 @@ class CampaignRunner:
         self._resume_completed: Dict[str, Dict[str, Any]] = {}
         self._resume_inflight: Dict[str, Dict[str, Any]] = {}
         self._resume_cache_state: Optional[Dict[str, Any]] = None
+        #: How much of the shared cache's op log the journal already holds.
+        self._cache_mark = 0
         self._parallel_baseline: Optional[BehaviorArchive] = None
 
     # ------------------------------------------------------------------ #
@@ -472,9 +474,10 @@ class CampaignRunner:
         """Per-generation journal hook (serial campaigns only).
 
         Appends the behavior-map delta *first*, then the fuzzer checkpoint
-        (with a cache dump): resume trusts the checkpoint and applies deltas
-        only up to its generation, so a kill between the two appends cannot
-        leave the archive ahead of (or behind) the GA state.
+        (with the cache touches since the last one): resume trusts the
+        checkpoint and applies deltas only up to its generation, so a kill
+        between the two appends cannot leave the archive ahead of (or
+        behind) the GA state.
         """
         journal = self._journal
         if journal is None or self.max_parallel != 1:
@@ -497,7 +500,7 @@ class CampaignRunner:
                 "fuzzer": state,
             }
             if cache is not None:
-                payload["cache"] = cache.dump()
+                payload["cache"], self._cache_mark = cache.delta_since(self._cache_mark)
             journal.append("generation_checkpoint", payload)
 
         return checkpoint
@@ -589,7 +592,7 @@ class CampaignRunner:
                 # way run()'s finally-block does.
                 payload["archive"] = archive.to_dict()
             elif cache is not None:
-                payload["cache"] = cache.dump()
+                payload["cache"], self._cache_mark = cache.delta_since(self._cache_mark)
             journal.append("scenario_complete", payload)
         self._telemetry.scenario_completed(outcome)
         self._progress(
@@ -704,10 +707,11 @@ class CampaignRunner:
             )
         if self._resume_cache_state is not None and cache is not None:
             try:
-                cache.restore(self._resume_cache_state)
+                self._cache_mark = cache.restore(self._resume_cache_state)
             except ValueError:
-                # A dump from an older outcome schema cannot be trusted;
-                # resuming cold is still correct, just slower.
+                # A dump from an older outcome schema or journal layout
+                # cannot be trusted; resuming cold is still correct, just
+                # slower.
                 self._progress("journaled cache dump is stale; resuming with a cold cache")
         _, self._cell_index = self.archive.delta_since({})
 

@@ -8,7 +8,8 @@ splits it by *scenario*: every worker loops
    (:meth:`CampaignJournal.claim_lease` — replay + append under the
    cross-process file lock, granting a fresh fencing epoch),
 3. run the scenario's GA search, journaling a behavior delta + generation
-   checkpoint (with a cache dump) after **every evaluated generation** and
+   checkpoint (with the cache touches since the last one) after **every
+   evaluated generation** and
    renewing the lease as a heartbeat,
 4. journal the harvest as ``corpus_insert`` intents and the outcome as
    ``scenario_complete``, then release the lease,
@@ -273,13 +274,15 @@ class FleetWorker:
         resume_state = checkpoint["fuzzer"] if checkpoint is not None else None
         stolen = checkpoint is not None
         # Private, per-scenario evaluation cache: cold on a fresh claim,
-        # restored from the checkpoint dump on a steal — either way its hit
-        # counts match an uninterrupted run's, keeping the digest identical.
+        # restored from the scenario's folded op log on a steal — either way
+        # its hit counts match an uninterrupted run's, keeping the digest
+        # identical.
         population = scenario.budget.population_size * scenario.budget.islands
         cache = TraceCache(max_entries=max(8192, 64 * population))
-        if checkpoint is not None and checkpoint.get("cache") is not None:
+        cache_mark = 0
+        if checkpoint is not None and scenario_id in view.caches:
             try:
-                cache.restore(checkpoint["cache"])
+                cache_mark = cache.restore(view.caches[scenario_id])
             except ValueError:
                 self._progress(
                     f"[{scenario_id}] checkpointed cache dump is stale; resuming cold"
@@ -291,7 +294,7 @@ class FleetWorker:
             checkpoint["generation"] if checkpoint is not None else None,
         )
         _, cell_index = archive.delta_since({})
-        cell_state = {"index": cell_index}
+        marks = {"cells": cell_index, "cache": cache_mark}
         seeds = [] if resume_state is not None else self._seed_traces(plan, scenario)
         if stolen:
             victim = checkpoint.get("worker", "?")
@@ -301,7 +304,7 @@ class FleetWorker:
             )
 
         def on_checkpoint(state: Dict[str, Any]) -> None:
-            changed, cell_state["index"] = archive.delta_since(cell_state["index"])
+            changed, marks["cells"] = archive.delta_since(marks["cells"])
             self.journal.append(
                 "behavior_delta",
                 {
@@ -313,13 +316,14 @@ class FleetWorker:
                     "worker": self.worker_id,
                 },
             )
+            cache_delta, marks["cache"] = cache.delta_since(marks["cache"])
             self.journal.append(
                 "generation_checkpoint",
                 {
                     "scenario_id": scenario_id,
                     "generation": state["generation"],
                     "fuzzer": state,
-                    "cache": cache.dump(),
+                    "cache": cache_delta,
                     "lease_epoch": epoch,
                     "worker": self.worker_id,
                 },

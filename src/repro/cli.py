@@ -1016,6 +1016,12 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
             parser.error("--max-retries must be non-negative")
         if args.no_telemetry and args.progress:
             parser.error("--progress needs telemetry; drop --no-telemetry")
+        if args.resume and args.spec is not None:
+            parser.error("--resume recovers the spec from the journal; drop --spec")
+        if not args.resume and args.spec is None:
+            parser.error("one of --spec or --resume is required")
+        # Every usage error is raised above: constructing the telemetry
+        # creates the corpus directory and metrics.jsonl.
         if args.no_telemetry:
             telemetry: object = False
         else:
@@ -1024,8 +1030,6 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
                 progress_stream=sys.stderr if args.progress else None,
             )
         if args.resume:
-            if args.spec is not None:
-                parser.error("--resume recovers the spec from the journal; drop --spec")
             try:
                 runner = CampaignRunner.resume(
                     args.corpus,
@@ -1044,8 +1048,6 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
             if args.max_retries is not None:
                 runner.spec.max_retries = args.max_retries
         else:
-            if args.spec is None:
-                parser.error("one of --spec or --resume is required")
             with open(args.spec, "r", encoding="utf-8") as handle:
                 spec = CampaignSpec.from_json(handle.read())
             if args.backend is not None:

@@ -22,7 +22,7 @@ import contextlib
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..netsim.simulation import SimulationConfig
 from ..obs.metrics import get_registry
@@ -83,6 +83,15 @@ class TraceCache:
     one cache can be shared by several fuzzing runs executing concurrently
     (the campaign scheduler interleaves scenarios this way); the default
     lock-free mode keeps single-run lookups overhead-free.
+
+    Checkpointing is incremental: :meth:`delta_since` returns the ordered log
+    of touches since a mark (a put, or a hit that moved an entry in a bounded
+    cache) and :meth:`apply_delta` replays such a log, reproducing entries,
+    LRU order and evictions exactly.  Touches are only logged once a first
+    :meth:`delta_since` / :meth:`apply_delta` has asked for them, and the log
+    is trimmed at every mark, so a cache nobody checkpoints pays nothing and
+    a bounded cache stays bounded.  Marks are positions in *one* consumer's
+    log (the campaign journal's fold); a cache serves one such consumer.
     """
 
     def __init__(self, max_entries: Optional[int] = None, thread_safe: bool = False) -> None:
@@ -92,6 +101,11 @@ class TraceCache:
         self.thread_safe = thread_safe
         self._lock = threading.RLock() if thread_safe else contextlib.nullcontext()
         self._entries: "OrderedDict[CacheKey, CachedOutcome]" = OrderedDict()
+        #: Touches since op ``_log_base``: ``(key,)`` for a reordering hit,
+        #: ``(key, score, summary)`` for a put.  ``None`` until a checkpoint
+        #: consumer exists.
+        self._log: Optional[List[tuple]] = None
+        self._log_base = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -130,19 +144,35 @@ class TraceCache:
             if self.max_entries is not None:
                 # Recency order only matters for bounded LRU eviction; the
                 # (default) unbounded cache skips the per-hit reordering.
-                self._entries.move_to_end(key)
+                self._touch(key)
             score, summary = entry
             return score, dict(summary)
 
     def put(self, key: CacheKey, score: Score, summary: Dict[str, Any]) -> None:
         with self._lock:
-            self._entries[key] = (score, dict(summary))
-            if self.max_entries is not None:
-                self._entries.move_to_end(key)
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-                    self.evictions += 1
-                    get_registry().inc("cache.evictions")
+            evicted = self._store(key, score, dict(summary))
+            if evicted:
+                self.evictions += evicted
+                get_registry().inc("cache.evictions", evicted)
+
+    def _touch(self, key: CacheKey) -> None:
+        """Mark ``key`` most recently used (a logged op: it moves eviction order)."""
+        self._entries.move_to_end(key)
+        if self._log is not None:
+            self._log.append((key,))
+
+    def _store(self, key: CacheKey, score: Score, summary: Dict[str, Any]) -> int:
+        """Insert an entry, evicting past ``max_entries``; returns evictions."""
+        self._entries[key] = (score, summary)
+        if self._log is not None:
+            self._log.append((key, score, summary))
+        evicted = 0
+        if self.max_entries is not None:
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                evicted += 1
+        return evicted
 
     def record_coalesced_hit(self) -> None:
         """Count a lookup satisfied by an identical evaluation already in flight."""
@@ -185,44 +215,113 @@ class TraceCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            # Positions in the op log mean nothing once entries are gone; the
+            # next delta_since() starts over from a full image.
+            self._log = None
+            self._log_base = 0
 
     # ------------------------------------------------------------------ #
     # Checkpoint serialisation
     # ------------------------------------------------------------------ #
 
-    def dump(self) -> Dict[str, Any]:
-        """JSON-safe snapshot of entries (in LRU order) and counters.
+    def _payload(self, base: int, ops: List[tuple]) -> Dict[str, Any]:
+        return {
+            "schema": OUTCOME_SCHEMA,
+            "base": base,
+            "ops": [
+                [list(op[0])] if len(op) == 1 else [list(op[0]), op[1].to_dict(), op[2]]
+                for op in ops
+            ],
+            "counters": {
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+            },
+        }
 
-        Journal checkpoints carry this so a resumed run re-creates not only
-        the memoized outcomes but the exact ``hits``/``misses`` accounting —
-        elite clones served from a warm cache must count identically to the
-        uninterrupted run.
+    def dump(self) -> Dict[str, Any]:
+        """JSON-safe full image: the delta from ``base`` 0.
+
+        One put per entry in LRU order plus the absolute counters, so a
+        restored cache re-creates not only the memoized outcomes but the
+        exact ``hits``/``misses`` accounting — elite clones served from a
+        warm cache must count identically to the uninterrupted run.
         """
         with self._lock:
-            return {
-                "schema": OUTCOME_SCHEMA,
-                "counters": {
-                    "hits": self.hits,
-                    "misses": self.misses,
-                    "evictions": self.evictions,
-                },
-                "entries": [
-                    [list(key), score.to_dict(), summary]
-                    for key, (score, summary) in self._entries.items()
-                ],
-            }
+            return self._payload(
+                0, [(key, score, summary) for key, (score, summary) in self._entries.items()]
+            )
 
-    def restore(self, payload: Dict[str, Any]) -> None:
-        """Replace contents and counters with a :meth:`dump` snapshot."""
-        if payload.get("schema") != OUTCOME_SCHEMA:
+    def delta_since(self, mark: int) -> Tuple[Dict[str, Any], int]:
+        """Touches since ``mark`` as ``(payload, new_mark)``.
+
+        ``payload`` is ``{"schema", "base", "ops", "counters"}``: ``ops`` is
+        the ordered log — a put is ``[key, score, summary]``, a hit that
+        moved an entry of a bounded cache is ``[key]`` — ``base`` counts the
+        ops logged before it and ``counters`` are absolute, so replaying
+        payloads in ``base`` order reproduces entries, LRU order, evictions
+        and hit/miss counts exactly.  Journal checkpoints carry this, which
+        keeps a checkpoint's cost proportional to the work since the last
+        one.  Returned ops are forgotten; pass ``new_mark`` next time (start
+        from 0).  A mark this cache cannot serve (nothing logged yet, or
+        already forgotten) yields the full :meth:`dump` image at ``base`` 0,
+        which a positional fold applies as a fresh start.
+        """
+        with self._lock:
+            offset = mark - self._log_base
+            if self._log is None or not 0 <= offset <= len(self._log):
+                payload = self.dump()
+            else:
+                payload = self._payload(mark, self._log[offset:])
+            self._log = []
+            self._log_base = new_mark = payload["base"] + len(payload["ops"])
+            return payload, new_mark
+
+    def apply_delta(self, payload: Dict[str, Any]) -> int:
+        """Replay a :meth:`delta_since` payload; returns the mark after it.
+
+        Raises ``ValueError`` for a payload from another outcome schema or
+        layout, one that does not continue exactly where this cache's op log
+        ends, or one logged by a cache with a larger ``max_entries``.
+        """
+        ops = payload.get("ops")
+        if payload.get("schema") != OUTCOME_SCHEMA or not isinstance(ops, list):
             raise ValueError(
-                f"cache dump schema {payload.get('schema')!r} does not match {OUTCOME_SCHEMA!r}"
+                f"cache delta (schema {payload.get('schema')!r}) is not an "
+                f"{OUTCOME_SCHEMA!r} op log"
             )
         with self._lock:
-            self._entries.clear()
-            for key, score, summary in payload["entries"]:
-                self._entries[tuple(key)] = (Score.from_dict(score), dict(summary))
+            position = self._log_base + len(self._log or ())
+            if payload.get("base") != position:
+                raise ValueError(
+                    f"cache delta starts at op {payload.get('base')!r}, cache is at op {position}"
+                )
+            if self._log is None:
+                self._log = []
+            for op in ops:
+                key = tuple(op[0])
+                if len(op) == 1:
+                    if key not in self._entries:
+                        raise ValueError(f"cache delta touches an entry this cache evicted: {key}")
+                    self._touch(key)
+                else:
+                    self._store(key, Score.from_dict(op[1]), dict(op[2]))
             counters = payload.get("counters", {})
             self.hits = int(counters.get("hits", 0))
             self.misses = int(counters.get("misses", 0))
             self.evictions = int(counters.get("evictions", 0))
+            return position + len(ops)
+
+    def restore(self, payload: Dict[str, Any]) -> int:
+        """Replace contents and counters with a :meth:`dump` image (or any
+        folded delta from ``base`` 0); returns the mark to checkpoint from.
+
+        A payload :meth:`apply_delta` rejects leaves the cache empty.
+        """
+        with self._lock:
+            self.clear()
+            try:
+                return self.apply_delta(payload)
+            except ValueError:
+                self.clear()
+                raise

@@ -13,6 +13,15 @@ whitespace) so byte content is a pure function of logical content:
   newline or fails the checksum; readers skip exactly that torn tail and
   refuse anything corrupt earlier in the file.
 
+``data`` is the only part of a record whose size grows with the campaign, so
+it is encoded exactly once: the line and both digests are *framed* around
+that one canonical string (``[schema,seq,"type",<data>]`` for ``crc``,
+``[schema,"type",<data>]`` for the dedup key), which yields the same bytes as
+serialising the whole structure would.  A reader accepts a line only if it is
+byte-for-byte the canonical encoding of what it parses to — that covers the
+checksum and, unlike a checksum over parsed values, every spelling JSON allows
+for the same value.
+
 The dedup key deliberately excludes ``seq``: the same logical event recorded
 by two machines (or by a run and its resumed continuation) collapses to one
 record under merge and replay.
@@ -22,8 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 JOURNAL_SCHEMA = 1
 
@@ -60,39 +68,73 @@ def _digest(text: str, size: int) -> str:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=size).hexdigest()
 
 
-@dataclass(frozen=True)
 class JournalRecord:
-    """One event in the log.  ``data`` must be JSON-native."""
+    """One event in the log.  ``data`` must be JSON-native.
 
-    seq: int
-    type: str
-    data: Dict[str, Any]
-    schema: int = JOURNAL_SCHEMA
-    _dedup_cache: str = field(default="", init=False, repr=False, compare=False)
+    Immutable by convention.  Equality is over ``(seq, type, data, schema)``.
+    """
+
+    __slots__ = ("seq", "type", "schema", "_data", "_json", "_dedup")
+
+    def __init__(
+        self, seq: int, type: str, data: Dict[str, Any], schema: int = JOURNAL_SCHEMA
+    ) -> None:
+        self.seq = seq
+        self.type = type
+        self.schema = schema
+        self._data: Optional[Dict[str, Any]] = data
+        #: Canonical JSON of ``data``; held only by records built for
+        #: appending (:func:`make_record`), whose ``data`` is parsed from it
+        #: on first use.
+        self._json: Optional[str] = None
+        self._dedup: Optional[str] = None
+
+    @property
+    def data(self) -> Dict[str, Any]:
+        if self._data is None:
+            self._data = json.loads(self._json)  # type: ignore[arg-type]
+        return self._data
+
+    def _data_json(self) -> str:
+        return self._json if self._json is not None else canonical_json(self._data)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, JournalRecord):
+            return NotImplemented
+        return (self.seq, self.type, self.schema) == (
+            other.seq, other.type, other.schema
+        ) and self.data == other.data
+
+    def __repr__(self) -> str:
+        return (
+            f"JournalRecord(seq={self.seq!r}, type={self.type!r}, "
+            f"data={self.data!r}, schema={self.schema!r})"
+        )
+
+    def _framed(self, data_json: str) -> "tuple[str, str]":
+        """``(checksum, line)`` around one canonical encoding of ``data``."""
+        type_json = json.dumps(self.type)
+        crc = _digest(f"[{self.schema:d},{self.seq:d},{type_json},{data_json}]", size=4)
+        line = (
+            f'{{"crc":"{crc}","data":{data_json},"schema":{self.schema:d},'
+            f'"seq":{self.seq:d},"type":{type_json}}}\n'
+        )
+        return crc, line
 
     def checksum(self) -> str:
-        return _digest(
-            canonical_json([self.schema, self.seq, self.type, self.data]), size=4
-        )
+        return self._framed(self._data_json())[0]
+
+    def _dedup_of(self, data_json: str) -> str:
+        return _digest(f"[{self.schema:d},{json.dumps(self.type)},{data_json}]", size=8)
 
     def dedup_key(self) -> str:
         """Content identity (``seq``-independent) used by merge and replay."""
-        cached = self._dedup_cache
-        if cached:
-            return cached
-        key = _digest(canonical_json([self.schema, self.type, self.data]), size=8)
-        object.__setattr__(self, "_dedup_cache", key)
-        return key
+        if self._dedup is None:
+            self._dedup = self._dedup_of(self._data_json())
+        return self._dedup
 
     def to_line(self) -> str:
-        payload = {
-            "schema": self.schema,
-            "seq": self.seq,
-            "type": self.type,
-            "data": self.data,
-            "crc": self.checksum(),
-        }
-        return canonical_json(payload) + "\n"
+        return self._framed(self._data_json())[1]
 
     @classmethod
     def from_line(cls, line: str) -> "JournalRecord":
@@ -109,7 +151,6 @@ class JournalRecord:
                 data=payload["data"],
                 schema=int(payload["schema"]),
             )
-            crc = payload["crc"]
         except (KeyError, TypeError, ValueError) as exc:
             raise JournalCorruption(f"malformed journal record: {exc}") from exc
         if record.schema != JOURNAL_SCHEMA:
@@ -118,22 +159,29 @@ class JournalRecord:
             )
         if not isinstance(record.data, dict):
             raise JournalCorruption("journal record data is not an object")
-        if crc != record.checksum():
+        # The one re-serialisation a read costs: it verifies the line and,
+        # while the string is at hand, settles the dedup key every replay
+        # asks for — so the string itself need not be kept per record.
+        data_json = canonical_json(record.data)
+        if record._framed(data_json)[1] != (line if line.endswith("\n") else line + "\n"):
             raise JournalCorruption(f"checksum mismatch on seq {record.seq}")
+        record._dedup = record._dedup_of(data_json)
         return record
 
 
 def make_record(seq: int, type: str, data: Dict[str, Any]) -> JournalRecord:
-    """Build a record, normalising ``data`` through a JSON round-trip.
+    """Build a record for appending, encoding ``data`` exactly once.
 
-    The round-trip rejects non-serialisable payloads at append time (not at
-    some later read) and canonicalises containers (tuples become lists), so a
-    record held in memory is byte-identical to its re-read form.
+    Encoding up front rejects non-serialisable payloads at append time (not
+    at some later read); the record's ``data`` is parsed back from that
+    encoding on first use, which canonicalises containers (tuples become
+    lists), so a record held in memory equals its re-read form.
     """
     if type not in EVENT_TYPES:
         raise JournalError(f"unknown journal event type: {type!r}")
+    record = JournalRecord(seq=seq, type=type, data=None)  # type: ignore[arg-type]
     try:
-        normalised = json.loads(canonical_json(data))
+        record._json = canonical_json(data)
     except (TypeError, ValueError) as exc:
         raise JournalError(f"journal event data is not JSON-serialisable: {exc}") from exc
-    return JournalRecord(seq=seq, type=type, data=normalised)
+    return record

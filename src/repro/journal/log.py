@@ -307,6 +307,7 @@ class CampaignJournal:
                 registry = get_registry()
                 registry.inc("journal.appends")
                 registry.inc("journal.bytes", len(payload))
+                registry.inc(f"journal.bytes.{type}", len(payload))
                 registry.observe("journal.append_s", time.perf_counter() - append_started)
                 self._next_seq += 1
                 self._tail_offset += len(payload)

@@ -19,6 +19,16 @@ dropped (counted in ``fenced_records``) — a zombie worker whose lease was
 stolen cannot corrupt the view, while everything the victim wrote *before*
 the steal stays visible so the thief can resume from its checkpoint.
 Records without a ``lease_epoch`` (legacy serial campaigns) are never fenced.
+
+Evaluation caches are journaled as op-deltas (see
+:meth:`repro.exec.cache.TraceCache.delta_since`): each checkpoint or
+completion carries only the cache touches since the previous one, with
+``base`` = how many ops came before.  The fold is positional, per cache — a
+record written under a lease belongs to that scenario's private cache, any
+other to the one campaign-wide cache: truncate the cache's op log to ``base``,
+then extend it.  A generation re-done after a resume or a lease steal
+therefore overwrites the ops it replaces instead of duplicating them, and
+fencing (applied first) keeps a zombie's ops out altogether.
 """
 
 from __future__ import annotations
@@ -37,8 +47,10 @@ FENCED_EVENT_TYPES = (
     "job_quarantined",
 )
 
-#: Version of the ``compaction_snapshot`` payload layout.
-SNAPSHOT_VIEW_SCHEMA = 1
+#: Version of the ``compaction_snapshot`` payload layout.  2 carries each
+#: cache's folded op log under ``caches``; 1 carried one full dump under
+#: ``cache_state``, which is no longer read (such a resume starts cold).
+SNAPSHOT_VIEW_SCHEMA = 2
 
 
 def lease_epoch_of(payload: Optional[Dict[str, Any]]) -> int:
@@ -76,8 +88,10 @@ class JournalView:
     archive_counters: Optional[Dict[str, int]] = None
     #: every ``behavior_delta`` payload in fold order (for limit-aware folds).
     behavior_deltas: List[Dict[str, Any]] = field(default_factory=list)
-    #: latest evaluation-cache dump carried by a checkpoint/completion, if any.
-    cache_state: Optional[Dict[str, Any]] = None
+    #: cache scope -> that cache's folded op log as one ``base``-0 payload
+    #: (what ``TraceCache.restore`` takes).  Scope is the scenario id for a
+    #: fleet worker's private cache, ``""`` for the campaign-wide one.
+    caches: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: latest ``scenario_seeds`` payload (the fleet's journaled seed plan).
     scenario_seeds: Optional[Dict[str, Any]] = None
     #: ``job_quarantined`` payloads in fold order (the quarantine WAL);
@@ -93,6 +107,11 @@ class JournalView:
     #: records folded away by an applied ``compaction_snapshot``.
     compacted_records: int = 0
     last_seq: int = 0
+
+    @property
+    def cache_state(self) -> Optional[Dict[str, Any]]:
+        """The campaign-wide evaluation cache, if any record carried one."""
+        return self.caches.get("")
 
     def pending_checkpoints(self) -> Dict[str, Dict[str, Any]]:
         """Checkpoints for scenarios that never reached completion."""
@@ -229,7 +248,7 @@ class JournalView:
         *pending* checkpoints (completed scenarios' checkpoints are dead
         weight — nothing reads them), completions, the full behavior-delta
         list (kept verbatim so limit-aware folds still work after later
-        checkpoints move a scenario's limit), the latest cache dump, and the
+        checkpoints move a scenario's limit), the folded cache op logs, and the
         insert WAL folded to the latest record per (scenario, fingerprint)
         — applying only the latest is corpus-equivalent because every event
         for a fingerprint carries the full entry and applies idempotently.
@@ -253,7 +272,7 @@ class JournalView:
                 "checkpoints": dict(self.pending_checkpoints()),
                 "completed": dict(self.completed),
                 "behavior_deltas": list(self.behavior_deltas),
-                "cache_state": self.cache_state,
+                "caches": self.caches,
                 "inserts": folded_inserts,
                 "quarantined": folded_quarantined,
                 "record_count": self.record_count + self.compacted_records,
@@ -295,8 +314,38 @@ def _fold_checkpoint(view: JournalView, data: Dict[str, Any]) -> None:
     current = view.checkpoints.get(scenario_id)
     if current is None or data["generation"] >= current["generation"]:
         view.checkpoints[scenario_id] = data
-    if data.get("cache") is not None:
-        view.cache_state = data["cache"]
+
+
+def _fold_cache(view: JournalView, data: Dict[str, Any]) -> None:
+    """Fold the cache op-delta a checkpoint or completion record carries."""
+    delta = data.get("cache")
+    if delta is None:
+        return
+    # Fleet workers (the only writers of lease epochs) run every scenario on
+    # a private cache; a serial campaign shares one across scenarios.
+    scope = data.get("scenario_id", "") if "lease_epoch" in data else ""
+    ops = delta.get("ops") if isinstance(delta, dict) else None
+    base = delta.get("base") if isinstance(ops, list) else None
+    folded: Optional[List[Any]] = None
+    if base == 0:
+        folded = []
+    elif type(base) is int and base > 0:
+        # A ``base``-0 payload in the view always owns its op list (built
+        # here or copied from a snapshot), so truncating in place never
+        # touches a record's own data.
+        current = view.caches.get(scope)
+        log = current.get("ops") if isinstance(current, dict) and current.get("base") == 0 else None
+        if isinstance(log, list) and base <= len(log):
+            del log[base:]
+            folded = log
+    if folded is None:
+        # Not an op-delta (a full dump from an older writer), or one whose
+        # predecessors are missing: keep it as found and let
+        # ``TraceCache.restore`` refuse it, which resumes cold.
+        view.caches[scope] = delta
+        return
+    folded.extend(ops)
+    view.caches[scope] = {**delta, "base": 0, "ops": folded}
 
 
 def _fold_delta(view: JournalView, data: Dict[str, Any]) -> None:
@@ -320,8 +369,6 @@ def _fold_quarantine(view: JournalView, data: Dict[str, Any]) -> None:
 
 def _fold_complete(view: JournalView, data: Dict[str, Any]) -> None:
     view.completed[data["scenario_id"]] = data
-    if data.get("cache") is not None:
-        view.cache_state = data["cache"]
 
 
 def _is_fenced(data: Dict[str, Any], max_epoch: Dict[str, int]) -> bool:
@@ -347,7 +394,9 @@ def _fold_snapshot(
     snapshotted records already passed fencing when the snapshot was taken,
     and a victim's pre-steal checkpoint must stay visible.  Folding the lease
     epochs afterwards re-arms the fence against zombie records appended
-    after the compaction.
+    after the compaction.  Cache deltas inside snapshotted records are *not*
+    re-folded (they are no longer in log order); the snapshot carries the
+    folded op logs themselves.
     """
     snapshot_view = data.get("view")
     if not isinstance(snapshot_view, dict):
@@ -365,8 +414,11 @@ def _fold_snapshot(
         _fold_quarantine(view, entry)
     for _, payload in sorted((snapshot_view.get("completed") or {}).items()):
         _fold_complete(view, payload)
-    if snapshot_view.get("cache_state") is not None:
-        view.cache_state = snapshot_view["cache_state"]
+    for scope, payload in (snapshot_view.get("caches") or {}).items():
+        if isinstance(payload, dict) and isinstance(payload.get("ops"), list):
+            # Copy the op list: later deltas are folded into it in place.
+            payload = {**payload, "ops": list(payload["ops"])}
+        view.caches[scope] = payload
     if snapshot_view.get("scenario_seeds") is not None:
         view.scenario_seeds = snapshot_view["scenario_seeds"]
     for _, lease in sorted((snapshot_view.get("leases") or {}).items()):
@@ -413,6 +465,7 @@ def replay_records(
             view.scenario_seeds = data
         elif record.type == "generation_checkpoint":
             _fold_checkpoint(view, data)
+            _fold_cache(view, data)
         elif record.type == "behavior_delta":
             _fold_delta(view, data)
         elif record.type == "corpus_insert":
@@ -421,6 +474,7 @@ def replay_records(
             _fold_quarantine(view, data)
         elif record.type == "scenario_complete":
             _fold_complete(view, data)
+            _fold_cache(view, data)
         elif record.type == "compaction_snapshot":
             _fold_snapshot(view, data, max_epoch)
         # Unknown event types within a supported schema are ignored, so a

@@ -43,6 +43,9 @@ class MetricsJsonlSink:
     always ends on fresh numbers).
     """
 
+    #: Throttle clock; an attribute so a test can step it by hand.
+    clock = staticmethod(time.monotonic)
+
     def __init__(
         self,
         directory: Union[str, Path],
@@ -50,7 +53,9 @@ class MetricsJsonlSink:
     ) -> None:
         self.path = Path(directory) / METRICS_FILENAME
         self.interval_s = interval_s
-        self._last_snapshot = 0.0
+        # "Never": the monotonic clock's zero is arbitrary (often boot), so
+        # no numeric sentinel is safely "long ago".
+        self._last_snapshot: Optional[float] = None
         # Parallel campaigns emit from several coordinator threads; the lock
         # keeps each record on its own line.
         self._lock = threading.Lock()
@@ -70,8 +75,12 @@ class MetricsJsonlSink:
 
     def maybe_snapshot(self, registry: MetricsRegistry, force: bool = False) -> bool:
         """Emit a ``metrics`` record if the interval elapsed (or forced)."""
-        now = time.monotonic()
-        if not force and now - self._last_snapshot < self.interval_s:
+        now = self.clock()
+        if (
+            not force
+            and self._last_snapshot is not None
+            and now - self._last_snapshot < self.interval_s
+        ):
             return False
         self._last_snapshot = now
         self.emit(

@@ -118,6 +118,7 @@ def fold_status(
         "manifest_present": False,
         "result_digest": None,
         "quarantine_entries": 0,
+        "journal_bytes": {},
         "faults": {
             "failures": 0,
             "retries": 0,
@@ -256,6 +257,14 @@ def fold_status(
     if snapshots:
         counters = (snapshots[-1].get("registry") or {}).get("counters", {})
         status["sim_events"] = int(counters.get("sim.events", 0))
+        # Where the journal's bytes went, by record type (cumulative over
+        # the process that wrote the snapshot, like every registry counter).
+        prefix = "journal.bytes."
+        status["journal_bytes"] = {
+            name[len(prefix):]: int(value)
+            for name, value in counters.items()
+            if name.startswith(prefix)
+        }
         # Fault-tolerance counters from the exec layer (see repro.exec):
         # cumulative over the process, like every registry counter.
         status["faults"] = {
@@ -346,6 +355,14 @@ def _fmt_seconds(value: Optional[float]) -> str:
     return f"{value:.0f}s"
 
 
+def _fmt_bytes(value: float) -> str:
+    if value >= 1e6:
+        return f"{value / 1e6:.1f} MB"
+    if value >= 1e3:
+        return f"{value / 1e3:.1f} KB"
+    return f"{value:.0f} B"
+
+
 def format_status(status: Dict[str, Any]) -> str:
     """Human-readable render of :func:`collect_status`."""
     if status.get("campaign") is None:
@@ -378,6 +395,13 @@ def format_status(status: Dict[str, Any]) -> str:
         f"({_fmt_rate(status.get('events_per_sec_recent'), ' ev/s')} recent), "
         f"behavior cells +{status['behavior_cells']}"
     )
+    journal_bytes = status.get("journal_bytes") or {}
+    if journal_bytes:
+        by_type = sorted(journal_bytes.items(), key=lambda item: (-item[1], item[0]))
+        lines.append(
+            f"journal: {_fmt_bytes(sum(journal_bytes.values()))} — "
+            + ", ".join(f"{name} {_fmt_bytes(size)}" for name, size in by_type)
+        )
     faults = status.get("faults") or {}
     if any(faults.values()):
         # Only shown when something actually failed: a healthy campaign's

@@ -43,6 +43,15 @@ class TestCampaignRun:
         assert len(report["scenarios"]) == 4
         assert report["corpus"]["entries"] == len(CorpusStore(str(corpus_dir)))
 
+    @pytest.mark.parametrize("extra", [[], ["--resume", "--spec", "spec.json"]])
+    def test_usage_errors_leave_no_corpus_dir_behind(self, extra, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        with pytest.raises(SystemExit) as excinfo:
+            campaign_main(["run", "--corpus", str(corpus_dir)] + extra)
+        assert excinfo.value.code == 2
+        assert "--spec" in capsys.readouterr().err
+        assert not corpus_dir.exists()
+
     def test_run_twice_dedupes_into_same_corpus(self, spec_path, tmp_path, capsys):
         # A second run over the same corpus is seeded from the first run's
         # discoveries (the corpus feedback loop), so it may find *new* traces

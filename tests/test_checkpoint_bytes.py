@@ -1,0 +1,102 @@
+"""Checkpoint cost is linear: exact op and byte counts, no clock.
+
+A ``generation_checkpoint`` carries the evaluation-cache touches *since the
+previous checkpoint*, so its size is bounded by one generation's work however
+long the campaign has run.  (Before op-deltas every checkpoint re-journaled
+the whole cache: on the serial campaign below the last checkpoint held
+generations x population entries and was 4.6x the first.)  A journal in that
+older full-dump layout must still resume — cold, not crash.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+
+import pytest
+
+from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore, run_fleet
+from repro.journal import CampaignJournal
+
+POPULATION = 8
+GENERATIONS = 6
+LEGACY_JOURNAL = os.path.join(os.path.dirname(__file__), "legacy_full_dump_journal.jsonl")
+
+
+def pinned_spec(**overrides) -> CampaignSpec:
+    payload = {
+        "name": "checkpoint-bytes",
+        "ccas": ["reno", "cubic"],
+        "modes": ["traffic"],
+        "objectives": ["throughput"],
+        "conditions": [{"name": "base"}],
+        "budget": {"population_size": POPULATION, "generations": GENERATIONS, "duration": 0.12},
+        "seed": 7,
+        "seed_limit": 2,
+    }
+    payload.update(overrides)
+    return CampaignSpec.from_dict(payload)
+
+
+def run_serial(corpus_dir) -> None:
+    CampaignRunner(
+        pinned_spec(), CorpusStore(str(corpus_dir)), register_attacks=False, telemetry=False
+    ).run()
+
+
+def run_inline_fleet(corpus_dir) -> None:
+    run_fleet(pinned_spec(), str(corpus_dir), workers=0, register_attacks=False, telemetry=False)
+
+
+@pytest.mark.parametrize("run", [run_serial, run_inline_fleet])
+def test_checkpoint_cache_payload_is_bounded_by_one_generation(run, tmp_path):
+    run(tmp_path)
+    checkpoints = [
+        record.data
+        for record in CampaignJournal(CampaignJournal.corpus_path(str(tmp_path))).records()
+        if record.type == "generation_checkpoint"
+    ]
+    assert len(checkpoints) == 2 * GENERATIONS
+    position = {}
+    for data in checkpoints:
+        scope = data["scenario_id"] if "lease_epoch" in data else ""
+        delta = data["cache"]
+        puts = [op for op in delta["ops"] if len(op) == 3]
+        assert len(puts) <= POPULATION
+        assert len(delta["ops"]) <= POPULATION  # a lookup is a put or a hit, never both
+        # Deltas tile each cache's op log with no gap and no overlap.
+        assert delta["base"] == position.get(scope, 0)
+        position[scope] = delta["base"] + len(delta["ops"])
+    for scenario in pinned_spec().expand():
+        sizes = [
+            len(json.dumps(data["cache"]))
+            for data in checkpoints
+            if data["scenario_id"] == scenario.scenario_id
+        ]
+        assert sizes[-1] <= 1.5 * sizes[0], sizes
+
+
+def test_parent_layout_journal_resumes_cold(tmp_path):
+    """A journal whose checkpoints carry full cache dumps (the layout before
+    op-deltas; SIGKILLed after generation 1 of 3) resumes with a cold cache and
+    finds what an uninterrupted run finds."""
+    corpus_dir = tmp_path / "legacy"
+    corpus_dir.mkdir()
+    shutil.copy(LEGACY_JOURNAL, CampaignJournal.corpus_path(str(corpus_dir)))
+    view = CampaignJournal(CampaignJournal.corpus_path(str(corpus_dir))).replay()
+    assert "entries" in view.cache_state and "ops" not in view.cache_state
+    messages = []
+    resumed = CampaignRunner.resume(
+        str(corpus_dir), progress=messages.append, telemetry=False
+    ).run()
+    assert any("resuming with a cold cache" in message for message in messages)
+
+    spec = CampaignSpec.from_dict(view.campaign["spec"])
+    fresh = CampaignRunner(
+        spec, CorpusStore(str(tmp_path / "fresh")), register_attacks=False, telemetry=False
+    ).run()
+    assert [o.best_fingerprint for o in resumed.outcomes] == [
+        o.best_fingerprint for o in fresh.outcomes
+    ]
+    assert [o.best_fitness for o in resumed.outcomes] == [o.best_fitness for o in fresh.outcomes]

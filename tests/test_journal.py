@@ -20,6 +20,7 @@ from repro.journal import (
     replay_records,
 )
 from repro.journal.events import make_record
+from repro.obs.metrics import get_registry
 
 
 def journal_at(tmp_path, name="journal.jsonl") -> CampaignJournal:
@@ -38,6 +39,17 @@ class TestRecords:
         tampered = line.replace('"a"', '"b"')
         with pytest.raises(JournalCorruption):
             JournalRecord.from_line(tampered)
+
+    @pytest.mark.parametrize(
+        "canonical, respelled",
+        [("1e+16", "1E+16"), ("\\u00e9", "\\u00E9"), ('"seq":1', '"seq": 1')],
+    )
+    def test_respelling_a_value_is_tampering_too(self, canonical, respelled):
+        # Same parsed value, same checksum over parsed values — different bytes.
+        line = make_record(1, "scenario_lease", {"scenario_id": "é", "x": 1e16}).to_line()
+        assert canonical in line
+        with pytest.raises(JournalCorruption):
+            JournalRecord.from_line(line.replace(canonical, respelled))
 
     def test_unknown_event_type_rejected_at_append(self):
         with pytest.raises(JournalError):
@@ -76,6 +88,21 @@ class TestAppendAndReplay:
         for event_type in EVENT_TYPES:
             journal.append(event_type, {"scenario_id": "s", "generation": 0})
         assert [r.type for r in journal.records()] == list(EVENT_TYPES)
+
+    def test_append_counts_bytes_by_record_type(self, tmp_path):
+        registry = get_registry()
+        names = ["journal.bytes", "journal.bytes.scenario_lease", "journal.bytes.corpus_insert"]
+        before = [registry.counter(name) for name in names]
+        journal = journal_at(tmp_path)
+        journal.append("scenario_lease", {"scenario_id": "s1"})
+        journal.append("corpus_insert", {"scenario_id": "s1", "fingerprint": "f" * 40})
+        journal.append("scenario_lease", {"scenario_id": "s2"})
+        total, leases, inserts = (
+            registry.counter(name) - start for name, start in zip(names, before)
+        )
+        sizes = [len(record.to_line()) for record in journal.records()]
+        assert total == os.path.getsize(journal.path) == sum(sizes)
+        assert (leases, inserts) == (sizes[0] + sizes[2], sizes[1])
 
     def test_duplicate_events_collapse_on_replay(self, tmp_path):
         journal = journal_at(tmp_path)

@@ -8,13 +8,24 @@ for the interleavings and cut points that violate them.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.journal import CampaignJournal, merge_records, replay_records
+from repro.exec.cache import TraceCache, make_cache_key
+from repro.journal import (
+    CampaignJournal,
+    JournalCorruption,
+    JournalRecord,
+    merge_records,
+    replay_records,
+)
 from repro.journal.events import EVENT_TYPES, make_record
+from repro.scoring.base import Score
 
 #: JSON-native scalar payload values.
 scalars_st = st.one_of(
@@ -311,3 +322,244 @@ def test_torn_tail_of_any_length_is_skipped(records, cut):
         appended = reread.append("scenario_lease", {"scenario_id": "fresh"})
         assert appended.seq == len(reread.records())
         assert reread.replay().torn_records == 0
+
+
+# ---------------------------------------------------------------------- #
+# Cache op-deltas: cut anywhere, journal, fold, restore == the live cache
+# ---------------------------------------------------------------------- #
+
+CACHE_SID = "reno/traffic/a"
+CACHE_KEYS = [make_cache_key(f"trace{i}", "reno:00", "sim", "score") for i in range(6)]
+
+#: One cache touch: a lookup (put on a miss, like ``evaluate_coalesced``) or
+#: an in-batch duplicate that only moves the hit counter.
+touch_st = st.one_of(
+    st.tuples(st.just("lookup"), st.integers(min_value=0, max_value=len(CACHE_KEYS) - 1)),
+    st.just(("coalesced", 0)),
+)
+#: Touches per generation; every generation ends in a checkpoint.
+generations_st = st.lists(st.lists(touch_st, max_size=8), min_size=1, max_size=6)
+#: ``None`` never evicts or reorders; 2 and 3 do both over six keys.
+max_entries_st = st.sampled_from([None, 2, 3])
+
+
+def play(cache: TraceCache, touches) -> None:
+    for kind, index in touches:
+        if kind == "coalesced":
+            cache.record_coalesced_hit()
+        elif cache.get(CACHE_KEYS[index]) is None:
+            cache.put(CACHE_KEYS[index], Score(index + 0.5, float(index)), {"events": index})
+
+
+class CheckpointedCache:
+    """The checkpoint call sites in miniature: one cache, one journal, one mark."""
+
+    def __init__(self, tmp: str, max_entries, stamp=None) -> None:
+        self.path = os.path.join(tmp, "journal.jsonl")
+        self.journal = CampaignJournal(self.path, fsync=False)
+        self.max_entries = max_entries
+        #: ``{"lease_epoch": n}`` makes the records a fleet worker's (private
+        #: per-scenario cache); ``{}`` a serial campaign's (one shared cache).
+        self.stamp = dict(stamp or {})
+        self.cache = TraceCache(max_entries=max_entries)
+        self.mark = 0
+
+    def checkpoint(self, generation: int, event: str = "generation_checkpoint") -> None:
+        delta, self.mark = self.cache.delta_since(self.mark)
+        self.journal.append(
+            event,
+            {"scenario_id": CACHE_SID, "generation": generation, "cache": delta, **self.stamp},
+        )
+
+    def journaled(self):
+        """The folded payload a resume (or a thief) would restore."""
+        view = CampaignJournal(self.path, fsync=False).replay()
+        return view.caches.get(CACHE_SID if self.stamp else "")
+
+    def resume(self) -> None:
+        """A new process: fresh cache, restored from the journal alone."""
+        self.journal.close()
+        self.journal = CampaignJournal(self.path, fsync=False)
+        self.cache = TraceCache(max_entries=self.max_entries)
+        state = self.journaled()
+        self.mark = self.cache.restore(state) if state is not None else 0
+
+    def assert_journal_equals_live(self) -> None:
+        restored = TraceCache(max_entries=self.max_entries)
+        mark = restored.restore(self.journaled())
+        assert restored.dump() == self.cache.dump()  # entries, LRU order, counters
+        assert restored.stats() == self.cache.stats()
+        # ... and the restored cache checkpoints on from exactly there.
+        assert mark == self.mark
+        delta, _ = restored.delta_since(mark)
+        assert (delta["base"], delta["ops"]) == (mark, [])
+
+
+@given(
+    max_entries=max_entries_st,
+    fleet=st.booleans(),
+    generations=generations_st,
+    incident=st.sampled_from(["none", "kill", "torn", "redo", "compact"]),
+    at=st.integers(min_value=0, max_value=5),
+    redone=st.lists(touch_st, max_size=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_cache_deltas_fold_back_to_the_live_cache(
+    max_entries, fleet, generations, incident, at, redone
+):
+    """Random put/hit/miss sequences on evicting and non-evicting caches, cut
+    at every generation, journaled, folded and restored, equal the live cache
+    — across a clean kill, a torn checkpoint, a re-done generation and a
+    compaction at a random generation."""
+    at = min(at, len(generations) - 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        run = CheckpointedCache(tmp, max_entries, {"lease_epoch": 1} if fleet else None)
+        for generation, touches in enumerate(generations):
+            play(run.cache, touches)
+            run.checkpoint(generation)
+            if generation != at:
+                continue
+            if incident == "kill":
+                run.resume()
+            elif incident == "compact":
+                assert run.journal.compact()["records_after"] == 1
+            elif incident == "torn":
+                # The checkpoint's append was cut short: the resumed process
+                # restores the previous checkpoint and evaluates it again.
+                run.journal.close()
+                raw = open(run.path, "rb").read()
+                final = raw.splitlines(keepends=True)[-1]
+                with open(run.path, "wb") as handle:
+                    handle.write(raw[: len(raw) - len(final) // 2 - 1])
+                run.resume()
+                play(run.cache, touches)
+                run.checkpoint(generation)
+            elif incident == "redo":
+                # The generation is evaluated again from the checkpoint
+                # before it, differently, and journaled a second time: the
+                # second delta must replace the first (truncate to ``base``),
+                # not pile up behind it.
+                records = CampaignJournal(run.path, fsync=False).records()
+                before = replay_records(records[:-1]).caches.get(CACHE_SID if fleet else "")
+                run.cache = TraceCache(max_entries=max_entries)
+                run.mark = run.cache.restore(before) if before is not None else 0
+                play(run.cache, redone)
+                run.checkpoint(generation)
+        run.checkpoint(len(generations), event="scenario_complete")
+        run.assert_journal_equals_live()
+
+
+@given(
+    max_entries=max_entries_st,
+    before=generations_st,
+    after=st.lists(st.tuples(st.lists(touch_st, max_size=8), st.lists(touch_st, max_size=8)),
+                   min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_cache_deltas_of_a_fenced_zombie_never_reach_the_fold(max_entries, before, after):
+    """A stolen scenario: the thief restores the victim's journaled cache and
+    carries on; the victim, still alive, keeps journaling deltas under its
+    stale epoch in between.  The fold is the thief's cache exactly."""
+    with tempfile.TemporaryDirectory() as tmp:
+        victim = CheckpointedCache(tmp, max_entries)
+        victim.stamp = {
+            "lease_epoch": victim.journal.claim_lease(CACHE_SID, "victim", ttl=1.0, now=0.0)["lease_epoch"]
+        }
+        for generation, touches in enumerate(before):
+            play(victim.cache, touches)
+            victim.checkpoint(generation)
+        thief = CheckpointedCache(tmp, max_entries)
+        thief.stamp = {
+            "lease_epoch": thief.journal.claim_lease(CACHE_SID, "thief", ttl=1.0, now=5.0)["lease_epoch"]
+        }
+        thief.resume()
+        for offset, (zombie_touches, thief_touches) in enumerate(after):
+            generation = len(before) + offset
+            play(victim.cache, zombie_touches)
+            victim.checkpoint(generation)
+            play(thief.cache, thief_touches)
+            thief.checkpoint(generation)
+        assert thief.journal.replay().fenced_records == len(after)
+        thief.assert_journal_equals_live()
+
+
+# ---------------------------------------------------------------------- #
+# Line codec: serialise once == the legacy triple dump, byte for byte
+# ---------------------------------------------------------------------- #
+
+
+def _legacy_dumps(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def legacy_encode(seq: int, event_type: str, data):
+    """The encoder this repository shipped before the serialise-once codec,
+    kept verbatim as the reference: ``make_record`` dumped and re-parsed the
+    data, ``checksum`` dumped it again and ``to_line`` a third time."""
+    normalised = json.loads(_legacy_dumps(data))
+    crc = hashlib.blake2b(
+        _legacy_dumps([1, seq, event_type, normalised]).encode("utf-8"), digest_size=4
+    ).hexdigest()
+    dedup = hashlib.blake2b(
+        _legacy_dumps([1, event_type, normalised]).encode("utf-8"), digest_size=8
+    ).hexdigest()
+    line = _legacy_dumps(
+        {"schema": 1, "seq": seq, "type": event_type, "data": normalised, "crc": crc}
+    ) + "\n"
+    return line, crc, dedup, normalised
+
+
+json_values_st = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-(2**80), max_value=2**80),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=12),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+payloads_st = st.dictionaries(st.text(max_size=6), json_values_st, max_size=5)
+
+
+@given(
+    seq=st.integers(min_value=1, max_value=2**40),
+    event_type=st.sampled_from(EVENT_TYPES),
+    data=payloads_st,
+)
+@settings(max_examples=200, deadline=None)
+def test_serialise_once_codec_matches_the_legacy_triple_dump(seq, event_type, data):
+    line, crc, dedup, normalised = legacy_encode(seq, event_type, data)
+    record = make_record(seq, event_type, data)
+    assert record.to_line() == line
+    assert record.checksum() == crc
+    assert record.dedup_key() == dedup
+    assert record.data == normalised  # tuples became lists, like a re-read
+    reread = JournalRecord.from_line(line)
+    assert reread == record
+    assert (reread.to_line(), reread.checksum(), reread.dedup_key()) == (line, crc, dedup)
+
+
+@given(
+    seq=st.integers(min_value=1, max_value=2**40),
+    event_type=st.sampled_from(EVENT_TYPES),
+    data=payloads_st,
+    position=st.integers(min_value=0),
+    mask=st.integers(min_value=1, max_value=255),
+)
+@settings(max_examples=300, deadline=None)
+def test_flipping_any_byte_of_a_line_is_detected(seq, event_type, data, position, mask):
+    raw = make_record(seq, event_type, data).to_line().encode("utf-8")
+    position %= len(raw)
+    damaged = raw[:position] + bytes([raw[position] ^ mask]) + raw[position + 1:]
+    try:
+        text = damaged.decode("utf-8")
+    except UnicodeDecodeError:
+        return  # the file scanner counts an undecodable line as corrupt too
+    with pytest.raises(JournalCorruption):
+        JournalRecord.from_line(text)

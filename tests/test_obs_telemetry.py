@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
+from repro.journal import CampaignJournal
 from repro.obs import (
     MANIFEST_FILENAME,
     METRICS_FILENAME,
@@ -144,9 +145,18 @@ class TestTelemetryStream:
         assert entry["state"] == "complete"
         assert entry["generation"] == entry["generations_total"] == 2
 
+        # Where the journal's bytes went, from the telemetry stream alone
+        # (registry counters are cumulative over the test process: >=).
+        on_disk = {}
+        for record in CampaignJournal(CampaignJournal.corpus_path(str(corpus_dir))).records():
+            on_disk[record.type] = on_disk.get(record.type, 0) + len(record.to_line())
+        assert set(status["journal_bytes"]) >= set(on_disk)
+        assert all(status["journal_bytes"][name] >= size for name, size in on_disk.items())
+
         rendered = format_status(status)
         assert "campaign 'obs-test' — COMPLETE" in rendered
         assert "reno/traffic/throughput/base" in rendered
+        assert "journal: " in rendered and "generation_checkpoint " in rendered
         json.loads(status_json(status))  # round-trips through JSON
 
     def test_status_tolerates_a_torn_tail(self, campaign):
@@ -197,6 +207,20 @@ class TestSinks:
         records = read_metrics(tmp_path / METRICS_FILENAME)
         assert [r["type"] for r in records] == ["metrics", "metrics"]
         assert records[-1]["registry"]["counters"]["x"] == 1
+
+    def test_first_snapshot_passes_whatever_the_clock_reads(self, tmp_path):
+        # A freshly booted host: time.monotonic() is still below interval_s.
+        registry = MetricsRegistry()
+        sink = MetricsJsonlSink(str(tmp_path), interval_s=3600)
+        now = [2.5]
+        sink.clock = lambda: now[0]
+        assert sink.maybe_snapshot(registry)             # first one is never throttled
+        now[0] += 3599.0
+        assert not sink.maybe_snapshot(registry)         # inside the interval
+        now[0] += 1.0
+        assert sink.maybe_snapshot(registry)             # interval elapsed
+        sink.close()
+        assert len(read_metrics(tmp_path / METRICS_FILENAME)) == 2
 
     def test_emit_after_close_is_a_noop(self, tmp_path):
         sink = MetricsJsonlSink(str(tmp_path))
