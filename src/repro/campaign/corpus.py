@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
 from ..journal.log import fsync_dir
+from ..obs.metrics import get_registry
 from ..traces.trace import LinkTrace, LossTrace, PacketTrace, TrafficTrace
 
 #: index.json schema version, bumped on incompatible layout changes.
@@ -35,22 +36,27 @@ CORPUS_SCHEMA = 1
 _MODE_BY_TYPE = {LinkTrace: "link", TrafficTrace: "traffic", LossTrace: "loss"}
 
 
-def atomic_json_dump(payload: Dict[str, Any], path: str, **json_kwargs: Any) -> None:
-    """Write JSON via a temp file + rename in the same directory.
+def atomic_write_text(text: str, path: str) -> None:
+    """Publish ``text`` at ``path`` via a temp file + rename in the same directory.
 
     A crash mid-write leaves the previous version intact, never a truncated
-    JSON file — the property that keeps a corpus directory loadable after an
+    file — the property that keeps a corpus directory loadable after an
     interrupted campaign.  The temp file is fsynced before the rename and the
     parent directory after it, so the publish also survives power loss, not
     just process death (same contract as the journal).
     """
     tmp_path = f"{path}.tmp"
     with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, **json_kwargs)
+        handle.write(text)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, path)
     fsync_dir(os.path.dirname(os.path.abspath(path)))
+
+
+def atomic_json_dump(payload: Dict[str, Any], path: str, **json_kwargs: Any) -> None:
+    """:func:`atomic_write_text` of ``payload`` as JSON."""
+    atomic_write_text(json.dumps(payload, **json_kwargs), path)
 
 
 def mode_of_trace(trace: PacketTrace) -> str:
@@ -180,6 +186,10 @@ class CorpusStore:
         self._index_path = os.path.join(self.path, "index.json")
         self._lock = threading.RLock()
         self._index: Dict[str, Dict[str, Any]] = {}
+        #: fingerprint -> that row's line of index.json, encoded when the row
+        #: was last replaced, so publishing the index never re-encodes rows
+        #: that did not change.
+        self._index_lines: Dict[str, str] = {}
         self._loaded: Dict[str, CorpusEntry] = {}
         os.makedirs(self._entries_dir, exist_ok=True)
         self._sweep_orphan_tmp_files()
@@ -191,7 +201,8 @@ class CorpusStore:
                     f"corpus at {self.path} has schema {payload.get('schema')}, "
                     f"expected {CORPUS_SCHEMA}"
                 )
-            self._index = dict(payload.get("entries", {}))
+            for fingerprint, row in payload.get("entries", {}).items():
+                self._set_row(fingerprint, row)
         else:
             self._write_index()
 
@@ -275,7 +286,7 @@ class CorpusStore:
         with self._lock:
             existing = self._index.get(fingerprint)
             if existing is None:
-                self._index[fingerprint] = entry.summary()
+                self._set_row(fingerprint, entry.summary())
                 self._loaded[fingerprint] = entry
                 self._write_entry(entry)
                 self._write_index()
@@ -305,7 +316,7 @@ class CorpusStore:
                 # A rediscovery may bring the first behavior annotation for an
                 # entry that predates the coverage subsystem.
                 old.behavior = dict(behavior)
-            self._index[fingerprint] = old.summary()
+            self._set_row(fingerprint, old.summary())
             self._write_entry(old)
             self._write_index()
             return False
@@ -319,7 +330,7 @@ class CorpusStore:
         with self._lock:
             entry = self.get(fingerprint)
             entry.behavior = dict(payload)
-            self._index[fingerprint] = entry.summary()
+            self._set_row(fingerprint, entry.summary())
             self._write_entry(entry)
             self._write_index()
 
@@ -336,7 +347,7 @@ class CorpusStore:
         with self._lock:
             entry = self.get(fingerprint)
             entry.triage = dict(payload)
-            self._index[fingerprint] = entry.summary()
+            self._set_row(fingerprint, entry.summary())
             self._write_entry(entry)
             self._write_index()
 
@@ -344,9 +355,21 @@ class CorpusStore:
         path = os.path.join(self._entries_dir, f"{entry.fingerprint}.json")
         atomic_json_dump(entry.to_dict(), path)
 
+    def _set_row(self, fingerprint: str, row: Dict[str, Any]) -> None:
+        """Replace one index row and its encoded index.json line."""
+        self._index[fingerprint] = row
+        self._index_lines[fingerprint] = (
+            f"  {json.dumps(fingerprint)}: {json.dumps(row, sort_keys=True)}"
+        )
+        get_registry().inc("corpus.index_rows_encoded")
+
     def _write_index(self) -> None:
-        payload = {"schema": CORPUS_SCHEMA, "entries": self._index}
-        atomic_json_dump(payload, self._index_path, indent=1, sort_keys=True)
+        """Publish index.json: schema + one already-encoded row per line."""
+        lines = ",\n".join(self._index_lines[fp] for fp in sorted(self._index_lines))
+        entries = f"{{\n{lines}\n }}" if lines else "{}"
+        atomic_write_text(
+            f'{{\n "entries": {entries},\n "schema": {CORPUS_SCHEMA}\n}}', self._index_path
+        )
 
     # ------------------------------------------------------------------ #
     # Reading

@@ -270,7 +270,8 @@ class CampaignRunner:
         #: Journaled rediscoveries whose corpus entry had vanished (pruned or
         #: partial corpus dir) and were re-applied as fresh inserts instead.
         self.insert_warnings = 0
-        self._cell_index: Dict[str, str] = {}
+        #: The archive touch stamp the journaled ``behavior_delta``s reach.
+        self._cell_mark = 0
         self._resuming = False
         self._resume_completed: Dict[str, Dict[str, Any]] = {}
         self._resume_inflight: Dict[str, Dict[str, Any]] = {}
@@ -484,7 +485,7 @@ class CampaignRunner:
             return None
 
         def checkpoint(state: Dict[str, Any]) -> None:
-            changed, self._cell_index = self.archive.delta_since(self._cell_index)
+            changed, self._cell_mark = self.archive.delta_since(self._cell_mark)
             journal.append(
                 "behavior_delta",
                 {
@@ -713,7 +714,7 @@ class CampaignRunner:
                 # cannot be trusted; resuming cold is still correct, just
                 # slower.
                 self._progress("journaled cache dump is stale; resuming with a cold cache")
-        _, self._cell_index = self.archive.delta_since({})
+        self._cell_mark = self.archive.mark
 
         outcome_by_id: Dict[str, ScenarioOutcome] = {}
         pending: List[Scenario] = []

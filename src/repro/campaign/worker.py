@@ -293,8 +293,7 @@ class FleetWorker:
             scenario_id,
             checkpoint["generation"] if checkpoint is not None else None,
         )
-        _, cell_index = archive.delta_since({})
-        marks = {"cells": cell_index, "cache": cache_mark}
+        marks = {"cells": archive.mark, "cache": cache_mark}
         seeds = [] if resume_state is not None else self._seed_traces(plan, scenario)
         if stolen:
             victim = checkpoint.get("worker", "?")

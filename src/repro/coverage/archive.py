@@ -12,8 +12,11 @@ Invariants (property-tested):
 
 * a cell's elite score is monotone non-decreasing,
 * observing the same outcome twice never changes the elite (idempotent
-  modulo the visit counter), and
-* ``save``/``load`` round-trips the archive exactly.
+  modulo the visit counter),
+* ``save``/``load`` round-trips the archive exactly, and
+* :meth:`BehaviorArchive.delta_since` returns exactly the cells touched
+  since the reader's mark, which under ``observe`` and ``merge`` are the
+  cells whose serialized payload changed.
 
 The archive is always lock-protected: campaign scenario threads share one
 archive, and the lock costs nothing next to a simulation.  Scores from
@@ -24,7 +27,6 @@ rediscovery rule).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -32,6 +34,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..obs.metrics import get_registry
 from ..traces.trace import PacketTrace
 from .signature import SIGNATURE_SCHEMA, BehaviorSignature
 
@@ -88,6 +91,11 @@ class BehaviorArchive:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._cells: Dict[str, CellElite] = {}
+        #: cell -> stamp of the touch that last changed its payload, kept in
+        #: touch order (oldest first) so :meth:`delta_since` walks back from
+        #: the newest touch and stops at the mark.
+        self._stamps: Dict[str, int] = {}
+        self._clock = 0
         self.observations = 0              #: total outcomes observed
         self.new_cells = 0                 #: observations that opened a cell
         self.improvements = 0              #: observations that displaced an elite
@@ -95,6 +103,12 @@ class BehaviorArchive:
     # ------------------------------------------------------------------ #
     # Insertion
     # ------------------------------------------------------------------ #
+
+    def _touch(self, cell: str) -> None:
+        """Stamp ``cell`` as changed now (caller holds the lock)."""
+        self._clock += 1
+        self._stamps.pop(cell, None)
+        self._stamps[cell] = self._clock
 
     def observe(
         self,
@@ -115,6 +129,7 @@ class BehaviorArchive:
         provenance = dict(provenance or {})
         with self._lock:
             self.observations += 1
+            self._touch(cell)              # every outcome moves at least ``visits``
             elite = self._cells.get(cell)
             if elite is None:
                 self._cells[cell] = CellElite(
@@ -190,6 +205,7 @@ class BehaviorArchive:
                         visits=delta_visits,
                         improvements=delta_improvements,
                     )
+                    self._touch(elite.cell)
                     self.new_cells += 1
                     changed += 1
                     continue
@@ -199,12 +215,13 @@ class BehaviorArchive:
                     mine.score is None
                     or mine.provenance.get("objective") == elite.provenance.get("objective")
                 )
-                if (
+                displaced = (
                     elite_changed
                     and elite.score is not None
                     and comparable
                     and (mine.score is None or elite.score > mine.score)
-                ):
+                )
+                if displaced:
                     mine.signature = elite.signature
                     mine.score = elite.score
                     mine.trace_fingerprint = elite.trace_fingerprint
@@ -213,6 +230,8 @@ class BehaviorArchive:
                     mine.improvements += 1
                     self.improvements += 1
                     changed += 1
+                if displaced or delta_visits or delta_improvements:
+                    self._touch(elite.cell)
         with self._lock:
             self.observations += other.observations - (
                 baseline.observations if baseline is not None else 0
@@ -295,30 +314,34 @@ class BehaviorArchive:
     # Journal deltas
     # ------------------------------------------------------------------ #
 
-    def delta_since(
-        self, index: Dict[str, str]
-    ) -> Tuple[Dict[str, Dict[str, Any]], Dict[str, str]]:
-        """Cells whose serialized payload changed versus a digest ``index``.
-
-        ``index`` maps cell key -> payload digest from a previous call (use
-        ``{}`` for "everything").  Returns ``(changed_payloads, new_index)``;
-        the campaign journal records the changed payloads as a
-        ``behavior_delta`` event, so replay reconstructs the archive without
-        re-serialising the whole map every generation.
-        """
-        changed: Dict[str, Dict[str, Any]] = {}
-        new_index: Dict[str, str] = {}
+    @property
+    def mark(self) -> int:
+        """The stamp of the latest touch: ``delta_since(archive.mark)`` is empty."""
         with self._lock:
-            for cell in sorted(self._cells):
-                payload = self._cells[cell].to_dict()
-                canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-                digest = hashlib.blake2b(
-                    canonical.encode("utf-8"), digest_size=8
-                ).hexdigest()
-                new_index[cell] = digest
-                if index.get(cell) != digest:
-                    changed[cell] = payload
-        return changed, new_index
+            return self._clock
+
+    def delta_since(self, mark: int) -> Tuple[Dict[str, Dict[str, Any]], int]:
+        """Cells touched after ``mark`` as ``(changed_payloads, new_mark)``.
+
+        ``mark`` is the ``new_mark`` of a previous call or :attr:`mark` (use
+        0 for "everything"); every consumer keeps its own.  Only the touched
+        cells are serialised, so the cost of a call follows the work since
+        the mark, not the size of the map — and a touched cell's payload has
+        changed: ``observe`` always raises ``visits``, and ``merge`` stamps a
+        cell only when it moves its counters or its elite.  The campaign
+        journal records the changed payloads as a ``behavior_delta`` event,
+        so replay reconstructs the archive without re-serialising the whole
+        map every generation.
+        """
+        with self._lock:
+            touched = []
+            for cell, stamp in reversed(self._stamps.items()):
+                if stamp <= mark:
+                    break
+                touched.append(cell)
+            changed = {cell: self._cells[cell].to_dict() for cell in sorted(touched)}
+            get_registry().inc("archive.delta_cells_serialised", len(changed))
+            return changed, self._clock
 
     def apply_delta(
         self,
@@ -329,6 +352,7 @@ class BehaviorArchive:
         with self._lock:
             for cell, payload in cells.items():
                 self._cells[cell] = CellElite.from_dict(payload)
+                self._touch(cell)
             if counters is not None:
                 self.observations = int(counters["observations"])
                 self.new_cells = int(counters["new_cells"])
@@ -373,8 +397,7 @@ class BehaviorArchive:
         archive.observations = int(payload.get("observations", 0))
         archive.new_cells = int(payload.get("new_cells", 0))
         archive.improvements = int(payload.get("improvements", 0))
-        for cell, cell_payload in payload.get("cells", {}).items():
-            archive._cells[cell] = CellElite.from_dict(cell_payload)
+        archive.apply_delta(payload.get("cells", {}))
         return archive
 
     def save(self, path: str) -> str:

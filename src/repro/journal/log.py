@@ -349,6 +349,21 @@ class CampaignJournal:
         (unexpired, unreleased) lease exists.  A successful claim appends a
         ``scenario_lease`` with the next fencing epoch — records a previous
         holder writes *after* this point are dropped at replay.
+
+        ``expires_at`` is wall-clock (``time.time()``; ``now`` injects it), so
+        a clock step moves *when* a scenario becomes claimable, never *who*
+        may write to it — that is the epoch's job:
+
+        * a **forward** step of ``d`` makes a live lease look expired up to
+          ``d`` early, so a holder that is still alive can be stolen from.
+          The thief claims the next epoch and the old holder's later records
+          are fenced, so the cost is the work since its last checkpoint, done
+          twice;
+        * a **backward** step of ``d`` keeps a lease claimed before the step
+          live for up to ``ttl + d`` of the new clock: a dead holder's
+          scenario waits that much longer for a thief, and nothing else.  A
+          holder that is alive heartbeats, and its first renewal after the
+          step re-bases the expiry on the new clock.
         """
         with self._lock:
             self._acquire_file_lock()
@@ -383,6 +398,11 @@ class CampaignJournal:
 
         No claim check is needed — a renew for a stolen (stale-epoch) lease
         is simply ignored at replay, exactly like the zombie's data records.
+
+        The latest renewal *replaces* the expiry (it is not a maximum), so
+        after a wall-clock step in either direction the first heartbeat puts
+        ``expires_at`` back on the clock the claimers read: ``ttl`` ahead of
+        it, whatever the lease said before (see :meth:`claim_lease`).
         """
         moment = time.time() if now is None else float(now)
         horizon = float(ttl if ttl is not None else lease.get("ttl", DEFAULT_LEASE_TTL))

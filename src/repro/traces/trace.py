@@ -32,7 +32,8 @@ class PacketTrace:
     metadata: Dict[str, object] = field(default_factory=dict)
     #: Lazily computed by :meth:`fingerprint`.  Valid because timestamps are
     #: normalised once at construction and every mutation/crossover/triage
-    #: operator derives new traces through the constructor.
+    #: operator derives new traces through the constructor; :meth:`copy`
+    #: clones the timestamps unchanged and so carries it over.
     _fingerprint_cache: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -62,16 +63,24 @@ class PacketTrace:
         return self.average_rate_pps * self.mss_bytes * 8.0 / 1e6
 
     def copy(self) -> "PacketTrace":
-        return self.with_timestamps(self.timestamps)
+        """A field-wise clone: same type and state, own timestamp list and metadata.
+
+        The source is already normalised and checked, so nothing is re-sorted
+        or re-validated, and the memoized fingerprint carries over.
+        """
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone.timestamps = list(self.timestamps)
+        clone.metadata = dict(self.metadata)
+        return clone
 
     def with_timestamps(self, timestamps: Iterable[float]) -> "PacketTrace":
         """A trace of the same type/duration/MSS but different event times.
 
         Goes through the constructor so subclass invariants (e.g. the traffic
         packet budget) are re-checked; the triage reducers derive every
-        candidate trace this way.  This is the single clone point — ``copy``
-        delegates here, so subclasses with extra constructor state override
-        only this method.
+        candidate trace this way.  Subclasses with extra constructor state
+        override only this method.
         """
         return type(self)(
             timestamps=list(timestamps),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -178,3 +179,140 @@ class TestQueries:
         assert delta["only_b"] == [only_b.cell_key()]
         assert delta["shared"] == [shared.cell_key()]
         assert delta["score_deltas"] == [(shared.cell_key(), 2.0)]
+
+
+# ---------------------------------------------------------------------- #
+# delta_since: touch stamps against a digest-diff oracle
+# ---------------------------------------------------------------------- #
+
+
+def reference_delta(archive: BehaviorArchive, index: dict):
+    """The digest-diff ``delta_since`` the touch stamps replaced, kept as the oracle.
+
+    Serialises and hashes every cell and reports those whose digest differs
+    from ``index`` (cell -> digest of a previous call); O(cells) per call.
+    """
+    changed, new_index = {}, {}
+    for elite in archive.cells():
+        payload = elite.to_dict()
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).hexdigest()
+        new_index[elite.cell] = digest
+        if index.get(elite.cell) != digest:
+            changed[elite.cell] = payload
+    return changed, new_index
+
+
+class DeltaConsumer:
+    """One ``delta_since`` reader: its mark, the oracle's index, and a mirror
+    archive built only from the baseline it started at and the deltas it saw."""
+
+    def __init__(self, archive: BehaviorArchive) -> None:
+        self.rebase(archive)
+
+    def rebase(self, archive: BehaviorArchive) -> None:
+        self.mark = archive.mark
+        _, self.index = reference_delta(archive, {})
+        self.mirror = archive.snapshot()
+
+    def drain(self, archive: BehaviorArchive) -> None:
+        changed, self.mark = archive.delta_since(self.mark)
+        expected, self.index = reference_delta(archive, self.index)
+        assert changed == expected
+        assert list(changed) == list(expected)          # same (sorted) cell order
+        self.mirror.apply_delta(changed, archive.counters())
+        assert self.mirror.to_dict() == archive.to_dict()
+        assert archive.delta_since(self.mark) == ({}, self.mark)
+
+
+# Few cells, two objectives: revisits, displacements and cross-objective
+# visits that only move ``visits`` all happen within a short sequence.
+pooled_observations = st.tuples(
+    st.builds(
+        BehaviorSignature,
+        cca=st.sampled_from(["reno", "cubic"]),
+        goodput_bucket=st.integers(min_value=0, max_value=2),
+        loss_bucket=st.just(0),
+        rto_bucket=st.just(0),
+        recovery_bucket=st.just(0),
+        stall_class=st.just(STALL_CLASSES[0]),
+        shape=st.just("00000000"),
+    ),
+    st.floats(min_value=-100, max_value=100, allow_nan=False),
+    st.integers(min_value=0, max_value=3),              # trace seed (0: no trace)
+    st.sampled_from(["throughput", "delay"]),
+)
+
+delta_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("observe"), pooled_observations),
+        st.tuples(st.just("merge"), st.lists(pooled_observations, max_size=4), st.booleans()),
+        st.tuples(st.just("apply_delta"), st.lists(pooled_observations, min_size=1, max_size=4)),
+        st.tuples(st.just("snapshot")),
+        st.tuples(st.just("save_load")),
+        st.tuples(st.just("delta"), st.integers(min_value=0, max_value=1)),
+    ),
+    max_size=30,
+)
+
+
+def _observe(archive: BehaviorArchive, observation) -> None:
+    signature, score, trace_seed, objective = observation
+    trace = _trace(trace_seed) if trace_seed else None
+    archive.observe(
+        signature,
+        score,
+        trace.fingerprint() if trace is not None else f"fp-{score}",
+        trace=trace,
+        provenance={"objective": objective},
+    )
+
+
+class TestDeltaSince:
+    @given(delta_ops)
+    @settings(max_examples=150, deadline=None)
+    def test_stamped_deltas_equal_the_digest_diff_for_every_consumer(
+        self, tmp_path_factory, ops
+    ):
+        archive = BehaviorArchive()
+        consumers = [DeltaConsumer(archive), DeltaConsumer(archive)]
+        for op in ops:
+            kind = op[0]
+            if kind == "observe":
+                _observe(archive, op[1])
+            elif kind == "merge":
+                # A scenario's private archive: seeded from a snapshot of this
+                # one (merged back baseline-aware) or built from nothing.
+                baseline = archive.snapshot() if op[2] else None
+                other = archive.snapshot() if op[2] else BehaviorArchive()
+                for observation in op[1]:
+                    _observe(other, observation)
+                archive.merge(other, baseline=baseline)
+            elif kind == "apply_delta":
+                # Journaled deltas only ever move a cell forward.
+                donor = archive.snapshot()
+                donor_mark = donor.mark
+                for observation in op[1]:
+                    _observe(donor, observation)
+                archive.apply_delta(donor.delta_since(donor_mark)[0], donor.counters())
+            elif kind in ("snapshot", "save_load"):
+                # Both are pure reads of the source; the copy starts a new
+                # stamp sequence, so readers catch up first and re-baseline
+                # on it, the way a resumed campaign does.
+                for consumer in consumers:
+                    consumer.drain(archive)
+                if kind == "snapshot":
+                    copy = archive.snapshot()
+                else:
+                    path = str(tmp_path_factory.mktemp("delta") / "behavior_map.json")
+                    copy = BehaviorArchive.load(archive.save(path))
+                assert archive.delta_since(consumers[0].mark)[0] == {}
+                assert copy.to_dict() == archive.to_dict()
+                assert copy.delta_since(0)[0] == copy.to_dict()["cells"]
+                archive = copy
+                for consumer in consumers:
+                    consumer.rebase(archive)
+            elif kind == "delta":
+                consumers[op[1]].drain(archive)
+        for consumer in consumers:
+            consumer.drain(archive)

@@ -70,6 +70,29 @@ class TestPacketTrace:
         assert trace.timestamps == [1.0]
         assert trace.metadata["a"] == 1
 
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            PacketTrace(timestamps=[0.2, 0.1], duration=1.0),
+            LinkTrace(timestamps=[0.2, 0.1], duration=1.0),
+            TrafficTrace(timestamps=[0.2, 0.1], duration=1.0, max_packets=40),
+            LossTrace(timestamps=[0.2, 0.1], duration=1.0, mss_bytes=1200),
+        ],
+        ids=lambda trace: type(trace).__name__,
+    )
+    def test_copy_clones_fields_without_renormalising(self, trace, monkeypatch):
+        fingerprint = trace.fingerprint()
+        monkeypatch.setattr(
+            "repro.traces.trace._normalise_timestamps",
+            lambda *args: pytest.fail("copy() re-normalised an already-normalised trace"),
+        )
+        clone = trace.copy()
+        assert type(clone) is type(trace)
+        assert clone == trace and clone.to_dict() == trace.to_dict()
+        assert clone.timestamps is not trace.timestamps
+        assert clone.metadata is not trace.metadata
+        assert clone._fingerprint_cache == fingerprint      # carried, not re-hashed
+
     def test_json_roundtrip_preserves_type_and_data(self):
         trace = LinkTrace(timestamps=[0.5, 1.5], duration=5.0)
         restored = PacketTrace.from_json(trace.to_json())

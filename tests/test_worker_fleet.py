@@ -179,6 +179,62 @@ def test_stale_epoch_renew_does_not_revive_a_stolen_lease(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
+# Wall-clock steps (every clock reading is injected through ``now=``)
+# ---------------------------------------------------------------------- #
+
+
+def _assert_zombie_fenced(journal: CampaignJournal, victim: dict) -> None:
+    before = journal.replay().fenced_records
+    for event_type, payload in _zombie_payloads(epoch=victim["lease_epoch"]):
+        journal.append(event_type, payload)
+    view = journal.replay()
+    assert view.fenced_records == before + 4
+    assert SID not in view.completed
+    assert not view.inserts
+    assert "zz" not in view.behavior_cells
+
+
+def test_forward_clock_step_lets_a_live_lease_be_stolen_but_fenced(tmp_path):
+    journal = _journal(tmp_path)
+    victim = journal.claim_lease(SID, "w0", ttl=30.0, now=1_000.0)
+    assert journal.claim_lease(SID, "w1", ttl=30.0, now=1_001.0) is None
+    # The wall clock jumps an hour ahead one second into a 30 s lease: the
+    # holder is alive, but its lease reads as expired and is stolen.
+    thief = journal.claim_lease(SID, "w1", ttl=30.0, now=4_601.0)
+    assert thief is not None and thief["lease_epoch"] == victim["lease_epoch"] + 1
+    # The live "victim" keeps writing and heartbeating on the stepped clock;
+    # none of it reaches the view and the thief stays the holder.
+    journal.renew_lease(victim, now=4_602.0)
+    _assert_zombie_fenced(journal, victim)
+    view = journal.replay()
+    assert view.lease_holder(SID, now=4_603.0) == "w1"
+    assert view.lease_holder(SID, now=4_631.0) is None  # the thief's own ttl
+
+
+def test_backward_clock_step_delays_the_steal_by_the_step_and_no_more(tmp_path):
+    journal = _journal(tmp_path)
+    victim = journal.claim_lease(SID, "w0", ttl=30.0, now=5_000.0)
+    # The clock falls back an hour and the holder dies without a heartbeat:
+    # the scenario stays unclaimable for ttl + step of the new clock ...
+    assert journal.claim_lease(SID, "w1", ttl=30.0, now=1_400.0) is None
+    assert journal.claim_lease(SID, "w1", ttl=30.0, now=5_029.0) is None
+    # ... and not a second longer.
+    thief = journal.claim_lease(SID, "w1", ttl=30.0, now=5_030.0)
+    assert thief is not None and thief["lease_epoch"] == victim["lease_epoch"] + 1
+    _assert_zombie_fenced(journal, victim)
+
+
+def test_renewal_after_a_backward_step_rebases_the_expiry(tmp_path):
+    journal = _journal(tmp_path)
+    lease = journal.claim_lease(SID, "w0", ttl=30.0, now=5_000.0)
+    journal.renew_lease(lease, now=1_400.0)  # first heartbeat after the step
+    assert lease["expires_at"] == 1_430.0
+    view = journal.replay()
+    assert view.lease_holder(SID, now=1_429.0) == "w0"
+    assert view.lease_claimable(SID, now=1_430.0)  # not held until 5030
+
+
+# ---------------------------------------------------------------------- #
 # Epoch fencing
 # ---------------------------------------------------------------------- #
 
