@@ -28,6 +28,7 @@ import tempfile
 
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
 from repro.exec import (
+    BACKENDS,
     ChaosPlan,
     EvaluationJob,
     QuarantineStore,
@@ -95,7 +96,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--fraction", type=float, default=0.3,
                         help="share of trace fingerprints that misbehave")
-    parser.add_argument("--backend", choices=["serial", "thread", "process"],
+    parser.add_argument("--backend", choices=BACKENDS,
                         default="process")
     parser.add_argument("--job-timeout", type=float, default=2.0,
                         help="wall-clock seconds before a hung worker is killed")

@@ -36,7 +36,6 @@ from .exec import (
     EvaluationBackend,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadBackend,
     TraceCache,
     create_backend,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "StallScore",
-    "ThreadBackend",
     "TraceCache",
     "TrafficTrace",
     "TrafficTraceGenerator",

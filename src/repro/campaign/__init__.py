@@ -7,8 +7,11 @@ benchmark sweep:
   network conditions) expanded into a deterministic scenario matrix;
 * :mod:`corpus` — the persistent on-disk attack corpus: fingerprint-deduped
   winning traces with full provenance;
-* :mod:`scheduler` — runs every scenario through one shared evaluation
-  backend and trace cache, seeding each search from the corpus;
+* :mod:`scheduler` — the one scenario body, the campaign lifecycle around
+  it, and the campaign-wide scope: every scenario through one shared
+  evaluation backend, trace cache and archive, seeded from the live corpus;
+* :mod:`worker` — the same body under a per-scenario scope: a fleet of
+  worker processes claiming scenario leases over the shared journal;
 * :mod:`replay` — regression mode: re-simulate the whole corpus against a
   CCA and report score deltas;
 * :mod:`report` — plain-text and JSON campaign summaries.

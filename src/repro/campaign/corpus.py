@@ -175,8 +175,7 @@ class CorpusEntry:
 class CorpusStore:
     """Fingerprint-deduped, write-through on-disk corpus of attack traces.
 
-    Thread-safe: the campaign scheduler harvests from several scenario
-    threads at once.  Entry payloads are loaded lazily and memoized, so
+    Thread-safe.  Entry payloads are loaded lazily and memoized, so
     replaying a large corpus reads each trace file exactly once.
     """
 

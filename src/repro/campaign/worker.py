@@ -1,18 +1,19 @@
-"""Fleet workers: K processes growing one corpus through the shared journal.
+"""Fleet workers: the scenario body under a per-scenario isolation scope.
 
 The scenario matrix of a campaign is embarrassingly parallel, so the fleet
-splits it by *scenario*: every worker loops
+splits it by *scenario*.  A :class:`FleetWorker` is only the claim loop plus
+the scope it builds for each claim; the search itself is the one body in
+:meth:`repro.campaign.scheduler.ScenarioEngine.run_scenario`.  Every worker
+loops
 
 1. replay the shared journal,
 2. atomically claim an unclaimed-or-expired scenario lease
    (:meth:`CampaignJournal.claim_lease` — replay + append under the
    cross-process file lock, granting a fresh fencing epoch),
-3. run the scenario's GA search, journaling a behavior delta + generation
-   checkpoint (with the cache touches since the last one) after **every
-   evaluated generation** and
-   renewing the lease as a heartbeat,
-4. journal the harvest as ``corpus_insert`` intents and the outcome as
-   ``scenario_complete``, then release the lease,
+3. build the scenario's scope from the post-claim journal view and run the
+   body under it, renewing the lease as a heartbeat after every journaled
+   generation,
+4. release the lease once ``scenario_complete`` is durable,
 
 until every scenario in the matrix is complete.  A worker that dies mid-
 scenario simply stops heartbeating; once its lease expires another worker
@@ -20,18 +21,19 @@ scenario simply stops heartbeating; once its lease expires another worker
 from the victim's last checkpoint — while anything the zombie writes after
 the steal is dropped by epoch fencing at replay.
 
-Determinism: fleet results are a per-scenario deterministic function of the
-journaled seed plan, so a fleet of any size, with any interleaving and any
-number of mid-scenario worker deaths, converges to the same corpus
-fingerprints, behavior map and campaign digest as an uninterrupted
-single-process run.  Three rules make that true:
+Determinism: under this scope a scenario's result is a deterministic
+function of the journaled seed plan alone, so a fleet of any size, with any
+interleaving and any number of mid-scenario worker deaths, converges to the
+same corpus fingerprints, behavior map and campaign digest as
+``run_fleet(workers=0)``, the uninterrupted single-process run of the same
+policy.  Three rules make that true:
 
 * every scenario draws its seeds from the ``scenario_seeds`` plan the driver
   journals once at launch (the corpus snapshot after builtin registration) —
   never from the live corpus another worker may be mutating;
 * every scenario runs against a private, initially-cold trace cache and a
   private behavior archive seeded from the campaign baseline (both restored
-  from the checkpoint on a steal), so no cross-scenario state leaks in;
+  from the journal on a steal), so no cross-scenario state leaks in;
 * workers never write the corpus — they journal ``corpus_insert`` intents
   (``new`` decided against the journaled snapshot, not the live corpus) and
   the driver folds the insert WAL into the corpus at finalize.
@@ -40,29 +42,34 @@ single-process run.  Three rules make that true:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from ..core.fuzzer import CCFuzz
 from ..coverage.archive import BehaviorArchive
-from ..exec.backend import EvaluationBackend, create_backend
+from ..exec.backend import EvaluationBackend
 from ..exec.cache import TraceCache
-from ..exec.faults import FaultPolicy
 from ..exec.quarantine import QuarantineStore
 from ..journal import CampaignJournal, JournalView
 from ..obs.telemetry import CampaignTelemetry
-from ..scoring.objectives import make_score_function
-from ..tcp.cca import cca_factory
 from .corpus import CorpusStore
-from .scheduler import CampaignResult, CampaignRunner, ScenarioOutcome
+from .scheduler import (
+    CampaignResult,
+    CampaignRunner,
+    InsertLog,
+    ProgressCallback,
+    ScenarioEngine,
+    ScenarioOutcome,
+    ScenarioScope,
+    campaign_backend,
+    restore_cache,
+)
 from .spec import CampaignSpec, Scenario
-
-ProgressCallback = Callable[[str], None]
 
 #: How long an idle worker sleeps before re-polling for claimable scenarios.
 DEFAULT_POLL_S = 0.25
@@ -72,38 +79,8 @@ class FleetError(RuntimeError):
     """The journal does not describe a runnable fleet campaign."""
 
 
-def _scenario_archive(
-    view: JournalView,
-    baseline: Dict[str, Any],
-    scenario_id: str,
-    generation_limit: Optional[int],
-) -> BehaviorArchive:
-    """Rebuild one scenario's private archive at a checkpoint boundary.
-
-    Baseline plus the scenario's own (unfenced) deltas up to the checkpoint
-    generation.  Deltas from earlier lease epochs are fine: a resumed epoch
-    re-evaluates its first generation bit-identically, so same-generation
-    deltas from different epochs carry identical payloads.
-    """
-    archive = BehaviorArchive.from_dict(baseline)
-    if generation_limit is None:
-        return archive
-    cells: Dict[str, Dict[str, Any]] = {}
-    counters: Optional[Dict[str, int]] = None
-    for delta in view.behavior_deltas:
-        if delta.get("scenario_id") != scenario_id:
-            continue
-        if delta.get("generation", 0) > generation_limit:
-            continue
-        cells.update(delta.get("cells", {}))
-        if delta.get("counters") is not None:
-            counters = delta["counters"]
-    archive.apply_delta(cells, counters)
-    return archive
-
-
 class FleetWorker:
-    """One claim-run-complete loop over the shared journal."""
+    """One claim-run-release loop over the shared journal."""
 
     def __init__(
         self,
@@ -140,17 +117,15 @@ class FleetWorker:
         )
         self.scenarios_run = 0
 
-    # ------------------------------------------------------------------ #
-    # Campaign context (from the journal)
-    # ------------------------------------------------------------------ #
+    def run(self) -> int:
+        """Claim and run scenarios until the matrix is complete.
 
-    def _campaign_context(
-        self, view: JournalView
-    ) -> Tuple[CampaignSpec, int, Dict[str, Any], Dict[str, Any]]:
-        start = view.campaign
+        Returns the number of scenarios this worker completed.
+        """
+        view = self.journal.replay()
+        start, plan = view.campaign, view.scenario_seeds
         if start is None:
             raise FleetError(f"no campaign_start in journal at {self.journal.path}")
-        plan = view.scenario_seeds
         if plan is None:
             raise FleetError(
                 "journal has no scenario_seeds plan; fleet workers need the "
@@ -158,40 +133,18 @@ class FleetWorker:
                 "`repro-campaign workers`)"
             )
         spec = CampaignSpec.from_dict(start["spec"])
-        return spec, int(start.get("harvest_top_k", 3)), start["archive_baseline"], plan
-
-    # ------------------------------------------------------------------ #
-    # Main loop
-    # ------------------------------------------------------------------ #
-
-    def run(self) -> int:
-        """Claim and run scenarios until the matrix is complete.
-
-        Returns the number of scenarios this worker completed.
-        """
-        view = self.journal.replay()
-        spec, harvest_top_k, baseline, plan = self._campaign_context(view)
         ttl = self._ttl_override if self._ttl_override is not None else spec.lease_ttl
+        scenarios = spec.expand()
         telemetry = CampaignTelemetry(
             self.corpus_dir, enabled=self._telemetry_enabled, worker_id=self.worker_id
         )
-        if self._injected_backend is not None:
-            backend = self._injected_backend
-            if backend.policy.quarantine is None:
-                backend.policy.quarantine = self.quarantine
-        else:
-            backend = create_backend(
-                spec.backend,
-                spec.workers,
-                policy=FaultPolicy(
-                    job_timeout=spec.job_timeout,
-                    max_retries=spec.max_retries,
-                    quarantine=self.quarantine,
-                ),
+        with contextlib.closing(telemetry), campaign_backend(
+            spec, self.quarantine, self._injected_backend
+        ) as backend:
+            engine = ScenarioEngine(
+                spec.name, int(start.get("harvest_top_k", 3)), self.journal, backend,
+                telemetry, self.quarantine, self._progress,
             )
-        owns_backend = self._injected_backend is None
-        scenarios = spec.expand()
-        try:
             while True:
                 view = self.journal.replay()
                 # Other workers' quarantines arrive through replay; folding
@@ -199,14 +152,9 @@ class FleetWorker:
                 # a sibling already paid for, instead of re-discovering it.
                 for entry in view.quarantined:
                     self.quarantine.apply_event(entry)
-                pending = [
-                    scenario
-                    for scenario in scenarios
-                    if scenario.scenario_id not in view.completed
-                ]
+                pending = [s for s in scenarios if s.scenario_id not in view.completed]
                 if not pending:
                     return self.scenarios_run
-                claimed: Optional[Tuple[Scenario, Dict[str, Any]]] = None
                 for scenario in pending:
                     lease = self.journal.claim_lease(
                         scenario.scenario_id,
@@ -215,118 +163,66 @@ class FleetWorker:
                         extra={"campaign": spec.name, "seed": scenario.seed},
                     )
                     if lease is not None:
-                        claimed = (scenario, lease)
                         break
-                if claimed is None:
+                else:
                     # Everything pending is held live by other workers; wait
                     # for a completion or an expiry.
                     time.sleep(self.poll_s)
                     continue
-                scenario, lease = claimed
                 # Fresh replay *after* the claim: fencing has already dropped
                 # any records a previous holder wrote post-steal, so the
                 # checkpoint and deltas seen here are exactly the victim's
                 # durable pre-steal progress.
                 view = self.journal.replay()
-                self._run_scenario(
-                    scenario, lease, view, baseline, plan, harvest_top_k,
-                    spec, backend, telemetry,
-                )
+                engine.run_scenario(scenario, self._scope(scenario, lease, view, start, plan))
+                # Completion before release: once released, the scenario
+                # would be claimable again, and a *later* claim's epoch would
+                # fence the completion record — so the body journals
+                # complete, then the lease is let go.
+                self.journal.release_lease(lease)
                 self.scenarios_run += 1
-        finally:
-            if owns_backend:
-                backend.close()
-            telemetry.close()
 
-    # ------------------------------------------------------------------ #
-    # One scenario
-    # ------------------------------------------------------------------ #
-
-    def _seed_traces(self, plan: Dict[str, Any], scenario: Scenario) -> List[Any]:
-        seeds = []
-        for fingerprint in plan.get("seeds", {}).get(scenario.scenario_id, []):
-            seeds.append(self.corpus.get(fingerprint).trace.copy())
-        return seeds
-
-    def _run_scenario(
+    def _scope(
         self,
         scenario: Scenario,
         lease: Dict[str, Any],
         view: JournalView,
-        baseline: Dict[str, Any],
+        start: Dict[str, Any],
         plan: Dict[str, Any],
-        harvest_top_k: int,
-        spec: CampaignSpec,
-        backend: EvaluationBackend,
-        telemetry: CampaignTelemetry,
-    ) -> None:
-        started = time.perf_counter()
+    ) -> ScenarioScope:
+        """The per-scenario scope, rebuilt from the journal view.
+
+        Private cache and archive: cold and at the campaign baseline on a
+        fresh claim, the previous holder's durable progress on a steal —
+        either way the hit counts and cells match an uninterrupted run's,
+        keeping the digest identical.
+        """
         scenario_id = scenario.scenario_id
-        epoch = lease.get("lease_epoch", 0)
-        # Full fleet provenance on every quarantine entry this scenario
-        # produces — and the epoch fences the journal event on lease steals.
-        self.quarantine.context = {
-            "scenario_id": scenario_id,
-            "lease_epoch": epoch,
-            "worker": self.worker_id,
-        }
+        stamp = {"lease_epoch": lease.get("lease_epoch", 0), "worker": self.worker_id}
         checkpoint = view.checkpoints.get(scenario_id)
-        resume_state = checkpoint["fuzzer"] if checkpoint is not None else None
-        stolen = checkpoint is not None
-        # Private, per-scenario evaluation cache: cold on a fresh claim,
-        # restored from the scenario's folded op log on a steal — either way
-        # its hit counts match an uninterrupted run's, keeping the digest
-        # identical.
         population = scenario.budget.population_size * scenario.budget.islands
         cache = TraceCache(max_entries=max(8192, 64 * population))
-        cache_mark = 0
-        if checkpoint is not None and scenario_id in view.caches:
-            try:
-                cache_mark = cache.restore(view.caches[scenario_id])
-            except ValueError:
-                self._progress(
-                    f"[{scenario_id}] checkpointed cache dump is stale; resuming cold"
-                )
-        archive = _scenario_archive(
-            view,
-            baseline,
-            scenario_id,
-            checkpoint["generation"] if checkpoint is not None else None,
-        )
-        marks = {"cells": archive.mark, "cache": cache_mark}
-        seeds = [] if resume_state is not None else self._seed_traces(plan, scenario)
-        if stolen:
-            victim = checkpoint.get("worker", "?")
+        archive = BehaviorArchive.from_dict(start["archive_baseline"])
+        seeds = []
+        if checkpoint is None:
+            seeds = [
+                self.corpus.get(fingerprint).trace.copy()
+                for fingerprint in plan.get("seeds", {}).get(scenario_id, [])
+            ]
+        else:
+            # The scenario's own unfenced deltas up to the checkpoint
+            # generation.  Deltas from earlier lease epochs are fine: a
+            # resumed epoch re-evaluates its first generation bit-identically,
+            # so same-generation deltas from different epochs are identical.
+            archive.apply_delta(
+                *view.behavior_state({scenario_id: checkpoint["generation"]}, scenario_id=scenario_id)
+            )
             self._progress(
-                f"[{scenario_id}] stolen from {victim} at epoch {epoch}, "
-                f"resuming from generation {checkpoint['generation']}"
+                f"[{scenario_id}] stolen from {checkpoint.get('worker', '?')} at epoch "
+                f"{stamp['lease_epoch']}, resuming from generation {checkpoint['generation']}"
             )
 
-        def on_checkpoint(state: Dict[str, Any]) -> None:
-            changed, marks["cells"] = archive.delta_since(marks["cells"])
-            self.journal.append(
-                "behavior_delta",
-                {
-                    "scenario_id": scenario_id,
-                    "generation": state["generation"],
-                    "cells": changed,
-                    "counters": archive.counters(),
-                    "lease_epoch": epoch,
-                    "worker": self.worker_id,
-                },
-            )
-            cache_delta, marks["cache"] = cache.delta_since(marks["cache"])
-            self.journal.append(
-                "generation_checkpoint",
-                {
-                    "scenario_id": scenario_id,
-                    "generation": state["generation"],
-                    "fuzzer": state,
-                    "cache": cache_delta,
-                    "lease_epoch": epoch,
-                    "worker": self.worker_id,
-                },
-            )
+        def heartbeat() -> None:
             self._checkpoints_written += 1
             if (
                 self.kill_after_checkpoints is not None
@@ -337,120 +233,23 @@ class FleetWorker:
                 os.kill(os.getpid(), signal.SIGKILL)
             self.journal.renew_lease(lease)
 
-        fuzzer = CCFuzz(
-            cca_factory(scenario.cca),
-            config=scenario.fuzz_config(),
-            score_function=make_score_function(scenario.objective, scenario.mode),
-            seed_traces=seeds,
-            backend=backend,
+        return ScenarioScope(
             cache=cache,
             archive=archive,
+            inserts=InsertLog(
+                self.corpus,
+                self.journal,
+                prior={scenario_id: view.inserts_by_scenario.get(scenario_id, {})},
+                snapshot=frozenset(plan.get("corpus", [])),
+            ),
+            completion=lambda scope: {"archive": scope.archive.to_dict()},
+            stamp=stamp,
+            after_checkpoint=heartbeat,
+            seeds=seeds,
+            resume_state=checkpoint["fuzzer"] if checkpoint is not None else None,
+            cache_mark=restore_cache(cache, view.caches.get(scenario_id), self._progress),
+            cell_mark=archive.mark,
         )
-        with telemetry.scenario_span(scenario):
-            result = fuzzer.run(
-                progress=lambda stats: telemetry.generation(scenario, stats),
-                checkpoint=on_checkpoint,
-                resume_from=resume_state,
-            )
-            new_entries = self._harvest(
-                scenario, result, view, plan, harvest_top_k, epoch, spec
-            )
-        outcome = ScenarioOutcome(
-            scenario=scenario,
-            best_fitness=result.best_fitness,
-            best_fingerprint=result.best_trace.fingerprint(),
-            evaluations=result.total_evaluations,
-            cache_hits=result.cache_hits,
-            seeds_injected=len(result.seed_fingerprints),
-            new_corpus_entries=new_entries,
-            converged_generation=result.converged_generation,
-            wall_time_s=time.perf_counter() - started,
-            behavior_cells=result.behavior_cells,
-        )
-        # Completion before release: once released, the scenario would be
-        # claimable again, and a *later* claim's epoch would fence this
-        # record — so the order is complete, then let go.
-        self.journal.append(
-            "scenario_complete",
-            {
-                "scenario_id": scenario_id,
-                "outcome": outcome.to_journal_dict(),
-                "archive": archive.to_dict(),
-                "lease_epoch": epoch,
-                "worker": self.worker_id,
-            },
-        )
-        self.journal.release_lease(lease)
-        telemetry.scenario_completed(outcome)
-        self._progress(
-            f"[{scenario_id}] worker={self.worker_id} best={outcome.best_fitness:.4f} "
-            f"evals={outcome.evaluations} new={outcome.new_corpus_entries} "
-            f"({outcome.wall_time_s:.1f}s)"
-        )
-
-    def _harvest(
-        self,
-        scenario: Scenario,
-        result: Any,
-        view: JournalView,
-        plan: Dict[str, Any],
-        harvest_top_k: int,
-        epoch: int,
-        spec: CampaignSpec,
-    ) -> int:
-        """Journal the scenario's top-k survivors as corpus-insert intents.
-
-        ``new`` is decided against the journaled launch snapshot plus this
-        scenario's own prior inserts — a rule every worker (and the serial
-        control run) evaluates identically, unlike the live corpus, whose
-        contents depend on scenario interleaving.  Fingerprints a previous
-        epoch of this scenario already journaled replay their recorded
-        intent, mirroring the scheduler's write-ahead idempotence.
-        """
-        scenario_id = scenario.scenario_id
-        corpus_snapshot = set(plan.get("corpus", []))
-        prior_inserts = dict(view.inserts_by_scenario.get(scenario_id, {}))
-        new_entries = 0
-        harvested: set = set()
-        for individual in result.top_individuals(harvest_top_k):
-            if not individual.is_evaluated:
-                continue
-            fingerprint = individual.trace.fingerprint()
-            if fingerprint in harvested:
-                continue
-            harvested.add(fingerprint)
-            prior = prior_inserts.get(fingerprint)
-            if prior is not None:
-                new_entries += bool(prior["new"])
-                continue
-            is_new = fingerprint not in corpus_snapshot
-            behavior = individual.result_summary.get("behavior_signature")
-            entry = {
-                "scenario_id": scenario_id,
-                "cca": scenario.cca,
-                "objective": scenario.objective,
-                "score": individual.fitness,
-                "generation_found": individual.generation_born,
-                "origin": "fuzz",
-                "campaign": spec.name,
-                "condition": scenario.condition.to_dict(),
-                "behavior": dict(behavior) if isinstance(behavior, dict) else None,
-                "trace": individual.trace.to_dict(),
-            }
-            self.journal.append(
-                "corpus_insert",
-                {
-                    "scenario_id": scenario_id,
-                    "fingerprint": fingerprint,
-                    "new": is_new,
-                    "rediscoveries_after": None,
-                    "entry": entry,
-                    "lease_epoch": epoch,
-                    "worker": self.worker_id,
-                },
-            )
-            new_entries += is_new
-        return new_entries
 
 
 # ---------------------------------------------------------------------- #
@@ -504,11 +303,12 @@ def run_fleet(
 ) -> CampaignResult:
     """Run a campaign with a fleet of worker processes over one corpus.
 
-    The driver bootstraps the journal (campaign start, builtin attacks, the
-    seed plan), spawns ``workers`` subprocesses, waits for them, drains any
-    scenarios left over (e.g. every worker died) inline, and finalizes:
-    folds the corpus-insert WAL into the corpus, assembles outcomes in
-    matrix order, merges per-scenario archives into ``behavior_map.json``.
+    The driver goes through the lifecycle every campaign shares
+    (:meth:`CampaignRunner._conduct`); its way of running the matrix is to
+    journal the seed plan, spawn ``workers`` subprocesses, wait for them,
+    drain any scenarios left over (e.g. every worker died) inline, and then
+    read the result back from the journal: fold the corpus-insert WAL into
+    the corpus and the per-scenario archives into ``behavior_map.json``.
 
     ``workers=0`` runs the whole campaign inline in this process — the
     uninterrupted single-process control that fleet runs (of any size, with
@@ -524,20 +324,8 @@ def run_fleet(
     """
     if workers < 0:
         raise ValueError("workers must be >= 0")
-    emit = progress or (lambda message: None)
-    started = time.perf_counter()
-    corpus = CorpusStore(str(corpus_dir))
-    runner = CampaignRunner(
-        spec,
-        corpus,
-        register_attacks=register_attacks,
-        harvest_top_k=harvest_top_k,
-        telemetry=False,
-        progress=progress,
-    )
-    journal = runner._journal
-    assert journal is not None
-    driver_telemetry = CampaignTelemetry(str(corpus_dir), enabled=telemetry)
+    corpus_dir = str(corpus_dir)
+    journal = CampaignJournal(CampaignJournal.corpus_path(corpus_dir))
     view = journal.replay()
     scenarios = spec.expand()
     resuming = (
@@ -546,150 +334,77 @@ def run_fleet(
         and view.scenario_seeds is not None
         and any(s.scenario_id not in view.completed for s in scenarios)
     )
+    runner = CampaignRunner(
+        spec,
+        CorpusStore(corpus_dir),
+        # The map the merge at the end starts from is the journaled baseline.
+        archive=BehaviorArchive.from_dict(view.campaign["archive_baseline"]) if resuming else None,
+        register_attacks=register_attacks,
+        harvest_top_k=harvest_top_k,
+        progress=progress,
+        journal=journal,
+        telemetry=CampaignTelemetry(corpus_dir, enabled=telemetry),
+    )
     if resuming:
-        emit(
-            f"fleet resume: {len(view.completed)}/{len(scenarios)} scenarios "
-            "already complete"
-        )
-        journal.append(
-            "campaign_resume",
-            {
-                "campaign": spec.name,
-                "completed": sorted(view.completed),
-                "inflight": sorted(view.pending_checkpoints()),
-            },
-        )
-        # Corpus repair + idempotent builtin re-registration, exactly like
-        # CampaignRunner.resume: the corpus can only lag the journal.
-        for data in view.inserts:
-            runner._apply_insert_event(data)
-        runner._journaled_inserts = {
-            scenario_key: dict(by_fingerprint)
-            for scenario_key, by_fingerprint in view.inserts_by_scenario.items()
-        }
-        attacks_registered = (
-            runner._register_builtin_attacks() if register_attacks else 0
-        )
-        start_payload = view.campaign
-    else:
-        journal.rotate()
-        start_payload = {
-            "campaign": spec.name,
-            "spec": spec.to_dict(),
-            "harvest_top_k": harvest_top_k,
-            "register_attacks": register_attacks,
-            "max_parallel": 1,
-            "archive_baseline": runner.archive.to_dict(),
-            "fleet": workers,
-        }
-        journal.append("campaign_start", start_payload)
-        attacks_registered = (
-            runner._register_builtin_attacks() if register_attacks else 0
-        )
-        # The seed plan: one corpus snapshot, taken after builtin
-        # registration, that every scenario draws its seeds from — journaled
-        # so every worker (and every steal, and every resume) reads the same
-        # plan regardless of what the live corpus looks like by then.
-        seed_plan = {
-            scenario.scenario_id: [
-                trace.fingerprint() for trace in runner._scenario_seeds(scenario)
-            ]
-            for scenario in scenarios
-        }
-        journal.append(
-            "scenario_seeds",
-            {
-                "campaign": spec.name,
-                "corpus": corpus.fingerprints(),
-                "seeds": seed_plan,
-            },
-        )
-        emit(
-            f"fleet start: {len(scenarios)} scenarios, {workers} workers, "
-            f"{attacks_registered} builtin attacks registered"
-        )
-    driver_telemetry.campaign_started(
-        spec, resumed=resuming, completed=sorted(view.completed) if resuming else ()
-    )
+        runner._repair(view)
 
-    processes: List[subprocess.Popen] = []
-    try:
-        for index in range(workers):
-            kill_n = (
-                kill_after_checkpoints
-                if kill_worker is not None and index == kill_worker
-                else None
+    def run_matrix() -> "tuple[Dict[str, ScenarioOutcome], Dict[str, Any]]":
+        if not resuming:
+            # The seed plan: one corpus snapshot, taken after builtin
+            # registration, that every scenario draws its seeds from —
+            # journaled so every worker (and every steal, and every resume)
+            # reads the same plan regardless of what the live corpus looks
+            # like by then.
+            journal.append(
+                "scenario_seeds",
+                {
+                    "campaign": spec.name,
+                    "corpus": runner.corpus.fingerprints(),
+                    "seeds": {
+                        scenario.scenario_id: [
+                            trace.fingerprint() for trace in runner._scenario_seeds(scenario)
+                        ]
+                        for scenario in scenarios
+                    },
+                },
             )
-            processes.append(
-                _spawn_worker(
-                    str(corpus_dir), f"w{index}", spec.lease_ttl, poll_s, kill_n
+        processes: List[subprocess.Popen] = []
+        try:
+            for index in range(workers):
+                kill_n = kill_after_checkpoints if index == kill_worker else None
+                processes.append(
+                    _spawn_worker(corpus_dir, f"w{index}", spec.lease_ttl, poll_s, kill_n)
                 )
-            )
-        for index, process in enumerate(processes):
-            code = process.wait()
-            if code != 0:
-                emit(f"worker w{index} exited with {code}")
-    finally:
-        for process in processes:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
+            for index, process in enumerate(processes):
+                code = process.wait()
+                if code != 0:
+                    runner._progress(f"worker w{index} exited with {code}")
+        finally:
+            for process in processes:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()
+        # Drain inline: finishes the matrix when every subprocess died (or
+        # when workers=0 — the single-process control run).
+        final = journal.replay()
+        if any(s.scenario_id not in final.completed for s in scenarios):
+            drained = FleetWorker(
+                corpus_dir, "driver", poll_s=poll_s, telemetry=telemetry, progress=progress
+            ).run()
+            if drained and workers:
+                runner._progress(f"driver drained {drained} leftover scenarios inline")
+            final = journal.replay()
+        # Workers journal inserts and quarantines but never touch the corpus
+        # or quarantine.json (one file, many processes); the driver folds the
+        # surviving — unfenced — events in here, exactly once.
+        runner._repair(final)
+        for scenario in scenarios:
+            if scenario.scenario_id not in final.completed:
+                raise FleetError(f"scenario {scenario.scenario_id} never completed")
+        runner._merge_private_archives(final)
+        return runner._journaled_outcomes(final), {}
 
-    # Drain inline: finishes the matrix when every subprocess died (or when
-    # workers=0 — the single-process control run).
-    view = journal.replay()
-    if any(s.scenario_id not in view.completed for s in scenarios):
-        drain = FleetWorker(
-            str(corpus_dir),
-            "driver",
-            poll_s=poll_s,
-            telemetry=telemetry,
-            progress=progress,
-        )
-        drained = drain.run()
-        if drained and workers:
-            emit(f"driver drained {drained} leftover scenarios inline")
-
-    # Finalize: fold the insert WAL into the corpus, assemble outcomes and
-    # the behavior map in matrix order (interleaving-independent).
-    view = journal.replay()
-    for data in view.inserts:
-        runner._apply_insert_event(data)
-    # Workers journal quarantines but never touch quarantine.json (one file,
-    # many processes); the driver folds the surviving — unfenced — events
-    # into the corpus-backed store here, exactly once.
-    for entry in view.quarantined:
-        runner.quarantine.apply_event(entry)
-    outcomes = []
-    for scenario in scenarios:
-        payload = view.completed.get(scenario.scenario_id)
-        if payload is None:
-            raise FleetError(f"scenario {scenario.scenario_id} never completed")
-        outcomes.append(
-            ScenarioOutcome.from_journal_dict(scenario, payload["outcome"])
-        )
-    baseline = BehaviorArchive.from_dict(start_payload["archive_baseline"])
-    final_archive = BehaviorArchive.from_dict(start_payload["archive_baseline"])
-    for scenario in scenarios:
-        payload = view.completed[scenario.scenario_id]
-        if payload.get("archive") is not None:
-            final_archive.merge(
-                BehaviorArchive.from_dict(payload["archive"]), baseline=baseline
-            )
-    final_archive.save(BehaviorArchive.corpus_path(corpus.path))
-    journal.close()
-    result = CampaignResult(
-        spec=spec,
-        outcomes=outcomes,
-        corpus_stats=corpus.stats(),
-        cache_stats={},
-        wall_time_s=time.perf_counter() - started,
-        attacks_registered=attacks_registered,
-        coverage=final_archive.coverage(),
-    )
-    driver_telemetry.campaign_completed(spec, result=result, resumed=resuming)
-    driver_telemetry.close()
-    return result
+    return runner._conduct(run_matrix, view if resuming else None, fleet=workers)
 
 
 # ---------------------------------------------------------------------- #

@@ -57,7 +57,7 @@ from .coverage import (
     diff_archives,
     extract_signature,
 )
-from .exec.backend import create_backend
+from .exec.backend import BACKENDS, create_backend
 from .journal import CampaignJournal
 from .netsim.simulation import SimulationConfig, run_simulation
 from .obs import (
@@ -121,7 +121,7 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--top", type=int, default=5, help="how many best traces to report")
     parser.add_argument(
         "--backend",
-        choices=["serial", "thread", "process"],
+        choices=BACKENDS,
         default="serial",
         help="evaluation backend; 'process' gives real parallelism on multi-core machines",
     )
@@ -421,7 +421,7 @@ def _add_triage_options(parser: argparse.ArgumentParser) -> None:
                         help="skip the perturbation-matrix validation")
     parser.add_argument("--skip-differential", action="store_true",
                         help="skip the cross-CCA comparison")
-    parser.add_argument("--backend", choices=["serial", "thread", "process"], default="serial")
+    parser.add_argument("--backend", choices=BACKENDS, default="serial")
     parser.add_argument("--workers", type=int, default=None)
 
 
@@ -741,7 +741,7 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--port", type=int, default=8642,
                         help="port to bind (0 = pick a free port)")
     parser.add_argument(
-        "--backend", choices=["serial", "thread", "process"], default="serial",
+        "--backend", choices=BACKENDS, default="serial",
         help="evaluation backend for the replay endpoint",
     )
     parser.add_argument("--workers", type=int, default=None,
@@ -824,6 +824,22 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
 # --------------------------------------------------------------------------- #
 
 
+def _spec_overrides(parser, args, fields) -> Dict[str, object]:
+    """The spec fields this command line overrides (``None`` = keep the spec's), validated."""
+    checks = {
+        "workers": (lambda value: value >= 1, "--workers must be at least 1"),
+        "job_timeout": (lambda value: value > 0, "--job-timeout must be positive"),
+        "max_retries": (lambda value: value >= 0, "--max-retries must be non-negative"),
+    }
+    overrides = {
+        name: getattr(args, name) for name in fields if getattr(args, name) is not None
+    }
+    for name, value in overrides.items():
+        if name in checks and not checks[name][0](value):
+            parser.error(checks[name][1])
+    return overrides
+
+
 def campaign_main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-campaign``."""
     parser = argparse.ArgumentParser(
@@ -844,7 +860,7 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
              "(the spec is recovered from the journal; --spec is not allowed)",
     )
     run_parser.add_argument(
-        "--backend", choices=["serial", "thread", "process"], default=None,
+        "--backend", choices=BACKENDS, default=None,
         help="override the spec's evaluation backend",
     )
     run_parser.add_argument("--workers", type=int, default=None, help="override the spec's pool size")
@@ -857,10 +873,6 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
         "--max-retries", type=int, default=None,
         help="override the spec's retry budget for evaluations whose pool "
              "worker died",
-    )
-    run_parser.add_argument(
-        "--max-parallel", type=int, default=1,
-        help="scenarios run concurrently over the shared backend (1 = fully reproducible serial order)",
     )
     run_parser.add_argument(
         "--no-attacks", action="store_true",
@@ -915,7 +927,7 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
     replay_parser.add_argument("--corpus", type=str, required=True)
     replay_parser.add_argument("--cca", choices=sorted(CCA_FACTORIES), required=True)
     replay_parser.add_argument("--mode", choices=["link", "traffic", "loss"], default=None)
-    replay_parser.add_argument("--backend", choices=["serial", "thread", "process"], default="serial")
+    replay_parser.add_argument("--backend", choices=BACKENDS, default="serial")
     replay_parser.add_argument("--workers", type=int, default=None)
     replay_parser.add_argument("--output", type=str, default=None, help="write the replay report as JSON")
 
@@ -947,7 +959,7 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
     workers_parser = subparsers.add_parser(
         "workers",
         help="run a campaign with a fleet of worker processes sharing one "
-             "corpus (expired leases are stolen; digest matches a serial run)",
+             "corpus (expired leases are stolen; digest matches the inline -n 0 run)",
     )
     workers_parser.add_argument("--spec", type=str, required=True, help="campaign spec JSON file")
     workers_parser.add_argument("--corpus", type=str, required=True, help="shared corpus directory")
@@ -1004,16 +1016,11 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
     console = Console.from_args(args)
 
     if args.command == "run":
-        if args.max_parallel < 1:
-            parser.error("--max-parallel must be at least 1")
         if args.harvest_top_k < 1:
             parser.error("--harvest-top-k must be at least 1")
-        if args.workers is not None and args.workers < 1:
-            parser.error("--workers must be at least 1")
-        if args.job_timeout is not None and not args.job_timeout > 0:
-            parser.error("--job-timeout must be positive")
-        if args.max_retries is not None and args.max_retries < 0:
-            parser.error("--max-retries must be non-negative")
+        overrides = _spec_overrides(
+            parser, args, ("backend", "workers", "job_timeout", "max_retries")
+        )
         if args.no_telemetry and args.progress:
             parser.error("--progress needs telemetry; drop --no-telemetry")
         if args.resume and args.spec is not None:
@@ -1032,42 +1039,22 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
         if args.resume:
             try:
                 runner = CampaignRunner.resume(
-                    args.corpus,
-                    max_parallel=args.max_parallel,
-                    progress=console.info,
-                    telemetry=telemetry,
+                    args.corpus, progress=console.info, telemetry=telemetry
                 )
             except ValueError as exc:
                 parser.error(str(exc))
-            if args.backend is not None:
-                runner.spec.backend = args.backend
-            if args.workers is not None:
-                runner.spec.workers = args.workers
-            if args.job_timeout is not None:
-                runner.spec.job_timeout = args.job_timeout
-            if args.max_retries is not None:
-                runner.spec.max_retries = args.max_retries
         else:
             with open(args.spec, "r", encoding="utf-8") as handle:
                 spec = CampaignSpec.from_json(handle.read())
-            if args.backend is not None:
-                spec.backend = args.backend
-            if args.workers is not None:
-                spec.workers = args.workers
-            if args.job_timeout is not None:
-                spec.job_timeout = args.job_timeout
-            if args.max_retries is not None:
-                spec.max_retries = args.max_retries
-            corpus = CorpusStore(args.corpus)
             runner = CampaignRunner(
                 spec,
-                corpus,
-                max_parallel=args.max_parallel,
+                CorpusStore(args.corpus),
                 register_attacks=not args.no_attacks,
                 harvest_top_k=args.harvest_top_k,
                 progress=console.info,
                 telemetry=telemetry,
             )
+        vars(runner.spec).update(overrides)
         result = runner.run()
         console.info()
         console.result(format_campaign_report(result))
@@ -1082,16 +1069,10 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
             parser.error("--harvest-top-k must be at least 1")
         if (args.kill_worker is None) != (args.kill_after_checkpoints is None):
             parser.error("--kill-worker and --kill-after-checkpoints go together")
-        if args.job_timeout is not None and not args.job_timeout > 0:
-            parser.error("--job-timeout must be positive")
-        if args.max_retries is not None and args.max_retries < 0:
-            parser.error("--max-retries must be non-negative")
+        overrides = _spec_overrides(parser, args, ("job_timeout", "max_retries"))
         with open(args.spec, "r", encoding="utf-8") as handle:
             spec = CampaignSpec.from_json(handle.read())
-        if args.job_timeout is not None:
-            spec.job_timeout = args.job_timeout
-        if args.max_retries is not None:
-            spec.max_retries = args.max_retries
+        vars(spec).update(overrides)
         result = run_fleet(
             spec,
             args.corpus,

@@ -101,7 +101,7 @@ class FuzzConfig:
     target_fitness: Optional[float] = None
 
     # Evaluation backend.
-    backend: str = "serial"                #: "serial", "thread" or "process"
+    backend: str = "serial"                #: "serial" or "process"
     workers: Optional[int] = None          #: pool size (None = one per CPU)
     use_cache: bool = True                 #: memoize (trace, cca, sim) -> score
 
@@ -208,7 +208,7 @@ class CCFuzz:
        migrants and duplicate offspring resolve here without a simulation,
        and identical traces within the batch are coalesced into one job;
     2. hands the cache misses to the configured
-       :class:`~repro.exec.EvaluationBackend` (``serial``, ``thread`` or
+       :class:`~repro.exec.EvaluationBackend` (``serial`` or
        ``process``) as :class:`~repro.exec.EvaluationJob` objects, which the
        backend may execute in any order but must return in input order;
     3. writes the ``(Score, summary)`` outcomes back onto the individuals

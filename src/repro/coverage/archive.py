@@ -172,7 +172,7 @@ class BehaviorArchive:
         archives reports the same coverage a shared archive would.
 
         ``baseline`` handles archives that were *seeded from a snapshot of
-        this archive* (the parallel campaign scheduler): only ``other``'s
+        this archive* (a fleet worker's per-scenario archive): only ``other``'s
         contribution beyond the baseline is folded in, so the inherited
         cells' visits are not double-counted once per scenario.
         """

@@ -18,7 +18,6 @@ from .backend import (
     EvaluationBackend,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadBackend,
     create_backend,
 )
 from .batch import evaluate_coalesced
@@ -56,7 +55,6 @@ __all__ = [
     "SerialBackend",
     "SupervisedProcessPool",
     "SupervisorError",
-    "ThreadBackend",
     "TraceCache",
     "active_plan",
     "cca_identity",

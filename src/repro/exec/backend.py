@@ -1,4 +1,4 @@
-"""Evaluation backends: serial, thread pool and supervised process pool.
+"""Evaluation backends: serial and supervised process pool.
 
 A backend turns a batch of :class:`EvaluationJob` objects into their
 outcomes, always **in input order** — callers rely on positional
@@ -9,9 +9,6 @@ Backend selection guidance:
 
 * :class:`SerialBackend` — zero overhead; right for small populations and
   for debugging (tracebacks surface directly).
-* :class:`ThreadBackend` — the simulator is pure Python, so the GIL
-  serialises most of the work; useful mainly for testing the batching
-  machinery and for any future C-accelerated simulator core.
 * :class:`ProcessPoolBackend` — real parallelism on a
   :class:`~repro.exec.supervisor.SupervisedProcessPool`; the win once
   ``population × islands`` dwarfs the per-process pickling cost, and the
@@ -39,7 +36,6 @@ import contextlib
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import get_registry
@@ -56,7 +52,7 @@ from .supervisor import SupervisedProcessPool, SupervisorError
 from .workers import EvaluationJob, EvaluationOutcome
 
 #: Backend names accepted by :func:`create_backend` and the CLI.
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def _default_workers() -> int:
@@ -179,7 +175,7 @@ class EvaluationBackend(abc.ABC):
         Recorded from the coordinator, so it covers every backend uniformly
         — including the process pool, whose workers increment their own
         per-process registries that never reach this one.  ``jobs_in_flight``
-        is a live queue-depth gauge (campaign threads sharing one backend
+        is a live queue-depth gauge (request threads sharing one backend
         stack their batches); ``batch_occupancy`` is the fraction of the
         worker pool one batch can keep busy.
         """
@@ -224,45 +220,6 @@ class SerialBackend(EvaluationBackend):
         ]
 
 
-class ThreadBackend(EvaluationBackend):
-    """Evaluate jobs on a shared :class:`ThreadPoolExecutor`."""
-
-    name = "thread"
-
-    def __init__(
-        self, workers: Optional[int] = None, policy: Optional[FaultPolicy] = None
-    ) -> None:
-        super().__init__(policy)
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be at least 1")
-        self.workers = workers or _default_workers()
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._init_lock = threading.Lock()
-
-    def _pool(self) -> ThreadPoolExecutor:
-        # Guarded: campaign coordinator threads share one backend and may
-        # race to trigger the lazy pool creation (or its lazy restart after
-        # close()).
-        with self._init_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="repro-eval"
-                )
-            return self._executor
-
-    def _run_jobs(self, jobs: List[EvaluationJob]) -> List[EvaluationOutcome]:
-        chaos = active_plan()
-        pairs = self._pool().map(
-            lambda job: guarded_evaluate(job, chaos, allow_exit=False), jobs
-        )
-        return [self._resolve(pair) for pair in pairs]
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-
 class ProcessPoolBackend(EvaluationBackend):
     """Evaluate jobs on a supervised process pool with chunked prefetch.
 
@@ -296,7 +253,7 @@ class ProcessPoolBackend(EvaluationBackend):
         self._init_lock = threading.Lock()
 
     def _pool(self) -> SupervisedProcessPool:
-        # Guarded: campaign coordinator threads share one backend and may
+        # Guarded: the dashboard's request threads share one backend and may
         # race to trigger the lazy pool creation.  submit_batch itself is
         # thread-safe, so concurrent batches then interleave freely.
         with self._init_lock:
@@ -335,15 +292,13 @@ def create_backend(
     workers: Optional[int] = None,
     policy: Optional[FaultPolicy] = None,
 ) -> EvaluationBackend:
-    """Build a backend by name (``serial``, ``thread`` or ``process``).
+    """Build a backend by name (``serial`` or ``process``).
 
-    ``workers`` validation lives in the pool constructors (the layer that
+    ``workers`` validation lives in the pool constructor (the layer that
     uses the value); the serial backend ignores it.
     """
     if name not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {name!r}")
     if name == "serial":
         return SerialBackend(policy=policy)
-    if name == "thread":
-        return ThreadBackend(workers=workers, policy=policy)
     return ProcessPoolBackend(workers=workers, policy=policy)

@@ -80,8 +80,8 @@ class TraceCache:
     avoided simulation.
 
     ``thread_safe=True`` serialises every operation behind an ``RLock`` so
-    one cache can be shared by several fuzzing runs executing concurrently
-    (the campaign scheduler interleaves scenarios this way); the default
+    one cache can be shared by several threads (the dashboard's replay
+    service is called from request threads); the default
     lock-free mode keeps single-run lookups overhead-free.
 
     Checkpointing is incremental: :meth:`delta_since` returns the ordered log

@@ -122,7 +122,9 @@ class JournalView:
         }
 
     def behavior_state(
-        self, generation_limits: Optional[Dict[str, int]] = None
+        self,
+        generation_limits: Optional[Dict[str, int]] = None,
+        scenario_id: Optional[str] = None,
     ) -> "tuple[Dict[str, Dict[str, Any]], Optional[Dict[str, int]]]":
         """Fold behavior deltas into ``(cells, counters)``.
 
@@ -132,12 +134,16 @@ class JournalView:
         from scratch): deltas are journaled *before* their checkpoint, so a
         kill between the two appends leaves a trailing delta that must be
         dropped — the resumed search re-evaluates that generation and
-        re-observes it identically.
+        re-observes it identically.  ``scenario_id`` keeps only that
+        scenario's deltas: the state of the private archive a fleet worker
+        ran it on.
         """
         limits = generation_limits or {}
         cells: Dict[str, Dict[str, Any]] = {}
         counters: Optional[Dict[str, int]] = None
         for delta in self.behavior_deltas:
+            if scenario_id is not None and delta.get("scenario_id") != scenario_id:
+                continue
             limit = limits.get(delta.get("scenario_id", ""))
             if limit is not None and delta.get("generation", 0) > limit:
                 continue

@@ -383,23 +383,6 @@ class TestCampaignRunner:
         ]
         assert sorted(corpus2.fingerprints()) == sorted(corpus.fingerprints())
 
-    def test_parallel_matches_with_snapshot_seeding(self, tmp_path):
-        # Parallel scheduling draws seeds from the launch snapshot, so two
-        # parallel runs of the same spec are identical to each other.  The
-        # thread backend makes the coordinator threads share one lazily
-        # created pool, exercising the backend's init lock.
-        results = []
-        for name in ("p1", "p2"):
-            corpus = CorpusStore(str(tmp_path / name))
-            results.append(
-                CampaignRunner(
-                    tiny_spec(backend="thread", workers=2), corpus, max_parallel=2
-                ).run()
-            )
-        assert [o.best_fitness for o in results[0].outcomes] == [
-            o.best_fitness for o in results[1].outcomes
-        ]
-
     def test_to_dict_is_json_serialisable(self, campaign):
         _, _, result = campaign
         payload = json.loads(json.dumps(result.to_dict()))

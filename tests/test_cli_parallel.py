@@ -33,7 +33,7 @@ def best_fitness_from_output(captured: str) -> float:
 
 
 class TestBackendFlags:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_each_backend_runs_end_to_end(self, backend, tmp_path, capsys):
         exit_code, output = run_fuzz(["--backend", backend, "--workers", "2"], tmp_path)
         assert exit_code == 0

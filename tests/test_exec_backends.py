@@ -19,7 +19,6 @@ from repro.exec import (
     EvaluationJob,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadBackend,
     TraceCache,
     cca_identity,
     create_backend,
@@ -71,22 +70,21 @@ class TestBackendEquivalence:
             config = tiny_config(mode, backend=backend, workers=2)
             results[backend] = CCFuzz(Reno, config=config).run()
         serial = results["serial"]
-        for backend in ("thread", "process"):
-            other = results[backend]
-            assert history_signature(other) == history_signature(serial), backend
-            assert other.best_fitness == serial.best_fitness
-            assert other.total_evaluations == serial.total_evaluations
-            assert other.best_trace.fingerprint() == serial.best_trace.fingerprint()
+        other = results["process"]
+        assert history_signature(other) == history_signature(serial)
+        assert other.best_fitness == serial.best_fitness
+        assert other.total_evaluations == serial.total_evaluations
+        assert other.best_trace.fingerprint() == serial.best_trace.fingerprint()
 
     def test_injected_backend_is_used_and_not_closed(self):
-        backend = ThreadBackend(workers=2)
+        backend = ProcessPoolBackend(workers=2)
         fuzzer = CCFuzz(Reno, config=tiny_config("traffic"), backend=backend)
         fuzzer.run()
         # The run used the injected pool and must not shut down a
         # caller-owned backend.
-        assert backend._executor is not None
+        assert backend._pool_instance is not None
         backend.close()
-        assert backend._executor is None
+        assert backend._pool_instance is None
 
     def test_batch_results_preserve_input_order(self):
         generator = TrafficTraceGenerator(duration=1.0, max_packets=30, seed=3)
@@ -97,13 +95,13 @@ class TestBackendEquivalence:
             for trace in traces
         ]
         expected = [evaluate_job(job) for job in jobs]
-        with ThreadBackend(workers=3) as threaded:
-            assert threaded.evaluate_batch(jobs) == expected
+        with SerialBackend() as serial:
+            assert serial.evaluate_batch(jobs) == expected
         with ProcessPoolBackend(workers=2) as pooled:
             assert pooled.evaluate_batch(jobs) == expected
 
     def test_empty_batch(self):
-        for backend in (SerialBackend(), ThreadBackend(workers=1)):
+        for backend in (SerialBackend(), ProcessPoolBackend(workers=1)):
             with backend:
                 assert backend.evaluate_batch([]) == []
 
@@ -122,7 +120,6 @@ class TestBackendEquivalence:
 class TestCreateBackend:
     def test_names_map_to_classes(self):
         assert isinstance(create_backend("serial"), SerialBackend)
-        assert isinstance(create_backend("thread", workers=2), ThreadBackend)
         backend = create_backend("process", workers=2)
         assert isinstance(backend, ProcessPoolBackend)
         backend.close()
@@ -134,9 +131,7 @@ class TestCreateBackend:
     @pytest.mark.parametrize("workers", [0, -1])
     def test_invalid_workers_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
-            create_backend("thread", workers=workers)
-        with pytest.raises(ValueError, match="workers"):
-            ThreadBackend(workers=workers)
+            create_backend("process", workers=workers)
         with pytest.raises(ValueError, match="workers"):
             ProcessPoolBackend(workers=workers)
 

@@ -28,7 +28,6 @@ from repro.exec import (
     ProcessPoolBackend,
     QuarantineStore,
     SerialBackend,
-    ThreadBackend,
     active_plan,
     cca_identity,
     chaos_injection,
@@ -145,7 +144,7 @@ class TestGuardedEvaluate:
 
     @pytest.mark.parametrize("kind", ["hang", "exit"])
     def test_in_process_backends_downgrade_hang_and_exit(self, kind):
-        # allow_exit=False is how serial/thread backends survive faults that
+        # allow_exit=False is how the serial backend survives faults that
         # would otherwise wedge or kill the host process.
         plan = ChaosPlan(faults={FINGERPRINTS[0]: kind})
         status, failure = guarded_evaluate(JOBS[0], plan, allow_exit=False)
@@ -322,8 +321,8 @@ class TestBackendFaultHandling:
 
     @pytest.mark.parametrize(
         "backend_factory",
-        [SerialBackend, lambda: ThreadBackend(workers=3)],
-        ids=["serial", "thread"],
+        [SerialBackend],
+        ids=["serial"],
     )
     def test_in_process_backends_fold_all_fault_kinds(self, backend_factory):
         plan = ChaosPlan(
@@ -420,10 +419,9 @@ class TestCloseAndRestart:
         "backend_factory",
         [
             SerialBackend,
-            lambda: ThreadBackend(workers=2),
             lambda: ProcessPoolBackend(workers=2),
         ],
-        ids=["serial", "thread", "process"],
+        ids=["serial", "process"],
     )
     def test_close_is_idempotent_and_pools_restart_lazily(self, backend_factory):
         backend = backend_factory()
@@ -480,7 +478,7 @@ class TestHealthyJobsUnchangedProperty:
         have their own deterministic tests above.
         """
         plan = ChaosPlan(faults=faults)
-        backends = [SerialBackend(), ThreadBackend(workers=3), process_backend]
+        backends = [SerialBackend(), process_backend]
         for backend in backends:
             with chaos_injection(plan):
                 outcomes = backend.evaluate_batch(JOBS)

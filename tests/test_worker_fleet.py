@@ -431,12 +431,12 @@ def test_rediscovery_of_missing_corpus_entry_degrades_to_new(tmp_path):
         "rediscoveries_after": 3,
         "entry": {"scenario_id": SID, "cca": "reno", "trace": trace.to_dict()},
     }
-    runner._apply_insert_event(data)
-    assert runner.insert_warnings == 1
+    runner.inserts.apply(data)
+    assert runner.inserts.warnings == 1
     assert trace.fingerprint() in runner.corpus
     # Once repaired, replaying the same event again is a plain no-op path.
-    runner._apply_insert_event(data)
-    assert runner.insert_warnings == 1
+    runner.inserts.apply(data)
+    assert runner.inserts.warnings == 1
 
 
 def test_append_detects_journal_replaced_under_open_handle(tmp_path):
@@ -458,3 +458,143 @@ def test_append_detects_journal_replaced_under_open_handle(tmp_path):
     records = journal.records()
     assert [r.type for r in records] == ["campaign_start", "scenario_seeds"]
     assert records[0].data["campaign"] == "new"
+
+
+# ---------------------------------------------------------------------- #
+# One scenario body, two isolation policies
+# ---------------------------------------------------------------------- #
+
+
+def test_novelty_guided_fleet_matches_control(tmp_path):
+    """Fleet interleaving must not change coverage-guided results: novelty
+    guidance reads the archive during selection, so each scenario's private
+    archive has to be exactly what the inline control gave it."""
+    spec = CampaignSpec.from_dict(
+        {**FLEET_SPEC, "name": "fleet-novelty", "guidance": "novelty"}
+    )
+    states = []
+    for name, workers in (("control", 0), ("fleet", 2)):
+        corpus_dir = str(tmp_path / name)
+        result = run_fleet(spec, corpus_dir, workers=workers, telemetry=False)
+        states.append(_state_of(corpus_dir, result))
+    assert states[0] == states[1]
+    assert states[0]["behavior_map"]["cells"]
+
+
+def _injected_seeds(view, scenario_id: str) -> list:
+    return view.checkpoints[scenario_id]["fuzzer"]["seed_fingerprints"]
+
+
+def test_serial_and_fleet_isolation_policies_differ_beyond_the_tiny_spec(
+    tmp_path, fleet_control
+):
+    """The serial runner seeds scenario 2 from scenario 1's harvest (live
+    corpus); the fleet seeds it from the journaled launch plan.  With the
+    default ``seed_limit`` that changes the search, so the two policies are
+    different campaigns and must not be merged into one; on ``FLEET_SPEC``
+    (``seed_limit: 2``, filled by builtins either way) they coincide."""
+    spec = CampaignSpec.from_dict(
+        {
+            "name": "two-policies",
+            "ccas": ["reno", "cubic"],
+            "modes": ["traffic"],
+            "objectives": ["throughput"],
+            "conditions": [{"name": "base"}],
+            "budget": {"population_size": 8, "generations": 3, "duration": 0.12},
+            "seed": 7,
+        }
+    )
+    reno, cubic = [scenario.scenario_id for scenario in spec.expand()]
+    serial = CampaignRunner(
+        spec, CorpusStore(str(tmp_path / "serial")), telemetry=False
+    ).run()
+    fleet = run_fleet(spec, str(tmp_path / "fleet"), workers=0, telemetry=False)
+    serial_view, fleet_view = (
+        CampaignJournal(CampaignJournal.corpus_path(str(tmp_path / name))).replay()
+        for name in ("serial", "fleet")
+    )
+    assert set(_injected_seeds(serial_view, cubic)) & set(
+        serial_view.inserts_by_scenario[reno]
+    ), "serial scenario 2 should be seeded from scenario 1's harvest"
+    plan = fleet_view.scenario_seeds["seeds"]
+    assert _injected_seeds(fleet_view, cubic) == plan[cubic] == plan[reno]
+    assert not set(plan[cubic]) & set(fleet_view.inserts_by_scenario[reno])
+    assert serial.deterministic_digest() != fleet.deterministic_digest()
+
+    tiny = CampaignRunner(
+        CampaignSpec.from_dict(FLEET_SPEC),
+        CorpusStore(str(tmp_path / "tiny")),
+        telemetry=False,
+    ).run()
+    assert tiny.deterministic_digest() == fleet_control["digest"]
+
+
+def test_run_fleet_closes_journal_and_telemetry_when_it_fails(tmp_path, monkeypatch):
+    """Bugfix: a fleet that raised (here: a drain worker that completes
+    nothing, so the matrix never finishes) leaked the driver's journal handle
+    and telemetry stream; finalize now runs in a ``finally``."""
+    from repro.campaign.worker import FleetError, FleetWorker
+    from repro.obs.telemetry import CampaignTelemetry
+
+    journals, telemetry_closes = [], []
+    append, close = CampaignJournal.append, CampaignTelemetry.close
+    monkeypatch.setattr(FleetWorker, "run", lambda self: 0)
+    monkeypatch.setattr(
+        CampaignJournal, "append",
+        lambda self, *args: (journals.append(self), append(self, *args))[1],
+    )
+    monkeypatch.setattr(
+        CampaignTelemetry, "close", lambda self: (telemetry_closes.append(self), close(self))
+    )
+    with pytest.raises(FleetError, match="never completed"):
+        run_fleet(CampaignSpec.from_dict(FLEET_SPEC), str(tmp_path / "corpus"), workers=0)
+    assert journals and all(journal._handle is None for journal in journals)
+    assert telemetry_closes
+
+
+LEGACY_THREAD_MODE_JOURNAL = os.path.join(
+    os.path.dirname(__file__), "legacy_thread_mode_journal.jsonl"
+)
+
+
+def test_legacy_thread_mode_journal_resumes_serially(tmp_path):
+    """A journal written by the retired ``max_parallel: 2`` thread mode —
+    no generation checkpoints, private-archive snapshots in its
+    ``scenario_complete`` records, killed with one scenario leased but not
+    complete — still resumes: the completed scenarios' archives are merged
+    baseline-aware and the rest of the matrix runs serially."""
+    corpus_dir = tmp_path / "legacy"
+    corpus_dir.mkdir()
+    journal_path = CampaignJournal.corpus_path(str(corpus_dir))
+    with open(LEGACY_THREAD_MODE_JOURNAL, "r", encoding="utf-8") as source:
+        with open(journal_path, "w", encoding="utf-8") as target:
+            target.write(source.read())
+    before = CampaignJournal(journal_path).replay()
+    assert before.campaign["max_parallel"] == 2
+    assert not before.checkpoints
+    done = sorted(before.completed)
+    assert len(done) == 2 and all(before.completed[sid]["archive"]["cells"] for sid in done)
+
+    runner = CampaignRunner.resume(str(corpus_dir), telemetry=False)
+    # Baseline-aware merge: every private archive's cells, each observation
+    # counted exactly once.
+    journaled = [BehaviorArchive.from_dict(before.completed[sid]["archive"]) for sid in done]
+    assert set(runner.archive.cell_keys()) == {
+        cell for archive in journaled for cell in archive.cell_keys()
+    }
+    assert runner.archive.counters()["observations"] == sum(
+        archive.counters()["observations"] for archive in journaled
+    )
+
+    result = runner.run()
+    assert len(result.outcomes) == 3
+    by_id = {outcome.scenario.scenario_id: outcome for outcome in result.outcomes}
+    for sid in done:
+        assert by_id[sid].best_fingerprint == before.completed[sid]["outcome"]["best_fingerprint"]
+    # The unfinished scenario ran serially: one journaled delta per generation.
+    (resumed_sid,) = set(by_id) - set(done)
+    after = CampaignJournal(journal_path).replay()
+    assert [d["generation"] for d in after.behavior_deltas] == [0, 1]
+    assert {d["scenario_id"] for d in after.behavior_deltas} == {resumed_sid}
+    saved = BehaviorArchive.load(BehaviorArchive.corpus_path(str(corpus_dir)))
+    assert set(runner.archive.cell_keys()) == set(saved.cell_keys())
