@@ -17,7 +17,7 @@ benchmark sweep:
 * :mod:`report` — plain-text and JSON campaign summaries.
 """
 
-from .corpus import CorpusEntry, CorpusStore, mode_of_trace
+from .corpus import CorpusEntry, CorpusReader, CorpusStore, mode_of_trace
 from .replay import ReplayReport, ReplayRow, replay_corpus
 from .report import (
     format_campaign_report,
@@ -37,6 +37,7 @@ __all__ = [
     "run_fleet",
     "CampaignSpec",
     "CorpusEntry",
+    "CorpusReader",
     "CorpusStore",
     "GaBudget",
     "NetworkCondition",

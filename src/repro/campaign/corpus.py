@@ -9,9 +9,18 @@ On-disk layout (one directory per corpus)::
 Entries are keyed by :meth:`PacketTrace.fingerprint`, so re-discovering a
 trace (same timestamps, duration, MSS) in another scenario or campaign never
 duplicates it — instead the entry's ``rediscoveries`` counter grows and its
-recorded score is upgraded if the new find scored higher.  Every write goes
-straight to disk, so a corpus directory is always loadable even if a
-campaign is interrupted mid-run.
+recorded score is upgraded if the new find scored higher.  Every write is
+published through :func:`repro.storage.publish` straight away, so a corpus
+directory is always loadable even if a campaign is interrupted mid-run.
+
+Access comes in two types.  :class:`CorpusReader` only ever opens files for
+reading, so it is safe on a directory another process is writing, and
+everything that only reads (fleet workers, ``report``/``replay``,
+``repro-triage --corpus``, ``repro-coverage``) holds one.
+:class:`CorpusStore` is that reader plus ``add``/``annotate_*``, the orphan
+sweep and the index publish; one process at a time may hold it on a
+directory.  Both go through the same parse of each file; an index it cannot
+use is an empty corpus to the reader and a refusal to open to the store.
 
 The same serialization backs ``repro-fuzz --output-dir`` (dumping a single
 run's top-k) and the campaign scheduler's harvest, which is what makes a
@@ -26,37 +35,14 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
-from ..journal.log import fsync_dir
 from ..obs.metrics import get_registry
+from ..storage import publish, read_json_object
 from ..traces.trace import LinkTrace, LossTrace, PacketTrace, TrafficTrace
 
 #: index.json schema version, bumped on incompatible layout changes.
 CORPUS_SCHEMA = 1
 
 _MODE_BY_TYPE = {LinkTrace: "link", TrafficTrace: "traffic", LossTrace: "loss"}
-
-
-def atomic_write_text(text: str, path: str) -> None:
-    """Publish ``text`` at ``path`` via a temp file + rename in the same directory.
-
-    A crash mid-write leaves the previous version intact, never a truncated
-    file — the property that keeps a corpus directory loadable after an
-    interrupted campaign.  The temp file is fsynced before the rename and the
-    parent directory after it, so the publish also survives power loss, not
-    just process death (same contract as the journal).
-    """
-    tmp_path = f"{path}.tmp"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
-    fsync_dir(os.path.dirname(os.path.abspath(path)))
-
-
-def atomic_json_dump(payload: Dict[str, Any], path: str, **json_kwargs: Any) -> None:
-    """:func:`atomic_write_text` of ``payload`` as JSON."""
-    atomic_write_text(json.dumps(payload, **json_kwargs), path)
 
 
 def mode_of_trace(trace: PacketTrace) -> str:
@@ -172,207 +158,77 @@ class CorpusEntry:
         }
 
 
-class CorpusStore:
-    """Fingerprint-deduped, write-through on-disk corpus of attack traces.
+# ---------------------------------------------------------------------- #
+# Reading the files
+# ---------------------------------------------------------------------- #
+#
+# An observer (dashboard, status poll, read-only CLI command, fleet worker)
+# must never construct a CorpusStore against a live campaign's directory:
+# its constructor creates entries/, sweeps orphan *.tmp files (which would
+# race the owning campaign's in-flight publishes) and writes index.json when
+# missing.  These helpers only ever open files for reading and return
+# ``None``/empty instead of raising — a query answering mid-write should
+# render what it can.  The writer parses through them too.
 
+
+def _index_rows(corpus_dir: str) -> Optional[Dict[str, Dict[str, Any]]]:
+    """``index.json`` rows, or ``None`` when missing, torn or of another schema."""
+    payload = read_json_object(os.path.join(str(corpus_dir), "index.json"))
+    if payload is None or payload.get("schema", CORPUS_SCHEMA) != CORPUS_SCHEMA:
+        return None
+    entries = payload.get("entries", {})
+    return dict(entries) if isinstance(entries, dict) else None
+
+
+def read_corpus_index(corpus_dir: str) -> Dict[str, Dict[str, Any]]:
+    """``index.json`` rows (fingerprint -> summary), ``{}`` when unusable.
+
+    Publishes are atomic, so a *torn* index can only be seen through a
+    non-atomic copy of the directory, but an observer should answer sanely
+    against that too.
+    """
+    return _index_rows(corpus_dir) or {}
+
+
+def _safe_fingerprint(fingerprint: str) -> bool:
+    """Reject path-traversal attempts in client-supplied fingerprints."""
+    return bool(fingerprint) and all(
+        ch.isalnum() or ch in "-_" for ch in fingerprint
+    )
+
+
+def read_corpus_entry(corpus_dir: str, fingerprint: str) -> Optional[Dict[str, Any]]:
+    """One entry's full JSON payload (trace included), or ``None``."""
+    if not _safe_fingerprint(fingerprint):
+        return None
+    return read_json_object(
+        os.path.join(str(corpus_dir), "entries", f"{fingerprint}.json")
+    )
+
+
+class CorpusReader:
+    """Read-only view of a corpus directory: its index as of when it was
+    opened, its entry files as of when each is first asked for.
+
+    Has no method that creates a directory, removes a file or publishes.
     Thread-safe.  Entry payloads are loaded lazily and memoized, so
     replaying a large corpus reads each trace file exactly once.
     """
 
     def __init__(self, path: str) -> None:
         self.path = str(path)
-        self._entries_dir = os.path.join(self.path, "entries")
-        self._index_path = os.path.join(self.path, "index.json")
         self._lock = threading.RLock()
         self._index: Dict[str, Dict[str, Any]] = {}
-        #: fingerprint -> that row's line of index.json, encoded when the row
-        #: was last replaced, so publishing the index never re-encodes rows
-        #: that did not change.
-        self._index_lines: Dict[str, str] = {}
         self._loaded: Dict[str, CorpusEntry] = {}
-        os.makedirs(self._entries_dir, exist_ok=True)
-        self._sweep_orphan_tmp_files()
-        if os.path.exists(self._index_path):
-            with open(self._index_path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if payload.get("schema", CORPUS_SCHEMA) != CORPUS_SCHEMA:
-                raise ValueError(
-                    f"corpus at {self.path} has schema {payload.get('schema')}, "
-                    f"expected {CORPUS_SCHEMA}"
-                )
-            for fingerprint, row in payload.get("entries", {}).items():
-                self._set_row(fingerprint, row)
-        else:
-            self._write_index()
+        self._open()
+
+    def _open(self) -> None:
+        self._index = read_corpus_index(self.path)
 
     @staticmethod
     def is_corpus(path: str) -> bool:
         """Whether ``path`` already holds a corpus (has an index.json)."""
         return os.path.exists(os.path.join(str(path), "index.json"))
-
-    def _sweep_orphan_tmp_files(self) -> int:
-        """Remove ``*.tmp`` droppings left by interrupted atomic writes.
-
-        :func:`atomic_json_dump` guarantees the *target* file survives a
-        crash, but dying between the temp-file write and the rename orphans
-        the ``<name>.tmp`` next to it; sweeping on load keeps killed
-        campaigns from accumulating them.  Only this process may write to a
-        corpus it has opened (the single-writer assumption the whole
-        write-through design already makes).
-        """
-        removed = 0
-        for directory in (self.path, self._entries_dir):
-            try:
-                names = os.listdir(directory)
-            except OSError:
-                continue
-            for name in names:
-                if not name.endswith(".tmp"):
-                    continue
-                try:
-                    os.remove(os.path.join(directory, name))
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    # ------------------------------------------------------------------ #
-    # Writing
-    # ------------------------------------------------------------------ #
-
-    def add(
-        self,
-        trace: PacketTrace,
-        *,
-        scenario_id: str,
-        cca: str = "",
-        objective: str = "",
-        score: Optional[float] = None,
-        generation_found: int = 0,
-        origin: str = "fuzz",
-        campaign: str = "",
-        condition: Optional[Dict[str, Any]] = None,
-        derived_from: str = "",
-        triage: Optional[Dict[str, Any]] = None,
-        behavior: Optional[Dict[str, Any]] = None,
-    ) -> bool:
-        """Insert a trace; returns True iff it was new (not a duplicate).
-
-        A duplicate bumps the existing entry's ``rediscoveries`` counter and,
-        when the new find scored strictly higher, upgrades the recorded score
-        and best-discovery provenance (``origin`` always keeps recording where
-        the trace *first* came from).  Re-registering a builtin attack or a
-        triage-minimized variant is a no-op — both bootstraps are idempotent,
-        so ``rediscoveries`` only ever counts genuine re-finds by a search.
-        """
-        fingerprint = trace.fingerprint()
-        entry = CorpusEntry(
-            trace=trace.copy(),
-            fingerprint=fingerprint,
-            mode=mode_of_trace(trace),
-            scenario_id=scenario_id,
-            cca=cca,
-            objective=objective,
-            score=score,
-            generation_found=generation_found,
-            origin=origin,
-            campaign=campaign,
-            condition=dict(condition or {}),
-            derived_from=derived_from,
-            triage=dict(triage or {}),
-            behavior=dict(behavior or {}),
-        )
-        with self._lock:
-            existing = self._index.get(fingerprint)
-            if existing is None:
-                self._set_row(fingerprint, entry.summary())
-                self._loaded[fingerprint] = entry
-                self._write_entry(entry)
-                self._write_index()
-                return True
-            if origin in ("builtin", "triage"):
-                return False
-            old = self.get(fingerprint)
-            old.rediscoveries += 1
-            # Scores from different objectives (and different network
-            # conditions) live on incomparable scales, so the best-discovery
-            # provenance is only upgraded by a like-for-like rediscovery.
-            comparable = (
-                old.score is None
-                or (old.objective == objective and old.condition == dict(condition or {}))
-            )
-            if score is not None and comparable and (old.score is None or score > old.score):
-                old.score = score
-                old.scenario_id = scenario_id
-                old.cca = cca
-                old.objective = objective
-                old.generation_found = generation_found
-                old.campaign = campaign
-                old.condition = dict(condition or {})
-                if behavior:
-                    old.behavior = dict(behavior)
-            elif behavior and not old.behavior:
-                # A rediscovery may bring the first behavior annotation for an
-                # entry that predates the coverage subsystem.
-                old.behavior = dict(behavior)
-            self._set_row(fingerprint, old.summary())
-            self._write_entry(old)
-            self._write_index()
-            return False
-
-    def annotate_behavior(self, fingerprint: str, payload: Dict[str, Any]) -> None:
-        """Attach (or replace) a behavior-signature annotation and persist it.
-
-        Used by ``repro-coverage map --rebuild`` to backfill entries that
-        predate the coverage subsystem.
-        """
-        with self._lock:
-            entry = self.get(fingerprint)
-            entry.behavior = dict(payload)
-            self._set_row(fingerprint, entry.summary())
-            self._write_entry(entry)
-            self._write_index()
-
-    def annotate_triage(self, fingerprint: str, payload: Dict[str, Any]) -> None:
-        """Attach triage metadata to an existing entry and persist it.
-
-        The verdict is *replaced*, not merged: it describes one triage run,
-        and keeping keys from an earlier run (e.g. a classification computed
-        before a forced re-triage with different settings) would present two
-        inconsistent runs as one result.  A non-empty ``triage`` dict is
-        also what marks an entry as already triaged, making corpus triage
-        idempotent across runs.
-        """
-        with self._lock:
-            entry = self.get(fingerprint)
-            entry.triage = dict(payload)
-            self._set_row(fingerprint, entry.summary())
-            self._write_entry(entry)
-            self._write_index()
-
-    def _write_entry(self, entry: CorpusEntry) -> None:
-        path = os.path.join(self._entries_dir, f"{entry.fingerprint}.json")
-        atomic_json_dump(entry.to_dict(), path)
-
-    def _set_row(self, fingerprint: str, row: Dict[str, Any]) -> None:
-        """Replace one index row and its encoded index.json line."""
-        self._index[fingerprint] = row
-        self._index_lines[fingerprint] = (
-            f"  {json.dumps(fingerprint)}: {json.dumps(row, sort_keys=True)}"
-        )
-        get_registry().inc("corpus.index_rows_encoded")
-
-    def _write_index(self) -> None:
-        """Publish index.json: schema + one already-encoded row per line."""
-        lines = ",\n".join(self._index_lines[fp] for fp in sorted(self._index_lines))
-        entries = f"{{\n{lines}\n }}" if lines else "{}"
-        atomic_write_text(
-            f'{{\n "entries": {entries},\n "schema": {CORPUS_SCHEMA}\n}}', self._index_path
-        )
-
-    # ------------------------------------------------------------------ #
-    # Reading
-    # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
         with self._lock:
@@ -393,14 +249,15 @@ class CorpusStore:
             return {fingerprint: dict(row) for fingerprint, row in self._index.items()}
 
     def get(self, fingerprint: str) -> CorpusEntry:
+        """The entry stored under ``fingerprint`` (``KeyError`` when there is
+        no readable entry file for it), read once and memoized."""
         with self._lock:
             entry = self._loaded.get(fingerprint)
             if entry is None:
-                if fingerprint not in self._index:
-                    raise KeyError(fingerprint)
-                path = os.path.join(self._entries_dir, f"{fingerprint}.json")
-                with open(path, "r", encoding="utf-8") as handle:
-                    entry = CorpusEntry.from_dict(json.load(handle))
+                try:
+                    entry = CorpusEntry.from_dict(read_corpus_entry(self.path, fingerprint))
+                except (KeyError, TypeError, ValueError):  # TypeError: no file (None)
+                    raise KeyError(fingerprint) from None
                 self._loaded[fingerprint] = entry
             return entry
 
@@ -509,66 +366,184 @@ class CorpusStore:
         }
 
 
-# ---------------------------------------------------------------------- #
-# Read-only access (dashboard / query layer)
-# ---------------------------------------------------------------------- #
-#
-# The dashboard must never construct a CorpusStore against a live campaign's
-# directory: the constructor creates entries/, sweeps orphan *.tmp files
-# (which would race the owning campaign's in-flight atomic writes) and
-# writes index.json when missing.  These helpers only ever open files for
-# reading, and degrade to empty results instead of raising — a query
-# endpoint answering mid-write should render what it can.
+class CorpusStore(CorpusReader):
+    """The corpus writer: fingerprint-deduped and write-through.
 
-
-def _read_json_file(path: str) -> Optional[Dict[str, Any]]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
-def read_corpus_index(corpus_dir: str) -> Dict[str, Dict[str, Any]]:
-    """``index.json`` rows (fingerprint -> summary) without a CorpusStore.
-
-    Missing, torn or schema-mismatched indexes all yield ``{}`` — atomic
-    writes mean a *torn* index can only be seen through a non-atomic copy of
-    the directory, but the dashboard should answer sanely against that too.
+    Opening one claims the directory (the single-writer assumption the
+    write-through design makes): it creates ``entries/``, sweeps orphan temp
+    files and publishes an empty index when there is none.
     """
-    payload = _read_json_file(os.path.join(str(corpus_dir), "index.json"))
-    if payload is None or payload.get("schema", CORPUS_SCHEMA) != CORPUS_SCHEMA:
-        return {}
-    entries = payload.get("entries")
-    return dict(entries) if isinstance(entries, dict) else {}
 
+    def _open(self) -> None:
+        self._entries_dir = os.path.join(self.path, "entries")
+        self._index_path = os.path.join(self.path, "index.json")
+        # Refuse, before touching anything, an index this version cannot
+        # use: the first publish would replace it with what we failed to read.
+        rows = _index_rows(self.path)
+        if rows is None and os.path.exists(self._index_path):
+            raise ValueError(
+                f"corpus at {self.path} has an index.json that is torn or not "
+                f"schema {CORPUS_SCHEMA}; refusing to open it for writing"
+            )
+        os.makedirs(self._entries_dir, exist_ok=True)
+        self._sweep_orphan_tmp_files()
+        #: fingerprint -> that row's line of index.json, encoded when the row
+        #: was last replaced, so publishing the index never re-encodes rows
+        #: that did not change.
+        self._index_lines: Dict[str, str] = {}
+        for fingerprint, row in (rows or {}).items():
+            self._set_row(fingerprint, row)
+        if rows is None:
+            self._write_index()
 
-def _safe_fingerprint(fingerprint: str) -> bool:
-    """Reject path-traversal attempts in client-supplied fingerprints."""
-    return bool(fingerprint) and all(
-        ch.isalnum() or ch in "-_" for ch in fingerprint
-    )
+    def _sweep_orphan_tmp_files(self) -> None:
+        """Remove ``*.tmp`` droppings left by interrupted atomic writes.
 
+        :func:`repro.storage.publish` guarantees the *target* file survives a
+        crash, but dying between the temp-file write and the rename orphans
+        the ``<name>.tmp`` next to it; sweeping on load keeps killed
+        campaigns from accumulating them.  Only this process may write to a
+        corpus it has opened (the single-writer assumption the whole
+        write-through design already makes).
+        """
+        for directory in (self.path, self._entries_dir):
+            try:
+                names = os.listdir(directory)
+            except OSError:
+                continue
+            for name in names:
+                if name.endswith(".tmp"):
+                    try:
+                        os.remove(os.path.join(directory, name))
+                    except OSError:
+                        pass
 
-def read_corpus_entry(corpus_dir: str, fingerprint: str) -> Optional[Dict[str, Any]]:
-    """One entry's full JSON payload (trace included), or ``None``."""
-    if not _safe_fingerprint(fingerprint):
-        return None
-    return _read_json_file(
-        os.path.join(str(corpus_dir), "entries", f"{fingerprint}.json")
-    )
+    def add(
+        self,
+        trace: PacketTrace,
+        *,
+        scenario_id: str,
+        cca: str = "",
+        objective: str = "",
+        score: Optional[float] = None,
+        generation_found: int = 0,
+        origin: str = "fuzz",
+        campaign: str = "",
+        condition: Optional[Dict[str, Any]] = None,
+        derived_from: str = "",
+        triage: Optional[Dict[str, Any]] = None,
+        behavior: Optional[Dict[str, Any]] = None,
+    ) -> bool:
+        """Insert a trace; returns True iff it was new (not a duplicate).
 
+        A duplicate bumps the existing entry's ``rediscoveries`` counter and,
+        when the new find scored strictly higher, upgrades the recorded score
+        and best-discovery provenance (``origin`` always keeps recording where
+        the trace *first* came from).  Re-registering a builtin attack or a
+        triage-minimized variant is a no-op — both bootstraps are idempotent,
+        so ``rediscoveries`` only ever counts genuine re-finds by a search.
+        """
+        fingerprint = trace.fingerprint()
+        entry = CorpusEntry(
+            trace=trace.copy(),
+            fingerprint=fingerprint,
+            mode=mode_of_trace(trace),
+            scenario_id=scenario_id,
+            cca=cca,
+            objective=objective,
+            score=score,
+            generation_found=generation_found,
+            origin=origin,
+            campaign=campaign,
+            condition=dict(condition or {}),
+            derived_from=derived_from,
+            triage=dict(triage or {}),
+            behavior=dict(behavior or {}),
+        )
+        with self._lock:
+            existing = self._index.get(fingerprint)
+            if existing is None:
+                self._loaded[fingerprint] = entry
+                self._commit(entry)
+                return True
+            if origin in ("builtin", "triage"):
+                return False
+            old = self.get(fingerprint)
+            old.rediscoveries += 1
+            # Scores from different objectives (and different network
+            # conditions) live on incomparable scales, so the best-discovery
+            # provenance is only upgraded by a like-for-like rediscovery.
+            comparable = (
+                old.score is None
+                or (old.objective == objective and old.condition == dict(condition or {}))
+            )
+            if score is not None and comparable and (old.score is None or score > old.score):
+                old.score = score
+                old.scenario_id = scenario_id
+                old.cca = cca
+                old.objective = objective
+                old.generation_found = generation_found
+                old.campaign = campaign
+                old.condition = dict(condition or {})
+                if behavior:
+                    old.behavior = dict(behavior)
+            elif behavior and not old.behavior:
+                # A rediscovery may bring the first behavior annotation for an
+                # entry that predates the coverage subsystem.
+                old.behavior = dict(behavior)
+            self._commit(old)
+            return False
 
-def load_corpus_entry(corpus_dir: str, fingerprint: str) -> Optional[CorpusEntry]:
-    """Like :func:`read_corpus_entry` but deserialized (for replay)."""
-    payload = read_corpus_entry(corpus_dir, fingerprint)
-    if payload is None:
-        return None
-    try:
-        return CorpusEntry.from_dict(payload)
-    except (KeyError, TypeError, ValueError):
-        return None
+    def annotate_behavior(self, fingerprint: str, payload: Dict[str, Any]) -> None:
+        """Attach (or replace) a behavior-signature annotation and persist it.
+
+        Used by ``repro-coverage map --rebuild`` to backfill entries that
+        predate the coverage subsystem.
+        """
+        with self._lock:
+            entry = self.get(fingerprint)
+            entry.behavior = dict(payload)
+            self._commit(entry)
+
+    def annotate_triage(self, fingerprint: str, payload: Dict[str, Any]) -> None:
+        """Attach triage metadata to an existing entry and persist it.
+
+        The verdict is *replaced*, not merged: it describes one triage run,
+        and keeping keys from an earlier run (e.g. a classification computed
+        before a forced re-triage with different settings) would present two
+        inconsistent runs as one result.  A non-empty ``triage`` dict is
+        also what marks an entry as already triaged, making corpus triage
+        idempotent across runs.
+        """
+        with self._lock:
+            entry = self.get(fingerprint)
+            entry.triage = dict(payload)
+            self._commit(entry)
+
+    def _commit(self, entry: CorpusEntry) -> None:
+        """Publish ``entry``'s file, then the index whose row names it."""
+        self._set_row(entry.fingerprint, entry.summary())
+        publish(
+            os.path.join(self._entries_dir, f"{entry.fingerprint}.json"),
+            json.dumps(entry.to_dict()),
+        )
+        self._write_index()
+
+    def _set_row(self, fingerprint: str, row: Dict[str, Any]) -> None:
+        """Replace one index row and its encoded index.json line."""
+        self._index[fingerprint] = row
+        self._index_lines[fingerprint] = (
+            f"  {json.dumps(fingerprint)}: {json.dumps(row, sort_keys=True)}"
+        )
+        get_registry().inc("corpus.index_rows_encoded")
+
+    def _write_index(self) -> None:
+        """Publish index.json: schema + one already-encoded row per line."""
+        lines = ",\n".join(self._index_lines[fp] for fp in sorted(self._index_lines))
+        entries = f"{{\n{lines}\n }}" if lines else "{}"
+        publish(
+            self._index_path, f'{{\n "entries": {entries},\n "schema": {CORPUS_SCHEMA}\n}}'
+        )
 
 
 def provenance_chain(

@@ -21,7 +21,7 @@ from ..exec.backend import EvaluationBackend, SerialBackend
 from ..exec.workers import EvaluationJob
 from ..scoring.objectives import make_score_function
 from ..tcp.cca import cca_factory
-from .corpus import CorpusStore
+from .corpus import CorpusReader
 
 #: Objective assumed for entries that carry none (builtin attacks).
 DEFAULT_OBJECTIVE = "throughput"
@@ -102,7 +102,7 @@ class ReplayReport:
 
 
 def replay_corpus(
-    corpus: CorpusStore,
+    corpus: CorpusReader,
     cca: str,
     *,
     backend: Optional[EvaluationBackend] = None,

@@ -7,12 +7,12 @@ scenario found and how the shared cache performed.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any, Dict, Optional
 
 from ..analysis.reporting import format_campaign_summary, format_table
-from .corpus import CorpusStore, atomic_json_dump
+from ..storage import publish_json, read_json_object
+from .corpus import CorpusReader
 from .replay import ReplayReport
 from .scheduler import CampaignResult
 
@@ -41,7 +41,7 @@ def format_campaign_report(result: CampaignResult) -> str:
     return body
 
 
-def format_corpus_report(corpus: CorpusStore, top: int = 10) -> str:
+def format_corpus_report(corpus: CorpusReader, top: int = 10) -> str:
     """Corpus composition plus its highest-scoring entries."""
     stats = corpus.stats()
     lines = [
@@ -111,14 +111,10 @@ def format_replay_report(report: ReplayReport) -> str:
 def write_campaign_report(result: CampaignResult, corpus_dir: str) -> str:
     """Persist the machine-readable campaign report; returns its path."""
     path = os.path.join(corpus_dir, REPORT_FILENAME)
-    atomic_json_dump(result.to_dict(), path, indent=1, sort_keys=True)
+    publish_json(path, result.to_dict())
     return path
 
 
 def read_campaign_report(corpus_dir: str) -> Optional[Dict[str, Any]]:
-    """The last campaign report stored with a corpus, if any."""
-    path = os.path.join(corpus_dir, REPORT_FILENAME)
-    if not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    """The last campaign report stored with a corpus (``None`` if absent or torn)."""
+    return read_json_object(os.path.join(corpus_dir, REPORT_FILENAME))

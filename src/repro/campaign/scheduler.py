@@ -199,8 +199,9 @@ class InsertLog:
     decides against the live corpus and writes it right after the journal
     append.  A fingerprint collection decides against that journaled launch
     snapshot instead — a rule every fleet worker evaluates identically,
-    whatever the live corpus holds by then — and leaves the corpus alone:
-    the fleet driver folds the insert WAL into it at finalize.
+    whatever the live corpus holds by then — and leaves the corpus alone
+    (fleet workers pass ``corpus=None``): the fleet driver folds the insert
+    WAL into it at finalize.
 
     ``prior`` holds the inserts a dead process (or an earlier lease epoch)
     already journaled, scenario key -> fingerprint -> event; a re-run harvest
@@ -209,7 +210,7 @@ class InsertLog:
 
     def __init__(
         self,
-        corpus: CorpusStore,
+        corpus: Optional[CorpusStore],
         journal: Optional[CampaignJournal],
         *,
         prior: Optional[Dict[str, Dict[str, Dict[str, Any]]]] = None,

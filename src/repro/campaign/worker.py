@@ -57,7 +57,7 @@ from ..exec.cache import TraceCache
 from ..exec.quarantine import QuarantineStore
 from ..journal import CampaignJournal, JournalView
 from ..obs.telemetry import CampaignTelemetry
-from .corpus import CorpusStore
+from .corpus import CorpusReader, CorpusStore
 from .scheduler import (
     CampaignResult,
     CampaignRunner,
@@ -107,7 +107,9 @@ class FleetWorker:
         self._telemetry_enabled = telemetry
         self._progress = progress or (lambda message: None)
         self.journal = CampaignJournal(CampaignJournal.corpus_path(self.corpus_dir))
-        self.corpus = CorpusStore(self.corpus_dir)
+        # A reader, not the store: opening the store would sweep the
+        # driver's in-flight temp files out from under it.
+        self.corpus = CorpusReader(self.corpus_dir)
         # Quarantine state lives in the journal, not in a file this worker
         # owns: entries journal through the hook (epoch-stamped, so fenced
         # like any other record) and flow back in via replay; the driver
@@ -237,7 +239,7 @@ class FleetWorker:
             cache=cache,
             archive=archive,
             inserts=InsertLog(
-                self.corpus,
+                None,
                 self.journal,
                 prior={scenario_id: view.inserts_by_scenario.get(scenario_id, {})},
                 snapshot=frozenset(plan.get("corpus", [])),

@@ -39,6 +39,7 @@ from .attacks import bbr_stall_traffic_trace, builtin_attack_traces, lowrate_att
 from .campaign import (
     CampaignRunner,
     CampaignSpec,
+    CorpusReader,
     CorpusStore,
     format_campaign_report,
     format_corpus_report,
@@ -68,6 +69,7 @@ from .obs import (
     add_console_flags,
     collect_status,
     format_status,
+    latest_snapshot,
     prometheus_text,
     read_metrics,
     status_json,
@@ -494,9 +496,9 @@ def triage_main(argv: Optional[List[str]] = None) -> int:
     elif args.corpus:
         if not args.fingerprint:
             parser.error("--corpus needs --fingerprint to pick an entry")
-        if not CorpusStore.is_corpus(args.corpus):
+        if not CorpusReader.is_corpus(args.corpus):
             parser.error(f"no corpus at {args.corpus} (missing index.json)")
-        store = CorpusStore(args.corpus)
+        store = CorpusReader(args.corpus)
         matches = [fp for fp in store.fingerprints() if fp.startswith(args.fingerprint)]
         if len(matches) != 1:
             parser.error(
@@ -575,11 +577,10 @@ def _load_archive(path: str, parser: argparse.ArgumentParser) -> BehaviorArchive
         map_path = BehaviorArchive.corpus_path(path)
         if os.path.exists(map_path):
             return BehaviorArchive.load(map_path)
-        if not CorpusStore.is_corpus(path):
+        if not CorpusReader.is_corpus(path):
             parser.error(f"{path} is neither a behavior map nor a corpus directory")
         archive = BehaviorArchive()
-        store = CorpusStore(path)
-        for entry in store.entries():
+        for entry in CorpusReader(path).entries():
             if not entry.behavior:
                 continue
             try:
@@ -642,7 +643,7 @@ def coverage_main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "map":
         if args.rebuild:
-            if not (os.path.isdir(args.path) and CorpusStore.is_corpus(args.path)):
+            if not (os.path.isdir(args.path) and CorpusReader.is_corpus(args.path)):
                 parser.error("--rebuild needs a corpus directory")
             archive = _rebuild_corpus_coverage(args.path, console)
             # Status goes to stderr so `--rebuild --json` still emits clean
@@ -1125,10 +1126,7 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
                 parser.error("--watch cannot be combined with --prometheus")
             return _watch_status(args, console)
         if args.prometheus:
-            snapshot = None
-            for record in read_metrics(metrics_path):
-                if record.get("type") == "metrics" and isinstance(record.get("registry"), dict):
-                    snapshot = record["registry"]
+            snapshot = latest_snapshot(read_metrics(metrics_path))
             if snapshot is None:
                 parser.error(f"no metrics snapshot in {metrics_path} yet")
             console.result(prometheus_text(snapshot), end="")
@@ -1142,7 +1140,7 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
 
     # replay/report/triage read an existing corpus; creating an empty one on
     # a mistyped path would silently "succeed" with zero entries.
-    if not CorpusStore.is_corpus(args.corpus):
+    if not CorpusReader.is_corpus(args.corpus):
         parser.error(f"no corpus at {args.corpus} (missing index.json)")
 
     if args.command == "triage":
@@ -1177,8 +1175,10 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
         )
         return 0
 
+    # replay and report only read: a reader cannot disturb a campaign that
+    # is still writing this directory.
+    corpus = CorpusReader(args.corpus)
     if args.command == "replay":
-        corpus = CorpusStore(args.corpus)
         if args.workers is not None and args.workers < 1:
             parser.error("--workers must be at least 1")
         backend = create_backend(args.backend, args.workers)
@@ -1193,7 +1193,6 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
             console.info(f"\nreplay report written to {args.output}")
         return 0
 
-    corpus = CorpusStore(args.corpus)
     console.result(format_corpus_report(corpus, top=args.top))
     last_run = read_campaign_report(args.corpus)
     if last_run is not None:

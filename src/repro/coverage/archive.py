@@ -27,7 +27,6 @@ rediscovery rule).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
@@ -35,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.metrics import get_registry
+from ..storage import publish_json, read_json_object
 from ..traces.trace import PacketTrace
 from .signature import SIGNATURE_SCHEMA, BehaviorSignature
 
@@ -385,34 +385,30 @@ class BehaviorArchive:
             }
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "BehaviorArchive":
-        schema = payload.get("schema", ARCHIVE_SCHEMA)
-        if schema != ARCHIVE_SCHEMA:
-            raise ValueError(f"behavior archive has schema {schema}, expected {ARCHIVE_SCHEMA}")
-        if payload.get("signature_schema", SIGNATURE_SCHEMA) != SIGNATURE_SCHEMA:
+    def from_dict(cls, payload: Optional[Dict[str, Any]]) -> "BehaviorArchive":
+        """Strict deserialization: an unusable payload raises ``ValueError``."""
+        cells = _archive_cells(payload)
+        if cells is None:
             raise ValueError(
-                "behavior archive was built with an incompatible signature schema"
+                f"behavior archive is missing, torn, or not schema {ARCHIVE_SCHEMA} "
+                f"with signature schema {SIGNATURE_SCHEMA}"
             )
         archive = cls()
         archive.observations = int(payload.get("observations", 0))
         archive.new_cells = int(payload.get("new_cells", 0))
         archive.improvements = int(payload.get("improvements", 0))
-        archive.apply_delta(payload.get("cells", {}))
+        archive.apply_delta(cells)
         return archive
 
     def save(self, path: str) -> str:
-        """Atomically write the archive as JSON; returns the path written."""
-        payload = self.to_dict()
-        tmp_path = f"{path}.tmp"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-        os.replace(tmp_path, path)
+        """Publish the archive as JSON; returns the path written."""
+        publish_json(path, self.to_dict())
         return path
 
     @classmethod
     def load(cls, path: str) -> "BehaviorArchive":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        """The strict read: a missing, torn or mismatched file raises ``ValueError``."""
+        return cls.from_dict(read_json_object(path))
 
     @staticmethod
     def corpus_path(corpus_dir: str) -> str:
@@ -420,32 +416,31 @@ class BehaviorArchive:
         return os.path.join(str(corpus_dir), ARCHIVE_FILENAME)
 
 
+def _archive_cells(payload: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
+    """The one schema check of an archive payload: its cells, or ``None``."""
+    if (
+        payload is None
+        or payload.get("schema", ARCHIVE_SCHEMA) != ARCHIVE_SCHEMA
+        or payload.get("signature_schema", SIGNATURE_SCHEMA) != SIGNATURE_SCHEMA
+    ):
+        return None
+    cells = payload.get("cells", {})
+    return cells if isinstance(cells, dict) else None
+
+
 def read_archive_cells(path: str) -> Dict[str, Dict[str, Any]]:
     """Cell payloads from a ``behavior_map.json``, strictly read-only.
 
-    Unlike :meth:`BehaviorArchive.load` this never raises: a missing, torn
-    or schema-mismatched file yields ``{}`` (the dashboard overlays live
-    journal deltas on top, so an absent on-disk map just means the campaign
-    has not finalised one yet).  Payloads are returned as plain dicts —
-    exactly what :meth:`CellElite.to_dict` wrote and what journal
-    ``behavior_delta`` records carry — so callers can merge the two sources
-    without a strict deserialization step in between.
+    The observer's side of :meth:`BehaviorArchive.load`: the same read and
+    schema check, but a missing, torn or mismatched file yields ``{}`` (the
+    dashboard overlays live journal deltas on top, so an absent on-disk map
+    just means the campaign has not finalised one yet).  Payloads are
+    returned as plain dicts — exactly what :meth:`CellElite.to_dict` wrote
+    and what journal ``behavior_delta`` records carry — so callers can merge
+    the two sources without a strict deserialization step in between.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(payload, dict) or payload.get("schema", ARCHIVE_SCHEMA) != ARCHIVE_SCHEMA:
-        return {}
-    cells = payload.get("cells")
-    if not isinstance(cells, dict):
-        return {}
-    return {
-        cell: cell_payload
-        for cell, cell_payload in cells.items()
-        if isinstance(cell_payload, dict)
-    }
+    cells = _archive_cells(read_json_object(path)) or {}
+    return {cell: payload for cell, payload in cells.items() if isinstance(payload, dict)}
 
 
 def diff_archives(a: BehaviorArchive, b: BehaviorArchive) -> Dict[str, Any]:

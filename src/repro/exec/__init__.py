@@ -32,7 +32,7 @@ from .faults import (
     failure_outcome,
     guarded_evaluate,
 )
-from .quarantine import QUARANTINE_FILENAME, QuarantineStore
+from .quarantine import QUARANTINE_FILENAME, QuarantineStore, read_quarantine_entries
 from .supervisor import SupervisedProcessPool, SupervisorError
 from .workers import EvaluationJob, EvaluationOutcome, evaluate_job, simulate_packet_trace
 
@@ -68,5 +68,6 @@ __all__ = [
     "guarded_evaluate",
     "install_chaos",
     "make_cache_key",
+    "read_quarantine_entries",
     "simulate_packet_trace",
 ]

@@ -8,23 +8,20 @@ failure kind, message, attempt count and — when a campaign attaches context
 
 Persistence follows the journal's write-ahead discipline: ``record`` first
 hands the entry to the ``journal_hook`` (which appends a ``job_quarantined``
-event), then applies it to memory and atomically rewrites
-``quarantine.json``.  Resume and fleet finalisation replay journal events
-through :meth:`apply_event`, which is idempotent and never re-journals, so
-crashes between the journal append and the file write converge to the same
-store.  File contents are fully deterministic (sorted entries, no wall
+event), then applies it to memory and publishes ``quarantine.json`` anew.
+Resume and fleet finalisation replay journal events through
+:meth:`apply_event`, which is idempotent and never re-journals, so crashes
+between the journal append and the file write converge to the same store.  File contents are fully deterministic (sorted entries, no wall
 times): two runs quarantining the same jobs produce byte-identical files.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 import threading
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from ..storage import publish_json, read_json_object
 from .faults import EvaluationFailure
 
 QUARANTINE_FILENAME = "quarantine.json"
@@ -36,27 +33,19 @@ QUARANTINE_SCHEMA = 1
 CONTEXT_KEYS = ("scenario_id", "lease_epoch", "worker")
 
 
-def _atomic_json_dump(payload: Any, path: Path) -> None:
-    """Crash-safe JSON write: temp file, fsync, rename, directory fsync."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, temp_name = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
-    dir_fd = os.open(str(path.parent), os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+def read_quarantine_entries(path: Union[str, Path]) -> List[Dict[str, Any]]:
+    """Well-formed entries of a ``quarantine.json``, strictly read-only.
+
+    What the store loads through, and what an observer should use instead of
+    constructing a store.  Missing, torn or malformed reads as ``[]``.
+    """
+    payload = read_json_object(path) or {}
+    entries = payload.get("entries")
+    return [
+        dict(entry)
+        for entry in (entries if isinstance(entries, list) else [])
+        if isinstance(entry, dict) and "fingerprint" in entry and "cca" in entry
+    ]
 
 
 class QuarantineStore:
@@ -76,8 +65,11 @@ class QuarantineStore:
         #: scenario, single-process campaigns stamp only ``scenario_id``
         #: (epoch-less events are never fenced, matching serial inserts).
         self.context: Dict[str, Any] = {}
-        if self._path is not None and self._path.exists():
-            self._load(self._path)
+        if self._path is not None:
+            # A torn or missing file loads as empty: it rebuilds from the
+            # journal on resume.
+            for entry in read_quarantine_entries(self._path):
+                self._entries[(str(entry["fingerprint"]), str(entry["cca"]))] = entry
 
     @classmethod
     def for_corpus(
@@ -143,14 +135,4 @@ class QuarantineStore:
             "schema": QUARANTINE_SCHEMA,
             "entries": [self._entries[key] for key in sorted(self._entries)],
         }
-        _atomic_json_dump(payload, self._path)
-
-    def _load(self, path: Path) -> None:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return  # a torn file rebuilds from the journal on resume
-        for entry in payload.get("entries", []):
-            if isinstance(entry, dict) and "fingerprint" in entry and "cca" in entry:
-                self._entries[(str(entry["fingerprint"]), str(entry["cca"]))] = dict(entry)
+        publish_json(self._path, payload)

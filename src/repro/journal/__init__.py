@@ -19,7 +19,6 @@ from .events import (
 from .log import (
     DEFAULT_LEASE_TTL,
     CampaignJournal,
-    fsync_dir,
     merge_journals,
     merge_records,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "JournalRecord",
     "JournalView",
     "canonical_json",
-    "fsync_dir",
     "lease_epoch_of",
     "merge_journals",
     "merge_records",

@@ -151,7 +151,8 @@ class JournalRecord:
                 data=payload["data"],
                 schema=int(payload["schema"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: a damaged digit can turn ``seq`` into ``1e999``.
             raise JournalCorruption(f"malformed journal record: {exc}") from exc
         if record.schema != JOURNAL_SCHEMA:
             raise JournalCorruption(

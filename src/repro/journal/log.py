@@ -38,6 +38,7 @@ import time
 from typing import IO, Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import get_registry
+from ..storage import fsync_dir, publish, split_lines
 from .events import JournalCorruption, JournalRecord, make_record
 from .view import JournalView, replay_records
 
@@ -52,64 +53,42 @@ JOURNAL_FILENAME = "journal.jsonl"
 DEFAULT_LEASE_TTL = 30.0
 
 
-def fsync_dir(path: str) -> None:
-    """fsync a directory so a rename inside it survives power loss.
-
-    ``os.replace`` makes a rename atomic against a *crash*, but the new
-    directory entry itself lives in the parent directory's data — until that
-    is flushed, a power loss can roll the rename back.  Best-effort: some
-    filesystems/platforms refuse to fsync a directory fd, which is no worse
-    than not trying.
-    """
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-def _scan_bytes(raw: bytes) -> Tuple[List[JournalRecord], int, int]:
+def _scan_bytes(raw: bytes, *, observing: bool = False) -> Tuple[List[JournalRecord], int, int]:
     """Parse journal bytes into ``(records, valid_byte_length, torn_records)``.
+
+    The one journal parser.  A record that fails to parse is *torn* when it
+    is the final one — a crash mid-append can damage nothing else — and the
+    scan stops there.  Anywhere earlier it is corruption: a writer raises,
+    because an append-only log cannot lose interior records and must not be
+    appended past them; an observer (``observing=True``, passed only by
+    :func:`read_journal_view`) counts it as torn and keeps every other record.
 
     ``valid_byte_length`` is where a repairing writer should truncate to: the
     end of the last intact record, *including* its newline if present (a
     valid final record missing only its newline is counted as intact, and
-    the caller terminates it).  Corruption that is not the final record is a
-    hard error — an append-only log cannot lose interior records.
+    the caller terminates it).
     """
+    lines, remainder = split_lines(raw)
     records: List[JournalRecord] = []
     valid_length = 0
     torn = 0
-    offset = 0
-    total = len(raw)
-    while offset < total:
-        newline = raw.find(b"\n", offset)
-        if newline < 0:
-            chunk, end, terminated = raw[offset:], total, False
-        else:
-            chunk, end, terminated = raw[offset:newline], newline + 1, True
+    end = 0
+    for index, chunk in enumerate(lines + [remainder] if remainder else lines):
+        terminated = index < len(lines)
+        end += len(chunk) + terminated
         if chunk.strip():
             try:
                 records.append(JournalRecord.from_line(chunk.decode("utf-8")))
             except (JournalCorruption, UnicodeDecodeError) as exc:
-                if end >= total:
-                    torn += 1
+                torn += 1
+                if end >= len(raw):
                     break
+                if observing:
+                    continue
                 raise JournalCorruption(
                     f"corrupt journal record before the final line: {exc}"
                 ) from exc
-            if not terminated:
-                # Valid record whose trailing newline was lost: keep it; the
-                # writer will terminate it before appending more.
-                valid_length = end
-                break
         valid_length = end
-        offset = end
     return records, valid_length, torn
 
 
@@ -490,13 +469,7 @@ class CampaignJournal:
                     max(view.last_seq, 1), "compaction_snapshot", view.to_snapshot()
                 )
                 payload = snapshot.to_line().encode("utf-8")
-                tmp_path = f"{self.path}.tmp"
-                with open(tmp_path, "wb") as handle:
-                    handle.write(payload)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp_path, self.path)
-                fsync_dir(os.path.dirname(os.path.abspath(self.path)))
+                publish(self.path, payload)
                 return {
                     "records_before": len(records),
                     "records_after": 1,
@@ -522,27 +495,16 @@ def read_journal_view(path: str) -> JournalView:
     attached observer perturb a live campaign.  This helper only ever opens
     the file for reading.  It also degrades instead of raising: interior
     corruption (a hard error for a writer, which must not append after lost
-    records) falls back to a line-by-line salvage parse here, because a
-    query endpoint answering against a half-copied file should render what
-    it can rather than 500.
+    records) is counted in ``torn_records`` and skipped, because a query
+    endpoint answering against a half-copied file should render what it can
+    rather than 500.
     """
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
     except OSError:
-        return replay_records([])
-    try:
-        records, _, torn = _scan_bytes(raw)
-    except JournalCorruption:
-        records = []
-        torn = 0
-        for line in raw.split(b"\n"):
-            if not line.strip():
-                continue
-            try:
-                records.append(JournalRecord.from_line(line.decode("utf-8")))
-            except (JournalCorruption, UnicodeDecodeError):
-                torn += 1
+        raw = b""
+    records, _, torn = _scan_bytes(raw, observing=True)
     return replay_records(records, torn_records=torn)
 
 
@@ -585,14 +547,7 @@ def merge_records(
 def merge_journals(paths: Sequence[str], output_path: str) -> int:
     """Merge journal files into ``output_path`` (atomically); returns record count."""
     merged = merge_records(CampaignJournal(path).records() for path in paths)
-    tmp_path = f"{output_path}.tmp"
-    with open(tmp_path, "wb") as handle:
-        for record in merged:
-            handle.write(record.to_line().encode("utf-8"))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, output_path)
     # Durability of the publish itself, not just the bytes: an acknowledged
     # merge must still exist after power loss (the journal crash contract).
-    fsync_dir(os.path.dirname(os.path.abspath(output_path)) or ".")
+    publish(output_path, b"".join(record.to_line().encode("utf-8") for record in merged))
     return len(merged)

@@ -27,20 +27,17 @@ from .metrics import (
     METRICS_SCHEMA,
     MetricsRegistry,
     NullRegistry,
-    apply_delta,
     delta,
     empty_snapshot,
     get_registry,
-    merge,
     reset_registry,
     set_enabled,
 )
 from .sinks import (
     METRICS_FILENAME,
-    IncrementalMetricsReader,
     MetricsJsonlSink,
     PROMETHEUS_FILENAME,
-    iter_metrics_records,
+    latest_snapshot,
     prometheus_text,
     read_metrics,
     tail_metrics_records,
@@ -50,7 +47,6 @@ from .spans import PhaseTracer, Span
 from .status import (
     StatusWatcher,
     collect_status,
-    count_quarantine_entries,
     fold_status,
     format_status,
     status_json,
@@ -68,18 +64,15 @@ __all__ = [
     "METRICS_SCHEMA",
     "MetricsRegistry",
     "NullRegistry",
-    "apply_delta",
     "delta",
     "empty_snapshot",
     "get_registry",
-    "merge",
     "reset_registry",
     "set_enabled",
     "METRICS_FILENAME",
-    "IncrementalMetricsReader",
     "MetricsJsonlSink",
     "PROMETHEUS_FILENAME",
-    "iter_metrics_records",
+    "latest_snapshot",
     "prometheus_text",
     "read_metrics",
     "tail_metrics_records",
@@ -88,7 +81,6 @@ __all__ = [
     "Span",
     "StatusWatcher",
     "collect_status",
-    "count_quarantine_entries",
     "fold_status",
     "format_status",
     "status_json",

@@ -22,6 +22,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from ..storage import publish_json, read_json_object
+
 MANIFEST_FILENAME = "run_manifest.json"
 MANIFEST_SCHEMA = 1
 
@@ -103,20 +105,12 @@ def build_manifest(
 
 
 def write_manifest(payload: Dict[str, Any], corpus_dir: Union[str, Path]) -> Path:
-    """Atomically write ``<corpus_dir>/run_manifest.json``."""
-    directory = Path(corpus_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    target = directory / MANIFEST_FILENAME
-    tmp = target.with_suffix(".json.tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-    os.replace(tmp, target)
+    """Publish ``<corpus_dir>/run_manifest.json``."""
+    target = Path(corpus_dir) / MANIFEST_FILENAME
+    publish_json(target, payload)
     return target
 
 
 def read_manifest(corpus_dir: Union[str, Path]) -> Optional[Dict[str, Any]]:
-    path = Path(corpus_dir) / MANIFEST_FILENAME
-    if not path.exists():
-        return None
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    """The run manifest, or ``None`` when there is none or it is torn."""
+    return read_json_object(Path(corpus_dir) / MANIFEST_FILENAME)

@@ -12,12 +12,9 @@ constraints, in order:
    per-simulation / per-generation / per-batch granularity — never
    per-event — so the cost is a handful of dict updates against millions of
    simulated events (the benchmark harness pins the overhead under 2%).
-3. **Snapshot / delta / merge semantics.**  A snapshot is a plain JSON-safe
-   dict; :func:`delta` against an earlier snapshot of the same registry
-   yields what happened in between, :func:`apply_delta` replays it
-   (``apply_delta(old, delta(new, old)) == new``), and :func:`merge` unions
-   snapshots from independent registries (commutative and associative) —
-   the primitive a future multi-worker dashboard aggregates with.
+3. **Snapshot / delta semantics.**  A snapshot is a plain JSON-safe dict;
+   :func:`delta` against an earlier snapshot of the same registry yields
+   what happened in between (how a phase span reports its own counts).
 
 A process-global registry (:func:`get_registry`) lets hot layers record
 without plumbing a handle through every constructor; :func:`set_enabled`
@@ -200,7 +197,7 @@ class NullRegistry(MetricsRegistry):
 
 
 # ---------------------------------------------------------------------- #
-# Snapshot algebra
+# Snapshot differencing
 # ---------------------------------------------------------------------- #
 
 
@@ -221,15 +218,15 @@ def delta(current: Snapshot, since: Snapshot) -> Snapshot:
     grow, so ``current``'s keys are a superset).  Counters and histogram
     count/sum/buckets are differenced; gauges and histogram min/max are
     levels, not increments, so the delta carries ``current``'s value
-    verbatim.  :func:`apply_delta` inverts this exactly.
+    verbatim.
     """
     counters = {}
     before_counters = since.get("counters", {})
     for name, value in current.get("counters", {}).items():
         diff = value - before_counters.get(name, 0)
         # Keys that appeared since the baseline are kept even at zero (an
-        # ``inc(name, 0)`` creates the key), so apply_delta rebuilds
-        # ``current`` exactly.
+        # ``inc(name, 0)`` creates the key): the delta names every metric
+        # the interval touched.
         if diff or name not in before_counters:
             counters[name] = diff
     histograms = {}
@@ -254,74 +251,6 @@ def delta(current: Snapshot, since: Snapshot) -> Snapshot:
         "gauges": dict(current.get("gauges", {})),
         "histograms": histograms,
     }
-
-
-def apply_delta(base: Snapshot, diff: Snapshot) -> Snapshot:
-    """Replay a :func:`delta` on top of ``base``.
-
-    ``apply_delta(old, delta(new, old)) == new`` for any two snapshots of
-    one registry taken in that order.
-    """
-    counters = dict(base.get("counters", {}))
-    for name, value in diff.get("counters", {}).items():
-        counters[name] = counters.get(name, 0) + value
-    gauges = dict(base.get("gauges", {}))
-    gauges.update(diff.get("gauges", {}))
-    histograms = {
-        name: dict(payload, buckets=dict(payload["buckets"]))
-        for name, payload in base.get("histograms", {}).items()
-    }
-    for name, payload in diff.get("histograms", {}).items():
-        merged = _hist_dict(histograms.get(name))
-        buckets = dict(merged["buckets"])
-        for label, count in payload["buckets"].items():
-            buckets[label] = buckets.get(label, 0) + count
-        histograms[name] = {
-            "count": merged["count"] + payload["count"],
-            "sum": merged["sum"] + payload["sum"],
-            "min": payload["min"],
-            "max": payload["max"],
-            "buckets": buckets,
-        }
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-
-def merge(a: Snapshot, b: Snapshot) -> Snapshot:
-    """Union snapshots from *independent* registries (e.g. two workers).
-
-    Counters and histogram count/sum/buckets add; gauges and histogram
-    min/max combine by max/min-respecting rules.  Every per-key rule is
-    commutative and associative, so ``merge`` is too, and merging with an
-    empty snapshot is the identity.
-    """
-    counters = dict(a.get("counters", {}))
-    for name, value in b.get("counters", {}).items():
-        counters[name] = counters.get(name, 0) + value
-    gauges = dict(a.get("gauges", {}))
-    for name, value in b.get("gauges", {}).items():
-        gauges[name] = max(gauges[name], value) if name in gauges else value
-    histograms = {
-        name: dict(payload, buckets=dict(payload["buckets"]))
-        for name, payload in a.get("histograms", {}).items()
-    }
-    for name, payload in b.get("histograms", {}).items():
-        mine = histograms.get(name)
-        if mine is None:
-            histograms[name] = dict(payload, buckets=dict(payload["buckets"]))
-            continue
-        buckets = dict(mine["buckets"])
-        for label, count in payload["buckets"].items():
-            buckets[label] = buckets.get(label, 0) + count
-        mins = [v for v in (mine["min"], payload["min"]) if v is not None]
-        maxes = [v for v in (mine["max"], payload["max"]) if v is not None]
-        histograms[name] = {
-            "count": mine["count"] + payload["count"],
-            "sum": mine["sum"] + payload["sum"],
-            "min": min(mins) if mins else None,
-            "max": max(maxes) if maxes else None,
-            "buckets": buckets,
-        }
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
 
 # ---------------------------------------------------------------------- #

@@ -2,10 +2,12 @@
 
 Telemetry artifacts live next to the corpus they describe but are strictly
 write-only from the campaign's point of view — nothing in the search ever
-reads them back, so they cannot perturb results.  Unlike the journal,
-telemetry writes are *not* fsync'd (losing the tail of a metrics stream on
-a crash is acceptable; losing campaign state is not), and the reader
-tolerates a torn final line for the same reason.
+reads them back, so they cannot perturb results.  Unlike the journal, the
+stream's appends are *not* fsync'd (losing the tail of a metrics stream on
+a crash is acceptable; losing campaign state is not), and its one reader,
+:func:`tail_metrics_records`, leaves a torn final line unread for the same
+reason.  ``metrics.prom`` is a whole-file artifact and is published like
+every other (:func:`repro.storage.publish`).
 
 ``metrics.jsonl`` is a stream of one-object-per-line records.  Every record
 has ``t`` (wall-clock seconds since the epoch — telemetry is the one place
@@ -22,8 +24,9 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
+from ..storage import publish, split_lines
 from .metrics import METRICS_SCHEMA, MetricsRegistry, Snapshot
 
 #: Default seconds between periodic full-snapshot records.
@@ -101,104 +104,56 @@ class MetricsJsonlSink:
         self.close()
 
 
-def iter_metrics_records(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:
-    """Yield records from a ``metrics.jsonl``, tolerating a torn tail.
-
-    The writer never fsyncs, so a crashed (or still-running) campaign may
-    leave a partial final line; it is silently skipped.  Malformed
-    *interior* lines are skipped too — a metrics stream is advisory, unlike
-    the journal, so corruption downgrades to missing data rather than an
-    error.
-    """
-    path = Path(path)
-    if not path.exists():
-        return
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict) and "type" in record:
-                yield record
-
-
-def read_metrics(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    return list(iter_metrics_records(path))
-
-
 def tail_metrics_records(
     path: Union[str, Path], offset: int = 0
 ) -> Tuple[List[Dict[str, Any]], int]:
     """Read records appended since byte ``offset``; returns ``(records, new_offset)``.
 
-    The incremental half of :func:`iter_metrics_records`, shared by
-    ``repro-campaign status --watch`` and the dashboard's ``/api/stream``
-    endpoint: callers remember the returned offset between polls instead of
-    re-reading the whole stream.  Only byte-complete (newline-terminated)
-    lines are consumed — a torn tail the writer is mid-way through stays
-    unread and is picked up whole on a later poll, so an incremental reader
-    can never observe partial JSON.  A file that shrank (rotation,
-    truncation) resets the reader to the start; a missing file yields
-    ``([], 0)`` so the next poll retries from scratch.
+    The one ``metrics.jsonl`` parser: :func:`read_metrics` is this from offset
+    0, and ``status --watch``, ``/api/status`` and ``/api/stream`` carry the
+    returned offset between polls instead of re-reading the whole stream.
+    Only newline-terminated lines are consumed — the writer never fsyncs, so
+    a crashed or still-running campaign may leave a partial final line; it
+    stays unread and is picked up whole on a later poll.  Malformed
+    *interior* lines are skipped: a metrics stream is advisory, unlike the
+    journal, so corruption downgrades to missing data rather than an error.
+    A file that shrank (rotation, truncation) is read again from the start;
+    the returned offset is then smaller than the one passed in, which tells
+    an accumulating caller to discard what it folded so far.  A missing file
+    yields ``([], 0)``.
     """
-    path = Path(path)
     try:
-        size = path.stat().st_size
+        with open(path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            if size < offset:
+                offset = 0                 # stream was rotated or truncated
+            handle.seek(offset)
+            raw = handle.read(size - offset)
     except OSError:
         return [], 0
-    if size < offset:
-        offset = 0                         # stream was rotated or truncated
-    if size == offset:
-        return [], offset
-    with open(path, "rb") as handle:
-        handle.seek(offset)
-        raw = handle.read(size - offset)
-    end = raw.rfind(b"\n")
-    if end < 0:
-        return [], offset                  # only a torn tail so far
-    consumed = raw[: end + 1]
+    lines, remainder = split_lines(raw)
     records: List[Dict[str, Any]] = []
-    for line in consumed.split(b"\n"):
-        line = line.strip()
-        if not line:
-            continue
+    for line in lines:
         try:
-            record = json.loads(line.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
+            record = json.loads(line)
+        except ValueError:
             continue                       # advisory stream: skip, don't raise
         if isinstance(record, dict) and "type" in record:
             records.append(record)
-    return records, offset + len(consumed)
+    return records, offset + len(raw) - len(remainder)
 
 
-class IncrementalMetricsReader:
-    """Stateful wrapper around :func:`tail_metrics_records`.
+def read_metrics(path: Union[str, Path]) -> List[Dict[str, Any]]:
+    """Every complete record of a ``metrics.jsonl`` (``[]`` when missing)."""
+    return tail_metrics_records(path, 0)[0]
 
-    Remembers the byte offset between :meth:`poll` calls and reports (via
-    the return value's second element) when the underlying stream was
-    replaced so accumulating callers know to discard what they folded so
-    far.
-    """
 
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self.offset = 0
-
-    def poll(self) -> Tuple[List[Dict[str, Any]], bool]:
-        """Return ``(new_records, reset)`` since the previous poll."""
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            size = 0
-        reset = size < self.offset
-        if reset:
-            self.offset = 0
-        records, self.offset = tail_metrics_records(self.path, self.offset)
-        return records, reset
+def latest_snapshot(records: List[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
+    """The registry snapshot of the last ``metrics`` record, if any."""
+    for record in reversed(records):
+        if record.get("type") == "metrics" and isinstance(record.get("registry"), dict):
+            return record["registry"]
+    return None
 
 
 # ---------------------------------------------------------------------- #
@@ -255,11 +210,7 @@ def prometheus_text(snapshot: Snapshot) -> str:
 
 
 def write_prometheus(snapshot: Snapshot, directory: Union[str, Path]) -> Path:
-    """Atomically write ``<dir>/metrics.prom`` for file-based scraping."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    target = directory / PROMETHEUS_FILENAME
-    tmp = target.with_suffix(".prom.tmp")
-    tmp.write_text(prometheus_text(snapshot), encoding="utf-8")
-    os.replace(tmp, target)
+    """Publish ``<dir>/metrics.prom`` for file-based scraping."""
+    target = Path(directory) / PROMETHEUS_FILENAME
+    publish(target, prometheus_text(snapshot))
     return target

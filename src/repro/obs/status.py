@@ -4,7 +4,9 @@
 (or after it finished): throughput, cache hit rate, coverage growth, ETA
 and per-scenario progress, all derived purely from the telemetry stream —
 the status reader never touches the journal, corpus or any state the
-search mutates, so polling it cannot perturb a running campaign.
+search mutates, so polling it cannot perturb a running campaign.  Each
+file goes through its one tolerant reader, so a torn or garbage artifact
+degrades a field to ``None``/empty; nothing here raises on what it finds.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from ..storage import read_json_object
 from .manifest import read_manifest
-from .sinks import METRICS_FILENAME, IncrementalMetricsReader, iter_metrics_records
+from .sinks import METRICS_FILENAME, latest_snapshot, tail_metrics_records
 
 #: Mirrors :data:`repro.exec.quarantine.QUARANTINE_FILENAME` (kept as a
 #: literal here so the observability layer never imports the exec package).
@@ -26,23 +29,6 @@ def _rate(delta_value: float, delta_t: float) -> Optional[float]:
     if delta_t <= 0:
         return None
     return delta_value / delta_t
-
-
-def count_quarantine_entries(corpus_dir: Union[str, Path]) -> int:
-    """Entries in the corpus's ``quarantine.json`` (0 when absent/torn).
-
-    A strictly read-only peek: unlike
-    :class:`~repro.exec.quarantine.QuarantineStore` this never creates,
-    sweeps or rewrites anything, so a status poll cannot perturb a running
-    campaign's quarantine state.
-    """
-    try:
-        with open(Path(corpus_dir) / QUARANTINE_FILENAME, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return 0
-    entries = payload.get("entries") if isinstance(payload, dict) else None
-    return len(entries) if isinstance(entries, list) else 0
 
 
 def _attach_artifacts(status: Dict[str, Any], corpus_dir: Path) -> Dict[str, Any]:
@@ -58,20 +44,28 @@ def _attach_artifacts(status: Dict[str, Any], corpus_dir: Path) -> Dict[str, Any
     status["result_digest"] = ((manifest or {}).get("result") or {}).get(
         "deterministic_digest"
     )
-    status["quarantine_entries"] = count_quarantine_entries(corpus_dir)
+    # A read-only peek, never a QuarantineStore: a status poll must not be
+    # able to create or rewrite a running campaign's quarantine state.
+    entries = (read_json_object(corpus_dir / QUARANTINE_FILENAME) or {}).get("entries")
+    status["quarantine_entries"] = len(entries) if isinstance(entries, list) else 0
     return status
 
 
 def collect_status(corpus_dir: Union[str, Path]) -> Dict[str, Any]:
     """Fold the corpus dir's telemetry stream into one status dict.
 
-    Reads the whole stream; use :class:`StatusWatcher` to poll a live
+    Reads the whole stream; keep a :class:`StatusWatcher` to poll a live
     campaign without re-reading it every time.
     """
-    corpus_dir = Path(corpus_dir)
-    return fold_status(
-        list(iter_metrics_records(corpus_dir / METRICS_FILENAME)), corpus_dir
-    )
+    return StatusWatcher(corpus_dir).poll()
+
+
+def _current_run(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """The slice of ``records`` from the latest campaign start/resume on."""
+    for index in range(len(records) - 1, 0, -1):
+        if records[index]["type"] in ("campaign_start", "campaign_resume"):
+            return records[index:]
+    return records
 
 
 def fold_status(
@@ -85,12 +79,7 @@ def fold_status(
     every field degrades to ``None``/empty rather than raising.
     """
     corpus_dir = Path(corpus_dir)
-    # Slice to the current run.
-    start_index = 0
-    for index, record in enumerate(records):
-        if record["type"] in ("campaign_start", "campaign_resume"):
-            start_index = index
-    records = records[start_index:]
+    records = _current_run(records)
 
     status: Dict[str, Any] = {
         "corpus_dir": str(corpus_dir),
@@ -254,8 +243,9 @@ def fold_status(
             last_counters.get("sim.events", 0) - prev_counters.get("sim.events", 0),
             dt,
         )
-    if snapshots:
-        counters = (snapshots[-1].get("registry") or {}).get("counters", {})
+    registry = latest_snapshot(records)
+    if registry is not None:
+        counters = registry.get("counters", {})
         status["sim_events"] = int(counters.get("sim.events", 0))
         # Where the journal's bytes went, by record type (cumulative over
         # the process that wrote the snapshot, like every registry counter).
@@ -309,32 +299,28 @@ class StatusWatcher:
     """Poll a live campaign's status with incremental stream reads.
 
     Used by both ``repro-campaign status --watch`` and the dashboard's
-    ``/api/status`` endpoint: each :meth:`poll` reads only the bytes
-    appended to ``metrics.jsonl`` since the previous poll (via
-    :class:`~repro.obs.sinks.IncrementalMetricsReader`), accumulates the
-    records, and refolds them with :func:`fold_status`.  Records before the
-    latest ``campaign_start``/``campaign_resume`` are dropped as they are
-    superseded, so memory stays bounded by the current run.
+    ``/api/status`` endpoint: each :meth:`poll` reads only the bytes appended
+    to ``metrics.jsonl`` since the previous one (it carries the byte offset
+    :func:`~repro.obs.sinks.tail_metrics_records` returns) and refolds what
+    it has accumulated.  Records before the latest ``campaign_start``/
+    ``campaign_resume`` are dropped as they are superseded, so memory stays
+    bounded by the current run.
     """
 
     def __init__(self, corpus_dir: Union[str, Path]) -> None:
         self.corpus_dir = Path(corpus_dir)
-        self._reader = IncrementalMetricsReader(self.corpus_dir / METRICS_FILENAME)
+        self._stream = self.corpus_dir / METRICS_FILENAME
+        self._offset = 0
         self._records: List[Dict[str, Any]] = []
 
     def poll(self) -> Dict[str, Any]:
         """Return the current status dict (same shape as :func:`collect_status`)."""
-        new_records, reset = self._reader.poll()
-        if reset:
-            self._records = []
-        self._records.extend(new_records)
-        start_index = 0
-        for index, record in enumerate(self._records):
-            if record["type"] in ("campaign_start", "campaign_resume"):
-                start_index = index
-        if start_index:
-            del self._records[:start_index]
-        return fold_status(list(self._records), self.corpus_dir)
+        new_records, offset = tail_metrics_records(self._stream, self._offset)
+        if offset < self._offset:
+            self._records = []             # the stream was replaced under us
+        self._offset = offset
+        self._records = _current_run(self._records + new_records)
+        return fold_status(self._records, self.corpus_dir)
 
 
 def _fmt_rate(value: Optional[float], unit: str = "/s") -> str:

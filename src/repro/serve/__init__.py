@@ -11,11 +11,13 @@ attaching a dashboard to a running campaign (serial or fleet) must leave
 digests, corpus fingerprints and behavior maps bit-identical to an
 unattached run.  Concretely, nothing in this package ever constructs the
 writer-side objects (``CorpusStore`` sweeps temp files, ``CampaignJournal``
-repairs torn tails — both would perturb a live directory); every read goes
-through the read-only helpers (:func:`repro.campaign.corpus.read_corpus_index`,
-:func:`repro.journal.log.read_journal_view`, ...) and every endpoint
-degrades to well-formed JSON against torn, mid-compaction or half-written
-state instead of erroring.
+repairs torn tails — both would perturb a live directory).  Every file has
+one parser, and this package calls it under the observer's policy — open
+read-only, unusable reads as empty (README, "On-disk layout", lists them) —
+so every endpoint degrades to well-formed JSON against torn, mid-compaction
+or half-written state instead of erroring.  Queries re-read per request, and
+replay memoizes entry files as they are first asked for: a dashboard must see
+what a live campaign adds after the server started.
 """
 
 from .query import DashboardQuery

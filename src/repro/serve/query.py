@@ -26,7 +26,9 @@ from ..journal.log import read_corpus_journal_view
 from ..obs.sinks import (
     METRICS_FILENAME,
     PROMETHEUS_FILENAME,
+    latest_snapshot,
     prometheus_text,
+    read_metrics,
     tail_metrics_records,
 )
 from ..obs.status import StatusWatcher
@@ -182,13 +184,10 @@ class DashboardQuery:
             return prom_path.read_text(encoding="utf-8")
         except OSError:
             pass
-        records, _ = tail_metrics_records(self.metrics_path, 0)
-        for record in reversed(records):
-            if record.get("type") == "metrics" and isinstance(
-                record.get("registry"), dict
-            ):
-                try:
-                    return prometheus_text(record["registry"])
-                except (KeyError, TypeError, ValueError):
-                    break
+        snapshot = latest_snapshot(read_metrics(self.metrics_path))
+        if snapshot is not None:
+            try:
+                return prometheus_text(snapshot)
+            except (KeyError, TypeError, ValueError):
+                pass                       # a malformed snapshot reads as none
         return "# no metrics recorded yet\n"

@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..campaign.corpus import CorpusEntry, load_corpus_entry, read_corpus_index
+from ..campaign.corpus import CorpusEntry, CorpusReader, read_corpus_index
 from ..campaign.replay import DEFAULT_OBJECTIVE
 from ..exec.backend import EvaluationBackend, SerialBackend
 from ..exec.batch import evaluate_coalesced
@@ -59,24 +59,19 @@ class ReplayService:
         #: entry would have — the service's cache is unbounded by default).
         self._series: Dict[CacheKey, Dict[str, Any]] = {}
         self._lock = threading.Lock()
-        #: fingerprint -> loaded entry (reloading the trace per request
-        #: would dominate cached-replay latency).
-        self._entries: Dict[str, CorpusEntry] = {}
+        #: Memoizes entries (reloading a trace per request would dominate
+        #: cached-replay latency) and reads files as asked, so later ones serve.
+        self._corpus = CorpusReader(self.corpus_dir)
 
     # ------------------------------------------------------------------ #
     # Job assembly (the replay_corpus contract, factored per entry)
     # ------------------------------------------------------------------ #
 
     def _load_entry(self, fingerprint: str) -> Optional[CorpusEntry]:
-        with self._lock:
-            entry = self._entries.get(fingerprint)
-        if entry is not None:
-            return entry
-        entry = load_corpus_entry(self.corpus_dir, fingerprint)
-        if entry is not None:
-            with self._lock:
-                self._entries.setdefault(fingerprint, entry)
-        return entry
+        try:
+            return self._corpus.get(fingerprint)
+        except KeyError:
+            return None
 
     @staticmethod
     def _job_for(entry: CorpusEntry, cca: str) -> Tuple[EvaluationJob, CacheKey]:

@@ -112,6 +112,14 @@ class TestCampaignStatus:
         assert "scenarios: 4/4 complete" in out
         assert "cache hit rate" in out
         assert "reno/traffic/throughput/base" in out
+        assert "manifest: present" in out
+        # A torn manifest degrades to "no manifest", never to a traceback.
+        manifest = corpus_dir / "run_manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[:40])
+        assert campaign_main(["status", str(corpus_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "campaign 'cli-test' — COMPLETE" in out
+        assert "manifest:" not in out
 
     def test_status_json_round_trips(self, corpus_dir, capsys):
         assert campaign_main(["status", str(corpus_dir), "--json"]) == 0
@@ -163,6 +171,12 @@ class TestCampaignReplayAndReport:
         out = capsys.readouterr().out
         assert "entries" in out
         assert "last campaign: 'cli-test'" in out
+        # A truncated report.json costs the last-campaign line, nothing else.
+        report = corpus_dir / "report.json"
+        report.write_bytes(report.read_bytes()[:40])
+        assert campaign_main(["report", "--corpus", str(corpus_dir)]) == 0
+        degraded = capsys.readouterr().out
+        assert degraded == out[: out.index("\nlast campaign")]
 
     def test_replay_rejects_unknown_cca(self, corpus_dir, capsys):
         with pytest.raises(SystemExit):

@@ -1,12 +1,8 @@
-"""Unit and property tests for the metrics registry and snapshot algebra.
+"""Unit and property tests for the metrics registry and snapshot deltas.
 
-The observability layer's correctness claims are algebraic — ``merge`` is
-commutative/associative with the empty snapshot as identity, and
-``apply_delta(old, delta(new, old)) == new`` for any two snapshots of one
-registry — so Hypothesis generates operation sequences and checks the laws
-hold on the resulting snapshots.  Observation values are integers so float
-non-associativity cannot produce spurious counterexamples; the laws the
-docstrings claim are exact over integer-valued metrics.
+Hypothesis generates operation sequences and checks the ``delta`` law on the
+resulting snapshots.  Observation values are integers so float rounding
+cannot produce spurious counterexamples.
 """
 
 from __future__ import annotations
@@ -19,11 +15,9 @@ from hypothesis import given, settings, strategies as st
 from repro.obs.metrics import (
     MetricsRegistry,
     NullRegistry,
-    apply_delta,
     delta,
     empty_snapshot,
     get_registry,
-    merge,
     reset_registry,
     set_enabled,
 )
@@ -170,40 +164,6 @@ def apply_ops(registry, ops):
             registry.gauge_set(name, value)
         else:
             registry.observe(name, value)
-
-
-@settings(max_examples=60, deadline=None)
-@given(ops_st, ops_st)
-def test_merge_is_commutative(ops_a, ops_b):
-    a, b = snapshot_from(ops_a), snapshot_from(ops_b)
-    assert merge(a, b) == merge(b, a)
-
-
-@settings(max_examples=60, deadline=None)
-@given(ops_st, ops_st, ops_st)
-def test_merge_is_associative(ops_a, ops_b, ops_c):
-    a, b, c = snapshot_from(ops_a), snapshot_from(ops_b), snapshot_from(ops_c)
-    assert merge(merge(a, b), c) == merge(a, merge(b, c))
-
-
-@settings(max_examples=60, deadline=None)
-@given(ops_st)
-def test_empty_snapshot_is_merge_identity(ops):
-    a = snapshot_from(ops)
-    assert merge(a, empty_snapshot()) == a
-    assert merge(empty_snapshot(), a) == a
-
-
-@settings(max_examples=60, deadline=None)
-@given(ops_st, ops_st)
-def test_delta_then_apply_round_trips(ops_before, ops_after):
-    """apply_delta(old, delta(new, old)) == new for snapshots of one registry."""
-    registry = MetricsRegistry()
-    apply_ops(registry, ops_before)
-    old = registry.snapshot()
-    apply_ops(registry, ops_after)
-    new = registry.snapshot()
-    assert apply_delta(old, delta(new, old)) == new
 
 
 @settings(max_examples=60, deadline=None)

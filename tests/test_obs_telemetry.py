@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
+from repro.cli import campaign_main
 from repro.journal import CampaignJournal
 from repro.obs import (
     MANIFEST_FILENAME,
@@ -80,6 +81,30 @@ class TestBitIdentity:
             set_enabled(previous)
         result_lit = run_campaign(tmp_path / "lit", telemetry=True)
         assert result_dark.deterministic_digest() == result_lit.deterministic_digest()
+
+
+def test_cli_campaign_leaves_well_formed_telemetry(tmp_path, capsys):
+    """The CI telemetry smoke's asserts, runnable locally: a campaign run
+    through the CLI brackets its stream with start/complete records, carries
+    snapshots, and pins the run in its manifest — all read back through the
+    same ``read_metrics`` / ``read_manifest`` every observer uses."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(dict(tiny_spec().to_dict(), name="ci-telemetry-smoke")))
+    corpus_dir = tmp_path / "corpus"
+    assert campaign_main(
+        ["run", "--spec", str(spec_path), "--corpus", str(corpus_dir), "--progress"]
+    ) == 0
+    capsys.readouterr()
+
+    types = [record["type"] for record in read_metrics(corpus_dir / METRICS_FILENAME)]
+    assert types[0] == "campaign_start" and types[-1] == "campaign_complete"
+    assert "generation" in types and "metrics" in types
+    manifest = read_manifest(corpus_dir)
+    assert manifest["spec"]["name"] == "ci-telemetry-smoke"
+    assert manifest["spec_fingerprint"]
+    assert manifest["result"]["deterministic_digest"]
+    assert manifest["result"]["total_evaluations"] > 0
+    assert (corpus_dir / PROMETHEUS_FILENAME).exists()
 
 
 class TestTelemetryStream:

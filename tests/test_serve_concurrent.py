@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.journal import CampaignJournal
 from repro.journal.events import make_record
 from repro.journal.log import read_corpus_journal_view
-from repro.obs.sinks import METRICS_FILENAME, tail_metrics_records
+from repro.obs.sinks import METRICS_FILENAME, read_metrics, tail_metrics_records
 from repro.serve import DashboardServer
 
 API_PATHS = [
@@ -137,6 +137,13 @@ class TestDegradedDirectories:
             _, _, body = fetch_raw(server, "/api/stream?offset=0")
             records = json.loads(body)["records"]
             assert [r["type"] for r in records] == ["campaign_start"]
+            # Observers degrade, they do not raise: the garbage manifest
+            # reads as "no manifest", not as the server's catch-all error.
+            _, _, body = fetch_raw(server, "/api/status")
+            status = json.loads(body)
+            assert "error" not in status
+            assert status["state"] == "running"
+            assert status["manifest_present"] is False
         assert snapshot_dir(corpus_dir) == before
 
     def test_torn_metrics_tail_heals_on_completion(self, tmp_path):
@@ -278,11 +285,14 @@ class TestTailReaderProperty:
             min_size=0, max_size=12,
         ),
         cut_seed=st.integers(0, 2**31 - 1),
+        keep=st.integers(0, 11),
     )
-    def test_chunked_reads_equal_whole_read(self, tmp_path_factory, records, cut_seed):
+    def test_chunked_reads_equal_whole_read(self, tmp_path_factory, records, cut_seed, keep):
         """Appending a metrics stream in arbitrary (torn) byte chunks and
         polling after every append yields exactly the whole-file record
-        sequence — no record lost, duplicated, or partially parsed."""
+        sequence — no record lost, duplicated, or partially parsed — which
+        is also what the whole-file read returns (one parser).  A stream
+        truncated and regrown shorter resets the carried offset."""
         import random
 
         blob = b"".join(
@@ -311,3 +321,14 @@ class TestTailReaderProperty:
         collected.extend(final)
         assert collected == records
         assert offset == len(blob)
+        assert read_metrics(path) == records
+
+        if records:
+            regrown = records[: keep % len(records)]
+            with open(path, "wb") as handle:
+                for record in regrown:
+                    handle.write((json.dumps(record) + "\n").encode("utf-8"))
+            batch, new_offset = tail_metrics_records(path, offset)
+            assert new_offset < offset                 # the reset signal
+            assert batch == regrown
+            assert tail_metrics_records(path, new_offset) == ([], new_offset)

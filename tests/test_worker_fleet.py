@@ -21,10 +21,9 @@ import os
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
-from repro.campaign.corpus import atomic_json_dump
 from repro.campaign.worker import run_fleet
 from repro.coverage.archive import BehaviorArchive
-from repro.journal import CampaignJournal, merge_journals
+from repro.journal import CampaignJournal
 from repro.traces import TrafficTrace
 
 SID = "reno/traffic/throughput/base"
@@ -390,31 +389,6 @@ def test_compact_of_empty_journal_is_a_noop(tmp_path):
 # ---------------------------------------------------------------------- #
 # Durability bugfix regressions
 # ---------------------------------------------------------------------- #
-
-
-def test_atomic_json_dump_fsyncs_parent_dir(tmp_path, monkeypatch):
-    """Bugfix: corpus publishes (index/entry renames) must fsync the parent
-    directory, or a power loss can roll the rename back."""
-    calls = []
-    monkeypatch.setattr("repro.campaign.corpus.fsync_dir", calls.append)
-    atomic_json_dump({"a": 1}, str(tmp_path / "x.json"))
-    assert calls == [str(tmp_path)]
-
-
-def test_rotate_and_merge_fsync_parent_dir(tmp_path, monkeypatch):
-    """Bugfix: the renames in rotate() and merge_journals() were not followed
-    by a parent-directory fsync."""
-    calls = []
-    monkeypatch.setattr("repro.journal.log.fsync_dir", calls.append)
-    journal = _journal(tmp_path)
-    journal.append("campaign_start", {"campaign": "c"})
-    calls.clear()
-    archived = journal.rotate()
-    assert archived is not None
-    assert calls == [str(tmp_path)]
-    calls.clear()
-    merge_journals([archived], str(tmp_path / "merged.jsonl"))
-    assert calls == [str(tmp_path)]
 
 
 def test_rediscovery_of_missing_corpus_entry_degrades_to_new(tmp_path):
