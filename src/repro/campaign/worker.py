@@ -6,9 +6,10 @@ the scope it builds for each claim; the search itself is the one body in
 :meth:`repro.campaign.scheduler.ScenarioEngine.run_scenario`.  Every worker
 loops
 
-1. replay the shared journal,
+1. replay the shared journal (its cursor parses only what other workers
+   appended since this one last looked; own appends are folded as written),
 2. atomically claim an unclaimed-or-expired scenario lease
-   (:meth:`CampaignJournal.claim_lease` — replay + append under the
+   (:meth:`CampaignJournal.claim_lease` — catch up + append under the
    cross-process file lock, granting a fresh fencing epoch),
 3. build the scenario's scope from the post-claim journal view and run the
    body under it, renewing the lease as a heartbeat after every journaled

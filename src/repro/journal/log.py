@@ -21,13 +21,22 @@ Multi-process contract (the worker-fleet mode):
   sidecar ``<journal>.lock`` file, so two workers can never interleave bytes
   of one record;
 * before writing, the holder re-checks its open handle against the path
-  (``fstat`` inode/device) and re-scans any bytes other writers appended
-  since its last write, so a journal rotated, compacted or appended-to under
-  an open handle is picked up instead of written past;
+  (``fstat`` inode/device) and reads any bytes other writers appended since
+  its last write, so a journal rotated, compacted or appended-to under an
+  open handle is picked up instead of written past;
 * :meth:`claim_lease` / :meth:`renew_lease` / :meth:`release_lease` turn
-  ``scenario_lease`` records into an atomic claim protocol: a claim replays
-  the log *under the file lock* and only appends if no live lease exists,
-  granting a fresh fencing epoch.
+  ``scenario_lease`` records into an atomic claim protocol: a claim brings
+  its view of the log up to date *under the file lock* and only appends if
+  no live lease exists, granting a fresh fencing epoch.
+
+Read cost: every reader — a writer's :meth:`CampaignJournal.replay`, a lease
+claim, the repair before an append, compaction, the dashboard — goes through
+a :class:`JournalCursor`, which parses each byte of the file once and keeps
+the fold; a later read costs the bytes appended since.  Only what breaks the
+append-only assumption makes it read the file again from the start: a
+different file under the path (rotated, compacted, merged over), a file
+shorter than what was read, a last-read line that has changed (rewritten in
+place), or records that sort before ones already folded.
 """
 
 from __future__ import annotations
@@ -38,9 +47,9 @@ import time
 from typing import IO, Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import get_registry
-from ..storage import fsync_dir, publish, split_lines
+from ..storage import fsync_dir, publish, read_appended, split_lines
 from .events import JournalCorruption, JournalRecord, make_record
-from .view import JournalView, replay_records
+from .view import JournalFold, JournalView
 
 try:  # pragma: no cover - import guard for non-POSIX platforms
     import fcntl
@@ -53,25 +62,33 @@ JOURNAL_FILENAME = "journal.jsonl"
 DEFAULT_LEASE_TTL = 30.0
 
 
-def _scan_bytes(raw: bytes, *, observing: bool = False) -> Tuple[List[JournalRecord], int, int]:
-    """Parse journal bytes into ``(records, valid_byte_length, torn_records)``.
+def _scan_bytes(
+    raw: bytes, *, observing: bool = False
+) -> Tuple[List[JournalRecord], int, int, int]:
+    """Parse journal bytes into ``(records, valid_byte_length, skipped, torn_tail)``.
 
     The one journal parser.  A record that fails to parse is *torn* when it
     is the final one — a crash mid-append can damage nothing else — and the
     scan stops there.  Anywhere earlier it is corruption: a writer raises,
     because an append-only log cannot lose interior records and must not be
-    appended past them; an observer (``observing=True``, passed only by
-    :func:`read_journal_view`) counts it as torn and keeps every other record.
+    appended past them; an observer (``observing=True``) skips it, counts it
+    and keeps every other record.
 
     ``valid_byte_length`` is where a repairing writer should truncate to: the
     end of the last intact record, *including* its newline if present (a
     valid final record missing only its newline is counted as intact, and
-    the caller terminates it).
+    the caller terminates it).  ``skipped`` counts the bad records before that
+    point, ``torn_tail`` the ones after it — which a later append may yet
+    complete, so a reader that follows the file leaves them unread.
     """
+    registry = get_registry()
+    registry.inc("journal.scans")
+    registry.inc("journal.bytes_scanned", len(raw))
     lines, remainder = split_lines(raw)
     records: List[JournalRecord] = []
     valid_length = 0
-    torn = 0
+    skipped = 0
+    torn_tail = 0
     end = 0
     for index, chunk in enumerate(lines + [remainder] if remainder else lines):
         terminated = index < len(lines)
@@ -80,7 +97,7 @@ def _scan_bytes(raw: bytes, *, observing: bool = False) -> Tuple[List[JournalRec
             try:
                 records.append(JournalRecord.from_line(chunk.decode("utf-8")))
             except (JournalCorruption, UnicodeDecodeError) as exc:
-                torn += 1
+                torn_tail += 1
                 if end >= len(raw):
                     break
                 if observing:
@@ -89,17 +106,180 @@ def _scan_bytes(raw: bytes, *, observing: bool = False) -> Tuple[List[JournalRec
                     f"corrupt journal record before the final line: {exc}"
                 ) from exc
         valid_length = end
-    return records, valid_length, torn
+        skipped += torn_tail
+        torn_tail = 0
+    return records, valid_length, skipped, torn_tail
+
+
+class JournalCursor:
+    """Follows one journal file: parses what was appended, keeps the fold.
+
+    :meth:`advance` reads the bytes past :attr:`offset` through
+    :func:`_scan_bytes` (same checksum, canonical-encoding and torn-tail
+    rules as a whole-file read, under the writer's policy or, with
+    ``observing=True``, the observer's) and folds them into the view it
+    retains, so its cost is the bytes appended since the last call.  The
+    result is always the view a from-scratch replay of the file's current
+    bytes gives: the cursor holds the file open, so the inode it read cannot
+    be reused for another file while it is being followed, and whenever the
+    path names a different file, the file is shorter than :attr:`offset`, the
+    last line it read is no longer there byte for byte (truncated and
+    rewritten in place) or has been extended, or the new records do not sort
+    after the folded ones, it forgets everything and reads from byte 0.
+
+    It retains fold state, never the parsed records.  Only ever opens the
+    file for reading.  Not thread-safe; its owner serialises calls.
+    """
+
+    def __init__(self, path: str, *, observing: bool = False) -> None:
+        self.path = str(path)
+        self.observing = observing
+        self._handle: Optional[IO[bytes]] = None
+        #: ``(st_ino, st_dev)`` of the file being followed, if one is open.
+        self.identity: Optional[Tuple[int, int]] = None
+        self._forget()
+
+    def _forget(self) -> None:
+        #: End of the last record folded (``_scan_bytes``'s valid length).
+        self.offset = 0
+        #: Size of the file when it was last read; past ``offset`` lies a
+        #: torn tail that a writer truncates before appending.
+        self.size = 0
+        #: ``seq`` of the last folded record in *file* order.
+        self.tail_seq = 0
+        #: The line that ends at ``offset``, re-read on every advance: a file
+        #: that does not hold it there any more was rewritten in place.
+        self._last_line = b""
+        self._skipped = 0
+        self._fold = JournalFold()
+
+    @property
+    def unterminated(self) -> bool:
+        """The byte before ``offset`` is not a newline: the final record is
+        intact but its writer died before terminating the line."""
+        return bool(self._last_line) and not self._last_line.endswith(b"\n")
+
+    @property
+    def clean(self) -> bool:
+        """Nothing past the folded records for a writer to repair."""
+        return self.size == self.offset and not self.unterminated
+
+    def close(self) -> None:
+        """Release the file.  What was folded from it cannot be trusted once
+        its inode is free to be reused, so that goes too."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+            self.identity = None
+        self._forget()
+
+    def __enter__(self) -> "JournalCursor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _pin(self) -> Optional[IO[bytes]]:
+        """The open file, after making sure it is still the one the path names."""
+        if self._handle is not None:
+            try:
+                on_disk = os.stat(self.path)
+            except OSError:
+                on_disk = None
+            if on_disk is not None and (on_disk.st_ino, on_disk.st_dev) == self.identity:
+                return self._handle
+            self.close()
+        try:
+            handle = open(self.path, "rb")
+        except FileNotFoundError:
+            return None
+        except OSError:
+            if self.observing:
+                return None
+            raise
+        status = os.fstat(handle.fileno())
+        self._handle, self.identity = handle, (status.st_ino, status.st_dev)
+        return handle
+
+    def records(self) -> List[JournalRecord]:
+        """Every intact record in file order: a cold read that folds nothing."""
+        handle = self._pin()
+        raw = read_appended(handle, 0)[0] if handle is not None else b""
+        return _scan_bytes(raw, observing=self.observing)[0] if raw else []
+
+    def advance(self) -> JournalView:
+        """Fold what the file gained; returns the cursor's *live* view.
+
+        The view is the one the next call goes on folding into — callers
+        that keep it take :meth:`JournalView.copy`.  Under the writer's policy
+        interior corruption raises :class:`JournalCorruption`, and nothing of
+        that read is folded.
+        """
+        handle = self._pin()
+        if handle is not None:
+            back = len(self._last_line)
+            raw, start = read_appended(handle, self.offset - back)
+            appended = (
+                start == self.offset - back
+                and raw.startswith(self._last_line)
+                and not (self.unterminated and raw[back : back + 1] not in (b"", b"\n"))
+            )
+            if not (appended and self._consume(raw[back:])):
+                self._forget()
+                self._consume(read_appended(handle, 0)[0])
+        return self._fold.view
+
+    def _consume(self, raw: bytes) -> bool:
+        """Parse and fold bytes read at ``offset``; ``False`` if their
+        records cannot continue the fold."""
+        records, valid_length, skipped, torn_tail = (
+            _scan_bytes(raw, observing=self.observing) if raw else ([], 0, 0, 0)
+        )
+        if not self._fold.extend(records):
+            return False
+        self.size = self.offset + len(raw)
+        self.offset += valid_length
+        self._skipped += skipped
+        if records:
+            self.tail_seq = records[-1].seq
+        if valid_length:
+            # Only the newline that terminates an unterminated record leaves
+            # the last line starting before these bytes.
+            start = raw.rfind(b"\n", 0, valid_length - 1) + 1
+            carried = self._last_line if start == 0 and self.unterminated else b""
+            self._last_line = carried + raw[start:valid_length]
+        self._fold.view.torn_records = self._skipped + torn_tail
+        return True
+
+    def fold_appended(self, record: JournalRecord, line: bytes) -> None:
+        """Fold a record its writer has just put at ``offset``, unread.
+
+        The writer repaired the tail before appending and wrote the line
+        whole, so there is nothing to verify that it did not just compute.
+        """
+        if not self._fold.extend([record]):
+            self._forget()          # the next advance reads from byte 0
+            return
+        self.offset += len(line)
+        self.size = self.offset
+        self.tail_seq = record.seq
+        self._last_line = line
+        self._fold.view.torn_records = self._skipped
 
 
 class CampaignJournal:
     """Append-only JSONL event log for one campaign corpus.
 
-    Thread-safe for appends (parallel scenario workers share one journal),
+    Thread-safe (the quarantine hook appends from wherever a job failed),
     and — via the sidecar file lock — process-safe too: a fleet of worker
     processes appends to one journal file without interleaving records.
-    Reading (:meth:`records`, :meth:`replay`) re-scans the file, so a reader
-    never needs the writer's in-memory state.
+    Everything it knows about the file's contents lives in one
+    :class:`JournalCursor`, so each byte is parsed once per journal object:
+    :meth:`replay`, lease claims, the repair before an append and compaction
+    all continue from where the last of them stopped.  A journal nobody has
+    asked for a view (a serial campaign's) parses and folds nothing: its own
+    appends are folded as they are written only once :meth:`replay` or
+    :meth:`claim_lease` has been called, and are read back if one is later.
     """
 
     def __init__(self, path: str, *, fsync: bool = True) -> None:
@@ -107,10 +287,15 @@ class CampaignJournal:
         self.fsync = fsync
         self._lock = threading.RLock()
         self._handle: Optional[IO[bytes]] = None
+        #: ``(st_ino, st_dev)`` of the append handle's file.
+        self._identity: Optional[Tuple[int, int]] = None
+        self._cursor = JournalCursor(self.path)
+        #: Someone holds a view: fold own appends instead of reading them back.
+        self._following = False
         self._next_seq: Optional[int] = None
         #: Byte offset of the end of the last record *this* writer knows
         #: about; bytes beyond it were appended by other processes and are
-        #: re-scanned before the next append.
+        #: read through the cursor before the next append.
         self._tail_offset: int = 0
         self._lock_handle: Optional[IO[bytes]] = None
         self._lock_depth: int = 0
@@ -166,58 +351,70 @@ class CampaignJournal:
     # Reading
     # ------------------------------------------------------------------ #
 
-    def _read_raw(self) -> bytes:
-        try:
-            with open(self.path, "rb") as handle:
-                return handle.read()
-        except FileNotFoundError:
-            return b""
-
     def records(self) -> List[JournalRecord]:
         """All intact records, in file order.  Torn final records are skipped."""
-        records, _, _ = _scan_bytes(self._read_raw())
-        return records
+        with JournalCursor(self.path) as cursor:
+            return cursor.records()
 
     def replay(self) -> JournalView:
-        """Fold the log into a consistent :class:`JournalView`."""
-        records, _, torn = _scan_bytes(self._read_raw())
-        return replay_records(records, torn_records=torn)
+        """Fold the log into a consistent :class:`JournalView`.
+
+        The view is the caller's: later appends and replays do not change it.
+        """
+        with self._lock:
+            self._following = True
+            return self._cursor.advance().copy()
 
     # ------------------------------------------------------------------ #
     # Writing
     # ------------------------------------------------------------------ #
 
-    def _prepare_append(self) -> None:
-        """Open for appending, repairing any torn tail left by a crash."""
+    def _close_append(self) -> None:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-        raw = self._read_raw()
-        records, valid_length, _ = _scan_bytes(raw)
+            self._identity = None
+
+    def _prepare_append(self) -> None:
+        """Open for appending, repairing any torn tail left by a crash."""
+        self._close_append()
+        cursor = self._cursor
         parent = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(parent, exist_ok=True)
-        created = not os.path.exists(self.path)
-        handle = open(self.path, "ab")
-        try:
-            if created and self.fsync:
-                # The file's directory entry must be durable before any
-                # record in it is acknowledged.
-                fsync_dir(parent)
-            if valid_length < len(raw):
-                handle.truncate(valid_length)
-                handle.seek(0, os.SEEK_END)
-            if valid_length and not raw[:valid_length].endswith(b"\n"):
-                handle.write(b"\n")
-                valid_length += 1
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-        except BaseException:
-            handle.close()
-            raise
-        self._handle = handle
-        self._next_seq = (records[-1].seq if records else 0) + 1
-        self._tail_offset = valid_length
+        while True:
+            created = not os.path.exists(self.path)
+            handle = open(self.path, "ab")
+            try:
+                status = os.fstat(handle.fileno())
+                identity = (status.st_ino, status.st_dev)
+                cursor.advance()
+                if cursor.identity != identity:
+                    # Replaced between the two opens; never repair a file
+                    # by what was read from another.
+                    handle.close()
+                    continue
+                if created and self.fsync:
+                    # The file's directory entry must be durable before any
+                    # record in it is acknowledged.
+                    fsync_dir(parent)
+                dirty = not cursor.clean
+                if cursor.size > cursor.offset:
+                    handle.truncate(cursor.offset)
+                    handle.seek(0, os.SEEK_END)
+                if cursor.unterminated:
+                    handle.write(b"\n")
+                handle.flush()
+                if self.fsync:
+                    os.fsync(handle.fileno())
+                if dirty:
+                    cursor.advance()        # take in the repair
+            except BaseException:
+                handle.close()
+                raise
+            break
+        self._handle, self._identity = handle, identity
+        self._next_seq = cursor.tail_seq + 1
+        self._tail_offset = cursor.offset
 
     def _sync_with_file(self) -> None:
         """Re-validate the open handle against the path before appending.
@@ -228,35 +425,25 @@ class CampaignJournal:
         unlinked file), or other writers appended records past our tail (the
         next sequence number must continue after theirs).
         """
-        if self._handle is None:
-            self._prepare_append()
-            return
-        try:
-            on_disk = os.stat(self.path)
-        except FileNotFoundError:
-            self._prepare_append()
-            return
-        here = os.fstat(self._handle.fileno())
-        if (on_disk.st_ino, on_disk.st_dev) != (here.st_ino, here.st_dev):
-            self._prepare_append()
-            return
-        if on_disk.st_size < self._tail_offset:
-            # Truncated under us (e.g. an external repair); full re-scan.
-            self._prepare_append()
-            return
-        if on_disk.st_size > self._tail_offset:
-            with open(self.path, "rb") as reader:
-                reader.seek(self._tail_offset)
-                suffix = reader.read()
-            records, valid_length, torn = _scan_bytes(suffix)
-            if torn or valid_length != len(suffix):
-                # Another writer died mid-append; take the repair path.
-                self._prepare_append()
-                return
-            if records:
-                self._next_seq = records[-1].seq + 1
-            self._tail_offset += valid_length
-            self._handle.seek(0, os.SEEK_END)
+        if self._handle is not None:
+            try:
+                on_disk = os.stat(self.path)
+            except FileNotFoundError:
+                on_disk = None
+            if on_disk is not None and (on_disk.st_ino, on_disk.st_dev) == self._identity:
+                if on_disk.st_size == self._tail_offset:
+                    return
+                if on_disk.st_size > self._tail_offset:
+                    cursor = self._cursor
+                    cursor.advance()
+                    if cursor.identity == self._identity and cursor.clean:
+                        self._next_seq = cursor.tail_seq + 1
+                        self._tail_offset = cursor.offset
+                        self._handle.seek(0, os.SEEK_END)
+                        return
+                    # Another writer died mid-append; take the repair path.
+        # Replaced, truncated under us (e.g. an external repair), or torn.
+        self._prepare_append()
 
     def _write_line(self, payload: bytes) -> None:
         """Write one full record line and force it to disk.
@@ -288,6 +475,13 @@ class CampaignJournal:
                 registry.inc("journal.bytes", len(payload))
                 registry.inc(f"journal.bytes.{type}", len(payload))
                 registry.observe("journal.append_s", time.perf_counter() - append_started)
+                cursor = self._cursor
+                if (
+                    self._following
+                    and cursor.identity == self._identity
+                    and cursor.offset == self._tail_offset
+                ):
+                    cursor.fold_appended(record, payload)
                 self._next_seq += 1
                 self._tail_offset += len(payload)
                 return record
@@ -295,12 +489,10 @@ class CampaignJournal:
                 self._release_file_lock()
 
     def close(self) -> None:
+        """Release both file handles (appending or replaying reopens them)."""
         with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-                self._next_seq = None
-                self._tail_offset = 0
+            self._close_append()
+            self._cursor.close()
 
     def __enter__(self) -> "CampaignJournal":
         return self
@@ -323,7 +515,8 @@ class CampaignJournal:
     ) -> Optional[Dict[str, Any]]:
         """Atomically claim a scenario; returns the lease payload or ``None``.
 
-        Under the cross-process file lock the current journal is replayed;
+        Under the cross-process file lock the view is brought up to date
+        (which costs the records appended since this journal last looked);
         the claim succeeds only if the scenario is not complete and no live
         (unexpired, unreleased) lease exists.  A successful claim appends a
         ``scenario_lease`` with the next fencing epoch — records a previous
@@ -348,7 +541,8 @@ class CampaignJournal:
             self._acquire_file_lock()
             try:
                 moment = time.time() if now is None else float(now)
-                view = self.replay()
+                self._following = True
+                view = self._cursor.advance()
                 if not view.lease_claimable(scenario_id, moment):
                     return None
                 data: Dict[str, Any] = dict(extra or {})
@@ -412,17 +606,17 @@ class CampaignJournal:
     def rotate(self) -> Optional[str]:
         """Archive a finished campaign's log so a fresh one starts clean.
 
-        If the journal already holds a ``campaign_start`` record, the file is
-        renamed to ``journal-<k>.jsonl`` (first free ``k``) next to it and the
-        sequence counter resets.  A missing or startless journal is left in
-        place.  Returns the archive path, or ``None`` if nothing rotated.
+        If the journal already holds a campaign (a ``campaign_start`` record,
+        or a compaction snapshot's copy of one), the file is renamed to
+        ``journal-<k>.jsonl`` (first free ``k``) next to it and the sequence
+        counter resets.  A missing or startless journal is left in place.
+        Returns the archive path, or ``None`` if nothing rotated.
         """
         with self._lock:
             self._acquire_file_lock()
             try:
-                self.close()
-                records = self.records()
-                if not any(record.type == "campaign_start" for record in records):
+                self._close_append()
+                if self._cursor.advance().campaign is None:
                     return None
                 base, ext = os.path.splitext(self.path)
                 k = 1
@@ -430,6 +624,7 @@ class CampaignJournal:
                     k += 1
                 archived = f"{base}-{k}{ext}"
                 os.replace(self.path, archived)
+                self._cursor.close()        # it was following the archive
                 # The archive's new name and the journal's disappearance are
                 # directory mutations; without this a power loss could revive
                 # the old campaign's log under the live name.
@@ -459,23 +654,24 @@ class CampaignJournal:
         with self._lock:
             self._acquire_file_lock()
             try:
-                self.close()
-                raw = self._read_raw()
-                records, _, torn = _scan_bytes(raw)
-                if not records:
+                self._close_append()
+                view = self._cursor.advance()
+                records_before = view.record_count + view.duplicates
+                if not records_before:
                     return None
-                view = replay_records(records, torn_records=torn)
                 snapshot = make_record(
                     max(view.last_seq, 1), "compaction_snapshot", view.to_snapshot()
                 )
                 payload = snapshot.to_line().encode("utf-8")
+                bytes_before = self._cursor.size
                 publish(self.path, payload)
+                self._cursor.close()        # it was following the replaced file
                 return {
-                    "records_before": len(records),
+                    "records_before": records_before,
                     "records_after": 1,
-                    "bytes_before": len(raw),
+                    "bytes_before": bytes_before,
                     "bytes_after": len(payload),
-                    "torn_records": torn,
+                    "torn_records": view.torn_records,
                 }
             finally:
                 self._release_file_lock()
@@ -499,13 +695,8 @@ def read_journal_view(path: str) -> JournalView:
     endpoint answering against a half-copied file should render what it can
     rather than 500.
     """
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except OSError:
-        raw = b""
-    records, _, torn = _scan_bytes(raw, observing=True)
-    return replay_records(records, torn_records=torn)
+    with JournalCursor(path, observing=True) as cursor:
+        return cursor.advance()
 
 
 def read_corpus_journal_view(corpus_dir: str) -> JournalView:

@@ -29,12 +29,17 @@ other to the one campaign-wide cache: truncate the cache's op log to ``base``,
 then extend it.  A generation re-done after a resume or a lease steal
 therefore overwrites the ops it replaces instead of duplicating them, and
 fencing (applied first) keeps a zombie's ops out altogether.
+
+The fold can be *continued*: :class:`JournalFold` keeps the view together
+with the dedup set, the fencing epochs and the last fold key, so a reader
+that follows a growing file (:class:`repro.journal.log.JournalCursor`) folds
+each record once.  :func:`replay_records` is the same fold over one batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .events import JournalRecord
 
@@ -112,6 +117,31 @@ class JournalView:
     def cache_state(self) -> Optional[Dict[str, Any]]:
         """The campaign-wide evaluation cache, if any record carried one."""
         return self.caches.get("")
+
+    def copy(self) -> "JournalView":
+        """A view that later folds cannot change.
+
+        Owns every container the fold grows or updates in place (lease
+        payloads and cache op lists included); the record payloads inside are
+        shared with the fold, which only ever replaces them, and are not for
+        the caller to mutate.
+        """
+        return replace(
+            self,
+            resumes=list(self.resumes),
+            leases={sid: dict(lease) for sid, lease in self.leases.items()},
+            checkpoints=dict(self.checkpoints),
+            inserts=list(self.inserts),
+            inserts_by_scenario={
+                sid: dict(by_fingerprint)
+                for sid, by_fingerprint in self.inserts_by_scenario.items()
+            },
+            completed=dict(self.completed),
+            behavior_cells=dict(self.behavior_cells),
+            behavior_deltas=list(self.behavior_deltas),
+            caches={scope: _own_ops(payload) for scope, payload in self.caches.items()},
+            quarantined=list(self.quarantined),
+        )
 
     def pending_checkpoints(self) -> Dict[str, Dict[str, Any]]:
         """Checkpoints for scenarios that never reached completion."""
@@ -291,6 +321,13 @@ class JournalView:
 # ---------------------------------------------------------------------- #
 
 
+def _own_ops(payload: Any) -> Any:
+    """A cache payload with its own op list: later deltas fold into it in place."""
+    if isinstance(payload, dict) and isinstance(payload.get("ops"), list):
+        return {**payload, "ops": list(payload["ops"])}
+    return payload
+
+
 def _fold_lease(
     view: JournalView, data: Dict[str, Any], max_epoch: Dict[str, int]
 ) -> None:
@@ -421,10 +458,7 @@ def _fold_snapshot(
     for _, payload in sorted((snapshot_view.get("completed") or {}).items()):
         _fold_complete(view, payload)
     for scope, payload in (snapshot_view.get("caches") or {}).items():
-        if isinstance(payload, dict) and isinstance(payload.get("ops"), list):
-            # Copy the op list: later deltas are folded into it in place.
-            payload = {**payload, "ops": list(payload["ops"])}
-        view.caches[scope] = payload
+        view.caches[scope] = _own_ops(payload)
     if snapshot_view.get("scenario_seeds") is not None:
         view.scenario_seeds = snapshot_view["scenario_seeds"]
     for _, lease in sorted((snapshot_view.get("leases") or {}).items()):
@@ -436,26 +470,54 @@ def _fold_snapshot(
         pass
 
 
-def replay_records(
-    records: List[JournalRecord], *, torn_records: int = 0
-) -> JournalView:
-    """Fold intact records into a :class:`JournalView`."""
-    view = JournalView(torn_records=torn_records)
-    seen: set = set()
-    #: scenario_id -> highest lease epoch granted so far in fold order.
-    max_epoch: Dict[str, int] = {}
-    for record in sorted(records, key=lambda r: (r.seq, r.type, r.dedup_key())):
+def _fold_key(record: JournalRecord) -> Tuple[int, str, str]:
+    return (record.seq, record.type, record.dedup_key())
+
+
+class JournalFold:
+    """A fold that can be continued: the view plus what the next record needs.
+
+    ``extend`` takes records in batches and gives the view a from-scratch
+    :func:`replay_records` of all of them would, provided each batch sorts
+    after the previous ones — which an append-only log's batches do.  A batch
+    that does not is refused whole, and the caller starts a new fold.
+    """
+
+    __slots__ = ("view", "_seen", "_max_epoch", "_last_key")
+
+    def __init__(self) -> None:
+        self.view = JournalView()
+        self._seen: set = set()
+        #: scenario_id -> highest lease epoch granted so far in fold order.
+        self._max_epoch: Dict[str, int] = {}
+        self._last_key: Optional[Tuple[int, str, str]] = None
+
+    def extend(self, records: Iterable[JournalRecord]) -> bool:
+        """Fold ``records``; ``False`` (nothing folded) if they sort before
+        a record already folded."""
+        batch = sorted(records, key=_fold_key)
+        if not batch:
+            return True
+        if self._last_key is not None and _fold_key(batch[0]) < self._last_key:
+            return False
+        for record in batch:
+            self._fold(record)
+        self._last_key = _fold_key(batch[-1])
+        return True
+
+    def _fold(self, record: JournalRecord) -> None:
+        view, max_epoch = self.view, self._max_epoch
         key = record.dedup_key()
-        if key in seen:
+        if key in self._seen:
             view.duplicates += 1
-            continue
-        seen.add(key)
+            return
+        self._seen.add(key)
         view.record_count += 1
         view.last_seq = max(view.last_seq, record.seq)
         data = record.data
         if record.type in FENCED_EVENT_TYPES and _is_fenced(data, max_epoch):
             view.fenced_records += 1
-            continue
+            return
         if record.type == "campaign_start":
             if view.campaign is None:
                 view.campaign = data
@@ -485,4 +547,13 @@ def replay_records(
             _fold_snapshot(view, data, max_epoch)
         # Unknown event types within a supported schema are ignored, so a
         # newer writer's extra events do not break an older reader.
-    return view
+
+
+def replay_records(
+    records: List[JournalRecord], *, torn_records: int = 0
+) -> JournalView:
+    """Fold intact records into a :class:`JournalView` (one cold batch)."""
+    fold = JournalFold()
+    fold.extend(records)
+    fold.view.torn_records = torn_records
+    return fold.view

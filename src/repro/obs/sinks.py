@@ -20,13 +20,12 @@ snapshot), ``campaign_complete``.  Readers must ignore unknown types.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..storage import publish, split_lines
+from ..storage import publish, read_appended, split_lines
 from .metrics import METRICS_SCHEMA, MetricsRegistry, Snapshot
 
 #: Default seconds between periodic full-snapshot records.
@@ -124,11 +123,7 @@ def tail_metrics_records(
     """
     try:
         with open(path, "rb") as handle:
-            size = os.fstat(handle.fileno()).st_size
-            if size < offset:
-                offset = 0                 # stream was rotated or truncated
-            handle.seek(offset)
-            raw = handle.read(size - offset)
+            raw, offset = read_appended(handle, offset)
     except OSError:
         return [], 0
     lines, remainder = split_lines(raw)

@@ -108,6 +108,8 @@ def fold_status(
         "result_digest": None,
         "quarantine_entries": 0,
         "journal_bytes": {},
+        "journal_bytes_scanned": 0,
+        "journal_read_amplification": None,
         "faults": {
             "failures": 0,
             "retries": 0,
@@ -255,6 +257,14 @@ def fold_status(
             for name, value in counters.items()
             if name.startswith(prefix)
         }
+        # Read amplification: journal bytes this process parsed per byte it
+        # appended.  0 for a serial campaign (it never reads its own log),
+        # under 1 for a resume; a fleet driver, which appends little and
+        # parses every worker's bytes once, legitimately reads far above 1.
+        scanned = counters.get("journal.bytes_scanned", 0)
+        written = counters.get("journal.bytes", 0)
+        status["journal_bytes_scanned"] = int(scanned)
+        status["journal_read_amplification"] = scanned / written if written else None
         # Fault-tolerance counters from the exec layer (see repro.exec):
         # cumulative over the process, like every registry counter.
         status["faults"] = {
@@ -384,9 +394,16 @@ def format_status(status: Dict[str, Any]) -> str:
     journal_bytes = status.get("journal_bytes") or {}
     if journal_bytes:
         by_type = sorted(journal_bytes.items(), key=lambda item: (-item[1], item[0]))
+        amplification = status.get("journal_read_amplification")
         lines.append(
             f"journal: {_fmt_bytes(sum(journal_bytes.values()))} — "
             + ", ".join(f"{name} {_fmt_bytes(size)}" for name, size in by_type)
+            + (
+                f"; read back {amplification:.2f}x "
+                f"({_fmt_bytes(status.get('journal_bytes_scanned', 0))} scanned)"
+                if amplification is not None
+                else ""
+            )
         )
     faults = status.get("faults") or {}
     if any(faults.values()):

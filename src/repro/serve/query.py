@@ -22,7 +22,8 @@ from ..campaign.corpus import (
     read_corpus_index,
 )
 from ..coverage.archive import BehaviorArchive, read_archive_cells
-from ..journal.log import read_corpus_journal_view
+from ..journal.log import JOURNAL_FILENAME, JournalCursor
+from ..journal.view import JournalView
 from ..obs.sinks import (
     METRICS_FILENAME,
     PROMETHEUS_FILENAME,
@@ -50,6 +51,20 @@ class DashboardQuery:
         # arrive from several server threads, so folds are serialised.
         self._watcher = StatusWatcher(self.corpus_dir)
         self._watcher_lock = threading.Lock()
+        # One observer-policy cursor for every journal-backed endpoint: the
+        # first request parses the journal, later ones what was appended.
+        self._journal = JournalCursor(
+            str(Path(self.corpus_dir) / JOURNAL_FILENAME), observing=True
+        )
+        self._journal_lock = threading.Lock()
+
+    def close(self) -> None:
+        with self._journal_lock:
+            self._journal.close()
+
+    def _journal_view(self) -> JournalView:
+        with self._journal_lock:
+            return self._journal.advance().copy()
 
     # ------------------------------------------------------------------ #
     # /api/status
@@ -129,7 +144,7 @@ class DashboardQuery:
         """
         cells = read_archive_cells(BehaviorArchive.corpus_path(self.corpus_dir))
         archive_cells = len(cells)
-        view = read_corpus_journal_view(self.corpus_dir)
+        view = self._journal_view()
         for cell, payload in view.behavior_cells.items():
             if isinstance(payload, dict):
                 cells[cell] = payload
@@ -148,7 +163,7 @@ class DashboardQuery:
 
     def rankings(self) -> Dict[str, Any]:
         """Per-CCA vulnerability table from journal + corpus + triage."""
-        view = read_corpus_journal_view(self.corpus_dir)
+        view = self._journal_view()
         index = read_corpus_index(self.corpus_dir)
         triage_rows = []
         for fingerprint, row in sorted(index.items()):

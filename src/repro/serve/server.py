@@ -270,6 +270,7 @@ class DashboardServer:
             self._thread.join(timeout=5.0)
             self._thread = None
         self.replay.close()
+        self.query.close()
 
     def __enter__(self) -> "DashboardServer":
         return self.start()

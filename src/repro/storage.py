@@ -1,4 +1,4 @@
-"""The three rules every file in a corpus directory shares.
+"""The four rules every file in a corpus directory shares.
 
 **Publish**: a whole-file write lands in ``<path>.tmp`` beside its target, is
 fsynced, renamed over the target, and the parent directory is fsynced — a
@@ -6,7 +6,10 @@ reader sees the old bytes or the new, never a mixture, and an acknowledged
 publish survives power loss, not just process death.  **Read a JSON object
 tolerantly**: open read-only; missing, torn and not-an-object all read as
 ``None``.  **Split a stream into lines**: the complete lines, plus the
-unterminated remainder a writer may still be in the middle of.
+unterminated remainder a writer may still be in the middle of.  **Follow a
+growing file**: read only the bytes past the offset already consumed; a file
+shorter than that offset is not the one that was being followed, so it is
+read again from its first byte.
 
 What an unusable file *means* is decided by who is calling, not here: a
 writer turns ``None`` into an exception (it must not overwrite an index it
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import IO, Any, Dict, List, Optional, Tuple, Union
 
 
 def fsync_dir(path: str) -> None:
@@ -92,3 +95,17 @@ def split_lines(raw: bytes) -> Tuple[List[bytes], bytes]:
     ``raw`` (newlines stripped) and the unterminated bytes after the last."""
     *lines, remainder = raw.split(b"\n")
     return lines, remainder
+
+
+def read_appended(handle: IO[bytes], offset: int) -> Tuple[bytes, int]:
+    """``(raw, start)``: the bytes of an open file from ``start`` to its end.
+
+    ``start`` is ``offset`` unless the file has shrunk below it (truncated, or
+    replaced by a shorter one) — then it is 0, the whole file is returned, and
+    a caller that accumulates must discard what it built from the old bytes.
+    """
+    size = os.fstat(handle.fileno()).st_size
+    if size < offset:
+        offset = 0
+    handle.seek(offset)
+    return handle.read(size - offset), offset

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 
@@ -273,3 +274,80 @@ class TestView:
         view = replay_records([record, future])
         assert view.record_count == 2
         assert view.leases == {"s": {"scenario_id": "s"}}
+
+
+class TestCursor:
+    """The journal's one incremental reader (the equivalence property over
+    random histories lives in test_journal_properties.py)."""
+
+    def test_a_handed_out_view_never_changes(self, tmp_path):
+        """``resume`` and ``run_fleet`` keep a view across later appends and
+        replays of the same journal; the fold must not reach into it."""
+        journal = journal_at(tmp_path)
+        journal.append("campaign_start", {"campaign": "c", "archive_baseline": {}})
+        lease = journal.claim_lease("s", "w0", ttl=30.0, now=100.0)
+        stamp = {"lease_epoch": lease["lease_epoch"], "worker": "w0"}
+        delta = {"schema": 1, "base": 0, "ops": [["k0"]], "counters": {"hits": 0}}
+        journal.append("behavior_delta", {"scenario_id": "s", "generation": 0, "cells": {"c0": {}}, "counters": None, **stamp})
+        journal.append("generation_checkpoint", {"scenario_id": "s", "generation": 0, "fuzzer": {}, "cache": delta, **stamp})
+        journal.append("corpus_insert", {"scenario_id": "s", "fingerprint": "fp0", **stamp})
+        view = journal.replay()
+        frozen = copy.deepcopy(view)
+
+        # Every fold that updates a container in place: lease expiry and
+        # release, a cache op log, the per-scenario insert map, the lists.
+        journal.renew_lease(lease, now=110.0)
+        journal.append("behavior_delta", {"scenario_id": "s", "generation": 1, "cells": {"c1": {}}, "counters": None, **stamp})
+        journal.append("generation_checkpoint", {"scenario_id": "s", "generation": 1, "fuzzer": {}, "cache": {**delta, "base": 1, "ops": [["k1"]]}, **stamp})
+        journal.append("corpus_insert", {"scenario_id": "s", "fingerprint": "fp1", **stamp})
+        journal.append("job_quarantined", {"scenario_id": "s", "fingerprint": "fp1", "cca": "reno", **stamp})
+        journal.append("scenario_complete", {"scenario_id": "s", "outcome": {}, **stamp})
+        journal.release_lease(lease)
+        journal.append("campaign_resume", {"campaign": "c"})
+        later = journal.replay()
+
+        assert view == frozen
+        assert later.caches["s"]["ops"] == [["k0"], ["k1"]] and view.caches["s"]["ops"] == [["k0"]]
+        assert later.leases["s"].get("released") and not view.leases["s"].get("released")
+        assert later == CampaignJournal(journal.path).replay()
+
+    def test_records_that_sort_before_folded_ones_force_a_reread(self, tmp_path):
+        """The fold is in ``(seq, type, key)`` order, so a record arriving
+        late with an early seq cannot be folded onto what is there."""
+        journal = journal_at(tmp_path)
+        journal.append("campaign_resume", {"campaign": "late"})              # seq 1
+        journal.append("campaign_start", {"campaign": "second"})             # seq 2
+        assert journal.replay().campaign == {"campaign": "second"}
+        with open(journal.path, "ab") as handle:                              # a copy tool, not a writer
+            handle.write(make_record(1, "campaign_start", {"campaign": "first"}).to_line().encode("utf-8"))
+        scans = get_registry().counter("journal.scans")
+        view = journal.replay()
+        assert get_registry().counter("journal.scans") - scans == 2          # the suffix, then the whole file
+        assert view.campaign == {"campaign": "first"}                         # first in fold order wins
+        assert view == CampaignJournal(journal.path).replay()
+
+    def test_compacting_an_up_to_date_journal_does_not_parse_it_again(self, tmp_path):
+        """``compact()`` and ``rotate()`` close the append handle first;
+        that must not throw away what the journal has verified."""
+        journal = journal_at(tmp_path)
+        for generation in range(5):
+            journal.append("generation_checkpoint", {"scenario_id": "s", "generation": generation})
+        before = journal.replay()                      # reads the five records back, once
+        scanned = get_registry().counter("journal.bytes_scanned")
+        stats = journal.compact()
+        assert get_registry().counter("journal.bytes_scanned") == scanned
+        assert stats["records_before"] == 5 and stats["bytes_before"] > stats["bytes_after"]
+        after = journal.replay()
+        assert after.checkpoints == before.checkpoints and after.compacted_records == 5
+        assert journal.append("campaign_resume", {}).seq == before.last_seq + 1
+
+    def test_a_fresh_campaign_rotates_a_compacted_predecessor(self, tmp_path):
+        """A compacted journal has no ``campaign_start`` *record*, only the
+        snapshot's copy of it; it is a finished campaign's log all the same."""
+        journal = journal_at(tmp_path)
+        journal.append("campaign_start", {"campaign": "old"})
+        journal.compact()
+        archived = journal.rotate()
+        assert archived is not None and os.path.exists(archived)
+        journal.append("campaign_start", {"campaign": "new"})
+        assert journal.replay().campaign == {"campaign": "new"}

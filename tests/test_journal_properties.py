@@ -21,10 +21,12 @@ from repro.journal import (
     CampaignJournal,
     JournalCorruption,
     JournalRecord,
+    merge_journals,
     merge_records,
     replay_records,
 )
 from repro.journal.events import EVENT_TYPES, make_record
+from repro.journal.log import JournalCursor, _scan_bytes
 from repro.scoring.base import Score
 
 #: JSON-native scalar payload values.
@@ -563,3 +565,222 @@ def test_flipping_any_byte_of_a_line_is_detected(seq, event_type, data, position
         return  # the file scanner counts an undecodable line as corrupt too
     with pytest.raises(JournalCorruption):
         JournalRecord.from_line(text)
+
+
+# ---------------------------------------------------------------------- #
+# The cursor: whatever happens to the file, following it == re-reading it
+# ---------------------------------------------------------------------- #
+
+CURSOR_SIDS = ["s/a", "s/b"]
+CURSOR_FPS = ["fp0", "fp1"]
+small_int_st = st.integers(min_value=0, max_value=3)
+
+cache_payload_st = st.one_of(
+    st.none(),
+    st.just({"entries": []}),                      # a pre-delta full dump
+    st.builds(
+        lambda base, ops, hits: {"schema": 1, "base": base, "ops": ops, "counters": {"hits": hits}},
+        small_int_st,
+        st.lists(st.lists(st.sampled_from(["k0", "k1", "k2"]), min_size=1, max_size=1), max_size=3),
+        small_int_st,
+    ),
+)
+
+
+@st.composite
+def cursor_event_st(draw):
+    """Events that exercise every fold: leases and their epochs, fenced data
+    records, cache op-deltas, behavior deltas, the insert and quarantine WALs."""
+    kind = draw(st.sampled_from([t for t in EVENT_TYPES if t != "compaction_snapshot"]))
+    sid = draw(st.sampled_from(CURSOR_SIDS))
+    epoch = draw(st.sampled_from([None, 1, 2, 3]))
+    stamp = {} if epoch is None else {"lease_epoch": epoch, "worker": f"w{epoch}"}
+    n = draw(small_int_st)
+    data = {
+        "campaign_start": lambda: {"campaign": f"c{n % 2}", "archive_baseline": {}},
+        "campaign_resume": lambda: {"campaign": "c0", "n": n},
+        "scenario_lease": lambda: {"scenario_id": sid, "worker_id": f"w{n}", **(
+            {} if epoch is None else {"lease_epoch": epoch, "expires_at": 100 + n}
+        )},
+        "lease_renew": lambda: {"scenario_id": sid, "lease_epoch": epoch or 0, "expires_at": 200 + n},
+        "lease_release": lambda: {"scenario_id": sid, "lease_epoch": epoch or 0},
+        "scenario_seeds": lambda: {"campaign": "c0", "corpus": [], "seeds": {sid: CURSOR_FPS[: n % 3]}},
+        "generation_checkpoint": lambda: {
+            "scenario_id": sid, "generation": n, "fuzzer": {"generation": n},
+            "cache": draw(cache_payload_st), **stamp,
+        },
+        "behavior_delta": lambda: {
+            "scenario_id": sid, "generation": n, "cells": {f"cell{n % 2}": {"hits": n}},
+            "counters": draw(st.sampled_from([None, {"observed": n}])), **stamp,
+        },
+        "corpus_insert": lambda: {
+            "scenario_id": sid, "fingerprint": draw(st.sampled_from(CURSOR_FPS)), "new": bool(n % 2), **stamp,
+        },
+        "scenario_complete": lambda: {
+            "scenario_id": sid, "outcome": {"best_fitness": n}, "cache": draw(cache_payload_st), **stamp,
+        },
+        "job_quarantined": lambda: {
+            "scenario_id": sid, "fingerprint": draw(st.sampled_from(CURSOR_FPS)), "cca": "reno", **stamp,
+        },
+    }[kind]()
+    return kind, data
+
+
+writer_st = st.integers(min_value=0, max_value=1)
+#: Which of the lagging readers look at the file after this step (bitmask).
+lookers_st = st.integers(min_value=0, max_value=15)
+
+cursor_op_st = st.one_of(
+    st.tuples(st.just("append"), writer_st, cursor_event_st()),
+    st.tuples(st.just("fresh_append"), cursor_event_st()),          # a new writer: repairs first
+    st.tuples(st.just("torn"), cursor_event_st(), st.integers(min_value=1, max_value=400)),
+    st.tuples(st.just("garbage")),
+    # Raw bytes of a valid record, as a copy tool or a writer without the
+    # repair step would leave them: seq continues, collides, or runs backwards.
+    st.tuples(st.just("raw"), cursor_event_st(), st.one_of(st.none(), st.integers(min_value=1, max_value=6))),
+    st.tuples(st.just("rotate"), writer_st),
+    st.tuples(st.just("compact"), writer_st),
+    st.tuples(st.just("merge"), st.lists(cursor_event_st(), max_size=4)),
+    st.tuples(st.just("truncate"), st.floats(min_value=0.0, max_value=1.0)),
+    st.tuples(st.just("close"), writer_st),
+)
+
+
+def _from_scratch(path: str, observing: bool):
+    """The oracle: parse and fold the file's current bytes, nothing kept."""
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except FileNotFoundError:
+        raw = b""
+    records, _, skipped, torn_tail = _scan_bytes(raw, observing=observing)
+    return replay_records(records, torn_records=skipped + torn_tail)
+
+
+def _assert_follows(read, path: str, observing: bool) -> None:
+    try:
+        expected = _from_scratch(path, observing)
+    except JournalCorruption:
+        with pytest.raises(JournalCorruption):
+            read()
+        return
+    assert read() == expected          # dataclass equality: every JournalView field
+
+
+@given(ops=st.lists(st.tuples(cursor_op_st, lookers_st), max_size=14))
+@settings(max_examples=150, deadline=None)
+def test_following_the_file_equals_rereading_it(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "journal.jsonl")
+        writers = [CampaignJournal(path, fsync=False) for _ in range(2)]
+        eager = [JournalCursor(path), JournalCursor(path, observing=True)]
+        lagging = [
+            (JournalCursor(path).advance, False),
+            (JournalCursor(path, observing=True).advance, True),
+            (writers[0].replay, False),       # folds its own appends once asked
+            (writers[1].replay, False),
+        ]
+
+        def raw_append(payload: bytes) -> None:
+            with open(path, "ab") as handle:
+                handle.write(payload)
+
+        def next_seq() -> int:
+            return _from_scratch(path, True).last_seq + 1
+
+        for step, (op, lookers) in enumerate(ops):
+            kind = op[0]
+            try:
+                if kind == "append":
+                    writers[op[1]].append(*op[2])
+                elif kind == "fresh_append":
+                    with CampaignJournal(path, fsync=False) as fresh:
+                        fresh.append(*op[1])
+                elif kind == "torn":
+                    line = make_record(next_seq(), *op[1]).to_line().encode("utf-8")
+                    raw_append(line[: min(op[2], len(line) - 1)])   # at most: all but the newline
+                elif kind == "garbage":
+                    raw_append(b'{"crc":"00000000","data":{},"schema":1,"seq":1,"type":"x"}\n')
+                elif kind == "raw":
+                    seq = next_seq() if op[2] is None else op[2]
+                    raw_append(make_record(seq, *op[1]).to_line().encode("utf-8"))
+                elif kind == "rotate":
+                    writers[op[1]].rotate()
+                elif kind == "compact":
+                    writers[op[1]].compact()
+                elif kind == "merge":
+                    other = os.path.join(tmp, f"other-{step}.jsonl")
+                    with CampaignJournal(other, fsync=False) as foreign:
+                        for event in op[1]:
+                            foreign.append(*event)      # seqs from 1: they collide with ours
+                    merge_journals([other, path], path)
+                elif kind == "truncate":
+                    if os.path.exists(path):
+                        os.truncate(path, int(op[1] * os.path.getsize(path)))
+                    # A shrink shows only while the file is shorter than what
+                    # a reader consumed (the rule ``metrics.jsonl`` tailing
+                    # has too), so everyone looks before it can regrow.
+                    lookers = 15
+                elif kind == "close":
+                    writers[op[1]].close()
+            except JournalCorruption:
+                pass        # a writer refusing a file with a bad interior line
+
+            for cursor in eager:
+                _assert_follows(cursor.advance, path, cursor.observing)
+            for bit, (read, observing) in enumerate(lagging):
+                if lookers >> bit & 1:
+                    _assert_follows(read, path, observing)
+        for cursor in eager:
+            cursor.close()
+        for writer in writers:
+            writer.close()
+
+
+def test_a_followed_inode_cannot_come_back_as_another_file(tmp_path):
+    """Two compactions in a row free the first file's inode number for the
+    third file to take — unless somebody still holds the first file open,
+    which is why the cursor does.  Without the pin, a reader that compared
+    inode numbers alone could take the new file for the one it had read."""
+    path = str(tmp_path / "journal.jsonl")
+    writer = CampaignJournal(path, fsync=False)
+    for generation in range(4):
+        writer.append("generation_checkpoint", {"scenario_id": "s", "generation": generation})
+    cursor = JournalCursor(path, observing=True)
+    assert cursor.advance().record_count == 4
+    followed = cursor.identity
+    for round_ in range(2):
+        other = CampaignJournal(path, fsync=False)
+        other.append("lease_renew", {"scenario_id": "s", "lease_epoch": 0, "expires_at": round_})
+        assert other.compact() is not None
+        other.close()
+        status = os.stat(path)
+        assert (status.st_ino, status.st_dev) != followed
+    assert cursor.advance() == _from_scratch(path, True)
+    assert cursor.identity != followed
+    cursor.close()
+
+
+def test_a_folded_line_rewritten_in_place_forces_a_reread(tmp_path):
+    """A record missing only its newline is intact, so a follower folds it.
+    If that line then grows into garbage, a repairing writer truncates it
+    away and may put a different record of the same length where it was:
+    same inode, no shorter, and the first new byte where a newline would be.
+    Only the bytes of the line the follower last read tell the two apart
+    (found by the property above, at a few thousand examples)."""
+    path = str(tmp_path / "journal.jsonl")
+    first = make_record(1, "campaign_start", {"campaign": "c0"}).to_line().encode("utf-8")
+    with open(path, "wb") as handle:
+        handle.write(first[:-1])
+    followers = [JournalCursor(path), JournalCursor(path, observing=True)]
+    for cursor in followers:
+        assert cursor.advance().campaign == {"campaign": "c0"}
+    with open(path, "ab") as handle:
+        handle.write(b"{")                      # a copy tool: no repair first
+    with CampaignJournal(path, fsync=False) as writer:
+        writer.append("campaign_start", {"campaign": "c1"})
+    assert os.path.getsize(path) == len(first)
+    for cursor in followers:
+        assert cursor.advance() == _from_scratch(path, cursor.observing)
+        assert cursor.advance().campaign == {"campaign": "c1"}
+        cursor.close()

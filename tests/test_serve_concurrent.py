@@ -215,6 +215,52 @@ class TestJournalStates:
             assert payload["scenarios_completed"] == 2
             assert {row["cca"] for row in payload["rows"]} == {"reno", "cubic"}
 
+    def test_a_mounted_dashboard_follows_the_journal_through_every_state(self, tmp_path):
+        """One server, one journal cursor, and the file changes under it the
+        ways a live campaign changes it: a half-written append, its second
+        half, another process's compaction, a shorter half-copied overwrite, a
+        longer one.
+        Every poll answers from the file's current bytes, and the dashboard
+        creates, locks and repairs nothing."""
+        corpus_dir = tmp_path / "followed"
+        corpus_dir.mkdir()
+        path = write_journal(corpus_dir, [
+            make_record(1, "campaign_start", {"spec": {"name": "t"}}),
+            make_record(2, "scenario_complete", outcome_data("reno/traffic/throughput/base")),
+        ])
+
+        def poll(server):
+            before = snapshot_dir(corpus_dir)
+            _, _, body = fetch_raw(server, "/api/rankings")
+            rankings = json.loads(body)
+            _, _, body = fetch_raw(server, "/api/coverage")
+            sources = json.loads(body)["sources"]
+            assert snapshot_dir(corpus_dir) == before
+            return rankings["scenarios_completed"], sources["torn_records"]
+
+        with DashboardServer(str(corpus_dir)) as server:
+            assert poll(server) == (1, 0)
+            line = make_record(
+                3, "scenario_complete", outcome_data("cubic/traffic/throughput/base")
+            ).to_line()
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(line[:40])
+            assert poll(server) == (1, 1)          # torn tail: counted, left unread
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(line[40:])
+            assert poll(server) == (2, 0)          # ... and read whole once complete
+            CampaignJournal(path).compact()        # a new file under the same path
+            assert poll(server) == (2, 0)
+            with open(path, "w", encoding="utf-8") as handle:      # same inode, shorter
+                handle.write("half a copy\n" + line)
+            assert poll(server) == (1, 1)          # interior garbage skipped and counted
+            with open(path, "w", encoding="utf-8") as handle:      # same inode, longer
+                for seq, cca in enumerate(("reno", "cubic", "bbr"), start=1):
+                    handle.write(make_record(
+                        seq, "scenario_complete", outcome_data(f"{cca}/traffic/throughput/base")
+                    ).to_line())
+            assert poll(server) == (3, 0)          # the line last read is gone: read afresh
+
     def test_stale_epoch_records_are_fenced(self, tmp_path):
         """A zombie worker's post-steal appends must not leak into rankings
         or coverage; they surface only as the fenced-record count."""
