@@ -4,9 +4,11 @@ The serving story behind the dashboard is that replaying a stored attack is
 a one-time cost: the first ``/api/replay`` for an (entry, CCA) pair runs
 real simulations, every later one is a cache lookup plus JSON assembly.
 This harness measures both sides over real HTTP against a live server and
-records the rows in the BENCH output, asserting only the *shape* of the
-result: cached serving must beat cold serving, and cached responses must be
-byte-identical to the cold ones (the determinism contract).
+records the rows in the BENCH output.  What it asserts is counted, not timed
+(a loaded CI host can make any two wall-clock readings cross): the cached
+sweep runs zero simulations, every one of its requests is a cache hit, and
+cached responses are byte-identical to the cold ones (the determinism
+contract).  The timings are printed rows only.
 
 ``-k smoke`` selects the single seconds-scale variant (also run by the CI
 ``dashboard-smoke`` job).
@@ -65,19 +67,22 @@ def replay_sweep(server: DashboardServer, fingerprints) -> tuple:
 
 
 def test_smoke_replay_endpoint_throughput(benchmark, corpus_dir, sim_core_bench):
-    """Cold replays simulate, cached replays don't — and serve faster."""
+    """Cold replays simulate, cached replays don't."""
     with DashboardServer(corpus_dir) as server:
         index = fetch(f"{server.url}/api/corpus")
         fingerprints = [row["fingerprint"] for row in index["rows"]]
         assert fingerprints
 
         cold, cold_elapsed = replay_sweep(server, fingerprints)
+        cold_simulations = server.replay.evaluator.simulations
+        cold_hits = fetch(f"{server.url}/api/replay-stats")["cache"]["hits"]
 
         def cached_sweep():
             return replay_sweep(server, fingerprints)
 
         cached, cached_elapsed = run_once(benchmark, cached_sweep)
         stats = fetch(f"{server.url}/api/replay-stats")
+        cached_simulations = server.replay.evaluator.simulations - cold_simulations
 
     requests = len(cold)
     assert all(not payload["cached"] for payload in cold.values())
@@ -86,11 +91,12 @@ def test_smoke_replay_endpoint_throughput(benchmark, corpus_dir, sim_core_bench)
     for key, payload in cached.items():
         expected = dict(cold[key], cached=True)
         assert payload == expected
-    assert cached_elapsed < cold_elapsed, (
-        f"cached serving ({cached_elapsed:.3f}s) not faster than cold "
-        f"({cold_elapsed:.3f}s)"
-    )
-    assert stats["cache"]["hits"] >= requests
+    # What "cached serving is cheaper" stands on, as counts: the cold sweep
+    # simulated every pair once, the cached sweep simulated nothing and hit
+    # the cache once per request.
+    assert cold_simulations == requests
+    assert cached_simulations == 0
+    assert stats["cache"]["hits"] - cold_hits >= requests
 
     rows = [
         {

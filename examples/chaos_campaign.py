@@ -30,14 +30,11 @@ from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
 from repro.exec import (
     BACKENDS,
     ChaosPlan,
-    EvaluationJob,
     QuarantineStore,
     chaos_injection,
     evaluate_job,
 )
 from repro.obs.status import collect_status
-from repro.scoring.objectives import make_score_function
-from repro.tcp.cca import CCA_FACTORIES
 
 
 def build_spec(args: argparse.Namespace) -> CampaignSpec:
@@ -72,13 +69,7 @@ def verify_healthy_entries(corpus: CorpusStore, quarantined: set) -> int:
         entry = corpus.get(fingerprint)
         if entry.origin != "fuzz" or fingerprint in quarantined:
             continue
-        job = EvaluationJob(
-            CCA_FACTORIES[entry.cca],
-            entry.sim_config().with_overrides(record_series=False),
-            entry.trace,
-            make_score_function(entry.objective, entry.mode),
-        )
-        score, _ = evaluate_job(job)
+        score, _ = evaluate_job(entry.evaluation_job())
         if score.total != entry.score:
             raise AssertionError(
                 f"healthy entry {fingerprint[:12]} drifted under chaos: "

@@ -35,12 +35,19 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
+from ..exec.workers import EvaluationJob
+from ..netsim.simulation import SimulationConfig
 from ..obs.metrics import get_registry
+from ..scoring.objectives import make_score_function
 from ..storage import publish, read_json_object
+from ..tcp.cca import cca_factory
 from ..traces.trace import LinkTrace, LossTrace, PacketTrace, TrafficTrace
 
 #: index.json schema version, bumped on incompatible layout changes.
 CORPUS_SCHEMA = 1
+
+#: Objective assumed for entries that carry none (builtin attacks).
+DEFAULT_OBJECTIVE = "throughput"
 
 _MODE_BY_TYPE = {LinkTrace: "link", TrafficTrace: "traffic", LossTrace: "loss"}
 
@@ -81,21 +88,36 @@ class CorpusEntry:
     def duration(self) -> float:
         return self.trace.duration
 
-    def sim_config(self):
+    def sim_config(self) -> SimulationConfig:
         """The simulation configuration this entry was discovered under.
 
         Falls back to simulator defaults for fields the provenance does not
         record (e.g. imported traces); used by replay and triage so an entry
         is always re-scored like-for-like.
         """
-        from ..netsim.simulation import SimulationConfig
-
         condition = self.condition or {}
         return SimulationConfig(
             duration=self.trace.duration,
             bottleneck_rate_mbps=condition.get("bottleneck_rate_mbps", 12.0),
             queue_capacity=condition.get("queue_capacity", 60),
             propagation_delay=condition.get("propagation_delay", 0.02),
+        )
+
+    def evaluation_job(self, cca: Optional[str] = None) -> EvaluationJob:
+        """The evaluation that re-scores this entry as it was discovered.
+
+        Its own trace under its recorded network condition, scored by its
+        recorded objective, against the CCA it was found with — or against
+        ``cca``, which is what replay varies.  Every re-evaluation of a
+        stored entry (replay, the dashboard, ``map --rebuild``, the chaos
+        checks) builds its job here, so they all land on the cache key
+        discovery used.  Raises ``ValueError`` for an unregistered CCA name.
+        """
+        return EvaluationJob(
+            cca_factory(cca or self.cca),
+            self.sim_config(),
+            self.trace,
+            make_score_function(self.objective or DEFAULT_OBJECTIVE, self.mode),
         )
 
     def to_dict(self) -> Dict[str, Any]:

@@ -17,14 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..exec.backend import EvaluationBackend, SerialBackend
-from ..exec.workers import EvaluationJob
-from ..scoring.objectives import make_score_function
-from ..tcp.cca import cca_factory
-from .corpus import CorpusReader
-
-#: Objective assumed for entries that carry none (builtin attacks).
-DEFAULT_OBJECTIVE = "throughput"
+from ..exec.backend import EvaluationBackend
+from ..exec.batch import Evaluator
+from .corpus import DEFAULT_OBJECTIVE, CorpusReader
 
 
 @dataclass
@@ -114,7 +109,6 @@ def replay_corpus(
     "loss").  The batch goes through the usual evaluation backend, so a
     process pool parallelises large-corpus replays just like a fuzzing run.
     """
-    factory = cca_factory(cca)
     # Mode-filter on the index so non-matching entries' trace files are
     # never read; fingerprint order keeps the report deterministic.
     entries = [
@@ -122,22 +116,7 @@ def replay_corpus(
         for fingerprint, row in sorted(corpus.index_rows().items())
         if mode is None or row["mode"] == mode
     ]
-    jobs = [
-        EvaluationJob(
-            factory,
-            entry.sim_config(),
-            entry.trace,
-            make_score_function(entry.objective or DEFAULT_OBJECTIVE, entry.mode),
-        )
-        for entry in entries
-    ]
-    owns_backend = backend is None
-    backend = backend or SerialBackend()
-    try:
-        outcomes = backend.evaluate_batch(jobs)
-    finally:
-        if owns_backend:
-            backend.close()
+    outcomes = Evaluator(backend).evaluate([entry.evaluation_job(cca) for entry in entries])
     rows = [
         ReplayRow(
             fingerprint=entry.fingerprint,

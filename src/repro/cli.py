@@ -24,7 +24,7 @@ import json
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .analysis.metrics import compute_metrics
 from .analysis.reporting import (
@@ -56,9 +56,10 @@ from .coverage import (
     BehaviorArchive,
     BehaviorSignature,
     diff_archives,
-    extract_signature,
+    signature_from_summary,
 )
 from .exec.backend import BACKENDS, create_backend
+from .exec.batch import Evaluator
 from .journal import CampaignJournal
 from .netsim.simulation import SimulationConfig, run_simulation
 from .obs import (
@@ -86,11 +87,6 @@ from .triage import (
     triage_corpus,
     triage_trace,
 )
-
-
-def _cca_factories() -> Dict[str, Callable]:
-    """The shared CCA-variant registry (kept as a function for back-compat)."""
-    return dict(CCA_FACTORIES)
 
 
 # --------------------------------------------------------------------------- #
@@ -131,7 +127,7 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
         "--workers",
         type=int,
         default=None,
-        help="worker pool size for thread/process backends (default: one per CPU)",
+        help="worker pool size for the process backend (default: one per CPU)",
     )
     parser.add_argument(
         "--no-cache",
@@ -689,26 +685,23 @@ def coverage_main(argv: Optional[List[str]] = None) -> int:
 
 
 def _rebuild_corpus_coverage(corpus_dir: str, console: Console) -> BehaviorArchive:
-    """Re-simulate a corpus to refresh behavior annotations + the map."""
-    from .exec.workers import simulate_packet_trace
-
+    """Re-evaluate a corpus to refresh behavior annotations + the map."""
     store = CorpusStore(corpus_dir)
     archive = BehaviorArchive()
-    skipped = 0
-    for entry in store.entries():
-        if not entry.cca:
-            # No recorded discovery CCA (builtin attacks, imports) means no
-            # discovery-time behavior to reproduce; annotating such entries
-            # with an arbitrary CCA's behavior would invent coverage no
-            # fuzzing run produced.
-            skipped += 1
+    # No recorded discovery CCA (builtin attacks, imports) means no
+    # discovery-time behavior to reproduce; annotating such entries with an
+    # arbitrary CCA's behavior would invent coverage no fuzzing run produced.
+    entries = [entry for entry in store.entries() if entry.cca]
+    skipped = len(store) - len(entries)
+    # The jobs are the ones discovery ran, so the outcomes carry the
+    # discovery-time signatures: rebuilding an unchanged corpus leaves every
+    # annotation as it was.
+    outcomes = Evaluator().evaluate([entry.evaluation_job() for entry in entries])
+    for entry, (_, summary) in zip(entries, outcomes):
+        signature = signature_from_summary(summary)
+        if signature is None:
+            console.status(f"evaluation of {entry.fingerprint[:12]} failed; annotation kept")
             continue
-        # record_series=False matches the fuzzing evaluations the original
-        # annotations came from, so a rebuild of an unchanged corpus
-        # reproduces the discovery-time signatures bit-for-bit.
-        sim_config = entry.sim_config().with_overrides(record_series=False)
-        result = simulate_packet_trace(CCA_FACTORIES[entry.cca], sim_config, entry.trace)
-        signature = extract_signature(result)
         store.annotate_behavior(entry.fingerprint, signature.to_dict())
         archive.observe(
             signature,
@@ -746,7 +739,7 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
         help="evaluation backend for the replay endpoint",
     )
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker count for thread/process replay backends")
+                        help="worker count for the process replay backend")
     parser.add_argument(
         "--http-log", action="store_true",
         help="log each HTTP request to stderr",

@@ -28,10 +28,10 @@ from ..obs.metrics import get_registry
 from ..coverage.archive import BehaviorArchive
 from ..coverage.guidance import GUIDANCE_MODES, make_guidance
 from ..coverage.signature import signature_from_summary
-from ..exec.backend import BACKENDS, EvaluationBackend, SerialBackend, create_backend
+from ..exec.backend import BACKENDS, EvaluationBackend, create_backend
+from ..exec.batch import Evaluator, evaluate_coalesced
+from ..exec.cache import TraceCache, factory_identity, job_cache_key
 from ..exec.faults import FaultPolicy
-from ..exec.batch import evaluate_coalesced
-from ..exec.cache import TraceCache, cca_identity, make_cache_key
 from ..exec.workers import EvaluationJob, EvaluationOutcome, simulate_packet_trace
 from ..netsim.simulation import CcaFactory, SimulationConfig, SimulationResult
 from ..scoring.base import Score, ScoreFunction
@@ -54,7 +54,7 @@ MODES = ("link", "traffic", "loss")
 
 #: Signature for a custom evaluator (used by tests and ablations to bypass the
 #: simulator): returns the fitness and a small result summary.
-Evaluator = Callable[[PacketTrace], Tuple[Score, Dict[str, object]]]
+ExternalEvaluator = Callable[[PacketTrace], Tuple[Score, Dict[str, object]]]
 
 ProgressCallback = Callable[[GenerationStats], None]
 
@@ -203,16 +203,15 @@ class CCFuzz:
     Each generation the fuzzer gathers **every** unevaluated individual
     across **all** islands into one batch, then:
 
-    1. looks each trace up in the :class:`~repro.exec.TraceCache` by
-       ``(trace fp, cca identity, sim-config fp, score-function fp)`` — elites,
-       migrants and duplicate offspring resolve here without a simulation,
-       and identical traces within the batch are coalesced into one job;
-    2. hands the cache misses to the configured
-       :class:`~repro.exec.EvaluationBackend` (``serial`` or
-       ``process``) as :class:`~repro.exec.EvaluationJob` objects, which the
-       backend may execute in any order but must return in input order;
-    3. writes the ``(Score, summary)`` outcomes back onto the individuals
-       and into the cache.
+    1. wraps each trace in an :class:`~repro.exec.EvaluationJob` and hands the
+       batch to the run's :class:`~repro.exec.Evaluator`, which looks each
+       job up in the :class:`~repro.exec.TraceCache` — elites, migrants and
+       duplicate offspring resolve there without a simulation, and identical
+       traces within the batch are coalesced into one job — and runs the
+       misses on the configured :class:`~repro.exec.EvaluationBackend`
+       (``serial`` or ``process``), which may execute in any order but must
+       return in input order;
+    2. writes the ``(Score, summary)`` outcomes back onto the individuals.
 
     Results are bit-identical across backends for a fixed seed: the
     simulator consumes no randomness, and all mutation/crossover/selection
@@ -230,7 +229,7 @@ class CCFuzz:
         config: Optional[FuzzConfig] = None,
         score_function: Optional[ScoreFunction] = None,
         seed_traces: Optional[Sequence[PacketTrace]] = None,
-        evaluator: Optional[Evaluator] = None,
+        evaluator: Optional[ExternalEvaluator] = None,
         backend: Optional[EvaluationBackend] = None,
         cache: Optional[TraceCache] = None,
         archive: Optional[BehaviorArchive] = None,
@@ -260,7 +259,6 @@ class CCFuzz:
         # An injected backend/cache overrides the config; an injected backend
         # is owned by the caller and is not closed after run().
         self._injected_backend = backend
-        self._active_backend: Optional[EvaluationBackend] = None
         if cache is not None:
             self.cache = cache
         elif evaluator is not None:
@@ -276,7 +274,6 @@ class CCFuzz:
         else:
             self.cache = None
         self._cca_name: Optional[str] = None
-        self._cca_key: Optional[str] = None
         self._sim_fingerprint = self.config.sim.fingerprint()
         # External evaluators have no introspectable scoring config; callers
         # opting into a cache with one are asserting it is pure.
@@ -365,9 +362,7 @@ class CCFuzz:
         so a cache shared across runs never serves one variant's scores to
         another.
         """
-        if self._cca_key is None:
-            self._cca_key = cca_identity(self.cca_factory())
-        return self._cca_key
+        return factory_identity(self.cca_factory)
 
     def simulate_trace(self, trace: PacketTrace) -> SimulationResult:
         """Run the CCA under test against a single trace."""
@@ -378,20 +373,12 @@ class CCFuzz:
         individual.score = score
         individual.result_summary = dict(summary)
 
-    def _execute_batch(self, traces: Sequence[PacketTrace]) -> List[EvaluationOutcome]:
-        """Run the given traces through the evaluator or the active backend."""
-        if self._external_evaluator is not None:
-            # External evaluators are arbitrary closures: not picklable, so
-            # they always run inline regardless of the configured backend.
-            return [self._external_evaluator(trace) for trace in traces]
-        jobs = [
-            EvaluationJob(self.cca_factory, self.config.sim, trace, self.score_function)
-            for trace in traces
-        ]
-        backend = self._active_backend or SerialBackend()
-        return backend.evaluate_batch(jobs)
+    def _run_external(self, jobs: Sequence[EvaluationJob]) -> List[EvaluationOutcome]:
+        return [self._external_evaluator(job.trace) for job in jobs]
 
-    def _evaluate_generation(self, model: IslandModel, generation: int) -> Tuple[int, int]:
+    def _evaluate_generation(
+        self, evaluator: Evaluator, model: IslandModel, generation: int
+    ) -> Tuple[int, int]:
         """Evaluate every pending individual across all islands in one batch.
 
         Returns ``(simulations_run, cache_hits)``.
@@ -399,20 +386,22 @@ class CCFuzz:
         pending = [ind for island in model.islands for ind in island.unevaluated()]
         if not pending:
             return 0, 0
-        keys = None
-        if self.cache is not None:
-            keys = [
-                make_cache_key(
-                    individual.trace.fingerprint(),
-                    self.cca_key,
-                    self._sim_fingerprint,
-                    self._score_fingerprint,
-                )
-                for individual in pending
-            ]
-        outcomes, simulations, hits = evaluate_coalesced(
-            [ind.trace for ind in pending], keys, self._execute_batch, self.cache
-        )
+        jobs = [
+            EvaluationJob(self.cca_factory, self.config.sim, ind.trace, self.score_function)
+            for ind in pending
+        ]
+        if self._external_evaluator is None:
+            outcomes, simulations, hits = evaluator.evaluate_counted(jobs)
+        else:
+            # External evaluators are arbitrary closures over a trace: not
+            # picklable, so they always run inline, and keyed only when the
+            # caller opted into a cache.
+            keys = None
+            if self.cache is not None:
+                keys = [job_cache_key(job, self._score_fingerprint) for job in jobs]
+            outcomes, simulations, hits = evaluate_coalesced(
+                jobs, keys, self._run_external, self.cache
+            )
         for individual, (score, summary) in zip(pending, outcomes):
             self._apply_outcome(individual, score, summary)
             self._observe_behavior(individual, generation)
@@ -777,7 +766,7 @@ class CCFuzz:
             generation = 0
             converged = False
         backend, owns_backend = self._make_backend()
-        self._active_backend = backend
+        evaluator = Evaluator(backend, self.cache)
         try:
             if resume_from is not None and not converged:
                 # The checkpoint was taken right after evaluating
@@ -789,7 +778,7 @@ class CCFuzz:
                 # generation (hundreds of simulations), observational only.
                 generation_started = time.perf_counter()
                 prior_cells = self.new_cells
-                evaluations, cache_hits = self._evaluate_generation(model, generation)
+                evaluations, cache_hits = self._evaluate_generation(evaluator, model, generation)
                 registry = get_registry()
                 registry.inc("fuzzer.generations")
                 registry.inc("fuzzer.evaluations", evaluations)
@@ -808,7 +797,6 @@ class CCFuzz:
                 if not converged:
                     generation = self._advance(model, generation)
         finally:
-            self._active_backend = None
             if owns_backend and backend is not None:
                 backend.close()
 

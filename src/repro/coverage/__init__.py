@@ -4,9 +4,9 @@ This subsystem turns every simulation the fuzzer already runs into *search
 signal about behavioral diversity*:
 
 * :mod:`signature` — extract a deterministic :class:`BehaviorSignature`
-  (state-machine transition multiset, quantized trajectory shape, episode
-  buckets, stall class, goodput bucket) from each simulation, cheaply and
-  with ``record_series=False``;
+  (state-machine transition multiset, quantized egress-rate shape, episode
+  buckets, stall class, goodput bucket) from each simulation's streaming
+  counters;
 * :mod:`archive` — a MAP-Elites :class:`BehaviorArchive` mapping descriptor
   cells to the best trace seen in each behavioral regime, serializable
   into a campaign corpus directory;

@@ -6,15 +6,16 @@ The :class:`BehaviorSignature` captures the *mechanism* of a run instead:
 
 * the CCA state-machine **transition multiset** (from the uniform
   ``diagnostics()`` counters every registered algorithm maintains),
-* a quantized **trajectory shape** (cwnd when the run recorded series,
-  otherwise the windowed egress rate — both 8 windows × 5 levels),
+* a quantized **trajectory shape** (the windowed egress rate, 8 windows × 5
+  levels),
 * bucketed **episode counts** (loss events, RTOs, recovery entries),
 * a **stall class** derived from the longest delivery gap, and
 * a **goodput bucket** (utilization in tenths).
 
 Everything is computed from streaming monitor counters and aggregate
-diagnostics, so extraction costs O(delivered packets) at worst and works
-with ``record_series=False`` (the fuzzing default).
+diagnostics — never from recorded per-ACK series — so extraction costs
+O(delivered packets) at worst and a run's signature does not depend on what
+else the run was asked to record.
 
 Two projections matter:
 
@@ -93,31 +94,15 @@ def _quantize_shape(values, ceiling: float) -> str:
 
 
 def _trajectory_shape(result: SimulationResult) -> str:
-    """Quantized cwnd-trajectory shape (egress-rate shape without series).
+    """Quantized delivery silhouette of the run.
 
-    With ``record_series=True`` the sender's cwnd series is windowed into
-    per-window means normalised by the run's cwnd maximum.  Fuzzing runs
-    record no series, so they use the windowed egress rate normalised by the
-    bottleneck rate instead — the delivery-side silhouette of the same
-    trajectory, available from the streaming monitor.
+    The windowed egress rate normalised by the bottleneck rate: the
+    delivery-side outline of the cwnd trajectory, available from the
+    streaming monitor in every run.
     """
     duration = result.duration
-    window = duration / SHAPE_WINDOWS
-    cwnd_series = getattr(result.sender_stats, "cwnd_series", None)
-    if cwnd_series:
-        sums = [0.0] * SHAPE_WINDOWS
-        counts = [0] * SHAPE_WINDOWS
-        peak = 0.0
-        for when, cwnd in cwnd_series:
-            index = min(int(when / window), SHAPE_WINDOWS - 1)
-            sums[index] += cwnd
-            counts[index] += 1
-            if cwnd > peak:
-                peak = cwnd
-        means = [sums[i] / counts[i] if counts[i] else 0.0 for i in range(SHAPE_WINDOWS)]
-        return _quantize_shape(means, peak)
     rates = [rate for _, rate in result.monitor.windowed_rate(
-        CCA_FLOW, window, duration, result.config.mss_bytes
+        CCA_FLOW, duration / SHAPE_WINDOWS, duration, result.config.mss_bytes
     )][:SHAPE_WINDOWS]
     rates += [0.0] * (SHAPE_WINDOWS - len(rates))
     return _quantize_shape(rates, result.config.bottleneck_rate_mbps)

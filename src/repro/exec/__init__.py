@@ -20,8 +20,16 @@ from .backend import (
     SerialBackend,
     create_backend,
 )
-from .batch import evaluate_coalesced
-from .cache import OUTCOME_SCHEMA, CacheKey, TraceCache, cca_identity, make_cache_key
+from .batch import Evaluator, evaluate_coalesced
+from .cache import (
+    OUTCOME_SCHEMA,
+    CacheKey,
+    TraceCache,
+    cca_identity,
+    factory_identity,
+    job_cache_key,
+    make_cache_key,
+)
 from .chaos import CHAOS_KINDS, ChaosPlan, active_plan, chaos_injection, clear_chaos, install_chaos
 from .faults import (
     FAILURE_KINDS,
@@ -45,6 +53,7 @@ __all__ = [
     "EvaluationFailure",
     "EvaluationJob",
     "EvaluationOutcome",
+    "Evaluator",
     "FAILURE_KINDS",
     "FaultPolicy",
     "OUTCOME_SCHEMA",
@@ -63,10 +72,12 @@ __all__ = [
     "create_backend",
     "evaluate_coalesced",
     "evaluate_job",
+    "factory_identity",
     "failure_from_summary",
     "failure_outcome",
     "guarded_evaluate",
     "install_chaos",
+    "job_cache_key",
     "make_cache_key",
     "read_quarantine_entries",
     "simulate_packet_trace",

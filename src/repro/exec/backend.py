@@ -39,7 +39,7 @@ import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import get_registry
-from .cache import cca_identity
+from .cache import factory_identity
 from .chaos import active_plan
 from .faults import (
     EvaluationFailure,
@@ -116,15 +116,11 @@ class EvaluationBackend(abc.ABC):
         if store is None or len(store) == 0:
             return {}
         blocked: Dict[int, EvaluationOutcome] = {}
-        identities: Dict[int, str] = {}  # CCA identity per factory, per batch
         for index, job in enumerate(jobs):
-            cca = identities.get(id(job.cca_factory))
-            if cca is None:
-                try:
-                    cca = cca_identity(job.cca_factory())
-                except Exception:
-                    continue  # a crashing factory fails during execution instead
-                identities[id(job.cca_factory)] = cca
+            try:
+                cca = factory_identity(job.cca_factory)
+            except Exception:
+                continue  # a crashing factory fails during execution instead
             entry = store.find(job_fingerprint(job), cca)
             if entry is None:
                 continue

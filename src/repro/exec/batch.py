@@ -11,9 +11,13 @@ a batch against a :class:`TraceCache` with exact accounting:
   (:meth:`TraceCache.record_coalesced_hit`), and
 * only the remaining misses are handed to ``execute``.
 
-Both the GA (:class:`~repro.core.fuzzer.CCFuzz`) and the triage engines
-funnel their evaluations through this one function, so "simulations run" and
-"cache hits" mean exactly the same thing everywhere.
+:class:`Evaluator` is the one path from a batch of
+:class:`~repro.exec.workers.EvaluationJob` to its outcomes — key each job
+(:func:`~repro.exec.cache.job_cache_key`), resolve through the cache, run the
+misses on a backend — and every producer of a score or a behavior signature
+(the GA, the triage engines, corpus replay, the dashboard's replay endpoint,
+``repro-coverage map --rebuild``) calls it, so "simulations run" and "cache
+hits" mean exactly the same thing everywhere.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
-from .cache import CacheKey, TraceCache
-from .workers import EvaluationOutcome
+from .backend import EvaluationBackend, SerialBackend
+from .cache import CacheKey, TraceCache, job_cache_key
+from .workers import EvaluationJob, EvaluationOutcome
 
 Item = TypeVar("Item")
 
@@ -72,3 +77,39 @@ def evaluate_coalesced(
             for index in group:
                 resolved[index] = (score, dict(summary))
     return resolved, len(miss_groups), hits  # type: ignore[return-value]
+
+
+class Evaluator:
+    """Evaluates job batches through a backend and an optional cache.
+
+    The backend is caller-owned (never closed here), so one pool can serve a
+    whole session — GA generations, minimization rounds, the perturbation
+    matrix, a corpus replay — and with a shared cache none of them
+    re-simulates what another already scored.
+    """
+
+    def __init__(
+        self,
+        backend: Optional[EvaluationBackend] = None,
+        cache: Optional[TraceCache] = None,
+    ) -> None:
+        self.backend = backend or SerialBackend()
+        self.cache = cache
+        self.simulations = 0
+        self.cache_hits = 0
+
+    def evaluate_counted(
+        self, jobs: Sequence[EvaluationJob]
+    ) -> Tuple[List[EvaluationOutcome], int, int]:
+        """``(outcomes, simulations, hits)`` for this batch, in input order."""
+        keys = None if self.cache is None else [job_cache_key(job) for job in jobs]
+        outcomes, simulations, hits = evaluate_coalesced(
+            jobs, keys, self.backend.evaluate_batch, self.cache
+        )
+        self.simulations += simulations
+        self.cache_hits += hits
+        return outcomes, simulations, hits
+
+    def evaluate(self, jobs: Sequence[EvaluationJob]) -> List[EvaluationOutcome]:
+        """Evaluate jobs in input order, serving repeats from the cache."""
+        return self.evaluate_counted(jobs)[0]

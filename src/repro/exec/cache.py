@@ -21,13 +21,14 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import threading
+import weakref
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..netsim.simulation import SimulationConfig
+from ..netsim.simulation import CcaFactory
 from ..obs.metrics import get_registry
 from ..scoring.base import Score, stable_state
-from ..traces.trace import PacketTrace
+from .workers import EvaluationJob
 
 #: Version of the cached *value* layout.  v2 outcomes carry ``episodes`` and
 #: ``behavior_signature`` in the summary; folding the version into every key
@@ -45,11 +46,9 @@ def make_cache_key(
 ) -> CacheKey:
     """Assemble a cache key from precomputed fingerprints.
 
-    The single place that knows the key layout: every producer (the fuzzer,
-    triage's :class:`~repro.triage.evaluation.BatchEvaluator`,
-    :meth:`TraceCache.make_key`) routes through here, so a future layout or
-    schema change cannot leave one call site mixing layouts in a shared
-    cache.
+    The single place that knows the key layout; :func:`job_cache_key` is its
+    one producer, so a future layout or schema change cannot leave a call
+    site mixing layouts in a shared cache.
     """
     return (OUTCOME_SCHEMA, trace_fingerprint, cca_key, sim_fingerprint, score_fingerprint)
 
@@ -66,6 +65,47 @@ def cca_identity(cca: Any) -> str:
     canonical = stable_state(cca, depth=1)
     digest = hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).hexdigest()
     return f"{cca.name}:{digest}"
+
+
+#: factory -> identity of the instances it builds.  Weak keys: a discarded
+#: ``partial`` takes its entry with it.
+_FACTORY_IDENTITIES: "weakref.WeakKeyDictionary[CcaFactory, str]" = weakref.WeakKeyDictionary()
+
+
+def factory_identity(cca_factory: CcaFactory) -> str:
+    """:func:`cca_identity` of what ``cca_factory`` builds, constructed once.
+
+    A factory is the unit every evaluation names its CCA by, and it always
+    builds the same variant, so its identity is computed on first use and
+    remembered for the life of the factory object.
+    """
+    try:
+        identity = _FACTORY_IDENTITIES.get(cca_factory)
+    except TypeError:  # unhashable / not weak-referenceable: just compute
+        return cca_identity(cca_factory())
+    if identity is None:
+        identity = _FACTORY_IDENTITIES[cca_factory] = cca_identity(cca_factory())
+    return identity
+
+
+def job_cache_key(job: EvaluationJob, score_fingerprint: Optional[str] = None) -> CacheKey:
+    """The cache key of one :class:`~repro.exec.workers.EvaluationJob`.
+
+    The one derivation of "what fixes an outcome": the trace, the CCA the
+    factory builds, the simulation config and the score function, each by
+    its own memoized fingerprint.  ``score_fingerprint`` stands in for the
+    job's score function when the score comes from somewhere else (the
+    fuzzer's external-evaluator hook).
+    """
+    if score_fingerprint is None:
+        score_fingerprint = job.score_function.fingerprint()
+    return make_cache_key(
+        job.trace.fingerprint(),
+        factory_identity(job.cca_factory),
+        job.sim_config.fingerprint(),
+        score_fingerprint,
+    )
+
 
 #: Cached value: the score plus the result summary dict.
 CachedOutcome = Tuple[Score, Dict[str, Any]]
@@ -109,23 +149,6 @@ class TraceCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    # ------------------------------------------------------------------ #
-    # Keys
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def make_key(
-        trace: PacketTrace,
-        cca_key: str,
-        sim_config: SimulationConfig,
-        score_key: str = "",
-    ) -> CacheKey:
-        """Build a key; ``cca_key`` should come from :func:`cca_identity` and
-        ``score_key`` from :meth:`ScoreFunction.fingerprint`."""
-        return make_cache_key(
-            trace.fingerprint(), cca_key, sim_config.fingerprint(), score_key
-        )
 
     # ------------------------------------------------------------------ #
     # Lookup / insertion

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..scoring.base import Score
-from .cache import cca_identity
+from .cache import factory_identity
 from .workers import EvaluationJob, EvaluationOutcome, evaluate_job
 
 #: All values ``EvaluationFailure.kind`` may take.
@@ -136,7 +136,7 @@ def job_fingerprint(job: EvaluationJob) -> str:
 def job_cca(job: EvaluationJob) -> str:
     """The CCA identity recorded in failure provenance."""
     try:
-        return cca_identity(job.cca_factory())
+        return factory_identity(job.cca_factory)
     except Exception:  # the factory itself may be the thing that crashes
         return "unknown"
 

@@ -8,7 +8,7 @@ source), per-flow monitoring and the :func:`run_simulation` entry point.
 from .crosstraffic import CrossTrafficSource
 from .engine import EventHandle, EventScheduler, FifoLane, LazyTimer
 from .link import FixedRateLink, TraceDrivenLink, mbps_to_pps, pps_to_mbps
-from .monitor import FlowMonitor, PacketRecord
+from .monitor import FlowMonitor
 from .packet import AckPacket, CCA_FLOW, CROSS_FLOW, DEFAULT_MSS, Packet, SackBlock
 from .queue import DropTailQueue
 from .simulation import SimulationConfig, SimulationResult, run_simulation
@@ -29,7 +29,6 @@ __all__ = [
     "FlowMonitor",
     "LazyTimer",
     "Packet",
-    "PacketRecord",
     "SackBlock",
     "SimulationConfig",
     "SimulationResult",

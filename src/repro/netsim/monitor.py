@@ -9,44 +9,18 @@ paper plots: ingress/egress rates (Fig. 4a/4b), per-packet queueing delay
 The collection path is streaming: per-flow append-only columnar accumulators
 (parallel lists of times and flags) and incremental counters are maintained
 as packets flow, so every derived series — ``egress_times``,
-``queueing_delays``, ``windowed_rate``, ``loss_rate`` — is O(flow) to read
-instead of an O(all packets) rescan per call.  The scoring functions call
-several derived series per evaluation, so with the old single-``records``-list
-design each evaluation walked every packet record five-plus times.
-
-The legacy per-packet ``records`` list (and ``flow_records``) survives as a
-lazily materialised compatibility view for analysis code; the derived values
-are bit-identical to the record-scanning implementation.
+``queueing_delays``, ``windowed_rate``, ``loss_rate`` — is O(flow) to read.
+Nothing is kept per packet beyond those columns, and what is collected does
+not depend on ``record_series`` (which only gates the queue-depth samples
+the topology feeds in and the sender's per-ACK series).
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .packet import Packet
-
-
-@dataclass
-class PacketRecord:
-    """One packet's journey through the bottleneck."""
-
-    flow: str
-    seq: int
-    is_retransmit: bool
-    ingress_time: float
-    egress_time: Optional[float] = None      #: arrival at the sink (after propagation)
-    dequeue_time: Optional[float] = None     #: departure from the gateway queue
-    dropped: bool = False
-
-    @property
-    def queueing_delay(self) -> Optional[float]:
-        """Time spent queued at the gateway (None for dropped packets)."""
-        departed = self.dequeue_time if self.dequeue_time is not None else self.egress_time
-        if departed is None:
-            return None
-        return departed - self.ingress_time
 
 
 class _FlowSeries:
@@ -85,39 +59,11 @@ _EMPTY = _FlowSeries()
 class FlowMonitor:
     """Collects packet-level measurements for every flow in a simulation."""
 
-    __slots__ = (
-        "queue_depth",
-        "_flows",
-        "_record_packets",
-        "_ingress_meta",
-        "_egress_info",
-        "_index_by_packet",
-        "_records_cache",
-        "_records_cache_key",
-    )
+    __slots__ = ("queue_depth", "_flows")
 
-    def __init__(self, record_packets: bool = True) -> None:
+    def __init__(self) -> None:
         self.queue_depth: List[Tuple[float, int]] = []
         self._flows: Dict[str, _FlowSeries] = {}
-        # When False (fuzzing runs), skip the global per-packet table that
-        # only backs the ``records`` compatibility view; the streaming
-        # derived series stay fully available.
-        self._record_packets = record_packets
-        # Global per-packet table in ingress order (all flows interleaved) —
-        # the backing store for the ``records`` view.  One
-        # (flow, seq, is_retransmit, ingress_time, dropped) row per ingress;
-        # egress/dequeue times are attached by row index on delivery.
-        self._ingress_meta: List[Tuple[str, int, bool, float, bool]] = []
-        self._egress_info: Dict[int, Tuple[float, Optional[float]]] = {}
-        self._index_by_packet: Dict[int, int] = {}
-        self._records_cache: List[PacketRecord] = []
-        self._records_cache_key: Tuple[int, int] = (0, 0)
-
-    def _series(self, flow: str) -> _FlowSeries:
-        series = self._flows.get(flow)
-        if series is None:
-            series = self._flows[flow] = _FlowSeries()
-        return series
 
     def on_ingress(self, packet: Packet, now: float, admitted: bool) -> None:
         """Record a packet arriving at the gateway (admitted or dropped)."""
@@ -128,31 +74,15 @@ class FlowMonitor:
         series.ingress_times.append(now)
         if not admitted:
             series.dropped += 1
-        if self._record_packets:
-            if admitted:
-                self._index_by_packet[packet.packet_id] = len(self._ingress_meta)
-            self._ingress_meta.append(
-                (packet.flow, packet.seq, packet.is_retransmit, now, not admitted)
-            )
 
     def on_egress(self, packet: Packet, now: float) -> None:
         """Record a packet leaving the bottleneck link."""
-        dequeue_time = packet.dequeue_time
-        if self._record_packets:
-            index = self._index_by_packet.get(packet.packet_id)
-            if index is None:
-                return
-            self._egress_info[index] = (now, dequeue_time)
-            ingress_time = self._ingress_meta[index][3]
-        else:
-            # The queue admission stamp doubles as the ingress time (both are
-            # taken at the same instant); packets that never reached the
-            # gateway carry no stamp and are ignored, matching the
-            # record-backed path.
-            stamp = packet.enqueue_time
-            if stamp is None:
-                return
-            ingress_time = stamp
+        # The queue admission stamp is the ingress time (both are taken at
+        # the same instant); packets that never reached the gateway carry no
+        # stamp and are ignored.
+        ingress_time = packet.enqueue_time
+        if ingress_time is None:
+            return
         series = self._flows.get(packet.flow)
         if series is None:
             return
@@ -166,53 +96,12 @@ class FlowMonitor:
             if gap > series.max_inner_gap:
                 series.max_inner_gap = gap
         series.last_egress = now
+        dequeue_time = packet.dequeue_time
         departed = dequeue_time if dequeue_time is not None else now
         series.delay_pairs.append((now, departed - ingress_time))
 
     def on_queue_sample(self, now: float, depth: int) -> None:
         self.queue_depth.append((now, depth))
-
-    # ------------------------------------------------------------------ #
-    # Legacy per-packet record view
-    # ------------------------------------------------------------------ #
-
-    @property
-    def records(self) -> List[PacketRecord]:
-        """Per-packet records in ingress order (compatibility view).
-
-        Materialised lazily from the columnar store and cached until new
-        ingress/egress events arrive.  Mutating the returned records does not
-        affect the monitor.
-        """
-        if not self._record_packets:
-            raise RuntimeError(
-                "per-packet records were not collected (record_series=False); "
-                "re-run with record_series=True to use the records view"
-            )
-        key = (len(self._ingress_meta), len(self._egress_info))
-        if key != self._records_cache_key:
-            egress_info = self._egress_info
-            none_pair = (None, None)
-            records = []
-            for index, (flow, seq, retx, ingress, dropped) in enumerate(self._ingress_meta):
-                egress, dequeue = egress_info.get(index, none_pair)
-                records.append(
-                    PacketRecord(
-                        flow=flow,
-                        seq=seq,
-                        is_retransmit=retx,
-                        ingress_time=ingress,
-                        egress_time=egress,
-                        dequeue_time=dequeue,
-                        dropped=dropped,
-                    )
-                )
-            self._records_cache = records
-            self._records_cache_key = key
-        return self._records_cache
-
-    def flow_records(self, flow: str) -> List[PacketRecord]:
-        return [r for r in self.records if r.flow == flow]
 
     # ------------------------------------------------------------------ #
     # Derived series
@@ -286,8 +175,7 @@ class FlowMonitor:
         Includes the leading gap (start of run to first delivery) and the
         trailing gap (last delivery to end of run); a flow that never
         delivers anything stalls for the whole ``duration``.  Maintained
-        incrementally from the egress stream, so reading it is O(1) and it
-        stays available with ``record_series=False``.
+        incrementally from the egress stream, so reading it is O(1).
         """
         series = self._flows.get(flow, _EMPTY)
         if series.last_egress is None:

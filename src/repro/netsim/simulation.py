@@ -3,8 +3,7 @@
 ``run_simulation`` builds the paper's dumbbell topology, runs the flow under
 test against a link trace or cross-traffic trace, and returns a
 :class:`SimulationResult` with everything the scoring functions and analysis
-need: per-packet records, windowed throughput, queueing delays and the
-sender/CCA internals.
+need: windowed throughput, queueing delays and the sender/CCA internals.
 """
 
 from __future__ import annotations

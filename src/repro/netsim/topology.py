@@ -48,11 +48,11 @@ class DumbbellTopology:
         self.duration = duration
         self.mss_bytes = mss_bytes
         self.propagation_delay = propagation_delay
-        # record_series=False (fuzzing) skips every series no evaluation
-        # reads: per-packet records, queue-depth samples and the sender's
-        # cwnd/pacing/RTT series.  The monitor's derived series — what the
-        # scoring functions consume — are always collected.
-        self.monitor = FlowMonitor(record_packets=record_series)
+        # record_series=False (fuzzing) skips the series no evaluation
+        # reads: queue-depth samples and the sender's cwnd/pacing/RTT series.
+        # The monitor's derived series — what the scoring functions and
+        # behavior signatures consume — are always collected.
+        self.monitor = FlowMonitor()
 
         self.queue = DropTailQueue(
             capacity_packets=queue_capacity, sample_depth=record_series

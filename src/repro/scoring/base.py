@@ -117,10 +117,18 @@ class ScoreFunction:
 
         Part of every evaluation-cache key: two runs sharing a cache but
         scoring differently (other components, other weights) must never be
-        served each other's fitness values.
+        served each other's fitness values.  Computed once per object —
+        score functions are treated as immutable once built, and the cache
+        rebuilds its key per lookup.
         """
-        canonical = stable_state(self, depth=3)
-        return hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).hexdigest()
+        cached = self.__dict__.get("_fingerprint_cache")
+        if cached is None:
+            # Hashed before the memo attribute exists, so it is not part of
+            # the state it fingerprints.
+            canonical = stable_state(self, depth=3)
+            cached = hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).hexdigest()
+            self._fingerprint_cache = cached
+        return cached
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         trace_name = self.trace.name if self.trace is not None else "none"

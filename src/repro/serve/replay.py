@@ -3,20 +3,16 @@
 The ROADMAP frames "serving cached replay results at scale" as the heavy
 traffic story; this module is that serving path.  A replay request scores a
 stored corpus entry against any registered CCA **exactly** like
-:func:`repro.campaign.replay.replay_corpus` does — same
-``entry.sim_config()``, same score function for the entry's recorded
-objective and mode, same :class:`~repro.exec.workers.EvaluationJob` through
-the same :class:`~repro.exec.backend.EvaluationBackend` — so an HTTP replay
-score is bit-identical to the CLI's (the simulator is deterministic and the
-evaluation path is shared, not re-implemented).
+:func:`repro.campaign.replay.replay_corpus` does — the same
+:meth:`~repro.campaign.corpus.CorpusEntry.evaluation_job` through the same
+:class:`~repro.exec.Evaluator` — so an HTTP replay score is bit-identical to
+the CLI's (the simulator is deterministic and the evaluation path is shared,
+not re-implemented).
 
-Results memoize in a shared thread-safe :class:`~repro.exec.cache.TraceCache`
-keyed by the standard ``(schema, trace, cca, sim config, score fn)``
-fingerprints, with lookups resolved through
-:func:`~repro.exec.batch.evaluate_coalesced` — the one cache-accounting
-choke point every other evaluator already uses.  Repeat requests (any
-dashboard user clicking the same attack) are pure cache hits that never
-touch the simulator.
+Results memoize in the evaluator's thread-safe
+:class:`~repro.exec.cache.TraceCache` under the standard job key.  Repeat
+requests (any dashboard user clicking the same attack) are pure cache hits
+that never touch the simulator.
 
 Derived plotting series (windowed throughput for sparklines) need the full
 :class:`~repro.netsim.simulation.SimulationResult`, which the evaluation
@@ -28,16 +24,13 @@ Determinism makes that series exactly the one the scored run produced.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from ..campaign.corpus import CorpusEntry, CorpusReader, read_corpus_index
-from ..campaign.replay import DEFAULT_OBJECTIVE
-from ..exec.backend import EvaluationBackend, SerialBackend
-from ..exec.batch import evaluate_coalesced
-from ..exec.cache import CacheKey, TraceCache, cca_identity, make_cache_key
+from ..campaign.corpus import DEFAULT_OBJECTIVE, CorpusEntry, CorpusReader, read_corpus_index
+from ..exec.backend import EvaluationBackend
+from ..exec.batch import Evaluator
+from ..exec.cache import TraceCache
 from ..exec.workers import EvaluationJob, simulate_packet_trace
-from ..scoring.objectives import make_score_function
-from ..tcp.cca import cca_factory
 
 #: Averaging window for the throughput sparkline series (seconds).
 SERIES_WINDOW_S = 0.25
@@ -53,41 +46,22 @@ class ReplayService:
         cache: Optional[TraceCache] = None,
     ) -> None:
         self.corpus_dir = str(corpus_dir)
-        self.backend = backend if backend is not None else SerialBackend()
         self.cache = cache if cache is not None else TraceCache(thread_safe=True)
-        #: cache key -> derived series payload (same lifetime as the cache
-        #: entry would have — the service's cache is unbounded by default).
-        self._series: Dict[CacheKey, Dict[str, Any]] = {}
+        self.evaluator = Evaluator(backend, self.cache)
+        #: (entry fingerprint, cca) -> derived series payload (same lifetime
+        #: as the cache entry would have — the service's cache is unbounded
+        #: by default).
+        self._series: Dict[Tuple[str, str], Dict[str, Any]] = {}
         self._lock = threading.Lock()
         #: Memoizes entries (reloading a trace per request would dominate
         #: cached-replay latency) and reads files as asked, so later ones serve.
         self._corpus = CorpusReader(self.corpus_dir)
-
-    # ------------------------------------------------------------------ #
-    # Job assembly (the replay_corpus contract, factored per entry)
-    # ------------------------------------------------------------------ #
 
     def _load_entry(self, fingerprint: str) -> Optional[CorpusEntry]:
         try:
             return self._corpus.get(fingerprint)
         except KeyError:
             return None
-
-    @staticmethod
-    def _job_for(entry: CorpusEntry, cca: str) -> Tuple[EvaluationJob, CacheKey]:
-        factory = cca_factory(cca)
-        sim_config = entry.sim_config()
-        score_function = make_score_function(
-            entry.objective or DEFAULT_OBJECTIVE, entry.mode
-        )
-        job = EvaluationJob(factory, sim_config, entry.trace, score_function)
-        key = make_cache_key(
-            entry.fingerprint,
-            cca_identity(factory()),
-            sim_config.fingerprint(),
-            score_function.fingerprint(),
-        )
-        return job, key
 
     # ------------------------------------------------------------------ #
     # Serving
@@ -102,12 +76,8 @@ class ReplayService:
         entry = self._load_entry(fingerprint)
         if entry is None:
             return None
-        job, key = self._job_for(entry, cca)
-        hits_before = self.cache.hits
-        outcomes, simulations, _ = evaluate_coalesced(
-            [job], [key], self.backend.evaluate_batch, self.cache
-        )
-        score, summary = outcomes[0]
+        job = entry.evaluation_job(cca)
+        [(score, summary)], simulations, _ = self.evaluator.evaluate_counted([job])
         return {
             "fingerprint": entry.fingerprint,
             "cca": cca,
@@ -119,26 +89,21 @@ class ReplayService:
             "score": score.to_dict(),
             "delta": (score.total - entry.score) if entry.score is not None else None,
             "summary": summary,
-            "cached": simulations == 0 and self.cache.hits > hits_before,
-            "series": self._derive_series(entry, cca, key),
+            "cached": simulations == 0,
+            "series": self._derive_series(job, (entry.fingerprint, cca)),
         }
 
-    def _derive_series(
-        self, entry: CorpusEntry, cca: str, key: CacheKey
-    ) -> Dict[str, Any]:
-        """Windowed-throughput series for the entry under ``cca``.
+    def _derive_series(self, job: EvaluationJob, pair: Tuple[str, str]) -> Dict[str, Any]:
+        """Windowed-throughput series for the ``(entry, cca)`` pair ``job`` scores.
 
-        The one extra simulation per (entry, cca) pair described in the
-        module docstring; every later request for the same pair is a dict
-        lookup (the memo shares the evaluation cache's key).
+        The one extra simulation per pair described in the module docstring;
+        every later request for the same pair is a dict lookup.
         """
         with self._lock:
-            cached = self._series.get(key)
+            cached = self._series.get(pair)
         if cached is not None:
             return cached
-        result = simulate_packet_trace(
-            cca_factory(cca), entry.sim_config(), entry.trace
-        )
+        result = simulate_packet_trace(job.cca_factory, job.sim_config, job.trace)
         series = {
             "window_s": SERIES_WINDOW_S,
             "windowed_throughput": [
@@ -147,7 +112,7 @@ class ReplayService:
             ],
         }
         with self._lock:
-            self._series.setdefault(key, series)
+            self._series.setdefault(pair, series)
         return series
 
     def warm(self, cca: str, mode: Optional[str] = None) -> Dict[str, Any]:
@@ -159,22 +124,14 @@ class ReplayService:
         Series are *not* derived here — they stay lazy per clicked entry.
         """
         index = read_corpus_index(self.corpus_dir)
-        jobs: List[EvaluationJob] = []
-        keys: List[CacheKey] = []
-        fingerprints: List[str] = []
+        jobs: Dict[str, EvaluationJob] = {}
         for fingerprint, row in sorted(index.items()):
             if mode is not None and row.get("mode") != mode:
                 continue
             entry = self._load_entry(fingerprint)
-            if entry is None:
-                continue
-            job, key = self._job_for(entry, cca)
-            jobs.append(job)
-            keys.append(key)
-            fingerprints.append(fingerprint)
-        outcomes, simulations, hits = evaluate_coalesced(
-            jobs, keys, self.backend.evaluate_batch, self.cache
-        )
+            if entry is not None:
+                jobs[fingerprint] = entry.evaluation_job(cca)
+        outcomes, simulations, hits = self.evaluator.evaluate_counted(list(jobs.values()))
         return {
             "cca": cca,
             "entries": len(jobs),
@@ -182,7 +139,7 @@ class ReplayService:
             "cache_hits": hits,
             "scores": {
                 fingerprint: score.total
-                for fingerprint, (score, _) in zip(fingerprints, outcomes)
+                for fingerprint, (score, _) in zip(jobs, outcomes)
             },
         }
 
@@ -192,4 +149,4 @@ class ReplayService:
         return {"cache": self.cache.stats(), "series_memoized": series}
 
     def close(self) -> None:
-        self.backend.close()
+        self.evaluator.backend.close()

@@ -23,7 +23,7 @@ from .differential import (
     DifferentialRow,
     compare_ccas,
 )
-from .evaluation import BatchEvaluator, TraceScorer
+from .evaluation import TraceScorer
 from .minimize import (
     MinimizationResult,
     MinimizeConfig,
@@ -49,7 +49,6 @@ from .robustness import (
 )
 
 __all__ = [
-    "BatchEvaluator",
     "CorpusTriageResult",
     "CorpusTriageRow",
     "DifferentialConfig",

@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..exec.batch import Evaluator
 from ..exec.workers import EvaluationJob
 from ..netsim.simulation import SimulationConfig
 from ..scoring.base import ScoreFunction
 from ..tcp.cca import CCA_FACTORIES
 from ..traces.trace import PacketTrace
-from .evaluation import BatchEvaluator
 
 @dataclass
 class DifferentialConfig:
@@ -105,7 +105,7 @@ def compare_ccas(
     sim_config: SimulationConfig,
     score_function: ScoreFunction,
     *,
-    evaluator: Optional[BatchEvaluator] = None,
+    evaluator: Optional[Evaluator] = None,
     config: Optional[DifferentialConfig] = None,
 ) -> DifferentialReport:
     """Replay ``trace`` against every CCA and rank per-CCA vulnerability.
@@ -114,7 +114,7 @@ def compare_ccas(
     report is a deterministic function of its inputs regardless of backend.
     """
     config = config or DifferentialConfig()
-    evaluator = evaluator or BatchEvaluator()
+    evaluator = evaluator or Evaluator()
     names = config.cca_names()
     if not names:
         raise ValueError("differential comparison needs at least one CCA")

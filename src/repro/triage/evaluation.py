@@ -1,12 +1,10 @@
-"""Batched, cache-aware evaluation shared by the triage engines.
+"""The minimizer's scoring interface.
 
 Triage generates large batches of *candidate* evaluations — reduced traces
 from the minimizer, perturbed configurations from the robustness validator,
-per-CCA runs from the differential comparator.  :class:`BatchEvaluator`
-pushes every batch through one :class:`~repro.exec.EvaluationBackend` (so
-triage parallelizes exactly like the GA) and resolves repeats through a
-:class:`~repro.exec.TraceCache` with the same coalescing semantics as the
-fuzzer (:func:`~repro.exec.evaluate_coalesced`).
+per-CCA runs from the differential comparator — and pushes every one of them
+through a shared :class:`~repro.exec.Evaluator` (so triage parallelizes and
+memoizes exactly like the GA).
 
 :class:`TraceScorer` is the narrow interface the minimizer consumes: a batch
 of traces in, one fitness per trace out, with the ``(CCA, simulation config,
@@ -16,93 +14,13 @@ here to exercise minimization logic without the simulator.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from ..exec.backend import EvaluationBackend, SerialBackend
-from ..exec.batch import evaluate_coalesced
-from ..exec.cache import TraceCache, cca_identity, make_cache_key
+from ..exec.batch import Evaluator
 from ..exec.workers import EvaluationJob, EvaluationOutcome
 from ..netsim.simulation import CcaFactory, SimulationConfig
 from ..scoring.base import ScoreFunction
 from ..traces.trace import PacketTrace
-
-
-class BatchEvaluator:
-    """Evaluates job batches through a shared backend and optional cache.
-
-    The backend is caller-owned (never closed here), so one pool can serve a
-    whole triage session — minimization rounds, the perturbation matrix and
-    the differential sweep all reuse the same workers, and with a shared
-    campaign cache a corpus triage never re-simulates what the fuzzing runs
-    already scored.
-    """
-
-    def __init__(
-        self,
-        backend: Optional[EvaluationBackend] = None,
-        cache: Optional[TraceCache] = None,
-    ) -> None:
-        self.backend = backend or SerialBackend()
-        self.cache = cache
-        self.simulations = 0
-        self.cache_hits = 0
-        # cca_identity needs a constructed instance; memoize per factory
-        # object so a triage session builds each CCA exactly once for keying.
-        self._cca_keys: Dict[int, str] = {}
-        self._cca_key_owners: List[CcaFactory] = []  # keeps id() keys alive
-        self._sim_fingerprints: Dict[int, str] = {}
-        self._sim_fingerprint_owners: List[SimulationConfig] = []
-        self._score_fingerprints: Dict[int, str] = {}
-        self._score_fingerprint_owners: List[ScoreFunction] = []
-
-    def _cca_key(self, factory: CcaFactory) -> str:
-        key = self._cca_keys.get(id(factory))
-        if key is None:
-            key = cca_identity(factory())
-            self._cca_keys[id(factory)] = key
-            self._cca_key_owners.append(factory)
-        return key
-
-    def _sim_fingerprint(self, config: SimulationConfig) -> str:
-        fingerprint = self._sim_fingerprints.get(id(config))
-        if fingerprint is None:
-            fingerprint = config.fingerprint()
-            self._sim_fingerprints[id(config)] = fingerprint
-            self._sim_fingerprint_owners.append(config)
-        return fingerprint
-
-    def _score_fingerprint(self, score_function: ScoreFunction) -> str:
-        fingerprint = self._score_fingerprints.get(id(score_function))
-        if fingerprint is None:
-            fingerprint = score_function.fingerprint()
-            self._score_fingerprints[id(score_function)] = fingerprint
-            self._score_fingerprint_owners.append(score_function)
-        return fingerprint
-
-    def evaluate(self, jobs: Sequence[EvaluationJob]) -> List[EvaluationOutcome]:
-        """Evaluate jobs in input order, serving repeats from the cache."""
-        if not jobs:
-            return []
-        keys = None
-        if self.cache is not None:
-            keys = [
-                make_cache_key(
-                    job.trace.fingerprint(),
-                    self._cca_key(job.cca_factory),
-                    self._sim_fingerprint(job.sim_config),
-                    self._score_fingerprint(job.score_function),
-                )
-                for job in jobs
-            ]
-        outcomes, simulations, hits = evaluate_coalesced(
-            list(jobs), keys, self.backend.evaluate_batch, self.cache
-        )
-        self.simulations += simulations
-        self.cache_hits += hits
-        return outcomes
-
-    def stats(self) -> Dict[str, int]:
-        return {"simulations": self.simulations, "cache_hits": self.cache_hits}
 
 
 class TraceScorer:
@@ -117,12 +35,12 @@ class TraceScorer:
         cca_factory: CcaFactory,
         sim_config: SimulationConfig,
         score_function: ScoreFunction,
-        evaluator: Optional[BatchEvaluator] = None,
+        evaluator: Optional[Evaluator] = None,
     ) -> None:
         self.cca_factory = cca_factory
         self.sim_config = sim_config
         self.score_function = score_function
-        self.evaluator = evaluator or BatchEvaluator()
+        self.evaluator = evaluator or Evaluator()
 
     def outcomes(self, traces: Sequence[PacketTrace]) -> List[EvaluationOutcome]:
         jobs = [

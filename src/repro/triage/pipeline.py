@@ -9,7 +9,7 @@ annotated too, which is what makes corpus triage idempotent: re-running
 ``repro-campaign triage`` only processes entries that have never been
 triaged.
 
-All three engines share one :class:`BatchEvaluator` — one backend pool, one
+All three engines share one :class:`Evaluator` — one backend pool, one
 cache — so triaging a corpus right after a campaign reuses the campaign's
 simulations wherever fingerprints line up.
 """
@@ -20,20 +20,18 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from ..campaign.corpus import CorpusStore, mode_of_trace
+from ..campaign.corpus import DEFAULT_OBJECTIVE, CorpusStore, mode_of_trace
 from ..exec.backend import EvaluationBackend
+from ..exec.batch import Evaluator
 from ..exec.cache import TraceCache
 from ..netsim.simulation import SimulationConfig
 from ..scoring.objectives import make_score_function
 from ..tcp.cca import cca_factory
 from ..traces.trace import PacketTrace
 from .differential import DifferentialConfig, DifferentialReport, compare_ccas
-from .evaluation import BatchEvaluator, TraceScorer
+from .evaluation import TraceScorer
 from .minimize import MinimizationResult, MinimizeConfig, minimize_trace
 from .robustness import RobustnessConfig, RobustnessReport, validate_robustness
-
-#: Objective assumed for traces that carry none (builtin attacks, imports).
-DEFAULT_OBJECTIVE = "throughput"
 
 #: CCA used to triage traces without a recorded discovery CCA.
 DEFAULT_CCA = "reno"
@@ -135,7 +133,7 @@ def triage_trace(
         # the robustness matrix's unperturbed cell, repeated candidates), so
         # triage always runs memoized, like the fuzzer does.
         cache = TraceCache(max_entries=8192)
-    evaluator = BatchEvaluator(backend=backend, cache=cache)
+    evaluator = Evaluator(backend=backend, cache=cache)
     scorer = TraceScorer(factory, sim_config, score_function, evaluator=evaluator)
 
     baseline, baseline_summary = scorer.outcomes([trace])[0]

@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..exec.batch import Evaluator
 from ..exec.workers import EvaluationJob
 from ..netsim.simulation import CcaFactory, SimulationConfig
 from ..scoring.base import ScoreFunction
 from ..traces.trace import LinkTrace, PacketTrace
-from .evaluation import BatchEvaluator
 from .minimize import observed_retention, retention_floor
 
 
@@ -141,12 +141,12 @@ def validate_robustness(
     sim_config: SimulationConfig,
     score_function: ScoreFunction,
     *,
-    evaluator: Optional[BatchEvaluator] = None,
+    evaluator: Optional[Evaluator] = None,
     config: Optional[RobustnessConfig] = None,
 ) -> RobustnessReport:
     """Score ``trace`` across the perturbation matrix around ``sim_config``."""
     config = config or RobustnessConfig()
-    evaluator = evaluator or BatchEvaluator()
+    evaluator = evaluator or Evaluator()
 
     cells: List[Tuple[str, str, PacketTrace, SimulationConfig]] = []
     if not isinstance(trace, LinkTrace):

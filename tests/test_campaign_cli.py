@@ -273,10 +273,10 @@ class TestSimulateTraceAttackConflict:
 
 class TestSharedRegistry:
     def test_cli_uses_shared_cca_registry(self):
-        from repro.cli import _cca_factories
+        from repro import cli
         from repro.tcp.cca import CCA_FACTORIES
 
-        assert _cca_factories() == CCA_FACTORIES
+        assert cli.CCA_FACTORIES is CCA_FACTORIES
         assert set(CCA_FACTORIES) == {"reno", "cubic", "cubic-ns3bug", "bbr", "bbr-fixed"}
 
     def test_cca_factory_lookup_errors(self):

@@ -15,26 +15,23 @@ import json
 
 import pytest
 
-from repro.campaign.corpus import CorpusStore
+from repro.campaign.corpus import CorpusReader, CorpusStore
 from repro.campaign.scheduler import CampaignRunner
 from repro.campaign.spec import CampaignSpec, GaBudget
 from repro.exec import (
     ChaosPlan,
-    EvaluationJob,
-    ProcessPoolBackend,
     QuarantineStore,
     SerialBackend,
     cca_identity,
     chaos_injection,
     clear_chaos,
     evaluate_job,
-    failure_from_summary,
+    read_quarantine_entries,
 )
 from repro.journal import CampaignJournal
+from repro.journal.log import read_corpus_journal_view
 from repro.obs.status import collect_status, format_status
-from repro.scoring.objectives import make_score_function
 from repro.tcp import Reno
-from repro.tcp.cca import CCA_FACTORIES
 
 
 @pytest.fixture(autouse=True)
@@ -89,13 +86,7 @@ def first_batch_fingerprints(tmp_path):
 
 def reevaluate_entry(entry):
     """Fault-free re-evaluation of a corpus entry, discovery-conditions exact."""
-    job = EvaluationJob(
-        CCA_FACTORIES[entry.cca],
-        entry.sim_config().with_overrides(record_series=False),
-        entry.trace,
-        make_score_function(entry.objective, entry.mode),
-    )
-    score, _ = evaluate_job(job)
+    score, _ = evaluate_job(entry.evaluation_job())
     return score.total
 
 
@@ -184,3 +175,56 @@ class TestChaosCampaignProcess:
             entry = corpus.get(fingerprint)
             if entry.origin == "fuzz" and fingerprint not in faults:
                 assert reevaluate_entry(entry) == entry.score
+
+
+def test_cli_campaign_under_env_chaos_spares_healthy_results(tmp_path, monkeypatch, capsys):
+    """The CI chaos smoke's asserts, runnable locally: a CLI campaign with
+    ~25% of evaluations faulted through ``REPRO_CHAOS`` (crash, garbage, hang,
+    hard exit; process backend) completes, quarantines with provenance, and
+    leaves every healthy harvested entry re-scoring to its stored score.
+    Read back through the read-only readers: nothing here writes the corpus."""
+    from repro.cli import campaign_main
+
+    spec = tiny_spec(
+        name="ci-chaos-smoke",
+        budget=GaBudget(population_size=6, generations=2, duration=2.0),
+        backend="process", workers=2, job_timeout=2.0, max_retries=1,
+    )
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(spec.to_json())
+    corpus_dir = tmp_path / "chaos-corpus"
+    # The env pathway, not install_chaos: faults are a keyed hash of each
+    # trace fingerprint, so the same subset misbehaves every run.
+    monkeypatch.setenv("REPRO_CHAOS", json.dumps({"fraction": 0.25, "hang_s": 300.0}))
+    assert campaign_main(["run", "--spec", str(spec_path), "--corpus", str(corpus_dir)]) == 0
+    monkeypatch.delenv("REPRO_CHAOS")  # the verification re-evaluates fault-free
+    capsys.readouterr()
+
+    # 1. The campaign quarantined deterministic crashers, with provenance.
+    stored = read_quarantine_entries(corpus_dir / "quarantine.json")
+    assert stored, "chaos injected no quarantined failures"
+    for entry in stored:
+        assert entry["kind"] in ("crash", "garbage", "timeout", "worker-death")
+        assert entry["message"] and entry["fingerprint"] and entry["cca"]
+        assert entry["scenario_id"] == "reno/traffic/throughput/base"
+
+    # 2. The journal write-ahead log replays to the same quarantine.
+    view = read_corpus_journal_view(str(corpus_dir))
+    assert {(e["fingerprint"], e["cca"]) for e in view.quarantined} == {
+        (e["fingerprint"], e["cca"]) for e in stored
+    }
+
+    # 3. Every healthy harvested entry re-scores bit-identically.
+    quarantined = {entry["fingerprint"] for entry in stored}
+    healthy = [
+        entry for entry in CorpusReader(str(corpus_dir)).entries()
+        if entry.origin == "fuzz" and entry.fingerprint not in quarantined
+    ]
+    assert healthy, "no healthy harvested entries to verify"
+    for entry in healthy:
+        assert reevaluate_entry(entry) == entry.score, entry.fingerprint
+
+    # 4. The status view surfaces the failure counters.
+    faults = collect_status(corpus_dir)["faults"]
+    assert faults["failures"] >= len(stored), faults
+    assert faults["quarantined"] >= len(stored), faults

@@ -234,6 +234,10 @@ class TestCoverageCli:
             handle.write(spec.to_json())
         assert campaign_main(["run", "--spec", spec_path, "--corpus", corpus_dir]) == 0
         capsys.readouterr()
+        # The CI coverage smoke's assert: a novelty campaign leaves a
+        # non-empty behavior map next to its corpus.
+        with open(BehaviorArchive.corpus_path(corpus_dir)) as handle:
+            assert json.load(handle)["cells"], "novelty campaign filled no behavior cells"
 
         assert coverage_main(["map", corpus_dir]) == 0
         output = capsys.readouterr().out
@@ -250,32 +254,64 @@ class TestCoverageCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["cells"]
 
-    def test_coverage_map_rebuild(self, tmp_path, capsys):
-        from repro.cli import coverage_main, fuzz_main
+    @staticmethod
+    def _fuzz_corpus(corpus_dir, tmp_path):
+        from repro.cli import fuzz_main
 
-        corpus_dir = str(tmp_path / "corpus")
         assert fuzz_main([
             "--cca", "cubic", "--population", "4", "--generations", "1",
             "--duration", "1.0", "--output-dir", corpus_dir,
         ]) == 0
-        original = {
-            entry.fingerprint: dict(entry.behavior)
-            for entry in CorpusStore(corpus_dir).entries()
-            if entry.behavior
-        }
-        assert original
+
+    @staticmethod
+    def _campaign_corpus(corpus_dir, tmp_path):
+        from repro.cli import campaign_main
+
+        spec = CampaignSpec(
+            name="cli-rebuild",
+            ccas=["reno", "cubic"],
+            modes=["traffic"],
+            objectives=["throughput"],
+            budget=GaBudget(population_size=4, generations=1, duration=1.0, top_k=2),
+        )
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec.to_json())
+        assert campaign_main(["run", "--spec", str(spec_path), "--corpus", corpus_dir]) == 0
+
+    def test_coverage_map_rebuild(self, tmp_path, capsys):
+        self._assert_rebuild_changes_nothing(self._fuzz_corpus, tmp_path, capsys)
+
+    def test_coverage_map_rebuild_of_a_campaign_corpus(self, tmp_path, capsys):
+        self._assert_rebuild_changes_nothing(self._campaign_corpus, tmp_path, capsys)
+
+    @staticmethod
+    def _assert_rebuild_changes_nothing(build_corpus, tmp_path, capsys):
+        """Rebuilding an unchanged corpus changes nothing: every evaluation
+        re-runs the job discovery ran, whichever producer wrote the entry
+        (``repro-fuzz`` records no series, ``repro-campaign`` does)."""
+        from repro.cli import coverage_main
+
+        corpus_dir = str(tmp_path / "corpus")
+        build_corpus(corpus_dir, tmp_path)
+        entries_dir = os.path.join(corpus_dir, "entries")
+
+        def entry_files():
+            return {
+                name: open(os.path.join(entries_dir, name), "rb").read()
+                for name in sorted(os.listdir(entries_dir))
+            }
+
+        original = entry_files()
+        annotated = [e for e in CorpusStore(corpus_dir).entries() if e.behavior]
+        assert annotated
         capsys.readouterr()
         assert coverage_main(["map", corpus_dir, "--rebuild", "--json"]) == 0
         captured = capsys.readouterr()
         assert "behavior map rebuilt" in captured.err
         # --json output stays machine-clean even with --rebuild.
-        assert json.loads(captured.out)["cells"]
-        assert os.path.exists(BehaviorArchive.corpus_path(corpus_dir))
-        # Rebuilding an unchanged corpus reproduces the discovery-time
-        # signatures bit-for-bit (same record_series=False evaluation).
-        rebuilt = {
-            entry.fingerprint: dict(entry.behavior)
-            for entry in CorpusStore(corpus_dir).entries()
-        }
-        for fingerprint, behavior in original.items():
-            assert rebuilt[fingerprint] == behavior
+        rebuilt_cells = json.loads(captured.out)["cells"]
+        assert entry_files() == original
+        # The map on disk holds exactly the cells the entries are annotated with.
+        on_disk = BehaviorArchive.load(BehaviorArchive.corpus_path(corpus_dir))
+        assert set(on_disk.cell_keys()) == set(rebuilt_cells)
+        assert set(rebuilt_cells) == {entry.behavior["cell"] for entry in annotated}

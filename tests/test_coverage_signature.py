@@ -89,10 +89,14 @@ class TestExtraction:
         assert signature.cca == "cubic"
 
     def test_works_without_series_recording(self):
-        """record_series=False (the fuzzing default) must be enough."""
+        """record_series=False (the fuzzing default) must be enough — and
+        recording the series must not change the signature."""
         _, _, lite = _simulate(5, record_series=False)
         signature = extract_signature(lite)
         assert signature.cell_key().startswith("cubic/")
+        _, _, full = _simulate(5, record_series=True)
+        assert full.sender_stats.cwnd_series
+        assert extract_signature(full) == signature
         # The lite result exposes the episode counters the signature needs.
         episodes = lite.episode_summary()
         assert set(episodes) >= {

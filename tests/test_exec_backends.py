@@ -23,6 +23,7 @@ from repro.exec import (
     cca_identity,
     create_backend,
     evaluate_job,
+    job_cache_key,
 )
 from repro.netsim import SimulationConfig
 from repro.scoring import LowUtilizationScore, ScoreFunction
@@ -145,9 +146,11 @@ class TestCreateBackend:
 
 
 class TestTraceCache:
+    SCORE = ScoreFunction(performance=LowUtilizationScore())
+
     def make_key(self, seed: int):
         trace = TrafficTrace(timestamps=[0.1 * seed], duration=1.0, max_packets=5)
-        return TraceCache.make_key(trace, "reno", SimulationConfig(duration=1.0))
+        return job_cache_key(EvaluationJob(Reno, SimulationConfig(duration=1.0), trace, self.SCORE))
 
     def test_hit_and_miss_counting_is_exact(self):
         from repro.scoring.base import Score
@@ -178,10 +181,15 @@ class TestTraceCache:
         trace_a = TrafficTrace(timestamps=[0.1], duration=1.0, max_packets=5)
         trace_b = TrafficTrace(timestamps=[0.2], duration=1.0, max_packets=5)
         config = SimulationConfig(duration=1.0)
-        base = TraceCache.make_key(trace_a, "reno", config)
-        assert TraceCache.make_key(trace_b, "reno", config) != base
-        assert TraceCache.make_key(trace_a, "cubic", config) != base
-        assert TraceCache.make_key(trace_a, "reno", config.with_overrides(queue_capacity=10)) != base
+
+        def key(trace, cca, sim):
+            return job_cache_key(EvaluationJob(cca, sim, trace, self.SCORE))
+
+        base = key(trace_a, Reno, config)
+        assert key(trace_a.copy(), Reno, SimulationConfig(duration=1.0)) == base
+        assert key(trace_b, Reno, config) != base
+        assert key(trace_a, Cubic, config) != base
+        assert key(trace_a, Reno, config.with_overrides(queue_capacity=10)) != base
 
     def test_lru_eviction(self):
         from repro.scoring.base import Score

@@ -76,10 +76,14 @@ def _sha(payload) -> str:
 
 #: What ``run_fleet(matrix_spec(), workers=0)`` produced at the commit before
 #: the cursor existed (62-scan era): the read path must not change results.
+#: ``behavior_map`` was re-pinned (from 6e9963fcbba0e2bb) when the signature
+#: ``shape`` became the egress-rate silhouette for series-recording runs too:
+#: 48 cells, each differing from the old map in ``shape`` and the signature
+#: ``fingerprint`` only; digest and corpus are the 62-scan era's.
 PARENT_INLINE_FLEET = {
     "digest": "10698166e616f9387eb05f0c7723c180",
     "corpus": "59a505dbef4d654b",
-    "behavior_map": "6e9963fcbba0e2bb",
+    "behavior_map": "0e421a78243a6f93",
 }
 
 

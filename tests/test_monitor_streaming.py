@@ -4,7 +4,8 @@
 verbatim: a single ``records`` list that every derived series re-scans.  The
 streaming monitor maintains per-flow columnar accumulators instead; these
 tests assert both produce identical derived series — on adversarial
-hand-driven event streams (hypothesis) and on randomized whole simulations.
+hand-driven event streams (hypothesis) and on randomized whole simulations —
+and that nothing an evaluation returns depends on ``record_series``.
 """
 
 from __future__ import annotations
@@ -13,17 +14,42 @@ import bisect
 import random as random_module
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+from unittest import mock
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.monitor import FlowMonitor, PacketRecord
+from repro.exec import EvaluationJob, evaluate_job
+from repro.netsim import topology
+from repro.netsim.monitor import FlowMonitor
 from repro.netsim.packet import CCA_FLOW, CROSS_FLOW, Packet
 from repro.netsim.simulation import SimulationConfig, run_simulation
-from repro.tcp.cca import cca_factory
+from repro.scoring.objectives import make_score_function
+from repro.tcp.cca import CCA_FACTORIES, cca_factory
+from repro.traces.trace import LinkTrace, LossTrace, TrafficTrace
 
 FLOWS = [CCA_FLOW, CROSS_FLOW, "background"]
+
+
+@dataclass
+class PacketRecord:
+    """One packet's journey through the bottleneck (the reference's row)."""
+
+    flow: str
+    seq: int
+    is_retransmit: bool
+    ingress_time: float
+    egress_time: Optional[float] = None      #: arrival at the sink (after propagation)
+    dequeue_time: Optional[float] = None     #: departure from the gateway queue
+    dropped: bool = False
+
+    @property
+    def queueing_delay(self) -> Optional[float]:
+        """Time spent queued at the gateway (None for dropped packets)."""
+        departed = self.dequeue_time if self.dequeue_time is not None else self.egress_time
+        if departed is None:
+            return None
+        return departed - self.ingress_time
 
 
 @dataclass
@@ -185,15 +211,6 @@ def test_streaming_matches_reference_on_event_streams(events):
 
     duration = now + 1.0
     assert_monitors_match(monitor, reference, duration)
-    # The compatibility records view must mirror the reference's records.
-    assert [
-        (r.flow, r.seq, r.is_retransmit, r.ingress_time, r.egress_time, r.dequeue_time, r.dropped)
-        for r in monitor.records
-    ] == [
-        (r.flow, r.seq, r.is_retransmit, r.ingress_time, r.egress_time, r.dequeue_time, r.dropped)
-        for r in reference.records
-    ]
-
 
 @settings(max_examples=10, deadline=None)
 @given(
@@ -203,54 +220,60 @@ def test_streaming_matches_reference_on_event_streams(events):
     packets=st.integers(min_value=0, max_value=400),
 )
 def test_streaming_matches_reference_on_random_simulations(cca, seed, link_mode, packets):
-    """Randomized short simulations: replaying the records through the naive
-    reference reproduces every derived series of the streaming monitor."""
+    """Randomized short simulations: the naive reference, fed the same
+    ingress/egress calls, reproduces every derived series of the streaming
+    monitor."""
+
+    class TeeMonitor(FlowMonitor):
+        __slots__ = ("reference",)
+
+        def __init__(self) -> None:
+            super().__init__()
+            self.reference = ReferenceFlowMonitor()
+
+        def on_ingress(self, packet, now, admitted):
+            super().on_ingress(packet, now, admitted)
+            self.reference.on_ingress(packet, now, admitted)
+
+        def on_egress(self, packet, now):
+            super().on_egress(packet, now)
+            self.reference.on_egress(packet, now)
+
     rng = random_module.Random(seed)
     duration = 0.8
     times = sorted(rng.uniform(0.0, duration) for _ in range(packets))
     config = SimulationConfig(duration=duration)
-    if link_mode:
-        result = run_simulation(cca_factory(cca), config, link_trace=times)
-    else:
-        result = run_simulation(cca_factory(cca), config, cross_traffic_times=times)
-
-    reference = ReferenceFlowMonitor(records=[
-        PacketRecord(
-            flow=r.flow,
-            seq=r.seq,
-            is_retransmit=r.is_retransmit,
-            ingress_time=r.ingress_time,
-            egress_time=r.egress_time,
-            dequeue_time=r.dequeue_time,
-            dropped=r.dropped,
-        )
-        for r in result.monitor.records
-    ])
-    assert_monitors_match(result.monitor, reference, duration)
+    with mock.patch.object(topology, "FlowMonitor", TeeMonitor):
+        if link_mode:
+            result = run_simulation(cca_factory(cca), config, link_trace=times)
+        else:
+            result = run_simulation(cca_factory(cca), config, cross_traffic_times=times)
+    assert result.monitor.sent_count(CCA_FLOW) > 0
+    assert_monitors_match(result.monitor, result.monitor.reference, duration)
 
 
-def test_records_view_unavailable_without_recording():
-    """record_series=False skips per-packet records but keeps derived series."""
-    config = SimulationConfig(duration=0.5, record_series=False)
-    result = run_simulation(cca_factory("reno"), config, cross_traffic_times=[0.1, 0.2])
-    assert result.monitor.delivered_count(CCA_FLOW) > 0
-    assert result.monitor.egress_times(CCA_FLOW)
-    with pytest.raises(RuntimeError):
-        _ = result.monitor.records
+TRACE_TYPES = {"link": LinkTrace, "traffic": TrafficTrace, "loss": LossTrace}
 
 
-def test_lite_monitor_matches_full_derived_series():
-    """A record_series=False run produces identical derived series to the
-    default full-recording run (only the records/queue-depth views differ)."""
-    times = [0.05 * i for i in range(20)]
-    full = run_simulation(
-        cca_factory("reno"), SimulationConfig(duration=1.0), cross_traffic_times=times
-    )
-    lite = run_simulation(
-        cca_factory("reno"),
-        SimulationConfig(duration=1.0, record_series=False),
-        cross_traffic_times=times,
-    )
+@settings(max_examples=25, deadline=None)
+@given(
+    cca=st.sampled_from(sorted(CCA_FACTORIES)),
+    mode=st.sampled_from(sorted(TRACE_TYPES)),
+    times=st.lists(
+        st.floats(min_value=0.0, max_value=0.999, allow_nan=False), max_size=300
+    ),
+)
+def test_lite_monitor_matches_full_derived_series(cca, mode, times):
+    """``record_series`` is an observation switch: a run without the per-ACK
+    series has the same derived monitor series as one with them, and the
+    evaluation — score, summary, behavior signature — is the same outcome."""
+    times = sorted(times)
+    full_config = SimulationConfig(duration=1.0)
+    lite_config = full_config.with_overrides(record_series=False)
+    argument = {"link": "link_trace", "traffic": "cross_traffic_times", "loss": "loss_times"}[mode]
+    full = run_simulation(cca_factory(cca), full_config, **{argument: times})
+    lite = run_simulation(cca_factory(cca), lite_config, **{argument: times})
+    assert full.sender_stats.cwnd_series and not lite.sender_stats.cwnd_series
     for flow in (CCA_FLOW, CROSS_FLOW):
         assert full.monitor.egress_times(flow) == lite.monitor.egress_times(flow)
         assert full.monitor.ingress_times(flow) == lite.monitor.ingress_times(flow)
@@ -258,3 +281,12 @@ def test_lite_monitor_matches_full_derived_series():
         assert full.monitor.sent_count(flow) == lite.monitor.sent_count(flow)
         assert full.monitor.delivered_count(flow) == lite.monitor.delivered_count(flow)
         assert full.monitor.loss_rate(flow) == lite.monitor.loss_rate(flow)
+
+    trace = TRACE_TYPES[mode](timestamps=times, duration=1.0)
+    score_function = make_score_function("throughput", mode)
+    outcomes = [
+        evaluate_job(EvaluationJob(cca_factory(cca), config, trace, score_function))
+        for config in (full_config, lite_config)
+    ]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1]["behavior_signature"]["shape"]

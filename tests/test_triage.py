@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.campaign import CorpusStore
-from repro.exec import BACKENDS, TraceCache, create_backend
+from repro.exec import BACKENDS, Evaluator, TraceCache, create_backend
 from repro.exec.workers import EvaluationJob
 from repro.netsim import SimulationConfig
 from repro.scoring.objectives import make_score_function
@@ -15,7 +15,6 @@ from repro.tcp import Reno
 from repro.tcp.cca import CCA_FACTORIES
 from repro.traces import LinkTrace, LossTrace, TrafficTrace, validate_trace
 from repro.triage import (
-    BatchEvaluator,
     DifferentialConfig,
     MinimizeConfig,
     RobustnessConfig,
@@ -103,13 +102,13 @@ class TestBatchEvaluator:
 
     def test_results_match_uncached(self):
         traces = [traffic_trace([0.1 * i]) for i in range(1, 4)]
-        plain = BatchEvaluator().evaluate(self.make_jobs(traces))
-        cached = BatchEvaluator(cache=TraceCache()).evaluate(self.make_jobs(traces))
+        plain = Evaluator().evaluate(self.make_jobs(traces))
+        cached = Evaluator(cache=TraceCache()).evaluate(self.make_jobs(traces))
         assert plain == cached
 
     def test_duplicates_coalesce_and_repeats_hit(self):
         trace = traffic_trace([0.2, 0.4])
-        evaluator = BatchEvaluator(cache=TraceCache())
+        evaluator = Evaluator(cache=TraceCache())
         first = evaluator.evaluate(self.make_jobs([trace, trace.copy()]))
         assert first[0] == first[1]
         assert evaluator.simulations == 1
@@ -117,11 +116,10 @@ class TestBatchEvaluator:
         evaluator.evaluate(self.make_jobs([trace]))
         assert evaluator.simulations == 1
         assert evaluator.cache_hits == 2
-        assert evaluator.stats() == {"simulations": 1, "cache_hits": 2}
 
     def test_distinct_configs_not_conflated(self):
         trace = traffic_trace([0.2])
-        evaluator = BatchEvaluator(cache=TraceCache())
+        evaluator = Evaluator(cache=TraceCache())
         jobs = [
             EvaluationJob(Reno, SIM, trace, SCORE),
             EvaluationJob(Reno, SIM.with_overrides(queue_capacity=10), trace, SCORE),
@@ -130,12 +128,12 @@ class TestBatchEvaluator:
         assert evaluator.simulations == 2
 
     def test_empty_batch(self):
-        assert BatchEvaluator().evaluate([]) == []
+        assert Evaluator().evaluate([]) == []
 
 
 class TestMinimizer:
     def scorer(self, cache=None):
-        return TraceScorer(Reno, SIM, SCORE, evaluator=BatchEvaluator(cache=cache))
+        return TraceScorer(Reno, SIM, SCORE, evaluator=Evaluator(cache=cache))
 
     def test_minimizes_attack_within_retention(self):
         trace = attack_trace()
@@ -168,7 +166,7 @@ class TestMinimizer:
 
     def test_budget_is_respected(self):
         trace = attack_trace()
-        evaluator = BatchEvaluator()
+        evaluator = Evaluator()
         scorer = TraceScorer(Reno, SIM, SCORE, evaluator=evaluator)
         result = minimize_trace(trace, scorer, MinimizeConfig(max_evaluations=10))
         assert result.evaluations <= 10
@@ -235,7 +233,7 @@ class TestRobustness:
         )
 
     def test_batches_through_one_backend_call_batch(self):
-        evaluator = BatchEvaluator(cache=TraceCache())
+        evaluator = Evaluator(cache=TraceCache())
         validate_robustness(
             attack_trace(), Reno, SIM, SCORE,
             evaluator=evaluator, config=TINY_ROBUSTNESS,
@@ -300,7 +298,7 @@ class TestDifferential:
         try:
             other = compare_ccas(
                 attack_trace(), SIM, SCORE,
-                evaluator=BatchEvaluator(backend=backend),
+                evaluator=Evaluator(backend=backend),
             )
         finally:
             backend.close()

@@ -12,12 +12,12 @@ from __future__ import annotations
 import pytest
 
 from repro.attacks import builtin_attack_traces, cubic_two_burst_trace, lowrate_attack_trace
+from repro.exec import Evaluator
 from repro.netsim import SimulationConfig
 from repro.scoring.objectives import make_score_function
 from repro.tcp.cca import CCA_FACTORIES
 from repro.traces import LinkTrace, validate_trace
 from repro.triage import (
-    BatchEvaluator,
     MinimizeConfig,
     RobustnessConfig,
     TraceScorer,
@@ -38,7 +38,7 @@ def scorer_for(cca: str, duration: float) -> TraceScorer:
         CCA_FACTORIES[cca],
         SimulationConfig(duration=duration),
         make_score_function("throughput", "traffic"),
-        evaluator=BatchEvaluator(),
+        evaluator=Evaluator(),
     )
 
 
