@@ -57,6 +57,7 @@ from ..exec.backend import EvaluationBackend
 from ..exec.cache import TraceCache
 from ..exec.quarantine import QuarantineStore
 from ..journal import CampaignJournal, JournalView
+from ..obs.console import Console, add_console_flags
 from ..obs.telemetry import CampaignTelemetry
 from .corpus import CorpusReader, CorpusStore
 from .scheduler import (
@@ -266,6 +267,8 @@ def _spawn_worker(
     ttl: float,
     poll_s: float,
     kill_after_checkpoints: Optional[int],
+    telemetry: bool,
+    quiet: bool,
 ) -> subprocess.Popen:
     command = [
         sys.executable,
@@ -282,6 +285,10 @@ def _spawn_worker(
     ]
     if kill_after_checkpoints is not None:
         command += ["--kill-after-checkpoints", str(kill_after_checkpoints)]
+    if not telemetry:
+        command.append("--no-telemetry")
+    if quiet:
+        command.append("--quiet")
     env = dict(os.environ)
     # Workers import `repro` the same way this process did, wherever it lives.
     package_root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -376,7 +383,12 @@ def run_fleet(
             for index in range(workers):
                 kill_n = kill_after_checkpoints if index == kill_worker else None
                 processes.append(
-                    _spawn_worker(corpus_dir, f"w{index}", spec.lease_ttl, poll_s, kill_n)
+                    _spawn_worker(
+                        corpus_dir, f"w{index}", spec.lease_ttl, poll_s, kill_n,
+                        telemetry=telemetry,
+                        # No progress callback: the caller wants no progress output.
+                        quiet=progress is None,
+                    )
                 )
             for index, process in enumerate(processes):
                 code = process.wait()
@@ -438,7 +450,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--no-telemetry", action="store_true", help="do not write metrics.jsonl records"
     )
+    add_console_flags(parser)
     args = parser.parse_args(argv)
+    console = Console.from_args(args)
+    # The driver and its workers interleave on one stdout, pipe or not.
+    sys.stdout.reconfigure(line_buffering=True)
     worker = FleetWorker(
         args.corpus,
         args.worker_id,
@@ -446,13 +462,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         poll_s=args.poll,
         kill_after_checkpoints=args.kill_after_checkpoints,
         telemetry=not args.no_telemetry,
-        progress=lambda message: print(message, flush=True),
+        progress=console.info,
     )
-    completed = worker.run()
-    print(
-        json.dumps({"worker": args.worker_id, "scenarios_completed": completed}),
-        flush=True,
-    )
+    console.info(json.dumps({"worker": args.worker_id, "scenarios_completed": worker.run()}))
     return 0
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Optional, Tuple
 
-from ..campaign.corpus import DEFAULT_OBJECTIVE, CorpusEntry, CorpusReader, read_corpus_index
+from ..campaign.corpus import DEFAULT_OBJECTIVE, CorpusEntry, CorpusReader
 from ..exec.backend import EvaluationBackend
 from ..exec.batch import Evaluator
 from ..exec.cache import TraceCache
@@ -114,34 +114,6 @@ class ReplayService:
         with self._lock:
             self._series.setdefault(pair, series)
         return series
-
-    def warm(self, cca: str, mode: Optional[str] = None) -> Dict[str, Any]:
-        """Pre-populate the cache for every entry against ``cca``.
-
-        The bulk path behind a "replay everything" dashboard action and the
-        cold half of the serving benchmark: one coalesced batch through the
-        backend, so a process pool parallelises it like any fuzzing batch.
-        Series are *not* derived here — they stay lazy per clicked entry.
-        """
-        index = read_corpus_index(self.corpus_dir)
-        jobs: Dict[str, EvaluationJob] = {}
-        for fingerprint, row in sorted(index.items()):
-            if mode is not None and row.get("mode") != mode:
-                continue
-            entry = self._load_entry(fingerprint)
-            if entry is not None:
-                jobs[fingerprint] = entry.evaluation_job(cca)
-        outcomes, simulations, hits = self.evaluator.evaluate_counted(list(jobs.values()))
-        return {
-            "cca": cca,
-            "entries": len(jobs),
-            "simulations": simulations,
-            "cache_hits": hits,
-            "scores": {
-                fingerprint: score.total
-                for fingerprint, (score, _) in zip(jobs, outcomes)
-            },
-        }
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:

@@ -6,8 +6,7 @@ Endpoint catalog (all GET, all read-only):
 ``/``                     single-file HTML dashboard
 ``/api/status``           live campaign status (CLI-identical shaping)
 ``/api/stream``           long-poll tail of ``metrics.jsonl``
-                          (``?offset=<byte>&wait=<s>``; add ``sse=1`` for a
-                          Server-Sent-Events frame per record)
+                          (``?offset=<byte>&wait=<s>``)
 ``/api/corpus``           corpus index rows
 ``/api/corpus/<fp>``      one entry: trace, triage, provenance chain
 ``/api/coverage``         behavior-map heatmap cells + gap analysis
@@ -21,31 +20,24 @@ Error contract: a JSON endpoint never returns a 500 and never a partial
 body.  Responses are fully serialised before the first byte is sent
 (``Content-Length`` always set); client errors get 400/404 with a JSON
 ``{"error": ...}`` body, and unexpected read races degrade to a 200 with an
-``error`` field rather than tearing the connection.  The SSE mode is the
-one deliberately incremental writer — each event frame carries one complete
-JSON record, which is the framing SSE clients already tolerate losing.
+``error`` field rather than tearing the connection.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..exec.backend import EvaluationBackend
 from ..exec.cache import TraceCache
-from ..obs.sinks import tail_metrics_records
 from .html import DASHBOARD_HTML
 from .query import MAX_STREAM_WAIT_S, DashboardQuery
 from .replay import ReplayService
 
 DEFAULT_HOST = "127.0.0.1"
-
-#: Cadence of SSE polls against the metrics stream.
-SSE_POLL_INTERVAL_S = 0.2
 
 
 class _DashboardHandler(BaseHTTPRequestHandler):
@@ -154,44 +146,7 @@ class _DashboardHandler(BaseHTTPRequestHandler):
 
     def _handle_stream(self, params: Dict[str, str]) -> None:
         offset, wait = self._stream_args(params)
-        if params.get("sse"):
-            self._serve_sse(offset, wait or MAX_STREAM_WAIT_S)
-            return
         self._send_json(self.dashboard.query.stream(offset=offset, wait=wait))
-
-    def _serve_sse(self, offset: int, wait: float) -> None:
-        """Server-Sent-Events mode: one ``data:`` frame per record.
-
-        Each event's ``id`` is the byte offset *after* that record, so a
-        reconnecting ``EventSource`` resumes exactly where it left off via
-        ``Last-Event-ID``.  The connection closes after ``wait`` seconds;
-        SSE clients reconnect by contract.
-        """
-        last_id = self.headers.get("Last-Event-ID")
-        if last_id:
-            try:
-                offset = max(0, int(last_id))
-            except ValueError:
-                pass
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream; charset=utf-8")
-        self.send_header("Cache-Control", "no-store")
-        # SSE is an unbounded stream: no Content-Length, close delimits.
-        self.send_header("Connection", "close")
-        self.end_headers()
-        deadline = time.monotonic() + wait
-        path = self.dashboard.query.metrics_path
-        while time.monotonic() < deadline and not self.dashboard.closing:
-            records, offset = tail_metrics_records(path, offset)
-            for record in records:
-                frame = (
-                    f"id: {offset}\n"
-                    f"data: {json.dumps(record, sort_keys=True)}\n\n"
-                )
-                self.wfile.write(frame.encode("utf-8"))
-            if records:
-                self.wfile.flush()
-            time.sleep(SSE_POLL_INTERVAL_S)
 
     def _handle_replay(self, fingerprint: str, params: Dict[str, str]) -> None:
         cca = params.get("cca", "")
@@ -235,7 +190,6 @@ class DashboardServer:
     ) -> None:
         self.corpus_dir = str(corpus_dir)
         self.verbose = verbose
-        self.closing = False
         self.query = DashboardQuery(self.corpus_dir)
         self.replay = ReplayService(self.corpus_dir, backend=backend, cache=cache)
         handler = type("Handler", (_DashboardHandler,), {"dashboard": self})
@@ -263,7 +217,6 @@ class DashboardServer:
         self._httpd.serve_forever()
 
     def stop(self) -> None:
-        self.closing = True
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:

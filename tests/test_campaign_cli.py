@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.campaign import CorpusStore
-from repro.cli import campaign_main, fuzz_main, simulate_main
+from repro.cli import campaign_main, fuzz_main, serve_main, simulate_main
 
 TINY_SPEC = {
     "name": "cli-test",
@@ -43,13 +43,25 @@ class TestCampaignRun:
         assert len(report["scenarios"]) == 4
         assert report["corpus"]["entries"] == len(CorpusStore(str(corpus_dir)))
 
-    @pytest.mark.parametrize("extra", [[], ["--resume", "--spec", "spec.json"]])
-    def test_usage_errors_leave_no_corpus_dir_behind(self, extra, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            pytest.param("run", [], "--spec", id="extra0"),
+            pytest.param("run", ["--resume", "--spec", "spec.json"], "--spec", id="extra1"),
+            ("workers", ["--spec", "spec.json", "--harvest-top-k", "0"], "--harvest-top-k"),
+            ("workers", ["--spec", "spec.json", "--job-timeout", "0"], "--job-timeout"),
+            ("workers", ["--spec", "spec.json", "--kill-worker", "0"],
+             "--kill-after-checkpoints"),
+        ],
+    )
+    def test_usage_errors_leave_no_corpus_dir_behind(
+        self, command, extra, message, tmp_path, capsys
+    ):
         corpus_dir = tmp_path / "corpus"
         with pytest.raises(SystemExit) as excinfo:
-            campaign_main(["run", "--corpus", str(corpus_dir)] + extra)
+            campaign_main([command, "--corpus", str(corpus_dir)] + extra)
         assert excinfo.value.code == 2
-        assert "--spec" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not corpus_dir.exists()
 
     def test_run_twice_dedupes_into_same_corpus(self, spec_path, tmp_path, capsys):
@@ -132,6 +144,20 @@ class TestCampaignStatus:
         assert campaign_main(["status", str(corpus_dir), "--prometheus"]) == 0
         out = capsys.readouterr().out
         assert "# TYPE repro_fuzzer_evaluations counter" in out
+
+    def test_watch_renders_a_finished_campaign_once(self, corpus_dir, capsys):
+        assert campaign_main(["status", str(corpus_dir), "--watch", "0.01"]) == 0
+        watched = capsys.readouterr().out
+        assert campaign_main(["status", str(corpus_dir)]) == 0
+        assert watched == capsys.readouterr().out
+        assert watched.count("campaign 'cli-test' — COMPLETE") == 1
+
+    @pytest.mark.parametrize("extra", [["--watch", "0"], ["--watch", "1", "--prometheus"]])
+    def test_watch_usage_errors(self, extra, corpus_dir, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            campaign_main(["status", str(corpus_dir)] + extra)
+        assert excinfo.value.code == 2
+        assert "--watch" in capsys.readouterr().err
 
     def test_status_without_telemetry_is_an_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -269,6 +295,108 @@ class TestSimulateTraceAttackConflict:
              "--trace", str(trace_path), "--attack", "none"]
         ) == 0
         capsys.readouterr()
+
+
+    @pytest.mark.parametrize("kind", ["LinkTrace", "TrafficTrace", "LossTrace"])
+    def test_trace_file_runs_as_the_simulator_input_its_type_names(
+        self, kind, tmp_path, capsys
+    ):
+        # One trace → simulator-input dispatch, the library's: a loss trace
+        # is replayed as forced losses, not injected as cross traffic.
+        from repro.analysis.metrics import compute_metrics
+        from repro.analysis.reporting import format_table
+        from repro.exec.workers import simulate_packet_trace
+        from repro.netsim.simulation import SimulationConfig
+        from repro.tcp.cca import CCA_FACTORIES
+        from repro.traces.generator import LinkTraceGenerator
+        from repro.traces.trace import LossTrace, TrafficTrace
+
+        times = [0.2 + 0.1 * i for i in range(7)]
+        trace = {
+            "LinkTrace": lambda: LinkTraceGenerator(2.0, 12.0, seed=3).generate(),
+            "TrafficTrace": lambda: TrafficTrace(timestamps=times, duration=2.0, max_packets=16),
+            "LossTrace": lambda: LossTrace(timestamps=times, duration=2.0),
+        }[kind]()
+        trace_path = tmp_path / "trace.json"
+        trace_path.write_text(trace.to_json())
+        assert simulate_main(
+            ["--cca", "reno", "--duration", "2", "--trace", str(trace_path)]
+        ) == 0
+        expected = compute_metrics(
+            simulate_packet_trace(CCA_FACTORIES["reno"], SimulationConfig(duration=2.0), trace)
+        )
+        assert capsys.readouterr().out == format_table([expected.as_dict()]) + "\n"
+        if kind == "LossTrace":
+            assert expected.as_dict()["cross_traffic_packets"] == 0
+
+    def test_attack_offers_every_builtin(self, capsys):
+        from repro.attacks import builtin_attack_traces
+
+        for name in ["none", *builtin_attack_traces(1.0)]:
+            assert simulate_main(["--cca", "reno", "--duration", "1", "--attack", name]) == 0
+        capsys.readouterr()
+
+
+class TestServeUsage:
+    @pytest.mark.parametrize("serve", [
+        lambda path: serve_main([path]),
+        lambda path: campaign_main(["serve", path]),
+    ])
+    def test_missing_directory_is_refused_and_not_created(self, serve, tmp_path, capsys):
+        missing = tmp_path / "no-such-corpus"
+        with pytest.raises(SystemExit) as excinfo:
+            serve(str(missing))
+        assert excinfo.value.code == 2
+        assert f"no corpus directory at {missing}" in capsys.readouterr().err
+        assert not missing.exists()
+
+
+def _leaf_parsers(main, monkeypatch):
+    """Every parser ``main`` can dispatch to (the program's, or its subcommands')."""
+    from repro import cli
+
+    monkeypatch.setattr(cli, "_dispatch", lambda parser, argv: parser)
+    parser = main([])
+    subcommands = [
+        action.choices for action in parser._actions if isinstance(action.choices, dict)
+    ]
+    return list(subcommands[0].values()) if subcommands else [parser]
+
+
+class TestEveryParser:
+    """One vocabulary: what every command's parser must share."""
+
+    @pytest.mark.parametrize("name, commands", [
+        ("fuzz_main", 1), ("simulate_main", 1), ("trace_main", 2), ("triage_main", 1),
+        ("coverage_main", 3), ("serve_main", 1), ("campaign_main", 8),
+    ])
+    def test_help_console_flags_and_the_pool_options(self, name, commands, monkeypatch, capsys):
+        from repro import cli
+        from repro.exec.backend import BACKENDS
+
+        parsers = _leaf_parsers(getattr(cli, name), monkeypatch)
+        assert len(parsers) == commands
+        for parser in parsers:
+            assert parser.format_help().startswith("usage: repro-")
+            options = {
+                flag: action for action in parser._actions for flag in action.option_strings
+            }
+            assert options["-q"] is options["--quiet"]
+            assert options["-v"] is options["--verbose"]
+            assert callable(parser.get_default("handler"))
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args(["-q", "-v"])
+            assert excinfo.value.code == 2
+            assert "not allowed with" in capsys.readouterr().err
+            if "--backend" in options:
+                assert tuple(options["--backend"].choices) == BACKENDS
+            # A pool size is at least 1 — checked while parsing, one message.
+            # (``workers -n/--workers`` is a fleet size: 0 means "run inline".)
+            if "--workers" in options and "-n" not in options:
+                with pytest.raises(SystemExit) as excinfo:
+                    parser.parse_args(["--workers", "0"])
+                assert excinfo.value.code == 2
+                assert "--workers must be at least 1" in capsys.readouterr().err
 
 
 class TestSharedRegistry:

@@ -22,6 +22,7 @@ import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore, replay_corpus
 from repro.campaign.corpus import read_corpus_index
+from repro.cli import campaign_main, serve_main
 from repro.coverage import BehaviorArchive
 from repro.coverage.archive import read_archive_cells
 from repro.obs import collect_status
@@ -111,7 +112,7 @@ class TestEndpoints:
         assert status == 200
         assert first["records"] and not first["reset"]
         types = [record["type"] for record in first["records"]]
-        assert "campaign_start" in types and "campaign_complete" in types
+        assert types[0] == "campaign_start" and types[-1] == "campaign_complete"
         # Carrying the returned offset back yields an empty, same-offset batch.
         status, second = fetch(server, f"/api/stream?offset={first['offset']}")
         assert status == 200
@@ -171,6 +172,19 @@ class TestEndpoints:
         assert status == 200
         text = body.decode("utf-8")
         assert "# TYPE repro_fuzzer_evaluations counter" in text
+        # Text exposition: every sample line is "name{labels} value" and
+        # belongs to the family its preceding # TYPE line declares.
+        family, kind, samples = None, None, 0
+        for line in filter(None, map(str.strip, text.splitlines())):
+            if line.startswith("# TYPE "):
+                _, _, family, kind = line.split()
+            elif not line.startswith("#"):
+                name, value = line.rsplit(None, 1)
+                float(value)
+                suffixes = ("_bucket", "_count", "_sum") if kind == "histogram" else ("",)
+                assert name.split("{")[0] in {family + suffix for suffix in suffixes}, line
+                samples += 1
+        assert samples
 
     def test_unknown_route_404(self, server):
         status, payload = fetch(server, "/api/nope")
@@ -185,6 +199,28 @@ class TestEndpoints:
         assert status == 400 and "cca" in payload["error"]
         status, payload = fetch(server, f"/api/replay/{fingerprint}?cca=bogus")
         assert status == 400 and "bogus" in payload["error"]
+
+
+class TestServeCommand:
+    def test_serve_mounts_a_directory_until_interrupted(self, tmp_path, monkeypatch, capsys):
+        """``repro-serve`` in-process: any directory mounts (even an empty one),
+        serves, creates nothing, and Ctrl-C stops it cleanly."""
+        seen = {}
+
+        def serve_one_request_then_interrupt(server):
+            server.start()
+            seen["corpus"] = fetch(server, "/api/corpus")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(
+            DashboardServer, "serve_forever", serve_one_request_then_interrupt
+        )
+        assert serve_main([str(tmp_path), "--port", "0"]) == 0
+        status, payload = seen["corpus"]
+        assert status == 200 and payload["entries"] == 0
+        out = capsys.readouterr().out
+        assert f"serving {tmp_path} at http://127.0.0.1:" in out and "stopping" in out
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReplayBitIdentity:
@@ -203,6 +239,21 @@ class TestReplayBitIdentity:
             assert payload["score"]["total"] == row.replay_score
             assert payload["summary"] == row.summary
             assert payload["original_score"] == row.original_score
+
+    def test_api_replay_equals_the_replay_command_output(self, campaign, server, tmp_path, capsys):
+        """The same, against what ``repro-campaign replay --output`` writes."""
+        corpus_dir, _ = campaign
+        out_path = tmp_path / "cli-replay.json"
+        assert campaign_main(
+            ["replay", "--corpus", str(corpus_dir), "--cca", "bbr", "--output", str(out_path)]
+        ) == 0
+        capsys.readouterr()
+        rows = json.loads(out_path.read_text())["rows"]
+        assert rows
+        for row in rows:
+            status, payload = fetch(server, f"/api/replay/{row['fingerprint']}?cca=bbr")
+            assert status == 200
+            assert payload["score"]["total"] == row["replay"]
 
     def test_repeat_replay_is_cached_and_identical(self, server):
         _, index = fetch(server, "/api/corpus")

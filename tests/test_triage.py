@@ -486,6 +486,24 @@ class TestTriageCli:
         minimized = TrafficTrace.from_json(out_trace.read_text())
         assert minimized.packet_count == payload["minimization"]["events_after"]
 
+    def test_repro_triage_minimizes_the_builtin_cubic_attack(self, tmp_path, capsys):
+        # The acceptance bar for the triage pipeline (CI's triage smoke):
+        # fewer events, at least 90% of the attack score retained.
+        from repro.cli import triage_main
+
+        out_report = tmp_path / "report.json"
+        assert triage_main(
+            [
+                "--attack", "cubic-two-burst", "--cca", "cubic", "--duration", "5.0",
+                "--max-evaluations", "150", "--skip-robustness", "--skip-differential",
+                "--output", str(out_report),
+            ]
+        ) == 0
+        capsys.readouterr()
+        minimization = json.loads(out_report.read_text())["minimization"]
+        assert minimization["events_after"] < minimization["events_before"], minimization
+        assert minimization["achieved_retention"] >= 0.9, minimization
+
     def test_campaign_triage_subcommand(self, tmp_path, capsys):
         from repro.cli import campaign_main
 

@@ -73,7 +73,7 @@ def fleet_control(tmp_path_factory):
 
 
 def test_fleet_with_killed_worker_matches_serial_control(
-    tmp_path_factory, fleet_control
+    tmp_path_factory, fleet_control, capfd
 ):
     corpus_dir = tmp_path_factory.mktemp("fleet-killed") / "corpus"
     spec = CampaignSpec.from_dict(FLEET_SPEC)
@@ -90,6 +90,11 @@ def test_fleet_with_killed_worker_matches_serial_control(
     assert state["behavior_map"] == fleet_control["behavior_map"]
     assert state["digest"] == fleet_control["digest"]
     assert state["attacks_registered"] == fleet_control["attacks_registered"]
+    # The worker subprocesses were told what the driver was: no telemetry
+    # files, and — no progress callback given — nothing on stdout.
+    for name in ("metrics.jsonl", "metrics.prom", "run_manifest.json"):
+        assert not (corpus_dir / name).exists(), name
+    assert capfd.readouterr().out == ""
 
     # The injected death really produced a steal: some scenario was claimed
     # at a second lease epoch, and whoever completed it was not the victim.
