@@ -77,7 +77,7 @@ def _measure_simulation(cca: str, *, link: bool) -> dict:
 
 
 def _fuzz_smoke_config() -> FuzzConfig:
-    """The exact serial smoke config of ``test_parallel_throughput.py``."""
+    """A small serial fuzzing run (the ``fuzz_smoke`` row)."""
     return FuzzConfig(
         mode="traffic",
         population_size=6,

@@ -174,56 +174,42 @@ def format_coverage_map(archive, top: int = 10) -> str:
     followed by the highest-scoring elites.  The full cell keys remain
     available via ``repro-coverage map --json``.
     """
-    from ..coverage.signature import GOODPUT_BUCKETS, STALL_CLASSES
-
-    elites = archive.cells()
-    if not elites:
+    shaped = shape_coverage(archive.to_dict()["cells"], top=top)
+    if not shaped["cells"]:
         return "behavior archive is empty (no cells observed)"
-    coverage = archive.coverage()
+    counters = archive.counters()
     lines: List[str] = [
-        f"behavior coverage: {coverage['cells']} cells from "
-        f"{coverage['observations']} observations "
-        f"({coverage['improvements']} elite improvements)",
-        f"  cells by cca:   {coverage['by_cca']}",
-        f"  cells by stall: {coverage['by_stall']}",
+        f"behavior coverage: {shaped['cells']} cells from "
+        f"{counters['observations']} observations "
+        f"({counters['improvements']} elite improvements)",
+        f"  cells by cca:   {shaped['by_cca']}",
+        f"  cells by stall: {shaped['by_stall']}",
     ]
 
-    by_cca: Dict[str, List[object]] = {}
-    for elite in elites:
-        by_cca.setdefault(elite.signature.cca, []).append(elite)
-
-    for cca in sorted(by_cca):
-        plane: Dict[Tuple[int, str], int] = {}
-        for elite in by_cca[cca]:
-            signature = elite.signature
-            key = (signature.goodput_bucket, signature.stall_class)
-            plane[key] = plane.get(key, 0) + 1
+    for cca, plane in shaped["heatmap"].items():
         lines.append("")
-        lines.append(f"{cca} — rows: goodput bucket (g0 starved .. g{GOODPUT_BUCKETS} full); "
+        lines.append(f"{cca} — rows: goodput bucket (g0 starved .. {plane['rows'][-1]} full); "
                      "cols: stall class; cell: distinct behavior cells")
-        header = "      " + "".join(f"{name:>8}" for name in STALL_CLASSES)
+        header = "      " + "".join(f"{name:>8}" for name in plane["cols"])
         lines.append(header)
-        for bucket in range(GOODPUT_BUCKETS, -1, -1):
-            row = [f"  g{bucket:<3}"]
-            for name in STALL_CLASSES:
-                count = plane.get((bucket, name), 0)
+        for label, counts in reversed(list(zip(plane["rows"], plane["counts"]))):
+            row = [f"  {label:<4}"]
+            for count in counts:
                 row.append(f"{count if count else '.':>8}")
             lines.append("".join(row))
 
-    scored = [elite for elite in elites if elite.score is not None]
-    scored.sort(key=lambda e: (-e.score, e.cell))
-    if scored:
+    if shaped["top"]:
         rows = [
             {
-                "cell": elite.cell,
-                "score": elite.score,
-                "visits": elite.visits,
-                "improvements": elite.improvements,
-                "trace": elite.trace_fingerprint[:12],
+                "cell": elite["cell"],
+                "score": elite["score"],
+                "visits": elite["visits"],
+                "improvements": elite["improvements"],
+                "trace": elite["trace_fingerprint"][:12],
             }
-            for elite in scored[:top]
+            for elite in shaped["top"]
         ]
-        lines += ["", f"top {min(top, len(scored))} elite cells by score:", format_table(rows)]
+        lines += ["", f"top {len(rows)} elite cells by score:", format_table(rows)]
     return "\n".join(lines)
 
 
@@ -234,33 +220,17 @@ def format_coverage_gaps(archive) -> str:
     marginal coverage plus the empty cells of the goodput x stall plane —
     the plane a fuzzing engineer can actually steer toward.
     """
-    from ..coverage.signature import COUNT_BUCKET_MAX, GOODPUT_BUCKETS, STALL_CLASSES
-
-    elites = archive.cells()
-    if not elites:
+    shaped = shape_coverage(archive.to_dict()["cells"])
+    if not shaped["cells"]:
         return "behavior archive is empty (no cells observed)"
     lines: List[str] = []
-    by_cca: Dict[str, List[object]] = {}
-    for elite in elites:
-        by_cca.setdefault(elite.signature.cca, []).append(elite)
-    for cca in sorted(by_cca):
-        signatures = [elite.signature for elite in by_cca[cca]]
-        goodput_seen = {s.goodput_bucket for s in signatures}
-        stall_seen = {s.stall_class for s in signatures}
-        loss_seen = {s.loss_bucket for s in signatures}
-        rto_seen = {s.rto_bucket for s in signatures}
-        plane_seen = {(s.goodput_bucket, s.stall_class) for s in signatures}
-        missing_plane = [
-            f"g{bucket}/{name}"
-            for bucket in range(GOODPUT_BUCKETS + 1)
-            for name in STALL_CLASSES
-            if (bucket, name) not in plane_seen
-        ]
+    for cca, gaps in shaped["gaps"].items():
+        missing_plane = gaps["empty_plane_cells"]
         lines.append(
-            f"{cca}: goodput {len(goodput_seen)}/{GOODPUT_BUCKETS + 1} buckets, "
-            f"stall {len(stall_seen)}/{len(STALL_CLASSES)} classes, "
-            f"loss {len(loss_seen)}/{COUNT_BUCKET_MAX + 1} buckets, "
-            f"rto {len(rto_seen)}/{COUNT_BUCKET_MAX + 1} buckets"
+            f"{cca}: goodput {gaps['goodput_buckets_seen']}/{gaps['goodput_buckets_total']} buckets, "
+            f"stall {gaps['stall_classes_seen']}/{gaps['stall_classes_total']} classes, "
+            f"loss {gaps['loss_buckets_seen']}/{gaps['loss_buckets_total']} buckets, "
+            f"rto {gaps['rto_buckets_seen']}/{gaps['rto_buckets_total']} buckets"
         )
         lines.append(
             f"  empty goodput x stall cells ({len(missing_plane)}): "
@@ -269,17 +239,17 @@ def format_coverage_gaps(archive) -> str:
     return "\n".join(lines)
 
 
-def shape_coverage(cell_payloads: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
+def shape_coverage(cell_payloads: Dict[str, Dict[str, Any]], top: int = 20) -> Dict[str, Any]:
     """JSON-able heatmap + gap analysis from serialized cell payloads.
 
     The payloads are :meth:`~repro.coverage.archive.CellElite.to_dict`
     dicts — the shape both ``behavior_map.json`` and journal
     ``behavior_delta`` records carry — so one shaping function serves the
-    on-disk map, the live journal overlay, and any merge of the two.  It is
-    the JSON twin of :func:`format_coverage_map`/:func:`format_coverage_gaps`:
-    per CCA, the goodput x stall occupancy plane (rows goodput bucket 0..N,
-    columns the stall classes) plus the empty plane cells, and the
-    top-scoring elites overall.
+    on-disk map, the live journal overlay, and any merge of the two —
+    :func:`format_coverage_map`/:func:`format_coverage_gaps` are its text
+    renderers.  Per CCA, the goodput x stall occupancy plane (rows goodput
+    bucket 0..N, columns the stall classes) plus the empty plane cells, and
+    the ``top`` highest-scoring elites overall.
     """
     from ..coverage.signature import (
         COUNT_BUCKET_MAX,
@@ -349,7 +319,7 @@ def shape_coverage(cell_payloads: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
         if payload.get("score") is not None
     ]
     scored.sort(key=lambda p: (-float(p["score"]), str(p.get("cell", ""))))
-    top = [
+    elites = [
         {
             "cell": payload.get("cell", ""),
             "score": payload.get("score"),
@@ -357,7 +327,7 @@ def shape_coverage(cell_payloads: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
             "improvements": payload.get("improvements", 0),
             "trace_fingerprint": payload.get("trace_fingerprint", ""),
         }
-        for payload in scored[:20]
+        for payload in scored[:top]
     ]
     return {
         "cells": len(cell_payloads),
@@ -365,7 +335,7 @@ def shape_coverage(cell_payloads: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
         "by_stall": dict(sorted(by_stall.items())),
         "heatmap": heatmap,
         "gaps": gaps,
-        "top": top,
+        "top": elites,
     }
 
 

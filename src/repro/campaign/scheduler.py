@@ -28,8 +28,8 @@ constructor (:func:`campaign_backend`).
 
 Durability
 ----------
-Unless journaling is disabled, every run appends its progress to an
-append-only :class:`~repro.journal.CampaignJournal` next to the corpus
+Every run appends its progress to an append-only
+:class:`~repro.journal.CampaignJournal` next to the corpus
 (``journal.jsonl``): the campaign spec and archive baseline at start, one
 lease per scenario, one behavior-map delta plus fuzzer checkpoint per
 evaluated generation, a write-ahead record for every corpus insert, and one
@@ -211,7 +211,7 @@ class InsertLog:
     def __init__(
         self,
         corpus: Optional[CorpusStore],
-        journal: Optional[CampaignJournal],
+        journal: CampaignJournal,
         *,
         prior: Optional[Dict[str, Dict[str, Dict[str, Any]]]] = None,
         snapshot: Optional[Collection[str]] = None,
@@ -237,8 +237,6 @@ class InsertLog:
         touched, so a crash between the two is replayed forward on resume —
         the corpus can only ever lag the journal, never diverge from it.
         """
-        if self.journal is None:
-            return self.corpus.add(trace, **kwargs)
         live = self.snapshot is None
         fingerprint = trace.fingerprint()
         prior = self.prior.get(scenario_key, {}).get(fingerprint)
@@ -373,7 +371,7 @@ class ScenarioEngine:
 
     campaign: str
     harvest_top_k: int
-    journal: Optional[CampaignJournal]
+    journal: CampaignJournal
     backend: EvaluationBackend
     telemetry: CampaignTelemetry
     quarantine: QuarantineStore
@@ -429,7 +427,7 @@ class ScenarioEngine:
         with self.telemetry.scenario_span(scenario):
             result = fuzzer.run(
                 progress=lambda stats: self.telemetry.generation(scenario, stats),
-                checkpoint=checkpoint if journal is not None else None,
+                checkpoint=checkpoint,
                 resume_from=scope.resume_state,
             )
             new_entries = 0
@@ -468,16 +466,15 @@ class ScenarioEngine:
             wall_time_s=time.perf_counter() - started,
             behavior_cells=result.behavior_cells,
         )
-        if journal is not None:
-            journal.append(
-                "scenario_complete",
-                {
-                    "scenario_id": scenario_id,
-                    "outcome": outcome.to_journal_dict(),
-                    **scope.completion(scope),
-                    **scope.stamp,
-                },
-            )
+        journal.append(
+            "scenario_complete",
+            {
+                "scenario_id": scenario_id,
+                "outcome": outcome.to_journal_dict(),
+                **scope.completion(scope),
+                **scope.stamp,
+            },
+        )
         self.telemetry.scenario_completed(outcome)
         self.progress(
             f"[{scenario_id}] best={outcome.best_fitness:.4f} "
@@ -507,7 +504,7 @@ class CampaignRunner:
         register_attacks: bool = True,
         harvest_top_k: int = 3,
         progress: Optional[ProgressCallback] = None,
-        journal: Union[CampaignJournal, bool] = True,
+        journal: Optional[CampaignJournal] = None,
         telemetry: Union[CampaignTelemetry, bool] = True,
     ) -> None:
         if harvest_top_k < 1:
@@ -529,21 +526,18 @@ class CampaignRunner:
         self._progress = progress or (lambda message: None)
         self._injected_backend = backend
         self._injected_cache = cache
-        # ``journal=True`` (the default) journals into the corpus directory;
-        # pass an explicit CampaignJournal to relocate it, or False to run
-        # without durability (in-memory corpora, micro-benchmarks).
-        if journal is True:
+        # The journal lives in the corpus directory unless an explicit
+        # CampaignJournal relocates it.
+        if journal is None:
             journal = CampaignJournal(CampaignJournal.corpus_path(corpus.path))
-        self._journal: Optional[CampaignJournal] = journal or None
+        self._journal = journal
         # Deterministic crashers are quarantined next to the corpus, with the
         # journal as write-ahead log: the hook appends a ``job_quarantined``
         # event before quarantine.json is rewritten, so resume and fleet
         # workers replay the same refusals no matter where a crash landed.
-        journal_hook: Optional[Callable[[Dict[str, Any]], None]] = None
-        if self._journal is not None:
-            owned_journal = self._journal
-            journal_hook = lambda entry: owned_journal.append("job_quarantined", entry)
-        self.quarantine = QuarantineStore.for_corpus(corpus.path, journal_hook=journal_hook)
+        self.quarantine = QuarantineStore.for_corpus(
+            corpus.path, journal_hook=lambda entry: journal.append("job_quarantined", entry)
+        )
         # ``telemetry=True`` (the default) streams metrics.jsonl into the
         # corpus directory; pass a configured CampaignTelemetry to add the
         # live --progress line, or False to disable (pure-compute runs,
@@ -674,7 +668,7 @@ class CampaignRunner:
                 f"resuming: {len(view.completed)}/{len(scenarios)} scenarios "
                 f"already complete, {len(inflight)} checkpointed mid-run"
             )
-        elif journal is not None:
+        else:
             # A journal holding a previous campaign_start records a
             # *different* campaign over this corpus; archive it so this
             # run's log replays standalone.
@@ -736,8 +730,7 @@ class CampaignRunner:
                 # corpus entries, and the coverage CLI and future campaigns
                 # resume the map from here.
                 self.archive.save(BehaviorArchive.corpus_path(self.corpus.path))
-                if self._journal is not None:
-                    self._journal.close()
+                self._journal.close()
             result = CampaignResult(
                 spec=self.spec,
                 outcomes=[
@@ -829,14 +822,13 @@ class CampaignRunner:
                 checkpoint = inflight.get(scenario.scenario_id)
                 scope.resume_state = checkpoint["fuzzer"] if checkpoint is not None else None
                 scope.seeds = [] if checkpoint is not None else self._scenario_seeds(scenario)
-                if self._journal is not None:
-                    self._journal.append(
-                        "scenario_lease",
-                        {
-                            "scenario_id": scenario.scenario_id,
-                            "seed": scenario.seed,
-                            "campaign": self.spec.name,
-                        },
-                    )
+                self._journal.append(
+                    "scenario_lease",
+                    {
+                        "scenario_id": scenario.scenario_id,
+                        "seed": scenario.seed,
+                        "campaign": self.spec.name,
+                    },
+                )
                 outcome_by_id[scenario.scenario_id] = engine.run_scenario(scenario, scope)
         return outcome_by_id, dict(cache.stats())

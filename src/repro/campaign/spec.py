@@ -18,6 +18,8 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from ..core.fuzzer import MODES, FuzzConfig
 from ..coverage.guidance import GUIDANCE_MODES
+from ..exec.backend import create_backend
+from ..exec.faults import FaultPolicy
 from ..netsim.simulation import SimulationConfig
 from ..scoring.objectives import OBJECTIVES
 from ..tcp.cca import CCA_FACTORIES
@@ -101,8 +103,6 @@ class Scenario:
     budget: GaBudget
     seed: int
     guidance: str = "score"                #: search-guidance strategy for this cell
-    job_timeout: Optional[float] = None    #: per-job wall-clock limit (seconds)
-    max_retries: int = 2                   #: retries after a worker death
 
     @property
     def scenario_id(self) -> str:
@@ -134,8 +134,6 @@ class Scenario:
             seed=self.seed,
             sim=self.sim_config(),
             guidance=self.guidance,
-            job_timeout=self.job_timeout,
-            max_retries=self.max_retries,
         )
 
     def describe(self) -> Dict[str, Any]:
@@ -213,13 +211,10 @@ class CampaignSpec:
             )
         if self.lease_ttl <= 0:
             raise ValueError("lease_ttl must be positive")
-        # Reuse FuzzConfig's validation early, before any run: backend name,
-        # worker count and the fault-tolerance knobs all share one rulebook.
-        FuzzConfig(
-            backend=self.backend,
-            workers=self.workers,
-            job_timeout=self.job_timeout,
-            max_retries=self.max_retries,
+        # Validate the execution values early, before any run, by building
+        # what they feed (pools start lazily, so nothing is spawned).
+        create_backend(
+            self.backend, self.workers, FaultPolicy(self.job_timeout, self.max_retries)
         )
 
     # ------------------------------------------------------------------ #
@@ -244,8 +239,6 @@ class CampaignSpec:
                                 budget=self.budget,
                                 seed=_scenario_seed(self.seed, scenario_id),
                                 guidance=self.guidance,
-                                job_timeout=self.job_timeout,
-                                max_retries=self.max_retries,
                             )
                         )
         return scenarios

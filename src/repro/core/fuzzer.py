@@ -28,11 +28,10 @@ from ..obs.metrics import get_registry
 from ..coverage.archive import BehaviorArchive
 from ..coverage.guidance import GUIDANCE_MODES, make_guidance
 from ..coverage.signature import signature_from_summary
-from ..exec.backend import BACKENDS, EvaluationBackend, create_backend
-from ..exec.batch import Evaluator, evaluate_coalesced
-from ..exec.cache import TraceCache, factory_identity, job_cache_key
-from ..exec.faults import FaultPolicy
-from ..exec.workers import EvaluationJob, EvaluationOutcome, simulate_packet_trace
+from ..exec.backend import EvaluationBackend, create_backend
+from ..exec.batch import Evaluator
+from ..exec.cache import TraceCache, factory_identity
+from ..exec.workers import EvaluationJob, simulate_packet_trace
 from ..netsim.simulation import CcaFactory, SimulationConfig, SimulationResult
 from ..scoring.base import Score, ScoreFunction
 from ..scoring.performance import LowUtilizationScore
@@ -51,10 +50,6 @@ from .selection import RankSelection, pick_elites
 #: Fuzzing modes supported by the framework.  ``link`` and ``traffic`` are the
 #: paper's two modes; ``loss`` is the section-5 extension.
 MODES = ("link", "traffic", "loss")
-
-#: Signature for a custom evaluator (used by tests and ablations to bypass the
-#: simulator): returns the fitness and a small result summary.
-ExternalEvaluator = Callable[[PacketTrace], Tuple[Score, Dict[str, object]]]
 
 ProgressCallback = Callable[[GenerationStats], None]
 
@@ -89,7 +84,6 @@ class FuzzConfig:
     # Trace-generation parameters.
     duration: float = 5.0
     average_rate_mbps: float = 12.0
-    total_link_packets: Optional[int] = None
     max_traffic_packets: Optional[int] = None
     max_losses: int = 20
     k_agg: float = 0.05
@@ -104,14 +98,6 @@ class FuzzConfig:
     backend: str = "serial"                #: "serial" or "process"
     workers: Optional[int] = None          #: pool size (None = one per CPU)
     use_cache: bool = True                 #: memoize (trace, cca, sim) -> score
-
-    # Fault tolerance (see repro.exec.faults).  job_timeout is enforced by
-    # the process backend only: a job running longer has its worker killed
-    # and is failed as a deterministic "timeout".  max_retries bounds how
-    # often a job whose worker died is re-run before it is failed (and
-    # quarantined) as a persistent worker-killer.
-    job_timeout: Optional[float] = None    #: per-job wall-clock limit in seconds
-    max_retries: int = 2                   #: retries after a worker death
 
     # Behavior-coverage guidance.  "score" (default) is the paper's pure
     # fitness search and stays bit-identical to the pre-coverage fuzzer;
@@ -149,14 +135,8 @@ class FuzzConfig:
             raise ValueError("top_k must be at least 1")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.job_timeout is not None and not self.job_timeout > 0:
-            raise ValueError("job_timeout must be positive (or None to disable)")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
+        # The backend's own rules, by building it (pools start lazily).
+        create_backend(self.backend, self.workers)
         if self.guidance not in GUIDANCE_MODES:
             raise ValueError(
                 f"guidance must be one of {GUIDANCE_MODES}, got {self.guidance!r}"
@@ -216,11 +196,8 @@ class CCFuzz:
     Results are bit-identical across backends for a fixed seed: the
     simulator consumes no randomness, and all mutation/crossover/selection
     randomness is drawn from ``self.rng`` in the coordinating process, never
-    in workers.  ``total_evaluations`` counts actual simulator (or external
-    evaluator) executions, i.e. cache misses.  External evaluators run inline
-    (they are arbitrary closures, not picklable) and disable the cache by
-    default since they carry no determinism guarantee; pass an explicit
-    ``cache=`` to opt back in.
+    in workers.  ``total_evaluations`` counts actual backend executions,
+    i.e. cache misses.
     """
 
     def __init__(
@@ -229,7 +206,6 @@ class CCFuzz:
         config: Optional[FuzzConfig] = None,
         score_function: Optional[ScoreFunction] = None,
         seed_traces: Optional[Sequence[PacketTrace]] = None,
-        evaluator: Optional[ExternalEvaluator] = None,
         backend: Optional[EvaluationBackend] = None,
         cache: Optional[TraceCache] = None,
         archive: Optional[BehaviorArchive] = None,
@@ -238,7 +214,6 @@ class CCFuzz:
         self.config = config or FuzzConfig()
         self.score_function = score_function or self._default_score_function()
         self.seed_traces = list(seed_traces or [])
-        self._external_evaluator = evaluator
         self.rng = random.Random(self.config.seed)
         self.total_evaluations = 0
         self.cache_hits = 0
@@ -261,12 +236,6 @@ class CCFuzz:
         self._injected_backend = backend
         if cache is not None:
             self.cache = cache
-        elif evaluator is not None:
-            # External evaluators carry no determinism guarantee (they may
-            # measure a real network), so memoizing them by default would
-            # freeze the first noisy sample forever.  Callers that know their
-            # evaluator is pure can pass an explicit cache.
-            self.cache = None
         elif self.config.use_cache:
             # Bounded so multi-hour runs cannot grow memory without limit;
             # LRU keeps the hot entries (recent elites, migrants, duplicates).
@@ -275,11 +244,7 @@ class CCFuzz:
             self.cache = None
         self._cca_name: Optional[str] = None
         self._sim_fingerprint = self.config.sim.fingerprint()
-        # External evaluators have no introspectable scoring config; callers
-        # opting into a cache with one are asserting it is pure.
-        self._score_fingerprint = (
-            "external-evaluator" if evaluator is not None else self.score_function.fingerprint()
-        )
+        self._score_fingerprint = self.score_function.fingerprint()
 
     # ------------------------------------------------------------------ #
     # Defaults
@@ -319,7 +284,6 @@ class CCFuzz:
                 mss_bytes=cfg.sim.mss_bytes,
                 k_agg=k_agg,
                 rate_bound=cfg.rate_bound,
-                total_packets=cfg.total_link_packets,
                 seed=seed,
             )
         if cfg.mode == "traffic":
@@ -373,9 +337,6 @@ class CCFuzz:
         individual.score = score
         individual.result_summary = dict(summary)
 
-    def _run_external(self, jobs: Sequence[EvaluationJob]) -> List[EvaluationOutcome]:
-        return [self._external_evaluator(job.trace) for job in jobs]
-
     def _evaluate_generation(
         self, evaluator: Evaluator, model: IslandModel, generation: int
     ) -> Tuple[int, int]:
@@ -390,18 +351,7 @@ class CCFuzz:
             EvaluationJob(self.cca_factory, self.config.sim, ind.trace, self.score_function)
             for ind in pending
         ]
-        if self._external_evaluator is None:
-            outcomes, simulations, hits = evaluator.evaluate_counted(jobs)
-        else:
-            # External evaluators are arbitrary closures over a trace: not
-            # picklable, so they always run inline, and keyed only when the
-            # caller opted into a cache.
-            keys = None
-            if self.cache is not None:
-                keys = [job_cache_key(job, self._score_fingerprint) for job in jobs]
-            outcomes, simulations, hits = evaluate_coalesced(
-                jobs, keys, self._run_external, self.cache
-            )
+        outcomes, simulations, hits = evaluator.evaluate_counted(jobs)
         for individual, (score, summary) in zip(pending, outcomes):
             self._apply_outcome(individual, score, summary)
             self._observe_behavior(individual, generation)
@@ -414,8 +364,8 @@ class CCFuzz:
 
         Draws no randomness and never feeds back into selection under the
         default "score" guidance, so maintaining the archive keeps runs
-        bit-identical to the pre-coverage fuzzer.  External-evaluator
-        outcomes carry no signature and are skipped.
+        bit-identical to the pre-coverage fuzzer.  Outcomes that carry no
+        signature (failure outcomes, a test's fake backend) are skipped.
         """
         signature = signature_from_summary(individual.result_summary)
         if signature is None:
@@ -601,16 +551,11 @@ class CCFuzz:
             behavior_cells=self.new_cells,
         )
 
-    def _make_backend(self) -> Tuple[Optional[EvaluationBackend], bool]:
+    def _make_backend(self) -> Tuple[EvaluationBackend, bool]:
         """The backend for this run and whether we own (must close) it."""
-        if self._external_evaluator is not None:
-            return None, False
         if self._injected_backend is not None:
             return self._injected_backend, False
-        policy = FaultPolicy(
-            job_timeout=self.config.job_timeout, max_retries=self.config.max_retries
-        )
-        return create_backend(self.config.backend, self.config.workers, policy=policy), True
+        return create_backend(self.config.backend, self.config.workers), True
 
     def _advance(self, model: IslandModel, generation: int) -> int:
         """Construct the next generation (migration + offspring); returns its index.
@@ -648,11 +593,6 @@ class CCFuzz:
                 "generations": self.config.generations,
                 "seed": self.config.seed,
                 "guidance": self.config.guidance,
-                # Fault-tolerance knobs ride along for provenance but are
-                # not part of the resume identity: resuming under a longer
-                # timeout (or more retries) is explicitly allowed.
-                "job_timeout": self.config.job_timeout,
-                "max_retries": self.config.max_retries,
             },
             "identity": {
                 "cca_key": self.cca_key,
@@ -693,9 +633,8 @@ class CCFuzz:
             "guidance": cfg.guidance,
         }
         recorded = dict(state["config"])  # type: ignore[arg-type]
-        # Only the identity keys gate resume; fault-tolerance knobs
-        # (job_timeout, max_retries) are operational and may change between
-        # checkpoint and resume, and pre-fault snapshots lack them entirely.
+        # Only the identity keys gate resume: older snapshots also carry the
+        # fault-tolerance knobs of the run that wrote them, which may differ.
         if {key: recorded.get(key) for key in expected} != expected:
             raise ValueError(
                 f"snapshot was taken under a different configuration: "
@@ -797,7 +736,7 @@ class CCFuzz:
                 if not converged:
                     generation = self._advance(model, generation)
         finally:
-            if owns_backend and backend is not None:
+            if owns_backend:
                 backend.close()
 
         best = model.best()

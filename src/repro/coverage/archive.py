@@ -18,8 +18,9 @@ Invariants (property-tested):
   since the reader's mark, which under ``observe`` and ``merge`` are the
   cells whose serialized payload changed.
 
-The archive is always lock-protected: campaign scenario threads share one
-archive, and the lock costs nothing next to a simulation.  Scores from
+The archive is always lock-protected: a campaign touches it from one thread,
+but it is public and a host program may read coverage while a search runs,
+and the lock costs nothing next to a simulation.  Scores from
 different objectives live on incomparable scales, so an elite is only
 displaced by a better score from the *same* objective (mirroring the corpus
 rediscovery rule).

@@ -214,7 +214,7 @@ def signature_from_summary(summary: Mapping[str, Any]) -> Optional[BehaviorSigna
     """Recover the signature an evaluation outcome carries (None if absent).
 
     Evaluation workers attach ``behavior_signature`` to every outcome
-    summary; external evaluators (arbitrary closures) carry none, and
+    summary; failure outcomes (and a test's fake backend) carry none, and
     guidance strategies must tolerate that.
     """
     payload = summary.get("behavior_signature")

@@ -20,7 +20,7 @@ from .backend import (
     SerialBackend,
     create_backend,
 )
-from .batch import Evaluator, evaluate_coalesced
+from .batch import Evaluator
 from .cache import (
     OUTCOME_SCHEMA,
     CacheKey,
@@ -70,7 +70,6 @@ __all__ = [
     "chaos_injection",
     "clear_chaos",
     "create_backend",
-    "evaluate_coalesced",
     "evaluate_job",
     "factory_identity",
     "failure_from_summary",

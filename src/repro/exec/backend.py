@@ -219,13 +219,13 @@ class SerialBackend(EvaluationBackend):
 class ProcessPoolBackend(EvaluationBackend):
     """Evaluate jobs on a supervised process pool with chunked prefetch.
 
-    ``chunk_size`` controls how many jobs each worker may hold at once;
-    ``None`` picks ``ceil(len(jobs) / (4 × workers))`` so every worker gets a
-    few chunks per batch — large enough to amortise pickling, small enough to
-    balance uneven simulation times.  This is the only backend that enforces
-    ``FaultPolicy.job_timeout`` and survives hard-exiting evaluations; if
-    the pool cannot start at all (fork failure, fd exhaustion) the batch
-    degrades to in-process serial evaluation rather than aborting.
+    Each worker may hold ``ceil(len(jobs) / (4 × workers))`` jobs at once, so
+    every worker gets a few chunks per batch — large enough to amortise
+    pickling, small enough to balance uneven simulation times.  This is the
+    only backend that enforces ``FaultPolicy.job_timeout`` and survives
+    hard-exiting evaluations; if the pool cannot start at all (fork failure,
+    fd exhaustion) the batch degrades to in-process serial evaluation rather
+    than aborting.
     """
 
     name = "process"
@@ -233,18 +233,12 @@ class ProcessPoolBackend(EvaluationBackend):
     def __init__(
         self,
         workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        mp_context: Optional[str] = None,
         policy: Optional[FaultPolicy] = None,
     ) -> None:
         super().__init__(policy)
         if workers is not None and workers < 1:
             raise ValueError("workers must be at least 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
         self.workers = workers or _default_workers()
-        self.chunk_size = chunk_size
-        self._mp_context = mp_context
         self._pool_instance: Optional[SupervisedProcessPool] = None
         self._init_lock = threading.Lock()
 
@@ -254,21 +248,17 @@ class ProcessPoolBackend(EvaluationBackend):
         # thread-safe, so concurrent batches then interleave freely.
         with self._init_lock:
             if self._pool_instance is None:
-                self._pool_instance = SupervisedProcessPool(
-                    self.workers, policy=self.policy, mp_context=self._mp_context
-                )
+                self._pool_instance = SupervisedProcessPool(self.workers, policy=self.policy)
             return self._pool_instance
 
-    def _chunk_size(self, batch_size: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
+    def _prefetch(self, batch_size: int) -> int:
         return max(1, -(-batch_size // (4 * self.workers)))
 
     def _run_jobs(self, jobs: List[EvaluationJob]) -> List[EvaluationOutcome]:
         chaos = active_plan()
         try:
             pairs = self._pool().submit_batch(
-                jobs, chaos=chaos, prefetch=self._chunk_size(len(jobs))
+                jobs, chaos=chaos, prefetch=self._prefetch(len(jobs))
             )
         except SupervisorError:
             # Graceful degradation: a pool that cannot even start must not
@@ -290,11 +280,13 @@ def create_backend(
 ) -> EvaluationBackend:
     """Build a backend by name (``serial`` or ``process``).
 
-    ``workers`` validation lives in the pool constructor (the layer that
-    uses the value); the serial backend ignores it.
+    The serial backend ignores ``workers``, but a bad count is rejected
+    whichever backend is named, so a spec cannot carry one unnoticed.
     """
     if name not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {name!r}")
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be at least 1")
     if name == "serial":
         return SerialBackend(policy=policy)
     return ProcessPoolBackend(workers=workers, policy=policy)

@@ -88,22 +88,18 @@ def factory_identity(cca_factory: CcaFactory) -> str:
     return identity
 
 
-def job_cache_key(job: EvaluationJob, score_fingerprint: Optional[str] = None) -> CacheKey:
+def job_cache_key(job: EvaluationJob) -> CacheKey:
     """The cache key of one :class:`~repro.exec.workers.EvaluationJob`.
 
     The one derivation of "what fixes an outcome": the trace, the CCA the
     factory builds, the simulation config and the score function, each by
-    its own memoized fingerprint.  ``score_fingerprint`` stands in for the
-    job's score function when the score comes from somewhere else (the
-    fuzzer's external-evaluator hook).
+    its own memoized fingerprint.
     """
-    if score_fingerprint is None:
-        score_fingerprint = job.score_function.fingerprint()
     return make_cache_key(
         job.trace.fingerprint(),
         factory_identity(job.cca_factory),
         job.sim_config.fingerprint(),
-        score_fingerprint,
+        job.score_function.fingerprint(),
     )
 
 

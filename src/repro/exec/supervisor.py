@@ -6,9 +6,9 @@ result forever.  :class:`SupervisedProcessPool` replaces it with N plain
 worker processes, one duplex pipe each, and a single dispatcher thread in
 the parent that
 
-* assigns tickets FIFO with a bounded per-worker prefetch (the chunking
-  knob), so the oldest unacknowledged ticket on a worker is always the one
-  it is currently executing;
+* assigns tickets FIFO with a bounded per-worker prefetch (the chunk the
+  backend derives per batch), so the oldest unacknowledged ticket on a
+  worker is always the one it is currently executing;
 * enforces ``FaultPolicy.job_timeout`` per job: an overdue worker is sent
   ``SIGABRT`` first — ``faulthandler`` is enabled in every worker, so the
   hung stack is dumped to stderr for diagnosis — then killed, replaced,
@@ -25,7 +25,8 @@ the parent that
   rather than hanging callers.
 
 The pool is lazily started, restartable after :meth:`close`, and safe to
-share between coordinator threads.  Workers evaluate through
+share between submitting threads (the dashboard's request threads share one
+through its replay service).  Workers evaluate through
 :func:`~repro.exec.faults.guarded_evaluate`, receiving the chaos plan
 inside each job message, so a long-lived pool observes plan changes made
 after its workers forked.
@@ -144,13 +145,12 @@ class SupervisedProcessPool:
         self,
         workers: int,
         policy: Optional[FaultPolicy] = None,
-        mp_context: Optional[str] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be a positive integer")
         self.workers = workers
         self.policy = policy or FaultPolicy()
-        self._context = multiprocessing.get_context(mp_context)
+        self._context = multiprocessing.get_context()
         self._lock = threading.Lock()
         self._running = False
         self._closing = False

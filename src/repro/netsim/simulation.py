@@ -26,7 +26,7 @@ from .topology import DumbbellTopology
 CcaFactory = Callable[[], CongestionControl]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationConfig:
     """Parameters of one simulation run (paper defaults from section 4)."""
 
@@ -41,8 +41,9 @@ class SimulationConfig:
     sender_start_time: float = 0.0
     record_series: bool = True
     max_events: Optional[int] = 2_000_000
-    #: Lazily computed by :meth:`fingerprint`; configs are treated as
-    #: immutable (copies go through :meth:`with_overrides`).
+    #: Lazily computed by :meth:`fingerprint`, which is why the class is
+    #: frozen: a field assigned after the memo would keep the old identity
+    #: (copies go through :meth:`with_overrides`).
     _fingerprint_cache: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )

@@ -107,8 +107,9 @@ class MetricsRegistry:
     Metric names are dotted paths (``sim.events``, ``journal.append_s``);
     the Prometheus exporter rewrites the dots.  Counters are monotone adds,
     gauges are set/add levels, histograms aggregate observations.  All
-    operations are thread-safe: campaign coordinator threads and the journal
-    writer share the process-global instance.
+    operations are thread-safe: the thread running the campaign, the process
+    pool's dispatcher thread and (in a process that also serves the
+    dashboard) its request threads share the process-global instance.
     """
 
     def __init__(self) -> None:

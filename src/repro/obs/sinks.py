@@ -58,8 +58,8 @@ class MetricsJsonlSink:
         # "Never": the monotonic clock's zero is arbitrary (often boot), so
         # no numeric sentinel is safely "long ago".
         self._last_snapshot: Optional[float] = None
-        # Parallel campaigns emit from several coordinator threads; the lock
-        # keeps each record on its own line.
+        # A campaign emits from the one thread that runs it; the lock keeps
+        # each record on its own line if a host program emits from another.
         self._lock = threading.Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = open(self.path, "a", encoding="utf-8")

@@ -6,14 +6,10 @@ closed when the ``with`` block exits.  Each span records wall time plus the
 *registry counter delta* observed while it was open, attributing work
 (simulations run, events executed, cache hits) to the phase that did it.
 
-Attribution is exact for serial execution.  With a parallel campaign,
-overlapping scenario spans on different threads each see the global counter
-movement during their window; the per-span numbers then overlap rather than
-partition — fine for throughput/ETA purposes, and called out in the span
-record via the ``overlapped`` flag when siblings were concurrently open.
-
-Spans nest per-thread (a thread-local stack), so tracing the coordinator
-never confuses worker-thread scenario spans with each other.
+A campaign process opens and closes its spans on one thread (the one running
+the scenarios), so spans nest on one plain stack and sibling spans partition
+the counter movement exactly.  The per-phase totals keep their lock:
+:meth:`PhaseTracer.summary` is a public read not tied to that thread.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from typing import Any, Callable, Dict, List, Optional
 from .metrics import MetricsRegistry, Snapshot, delta, get_registry
 
 #: Keys every finished-span record carries.
-SPAN_FIELDS = ("phase", "name", "wall_s", "depth", "overlapped", "counters")
+SPAN_FIELDS = ("phase", "name", "wall_s", "depth", "counters")
 
 
 class Span:
@@ -38,7 +34,6 @@ class Span:
         "_tracer",
         "_started",
         "_baseline",
-        "_overlapped",
         "record",
     )
 
@@ -56,7 +51,6 @@ class Span:
         self._tracer = tracer
         self._started = time.perf_counter()
         self._baseline = baseline
-        self._overlapped = False
         #: Populated on exit: the finished-span record (also handed to the
         #: tracer's on_close callback).
         self.record: Optional[Dict[str, Any]] = None
@@ -74,7 +68,6 @@ class Span:
             "name": self.name,
             "wall_s": time.perf_counter() - self._started,
             "depth": self.depth,
-            "overlapped": self._overlapped,
             "counters": moved["counters"],
         }
         return self.record
@@ -96,16 +89,9 @@ class PhaseTracer:
     ) -> None:
         self._registry = registry
         self._on_close = on_close
-        self._local = threading.local()
+        self._stack: List[Span] = []
         self._lock = threading.Lock()
-        self._open_by_phase: Dict[str, int] = {}
         self._totals: Dict[str, Dict[str, Any]] = {}
-
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
 
     def _registry_now(self) -> MetricsRegistry:
         return self._registry if self._registry is not None else get_registry()
@@ -113,32 +99,19 @@ class PhaseTracer:
     def span(self, phase: str, name: str = "") -> Span:
         """Open a span; use as ``with tracer.span("generation", "gen-3"):``."""
         registry = self._registry_now()
-        stack = self._stack()
-        opened = Span(self, phase, name, len(stack), registry.snapshot())
-        with self._lock:
-            concurrent = self._open_by_phase.get(phase, 0)
-            self._open_by_phase[phase] = concurrent + 1
-            if concurrent:
-                opened._overlapped = True
-        stack.append(opened)
+        opened = Span(self, phase, name, len(self._stack), registry.snapshot())
+        self._stack.append(opened)
         return opened
 
     def _close(self, span: Span) -> None:
-        stack = self._stack()
         # Tolerate out-of-order closes (an exception unwinding several
         # levels): pop down to and including this span.
-        while stack:
-            top = stack.pop()
+        while self._stack:
+            top = self._stack.pop()
             if top is span:
                 break
         record = span._finish(self._registry_now())
         with self._lock:
-            remaining = self._open_by_phase.get(span.phase, 1) - 1
-            if remaining:
-                self._open_by_phase[span.phase] = remaining
-                span.record["overlapped"] = record["overlapped"] = True
-            else:
-                self._open_by_phase.pop(span.phase, None)
             totals = self._totals.get(span.phase)
             if totals is None:
                 totals = self._totals[span.phase] = {
@@ -154,9 +127,8 @@ class PhaseTracer:
             self._on_close(record)
 
     def current(self) -> Optional[Span]:
-        """The innermost open span on this thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
+        """The innermost open span, if any."""
+        return self._stack[-1] if self._stack else None
 
     def summary(self) -> Dict[str, Dict[str, Any]]:
         """Per-phase aggregate: span count, total and max wall seconds."""

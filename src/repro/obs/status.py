@@ -16,13 +16,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from ..storage import read_json_object
 from .manifest import read_manifest
 from .sinks import METRICS_FILENAME, latest_snapshot, tail_metrics_records
-
-#: Mirrors :data:`repro.exec.quarantine.QUARANTINE_FILENAME` (kept as a
-#: literal here so the observability layer never imports the exec package).
-QUARANTINE_FILENAME = "quarantine.json"
 
 
 def _rate(delta_value: float, delta_t: float) -> Optional[float]:
@@ -44,10 +39,13 @@ def _attach_artifacts(status: Dict[str, Any], corpus_dir: Path) -> Dict[str, Any
     status["result_digest"] = ((manifest or {}).get("result") or {}).get(
         "deterministic_digest"
     )
-    # A read-only peek, never a QuarantineStore: a status poll must not be
-    # able to create or rewrite a running campaign's quarantine state.
-    entries = (read_json_object(corpus_dir / QUARANTINE_FILENAME) or {}).get("entries")
-    status["quarantine_entries"] = len(entries) if isinstance(entries, list) else 0
+    # A read-only peek through the store's own parser, never a
+    # QuarantineStore: a status poll must not be able to create or rewrite a
+    # running campaign's quarantine state.  Imported here because ``exec``
+    # imports :mod:`repro.obs.metrics`.
+    from ..exec.quarantine import QUARANTINE_FILENAME, read_quarantine_entries
+
+    status["quarantine_entries"] = len(read_quarantine_entries(corpus_dir / QUARANTINE_FILENAME))
     return status
 
 

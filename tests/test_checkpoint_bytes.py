@@ -86,6 +86,9 @@ def test_parent_layout_journal_resumes_cold(tmp_path):
     shutil.copy(LEGACY_JOURNAL, CampaignJournal.corpus_path(str(corpus_dir)))
     view = CampaignJournal(CampaignJournal.corpus_path(str(corpus_dir))).replay()
     assert "entries" in view.cache_state and "ops" not in view.cache_state
+    # Its fuzzer snapshots also still carry the fault knobs FuzzConfig has since lost.
+    inflight = list(view.pending_checkpoints().values())
+    assert inflight and all("job_timeout" in c["fuzzer"]["config"] for c in inflight)
     messages = []
     resumed = CampaignRunner.resume(
         str(corpus_dir), progress=messages.append, telemetry=False

@@ -254,6 +254,32 @@ class TestCoverageCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["cells"]
 
+    def test_map_and_gaps_text_is_byte_identical_to_the_recorded_render(self, tmp_path, capsys):
+        """``map``/``gaps`` are text renderers of ``shape_coverage`` (what
+        ``/api/coverage`` serves); the golden holds the stdout of the
+        renderers they replaced, over a 4-scenario novelty campaign's map."""
+        from repro.cli import coverage_main
+
+        golden_path = os.path.join(os.path.dirname(__file__), "golden_coverage_render.json")
+        with open(golden_path) as handle:
+            golden = json.load(handle)
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps(golden["behavior_map"]))
+        empty_path = str(tmp_path / "empty.json")
+        BehaviorArchive().save(empty_path)
+
+        def stdout_of(argv):
+            assert coverage_main(argv) == 0
+            return capsys.readouterr().out
+
+        assert sorted(golden["stdout"]) == ["gaps", "map --top 10", "map --top 30"]
+        for command, expected in golden["stdout"].items():
+            name, *options = command.split()
+            assert stdout_of([name, str(map_path), *options]) == expected, command
+        assert sorted(golden["stdout_empty"]) == ["gaps", "map"]
+        for name, expected in golden["stdout_empty"].items():
+            assert stdout_of([name, empty_path]) == expected, name
+
     @staticmethod
     def _fuzz_corpus(corpus_dir, tmp_path):
         from repro.cli import fuzz_main

@@ -8,15 +8,19 @@ simulator consumes none.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import itertools
 import pickle
 
 import pytest
+from fake_backend import FunctionBackend
 
 from repro.core import CCFuzz, FuzzConfig
 from repro.exec import (
     BACKENDS,
     EvaluationJob,
+    Evaluator,
     ProcessPoolBackend,
     SerialBackend,
     TraceCache,
@@ -137,12 +141,12 @@ class TestCreateBackend:
             ProcessPoolBackend(workers=workers)
 
     def test_process_chunking_covers_batch(self):
+        # The per-worker prefetch is derived, never set: ceil(n / 4·workers).
         backend = ProcessPoolBackend(workers=2)
-        assert backend._chunk_size(1) == 1
-        assert backend._chunk_size(8) == 1
-        assert backend._chunk_size(80) == 10
-        fixed = ProcessPoolBackend(workers=2, chunk_size=5)
-        assert fixed._chunk_size(1000) == 5
+        assert backend._prefetch(1) == 1
+        assert backend._prefetch(8) == 1
+        assert backend._prefetch(80) == 10
+        assert backend._prefetch(81) == 11
 
 
 class TestTraceCache:
@@ -191,6 +195,17 @@ class TestTraceCache:
         assert key(trace_a, Cubic, config) != base
         assert key(trace_a, Reno, config.with_overrides(queue_capacity=10)) != base
 
+    def test_sim_config_cannot_drift_from_its_memoized_fingerprint(self):
+        # The fingerprint is memoized and part of every cache key: a field
+        # assigned afterwards would be a wrong-score cache hit.
+        config = SimulationConfig()
+        before = config.fingerprint()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.queue_capacity = 5
+        assert config.fingerprint() == before
+        changed = config.with_overrides(queue_capacity=5)
+        assert changed.fingerprint() == SimulationConfig(queue_capacity=5).fingerprint() != before
+
     def test_lru_eviction(self):
         from repro.scoring.base import Score
 
@@ -206,6 +221,47 @@ class TestTraceCache:
     def test_invalid_max_entries(self):
         with pytest.raises(ValueError):
             TraceCache(max_entries=0)
+
+
+class TestEvaluator:
+    SCORE = ScoreFunction(performance=LowUtilizationScore())
+
+    def test_evaluator_runs_first_occurrences_only(self):
+        """The accounting every producer of a score shares: the first
+        occurrence of a key is one ``get``, in-batch repeats are coalesced
+        onto it, only the misses reach the backend, and without a cache
+        everything does."""
+        from repro.scoring.base import Score
+
+        samples = itertools.count()
+
+        def noisy(trace):
+            fitness = float(next(samples))  # deliberately nondeterministic
+            return Score(total=fitness, performance=fitness), {"first": trace.timestamps[0]}
+
+        def job(seed):
+            trace = TrafficTrace(timestamps=[0.1 * seed], duration=1.0, max_packets=5)
+            return EvaluationJob(Reno, SimulationConfig(duration=1.0), trace, self.SCORE)
+
+        backend = FunctionBackend(noisy)
+        cache = TraceCache()
+        evaluator = Evaluator(backend, cache)
+        outcomes, simulations, hits = evaluator.evaluate_counted([job(1), job(2), job(1), job(1)])
+        assert (simulations, hits, backend.calls) == (2, 2, 2)
+        assert (cache.misses, cache.hits) == (2, 2)     # one get each; repeats coalesced
+        assert outcomes[0] == outcomes[2] == outcomes[3] != outcomes[1]
+        # Coalesced repeats get their own summary dict, not the first one's.
+        assert outcomes[0][1] is not outcomes[2][1]
+
+        again, simulations, hits = evaluator.evaluate_counted([job(2), job(3)])
+        assert (simulations, hits, backend.calls) == (1, 1, 3)
+        assert (cache.misses, cache.hits) == (3, 3)
+        assert again[0] == outcomes[1]          # the memo, not a fresh noisy sample
+        assert (evaluator.simulations, evaluator.cache_hits) == (3, 3)
+
+        uncached = Evaluator(FunctionBackend(noisy))
+        _, simulations, hits = uncached.evaluate_counted([job(1), job(1), job(2)])
+        assert (simulations, hits, uncached.backend.calls) == (3, 0, 3)
 
 
 class TestFuzzerCacheIntegration:
@@ -282,26 +338,6 @@ class TestFuzzerCacheIntegration:
         fresh = CCFuzz(Reno, config=tiny_config("traffic"), score_function=heavy).run()
         assert second.best_fitness == fresh.best_fitness
         assert second.best_fitness != first.best_fitness
-
-    def test_external_evaluator_not_cached_by_default(self):
-        from repro.scoring.base import Score
-
-        calls = []
-
-        def noisy_evaluator(trace):
-            calls.append(trace)
-            fitness = float(len(calls))  # deliberately nondeterministic
-            return Score(total=fitness, performance=fitness), {}
-
-        fuzzer = CCFuzz(Reno, config=tiny_config("traffic"), evaluator=noisy_evaluator)
-        assert fuzzer.cache is None
-        result = fuzzer.run()
-        assert result.total_evaluations == len(calls)
-        # An explicit cache opts back in for evaluators known to be pure.
-        cached = CCFuzz(
-            Reno, config=tiny_config("traffic"), evaluator=noisy_evaluator, cache=TraceCache()
-        )
-        assert cached.cache is not None
 
     def test_default_cache_is_bounded(self):
         fuzzer = CCFuzz(Reno, config=tiny_config("traffic"))

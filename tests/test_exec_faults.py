@@ -36,6 +36,7 @@ from repro.exec import (
     failure_from_summary,
     guarded_evaluate,
 )
+from repro.campaign.scheduler import campaign_backend
 from repro.campaign.spec import CampaignSpec
 from repro.netsim import SimulationConfig
 from repro.obs.metrics import get_registry
@@ -206,54 +207,46 @@ class TestFailureTypes:
 
 
 class TestConfigPlumbing:
-    def test_fuzz_config_validates_fault_knobs(self):
-        with pytest.raises(ValueError, match="job_timeout"):
-            FuzzConfig(job_timeout=-1.0)
-        with pytest.raises(ValueError, match="max_retries"):
-            FuzzConfig(max_retries=-1)
-        config = FuzzConfig(job_timeout=5.0, max_retries=1)
-        assert (config.job_timeout, config.max_retries) == (5.0, 1)
-
     def test_campaign_spec_validates_and_serialises_fault_knobs(self):
-        with pytest.raises(ValueError, match="job_timeout"):
-            CampaignSpec(job_timeout=0.0)
-        with pytest.raises(ValueError, match="max_retries"):
-            CampaignSpec(max_retries=-2)
+        # The spec validates its execution values by building what they
+        # feed, so each rule is the one of the layer that uses the value.
+        for overrides, message in (
+            ({"job_timeout": 0.0}, r"job_timeout must be positive \(or None to disable\)"),
+            ({"max_retries": -2}, "max_retries must be non-negative"),
+            ({"workers": 0}, "workers must be at least 1"),
+            ({"backend": "quantum"}, r"backend must be one of \('serial', 'process'\), got 'quantum'"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                CampaignSpec(**overrides)
         spec = CampaignSpec(job_timeout=7.5, max_retries=4)
         restored = CampaignSpec.from_dict(json.loads(spec.to_json()))
         assert restored.job_timeout == 7.5
         assert restored.max_retries == 4
-        for scenario in restored.expand():
-            assert scenario.job_timeout == 7.5
-            assert scenario.max_retries == 4
-            fuzz_config = scenario.fuzz_config()
-            assert fuzz_config.job_timeout == 7.5
-            assert fuzz_config.max_retries == 4
+        # ... and the spec is the only carrier: the values reach evaluations
+        # as the policy on the backend the campaign builds from it.
+        store = QuarantineStore()
+        with campaign_backend(restored, store) as backend:
+            assert (backend.policy.job_timeout, backend.policy.max_retries) == (7.5, 4)
+            assert backend.policy.quarantine is store
 
-    def test_snapshot_round_trip_carries_fault_knobs(self):
+    def test_snapshot_carrying_legacy_fault_knobs_resumes(self):
         config = FuzzConfig(
             mode="traffic", population_size=4, generations=2, duration=1.0,
             average_rate_mbps=3.0, max_traffic_packets=40, seed=13,
-            job_timeout=9.0, max_retries=5,
         )
-        fuzzer = CCFuzz(Reno, config=config)
         snapshots = []
-        fuzzer.run(checkpoint=snapshots.append)
-        assert snapshots
-        assert snapshots[-1]["config"]["job_timeout"] == 9.0
-        assert snapshots[-1]["config"]["max_retries"] == 5
-        # The knobs are provenance, not identity: resuming under different
-        # fault tolerance is legal and changes no search state.
-        resumed = CCFuzz(
-            Reno,
-            config=FuzzConfig(
-                mode="traffic", population_size=4, generations=2, duration=1.0,
-                average_rate_mbps=3.0, max_traffic_packets=40, seed=13,
-                job_timeout=None, max_retries=0,
-            ),
-        )
-        result = resumed.run(resume_from=snapshots[0])
-        assert result.best_fitness is not None
+        uninterrupted = CCFuzz(Reno, config=config).run(checkpoint=snapshots.append)
+        assert set(snapshots[0]["config"]) == {
+            "mode", "population_size", "islands", "generations", "seed", "guidance",
+        }
+        # Older snapshots also recorded the writer's fault-tolerance knobs
+        # (every checkpoint in tests/legacy_full_dump_journal.jsonl does);
+        # they were provenance, never identity, and such a snapshot resumes.
+        legacy = json.loads(json.dumps(snapshots[0]))
+        legacy["config"].update({"job_timeout": 9.0, "max_retries": 5})
+        resumed = CCFuzz(Reno, config=config).run(resume_from=legacy)
+        assert resumed.best_fitness == uninterrupted.best_fitness
+        assert resumed.best_trace.fingerprint() == uninterrupted.best_trace.fingerprint()
 
 
 class TestQuarantineStore:

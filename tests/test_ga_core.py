@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from fake_backend import FunctionBackend
 
 from repro.core import (
     CCFuzz,
@@ -199,21 +200,15 @@ class TestConvergence:
             ConvergenceCriterion(max_generations=0)
 
 
-class FakeEvaluator:
+def early_packets_fitness(trace):
     """Deterministic fitness: prefers traffic traces with many early packets.
 
     Gives the GA a smooth landscape so tests can assert real improvement
     without running the simulator.
     """
-
-    def __init__(self):
-        self.calls = 0
-
-    def __call__(self, trace):
-        self.calls += 1
-        early = sum(1 for t in trace.timestamps if t < trace.duration / 2)
-        fitness = float(early)
-        return Score(total=fitness, performance=fitness), {"early_packets": early}
+    early = sum(1 for t in trace.timestamps if t < trace.duration / 2)
+    fitness = float(early)
+    return Score(total=fitness, performance=fitness), {"early_packets": early}
 
 
 class TestCCFuzzLoop:
@@ -228,8 +223,8 @@ class TestCCFuzzLoop:
         )
         params.update(overrides)
         config = FuzzConfig(**params)
-        evaluator = FakeEvaluator()
-        return CCFuzz(Reno, config=config, evaluator=evaluator), evaluator
+        backend = FunctionBackend(early_packets_fitness)
+        return CCFuzz(Reno, config=config, backend=backend), backend
 
     def test_fitness_improves_over_generations(self):
         fuzzer, _ = self.make_fuzzer()
@@ -290,7 +285,7 @@ class TestCCFuzzLoop:
             mode="link", population_size=6, generations=3, duration=2.0, seed=3,
             average_rate_mbps=3.0,
         )
-        fuzzer = CCFuzz(Reno, config=config, evaluator=FakeEvaluator())
+        fuzzer = CCFuzz(Reno, config=config, backend=FunctionBackend(early_packets_fitness))
         result = fuzzer.run()
         assert all(ind.origin != "crossover" for ind in result.final_population)
 
@@ -315,6 +310,17 @@ class TestCCFuzzLoop:
         fuzzer, _ = self.make_fuzzer(generations=50, patience=2)
         result = fuzzer.run()
         assert result.converged_generation < 49
+
+    def test_signatureless_outcomes_are_skipped_by_the_archive(self):
+        # The fake backend's summaries carry no behavior signature: nothing
+        # is observed, and the run still reports (empty) coverage.
+        fuzzer, _ = self.make_fuzzer(generations=2)
+        result = fuzzer.run()
+        assert len(fuzzer.archive) == 0
+        assert result.behavior_cells == 0
+        assert result.coverage["cells"] == 0
+        assert result.coverage["observations"] == 0
+        assert all(stats.behavior_cells == 0 for stats in result.generations)
 
 
 class TestFuzzConfig:

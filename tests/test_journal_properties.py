@@ -333,7 +333,7 @@ def test_torn_tail_of_any_length_is_skipped(records, cut):
 CACHE_SID = "reno/traffic/a"
 CACHE_KEYS = [make_cache_key(f"trace{i}", "reno:00", "sim", "score") for i in range(6)]
 
-#: One cache touch: a lookup (put on a miss, like ``evaluate_coalesced``) or
+#: One cache touch: a lookup (put on a miss, like ``Evaluator`` does) or
 #: an in-batch duplicate that only moves the hit counter.
 touch_st = st.one_of(
     st.tuples(st.just("lookup"), st.integers(min_value=0, max_value=len(CACHE_KEYS) - 1)),

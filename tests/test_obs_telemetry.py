@@ -16,6 +16,7 @@ import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
 from repro.cli import campaign_main
+from repro.exec import QUARANTINE_FILENAME, QuarantineStore
 from repro.journal import CampaignJournal
 from repro.obs import (
     MANIFEST_FILENAME,
@@ -36,6 +37,12 @@ from repro.obs import (
     status_json,
     write_prometheus,
 )
+from repro.obs.spans import SPAN_FIELDS
+
+#: One well-formed entry between two the store's parser drops.
+HALF_GARBAGE_QUARANTINE = {
+    "entries": [1, {"fingerprint": "x", "cca": "reno", "kind": "crash"}, {"nope": 1}]
+}
 
 
 def tiny_spec(**overrides) -> CampaignSpec:
@@ -124,6 +131,10 @@ class TestTelemetryStream:
         assert {"scenario_state", "generation", "metrics"} <= types
         for record in records:
             assert isinstance(record.get("t"), (int, float))
+        spans = [record for record in records if record["type"] == "span"]
+        assert [span["phase"] for span in spans] == ["scenario"]
+        for span in spans:
+            assert set(span) - {"t", "type"} == set(SPAN_FIELDS)
 
     def test_generation_records_carry_search_progress(self, campaign):
         corpus_dir, result = campaign
@@ -187,14 +198,19 @@ class TestTelemetryStream:
     def test_status_tolerates_a_torn_tail(self, campaign):
         corpus_dir, result = campaign
         path = corpus_dir / METRICS_FILENAME
+        quarantine = corpus_dir / QUARANTINE_FILENAME
         original = path.read_bytes()
         try:
             path.write_bytes(original + b'not json\n{"type": "metrics", "tr')
+            quarantine.write_text(json.dumps(HALF_GARBAGE_QUARANTINE), encoding="utf-8")
             status = collect_status(corpus_dir)
             assert status["state"] == "complete"
             assert status["evaluations"] == sum(o.evaluations for o in result.outcomes)
+            # Counted by the store's own parser, so the two cannot disagree.
+            assert status["quarantine_entries"] == len(QuarantineStore.for_corpus(corpus_dir)) == 1
         finally:
             path.write_bytes(original)
+            quarantine.unlink()
 
     def test_status_on_empty_directory(self, tmp_path):
         status = collect_status(tmp_path)

@@ -21,10 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exec import QuarantineStore
 from repro.journal import CampaignJournal
 from repro.journal.events import make_record
 from repro.journal.log import read_corpus_journal_view
 from repro.obs.sinks import METRICS_FILENAME, read_metrics, tail_metrics_records
+from repro.obs.status import collect_status
 from repro.serve import DashboardServer
 
 API_PATHS = [
@@ -121,7 +123,11 @@ class TestDegradedDirectories:
         corpus_dir.mkdir()
         (corpus_dir / "index.json").write_text("{not json", encoding="utf-8")
         (corpus_dir / "behavior_map.json").write_text("[]", encoding="utf-8")
-        (corpus_dir / "quarantine.json").write_text("null", encoding="utf-8")
+        # One well-formed entry between two the store's parser drops.
+        (corpus_dir / "quarantine.json").write_text(
+            '{"entries": [1, {"fingerprint": "x", "cca": "reno", "kind": "crash"}, {"nope": 1}]}',
+            encoding="utf-8",
+        )
         (corpus_dir / "run_manifest.json").write_text("\x00\x01", encoding="utf-8")
         (corpus_dir / "journal.jsonl").write_text(
             "complete garbage\n{\"half\": ", encoding="utf-8"
@@ -144,6 +150,10 @@ class TestDegradedDirectories:
             assert "error" not in status
             assert status["state"] == "running"
             assert status["manifest_present"] is False
+            # ... and count what the store would load, through its parser.
+            assert status["quarantine_entries"] == 1
+            assert collect_status(corpus_dir)["quarantine_entries"] == 1
+            assert len(QuarantineStore.for_corpus(corpus_dir)) == 1
         assert snapshot_dir(corpus_dir) == before
 
     def test_torn_metrics_tail_heals_on_completion(self, tmp_path):
