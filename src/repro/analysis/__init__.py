@@ -1,12 +1,10 @@
 """Analysis utilities: metrics, queueing analysis, stall timelines, reporting."""
 
-from .metrics import FlowMetrics, compare_metrics, compute_metrics, goodput_mbps, longest_delivery_gap
+from .metrics import FlowMetrics, compute_metrics, goodput_mbps, longest_delivery_gap
 from .queueing import (
     max_queue_depth,
-    per_flow_delay_series,
     queue_depth_series,
     queueing_delay_series,
-    standing_queue_estimate,
     time_above_delay,
 )
 from .reporting import (
@@ -33,7 +31,6 @@ __all__ = [
     "ascii_chart",
     "bandwidth_collapse_ratio",
     "bbr_bug_evidence",
-    "compare_metrics",
     "compute_metrics",
     "describe_bug_timeline",
     "extract_stall_periods",
@@ -45,9 +42,7 @@ __all__ = [
     "goodput_mbps",
     "longest_delivery_gap",
     "max_queue_depth",
-    "per_flow_delay_series",
     "queue_depth_series",
     "queueing_delay_series",
-    "standing_queue_estimate",
     "time_above_delay",
 ]

@@ -72,11 +72,6 @@ def compute_metrics(result: SimulationResult) -> FlowMetrics:
     )
 
 
-def compare_metrics(results: Dict[str, SimulationResult]) -> Dict[str, FlowMetrics]:
-    """Compute metrics for several labelled runs (e.g. one per CCA)."""
-    return {label: compute_metrics(result) for label, result in results.items()}
-
-
 def goodput_mbps(result: SimulationResult) -> float:
     """Application goodput: unique segments delivered per second, in Mbps.
 

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
-from ..netsim.packet import CCA_FLOW, CROSS_FLOW
+from ..netsim.packet import CCA_FLOW
 from ..netsim.simulation import SimulationResult
 
 
@@ -29,13 +29,6 @@ def queueing_delay_series(
     return result.queueing_delays(flow)
 
 
-def per_flow_delay_series(result: SimulationResult) -> Dict[str, List[Tuple[float, float]]]:
-    return {
-        CCA_FLOW: queueing_delay_series(result, CCA_FLOW),
-        CROSS_FLOW: queueing_delay_series(result, CROSS_FLOW),
-    }
-
-
 def time_above_delay(
     result: SimulationResult, threshold_s: float, flow: str = CCA_FLOW
 ) -> float:
@@ -44,21 +37,3 @@ def time_above_delay(
     if not delays:
         return 0.0
     return sum(1 for d in delays if d > threshold_s) / len(delays)
-
-
-def standing_queue_estimate(result: SimulationResult, window: float = 0.5) -> List[Tuple[float, float]]:
-    """Windowed minimum queue depth — a standing queue shows as a high floor."""
-    samples = result.monitor.queue_depth
-    if not samples:
-        return []
-    out: List[Tuple[float, float]] = []
-    start = 0.0
-    duration = result.duration
-    index = 0
-    while start < duration:
-        end = start + window
-        window_depths = [depth for t, depth in samples if start <= t < end]
-        if window_depths:
-            out.append((start, float(min(window_depths))))
-        start = end
-    return out

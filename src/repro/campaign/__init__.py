@@ -17,7 +17,7 @@ benchmark sweep:
 * :mod:`report` — plain-text and JSON campaign summaries.
 """
 
-from .corpus import CorpusEntry, CorpusReader, CorpusStore, mode_of_trace
+from .corpus import CorpusEntry, CorpusReader, CorpusStore
 from .replay import ReplayReport, ReplayRow, replay_corpus
 from .report import (
     format_campaign_report,
@@ -48,7 +48,6 @@ __all__ = [
     "format_campaign_report",
     "format_corpus_report",
     "format_replay_report",
-    "mode_of_trace",
     "read_campaign_report",
     "replay_corpus",
     "write_campaign_report",

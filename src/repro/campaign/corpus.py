@@ -41,23 +41,15 @@ from ..obs.metrics import get_registry
 from ..scoring.objectives import make_score_function
 from ..storage import publish, read_json_object
 from ..tcp.cca import cca_factory
-from ..traces.trace import LinkTrace, LossTrace, PacketTrace, TrafficTrace
+from ..traces.constraints import may_join_population
+from ..traces.trace import PacketTrace
+from .spec import NetworkCondition
 
 #: index.json schema version, bumped on incompatible layout changes.
 CORPUS_SCHEMA = 1
 
 #: Objective assumed for entries that carry none (builtin attacks).
 DEFAULT_OBJECTIVE = "throughput"
-
-_MODE_BY_TYPE = {LinkTrace: "link", TrafficTrace: "traffic", LossTrace: "loss"}
-
-
-def mode_of_trace(trace: PacketTrace) -> str:
-    """The fuzzing mode a trace belongs to (by its concrete type)."""
-    for trace_type, mode in _MODE_BY_TYPE.items():
-        if isinstance(trace, trace_type):
-            return mode
-    raise TypeError(f"trace type {type(trace).__name__} has no fuzzing mode")
 
 
 @dataclass
@@ -84,6 +76,10 @@ class CorpusEntry:
     #: subsystem).
     behavior: Dict[str, Any] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.trace.mode is None:
+            raise TypeError(f"trace type {type(self.trace).__name__} has no fuzzing mode")
+
     @property
     def duration(self) -> float:
         return self.trace.duration
@@ -91,17 +87,12 @@ class CorpusEntry:
     def sim_config(self) -> SimulationConfig:
         """The simulation configuration this entry was discovered under.
 
-        Falls back to simulator defaults for fields the provenance does not
-        record (e.g. imported traces); used by replay and triage so an entry
-        is always re-scored like-for-like.
+        Falls back to :class:`NetworkCondition`'s defaults for fields the
+        provenance does not record (e.g. imported traces); used by replay and
+        triage so an entry is always re-scored like-for-like.  Raises
+        ``ValueError`` for a recorded condition that is not one.
         """
-        condition = self.condition or {}
-        return SimulationConfig(
-            duration=self.trace.duration,
-            bottleneck_rate_mbps=condition.get("bottleneck_rate_mbps", 12.0),
-            queue_capacity=condition.get("queue_capacity", 60),
-            propagation_delay=condition.get("propagation_delay", 0.02),
-        )
+        return NetworkCondition.from_dict(self.condition).sim_config(self.trace.duration)
 
     def evaluation_job(self, cca: Optional[str] = None) -> EvaluationJob:
         """The evaluation that re-scores this entry as it was discovered.
@@ -145,7 +136,7 @@ class CorpusEntry:
         return cls(
             trace=trace,
             fingerprint=payload["fingerprint"],
-            mode=payload.get("mode", mode_of_trace(trace)),
+            mode=payload.get("mode", trace.mode),
             scenario_id=payload.get("scenario_id", ""),
             cca=payload.get("cca", ""),
             objective=payload.get("objective", ""),
@@ -298,12 +289,9 @@ class CorpusReader:
     ) -> List[PacketTrace]:
         """Corpus traces usable as initial-population seeds for a scenario.
 
-        Compatibility means same fuzzing mode and same trace duration (the
-        GA's operators preserve both), and — for link mode — an average rate
-        matching the scenario's bottleneck: a link trace *is* the service
-        curve, so seeding a 12 Mbps search with a 5 Mbps curve would hand the
-        GA the degenerate "just lower the bandwidth" solution that the
-        fixed-packet-budget invariant exists to prevent.  Curated builtins
+        Compatibility is :func:`~repro.traces.constraints.may_join_population`
+        — same mode, same duration and, for link mode, an average rate
+        matching the scenario's bottleneck.  Curated builtins
         come first, then entries found under the requesting scenario's
         ``objective`` ordered best-score-first (scores from *different*
         objectives live on incomparable scales, so cross-objective entries
@@ -314,21 +302,18 @@ class CorpusReader:
         if limit <= 0:
             return []
 
-        def rate_compatible(row: Dict[str, Any]) -> bool:
-            if mode != "link" or bottleneck_rate_mbps is None:
-                return True
-            rate = row.get("average_rate_mbps")
-            return rate is not None and abs(rate - bottleneck_rate_mbps) <= (
-                0.02 * bottleneck_rate_mbps
-            )
-
         with self._lock:
             rows = [
                 (fingerprint, row)
                 for fingerprint, row in self._index.items()
-                if row["mode"] == mode
-                and row["duration"] == duration
-                and rate_compatible(row)
+                if may_join_population(
+                    row["mode"],
+                    row["duration"],
+                    row.get("average_rate_mbps"),
+                    into_mode=mode,
+                    into_duration=duration,
+                    link_rate_mbps=bottleneck_rate_mbps,
+                )
             ]
 
         def rank(item):
@@ -469,7 +454,7 @@ class CorpusStore(CorpusReader):
         entry = CorpusEntry(
             trace=trace.copy(),
             fingerprint=fingerprint,
-            mode=mode_of_trace(trace),
+            mode=trace.mode,
             scenario_id=scenario_id,
             cca=cca,
             objective=objective,

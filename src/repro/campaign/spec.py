@@ -50,6 +50,20 @@ class NetworkCondition:
         if self.propagation_delay < 0:
             raise ValueError("propagation_delay must be non-negative")
 
+    def sim_config(self, duration: float) -> SimulationConfig:
+        """A ``duration``-second simulation of this bottleneck.
+
+        The one condition -> :class:`SimulationConfig` mapping: a scenario's
+        and a stored corpus entry's simulations are both built here, so they
+        share a ``sim_fingerprint`` (and therefore cache keys).
+        """
+        return SimulationConfig(
+            duration=duration,
+            bottleneck_rate_mbps=self.bottleneck_rate_mbps,
+            queue_capacity=self.queue_capacity,
+            propagation_delay=self.propagation_delay,
+        )
+
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
 
@@ -109,12 +123,7 @@ class Scenario:
         return f"{self.cca}/{self.mode}/{self.objective}/{self.condition.name}"
 
     def sim_config(self) -> SimulationConfig:
-        return SimulationConfig(
-            duration=self.budget.duration,
-            bottleneck_rate_mbps=self.condition.bottleneck_rate_mbps,
-            queue_capacity=self.condition.queue_capacity,
-            propagation_delay=self.condition.propagation_delay,
-        )
+        return self.condition.sim_config(self.budget.duration)
 
     def fuzz_config(self) -> FuzzConfig:
         """The :class:`FuzzConfig` for this cell.

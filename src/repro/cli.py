@@ -248,7 +248,7 @@ def _read_trace(path: str) -> PacketTrace:
 
 def _require_typed(trace: PacketTrace, parser: _Parser) -> PacketTrace:
     """The trace type picks the simulator input, so a bare one cannot run."""
-    if type(trace) is PacketTrace:
+    if trace.mode is None:
         parser.error(
             "trace has no concrete type (LinkTrace/TrafficTrace/LossTrace); "
             're-export it with a "type" field'

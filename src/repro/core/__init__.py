@@ -1,6 +1,6 @@
 """CC-Fuzz core: the genetic-algorithm fuzzing loop and its building blocks."""
 
-from .annealing import anneal_link_trace, anneal_trace, gaussian_kernel, smooth_timestamps
+from .annealing import anneal_link_trace, gaussian_kernel, smooth_timestamps
 from .convergence import ConvergenceCriterion
 from .fuzzer import CCFuzz, FuzzConfig, MODES
 from .islands import IslandModel
@@ -20,7 +20,6 @@ __all__ = [
     "Population",
     "RankSelection",
     "anneal_link_trace",
-    "anneal_trace",
     "gaussian_kernel",
     "pick_elites",
     "smooth_timestamps",

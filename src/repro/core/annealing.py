@@ -12,7 +12,12 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
-from ..traces.trace import LinkTrace, PacketTrace
+from ..traces.trace import LinkTrace
+
+#: Modes whose traces are smoothed before mutation when annealing is on.  The
+#: paper only anneals link traces — smoothing a traffic trace would defeat
+#: the minimality pressure applied by the trace score.
+ANNEALED_MODES = ("link",)
 
 
 def gaussian_kernel(sigma: float, radius: int) -> List[float]:
@@ -63,22 +68,6 @@ def smooth_timestamps(
 def anneal_link_trace(trace: LinkTrace, sigma: float = 2.0) -> LinkTrace:
     """Return a smoothed copy of ``trace`` (packet count preserved)."""
     smoothed = smooth_timestamps(trace.timestamps, sigma, trace.duration)
-    annealed = LinkTrace(
-        timestamps=smoothed,
-        duration=trace.duration,
-        mss_bytes=trace.mss_bytes,
-        metadata=dict(trace.metadata),
-    )
+    annealed = trace.with_timestamps(smoothed)
     annealed.metadata["annealed"] = True
     return annealed
-
-
-def anneal_trace(trace: PacketTrace, sigma: float = 2.0) -> PacketTrace:
-    """Anneal link traces; other trace types are returned unchanged.
-
-    The paper only anneals link traces — smoothing a traffic trace would
-    defeat the minimality pressure applied by the trace score.
-    """
-    if isinstance(trace, LinkTrace):
-        return anneal_link_trace(trace, sigma)
-    return trace.copy()

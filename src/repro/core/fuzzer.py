@@ -6,7 +6,8 @@ control algorithm.  Each generation:
 1. every trace is scored by simulating the CCA against it,
 2. the ``k_elite`` best traces survive unchanged,
 3. ``crossover_fraction`` of the next generation comes from splicing parent
-   pairs chosen with rank-proportional probability (traffic mode only),
+   pairs chosen with rank-proportional probability (in the modes that have
+   a crossover operator — not link, section 3.2),
 4. the remainder are mutations of rank-selected parents (optionally after
    Gaussian trace annealing for link traces),
 5. islands exchange their best traces every ``migration_interval``
@@ -34,22 +35,18 @@ from ..exec.cache import TraceCache, factory_identity
 from ..exec.workers import EvaluationJob, simulate_packet_trace
 from ..netsim.simulation import CcaFactory, SimulationConfig, SimulationResult
 from ..scoring.base import Score, ScoreFunction
-from ..scoring.performance import LowUtilizationScore
-from ..scoring.trace_score import MinimalTrafficScore
-from ..traces.crossover import crossover_traces
+from ..scoring.objectives import make_score_function
+from ..traces.constraints import may_join_population
+from ..traces.crossover import CROSSOVER_OPERATORS, crossover_traces
 from ..traces.generator import LinkTraceGenerator, LossTraceGenerator, TrafficTraceGenerator
-from ..traces.mutation import mutate_link_trace, mutate_loss_trace, mutate_traffic_trace
-from ..traces.trace import LinkTrace, LossTrace, PacketTrace, TrafficTrace
-from .annealing import anneal_link_trace
+from ..traces.mutation import mutate_trace
+from ..traces.trace import MODES, PacketTrace
+from .annealing import ANNEALED_MODES, anneal_link_trace
 from .convergence import ConvergenceCriterion
 from .islands import IslandModel
 from .population import Individual, Population
 from .results import FuzzResult, GenerationStats
 from .selection import RankSelection, pick_elites
-
-#: Fuzzing modes supported by the framework.  ``link`` and ``traffic`` are the
-#: paper's two modes; ``loss`` is the section-5 extension.
-MODES = ("link", "traffic", "loss")
 
 ProgressCallback = Callable[[GenerationStats], None]
 
@@ -212,7 +209,10 @@ class CCFuzz:
     ) -> None:
         self.cca_factory = cca_factory
         self.config = config or FuzzConfig()
-        self.score_function = score_function or self._default_score_function()
+        # Default: the low-utilisation objective every front door calls "throughput".
+        self.score_function = score_function or make_score_function(
+            "throughput", self.config.mode
+        )
         self.seed_traces = list(seed_traces or [])
         self.rng = random.Random(self.config.seed)
         self.total_evaluations = 0
@@ -249,20 +249,6 @@ class CCFuzz:
     # ------------------------------------------------------------------ #
     # Defaults
     # ------------------------------------------------------------------ #
-
-    def _default_score_function(self) -> ScoreFunction:
-        """Low-utilisation objective; traffic mode also rewards minimality.
-
-        The trace-score weight is small relative to a Mbps-scale performance
-        score so minimality acts as a tie-breaker, not the objective.
-        """
-        if self.config.mode == "traffic":
-            return ScoreFunction(
-                performance=LowUtilizationScore(),
-                trace=MinimalTrafficScore(),
-                trace_weight=1e-3,
-            )
-        return ScoreFunction(performance=LowUtilizationScore())
 
     def _make_generator(self, seed: int, k_agg: Optional[float] = None, scale: float = 1.0):
         """Trace generator for the configured mode.
@@ -392,20 +378,14 @@ class CCFuzz:
 
     def _mutate(self, trace: PacketTrace) -> PacketTrace:
         cfg = self.config
-        if isinstance(trace, LinkTrace):
-            base = trace
-            if cfg.annealing_sigma is not None:
-                base = anneal_link_trace(trace, sigma=cfg.annealing_sigma)
-            return mutate_link_trace(base, self.rng, k_agg=cfg.k_agg, rate_bound=cfg.rate_bound)
-        if isinstance(trace, TrafficTrace):
-            return mutate_traffic_trace(trace, self.rng, k_agg=cfg.k_agg)
-        if isinstance(trace, LossTrace):
-            return mutate_loss_trace(trace, self.rng, max_losses=cfg.max_losses)
-        raise TypeError(f"cannot mutate trace type {type(trace).__name__}")
+        if cfg.annealing_sigma is not None and trace.mode in ANNEALED_MODES:
+            trace = anneal_link_trace(trace, sigma=cfg.annealing_sigma)
+        return mutate_trace(
+            trace, self.rng, k_agg=cfg.k_agg, rate_bound=cfg.rate_bound, max_losses=cfg.max_losses
+        )
 
     def _crossover_count(self) -> int:
-        if self.config.mode == "link":
-            # The paper uses no crossover for link traces (section 3.2).
+        if self.config.mode not in CROSSOVER_OPERATORS:
             return 0
         available = self.config.population_size - self.config.k_elite
         return min(available, int(round(self.config.crossover_fraction * self.config.population_size)))
@@ -414,13 +394,18 @@ class CCFuzz:
         """Whether an archive trace can join this run's population.
 
         A shared (campaign-level) archive holds elites from other fuzzing
-        modes and durations; the GA's operators preserve both, so only
-        like-for-like traces are injectable.
+        modes, durations and link rates; the same rule that admits corpus
+        seeds decides which of them are injectable.
         """
-        expected = {"link": LinkTrace, "traffic": TrafficTrace, "loss": LossTrace}[
-            self.config.mode
-        ]
-        return type(trace) is expected and trace.duration == self.config.duration
+        cfg = self.config
+        return may_join_population(
+            trace.mode,
+            trace.duration,
+            trace.average_rate_mbps,
+            into_mode=cfg.mode,
+            into_duration=cfg.duration,
+            link_rate_mbps=cfg.average_rate_mbps,
+        )
 
     def _next_generation(self, population: Population, generation: int) -> Population:
         cfg = self.config

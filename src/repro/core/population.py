@@ -28,15 +28,6 @@ class Individual:
     def is_evaluated(self) -> bool:
         return self.score is not None
 
-    def clone_as(self, origin: str, generation: int) -> "Individual":
-        """Copy this individual's trace into a fresh, unevaluated individual."""
-        return Individual(
-            trace=self.trace.copy(),
-            score=None,
-            generation_born=generation,
-            origin=origin,
-        )
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe form for journal checkpoints."""
         return {

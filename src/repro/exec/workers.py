@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
 from ..coverage.signature import extract_signature
-from ..netsim.simulation import CcaFactory, SimulationConfig, SimulationResult, run_simulation
+from ..netsim.simulation import CcaFactory, SimulationConfig, simulate_packet_trace
 from ..scoring.base import Score, ScoreFunction
-from ..traces.trace import LinkTrace, LossTrace, PacketTrace, TrafficTrace
+from ..traces.trace import PacketTrace
 
 #: What one evaluation produces: the fitness plus a compact result summary.
 EvaluationOutcome = Tuple[Score, Dict[str, Any]]
@@ -35,19 +35,6 @@ class EvaluationJob:
     sim_config: SimulationConfig
     trace: PacketTrace
     score_function: ScoreFunction
-
-
-def simulate_packet_trace(
-    cca_factory: CcaFactory, sim_config: SimulationConfig, trace: PacketTrace
-) -> SimulationResult:
-    """Run one simulation, dispatching the trace to the right simulator input."""
-    if isinstance(trace, LinkTrace):
-        return run_simulation(cca_factory, sim_config, link_trace=trace.timestamps)
-    if isinstance(trace, TrafficTrace):
-        return run_simulation(cca_factory, sim_config, cross_traffic_times=trace.timestamps)
-    if isinstance(trace, LossTrace):
-        return run_simulation(cca_factory, sim_config, loss_times=trace.timestamps)
-    raise TypeError(f"cannot simulate trace type {type(trace).__name__}")
 
 
 def evaluate_job(job: EvaluationJob) -> EvaluationOutcome:

@@ -266,3 +266,18 @@ def run_simulation(
         forced_losses=topology.forced_losses,
         events_executed=events_executed,
     )
+
+
+def simulate_packet_trace(
+    cca_factory: CcaFactory, sim_config: Optional[SimulationConfig], trace: Any
+) -> SimulationResult:
+    """Run one simulation with ``trace`` as the simulator input its class names.
+
+    The one trace -> ``run_simulation`` keyword mapping: duck-typed on the
+    trace's ``simulator_input`` declaration (see :mod:`repro.traces.trace`),
+    so the simulator stays below the trace layer.
+    """
+    keyword = getattr(trace, "simulator_input", None)
+    if keyword is None:
+        raise TypeError(f"cannot simulate trace type {type(trace).__name__}")
+    return run_simulation(cca_factory, sim_config, **{keyword: trace.timestamps})

@@ -13,7 +13,7 @@ from .performance import (
 )
 from .realism import RealismReport, RealismScorer, default_reference_panel
 from .trace_score import MinimalTrafficScore, NullTraceScore, SmoothnessScore
-from .windowed import bottom_fraction_mean, percentile, top_fraction_mean, windowed_throughput_mbps
+from .windowed import bottom_fraction_mean, percentile, top_fraction_mean
 
 __all__ = [
     "CompositeScore",
@@ -38,5 +38,4 @@ __all__ = [
     "make_score_function",
     "percentile",
     "top_fraction_mean",
-    "windowed_throughput_mbps",
 ]

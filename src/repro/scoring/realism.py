@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..netsim.simulation import SimulationConfig, SimulationResult, run_simulation
+from ..netsim.simulation import SimulationConfig, SimulationResult, simulate_packet_trace
 from ..tcp.cca.base import CongestionControl
 from ..tcp.cca.bbr import Bbr
 from ..tcp.cca.cubic import Cubic
 from ..tcp.cca.reno import Reno
-from ..traces.trace import LinkTrace, PacketTrace, TrafficTrace
+from ..traces.trace import PacketTrace
 from .windowed import top_fraction_mean
 
 CcaFactory = Callable[[], CongestionControl]
@@ -78,16 +78,9 @@ class RealismScorer:
     # Scoring
     # ------------------------------------------------------------------ #
 
-    def _run_reference(self, name: str, factory: CcaFactory, trace: PacketTrace) -> SimulationResult:
-        if isinstance(trace, LinkTrace):
-            return run_simulation(factory, self.config, link_trace=trace.timestamps)
-        if isinstance(trace, TrafficTrace):
-            return run_simulation(factory, self.config, cross_traffic_times=trace.timestamps)
-        raise TypeError(f"realism scoring does not support {type(trace).__name__}")
-
     def _achievable_utilization(self, trace: PacketTrace, result: SimulationResult) -> float:
         """Utilisation relative to what the trace makes achievable."""
-        if isinstance(trace, LinkTrace):
+        if trace.mode == "link":
             available_mbps = trace.average_rate_mbps
         else:
             # Cross traffic competes for the fixed-rate bottleneck; the flow
@@ -100,9 +93,13 @@ class RealismScorer:
 
     def score(self, trace: PacketTrace) -> RealismReport:
         """Run the panel on ``trace`` and compute its realism score."""
+        if trace.mode not in ("link", "traffic"):
+            # "Achievable" is defined by the bandwidth a trace leaves the
+            # flow; a loss schedule (or an untyped trace) leaves it all.
+            raise TypeError(f"realism scoring does not support {type(trace).__name__}")
         per_cca: Dict[str, float] = {}
         for name, factory in self.panel.items():
-            result = self._run_reference(name, factory, trace)
+            result = simulate_packet_trace(factory, self.config, trace)
             per_cca[name] = self._achievable_utilization(trace, result)
         score = top_fraction_mean(list(per_cca.values()), self.top_fraction)
         return RealismReport(

@@ -2,19 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
-from ..netsim.packet import CCA_FLOW
-from ..netsim.simulation import SimulationResult
-
-
-def windowed_throughput_mbps(
-    result: SimulationResult,
-    window: float = 0.25,
-    flow: str = CCA_FLOW,
-) -> List[Tuple[float, float]]:
-    """Windowed egress throughput of ``flow`` in Mbps."""
-    return result.windowed_throughput(window=window, flow=flow)
+from typing import Sequence
 
 
 def bottom_fraction_mean(values: Sequence[float], fraction: float) -> float:

@@ -50,6 +50,34 @@ def is_valid_trace(trace: PacketTrace) -> bool:
     return True
 
 
+def may_join_population(
+    mode: Optional[str],
+    duration: float,
+    average_rate_mbps: Optional[float],
+    *,
+    into_mode: str,
+    into_duration: float,
+    link_rate_mbps: Optional[float] = None,
+) -> bool:
+    """Whether a trace of this mode, duration and rate may join a population.
+
+    The GA's operators preserve mode and duration, so both must match; a link
+    trace *is* the service curve and mutation keeps its packet count, so its
+    rate must match too (within 2 %: budgets round to whole packets) — a
+    5 Mbps curve in a 12 Mbps search is the degenerate "just lower the
+    bandwidth" solution the fixed-packet-budget invariant (section 3.2)
+    exists to prevent.  ``link_rate_mbps=None`` asks for no rate constraint.
+    Takes scalars so corpus seeding can decide on index rows alone.
+    """
+    if mode != into_mode or duration != into_duration:
+        return False
+    if mode != "link" or link_rate_mbps is None:
+        return True
+    return average_rate_mbps is not None and abs(average_rate_mbps - link_rate_mbps) <= (
+        0.02 * link_rate_mbps
+    )
+
+
 def windowed_rate_extremes(
     trace: PacketTrace, window: float
 ) -> Tuple[float, float, float]:

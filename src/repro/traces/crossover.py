@@ -78,12 +78,19 @@ def crossover_loss_traces(
     )
 
 
+#: Fuzzing mode -> its splice operator.  A mode absent here (link) breeds by
+#: mutation alone; the GA asks this table rather than naming modes itself.
+CROSSOVER_OPERATORS = {
+    "traffic": crossover_traffic_traces,
+    "loss": crossover_loss_traces,
+}
+
+
 def crossover_traces(parent_a, parent_b, rng: random.Random):
-    """Dispatch to the type-appropriate crossover operator."""
-    if isinstance(parent_a, TrafficTrace) and isinstance(parent_b, TrafficTrace):
-        return crossover_traffic_traces(parent_a, parent_b, rng)
-    if isinstance(parent_a, LossTrace) and isinstance(parent_b, LossTrace):
-        return crossover_loss_traces(parent_a, parent_b, rng)
-    raise TypeError(
-        f"no crossover operator for trace types {type(parent_a).__name__} / {type(parent_b).__name__}"
-    )
+    """Splice two parents of one mode with that mode's crossover operator."""
+    operator = CROSSOVER_OPERATORS.get(parent_a.mode)
+    if operator is None or parent_b.mode != parent_a.mode:
+        raise TypeError(
+            f"no crossover operator for trace types {type(parent_a).__name__} / {type(parent_b).__name__}"
+        )
+    return operator(parent_a, parent_b, rng)

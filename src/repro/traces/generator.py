@@ -17,10 +17,20 @@ from typing import List, Optional
 
 from ..netsim.link import mbps_to_pps
 from .distpackets import DEFAULT_K_AGG, DEFAULT_RATE_BOUND, dist_packets
-from .trace import LinkTrace, LossTrace, TrafficTrace
+from .trace import LinkTrace, LossTrace, PacketTrace, TrafficTrace
 
 
-class LinkTraceGenerator:
+class TraceGenerator:
+    """What every mode's generator is: ``generate`` draws one trace from ``self.rng``."""
+
+    def generate(self) -> PacketTrace:
+        raise NotImplementedError
+
+    def generate_population(self, count: int) -> List[PacketTrace]:
+        return [self.generate() for _ in range(count)]
+
+
+class LinkTraceGenerator(TraceGenerator):
     """Generates bottleneck service curves (link-fuzzing mode, section 3.2)."""
 
     def __init__(
@@ -64,11 +74,8 @@ class LinkTraceGenerator:
             metadata={"kind": "link", "k_agg": self.k_agg, "rate_bound": self.rate_bound},
         )
 
-    def generate_population(self, count: int) -> List[LinkTrace]:
-        return [self.generate() for _ in range(count)]
 
-
-class TrafficTraceGenerator:
+class TrafficTraceGenerator(TraceGenerator):
     """Generates cross-traffic injection vectors (traffic-fuzzing mode, section 3.3)."""
 
     def __init__(
@@ -112,11 +119,8 @@ class TrafficTraceGenerator:
             max_packets=self.max_packets,
         )
 
-    def generate_population(self, count: int) -> List[TrafficTrace]:
-        return [self.generate() for _ in range(count)]
 
-
-class LossTraceGenerator:
+class LossTraceGenerator(TraceGenerator):
     """Generates random-loss schedules (section 5 extension).
 
     A loss trace is a set of times; the simulation drops the next CCA packet
@@ -145,6 +149,3 @@ class LossTraceGenerator:
             duration=self.duration,
             metadata={"kind": "loss"},
         )
-
-    def generate_population(self, count: int) -> List[LossTrace]:
-        return [self.generate() for _ in range(count)]

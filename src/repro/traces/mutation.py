@@ -21,6 +21,13 @@ from .distpackets import DEFAULT_K_AGG, DEFAULT_RATE_BOUND, dist_packets
 from .trace import LinkTrace, LossTrace, TrafficTrace
 
 
+def _mutant(parent, timestamps):
+    """``parent`` with new event times: same mode, duration, MSS and budget."""
+    mutated = parent.with_timestamps(timestamps)
+    mutated.metadata["mutated"] = True
+    return mutated
+
+
 def mutate_link_trace(
     trace: LinkTrace,
     rng: random.Random,
@@ -47,14 +54,7 @@ def mutate_link_trace(
         )
         new_timestamps = kept + regenerated
 
-    mutated = LinkTrace(
-        timestamps=new_timestamps,
-        duration=trace.duration,
-        mss_bytes=trace.mss_bytes,
-        metadata=dict(trace.metadata),
-    )
-    mutated.metadata["mutated"] = True
-    return mutated
+    return _mutant(trace, new_timestamps)
 
 
 def mutate_traffic_trace(
@@ -82,15 +82,7 @@ def mutate_traffic_trace(
         )
         new_timestamps = kept + regenerated
 
-    mutated = TrafficTrace(
-        timestamps=new_timestamps,
-        duration=trace.duration,
-        mss_bytes=trace.mss_bytes,
-        metadata=dict(trace.metadata),
-        max_packets=trace.max_packets,
-    )
-    mutated.metadata["mutated"] = True
-    return mutated
+    return _mutant(trace, new_timestamps)
 
 
 def mutate_loss_trace(
@@ -111,22 +103,25 @@ def mutate_loss_trace(
         times.append(rng.uniform(0.0, trace.duration))
     elif times:
         times.pop(rng.randrange(len(times)))
-    mutated = LossTrace(
-        timestamps=times,
-        duration=trace.duration,
-        mss_bytes=trace.mss_bytes,
-        metadata=dict(trace.metadata),
-    )
-    mutated.metadata["mutated"] = True
-    return mutated
+    return _mutant(trace, times)
 
 
-def mutate_trace(trace, rng: random.Random, **kwargs):
-    """Dispatch to the type-appropriate mutation operator."""
-    if isinstance(trace, TrafficTrace):
-        return mutate_traffic_trace(trace, rng, **kwargs)
-    if isinstance(trace, LossTrace):
-        return mutate_loss_trace(trace, rng, **kwargs)
-    if isinstance(trace, LinkTrace):
-        return mutate_link_trace(trace, rng, **kwargs)
+def mutate_trace(
+    trace,
+    rng: random.Random,
+    k_agg: float = DEFAULT_K_AGG,
+    rate_bound: float = DEFAULT_RATE_BOUND,
+    max_losses: Optional[int] = None,
+):
+    """Apply the mutation operator of ``trace``'s mode — the one type dispatcher.
+
+    ``k_agg`` shapes link and traffic regeneration, ``rate_bound`` constrains
+    link traces only, ``max_losses`` caps a loss schedule.
+    """
+    if trace.mode == "link":
+        return mutate_link_trace(trace, rng, k_agg=k_agg, rate_bound=rate_bound)
+    if trace.mode == "traffic":
+        return mutate_traffic_trace(trace, rng, k_agg=k_agg)
+    if trace.mode == "loss":
+        return mutate_loss_trace(trace, rng, max_losses=max_losses)
     raise TypeError(f"no mutation operator for trace type {type(trace).__name__}")

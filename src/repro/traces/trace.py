@@ -4,6 +4,10 @@ CC-Fuzz represents both bottleneck service curves and cross-traffic patterns
 as a sequence of packet-level timestamps over a fixed duration (the MahiMahi
 representation, section 3.2).  :class:`LinkTrace` holds transmission
 opportunities; :class:`TrafficTrace` holds cross-traffic injection times.
+
+Each concrete class declares its fuzzing ``mode`` and the ``run_simulation``
+keyword its timestamps feed (``simulator_input``); :data:`MODES` is derived
+from those declarations and every other layer asks the trace.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 def _normalise_timestamps(timestamps: Iterable[float], duration: float) -> List[float]:
@@ -25,6 +29,11 @@ def _normalise_timestamps(timestamps: Iterable[float], duration: float) -> List[
 @dataclass
 class PacketTrace:
     """A sorted sequence of packet timestamps over ``[0, duration]`` seconds."""
+
+    #: Fuzzing mode of this trace class (``None``: untyped, belongs to none).
+    mode: ClassVar[Optional[str]] = None
+    #: The ``run_simulation`` keyword ``timestamps`` is passed as.
+    simulator_input: ClassVar[Optional[str]] = None
 
     timestamps: List[float]
     duration: float
@@ -191,6 +200,9 @@ class LinkTrace(PacketTrace):
     search, so mutations must preserve ``packet_count``.
     """
 
+    mode = "link"
+    simulator_input = "link_trace"
+
 
 class TrafficTrace(PacketTrace):
     """Cross-traffic injection times.
@@ -199,6 +211,9 @@ class TrafficTrace(PacketTrace):
     ``max_packets`` (section 3.3); the trace score then pushes the search
     toward minimal injection vectors.
     """
+
+    mode = "traffic"
+    simulator_input = "cross_traffic_times"
 
     def __init__(
         self,
@@ -252,10 +267,14 @@ class LossTrace(PacketTrace):
     (section 5); it is implemented here as an additional mode.
     """
 
+    mode = "loss"
+    simulator_input = "loss_times"
 
-_TRACE_TYPES = {
-    "PacketTrace": PacketTrace,
-    "LinkTrace": LinkTrace,
-    "TrafficTrace": TrafficTrace,
-    "LossTrace": LossTrace,
-}
+
+#: Fuzzing mode -> trace class, from the classes' own declarations (``link``
+#: and ``traffic`` are the paper's modes, ``loss`` the section-5 extension).
+TRACE_CLASSES = {cls.mode: cls for cls in (LinkTrace, TrafficTrace, LossTrace)}
+MODES = tuple(TRACE_CLASSES)
+
+#: The ``"type"`` field of a serialised trace -> the class it names.
+_TRACE_TYPES = {cls.__name__: cls for cls in (PacketTrace, *TRACE_CLASSES.values())}

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..traces.trace import LinkTrace, LossTrace, PacketTrace, TrafficTrace
+from ..traces.trace import PacketTrace
 
 
 def retention_floor(baseline: float, retention: float) -> float:
@@ -408,6 +408,16 @@ _REMOVAL_STAGES = (
     ("single-event", _stage_single_event),
 )
 
+#: Fuzzing mode -> reduction stages, in the order they run.  A link trace's
+#: packet budget is fixed, so it is only ever reshaped, never thinned; an
+#: untyped trace (mode ``None``) is a bare event list and gets plain removal.
+STAGES_BY_MODE = {
+    "link": (("segment-merging", _stage_link_segment_merging),),
+    "traffic": _REMOVAL_STAGES + (("burst-coalescing", _stage_burst_coalescing),),
+    "loss": _REMOVAL_STAGES,
+    None: _REMOVAL_STAGES,
+}
+
 
 def minimize_trace(
     trace: PacketTrace,
@@ -428,14 +438,7 @@ def minimize_trace(
     floor = retention_floor(baseline, config.retention)
     reduction = _Reduction(scorer, floor, budget, config)
 
-    if isinstance(trace, LinkTrace):
-        stages = (("segment-merging", _stage_link_segment_merging),)
-    elif isinstance(trace, TrafficTrace):
-        stages = _REMOVAL_STAGES + (("burst-coalescing", _stage_burst_coalescing),)
-    elif isinstance(trace, LossTrace) or type(trace) is PacketTrace:
-        stages = _REMOVAL_STAGES
-    else:
-        raise TypeError(f"cannot minimize trace type {type(trace).__name__}")
+    stages = STAGES_BY_MODE[trace.mode]
 
     current = trace
     current_score = baseline

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from ..campaign.corpus import DEFAULT_OBJECTIVE, CorpusStore, mode_of_trace
+from ..campaign.corpus import DEFAULT_OBJECTIVE, CorpusStore
 from ..exec.backend import EvaluationBackend
 from ..exec.batch import Evaluator
 from ..exec.cache import TraceCache
@@ -121,13 +121,15 @@ def triage_trace(
     (when minimization is enabled): the minimal pattern is the claim worth
     validating, and it is also the cheapest to re-simulate across the matrix.
     """
+    if trace.mode is None:
+        # Nothing to simulate: a failed evaluation would be scored, not raised.
+        raise TypeError(f"trace type {type(trace).__name__} has no fuzzing mode")
     config = config or TriageConfig()
     started = time.perf_counter()
-    mode = mode_of_trace(trace)
     if sim_config is None:
         sim_config = SimulationConfig(duration=trace.duration)
     factory = cca_factory(cca)
-    score_function = make_score_function(objective, mode)
+    score_function = make_score_function(objective, trace.mode)
     if cache is None:
         # The engines deliberately revisit traces (the minimizer's baseline,
         # the robustness matrix's unperturbed cell, repeated candidates), so
@@ -171,7 +173,7 @@ def triage_trace(
         fingerprint=trace.fingerprint(),
         cca=cca,
         objective=objective,
-        mode=mode,
+        mode=trace.mode,
         baseline_score=baseline_score,
         baseline_summary=baseline_summary,
         triaged_trace=subject,

@@ -13,12 +13,11 @@ from repro.campaign import (
     CorpusStore,
     GaBudget,
     NetworkCondition,
-    mode_of_trace,
     read_campaign_report,
     replay_corpus,
 )
 from repro.core.fuzzer import CCFuzz, FuzzConfig
-from repro.traces.trace import LinkTrace, LossTrace, TrafficTrace
+from repro.traces.trace import LinkTrace, LossTrace, PacketTrace, TrafficTrace
 
 TINY_BUDGET = {"population_size": 4, "generations": 2, "duration": 1.0}
 
@@ -309,10 +308,21 @@ class TestCorpusStore:
         entry = reloaded.get(trace.fingerprint())
         assert entry.triage == {"robustness_score": 0.75}
 
-    def test_mode_of_trace(self):
-        assert mode_of_trace(traffic_trace([0.1])) == "traffic"
-        assert mode_of_trace(LinkTrace(timestamps=[0.1], duration=1.0)) == "link"
-        assert mode_of_trace(LossTrace(timestamps=[0.1], duration=1.0)) == "loss"
+    def test_mode_of_trace(self, tmp_path):
+        # The corpus asks the trace for its mode; an untyped trace has none
+        # and cannot be stored.
+        store = CorpusStore(str(tmp_path / "corpus"))
+        for trace, mode in (
+            (traffic_trace([0.1]), "traffic"),
+            (LinkTrace(timestamps=[0.1], duration=1.0), "link"),
+            (LossTrace(timestamps=[0.1], duration=1.0), "loss"),
+        ):
+            assert trace.mode == mode
+            store.add(trace, scenario_id=mode)
+            assert store.get(trace.fingerprint()).mode == mode
+            assert store.index_rows()[trace.fingerprint()]["mode"] == mode
+        with pytest.raises(TypeError):
+            store.add(PacketTrace(timestamps=[0.1], duration=1.0), scenario_id="untyped")
 
     def test_corpus_directory_layout(self, tmp_path):
         corpus_dir = tmp_path / "corpus"

@@ -23,6 +23,7 @@ from repro.attacks import cubic_two_burst_trace
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore, GaBudget
 from repro.core.fuzzer import CCFuzz, FuzzConfig
 from repro.coverage import BehaviorArchive, make_guidance, signature_from_summary
+from repro.netsim.simulation import SimulationConfig
 from repro.tcp.cca import cca_factory
 
 
@@ -111,6 +112,22 @@ class TestNoveltyCoverage:
         result = _run_cubic_smoke("novelty")
         for individual in result.final_population:
             assert individual.trace.duration == 2.0
+
+    def test_archive_immigrants_keep_the_link_packet_budget(self):
+        """A link trace is the service curve (section 3.2): a shared archive's
+        4 Mbps elites must not immigrate into a 12 Mbps search, where the
+        packet-count-preserving mutation would keep them as the degenerate
+        "just lower the bandwidth" winners."""
+        archive = BehaviorArchive()
+        for rate_mbps, budget in ((4.0, 667), (12.0, 2000)):
+            config = FuzzConfig(
+                mode="link", guidance="novelty", population_size=10, generations=6,
+                duration=2.0, average_rate_mbps=rate_mbps,
+                sim=SimulationConfig(bottleneck_rate_mbps=rate_mbps),
+            )
+            result = CCFuzz(cca_factory("reno"), config=config, archive=archive).run()
+            counts = {ind.trace.packet_count for ind in result.final_population}
+            assert counts == {budget}, f"{rate_mbps} Mbps population holds {counts}"
 
     def test_elites_guidance_runs(self):
         result = CCFuzz(

@@ -13,9 +13,27 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.traces import LinkTrace, LossTrace, TrafficTrace
-from repro.traces.crossover import crossover_loss_traces, crossover_traffic_traces
-from repro.traces.mutation import mutate_link_trace, mutate_loss_trace, mutate_traffic_trace
+from repro.traces import (
+    LinkTrace,
+    LinkTraceGenerator,
+    LossTrace,
+    LossTraceGenerator,
+    TrafficTrace,
+    TrafficTraceGenerator,
+)
+from repro.traces.crossover import (
+    CROSSOVER_OPERATORS,
+    crossover_loss_traces,
+    crossover_traces,
+    crossover_traffic_traces,
+)
+from repro.traces.mutation import (
+    mutate_link_trace,
+    mutate_loss_trace,
+    mutate_trace,
+    mutate_traffic_trace,
+)
+from repro.traces.trace import MODES
 
 DURATION = 2.0
 
@@ -88,6 +106,42 @@ class TestCrossoverInvariants:
     def test_loss_crossover_stays_in_bounds(self, left, right, seed):
         child = crossover_loss_traces(loss_trace(left), loss_trace(right), random.Random(seed))
         assert_well_formed(child)
+
+
+class TestModeClosure:
+    """A population never leaves its mode: whatever the GA's operators do to
+    a generated trace, its mode and duration — and a link trace's packet
+    budget (section 3.2) — are what the generator made them."""
+
+    @staticmethod
+    def _generator(mode, seed):
+        if mode == "link":
+            return LinkTraceGenerator(duration=DURATION, average_rate_mbps=1.0, seed=seed)
+        if mode == "traffic":
+            return TrafficTraceGenerator(duration=DURATION, max_packets=60, seed=seed)
+        return LossTraceGenerator(duration=DURATION, max_losses=12, seed=seed)
+
+    @given(
+        mode=st.sampled_from(MODES),
+        seed=seeds_st,
+        steps=st.lists(st.sampled_from(("mutate", "crossover")), min_size=1, max_size=8),
+    )
+    @settings(max_examples=90, deadline=None)
+    def test_operators_preserve_mode_duration_and_link_budget(self, mode, seed, steps):
+        rng = random.Random(seed)
+        first, mate = self._generator(mode, seed).generate_population(2)
+        trace = first
+        for step in steps:
+            if step == "mutate":
+                trace = mutate_trace(trace, rng)
+            elif mode in CROSSOVER_OPERATORS:
+                trace = crossover_traces(trace, mate, rng)
+            assert_well_formed(trace)
+            assert type(trace) is type(first)
+            assert trace.mode == mode
+            assert trace.duration == first.duration
+            if mode == "link":
+                assert trace.packet_count == first.packet_count
 
 
 class TestFingerprint:

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 
 import pytest
+from fake_backend import FunctionBackend
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.attacks import builtin_attack_traces
+from repro.core.fuzzer import MODES, CCFuzz, FuzzConfig
+from repro.exec.workers import simulate_packet_trace
+from repro.netsim.simulation import SimulationConfig, run_simulation
+from repro.scoring.base import Score
+from repro.scoring.realism import RealismScorer
+from repro.tcp.cca import Reno
 from repro.traces import (
     LinkTrace,
     LinkTraceGenerator,
@@ -29,6 +38,8 @@ from repro.traces import (
     mutate_traffic_trace,
     validate_trace,
 )
+from repro.traces.trace import TRACE_CLASSES
+from repro.triage.minimize import STAGES_BY_MODE
 
 
 class TestPacketTrace:
@@ -259,6 +270,77 @@ class TestConstraints:
     def test_max_rate_deviation_uniform(self):
         uniform = PacketTrace(timestamps=[i * 0.01 for i in range(500)], duration=5.0)
         assert max_rate_deviation(uniform, window=1.0) == pytest.approx(1.0, rel=0.05)
+
+
+#: The paper's mode -> simulator input mapping, restated here (and nowhere in
+#: ``src/`` but the trace classes) so the tests below check the declarations
+#: against something other than themselves.
+SIMULATOR_INPUT = {"link": "link_trace", "traffic": "cross_traffic_times", "loss": "loss_times"}
+
+
+#: Long enough that every builtin attack has reached its first burst.
+RELATION_DURATION = 2.0
+
+
+def _generated(mode: str, duration: float = RELATION_DURATION) -> PacketTrace:
+    """One trace of ``mode`` from the generator the fuzzer picks for it."""
+    fuzzer = CCFuzz(
+        Reno,
+        FuzzConfig(mode=mode, population_size=2, generations=1, duration=duration, seed=3),
+        backend=FunctionBackend(lambda trace: (Score(total=0.0, performance=0.0), {})),
+    )
+    return fuzzer.run().best_trace
+
+
+class TestModeRulebook:
+    """What a fuzzing mode is, is declared once — and declared completely."""
+
+    def test_modes_are_the_declared_classes(self):
+        assert MODES == tuple(TRACE_CLASSES) == ("link", "traffic", "loss")
+        assert {mode: cls.simulator_input for mode, cls in TRACE_CLASSES.items()} == SIMULATOR_INPUT
+        untyped = PacketTrace(timestamps=[0.5], duration=1.0)
+        assert untyped.mode is None and untyped.simulator_input is None
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_is_complete(self, mode, rng):
+        cls = TRACE_CLASSES[mode]
+        assert cls.mode == mode
+        assert cls.simulator_input in inspect.signature(run_simulation).parameters
+        trace = _generated(mode)                       # a generator
+        assert type(trace) is cls
+        mutated = mutate_trace(trace, rng)             # a mutation operator
+        assert type(mutated) is cls and mutated.duration == trace.duration
+        assert STAGES_BY_MODE[mode]                    # minimizer stages
+        assert PacketTrace.from_dict(trace.to_dict()).mode == trace.mode
+        assert trace.copy().mode == trace.mode
+
+    @pytest.mark.parametrize(
+        "name",
+        [f"generated-{mode}" for mode in MODES] + sorted(builtin_attack_traces(RELATION_DURATION)),
+    )
+    def test_simulating_a_trace_feeds_exactly_its_declared_input(self, name):
+        """ROADMAP 1(b): ``simulate_packet_trace`` == ``run_simulation`` with
+        the unpacked trace — and with no other unpacking (a loss trace
+        replayed as cross traffic was the PR 20 ``repro-simulate`` bug)."""
+        if name.startswith("generated-"):
+            trace = _generated(name.split("-", 1)[1])
+        else:
+            trace = builtin_attack_traces(RELATION_DURATION)[name]
+        assert trace.packet_count > 0
+        config = SimulationConfig(duration=RELATION_DURATION, record_series=False)
+        summary = simulate_packet_trace(Reno, config, trace).summary()
+        for keyword in SIMULATOR_INPUT.values():
+            unpacked = run_simulation(Reno, config, **{keyword: trace.timestamps}).summary()
+            assert (unpacked == summary) == (keyword == SIMULATOR_INPUT[trace.mode]), keyword
+
+    def test_untyped_trace_cannot_be_simulated(self):
+        with pytest.raises(TypeError):
+            simulate_packet_trace(Reno, None, PacketTrace(timestamps=[0.5], duration=1.0))
+
+    def test_realism_refuses_loss_traces(self):
+        scorer = RealismScorer(config=SimulationConfig(duration=1.0))
+        with pytest.raises(TypeError, match="does not support LossTrace"):
+            scorer.score(LossTrace(timestamps=[0.5], duration=1.0))
 
 
 @settings(max_examples=30, deadline=None)
