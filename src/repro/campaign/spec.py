@@ -55,13 +55,15 @@ class NetworkCondition:
 
         The one condition -> :class:`SimulationConfig` mapping: a scenario's
         and a stored corpus entry's simulations are both built here, so they
-        share a ``sim_fingerprint`` (and therefore cache keys).
+        share a ``sim_fingerprint`` (and therefore cache keys).  No campaign,
+        triage or dashboard code reads the per-ACK series, so none is recorded.
         """
         return SimulationConfig(
             duration=duration,
             bottleneck_rate_mbps=self.bottleneck_rate_mbps,
             queue_capacity=self.queue_capacity,
             propagation_delay=self.propagation_delay,
+            record_series=False,
         )
 
     def to_dict(self) -> Dict[str, Any]:

@@ -631,6 +631,9 @@ class CCFuzz:
             "sim_fingerprint": self._sim_fingerprint,
             "score_fingerprint": self._score_fingerprint,
         }
+        if identity.get("sim_fingerprint") == cfg.sim.legacy_fingerprint():
+            # Written before ``record_series`` left the simulation identity.
+            identity["sim_fingerprint"] = self._sim_fingerprint
         if identity and identity != mine:
             raise ValueError(
                 "snapshot was taken against a different CCA / simulation / "

@@ -53,24 +53,35 @@ class SimulationConfig:
         return replace(self, **kwargs)
 
     def fingerprint(self) -> str:
-        """Stable content hash over every field, for evaluation memoization.
+        """Stable content hash over every outcome-relevant field, for
+        evaluation memoization.
 
-        Two configs share a fingerprint iff every field is equal, so a cached
-        ``(trace, cca, config) -> score`` entry can never be served to a run
-        with different simulation parameters.  Computed once per config: the
-        evaluation cache rebuilds its key per lookup.
+        Two configs share a fingerprint iff every field but ``record_series``
+        is equal — that flag is an observation switch no outcome depends on —
+        so a cached ``(trace, cca, config) -> score`` entry can never be
+        served to a run with different simulation parameters.  Computed once
+        per config: the evaluation cache rebuilds its key per lookup.
         """
         cached = self._fingerprint_cache
         if cached is not None:
             return cached
+        digest = self._digest(omit="record_series")
+        object.__setattr__(self, "_fingerprint_cache", digest)
+        return digest
+
+    def legacy_fingerprint(self) -> str:
+        """The identity a snapshot written before ``record_series`` left
+        :meth:`fingerprint` recorded for this simulation: campaigns built
+        ``record_series=True`` then, hashed at its field position."""
+        return replace(self, record_series=True)._digest()
+
+    def _digest(self, omit: Optional[str] = None) -> str:
         canonical = ";".join(
             f"{f.name}={getattr(self, f.name)!r}"
             for f in fields(self)
-            if not f.name.startswith("_")
+            if not f.name.startswith("_") and f.name != omit
         )
-        digest = hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
-        object.__setattr__(self, "_fingerprint_cache", digest)
-        return digest
+        return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
 
     @classmethod
     def paper_defaults(cls) -> "SimulationConfig":
@@ -242,6 +253,10 @@ def run_simulation(
     registry = get_registry()
     registry.inc("sim.simulations")
     registry.inc("sim.events", events_executed)
+    sender_stats = topology.sender.stats
+    registry.inc("sim.acks", sender_stats.acks)
+    registry.inc("sim.acks_sack", sender_stats.sack_acks)
+    registry.inc("sim.acks_recovery", sender_stats.recovery_acks)
     registry.observe("sim.wall_s", time.perf_counter() - sim_started)
 
     receiver = topology.receiver

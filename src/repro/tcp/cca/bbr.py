@@ -32,7 +32,11 @@ class Bbr(CongestionControl):
 
     name = "bbr"
 
-    HIGH_GAIN = 2.885                       #: 2 / ln(2), startup gain
+    #: Startup gain, 2 / ln(2) = 2.8854.  2.885 is Linux ``tcp_bbr.c``'s
+    #: ``bbr_high_gain = BBR_UNIT * 2885 / 1000 + 1``; the IETF draft rounds the
+    #: same constant to 2.89.  It stays: it is the deployed value, and moving
+    #: it would move every BBR golden for a 0.2% change of gain.
+    HIGH_GAIN = 2.885
     DRAIN_GAIN = 1.0 / 2.885
     PACING_GAIN_CYCLE = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
     CWND_GAIN = 2.0

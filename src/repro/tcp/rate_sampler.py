@@ -71,11 +71,7 @@ class DeliveryRateEstimator:
             self.first_tx_time = now
             self.delivered_time = now
         return SegmentTxState(
-            sent_time=now,
-            prior_delivered=self.delivered,
-            prior_delivered_time=self.delivered_time,
-            first_tx_time=self.first_tx_time,
-            is_retransmit=is_retransmit,
+            now, self.delivered, self.delivered_time, self.first_tx_time, is_retransmit
         )
 
     def on_segment_delivered(

@@ -35,13 +35,11 @@ class RttEstimator:
     srtt: Optional[float] = None
     rttvar: Optional[float] = None
     backoff_count: int = field(default=0)
-    latest_rtt: Optional[float] = None
 
     def update(self, rtt_sample: float) -> None:
         """Fold a new RTT sample into the smoothed estimators."""
         if rtt_sample <= 0:
             raise ValueError(f"RTT sample must be positive, got {rtt_sample}")
-        self.latest_rtt = rtt_sample
         if self.srtt is None:
             self.srtt = rtt_sample
             self.rttvar = rtt_sample / 2.0
@@ -54,21 +52,16 @@ class RttEstimator:
         self.backoff_count = 0
 
     @property
-    def base_rto(self) -> float:
-        """RTO before exponential backoff is applied."""
-        if self.srtt is None or self.rttvar is None:
-            return max(self.initial_rto, self.min_rto)
-        rto = self.srtt + max(4.0 * self.rttvar, 1e-3)
-        return min(max(rto, self.min_rto), self.max_rto)
-
-    @property
     def rto(self) -> float:
-        """Current RTO including exponential backoff."""
-        return min(self.base_rto * (2 ** self.backoff_count), self.max_rto)
+        """Current RTO: the clamped estimate, then exponential backoff."""
+        srtt = self.srtt
+        rttvar = self.rttvar
+        if srtt is None or rttvar is None:
+            base = max(self.initial_rto, self.min_rto)
+        else:
+            base = min(max(srtt + max(4.0 * rttvar, 1e-3), self.min_rto), self.max_rto)
+        return min(base * (2 ** self.backoff_count), self.max_rto)
 
     def on_timeout(self) -> None:
         """Apply exponential backoff after an expiry (RFC 6298 section 5.5)."""
         self.backoff_count += 1
-
-    def reset_backoff(self) -> None:
-        self.backoff_count = 0

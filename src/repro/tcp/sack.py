@@ -36,7 +36,6 @@ class SegmentState:
     outstanding: bool = False
     transmissions: int = 0
     tx_state: Optional[SegmentTxState] = None
-    first_sent_time: Optional[float] = None
     last_sent_time: Optional[float] = None
 
     @property
@@ -68,7 +67,6 @@ class SackScoreboard:
         self.segments: Dict[int, SegmentState] = {}
         self.snd_una = 0          #: lowest unacknowledged sequence number
         self.high_sacked = -1     #: highest SACKed sequence number seen
-        self.total_retransmissions = 0
         self.spurious_retransmissions = 0
 
         # Incrementally maintained indices (hot-path bookkeeping).
@@ -100,20 +98,17 @@ class SackScoreboard:
             state = SegmentState(seq)
             self.segments[seq] = state
         state.transmissions += 1
-        if state.transmissions > 1:
-            self.total_retransmissions += 1
         state.tx_state = tx_state
         state.last_sent_time = now
-        if state.first_sent_time is None:
-            state.first_sent_time = now
-        if not state.outstanding and not state.delivered:
+        delivered = state.acked or state.sacked
+        if not state.outstanding and not delivered:
             self._pipe += 1
         state.outstanding = True
         if state.lost:
             state.lost = False
             self._remove_lost_unsent(seq)
         self._undelivered.add(seq)
-        if not state.delivered and seq not in self._candidate_set:
+        if not delivered and seq not in self._candidate_set:
             self._candidate_set.add(seq)
             bisect.insort(self._candidates_sorted, seq)
         return state
@@ -152,7 +147,7 @@ class SackScoreboard:
                 newly_full_acked.append(state)
                 if not state.sacked:
                     newly_delivered.append(state)
-            self._mark_delivered(state, via_sack=False)
+            self._mark_delivered(state)
             state.acked = True
         old_snd_una = self.snd_una
         self.snd_una = cumulative_ack
@@ -217,7 +212,7 @@ class SackScoreboard:
                     # acknowledge an earlier copy: that retransmission was
                     # spurious (the Fig. 4c situation).
                     self.spurious_retransmissions += 1
-                self._mark_delivered(state, via_sack=True)
+                self._mark_delivered(state)
                 state.sacked = True
                 self._detect_dirty = True
                 newly_sacked.append(state)
@@ -231,15 +226,23 @@ class SackScoreboard:
                 seq += 1
         return newly_sacked
 
-    def _mark_delivered(self, state: SegmentState, via_sack: bool) -> None:
-        if state.outstanding and not state.delivered:
+    def _mark_delivered(self, state: SegmentState) -> None:
+        seq = state.seq
+        if state.outstanding and not (state.acked or state.sacked):
             self._pipe -= 1
         state.outstanding = False
         if state.lost:
             state.lost = False
-            self._remove_lost_unsent(state.seq)
-        self._undelivered.discard(state.seq)
-        self._remove_candidate(state.seq)
+            self._remove_lost_unsent(seq)
+        self._undelivered.discard(seq)
+        if seq in self._candidate_set:
+            self._candidate_set.discard(seq)
+            candidates = self._candidates_sorted
+            # A cumulative ACK delivers the lowest candidate: no search.
+            if candidates[0] == seq:
+                del candidates[0]
+            else:
+                del candidates[bisect.bisect_left(candidates, seq)]
 
     # ------------------------------------------------------------------ #
     # Loss detection
@@ -283,36 +286,30 @@ class SackScoreboard:
                 if self._latest_sacked_send <= (state.last_sent_time or 0.0) + 1e-12:
                     index += 1
                     continue
-            # _mark_lost removes candidates[index]; the next candidate slides
-            # into this index, so it is not advanced.
+            # The next candidate slides into this index, so it is not advanced.
+            del candidates[index]
             self._mark_lost(state)
             newly_lost.append(state)
         return newly_lost
 
     def mark_all_outstanding_lost(self) -> List[SegmentState]:
         """RTO behaviour: every sent, un-delivered segment is presumed lost."""
-        newly_lost: List[SegmentState] = []
-        for seq in list(self._candidates_sorted):
-            if seq < self.snd_una:
-                continue
-            state = self.segments[seq]
+        candidates = self._candidates_sorted
+        cut = bisect.bisect_left(candidates, self.snd_una)
+        newly_lost = [self.segments[seq] for seq in candidates[cut:]]
+        del candidates[cut:]
+        for state in newly_lost:
             self._mark_lost(state)
-            newly_lost.append(state)
         return newly_lost
 
     def _mark_lost(self, state: SegmentState) -> None:
+        """Mark a candidate lost; the caller takes it off ``_candidates_sorted``."""
         if state.outstanding:
             self._pipe -= 1
         state.outstanding = False
         state.lost = True
         bisect.insort(self._lost_unsent, state.seq)
-        self._remove_candidate(state.seq)
-
-    def _remove_candidate(self, seq: int) -> None:
-        if seq in self._candidate_set:
-            self._candidate_set.discard(seq)
-            index = bisect.bisect_left(self._candidates_sorted, seq)
-            self._candidates_sorted.pop(index)
+        self._candidate_set.discard(state.seq)
 
     def _remove_lost_unsent(self, seq: int) -> None:
         index = bisect.bisect_left(self._lost_unsent, seq)
@@ -340,19 +337,6 @@ class SackScoreboard:
 
     def has_unacked_data(self) -> bool:
         return bool(self._undelivered)
-
-    def sacked_count(self) -> int:
-        return len(self._sacked_sorted)
-
-    def lost_count(self) -> int:
-        return sum(
-            1
-            for seq in self._undelivered
-            if (state := self.segments.get(seq)) is not None and state.lost
-        )
-
-    def get(self, seq: int) -> Optional[SegmentState]:
-        return self.segments.get(seq)
 
     def purge_acked(self, keep_below: int = 0) -> None:
         """Drop fully acknowledged segments below ``snd_una`` to bound memory."""

@@ -25,7 +25,7 @@ from typing import Callable, List, Optional, Tuple
 from ..netsim.engine import EventScheduler
 from ..netsim.packet import AckPacket, CCA_FLOW, DEFAULT_MSS, Packet
 from .cca.base import AckEvent, CongestionControl
-from .rate_sampler import DeliveryRateEstimator, RateSample
+from .rate_sampler import DeliveryRateEstimator
 from .rto import RttEstimator
 from .sack import SackScoreboard
 
@@ -43,6 +43,9 @@ class SenderStats:
     rto_count: int = 0
     fast_retransmit_entries: int = 0
     delivered: int = 0
+    acks: int = 0                       #: ACKs processed
+    sack_acks: int = 0                  #: ... carrying at least one SACK block
+    recovery_acks: int = 0              #: ... arriving during fast or RTO recovery
     cwnd_series: List[Tuple[float, float]] = field(default_factory=list)
     pacing_series: List[Tuple[float, Optional[float]]] = field(default_factory=list)
     rtt_series: List[Tuple[float, float]] = field(default_factory=list)
@@ -108,31 +111,68 @@ class TcpSender:
     def on_ack(self, ack: AckPacket) -> None:
         """Process an ACK arriving from the return path."""
         now = self.scheduler.now
+        scoreboard = self.scoreboard
+        stats = self.stats
+        cca = self.cca
 
+        stats.acks += 1
+        if self.in_recovery or self.in_rto_recovery:
+            stats.recovery_acks += 1
         sack_blocks = ack.sack_blocks
-        newly_sacked_states = (
-            self.scoreboard.apply_sack_blocks(sack_blocks, now) if sack_blocks else []
-        )
-        newly_acked_states, newly_full_acked_states = self.scoreboard.apply_cumulative_ack(
-            ack.cumulative_ack
+        if sack_blocks:
+            stats.sack_acks += 1
+            newly_sacked_states = scoreboard.apply_sack_blocks(sack_blocks, now)
+        else:
+            newly_sacked_states = []
+        cumulative_ack = ack.cumulative_ack
+        newly_acked_states, newly_full_acked_states = scoreboard.apply_cumulative_ack(
+            cumulative_ack
         )
         newly_delivered_states = newly_acked_states + newly_sacked_states
-        newly_delivered = len(newly_delivered_states)
 
-        rate_sample = self._build_rate_sample(now, newly_delivered_states)
-        rtt = self._update_rtt(now, newly_delivered_states)
+        rate_sample = None
+        rtt = None
+        if newly_delivered_states:
+            # Linux uses the most recently transmitted of the newly delivered
+            # segments as the rate-sample anchor (tcp_rate_skb_delivered keeps
+            # the skb with the largest prior_delivered).  Karn's rule: only
+            # never-retransmitted segments yield RTT samples, the latest sent
+            # among them.
+            anchor_tx = None
+            anchor_key = None
+            rtt_sent = None
+            for state in newly_delivered_states:
+                tx_state = state.tx_state
+                if tx_state is not None:
+                    key = (tx_state.prior_delivered, tx_state.sent_time)
+                    if anchor_key is None or key > anchor_key:
+                        anchor_tx = tx_state
+                        anchor_key = key
+                if state.transmissions == 1:
+                    sent = state.last_sent_time
+                    if sent is not None and (rtt_sent is None or sent > rtt_sent):
+                        rtt_sent = sent
+            if anchor_tx is not None:
+                rate_sample = self.rate_estimator.on_segment_delivered(
+                    now, anchor_tx, len(newly_delivered_states)
+                )
+            if rtt_sent is not None:
+                rtt = max(1e-9, now - rtt_sent)
+                self.rtt_estimator.update(rtt)
+                if self.record_series:
+                    stats.rtt_series.append((now, rtt))
 
-        newly_lost = self.scoreboard.detect_losses()
+        newly_lost = scoreboard.detect_losses()
         if newly_lost and not self.in_recovery and not self.in_rto_recovery:
             self.in_recovery = True
             self.recovery_point = self.next_seq
-            self.stats.fast_retransmit_entries += 1
-            self.cca.on_loss(now, self.scoreboard.pipe())
+            stats.fast_retransmit_entries += 1
+            cca.on_loss(now, scoreboard._pipe)
 
-        if (self.in_recovery or self.in_rto_recovery) and self.scoreboard.snd_una >= self.recovery_point:
+        if (self.in_recovery or self.in_rto_recovery) and scoreboard.snd_una >= self.recovery_point:
             self.in_recovery = False
             self.in_rto_recovery = False
-            self.cca.on_recovery_exit(now)
+            cca.on_recovery_exit(now)
 
         if newly_full_acked_states:
             # RFC 6298 section 5.3: restart the timer only when the ACK
@@ -141,74 +181,33 @@ class TcpSender:
             # out while later data keeps getting SACKed.
             self._rearm_rto(now)
 
-        self.stats.delivered = self.rate_estimator.delivered
-        self.stats.spurious_retransmissions = self.scoreboard.spurious_retransmissions
+        delivered = self.rate_estimator.delivered
+        stats.delivered = delivered
+        stats.spurious_retransmissions = scoreboard.spurious_retransmissions
         # Bound scoreboard memory on long transfers: fully acknowledged
         # segments far below snd_una are never consulted again.
-        if self.scoreboard.snd_una - self._last_purge > 2048:
-            self.scoreboard.purge_acked(keep_below=256)
-            self._last_purge = self.scoreboard.snd_una
+        if scoreboard.snd_una - self._last_purge > 2048:
+            scoreboard.purge_acked(keep_below=256)
+            self._last_purge = scoreboard.snd_una
 
-        event = AckEvent(
-            now=now,
-            newly_acked=len(newly_full_acked_states),
-            newly_sacked=len(newly_sacked_states),
-            newly_delivered=newly_delivered,
-            cumulative_ack=ack.cumulative_ack,
-            delivered=self.rate_estimator.delivered,
-            in_flight=self.scoreboard._pipe,
-            rate_sample=rate_sample,
-            rtt=rtt,
-            in_recovery=self.in_recovery,
-            in_rto_recovery=self.in_rto_recovery,
+        cca.on_ack(
+            AckEvent(
+                now,
+                len(newly_full_acked_states),
+                len(newly_sacked_states),
+                len(newly_delivered_states),
+                cumulative_ack,
+                delivered,
+                scoreboard._pipe,
+                rate_sample,
+                rtt,
+                self.in_recovery,
+                self.in_rto_recovery,
+            )
         )
-        self.cca.on_ack(event)
         if self.record_series:
             self._record_series(now)
         self._try_send()
-
-    # ------------------------------------------------------------------ #
-    # Rate sampling / RTT
-    # ------------------------------------------------------------------ #
-
-    def _build_rate_sample(self, now: float, delivered_states) -> Optional[RateSample]:
-        if not delivered_states:
-            return None
-        # Linux uses the most recently transmitted of the newly delivered
-        # segments as the sample anchor (tcp_rate_skb_delivered keeps the skb
-        # with the largest prior_delivered).
-        if len(delivered_states) == 1:
-            # Common case (delayed ACK covering one segment): skip the key
-            # machinery for the singleton max.
-            anchor = delivered_states[0]
-            if anchor.tx_state is None:
-                return None
-        else:
-            anchor = max(
-                (s for s in delivered_states if s.tx_state is not None),
-                key=lambda s: (s.tx_state.prior_delivered, s.tx_state.sent_time),
-                default=None,
-            )
-            if anchor is None:
-                return None
-        return self.rate_estimator.on_segment_delivered(now, anchor.tx_state, len(delivered_states))
-
-    def _update_rtt(self, now: float, delivered_states) -> Optional[float]:
-        # Karn's rule: only never-retransmitted segments yield RTT samples.
-        latest = None
-        latest_sent = 0.0
-        for s in delivered_states:
-            if s.transmissions == 1 and s.last_sent_time is not None:
-                if latest is None or s.last_sent_time > latest_sent:
-                    latest = s
-                    latest_sent = s.last_sent_time
-        if latest is None:
-            return None
-        rtt = max(1e-9, now - latest.last_sent_time)
-        self.rtt_estimator.update(rtt)
-        if self.record_series:
-            self.stats.rtt_series.append((now, rtt))
-        return rtt
 
     # ------------------------------------------------------------------ #
     # Transmission path
@@ -218,56 +217,55 @@ class TcpSender:
         self._next_send_time = self.scheduler.now
         self._try_send()
 
-    def _effective_cwnd(self) -> int:
-        return max(1, int(self.cca.cwnd))
-
     def _try_send(self) -> None:
+        """Send while the window and the pacing clock allow: lost segments
+        first, then new data.  One straight-line loop, since a recovery burst
+        runs it for every ACK."""
         now = self.scheduler.now
         scoreboard = self.scoreboard
+        cca = self.cca
         # The CCA's control outputs only change in its ack/loss/RTO
         # callbacks, so they are loop invariants for the whole send burst.
-        pacing_rate = self.cca.pacing_rate
+        pacing_rate = cca.pacing_rate
         paced = pacing_rate is not None and pacing_rate > 0
         pace_step = 1.0 / pacing_rate if paced else 0.0
-        cwnd = self._effective_cwnd()
+        cwnd = int(cca.cwnd)
+        if cwnd < 1:
+            cwnd = 1
         max_segments = self.max_segments
+        stats = self.stats
+        mss_bytes = self.mss_bytes
+        rto_timer = self._rto_timer
+        on_segment_sent = self.rate_estimator.on_segment_sent
+        on_transmit = scoreboard.on_transmit
+        transmit = self.transmit
         while True:
             if paced and now < self._next_send_time - 1e-12:
-                self._arm_pacing_timer()
+                if not self._pacing_event_pending:
+                    self._pacing_event_pending = True
+                    self.scheduler.schedule_fast(self._next_send_time - now, self._pacing_fire)
                 return
-            if scoreboard._pipe >= cwnd:
+            pipe = scoreboard._pipe
+            if pipe >= cwnd:
                 return
-            seq = scoreboard.next_lost_segment()
+            seq = scoreboard.next_lost_segment() if scoreboard._lost_unsent else None
             is_retransmit = seq is not None
-            if seq is None:
+            if is_retransmit:
+                stats.retransmissions += 1
+            else:
                 if max_segments is not None and self.next_seq >= max_segments:
                     return
                 seq = self.next_seq
                 self.next_seq += 1
-                self.stats.data_segments_sent += 1
-            self._send_segment(seq, is_retransmit, now)
+                stats.data_segments_sent += 1
+            stats.segments_sent += 1
+            on_transmit(seq, now, on_segment_sent(now, pipe, is_retransmit))
+            if rto_timer._deadline is None:
+                self._rearm_rto(now)
+            transmit(Packet(CCA_FLOW, seq, mss_bytes, is_retransmit, now))
             if paced:
                 next_time = self._next_send_time
                 self._next_send_time = (now if now > next_time else next_time) + pace_step
-
-    def _send_segment(self, seq: int, is_retransmit: bool, now: float) -> None:
-        pipe_before = self.scoreboard._pipe
-        tx_state = self.rate_estimator.on_segment_sent(now, pipe_before, is_retransmit)
-        self.scoreboard.on_transmit(seq, now, tx_state)
-        self.stats.segments_sent += 1
-        if is_retransmit:
-            self.stats.retransmissions += 1
-        packet = Packet(CCA_FLOW, seq, self.mss_bytes, is_retransmit, now)
-        if self._rto_timer._deadline is None:
-            self._rearm_rto(now)
-        self.transmit(packet)
-
-    def _arm_pacing_timer(self) -> None:
-        if self._pacing_event_pending:
-            return
-        self._pacing_event_pending = True
-        delay = max(0.0, self._next_send_time - self.scheduler.now)
-        self.scheduler.schedule_fast(delay, self._pacing_fire)
 
     def _pacing_fire(self) -> None:
         self._pacing_event_pending = False
@@ -278,10 +276,10 @@ class TcpSender:
     # ------------------------------------------------------------------ #
 
     def _rearm_rto(self, now: float) -> None:
-        if not self.scoreboard.has_unacked_data():
+        if self.scoreboard._undelivered:
+            self._rto_timer.arm(now + self.rtt_estimator.rto)
+        else:
             self._rto_timer.disarm()
-            return
-        self._rto_timer.arm(now + self.rtt_estimator.rto)
 
     def _on_rto(self) -> None:
         now = self.scheduler.now
@@ -314,11 +312,3 @@ class TcpSender:
             return
         self.stats.cwnd_series.append((now, float(self.cca.cwnd)))
         self.stats.pacing_series.append((now, self.cca.pacing_rate))
-
-    @property
-    def bytes_delivered(self) -> int:
-        return self.rate_estimator.delivered * self.mss_bytes
-
-    @property
-    def smoothed_rtt(self) -> Optional[float]:
-        return self.rtt_estimator.srtt

@@ -17,7 +17,10 @@ import shutil
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore, run_fleet
+from repro.core.fuzzer import CCFuzz
 from repro.journal import CampaignJournal
+from repro.scoring.objectives import make_score_function
+from repro.tcp.cca import cca_factory
 
 POPULATION = 8
 GENERATIONS = 6
@@ -89,13 +92,33 @@ def test_parent_layout_journal_resumes_cold(tmp_path):
     # Its fuzzer snapshots also still carry the fault knobs FuzzConfig has since lost.
     inflight = list(view.pending_checkpoints().values())
     assert inflight and all("job_timeout" in c["fuzzer"]["config"] for c in inflight)
+    # They were also written before ``record_series`` left the simulation
+    # identity: the recorded fingerprint is not today's, and resume accepts it
+    # through the one compatibility rule, ``legacy_fingerprint()``.
+    spec = CampaignSpec.from_dict(view.campaign["spec"])
+    scenarios = {scenario.scenario_id: scenario for scenario in spec.expand()}
+    for scenario_id, checkpoint in view.pending_checkpoints().items():
+        scenario = scenarios[scenario_id]
+        snapshot = json.loads(json.dumps(checkpoint["fuzzer"]))
+        recorded = snapshot["identity"]["sim_fingerprint"]
+        assert recorded != scenario.sim_config().fingerprint()
+        assert recorded == scenario.sim_config().legacy_fingerprint()
+        fuzzer = CCFuzz(
+            cca_factory(scenario.cca),
+            config=scenario.fuzz_config(),
+            score_function=make_score_function(scenario.objective, scenario.mode),
+        )
+        fuzzer._restore(snapshot)
+        # The rule admits that one fingerprint, not any stale one.
+        snapshot["identity"]["sim_fingerprint"] = recorded[::-1]
+        with pytest.raises(ValueError, match="different CCA / simulation"):
+            fuzzer._restore(snapshot)
     messages = []
     resumed = CampaignRunner.resume(
         str(corpus_dir), progress=messages.append, telemetry=False
     ).run()
     assert any("resuming with a cold cache" in message for message in messages)
 
-    spec = CampaignSpec.from_dict(view.campaign["spec"])
     fresh = CampaignRunner(
         spec, CorpusStore(str(tmp_path / "fresh")), register_attacks=False, telemetry=False
     ).run()

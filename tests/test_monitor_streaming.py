@@ -11,6 +11,7 @@ and that nothing an evaluation returns depends on ``record_series``.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import random as random_module
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -19,7 +20,9 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec import EvaluationJob, evaluate_job
+from repro.campaign import CampaignSpec, CorpusEntry
+from repro.core.fuzzer import FuzzConfig
+from repro.exec import EvaluationJob, evaluate_job, job_cache_key
 from repro.netsim import topology
 from repro.netsim.monitor import FlowMonitor
 from repro.netsim.packet import CCA_FLOW, CROSS_FLOW, Packet
@@ -290,3 +293,49 @@ def test_lite_monitor_matches_full_derived_series(cca, mode, times):
     ]
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1]["behavior_signature"]["shape"]
+    # ... which is why the flag is outside identity: one fingerprint, one cache key.
+    assert full_config.fingerprint() == lite_config.fingerprint()
+    keys = {
+        job_cache_key(EvaluationJob(cca_factory(cca), config, trace, score_function))
+        for config in (full_config, lite_config)
+    }
+    assert len(keys) == 1
+
+
+def test_record_series_is_the_only_field_outside_identity():
+    """Every other public ``SimulationConfig`` field still moves the
+    fingerprint, and the three places a campaign's simulations are configured
+    — a scenario, a stored corpus entry, ``FuzzConfig().sim`` — agree on the
+    cache key for one network condition."""
+    base = SimulationConfig()
+    changed = {
+        "duration": 4.0, "bottleneck_rate_mbps": 6.0, "propagation_delay": 0.03,
+        "queue_capacity": 30, "mss_bytes": 1000, "delayed_ack": False,
+        "delack_timeout": 0.1, "min_rto": 0.2, "sender_start_time": 0.5,
+        "record_series": False, "max_events": None,
+    }
+    public = [f.name for f in dataclasses.fields(SimulationConfig) if not f.name.startswith("_")]
+    assert sorted(public) == sorted(changed)
+    for name in public:
+        moved = base.with_overrides(**{name: changed[name]}).fingerprint() != base.fingerprint()
+        assert moved == (name != "record_series"), name
+
+    spec = CampaignSpec.from_dict({
+        "name": "identity", "ccas": ["reno"], "modes": ["traffic"],
+        "objectives": ["throughput"], "conditions": [{"name": "shallow", "queue_capacity": 20}],
+        "budget": {"population_size": 4, "generations": 1, "duration": 1.0},
+    })
+    (scenario,) = spec.expand()
+    trace = TrafficTrace(timestamps=[0.1, 0.2], duration=1.0)
+    entry = CorpusEntry(
+        trace, trace.fingerprint(), "traffic", scenario.scenario_id, "reno", "throughput",
+        None, condition=scenario.condition.to_dict(),
+    )
+    standalone = FuzzConfig(duration=1.0).sim.with_overrides(queue_capacity=20)
+    score_function = make_score_function("throughput", "traffic")
+    keys = {
+        job_cache_key(EvaluationJob(cca_factory("reno"), config, trace, score_function))
+        for config in (scenario.sim_config(), entry.sim_config(), standalone)
+    }
+    assert len(keys) == 1
+    assert scenario.sim_config().record_series is False

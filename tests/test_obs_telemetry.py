@@ -14,10 +14,12 @@ import os
 
 import pytest
 
+from repro.attacks import builtin_attack_traces
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
 from repro.cli import campaign_main
 from repro.exec import QUARANTINE_FILENAME, QuarantineStore
 from repro.journal import CampaignJournal
+from repro.netsim.simulation import SimulationConfig, simulate_packet_trace
 from repro.obs import (
     MANIFEST_FILENAME,
     METRICS_FILENAME,
@@ -37,7 +39,9 @@ from repro.obs import (
     status_json,
     write_prometheus,
 )
+from repro.obs.metrics import get_registry
 from repro.obs.spans import SPAN_FIELDS
+from repro.tcp.cca import Bbr
 
 #: One well-formed entry between two the store's parser drops.
 HALF_GARBAGE_QUARANTINE = {
@@ -88,6 +92,24 @@ class TestBitIdentity:
             set_enabled(previous)
         result_lit = run_campaign(tmp_path / "lit", telemetry=True)
         assert result_dark.deterministic_digest() == result_lit.deterministic_digest()
+
+
+def test_ack_mix_counters_on_builtin_bbr_stall():
+    """``sim.acks*`` sit beside ``sim.events`` at whole-simulation granularity:
+    how many ACKs the sender processed, how many carried SACK blocks, how many
+    arrived in (fast or RTO) recovery.  Pinned on the builtin BBR stall —
+    two thirds of its ACKs are on the recovery path, not the in-order one —
+    and absent from ``summary()`` so no journal or golden moves."""
+    registry = get_registry()
+    names = ("sim.acks", "sim.acks_sack", "sim.acks_recovery")
+    before = [registry.counter(name) for name in names]
+    result = simulate_packet_trace(
+        Bbr, SimulationConfig(duration=5.0), builtin_attack_traces(5.0)["bbr-stall"]
+    )
+    assert [registry.counter(name) - b for name, b in zip(names, before)] == [1632, 1063, 1059]
+    stats = result.sender_stats
+    assert (stats.acks, stats.sack_acks, stats.recovery_acks) == (1632, 1063, 1059)
+    assert not {"acks", "sack_acks", "recovery_acks"} & set(result.summary())
 
 
 def test_cli_campaign_leaves_well_formed_telemetry(tmp_path, capsys):

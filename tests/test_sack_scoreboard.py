@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.packet import SackBlock
 from repro.tcp.rate_sampler import SegmentTxState
@@ -153,3 +155,114 @@ class TestSpuriousRetransmissionAccounting:
         board.purge_acked(keep_below=5)
         assert all(seq >= 85 for seq in board.segments)
         assert board.has_unacked_data()
+
+
+# --------------------------------------------------------------------------- #
+# Oracle: the incremental indices against a recomputation over ``segments``
+# --------------------------------------------------------------------------- #
+
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("send"), st.integers(1, 6)),
+        st.tuples(st.just("retransmit"), st.integers(1, 3)),
+        st.tuples(st.just("sack"), st.integers(0, 40), st.integers(1, 6)),
+        st.tuples(st.just("ack"), st.integers(0, 12)),
+        st.tuples(st.just("detect")),
+        st.tuples(st.just("rto")),
+        st.tuples(st.just("purge"), st.integers(0, 4)),
+    ),
+    max_size=60,
+)
+
+
+def expected_losses(board: SackScoreboard, latest_sacked_send: float) -> list:
+    """RFC 6675 detection, restated over every segment with no index."""
+    sacked = [s.seq for s in board.segments.values() if s.sacked and not s.acked]
+    lost = []
+    for seq, state in sorted(board.segments.items()):
+        if state.sacked or state.acked or state.lost:
+            continue
+        if sum(1 for other in sacked if other > seq) < board.dupthresh:
+            continue
+        if state.transmissions > 1 and not (
+            board.redetect_lost_retransmissions
+            and latest_sacked_send > state.last_sent_time + 1e-12
+        ):
+            continue
+        lost.append(seq)
+    return lost
+
+
+def assert_indices_match_recomputation(board: SackScoreboard, high_sacked: int) -> None:
+    states = board.segments.values()
+    undelivered = {s.seq for s in states if not (s.acked or s.sacked)}
+    candidates = sorted(s.seq for s in states if not (s.acked or s.sacked or s.lost))
+    lost = sorted(s.seq for s in states if s.lost)
+    assert board._pipe == board.pipe() == sum(
+        1 for s in states if s.outstanding and not (s.acked or s.sacked)
+    )
+    assert board._undelivered == undelivered
+    assert board.has_unacked_data() == bool(undelivered)
+    assert board._candidates_sorted == candidates
+    assert board._candidate_set == set(candidates)
+    assert board._lost_unsent == lost
+    assert not any(s.lost and (s.outstanding or s.acked or s.sacked) for s in states)
+    assert board._sacked_sorted == sorted(
+        s.seq for s in states if s.sacked and s.seq >= board.snd_una
+    )
+    assert board.high_sacked == high_sacked
+    assert board.next_lost_segment() == (lost[0] if lost else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=OPS, redetect=st.booleans())
+def test_incremental_indices_match_recomputation(ops, redetect):
+    """The ``ReferenceFlowMonitor`` pattern for the scoreboard: drive it as a
+    sender would (new data, retransmissions of ``next_lost_segment()``, SACKs,
+    cumulative ACKs, loss detection, RTO, purge) and after every step compare
+    each incrementally maintained index with what ``segments`` says."""
+    board = SackScoreboard(redetect_lost_retransmissions=redetect)
+    next_seq = 0
+    now = 0.0
+    high_sacked = -1
+    latest_sacked_send = 0.0
+    for op in ops:
+        now += 0.01
+        kind = op[0]
+        if kind == "send":
+            for _ in range(op[1]):
+                board.on_transmit(next_seq, now, tx_state(now))
+                next_seq += 1
+        elif kind == "retransmit":
+            for _ in range(op[1]):
+                seq = board.next_lost_segment()
+                if seq is None:
+                    break
+                state = board.on_transmit(seq, now, tx_state(now))
+                assert state.transmissions > 1 and state.outstanding and not state.lost
+        elif kind == "sack":
+            start = board.snd_una + op[1]
+            end = min(start + op[2], next_seq)
+            blocks = [SackBlock(start, end)] if start < end else []
+            for state in board.apply_sack_blocks(blocks, now):
+                high_sacked = max(high_sacked, state.seq)
+                latest_sacked_send = max(latest_sacked_send, state.last_sent_time)
+        elif kind == "ack":
+            before = board.snd_una
+            target = min(before + op[1], next_seq)
+            delivered, full_acked = board.apply_cumulative_ack(target)
+            assert [s.seq for s in full_acked] == list(range(before, max(before, target)))
+            assert all(s.acked for s in full_acked)
+            assert {s.seq for s in delivered} <= {s.seq for s in full_acked}
+        elif kind == "detect":
+            expected = expected_losses(board, latest_sacked_send)
+            assert [s.seq for s in board.detect_losses()] == expected
+        elif kind == "rto":
+            expected = sorted(
+                s.seq for s in board.segments.values() if not (s.acked or s.sacked or s.lost)
+            )
+            assert [s.seq for s in board.mark_all_outstanding_lost()] == expected
+        else:
+            board.purge_acked(keep_below=op[1])
+            assert all(seq >= board.snd_una - op[1] for seq in board.segments)
+        assert_indices_match_recomputation(board, high_sacked)

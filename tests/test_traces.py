@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from repro.attacks import builtin_attack_traces
 from repro.core.fuzzer import MODES, CCFuzz, FuzzConfig
+from repro.coverage.signature import extract_signature
 from repro.exec.workers import simulate_packet_trace
 from repro.netsim.simulation import SimulationConfig, run_simulation
 from repro.scoring.base import Score
+from repro.scoring.objectives import make_score_function
 from repro.scoring.realism import RealismScorer
-from repro.tcp.cca import Reno
+from repro.tcp.cca import CCA_FACTORIES, Reno
 from repro.traces import (
     LinkTrace,
     LinkTraceGenerator,
@@ -292,6 +294,16 @@ def _generated(mode: str, duration: float = RELATION_DURATION) -> PacketTrace:
     return fuzzer.run().best_trace
 
 
+def _outcome(cca: str, trace: PacketTrace, times):
+    """``summary()`` + score + behavior signature of ``trace``'s mode simulated
+    on the raw input ``times`` (a trace clamps and sorts; the simulator must
+    not need it to)."""
+    config = SimulationConfig(duration=trace.duration, record_series=False)
+    result = run_simulation(CCA_FACTORIES[cca], config, **{SIMULATOR_INPUT[trace.mode]: times})
+    score = make_score_function("throughput", trace.mode)(result, trace)
+    return result.summary(), score, extract_signature(result).to_dict()
+
+
 class TestModeRulebook:
     """What a fuzzing mode is, is declared once — and declared completely."""
 
@@ -332,6 +344,29 @@ class TestModeRulebook:
         for keyword in SIMULATOR_INPUT.values():
             unpacked = run_simulation(Reno, config, **{keyword: trace.timestamps}).summary()
             assert (unpacked == summary) == (keyword == SIMULATOR_INPUT[trace.mode]), keyword
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("cca", sorted(CCA_FACTORIES))
+    def test_trace_events_after_duration_change_nothing(self, cca, mode):
+        """ROADMAP 1(b): the simulator input beyond the run's end is inert."""
+        trace = _generated(mode, duration=1.0)
+        late = trace.timestamps + [1.0 + 1e-9, 1.25, 1.25, 7.0]
+        assert _outcome(cca, trace, late) == _outcome(cca, trace, trace.timestamps)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("cca", sorted(CCA_FACTORIES))
+    def test_permuting_trace_events_changes_nothing(self, cca, mode):
+        """ROADMAP 1(b): events are a multiset of times — neither the order
+        they are handed over in nor the order of same-timestamp events (every
+        eighth one is doubled here) reaches the outcome."""
+        generated = _generated(mode, duration=1.0)
+        doubled = type(generated)(
+            timestamps=generated.timestamps + generated.timestamps[::8], duration=1.0
+        )
+        shuffled = list(doubled.timestamps)
+        random.Random(5).shuffle(shuffled)
+        assert shuffled != doubled.timestamps
+        assert _outcome(cca, doubled, shuffled) == _outcome(cca, doubled, doubled.timestamps)
 
     def test_untyped_trace_cannot_be_simulated(self):
         with pytest.raises(TypeError):
