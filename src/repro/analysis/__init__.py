@@ -1,12 +1,7 @@
 """Analysis utilities: metrics, queueing analysis, stall timelines, reporting."""
 
 from .metrics import FlowMetrics, compute_metrics, goodput_mbps, longest_delivery_gap
-from .queueing import (
-    max_queue_depth,
-    queue_depth_series,
-    queueing_delay_series,
-    time_above_delay,
-)
+from .queueing import max_queue_depth, queue_depth_series, time_above_delay
 from .reporting import (
     ascii_chart,
     format_campaign_summary,
@@ -43,6 +38,5 @@ __all__ = [
     "longest_delivery_gap",
     "max_queue_depth",
     "queue_depth_series",
-    "queueing_delay_series",
     "time_above_delay",
 ]

@@ -18,17 +18,6 @@ def max_queue_depth(result: SimulationResult) -> int:
     return max(depths) if depths else 0
 
 
-def queueing_delay_series(
-    result: SimulationResult, flow: str = CCA_FLOW
-) -> List[Tuple[float, float]]:
-    """(egress time, queueing delay seconds) for every delivered packet of ``flow``.
-
-    This is exactly what Fig. 4e plots, for both the BBR flow and the cross
-    traffic.
-    """
-    return result.queueing_delays(flow)
-
-
 def time_above_delay(
     result: SimulationResult, threshold_s: float, flow: str = CCA_FLOW
 ) -> float:

@@ -86,16 +86,8 @@ class GaBudget:
     top_k: int = 5
 
     def __post_init__(self) -> None:
-        if self.population_size < 2:
-            raise ValueError("population_size must be at least 2")
-        if self.generations < 1:
-            raise ValueError("generations must be at least 1")
-        if self.islands < 1:
-            raise ValueError("islands must be at least 1")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.top_k < 1:
-            raise ValueError("top_k must be at least 1")
+        # The ranges are FuzzConfig's: validate by building what a budget feeds.
+        FuzzConfig(**asdict(self))
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)

@@ -70,7 +70,7 @@ from .exec.backend import BACKENDS, create_backend
 from .exec.batch import Evaluator
 from .exec.workers import simulate_packet_trace
 from .journal import CampaignJournal
-from .netsim.simulation import SimulationConfig, run_simulation
+from .netsim.simulation import SimulationConfig, SimulationTruncated, run_simulation
 from .obs import (
     METRICS_FILENAME,
     CampaignTelemetry,
@@ -389,14 +389,20 @@ def _simulate(args: _Args, parser: _Parser, console: Console) -> None:
         bottleneck_rate_mbps=args.rate_mbps,
         queue_capacity=args.queue,
     )
+    trace = None
     if args.trace:
         trace = _require_typed(_read_trace(args.trace), parser)
-        result = simulate_packet_trace(factory, config, trace)
     elif args.attack != "none":
         trace = builtin_attack_traces(args.duration)[args.attack]
-        result = simulate_packet_trace(factory, config, trace)
-    else:
-        result = run_simulation(factory, config)
+    try:
+        if trace is not None:
+            result = simulate_packet_trace(factory, config, trace)
+        else:
+            result = run_simulation(factory, config)
+    except SimulationTruncated as exc:
+        # A partial run's utilization is not a measurement; report, don't print it.
+        console.error(f"error: {exc}")
+        raise SystemExit(1) from None
     metrics = compute_metrics(result)
     console.result(format_table([metrics.as_dict()]))
     if args.plot:

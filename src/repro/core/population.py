@@ -16,7 +16,9 @@ class Individual:
     trace: PacketTrace
     score: Optional[Score] = None
     generation_born: int = 0
-    origin: str = "initial"          #: "initial", "elite", "crossover", "mutation", "migrant", "seed"
+    #: How it entered the population: "initial", "seed", "elite", "crossover",
+    #: "mutation", "explore", "immigrant" or "migrant".
+    origin: str = "initial"
     result_summary: Dict[str, Any] = field(default_factory=dict)
 
     @property

@@ -98,10 +98,6 @@ class FuzzResult:
         """Best fitness per generation — the convergence curve."""
         return [stats.best_fitness for stats in self.generations]
 
-    def top_k_trajectory(self) -> List[float]:
-        """Mean fitness of the per-generation top-k — the Fig. 4d series."""
-        return [stats.top_k_mean_fitness for stats in self.generations]
-
     def improved(self) -> bool:
         """Whether the search improved on the initial generation's best."""
         trajectory = self.fitness_trajectory()

@@ -6,12 +6,17 @@ source), per-flow monitoring and the :func:`run_simulation` entry point.
 """
 
 from .crosstraffic import CrossTrafficSource
-from .engine import EventHandle, EventScheduler, FifoLane, LazyTimer
+from .engine import EventScheduler, FifoLane, LazyTimer
 from .link import FixedRateLink, TraceDrivenLink, mbps_to_pps, pps_to_mbps
 from .monitor import FlowMonitor
 from .packet import AckPacket, CCA_FLOW, CROSS_FLOW, DEFAULT_MSS, Packet, SackBlock
 from .queue import DropTailQueue
-from .simulation import SimulationConfig, SimulationResult, run_simulation
+from .simulation import (
+    SimulationConfig,
+    SimulationResult,
+    SimulationTruncated,
+    run_simulation,
+)
 from .topology import DumbbellTopology
 
 __all__ = [
@@ -22,7 +27,6 @@ __all__ = [
     "DEFAULT_MSS",
     "DropTailQueue",
     "DumbbellTopology",
-    "EventHandle",
     "EventScheduler",
     "FifoLane",
     "FixedRateLink",
@@ -32,6 +36,7 @@ __all__ = [
     "SackBlock",
     "SimulationConfig",
     "SimulationResult",
+    "SimulationTruncated",
     "TraceDrivenLink",
     "mbps_to_pps",
     "pps_to_mbps",

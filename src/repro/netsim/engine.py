@@ -7,18 +7,21 @@ deterministic, which is a hard requirement for the genetic algorithm
 (identical traces must produce identical scores across generations,
 see paper section 3.6).
 
-Two fast paths keep the per-event overhead low, because every GA generation
-bottoms out in millions of these events:
+There is one event primitive: an entry ``(time, seq, timer-or-None,
+callback, args)``, where ``seq`` is the global insertion number claimed when
+the event is scheduled.  Events cannot be cancelled; the two things TCP needs
+to take back — the retransmission and delayed-ACK timers — are
+:class:`LazyTimer` objects, which move a deadline instead.  Two structures
+hold entries, because every GA generation bottoms out in millions of them:
 
-* ``schedule_fast`` / ``schedule_at_fast`` skip the :class:`EventHandle`
-  allocation for the ~95% of events that are never cancelled (link
-  departures, packet deliveries, one-shot timers).
-* :class:`FifoLane` bypasses the heap entirely for event streams whose
-  times are pushed in nondecreasing order (bottleneck service completions,
-  propagation-delayed deliveries, returning ACKs, pre-sorted cross-traffic
-  injections).  Lanes are merged with the heap at pop time by the global
-  ``(time, seq)`` key, so the execution order is exactly what a pure-heap
-  scheduler would produce — including tie-breaks.
+* the heap, for :meth:`EventScheduler.schedule` /
+  :meth:`EventScheduler.schedule_at` and timer bookkeeping entries;
+* :class:`FifoLane` deques, for event streams whose times are pushed in
+  nondecreasing order (bottleneck service completions, propagation-delayed
+  deliveries, returning ACKs, pre-sorted cross-traffic injections).  Lanes
+  are merged with the heap at pop time by the global ``(time, seq)`` key, so
+  the execution order is exactly what a pure-heap scheduler would produce —
+  including tie-breaks (``tests/test_engine.py`` holds the reference).
 """
 
 from __future__ import annotations
@@ -27,33 +30,9 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
-#: One scheduled event: (time, insertion seq, handle-or-None, callback, args).
-_Entry = Tuple[float, int, Optional["EventHandle"], Callable[..., None], tuple]
-
-
-class EventHandle:
-    """Handle for a scheduled event, allowing cancellation.
-
-    Cancellation is lazy: the event stays in the heap but is skipped when
-    popped.  This keeps cancellation O(1), which matters because TCP
-    retransmission timers are rescheduled on nearly every ACK.
-    """
-
-    __slots__ = ("time", "cancelled", "_scheduler", "_pending")
-
-    def __init__(self, time: float, scheduler: Optional["EventScheduler"] = None) -> None:
-        self.time = time
-        self.cancelled = False
-        self._scheduler = scheduler
-        self._pending = True
-
-    def cancel(self) -> None:
-        """Mark the event as cancelled; it will be skipped when due."""
-        self.cancelled = True
-        if self._pending:
-            self._pending = False
-            if self._scheduler is not None:
-                self._scheduler._live -= 1
+#: One scheduled event: (time, insertion seq, timer-or-None, callback, args).
+#: A :class:`LazyTimer` bookkeeping entry carries the timer and no callback.
+_Entry = Tuple[float, int, Optional["LazyTimer"], Optional[Callable[..., None]], tuple]
 
 
 class LazyTimer:
@@ -72,11 +51,6 @@ class LazyTimer:
     and the callback runs exactly when an entry with key ``(deadline, seq)``
     pops — so execution order, tie-breaks included, is identical.
     """
-
-    #: Mirrors ``EventHandle.cancelled`` so the run loop's dead-entry check
-    #: can treat both entry kinds uniformly (a timer entry is never skipped
-    #: by that check; staleness is resolved in ``_on_pop``).
-    cancelled = False
 
     __slots__ = ("_scheduler", "_callback", "_deadline", "_seq", "_entry_times")
 
@@ -99,8 +73,6 @@ class LazyTimer:
             raise ValueError(
                 f"cannot arm timer at {deadline:.6f}, current time is {scheduler.now:.6f}"
             )
-        if self._deadline is None:
-            scheduler._live += 1
         self._deadline = deadline
         self._seq = scheduler._seq
         scheduler._seq += 1
@@ -111,9 +83,11 @@ class LazyTimer:
 
     def disarm(self) -> None:
         """Stop the timer; any pending bookkeeping entries die silently."""
-        if self._deadline is not None:
-            self._deadline = None
-            self._scheduler._live -= 1
+        self._deadline = None
+
+    def _fires_at(self, time: float, seq: int) -> bool:
+        """Whether a bookkeeping entry keyed ``(time, seq)`` is the one that fires."""
+        return self._deadline == time and self._seq == seq
 
     def _on_pop(self, time: float, seq: int) -> bool:
         """Handle a popped bookkeeping entry; True when the timer must fire."""
@@ -124,7 +98,7 @@ class LazyTimer:
         deadline = self._deadline
         if deadline is None:
             return False
-        if deadline == time and seq == self._seq:
+        if self._fires_at(time, seq):
             # Fired at the live key: consume the timer (the callback may
             # re-arm it).
             self._deadline = None
@@ -144,7 +118,7 @@ class FifoLane:
     A lane accepts events whose absolute times are pushed in nondecreasing
     order (each stream of fixed-delay or pre-sorted events satisfies this).
     Pushing and popping are O(1) deque operations instead of O(log n) heap
-    operations, and no :class:`EventHandle` is allocated.
+    operations.
 
     Lanes share the scheduler's insertion-sequence counter, so merging the
     lane heads with the heap head by ``(time, seq)`` reproduces the exact
@@ -165,22 +139,6 @@ class FifoLane:
     def __len__(self) -> int:
         return len(self._events)
 
-    def push(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """Append ``callback(*args)`` to fire ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule event in the past (delay={delay})")
-        scheduler = self._scheduler
-        time = scheduler.now + delay
-        if time < self._last_time:
-            raise ValueError(
-                f"lane events must be pushed in time order "
-                f"(got {time:.6f} after {self._last_time:.6f})"
-            )
-        self._last_time = time
-        self._events.append((time, scheduler._seq, None, callback, args))
-        scheduler._seq += 1
-        scheduler._live += 1
-
     def push_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """Append ``callback(*args)`` to fire at absolute simulation ``time``."""
         scheduler = self._scheduler
@@ -196,14 +154,6 @@ class FifoLane:
         self._last_time = time
         self._events.append((time, scheduler._seq, None, callback, args))
         scheduler._seq += 1
-        scheduler._live += 1
-
-    def clear(self) -> int:
-        """Drop every not-yet-fired event in this lane; returns how many."""
-        dropped = len(self._events)
-        self._scheduler._live -= dropped
-        self._events.clear()
-        return dropped
 
 
 class EventScheduler:
@@ -213,14 +163,15 @@ class EventScheduler:
     -------
     >>> sched = EventScheduler()
     >>> fired = []
-    >>> _ = sched.schedule(1.0, fired.append, "a")
-    >>> _ = sched.schedule(0.5, fired.append, "b")
+    >>> sched.schedule(1.0, fired.append, "a")
+    >>> sched.schedule(0.5, fired.append, "b")
     >>> sched.run(until=2.0)
+    2
     >>> fired
     ['b', 'a']
     """
 
-    __slots__ = ("now", "_seq", "_heap", "_lanes", "_live", "_running", "_stopped")
+    __slots__ = ("now", "_seq", "_heap", "_lanes", "_running")
 
     def __init__(self) -> None:
         #: Current simulation time in seconds.  A plain attribute rather than
@@ -230,9 +181,7 @@ class EventScheduler:
         self._seq = 0
         self._heap: List[_Entry] = []
         self._lanes: List[FifoLane] = []
-        self._live = 0
         self._running = False
-        self._stopped = False
 
     def fifo_lane(self) -> FifoLane:
         """Create a new monotone fast lane merged into this scheduler.
@@ -246,82 +195,24 @@ class EventScheduler:
         self._lanes.append(lane)
         return lane
 
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule event in the past (delay={delay})")
-        return self.schedule_at(self.now + delay, callback, *args)
+        self.schedule_at(self.now + delay, callback, *args)
 
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
+    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` to run at absolute simulation ``time``."""
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule event at {time:.6f}, current time is {self.now:.6f}"
-            )
-        handle = EventHandle(time, self)
-        heapq.heappush(self._heap, (time, self._seq, handle, callback, args))
-        self._seq += 1
-        self._live += 1
-        return handle
-
-    def schedule_fast(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """Like :meth:`schedule` but without a cancellation handle.
-
-        Use for the common case of events that are never cancelled; it skips
-        one object allocation per event.
-        """
-        if delay < 0:
-            raise ValueError(f"cannot schedule event in the past (delay={delay})")
-        self.schedule_at_fast(self.now + delay, callback, *args)
-
-    def schedule_at_fast(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """Like :meth:`schedule_at` but without a cancellation handle."""
         if time < self.now:
             raise ValueError(
                 f"cannot schedule event at {time:.6f}, current time is {self.now:.6f}"
             )
         heapq.heappush(self._heap, (time, self._seq, None, callback, args))
         self._seq += 1
-        self._live += 1
 
     def timer(self, callback: Callable[[], None]) -> LazyTimer:
         """Create a restartable :class:`LazyTimer` bound to this scheduler."""
         return LazyTimer(self, callback)
-
-    def stop(self) -> None:
-        """Request that :meth:`run` return before processing further events."""
-        self._stopped = True
-
-    def peek_time(self) -> Optional[float]:
-        """Return the time of the next pending (non-cancelled) event, if any."""
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            handle = head[2]
-            if handle is not None and handle.cancelled:
-                heapq.heappop(heap)
-                continue
-            if head[3] is None:
-                # Lazy-timer bookkeeping entry: dead (disarmed) or stale
-                # (deadline moved) entries are not real wake times — prune
-                # them, re-pushing at the live key when needed, exactly as
-                # the run loop's pop would.
-                timer = handle
-                if timer._deadline is None or (head[0], head[1]) != (
-                    timer._deadline,
-                    timer._seq,
-                ):
-                    heapq.heappop(heap)
-                    timer._on_pop(head[0], head[1])
-                    continue
-            break
-        best: Optional[float] = heap[0][0] if heap else None
-        for lane in self._lanes:
-            if lane._events:
-                head_time = lane._events[0][0]
-                if best is None or head_time < best:
-                    best = head_time
-        return best
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run events in time order.
@@ -330,9 +221,13 @@ class EventScheduler:
         ----------
         until:
             Stop once the next event would be strictly after this time.  The
-            clock is advanced to ``until`` when the horizon is reached.
+            clock is advanced to ``until`` only then — when nothing at or
+            before the horizon is left to run.
         max_events:
             Safety valve: stop after this many events have been executed.
+            A run it ends leaves the clock at the last executed event, so a
+            caller can tell a truncated run (``now < until``) from a finished
+            one.
 
         Returns
         -------
@@ -342,7 +237,6 @@ class EventScheduler:
         if self._running:
             raise RuntimeError("scheduler is already running")
         self._running = True
-        self._stopped = False
         executed = 0
         heap = self._heap
         lanes = [lane._events for lane in self._lanes]
@@ -350,7 +244,7 @@ class EventScheduler:
         horizon = float("inf") if until is None else until
         budget = -1 if max_events is None else max_events
         try:
-            while executed != budget and not self._stopped:
+            while True:
                 # Select the earliest event across the heap and every lane.
                 # Entries compare by (time, seq); seqs are unique, so the
                 # comparison never reaches the non-orderable fields.
@@ -362,44 +256,37 @@ class EventScheduler:
                         if entry is None or head < entry:
                             entry = head
                             winner = lane_events
-                if entry is None:
+                if entry is None or entry[0] > horizon:
+                    if until is not None and self.now < until:
+                        self.now = until
                     break
-                time, seq, handle, callback, args = entry
-                if handle is not None and handle.cancelled:
-                    heappop(heap)
-                    continue
-                if time > horizon:
+                time, seq, timer, callback, args = entry
+                if executed == budget:
+                    # The cap ends the run here — unless this is a dead or
+                    # stale timer entry, which is no event: resolve it and
+                    # look again, so the clock still reaches the horizon
+                    # when nothing real is left before it.
+                    if callback is None and not timer._fires_at(time, seq):
+                        heappop(heap)
+                        timer._on_pop(time, seq)
+                        continue
                     break
                 if callback is None:
                     # Lazy-timer bookkeeping entry (heap-only): resolve it;
                     # stale/dead entries are not executed or counted.
                     heappop(heap)
-                    if handle._on_pop(time, seq):
-                        self._live -= 1
+                    if timer._on_pop(time, seq):
                         self.now = time
-                        handle._callback()
+                        timer._callback()
                         executed += 1
                     continue
                 if winner is None:
                     heappop(heap)
                 else:
                     winner.popleft()
-                if handle is not None:
-                    handle._pending = False
-                self._live -= 1
                 self.now = time
                 callback(*args)
                 executed += 1
-            if until is not None and not self._stopped and self.now < until:
-                self.now = until
         finally:
             self._running = False
         return executed
-
-    def pending_events(self) -> int:
-        """Number of scheduled, not-yet-cancelled events.
-
-        Maintained as a live counter (incremented on schedule, decremented on
-        cancel/execution), so this is O(1) instead of an O(n) heap walk.
-        """
-        return self._live

@@ -21,7 +21,7 @@ heap.  Execution order (tie-breaks included) is identical to heap scheduling.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from .engine import EventScheduler, FifoLane
 from .packet import Packet
@@ -79,12 +79,8 @@ class Link:
     def on_enqueue(self, packet: Packet, now: float) -> None:
         """Hook called by the queue when a packet is admitted."""
 
-    def start(self) -> None:
-        """Install any service events needed before the simulation runs."""
-
-    def _transmit(self, packet: Packet, now: float) -> None:
-        self.serviced += 1
-        self._delivery_lane.push_at(now + self.propagation_delay, self.deliver, packet)
+    def start(self, horizon: float) -> None:
+        """Install any service events needed before a run of ``horizon`` seconds."""
 
 
 class FixedRateLink(Link):
@@ -113,10 +109,6 @@ class FixedRateLink(Link):
         # While busy, completions fire every service time; pushes happen at
         # nondecreasing times, so the stream is monotone.
         self._service_lane: FifoLane = scheduler.fifo_lane()
-
-    @property
-    def service_time(self) -> float:
-        return self._service_time
 
     def on_enqueue(self, packet: Packet, now: float) -> None:
         if not self._busy:
@@ -150,12 +142,9 @@ class TraceDrivenLink(Link):
     opportunities:
         Packet transmission opportunity times, in seconds.  They need not be
         pre-sorted.
-    repeat_period:
-        If given, the opportunity schedule is repeated with this period so
-        that simulations longer than the trace keep draining the queue.
     """
 
-    __slots__ = ("opportunities", "repeat_period", "wasted_opportunities", "_opportunity_lane")
+    __slots__ = ("opportunities", "wasted_opportunities", "_opportunity_lane")
 
     def __init__(
         self,
@@ -164,33 +153,21 @@ class TraceDrivenLink(Link):
         deliver: DeliveryCallback,
         opportunities: Sequence[float],
         propagation_delay: float = 0.02,
-        repeat_period: Optional[float] = None,
     ) -> None:
         super().__init__(scheduler, queue, deliver, propagation_delay)
         self.opportunities: List[float] = sorted(float(t) for t in opportunities)
         if self.opportunities and self.opportunities[0] < 0:
             raise ValueError("transmission opportunities must be non-negative")
-        self.repeat_period = repeat_period
-        if repeat_period is not None and self.opportunities and repeat_period <= self.opportunities[-1]:
-            raise ValueError("repeat_period must exceed the last opportunity time")
         self.wasted_opportunities = 0
         # Opportunities are installed pre-sorted, so they form a monotone lane.
         self._opportunity_lane: FifoLane = scheduler.fifo_lane()
 
-    def start(self, horizon: Optional[float] = None) -> None:
+    def start(self, horizon: float) -> None:
         """Schedule all transmission opportunities up to ``horizon``."""
-        times = self.opportunities
-        if self.repeat_period is not None and horizon is not None:
-            repeated: List[float] = []
-            offset = 0.0
-            while offset <= horizon:
-                repeated.extend(t + offset for t in self.opportunities if t + offset <= horizon)
-                offset += self.repeat_period
-            times = repeated
         lane = self._opportunity_lane
         callback = self._service_opportunity
-        for t in times:
-            if horizon is not None and t > horizon:
+        for t in self.opportunities:
+            if t > horizon:
                 continue
             lane.push_at(t, callback)
 
@@ -202,7 +179,3 @@ class TraceDrivenLink(Link):
             return
         self.serviced += 1
         self._delivery_lane.push_at(now + self.propagation_delay, self.deliver, packet)
-
-    def stop(self) -> None:
-        """Cancel all pending opportunities (used when aborting a run)."""
-        self._opportunity_lane.clear()

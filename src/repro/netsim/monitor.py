@@ -100,9 +100,6 @@ class FlowMonitor:
         departed = dequeue_time if dequeue_time is not None else now
         series.delay_pairs.append((now, departed - ingress_time))
 
-    def on_queue_sample(self, now: float, depth: int) -> None:
-        self.queue_depth.append((now, depth))
-
     # ------------------------------------------------------------------ #
     # Derived series
     # ------------------------------------------------------------------ #

@@ -28,9 +28,6 @@ class DropTailQueue:
         Maximum number of packets held (the paper fixes the bottleneck
         buffer size; the default of 60 packets is roughly 1.5x the
         bandwidth-delay product of the paper's 12 Mbps / 40 ms RTT setup).
-    on_enqueue:
-        Optional callback invoked as ``on_enqueue(packet, now)`` when a packet
-        is admitted; used by the link to kick service on an idle link.
     sample_depth:
         Record a (time, depth) sample per enqueue/dequeue/drop.  Disabled by
         fuzzing runs (``record_series=False``), which never read the series.
@@ -47,17 +44,12 @@ class DropTailQueue:
         "_depth_values",
     )
 
-    def __init__(
-        self,
-        capacity_packets: int = 60,
-        on_enqueue: Optional[Callable[[Packet, float], None]] = None,
-        sample_depth: bool = True,
-    ) -> None:
+    def __init__(self, capacity_packets: int = 60, sample_depth: bool = True) -> None:
         if capacity_packets <= 0:
             raise ValueError("queue capacity must be positive")
         self.capacity = capacity_packets
         self._queue: Deque[Packet] = deque()
-        self._on_enqueue = on_enqueue
+        self._on_enqueue: Optional[Callable[[Packet, float], None]] = None
         self.drops: Dict[str, int] = {}
         self.enqueued: Dict[str, int] = {}
         self._sample_depth = sample_depth
@@ -65,19 +57,12 @@ class DropTailQueue:
         self._depth_values: List[int] = []
 
     def set_enqueue_callback(self, callback: Callable[[Packet, float], None]) -> None:
-        """Install the callback fired on each successful enqueue."""
+        """Install the callback fired as ``callback(packet, now)`` on each
+        successful enqueue; the link uses it to kick service when idle."""
         self._on_enqueue = callback
 
     def __len__(self) -> int:
         return len(self._queue)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._queue
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._queue) >= self.capacity
 
     @property
     def depth_samples(self) -> List[Tuple[float, int]]:

@@ -85,15 +85,25 @@ class SimulationConfig:
 
     @classmethod
     def paper_defaults(cls) -> "SimulationConfig":
-        """The exact setup described in section 4 of the paper."""
-        return cls(
-            duration=5.0,
-            bottleneck_rate_mbps=12.0,
-            propagation_delay=0.02,
-            queue_capacity=60,
-            mss_bytes=1500,
-            delayed_ack=True,
-            min_rto=1.0,
+        """The exact setup described in section 4 of the paper: the field
+        defaults above."""
+        return cls()
+
+
+class SimulationTruncated(RuntimeError):
+    """``max_events`` ended a run before ``duration``: what was measured
+    covers only part of the run, so it is a failed evaluation, not a result."""
+
+    def __init__(self, events_executed: int, sim_time: float, max_events: int) -> None:
+        super().__init__(events_executed, sim_time, max_events)
+        self.events_executed = events_executed
+        self.sim_time = sim_time
+        self.max_events = max_events
+
+    def __str__(self) -> str:
+        return (
+            f"simulation stopped by max_events={self.max_events} after "
+            f"{self.events_executed} events, at t={self.sim_time:.6f} s"
         )
 
 
@@ -229,27 +239,18 @@ def run_simulation(
     cca = cca_factory()
     topology = DumbbellTopology(
         scheduler,
-        cca=cca,
-        duration=config.duration,
-        bottleneck_rate_mbps=config.bottleneck_rate_mbps,
-        propagation_delay=config.propagation_delay,
-        queue_capacity=config.queue_capacity,
-        mss_bytes=config.mss_bytes,
+        cca,
+        config,
         link_trace=link_trace,
         cross_traffic_times=cross_traffic_times,
         loss_times=loss_times,
         drop_filter=drop_filter,
-        delayed_ack=config.delayed_ack,
-        delack_timeout=config.delack_timeout,
-        min_rto=config.min_rto,
-        sender_start_time=config.sender_start_time,
-        record_series=config.record_series,
     )
     # Telemetry wraps the run at whole-simulation granularity (never
     # per-event: the event loop itself stays untouched) and only ever
     # *writes* counters, so results are bit-identical with telemetry on.
     sim_started = time.perf_counter()
-    events_executed = topology.run(max_events=config.max_events)
+    events_executed = topology.run()
     registry = get_registry()
     registry.inc("sim.simulations")
     registry.inc("sim.events", events_executed)
@@ -258,6 +259,8 @@ def run_simulation(
     registry.inc("sim.acks_sack", sender_stats.sack_acks)
     registry.inc("sim.acks_recovery", sender_stats.recovery_acks)
     registry.observe("sim.wall_s", time.perf_counter() - sim_started)
+    if scheduler.now < config.duration:
+        raise SimulationTruncated(events_executed, scheduler.now, config.max_events)
 
     receiver = topology.receiver
     link = topology.link

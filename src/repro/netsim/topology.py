@@ -9,7 +9,7 @@ same propagation delay.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..tcp.cca.base import CongestionControl
 from ..tcp.receiver import TcpReceiver
@@ -21,33 +21,31 @@ from .monitor import FlowMonitor
 from .packet import AckPacket, CCA_FLOW, Packet
 from .queue import DropTailQueue
 
+if TYPE_CHECKING:
+    from .simulation import SimulationConfig
+
 
 class DumbbellTopology:
-    """Wires the sender, cross traffic, gateway queue, bottleneck and sink."""
+    """Wires the sender, cross traffic, gateway queue, bottleneck and sink.
+
+    Every setting comes from ``config``; the keyword arguments are the run's
+    inputs (see :func:`repro.netsim.simulation.run_simulation`).
+    """
 
     def __init__(
         self,
         scheduler: EventScheduler,
         cca: CongestionControl,
-        duration: float,
-        bottleneck_rate_mbps: float = 12.0,
-        propagation_delay: float = 0.02,
-        queue_capacity: int = 60,
-        mss_bytes: int = 1500,
-        link_trace: Optional[Sequence[float]] = None,
-        cross_traffic_times: Optional[Sequence[float]] = None,
-        loss_times: Optional[Sequence[float]] = None,
-        drop_filter: Optional[Callable[["Packet", float], bool]] = None,
-        delayed_ack: bool = True,
-        delack_timeout: float = 0.040,
-        min_rto: float = 1.0,
-        sender_start_time: float = 0.0,
-        record_series: bool = True,
+        config: SimulationConfig,
+        *,
+        link_trace: Optional[Sequence[float]],
+        cross_traffic_times: Optional[Sequence[float]],
+        loss_times: Optional[Sequence[float]],
+        drop_filter: Optional[Callable[["Packet", float], bool]],
     ) -> None:
         self.scheduler = scheduler
-        self.duration = duration
-        self.mss_bytes = mss_bytes
-        self.propagation_delay = propagation_delay
+        self.config = config
+        self.propagation_delay = config.propagation_delay
         # record_series=False (fuzzing) skips the series no evaluation
         # reads: queue-depth samples and the sender's cwnd/pacing/RTT series.
         # The monitor's derived series — what the scoring functions and
@@ -55,9 +53,8 @@ class DumbbellTopology:
         self.monitor = FlowMonitor()
 
         self.queue = DropTailQueue(
-            capacity_packets=queue_capacity, sample_depth=record_series
+            capacity_packets=config.queue_capacity, sample_depth=config.record_series
         )
-        self.queue_capacity = queue_capacity
 
         if link_trace is not None:
             self.link: Link = TraceDrivenLink(
@@ -65,31 +62,31 @@ class DumbbellTopology:
                 self.queue,
                 self._deliver_to_sink,
                 opportunities=link_trace,
-                propagation_delay=propagation_delay,
+                propagation_delay=config.propagation_delay,
             )
         else:
             self.link = FixedRateLink(
                 scheduler,
                 self.queue,
                 self._deliver_to_sink,
-                rate_pps=mbps_to_pps(bottleneck_rate_mbps, mss_bytes),
-                propagation_delay=propagation_delay,
+                rate_pps=mbps_to_pps(config.bottleneck_rate_mbps, config.mss_bytes),
+                propagation_delay=config.propagation_delay,
             )
 
         self.receiver = TcpReceiver(
             scheduler,
             send_ack=self._return_ack,
-            delayed_ack=delayed_ack,
-            delack_timeout=delack_timeout,
+            delayed_ack=config.delayed_ack,
+            delack_timeout=config.delack_timeout,
         )
         self.sender = TcpSender(
             scheduler,
             cca=cca,
             transmit=self._send_from_source,
-            mss_bytes=mss_bytes,
-            min_rto=min_rto,
-            start_time=sender_start_time,
-            record_series=record_series,
+            mss_bytes=config.mss_bytes,
+            min_rto=config.min_rto,
+            start_time=config.sender_start_time,
+            record_series=config.record_series,
         )
 
         self.cross_traffic: Optional[CrossTrafficSource] = None
@@ -98,7 +95,7 @@ class DumbbellTopology:
                 scheduler,
                 enqueue=self._inject_cross_traffic,
                 injection_times=cross_traffic_times,
-                mss_bytes=mss_bytes,
+                mss_bytes=config.mss_bytes,
             )
 
         # ACKs return after the same fixed propagation delay as forward-path
@@ -152,7 +149,9 @@ class DumbbellTopology:
             self.cross_delivered += 1
 
     def _return_ack(self, ack: AckPacket) -> None:
-        self._ack_lane.push(self.propagation_delay, self.sender.on_ack, ack)
+        self._ack_lane.push_at(
+            self.scheduler.now + self.propagation_delay, self.sender.on_ack, ack
+        )
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -160,17 +159,19 @@ class DumbbellTopology:
 
     def start(self) -> None:
         """Install all initial events."""
-        if isinstance(self.link, TraceDrivenLink):
-            self.link.start(horizon=self.duration)
-        else:
-            self.link.start()
+        horizon = self.config.duration
+        self.link.start(horizon)
         if self.cross_traffic is not None:
-            self.cross_traffic.start(horizon=self.duration)
+            self.cross_traffic.start(horizon=horizon)
         self.sender.start()
 
-    def run(self, max_events: Optional[int] = None) -> int:
+    def run(self) -> int:
+        """Run to ``config.duration`` (or the ``config.max_events`` cap);
+        returns the number of events executed."""
         self.start()
-        executed = self.scheduler.run(until=self.duration, max_events=max_events)
+        executed = self.scheduler.run(
+            until=self.config.duration, max_events=self.config.max_events
+        )
         # Propagate queue depth samples to the monitor for analysis
         # (``depth_samples`` materialises a fresh list of pairs).
         self.monitor.queue_depth = self.queue.depth_samples

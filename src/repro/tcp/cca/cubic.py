@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from .base import AckEvent, CongestionControl
+from .base import AckEvent
+from .window import WindowCongestionControl
 
 
-class Cubic(CongestionControl):
+class Cubic(WindowCongestionControl):
     """CUBIC congestion control (RFC 8312 constants)."""
 
     name = "cubic"
@@ -43,10 +44,7 @@ class Cubic(CongestionControl):
         hystart_min_delay_increase: float = 0.004,
         hystart_max_delay_increase: float = 0.016,
     ) -> None:
-        super().__init__()
-        self._cwnd = float(initial_cwnd)
-        self.ssthresh = float(initial_ssthresh)
-        self.min_cwnd = float(min_cwnd)
+        super().__init__(initial_cwnd, initial_ssthresh, min_cwnd)
         self.ns3_slow_start_bug = ns3_slow_start_bug
         self.fast_convergence = fast_convergence
         #: HyStart (delay-increase variant), enabled by default as in both the
@@ -68,15 +66,9 @@ class Cubic(CongestionControl):
         self._k = 0.0
         self._origin_point = 0.0
         self._w_tcp = 0.0
-        self._in_recovery = False
-        self._exited_via_rto = False
-
-        self.loss_events = 0
-        self.rto_events = 0
         #: Largest single-ACK window jump observed while in slow start; the
         #: NS3 bug manifests as a jump far larger than ssthresh allows.
         self.max_slow_start_jump = 0.0
-        self._track_state(self.state)
 
     # ------------------------------------------------------------------ #
     # Window growth
@@ -169,40 +161,8 @@ class Cubic(CongestionControl):
     # Loss handling
     # ------------------------------------------------------------------ #
 
-    def on_loss(self, now: float, in_flight: int) -> None:
-        self.loss_events += 1
-        if not self._in_recovery:
-            self.recovery_entries += 1
-        self._register_loss(max(float(in_flight), self._cwnd))
-        self._cwnd = max(self.ssthresh, self.min_cwnd)
-        self._in_recovery = True
-        self._exited_via_rto = False
-        self._track_state(self.state)
-
-    def on_recovery_exit(self, now: float) -> None:
-        if self._in_recovery:
-            self.recovery_exits += 1
-        self._in_recovery = False
-        if self._exited_via_rto:
-            # After an RTO the connection is in slow start from a one-segment
-            # window (NS3/Linux behaviour); the window is *not* restored, which
-            # is precisely why the first post-RTO cumulative ACK can be huge
-            # when it reaches the slow-start increase function (section 4.2).
-            self._exited_via_rto = False
-            self._track_state(self.state)
-            return
-        self._cwnd = max(self.ssthresh, self.min_cwnd)
-        self._track_state(self.state)
-
-    def on_rto(self, now: float, in_flight: int) -> None:
-        self.rto_events += 1
-        self._register_loss(max(float(in_flight), self._cwnd))
-        self._cwnd = self.min_cwnd
-        self._in_recovery = False
-        self._exited_via_rto = True
-        self._track_state(self.state)
-
-    def _register_loss(self, window_at_loss: float) -> None:
+    def _shrink(self, in_flight: int) -> None:
+        window_at_loss = max(float(in_flight), self._cwnd)
         if self.fast_convergence and window_at_loss < self.w_max:
             self.w_max = window_at_loss * (1.0 + self.BETA) / 2.0
         else:
@@ -210,32 +170,10 @@ class Cubic(CongestionControl):
         self.ssthresh = max(window_at_loss * self.BETA, 2.0)
         self._epoch_start = -1.0
 
-    # ------------------------------------------------------------------ #
-    # Control outputs
-    # ------------------------------------------------------------------ #
-
-    @property
-    def cwnd(self) -> float:
-        return max(self._cwnd, self.min_cwnd)
-
-    @property
-    def state(self) -> str:
-        """Coarse state-machine phase (shared vocabulary with Reno)."""
-        if self._in_recovery:
-            return "recovery"
-        if self._cwnd < self.ssthresh:
-            return "slow_start"
-        return "congestion_avoidance"
-
     def diagnostics(self) -> Dict[str, Any]:
         diag = super().diagnostics()
         diag.update(
-            state=self.state,
-            cwnd=self.cwnd,
-            ssthresh=self.ssthresh,
             w_max=self.w_max,
-            loss_events=self.loss_events,
-            rto_events=self.rto_events,
             max_slow_start_jump=self.max_slow_start_jump,
             ns3_slow_start_bug=self.ns3_slow_start_bug,
             hystart_exits=self.hystart_exits,

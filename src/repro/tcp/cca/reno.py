@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from .base import AckEvent, CongestionControl
+from .base import AckEvent
+from .window import WindowCongestionControl
 
 
-class Reno(CongestionControl):
+class Reno(WindowCongestionControl):
     """NewReno-style AIMD congestion control."""
 
     name = "reno"
@@ -27,16 +28,8 @@ class Reno(CongestionControl):
         min_cwnd: float = 1.0,
         loss_reduction: float = 0.5,
     ) -> None:
-        super().__init__()
-        self._cwnd = float(initial_cwnd)
-        self.ssthresh = float(initial_ssthresh)
-        self.min_cwnd = float(min_cwnd)
+        super().__init__(initial_cwnd, initial_ssthresh, min_cwnd)
         self.loss_reduction = float(loss_reduction)
-        self._in_recovery = False
-        self._exited_via_rto = False
-        self.loss_events = 0
-        self.rto_events = 0
-        self._track_state(self.state)
 
     # ------------------------------------------------------------------ #
     # Event handling
@@ -57,62 +50,10 @@ class Reno(CongestionControl):
             self._cwnd += acked / self._cwnd
         self._track_state(self.state)
 
-    def on_loss(self, now: float, in_flight: int) -> None:
-        self.loss_events += 1
-        if not self._in_recovery:
-            self.recovery_entries += 1
+    def _shrink(self, in_flight: int) -> None:
         self.ssthresh = max(in_flight * self.loss_reduction, 2.0)
-        self._cwnd = max(self.ssthresh, self.min_cwnd)
-        self._in_recovery = True
-        self._exited_via_rto = False
-        self._track_state(self.state)
-
-    def on_recovery_exit(self, now: float) -> None:
-        if self._in_recovery:
-            self.recovery_exits += 1
-        self._in_recovery = False
-        if self._exited_via_rto:
-            # Post-RTO the connection stays in slow start from its current
-            # (small) window; only a fast-recovery exit restores ssthresh.
-            self._exited_via_rto = False
-            self._track_state(self.state)
-            return
-        self._cwnd = max(self.ssthresh, self.min_cwnd)
-        self._track_state(self.state)
-
-    def on_rto(self, now: float, in_flight: int) -> None:
-        self.rto_events += 1
-        self.ssthresh = max(in_flight * self.loss_reduction, 2.0)
-        self._cwnd = self.min_cwnd
-        self._in_recovery = False
-        self._exited_via_rto = True
-        self._track_state(self.state)
-
-    # ------------------------------------------------------------------ #
-    # Control outputs
-    # ------------------------------------------------------------------ #
-
-    @property
-    def cwnd(self) -> float:
-        return max(self._cwnd, self.min_cwnd)
-
-    @property
-    def state(self) -> str:
-        """Coarse state-machine phase (shared vocabulary with CUBIC)."""
-        if self._in_recovery:
-            return "recovery"
-        if self._cwnd < self.ssthresh:
-            return "slow_start"
-        return "congestion_avoidance"
 
     def diagnostics(self) -> Dict[str, Any]:
         diag = super().diagnostics()
-        diag.update(
-            state=self.state,
-            cwnd=self.cwnd,
-            ssthresh=self.ssthresh,
-            loss_events=self.loss_events,
-            rto_events=self.rto_events,
-            in_recovery=self._in_recovery,
-        )
+        diag["in_recovery"] = self._in_recovery
         return diag

@@ -61,7 +61,6 @@ class TcpSender:
         transmit: TransmitCallback,
         mss_bytes: int = DEFAULT_MSS,
         min_rto: float = 1.0,
-        max_segments: Optional[int] = None,
         start_time: float = 0.0,
         record_series: bool = True,
         redetect_lost_retransmissions: bool = False,
@@ -70,7 +69,6 @@ class TcpSender:
         self.cca = cca
         self.transmit = transmit
         self.mss_bytes = mss_bytes
-        self.max_segments = max_segments
         self.start_time = start_time
         self.record_series = record_series
 
@@ -232,7 +230,6 @@ class TcpSender:
         cwnd = int(cca.cwnd)
         if cwnd < 1:
             cwnd = 1
-        max_segments = self.max_segments
         stats = self.stats
         mss_bytes = self.mss_bytes
         rto_timer = self._rto_timer
@@ -243,7 +240,7 @@ class TcpSender:
             if paced and now < self._next_send_time - 1e-12:
                 if not self._pacing_event_pending:
                     self._pacing_event_pending = True
-                    self.scheduler.schedule_fast(self._next_send_time - now, self._pacing_fire)
+                    self.scheduler.schedule(self._next_send_time - now, self._pacing_fire)
                 return
             pipe = scoreboard._pipe
             if pipe >= cwnd:
@@ -253,8 +250,6 @@ class TcpSender:
             if is_retransmit:
                 stats.retransmissions += 1
             else:
-                if max_segments is not None and self.next_seq >= max_segments:
-                    return
                 seq = self.next_seq
                 self.next_seq += 1
                 stats.data_segments_sent += 1

@@ -1,10 +1,16 @@
-"""Unit tests for the discrete-event scheduler."""
+"""Unit tests for the discrete-event scheduler, and the reference its two
+equivalence claims are held to: lanes merged by ``(time, seq)`` behave as a
+pure heap, and ``LazyTimer.arm`` as cancel + reschedule."""
 
 from __future__ import annotations
 
-import pytest
+import functools
+import heapq
 
-from repro.netsim.engine import EventScheduler
+import pytest
+from hypothesis import Phase, find, given, settings, strategies as st
+
+from repro.netsim.engine import EventScheduler, LazyTimer
 
 
 def test_events_run_in_time_order():
@@ -52,16 +58,6 @@ def test_run_until_advances_clock_even_with_no_events():
     assert scheduler.now == 5.0
 
 
-def test_cancelled_events_are_skipped():
-    scheduler = EventScheduler()
-    fired = []
-    handle = scheduler.schedule(1.0, fired.append, "cancelled")
-    scheduler.schedule(2.0, fired.append, "kept")
-    handle.cancel()
-    scheduler.run()
-    assert fired == ["kept"]
-
-
 def test_schedule_in_the_past_raises():
     scheduler = EventScheduler()
     scheduler.schedule(1.0, lambda: None)
@@ -95,27 +91,207 @@ def test_max_events_limits_execution():
     assert fired == [0, 1, 2, 3]
 
 
-def test_stop_requests_early_return():
+def test_max_events_leaves_the_clock_at_the_last_event():
+    """A capped run must not claim it reached the horizon; a run that merely
+    used its whole cap (nothing real left, only a disarmed timer's entry) did."""
     scheduler = EventScheduler()
-    fired = []
-    scheduler.schedule(0.1, fired.append, "a")
-    scheduler.schedule(0.2, lambda: scheduler.stop())
-    scheduler.schedule(0.3, fired.append, "b")
-    scheduler.run()
-    assert fired == ["a"]
+    for i in range(10):
+        scheduler.schedule(i * 0.1, lambda: None)
+    assert scheduler.run(until=5.0, max_events=4) == 4
+    assert scheduler.now == pytest.approx(0.3)
+    assert scheduler.run(until=5.0) == 6
+    assert scheduler.now == 5.0
 
-
-def test_peek_time_skips_cancelled():
     scheduler = EventScheduler()
-    handle = scheduler.schedule(1.0, lambda: None)
-    scheduler.schedule(2.0, lambda: None)
-    handle.cancel()
-    assert scheduler.peek_time() == 2.0
+    timer = scheduler.timer(lambda: None)
+    timer.arm(2.0)
+    scheduler.schedule(1.0, timer.disarm)
+    assert scheduler.run(until=5.0, max_events=1) == 1
+    assert scheduler.now == 5.0
 
 
-def test_pending_events_count():
+# --------------------------------------------------------------------------- #
+# Oracle: EventScheduler against a pure-heap cancel-and-reschedule scheduler
+# --------------------------------------------------------------------------- #
+
+
+class ReferenceScheduler:
+    """What EventScheduler claims to be equivalent to: every event through one
+    heap keyed ``(time, insertion seq)``, cancellation by tombstone."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self._seq = 0
+        self._heap = []
+        self._cancelled = set()
+
+    def schedule_at(self, time, callback, *args) -> int:
+        assert time >= self.now
+        heapq.heappush(self._heap, (time, self._seq, callback, args))
+        self._seq += 1
+        return self._seq - 1
+
+    push_at = schedule_at  # a lane is just the heap
+
+    def schedule(self, delay, callback, *args) -> int:
+        return self.schedule_at(self.now + delay, callback, *args)
+
+    def timer(self, callback) -> "ReferenceTimer":
+        return ReferenceTimer(self, callback)
+
+    def run(self, until=None, max_events=None) -> int:
+        executed = 0
+        while True:
+            while self._heap and self._heap[0][1] in self._cancelled:
+                heapq.heappop(self._heap)
+            if not self._heap or (until is not None and self._heap[0][0] > until):
+                if until is not None and self.now < until:
+                    self.now = until
+                return executed
+            if executed == max_events:
+                return executed
+            self.now, _, callback, args = heapq.heappop(self._heap)
+            callback(*args)
+            executed += 1
+
+
+class ReferenceTimer:
+    """Cancel + reschedule: each ``arm`` is a fresh ``schedule_at``."""
+
+    def __init__(self, scheduler: ReferenceScheduler, callback) -> None:
+        self._scheduler = scheduler
+        self._callback = callback
+        self._pending = None
+
+    def arm(self, deadline: float) -> None:
+        self.disarm()
+        self._pending = self._scheduler.schedule_at(deadline, self._fire)
+
+    def disarm(self) -> None:
+        if self._pending is not None:
+            self._scheduler._cancelled.add(self._pending)
+            self._pending = None
+
+    def _fire(self) -> None:
+        self._pending = None
+        self._callback()
+
+
+class KeepsSeqOnRearmTimer(LazyTimer):
+    """Seeded bug: a re-armed timer keeps its old place among simultaneous
+    events instead of moving behind everything scheduled since."""
+
+    __slots__ = ()
+
+    def arm(self, deadline: float) -> None:
+        armed, seq = self._deadline is not None, self._seq
+        super().arm(deadline)
+        if armed:
+            self._seq = seq
+
+
+TICK = 0.25  # exact in binary, and coarse: most generated events share a timestamp
+LANES = TIMERS = 2
+
+#: (kind, lane-or-timer, delay in ticks, offset of the first child op, child count):
+#: a fired event executes its child ops, which always lie after it in the program.
+OP = st.tuples(
+    st.sampled_from(["schedule", "schedule_at", "push", "arm", "disarm"]),
+    st.integers(0, 1),
+    st.integers(0, 4),
+    st.integers(0, 5),
+    st.integers(0, 3),
+)
+PROGRAM = st.tuples(
+    st.lists(OP, min_size=1, max_size=24),
+    # What each timer's callback executes: (first op, count) — may re-arm itself.
+    st.tuples(*[st.tuples(st.integers(0, 23), st.integers(0, 3))] * TIMERS),
+    st.integers(1, 6),  # how many leading ops run before the first run()
+    # Successive run(until, max_events) calls.
+    st.lists(
+        st.tuples(st.none() | st.integers(0, 12), st.none() | st.integers(0, 20)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+
+
+def real_world(timer_class=LazyTimer):
     scheduler = EventScheduler()
-    handles = [scheduler.schedule(1.0 + i, lambda: None) for i in range(3)]
-    assert scheduler.pending_events() == 3
-    handles[0].cancel()
-    assert scheduler.pending_events() == 2
+    lanes = [scheduler.fifo_lane() for _ in range(LANES)]
+    return scheduler, lanes, functools.partial(timer_class, scheduler)
+
+
+def reference_world():
+    scheduler = ReferenceScheduler()
+    return scheduler, [scheduler] * LANES, scheduler.timer
+
+
+def run_program(world, program):
+    """Drive one scheduler through ``program``; returns everything observable:
+    the executed ``(time, label)`` sequence and ``(executed, clock)`` per run."""
+    ops, timer_programs, prelude, runs = program
+    scheduler, lanes, make_timer = world
+    log = []
+    lane_floor = [0.0] * LANES  # lanes take nondecreasing times only
+    fuel = [120]  # programs may loop (a timer re-arming itself at delay 0)
+
+    def fire(index):
+        log.append((scheduler.now, index))
+        first = index + 1 + ops[index][3]
+        execute(range(first, first + ops[index][4]))
+
+    def fire_timer(which):
+        log.append((scheduler.now, f"timer{which}"))
+        first, count = timer_programs[which]
+        execute(range(first, first + count))
+
+    timers = [make_timer(functools.partial(fire_timer, i)) for i in range(TIMERS)]
+
+    def execute(indices):
+        for index in indices:
+            if index >= len(ops) or not fuel[0]:
+                return
+            fuel[0] -= 1
+            kind, which, ticks = ops[index][:3]
+            now = scheduler.now
+            if kind == "schedule":
+                scheduler.schedule(ticks * TICK, fire, index)
+            elif kind == "schedule_at":
+                scheduler.schedule_at(max(now, ticks * TICK), fire, index)
+            elif kind == "push":
+                lane_floor[which] = time = max(now + ticks * TICK, lane_floor[which])
+                lanes[which].push_at(time, fire, index)
+            elif kind == "arm":
+                timers[which].arm(now + ticks * TICK)
+            else:
+                timers[which].disarm()
+
+    execute(range(prelude))
+    clock = []
+    for until, max_events in runs:
+        executed = scheduler.run(None if until is None else until * TICK, max_events)
+        clock.append((executed, scheduler.now))
+    return log, clock
+
+
+@settings(max_examples=300, deadline=None)
+@given(program=PROGRAM)
+def test_scheduler_matches_pure_heap_reference(program):
+    """Random programs of ``schedule`` / ``schedule_at`` / lane ``push_at`` /
+    timer ``arm`` / re-``arm`` / ``disarm`` — issued up front and from inside
+    callbacks, mostly at equal timestamps, run in several ``run()`` calls with
+    and without an event cap — execute identically on both schedulers."""
+    assert run_program(real_world(), program) == run_program(reference_world(), program)
+
+
+def test_reference_property_catches_a_seeded_tie_break_bug():
+    buggy = functools.partial(real_world, KeepsSeqOnRearmTimer)
+    find(
+        PROGRAM,
+        lambda program: run_program(buggy(), program)
+        != run_program(reference_world(), program),
+        settings=settings(
+            max_examples=2000, derandomize=True, database=None, phases=(Phase.generate,)
+        ),
+    )

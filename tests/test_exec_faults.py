@@ -153,6 +153,20 @@ class TestGuardedEvaluate:
         assert failure.kind == "crash"
         assert kind in failure.message
 
+    def test_truncated_simulation_is_a_crash_not_a_score(self):
+        # A run the event cap cut short measured only part of the trace; its
+        # "stall" would be an artifact, so it must surface as a failure.
+        job = EvaluationJob(
+            Reno,
+            SimulationConfig(duration=1.0, max_events=500),
+            JOBS[0].trace,
+            JOBS[0].score_function,
+        )
+        status, failure = guarded_evaluate(job)
+        assert status == "fail"
+        assert failure.kind == "crash"
+        assert "SimulationTruncated" in failure.message and "max_events=500" in failure.message
+
     def test_real_exception_is_described(self):
         job = EvaluationJob(
             Reno,

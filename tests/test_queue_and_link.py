@@ -56,7 +56,8 @@ class TestDropTailQueue:
 
     def test_enqueue_callback_invoked(self):
         calls = []
-        queue = DropTailQueue(capacity_packets=5, on_enqueue=lambda p, t: calls.append((p.seq, t)))
+        queue = DropTailQueue(capacity_packets=5)
+        queue.set_enqueue_callback(lambda p, t: calls.append((p.seq, t)))
         queue.enqueue(make_packet(7), now=0.5)
         assert calls == [(7, 0.5)]
 
@@ -82,7 +83,7 @@ class TestFixedRateLink:
             scheduler, queue, lambda p: delivered.append((p.seq, scheduler.now)),
             rate_pps=100.0, propagation_delay=0.0,
         )
-        link.start()
+        link.start(horizon=1.0)
         for seq in range(10):
             queue.enqueue(make_packet(seq), now=0.0)
         scheduler.run(until=1.0)
@@ -100,7 +101,7 @@ class TestFixedRateLink:
             scheduler, queue, lambda p: delivered.append(scheduler.now),
             rate_pps=1000.0, propagation_delay=0.02,
         )
-        link.start()
+        link.start(horizon=1.0)
         queue.enqueue(make_packet(0), now=0.0)
         scheduler.run(until=1.0)
         assert delivered[0] == pytest.approx(0.001 + 0.02)
@@ -113,7 +114,7 @@ class TestFixedRateLink:
             scheduler, queue, lambda p: delivered.append(scheduler.now),
             rate_pps=1000.0, propagation_delay=0.0,
         )
-        link.start()
+        link.start(horizon=1.0)
         queue.enqueue(make_packet(0), now=0.0)
         scheduler.run(until=0.5)
         scheduler.schedule(0.0, lambda: queue.enqueue(make_packet(1), scheduler.now))

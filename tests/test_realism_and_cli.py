@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
@@ -66,6 +67,20 @@ class TestCli:
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "throughput_mbps" in output
+
+    def test_simulate_reports_a_truncated_run_as_an_error(self, capsys, monkeypatch):
+        # The real cap is 2,000,000 events (`--duration 40 --rate-mbps 400`
+        # reaches it); lower the default so the test does not take 15 s.
+        monkeypatch.setattr(
+            "repro.cli.SimulationConfig", functools.partial(SimulationConfig, max_events=500)
+        )
+        with pytest.raises(SystemExit) as caught:
+            simulate_main(["--cca", "reno", "--duration", "1.0"])
+        assert caught.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "max_events=500" in line
 
     def test_simulate_with_builtin_attack(self, capsys):
         exit_code = simulate_main(["--cca", "reno", "--duration", "2.0", "--attack", "lowrate"])

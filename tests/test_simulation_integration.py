@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.netsim import CCA_FLOW, CROSS_FLOW, SimulationConfig, run_simulation
+from repro.netsim import (
+    CCA_FLOW,
+    CROSS_FLOW,
+    SimulationConfig,
+    SimulationTruncated,
+    run_simulation,
+)
 from repro.tcp import Bbr, Cubic, Reno
 
 
@@ -117,6 +123,22 @@ class TestResultSummaries:
         series = result.windowed_throughput(window=0.5)
         assert len(series) == 4
         assert series[0][0] == 0.0
+
+    def test_event_cap_raises_instead_of_reporting_a_partial_run(self):
+        # Capped at 3,000 events this run used to come back as 4.46 Mbps with a
+        # 1.81 s egress gap (11.70 Mbps / 0.033 s uncapped): the clock was
+        # advanced to `duration` over time that was never simulated.
+        full = run_simulation(Reno, SimulationConfig(duration=3.0))
+        assert full.events_executed > 3000
+        with pytest.raises(SimulationTruncated) as caught:
+            run_simulation(Reno, SimulationConfig(duration=3.0, max_events=3000))
+        assert caught.value.events_executed == caught.value.max_events == 3000
+        assert 0.0 < caught.value.sim_time < 3.0
+        # A cap the run exactly fits in is not a truncation.
+        exact = run_simulation(
+            Reno, SimulationConfig(duration=3.0, max_events=full.events_executed)
+        )
+        assert exact.summary() == full.summary()
 
     def test_config_overrides(self):
         config = SimulationConfig(duration=1.0).with_overrides(queue_capacity=10)

@@ -368,6 +368,38 @@ class TestModeRulebook:
         assert shuffled != doubled.timestamps
         assert _outcome(cca, doubled, shuffled) == _outcome(cca, doubled, doubled.timestamps)
 
+    @pytest.mark.parametrize("cca", sorted(CCA_FACTORIES))
+    def test_three_modes_share_one_baseline(self, cca):
+        """ROADMAP 1(b): with nothing to inject, traffic mode and loss mode are
+        the plain fixed-rate run, event for event.  Link mode is *not*: a
+        1,000 pps opportunity grid serves on the grid and wastes opportunities
+        that find the queue empty, a fixed-rate link serves ``1/rate`` after a
+        packet reaches an idle link — sub-millisecond shifts the CCA feeds back
+        (bbr 11.424 vs 11.118 Mbps, bbr-fixed 11.424 vs 10.164, reno and cubic
+        11.550 vs 11.544 at 2 s).  That leg is a bounded difference."""
+        config = SimulationConfig(duration=RELATION_DURATION, record_series=False)
+
+        def observe(**simulator_input):
+            result = run_simulation(CCA_FACTORIES[cca], config, **simulator_input)
+            return result, (
+                result.summary(),
+                result.episode_summary(),
+                extract_signature(result).to_dict(),
+                result.events_executed,
+            )
+
+        fixed, baseline = observe()
+        assert observe(cross_traffic_times=[])[1] == baseline
+        assert observe(loss_times=[])[1] == baseline
+
+        slots = int(RELATION_DURATION * 1000)
+        grid, observed = observe(link_trace=[slot / 1000 for slot in range(slots)])
+        assert observed != baseline
+        assert grid.delivered_segments() + grid.link_wasted_opportunities <= slots
+        rate = config.bottleneck_rate_mbps
+        assert grid.throughput_mbps() <= rate and fixed.throughput_mbps() <= rate
+        assert abs(grid.throughput_mbps() - fixed.throughput_mbps()) <= 0.15 * rate
+
     def test_untyped_trace_cannot_be_simulated(self):
         with pytest.raises(TypeError):
             simulate_packet_trace(Reno, None, PacketTrace(timestamps=[0.5], duration=1.0))
