@@ -1,6 +1,6 @@
 """Analysis utilities: metrics, queueing analysis, stall timelines, reporting."""
 
-from .metrics import FlowMetrics, compute_metrics, goodput_mbps, longest_delivery_gap
+from .metrics import FlowMetrics, compute_metrics, goodput_mbps
 from .queueing import max_queue_depth, queue_depth_series, time_above_delay
 from .reporting import (
     ascii_chart,
@@ -13,7 +13,6 @@ from .reporting import (
 from .timeline import (
     BbrBugEvidence,
     StallPeriod,
-    bandwidth_collapse_ratio,
     bbr_bug_evidence,
     describe_bug_timeline,
     extract_stall_periods,
@@ -24,7 +23,6 @@ __all__ = [
     "FlowMetrics",
     "StallPeriod",
     "ascii_chart",
-    "bandwidth_collapse_ratio",
     "bbr_bug_evidence",
     "compute_metrics",
     "describe_bug_timeline",
@@ -35,7 +33,6 @@ __all__ = [
     "format_table",
     "format_triage_report",
     "goodput_mbps",
-    "longest_delivery_gap",
     "max_queue_depth",
     "queue_depth_series",
     "time_above_delay",

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
-from ..netsim.packet import CCA_FLOW, CROSS_FLOW
+from ..netsim.packet import CCA_FLOW
 from ..netsim.simulation import SimulationResult
 from ..scoring.windowed import percentile
 
@@ -33,23 +33,6 @@ class FlowMetrics:
         return dict(self.__dict__)
 
 
-def longest_delivery_gap(result: SimulationResult, flow: str = CCA_FLOW) -> float:
-    """Longest interval with no packet of ``flow`` leaving the bottleneck."""
-    times = result.monitor.egress_times(flow)
-    if not times:
-        return result.duration
-    # Single pass over the (already sorted) egress stream; no gap list.
-    longest = times[0]
-    for previous, current in zip(times, times[1:]):
-        gap = current - previous
-        if gap > longest:
-            longest = gap
-    tail_gap = result.duration - times[-1]
-    if tail_gap > longest:
-        longest = tail_gap
-    return longest
-
-
 def compute_metrics(result: SimulationResult) -> FlowMetrics:
     """Compute :class:`FlowMetrics` for the CCA flow of a finished run."""
     delays = [d for _, d in result.queueing_delays(CCA_FLOW)]
@@ -66,7 +49,7 @@ def compute_metrics(result: SimulationResult) -> FlowMetrics:
         retransmission_ratio=result.sender_stats.retransmissions / sent,
         rto_count=result.sender_stats.rto_count,
         spurious_retransmissions=result.sender_stats.spurious_retransmissions,
-        longest_stall_s=longest_delivery_gap(result),
+        longest_stall_s=result.monitor.max_egress_gap(CCA_FLOW, result.duration),
         segments_delivered=result.delivered_segments(CCA_FLOW),
         cross_traffic_packets=result.cross_sent,
     )

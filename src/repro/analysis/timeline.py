@@ -7,19 +7,18 @@ evidence of that mechanism from a finished run:
 
 * RTO events and spurious retransmissions (sender scoreboard),
 * premature probe-round endings (rounds closed by a sample anchored on a
-  retransmitted segment) and the bandwidth-estimate trajectory (BBR
-  diagnostics),
+  retransmitted segment) and the bandwidth estimate's peak and final values
+  (BBR diagnostics),
 * delivery stalls (monitor egress gaps).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from ..netsim.packet import CCA_FLOW
 from ..netsim.simulation import SimulationResult
-from .metrics import longest_delivery_gap
 
 
 @dataclass
@@ -67,42 +66,20 @@ def extract_stall_periods(
     return periods
 
 
-def bandwidth_collapse_ratio(bandwidth_history: List[Tuple[float, float]]) -> float:
-    """Peak-to-final ratio of the bandwidth estimate (large = collapse)."""
-    if not bandwidth_history:
-        return 1.0
-    peak = max(bw for _, bw in bandwidth_history)
-    final = bandwidth_history[-1][1]
-    if final <= 0:
-        return float("inf") if peak > 0 else 1.0
-    return peak / final
-
-
-def bbr_bug_evidence(
-    result: SimulationResult,
-    bandwidth_history: Optional[List[Tuple[float, float]]] = None,
-    stall_threshold_s: float = 1.0,
-) -> BbrBugEvidence:
+def bbr_bug_evidence(result: SimulationResult, stall_threshold_s: float = 1.0) -> BbrBugEvidence:
     """Summarise the evidence that the run hit the section-4.1 stall.
 
-    ``bandwidth_history`` can be passed explicitly when the caller kept a
-    reference to the :class:`~repro.tcp.cca.bbr.Bbr` instance; otherwise the
-    final estimate from the result diagnostics is used for both peak and
-    final values.
+    The bandwidth estimate's peak and final values are BBR's ``peak_btlbw``
+    and ``btlbw`` diagnostics (0 for a CCA that keeps no estimate).
     """
     diag = result.cca_diagnostics
-    final_bw = float(diag.get("btlbw", 0.0))
-    if bandwidth_history:
-        peak_bw = max(bw for _, bw in bandwidth_history)
-    else:
-        peak_bw = final_bw
-    longest_stall = longest_delivery_gap(result)
+    longest_stall = result.monitor.max_egress_gap(CCA_FLOW, result.duration)
     return BbrBugEvidence(
         rto_count=result.sender_stats.rto_count,
         spurious_retransmissions=result.sender_stats.spurious_retransmissions,
         premature_round_ends=int(diag.get("premature_round_ends", 0)),
-        final_bandwidth_estimate_pps=final_bw,
-        peak_bandwidth_estimate_pps=peak_bw,
+        final_bandwidth_estimate_pps=float(diag.get("btlbw", 0.0)),
+        peak_bandwidth_estimate_pps=float(diag.get("peak_btlbw", 0.0)),
         longest_stall_s=longest_stall,
         throughput_mbps=result.throughput_mbps(),
         stalled=longest_stall >= stall_threshold_s,

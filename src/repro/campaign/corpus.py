@@ -38,6 +38,7 @@ from typing import Any, Dict, Iterator, List, Optional
 from ..exec.workers import EvaluationJob
 from ..netsim.simulation import SimulationConfig
 from ..obs.metrics import get_registry
+from ..scoring.base import ScoreFunction
 from ..scoring.objectives import make_score_function
 from ..storage import publish, read_json_object
 from ..tcp.cca import cca_factory
@@ -105,11 +106,13 @@ class CorpusEntry:
         discovery used.  Raises ``ValueError`` for an unregistered CCA name.
         """
         return EvaluationJob(
-            cca_factory(cca or self.cca),
-            self.sim_config(),
-            self.trace,
-            make_score_function(self.objective or DEFAULT_OBJECTIVE, self.mode),
+            cca_factory(cca or self.cca), self.sim_config(), self.trace, self.score_function()
         )
+
+    def score_function(self) -> ScoreFunction:
+        """The score function of this entry's recorded objective (the
+        default one for entries that record none)."""
+        return make_score_function(self.objective or DEFAULT_OBJECTIVE, self.mode)
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -531,7 +531,11 @@ def _triage(args: _Args, parser: _Parser, console: Console) -> None:
 
 
 def _annotated_archive(corpus: CorpusReader) -> BehaviorArchive:
-    """The behavior map a corpus's per-entry annotations describe (no simulation)."""
+    """The behavior map a corpus's per-entry annotations describe (no simulation).
+
+    An elite's ``objective`` is its score function's fingerprint, as a
+    campaign records it, so a rebuilt map's scores compare with a live one's.
+    """
     archive = BehaviorArchive()
     for entry in corpus.entries():
         signature = signature_from_summary({"behavior_signature": entry.behavior})
@@ -542,7 +546,10 @@ def _annotated_archive(corpus: CorpusReader) -> BehaviorArchive:
             entry.score,
             entry.fingerprint,
             trace=entry.trace,
-            provenance={"scenario": entry.scenario_id, "objective": entry.objective},
+            provenance={
+                "scenario": entry.scenario_id,
+                "objective": entry.score_function().fingerprint(),
+            },
         )
     return archive
 

@@ -58,6 +58,13 @@ CheckpointCallback = Callable[[Dict[str, object]], None]
 #: Version of the snapshot layout produced by :meth:`CCFuzz.snapshot_state`.
 SNAPSHOT_SCHEMA = 1
 
+#: CCA identities a snapshot may carry from before BBR stopped keeping its
+#: write-only per-ACK history -> the identity of the same variant today.
+LEGACY_CCA_KEYS = {
+    "bbr:b4f5965904a87a51": "bbr:36361303b618935d",    # bbr
+    "bbr:9354513ba3fd266a": "bbr:cd7ded59cf1641e7",    # bbr-fixed
+}
+
 
 @dataclass
 class FuzzConfig:
@@ -634,6 +641,8 @@ class CCFuzz:
         if identity.get("sim_fingerprint") == cfg.sim.legacy_fingerprint():
             # Written before ``record_series`` left the simulation identity.
             identity["sim_fingerprint"] = self._sim_fingerprint
+        if LEGACY_CCA_KEYS.get(identity.get("cca_key")) == self.cca_key:
+            identity["cca_key"] = self.cca_key
         if identity and identity != mine:
             raise ValueError(
                 "snapshot was taken against a different CCA / simulation / "

@@ -23,7 +23,8 @@ but it is public and a host program may read coverage while a search runs,
 and the lock costs nothing next to a simulation.  Scores from
 different objectives live on incomparable scales, so an elite is only
 displaced by a better score from the *same* objective (mirroring the corpus
-rediscovery rule).
+rediscovery rule); :meth:`CellElite.comparable` is that rule, for
+``observe``, ``merge`` and :func:`diff_archives` alike.
 """
 
 from __future__ import annotations
@@ -85,6 +86,20 @@ class CellElite:
             improvements=int(payload.get("improvements", 0)),
         )
 
+    def comparable(self, provenance: Dict[str, Any]) -> bool:
+        """Whether a score recorded with ``provenance`` compares with this
+        elite's: iff both name the same objective.  Every producer records
+        the score function's fingerprint there, so "same objective" means
+        the same scoring configuration, not merely the same name."""
+        return self.provenance.get("objective") == provenance.get("objective")
+
+    def displaced_by(self, score: Optional[float], provenance: Dict[str, Any]) -> bool:
+        """Whether an outcome scoring ``score`` takes this cell: a strictly
+        higher comparable score, or any score over an unscored elite."""
+        if score is None:
+            return False
+        return self.score is None or (self.comparable(provenance) and score > self.score)
+
 
 class BehaviorArchive:
     """Thread-safe MAP-Elites archive of behavior cells."""
@@ -121,10 +136,9 @@ class BehaviorArchive:
     ) -> str:
         """Record one evaluated outcome; returns "new", "improved" or "visit".
 
-        A cell's elite is displaced only by a strictly higher score from the
-        same objective (``provenance["objective"]``, when both record one) —
-        scores across objectives are incomparable, so a cross-objective
-        outcome only counts as a visit.
+        A cell's elite is displaced only as :meth:`CellElite.displaced_by`
+        says — scores across objectives are incomparable, so a
+        cross-objective outcome only counts as a visit.
         """
         cell = signature.cell_key()
         provenance = dict(provenance or {})
@@ -144,11 +158,7 @@ class BehaviorArchive:
                 self.new_cells += 1
                 return "new"
             elite.visits += 1
-            comparable = (
-                elite.score is None
-                or elite.provenance.get("objective") == provenance.get("objective")
-            )
-            if score is not None and comparable and (elite.score is None or score > elite.score):
+            if elite.displaced_by(score, provenance):
                 elite.signature = signature
                 elite.score = score
                 elite.trace_fingerprint = trace_fingerprint
@@ -212,16 +222,7 @@ class BehaviorArchive:
                     continue
                 mine.visits += delta_visits
                 mine.improvements += delta_improvements
-                comparable = (
-                    mine.score is None
-                    or mine.provenance.get("objective") == elite.provenance.get("objective")
-                )
-                displaced = (
-                    elite_changed
-                    and elite.score is not None
-                    and comparable
-                    and (mine.score is None or elite.score > mine.score)
-                )
+                displaced = elite_changed and mine.displaced_by(elite.score, elite.provenance)
                 if displaced:
                     mine.signature = elite.signature
                     mine.score = elite.score
@@ -454,10 +455,12 @@ def diff_archives(a: BehaviorArchive, b: BehaviorArchive) -> Dict[str, Any]:
         elite_a, elite_b = a.get(cell), b.get(cell)
         if elite_a is None or elite_b is None:
             continue
-        # Scores only compare within one objective (the archive's own
-        # displacement rule); cross-objective elites get no delta.
-        comparable = elite_a.provenance.get("objective") == elite_b.provenance.get("objective")
-        if elite_a.score is None or elite_b.score is None or not comparable:
+        # Cross-objective (or unscored) elites get no delta.
+        if (
+            elite_a.score is None
+            or elite_b.score is None
+            or not elite_a.comparable(elite_b.provenance)
+        ):
             score_deltas.append((cell, None))
         else:
             score_deltas.append((cell, elite_b.score - elite_a.score))

@@ -43,7 +43,7 @@ from .sinks import (
     tail_metrics_records,
     write_prometheus,
 )
-from .spans import PhaseTracer, Span
+from .spans import PhaseTracer
 from .status import (
     StatusWatcher,
     collect_status,
@@ -78,7 +78,6 @@ __all__ = [
     "tail_metrics_records",
     "write_prometheus",
     "PhaseTracer",
-    "Span",
     "StatusWatcher",
     "collect_status",
     "fold_status",

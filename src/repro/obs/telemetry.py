@@ -6,7 +6,7 @@ observer hooks at phase boundaries (campaign start/end, scenario start/end,
 every evaluated generation); the telemetry object turns them into
 
 * ``metrics.jsonl`` records (plus throttled full registry snapshots),
-* campaign/scenario spans with per-phase counter attribution,
+* one span per scenario with its counter attribution,
 * an optional single-line live progress report on stderr,
 * and, at campaign end, the Prometheus export and ``run_manifest.json``.
 

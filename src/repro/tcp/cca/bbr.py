@@ -22,7 +22,7 @@ the paper's findings exercise (section 4.1):
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from .base import AckEvent, CongestionControl
 
@@ -50,23 +50,16 @@ class Bbr(CongestionControl):
     PROBE_BW = "PROBE_BW"
     PROBE_RTT = "PROBE_RTT"
 
-    #: Maximum retained ``state_history`` transitions (half verbatim head,
-    #: half most-recent ring); the overflow count is kept in
-    #: ``state_history_truncated``.
-    STATE_HISTORY_LIMIT = 256
-
     def __init__(
         self,
         initial_cwnd: float = 10.0,
         initial_rtt: float = 0.04,
         probe_rtt_on_rto: bool = False,
         min_pacing_rate: float = 0.25,
-        record_history: bool = True,
     ) -> None:
         super().__init__()
         self.probe_rtt_on_rto = probe_rtt_on_rto
         self.min_pacing_rate = min_pacing_rate
-        self.record_history = record_history
 
         self.state = self.STARTUP
         self.pacing_gain = self.HIGH_GAIN
@@ -75,12 +68,9 @@ class Bbr(CongestionControl):
         self._cwnd = float(initial_cwnd)
         self.initial_rtt = initial_rtt
 
-        # Bottleneck bandwidth max filter: (round_count, rate) samples, plus
-        # a monotonic-decreasing companion deque so the windowed max is O(1)
-        # per query instead of a rescan of every sample.  ``btlbw`` is read
-        # on every pacing decision, so the rescan dominated whole-simulation
-        # profiles before this.
-        self._btlbw_samples: Deque[Tuple[int, float]] = deque()
+        # Bottleneck bandwidth max filter over (round_count, rate) samples,
+        # kept as a monotonic-decreasing deque so the windowed max is O(1)
+        # per query.  ``btlbw`` is read on every pacing decision.
         self._btlbw_max: Deque[Tuple[int, float]] = deque()
         self.rtprop = float("inf")
         self.rtprop_stamp = 0.0
@@ -103,7 +93,6 @@ class Bbr(CongestionControl):
         # PROBE_RTT bookkeeping.
         self.probe_rtt_done_stamp: Optional[float] = None
         self.probe_rtt_round_done = False
-        self._state_before_probe_rtt = self.STARTUP
 
         # Loss recovery (packet conservation) bookkeeping.
         self.in_loss_recovery = False
@@ -113,19 +102,9 @@ class Bbr(CongestionControl):
         self.premature_round_ends = 0
         self.rto_events = 0
         self.loss_events = 0
-        self.bandwidth_history: List[Tuple[float, float]] = []
-        # State history is bounded: the first half of the budget is kept
-        # verbatim and the rest lives in a ring of the most recent
-        # transitions, so an adversarial trace that oscillates the state
-        # machine for hours cannot grow memory without limit.  The exact
-        # transition *counts* are always preserved in
-        # ``state_transition_counts`` (base class).
-        self._state_history_head: List[Tuple[float, str]] = []
-        self._state_history_tail: Deque[Tuple[float, str]] = deque(
-            maxlen=self.STATE_HISTORY_LIMIT // 2
-        )
-        self.state_history_truncated = 0    #: transitions dropped from the middle
-        self._last_history_state: Optional[str] = None
+        #: Largest delivery-rate sample the max filter ever admitted, i.e. the
+        #: highest ``btlbw`` of the run (Fig. 4c's "collapsed from" value).
+        self.peak_btlbw = 0.0
         self._track_state(self.state)
 
     # ------------------------------------------------------------------ #
@@ -136,9 +115,9 @@ class Bbr(CongestionControl):
     def btlbw(self) -> float:
         """Bottleneck bandwidth estimate in segments/second (max filter).
 
-        The head of the monotonic deque is exactly ``max(rate for _, rate in
-        self._btlbw_samples)``: appends evict dominated samples from the
-        tail, expiry evicts stale maxima from the head.
+        The head of the monotonic deque is the largest sample of the last
+        ``BTLBW_FILTER_ROUNDS`` rounds: appends evict dominated samples from
+        the tail, expiry evicts stale maxima from the head.
         """
         if not self._btlbw_max:
             return 0.0
@@ -185,10 +164,6 @@ class Bbr(CongestionControl):
         self._update_cwnd(event)
 
         self._track_state(self.state)
-        if self.record_history:
-            self.bandwidth_history.append((now, self.btlbw))
-            if self._last_history_state != self.state:
-                self._append_state_history(now, self.state)
 
     def _update_round(self, event: AckEvent) -> None:
         rs = event.rate_sample
@@ -208,18 +183,17 @@ class Bbr(CongestionControl):
         if rs.delivery_rate <= 0:
             return
         rate = rs.delivery_rate
+        if rate > self.peak_btlbw:
+            self.peak_btlbw = rate
         round_count = self.round_count
-        self._btlbw_samples.append((round_count, rate))
         # Monotonic max filter: drop dominated samples from the tail (a tie
         # keeps the newer sample, which lives longer — same max either way),
-        # then expire stale entries from both deques' heads.
+        # then expire stale entries from the head.
         btlbw_max = self._btlbw_max
         while btlbw_max and btlbw_max[-1][1] <= rate:
             btlbw_max.pop()
         btlbw_max.append((round_count, rate))
         horizon = round_count - self.BTLBW_FILTER_ROUNDS
-        while self._btlbw_samples and self._btlbw_samples[0][0] <= horizon:
-            self._btlbw_samples.popleft()
         while btlbw_max and btlbw_max[0][0] <= horizon:
             btlbw_max.popleft()
 
@@ -296,8 +270,6 @@ class Bbr(CongestionControl):
             self._exit_probe_rtt(now)
 
     def _enter_probe_rtt(self, now: float) -> None:
-        if self.state != self.PROBE_RTT:
-            self._state_before_probe_rtt = self.state
         self.state = self.PROBE_RTT
         self.probe_rtt_done_stamp = now + self.PROBE_RTT_DURATION
         self.probe_rtt_round_done = False
@@ -387,21 +359,6 @@ class Bbr(CongestionControl):
     # Introspection
     # ------------------------------------------------------------------ #
 
-    def _append_state_history(self, now: float, state: str) -> None:
-        """Bounded append: verbatim head, most-recent-ring tail."""
-        self._last_history_state = state
-        if len(self._state_history_head) < self.STATE_HISTORY_LIMIT // 2:
-            self._state_history_head.append((now, state))
-            return
-        if len(self._state_history_tail) == self._state_history_tail.maxlen:
-            self.state_history_truncated += 1
-        self._state_history_tail.append((now, state))
-
-    @property
-    def state_history(self) -> List[Tuple[float, str]]:
-        """Recorded ``(time, state)`` transitions (bounded; see __init__)."""
-        return self._state_history_head + list(self._state_history_tail)
-
     def diagnostics(self) -> Dict[str, Any]:
         diag = super().diagnostics()
         diag.update(
@@ -412,6 +369,7 @@ class Bbr(CongestionControl):
             ssthresh=self.prior_cwnd,
             loss_events=self.loss_events,
             btlbw=self.btlbw,
+            peak_btlbw=self.peak_btlbw,
             rtprop=self.rtprop,
             bdp=self.bdp,
             round_count=self.round_count,
@@ -421,6 +379,5 @@ class Bbr(CongestionControl):
             probe_rtt_on_rto=self.probe_rtt_on_rto,
             pacing_gain=self.pacing_gain,
             cwnd_gain=self.cwnd_gain,
-            state_history_truncated=self.state_history_truncated,
         )
         return diag

@@ -7,7 +7,6 @@ import pytest
 from repro.analysis import (
     BbrBugEvidence,
     ascii_chart,
-    bandwidth_collapse_ratio,
     bbr_bug_evidence,
     compute_metrics,
     describe_bug_timeline,
@@ -126,12 +125,9 @@ class TestAnalysisHelpers:
         evidence = bbr_bug_evidence(result)
         assert isinstance(evidence, BbrBugEvidence)
         assert not evidence.stalled
+        # Reno keeps no bandwidth estimate: both ends of the "collapse" are 0.
+        assert evidence.peak_bandwidth_estimate_pps == evidence.final_bandwidth_estimate_pps == 0
         assert "spurious" in describe_bug_timeline(evidence)
-
-    def test_bandwidth_collapse_ratio(self):
-        history = [(0.0, 100.0), (1.0, 1000.0), (2.0, 50.0)]
-        assert bandwidth_collapse_ratio(history) == pytest.approx(20.0)
-        assert bandwidth_collapse_ratio([]) == 1.0
 
     def test_format_table_and_chart(self):
         table = format_table([{"a": 1, "b": 2.5}, {"a": 3, "b": 4.0}])

@@ -16,13 +16,19 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import pytest
 
 from repro.attacks import cubic_two_burst_trace
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore, GaBudget
 from repro.core.fuzzer import CCFuzz, FuzzConfig
-from repro.coverage import BehaviorArchive, make_guidance, signature_from_summary
+from repro.coverage import (
+    BehaviorArchive,
+    diff_archives,
+    make_guidance,
+    signature_from_summary,
+)
 from repro.netsim.simulation import SimulationConfig
 from repro.tcp.cca import cca_factory
 
@@ -326,6 +332,39 @@ class TestCoverageCli:
 
     def test_coverage_map_rebuild_of_a_campaign_corpus(self, tmp_path, capsys):
         self._assert_rebuild_changes_nothing(self._campaign_corpus, tmp_path, capsys)
+
+    def test_rebuilt_map_compares_with_the_campaign_map(self, tmp_path, capsys):
+        """A rebuilt elite records its objective the way a campaign does (the
+        score function's fingerprint, not the objective's name), so scores
+        compare across the two maps in ``diff`` and in displacement."""
+        from repro.cli import coverage_main
+
+        corpus_dir = str(tmp_path / "corpus")
+        self._campaign_corpus(corpus_dir, tmp_path)
+        rebuilt_dir = str(tmp_path / "rebuilt")
+        shutil.copytree(corpus_dir, rebuilt_dir)
+        assert coverage_main(["map", rebuilt_dir, "--rebuild"]) == 0
+        capsys.readouterr()
+        live = BehaviorArchive.load(BehaviorArchive.corpus_path(corpus_dir))
+        rebuilt = BehaviorArchive.load(BehaviorArchive.corpus_path(rebuilt_dir))
+
+        delta = diff_archives(live, rebuilt)
+        assert delta["shared"] and not delta["only_b"]
+        assert all(diff is not None for _, diff in delta["score_deltas"])
+        for cell in delta["shared"]:
+            live_elite, rebuilt_elite = live.get(cell), rebuilt.get(cell)
+            assert rebuilt_elite.comparable(live_elite.provenance)
+            # A campaign outcome scoring above the rebuilt elite takes the cell.
+            outcome = rebuilt.observe(
+                rebuilt_elite.signature,
+                rebuilt_elite.score + 1.0,
+                "f" * 16,
+                provenance=dict(live_elite.provenance),
+            )
+            assert outcome == "improved"
+
+        assert coverage_main(["diff", corpus_dir, rebuilt_dir]) == 0
+        assert f"{len(delta['shared'])} shared" in capsys.readouterr().out
 
     @staticmethod
     def _assert_rebuild_changes_nothing(build_corpus, tmp_path, capsys):

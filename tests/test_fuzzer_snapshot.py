@@ -21,7 +21,7 @@ from repro.tcp.cca import cca_factory
 SCORE = make_score_function("throughput", "traffic")
 
 
-def make_fuzzer(backend="serial", seed=7, archive=None, cache=None, **overrides):
+def make_fuzzer(backend="serial", seed=7, archive=None, cache=None, cca="reno", **overrides):
     params = dict(
         mode="traffic",
         population_size=4,
@@ -33,7 +33,7 @@ def make_fuzzer(backend="serial", seed=7, archive=None, cache=None, **overrides)
     )
     params.update(overrides)
     return CCFuzz(
-        cca_factory("reno"),
+        cca_factory(cca),
         config=FuzzConfig(**params),
         score_function=SCORE,
         archive=archive,
@@ -164,6 +164,33 @@ def test_restore_rejects_mismatched_cca():
     )
     with pytest.raises(ValueError, match="different CCA"):
         other.run(resume_from=snapshots[0])
+
+
+#: What ``factory_identity`` gave each BBR variant while ``Bbr`` still kept its
+#: per-ACK bandwidth and state histories.
+PRE_HISTORY_REMOVAL_KEYS = {"bbr": "bbr:b4f5965904a87a51", "bbr-fixed": "bbr:9354513ba3fd266a"}
+
+
+@pytest.mark.parametrize("cca", sorted(PRE_HISTORY_REMOVAL_KEYS))
+def test_restore_accepts_the_pre_history_removal_bbr_identity(cca):
+    cache = TraceCache()
+    baseline, snapshots, cache_dumps = run_capturing(
+        make_fuzzer(cache=cache, cca=cca, generations=2), cache
+    )
+    state = json.loads(json.dumps(snapshots[0]))
+    assert state["identity"]["cca_key"] != PRE_HISTORY_REMOVAL_KEYS[cca]
+    state["identity"]["cca_key"] = PRE_HISTORY_REMOVAL_KEYS[cca]
+    restored = TraceCache()
+    restored.restore(cache_dumps[0])
+    resumed = make_fuzzer(cache=restored, cca=cca, generations=2).run(resume_from=state)
+    assert result_fingerprint(resumed) == result_fingerprint(baseline)
+
+    # The table maps each old identity to its own variant only.
+    (other,) = set(PRE_HISTORY_REMOVAL_KEYS) - {cca}
+    for stranger in (PRE_HISTORY_REMOVAL_KEYS[other], "bbr:0000000000000000"):
+        state["identity"]["cca_key"] = stranger
+        with pytest.raises(ValueError, match="different CCA"):
+            make_fuzzer(cca=cca, generations=2).run(resume_from=state)
 
 
 def test_restore_rejects_unknown_schema():

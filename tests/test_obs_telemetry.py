@@ -319,21 +319,27 @@ class TestSinks:
 
 
 class TestPhaseTracer:
-    def test_nested_spans_report_depth_and_attribution(self):
+    def test_sibling_spans_partition_attribution(self):
         registry = MetricsRegistry()
         closed = []
         tracer = PhaseTracer(registry=registry, on_close=closed.append)
-        with tracer.span("campaign", "c"):
-            with tracer.span("scenario", "s"):
-                registry.inc("fuzzer.evaluations", 3)
-        assert [r["phase"] for r in closed] == ["scenario", "campaign"]
-        scenario, campaign = closed
-        assert scenario["depth"] == 1 and campaign["depth"] == 0
-        assert scenario["counters"]["fuzzer.evaluations"] == 3
-        assert scenario["wall_s"] <= campaign["wall_s"]
+        with tracer.span("scenario", "a"):
+            registry.inc("fuzzer.evaluations", 3)
+        with pytest.raises(RuntimeError):
+            # A span whose body raises still closes and still reports.
+            with tracer.span("scenario", "b"):
+                registry.inc("fuzzer.evaluations", 2)
+                raise RuntimeError("scenario failed")
+        assert [(r["name"], r["counters"]["fuzzer.evaluations"]) for r in closed] == [
+            ("a", 3), ("b", 2),
+        ]
+        assert all(set(record) == set(SPAN_FIELDS) for record in closed)
         summary = tracer.summary()
-        assert summary["scenario"]["count"] == 1
-        assert summary["campaign"]["count"] == 1
+        assert summary["scenario"]["count"] == 2
+        assert summary["scenario"]["wall_s"] == pytest.approx(
+            sum(record["wall_s"] for record in closed)
+        )
+        assert summary["scenario"]["max_wall_s"] == max(record["wall_s"] for record in closed)
 
 
 class TestConsole:

@@ -75,6 +75,10 @@ class TestBbrStallTrace:
         attacked = run_simulation(Bbr, config, cross_traffic_times=trace.timestamps)
         evidence = bbr_bug_evidence(attacked)
         assert evidence.final_bandwidth_estimate_pps < 600
+        # The estimate *fell* there: before the attack it had reached the
+        # 1,000 packets/s of the 12 Mbps link (Fig. 4c's "collapsed from").
+        assert evidence.peak_bandwidth_estimate_pps >= 3 * evidence.final_bandwidth_estimate_pps
+        assert evidence.peak_bandwidth_estimate_pps == pytest.approx(1000.0, rel=0.01)
 
 
 class TestCubicSlowStartBug:
