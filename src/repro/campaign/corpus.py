@@ -22,9 +22,10 @@ sweep and the index publish; one process at a time may hold it on a
 directory.  Both go through the same parse of each file; an index it cannot
 use is an empty corpus to the reader and a refusal to open to the store.
 
-The same serialization backs ``repro-fuzz --output-dir`` (dumping a single
-run's top-k) and the campaign scheduler's harvest, which is what makes a
-one-off fuzzing result importable into a long-lived corpus later.
+Entries arrive two ways: a campaign's harvest, through the write-ahead
+:class:`~repro.campaign.scheduler.InsertLog` (``repro-fuzz`` runs a
+one-scenario campaign, so its ``--output-dir`` is a corpus like any other),
+and the triage pipeline's minimized variants.
 """
 
 from __future__ import annotations

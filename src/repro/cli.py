@@ -2,8 +2,8 @@
 
 Seven entry points are installed with the package:
 
-* ``repro-fuzz`` — run the genetic search against a CCA and save the best
-  traces found.
+* ``repro-fuzz`` — run one genetic search against a CCA (a one-scenario
+  campaign) and save the best traces found.
 * ``repro-simulate`` — run a single simulation (fixed link, trace file, or a
   built-in attack trace) and print a metrics report.
 * ``repro-trace`` — generate or inspect trace files.
@@ -31,6 +31,7 @@ import dataclasses
 import json
 import os
 import sys
+import tempfile
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
@@ -39,7 +40,6 @@ from .analysis.reporting import (
     ascii_chart,
     format_coverage_gaps,
     format_coverage_map,
-    format_generation_progress,
     format_table,
     format_triage_report,
 )
@@ -50,6 +50,7 @@ from .campaign import (
     CampaignSpec,
     CorpusReader,
     CorpusStore,
+    GaBudget,
     format_campaign_report,
     format_corpus_report,
     format_replay_report,
@@ -59,7 +60,7 @@ from .campaign import (
     write_campaign_report,
 )
 from .campaign.worker import DEFAULT_POLL_S
-from .core.fuzzer import MODES, CCFuzz, FuzzConfig
+from .core.fuzzer import MODES
 from .coverage import (
     GUIDANCE_MODES,
     BehaviorArchive,
@@ -83,7 +84,7 @@ from .obs import (
     read_metrics,
     status_json,
 )
-from .scoring.objectives import OBJECTIVES, make_score_function
+from .scoring.objectives import OBJECTIVES
 from .tcp.cca import CCA_FACTORIES
 from .traces.generator import LinkTraceGenerator, TrafficTraceGenerator
 from .traces.trace import LinkTrace, PacketTrace
@@ -275,103 +276,50 @@ def _write_json(path: str, payload: Dict[str, object]) -> None:
 
 
 def _fuzz(args: _Args, parser: _Parser, console: Console) -> None:
+    """One search is a one-scenario campaign under the default network
+    condition: ``repro-campaign run --no-attacks`` on the matching spec, with
+    ``--seed`` as the campaign seed and a temporary corpus unless
+    ``--output-dir`` names one to keep."""
     with _usage_errors(parser):
-        config = FuzzConfig(
-            mode=args.mode,
-            population_size=args.population,
-            islands=args.islands,
-            generations=args.generations,
-            duration=args.duration,
+        spec = CampaignSpec(
+            name="repro-fuzz",
+            ccas=[args.cca],
+            modes=[args.mode],
+            objectives=[args.objective],
+            budget=GaBudget(
+                population_size=args.population,
+                generations=args.generations,
+                islands=args.islands,
+                duration=args.duration,
+            ),
             seed=args.seed,
-            annealing_sigma=args.annealing_sigma,
             backend=args.backend,
             workers=args.workers,
-            use_cache=not args.no_cache,
             guidance=args.guidance,
+            seed_limit=0,  # unseeded, even over a populated --output-dir
         )
-    fuzzer = CCFuzz(
-        CCA_FACTORIES[args.cca],
-        config=config,
-        score_function=make_score_function(args.objective, args.mode),
+    corpus = (
+        contextlib.nullcontext(args.output_dir) if args.output_dir
+        else tempfile.TemporaryDirectory(prefix="repro-fuzz-")
     )
-
-    def report_progress(stats) -> None:
-        console.info(
-            f"generation {stats.generation:3d}  best={stats.best_fitness:10.4f}  "
-            f"top-k mean={stats.top_k_mean_fitness:10.4f}  mean={stats.mean_fitness:10.4f}"
+    with corpus as corpus_dir:
+        runner = CampaignRunner(
+            spec,
+            CorpusStore(corpus_dir),
+            register_attacks=False,
+            harvest_top_k=args.top,
+            progress=console.info,
+            telemetry=CampaignTelemetry(
+                corpus_dir, progress_stream=None if console.quiet else sys.stderr
+            ),
         )
-
-    result = fuzzer.run(progress=report_progress)
-    console.info()
-    console.result(format_generation_progress(result.generations))
-    console.result()
-    if result.cache_stats:
-        # Per-run numbers (cache_stats counts the cache's whole lifetime,
-        # which can span several runs when a cache is shared).
-        lookups = result.total_evaluations + result.cache_hits
-        hit_rate = result.cache_hits / lookups if lookups else 0.0
-        console.result(
-            f"evaluations: {result.total_evaluations} simulated, "
-            f"{result.cache_hits} served from cache (hit rate {hit_rate:.1%})"
-        )
-    else:
-        console.result(f"evaluations: {result.total_evaluations} simulated (cache disabled)")
-    coverage = result.coverage or {}
-    console.result(
-        f"behavior coverage ({result.guidance} guidance): "
-        f"{coverage.get('cells', 0)} cells from "
-        f"{coverage.get('observations', 0)} observations"
-    )
-    console.result()
-    rows = [
-        {
-            "rank": rank + 1,
-            "fitness": individual.fitness,
-            "origin": individual.origin,
-            "packets": individual.trace.packet_count,
-            "throughput_mbps": individual.result_summary.get("throughput_mbps", "n/a"),
-        }
-        for rank, individual in enumerate(result.top_individuals(args.top))
-    ]
-    console.result(format_table(rows))
-
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(result.best_trace.to_json())
-        console.info(f"\nbest trace written to {args.output}")
-
-    if args.output_dir:
-        store = CorpusStore(args.output_dir)
-        sim = config.sim
-        condition = {
-            "bottleneck_rate_mbps": sim.bottleneck_rate_mbps,
-            "queue_capacity": sim.queue_capacity,
-            "propagation_delay": sim.propagation_delay,
-        }
-        added = 0
-        for individual in result.top_individuals(args.top):
-            if not individual.is_evaluated:
-                continue
-            behavior = individual.result_summary.get("behavior_signature")
-            added += store.add(
-                individual.trace,
-                scenario_id=f"cli/{args.cca}/{args.mode}/{args.objective}",
-                cca=args.cca,
-                objective=args.objective,
-                score=individual.fitness,
-                generation_found=individual.generation_born,
-                origin="fuzz",
-                condition=condition,
-                behavior=dict(behavior) if isinstance(behavior, dict) else None,
-            )
-        console.info(
-            f"top-{args.top} written to corpus {args.output_dir} "
-            f"({added} new, {len(store)} total entries)"
-        )
-
-    if args.coverage_output and result.archive is not None:
-        result.archive.save(args.coverage_output)
-        console.info(f"behavior map written to {args.coverage_output}")
+        result = runner.run()
+        _report_campaign(result, args.output_dir, console)
+        if args.output:
+            best = runner.corpus.get(result.outcomes[0].best_fingerprint)
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(best.trace.to_json())
+            console.info(f"\nbest trace written to {args.output}")
 
 
 # --------------------------------------------------------------------------- #
@@ -384,11 +332,12 @@ def _simulate(args: _Args, parser: _Parser, console: Console) -> None:
         parser.error("--trace and --attack are mutually exclusive; pick one input")
 
     factory = CCA_FACTORIES[args.cca]
-    config = SimulationConfig(
-        duration=args.duration,
-        bottleneck_rate_mbps=args.rate_mbps,
-        queue_capacity=args.queue,
-    )
+    with _usage_errors(parser):
+        config = SimulationConfig(
+            duration=args.duration,
+            bottleneck_rate_mbps=args.rate_mbps,
+            queue_capacity=args.queue,
+        )
     trace = None
     if args.trace:
         trace = _require_typed(_read_trace(args.trace), parser)
@@ -485,9 +434,10 @@ def _triage(args: _Args, parser: _Parser, console: Console) -> None:
         cca = args.cca or entry.cca or "reno"
         objective = args.objective or entry.objective or "throughput"
     else:
-        trace = builtin_attack_traces(args.duration if args.duration is not None else 6.0)[
-            args.attack
-        ]
+        with _usage_errors(parser):
+            trace = builtin_attack_traces(args.duration if args.duration is not None else 6.0)[
+                args.attack
+            ]
     _require_typed(trace, parser)
     if isinstance(trace, LinkTrace) and args.rate_mbps is not None:
         parser.error(
@@ -496,11 +446,12 @@ def _triage(args: _Args, parser: _Parser, console: Console) -> None:
         )
 
     if sim_config is None:
-        sim_config = SimulationConfig(
-            duration=trace.duration,
-            bottleneck_rate_mbps=args.rate_mbps if args.rate_mbps is not None else 12.0,
-            queue_capacity=args.queue if args.queue is not None else 60,
-        )
+        with _usage_errors(parser):
+            sim_config = SimulationConfig(
+                duration=trace.duration,
+                bottleneck_rate_mbps=args.rate_mbps if args.rate_mbps is not None else 12.0,
+                queue_capacity=args.queue if args.queue is not None else 60,
+            )
     with create_backend(args.backend, args.workers) as backend:
         report = triage_trace(
             trace,
@@ -700,11 +651,14 @@ def _launch_spec(
         return dataclasses.replace(spec, **overrides)
 
 
-def _report_campaign(result: CampaignResult, args: _Args, console: Console) -> None:
+def _report_campaign(result: CampaignResult, corpus_dir: Optional[str], console: Console) -> None:
+    """Print the report; store it as the corpus's ``report.json`` unless the
+    corpus is a temporary one (``corpus_dir=None``)."""
     console.info()
     console.result(format_campaign_report(result))
-    report_path = write_campaign_report(result, args.corpus)
-    console.info(f"\ncampaign report written to {report_path}")
+    if corpus_dir is not None:
+        report_path = write_campaign_report(result, corpus_dir)
+        console.info(f"\ncampaign report written to {report_path}")
 
 
 def _campaign_run(args: _Args, parser: _Parser, console: Console) -> None:
@@ -738,7 +692,7 @@ def _campaign_run(args: _Args, parser: _Parser, console: Console) -> None:
             progress=console.info,
             telemetry=telemetry,
         )
-    _report_campaign(runner.run(), args, console)
+    _report_campaign(runner.run(), args.corpus, console)
 
 
 def _campaign_workers(args: _Args, parser: _Parser, console: Console) -> None:
@@ -758,7 +712,7 @@ def _campaign_workers(args: _Args, parser: _Parser, console: Console) -> None:
         # subprocesses included.
         progress=None if console.quiet else console.info,
     )
-    _report_campaign(result, args, console)
+    _report_campaign(result, args.corpus, console)
 
 
 def _campaign_compact(args: _Args, parser: _Parser, console: Console) -> None:
@@ -909,27 +863,26 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
         parser.add_argument("--generations", type=int, default=10)
         parser.add_argument("--duration", type=float, default=5.0,
                             help="seconds simulated per trace")
-        parser.add_argument("--seed", type=int, default=0)
-        parser.add_argument("--annealing-sigma", type=float, default=None)
+        parser.add_argument(
+            "--seed", type=int, default=0,
+            help="campaign seed; the GA seed derives from it and the scenario id, "
+                 "as in repro-campaign",
+        )
         parser.add_argument("--output", help="write the best trace as JSON")
         parser.add_argument(
             "--output-dir",
-            help="dump the full top-k with provenance metadata as a corpus directory",
+            help="keep the run's campaign corpus here (journal, telemetry, report, "
+                 "behavior map; default: a temporary directory)",
         )
-        parser.add_argument("--top", type=int, default=5, help="how many best traces to report")
+        parser.add_argument("--top", type=_int_at_least(1, "--top"), default=5,
+                            help="how many best traces to store in the corpus")
         _add_pool_options(parser)
-        parser.add_argument(
-            "--no-cache", action="store_true",
-            help="disable evaluation memoization (every trace is re-simulated)",
-        )
         parser.add_argument(
             "--guidance", choices=sorted(GUIDANCE_MODES), default="score",
             help="search guidance: 'score' is the paper's pure-fitness GA; "
                  "'novelty'/'elites' reward behaviorally diverse traces via the "
                  "MAP-Elites behavior archive",
         )
-        parser.add_argument("--coverage-output",
-                            help="write the run's behavior archive (behavior map JSON)")
     return _dispatch(parser, argv)
 
 
@@ -1032,7 +985,8 @@ def coverage_main(argv: Optional[List[str]] = None) -> int:
 
     with _command(_coverage_map, commands, "map", help="render a behavior map") as cmd:
         cmd.add_argument("path", help="behavior map JSON, or a campaign corpus directory")
-        cmd.add_argument("--top", type=int, default=10, help="elite cells to list")
+        cmd.add_argument("--top", type=_int_at_least(1, "--top"), default=10,
+                         help="elite cells to list")
         cmd.add_argument("--json", action="store_true",
                          help="print the raw archive JSON instead of the ASCII map")
         cmd.add_argument(
@@ -1134,7 +1088,8 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
 
     with _command(_campaign_report, commands, "report", help="summarise a corpus directory") as cmd:
         cmd.add_argument("--corpus", required=True)
-        cmd.add_argument("--top", type=int, default=10, help="scored entries to list")
+        cmd.add_argument("--top", type=_int_at_least(1, "--top"), default=10,
+                         help="scored entries to list")
 
     with _command(
         _campaign_triage, commands, "triage",

@@ -137,8 +137,6 @@ class FuzzConfig:
             raise ValueError("migration_fraction must be in [0, 1]")
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
         # The backend's own rules, by building it (pools start lazily).
         create_backend(self.backend, self.workers)
         if self.guidance not in GUIDANCE_MODES:
@@ -149,6 +147,7 @@ class FuzzConfig:
             raise ValueError("novelty_weight must be non-negative")
         if not 0.0 <= self.immigrant_fraction <= 1.0:
             raise ValueError("immigrant_fraction must be in [0, 1]")
+        # SimulationConfig states the duration's range.
         self.sim = replace(self.sim, duration=self.duration)
 
     @property

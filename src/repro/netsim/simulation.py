@@ -48,6 +48,18 @@ class SimulationConfig:
         default=None, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        # The one statement of these ranges: every condition, fuzzing run
+        # and command line builds one of these.
+        if not self.duration > 0:
+            raise ValueError("duration must be positive")
+        if not self.bottleneck_rate_mbps > 0:
+            raise ValueError("bottleneck_rate_mbps must be positive")
+        if self.queue_capacity < 1:
+            raise ValueError("queue_capacity must be at least 1")
+        if self.propagation_delay < 0:
+            raise ValueError("propagation_delay must be non-negative")
+
     def with_overrides(self, **kwargs: Any) -> "SimulationConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)

@@ -96,8 +96,14 @@ class TestSpec:
             CampaignSpec.from_dict({"name": "x", "turbo": True})
 
     def test_condition_validation(self):
-        with pytest.raises(ValueError):
-            NetworkCondition(bottleneck_rate_mbps=-1)
+        # The ranges (and messages) are SimulationConfig's.
+        for field, value, message in (
+            ("bottleneck_rate_mbps", -1, "bottleneck_rate_mbps must be positive"),
+            ("queue_capacity", 0, "queue_capacity must be at least 1"),
+            ("propagation_delay", -0.1, "propagation_delay must be non-negative"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                NetworkCondition(**{field: value})
         with pytest.raises(ValueError):
             GaBudget(generations=0)
 

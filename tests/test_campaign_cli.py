@@ -7,7 +7,14 @@ import json
 import pytest
 
 from repro.campaign import CorpusStore
-from repro.cli import campaign_main, fuzz_main, serve_main, simulate_main
+from repro.cli import (
+    campaign_main,
+    coverage_main,
+    fuzz_main,
+    serve_main,
+    simulate_main,
+    triage_main,
+)
 
 TINY_SPEC = {
     "name": "cli-test",
@@ -235,36 +242,167 @@ class TestCampaignReplayAndReport:
         assert not missing.exists()
 
 
+#: A small ``repro-fuzz`` search, and the campaign spec file it runs.
+FUZZ_ARGV = [
+    "--cca", "reno", "--mode", "traffic", "--population", "4",
+    "--generations", "2", "--duration", "1.0", "--seed", "5",
+]
+FUZZ_SPEC = {
+    "name": "repro-fuzz",
+    "ccas": ["reno"],
+    "modes": ["traffic"],
+    "objectives": ["throughput"],
+    "budget": {"population_size": 4, "generations": 2, "duration": 1.0},
+    "seed": 5,
+    "seed_limit": 0,
+}
+
+
+def _report_rows(corpus_dir):
+    """``report.json``'s scenario rows without their wall-clock field."""
+    rows = json.loads((corpus_dir / "report.json").read_text())["scenarios"]
+    return [{key: value for key, value in row.items() if key != "wall_s"} for row in rows]
+
+
 class TestFuzzOutputDir:
     def test_output_dir_dumps_top_k_with_metadata(self, tmp_path, capsys):
         out_dir = tmp_path / "found"
-        exit_code = fuzz_main(
-            [
-                "--cca", "reno", "--mode", "traffic", "--population", "4",
-                "--generations", "2", "--duration", "1.0", "--seed", "5",
-                "--top", "3", "--output-dir", str(out_dir),
-            ]
-        )
+        exit_code = fuzz_main(FUZZ_ARGV + ["--top", "3", "--output-dir", str(out_dir)])
         assert exit_code == 0
-        assert "written to corpus" in capsys.readouterr().out
+        assert f"campaign report written to {out_dir}" in capsys.readouterr().out
         store = CorpusStore(str(out_dir))
         assert 1 <= len(store) <= 3
         for entry in store.entries():
-            assert entry.scenario_id == "cli/reno/traffic/throughput"
+            assert entry.scenario_id == "reno/traffic/throughput/base"
+            assert entry.campaign == "repro-fuzz"
             assert entry.cca == "reno"
             assert entry.score is not None
             assert entry.condition["queue_capacity"] == 60
 
     def test_output_dir_feeds_campaign_replay(self, tmp_path, capsys):
-        # The --output-dir dump IS a corpus: replayable as-is.
+        # The --output-dir corpus is a campaign's: status, report and replay read it.
         out_dir = tmp_path / "found"
-        fuzz_main(
-            ["--cca", "reno", "--mode", "traffic", "--population", "4",
-             "--generations", "2", "--duration", "1.0", "--output-dir", str(out_dir)]
-        )
+        assert fuzz_main(FUZZ_ARGV + ["--output-dir", str(out_dir)]) == 0
         capsys.readouterr()
+        assert campaign_main(["status", str(out_dir), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["state"] == "complete"
+        assert campaign_main(["report", "--corpus", str(out_dir)]) == 0
+        assert "last campaign: 'repro-fuzz'" in capsys.readouterr().out
         assert campaign_main(["replay", "--corpus", str(out_dir), "--cca", "cubic"]) == 0
         assert "replayed" in capsys.readouterr().out
+
+
+class TestFuzzIsACampaign:
+    """``repro-fuzz`` is ``repro-campaign run --no-attacks`` on a one-scenario spec."""
+
+    def test_output_dir_equals_the_matching_campaign_run(self, tmp_path, capsys):
+        fuzz_dir, run_dir = tmp_path / "fuzz", tmp_path / "run"
+        assert fuzz_main(FUZZ_ARGV + ["--top", "3", "--output-dir", str(fuzz_dir)]) == 0
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(FUZZ_SPEC))
+        assert campaign_main(
+            ["run", "--spec", str(spec_file), "--corpus", str(run_dir),
+             "--no-attacks", "--harvest-top-k", "3"]
+        ) == 0
+        capsys.readouterr()
+
+        def corpus_files(corpus_dir):
+            paths = [corpus_dir / "index.json", *sorted((corpus_dir / "entries").iterdir())]
+            return {path.relative_to(corpus_dir).as_posix(): path.read_bytes() for path in paths}
+
+        assert corpus_files(fuzz_dir) == corpus_files(run_dir)
+        assert _report_rows(fuzz_dir) == _report_rows(run_dir)
+
+    @pytest.mark.parametrize("mode", ["traffic", "link", "loss"])
+    def test_output_is_the_ga_best_at_the_scenario_seed(self, mode, tmp_path, monkeypatch, capsys):
+        import tempfile
+
+        from repro.campaign import CampaignSpec
+        from repro.core.fuzzer import CCFuzz, FuzzConfig
+        from repro.scoring.objectives import make_score_function
+        from repro.tcp.cca import CCA_FACTORIES
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        output = tmp_path / "best.json"
+        argv = [*FUZZ_ARGV, "--mode", mode, "--output", str(output)]
+        assert fuzz_main(argv) == 0
+        # The corpus was temporary: removed, and its report never announced.
+        assert list(scratch.iterdir()) == []
+        assert "report.json" not in capsys.readouterr().out
+
+        ga_seed = CampaignSpec(ccas=["reno"], modes=[mode], seed=5).expand()[0].seed
+        direct = CCFuzz(
+            CCA_FACTORIES["reno"],
+            FuzzConfig(mode=mode, population_size=4, generations=2, duration=1.0, seed=ga_seed),
+            score_function=make_score_function("throughput", mode),
+        ).run()
+        assert output.read_text() == direct.best_trace.to_json()
+
+    def test_interrupted_run_resumes_through_campaign_run(self, tmp_path, monkeypatch, capsys):
+        from repro.journal import CampaignJournal
+
+        whole, broken = tmp_path / "whole", tmp_path / "broken"
+        assert fuzz_main(FUZZ_ARGV + ["--output-dir", str(whole)]) == 0
+
+        class Killed(Exception):
+            pass
+
+        append = CampaignJournal.append
+
+        def append_then_die(self, type, data):
+            record = append(self, type, data)
+            if type == "generation_checkpoint":
+                raise Killed
+            return record
+
+        monkeypatch.setattr(CampaignJournal, "append", append_then_die)
+        with pytest.raises(Killed):
+            fuzz_main(FUZZ_ARGV + ["--output-dir", str(broken)])
+        monkeypatch.undo()
+        assert not (broken / "report.json").exists()
+        assert campaign_main(["run", "--corpus", str(broken), "--resume"]) == 0
+        capsys.readouterr()
+        assert _report_rows(broken) == _report_rows(whole)
+
+    @pytest.mark.parametrize("flag", ["--coverage-output=map.json", "--annealing-sigma=3",
+                                      "--no-cache"])
+    def test_flags_without_a_campaign_equivalent_are_gone(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            fuzz_main(FUZZ_ARGV + [flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestRangeUsageErrors:
+    @pytest.mark.parametrize("main, argv", [
+        (fuzz_main, []),
+        (campaign_main, ["report", "--corpus", "corpus"]),
+        (coverage_main, ["map", "map.json"]),
+    ])
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_must_be_at_least_one(self, main, argv, top, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--top", top])
+        assert excinfo.value.code == 2
+        assert f"--top must be at least 1, got {top}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--duration", "-1"], "duration must be positive"),
+        (["--duration", "0"], "duration must be positive"),
+        (["--rate-mbps", "0"], "bottleneck_rate_mbps must be positive"),
+        (["--queue", "0"], "queue_capacity must be at least 1"),
+    ])
+    @pytest.mark.parametrize("main, source", [
+        (simulate_main, []), (triage_main, ["--attack", "lowrate", "--skip-minimize"]),
+    ])
+    def test_simulation_ranges_are_usage_errors(self, main, source, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--cca", "reno", *source, *argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and message in err
 
 
 class TestSimulateTraceAttackConflict:

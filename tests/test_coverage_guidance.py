@@ -226,18 +226,19 @@ class TestCampaignCoverage:
 
 class TestCoverageCli:
     def test_fuzz_guidance_and_coverage_output(self, tmp_path, capsys):
+        """The run's behavior map is its corpus's ``behavior_map.json``."""
         from repro.cli import fuzz_main
 
-        map_path = str(tmp_path / "map.json")
+        corpus_dir = str(tmp_path / "corpus")
         exit_code = fuzz_main([
             "--cca", "cubic", "--mode", "traffic", "--population", "4",
             "--generations", "2", "--duration", "1.0", "--seed", "3",
-            "--guidance", "novelty", "--coverage-output", map_path,
+            "--guidance", "novelty", "--output-dir", corpus_dir,
         ])
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "behavior coverage (novelty guidance)" in output
-        archive = BehaviorArchive.load(map_path)
+        archive = BehaviorArchive.load(BehaviorArchive.corpus_path(corpus_dir))
         assert len(archive) >= 1
 
     def test_coverage_map_renders_campaign_corpus(self, tmp_path, capsys):
@@ -369,8 +370,8 @@ class TestCoverageCli:
     @staticmethod
     def _assert_rebuild_changes_nothing(build_corpus, tmp_path, capsys):
         """Rebuilding an unchanged corpus changes nothing: every evaluation
-        re-runs the job discovery ran, whichever producer wrote the entry
-        (``repro-fuzz`` records no series, ``repro-campaign`` does)."""
+        re-runs the job discovery ran, whichever command's campaign wrote the
+        entry (``repro-fuzz`` or ``repro-campaign run``)."""
         from repro.cli import coverage_main
 
         corpus_dir = str(tmp_path / "corpus")

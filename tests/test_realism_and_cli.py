@@ -122,4 +122,5 @@ class TestCli:
         assert output.exists()
         trace = PacketTrace.from_json(output.read_text())
         assert isinstance(trace, TrafficTrace)
-        assert "generation" in capsys.readouterr().out
+        # Per-generation progress is the campaign telemetry line, on stderr.
+        assert "gen 2/2" in capsys.readouterr().err

@@ -144,3 +144,24 @@ class TestResultSummaries:
         config = SimulationConfig(duration=1.0).with_overrides(queue_capacity=10)
         assert config.queue_capacity == 10
         assert config.duration == 1.0
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("field, value, message", [
+        ("duration", 0.0, "duration must be positive"),
+        ("duration", -1.0, "duration must be positive"),
+        ("bottleneck_rate_mbps", 0.0, "bottleneck_rate_mbps must be positive"),
+        ("queue_capacity", 0, "queue_capacity must be at least 1"),
+        ("propagation_delay", -0.01, "propagation_delay must be non-negative"),
+    ])
+    def test_out_of_range_settings_are_refused(self, field, value, message):
+        # A run used to report zeros (duration 0), negative stalls
+        # (duration -1) or crash inside the link/queue (rate or queue 0).
+        with pytest.raises(ValueError, match=message):
+            SimulationConfig(**{field: value})
+        with pytest.raises(ValueError, match=message):
+            SimulationConfig().with_overrides(**{field: value})
+
+    def test_edge_values_are_allowed_and_identity_is_unchanged(self):
+        SimulationConfig(duration=1e-3, queue_capacity=1, propagation_delay=0.0)
+        assert SimulationConfig().fingerprint() == "12ba27139c11aa03f67e39acbaa23c1d"
