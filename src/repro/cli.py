@@ -164,7 +164,7 @@ def _add_pool_options(parser: _Parser, backend: Optional[str] = "serial") -> Non
     parser.add_argument(
         "--workers", type=_int_at_least(1, "--workers"), default=None,
         help="override the spec's pool size" if overriding else
-             "worker pool size for the process backend (default: one per CPU)",
+             "worker pool size for the process backend (default: one per usable CPU)",
     )
 
 

@@ -56,6 +56,9 @@ BACKENDS = ("serial", "process")
 
 
 def _default_workers() -> int:
+    """One per CPU this process may run on: its affinity mask, where there is one."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 #: Failure kinds that prove a job deterministically bad (quarantined on

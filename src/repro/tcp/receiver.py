@@ -5,11 +5,20 @@ TCP-SACK and delayed ACKs.  Delayed ACKs matter twice over in the paper's
 findings: they lengthen the ACK-side rate-sample interval, which deepens
 BBR's bandwidth-estimate collapse, and they shape the feedback loop that
 keeps a stalled BBR stalled.
+
+The SACK blocks are exactly the maximal runs of buffered out-of-order
+segments, most recently extended first (the first ``max_sack_blocks`` go on
+the wire).  So a new out-of-order segment touches a block only when its
+neighbour is buffered — two set lookups decide.  Extending the newest block
+replaces ``_recent_blocks[0]`` and a new island is one ``insert(0, …)``;
+only extending an older block, or joining two, searches the list.  An
+in-order arrival that pulls buffered segments across removes the one block
+it consumed.  Blocks are replaced, never mutated: ACKs in flight hold them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, List, Set, Tuple
 
 from ..netsim.engine import EventScheduler
 from ..netsim.packet import AckPacket, Packet, SackBlock
@@ -82,14 +91,19 @@ class TcpReceiver:
             return
 
         if seq == self.rcv_next:
-            self.rcv_next += 1
-            # Pull any buffered contiguous segments across.
-            while self.rcv_next in self._out_of_order:
-                self._out_of_order.discard(self.rcv_next)
-                self.rcv_next += 1
-            self._prune_sack_blocks()
+            rcv_next = seq + 1
+            out_of_order = self._out_of_order
+            if rcv_next in out_of_order:
+                # Pull the buffered run across: it was a block.
+                first = rcv_next
+                while rcv_next in out_of_order:
+                    out_of_order.discard(rcv_next)
+                    rcv_next += 1
+                blocks = self._recent_blocks
+                del blocks[next(i for i, b in enumerate(blocks) if b.start == first)]
+            self.rcv_next = rcv_next
             self._pending_segments += 1
-            if not self.delayed_ack or self._pending_segments >= 2 or self._out_of_order:
+            if not self.delayed_ack or self._pending_segments >= 2 or out_of_order:
                 self._emit_ack(now)
             else:
                 self._arm_delack(now)
@@ -132,32 +146,18 @@ class TcpReceiver:
     # ------------------------------------------------------------------ #
 
     def _record_sack_block(self, seq: int) -> None:
-        """Insert/extend the SACK block containing ``seq`` (most recent first)."""
-        merged_start, merged_end = seq, seq + 1
-        remaining: List[SackBlock] = []
-        for block in self._recent_blocks:
-            if block.end >= merged_start and block.start <= merged_end:
-                if block.start < merged_start:
-                    merged_start = block.start
-                if block.end > merged_end:
-                    merged_end = block.end
-            else:
-                remaining.append(block)
-        remaining.insert(0, SackBlock(merged_start, merged_end))
-        self._recent_blocks = remaining
-
-    def _prune_sack_blocks(self) -> None:
-        """Drop SACK blocks fully covered by the cumulative ACK."""
-        if not self._recent_blocks:
-            return
-        pruned: List[SackBlock] = []
-        for block in self._recent_blocks:
-            if block.end <= self.rcv_next:
-                continue
-            start = max(block.start, self.rcv_next)
-            if start < block.end:
-                pruned.append(SackBlock(start, block.end))
-        self._recent_blocks = pruned
+        """Fold the newly buffered ``seq`` into the blocks (most recent first)."""
+        out_of_order = self._out_of_order
+        blocks = self._recent_blocks
+        start, end = seq, seq + 1
+        if seq - 1 in out_of_order:
+            if end not in out_of_order and blocks[0].end == seq:
+                blocks[0] = SackBlock(blocks[0].start, end)
+                return
+            start = blocks.pop(next(i for i, b in enumerate(blocks) if b.end == seq)).start
+        if end in out_of_order:
+            end = blocks.pop(next(i for i, b in enumerate(blocks) if b.start == end)).end
+        blocks.insert(0, SackBlock(start, end))
 
     # ------------------------------------------------------------------ #
     # Introspection helpers (used by tests)

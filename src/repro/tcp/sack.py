@@ -9,17 +9,34 @@ RFC 6675) plus Linux's RTO behaviour of marking every outstanding un-SACKed
 segment lost — the behaviour that produces the spurious retransmissions BBR
 trips over (paper section 4.1).
 
-All hot-path queries (``pipe``, ``detect_losses``, ``next_lost_segment``) are
-maintained incrementally so that ACK processing stays O(changed segments)
-even for adversarial traces that keep ``snd_una`` pinned for seconds while
-thousands of segments pile up above the hole.
+Every sent segment at or above ``snd_una`` is in exactly one of four states,
+and three of them have an ascending index, so an ACK costs what it changes —
+even on adversarial traces that pin ``snd_una`` for seconds while thousands
+of segments pile up above the hole:
+
+* *SACKed*: ``_sack_starts`` / ``_sack_ends``, sorted, disjoint and
+  non-adjacent half-open ranges.  A block re-reporting a covered range (most
+  of them: every ACK repeats up to three) costs one bisect and one compare.
+  A newly SACKed run costs its own segments plus one slice assignment that
+  merges it into its neighbours; the cumulative ACK trims the front.
+* *outstanding* (sent, undelivered, not presumed lost): ``_first_tx`` for
+  segments sent once, ``_retx`` for retransmissions.  New data is sent in
+  order, so a first transmission is an append.
+* *lost, awaiting retransmission*: ``_lost_unsent``; its head is the next
+  retransmission.
+* *cumulatively ACKed*: below ``snd_una``, indexed by nothing.
+
+``detect_losses`` reads its cutoff (the ``dupthresh``-th largest SACKed seq)
+off the last ranges; every first transmission below it is lost, which is one
+bisect and one slice.  Retransmissions are only re-examined when
+``redetect_lost_retransmissions`` asks for it.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..netsim.packet import SackBlock
 from .rate_sampler import SegmentTxState
@@ -30,17 +47,21 @@ class SegmentState:
     """Sender-side state for one segment."""
 
     seq: int
-    sacked: bool = False
-    lost: bool = False
-    acked: bool = False
-    outstanding: bool = False
     transmissions: int = 0
     tx_state: Optional[SegmentTxState] = None
     last_sent_time: Optional[float] = None
+    outstanding: bool = False
+    sacked: bool = False
+    lost: bool = False
+    acked: bool = False
 
-    @property
-    def delivered(self) -> bool:
-        return self.acked or self.sacked
+
+def _discard(index: List[int], seq: int) -> None:
+    """Remove ``seq`` from an ascending index holding it (the head without a search)."""
+    if index[0] == seq:
+        del index[0]
+    else:
+        del index[bisect.bisect_left(index, seq)]
 
 
 class SackScoreboard:
@@ -66,25 +87,19 @@ class SackScoreboard:
         self.redetect_lost_retransmissions = redetect_lost_retransmissions
         self.segments: Dict[int, SegmentState] = {}
         self.snd_una = 0          #: lowest unacknowledged sequence number
-        self.high_sacked = -1     #: highest SACKed sequence number seen
         self.spurious_retransmissions = 0
 
-        # Incrementally maintained indices (hot-path bookkeeping).
-        self._pipe = 0                              #: outstanding, undelivered segments
-        self._undelivered: Set[int] = set()         #: sent but not yet (S)ACKed
-        self._lost_unsent: List[int] = []           #: sorted seqs marked lost, awaiting retransmit
-        self._sacked_sorted: List[int] = []         #: sorted SACKed (not cum-acked) seqs
-        self._latest_sacked_send = 0.0              #: newest send time among SACKed segments
-        # Loss-detection candidates: sent, undelivered, not currently marked
-        # lost.  Kept sorted (plus a membership set) so ``detect_losses`` and
-        # ``mark_all_outstanding_lost`` touch only real candidates instead of
-        # re-walking — and re-sorting — every undelivered segment per ACK.
-        self._candidates_sorted: List[int] = []
-        self._candidate_set: Set[int] = set()
+        self._pipe = 0                        #: outstanding segments
+        self._sack_starts: List[int] = []     #: SACKed ranges [start, end) above snd_una
+        self._sack_ends: List[int] = []
+        self._first_tx: List[int] = []        #: outstanding, sent once
+        self._retx: List[int] = []            #: outstanding, retransmitted
+        self._lost_unsent: List[int] = []     #: marked lost, awaiting retransmission
+        self._latest_sacked_send = 0.0        #: newest send time among SACKed segments
         # Set when new SACK information arrives; ``detect_losses`` is a no-op
         # otherwise (new first transmissions are always above the SACK
         # frontier, and retransmissions sent after the newest SACK can never
-        # satisfy the RACK-style ordering check), so most ACKs skip the walk.
+        # satisfy the RACK-style ordering check), so most ACKs skip it.
         self._detect_dirty = False
 
     # ------------------------------------------------------------------ #
@@ -92,25 +107,28 @@ class SackScoreboard:
     # ------------------------------------------------------------------ #
 
     def on_transmit(self, seq: int, now: float, tx_state: SegmentTxState) -> SegmentState:
-        """Record a (re)transmission of ``seq`` and return its state."""
-        state = self.segments.get(seq)
+        """Record a transmission of ``seq`` and return its state: new data, or
+        a retransmission of a segment marked lost (``next_lost_segment``)."""
+        segments = self.segments
+        state = segments.get(seq)
         if state is None:
-            state = SegmentState(seq)
-            self.segments[seq] = state
+            state = segments[seq] = SegmentState(seq, 1, tx_state, now, True)  # outstanding
+            first_tx = self._first_tx
+            if first_tx and seq < first_tx[-1]:
+                bisect.insort(first_tx, seq)
+            else:
+                first_tx.append(seq)
+            self._pipe += 1
+            return state
         state.transmissions += 1
         state.tx_state = tx_state
         state.last_sent_time = now
-        delivered = state.acked or state.sacked
-        if not state.outstanding and not delivered:
-            self._pipe += 1
-        state.outstanding = True
         if state.lost:
             state.lost = False
-            self._remove_lost_unsent(seq)
-        self._undelivered.add(seq)
-        if not delivered and seq not in self._candidate_set:
-            self._candidate_set.add(seq)
-            bisect.insort(self._candidates_sorted, seq)
+            state.outstanding = True
+            _discard(self._lost_unsent, seq)
+            bisect.insort(self._retx, seq)
+            self._pipe += 1
         return state
 
     # ------------------------------------------------------------------ #
@@ -137,27 +155,34 @@ class SackScoreboard:
         newly_full_acked: List[SegmentState] = []
         if cumulative_ack <= self.snd_una:
             return newly_delivered, newly_full_acked
+        segments = self.segments
+        pipe = self._pipe
         for seq in range(self.snd_una, cumulative_ack):
-            state = self.segments.get(seq)
+            state = segments.get(seq)
             if state is None:
                 # Segment was never sent (should not happen for a valid ACK)
                 # but tolerate it so a buggy receiver cannot wedge the sender.
                 continue
-            if not state.acked:
-                newly_full_acked.append(state)
-                if not state.sacked:
-                    newly_delivered.append(state)
-            self._mark_delivered(state)
+            newly_full_acked.append(state)
+            if not state.sacked:
+                newly_delivered.append(state)
+                if state.outstanding:
+                    state.outstanding = False
+                    pipe -= 1
+                state.lost = False
             state.acked = True
-        old_snd_una = self.snd_una
+        self._pipe = pipe
         self.snd_una = cumulative_ack
-        # Drop cum-acked entries from the SACK index.
-        if self._sacked_sorted:
-            cut = bisect.bisect_left(self._sacked_sorted, cumulative_ack)
-            self._sacked_sorted = self._sacked_sorted[cut:]
-        if self._lost_unsent:
-            cut = bisect.bisect_left(self._lost_unsent, cumulative_ack)
-            self._lost_unsent = self._lost_unsent[cut:]
+        # Everything below the cumulative ACK leaves every index in one cut.
+        for index in (self._first_tx, self._retx, self._lost_unsent):
+            if index and index[0] < cumulative_ack:
+                del index[: bisect.bisect_left(index, cumulative_ack)]
+        starts, ends = self._sack_starts, self._sack_ends
+        if starts and starts[0] < cumulative_ack:
+            cut = bisect.bisect_right(ends, cumulative_ack)
+            del starts[:cut], ends[:cut]
+            if starts and starts[0] < cumulative_ack:
+                starts[0] = cumulative_ack
         return newly_delivered, newly_full_acked
 
     def apply_sack_blocks(
@@ -165,84 +190,69 @@ class SackScoreboard:
     ) -> List[SegmentState]:
         """Mark segments covered by ``blocks`` as SACKed; return newly SACKed states.
 
-        SACK blocks re-report the same ranges on every ACK, so the walk skips
-        contiguous runs of already-SACKed sequence numbers via the sorted
-        SACK index instead of re-checking each segment's flags; per ACK this
-        costs O(log n + newly sacked) rather than O(block width).
+        The walk visits only the gaps between the SACKed ranges, so a block
+        costs O(log n + newly SACKed).  Sent seqs above ``snd_una`` are
+        contiguous, so a block reaching past the highest sent seq (a
+        misbehaving receiver) is cut there.
         """
         newly_sacked: List[SegmentState] = []
-        sacked_sorted = self._sacked_sorted
+        starts, ends = self._sack_starts, self._sack_ends
         segments = self.segments
         snd_una = self.snd_una
+        pipe = self._pipe
+        latest = self._latest_sacked_send
         for block in blocks:
             seq = block.start if block.start > snd_una else snd_una
             end = block.end
-            if seq >= end:
-                continue
-            index = bisect.bisect_left(sacked_sorted, seq)
+            k = bisect.bisect_right(starts, seq)  # ranges [:k] start at or below seq
+            if k and ends[k - 1] >= end or seq >= end:
+                continue  # re-reported (already covered), or below snd_una
+            if k and ends[k - 1] > seq:
+                seq = ends[k - 1]
+            low = seq
             while seq < end:
-                # Skip the contiguous run of already-SACKed seqs starting at
-                # `index` in one binary search: within a run, value minus
-                # position is constant (the list is sorted and duplicate-free),
-                # so find the first position where that invariant breaks.
-                run_key = seq - index
-                lo, hi = index, len(sacked_sorted)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if sacked_sorted[mid] - mid == run_key:
-                        lo = mid + 1
+                stop = starts[k] if k < len(starts) and starts[k] < end else end
+                while seq < stop:
+                    state = segments.get(seq)
+                    if state is None:
+                        stop = end = seq  # never sent
+                        break
+                    if state.outstanding:
+                        state.outstanding = False
+                        pipe -= 1
+                        _discard(self._retx if state.transmissions > 1 else self._first_tx, seq)
                     else:
-                        hi = mid
-                seq += lo - index
-                index = lo
-                if seq >= end:
-                    break
-                state = segments.get(seq)
-                if state is None or state.sacked or state.acked:
+                        state.lost = False
+                        _discard(self._lost_unsent, seq)
+                    sent = state.last_sent_time
+                    if state.transmissions > 1 and now is not None:
+                        # Delivered sooner after the latest retransmission than
+                        # a round trip allows means an earlier copy arrived: that
+                        # retransmission was spurious (the Fig. 4c situation).
+                        self.spurious_retransmissions += now - sent < self.spurious_rtt_floor
+                    state.sacked = True
+                    if sent > latest:
+                        latest = sent
+                    newly_sacked.append(state)
                     seq += 1
-                    continue
-                if (
-                    state.transmissions > 1
-                    and now is not None
-                    and state.last_sent_time is not None
-                    and now - state.last_sent_time < self.spurious_rtt_floor
-                ):
-                    # The delivery arrived sooner after the latest
-                    # retransmission than a full round trip allows, so it must
-                    # acknowledge an earlier copy: that retransmission was
-                    # spurious (the Fig. 4c situation).
-                    self.spurious_retransmissions += 1
-                self._mark_delivered(state)
-                state.sacked = True
-                self._detect_dirty = True
-                newly_sacked.append(state)
-                sacked_sorted.insert(index, seq)
-                index += 1
-                if state.last_sent_time is not None:
-                    if state.last_sent_time > self._latest_sacked_send:
-                        self._latest_sacked_send = state.last_sent_time
-                if seq > self.high_sacked:
-                    self.high_sacked = seq
-                seq += 1
+                if stop < end:
+                    seq = ends[k]
+                    k += 1
+            if low < seq:
+                # [low, seq) is all SACKed now: fold it and every range it
+                # overlaps or touches into one.
+                i = bisect.bisect_left(ends, low)
+                j = bisect.bisect_right(starts, seq)
+                if i < j:
+                    low = min(low, starts[i])
+                    seq = max(seq, ends[j - 1])
+                starts[i:j] = [low]
+                ends[i:j] = [seq]
+        if newly_sacked:
+            self._pipe = pipe
+            self._latest_sacked_send = latest
+            self._detect_dirty = True
         return newly_sacked
-
-    def _mark_delivered(self, state: SegmentState) -> None:
-        seq = state.seq
-        if state.outstanding and not (state.acked or state.sacked):
-            self._pipe -= 1
-        state.outstanding = False
-        if state.lost:
-            state.lost = False
-            self._remove_lost_unsent(seq)
-        self._undelivered.discard(seq)
-        if seq in self._candidate_set:
-            self._candidate_set.discard(seq)
-            candidates = self._candidates_sorted
-            # A cumulative ACK delivers the lowest candidate: no search.
-            if candidates[0] == seq:
-                del candidates[0]
-            else:
-                del candidates[bisect.bisect_left(candidates, seq)]
 
     # ------------------------------------------------------------------ #
     # Loss detection
@@ -258,63 +268,59 @@ class SackScoreboard:
         matches NS3 / pre-RACK Linux, where a lost retransmission waits for
         the RTO (the behaviour the paper's findings depend on).
         """
-        newly_lost: List[SegmentState] = []
         if not self._detect_dirty:
-            return newly_lost
+            return []
         self._detect_dirty = False
-        sacked_sorted = self._sacked_sorted
-        if self.high_sacked < 0 or len(sacked_sorted) < self.dupthresh:
-            # Fewer than dupthresh SACKed segments exist, so no segment can
-            # have dupthresh SACKs above it.
-            return newly_lost
-        # ``dupthresh`` SACKs lie above seq exactly when seq is below the
-        # dupthresh-th largest SACKed seq (no candidate is itself SACKed),
-        # and that count only shrinks as seq grows — so the sorted candidate
-        # walk stops at a single precomputed cutoff.
-        cutoff = sacked_sorted[-self.dupthresh]
-        candidates = self._candidates_sorted
-        index = 0
-        while index < len(candidates):
-            seq = candidates[index]
-            if seq >= cutoff:
+        # ``dupthresh`` SACKs lie above an un-SACKed seq exactly when it is
+        # below the dupthresh-th largest SACKed seq: walk back to that one.
+        starts, ends = self._sack_starts, self._sack_ends
+        need = self.dupthresh
+        index = len(ends)
+        while True:
+            if not index:
+                return []  # fewer than dupthresh SACKed segments
+            index -= 1
+            width = ends[index] - starts[index]
+            if width >= need:
                 break
-            state = self.segments[seq]
-            if state.transmissions > 1:
-                if not self.redetect_lost_retransmissions:
-                    index += 1
-                    continue
-                if self._latest_sacked_send <= (state.last_sent_time or 0.0) + 1e-12:
-                    index += 1
-                    continue
-            # The next candidate slides into this index, so it is not advanced.
-            del candidates[index]
-            self._mark_lost(state)
-            newly_lost.append(state)
-        return newly_lost
+            need -= width
+        cutoff = ends[index] - need
+        first_tx = self._first_tx
+        cut = bisect.bisect_left(first_tx, cutoff)
+        lost = first_tx[:cut]
+        del first_tx[:cut]
+        if self.redetect_lost_retransmissions:
+            retx = self._retx
+            cut = bisect.bisect_left(retx, cutoff)
+            latest = self._latest_sacked_send
+            keep: List[int] = []
+            for seq in retx[:cut]:
+                if latest <= self.segments[seq].last_sent_time + 1e-12:
+                    keep.append(seq)
+                else:
+                    lost.append(seq)
+            retx[:cut] = keep
+            lost.sort()
+        return self._mark_lost(lost)
 
     def mark_all_outstanding_lost(self) -> List[SegmentState]:
         """RTO behaviour: every sent, un-delivered segment is presumed lost."""
-        candidates = self._candidates_sorted
-        cut = bisect.bisect_left(candidates, self.snd_una)
-        newly_lost = [self.segments[seq] for seq in candidates[cut:]]
-        del candidates[cut:]
+        lost = sorted(self._first_tx + self._retx)
+        del self._first_tx[:], self._retx[:]
+        return self._mark_lost(lost)
+
+    def _mark_lost(self, seqs: List[int]) -> List[SegmentState]:
+        """Mark outstanding ``seqs`` (ascending, already off their index) lost."""
+        if not seqs:
+            return []
+        newly_lost = [self.segments[seq] for seq in seqs]
         for state in newly_lost:
-            self._mark_lost(state)
+            state.outstanding = False
+            state.lost = True
+        self._pipe -= len(seqs)
+        self._lost_unsent.extend(seqs)
+        self._lost_unsent.sort()
         return newly_lost
-
-    def _mark_lost(self, state: SegmentState) -> None:
-        """Mark a candidate lost; the caller takes it off ``_candidates_sorted``."""
-        if state.outstanding:
-            self._pipe -= 1
-        state.outstanding = False
-        state.lost = True
-        bisect.insort(self._lost_unsent, state.seq)
-        self._candidate_set.discard(state.seq)
-
-    def _remove_lost_unsent(self, seq: int) -> None:
-        index = bisect.bisect_left(self._lost_unsent, seq)
-        if index < len(self._lost_unsent) and self._lost_unsent[index] == seq:
-            self._lost_unsent.pop(index)
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -322,29 +328,18 @@ class SackScoreboard:
 
     def next_lost_segment(self) -> Optional[int]:
         """Lowest segment marked lost and not currently outstanding."""
-        while self._lost_unsent:
-            seq = self._lost_unsent[0]
-            state = self.segments.get(seq)
-            if state is None or state.delivered or not state.lost or state.outstanding:
-                self._lost_unsent.pop(0)
-                continue
-            return seq
-        return None
+        return self._lost_unsent[0] if self._lost_unsent else None
 
     def pipe(self) -> int:
         """Packets believed to be in flight (RFC 6675 ``pipe`` analogue)."""
         return self._pipe
 
     def has_unacked_data(self) -> bool:
-        return bool(self._undelivered)
+        """Whether any sent segment is undelivered: outstanding or lost."""
+        return self._pipe > 0 or bool(self._lost_unsent)
 
     def purge_acked(self, keep_below: int = 0) -> None:
         """Drop fully acknowledged segments below ``snd_una`` to bound memory."""
-        threshold = max(0, self.snd_una - keep_below)
-        stale = [
-            seq
-            for seq, state in self.segments.items()
-            if seq < threshold and state.delivered and seq not in self._undelivered
-        ]
-        for seq in stale:
+        threshold = self.snd_una - keep_below
+        for seq in [seq for seq in self.segments if seq < threshold]:
             del self.segments[seq]

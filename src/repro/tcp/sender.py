@@ -271,7 +271,7 @@ class TcpSender:
     # ------------------------------------------------------------------ #
 
     def _rearm_rto(self, now: float) -> None:
-        if self.scoreboard._undelivered:
+        if self.scoreboard.has_unacked_data():
             self._rto_timer.arm(now + self.rtt_estimator.rto)
         else:
             self._rto_timer.disarm()

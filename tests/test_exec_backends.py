@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import os
 import pickle
 
 import pytest
@@ -141,6 +142,15 @@ class TestCreateBackend:
             create_backend("process", workers=workers)
         with pytest.raises(ValueError, match="workers"):
             ProcessPoolBackend(workers=workers)
+
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        # Pinned to one CPU of four (``taskset -c 0``), the default pool must
+        # not put four workers on it.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert ProcessPoolBackend().workers == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert ProcessPoolBackend().workers == 4
 
     def test_process_chunking_covers_batch(self):
         # The per-worker prefetch is derived, never set: ceil(n / 4·workers).

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from repro.netsim.engine import EventScheduler
-from repro.netsim.packet import CCA_FLOW, Packet
+from repro.netsim.packet import CCA_FLOW, Packet, SackBlock
 from repro.tcp.receiver import TcpReceiver
 
 
@@ -110,3 +111,122 @@ class TestOutOfOrderDelivery:
         receiver.on_segment(segment(0))      # fill it
         assert acks[-1].cumulative_ack == 2
         assert acks[-1].sack_blocks == ()
+
+
+# --------------------------------------------------------------------------- #
+# Oracle: TcpReceiver against the rebuild-every-block receiver
+# --------------------------------------------------------------------------- #
+
+
+class ReferenceReceiver(TcpReceiver):
+    """What ``TcpReceiver``'s block upkeep claims to be equivalent to: every
+    out-of-order arrival rebuilds the list around the merged block, and every
+    in-order arrival re-clips every block to ``rcv_next``."""
+
+    def on_segment(self, packet: Packet) -> None:
+        now, seq = self.scheduler.now, packet.seq
+        if seq < self.rcv_next or seq in self._out_of_order:
+            self._emit_ack(now)
+        elif seq == self.rcv_next:
+            self.rcv_next += 1
+            while self.rcv_next in self._out_of_order:
+                self._out_of_order.discard(self.rcv_next)
+                self.rcv_next += 1
+            self._prune_sack_blocks()
+            self._pending_segments += 1
+            if not self.delayed_ack or self._pending_segments >= 2 or self._out_of_order:
+                self._emit_ack(now)
+            else:
+                self._arm_delack(now)
+        else:
+            self._out_of_order.add(seq)
+            self._record_sack_block(seq)
+            self._emit_ack(now)
+
+    def _record_sack_block(self, seq: int) -> None:
+        start, end, remaining = seq, seq + 1, []
+        for block in self._recent_blocks:
+            if block.end >= start and block.start <= end:
+                start, end = min(start, block.start), max(end, block.end)
+            else:
+                remaining.append(block)
+        self._recent_blocks = [SackBlock(start, end)] + remaining
+
+    def _prune_sack_blocks(self) -> None:
+        self._recent_blocks = [
+            SackBlock(max(block.start, self.rcv_next), block.end)
+            for block in self._recent_blocks
+            if block.end > self.rcv_next
+        ]
+
+
+class GrowsNewestWithoutJoinReceiver(TcpReceiver):
+    """Seeded bug: the fast path grows the newest block without checking
+    whether ``seq + 1`` is buffered too, so two blocks it joins stay apart."""
+
+    def _record_sack_block(self, seq: int) -> None:
+        blocks = self._recent_blocks
+        if seq - 1 in self._out_of_order and blocks[0].end == seq:
+            blocks[0] = SackBlock(blocks[0].start, seq + 1)
+        else:
+            super()._record_sack_block(seq)
+
+
+@st.composite
+def arrivals(draw):
+    """Seqs 0-40 reordered by a random jitter, a few never arriving (gaps that
+    never fill) and a few arriving twice, each after a delay long enough or
+    not for the delayed-ACK timer to fire."""
+    jitter = draw(st.lists(st.integers(0, 12), min_size=41, max_size=41))
+    dropped = draw(st.sets(st.integers(0, 40), max_size=4))
+    order = sorted(range(41), key=lambda seq: seq + jitter[seq])
+    seqs = [seq for seq in order if seq not in dropped]
+    repeats = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=6))
+    for position, seq in repeats:
+        seqs.insert(position, seq)
+    delays = draw(
+        st.lists(st.sampled_from([0.0, 0.01, 0.05]), min_size=len(seqs), max_size=len(seqs))
+    )
+    return list(zip(seqs, delays))
+
+
+PROGRAM = st.tuples(arrivals(), st.booleans())
+
+
+def run_arrivals(receiver_class, program):
+    """Every ACK emitted as ``(cumulative_ack, blocks, ack_count)``, and the
+    receiver's ``sack_blocks`` after each arrival."""
+    schedule, delayed_ack = program
+    scheduler = EventScheduler()
+    acks = []
+    receiver = receiver_class(scheduler, send_ack=acks.append, delayed_ack=delayed_ack)
+    blocks_after = []
+    now = 0.0
+    for seq, delay in schedule:
+        now += delay
+        scheduler.run(until=now)
+        receiver.on_segment(segment(seq))
+        blocks_after.append(receiver.sack_blocks)
+    scheduler.run(until=now + 1.0)
+    emitted = [(ack.cumulative_ack, ack.sack_blocks, ack.ack_count) for ack in acks]
+    return emitted, blocks_after
+
+
+@settings(max_examples=300, deadline=None)
+@given(program=PROGRAM)
+def test_receiver_matches_rebuild_every_block_reference(program):
+    """Reordered, gapped and duplicated arrivals, delayed ACK on and off: the
+    same ACKs (SACK blocks in recency order included) and the same block list
+    after every arrival."""
+    assert run_arrivals(TcpReceiver, program) == run_arrivals(ReferenceReceiver, program)
+
+
+def test_reference_property_catches_a_seeded_join_bug():
+    find(
+        PROGRAM,
+        lambda program: run_arrivals(GrowsNewestWithoutJoinReceiver, program)
+        != run_arrivals(ReferenceReceiver, program),
+        settings=settings(
+            max_examples=2000, derandomize=True, database=None, phases=(Phase.generate,)
+        ),
+    )
