@@ -4,15 +4,15 @@ The paper's trace was found by traffic fuzzing; this benchmark replays the
 trace structure the search converges to (intense bursts spaced roughly one
 minimum-RTO apart) and regenerates the figure's series: the BBR flow's
 ingress/egress rates and the cross-traffic rate over time.  The asserted
-shape: BBR's throughput collapses far below both the link rate and what the
-cross traffic alone would explain, and its bandwidth estimate is wrecked.
+shape is the ``bbr-stall`` finding (:mod:`repro.analysis.findings`): it holds
+on the attacked run and not on the clean one.
 """
 
 from __future__ import annotations
 
 from conftest import print_rows, print_series, run_once
 
-from repro.analysis import bbr_bug_evidence
+from repro.analysis import bbr_bug_evidence, findings_of
 from repro.attacks import bbr_stall_traffic_trace
 from repro.netsim import CCA_FLOW, CROSS_FLOW, SimulationConfig, run_simulation
 from repro.tcp import Bbr
@@ -72,14 +72,5 @@ def test_fig4a_bbr_traffic_stall(benchmark):
     )
     print_rows("Fig 4a mechanism evidence", [evidence.as_dict()])
 
-    # Shape assertions: the adversarial trace costs BBR most of the link even
-    # though the cross traffic itself uses well under half of it, and the
-    # degradation persists in the final seconds (the flow is "stuck").
-    assert clean.throughput_mbps() > 10.0
-    assert attacked.throughput_mbps() < 0.6 * clean.throughput_mbps()
-    assert tail_mbps < 0.35 * clean.throughput_mbps()
-    assert cross_rate < 0.5 * attacked.config.bottleneck_rate_mbps
-    assert evidence.rto_count >= 1
-    assert evidence.spurious_retransmissions > 0
-    assert evidence.premature_round_ends >= 10
-    assert evidence.final_bandwidth_estimate_pps < 500
+    assert "bbr-stall" in findings_of(attacked, trace)
+    assert findings_of(clean) == []

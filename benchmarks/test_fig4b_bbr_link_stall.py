@@ -4,14 +4,15 @@ Link fuzzing controls when the bottleneck serves packets while keeping the
 average rate fixed at 12 Mbps.  The trace replayed here has the structure the
 search converges to: service outages that cover a retransmission timeout,
 with catch-up bursts preserving the packet budget.  The figure's series is
-BBR's ingress/egress rate against the link's available rate.
+BBR's ingress/egress rate against the link's available rate; the asserted
+shape is the same ``bbr-stall`` rule as Fig. 4a's, on the link trace.
 """
 
 from __future__ import annotations
 
 from conftest import print_rows, print_series, run_once
 
-from repro.analysis import bbr_bug_evidence
+from repro.analysis import bbr_bug_evidence, findings_of
 from repro.attacks import bbr_stall_link_trace
 from repro.netsim import CCA_FLOW, SimulationConfig, run_simulation
 from repro.tcp import Bbr
@@ -49,15 +50,5 @@ def test_fig4b_bbr_link_stall(benchmark):
     )
     print_rows("Fig 4b mechanism evidence", [evidence.as_dict()])
 
-    # The trace still offers the full 12 Mbps on average (link-fuzzing
-    # invariant), yet BBR delivers far less, and the loss is not explained by
-    # the outages alone (which remove well under half the service time).
-    assert trace.average_rate_mbps > 11.5
-    assert attacked.throughput_mbps() < 0.75 * clean.throughput_mbps()
-    assert evidence.rto_count >= 1
-    # In link mode the estimate collapse comes from delivery-gap-poisoned
-    # samples ending rounds prematurely (spurious retransmissions are not
-    # always required), so the asserted footprint is the round churn plus the
-    # collapsed bandwidth estimate.
-    assert evidence.premature_round_ends >= 10
-    assert evidence.final_bandwidth_estimate_pps < 500
+    assert findings_of(attacked, trace) == ["bbr-stall"]
+    assert findings_of(clean) == []

@@ -57,22 +57,20 @@ def test_fig4c_bbr_stall_mechanism(benchmark):
         ],
     )
 
-    # The chain of Fig. 4c, step by step:
-    # 1. the double loss forces at least one retransmission timeout,
-    assert default_evidence.rto_count >= 1
+    # The chain of Fig. 4c, step by step, against the clean run (which already
+    # sees one RTO, and its spurious retransmissions and premature round
+    # ends, during the startup overshoot on this shallow buffer):
+    # 1. the double loss forces an extra retransmission timeout,
+    assert default_evidence.rto_count > clean_evidence.rto_count
     # 2. the RTO causes spurious retransmissions of segments whose SACKs were
     #    still in flight,
-    assert default_evidence.spurious_retransmissions > 0
-    # 3. those rewritten prior_delivered stamps end probing rounds prematurely
-    #    often enough to churn through the whole 10-round max filter,
-    assert default_evidence.premature_round_ends >= 10
-    # 4. and the footprint is far beyond the clean-run baseline (which may see
-    #    a single RTO during the startup overshoot on this shallow buffer).
-    assert (
-        default_evidence.premature_round_ends
-        >= clean_evidence.premature_round_ends + 10
-    )
     assert (
         default_evidence.spurious_retransmissions
         >= clean_evidence.spurious_retransmissions + 10
+    )
+    # 3. and those rewritten prior_delivered stamps end probing rounds
+    #    prematurely often enough to churn through the 10-round max filter.
+    assert (
+        default_evidence.premature_round_ends
+        >= clean_evidence.premature_round_ends + 10
     )

@@ -46,7 +46,6 @@ from .scoring import (
     MinimalTrafficScore,
     RealismScorer,
     ScoreFunction,
-    StallScore,
 )
 from .tcp import Bbr, Cubic, Reno
 from .traces import (
@@ -93,7 +92,6 @@ __all__ = [
     "SerialBackend",
     "SimulationConfig",
     "SimulationResult",
-    "StallScore",
     "TraceCache",
     "TrafficTrace",
     "TrafficTraceGenerator",

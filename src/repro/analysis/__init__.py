@@ -1,34 +1,27 @@
-"""Analysis utilities: metrics, queueing analysis, stall timelines, reporting."""
+"""Analysis utilities: metrics, queueing analysis, stall timelines, findings, reporting."""
 
+from .findings import FINDINGS, findings_of, verdict_table
 from .metrics import FlowMetrics, compute_metrics, goodput_mbps
 from .queueing import max_queue_depth, queue_depth_series, time_above_delay
 from .reporting import (
     ascii_chart,
     format_campaign_summary,
-    format_comparison,
     format_generation_progress,
     format_table,
     format_triage_report,
 )
-from .timeline import (
-    BbrBugEvidence,
-    StallPeriod,
-    bbr_bug_evidence,
-    describe_bug_timeline,
-    extract_stall_periods,
-)
+from .timeline import BbrBugEvidence, bbr_bug_evidence, describe_bug_timeline
 
 __all__ = [
     "BbrBugEvidence",
+    "FINDINGS",
     "FlowMetrics",
-    "StallPeriod",
     "ascii_chart",
     "bbr_bug_evidence",
     "compute_metrics",
     "describe_bug_timeline",
-    "extract_stall_periods",
+    "findings_of",
     "format_campaign_summary",
-    "format_comparison",
     "format_generation_progress",
     "format_table",
     "format_triage_report",
@@ -36,4 +29,5 @@ __all__ = [
     "max_queue_depth",
     "queue_depth_series",
     "time_above_delay",
+    "verdict_table",
 ]

@@ -79,18 +79,6 @@ def ascii_chart(
     return "\n".join(lines)
 
 
-def format_comparison(
-    label_a: str,
-    value_a: float,
-    label_b: str,
-    value_b: float,
-    metric: str,
-) -> str:
-    """One-line comparison such as "reno vs attack: 11.2 -> 0.8 Mbps (14.0x)"."""
-    ratio = value_a / value_b if value_b else float("inf")
-    return f"{metric}: {label_a}={value_a:.3f} {label_b}={value_b:.3f} (ratio {ratio:.2f}x)"
-
-
 def format_campaign_summary(
     scenario_rows: Sequence[Dict[str, object]],
     corpus_stats: Optional[Dict[str, object]] = None,

@@ -15,22 +15,10 @@ evidence of that mechanism from a finished run:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from ..netsim.packet import CCA_FLOW
 from ..netsim.simulation import SimulationResult
-
-
-@dataclass
-class StallPeriod:
-    """An interval during which no CCA packet left the bottleneck."""
-
-    start: float
-    end: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 @dataclass
@@ -44,45 +32,27 @@ class BbrBugEvidence:
     peak_bandwidth_estimate_pps: float
     longest_stall_s: float
     throughput_mbps: float
-    stalled: bool
 
     def as_dict(self) -> Dict[str, object]:
         return dict(self.__dict__)
 
 
-def extract_stall_periods(
-    result: SimulationResult, min_gap: float = 0.25, flow: str = CCA_FLOW
-) -> List[StallPeriod]:
-    """All delivery gaps of ``flow`` longer than ``min_gap`` seconds."""
-    times = result.monitor.egress_times(flow)
-    periods: List[StallPeriod] = []
-    previous = 0.0
-    for t in times:
-        if t - previous >= min_gap:
-            periods.append(StallPeriod(start=previous, end=t))
-        previous = t
-    if result.duration - previous >= min_gap:
-        periods.append(StallPeriod(start=previous, end=result.duration))
-    return periods
-
-
-def bbr_bug_evidence(result: SimulationResult, stall_threshold_s: float = 1.0) -> BbrBugEvidence:
-    """Summarise the evidence that the run hit the section-4.1 stall.
+def bbr_bug_evidence(result: SimulationResult) -> BbrBugEvidence:
+    """Summarise the evidence of the section-4.1 stall in one run (whether it
+    amounts to the stall is :mod:`.findings`' ``bbr-stall`` rule).
 
     The bandwidth estimate's peak and final values are BBR's ``peak_btlbw``
     and ``btlbw`` diagnostics (0 for a CCA that keeps no estimate).
     """
     diag = result.cca_diagnostics
-    longest_stall = result.monitor.max_egress_gap(CCA_FLOW, result.duration)
     return BbrBugEvidence(
         rto_count=result.sender_stats.rto_count,
         spurious_retransmissions=result.sender_stats.spurious_retransmissions,
         premature_round_ends=int(diag.get("premature_round_ends", 0)),
         final_bandwidth_estimate_pps=float(diag.get("btlbw", 0.0)),
         peak_bandwidth_estimate_pps=float(diag.get("peak_btlbw", 0.0)),
-        longest_stall_s=longest_stall,
+        longest_stall_s=result.monitor.max_egress_gap(CCA_FLOW, result.duration),
         throughput_mbps=result.throughput_mbps(),
-        stalled=longest_stall >= stall_threshold_s,
     )
 
 
@@ -97,8 +67,7 @@ def describe_bug_timeline(evidence: BbrBugEvidence) -> str:
         f"{evidence.premature_round_ends}",
         f"  4. bandwidth estimate collapsed from {evidence.peak_bandwidth_estimate_pps:.0f} "
         f"to {evidence.final_bandwidth_estimate_pps:.0f} packets/s",
-        f"  5. longest delivery stall: {evidence.longest_stall_s:.2f} s "
-        f"({'stalled' if evidence.stalled else 'not stalled'})",
+        f"  5. longest delivery stall: {evidence.longest_stall_s:.2f} s",
         f"  resulting throughput: {evidence.throughput_mbps:.2f} Mbps",
     ]
     return "\n".join(lines)

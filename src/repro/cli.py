@@ -116,13 +116,14 @@ _TRACE_GENERATORS = {
 # --------------------------------------------------------------------------- #
 
 
-def _int_at_least(minimum: int, flag: str) -> Callable[[str], int]:
-    """argparse ``type=``: an integer no smaller than ``minimum``."""
+def _int_at_least(minimum: int, flag: str, maximum: Optional[int] = None) -> Callable[[str], int]:
+    """argparse ``type=``: an integer no smaller than ``minimum`` (nor above ``maximum``)."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"{flag} must be at least {minimum}, got {value}")
+        if value < minimum or (maximum is not None and value > maximum):
+            bound = f"at least {minimum}" if maximum is None else f"in {minimum}..{maximum}"
+            raise argparse.ArgumentTypeError(f"{flag} must be {bound}, got {value}")
         return value
 
     parse.__name__ = "int"  # what argparse calls the type in "invalid int value"
@@ -221,7 +222,7 @@ def _add_serve_options(parser: _Parser) -> None:
         "corpus", help="corpus directory to mount (read-only; safe on a live campaign)",
     )
     parser.add_argument("--host", default="127.0.0.1", help="interface to bind")
-    parser.add_argument("--port", type=int, default=8642,
+    parser.add_argument("--port", type=_int_at_least(0, "--port", 65535), default=8642,
                         help="port to bind (0 = pick a free port)")
     _add_pool_options(parser)
     parser.add_argument("--http-log", action="store_true",
@@ -371,7 +372,9 @@ def _simulate(args: _Args, parser: _Parser, console: Console) -> None:
 
 
 def _trace_generate(args: _Args, parser: _Parser, console: Console) -> None:
-    trace = _TRACE_GENERATORS[args.mode](args).generate()
+    with _usage_errors(parser):
+        generator = _TRACE_GENERATORS[args.mode](args)
+    trace = generator.generate()
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(trace.to_json())
     console.info(
@@ -925,7 +928,7 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
         _trace_inspect, commands, "inspect", help="summarise an existing trace file"
     ) as cmd:
         cmd.add_argument("path")
-        cmd.add_argument("--window", type=float, default=0.25)
+        cmd.add_argument("--window", type=_positive_float("--window"), default=0.25)
     return _dispatch(parser, argv)
 
 
@@ -1122,7 +1125,7 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
             help="worker processes to spawn (0 = run everything inline in this process)",
         )
         cmd.add_argument(
-            "--poll", type=float, default=DEFAULT_POLL_S,
+            "--poll", type=_positive_float("--poll"), default=DEFAULT_POLL_S,
             help="seconds an idle worker waits between lease-claim attempts",
         )
         _add_launch_options(cmd)

@@ -25,10 +25,10 @@ from ..traces.trace import PacketTrace
 def stable_state(obj, depth: int) -> str:
     """Deterministic textual state of a configuration object (no addresses).
 
-    Recurses through scalar attributes and list/tuple containers (covering
-    ``CompositeScore.components``); deeper nested objects degrade to their
-    class name, which keeps the output stable across processes at the cost
-    of not distinguishing exotic deeply-nested configurations.  Also used by
+    Recurses through scalar attributes and list/tuple containers; deeper
+    nested objects degrade to their class name, which keeps the output
+    stable across processes at the cost of not distinguishing exotic
+    deeply-nested configurations.  Also used by
     :func:`repro.exec.cca_identity` to fingerprint CCA variants.
     """
     if isinstance(obj, (bool, int, float, str, type(None))):

@@ -6,8 +6,6 @@ trace** (the genetic algorithm maximises them).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
-
 from ..netsim.packet import CCA_FLOW
 from ..netsim.simulation import SimulationResult
 from .base import PerformanceScore
@@ -77,51 +75,3 @@ class HighLossScore(PerformanceScore):
 
     def __call__(self, result: SimulationResult) -> float:
         return result.loss_rate(CCA_FLOW)
-
-
-class RetransmissionScore(PerformanceScore):
-    """Rewards traces that force many retransmissions (wasted work)."""
-
-    name = "retransmissions"
-
-    def __init__(self, normalise: bool = True) -> None:
-        self.normalise = normalise
-
-    def __call__(self, result: SimulationResult) -> float:
-        retransmissions = result.sender_stats.retransmissions
-        if not self.normalise:
-            return float(retransmissions)
-        sent = max(result.sender_stats.segments_sent, 1)
-        return retransmissions / sent
-
-
-class StallScore(PerformanceScore):
-    """Rewards traces that starve the flow of progress for long stretches.
-
-    Measures the longest interval with no delivered CCA packet, normalised by
-    the run duration.  A permanently stalled BBR scores close to 1.
-    """
-
-    name = "stall"
-
-    def __call__(self, result: SimulationResult) -> float:
-        # The monitor maintains the longest delivery gap incrementally (the
-        # same accumulator backs behavior-signature extraction), so this is
-        # O(1) instead of a rescan of the egress stream.  A flow with no
-        # deliveries stalls for the whole run.
-        duration = result.duration
-        return result.monitor.max_egress_gap(CCA_FLOW, duration) / duration
-
-
-class CompositeScore(PerformanceScore):
-    """Weighted sum of several performance scores."""
-
-    name = "composite"
-
-    def __init__(self, components: Sequence[Tuple[PerformanceScore, float]]) -> None:
-        if not components:
-            raise ValueError("composite score needs at least one component")
-        self.components: List[Tuple[PerformanceScore, float]] = list(components)
-
-    def __call__(self, result: SimulationResult) -> float:
-        return sum(weight * component(result) for component, weight in self.components)

@@ -33,32 +33,3 @@ class MinimalTrafficScore(TraceScore):
         if result is not None:
             dropped = result.queue_drops.get(CROSS_FLOW, 0)
         return -(self.packet_weight * trace.packet_count + self.drop_weight * dropped)
-
-
-class NullTraceScore(TraceScore):
-    """No trace-level preference (used for link fuzzing by default)."""
-
-    name = "null"
-
-    def __call__(self, trace: PacketTrace, result: Optional[SimulationResult] = None) -> float:
-        return 0.0
-
-
-class SmoothnessScore(TraceScore):
-    """Prefers smoother link traces (an extension aiding interpretability).
-
-    The paper notes that evolved link traces are hard to read even with
-    annealing (section 4.1); this optional trace score adds gentle pressure
-    toward low short-window burstiness.
-    """
-
-    name = "smoothness"
-
-    def __init__(self, window: float = 0.05, weight: float = 1.0) -> None:
-        self.window = window
-        self.weight = weight
-
-    def __call__(self, trace: PacketTrace, result: Optional[SimulationResult] = None) -> float:
-        from ..traces.constraints import burstiness_index
-
-        return -self.weight * burstiness_index(trace, self.window)

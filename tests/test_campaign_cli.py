@@ -13,6 +13,7 @@ from repro.cli import (
     fuzz_main,
     serve_main,
     simulate_main,
+    trace_main,
     triage_main,
 )
 
@@ -403,6 +404,33 @@ class TestRangeUsageErrors:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "error: " in err and message in err
+
+    @pytest.mark.parametrize("main, argv, message", [
+        (trace_main, ["generate", "--output", "t.json", "--mode", "link", "--duration", "0"],
+         "duration must be positive"),
+        (trace_main, ["generate", "--output", "t.json", "--mode", "traffic", "--duration", "-1"],
+         "duration must be positive"),
+        (trace_main, ["generate", "--output", "t.json", "--mode", "traffic", "--max-packets", "0"],
+         "max_packets must be positive"),
+        (trace_main, ["generate", "--output", "t.json", "--mode", "link", "--rate-mbps", "0"],
+         "rate must be positive"),
+        (trace_main, ["inspect", "t.json", "--window", "0"], "--window must be positive, got 0.0"),
+        (serve_main, ["corpus", "--port", "-1"], "--port must be in 0..65535, got -1"),
+        (serve_main, ["corpus", "--port", "70000"], "--port must be in 0..65535, got 70000"),
+        (campaign_main, ["serve", "corpus", "--port", "-1"], "--port must be in 0..65535, got -1"),
+        (campaign_main, ["serve", "corpus", "--port", "70000"],
+         "--port must be in 0..65535, got 70000"),
+        (campaign_main, ["workers", "--spec", "s.json", "--corpus", "c", "--poll", "-1"],
+         "--poll must be positive, got -1.0"),
+    ])
+    def test_ranges_are_usage_errors(self, main, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and message in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSimulateTraceAttackConflict:

@@ -6,17 +6,12 @@ import pytest
 
 from repro.netsim.simulation import SimulationConfig, run_simulation
 from repro.scoring import (
-    CompositeScore,
     HighDelayScore,
     HighLossScore,
     LowUtilizationScore,
     MinimalTrafficScore,
-    NullTraceScore,
-    RetransmissionScore,
     Score,
     ScoreFunction,
-    SmoothnessScore,
-    StallScore,
     WholeRunThroughputScore,
     bottom_fraction_mean,
     percentile,
@@ -88,21 +83,6 @@ class TestPerformanceScores:
         value = HighLossScore()(congested_result)
         assert 0.0 <= value <= 1.0
 
-    def test_retransmission_score_normalised(self, congested_result):
-        assert 0.0 <= RetransmissionScore()(congested_result) <= 1.0
-
-    def test_stall_score_range(self, clean_result):
-        assert 0.0 <= StallScore()(clean_result) <= 1.0
-
-    def test_composite_weighted_sum(self, clean_result):
-        composite = CompositeScore([(LowUtilizationScore(), 1.0), (HighLossScore(), 10.0)])
-        expected = LowUtilizationScore()(clean_result) + 10.0 * HighLossScore()(clean_result)
-        assert composite(clean_result) == pytest.approx(expected)
-
-    def test_composite_requires_components(self):
-        with pytest.raises(ValueError):
-            CompositeScore([])
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             LowUtilizationScore(window=0.0)
@@ -126,16 +106,6 @@ class TestTraceScores:
     def test_minimal_traffic_ignores_link_traces(self):
         link = LinkTrace(timestamps=[0.1] * 100, duration=2.0)
         assert MinimalTrafficScore()(link) == 0.0
-
-    def test_null_score_is_zero(self):
-        trace = TrafficTrace(timestamps=[0.1], duration=2.0, max_packets=10)
-        assert NullTraceScore()(trace) == 0.0
-
-    def test_smoothness_prefers_uniform_link(self):
-        uniform = LinkTrace(timestamps=[i * 0.01 for i in range(200)], duration=2.0)
-        bursty = LinkTrace(timestamps=[1.0 + i * 0.0001 for i in range(200)], duration=2.0)
-        score = SmoothnessScore()
-        assert score(uniform) > score(bursty)
 
 
 class TestScoreFunction:
