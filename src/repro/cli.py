@@ -243,8 +243,10 @@ def _triage_config(args: _Args, parser: _Parser) -> TriageConfig:
         )
 
 
-def _read_trace(path: str) -> PacketTrace:
-    with open(path, "r", encoding="utf-8") as handle:
+def _read_trace(path: str, parser: _Parser) -> PacketTrace:
+    """A trace file; one that is not a trace (bad JSON, fields or values) is
+    a usage error."""
+    with open(path, "r", encoding="utf-8") as handle, _usage_errors(parser):
         return PacketTrace.from_json(handle.read())
 
 
@@ -341,7 +343,7 @@ def _simulate(args: _Args, parser: _Parser, console: Console) -> None:
         )
     trace = None
     if args.trace:
-        trace = _require_typed(_read_trace(args.trace), parser)
+        trace = _require_typed(_read_trace(args.trace, parser), parser)
     elif args.attack != "none":
         trace = builtin_attack_traces(args.duration)[args.attack]
     try:
@@ -384,7 +386,7 @@ def _trace_generate(args: _Args, parser: _Parser, console: Console) -> None:
 
 
 def _trace_inspect(args: _Args, parser: _Parser, console: Console) -> None:
-    trace = _read_trace(args.path)
+    trace = _read_trace(args.path, parser)
     console.result(f"type: {type(trace).__name__}")
     console.result(f"packets: {trace.packet_count}")
     console.result(f"duration: {trace.duration} s")
@@ -419,7 +421,7 @@ def _triage(args: _Args, parser: _Parser, console: Console) -> None:
     objective = args.objective or "throughput"
     sim_config = None
     if args.trace:
-        trace = _read_trace(args.trace)
+        trace = _read_trace(args.trace, parser)
     elif args.corpus:
         if not args.fingerprint:
             parser.error("--corpus needs --fingerprint to pick an entry")

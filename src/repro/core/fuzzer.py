@@ -40,7 +40,7 @@ from ..traces.constraints import may_join_population
 from ..traces.crossover import CROSSOVER_OPERATORS, crossover_traces
 from ..traces.generator import LinkTraceGenerator, LossTraceGenerator, TrafficTraceGenerator
 from ..traces.mutation import mutate_trace
-from ..traces.trace import MODES, PacketTrace
+from ..traces.trace import MODES, PacketTrace, pack_le, unpack_le
 from .annealing import ANNEALED_MODES, anneal_link_trace
 from .convergence import ConvergenceCriterion
 from .islands import IslandModel
@@ -592,7 +592,7 @@ class CCFuzz:
             },
             "generation": generation,
             "converged": converged,
-            "rng_state": [version, list(internal), gauss],
+            "rng_state": [version, pack_le(internal, "I"), gauss],
             "total_evaluations": self.total_evaluations,
             "cache_hits": self.cache_hits,
             "new_cells": self.new_cells,
@@ -648,6 +648,8 @@ class CCFuzz:
                 f"scoring setup: {identity!r} != {mine!r}"
             )
         version, internal, gauss = state["rng_state"]  # type: ignore[misc]
+        if isinstance(internal, str):  # packed; snapshots before that hold a list
+            internal = unpack_le(internal, "I")
         self.rng.setstate((version, tuple(internal), gauss))
         self.total_evaluations = int(state["total_evaluations"])  # type: ignore[arg-type]
         self.cache_hits = int(state["cache_hits"])  # type: ignore[arg-type]

@@ -12,17 +12,47 @@ from those declarations and every other layer asks the trace.
 
 from __future__ import annotations
 
+import base64
 import bisect
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
+
+
+def pack_le(values: Sequence[Any], code: str = "d") -> str:
+    """``values`` as base64 of little-endian ``struct`` items (``"d"`` doubles,
+    ``"I"`` uint32): a number array as one JSON string, which costs no float
+    formatting to write or parse and re-encodes as itself, so a journal
+    line's canonical-bytes check is cheap."""
+    return base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode("ascii")
+
+
+def unpack_le(text: str, code: str = "d") -> List[Any]:
+    """Inverse of :func:`pack_le`; ``ValueError`` on a damaged blob (and
+    ``TypeError`` on a non-string)."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error
+        raise ValueError(f"packed array is not base64: {exc}") from None
+    size = struct.calcsize(f"<{code}")
+    if len(raw) % size:
+        raise ValueError(f"packed array of {len(raw)} bytes is not whole {size}-byte items")
+    return list(struct.unpack(f"<{len(raw) // size}{code}", raw))
 
 
 def _normalise_timestamps(timestamps: Iterable[float], duration: float) -> List[float]:
-    """Sort and clamp timestamps to ``[0, duration]``."""
-    cleaned = sorted(min(max(float(t), 0.0), duration) for t in timestamps)
+    """Sort and clamp timestamps to ``[0, duration]``; reject non-finite ones
+    (one sum finds them, and only finite values far past any duration
+    overflow it, which the exact check then lets through)."""
+    cleaned = list(map(float, timestamps))
+    if not math.isfinite(sum(cleaned)) and not all(map(math.isfinite, cleaned)):
+        raise ValueError("trace timestamps must be finite")
+    if cleaned and (min(cleaned) < 0.0 or max(cleaned) > duration):
+        cleaned = [min(max(t, 0.0), duration) for t in cleaned]
+    cleaned.sort()
     return cleaned
 
 
@@ -48,8 +78,8 @@ class PacketTrace:
     )
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("trace duration must be positive")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError("trace duration must be positive and finite")
         self.timestamps = _normalise_timestamps(self.timestamps, self.duration)
 
     # ------------------------------------------------------------------ #
@@ -157,11 +187,12 @@ class PacketTrace:
     # ------------------------------------------------------------------ #
 
     def to_dict(self) -> Dict[str, object]:
+        """JSON-safe form; the timestamps are :func:`pack_le` doubles."""
         return {
             "type": type(self).__name__,
             "duration": self.duration,
             "mss_bytes": self.mss_bytes,
-            "timestamps": list(self.timestamps),
+            "timestamps_f64le": pack_le(self.timestamps),
             "metadata": dict(self.metadata),
         }
 
@@ -170,16 +201,23 @@ class PacketTrace:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "PacketTrace":
-        trace_type = payload.get("type", cls.__name__)
-        target_cls = _TRACE_TYPES.get(str(trace_type), cls)
-        if target_cls.from_dict.__func__ is not PacketTrace.from_dict.__func__ and target_cls is not cls:
-            return target_cls.from_dict(payload)
-        return target_cls(
-            timestamps=list(payload["timestamps"]),  # type: ignore[arg-type]
-            duration=float(payload["duration"]),  # type: ignore[arg-type]
-            mss_bytes=int(payload.get("mss_bytes", 1500)),  # type: ignore[arg-type]
-            metadata=dict(payload.get("metadata", {})),  # type: ignore[arg-type]
-        )
+        """The one trace reader: :meth:`to_dict`'s form or the older
+        ``timestamps`` list, as the class ``type`` names (else ``cls``).  A
+        missing or mistyped field or a damaged blob is a ``ValueError``."""
+        try:
+            target_cls = _TRACE_TYPES.get(str(payload.get("type", cls.__name__)), cls)
+            packed = payload.get("timestamps_f64le")
+            fields: Dict[str, Any] = {
+                "timestamps": list(payload["timestamps"]) if packed is None else unpack_le(packed),
+                "duration": float(payload["duration"]),  # type: ignore[arg-type]
+                "mss_bytes": int(payload.get("mss_bytes", 1500)),  # type: ignore[arg-type]
+                "metadata": dict(payload.get("metadata", {})),  # type: ignore[arg-type]
+            }
+            if "max_packets" in payload:
+                fields["max_packets"] = payload["max_packets"]
+            return target_cls(**fields)
+        except (AttributeError, KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed trace: {exc!r}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "PacketTrace":
@@ -248,16 +286,6 @@ class TrafficTrace(PacketTrace):
         payload = super().to_dict()
         payload["max_packets"] = self.max_packets
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "TrafficTrace":
-        return TrafficTrace(
-            timestamps=list(payload["timestamps"]),  # type: ignore[arg-type]
-            duration=float(payload["duration"]),  # type: ignore[arg-type]
-            mss_bytes=int(payload.get("mss_bytes", 1500)),  # type: ignore[arg-type]
-            metadata=dict(payload.get("metadata", {})),  # type: ignore[arg-type]
-            max_packets=payload.get("max_packets"),  # type: ignore[arg-type]
-        )
 
 
 class LossTrace(PacketTrace):

@@ -1,9 +1,12 @@
 """Print a corpus's journal bytes per candidate, by record type (markdown).
 
-``python tests/journal_bytes.py <corpus-dir>`` — CI appends the table to the
+``python tests/journal_bytes.py <corpus-dir>`` — CI appends the tables to the
 job summary so "where did the bytes go" is readable per run.  A candidate is
 one scored trace (simulated or cache-served), as ``report.json`` counts them.
-Below the table: read amplification, the journal bytes the campaign's
+A second table splits the ``generation_checkpoint`` bytes by what they hold
+(each part measured as its own canonical JSON; "other" is the rest of the
+line): the place to look for the next durability lever.
+Below the tables: read amplification, the journal bytes the campaign's
 processes parsed (``journal.bytes_scanned`` in the last telemetry snapshot of
 each process that left one) per byte of journal on disk.
 """
@@ -17,7 +20,26 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from repro.journal import CampaignJournal  # noqa: E402
+from repro.journal.events import canonical_json  # noqa: E402
 from repro.obs.sinks import METRICS_FILENAME, read_metrics  # noqa: E402
+
+
+def checkpoint_fields(data: dict) -> dict:
+    """One ``generation_checkpoint``'s bytes by snapshot field."""
+    fuzzer = data.get("fuzzer", {})
+    individuals = [individual for island in fuzzer.get("islands", []) for individual in island]
+
+    def size(value) -> int:
+        return len(canonical_json(value))
+
+    return {
+        "island traces": sum(size(individual.get("trace")) for individual in individuals),
+        "result summaries": sum(size(individual.get("result_summary")) for individual in individuals),
+        "scores": sum(size(individual.get("score")) for individual in individuals),
+        "rng_state": size(fuzzer.get("rng_state")),
+        "history": size(fuzzer.get("history")),
+        "cache ops": size(data.get("cache", {}).get("ops", [])),
+    }
 
 
 def main(corpus_dir: str) -> int:
@@ -25,8 +47,15 @@ def main(corpus_dir: str) -> int:
         report = json.load(handle)
     candidates = report["total_evaluations"] + report["total_cache_hits"]
     by_type: dict = {}
+    by_field: dict = {}
     for record in CampaignJournal(CampaignJournal.corpus_path(corpus_dir)).records():
-        by_type[record.type] = by_type.get(record.type, 0) + len(record.to_line())
+        size = len(record.to_line())
+        by_type[record.type] = by_type.get(record.type, 0) + size
+        if record.type == "generation_checkpoint":
+            fields = checkpoint_fields(record.data)
+            fields["other"] = size - sum(fields.values())
+            for name, part in fields.items():
+                by_field[name] = by_field.get(name, 0) + part
     print(f"### Journal bytes per candidate — `{corpus_dir}` ({candidates} candidates)\n")
     print("| record type | bytes | bytes / candidate |")
     print("|---|---:|---:|")
@@ -34,6 +63,12 @@ def main(corpus_dir: str) -> int:
         print(f"| `{name}` | {size} | {size / candidates:.0f} |")
     total = sum(by_type.values())
     print(f"| **total** | {total} | {total / candidates:.0f} |")
+    checkpoints = by_type.get("generation_checkpoint", 0)
+    if checkpoints:
+        print("\n| `generation_checkpoint` field | bytes | bytes / candidate | share |")
+        print("|---|---:|---:|---:|")
+        for name, size in sorted(by_field.items(), key=lambda item: (-item[1], item[0])):
+            print(f"| {name} | {size} | {size / candidates:.0f} | {size / checkpoints:.1%} |")
     scanned = {}
     for record in read_metrics(os.path.join(corpus_dir, METRICS_FILENAME)):
         if record.get("type") == "metrics":

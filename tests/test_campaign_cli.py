@@ -433,6 +433,56 @@ class TestRangeUsageErrors:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestBadTraceFiles:
+    """A file that is not a trace exits 2 with ``error:`` wherever a trace
+    file is read — never a traceback, and never a simulated NaN."""
+
+    #: name -> (file content, what the error says)
+    FILES = {
+        "negative-duration": (
+            {"type": "TrafficTrace", "duration": -1.0, "timestamps": [0.1]},
+            "trace duration must be positive and finite",
+        ),
+        "missing-duration": ({"type": "TrafficTrace", "timestamps": [0.1]}, "malformed trace"),
+        "list-duration": (
+            {"type": "TrafficTrace", "duration": [1.0], "timestamps": [0.1]}, "malformed trace",
+        ),
+        "nan-duration": (
+            {"type": "TrafficTrace", "duration": float("nan"), "timestamps": [0.1]},
+            "trace duration must be positive and finite",
+        ),
+        "nan-timestamp": (
+            {"type": "TrafficTrace", "duration": 1.0, "timestamps": [0.5, float("nan"), 0.2, 1.0]},
+            "trace timestamps must be finite",
+        ),
+        "bad-base64": (
+            {"type": "TrafficTrace", "duration": 1.0, "timestamps_f64le": "%%%%"}, "not base64",
+        ),
+        "ragged-blob": (
+            {"type": "TrafficTrace", "duration": 1.0, "timestamps_f64le": "AAAA"},
+            "not whole 8-byte items",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FILES))
+    @pytest.mark.parametrize("main, argv", [
+        (simulate_main, ["--cca", "reno", "--duration", "1", "--trace"]),
+        (trace_main, ["inspect"]),
+        (triage_main, ["--cca", "reno", "--skip-minimize", "--skip-robustness",
+                       "--skip-differential", "--trace"]),
+    ], ids=["simulate", "inspect", "triage"])
+    def test_bad_trace_file_is_a_usage_error(self, main, argv, name, tmp_path, capsys):
+        content, message = self.FILES[name]
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(content))
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, str(path)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "error: " in captured.err and message in captured.err
+        assert captured.out == ""
+
+
 class TestSimulateTraceAttackConflict:
     def test_trace_plus_attack_is_an_error(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"

@@ -5,19 +5,23 @@ previous checkpoint*, so its size is bounded by one generation's work however
 long the campaign has run.  (Before op-deltas every checkpoint re-journaled
 the whole cache: on the serial campaign below the last checkpoint held
 generations x population entries and was 4.6x the first.)  A journal in that
-older full-dump layout must still resume — cold, not crash.
+older full-dump layout must still resume — cold, not crash — and one whose
+traces and RNG state are JSON number lists must resume bit-identically.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
 
 import pytest
+from golden_utils import list_timestamps
 
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore, run_fleet
 from repro.core.fuzzer import CCFuzz
+from repro.coverage.archive import BehaviorArchive
 from repro.journal import CampaignJournal
 from repro.scoring.objectives import make_score_function
 from repro.tcp.cca import cca_factory
@@ -25,6 +29,9 @@ from repro.tcp.cca import cca_factory
 POPULATION = 8
 GENERATIONS = 6
 LEGACY_JOURNAL = os.path.join(os.path.dirname(__file__), "legacy_full_dump_journal.jsonl")
+LIST_TIMESTAMPS_JOURNAL = os.path.join(
+    os.path.dirname(__file__), "legacy_list_timestamps_journal.jsonl"
+)
 
 
 def pinned_spec(**overrides) -> CampaignSpec:
@@ -126,3 +133,55 @@ def test_parent_layout_journal_resumes_cold(tmp_path):
         o.best_fingerprint for o in fresh.outcomes
     ]
     assert [o.best_fitness for o in resumed.outcomes] == [o.best_fitness for o in fresh.outcomes]
+
+
+#: What the commit before packed timestamps wrote for the fixture's spec, run
+#: uninterrupted: digest, corpus fingerprints and the behavior map's hash
+#: (``list_timestamps`` spelling, sorted-key JSON, sha256, 16 hex digits).
+LIST_TIMESTAMPS_UNINTERRUPTED = {
+    "digest": "292f987e2a4ee31357cd7ef978133081",
+    "fingerprints": [
+        "454d79f1a61a2c579123dbe77fb1172a", "bc1d1451d8ae629cff2d3939b2d25c2b",
+        "e19ad15f8d137fa49fc8928505b1b840", "f38c1ea6d124fce6411b19aa82be7850",
+    ],
+    "behavior_map": "908812961b32b99e",
+}
+
+
+def _run_outputs(runner: CampaignRunner, corpus_dir) -> dict:
+    result = runner.run()
+    with open(BehaviorArchive.corpus_path(str(corpus_dir)), "r", encoding="utf-8") as handle:
+        behavior_map = list_timestamps(json.load(handle))
+    return {
+        "digest": result.deterministic_digest(),
+        "fingerprints": sorted(runner.corpus.fingerprints()),
+        "behavior_map": hashlib.sha256(
+            json.dumps(behavior_map, sort_keys=True).encode("utf-8")
+        ).hexdigest()[:16],
+    }
+
+
+def test_list_timestamps_journal_resumes_to_the_uninterrupted_run(tmp_path):
+    """A journal written while traces and the RNG state were JSON number lists
+    (a link scenario done, a traffic scenario SIGKILLed after its generation-0
+    checkpoint) resumes to what an uninterrupted run gives, then and now."""
+    corpus_dir = tmp_path / "legacy"
+    corpus_dir.mkdir()
+    shutil.copy(LIST_TIMESTAMPS_JOURNAL, CampaignJournal.corpus_path(str(corpus_dir)))
+    records = CampaignJournal(CampaignJournal.corpus_path(str(corpus_dir))).records()
+    checkpoints = [r.data["fuzzer"] for r in records if r.type == "generation_checkpoint"]
+    inserts = [r.data["entry"]["trace"] for r in records if r.type == "corpus_insert"]
+    assert checkpoints and inserts
+    assert all(isinstance(c["rng_state"][1], list) for c in checkpoints)
+    traces = [i["trace"] for c in checkpoints for island in c["islands"] for i in island] + inserts
+    assert {t["type"] for t in traces} == {"LinkTrace", "TrafficTrace"}
+    assert all("timestamps" in t and "timestamps_f64le" not in t for t in traces)
+
+    resumed = _run_outputs(CampaignRunner.resume(str(corpus_dir), telemetry=False), corpus_dir)
+    spec = CampaignSpec.from_dict(records[0].data["spec"])   # the campaign_start record
+    fresh_dir = tmp_path / "fresh"
+    fresh = _run_outputs(
+        CampaignRunner(spec, CorpusStore(str(fresh_dir)), register_attacks=False, telemetry=False),
+        fresh_dir,
+    )
+    assert resumed == fresh == LIST_TIMESTAMPS_UNINTERRUPTED

@@ -17,6 +17,7 @@ from repro.coverage.archive import BehaviorArchive
 from repro.exec.cache import TraceCache
 from repro.scoring.objectives import make_score_function
 from repro.tcp.cca import cca_factory
+from repro.traces.trace import unpack_le
 
 SCORE = make_score_function("throughput", "traffic")
 
@@ -105,7 +106,10 @@ def test_snapshot_contents_and_schema():
     state = snapshots[0]
     assert state["schema"] == SNAPSHOT_SCHEMA
     version, internal, gauss = state["rng_state"]
-    assert version == 3 and len(internal) == 625
+    # The Mersenne Twister's 625 words, packed as little-endian uint32.
+    words = unpack_le(internal, "I")
+    assert version == 3 and len(words) == 625
+    assert all(0 <= word < 2**32 for word in words) and words[-1] <= 624
     assert len(state["islands"]) == 1
     assert len(state["islands"][0]) == 4
     assert all(ind["score"] is not None for ind in state["islands"][0])

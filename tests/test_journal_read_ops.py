@@ -14,6 +14,7 @@ import json
 import os
 
 import pytest
+from golden_utils import list_timestamps
 
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
 from repro.campaign.worker import run_fleet
@@ -79,7 +80,8 @@ def _sha(payload) -> str:
 #: ``behavior_map`` was re-pinned (from 6e9963fcbba0e2bb) when the signature
 #: ``shape`` became the egress-rate silhouette for series-recording runs too:
 #: 48 cells, each differing from the old map in ``shape`` and the signature
-#: ``fingerprint`` only; digest and corpus are the 62-scan era's.
+#: ``fingerprint`` only; digest and corpus are the 62-scan era's.  The map is
+#: hashed with its traces' timestamps as lists, the spelling it had then.
 PARENT_INLINE_FLEET = {
     "digest": "10698166e616f9387eb05f0c7723c180",
     "corpus": "59a505dbef4d654b",
@@ -100,7 +102,7 @@ def test_inline_fleet_parses_each_journal_byte_at_most_three_times(tmp_path):
     assert {
         "digest": result.deterministic_digest(),
         "corpus": _sha(sorted(CorpusStore(str(tmp_path)).fingerprints())),
-        "behavior_map": _sha(behavior_map),
+        "behavior_map": _sha(list_timestamps(behavior_map)),
     } == PARENT_INLINE_FLEET
 
 

@@ -9,7 +9,9 @@ the failing inputs directly.
 
 from __future__ import annotations
 
+import json
 import random
+import struct
 
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +20,7 @@ from repro.traces import (
     LinkTraceGenerator,
     LossTrace,
     LossTraceGenerator,
+    PacketTrace,
     TrafficTrace,
     TrafficTraceGenerator,
 )
@@ -33,7 +36,7 @@ from repro.traces.mutation import (
     mutate_trace,
     mutate_traffic_trace,
 )
-from repro.traces.trace import MODES
+from repro.traces.trace import MODES, pack_le, unpack_le
 
 DURATION = 2.0
 
@@ -190,3 +193,72 @@ class TestFingerprint:
         assert longer.fingerprint() != base.fingerprint()
         wider = LinkTrace(timestamps=stamps, duration=DURATION, mss_bytes=9000)
         assert wider.fingerprint() != base.fingerprint()
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+@st.composite
+def codec_cases(draw):
+    """A positive finite duration (subnormals included) and timestamps drawn
+    from every finite double, -0.0, subnormals and the duration itself."""
+    duration = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    timestamps = draw(st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(min_value=0.0, max_value=duration),
+            st.floats(min_value=-2.3e-308, max_value=2.3e-308),
+            st.sampled_from([-0.0, 0.0, duration]),
+        ),
+        max_size=40,
+    ))
+    return duration, timestamps
+
+
+def _json_round_trip(payload):
+    return json.loads(json.dumps(payload))
+
+
+class TestCodec:
+    """``to_dict`` packs timestamps as doubles: ``from_dict`` gives back the
+    same bits, class, budget and fingerprint, and the list spelling of files
+    written before the packed form reads to the same trace."""
+
+    @given(case=codec_cases(), spare=st.integers(0, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_is_bit_identical_and_lists_still_read(self, case, spare):
+        duration, timestamps = case
+        for trace in (
+            LinkTrace(timestamps=timestamps, duration=duration),
+            TrafficTrace(timestamps=timestamps, duration=duration,
+                         max_packets=len(timestamps) + spare),
+            LossTrace(timestamps=timestamps, duration=duration, mss_bytes=1200),
+        ):
+            packed = trace.to_dict()
+            assert "timestamps" not in packed
+            assert _bits(unpack_le(packed["timestamps_f64le"])) == _bits(trace.timestamps)
+            legacy = {key: value for key, value in packed.items() if key != "timestamps_f64le"}
+            legacy["timestamps"] = list(trace.timestamps)
+            for payload in (packed, legacy):
+                restored = PacketTrace.from_dict(_json_round_trip(payload))
+                assert type(restored) is type(trace)
+                assert _bits(restored.timestamps) == _bits(trace.timestamps)
+                assert _bits([restored.duration]) == _bits([trace.duration])
+                assert getattr(restored, "max_packets", None) == getattr(trace, "max_packets", None)
+                assert restored.fingerprint() == trace.fingerprint()
+
+    @given(seed=seeds_st, draws=st.integers(0, 700), gauss=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_packed_rng_state_continues_the_stream(self, seed, draws, gauss):
+        rng = random.Random(seed)
+        for _ in range(draws):
+            rng.random()
+        if gauss:
+            rng.gauss(0.0, 1.0)                 # leaves a cached second deviate
+        version, internal, next_gauss = rng.getstate()
+        state = _json_round_trip([version, pack_le(internal, "I"), next_gauss])
+        clone = random.Random()
+        clone.setstate((state[0], tuple(unpack_le(state[1], "I")), state[2]))
+        assert [clone.gauss(0.0, 1.0) for _ in range(3)] == [rng.gauss(0.0, 1.0) for _ in range(3)]
+        assert [clone.random() for _ in range(700)] == [rng.random() for _ in range(700)]

@@ -58,6 +58,36 @@ class TestPacketTrace:
         with pytest.raises(ValueError):
             PacketTrace(timestamps=[], duration=0.0)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="positive and finite"):
+            LinkTrace(timestamps=[0.5], duration=duration)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_timestamp_rejected(self, bad):
+        # A NaN used to survive the clamp and leave the trace unsorted.
+        with pytest.raises(ValueError, match="must be finite"):
+            TrafficTrace(timestamps=[0.5, bad, 0.2, 1.0], duration=1.0)
+        # Huge finite ones overflow the sum that finds ``bad``, and are clamped.
+        trace = LossTrace(timestamps=[1e308, 1e308, 0.5], duration=2.0)
+        assert trace.timestamps == [0.5, 2.0, 2.0]
+
+    @pytest.mark.parametrize("payload", [
+        {"type": "LinkTrace", "timestamps": [0.5]},
+        {"type": "LinkTrace", "duration": 1.0},
+        {"type": "LinkTrace", "duration": [1.0], "timestamps": [0.5]},
+        {"type": "LinkTrace", "duration": 1.0, "timestamps": 5},
+        {"type": "LinkTrace", "duration": 1.0, "timestamps": [0.5], "mss_bytes": None},
+        {"type": "TrafficTrace", "duration": 1.0, "timestamps": [0.5], "max_packets": "4"},
+        {"type": "LinkTrace", "duration": 1.0, "timestamps_f64le": "not base64!"},
+        {"type": "LinkTrace", "duration": 1.0, "timestamps_f64le": "AAAA"},
+        {"type": "LinkTrace", "duration": 1.0, "timestamps_f64le": 12},
+        ["LinkTrace", 1.0],
+    ], ids=lambda payload: json.dumps(payload)[:60])
+    def test_malformed_payload_is_a_value_error(self, payload):
+        with pytest.raises(ValueError):
+            PacketTrace.from_dict(payload)
+
     def test_windowed_counts_cover_duration(self):
         trace = PacketTrace(timestamps=[0.5, 1.5, 1.6, 4.9], duration=5.0)
         counts = dict(trace.windowed_counts(1.0))
