@@ -1,6 +1,6 @@
 """Dashboard tour: attach the read-only HTTP API to a live campaign.
 
-``repro-serve <corpus-dir>`` (or ``repro-campaign serve``) mounts a corpus
+``repro-campaign serve <corpus-dir>`` mounts a corpus
 directory behind a dependency-free HTTP server: a single-file HTML
 dashboard at ``/`` plus JSON endpoints for status, the telemetry stream,
 the corpus index, behavior-map coverage, per-CCA vulnerability rankings and

@@ -25,7 +25,6 @@ setup(
             "repro-campaign = repro.cli:campaign_main",
             "repro-triage = repro.cli:triage_main",
             "repro-coverage = repro.cli:coverage_main",
-            "repro-serve = repro.cli:serve_main",
         ]
     },
 )

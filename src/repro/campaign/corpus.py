@@ -331,23 +331,6 @@ class CorpusReader:
         rows.sort(key=rank)
         return [self.get(fingerprint).trace.copy() for fingerprint, _ in rows[:limit]]
 
-    def behavior_cells(self) -> Dict[str, List[str]]:
-        """Behavior cell -> fingerprints of the entries that landed in it.
-
-        Runs on the index alone (no trace files read); entries without a
-        behavior annotation are omitted.  This is the corpus-side dedupe
-        view: several stored traces sharing a cell are variations of one
-        failure mechanism.
-        """
-        with self._lock:
-            rows = list(self._index.items())
-        cells: Dict[str, List[str]] = {}
-        for fingerprint, row in sorted(rows):
-            cell = row.get("behavior_cell", "")
-            if cell:
-                cells.setdefault(cell, []).append(fingerprint)
-        return cells
-
     def stats(self) -> Dict[str, Any]:
         """Aggregate corpus composition (for reports)."""
         with self._lock:

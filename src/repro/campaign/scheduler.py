@@ -45,7 +45,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Collection, Dict, Iterator, List, Optional, Union
@@ -514,13 +513,7 @@ class CampaignRunner:
         # One behavior archive spans the whole campaign; a pre-existing
         # behavior_map.json next to the corpus is resumed so coverage
         # accumulates across campaigns like the corpus itself does.
-        if archive is not None:
-            self.archive = archive
-        else:
-            map_path = BehaviorArchive.corpus_path(corpus.path)
-            self.archive = (
-                BehaviorArchive.load(map_path) if os.path.exists(map_path) else BehaviorArchive()
-            )
+        self.archive = archive if archive is not None else BehaviorArchive.for_corpus(corpus.path)
         self.register_attacks = register_attacks
         self.harvest_top_k = harvest_top_k
         self._progress = progress or (lambda message: None)

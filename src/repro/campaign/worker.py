@@ -89,7 +89,6 @@ class FleetWorker:
         corpus_dir: str,
         worker_id: str,
         *,
-        ttl: Optional[float] = None,
         poll_s: float = DEFAULT_POLL_S,
         kill_after_checkpoints: Optional[int] = None,
         backend: Optional[EvaluationBackend] = None,
@@ -99,7 +98,6 @@ class FleetWorker:
         self.corpus_dir = str(corpus_dir)
         self.worker_id = worker_id
         self.poll_s = poll_s
-        self._ttl_override = ttl
         #: Crash-injection hook: SIGKILL this process right after the Nth
         #: ``generation_checkpoint`` append (before the heartbeat renew), the
         #: exact window the steal-and-resume machinery exists for.
@@ -137,7 +135,6 @@ class FleetWorker:
                 "`repro-campaign workers`)"
             )
         spec = CampaignSpec.from_dict(start["spec"])
-        ttl = self._ttl_override if self._ttl_override is not None else spec.lease_ttl
         scenarios = spec.expand()
         telemetry = CampaignTelemetry(
             self.corpus_dir, enabled=self._telemetry_enabled, worker_id=self.worker_id
@@ -163,7 +160,7 @@ class FleetWorker:
                     lease = self.journal.claim_lease(
                         scenario.scenario_id,
                         self.worker_id,
-                        ttl=ttl,
+                        ttl=spec.lease_ttl,
                         extra={"campaign": spec.name, "seed": scenario.seed},
                     )
                     if lease is not None:
@@ -264,7 +261,6 @@ class FleetWorker:
 def _spawn_worker(
     corpus_dir: str,
     worker_id: str,
-    ttl: float,
     poll_s: float,
     kill_after_checkpoints: Optional[int],
     telemetry: bool,
@@ -278,8 +274,6 @@ def _spawn_worker(
         corpus_dir,
         "--worker-id",
         worker_id,
-        "--ttl",
-        str(ttl),
         "--poll",
         str(poll_s),
     ]
@@ -384,7 +378,7 @@ def run_fleet(
                 kill_n = kill_after_checkpoints if index == kill_worker else None
                 processes.append(
                     _spawn_worker(
-                        corpus_dir, f"w{index}", spec.lease_ttl, poll_s, kill_n,
+                        corpus_dir, f"w{index}", poll_s, kill_n,
                         telemetry=telemetry,
                         # No progress callback: the caller wants no progress output.
                         quiet=progress is None,
@@ -436,10 +430,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--corpus", required=True, help="shared corpus directory")
     parser.add_argument("--worker-id", required=True, help="identity for leases/telemetry")
     parser.add_argument(
-        "--ttl", type=float, default=None,
-        help="lease time-to-live in seconds (default: the campaign spec's lease_ttl)",
-    )
-    parser.add_argument(
         "--poll", type=float, default=DEFAULT_POLL_S,
         help="seconds between claim attempts while other workers hold every lease",
     )
@@ -458,7 +448,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     worker = FleetWorker(
         args.corpus,
         args.worker_id,
-        ttl=args.ttl,
         poll_s=args.poll,
         kill_after_checkpoints=args.kill_after_checkpoints,
         telemetry=not args.no_telemetry,

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Seven entry points are installed with the package:
+Six entry points are installed with the package:
 
 * ``repro-fuzz`` — run one genetic search against a CCA (a one-scenario
   campaign) and save the best traces found.
@@ -8,13 +8,13 @@ Seven entry points are installed with the package:
   built-in attack trace) and print a metrics report.
 * ``repro-trace`` — generate or inspect trace files.
 * ``repro-campaign`` — orchestrate a whole matrix of fuzzing scenarios over
-  a persistent attack corpus (``run``/``replay``/``report``/``triage``).
+  a persistent attack corpus (``run``/``replay``/``report``/``triage``), and
+  serve a read-only HTTP dashboard and query/replay API over one
+  (``serve``).
 * ``repro-triage`` — minimize, robustness-validate and differentially
   compare one attack trace (a file, a builtin attack, or a corpus entry).
 * ``repro-coverage`` — inspect behavior-coverage archives
   (``map``/``diff``/``gaps``).
-* ``repro-serve`` — read-only HTTP dashboard and query/replay API over a
-  corpus directory (also reachable as ``repro-campaign serve``).
 
 Every command is a pair: a ``with _command(handler, …)`` block in its entry
 point declares the arguments, the handler runs them.  An option two commands
@@ -70,7 +70,7 @@ from .coverage import (
 from .exec.backend import BACKENDS, create_backend
 from .exec.batch import Evaluator
 from .exec.workers import simulate_packet_trace
-from .journal import CampaignJournal
+from .journal import CampaignJournal, JournalCorruption
 from .netsim.simulation import SimulationConfig, SimulationTruncated, run_simulation
 from .obs import (
     METRICS_FILENAME,
@@ -216,19 +216,6 @@ def _add_triage_options(parser: _Parser) -> None:
     _add_pool_options(parser)
 
 
-def _add_serve_options(parser: _Parser) -> None:
-    """Options shared by ``repro-serve`` and ``repro-campaign serve``."""
-    parser.add_argument(
-        "corpus", help="corpus directory to mount (read-only; safe on a live campaign)",
-    )
-    parser.add_argument("--host", default="127.0.0.1", help="interface to bind")
-    parser.add_argument("--port", type=_int_at_least(0, "--port", 65535), default=8642,
-                        help="port to bind (0 = pick a free port)")
-    _add_pool_options(parser)
-    parser.add_argument("--http-log", action="store_true",
-                        help="log each HTTP request to stderr")
-
-
 def _triage_config(args: _Args, parser: _Parser) -> TriageConfig:
     with _usage_errors(parser):
         return TriageConfig(
@@ -306,9 +293,12 @@ def _fuzz(args: _Args, parser: _Parser, console: Console) -> None:
         else tempfile.TemporaryDirectory(prefix="repro-fuzz-")
     )
     with corpus as corpus_dir:
+        with _usage_errors(parser):
+            archive = BehaviorArchive.for_corpus(corpus_dir)
         runner = CampaignRunner(
             spec,
             CorpusStore(corpus_dir),
+            archive=archive,
             register_attacks=False,
             harvest_top_k=args.top,
             progress=console.info,
@@ -519,14 +509,15 @@ def _load_archive(path: str, parser: _Parser) -> BehaviorArchive:
     """
     if os.path.isdir(path):
         map_path = BehaviorArchive.corpus_path(path)
-        if os.path.exists(map_path):
-            return BehaviorArchive.load(map_path)
-        if not CorpusReader.is_corpus(path):
-            parser.error(f"{path} is neither a behavior map nor a corpus directory")
-        return _annotated_archive(CorpusReader(path))
-    if not os.path.exists(path):
+        if not os.path.exists(map_path):
+            if not CorpusReader.is_corpus(path):
+                parser.error(f"{path} is neither a behavior map nor a corpus directory")
+            return _annotated_archive(CorpusReader(path))
+        path = map_path
+    elif not os.path.exists(path):
         parser.error(f"no behavior map or corpus at {path}")
-    return BehaviorArchive.load(path)
+    with _usage_errors(parser):
+        return BehaviorArchive.load(path)
 
 
 def _rebuild_corpus_coverage(corpus_dir: str, console: Console) -> BehaviorArchive:
@@ -605,7 +596,7 @@ def _coverage_gaps(args: _Args, parser: _Parser, console: Console) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# repro-serve (also ``repro-campaign serve``)
+# repro-campaign serve
 # --------------------------------------------------------------------------- #
 
 
@@ -675,6 +666,8 @@ def _campaign_run(args: _Args, parser: _Parser, console: Console) -> None:
         parser.error("one of --spec or --resume is required")
     overridable = ("backend", "workers", "job_timeout", "max_retries")
     spec = None if args.resume else _launch_spec(args, parser, overridable)
+    with _usage_errors(parser):
+        archive = None if args.resume else BehaviorArchive.for_corpus(args.corpus)
     # Every usage error of a fresh run is raised above: constructing the
     # telemetry creates the corpus directory and metrics.jsonl.
     telemetry = CampaignTelemetry(
@@ -692,6 +685,7 @@ def _campaign_run(args: _Args, parser: _Parser, console: Console) -> None:
         runner = CampaignRunner(
             spec,
             CorpusStore(args.corpus),
+            archive=archive,
             register_attacks=not args.no_attacks,
             harvest_top_k=args.harvest_top_k,
             progress=console.info,
@@ -847,9 +841,14 @@ def _command(
 
 
 def _dispatch(parser: _Parser, argv: Optional[List[str]]) -> int:
-    """Run the chosen command; usage errors leave through ``parser.error`` (exit 2)."""
+    """Run the chosen command; usage errors leave through ``parser.error`` (exit 2),
+    and so does a journal with a corrupt interior record, which every writer
+    refuses before it changes a byte."""
     args = parser.parse_args(argv)
-    args.handler(args, parser, Console.from_args(args))
+    try:
+        args.handler(args, parser, Console.from_args(args))
+    except JournalCorruption as exc:
+        parser.error(str(exc))
     return 0
 
 
@@ -1012,21 +1011,6 @@ def coverage_main(argv: Optional[List[str]] = None) -> int:
     return _dispatch(parser, argv)
 
 
-def serve_main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for ``repro-serve``."""
-    parser = _Parser(
-        prog="repro-serve",
-        description=(
-            "Read-only HTTP dashboard and query/replay API over a campaign "
-            "corpus directory (strictly observational: attaching to a live "
-            "campaign does not perturb its artifacts)."
-        ),
-    )
-    with _command(_serve, parser):
-        _add_serve_options(parser)
-    return _dispatch(parser, argv)
-
-
 def campaign_main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-campaign``."""
     parser = _Parser(
@@ -1079,7 +1063,15 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
         help="serve the read-only HTTP dashboard and query/replay API over a "
              "corpus directory",
     ) as cmd:
-        _add_serve_options(cmd)
+        cmd.add_argument(
+            "corpus", help="corpus directory to mount (read-only; safe on a live campaign)",
+        )
+        cmd.add_argument("--host", default="127.0.0.1", help="interface to bind")
+        cmd.add_argument("--port", type=_int_at_least(0, "--port", 65535), default=8642,
+                         help="port to bind (0 = pick a free port)")
+        _add_pool_options(cmd)
+        cmd.add_argument("--http-log", action="store_true",
+                         help="log each HTTP request to stderr")
 
     with _command(
         _campaign_replay, commands, "replay",

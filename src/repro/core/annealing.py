@@ -35,20 +35,18 @@ def smooth_timestamps(
     timestamps: Sequence[float],
     sigma: float,
     duration: float,
-    radius: int = None,
 ) -> List[float]:
     """Gaussian-smooth a sorted timestamp sequence (in index space).
 
     Each timestamp is replaced by a Gaussian-weighted average of its
-    neighbours' timestamps.  Because the kernel is symmetric and positive and
-    the input is sorted, the output remains sorted; endpoints are clamped to
-    ``[0, duration]``.
+    neighbours' timestamps within ``3 * sigma`` indices.  Because the kernel
+    is symmetric and positive and the input is sorted, the output remains
+    sorted; endpoints are clamped to ``[0, duration]``.
     """
     n = len(timestamps)
     if n == 0:
         return []
-    if radius is None:
-        radius = max(1, int(math.ceil(3 * sigma)))
+    radius = max(1, int(math.ceil(3 * sigma)))
     kernel = gaussian_kernel(sigma, radius)
     smoothed: List[float] = []
     for i in range(n):

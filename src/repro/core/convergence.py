@@ -5,6 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+#: Least rise in best fitness that counts as progress for ``patience``.
+MIN_IMPROVEMENT = 1e-6
+
 
 @dataclass
 class ConvergenceCriterion:
@@ -13,14 +16,13 @@ class ConvergenceCriterion:
     The loop stops when any of the enabled conditions holds:
 
     * ``max_generations`` reached,
-    * best fitness has not improved by more than ``min_improvement`` for
+    * best fitness has not improved by more than :data:`MIN_IMPROVEMENT` for
       ``patience`` consecutive generations,
     * best fitness reached ``target_fitness``.
     """
 
     max_generations: int = 50
     patience: Optional[int] = None
-    min_improvement: float = 1e-6
     target_fitness: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -33,7 +35,7 @@ class ConvergenceCriterion:
         """Record this generation's best fitness; return True when converged."""
         if self.target_fitness is not None and best_fitness >= self.target_fitness:
             return True
-        if self._best is None or best_fitness > self._best + self.min_improvement:
+        if self._best is None or best_fitness > self._best + MIN_IMPROVEMENT:
             self._best = max(best_fitness, self._best if self._best is not None else best_fitness)
             self._stale_generations = 0
         else:

@@ -417,6 +417,13 @@ class BehaviorArchive:
         """Where the archive lives inside a campaign corpus directory."""
         return os.path.join(str(corpus_dir), ARCHIVE_FILENAME)
 
+    @classmethod
+    def for_corpus(cls, corpus_dir: str) -> "BehaviorArchive":
+        """A corpus's map, strictly :meth:`load`-ed, or an empty archive when
+        the corpus has none yet."""
+        path = cls.corpus_path(corpus_dir)
+        return cls.load(path) if os.path.exists(path) else cls()
+
 
 def _archive_cells(payload: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
     """The one schema check of an archive payload: its cells, or ``None``."""

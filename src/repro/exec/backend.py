@@ -109,7 +109,7 @@ class EvaluationBackend(abc.ABC):
         status, payload = pair
         if status == "ok":
             return payload
-        return failure_outcome(payload, self.policy)
+        return failure_outcome(payload)
 
     def _quarantine_precheck(
         self, jobs: Sequence[EvaluationJob]
@@ -135,7 +135,7 @@ class EvaluationBackend(abc.ABC):
                 attempts=int(entry.get("attempts", 1)),
                 quarantined=True,
             )
-            blocked[index] = failure_outcome(refusal, self.policy)
+            blocked[index] = failure_outcome(refusal)
         return blocked
 
     def _account_outcomes(self, outcomes: Sequence[EvaluationOutcome]) -> None:

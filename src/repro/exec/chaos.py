@@ -52,7 +52,6 @@ class ChaosPlan:
     kinds: Tuple[str, ...] = CHAOS_KINDS
     salt: str = "chaos"
     hang_s: float = 3600.0
-    exit_code: int = 23
 
     def __post_init__(self) -> None:
         for fingerprint, kind in self.faults.items():
@@ -93,7 +92,6 @@ class ChaosPlan:
             "kinds": list(self.kinds),
             "salt": self.salt,
             "hang_s": self.hang_s,
-            "exit_code": self.exit_code,
         }
 
     @classmethod
@@ -104,7 +102,6 @@ class ChaosPlan:
             kinds=tuple(payload.get("kinds", CHAOS_KINDS)),
             salt=str(payload.get("salt", "chaos")),
             hang_s=float(payload.get("hang_s", 3600.0)),
-            exit_code=int(payload.get("exit_code", 23)),
         )
 
 

@@ -52,6 +52,14 @@ FAILURE_KINDS = ("crash", "garbage", "timeout", "worker-death", "quarantined")
 #: evaluation produces, so faulted traces never win selection or harvest.
 PENALTY_FITNESS = -1e9
 
+#: Delay before the first retry of a ``worker-death``; it doubles per retry
+#: up to :data:`BACKOFF_MAX_S`.
+BACKOFF_BASE_S = 0.05
+BACKOFF_MAX_S = 1.0
+
+#: Exit status of a process an injected ``exit`` fault kills.
+CHAOS_EXIT_CODE = 23
+
 
 @dataclass(frozen=True)
 class EvaluationFailure:
@@ -107,9 +115,6 @@ class FaultPolicy:
 
     job_timeout: Optional[float] = None
     max_retries: int = 2
-    backoff_base_s: float = 0.05
-    backoff_max_s: float = 1.0
-    penalty_fitness: float = PENALTY_FITNESS
     quarantine: Optional[Any] = None
 
     def __post_init__(self) -> None:
@@ -117,12 +122,11 @@ class FaultPolicy:
             raise ValueError("job_timeout must be positive (or None to disable)")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.backoff_base_s <= 0 or self.backoff_max_s <= 0:
-            raise ValueError("backoff delays must be positive")
 
-    def backoff_s(self, attempts: int) -> float:
-        """Delay before retry number ``attempts`` (1-based), capped."""
-        return min(self.backoff_base_s * (2 ** max(0, attempts - 1)), self.backoff_max_s)
+
+def backoff_s(attempts: int) -> float:
+    """Delay before retry number ``attempts`` (1-based), capped."""
+    return min(BACKOFF_BASE_S * (2 ** max(0, attempts - 1)), BACKOFF_MAX_S)
 
 
 def job_fingerprint(job: EvaluationJob) -> str:
@@ -193,7 +197,7 @@ def guarded_evaluate(
     fault = chaos.fault_for(fingerprint) if chaos is not None else None
     if fault == "exit" and allow_exit:
         # No unwinding, no cleanup: mimics a segfault or the OOM killer.
-        os._exit(getattr(chaos, "exit_code", 23))
+        os._exit(CHAOS_EXIT_CODE)
     if fault == "hang" and allow_exit:
         time.sleep(getattr(chaos, "hang_s", 3600.0))
     try:
@@ -221,15 +225,14 @@ def guarded_evaluate(
     return "ok", outcome
 
 
-def failure_outcome(failure: EvaluationFailure, policy: FaultPolicy) -> EvaluationOutcome:
+def failure_outcome(failure: EvaluationFailure) -> EvaluationOutcome:
     """Fold a failure into the outcome shape the rest of the system expects.
 
     The penalty score is deterministic and carries no wall-clock data, so a
     failure outcome is bit-identical across runs, backends and resumes —
     it caches, journals and digests like any healthy outcome.
     """
-    penalty = policy.penalty_fitness
-    score = Score(total=penalty, performance=penalty, trace=0.0)
+    score = Score(total=PENALTY_FITNESS, performance=PENALTY_FITNESS, trace=0.0)
     return score, {"failure": failure.to_dict()}
 
 

@@ -47,7 +47,9 @@ from multiprocessing.connection import wait as connection_wait
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..obs.metrics import get_registry
-from .faults import EvaluationFailure, FaultPolicy, guarded_evaluate, job_cca, job_fingerprint
+from .faults import (
+    EvaluationFailure, FaultPolicy, backoff_s, guarded_evaluate, job_cca, job_fingerprint,
+)
 from .workers import EvaluationJob
 
 
@@ -444,7 +446,7 @@ class SupervisedProcessPool:
             self._complete_locked(blamed, "fail", failure)
         else:
             get_registry().inc("exec.retries")
-            blamed.not_before = time.monotonic() + self.policy.backoff_s(blamed.attempts)
+            blamed.not_before = time.monotonic() + backoff_s(blamed.attempts)
             self._pending.append(blamed)
 
     def _timeout_worker_locked(self, worker: _Worker) -> None:

@@ -1,4 +1,4 @@
-"""Thread-safe metrics registry: counters, gauges, histograms, timers.
+"""Thread-safe metrics registry: counters, gauges and histograms.
 
 The registry is the numeric substrate of the observability layer.  Design
 constraints, in order:
@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import math
 import threading
-import time
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 #: Version of the snapshot layout (folded into sink records and manifests).
 METRICS_SCHEMA = 1
@@ -83,24 +82,6 @@ class _Histogram:
         }
 
 
-class _TimerContext:
-    """``with registry.timer("x"):`` — observes elapsed seconds on exit."""
-
-    __slots__ = ("_registry", "_name", "_started")
-
-    def __init__(self, registry: "MetricsRegistry", name: str) -> None:
-        self._registry = registry
-        self._name = name
-        self._started = 0.0
-
-    def __enter__(self) -> "_TimerContext":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._registry.observe(self._name, time.perf_counter() - self._started)
-
-
 class MetricsRegistry:
     """Named counters, gauges and histograms behind one lock.
 
@@ -144,10 +125,6 @@ class MetricsRegistry:
             if histogram is None:
                 histogram = self._histograms[name] = _Histogram()
             histogram.observe(value)
-
-    def timer(self, name: str) -> _TimerContext:
-        """Context manager observing wall seconds into histogram ``name``."""
-        return _TimerContext(self, name)
 
     # ------------------------------------------------------------------ #
     # Reads

@@ -18,7 +18,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, Iterator, Optional
 
-from .metrics import MetricsRegistry, delta, get_registry
+from .metrics import delta, get_registry
 
 #: Keys every finished-span record carries.
 SPAN_FIELDS = ("phase", "name", "wall_s", "counters")
@@ -33,23 +33,15 @@ class PhaseTracer:
     phase table.
     """
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        on_close: Optional[Callable[[Dict[str, Any]], None]] = None,
-    ) -> None:
-        self._registry = registry
+    def __init__(self, on_close: Optional[Callable[[Dict[str, Any]], None]] = None) -> None:
         self._on_close = on_close
         self._lock = threading.Lock()
         self._totals: Dict[str, Dict[str, Any]] = {}
 
-    def _registry_now(self) -> MetricsRegistry:
-        return self._registry if self._registry is not None else get_registry()
-
     @contextlib.contextmanager
     def span(self, phase: str, name: str = "") -> Iterator[None]:
         """Time a phase; use as ``with tracer.span("scenario", "reno/..."):``."""
-        baseline = self._registry_now().snapshot()
+        baseline = get_registry().snapshot()
         started = time.perf_counter()
         try:
             yield
@@ -58,7 +50,7 @@ class PhaseTracer:
                 "phase": phase,
                 "name": name,
                 "wall_s": time.perf_counter() - started,
-                "counters": delta(self._registry_now().snapshot(), baseline)["counters"],
+                "counters": delta(get_registry().snapshot(), baseline)["counters"],
             }
             with self._lock:
                 totals = self._totals.setdefault(

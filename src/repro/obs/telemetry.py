@@ -26,7 +26,7 @@ from typing import IO, Any, Dict, Iterable, Optional
 
 from .manifest import build_manifest, write_manifest
 from .metrics import get_registry
-from .sinks import DEFAULT_SNAPSHOT_INTERVAL_S, MetricsJsonlSink, write_prometheus
+from .sinks import MetricsJsonlSink, write_prometheus
 from .spans import PhaseTracer
 
 
@@ -39,7 +39,6 @@ class CampaignTelemetry:
         *,
         enabled: bool = True,
         progress_stream: Optional[IO[str]] = None,
-        interval_s: float = DEFAULT_SNAPSHOT_INTERVAL_S,
         worker_id: Optional[str] = None,
     ) -> None:
         self.enabled = enabled
@@ -58,7 +57,7 @@ class CampaignTelemetry:
         self._progress_dirty = False
         self._sink: Optional[MetricsJsonlSink] = None
         if enabled:
-            self._sink = MetricsJsonlSink(self.corpus_dir, interval_s=interval_s)
+            self._sink = MetricsJsonlSink(self.corpus_dir)
             self.tracer: Optional[PhaseTracer] = PhaseTracer(on_close=self._span_closed)
         else:
             self.tracer = None

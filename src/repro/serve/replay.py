@@ -43,14 +43,12 @@ class ReplayService:
         self,
         corpus_dir: str,
         backend: Optional[EvaluationBackend] = None,
-        cache: Optional[TraceCache] = None,
     ) -> None:
         self.corpus_dir = str(corpus_dir)
-        self.cache = cache if cache is not None else TraceCache(thread_safe=True)
+        self.cache = TraceCache(thread_safe=True)
         self.evaluator = Evaluator(backend, self.cache)
         #: (entry fingerprint, cca) -> derived series payload (same lifetime
-        #: as the cache entry would have — the service's cache is unbounded
-        #: by default).
+        #: as the cache entry would have — the service's cache is unbounded).
         self._series: Dict[Tuple[str, str], Dict[str, Any]] = {}
         self._lock = threading.Lock()
         #: Memoizes entries (reloading a trace per request would dominate

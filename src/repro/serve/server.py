@@ -32,7 +32,6 @@ from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..exec.backend import EvaluationBackend
-from ..exec.cache import TraceCache
 from .html import DASHBOARD_HTML
 from .query import MAX_STREAM_WAIT_S, DashboardQuery
 from .replay import ReplayService
@@ -43,7 +42,7 @@ DEFAULT_HOST = "127.0.0.1"
 class _DashboardHandler(BaseHTTPRequestHandler):
     """Routes one request; the server instance hangs off ``self.server``."""
 
-    server_version = "repro-serve/1"
+    server_version = "repro-dashboard/1"
     protocol_version = "HTTP/1.1"
 
     # Populated by DashboardServer via a subclass attribute.
@@ -185,13 +184,12 @@ class DashboardServer:
         host: str = DEFAULT_HOST,
         port: int = 0,
         backend: Optional[EvaluationBackend] = None,
-        cache: Optional[TraceCache] = None,
         verbose: bool = False,
     ) -> None:
         self.corpus_dir = str(corpus_dir)
         self.verbose = verbose
         self.query = DashboardQuery(self.corpus_dir)
-        self.replay = ReplayService(self.corpus_dir, backend=backend, cache=cache)
+        self.replay = ReplayService(self.corpus_dir, backend=backend)
         handler = type("Handler", (_DashboardHandler,), {"dashboard": self})
         self._httpd = ThreadingHTTPServer((host, port), handler)
         self._httpd.daemon_threads = True
@@ -206,7 +204,7 @@ class DashboardServer:
         if self._thread is None:
             self._thread = threading.Thread(
                 target=self._httpd.serve_forever,
-                name="repro-serve",
+                name="repro-dashboard",
                 daemon=True,
             )
             self._thread.start()

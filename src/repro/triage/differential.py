@@ -26,23 +26,21 @@ from ..scoring.base import ScoreFunction
 from ..tcp.cca import CCA_FACTORIES
 from ..traces.trace import PacketTrace
 
+VULNERABLE_THRESHOLD = 0.8                 #: normalized vulnerability cutoff
+#: Spread below this fraction of the score magnitude means the CCAs are
+#: "(nearly) equally hurt" — the attack is generic.  Relative, because
+#: normalizing vulnerability by an arbitrarily tiny absolute spread would
+#: always stretch one CCA to 1.0 and misread noise as specificity.
+GENERIC_SPREAD_FRACTION = 0.05
+
+
 @dataclass
 class DifferentialConfig:
-    """Which CCAs to panel and where "vulnerable" begins."""
+    """Which CCAs to panel."""
 
     ccas: Optional[Sequence[str]] = None   #: None = every registered factory
-    vulnerable_threshold: float = 0.8      #: normalized vulnerability cutoff
-    #: Spread below this fraction of the score magnitude means the CCAs are
-    #: "(nearly) equally hurt" — the attack is generic.  Relative, because
-    #: normalizing vulnerability by an arbitrarily tiny absolute spread
-    #: would always stretch one CCA to 1.0 and misread noise as specificity.
-    generic_spread_fraction: float = 0.05
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.vulnerable_threshold <= 1.0:
-            raise ValueError("vulnerable_threshold must be in (0, 1]")
-        if not 0.0 <= self.generic_spread_fraction < 1.0:
-            raise ValueError("generic_spread_fraction must be in [0, 1)")
         if self.ccas is not None:
             unknown = sorted(set(self.ccas) - set(CCA_FACTORIES))
             if unknown:
@@ -131,7 +129,7 @@ def compare_ccas(
     high = max(scores.values())
     spread = high - low
     scale = max(abs(low), abs(high))
-    negligible = spread <= config.generic_spread_fraction * scale
+    negligible = spread <= GENERIC_SPREAD_FRACTION * scale
 
     def vulnerability(score: float) -> float:
         if negligible:
@@ -143,7 +141,7 @@ def compare_ccas(
             cca=name,
             score=scores[name],
             vulnerability=vulnerability(scores[name]),
-            vulnerable=vulnerability(scores[name]) >= config.vulnerable_threshold,
+            vulnerable=vulnerability(scores[name]) >= VULNERABLE_THRESHOLD,
             summary=summaries[name],
         )
         for name in names

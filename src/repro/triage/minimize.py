@@ -61,36 +61,32 @@ def observed_retention(baseline: float, score: float) -> float:
     return 1.0 - (baseline - score) / abs(baseline)
 
 
+#: Silence (s) separating two bursts.  Must sit between intra-burst packet
+#: spacing (sub-millisecond, still <10ms after heavy thinning) and the
+#: smallest structural gap worth preserving — the ~40ms one-RTT spacing of
+#: the CUBIC two-burst attack is the tightest case.
+BURST_GAP = 0.03
+MAX_ROUNDS = 64                            #: accepted reductions per stage
+SINGLE_EVENT_LIMIT = 32                    #: max events for the one-at-a-time pass
+LINK_SEGMENTS = 8                          #: initial segmentation of link traces
+
+
 @dataclass
 class MinimizeConfig:
     """Knobs of the delta-debugging reduction."""
 
     retention: float = 0.9                 #: fraction of the baseline score to keep
-    #: Silence (s) separating two bursts.  Must sit between intra-burst
-    #: packet spacing (sub-millisecond, still <10ms after heavy thinning)
-    #: and the smallest structural gap worth preserving — the ~40ms
-    #: one-RTT spacing of the CUBIC two-burst attack is the tightest case.
-    burst_gap: float = 0.03
-    max_rounds: int = 64                   #: accepted reductions per stage
     #: Total candidate-evaluation budget.  Deliberately charged per candidate
     #: *before* cache resolution, so the reduction path (and therefore the
     #: minimized trace) never depends on how warm a shared cache happens to
     #: be — cache hits only make a minimization faster, never different.
     max_evaluations: int = 400
-    single_event_limit: int = 32           #: max events for the one-at-a-time pass
-    link_segments: int = 8                 #: initial segmentation of link traces
 
     def __post_init__(self) -> None:
         if not 0.0 < self.retention <= 1.0:
             raise ValueError("retention must be in (0, 1]")
-        if self.burst_gap <= 0:
-            raise ValueError("burst_gap must be positive")
-        if self.max_rounds < 1 or self.max_evaluations < 1:
-            raise ValueError("max_rounds and max_evaluations must be positive")
-        if self.single_event_limit < 0:
-            raise ValueError("single_event_limit must be non-negative")
-        if self.link_segments < 2:
-            raise ValueError("link_segments must be at least 2")
+        if self.max_evaluations < 1:
+            raise ValueError("max_evaluations must be positive")
 
 
 @dataclass
@@ -144,11 +140,11 @@ class MinimizationResult:
 # --------------------------------------------------------------------------- #
 
 
-def split_bursts(timestamps: Sequence[float], burst_gap: float) -> List[List[float]]:
-    """Partition sorted timestamps into bursts separated by > ``burst_gap``."""
+def split_bursts(timestamps: Sequence[float]) -> List[List[float]]:
+    """Partition sorted timestamps into bursts separated by > :data:`BURST_GAP`."""
     bursts: List[List[float]] = []
     for t in timestamps:
-        if bursts and t - bursts[-1][-1] <= burst_gap:
+        if bursts and t - bursts[-1][-1] <= BURST_GAP:
             bursts[-1].append(t)
         else:
             bursts.append([t])
@@ -190,11 +186,10 @@ class _Budget:
 class _Reduction:
     """Greedy accept-the-best-candidate loop shared by every stage."""
 
-    def __init__(self, scorer, floor: float, budget: _Budget, config: MinimizeConfig) -> None:
+    def __init__(self, scorer, floor: float, budget: _Budget) -> None:
         self.scorer = scorer
         self.floor = floor
         self.budget = budget
-        self.config = config
 
     def best_acceptable(
         self, candidates: List[PacketTrace]
@@ -225,11 +220,10 @@ def _stage_segment_removal(
     trace: PacketTrace, reduction: _Reduction
 ) -> Tuple[PacketTrace, float, int]:
     """ddmin-style removal: drop bursts, falling back to ever finer chunks."""
-    config = reduction.config
     current, score, rounds = trace, float("nan"), 0
     granularity = 2
-    while rounds < config.max_rounds and current.packet_count >= 2:
-        bursts = split_bursts(current.timestamps, config.burst_gap)
+    while rounds < MAX_ROUNDS and current.packet_count >= 2:
+        bursts = split_bursts(current.timestamps)
         if len(bursts) >= 2:
             segments = bursts
         else:
@@ -256,11 +250,10 @@ def _stage_thinning(
     trace: PacketTrace, reduction: _Reduction
 ) -> Tuple[PacketTrace, float, int]:
     """Halve packet density — of the whole trace, or of one burst at a time."""
-    config = reduction.config
     current, score, rounds = trace, float("nan"), 0
-    while rounds < config.max_rounds and current.packet_count >= 2:
+    while rounds < MAX_ROUNDS and current.packet_count >= 2:
         candidates = [current.with_timestamps(current.timestamps[::2])]
-        bursts = split_bursts(current.timestamps, config.burst_gap)
+        bursts = split_bursts(current.timestamps)
         if len(bursts) >= 2:
             for index, burst in enumerate(bursts):
                 if len(burst) < 2:
@@ -283,11 +276,10 @@ def _stage_single_event(
     trace: PacketTrace, reduction: _Reduction
 ) -> Tuple[PacketTrace, float, int]:
     """One-at-a-time event removal (quadratic; only run on small traces)."""
-    config = reduction.config
     current, score, rounds = trace, float("nan"), 0
-    if current.packet_count > config.single_event_limit:
+    if current.packet_count > SINGLE_EVENT_LIMIT:
         return current, score, rounds
-    while rounds < config.max_rounds and current.packet_count >= 1:
+    while rounds < MAX_ROUNDS and current.packet_count >= 1:
         timestamps = current.timestamps
         candidates = [
             current.with_timestamps(timestamps[:i] + timestamps[i + 1 :])
@@ -310,10 +302,9 @@ def _stage_burst_coalescing(
     minimal attack reads as "k uniform bursts at these times", not as k
     ragged packet clouds.
     """
-    config = reduction.config
     current, score, rounds = trace, float("nan"), 0
-    while rounds < config.max_rounds:
-        bursts = split_bursts(current.timestamps, config.burst_gap)
+    while rounds < MAX_ROUNDS:
+        bursts = split_bursts(current.timestamps)
         candidates = []
         for index in range(len(bursts) - 1):
             merged_pair = bursts[index] + bursts[index + 1]
@@ -359,10 +350,9 @@ def _stage_link_segment_merging(
     opportunities as an evenly spaced segment of the same count, erasing
     rate structure that was not load-bearing for the attack.
     """
-    config = reduction.config
     current, score, rounds = trace, float("nan"), 0
-    segment_count = config.link_segments
-    while rounds < config.max_rounds and segment_count >= 2:
+    segment_count = LINK_SEGMENTS
+    while rounds < MAX_ROUNDS and segment_count >= 2:
         segments = _equal_chunks(current.timestamps, segment_count)
         if len(segments) < 2:
             break
@@ -436,7 +426,7 @@ def minimize_trace(
     budget.take(1)
     baseline = scorer.scores([trace])[0]
     floor = retention_floor(baseline, config.retention)
-    reduction = _Reduction(scorer, floor, budget, config)
+    reduction = _Reduction(scorer, floor, budget)
 
     stages = STAGES_BY_MODE[trace.mode]
 

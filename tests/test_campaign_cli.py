@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
 from repro.campaign import CorpusStore
+from repro.coverage import BehaviorArchive
 from repro.cli import (
     campaign_main,
     coverage_main,
     fuzz_main,
-    serve_main,
     simulate_main,
     trace_main,
     triage_main,
@@ -415,8 +416,6 @@ class TestRangeUsageErrors:
         (trace_main, ["generate", "--output", "t.json", "--mode", "link", "--rate-mbps", "0"],
          "rate must be positive"),
         (trace_main, ["inspect", "t.json", "--window", "0"], "--window must be positive, got 0.0"),
-        (serve_main, ["corpus", "--port", "-1"], "--port must be in 0..65535, got -1"),
-        (serve_main, ["corpus", "--port", "70000"], "--port must be in 0..65535, got 70000"),
         (campaign_main, ["serve", "corpus", "--port", "-1"], "--port must be in 0..65535, got -1"),
         (campaign_main, ["serve", "corpus", "--port", "70000"],
          "--port must be in 0..65535, got 70000"),
@@ -481,6 +480,81 @@ class TestBadTraceFiles:
         captured = capsys.readouterr()
         assert "error: " in captured.err and message in captured.err
         assert captured.out == ""
+
+
+class TestUnreadableCorpusFiles:
+    """A corpus file that cannot be read exits 2 with ``error:``, never a
+    traceback, and leaves the corpus as it found it."""
+
+    @pytest.fixture(params=["other-schema", "truncated"])
+    def bad_map_dir(self, request, tmp_path):
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        path = corpus_dir / "behavior_map.json"
+        if request.param == "other-schema":
+            path.write_text(json.dumps({"schema": 99}))
+        else:
+            BehaviorArchive().save(str(path))
+            path.write_bytes(path.read_bytes()[:20])
+        return corpus_dir
+
+    @pytest.mark.parametrize("main, argv", [
+        (coverage_main, ["map", "{dir}"]),
+        (coverage_main, ["map", "{dir}/behavior_map.json"]),
+        (coverage_main, ["diff", "{dir}", "{dir}"]),
+        (coverage_main, ["gaps", "{dir}"]),
+        (campaign_main, ["run", "--spec", "{spec}", "--corpus", "{dir}"]),
+        (fuzz_main, ["--cca", "reno", "--population", "4", "--generations", "1",
+                     "--duration", "1", "--output-dir", "{dir}"]),
+    ], ids=["map", "map-file", "diff", "gaps", "run", "fuzz"])
+    def test_bad_behavior_map_is_a_usage_error(
+        self, main, argv, bad_map_dir, spec_path, capsys
+    ):
+        before = {path.name: path.read_bytes() for path in bad_map_dir.iterdir()}
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(dir=bad_map_dir, spec=spec_path) for arg in argv])
+        assert excinfo.value.code == 2
+        assert "error: behavior archive is missing, torn, or not schema" in (
+            capsys.readouterr().err
+        )
+        assert {path.name: path.read_bytes() for path in bad_map_dir.iterdir()} == before
+
+    @pytest.fixture(scope="class")
+    def campaign_corpus(self, tmp_path_factory):
+        spec = dict(TINY_SPEC, ccas=["reno"], conditions=[{"name": "base"}])
+        spec_file = tmp_path_factory.mktemp("spec") / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        corpus_dir = tmp_path_factory.mktemp("journaled") / "corpus"
+        assert campaign_main(
+            ["run", "--spec", str(spec_file), "--corpus", str(corpus_dir), "--quiet"]
+        ) == 0
+        return spec_file, corpus_dir
+
+    @pytest.mark.parametrize("argv", [
+        ["compact", "{dir}"],
+        ["run", "--resume", "--corpus", "{dir}"],
+        ["workers", "--spec", "{spec}", "--corpus", "{dir}", "-n", "0"],
+    ], ids=["compact", "resume", "workers"])
+    def test_corrupt_interior_journal_record_is_a_usage_error(
+        self, argv, campaign_corpus, tmp_path, capsys
+    ):
+        spec_file, source = campaign_corpus
+        corpus_dir = tmp_path / "corpus"
+        shutil.copytree(source, corpus_dir)
+        journal = corpus_dir / "journal.jsonl"
+        lines = journal.read_bytes().splitlines(keepends=True)
+        assert len(lines) >= 3
+        damaged = bytearray(lines[1])
+        damaged[len(damaged) // 2] ^= 0x01
+        lines[1] = bytes(damaged)
+        journal.write_bytes(b"".join(lines))
+        before = journal.read_bytes()
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            campaign_main([arg.format(dir=corpus_dir, spec=spec_file) for arg in argv])
+        assert excinfo.value.code == 2
+        assert "error: corrupt journal record before the final line" in capsys.readouterr().err
+        assert journal.read_bytes() == before
 
 
 class TestSimulateTraceAttackConflict:
@@ -554,14 +628,10 @@ class TestSimulateTraceAttackConflict:
 
 
 class TestServeUsage:
-    @pytest.mark.parametrize("serve", [
-        lambda path: serve_main([path]),
-        lambda path: campaign_main(["serve", path]),
-    ])
-    def test_missing_directory_is_refused_and_not_created(self, serve, tmp_path, capsys):
+    def test_missing_directory_is_refused_and_not_created(self, tmp_path, capsys):
         missing = tmp_path / "no-such-corpus"
         with pytest.raises(SystemExit) as excinfo:
-            serve(str(missing))
+            campaign_main(["serve", str(missing)])
         assert excinfo.value.code == 2
         assert f"no corpus directory at {missing}" in capsys.readouterr().err
         assert not missing.exists()
@@ -584,7 +654,7 @@ class TestEveryParser:
 
     @pytest.mark.parametrize("name, commands", [
         ("fuzz_main", 1), ("simulate_main", 1), ("trace_main", 2), ("triage_main", 1),
-        ("coverage_main", 3), ("serve_main", 1), ("campaign_main", 8),
+        ("coverage_main", 3), ("campaign_main", 8),
     ])
     def test_help_console_flags_and_the_pool_options(self, name, commands, monkeypatch, capsys):
         from repro import cli

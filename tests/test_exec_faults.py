@@ -36,6 +36,7 @@ from repro.exec import (
     failure_from_summary,
     guarded_evaluate,
 )
+from repro.exec.faults import backoff_s
 from repro.campaign.scheduler import campaign_backend
 from repro.campaign.spec import CampaignSpec
 from repro.netsim import SimulationConfig
@@ -103,6 +104,8 @@ class TestChaosPlan:
     def test_dict_round_trip(self):
         plan = ChaosPlan(faults={"fp": "hang"}, fraction=0.1, salt="x", hang_s=2.0)
         assert ChaosPlan.from_dict(plan.to_dict()) == plan
+        # Plans written when the exit status was a field still load.
+        assert ChaosPlan.from_dict(dict(plan.to_dict(), exit_code=23)) == plan
 
     def test_install_reaches_active_plan_and_environment(self, monkeypatch):
         import os
@@ -214,10 +217,9 @@ class TestFailureTypes:
             FaultPolicy(job_timeout=float("nan"))
         with pytest.raises(ValueError, match="max_retries"):
             FaultPolicy(max_retries=-1)
-        policy = FaultPolicy(backoff_base_s=0.1, backoff_max_s=0.3)
-        assert policy.backoff_s(1) == pytest.approx(0.1)
-        assert policy.backoff_s(2) == pytest.approx(0.2)
-        assert policy.backoff_s(5) == pytest.approx(0.3)  # capped
+        assert backoff_s(1) == pytest.approx(0.05)
+        assert backoff_s(2) == pytest.approx(0.1)
+        assert backoff_s(6) == pytest.approx(1.0)  # capped
 
 
 class TestConfigPlumbing:
@@ -380,7 +382,7 @@ class TestBackendFaultHandling:
     def test_process_backend_retries_worker_death_then_fails(self):
         plan = ChaosPlan(faults={FINGERPRINTS[0]: "exit"})
         backend = ProcessPoolBackend(
-            workers=2, policy=FaultPolicy(max_retries=1, backoff_base_s=0.01)
+            workers=2, policy=FaultPolicy(max_retries=1)
         )
         retries_before = get_registry().counter("exec.retries")
         outcomes = self.run_with_plan(backend, plan)
@@ -412,7 +414,7 @@ class TestBackendFaultHandling:
         plan = ChaosPlan(faults={FINGERPRINTS[0]: "exit"})
         backend = ProcessPoolBackend(
             workers=2,
-            policy=FaultPolicy(max_retries=1, backoff_base_s=0.01, quarantine=store),
+            policy=FaultPolicy(max_retries=1, quarantine=store),
         )
         outcomes = self.run_with_plan(backend, plan)
         assert failure_from_summary(outcomes[0][1]).kind == "worker-death"

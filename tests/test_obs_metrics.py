@@ -55,14 +55,6 @@ class TestRegistryBasics:
         # 0.5 -> exponent -1; 2.0/3.0 -> exponent 1; -1.0 -> underflow.
         assert payload["buckets"] == {"-1": 1, "1": 2, "le0": 1}
 
-    def test_timer_observes_elapsed_seconds(self):
-        registry = MetricsRegistry()
-        with registry.timer("t"):
-            pass
-        payload = registry.snapshot()["histograms"]["t"]
-        assert payload["count"] == 1
-        assert payload["sum"] >= 0.0
-
     def test_snapshot_is_a_copy(self):
         registry = MetricsRegistry()
         registry.inc("a")
@@ -87,8 +79,6 @@ class TestRegistryBasics:
         registry.gauge_set("g", 1)
         registry.gauge_add("g", 1)
         registry.observe("h", 1.0)
-        with registry.timer("t"):
-            pass
         assert registry.snapshot() == empty_snapshot()
 
     def test_threaded_increments_do_not_lose_updates(self):

@@ -39,7 +39,7 @@ from repro.obs import (
     status_json,
     write_prometheus,
 )
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import get_registry, reset_registry
 from repro.obs.spans import SPAN_FIELDS
 from repro.tcp.cca import Bbr
 
@@ -320,9 +320,9 @@ class TestSinks:
 
 class TestPhaseTracer:
     def test_sibling_spans_partition_attribution(self):
-        registry = MetricsRegistry()
+        registry = reset_registry()
         closed = []
-        tracer = PhaseTracer(registry=registry, on_close=closed.append)
+        tracer = PhaseTracer(on_close=closed.append)
         with tracer.span("scenario", "a"):
             registry.inc("fuzzer.evaluations", 3)
         with pytest.raises(RuntimeError):

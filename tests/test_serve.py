@@ -22,7 +22,7 @@ import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore, replay_corpus
 from repro.campaign.corpus import read_corpus_index
-from repro.cli import campaign_main, serve_main
+from repro.cli import campaign_main
 from repro.coverage import BehaviorArchive
 from repro.coverage.archive import read_archive_cells
 from repro.obs import collect_status
@@ -203,7 +203,7 @@ class TestEndpoints:
 
 class TestServeCommand:
     def test_serve_mounts_a_directory_until_interrupted(self, tmp_path, monkeypatch, capsys):
-        """``repro-serve`` in-process: any directory mounts (even an empty one),
+        """``repro-campaign serve`` in-process: any directory mounts (even an empty one),
         serves, creates nothing, and Ctrl-C stops it cleanly."""
         seen = {}
 
@@ -215,7 +215,7 @@ class TestServeCommand:
         monkeypatch.setattr(
             DashboardServer, "serve_forever", serve_one_request_then_interrupt
         )
-        assert serve_main([str(tmp_path), "--port", "0"]) == 0
+        assert campaign_main(["serve", str(tmp_path), "--port", "0"]) == 0
         status, payload = seen["corpus"]
         assert status == 200 and payload["entries"] == 0
         out = capsys.readouterr().out

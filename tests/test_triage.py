@@ -70,14 +70,14 @@ class TestRetentionFloor:
 
 class TestSplitBursts:
     def test_splits_on_gaps(self):
-        bursts = split_bursts([0.1, 0.11, 0.12, 0.5, 0.51], burst_gap=0.05)
+        bursts = split_bursts([0.1, 0.11, 0.12, 0.5, 0.51])
         assert [len(b) for b in bursts] == [3, 2]
 
     def test_single_burst(self):
-        assert len(split_bursts([0.1, 0.12, 0.14], burst_gap=0.05)) == 1
+        assert len(split_bursts([0.1, 0.12, 0.14])) == 1
 
     def test_empty(self):
-        assert split_bursts([], burst_gap=0.05) == []
+        assert split_bursts([]) == []
 
 
 class TestShiftTrace:
@@ -196,8 +196,6 @@ class TestMinimizer:
             MinimizeConfig(retention=1.5)
         with pytest.raises(ValueError):
             MinimizeConfig(max_evaluations=0)
-        with pytest.raises(ValueError):
-            MinimizeConfig(burst_gap=0.0)
 
     def test_to_dict_is_json_serialisable(self):
         trace = traffic_trace([0.2, 0.4])

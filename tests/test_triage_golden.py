@@ -27,10 +27,9 @@ from repro.triage import (
     triage_trace,
 )
 
-#: Spikes inside one burst are ~1 ms apart; distinct bursts are ≥40 ms apart.
-#: This is the minimizer's own default, so the structure the golden tests
-#: count is the same one the reduction stages operate on.
-BURST_GAP = MinimizeConfig().burst_gap
+# Spikes inside one burst are ~1 ms apart; distinct bursts are ≥40 ms apart.
+# ``split_bursts`` applies the minimizer's own burst gap, so the structure the
+# golden tests count is the same one the reduction stages operate on.
 
 
 def scorer_for(cca: str, duration: float) -> TraceScorer:
@@ -56,7 +55,7 @@ class TestCubicTwoBurst:
 
     def test_minimizes_to_at_most_two_bursts(self, result):
         trace, minimized = result
-        assert len(split_bursts(minimized.minimized.timestamps, BURST_GAP)) <= 2
+        assert len(split_bursts(minimized.minimized.timestamps)) <= 2
 
     def test_fewer_events_and_score_within_ten_percent(self, result):
         trace, minimized = result
@@ -82,7 +81,7 @@ class TestLowrate:
 
     def test_periodic_burst_structure_survives(self):
         trace = lowrate_attack_trace(duration=self.DURATION)
-        original_bursts = len(split_bursts(trace.timestamps, BURST_GAP))
+        original_bursts = len(split_bursts(trace.timestamps))
         result = minimize_trace(
             trace,
             scorer_for("reno", self.DURATION),
@@ -92,7 +91,7 @@ class TestLowrate:
         assert result.minimized_score >= result.floor
         # The RTO-periodic burst train is the attack; it must not be merged
         # into noise or grow new bursts.
-        assert 1 <= len(split_bursts(result.minimized.timestamps, BURST_GAP)) <= original_bursts
+        assert 1 <= len(split_bursts(result.minimized.timestamps)) <= original_bursts
 
 
 class TestBbrStallLink:

@@ -79,7 +79,7 @@ def link_traces(draw):
     return LinkTrace(timestamps=times, duration=DURATION)
 
 
-CONFIG = MinimizeConfig(retention=0.9, max_evaluations=200, single_event_limit=40)
+CONFIG = MinimizeConfig(retention=0.9, max_evaluations=200)
 
 
 @settings(max_examples=60, deadline=None)
