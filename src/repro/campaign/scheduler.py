@@ -49,7 +49,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Collection, Dict, Iterator, List, Optional, Union
 
-from ..core.fuzzer import CCFuzz
+from ..core.fuzzer import CCFuzz, restorable
 from ..coverage.archive import BehaviorArchive
 from ..exec.backend import EvaluationBackend, create_backend
 from ..exec.cache import TraceCache
@@ -332,6 +332,31 @@ def restore_cache(cache: TraceCache, state: Optional[Dict[str, Any]], warn: Prog
     return 0
 
 
+def resume_checkpoint(
+    view: Optional[JournalView],
+    scenario_id: str,
+    cache: TraceCache,
+    archive: BehaviorArchive,
+    warn: ProgressCallback,
+) -> Optional[Dict[str, Any]]:
+    """The checkpoint ``scenario_id`` continues from, its behavior deltas up
+    to that generation applied to ``archive`` (deltas from earlier lease
+    epochs agree: a resumed epoch re-evaluates its first generation
+    bit-identically); ``None`` for a fresh start.  A checkpoint naming
+    outcomes the restored ``cache`` lacks (a stale dump, a cache smaller than
+    the population) is refused: the scenario restarts from its seeds."""
+    checkpoint = view.checkpoints.get(scenario_id) if view is not None else None
+    if checkpoint is None:
+        return None
+    if not restorable(checkpoint["fuzzer"], cache):
+        warn(f"[{scenario_id}] journaled cache dump is stale; restarting the scenario from its seeds")
+        return None
+    archive.apply_delta(
+        *view.behavior_state({scenario_id: checkpoint["generation"]}, scenario_id=scenario_id)
+    )
+    return checkpoint
+
+
 @contextlib.contextmanager
 def campaign_backend(
     spec: CampaignSpec,
@@ -402,12 +427,13 @@ class ScenarioEngine:
                     **scope.stamp,
                 },
             )
+            # The history goes as its tail: the view folds the whole list.
             journal.append(
                 "generation_checkpoint",
                 {
                     "scenario_id": scenario_id,
                     "generation": state["generation"],
-                    "fuzzer": state,
+                    "fuzzer": {**state, "history": state["history"][-1:]},
                     "cache": scope.cache_delta(),
                     **scope.stamp,
                 },
@@ -590,18 +616,17 @@ class CampaignRunner:
         runner._resume_view = view
         runner._repair(view)
         # The constructor seeded ``archive`` with the journaled baseline;
-        # fold the deltas back in.  The in-flight scenario's deltas apply
-        # only up to its checkpoint generation (deltas are journaled *before*
-        # their checkpoint, so a trailing one may describe a generation the
-        # resumed search re-evaluates); scenarios restarting from scratch
-        # contribute nothing.
+        # fold the completed scenarios' deltas back in.  An unfinished
+        # scenario's deltas wait for :meth:`run`, which applies them up to
+        # the checkpoint generation once the checkpoint proves resumable
+        # (deltas are journaled *before* their checkpoint, so a trailing one
+        # may describe a generation the resumed search re-evaluates), and
+        # none when the scenario restarts from scratch.
         limits = {
-            scenario_id: checkpoint["generation"]
-            for scenario_id, checkpoint in view.pending_checkpoints().items()
+            scenario_id: -1
+            for scenario_id in (*view.leases, *view.checkpoints)
+            if scenario_id not in view.completed
         }
-        for scenario_id in view.leases:
-            if scenario_id not in view.completed:
-                limits.setdefault(scenario_id, -1)
         runner.archive.apply_delta(*view.behavior_state(generation_limits=limits))
         runner._merge_private_archives(view)
         return runner
@@ -798,7 +823,6 @@ class CampaignRunner:
             ),
             cell_mark=self.archive.mark,
         )
-        inflight = view.pending_checkpoints() if view is not None else {}
         outcome_by_id = self._journaled_outcomes(view)
         with campaign_backend(self.spec, self.quarantine, self._injected_backend) as backend:
             engine = ScenarioEngine(
@@ -812,9 +836,12 @@ class CampaignRunner:
                 # A checkpointed scenario restores its population (seeds
                 # included) from the snapshot; only fresh starts draw seeds
                 # from the corpus.
-                checkpoint = inflight.get(scenario.scenario_id)
+                checkpoint = resume_checkpoint(
+                    view, scenario.scenario_id, cache, self.archive, self._progress
+                )
                 scope.resume_state = checkpoint["fuzzer"] if checkpoint is not None else None
                 scope.seeds = [] if checkpoint is not None else self._scenario_seeds(scenario)
+                scope.cell_mark = self.archive.mark
                 self._journal.append(
                     "scenario_lease",
                     {

@@ -70,6 +70,7 @@ from .scheduler import (
     ScenarioScope,
     campaign_backend,
     restore_cache,
+    resume_checkpoint,
 )
 from .spec import CampaignSpec, Scenario
 
@@ -200,10 +201,11 @@ class FleetWorker:
         """
         scenario_id = scenario.scenario_id
         stamp = {"lease_epoch": lease.get("lease_epoch", 0), "worker": self.worker_id}
-        checkpoint = view.checkpoints.get(scenario_id)
         population = scenario.budget.population_size * scenario.budget.islands
         cache = TraceCache(max_entries=max(8192, 64 * population))
+        cache_mark = restore_cache(cache, view.caches.get(scenario_id), self._progress)
         archive = BehaviorArchive.from_dict(start["archive_baseline"])
+        checkpoint = resume_checkpoint(view, scenario_id, cache, archive, self._progress)
         seeds = []
         if checkpoint is None:
             seeds = [
@@ -211,13 +213,6 @@ class FleetWorker:
                 for fingerprint in plan.get("seeds", {}).get(scenario_id, [])
             ]
         else:
-            # The scenario's own unfenced deltas up to the checkpoint
-            # generation.  Deltas from earlier lease epochs are fine: a
-            # resumed epoch re-evaluates its first generation bit-identically,
-            # so same-generation deltas from different epochs are identical.
-            archive.apply_delta(
-                *view.behavior_state({scenario_id: checkpoint["generation"]}, scenario_id=scenario_id)
-            )
             self._progress(
                 f"[{scenario_id}] stolen from {checkpoint.get('worker', '?')} at epoch "
                 f"{stamp['lease_epoch']}, resuming from generation {checkpoint['generation']}"
@@ -248,7 +243,7 @@ class FleetWorker:
             after_checkpoint=heartbeat,
             seeds=seeds,
             resume_state=checkpoint["fuzzer"] if checkpoint is not None else None,
-            cache_mark=restore_cache(cache, view.caches.get(scenario_id), self._progress),
+            cache_mark=cache_mark,
             cell_mark=archive.mark,
         )
 
@@ -292,6 +287,18 @@ def _spawn_worker(
     return subprocess.Popen(command, env=env)
 
 
+def _await_lease(journal: CampaignJournal, worker_id: str, process: subprocess.Popen, poll_s: float) -> None:
+    """Return once ``worker_id`` holds a scenario lease, or has exited."""
+    while not any(
+        lease.get("worker_id") == worker_id for lease in journal.replay().leases.values()
+    ):
+        try:
+            process.wait(timeout=poll_s)
+            return
+        except subprocess.TimeoutExpired:
+            pass
+
+
 def run_fleet(
     spec: CampaignSpec,
     corpus_dir: str,
@@ -304,6 +311,7 @@ def run_fleet(
     harvest_top_k: int = 3,
     telemetry: bool = True,
     progress: Optional[ProgressCallback] = None,
+    archive: Optional[BehaviorArchive] = None,
 ) -> CampaignResult:
     """Run a campaign with a fleet of worker processes over one corpus.
 
@@ -320,7 +328,13 @@ def run_fleet(
 
     ``kill_worker``/``kill_after_checkpoints`` inject a crash: worker index
     ``kill_worker`` SIGKILLs itself after its Nth generation-checkpoint
-    append, leaving a mid-scenario lease for the others to steal.
+    append, leaving a mid-scenario lease for the others to steal.  The victim
+    starts first and the others once it holds a lease, so on any host it
+    dies inside a scenario nobody else has claimed.
+
+    ``archive`` is the behavior map a fresh campaign starts from (default:
+    the corpus's ``behavior_map.json``); a resumed one starts from its
+    journaled baseline.
 
     A corpus whose journal already holds this campaign, incomplete, is
     resumed (the matrix picks up where the dead fleet stopped); anything
@@ -342,7 +356,7 @@ def run_fleet(
         spec,
         CorpusStore(corpus_dir),
         # The map the merge at the end starts from is the journaled baseline.
-        archive=BehaviorArchive.from_dict(view.campaign["archive_baseline"]) if resuming else None,
+        archive=BehaviorArchive.from_dict(view.campaign["archive_baseline"]) if resuming else archive,
         register_attacks=register_attacks,
         harvest_top_k=harvest_top_k,
         progress=progress,
@@ -373,8 +387,9 @@ def run_fleet(
                 },
             )
         processes: List[subprocess.Popen] = []
+        order = sorted(range(workers), key=lambda index: index != kill_worker)  # victim first
         try:
-            for index in range(workers):
+            for index in order:
                 kill_n = kill_after_checkpoints if index == kill_worker else None
                 processes.append(
                     _spawn_worker(
@@ -384,7 +399,9 @@ def run_fleet(
                         quiet=progress is None,
                     )
                 )
-            for index, process in enumerate(processes):
+                if kill_n is not None:
+                    _await_lease(journal, f"w{index}", processes[-1], poll_s)
+            for index, process in zip(order, processes):
                 code = process.wait()
                 if code != 0:
                     runner._progress(f"worker w{index} exited with {code}")

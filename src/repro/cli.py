@@ -697,8 +697,11 @@ def _campaign_run(args: _Args, parser: _Parser, console: Console) -> None:
 def _campaign_workers(args: _Args, parser: _Parser, console: Console) -> None:
     if (args.kill_worker is None) != (args.kill_after_checkpoints is None):
         parser.error("--kill-worker and --kill-after-checkpoints go together")
+    spec = _launch_spec(args, parser, ("job_timeout", "max_retries"))
+    with _usage_errors(parser):
+        archive = BehaviorArchive.for_corpus(args.corpus)
     result = run_fleet(
-        _launch_spec(args, parser, ("job_timeout", "max_retries")),
+        spec,
         args.corpus,
         workers=args.workers,
         poll_s=args.poll,
@@ -710,6 +713,7 @@ def _campaign_workers(args: _Args, parser: _Parser, console: Console) -> None:
         # No progress callback is how a fleet is told to keep quiet, worker
         # subprocesses included.
         progress=None if console.quiet else console.info,
+        archive=archive,
     )
     _report_campaign(result, args.corpus, console)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import get_registry
 
@@ -31,7 +31,7 @@ from ..coverage.guidance import GUIDANCE_MODES, make_guidance
 from ..coverage.signature import signature_from_summary
 from ..exec.backend import EvaluationBackend, create_backend
 from ..exec.batch import Evaluator
-from ..exec.cache import TraceCache, factory_identity
+from ..exec.cache import CachedOutcome, TraceCache, factory_identity, make_cache_key
 from ..exec.workers import EvaluationJob, simulate_packet_trace
 from ..netsim.simulation import CcaFactory, SimulationConfig, SimulationResult
 from ..scoring.base import Score, ScoreFunction
@@ -51,12 +51,16 @@ from .selection import RankSelection, pick_elites
 ProgressCallback = Callable[[GenerationStats], None]
 
 #: Called after every evaluated generation with a JSON-safe snapshot of the
-#: full mid-run state (see :meth:`CCFuzz.snapshot_state`); the campaign
-#: journal persists these so a killed run can resume bit-identically.
+#: full mid-run state (see :meth:`CCFuzz._snapshot`); the campaign journal
+#: persists these so a killed run can resume bit-identically.  A fuzzer with
+#: a cache names each outcome the cache holds by its trace alone, so such a
+#: snapshot resumes only into a cache restored to the same point.
 CheckpointCallback = Callable[[Dict[str, object]], None]
 
-#: Version of the snapshot layout produced by :meth:`CCFuzz.snapshot_state`.
-SNAPSHOT_SCHEMA = 1
+#: Version of the snapshot layout produced by :meth:`CCFuzz._snapshot`.  2
+#: leaves out the score and result summary of every individual whose outcome
+#: the cache holds; 1 (still read) carried every outcome inline.
+SNAPSHOT_SCHEMA = 2
 
 #: CCA identities a snapshot may carry from before BBR stopped keeping its
 #: write-only per-ACK history -> the identity of the same variant today.
@@ -319,6 +323,14 @@ class CCFuzz:
         another.
         """
         return factory_identity(self.cca_factory)
+
+    def _cached_outcome(self, trace: PacketTrace) -> Optional[CachedOutcome]:
+        """This run's outcome for ``trace`` if the cache holds it (a peek)."""
+        if self.cache is None:
+            return None
+        return self.cache.peek(make_cache_key(
+            trace.fingerprint(), self.cca_key, self._sim_fingerprint, self._score_fingerprint
+        ))
 
     def simulate_trace(self, trace: PacketTrace) -> SimulationResult:
         """Run the CCA under test against a single trace."""
@@ -600,20 +612,38 @@ class CCFuzz:
             "criterion": criterion.state_dict(),
             "migrations_performed": model.migrations_performed,
             "islands": [
-                [individual.to_dict() for individual in island]
+                [self._individual_payload(individual) for individual in island]
                 for island in model.islands
             ],
             "history": [stats.to_dict() for stats in history],
         }
+
+    def _individual_payload(self, individual: Individual) -> Dict[str, object]:
+        """An individual's outcome goes by reference when the cache holds it
+        (the cache's op log journals it already), inline otherwise."""
+        payload = individual.to_dict()
+        cached = self._cached_outcome(individual.trace)
+        if cached is not None and cached[0] == individual.score:
+            del payload["score"], payload["result_summary"]
+        return payload
+
+    def _restore_individual(self, payload: Dict[str, object]) -> Individual:
+        individual = Individual.from_dict(payload)
+        if "score" not in payload:
+            cached = self._cached_outcome(individual.trace)
+            if cached is None:
+                raise ValueError("snapshot names an outcome the evaluation cache does not hold")
+            self._apply_outcome(individual, *cached)
+        return individual
 
     def _restore(
         self, state: Dict[str, object]
     ) -> Tuple[IslandModel, ConvergenceCriterion, List[GenerationStats], int, bool]:
         """Rebuild mid-run state from a :meth:`_snapshot` payload."""
         cfg = self.config
-        if state.get("schema") != SNAPSHOT_SCHEMA:
+        if state.get("schema") not in (1, SNAPSHOT_SCHEMA):
             raise ValueError(
-                f"snapshot schema {state.get('schema')!r} does not match {SNAPSHOT_SCHEMA}"
+                f"snapshot schema {state.get('schema')!r} is neither 1 nor {SNAPSHOT_SCHEMA}"
             )
         expected = {
             "mode": cfg.mode,
@@ -647,6 +677,10 @@ class CCFuzz:
                 "snapshot was taken against a different CCA / simulation / "
                 f"scoring setup: {identity!r} != {mine!r}"
             )
+        islands = [
+            Population([self._restore_individual(payload) for payload in island])
+            for island in state["islands"]  # type: ignore[union-attr]
+        ]
         version, internal, gauss = state["rng_state"]  # type: ignore[misc]
         if isinstance(internal, str):  # packed; snapshots before that hold a list
             internal = unpack_le(internal, "I")
@@ -655,10 +689,6 @@ class CCFuzz:
         self.cache_hits = int(state["cache_hits"])  # type: ignore[arg-type]
         self.new_cells = int(state["new_cells"])  # type: ignore[arg-type]
         self._injected_seed_fingerprints = [str(fp) for fp in state["seed_fingerprints"]]  # type: ignore[union-attr]
-        islands = [
-            Population([Individual.from_dict(payload) for payload in island])
-            for island in state["islands"]  # type: ignore[union-attr]
-        ]
         model = IslandModel(
             islands,
             migration_interval=cfg.migration_interval,
@@ -746,7 +776,7 @@ class CCFuzz:
             generations=history,
             total_evaluations=self.total_evaluations,
             converged_generation=generation,
-            cache_hits=sum(stats.cache_hits for stats in history),
+            cache_hits=self.cache_hits,
             cache_stats=dict(self.cache.stats()) if self.cache is not None else {},
             seed_fingerprints=list(self._injected_seed_fingerprints),
             guidance=cfg.guidance,
@@ -754,3 +784,17 @@ class CCFuzz:
             coverage=self.archive.coverage(),
             archive=self.archive,
         )
+
+
+def restorable(state: Dict[str, Any], cache: TraceCache) -> bool:
+    """Whether ``cache`` holds every outcome snapshot ``state`` names by
+    reference (a cache restored from a stale dump, or one smaller than the
+    population, may not)."""
+    identity = state.get("identity") or {}
+    fingerprints = [identity.get(name) for name in ("cca_key", "sim_fingerprint", "score_fingerprint")]
+    return all(
+        make_cache_key(PacketTrace.from_dict(payload["trace"]).fingerprint(), *fingerprints) in cache
+        for island in state.get("islands") or []
+        for payload in island
+        if "score" not in payload
+    )

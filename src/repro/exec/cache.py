@@ -167,6 +167,14 @@ class TraceCache:
             score, summary = entry
             return score, dict(summary)
 
+    def peek(self, key: CacheKey) -> Optional[CachedOutcome]:
+        """The cached outcome, or ``None``: counts nothing, moves nothing and
+        logs nothing, so a checkpoint restore that reads outcomes back leaves
+        the cache exactly as the uninterrupted run had it."""
+        with self._lock:
+            entry = self._entries.get(key)
+            return None if entry is None else (entry[0], dict(entry[1]))
+
     def put(self, key: CacheKey, score: Score, summary: Dict[str, Any]) -> None:
         with self._lock:
             evicted = self._store(key, score, dict(summary))

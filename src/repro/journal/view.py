@@ -30,6 +30,11 @@ then extend it.  A generation re-done after a resume or a lease steal
 therefore overwrites the ops it replaces instead of duplicating them, and
 fencing (applied first) keeps a zombie's ops out altogether.
 
+A checkpoint journals its generation history as its tail; the view keeps
+each scenario's whole list (entries for generations before the tail's, then
+the tail), so a re-done generation replaces its entry and a full history
+replaces the list, at O(tail) per checkpoint.
+
 The fold can be *continued*: :class:`JournalFold` keeps the view together
 with the dedup set, the fencing epochs and the last fold key, so a reader
 that follows a growing file (:class:`repro.journal.log.JournalCursor`) folds
@@ -122,15 +127,15 @@ class JournalView:
         """A view that later folds cannot change.
 
         Owns every container the fold grows or updates in place (lease
-        payloads and cache op lists included); the record payloads inside are
-        shared with the fold, which only ever replaces them, and are not for
-        the caller to mutate.
+        payloads, cache op lists and checkpoint histories included); the
+        record payloads inside are shared with the fold, which only ever
+        replaces them, and are not for the caller to mutate.
         """
         return replace(
             self,
             resumes=list(self.resumes),
             leases={sid: dict(lease) for sid, lease in self.leases.items()},
-            checkpoints=dict(self.checkpoints),
+            checkpoints={sid: _own_history(cp) for sid, cp in self.checkpoints.items()},
             inserts=list(self.inserts),
             inserts_by_scenario={
                 sid: dict(by_fingerprint)
@@ -281,8 +286,9 @@ class JournalView:
 
         Equivalence is over everything a resume consumes: the campaign and
         resume records, current lease state, the journaled seed plan,
-        *pending* checkpoints (completed scenarios' checkpoints are dead
-        weight — nothing reads them), completions, the full behavior-delta
+        *pending* checkpoints with their folded histories (completed
+        scenarios' checkpoints are dead weight — nothing reads them),
+        completions, the full behavior-delta
         list (kept verbatim so limit-aware folds still work after later
         checkpoints move a scenario's limit), the folded cache op logs, and the
         insert WAL folded to the latest record per (scenario, fingerprint)
@@ -352,11 +358,37 @@ def _fold_lease_release(view: JournalView, data: Dict[str, Any]) -> None:
         current["released"] = True
 
 
+def _history(checkpoint: Optional[Dict[str, Any]]) -> Optional[List[Any]]:
+    fuzzer = checkpoint.get("fuzzer") if checkpoint else None
+    history = fuzzer.get("history") if isinstance(fuzzer, dict) else None
+    return history if isinstance(history, list) else None
+
+
+def _own_history(checkpoint: Dict[str, Any]) -> Dict[str, Any]:
+    """A checkpoint with its own history list: later folds extend it in place."""
+    history = _history(checkpoint)
+    if not history:
+        return checkpoint
+    return {**checkpoint, "fuzzer": {**checkpoint["fuzzer"], "history": list(history)}}
+
+
 def _fold_checkpoint(view: JournalView, data: Dict[str, Any]) -> None:
     scenario_id = data["scenario_id"]
     current = view.checkpoints.get(scenario_id)
-    if current is None or data["generation"] >= current["generation"]:
-        view.checkpoints[scenario_id] = data
+    if current is not None and data["generation"] < current["generation"]:
+        return
+    tail = _history(data)
+    if tail:
+        # A non-empty history in the view is the fold's own, never a record's.
+        history = _history(current) or []
+        try:
+            while history and history[-1]["generation"] >= tail[0]["generation"]:
+                history.pop()
+        except (KeyError, TypeError):
+            history = []
+        history.extend(tail)
+        data = {**data, "fuzzer": {**data["fuzzer"], "history": history}}
+    view.checkpoints[scenario_id] = data
 
 
 def _fold_cache(view: JournalView, data: Dict[str, Any]) -> None:

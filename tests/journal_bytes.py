@@ -5,7 +5,11 @@ job summary so "where did the bytes go" is readable per run.  A candidate is
 one scored trace (simulated or cache-served), as ``report.json`` counts them.
 A second table splits the ``generation_checkpoint`` bytes by what they hold
 (each part measured as its own canonical JSON; "other" is the rest of the
-line): the place to look for the next durability lever.
+line): the place to look for the next durability lever.  The "inline
+outcomes" rows are the result summaries and scores individuals carry
+themselves: 0 once
+checkpoints name each outcome by reference to the cache op that journaled
+it, non-zero in older journals; the line under the table counts both kinds.
 Below the tables: read amplification, the journal bytes the campaign's
 processes parsed (``journal.bytes_scanned`` in the last telemetry snapshot of
 each process that left one) per byte of journal on disk.
@@ -32,10 +36,13 @@ def checkpoint_fields(data: dict) -> dict:
     def size(value) -> int:
         return len(canonical_json(value))
 
+    inline = [individual for individual in individuals if "score" in individual]
     return {
         "island traces": sum(size(individual.get("trace")) for individual in individuals),
-        "result summaries": sum(size(individual.get("result_summary")) for individual in individuals),
-        "scores": sum(size(individual.get("score")) for individual in individuals),
+        "inline outcomes: result summaries": sum(
+            size(individual.get("result_summary")) for individual in inline
+        ),
+        "inline outcomes: scores": sum(size(individual["score"]) for individual in inline),
         "rng_state": size(fuzzer.get("rng_state")),
         "history": size(fuzzer.get("history")),
         "cache ops": size(data.get("cache", {}).get("ops", [])),
@@ -48,11 +55,15 @@ def main(corpus_dir: str) -> int:
     candidates = report["total_evaluations"] + report["total_cache_hits"]
     by_type: dict = {}
     by_field: dict = {}
+    individuals = {"inline": 0, "by reference": 0}
     for record in CampaignJournal(CampaignJournal.corpus_path(corpus_dir)).records():
         size = len(record.to_line())
         by_type[record.type] = by_type.get(record.type, 0) + size
         if record.type == "generation_checkpoint":
             fields = checkpoint_fields(record.data)
+            for island in record.data.get("fuzzer", {}).get("islands", []):
+                for individual in island:
+                    individuals["inline" if "score" in individual else "by reference"] += 1
             fields["other"] = size - sum(fields.values())
             for name, part in fields.items():
                 by_field[name] = by_field.get(name, 0) + part
@@ -69,6 +80,10 @@ def main(corpus_dir: str) -> int:
         print("|---|---:|---:|---:|")
         for name, size in sorted(by_field.items(), key=lambda item: (-item[1], item[0])):
             print(f"| {name} | {size} | {size / candidates:.0f} | {size / checkpoints:.1%} |")
+        print(
+            f"\ncheckpoint individuals: {individuals['by reference']} with the outcome "
+            f"by reference, {individuals['inline']} inline"
+        )
     scanned = {}
     for record in read_metrics(os.path.join(corpus_dir, METRICS_FILENAME)):
         if record.get("type") == "metrics":

@@ -504,9 +504,10 @@ class TestUnreadableCorpusFiles:
         (coverage_main, ["diff", "{dir}", "{dir}"]),
         (coverage_main, ["gaps", "{dir}"]),
         (campaign_main, ["run", "--spec", "{spec}", "--corpus", "{dir}"]),
+        (campaign_main, ["workers", "--spec", "{spec}", "--corpus", "{dir}", "-n", "0"]),
         (fuzz_main, ["--cca", "reno", "--population", "4", "--generations", "1",
                      "--duration", "1", "--output-dir", "{dir}"]),
-    ], ids=["map", "map-file", "diff", "gaps", "run", "fuzz"])
+    ], ids=["map", "map-file", "diff", "gaps", "run", "workers", "fuzz"])
     def test_bad_behavior_map_is_a_usage_error(
         self, main, argv, bad_map_dir, spec_path, capsys
     ):

@@ -7,6 +7,10 @@ the whole cache: on the serial campaign below the last checkpoint held
 generations x population entries and was 4.6x the first.)  A journal in that
 older full-dump layout must still resume — cold, not crash — and one whose
 traces and RNG state are JSON number lists must resume bit-identically.
+
+Nor does a checkpoint re-journal what the journal holds: an individual names
+its outcome by its trace (the cache op log carries it), and the history goes
+as its tail, which replay folds back into the whole list at any kill point.
 """
 
 from __future__ import annotations
@@ -15,14 +19,17 @@ import hashlib
 import json
 import os
 import shutil
+import tempfile
 
 import pytest
 from golden_utils import list_timestamps
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore, run_fleet
 from repro.core.fuzzer import CCFuzz
 from repro.coverage.archive import BehaviorArchive
-from repro.journal import CampaignJournal
+from repro.exec.cache import TraceCache
+from repro.journal import CampaignJournal, JournalRecord
 from repro.scoring.objectives import make_score_function
 from repro.tcp.cca import cca_factory
 
@@ -185,3 +192,163 @@ def test_list_timestamps_journal_resumes_to_the_uninterrupted_run(tmp_path):
         fresh_dir,
     )
     assert resumed == fresh == LIST_TIMESTAMPS_UNINTERRUPTED
+
+
+# ---------------------------------------------------------------------- #
+# Checkpoints name what the journal already holds
+# ---------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("run", [run_serial, run_inline_fleet])
+def test_checkpoints_journal_outcomes_by_reference_and_history_as_its_tail(run, tmp_path):
+    """With a cache, a checkpoint individual is its trace, birth and origin:
+    the score and summary are the cache put's, which the op log journals
+    already.  The history is the one generation the checkpoint closes."""
+    run(tmp_path)
+    records = CampaignJournal(CampaignJournal.corpus_path(str(tmp_path))).records()
+    snapshots = [r.data["fuzzer"] for r in records if r.type == "generation_checkpoint"]
+    assert len(snapshots) == 2 * GENERATIONS
+    individuals = [i for s in snapshots for island in s["islands"] for i in island]
+    assert len(individuals) == 2 * GENERATIONS * POPULATION
+    assert all(set(i) == {"trace", "generation_born", "origin"} for i in individuals)
+    assert [[h["generation"] for h in s["history"]] for s in snapshots] == [
+        [s["generation"]] for s in snapshots
+    ]
+
+
+#: A lease that has expired by the time anybody looks: a resumed fleet steals
+#: the dead worker's scenario at once instead of waiting the default 30 s.
+KILL_SPEC = {"lease_ttl": 0.001}
+
+
+def _journal_lines(corpus_dir) -> list:
+    with open(CampaignJournal.corpus_path(str(corpus_dir)), "rb") as handle:
+        return handle.read().splitlines(keepends=True)
+
+
+def _killed_copy(lines, count: int, corpus_dir) -> str:
+    """A corpus directory holding only the first ``count`` journal records:
+    what a SIGKILL right after that append leaves (the insert WAL rebuilds
+    the corpus on resume)."""
+    os.makedirs(corpus_dir)
+    with open(CampaignJournal.corpus_path(str(corpus_dir)), "wb") as handle:
+        handle.write(b"".join(lines[:count]))
+    return str(corpus_dir)
+
+
+def _resume_serial(corpus_dir):
+    return CampaignRunner.resume(corpus_dir, telemetry=False).run()
+
+
+def _resume_fleet(corpus_dir):
+    return run_fleet(
+        pinned_spec(**KILL_SPEC), corpus_dir, workers=0, register_attacks=False, telemetry=False
+    )
+
+
+def _records(lines) -> list:
+    return [JournalRecord.from_line(line.decode()) for line in lines]
+
+
+FIRST = pinned_spec().expand()[0].scenario_id
+
+
+def _after_checkpoint_2(lines) -> int:
+    """Records a kill right after the first scenario's generation-2 checkpoint leaves."""
+    return next(
+        index + 1
+        for index, record in enumerate(_records(lines))
+        if record.type == "generation_checkpoint"
+        and record.data["scenario_id"] == FIRST and record.data["generation"] == 2
+    )
+
+
+def _tails(lines) -> dict:
+    """scenario -> the history its uninterrupted run journaled, tail by tail."""
+    histories: dict = {}
+    for record in _records(lines):
+        if record.type == "generation_checkpoint":
+            histories.setdefault(record.data["scenario_id"], []).extend(
+                record.data["fuzzer"]["history"]
+            )
+    return histories
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """Three pinned campaigns run to the end: serial, inline fleet, and an
+    inline fleet killed in its first scenario whose lease a resume stole."""
+    root = tmp_path_factory.mktemp("uninterrupted")
+    serial = CampaignRunner(
+        pinned_spec(**KILL_SPEC), CorpusStore(str(root / "serial")),
+        register_attacks=False, telemetry=False,
+    ).run()
+    fleet = _resume_fleet(str(root / "fleet"))
+    fleet_lines = _journal_lines(root / "fleet")
+    stolen = _resume_fleet(
+        _killed_copy(fleet_lines, _after_checkpoint_2(fleet_lines), root / "stolen")
+    )
+    view = CampaignJournal(CampaignJournal.corpus_path(str(root / "stolen"))).replay()
+    assert view.leases[FIRST]["lease_epoch"] == 2, "the resume did not steal the lease"
+    assert stolen.deterministic_digest() == fleet.deterministic_digest()
+    fleet_histories = _tails(fleet_lines)
+    return {
+        "serial": (_journal_lines(root / "serial"), serial.deterministic_digest(),
+                   _tails(_journal_lines(root / "serial")), _resume_serial),
+        "fleet": (fleet_lines, fleet.deterministic_digest(), fleet_histories, _resume_fleet),
+        "stolen": (_journal_lines(root / "stolen"), fleet.deterministic_digest(),
+                   fleet_histories, _resume_fleet),
+    }
+
+
+@pytest.mark.parametrize("kind", ["serial", "fleet", "stolen"])
+@given(at=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_kill_point_folds_the_full_history_and_resumes_bit_identically(
+    kind, at, uninterrupted
+):
+    lines, digest, histories, resume = uninterrupted[kind]
+    count = 1 + int(at * (len(lines) - 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_dir = _killed_copy(lines, count, os.path.join(tmp, "corpus"))
+        view = CampaignJournal(CampaignJournal.corpus_path(corpus_dir)).replay()
+        for scenario_id, checkpoint in view.pending_checkpoints().items():
+            generation = checkpoint["generation"]
+            assert checkpoint["fuzzer"]["history"] == histories[scenario_id][: generation + 1]
+        compacted = CampaignJournal(CampaignJournal.corpus_path(corpus_dir))
+        if compacted.compact() is not None:
+            assert compacted.replay().pending_checkpoints() == view.pending_checkpoints()
+        assert resume(corpus_dir).deterministic_digest() == digest
+
+
+@pytest.mark.parametrize("stale", ["cache-schema", "small-cache"])
+def test_a_checkpoint_the_restored_cache_cannot_serve_restarts_its_scenario(stale, tmp_path):
+    """A stale cache dump (or a cache too small for the population) cannot
+    give back the outcomes a checkpoint names by reference: resume refuses
+    that checkpoint and reruns the scenario from its seeds, with a warning."""
+    uninterrupted = CampaignRunner(
+        pinned_spec(), CorpusStore(str(tmp_path / "uninterrupted")),
+        register_attacks=False, telemetry=False,
+    ).run()
+    lines = _journal_lines(tmp_path / "uninterrupted")
+    corpus_dir = str(tmp_path / "killed")
+    os.makedirs(corpus_dir)
+    with CampaignJournal(CampaignJournal.corpus_path(corpus_dir), fsync=False) as journal:
+        for record in _records(lines[: _after_checkpoint_2(lines)]):
+            if stale == "cache-schema" and "cache" in record.data:
+                record.data["cache"]["schema"] = "o1"
+            journal.append(record.type, record.data)
+    messages = []
+    resumed = CampaignRunner.resume(
+        corpus_dir,
+        cache=TraceCache(max_entries=2) if stale == "small-cache" else None,
+        progress=messages.append,
+        telemetry=False,
+    ).run()
+    assert f"[{FIRST}] journaled cache dump is stale; restarting the scenario from its seeds" in messages
+    assert [o.best_fingerprint for o in resumed.outcomes] == [
+        o.best_fingerprint for o in uninterrupted.outcomes
+    ]
+    if stale == "cache-schema":
+        # A cold cache and a scenario run from its seeds: the uninterrupted run.
+        assert resumed.deterministic_digest() == uninterrupted.deterministic_digest()

@@ -28,6 +28,7 @@ from repro.exec import (
     ProcessPoolBackend,
     QuarantineStore,
     SerialBackend,
+    TraceCache,
     active_plan,
     cca_identity,
     chaos_injection,
@@ -251,7 +252,9 @@ class TestConfigPlumbing:
             average_rate_mbps=3.0, max_traffic_packets=40, seed=13,
         )
         snapshots = []
-        uninterrupted = CCFuzz(Reno, config=config).run(checkpoint=snapshots.append)
+        # A snapshot names each outcome by reference to the cache it came from.
+        cache = TraceCache()
+        uninterrupted = CCFuzz(Reno, config=config, cache=cache).run(checkpoint=snapshots.append)
         assert set(snapshots[0]["config"]) == {
             "mode", "population_size", "islands", "generations", "seed", "guidance",
         }
@@ -260,7 +263,7 @@ class TestConfigPlumbing:
         # they were provenance, never identity, and such a snapshot resumes.
         legacy = json.loads(json.dumps(snapshots[0]))
         legacy["config"].update({"job_timeout": 9.0, "max_retries": 5})
-        resumed = CCFuzz(Reno, config=config).run(resume_from=legacy)
+        resumed = CCFuzz(Reno, config=config, cache=cache).run(resume_from=legacy)
         assert resumed.best_fitness == uninterrupted.best_fitness
         assert resumed.best_trace.fingerprint() == uninterrupted.best_trace.fingerprint()
 

@@ -112,8 +112,24 @@ def test_snapshot_contents_and_schema():
     assert all(0 <= word < 2**32 for word in words) and words[-1] <= 624
     assert len(state["islands"]) == 1
     assert len(state["islands"][0]) == 4
-    assert all(ind["score"] is not None for ind in state["islands"][0])
+    # The fuzzer's own cache holds every outcome: each is named by its trace.
+    assert all(
+        set(ind) == {"trace", "generation_born", "origin"} for ind in state["islands"][0]
+    )
     assert len(state["history"]) == 1
+
+
+def test_uncached_snapshot_carries_outcomes_inline_and_resumes():
+    baseline, snapshots, _ = run_capturing(make_fuzzer(use_cache=False))
+    assert all(ind["score"] is not None for ind in snapshots[0]["islands"][0])
+    resumed = make_fuzzer(use_cache=False).run(resume_from=json.loads(json.dumps(snapshots[0])))
+    assert result_fingerprint(resumed) == result_fingerprint(baseline)
+
+
+def test_restore_refuses_outcomes_the_cache_does_not_hold():
+    _, snapshots, _ = run_capturing(make_fuzzer())
+    with pytest.raises(ValueError, match="does not hold"):
+        make_fuzzer(cache=TraceCache()).run(resume_from=snapshots[0])
 
 
 def test_islands_and_migration_state_roundtrip():

@@ -451,6 +451,30 @@ def test_cache_deltas_fold_back_to_the_live_cache(
         run.assert_journal_equals_live()
 
 
+@given(max_entries=max_entries_st, generations=generations_st, peeks=st.lists(
+    st.integers(min_value=0, max_value=len(CACHE_KEYS) - 1), max_size=12))
+@settings(max_examples=80, deadline=None)
+def test_peek_counts_nothing_moves_nothing_logs_nothing(max_entries, generations, peeks):
+    """A checkpoint restore reads outcomes back with ``peek``: the hit and
+    miss counters, the op log and the LRU order stay the uninterrupted run's."""
+    plain, peeked = TraceCache(max_entries=max_entries), TraceCache(max_entries=max_entries)
+    mark = 0
+    for touches in generations:
+        play(plain, touches)
+        play(peeked, touches)
+        for index in peeks:
+            entry = peeked.peek(CACHE_KEYS[index])
+            if CACHE_KEYS[index] in plain:
+                assert entry == (Score(index + 0.5, float(index)), {"events": index})
+            else:
+                assert entry is None
+        assert peeked.dump() == plain.dump()          # entries, LRU order, counters
+        assert peeked.stats() == plain.stats()
+        delta, _ = plain.delta_since(mark)
+        assert peeked.delta_since(mark) == (delta, mark + len(delta["ops"]))
+        mark += len(delta["ops"])
+
+
 @given(
     max_entries=max_entries_st,
     before=generations_st,
