@@ -66,7 +66,11 @@ def _measure_simulation(cca: str, *, link: bool) -> dict:
         packets = result.monitor.sent_count(CCA_FLOW) + result.monitor.sent_count(CROSS_FLOW)
         row = {
             "wall_clock_s": elapsed,
+            # Cross-traffic sink arrivals are counted at service time and are
+            # no scheduler events, so traffic mode's `events` fell by
+            # `cross_delivered` while its packets/sec rose.
             "events": result.events_executed,
+            "cross_delivered": result.cross_delivered,
             "packets": packets,
             "events_per_sec": result.events_executed / elapsed,
             "packets_per_sec": packets / elapsed,

@@ -19,6 +19,7 @@ plateau patience or target fitness).
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -141,6 +142,12 @@ class FuzzConfig:
             raise ValueError("migration_fraction must be in [0, 1]")
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
+        # DIST_PACKETS' trace shape, checked here rather than mid-run: a NaN
+        # k_agg would never relax a short interval.
+        if not (math.isfinite(self.k_agg) and self.k_agg >= 0):
+            raise ValueError("k_agg must be finite and non-negative")
+        if not (math.isfinite(self.rate_bound) and self.rate_bound > 1.0):
+            raise ValueError("rate_bound must be finite and exceed 1.0")
         # The backend's own rules, by building it (pools start lazily).
         create_backend(self.backend, self.workers)
         if self.guidance not in GUIDANCE_MODES:

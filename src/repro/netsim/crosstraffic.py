@@ -3,14 +3,15 @@
 In traffic-fuzzing mode the adversary controls a sequence of cross-traffic
 packet injection times (section 3.3).  The cross traffic is open-loop
 ("UDP-like"): packets are pushed into the gateway queue at the trace times
-regardless of drops, and simply counted at the sink.
+regardless of drops, and simply counted at the sink (by the link, at service
+time: a cross packet's arrival is no scheduler event).
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from .engine import EventScheduler, FifoLane
+from .engine import EventScheduler, FifoLane, sorted_input_times
 from .packet import CROSS_FLOW, DEFAULT_MSS, Packet
 
 EnqueueCallback = Callable[[Packet, float], bool]
@@ -41,9 +42,9 @@ class CrossTrafficSource:
     ) -> None:
         self.scheduler = scheduler
         self.enqueue = enqueue
-        self.injection_times: List[float] = sorted(float(t) for t in injection_times)
-        if self.injection_times and self.injection_times[0] < 0:
-            raise ValueError("cross-traffic injection times must be non-negative")
+        self.injection_times: List[float] = sorted_input_times(
+            injection_times, "cross-traffic injection times"
+        )
         self.mss_bytes = mss_bytes
         self.sent = 0
         self.dropped = 0

@@ -22,17 +22,33 @@ hold entries, because every GA generation bottoms out in millions of them:
   are merged with the heap at pop time by the global ``(time, seq)`` key, so
   the execution order is exactly what a pure-heap scheduler would produce —
   including tie-breaks (``tests/test_engine.py`` holds the reference).
+  Cross-traffic sink arrivals are no events at all: the link counts them
+  at service time (see :mod:`repro.netsim.link`).
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from math import isfinite
+from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
 #: One scheduled event: (time, insertion seq, timer-or-None, callback, args).
 #: A :class:`LazyTimer` bookkeeping entry carries the timer and no callback.
 _Entry = Tuple[float, int, Optional["LazyTimer"], Optional[Callable[..., None]], tuple]
+
+
+def sorted_input_times(times: Iterable[float], what: str) -> List[float]:
+    """``times`` as sorted floats; the one rule for every time a run is given.
+
+    Each must be finite and non-negative: a NaN at the head of a lane never
+    wins the run loop's ``(time, seq)`` comparison, so it would silently
+    block every later event.
+    """
+    ordered = sorted(map(float, times))
+    if ordered and (ordered[0] < 0 or not all(map(isfinite, ordered))):
+        raise ValueError(f"{what} must be finite and non-negative")
+    return ordered
 
 
 class LazyTimer:

@@ -9,8 +9,10 @@ Two service disciplines are provided, matching the paper's two fuzzing modes
   a list of packet transmission opportunities, used in link-fuzzing mode,
   where the adversary controls the bottleneck service curve itself.
 
-Both links drain the shared drop-tail gateway queue and hand packets to a
-delivery callback after the fixed one-way propagation delay.
+Both links drain the shared drop-tail gateway queue and hand packets of the
+flow under test to a delivery callback after the fixed one-way propagation
+delay.  Cross traffic is open-loop, only counted at the sink (section 3.3),
+so its arrival is no event: the link counts it when it serves the packet.
 
 The service loop is self-clocked on scheduler fast lanes: while the queue is
 busy, each service completion chains dequeue → transmit → next completion
@@ -23,11 +25,17 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence
 
-from .engine import EventScheduler, FifoLane
-from .packet import Packet
+from .engine import EventScheduler, FifoLane, sorted_input_times
+from .packet import CCA_FLOW, Packet
 from .queue import DropTailQueue
 
 DeliveryCallback = Callable[[Packet], None]
+#: Records a cross packet's sink arrival: ``(packet, arrival_time)``.
+SinkCounter = Callable[[Packet, float], None]
+
+
+def _uncounted(packet: Packet, arrival: float) -> None:
+    """A link started without a sink counter keeps no cross-traffic count."""
 
 
 def mbps_to_pps(rate_mbps: float, mss_bytes: int = 1500) -> float:
@@ -45,12 +53,18 @@ def pps_to_mbps(rate_pps: float, mss_bytes: int = 1500) -> float:
 class Link:
     """Common behaviour for bottleneck links.
 
-    A link is attached to the gateway queue and a scheduler.  Delivered
-    packets are passed to ``deliver`` after ``propagation_delay`` seconds,
-    modelling the fixed-propagation bottleneck of the paper's topology.
+    A link is attached to the gateway queue and a scheduler.  Packets of the
+    flow under test are passed to ``deliver`` after ``propagation_delay``
+    seconds, modelling the fixed-propagation bottleneck of the paper's
+    topology.  Any other packet is cross traffic: at service time it goes to
+    the ``count_at_sink`` that :meth:`start` was given, with its arrival time,
+    if that is at or before the run's (inclusive) horizon.
     """
 
-    __slots__ = ("scheduler", "queue", "deliver", "propagation_delay", "serviced", "_delivery_lane")
+    __slots__ = (
+        "scheduler", "queue", "deliver", "propagation_delay", "horizon",
+        "count_at_sink", "_delivery_lane",
+    )
 
     def __init__(
         self,
@@ -63,7 +77,8 @@ class Link:
         self.queue = queue
         self.deliver = deliver
         self.propagation_delay = propagation_delay
-        self.serviced = 0
+        self.horizon = float("inf")
+        self.count_at_sink: SinkCounter = _uncounted
         # Deliveries happen a fixed propagation delay after each (monotone)
         # service completion, so they form a monotone fast lane.  The
         # topology shares this lane for returning ACKs (same fixed delay,
@@ -79,8 +94,11 @@ class Link:
     def on_enqueue(self, packet: Packet, now: float) -> None:
         """Hook called by the queue when a packet is admitted."""
 
-    def start(self, horizon: float) -> None:
-        """Install any service events needed before a run of ``horizon`` seconds."""
+    def start(self, horizon: float, count_at_sink: SinkCounter = _uncounted) -> None:
+        """Install any service events needed before a run of ``horizon``
+        seconds, whose cross-traffic arrivals go to ``count_at_sink``."""
+        self.horizon = horizon
+        self.count_at_sink = count_at_sink
 
 
 class FixedRateLink(Link):
@@ -119,8 +137,11 @@ class FixedRateLink(Link):
         now = self.scheduler.now
         packet = self.queue.dequeue(now)
         if packet is not None:
-            self.serviced += 1
-            self._delivery_lane.push_at(now + self.propagation_delay, self.deliver, packet)
+            arrival = now + self.propagation_delay
+            if packet.flow == CCA_FLOW:
+                self._delivery_lane.push_at(arrival, self.deliver, packet)
+            elif arrival <= self.horizon:
+                self.count_at_sink(packet, arrival)
         if self.queue._queue:
             # Busy self-clocking: chain the next departure without going
             # idle (matches the work-conserving service discipline).
@@ -155,15 +176,16 @@ class TraceDrivenLink(Link):
         propagation_delay: float = 0.02,
     ) -> None:
         super().__init__(scheduler, queue, deliver, propagation_delay)
-        self.opportunities: List[float] = sorted(float(t) for t in opportunities)
-        if self.opportunities and self.opportunities[0] < 0:
-            raise ValueError("transmission opportunities must be non-negative")
+        self.opportunities: List[float] = sorted_input_times(
+            opportunities, "transmission opportunities"
+        )
         self.wasted_opportunities = 0
         # Opportunities are installed pre-sorted, so they form a monotone lane.
         self._opportunity_lane: FifoLane = scheduler.fifo_lane()
 
-    def start(self, horizon: float) -> None:
+    def start(self, horizon: float, count_at_sink: SinkCounter = _uncounted) -> None:
         """Schedule all transmission opportunities up to ``horizon``."""
+        super().start(horizon, count_at_sink)
         lane = self._opportunity_lane
         callback = self._service_opportunity
         for t in self.opportunities:
@@ -177,5 +199,8 @@ class TraceDrivenLink(Link):
         if packet is None:
             self.wasted_opportunities += 1
             return
-        self.serviced += 1
-        self._delivery_lane.push_at(now + self.propagation_delay, self.deliver, packet)
+        arrival = now + self.propagation_delay
+        if packet.flow == CCA_FLOW:
+            self._delivery_lane.push_at(arrival, self.deliver, packet)
+        elif arrival <= self.horizon:
+            self.count_at_sink(packet, arrival)

@@ -38,7 +38,6 @@ class DropTailQueue:
         "_queue",
         "_on_enqueue",
         "drops",
-        "enqueued",
         "_sample_depth",
         "_depth_times",
         "_depth_values",
@@ -51,7 +50,6 @@ class DropTailQueue:
         self._queue: Deque[Packet] = deque()
         self._on_enqueue: Optional[Callable[[Packet, float], None]] = None
         self.drops: Dict[str, int] = {}
-        self.enqueued: Dict[str, int] = {}
         self._sample_depth = sample_depth
         self._depth_times: List[float] = []
         self._depth_values: List[int] = []
@@ -75,8 +73,8 @@ class DropTailQueue:
         Returns ``True`` if admitted, ``False`` if tail-dropped.
         """
         queue = self._queue
-        flow = packet.flow
         if len(queue) >= self.capacity:
+            flow = packet.flow
             self.drops[flow] = self.drops.get(flow, 0) + 1
             if self._sample_depth:
                 self._depth_times.append(now)
@@ -84,7 +82,6 @@ class DropTailQueue:
             return False
         packet.enqueue_time = now
         queue.append(packet)
-        self.enqueued[flow] = self.enqueued.get(flow, 0) + 1
         if self._sample_depth:
             self._depth_times.append(now)
             self._depth_values.append(len(queue))
@@ -103,10 +100,6 @@ class DropTailQueue:
             self._depth_times.append(now)
             self._depth_values.append(len(queue))
         return packet
-
-    def peek(self) -> Optional[Packet]:
-        """Return the head-of-line packet without removing it."""
-        return self._queue[0] if self._queue else None
 
     def total_drops(self) -> int:
         return sum(self.drops.values())

@@ -40,6 +40,7 @@ class SimulationConfig:
     min_rto: float = 1.0
     sender_start_time: float = 0.0
     record_series: bool = True
+    #: Caps scheduler events only: cross-traffic sink arrivals are none.
     max_events: Optional[int] = 2_000_000
     #: Lazily computed by :meth:`fingerprint`, which is why the class is
     #: frozen: a field assigned after the memo would keep the old identity
@@ -135,7 +136,9 @@ class SimulationResult:
     cross_dropped_at_queue: int = 0
     link_wasted_opportunities: int = 0
     forced_losses: int = 0
-    events_executed: int = 0    #: scheduler events processed (perf accounting)
+    #: Scheduler events processed (perf accounting).  Cross-traffic sink
+    #: arrivals are counted at service time and are not events.
+    events_executed: int = 0
 
     # ------------------------------------------------------------------ #
     # Convenience metrics

@@ -4,7 +4,9 @@ The paper's network model (section 3.1): two sources — the flow under test
 and a cross-traffic source — feed a gateway with a fixed-size drop-tail FIFO
 queue; the gateway is connected to the sink by a bottleneck link with fixed
 propagation delay.  ACKs return over an uncongested reverse path with the
-same propagation delay.
+same propagation delay.  Cross traffic is open-loop and only counted at the
+sink, which the link does when it serves a cross packet: those arrivals are
+not scheduler events.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from ..tcp.cca.base import CongestionControl
 from ..tcp.receiver import TcpReceiver
 from ..tcp.sender import TcpSender
 from .crosstraffic import CrossTrafficSource
-from .engine import EventScheduler
+from .engine import EventScheduler, sorted_input_times
 from .link import FixedRateLink, Link, TraceDrivenLink, mbps_to_pps
 from .monitor import FlowMonitor
-from .packet import AckPacket, CCA_FLOW, Packet
+from .packet import AckPacket, Packet
 from .queue import DropTailQueue
 
 if TYPE_CHECKING:
@@ -106,7 +108,7 @@ class DumbbellTopology:
         self.cross_delivered = 0
         # Random-loss schedule (section 5 extension): each entry drops the
         # next CCA packet departing the bottleneck at or after that time.
-        self._pending_losses = sorted(float(t) for t in loss_times) if loss_times else []
+        self._pending_losses = sorted_input_times(loss_times or (), "loss times")
         self.forced_losses = 0
         # Fault-injection hook: drops matching CCA packets before they reach
         # the gateway (used to reproduce specific loss patterns such as
@@ -133,20 +135,19 @@ class DumbbellTopology:
         return admitted
 
     def _deliver_to_sink(self, packet: Packet) -> None:
+        """A packet of the flow under test reaches the receiver."""
         now = self.scheduler.now
-        if (
-            packet.flow == CCA_FLOW
-            and self._pending_losses
-            and now >= self._pending_losses[0]
-        ):
+        if self._pending_losses and now >= self._pending_losses[0]:
             self._pending_losses.pop(0)
             self.forced_losses += 1
             return
         self.monitor.on_egress(packet, now)
-        if packet.flow == CCA_FLOW:
-            self.receiver.on_segment(packet)
-        else:
-            self.cross_delivered += 1
+        self.receiver.on_segment(packet)
+
+    def _count_cross_at_sink(self, packet: Packet, arrival: float) -> None:
+        """A cross packet reaches the sink at ``arrival``: counted, no event."""
+        self.monitor.on_egress(packet, arrival)
+        self.cross_delivered += 1
 
     def _return_ack(self, ack: AckPacket) -> None:
         self._ack_lane.push_at(
@@ -160,14 +161,15 @@ class DumbbellTopology:
     def start(self) -> None:
         """Install all initial events."""
         horizon = self.config.duration
-        self.link.start(horizon)
+        self.link.start(horizon, self._count_cross_at_sink)
         if self.cross_traffic is not None:
             self.cross_traffic.start(horizon=horizon)
         self.sender.start()
 
     def run(self) -> int:
         """Run to ``config.duration`` (or the ``config.max_events`` cap);
-        returns the number of events executed."""
+        returns the number of scheduler events executed (cross-traffic sink
+        arrivals are none)."""
         self.start()
         executed = self.scheduler.run(
             until=self.config.duration, max_events=self.config.max_events

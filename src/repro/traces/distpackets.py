@@ -15,7 +15,8 @@ which is obtained by passing ``rate_bound=None``.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from math import isfinite
+from typing import List, Optional, Tuple
 
 #: Default aggregation threshold below which rate bounds are not enforced (50 ms).
 DEFAULT_K_AGG = 0.05
@@ -60,65 +61,70 @@ def dist_packets(
     """
     if num < 0:
         raise ValueError("num must be non-negative")
+    if not (isfinite(start) and isfinite(end)):
+        raise ValueError(f"interval bounds must be finite, got [{start}, {end}]")
     if end < start:
         raise ValueError(f"invalid interval [{start}, {end}]")
     if rate_bound is not None and rate_bound <= 1.0:
         raise ValueError("rate_bound must exceed 1.0 (or be None to disable)")
 
+    # One flat loop instead of recursion (adversarially unbalanced splits
+    # could exceed Python's recursion limit): walk down each interval's left
+    # half in place and keep only the right halves on the stack, which keeps
+    # the output naturally close to sorted.  The split draws are inlined
+    # verbatim from ``random.Random``: ``uniform(lo, hi)`` is
+    # ``lo + (hi - lo) * random()`` and ``randint(0, n)`` is ``randrange``'s
+    # ``getrandbits`` rejection loop, so the output and the final RNG state
+    # equal those calls' (``tests/test_distpackets.py`` holds the reference).
+    random_ = rng.random
+    getrandbits = rng.getrandbits
     result: List[float] = []
-    # Explicit work stack instead of recursion: adversarially unbalanced splits
-    # could otherwise exceed Python's recursion limit for large packet counts.
-    stack: List[tuple] = [(num, start, end)]
-    while stack:
-        n, lo, hi = stack.pop()
-        if n == 0:
-            continue
-        if n == 1:
-            result.append((lo + hi) / 2.0)
-            continue
-        span = hi - lo
-        if span <= 0:
+    stack: List[Tuple[int, float, float]] = []
+    n, lo, hi = num, start, end
+    while True:
+        if n > 1:
+            span = hi - lo
+            if span > 0:
+                # Pick a split time and left-half packet count honouring the
+                # rate bound; an even split is the fallback, and always does.
+                rate = n / span
+                relaxed = span < k_agg or rate_bound is None
+                if not relaxed:
+                    rate_hi = rate_bound * rate
+                    rate_lo = rate / rate_bound
+                bound = n + 1
+                bits = bound.bit_length()
+                for _ in range(_MAX_SPLIT_ATTEMPTS):
+                    t_split = lo + span * random_()
+                    n_left = getrandbits(bits)
+                    while n_left >= bound:
+                        n_left = getrandbits(bits)
+                    if relaxed:
+                        if lo < t_split < hi:
+                            break
+                        continue
+                    left_span = t_split - lo
+                    right_span = hi - t_split
+                    if left_span <= 0 or right_span <= 0:
+                        continue
+                    left_rate = n_left / left_span
+                    right_rate = (n - n_left) / right_span
+                    if left_rate > rate_hi or right_rate > rate_hi:
+                        continue
+                    if left_rate < rate_lo or right_rate < rate_lo:
+                        continue
+                    break
+                else:
+                    t_split, n_left = lo + span / 2.0, n // 2
+                stack.append((n - n_left, t_split, hi))
+                n, hi = n_left, t_split
+                continue
             # Degenerate interval: all packets land on the same instant.
             result.extend([lo] * n)
-            continue
-        t_split, n_left = _choose_split(n, lo, hi, rng, k_agg, rate_bound)
-        # Push the right half first so the left half is processed next,
-        # which keeps the output naturally close to sorted.
-        stack.append((n - n_left, t_split, hi))
-        stack.append((n_left, lo, t_split))
+        elif n == 1:
+            result.append((lo + hi) / 2.0)
+        if not stack:
+            break
+        n, lo, hi = stack.pop()
     result.sort()
     return result
-
-
-def _choose_split(
-    num: int,
-    start: float,
-    end: float,
-    rng: random.Random,
-    k_agg: float,
-    rate_bound: Optional[float],
-) -> tuple:
-    """Pick a split time and left-half packet count honouring the rate bound."""
-    span = end - start
-    rate = num / span
-    relaxed = span < k_agg or rate_bound is None
-    for _ in range(_MAX_SPLIT_ATTEMPTS):
-        t_split = rng.uniform(start, end)
-        n_left = rng.randint(0, num)
-        if relaxed:
-            if start < t_split < end:
-                return t_split, n_left
-            continue
-        left_span = t_split - start
-        right_span = end - t_split
-        if left_span <= 0 or right_span <= 0:
-            continue
-        left_rate = n_left / left_span
-        right_rate = (num - n_left) / right_span
-        if left_rate > rate_bound * rate or right_rate > rate_bound * rate:
-            continue
-        if left_rate < rate / rate_bound or right_rate < rate / rate_bound:
-            continue
-        return t_split, n_left
-    # Fallback: an even split always satisfies the constraints.
-    return start + span / 2.0, num // 2

@@ -3,6 +3,7 @@ population bookkeeping and the CCFuzz loop (driven by a fast fake evaluator)."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -345,6 +346,23 @@ class TestFuzzConfig:
     def test_top_k_must_be_positive(self, top_k):
         with pytest.raises(ValueError, match="top_k"):
             FuzzConfig(top_k=top_k)
+
+    @pytest.mark.parametrize("k_agg", [math.nan, math.inf, -0.01])
+    def test_k_agg_must_be_finite_and_non_negative(self, k_agg):
+        # A NaN k_agg used to pass silently: `span < k_agg` is never true,
+        # so no short interval was ever relaxed.
+        with pytest.raises(ValueError, match="k_agg"):
+            FuzzConfig(k_agg=k_agg)
+
+    @pytest.mark.parametrize("rate_bound", [0.5, 1.0, math.nan, math.inf])
+    def test_rate_bound_must_be_finite_and_exceed_one(self, rate_bound):
+        # rate_bound=0.5 used to construct fine and then raise inside the
+        # first generation's trace generation.
+        with pytest.raises(ValueError, match="rate_bound"):
+            FuzzConfig(mode="link", rate_bound=rate_bound)
+
+    def test_trace_shape_edge_values_are_allowed(self):
+        FuzzConfig(mode="link", k_agg=0.0, rate_bound=1.0001)
 
     @pytest.mark.parametrize("duration", [0.0, -1.0])
     def test_duration_must_be_positive(self, duration):

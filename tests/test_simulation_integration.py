@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.netsim import (
@@ -165,3 +167,32 @@ class TestConfigRanges:
     def test_edge_values_are_allowed_and_identity_is_unchanged(self):
         SimulationConfig(duration=1e-3, queue_capacity=1, propagation_delay=0.0)
         assert SimulationConfig().fingerprint() == "12ba27139c11aa03f67e39acbaa23c1d"
+
+
+class TestInputTimes:
+    """Every time a run is given must be finite and non-negative: a NaN at
+    the head of a lane never wins the run loop's comparison, so it used to
+    block every later event of that input without a word."""
+
+    CONFIG = SimulationConfig(duration=0.5)
+
+    def test_nan_cross_traffic_time_rejected(self):
+        # Used to report cross_sent == 1 (3 without the NaN).
+        with pytest.raises(ValueError, match="cross-traffic injection times"):
+            run_simulation(Reno, self.CONFIG, cross_traffic_times=[0.1, math.nan, 0.2, 0.3])
+
+    def test_nan_link_trace_time_rejected(self):
+        # A leading NaN used to serve 0 packets.
+        with pytest.raises(ValueError, match="transmission opportunities"):
+            run_simulation(Reno, self.CONFIG, link_trace=[math.nan, 0.1, 0.2])
+
+    def test_nan_loss_time_rejected(self):
+        # Used to force 0 losses.
+        with pytest.raises(ValueError, match="loss times"):
+            run_simulation(Reno, self.CONFIG, loss_times=[math.nan, 0.2])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, -0.1])
+    def test_other_out_of_range_times_rejected(self, bad):
+        for keyword in ("cross_traffic_times", "link_trace", "loss_times"):
+            with pytest.raises(ValueError, match="must be finite and non-negative"):
+                run_simulation(Reno, self.CONFIG, **{keyword: [0.1, bad]})
