@@ -9,12 +9,13 @@ benchmark sweep:
   winning traces with full provenance;
 * :mod:`scheduler` — the one scenario body, the campaign lifecycle around
   it, and the campaign-wide scope: every scenario through one shared
-  evaluation backend, trace cache and archive, seeded from the live corpus;
+  evaluation backend, trace cache and archive, seeded from the live corpus
+  (cache keys carry each scenario's identities, so hits stay within one);
 * :mod:`worker` — the same body under a per-scenario scope: a fleet of
   worker processes claiming scenario leases over the shared journal;
 * :mod:`replay` — regression mode: re-simulate the whole corpus against a
   CCA and report score deltas;
-* :mod:`report` — plain-text and JSON campaign summaries.
+* :mod:`report` — plain-text campaign, corpus and replay summaries.
 """
 
 from .corpus import CorpusEntry, CorpusReader, CorpusStore
@@ -22,9 +23,8 @@ from .replay import ReplayReport, ReplayRow, replay_corpus
 from .report import (
     format_campaign_report,
     format_corpus_report,
+    format_last_campaign,
     format_replay_report,
-    read_campaign_report,
-    write_campaign_report,
 )
 from .scheduler import CampaignResult, CampaignRunner, ScenarioOutcome
 from .spec import CampaignSpec, GaBudget, NetworkCondition, Scenario
@@ -47,8 +47,7 @@ __all__ = [
     "ScenarioOutcome",
     "format_campaign_report",
     "format_corpus_report",
+    "format_last_campaign",
     "format_replay_report",
-    "read_campaign_report",
     "replay_corpus",
-    "write_campaign_report",
 ]

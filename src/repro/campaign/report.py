@@ -1,23 +1,22 @@
-"""Campaign, corpus and replay reports (plain text + JSON).
+"""Campaign, corpus and replay reports (plain text).
 
-Every ``repro-campaign run`` writes ``report.json`` next to the corpus, so a
-corpus directory is self-describing: the spec that grew it, what each
-scenario found and how the shared cache performed.
+A finished campaign is recorded once, in the corpus's journal: the spec at
+``campaign_start`` and each scenario's outcome at ``scenario_complete``.
+:func:`format_last_campaign` reads that record back, so ``repro-campaign
+report`` describes the last campaign whether it ran with telemetry or not,
+was compacted since, or was killed before it finished.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 from ..analysis.reporting import format_campaign_summary, format_table
-from ..storage import publish_json, read_json_object
+from ..journal import JournalView
 from .corpus import CorpusReader
 from .replay import ReplayReport
-from .scheduler import CampaignResult
-
-#: File name of the campaign report written into the corpus directory.
-REPORT_FILENAME = "report.json"
+from .scheduler import CampaignResult, journaled_outcomes
+from .spec import CampaignSpec
 
 
 def format_campaign_report(result: CampaignResult) -> str:
@@ -108,13 +107,23 @@ def format_replay_report(report: ReplayReport) -> str:
     return table + "\n\n" + footer
 
 
-def write_campaign_report(result: CampaignResult, corpus_dir: str) -> str:
-    """Persist the machine-readable campaign report; returns its path."""
-    path = os.path.join(corpus_dir, REPORT_FILENAME)
-    publish_json(path, result.to_dict())
-    return path
+def format_last_campaign(view: JournalView) -> Optional[str]:
+    """One line on the campaign a corpus journal records, ``None`` when the
+    journal holds none it can read.
 
-
-def read_campaign_report(corpus_dir: str) -> Optional[Dict[str, Any]]:
-    """The last campaign report stored with a corpus (``None`` if absent or torn)."""
-    return read_json_object(os.path.join(corpus_dir, REPORT_FILENAME))
+    The journal keeps no campaign wall time, so the seconds are the sum of
+    the completed scenarios' own.
+    """
+    try:
+        spec = CampaignSpec.from_dict(view.campaign["spec"])
+        outcomes = journaled_outcomes(spec, view).values()
+    except (KeyError, TypeError, ValueError):
+        return None
+    unfinished = "" if len(outcomes) == spec.scenario_count else " (unfinished)"
+    return (
+        f"last campaign: {spec.name!r} — {len(outcomes)}/{spec.scenario_count} "
+        f"scenarios complete{unfinished}, "
+        f"{sum(o.evaluations for o in outcomes)} simulations "
+        f"(+{sum(o.cache_hits for o in outcomes)} cache hits), "
+        f"{sum(o.wall_time_s for o in outcomes):.1f}s"
+    )

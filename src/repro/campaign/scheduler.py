@@ -13,8 +13,10 @@ in a :class:`ScenarioScope`:
   one evaluation cache and one behavior archive shared by every scenario,
   seeds drawn from the *live* corpus, inserts decided against and written
   to that corpus.  Scenarios run in matrix order, so each one is seeded by
-  (and gets cache hits from) everything earlier ones found — e.g. winners
-  against Reno seeding the CUBIC and BBR searches;
+  everything earlier ones found — e.g. winners against Reno seeding the
+  CUBIC and BBR searches.  A seed is still simulated afresh: every cache
+  key carries its scenario's CCA, simulation and score identities, so a hit
+  crosses scenarios only between two conditions with identical parameters;
 * the **per-scenario** scope (:mod:`repro.campaign.worker`) — private cache
   and archive, seeds and the "is it new" rule from a snapshot journaled at
   launch, every record stamped with a lease epoch, so scenarios are
@@ -171,19 +173,19 @@ class CampaignResult:
         canonical = json.dumps(rows, sort_keys=True, separators=(",", ":"))
         return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "spec": self.spec.to_dict(),
-            "scenarios": self.summary_rows(),
-            "corpus": dict(self.corpus_stats),
-            "cache": dict(self.cache_stats),
-            "coverage": dict(self.coverage),
-            "wall_time_s": round(self.wall_time_s, 2),
-            "attacks_registered": self.attacks_registered,
-            "total_evaluations": sum(o.evaluations for o in self.outcomes),
-            "total_cache_hits": sum(o.cache_hits for o in self.outcomes),
-        }
 
+def journaled_outcomes(
+    spec: CampaignSpec, view: Optional[JournalView]
+) -> Dict[str, ScenarioOutcome]:
+    """The outcomes of the scenarios of ``spec`` that ``view`` records as complete."""
+    completed = view.completed if view is not None else {}
+    return {
+        scenario.scenario_id: ScenarioOutcome.from_journal_dict(
+            scenario, completed[scenario.scenario_id]["outcome"]
+        )
+        for scenario in spec.expand()
+        if scenario.scenario_id in completed
+    }
 
 
 # ---------------------------------------------------------------------- #
@@ -772,17 +774,6 @@ class CampaignRunner:
             # tolerate that by design).
             self._telemetry.close()
 
-    def _journaled_outcomes(self, view: Optional[JournalView]) -> Dict[str, ScenarioOutcome]:
-        """The outcomes of the scenarios ``view`` records as complete."""
-        completed = view.completed if view is not None else {}
-        return {
-            scenario.scenario_id: ScenarioOutcome.from_journal_dict(
-                scenario, completed[scenario.scenario_id]["outcome"]
-            )
-            for scenario in self.spec.expand()
-            if scenario.scenario_id in completed
-        }
-
     def _scenario_seeds(self, scenario: Scenario) -> List[PacketTrace]:
         return self.corpus.seeds_for(
             scenario.mode,
@@ -823,7 +814,7 @@ class CampaignRunner:
             ),
             cell_mark=self.archive.mark,
         )
-        outcome_by_id = self._journaled_outcomes(view)
+        outcome_by_id = journaled_outcomes(self.spec, view)
         with campaign_backend(self.spec, self.quarantine, self._injected_backend) as backend:
             engine = ScenarioEngine(
                 self.spec.name, self.harvest_top_k, self._journal, backend,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..core.fuzzer import MODES, FuzzConfig
 from ..coverage.guidance import GUIDANCE_MODES
@@ -25,10 +25,34 @@ from ..scoring.objectives import OBJECTIVES
 from ..tcp.cca import CCA_FACTORIES
 
 
-def _require_keys(payload: Dict[str, Any], allowed: Iterable[str], what: str) -> None:
-    unknown = sorted(set(payload) - set(allowed))
+#: The JSON values a field of each declared type takes (``bool`` is no number).
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "GaBudget": dict,
+               "NetworkCondition": dict}
+
+
+def _json_type_ok(annotation: str, value: Any) -> bool:
+    if annotation.startswith("Optional["):
+        return value is None or _json_type_ok(annotation[9:-1], value)
+    if annotation.startswith("List["):
+        return isinstance(value, list) and all(_json_type_ok(annotation[5:-1], v) for v in value)
+    return not isinstance(value, bool) and isinstance(value, _JSON_TYPES[annotation])
+
+
+def _json_fields(cls: type, payload: Any, what: str) -> Dict[str, Any]:
+    """``payload`` as ``cls``'s fields: a JSON object of known keys, each
+    holding the JSON type its field declares, or a ``ValueError`` naming it."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object, got {json.dumps(payload)}")
+    fields = cls.__dataclass_fields__
+    unknown = sorted(set(payload) - set(fields))
     if unknown:
         raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+    for key, value in payload.items():
+        if not _json_type_ok(fields[key].type, value):
+            raise ValueError(
+                f"{what} key {key!r} must be {fields[key].type}, got {json.dumps(value)}"
+            )
+    return dict(payload)
 
 
 @dataclass(frozen=True)
@@ -68,8 +92,7 @@ class NetworkCondition:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "NetworkCondition":
-        _require_keys(payload, cls.__dataclass_fields__, "network condition")
-        return cls(**payload)
+        return cls(**_json_fields(cls, payload, "network condition"))
 
 
 @dataclass(frozen=True)
@@ -91,8 +114,7 @@ class GaBudget:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "GaBudget":
-        _require_keys(payload, cls.__dataclass_fields__, "GA budget")
-        return cls(**payload)
+        return cls(**_json_fields(cls, payload, "GA budget"))
 
 
 @dataclass(frozen=True)
@@ -274,8 +296,7 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "CampaignSpec":
-        _require_keys(payload, cls.__dataclass_fields__, "campaign spec")
-        data = dict(payload)
+        data = _json_fields(cls, payload, "campaign spec")
         if "conditions" in data:
             data["conditions"] = [
                 NetworkCondition.from_dict(item) for item in data["conditions"]

@@ -69,6 +69,7 @@ from .scheduler import (
     ScenarioOutcome,
     ScenarioScope,
     campaign_backend,
+    journaled_outcomes,
     restore_cache,
     resume_checkpoint,
 )
@@ -428,7 +429,7 @@ def run_fleet(
             if scenario.scenario_id not in final.completed:
                 raise FleetError(f"scenario {scenario.scenario_id} never completed")
         runner._merge_private_archives(final)
-        return runner._journaled_outcomes(final), {}
+        return journaled_outcomes(spec, final), {}
 
     return runner._conduct(run_matrix, view if resuming else None, fleet=workers)
 

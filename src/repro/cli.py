@@ -53,11 +53,10 @@ from .campaign import (
     GaBudget,
     format_campaign_report,
     format_corpus_report,
+    format_last_campaign,
     format_replay_report,
-    read_campaign_report,
     replay_corpus,
     run_fleet,
-    write_campaign_report,
 )
 from .campaign.worker import DEFAULT_POLL_S
 from .core.fuzzer import MODES
@@ -71,6 +70,7 @@ from .exec.backend import BACKENDS, create_backend
 from .exec.batch import Evaluator
 from .exec.workers import simulate_packet_trace
 from .journal import CampaignJournal, JournalCorruption
+from .journal.log import read_corpus_journal_view
 from .netsim.simulation import SimulationConfig, SimulationTruncated, run_simulation
 from .obs import (
     METRICS_FILENAME,
@@ -192,7 +192,8 @@ def _add_launch_options(parser: _Parser) -> None:
     parser.add_argument(
         "--no-telemetry", action="store_true",
         help="do not write metrics.jsonl / metrics.prom / run_manifest.json "
-             "into the corpus directory",
+             "into the corpus directory (the journal still records the outcome "
+             "that 'report' shows)",
     )
 
 
@@ -307,7 +308,7 @@ def _fuzz(args: _Args, parser: _Parser, console: Console) -> None:
             ),
         )
         result = runner.run()
-        _report_campaign(result, args.output_dir, console)
+        _report_campaign(result, console)
         if args.output:
             best = runner.corpus.get(result.outcomes[0].best_fingerprint)
             with open(args.output, "w", encoding="utf-8") as handle:
@@ -647,14 +648,11 @@ def _launch_spec(
         return dataclasses.replace(spec, **overrides)
 
 
-def _report_campaign(result: CampaignResult, corpus_dir: Optional[str], console: Console) -> None:
-    """Print the report; store it as the corpus's ``report.json`` unless the
-    corpus is a temporary one (``corpus_dir=None``)."""
+def _report_campaign(result: CampaignResult, console: Console) -> None:
+    """Print the report.  The corpus's journal already records the outcome
+    (``repro-campaign report`` reads it back), so nothing is written here."""
     console.info()
     console.result(format_campaign_report(result))
-    if corpus_dir is not None:
-        report_path = write_campaign_report(result, corpus_dir)
-        console.info(f"\ncampaign report written to {report_path}")
 
 
 def _campaign_run(args: _Args, parser: _Parser, console: Console) -> None:
@@ -691,7 +689,7 @@ def _campaign_run(args: _Args, parser: _Parser, console: Console) -> None:
             progress=console.info,
             telemetry=telemetry,
         )
-    _report_campaign(runner.run(), args.corpus, console)
+    _report_campaign(runner.run(), console)
 
 
 def _campaign_workers(args: _Args, parser: _Parser, console: Console) -> None:
@@ -715,7 +713,7 @@ def _campaign_workers(args: _Args, parser: _Parser, console: Console) -> None:
         progress=None if console.quiet else console.info,
         archive=archive,
     )
-    _report_campaign(result, args.corpus, console)
+    _report_campaign(result, console)
 
 
 def _campaign_compact(args: _Args, parser: _Parser, console: Console) -> None:
@@ -788,14 +786,9 @@ def _campaign_replay(args: _Args, parser: _Parser, console: Console) -> None:
 def _campaign_report(args: _Args, parser: _Parser, console: Console) -> None:
     corpus = CorpusReader(_existing_corpus(args, parser))
     console.result(format_corpus_report(corpus, top=args.top))
-    last_run = read_campaign_report(args.corpus)
-    if last_run is not None:
-        console.result(
-            f"\nlast campaign: {last_run['spec']['name']!r} — "
-            f"{len(last_run['scenarios'])} scenarios, "
-            f"{last_run['total_evaluations']} simulations, "
-            f"{last_run['wall_time_s']}s"
-        )
+    last_campaign = format_last_campaign(read_corpus_journal_view(args.corpus))
+    if last_campaign is not None:
+        console.result("\n" + last_campaign)
 
 
 def _campaign_triage(args: _Args, parser: _Parser, console: Console) -> None:

@@ -9,6 +9,7 @@ need: windowed throughput, queueing delays and the sender/CCA internals.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -51,15 +52,15 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         # The one statement of these ranges: every condition, fuzzing run
-        # and command line builds one of these.
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
-        if not self.bottleneck_rate_mbps > 0:
-            raise ValueError("bottleneck_rate_mbps must be positive")
+        # and command line builds one of these.  NaN fails every comparison.
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
+        if not 0 < self.bottleneck_rate_mbps < math.inf:
+            raise ValueError("bottleneck_rate_mbps must be positive and finite")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be at least 1")
-        if self.propagation_delay < 0:
-            raise ValueError("propagation_delay must be non-negative")
+        if not 0 <= self.propagation_delay < math.inf:
+            raise ValueError("propagation_delay must be non-negative and finite")
 
     def with_overrides(self, **kwargs: Any) -> "SimulationConfig":
         """Return a copy with the given fields replaced."""

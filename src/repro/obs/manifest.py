@@ -1,14 +1,15 @@
 """Run manifests: the queryable record of what a campaign run *was*.
 
 ``run_manifest.json`` is written into the corpus directory when a campaign
-finishes.  Where ``report.json`` summarises what the campaign *found*, the
-manifest pins what produced it — config fingerprints, per-scenario
-simulation fingerprints, package/python versions, host facts, the phase
-wall-time table and the final metrics snapshot — so a dashboard (or a
-human six months later) can answer "which code, which config, which
-machine, how long" without parsing logs.  Like every telemetry artifact it
-is write-only from the campaign's point of view and carries wall-clock
-data, so nothing in it may ever feed a digest.
+finishes.  The journal records what the campaign *found*; the manifest pins
+what produced it — config fingerprints, per-scenario simulation
+fingerprints, package/python versions, host facts — plus the result digest,
+so a dashboard (or a human six months later) can answer "which code, which
+config, which machine" without parsing logs.  The phase table and the final
+metrics snapshot are ``metrics.jsonl``'s ``campaign_complete`` and last
+``metrics`` records, and are not copied here.  Like every telemetry
+artifact it is write-only from the campaign's point of view and carries
+wall-clock data, so nothing in it may ever feed a digest.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Any, Dict, Optional, Union
 from ..storage import publish_json, read_json_object
 
 MANIFEST_FILENAME = "run_manifest.json"
-MANIFEST_SCHEMA = 1
+MANIFEST_SCHEMA = 2
 
 
 def spec_fingerprint(spec_dict: Dict[str, Any]) -> str:
@@ -34,31 +35,10 @@ def spec_fingerprint(spec_dict: Dict[str, Any]) -> str:
     return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def host_info() -> Dict[str, Any]:
-    return {
-        "hostname": platform.node(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "pid": os.getpid(),
-    }
-
-
-def versions() -> Dict[str, str]:
-    from .. import __version__
-
-    return {
-        "repro": __version__,
-        "python": sys.version.split()[0],
-    }
-
-
 def build_manifest(
     spec,
     *,
     result=None,
-    phases: Optional[Dict[str, Dict[str, Any]]] = None,
-    metrics: Optional[Dict[str, Any]] = None,
     started_at: Optional[float] = None,
     resumed: bool = False,
 ) -> Dict[str, Any]:
@@ -66,10 +46,10 @@ def build_manifest(
 
     ``spec`` is a :class:`~repro.campaign.spec.CampaignSpec`; ``result`` (a
     :class:`~repro.campaign.scheduler.CampaignResult`, when the run got that
-    far) contributes totals and the deterministic digest; ``phases`` is a
-    :meth:`~repro.obs.spans.PhaseTracer.summary`; ``metrics`` the final
-    registry snapshot.
+    far) contributes totals and the deterministic digest.
     """
+    from .. import __version__
+
     spec_dict = spec.to_dict()
     payload: Dict[str, Any] = {
         "schema": MANIFEST_SCHEMA,
@@ -84,12 +64,16 @@ def build_manifest(
             )
             for scenario in spec.expand()
         ],
-        "versions": versions(),
-        "host": host_info(),
+        "versions": {"repro": __version__, "python": sys.version.split()[0]},
+        "host": {
+            "hostname": platform.node(),
+            "platform": platform.platform(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "pid": os.getpid(),
+        },
         "started_at": started_at,
         "finished_at": time.time(),
-        "phases": dict(phases or {}),
-        "metrics": metrics,
     }
     if result is not None:
         payload["result"] = {

@@ -29,8 +29,8 @@ class PhaseTracer:
 
     ``on_close`` (if given) receives each finished-span record — the sink
     layer uses it to stream span records into ``metrics.jsonl``.  Aggregates
-    (:meth:`summary`) survive after spans close and feed the run manifest's
-    phase table.
+    (:meth:`summary`) survive after spans close and feed the phase table of
+    the ``campaign_complete`` record.
     """
 
     def __init__(self, on_close: Optional[Callable[[Dict[str, Any]], None]] = None) -> None:

@@ -12,12 +12,38 @@ degrades a field to ``None``/empty; nothing here raises on what it finds.
 from __future__ import annotations
 
 import json
+import math
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from .manifest import read_manifest
 from .sinks import METRICS_FILENAME, latest_snapshot, tail_metrics_records
+
+#: The exec layer's fault counters ``status`` shows (registry ``exec.<name>``).
+_FAULT_COUNTERS = (
+    "failures", "retries", "timeouts", "quarantined", "quarantine_hits",
+    "worker_restarts", "serial_fallbacks",
+)
+
+
+def _num(record: Any, key: str, default: Any = 0) -> Any:
+    """``record[key]`` when it is a finite JSON number (a ``bool`` is not),
+    else ``default``.
+
+    The one way a numeric field is read: a missing, wrong-typed or
+    non-finite value folds as its default, the way a torn line does.
+    """
+    value = record.get(key) if isinstance(record, dict) else None
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
+        return value
+    return default
+
+
+def _of(record: Any, key: str, kind: type) -> Any:
+    """``record[key]`` when it is a ``kind`` (``dict`` or ``list``), else an empty one."""
+    value = record.get(key) if isinstance(record, dict) else None
+    return value if isinstance(value, kind) else kind()
 
 
 def _rate(delta_value: float, delta_t: float) -> Optional[float]:
@@ -108,15 +134,7 @@ def fold_status(
         "journal_bytes": {},
         "journal_bytes_scanned": 0,
         "journal_read_amplification": None,
-        "faults": {
-            "failures": 0,
-            "retries": 0,
-            "timeouts": 0,
-            "quarantined": 0,
-            "quarantine_hits": 0,
-            "worker_restarts": 0,
-            "serial_fallbacks": 0,
-        },
+        "faults": dict.fromkeys(_FAULT_COUNTERS, 0),
     }
     if not records:
         return _attach_artifacts(status, corpus_dir)
@@ -145,12 +163,12 @@ def fold_status(
                     "last_seen": None,
                 },
             )
-            worker["last_seen"] = record.get("t", worker["last_seen"])
+            worker["last_seen"] = _num(record, "t", worker["last_seen"])
             if rtype == "generation":
                 worker["scenario"] = record.get("scenario")
                 worker["generations"] += 1
-                worker["evaluations"] += int(record.get("evaluations", 0))
-                worker["cache_hits"] += int(record.get("cache_hits", 0))
+                worker["evaluations"] += int(_num(record, "evaluations"))
+                worker["cache_hits"] += int(_num(record, "cache_hits"))
             elif rtype == "scenario_state":
                 if record.get("state") == "complete":
                     worker["scenarios_completed"] += 1
@@ -161,12 +179,12 @@ def fold_status(
             status["campaign"] = record.get("campaign")
             status["state"] = "running"
             status["resumed"] = rtype == "campaign_resume"
-            started_at = record.get("t")
+            started_at = _num(record, "t", None)
+            per_scenario = _of(record, "generations_per_scenario", dict)
             generations_total = {
-                str(k): int(v)
-                for k, v in (record.get("generations_per_scenario") or {}).items()
+                k: int(v) for k in per_scenario if (v := _num(per_scenario, k, None)) is not None
             }
-            for scenario_id in record.get("scenarios", []):
+            for scenario_id in map(str, _of(record, "scenarios", list)):
                 scenarios[scenario_id] = {
                     "state": "pending",
                     "generation": 0,
@@ -176,39 +194,35 @@ def fold_status(
                     "cache_hits": 0,
                     "cells": 0,
                 }
-            for scenario_id in record.get("completed", []):
+            for scenario_id in map(str, _of(record, "completed", list)):
                 if scenario_id in scenarios:
                     scenarios[scenario_id]["state"] = "complete"
         elif rtype == "scenario_state":
             entry = scenarios.setdefault(str(record.get("scenario")), {})
             entry["state"] = record.get("state", "running")
-            outcome = record.get("outcome")
+            outcome = _of(record, "outcome", dict)
             if outcome:
-                entry["generation"] = int(outcome.get("generations", 0))
+                entry["generation"] = int(_num(outcome, "generations"))
                 entry["best_fitness"] = outcome.get("best_fitness")
-                entry["evaluations"] = int(outcome.get("evaluations", 0))
-                entry["cache_hits"] = int(outcome.get("cache_hits", 0))
-                entry["cells"] = int(outcome.get("cells", 0))
+                entry["evaluations"] = int(_num(outcome, "evaluations"))
+                entry["cache_hits"] = int(_num(outcome, "cache_hits"))
+                entry["cells"] = int(_num(outcome, "cells"))
         elif rtype == "generation":
             entry = scenarios.setdefault(str(record.get("scenario")), {"state": "running"})
-            entry["generation"] = int(record.get("generation", -1)) + 1
+            entry["generation"] = int(_num(record, "generation", -1)) + 1
             entry.setdefault(
                 "generations_total",
                 generations_total.get(str(record.get("scenario"))),
             )
             entry["best_fitness"] = record.get("best_fitness")
-            entry["evaluations"] = entry.get("evaluations", 0) + int(
-                record.get("evaluations", 0)
-            )
-            entry["cache_hits"] = entry.get("cache_hits", 0) + int(
-                record.get("cache_hits", 0)
-            )
-            entry["cells"] = int(record.get("cells", entry.get("cells", 0)))
+            entry["evaluations"] = entry.get("evaluations", 0) + int(_num(record, "evaluations"))
+            entry["cache_hits"] = entry.get("cache_hits", 0) + int(_num(record, "cache_hits"))
+            entry["cells"] = int(_num(record, "cells", entry.get("cells", 0)))
         elif rtype == "metrics":
             snapshots.append(record)
         elif rtype == "campaign_complete":
             status["state"] = "complete"
-        status["updated_at"] = record.get("t", status["updated_at"])
+        status["updated_at"] = _num(record, "t", status["updated_at"])
 
     status["started_at"] = started_at
     status["scenarios"] = scenarios
@@ -231,48 +245,40 @@ def fold_status(
     # Recent rates from the last two registry snapshots of this run.
     if len(snapshots) >= 2:
         last, prev = snapshots[-1], snapshots[-2]
-        dt = last.get("t", 0) - prev.get("t", 0)
-        last_counters = (last.get("registry") or {}).get("counters", {})
-        prev_counters = (prev.get("registry") or {}).get("counters", {})
+        dt = _num(last, "t") - _num(prev, "t")
+        last_counters = _of(_of(last, "registry", dict), "counters", dict)
+        prev_counters = _of(_of(prev, "registry", dict), "counters", dict)
         status["evals_per_sec_recent"] = _rate(
-            last_counters.get("fuzzer.evaluations", 0)
-            - prev_counters.get("fuzzer.evaluations", 0),
+            _num(last_counters, "fuzzer.evaluations") - _num(prev_counters, "fuzzer.evaluations"),
             dt,
         )
         status["events_per_sec_recent"] = _rate(
-            last_counters.get("sim.events", 0) - prev_counters.get("sim.events", 0),
-            dt,
+            _num(last_counters, "sim.events") - _num(prev_counters, "sim.events"), dt
         )
     registry = latest_snapshot(records)
     if registry is not None:
-        counters = registry.get("counters", {})
-        status["sim_events"] = int(counters.get("sim.events", 0))
+        counters = _of(registry, "counters", dict)
+        status["sim_events"] = int(_num(counters, "sim.events"))
         # Where the journal's bytes went, by record type (cumulative over
         # the process that wrote the snapshot, like every registry counter).
         prefix = "journal.bytes."
         status["journal_bytes"] = {
             name[len(prefix):]: int(value)
-            for name, value in counters.items()
-            if name.startswith(prefix)
+            for name in counters
+            if name.startswith(prefix) and (value := _num(counters, name, None)) is not None
         }
         # Read amplification: journal bytes this process parsed per byte it
         # appended.  0 for a serial campaign (it never reads its own log),
         # under 1 for a resume; a fleet driver, which appends little and
         # parses every worker's bytes once, legitimately reads far above 1.
-        scanned = counters.get("journal.bytes_scanned", 0)
-        written = counters.get("journal.bytes", 0)
+        scanned = _num(counters, "journal.bytes_scanned")
+        written = _num(counters, "journal.bytes")
         status["journal_bytes_scanned"] = int(scanned)
         status["journal_read_amplification"] = scanned / written if written else None
         # Fault-tolerance counters from the exec layer (see repro.exec):
         # cumulative over the process, like every registry counter.
         status["faults"] = {
-            "failures": int(counters.get("exec.failures", 0)),
-            "retries": int(counters.get("exec.retries", 0)),
-            "timeouts": int(counters.get("exec.timeouts", 0)),
-            "quarantined": int(counters.get("exec.quarantined", 0)),
-            "quarantine_hits": int(counters.get("exec.quarantine_hits", 0)),
-            "worker_restarts": int(counters.get("exec.worker_restarts", 0)),
-            "serial_fallbacks": int(counters.get("exec.serial_fallbacks", 0)),
+            name: int(_num(counters, f"exec.{name}")) for name in _FAULT_COUNTERS
         }
 
     # Progress and ETA from generation completion across the matrix.

@@ -49,7 +49,6 @@ class CampaignTelemetry:
         self._progress_stream = progress_stream
         self._started_at: Optional[float] = None
         self._scenario_totals: Dict[str, int] = {}
-        self._scenario_progress: Dict[str, int] = {}
         self._completed = 0
         self._total_scenarios = 0
         self._baseline_evals = 0.0
@@ -113,7 +112,6 @@ class CampaignTelemetry:
         """Per-generation observer (wired as the fuzzer's progress hook)."""
         if not self.enabled:
             return
-        self._scenario_progress[scenario.scenario_id] = stats.generation + 1
         assert self._sink is not None
         self._emit(
             "generation",
@@ -134,7 +132,6 @@ class CampaignTelemetry:
         if not self.enabled:
             return
         self._completed += 1
-        self._scenario_progress.pop(outcome.scenario.scenario_id, None)
         assert self._sink is not None
         self._emit(
             "scenario_state",
@@ -152,27 +149,19 @@ class CampaignTelemetry:
         self._clear_progress_line()
         registry = get_registry()
         snapshot = registry.snapshot()
-        phases = self.tracer.summary() if self.tracer is not None else {}
-        assert self._sink is not None
+        assert self._sink is not None and self.tracer is not None
         self._sink.maybe_snapshot(registry, force=True)
         self._emit(
             "campaign_complete",
             {
                 "campaign": spec.name,
                 "scenarios_completed": self._completed,
-                "phases": phases,
+                "phases": self.tracer.summary(),
             },
         )
         write_prometheus(snapshot, self.corpus_dir)
         write_manifest(
-            build_manifest(
-                spec,
-                result=result,
-                phases=phases,
-                metrics=snapshot,
-                started_at=self._started_at,
-                resumed=resumed,
-            ),
+            build_manifest(spec, result=result, started_at=self._started_at, resumed=resumed),
             self.corpus_dir,
         )
 

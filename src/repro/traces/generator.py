@@ -12,12 +12,20 @@ One generator per fuzzing mode:
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Optional
 
 from ..netsim.link import mbps_to_pps
 from .distpackets import DEFAULT_K_AGG, DEFAULT_RATE_BOUND, dist_packets
 from .trace import LinkTrace, LossTrace, PacketTrace, TrafficTrace
+
+
+def _positive_finite(name: str, value: float) -> float:
+    """``value``, or a ``ValueError`` naming ``name`` unless it is in (0, inf)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    return value
 
 
 class TraceGenerator:
@@ -43,13 +51,11 @@ class LinkTraceGenerator(TraceGenerator):
         total_packets: Optional[int] = None,
         seed: Optional[int] = None,
     ) -> None:
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        self.duration = duration
+        self.duration = _positive_finite("duration", duration)
         self.mss_bytes = mss_bytes
         self.k_agg = k_agg
         self.rate_bound = rate_bound
-        self.average_rate_mbps = average_rate_mbps
+        self.average_rate_mbps = _positive_finite("average rate", average_rate_mbps)
         if total_packets is None:
             total_packets = int(round(mbps_to_pps(average_rate_mbps, mss_bytes) * duration))
         if total_packets <= 0:
@@ -87,13 +93,11 @@ class TrafficTraceGenerator(TraceGenerator):
         min_packets: int = 0,
         seed: Optional[int] = None,
     ) -> None:
-        if duration <= 0:
-            raise ValueError("duration must be positive")
+        self.duration = _positive_finite("duration", duration)
         if max_packets <= 0:
             raise ValueError("max_packets must be positive")
         if not 0 <= min_packets <= max_packets:
             raise ValueError("min_packets must lie in [0, max_packets]")
-        self.duration = duration
         self.max_packets = max_packets
         self.min_packets = min_packets
         self.mss_bytes = mss_bytes
@@ -136,7 +140,7 @@ class LossTraceGenerator(TraceGenerator):
     ) -> None:
         if max_losses < 0:
             raise ValueError("max_losses must be non-negative")
-        self.duration = duration
+        self.duration = _positive_finite("duration", duration)
         self.max_losses = max_losses
         self.min_losses = min_losses
         self.rng = random.Random(seed)

@@ -2,7 +2,8 @@
 
 ``python tests/journal_bytes.py <corpus-dir>`` — CI appends the tables to the
 job summary so "where did the bytes go" is readable per run.  A candidate is
-one scored trace (simulated or cache-served), as ``report.json`` counts them.
+one scored trace (simulated or cache-served), as the journaled scenario
+outcomes count them.
 A second table splits the ``generation_checkpoint`` bytes by what they hold
 (each part measured as its own canonical JSON; "other" is the rest of the
 line): the place to look for the next durability lever.  The "inline
@@ -17,7 +18,6 @@ each process that left one) per byte of journal on disk.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
@@ -50,16 +50,17 @@ def checkpoint_fields(data: dict) -> dict:
 
 
 def main(corpus_dir: str) -> int:
-    with open(os.path.join(corpus_dir, "report.json"), "r", encoding="utf-8") as handle:
-        report = json.load(handle)
-    candidates = report["total_evaluations"] + report["total_cache_hits"]
     by_type: dict = {}
     by_field: dict = {}
     individuals = {"inline": 0, "by reference": 0}
+    #: scenario id -> its journaled outcome (a re-run scenario's last one).
+    outcomes: dict = {}
     for record in CampaignJournal(CampaignJournal.corpus_path(corpus_dir)).records():
         size = len(record.to_line())
         by_type[record.type] = by_type.get(record.type, 0) + size
-        if record.type == "generation_checkpoint":
+        if record.type == "scenario_complete":
+            outcomes[record.data["scenario_id"]] = record.data["outcome"]
+        elif record.type == "generation_checkpoint":
             fields = checkpoint_fields(record.data)
             for island in record.data.get("fuzzer", {}).get("islands", []):
                 for individual in island:
@@ -67,6 +68,7 @@ def main(corpus_dir: str) -> int:
             fields["other"] = size - sum(fields.values())
             for name, part in fields.items():
                 by_field[name] = by_field.get(name, 0) + part
+    candidates = sum(o["evaluations"] + o["cache_hits"] for o in outcomes.values())
     print(f"### Journal bytes per candidate — `{corpus_dir}` ({candidates} candidates)\n")
     print("| record type | bytes | bytes / candidate |")
     print("|---|---:|---:|")

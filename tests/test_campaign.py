@@ -13,7 +13,6 @@ from repro.campaign import (
     CorpusStore,
     GaBudget,
     NetworkCondition,
-    read_campaign_report,
     replay_corpus,
 )
 from repro.core.fuzzer import CCFuzz, FuzzConfig
@@ -383,10 +382,12 @@ class TestCampaignRunner:
         # been seeded (builtins + earlier discoveries).
         assert all(o.seeds_injected > 0 for o in result.outcomes)
 
-    def test_shared_cache_is_actually_shared(self, campaign):
+    def test_cache_serves_repeat_lookups_within_a_scenario(self, campaign):
         _, _, result = campaign
-        # Cross-scenario seeding re-injects traces the previous scenarios
-        # already evaluated; with one shared cache some of those lookups hit.
+        # Every hit is a scenario looking up a trace it evaluated itself.
+        # None crosses scenarios: a cache key carries the scenario's CCA,
+        # simulation and score identities, and no two scenarios here share
+        # all three, so a seed another scenario evaluated is simulated again.
         assert sum(o.cache_hits for o in result.outcomes) > 0
         assert result.cache_stats["hits"] > 0
 
@@ -398,12 +399,6 @@ class TestCampaignRunner:
             o.best_fitness for o in result.outcomes
         ]
         assert sorted(corpus2.fingerprints()) == sorted(corpus.fingerprints())
-
-    def test_to_dict_is_json_serialisable(self, campaign):
-        _, _, result = campaign
-        payload = json.loads(json.dumps(result.to_dict()))
-        assert payload["spec"]["name"] == "test"
-        assert len(payload["scenarios"]) == 4
 
 
 class TestCorpusSeededFuzzing:

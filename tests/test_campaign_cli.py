@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 
 import pytest
@@ -17,6 +18,7 @@ from repro.cli import (
     trace_main,
     triage_main,
 )
+from repro.journal.log import read_corpus_journal_view
 
 TINY_SPEC = {
     "name": "cli-test",
@@ -47,10 +49,16 @@ class TestCampaignRun:
         assert "4 scenarios" in out
         assert "corpus:" in out
         assert (corpus_dir / "index.json").exists()
-        assert (corpus_dir / "report.json").exists()
-        report = json.loads((corpus_dir / "report.json").read_text())
-        assert len(report["scenarios"]) == 4
-        assert report["corpus"]["entries"] == len(CorpusStore(str(corpus_dir)))
+        assert f"corpus: {len(CorpusStore(str(corpus_dir)))} entries" in out
+        # The journal is the record of the outcome: nothing else copies it,
+        # and ``report`` reads the run's totals back from it.
+        assert not (corpus_dir / "report.json").exists()
+        totals = re.search(r"\d+ simulations \(\+\d+ cache hits\)", out).group(0)
+        assert campaign_main(["report", "--corpus", str(corpus_dir)]) == 0
+        assert (
+            f"last campaign: 'cli-test' — 4/4 scenarios complete, {totals}, "
+            in capsys.readouterr().out
+        )
 
     @pytest.mark.parametrize(
         "command, extra, message",
@@ -205,13 +213,28 @@ class TestCampaignReplayAndReport:
         assert campaign_main(["report", "--corpus", str(corpus_dir)]) == 0
         out = capsys.readouterr().out
         assert "entries" in out
-        assert "last campaign: 'cli-test'" in out
-        # A truncated report.json costs the last-campaign line, nothing else.
-        report = corpus_dir / "report.json"
-        report.write_bytes(report.read_bytes()[:40])
+        assert "\nlast campaign: 'cli-test' — 4/4 scenarios complete, " in out
+        assert "unfinished" not in out
+        # The line is the journal's: compacting it changes nothing.
+        assert campaign_main(["compact", str(corpus_dir)]) == 0
+        capsys.readouterr()
         assert campaign_main(["report", "--corpus", str(corpus_dir)]) == 0
-        degraded = capsys.readouterr().out
-        assert degraded == out[: out.index("\nlast campaign")]
+        assert capsys.readouterr().out == out
+        # A torn or missing journal costs the last-campaign line, nothing else.
+        journal = corpus_dir / "journal.jsonl"
+        for damage in (lambda: journal.write_bytes(journal.read_bytes()[:40]), journal.unlink):
+            damage()
+            assert campaign_main(["report", "--corpus", str(corpus_dir)]) == 0
+            assert capsys.readouterr().out == out[: out.index("\nlast campaign")]
+
+    def test_report_reads_a_run_without_telemetry(self, spec_path, tmp_path, capsys):
+        corpus_dir = tmp_path / "quiet-corpus"
+        campaign_main(
+            ["run", "--spec", str(spec_path), "--corpus", str(corpus_dir), "--no-telemetry"]
+        )
+        capsys.readouterr()
+        assert campaign_main(["report", "--corpus", str(corpus_dir)]) == 0
+        assert "last campaign: 'cli-test' — 4/4 scenarios complete, " in capsys.readouterr().out
 
     def test_replay_rejects_unknown_cca(self, corpus_dir, capsys):
         with pytest.raises(SystemExit):
@@ -261,9 +284,13 @@ FUZZ_SPEC = {
 
 
 def _report_rows(corpus_dir):
-    """``report.json``'s scenario rows without their wall-clock field."""
-    rows = json.loads((corpus_dir / "report.json").read_text())["scenarios"]
-    return [{key: value for key, value in row.items() if key != "wall_s"} for row in rows]
+    """The journaled scenario outcomes without their wall-clock field."""
+    completed = read_corpus_journal_view(str(corpus_dir)).completed
+    return {
+        scenario_id: {key: value for key, value in payload["outcome"].items()
+                      if key != "wall_time_s"}
+        for scenario_id, payload in completed.items()
+    }
 
 
 class TestFuzzOutputDir:
@@ -271,7 +298,8 @@ class TestFuzzOutputDir:
         out_dir = tmp_path / "found"
         exit_code = fuzz_main(FUZZ_ARGV + ["--top", "3", "--output-dir", str(out_dir)])
         assert exit_code == 0
-        assert f"campaign report written to {out_dir}" in capsys.readouterr().out
+        assert "report.json" not in capsys.readouterr().out
+        assert not (out_dir / "report.json").exists()
         store = CorpusStore(str(out_dir))
         assert 1 <= len(store) <= 3
         for entry in store.entries():
@@ -363,7 +391,11 @@ class TestFuzzIsACampaign:
         with pytest.raises(Killed):
             fuzz_main(FUZZ_ARGV + ["--output-dir", str(broken)])
         monkeypatch.undo()
-        assert not (broken / "report.json").exists()
+        assert campaign_main(["report", "--corpus", str(broken)]) == 0
+        assert (
+            "last campaign: 'repro-fuzz' — 0/1 scenarios complete (unfinished), "
+            "0 simulations (+0 cache hits), 0.0s" in capsys.readouterr().out
+        )
         assert campaign_main(["run", "--corpus", str(broken), "--resume"]) == 0
         capsys.readouterr()
         assert _report_rows(broken) == _report_rows(whole)
@@ -395,6 +427,7 @@ class TestRangeUsageErrors:
         (["--duration", "0"], "duration must be positive"),
         (["--rate-mbps", "0"], "bottleneck_rate_mbps must be positive"),
         (["--queue", "0"], "queue_capacity must be at least 1"),
+        (["--rate-mbps", "inf"], "bottleneck_rate_mbps must be positive and finite"),
     ])
     @pytest.mark.parametrize("main, source", [
         (simulate_main, []), (triage_main, ["--attack", "lowrate", "--skip-minimize"]),
@@ -421,6 +454,13 @@ class TestRangeUsageErrors:
          "--port must be in 0..65535, got 70000"),
         (campaign_main, ["workers", "--spec", "s.json", "--corpus", "c", "--poll", "-1"],
          "--poll must be positive, got -1.0"),
+        (trace_main, ["generate", "--output", "t.json", "--mode", "traffic", "--duration", "nan"],
+         "duration must be positive and finite"),
+        (trace_main, ["generate", "--output", "t.json", "--mode", "link", "--duration", "inf"],
+         "duration must be positive and finite"),
+        (trace_main, ["generate", "--output", "t.json", "--mode", "link", "--rate-mbps", "nan"],
+         "average rate must be positive and finite"),
+        (fuzz_main, ["--duration", "inf"], "duration must be positive and finite"),
     ])
     def test_ranges_are_usage_errors(self, main, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -430,6 +470,37 @@ class TestRangeUsageErrors:
         err = capsys.readouterr().err
         assert "error: " in err and message in err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestBadSpecFiles:
+    """A spec file whose values have the wrong JSON type exits 2 with an
+    ``error:`` that names the key — never a traceback, a garbled message or
+    a campaign run on the coerced value."""
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"budget": {"population_size": "8"}}, "GA budget key 'population_size' must be int"),
+        ({"conditions": [{"name": "x", "queue_capacity": "20"}]},
+         "network condition key 'queue_capacity' must be int"),
+        ({"budget": None}, "campaign spec key 'budget' must be GaBudget, got null"),
+        ([1, 2], "campaign spec must be a JSON object, got [1, 2]"),
+        ({"ccas": "reno"}, "campaign spec key 'ccas' must be List[str]"),
+        ({"conditions": ["base"]}, "campaign spec key 'conditions' must be List[NetworkCondition]"),
+        ({"seed": "abc"}, "campaign spec key 'seed' must be int"),
+        ({"seed": True}, "campaign spec key 'seed' must be int, got true"),
+        ({"conditions": [{"name": "x", "propagation_delay": float("nan")}]},
+         "propagation_delay must be non-negative and finite"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "workers"])
+    def test_wrong_types_are_usage_errors(self, command, spec, message, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        corpus_dir = tmp_path / "corpus"
+        with pytest.raises(SystemExit) as excinfo:
+            campaign_main([command, "--spec", str(spec_file), "--corpus", str(corpus_dir)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and message in err
+        assert not corpus_dir.exists()
 
 
 class TestBadTraceFiles:

@@ -30,6 +30,7 @@ from repro.coverage import (
     signature_from_summary,
 )
 from repro.netsim.simulation import SimulationConfig
+from repro.obs import read_manifest
 from repro.tcp.cca import cca_factory
 
 
@@ -187,7 +188,7 @@ class TestCampaignCoverage:
         assert os.path.exists(map_path)
         archive = BehaviorArchive.load(map_path)
         assert len(archive) == result.coverage["cells"] >= 1
-        assert result.to_dict()["coverage"]["cells"] == len(archive)
+        assert read_manifest(corpus_dir)["result"]["coverage"]["cells"] == len(archive)
 
     def test_scenario_outcomes_report_cells(self, campaign):
         _, _, result = campaign

@@ -8,11 +8,15 @@ digest as one run with telemetry off.
 
 from __future__ import annotations
 
+import copy
 import io
 import json
+import math
 import os
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.attacks import builtin_attack_traces
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
@@ -41,6 +45,7 @@ from repro.obs import (
 )
 from repro.obs.metrics import get_registry, reset_registry
 from repro.obs.spans import SPAN_FIELDS
+from repro.obs.status import fold_status
 from repro.tcp.cca import Bbr
 
 #: One well-formed entry between two the store's parser drops.
@@ -182,6 +187,12 @@ class TestTelemetryStream:
         )
         assert len(manifest["scenarios"]) == 1
         assert manifest["host"]["pid"] == os.getpid()
+        # The phase table and the final snapshot are the stream's, not copied.
+        assert manifest["schema"] == 2
+        assert "metrics" not in manifest and "phases" not in manifest
+        records = read_metrics(corpus_dir / METRICS_FILENAME)
+        assert records[-1]["type"] == "campaign_complete" and records[-1]["phases"]
+        assert any(record["type"] == "metrics" for record in records)
 
     def test_prometheus_file_is_exported(self, campaign):
         corpus_dir, _ = campaign
@@ -238,6 +249,119 @@ class TestTelemetryStream:
         status = collect_status(tmp_path)
         assert status["campaign"] is None
         assert "no campaign telemetry" in format_status(status)
+
+
+#: A well-formed stream of one two-scenario campaign, fleet-stamped.
+WELL_FORMED_STREAM = [
+    {"type": "campaign_start", "t": 1.0, "campaign": "c", "scenarios": ["a", "b"],
+     "generations_per_scenario": {"a": 2, "b": 3}, "completed": ["b"]},
+    {"type": "generation", "t": 2.0, "scenario": "a", "generation": 0, "evaluations": 3,
+     "cache_hits": 1, "cells": 2, "best_fitness": 0.5, "worker": "w0"},
+    {"type": "metrics", "t": 2.5, "registry": {"counters": {
+        "fuzzer.evaluations": 3, "sim.events": 90, "journal.bytes": 400,
+        "journal.bytes.generation_checkpoint": 300, "journal.bytes_scanned": 40}}},
+    {"type": "scenario_state", "t": 3.0, "scenario": "a", "state": "complete", "worker": "w0",
+     "outcome": {"generations": 2, "evaluations": 6, "cache_hits": 2, "cells": 3}},
+    {"type": "metrics", "t": 4.0, "registry": {"counters": {
+        "fuzzer.evaluations": 6, "sim.events": 180, "journal.bytes": 800,
+        "journal.bytes.generation_checkpoint": 600, "journal.bytes_scanned": 80,
+        "exec.failures": 1}}},
+    {"type": "campaign_complete", "t": 5.0, "campaign": "c"},
+]
+
+#: Every field ``fold_status`` reads as a number, a list or an object:
+#: (record index, path to the field, the kind a writer puts there).
+TYPED_FIELDS = [
+    (0, ("t",), "number"), (0, ("scenarios",), list), (0, ("completed",), list),
+    (0, ("generations_per_scenario",), dict), (0, ("generations_per_scenario", "a"), "number"),
+    (1, ("t",), "number"), (1, ("generation",), "number"), (1, ("evaluations",), "number"),
+    (1, ("cache_hits",), "number"), (1, ("cells",), "number"),
+    (2, ("t",), "number"), (2, ("registry",), dict), (2, ("registry", "counters"), dict),
+    (2, ("registry", "counters", "fuzzer.evaluations"), "number"),
+    (3, ("outcome",), dict), (3, ("outcome", "generations"), "number"),
+    (3, ("outcome", "evaluations"), "number"), (3, ("outcome", "cells"), "number"),
+    (4, ("registry", "counters"), dict), (4, ("registry", "counters", "sim.events"), "number"),
+    (4, ("registry", "counters", "journal.bytes.generation_checkpoint"), "number"),
+    (4, ("registry", "counters", "journal.bytes"), "number"),
+    (4, ("registry", "counters", "exec.failures"), "number"),
+    (5, ("t",), "number"),
+]
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.floats(allow_nan=True),
+    st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+def _is_kind(value, kind) -> bool:
+    if kind == "number":
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    return isinstance(value, kind)
+
+
+def _timeless(status):
+    """``status`` without the fields a running campaign takes from the clock."""
+    return {key: value for key, value in status.items()
+            if key not in ("elapsed_s", "evals_per_sec", "eta_s")}
+
+
+class TestFoldStatusTolerance:
+    """``fold_status`` never raises on what it finds: a field with the wrong
+    JSON type folds exactly as if it were absent, the way a torn line does."""
+
+    NO_CORPUS = Path(__file__).parent / "no-such-corpus"
+
+    def test_well_formed_stream_folds_as_before(self):
+        status = fold_status(copy.deepcopy(WELL_FORMED_STREAM), self.NO_CORPUS)
+        assert status["state"] == "complete" and status["campaign"] == "c"
+        assert (status["scenarios_completed"], status["scenarios_total"]) == (2, 2)
+        assert (status["evaluations"], status["cache_hits"], status["behavior_cells"]) == (6, 2, 3)
+        assert status["elapsed_s"] == 4.0 and status["evals_per_sec"] == 1.5
+        assert status["evals_per_sec_recent"] == 2.0 and status["sim_events"] == 180
+        assert status["journal_bytes"] == {"generation_checkpoint": 600}
+        assert status["journal_read_amplification"] == 0.1
+        assert status["faults"]["failures"] == 1
+        assert status["workers"]["w0"]["scenarios_completed"] == 1
+        assert status["workers"]["w0"]["evaluations"] == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        end=st.integers(1, len(WELL_FORMED_STREAM)),
+        picks=st.lists(
+            st.tuples(st.integers(0, len(TYPED_FIELDS) - 1), JSON_VALUES), min_size=1, max_size=4
+        ),
+    )
+    def test_a_wrong_typed_field_folds_as_if_absent(self, end, picks):
+        wrong, absent = copy.deepcopy(WELL_FORMED_STREAM), copy.deepcopy(WELL_FORMED_STREAM)
+        for index, value in picks:
+            record, path, kind = TYPED_FIELDS[index]
+            assume(not _is_kind(value, kind))
+            for stream, change in ((wrong, "set"), (absent, "delete")):
+                parent = stream[record]
+                for key in path[:-1]:
+                    parent = parent.get(key) if isinstance(parent, dict) else None
+                if isinstance(parent, dict):
+                    if change == "set":
+                        parent[path[-1]] = value
+                    else:
+                        parent.pop(path[-1], None)
+        status = fold_status(wrong[:end], self.NO_CORPUS)
+        assert _timeless(status) == _timeless(fold_status(absent[:end], self.NO_CORPUS))
+        format_status(status)
+        json.loads(status_json(status))
+
+    def test_status_cli_survives_a_wrong_typed_generation(self, tmp_path, capsys):
+        # Once such a record was in the stream, every status render raised.
+        records = [WELL_FORMED_STREAM[0], {"type": "generation", "t": 3.0, "scenario": "a",
+                                           "generation": "one", "evaluations": 3}]
+        (tmp_path / METRICS_FILENAME).write_text(
+            "".join(json.dumps(record) + "\n" for record in records)
+        )
+        assert campaign_main(["status", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "campaign 'c' — RUNNING" in out and "evals: 3 simulated" in out
 
 
 class TestProgressStream:

@@ -155,6 +155,13 @@ class TestConfigRanges:
         ("bottleneck_rate_mbps", 0.0, "bottleneck_rate_mbps must be positive"),
         ("queue_capacity", 0, "queue_capacity must be at least 1"),
         ("propagation_delay", -0.01, "propagation_delay must be non-negative"),
+        # Non-finite values used to pass: NaN fails no ``< 0`` test, and
+        # ``not inf > 0`` is false.  A NaN delay delivered nothing at all.
+        ("duration", math.inf, "duration must be positive and finite"),
+        ("duration", math.nan, "duration must be positive and finite"),
+        ("bottleneck_rate_mbps", math.inf, "bottleneck_rate_mbps must be positive and finite"),
+        ("propagation_delay", math.nan, "propagation_delay must be non-negative and finite"),
+        ("propagation_delay", math.inf, "propagation_delay must be non-negative and finite"),
     ])
     def test_out_of_range_settings_are_refused(self, field, value, message):
         # A run used to report zeros (duration 0), negative stalls

@@ -9,14 +9,12 @@ read-only access that cannot touch a live directory.
 from __future__ import annotations
 
 import os
-import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusReader, CorpusStore
 from repro.campaign.corpus import read_corpus_index
-from repro.campaign.report import write_campaign_report
 from repro.campaign.worker import FleetWorker
 from repro.cli import campaign_main, coverage_main, triage_main
 from repro.coverage.archive import BehaviorArchive
@@ -52,11 +50,6 @@ def _publish_corpus(directory):
     return lambda: store.add(_trace(), scenario_id="s")
 
 
-def _publish_report(directory):
-    result = types.SimpleNamespace(to_dict=lambda: {"spec": {"name": "c"}})
-    return lambda: write_campaign_report(result, str(directory))
-
-
 #: site -> (file published under the directory, set-up returning the action)
 PUBLISH_SITES = {
     "corpus-index": ("index.json", _publish_corpus),
@@ -73,7 +66,6 @@ PUBLISH_SITES = {
     ),
     "run_manifest.json": ("run_manifest.json", lambda d: lambda: write_manifest({"a": 1}, d)),
     "metrics.prom": ("metrics.prom", lambda d: lambda: write_prometheus(empty_snapshot(), d)),
-    "report.json": ("report.json", _publish_report),
     "compact": ("journal.jsonl", lambda d: _journal_with_records(d).compact),
     "merge_journals": (
         "merged.jsonl",
