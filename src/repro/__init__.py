@@ -15,100 +15,80 @@ Quickstart
 True
 """
 
-from .analysis import bbr_bug_evidence, compute_metrics
-from .attacks import bbr_stall_traffic_trace, builtin_attack_traces, lowrate_attack_trace
-from .campaign import (
-    CampaignRunner,
-    CampaignSpec,
-    CorpusStore,
-    GaBudget,
-    NetworkCondition,
-    replay_corpus,
-)
-from .core import CCFuzz, FuzzConfig, FuzzResult, GenerationStats, Individual, Population
-from .coverage import (
-    BehaviorArchive,
-    BehaviorSignature,
-    extract_signature,
-    make_guidance,
-)
-from .exec import (
-    EvaluationBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    TraceCache,
-    create_backend,
-)
-from .netsim import SimulationConfig, SimulationResult, run_simulation
-from .scoring import (
-    HighDelayScore,
-    LowUtilizationScore,
-    MinimalTrafficScore,
-    RealismScorer,
-    ScoreFunction,
-)
-from .tcp import Bbr, Cubic, Reno
-from .traces import (
-    LinkTrace,
-    LinkTraceGenerator,
-    LossTrace,
-    PacketTrace,
-    TrafficTrace,
-    TrafficTraceGenerator,
-    dist_packets,
-)
-from .triage import TriageConfig, TriageReport, triage_corpus, triage_trace
+import importlib
+from typing import Any, Callable, Dict, Tuple
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Bbr",
-    "BehaviorArchive",
-    "BehaviorSignature",
-    "CCFuzz",
-    "CampaignRunner",
-    "CampaignSpec",
-    "CorpusStore",
-    "Cubic",
-    "EvaluationBackend",
-    "FuzzConfig",
-    "FuzzResult",
-    "GaBudget",
-    "GenerationStats",
-    "HighDelayScore",
-    "Individual",
-    "LinkTrace",
-    "LinkTraceGenerator",
-    "LossTrace",
-    "LowUtilizationScore",
-    "MinimalTrafficScore",
-    "NetworkCondition",
-    "PacketTrace",
-    "Population",
-    "ProcessPoolBackend",
-    "RealismScorer",
-    "Reno",
-    "ScoreFunction",
-    "SerialBackend",
-    "SimulationConfig",
-    "SimulationResult",
-    "TraceCache",
-    "TrafficTrace",
-    "TrafficTraceGenerator",
-    "TriageConfig",
-    "TriageReport",
-    "bbr_bug_evidence",
-    "bbr_stall_traffic_trace",
-    "builtin_attack_traces",
-    "compute_metrics",
-    "create_backend",
-    "dist_packets",
-    "extract_signature",
-    "lowrate_attack_trace",
-    "make_guidance",
-    "replay_corpus",
-    "run_simulation",
-    "triage_corpus",
-    "triage_trace",
-    "__version__",
-]
+#: Each public name and the subpackage that defines it.  ``import repro``
+#: loads no submodule: a process loads only the subsystems it touches.
+_EXPORTS = {
+    "bbr_bug_evidence": "analysis",
+    "compute_metrics": "analysis",
+    "bbr_stall_traffic_trace": "attacks",
+    "builtin_attack_traces": "attacks",
+    "lowrate_attack_trace": "attacks",
+    "CampaignRunner": "campaign",
+    "CampaignSpec": "campaign",
+    "CorpusStore": "campaign",
+    "GaBudget": "campaign",
+    "NetworkCondition": "campaign",
+    "replay_corpus": "campaign",
+    "CCFuzz": "core",
+    "FuzzConfig": "core",
+    "FuzzResult": "core",
+    "GenerationStats": "core",
+    "Individual": "core",
+    "Population": "core",
+    "BehaviorArchive": "coverage",
+    "BehaviorSignature": "coverage",
+    "extract_signature": "coverage",
+    "make_guidance": "coverage",
+    "EvaluationBackend": "exec",
+    "ProcessPoolBackend": "exec",
+    "SerialBackend": "exec",
+    "TraceCache": "exec",
+    "create_backend": "exec",
+    "SimulationConfig": "netsim",
+    "SimulationResult": "netsim",
+    "run_simulation": "netsim",
+    "HighDelayScore": "scoring",
+    "LowUtilizationScore": "scoring",
+    "MinimalTrafficScore": "scoring",
+    "RealismScorer": "scoring",
+    "ScoreFunction": "scoring",
+    "Bbr": "tcp",
+    "Cubic": "tcp",
+    "Reno": "tcp",
+    "LinkTrace": "traces",
+    "LinkTraceGenerator": "traces",
+    "LossTrace": "traces",
+    "PacketTrace": "traces",
+    "TrafficTrace": "traces",
+    "TrafficTraceGenerator": "traces",
+    "dist_packets": "traces",
+    "TriageConfig": "triage",
+    "TriageReport": "triage",
+    "triage_corpus": "triage",
+    "triage_trace": "triage",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def _lazy_exports(namespace: Dict[str, Any], exports: Dict[str, str]) -> Tuple[Callable, Callable]:
+    """PEP 562 ``__getattr__`` / ``__dir__`` for the package whose globals are
+    ``namespace``: each of ``exports`` is imported from its submodule when first read."""
+    package = namespace["__name__"]
+
+    def getattr_(name: str) -> Any:
+        if name not in exports:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f".{exports[name]}", package), name)
+        namespace[name] = value  # later reads skip this hook
+        return value
+
+    return getattr_, lambda: sorted({*namespace, *exports})
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -16,38 +16,35 @@ benchmark sweep:
 * :mod:`replay` — regression mode: re-simulate the whole corpus against a
   CCA and report score deltas;
 * :mod:`report` — plain-text campaign, corpus and replay summaries.
+
+Each name loads its submodule on first read, as in :mod:`repro`: building a
+runner loads neither the fleet, the replay nor the report module.
 """
 
-from .corpus import CorpusEntry, CorpusReader, CorpusStore
-from .replay import ReplayReport, ReplayRow, replay_corpus
-from .report import (
-    format_campaign_report,
-    format_corpus_report,
-    format_last_campaign,
-    format_replay_report,
-)
-from .scheduler import CampaignResult, CampaignRunner, ScenarioOutcome
-from .spec import CampaignSpec, GaBudget, NetworkCondition, Scenario
-from .worker import FleetWorker, run_fleet
+from .. import _lazy_exports
 
-__all__ = [
-    "CampaignResult",
-    "CampaignRunner",
-    "FleetWorker",
-    "run_fleet",
-    "CampaignSpec",
-    "CorpusEntry",
-    "CorpusReader",
-    "CorpusStore",
-    "GaBudget",
-    "NetworkCondition",
-    "ReplayReport",
-    "ReplayRow",
-    "Scenario",
-    "ScenarioOutcome",
-    "format_campaign_report",
-    "format_corpus_report",
-    "format_last_campaign",
-    "format_replay_report",
-    "replay_corpus",
-]
+#: Each public name and the submodule that defines it.
+_EXPORTS = {
+    "CorpusEntry": "corpus",
+    "CorpusReader": "corpus",
+    "CorpusStore": "corpus",
+    "ReplayReport": "replay",
+    "ReplayRow": "replay",
+    "replay_corpus": "replay",
+    "format_campaign_report": "report",
+    "format_corpus_report": "report",
+    "format_last_campaign": "report",
+    "format_replay_report": "report",
+    "CampaignResult": "scheduler",
+    "CampaignRunner": "scheduler",
+    "ScenarioOutcome": "scheduler",
+    "CampaignSpec": "spec",
+    "GaBudget": "spec",
+    "NetworkCondition": "spec",
+    "Scenario": "spec",
+    "FleetWorker": "worker",
+    "run_fleet": "worker",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -178,6 +178,10 @@ def _scenario_seed(campaign_seed: int, scenario_id: str) -> int:
     return int(digest, 16)
 
 
+#: How long an idle fleet worker sleeps before re-polling for claimable scenarios.
+DEFAULT_POLL_S = 0.25
+
+
 @dataclass
 class CampaignSpec:
     """A full campaign: the axes of the scenario matrix plus shared settings."""

@@ -73,10 +73,7 @@ from .scheduler import (
     restore_cache,
     resume_checkpoint,
 )
-from .spec import CampaignSpec, Scenario
-
-#: How long an idle worker sleeps before re-polling for claimable scenarios.
-DEFAULT_POLL_S = 0.25
+from .spec import DEFAULT_POLL_S, CampaignSpec, Scenario
 
 
 class FleetError(RuntimeError):

@@ -21,6 +21,9 @@ point declares the arguments, the handler runs them.  An option two commands
 share is declared by one ``_add_*_options`` function; a numeric range is an
 argparse ``type=``; what the library validates itself reaches the user
 through :func:`_usage_errors`, never a restated check.
+
+Module level imports only what a campaign run needs; every other subsystem
+is imported by the handler that uses it, so a process loads what it runs.
 """
 
 from __future__ import annotations
@@ -33,32 +36,11 @@ import os
 import sys
 import tempfile
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence
 
-from .analysis.metrics import compute_metrics
-from .analysis.reporting import (
-    ascii_chart,
-    format_coverage_gaps,
-    format_coverage_map,
-    format_table,
-    format_triage_report,
-)
-from .attacks import builtin_attack_traces
-from .campaign import (
-    CampaignResult,
-    CampaignRunner,
-    CampaignSpec,
-    CorpusReader,
-    CorpusStore,
-    GaBudget,
-    format_campaign_report,
-    format_corpus_report,
-    format_last_campaign,
-    format_replay_report,
-    replay_corpus,
-    run_fleet,
-)
-from .campaign.worker import DEFAULT_POLL_S
+from .campaign.corpus import CorpusReader, CorpusStore
+from .campaign.scheduler import CampaignResult, CampaignRunner
+from .campaign.spec import DEFAULT_POLL_S, CampaignSpec, GaBudget
 from .core.fuzzer import MODES
 from .coverage import (
     GUIDANCE_MODES,
@@ -76,26 +58,18 @@ from .obs import (
     METRICS_FILENAME,
     CampaignTelemetry,
     Console,
-    StatusWatcher,
     add_console_flags,
-    format_status,
     latest_snapshot,
     prometheus_text,
     read_metrics,
-    status_json,
 )
 from .scoring.objectives import OBJECTIVES
 from .tcp.cca import CCA_FACTORIES
 from .traces.generator import LinkTraceGenerator, TrafficTraceGenerator
 from .traces.trace import LinkTrace, PacketTrace
-from .triage import (
-    DifferentialConfig,
-    MinimizeConfig,
-    RobustnessConfig,
-    TriageConfig,
-    triage_corpus,
-    triage_trace,
-)
+
+if TYPE_CHECKING:
+    from .triage import TriageConfig
 
 _Args = argparse.Namespace
 _Parser = argparse.ArgumentParser
@@ -218,6 +192,8 @@ def _add_triage_options(parser: _Parser) -> None:
 
 
 def _triage_config(args: _Args, parser: _Parser) -> TriageConfig:
+    from .triage import DifferentialConfig, MinimizeConfig, RobustnessConfig, TriageConfig
+
     with _usage_errors(parser):
         return TriageConfig(
             minimize=MinimizeConfig(
@@ -231,11 +207,26 @@ def _triage_config(args: _Args, parser: _Parser) -> TriageConfig:
         )
 
 
+def _read_input(path: str, parser: _Parser) -> str:
+    """An input file's text; one that cannot be opened is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        parser.error(f"cannot read {path}: {exc.strerror or exc}")
+
+
 def _read_trace(path: str, parser: _Parser) -> PacketTrace:
     """A trace file; one that is not a trace (bad JSON, fields or values) is
     a usage error."""
-    with open(path, "r", encoding="utf-8") as handle, _usage_errors(parser):
-        return PacketTrace.from_json(handle.read())
+    with _usage_errors(parser):
+        return PacketTrace.from_json(_read_input(path, parser))
+
+
+def _builtin_attacks(duration: float) -> Dict[str, PacketTrace]:
+    from .attacks import builtin_attack_traces
+
+    return builtin_attack_traces(duration)
 
 
 def _require_typed(trace: PacketTrace, parser: _Parser) -> PacketTrace:
@@ -322,6 +313,9 @@ def _fuzz(args: _Args, parser: _Parser, console: Console) -> None:
 
 
 def _simulate(args: _Args, parser: _Parser, console: Console) -> None:
+    from .analysis.metrics import compute_metrics
+    from .analysis.reporting import ascii_chart, format_table
+
     if args.trace and args.attack != "none":
         parser.error("--trace and --attack are mutually exclusive; pick one input")
 
@@ -336,7 +330,7 @@ def _simulate(args: _Args, parser: _Parser, console: Console) -> None:
     if args.trace:
         trace = _require_typed(_read_trace(args.trace, parser), parser)
     elif args.attack != "none":
-        trace = builtin_attack_traces(args.duration)[args.attack]
+        trace = _builtin_attacks(args.duration)[args.attack]
     try:
         if trace is not None:
             result = simulate_packet_trace(factory, config, trace)
@@ -377,6 +371,8 @@ def _trace_generate(args: _Args, parser: _Parser, console: Console) -> None:
 
 
 def _trace_inspect(args: _Args, parser: _Parser, console: Console) -> None:
+    from .analysis.reporting import ascii_chart
+
     trace = _read_trace(args.path, parser)
     console.result(f"type: {type(trace).__name__}")
     console.result(f"packets: {trace.packet_count}")
@@ -394,6 +390,9 @@ def _trace_inspect(args: _Args, parser: _Parser, console: Console) -> None:
 
 
 def _triage(args: _Args, parser: _Parser, console: Console) -> None:
+    from .analysis.reporting import format_triage_report
+    from .triage import triage_trace
+
     if args.output_trace and args.skip_minimize:
         parser.error("--output-trace needs the minimizer; drop --skip-minimize")
     if args.fingerprint and not args.corpus:
@@ -431,7 +430,7 @@ def _triage(args: _Args, parser: _Parser, console: Console) -> None:
         objective = args.objective or entry.objective or "throughput"
     else:
         with _usage_errors(parser):
-            trace = builtin_attack_traces(args.duration if args.duration is not None else 6.0)[
+            trace = _builtin_attacks(args.duration if args.duration is not None else 6.0)[
                 args.attack
             ]
     _require_typed(trace, parser)
@@ -551,6 +550,8 @@ def _rebuild_corpus_coverage(corpus_dir: str, console: Console) -> BehaviorArchi
 
 
 def _coverage_map(args: _Args, parser: _Parser, console: Console) -> None:
+    from .analysis.reporting import format_coverage_map
+
     if args.rebuild:
         if not (os.path.isdir(args.path) and CorpusReader.is_corpus(args.path)):
             parser.error("--rebuild needs a corpus directory")
@@ -593,6 +594,8 @@ def _coverage_diff(args: _Args, parser: _Parser, console: Console) -> None:
 
 
 def _coverage_gaps(args: _Args, parser: _Parser, console: Console) -> None:
+    from .analysis.reporting import format_coverage_gaps
+
     console.result(format_coverage_gaps(_load_archive(args.path, parser)))
 
 
@@ -643,14 +646,15 @@ def _launch_spec(
     }
     with _usage_errors(parser):
         if spec is None:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                spec = CampaignSpec.from_json(handle.read())
+            spec = CampaignSpec.from_json(_read_input(args.spec, parser))
         return dataclasses.replace(spec, **overrides)
 
 
 def _report_campaign(result: CampaignResult, console: Console) -> None:
     """Print the report.  The corpus's journal already records the outcome
     (``repro-campaign report`` reads it back), so nothing is written here."""
+    from .campaign.report import format_campaign_report
+
     console.info()
     console.result(format_campaign_report(result))
 
@@ -693,6 +697,8 @@ def _campaign_run(args: _Args, parser: _Parser, console: Console) -> None:
 
 
 def _campaign_workers(args: _Args, parser: _Parser, console: Console) -> None:
+    from .campaign.worker import run_fleet
+
     if (args.kill_worker is None) != (args.kill_after_checkpoints is None):
         parser.error("--kill-worker and --kill-after-checkpoints go together")
     spec = _launch_spec(args, parser, ("job_timeout", "max_retries"))
@@ -741,6 +747,8 @@ def _campaign_status(args: _Args, parser: _Parser, console: Console) -> None:
     endpoint uses), so watching a long campaign stays O(new records) per
     tick instead of re-reading the whole stream.
     """
+    from .obs.status import StatusWatcher, format_status, status_json
+
     if args.watch is not None and args.prometheus:
         parser.error("--watch cannot be combined with --prometheus")
     metrics_path = os.path.join(args.corpus, METRICS_FILENAME)
@@ -772,6 +780,9 @@ def _campaign_status(args: _Args, parser: _Parser, console: Console) -> None:
 
 
 def _campaign_replay(args: _Args, parser: _Parser, console: Console) -> None:
+    from .campaign.replay import replay_corpus
+    from .campaign.report import format_replay_report
+
     # replay and report only read: a reader cannot disturb a campaign that
     # is still writing this directory.
     corpus = CorpusReader(_existing_corpus(args, parser))
@@ -784,6 +795,8 @@ def _campaign_replay(args: _Args, parser: _Parser, console: Console) -> None:
 
 
 def _campaign_report(args: _Args, parser: _Parser, console: Console) -> None:
+    from .campaign.report import format_corpus_report, format_last_campaign
+
     corpus = CorpusReader(_existing_corpus(args, parser))
     console.result(format_corpus_report(corpus, top=args.top))
     last_campaign = format_last_campaign(read_corpus_journal_view(args.corpus))
@@ -792,6 +805,9 @@ def _campaign_report(args: _Args, parser: _Parser, console: Console) -> None:
 
 
 def _campaign_triage(args: _Args, parser: _Parser, console: Console) -> None:
+    from .analysis.reporting import format_table
+    from .triage import triage_corpus
+
     config = _triage_config(args, parser)
     corpus = CorpusStore(_existing_corpus(args, parser))
     with create_backend(args.backend, args.workers) as backend:
@@ -827,14 +843,14 @@ def _command(
     run: Callable[[_Args, _Parser, Console], None], parser, name: Optional[str] = None, **kwargs
 ) -> Iterator[_Parser]:
     """Declare one command: its arguments (the ``with`` body), then the shared
-    ``-q``/``-v`` flags, and ``run(args, parser, console)`` as its handler.
-    ``parser`` is the program's parser or, for the subcommand ``name``, the
-    ``add_subparsers()`` object to create it on."""
+    ``-q``/``-v`` flags, and ``run(args, parser, console)`` as its handler, handed
+    this command's own parser.  ``parser`` is the program's parser or, for the
+    subcommand ``name``, the ``add_subparsers()`` object to create it on."""
     if name is not None:
         parser = parser.add_parser(name, **kwargs)
     yield parser
     add_console_flags(parser)
-    parser.set_defaults(handler=run)
+    parser.set_defaults(handler=run, parser=parser)
 
 
 def _dispatch(parser: _Parser, argv: Optional[List[str]]) -> int:
@@ -843,9 +859,9 @@ def _dispatch(parser: _Parser, argv: Optional[List[str]]) -> int:
     refuses before it changes a byte."""
     args = parser.parse_args(argv)
     try:
-        args.handler(args, parser, Console.from_args(args))
+        args.handler(args, args.parser, Console.from_args(args))
     except JournalCorruption as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     return 0
 
 
@@ -901,7 +917,7 @@ def simulate_main(argv: Optional[List[str]] = None) -> int:
                             help="gateway queue capacity in packets")
         parser.add_argument("--trace", help="JSON trace file (link, traffic or loss)")
         parser.add_argument(
-            "--attack", choices=["none", *sorted(builtin_attack_traces(1.0))], default="none",
+            "--attack", choices=["none", *sorted(_builtin_attacks(1.0))], default="none",
             help="use a built-in attack trace instead of a file",
         )
         parser.add_argument("--plot", action="store_true",
@@ -944,7 +960,7 @@ def triage_main(argv: Optional[List[str]] = None) -> int:
         source = parser.add_mutually_exclusive_group(required=True)
         source.add_argument("--trace", help="JSON trace file to triage")
         source.add_argument(
-            "--attack", choices=sorted(builtin_attack_traces(1.0)),
+            "--attack", choices=sorted(_builtin_attacks(1.0)),
             help="triage a builtin attack trace instead of a file",
         )
         source.add_argument("--corpus", help="corpus directory; pick the entry with --fingerprint")

@@ -41,7 +41,6 @@ from .faults import (
     guarded_evaluate,
 )
 from .quarantine import QUARANTINE_FILENAME, QuarantineStore, read_quarantine_entries
-from .supervisor import SupervisedProcessPool, SupervisorError
 from .workers import EvaluationJob, EvaluationOutcome, evaluate_job, simulate_packet_trace
 
 __all__ = [
@@ -62,8 +61,6 @@ __all__ = [
     "QUARANTINE_FILENAME",
     "QuarantineStore",
     "SerialBackend",
-    "SupervisedProcessPool",
-    "SupervisorError",
     "TraceCache",
     "active_plan",
     "cca_identity",

@@ -36,7 +36,7 @@ import contextlib
 import os
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import get_registry
 from .cache import factory_identity
@@ -48,8 +48,10 @@ from .faults import (
     guarded_evaluate,
     job_fingerprint,
 )
-from .supervisor import SupervisedProcessPool, SupervisorError
 from .workers import EvaluationJob, EvaluationOutcome
+
+if TYPE_CHECKING:  # imported with the first pool: a serial run never loads multiprocessing
+    from .supervisor import SupervisedProcessPool
 
 #: Backend names accepted by :func:`create_backend` and the CLI.
 BACKENDS = ("serial", "process")
@@ -251,6 +253,8 @@ class ProcessPoolBackend(EvaluationBackend):
         # thread-safe, so concurrent batches then interleave freely.
         with self._init_lock:
             if self._pool_instance is None:
+                from .supervisor import SupervisedProcessPool
+
                 self._pool_instance = SupervisedProcessPool(self.workers, policy=self.policy)
             return self._pool_instance
 
@@ -258,6 +262,8 @@ class ProcessPoolBackend(EvaluationBackend):
         return max(1, -(-batch_size // (4 * self.workers)))
 
     def _run_jobs(self, jobs: List[EvaluationJob]) -> List[EvaluationOutcome]:
+        from .supervisor import SupervisorError
+
         chaos = active_plan()
         try:
             pairs = self._pool().submit_batch(

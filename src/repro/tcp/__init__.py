@@ -1,5 +1,8 @@
 """TCP substrate: sender, receiver and congestion-control algorithms."""
 
+# netsim's topology is built from this package's endpoints, and they from its
+# engine and packets: load netsim first, so the cycle is entered from its side.
+from .. import netsim  # noqa: F401
 from .cca import CCA_FACTORIES, CCA_REGISTRY, cca_factory
 from .cca.base import AckEvent, CongestionControl
 from .cca.bbr import Bbr

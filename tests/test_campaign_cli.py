@@ -553,6 +553,54 @@ class TestBadTraceFiles:
         assert captured.out == ""
 
 
+class TestUnopenableInputFiles:
+    """An input file that cannot be opened exits 2 with ``error: cannot read
+    <path>: <reason>`` — never a traceback — and a launch creates no corpus."""
+
+    @pytest.mark.parametrize("kind, reason", [
+        ("missing", "No such file or directory"), ("directory", "Is a directory"),
+    ])
+    @pytest.mark.parametrize("main, argv", [
+        (trace_main, ["inspect", "{path}"]),
+        (simulate_main, ["--cca", "reno", "--duration", "1", "--trace", "{path}"]),
+        (triage_main, ["--cca", "reno", "--trace", "{path}"]),
+        (campaign_main, ["run", "--spec", "{path}", "--corpus", "{corpus}"]),
+        (campaign_main, ["workers", "--spec", "{path}", "--corpus", "{corpus}"]),
+    ], ids=["inspect", "simulate", "triage", "run", "workers"])
+    def test_unopenable_input_is_a_usage_error(self, main, argv, kind, reason, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        if kind == "directory":
+            path.mkdir()
+        corpus_dir = tmp_path / "corpus"
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(path=path, corpus=corpus_dir) for arg in argv])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: cannot read {path}: {reason}\n" in captured.err
+        assert captured.out == ""
+        assert not corpus_dir.exists()
+
+
+class TestSubcommandUsageErrors:
+    """A subcommand's usage error shows that subcommand's usage line and name,
+    not the program's."""
+
+    @pytest.mark.parametrize("main, argv, prog, message", [
+        (campaign_main, ["compact", "{missing}"], "repro-campaign compact", "no journal at"),
+        (trace_main, ["inspect", "{missing}"], "repro-trace inspect", "cannot read"),
+        (coverage_main, ["gaps", "{missing}"], "repro-coverage gaps",
+         "no behavior map or corpus at"),
+    ], ids=["campaign", "trace", "coverage"])
+    def test_usage_error_names_the_subcommand(self, main, argv, prog, message, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(missing=missing) for arg in argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: {prog} [-h]")
+        assert f"\n{prog}: error: {message}" in err
+
+
 class TestUnreadableCorpusFiles:
     """A corpus file that cannot be read exits 2 with ``error:``, never a
     traceback, and leaves the corpus as it found it."""
