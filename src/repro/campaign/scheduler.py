@@ -346,17 +346,23 @@ def resume_checkpoint(
     epochs agree: a resumed epoch re-evaluates its first generation
     bit-identically); ``None`` for a fresh start.  A checkpoint naming
     outcomes the restored ``cache`` lacks (a stale dump, a cache smaller than
-    the population) is refused: the scenario restarts from its seeds."""
+    the population), or a trace the journal does not hold, is refused: the
+    scenario restarts from its seeds."""
     checkpoint = view.checkpoints.get(scenario_id) if view is not None else None
     if checkpoint is None:
         return None
-    if not restorable(checkpoint["fuzzer"], cache):
-        warn(f"[{scenario_id}] journaled cache dump is stale; restarting the scenario from its seeds")
-        return None
-    archive.apply_delta(
-        *view.behavior_state({scenario_id: checkpoint["generation"]}, scenario_id=scenario_id)
-    )
-    return checkpoint
+    islands = checkpoint["fuzzer"].get("islands") or []
+    if not all(isinstance(payload.get("trace"), dict) for island in islands for payload in island):
+        cause = "checkpoint names a trace the journal does not hold"
+    elif not restorable(checkpoint["fuzzer"], cache):
+        cause = "cache dump is stale"
+    else:
+        archive.apply_delta(
+            *view.behavior_state({scenario_id: checkpoint["generation"]}, scenario_id=scenario_id)
+        )
+        return checkpoint
+    warn(f"[{scenario_id}] journaled {cause}; restarting the scenario from its seeds")
+    return None
 
 
 @contextlib.contextmanager

@@ -3,9 +3,14 @@
 One record per line of JSONL, serialised canonically (sorted keys, no
 whitespace) so byte content is a pure function of logical content:
 
-``{"crc": ..., "data": {...}, "schema": 1, "seq": N, "type": "..."}``
+``{"crc": ..., "data": {...}, "schema": 2, "seq": N, "traces": {...}, "type": "..."}``
 
-* ``schema`` versions the record layout itself.
+* ``schema`` versions the record layout itself.  2 names traces by digest
+  (:mod:`repro.journal.codec`); 1 carried them inline and is still read.
+* ``traces`` (schema 2, only when non-empty) maps digest -> trace for the
+  traces this record is the first in its file to name.  It is encoding, not
+  content: the dedup key leaves it out, so a record re-done after a resume
+  collapses onto the original whether or not either brought a table.
 * ``seq`` is the writer-local monotonic sequence number; replay folds records
   in ``seq`` order, and :func:`repro.journal.log.merge_records` renumbers it.
 * ``crc`` is a blake2b digest over the rest of the record.  An append that is
@@ -15,7 +20,8 @@ whitespace) so byte content is a pure function of logical content:
 
 ``data`` is the only part of a record whose size grows with the campaign, so
 it is encoded exactly once: the line and both digests are *framed* around
-that one canonical string (``[schema,seq,"type",<data>]`` for ``crc``,
+that one canonical string (``[schema,seq,"type",<data>]`` for ``crc``, with
+``,<traces>`` before the ``]`` when there is a table, and
 ``[schema,"type",<data>]`` for the dedup key), which yields the same bytes as
 serialising the whole structure would.  A reader accepts a line only if it is
 byte-for-byte the canonical encoding of what it parses to — that covers the
@@ -33,7 +39,9 @@ import hashlib
 import json
 from typing import Any, Dict, Optional
 
-JOURNAL_SCHEMA = 1
+JOURNAL_SCHEMA = 2
+#: Every record layout a reader accepts.
+READ_SCHEMAS = (1, JOURNAL_SCHEMA)
 
 EVENT_TYPES = (
     "campaign_start",
@@ -59,9 +67,14 @@ class JournalCorruption(JournalError):
     """A record failed to parse or its checksum did not match."""
 
 
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` without
+#: building an encoder per call (every record, table and digest encodes).
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(payload: Any) -> str:
     """Deterministic JSON: sorted keys, compact separators."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(payload)
 
 
 def _digest(text: str, size: int) -> str:
@@ -71,22 +84,30 @@ def _digest(text: str, size: int) -> str:
 class JournalRecord:
     """One event in the log.  ``data`` must be JSON-native.
 
-    Immutable by convention.  Equality is over ``(seq, type, data, schema)``.
+    Immutable by convention.  Equality is over ``(seq, type, data, schema,
+    traces)``.
     """
 
-    __slots__ = ("seq", "type", "schema", "_data", "_json", "_dedup")
+    __slots__ = ("seq", "type", "schema", "_data", "_json", "_dedup", "_traces", "_traces_json")
 
     def __init__(
-        self, seq: int, type: str, data: Dict[str, Any], schema: int = JOURNAL_SCHEMA
+        self,
+        seq: int,
+        type: str,
+        data: Dict[str, Any],
+        schema: int = JOURNAL_SCHEMA,
+        traces: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.seq = seq
         self.type = type
         self.schema = schema
         self._data: Optional[Dict[str, Any]] = data
-        #: Canonical JSON of ``data``; held only by records built for
-        #: appending (:func:`make_record`), whose ``data`` is parsed from it
-        #: on first use.
+        #: Canonical JSON of ``data`` and of the table; held only by records
+        #: built for appending (:func:`make_record`), whose ``data`` and
+        #: ``traces`` are parsed from it on first use.
         self._json: Optional[str] = None
+        self._traces: Optional[Dict[str, Any]] = traces or {}
+        self._traces_json: Optional[str] = None
         self._dedup: Optional[str] = None
 
     @property
@@ -95,46 +116,62 @@ class JournalRecord:
             self._data = json.loads(self._json)  # type: ignore[arg-type]
         return self._data
 
+    @property
+    def traces(self) -> Dict[str, Any]:
+        """Digest -> trace dict for the traces this record brings into its file."""
+        if self._traces is None:
+            self._traces = json.loads(self._traces_json)  # type: ignore[arg-type]
+        return self._traces
+
     def _data_json(self) -> str:
         return self._json if self._json is not None else canonical_json(self._data)
+
+    def traces_json(self) -> str:
+        """The table's canonical JSON; ``""`` when the record has none."""
+        if self._traces_json is None:
+            self._traces_json = canonical_json(self._traces) if self._traces else ""
+        return self._traces_json
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JournalRecord):
             return NotImplemented
         return (self.seq, self.type, self.schema) == (
             other.seq, other.type, other.schema
-        ) and self.data == other.data
+        ) and self.data == other.data and self.traces == other.traces
 
     def __repr__(self) -> str:
         return (
             f"JournalRecord(seq={self.seq!r}, type={self.type!r}, "
-            f"data={self.data!r}, schema={self.schema!r})"
+            f"data={self.data!r}, schema={self.schema!r}, traces={self.traces!r})"
         )
 
-    def _framed(self, data_json: str) -> "tuple[str, str]":
-        """``(checksum, line)`` around one canonical encoding of ``data``."""
+    def _framed(self, data_json: str, traces_json: str) -> "tuple[str, str]":
+        """``(checksum, line)`` around one canonical encoding of ``data``
+        (and of the table, if there is one)."""
         type_json = json.dumps(self.type)
-        crc = _digest(f"[{self.schema:d},{self.seq:d},{type_json},{data_json}]", size=4)
+        table = f",{traces_json}" if traces_json else ""
+        crc = _digest(f"[{self.schema:d},{self.seq:d},{type_json},{data_json}{table}]", size=4)
+        table = f'"traces":{traces_json},' if traces_json else ""
         line = (
             f'{{"crc":"{crc}","data":{data_json},"schema":{self.schema:d},'
-            f'"seq":{self.seq:d},"type":{type_json}}}\n'
+            f'"seq":{self.seq:d},{table}"type":{type_json}}}\n'
         )
         return crc, line
 
     def checksum(self) -> str:
-        return self._framed(self._data_json())[0]
+        return self._framed(self._data_json(), self.traces_json())[0]
 
     def _dedup_of(self, data_json: str) -> str:
         return _digest(f"[{self.schema:d},{json.dumps(self.type)},{data_json}]", size=8)
 
     def dedup_key(self) -> str:
-        """Content identity (``seq``-independent) used by merge and replay."""
+        """Content identity (``seq``- and table-independent) used by merge and replay."""
         if self._dedup is None:
             self._dedup = self._dedup_of(self._data_json())
         return self._dedup
 
     def to_line(self) -> str:
-        return self._framed(self._data_json())[1]
+        return self._framed(self._data_json(), self.traces_json())[1]
 
     @classmethod
     def from_line(cls, line: str) -> "JournalRecord":
@@ -150,39 +187,48 @@ class JournalRecord:
                 type=str(payload["type"]),
                 data=payload["data"],
                 schema=int(payload["schema"]),
+                traces=payload.get("traces"),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             # OverflowError: a damaged digit can turn ``seq`` into ``1e999``.
             raise JournalCorruption(f"malformed journal record: {exc}") from exc
-        if record.schema != JOURNAL_SCHEMA:
+        if record.schema not in READ_SCHEMAS:
             raise JournalCorruption(
-                f"unsupported journal schema {record.schema} (expected {JOURNAL_SCHEMA})"
+                f"unsupported journal schema {record.schema} (expected one of {READ_SCHEMAS})"
             )
         if not isinstance(record.data, dict):
             raise JournalCorruption("journal record data is not an object")
+        traces = record._traces
+        if not isinstance(traces, dict) or not all(isinstance(t, dict) for t in traces.values()):
+            raise JournalCorruption("journal record traces table is not an object of traces")
         # The one re-serialisation a read costs: it verifies the line and,
         # while the string is at hand, settles the dedup key every replay
         # asks for — so the string itself need not be kept per record.
         data_json = canonical_json(record.data)
-        if record._framed(data_json)[1] != (line if line.endswith("\n") else line + "\n"):
+        framed = record._framed(data_json, canonical_json(traces) if traces else "")[1]
+        if framed != (line if line.endswith("\n") else line + "\n"):
             raise JournalCorruption(f"checksum mismatch on seq {record.seq}")
         record._dedup = record._dedup_of(data_json)
         return record
 
 
-def make_record(seq: int, type: str, data: Dict[str, Any]) -> JournalRecord:
-    """Build a record for appending, encoding ``data`` exactly once.
+def make_record(
+    seq: int, type: str, data: Dict[str, Any], traces: Optional[Dict[str, Any]] = None
+) -> JournalRecord:
+    """Build a record for appending, encoding ``data`` and ``traces`` exactly once.
 
     Encoding up front rejects non-serialisable payloads at append time (not
-    at some later read); the record's ``data`` is parsed back from that
-    encoding on first use, which canonicalises containers (tuples become
-    lists), so a record held in memory equals its re-read form.
+    at some later read); the record's ``data`` and ``traces`` are parsed back
+    from that encoding on first use, which canonicalises containers (tuples
+    become lists), so a record held in memory equals its re-read form.
     """
     if type not in EVENT_TYPES:
         raise JournalError(f"unknown journal event type: {type!r}")
     record = JournalRecord(seq=seq, type=type, data=None)  # type: ignore[arg-type]
     try:
         record._json = canonical_json(data)
+        if traces:
+            record._traces, record._traces_json = None, canonical_json(traces)
     except (TypeError, ValueError) as exc:
         raise JournalError(f"journal event data is not JSON-serialisable: {exc}") from exc
     return record

@@ -44,10 +44,11 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import IO, Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import IO, Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..obs.metrics import get_registry
 from ..storage import fsync_dir, publish, read_appended, split_lines
+from .codec import deflate
 from .events import JournalCorruption, JournalRecord, make_record
 from .view import JournalFold, JournalView
 
@@ -158,6 +159,11 @@ class JournalCursor:
         """The byte before ``offset`` is not a newline: the final record is
         intact but its writer died before terminating the line."""
         return bool(self._last_line) and not self._last_line.endswith(b"\n")
+
+    @property
+    def traces(self) -> Dict[str, Dict[str, Any]]:
+        """Digest -> trace for every trace table folded from the file."""
+        return self._fold.traces
 
     @property
     def clean(self) -> bool:
@@ -299,6 +305,11 @@ class CampaignJournal:
         self._tail_offset: int = 0
         self._lock_handle: Optional[IO[bytes]] = None
         self._lock_depth: int = 0
+        #: Digests of the traces the file already holds: a record names
+        #: these without carrying them.  Taken from the cursor whenever it
+        #: has just read the file (:meth:`_prepare_append`, other writers'
+        #: appends), grown by each successful write.
+        self._digests: Set[str] = set()
 
     # ------------------------------------------------------------------ #
     # Location
@@ -415,6 +426,7 @@ class CampaignJournal:
         self._handle, self._identity = handle, identity
         self._next_seq = cursor.tail_seq + 1
         self._tail_offset = cursor.offset
+        self._digests = set(cursor.traces)
 
     def _sync_with_file(self) -> None:
         """Re-validate the open handle against the path before appending.
@@ -439,6 +451,7 @@ class CampaignJournal:
                     if cursor.identity == self._identity and cursor.clean:
                         self._next_seq = cursor.tail_seq + 1
                         self._tail_offset = cursor.offset
+                        self._digests = set(cursor.traces)
                         self._handle.seek(0, os.SEEK_END)
                         return
                     # Another writer died mid-append; take the repair path.
@@ -458,22 +471,30 @@ class CampaignJournal:
             os.fsync(self._handle.fileno())
 
     def append(self, type: str, data: dict) -> JournalRecord:
-        """Durably append one event; returns the written record."""
+        """Durably append one event; returns the written record.
+
+        Its traces go as digests; the record carries the ones the file does
+        not hold yet in its ``traces`` table (:mod:`repro.journal.codec`).
+        """
         with self._lock:
             self._acquire_file_lock()
             try:
                 self._sync_with_file()
                 assert self._next_seq is not None
-                record = make_record(self._next_seq, type, data)
+                data, table, named = deflate(type, data, self._digests)
+                record = make_record(self._next_seq, type, data, table)
                 payload = record.to_line().encode("utf-8")
                 # Timed around the write+fsync choke point: append_s is the
                 # durability cost per record (dominated by fsync on real disks).
                 append_started = time.perf_counter()
                 self._write_line(payload)
+                self._digests.update(table)
                 registry = get_registry()
                 registry.inc("journal.appends")
                 registry.inc("journal.bytes", len(payload))
                 registry.inc(f"journal.bytes.{type}", len(payload))
+                registry.inc("journal.bytes.traces", len(record.traces_json()))
+                registry.inc("journal.trace_refs", named - len(table))
                 registry.observe("journal.append_s", time.perf_counter() - append_started)
                 cursor = self._cursor
                 if (
@@ -659,9 +680,9 @@ class CampaignJournal:
                 records_before = view.record_count + view.duplicates
                 if not records_before:
                     return None
-                snapshot = make_record(
-                    max(view.last_seq, 1), "compaction_snapshot", view.to_snapshot()
-                )
+                # A new file: the snapshot carries every trace it names.
+                data, table, _ = deflate("compaction_snapshot", view.to_snapshot(), ())
+                snapshot = make_record(max(view.last_seq, 1), "compaction_snapshot", data, table)
                 payload = snapshot.to_line().encode("utf-8")
                 bytes_before = self._cursor.size
                 publish(self.path, payload)
@@ -715,8 +736,11 @@ def merge_records(
     """Union journals from several machines into one deduplicated log.
 
     Records are deduplicated by content (:meth:`JournalRecord.dedup_key`,
-    which ignores ``seq``), keeping the *lowest* sequence number seen for
-    each, then ordered by ``(seq, type, dedup_key)``.  The result is a pure
+    which ignores ``seq`` and the ``traces`` table), keeping the *lowest*
+    sequence number seen for each, then ordered by ``(seq, type,
+    dedup_key)``.  In each input a record that names a trace comes after the
+    one that brought it in, and the kept copies keep that order; copies
+    sharing a seq keep the union of their tables.  The result is a pure
     function of the deduplicated record set — per-content minimum is both
     commutative and associative — so ``merge(a, b) == merge(b, a)``,
     ``merge(merge(a, b), c) == merge(a, merge(b, c))``, and merging a log
@@ -732,6 +756,10 @@ def merge_records(
             kept = best.get(key)
             if kept is None or record.seq < kept.seq:
                 best[key] = record
+            elif record.seq == kept.seq and record.traces != kept.traces:
+                best[key] = JournalRecord(
+                    kept.seq, kept.type, kept.data, kept.schema, {**kept.traces, **record.traces}
+                )
     return sorted(best.values(), key=lambda r: (r.seq, r.type, r.dedup_key()))
 
 

@@ -35,6 +35,15 @@ each scenario's whole list (entries for generations before the tail's, then
 the tail), so a re-done generation replaces its entry and a full history
 replaces the list, at O(tail) per checkpoint.
 
+Traces come by digest (:mod:`repro.journal.codec`): the fold keeps every
+record's ``traces`` table, taken before the duplicate and fencing checks —
+a trace is its content, so one a fenced zombie brought in is still the right
+bytes for the thief that names it — and inflates each payload it applies.
+A record that names a trace sorts after the one that brought it in (a
+writer's next seq is higher; :func:`repro.journal.log.merge_records` keeps
+the order), so one pass in fold order resolves every reference, and a
+reader following the file resolves exactly what a from-scratch one does.
+
 The fold can be *continued*: :class:`JournalFold` keeps the view together
 with the dedup set, the fencing epochs and the last fold key, so a reader
 that follows a growing file (:class:`repro.journal.log.JournalCursor`) folds
@@ -46,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from .codec import inflate
 from .events import JournalRecord
 
 #: Event types subject to lease-epoch fencing.
@@ -515,10 +525,12 @@ class JournalFold:
     that does not is refused whole, and the caller starts a new fold.
     """
 
-    __slots__ = ("view", "_seen", "_max_epoch", "_last_key")
+    __slots__ = ("view", "traces", "_seen", "_max_epoch", "_last_key")
 
     def __init__(self) -> None:
         self.view = JournalView()
+        #: digest -> trace, from every folded record's ``traces`` table.
+        self.traces: Dict[str, Dict[str, Any]] = {}
         self._seen: set = set()
         #: scenario_id -> highest lease epoch granted so far in fold order.
         self._max_epoch: Dict[str, int] = {}
@@ -539,6 +551,8 @@ class JournalFold:
 
     def _fold(self, record: JournalRecord) -> None:
         view, max_epoch = self.view, self._max_epoch
+        if record.traces:
+            self.traces.update(record.traces)
         key = record.dedup_key()
         if key in self._seen:
             view.duplicates += 1
@@ -550,6 +564,8 @@ class JournalFold:
         if record.type in FENCED_EVENT_TYPES and _is_fenced(data, max_epoch):
             view.fenced_records += 1
             return
+        if record.schema > 1:
+            data = inflate(record.type, data, self.traces)
         if record.type == "campaign_start":
             if view.campaign is None:
                 view.campaign = data

@@ -67,7 +67,9 @@ def build_manifest(
         "versions": {"repro": __version__, "python": sys.version.split()[0]},
         "host": {
             "hostname": platform.node(),
-            "platform": platform.platform(),
+            # Not ``platform.platform()``: it asks ``uname -p`` in a child
+            # process, which every campaign would pay for.
+            "platform": "-".join((platform.system(), platform.release(), platform.machine())),
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
             "pid": os.getpid(),

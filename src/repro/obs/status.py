@@ -132,6 +132,8 @@ def fold_status(
         "result_digest": None,
         "quarantine_entries": 0,
         "journal_bytes": {},
+        "journal_trace_bytes": 0,
+        "journal_trace_refs": 0,
         "journal_bytes_scanned": 0,
         "journal_read_amplification": None,
         "faults": dict.fromkeys(_FAULT_COUNTERS, 0),
@@ -267,6 +269,10 @@ def fold_status(
             for name in counters
             if name.startswith(prefix) and (value := _num(counters, name, None)) is not None
         }
+        # The trace tables are a part of those bytes, not a record type; the
+        # traces named by digest instead of carried are what they saved.
+        status["journal_trace_bytes"] = status["journal_bytes"].pop("traces", 0)
+        status["journal_trace_refs"] = int(_num(counters, "journal.trace_refs"))
         # Read amplification: journal bytes this process parsed per byte it
         # appended.  0 for a serial campaign (it never reads its own log),
         # under 1 for a resume; a fleet driver, which appends little and
@@ -402,6 +408,8 @@ def format_status(status: Dict[str, Any]) -> str:
         lines.append(
             f"journal: {_fmt_bytes(sum(journal_bytes.values()))} — "
             + ", ".join(f"{name} {_fmt_bytes(size)}" for name, size in by_type)
+            + f"; trace tables {_fmt_bytes(status.get('journal_trace_bytes', 0))}, "
+            f"{status.get('journal_trace_refs', 0)} traces by reference"
             + (
                 f"; read back {amplification:.2f}x "
                 f"({_fmt_bytes(status.get('journal_bytes_scanned', 0))} scanned)"

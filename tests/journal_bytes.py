@@ -11,6 +11,10 @@ outcomes" rows are the result summaries and scores individuals carry
 themselves: 0 once
 checkpoints name each outcome by reference to the cache op that journaled
 it, non-zero in older journals; the line under the table counts both kinds.
+A third table splits the trace bytes by record type: the ``traces`` tables
+(each trace the first time its file names it), the digests that name traces
+in payloads, and the share of trace occurrences written as a reference to a
+trace an earlier record carried (:mod:`repro.journal.codec`).
 Below the tables: read amplification, the journal bytes the campaign's
 processes parsed (``journal.bytes_scanned`` in the last telemetry snapshot of
 each process that left one) per byte of journal on disk.
@@ -24,11 +28,12 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from repro.journal import CampaignJournal  # noqa: E402
+from repro.journal.codec import deflate, named_digests  # noqa: E402
 from repro.journal.events import canonical_json  # noqa: E402
 from repro.obs.sinks import METRICS_FILENAME, read_metrics  # noqa: E402
 
 
-def checkpoint_fields(data: dict) -> dict:
+def checkpoint_fields(data: dict, table_bytes: int) -> dict:
     """One ``generation_checkpoint``'s bytes by snapshot field."""
     fuzzer = data.get("fuzzer", {})
     individuals = [individual for island in fuzzer.get("islands", []) for individual in island]
@@ -38,7 +43,10 @@ def checkpoint_fields(data: dict) -> dict:
 
     inline = [individual for individual in individuals if "score" in individual]
     return {
-        "island traces": sum(size(individual.get("trace")) for individual in individuals),
+        "island traces (digests or inline)": sum(
+            size(individual.get("trace")) for individual in individuals
+        ),
+        "trace table": table_bytes,
         "inline outcomes: result summaries": sum(
             size(individual.get("result_summary")) for individual in inline
         ),
@@ -49,19 +57,44 @@ def checkpoint_fields(data: dict) -> dict:
     }
 
 
+def dangling_refs(records) -> list:
+    """``(seq, digest)`` for each digest a record names before any record
+    (in fold order, itself included) carried it: empty for a journal every
+    reader, from scratch or following the file, can inflate."""
+    carried, dangling = set(), []
+    for record in sorted(records, key=lambda r: (r.seq, r.type, r.dedup_key())):
+        carried.update(record.traces)
+        dangling += [
+            (record.seq, digest)
+            for digest in named_digests(record.type, record.data)
+            if digest not in carried
+        ]
+    return dangling
+
+
 def main(corpus_dir: str) -> int:
     by_type: dict = {}
     by_field: dict = {}
     individuals = {"inline": 0, "by reference": 0}
     #: scenario id -> its journaled outcome (a re-run scenario's last one).
     outcomes: dict = {}
+    #: record type -> [table bytes, reference bytes, traces named, by reference]
+    traces: dict = {}
     for record in CampaignJournal(CampaignJournal.corpus_path(corpus_dir)).records():
         size = len(record.to_line())
         by_type[record.type] = by_type.get(record.type, 0) + size
+        names = named_digests(record.type, record.data)
+        inline = deflate(record.type, record.data, ())[2]   # schema-1 records
+        if names or inline:
+            row = traces.setdefault(record.type, [0, 0, 0, 0])
+            row[0] += len(record.traces_json())
+            row[1] += sum(len(canonical_json(name)) for name in names)
+            row[2] += len(names) + inline
+            row[3] += len(names) - len(record.traces)
         if record.type == "scenario_complete":
             outcomes[record.data["scenario_id"]] = record.data["outcome"]
         elif record.type == "generation_checkpoint":
-            fields = checkpoint_fields(record.data)
+            fields = checkpoint_fields(record.data, len(record.traces_json()))
             for island in record.data.get("fuzzer", {}).get("islands", []):
                 for individual in island:
                     individuals["inline" if "score" in individual else "by reference"] += 1
@@ -86,6 +119,13 @@ def main(corpus_dir: str) -> int:
             f"\ncheckpoint individuals: {individuals['by reference']} with the outcome "
             f"by reference, {individuals['inline']} inline"
         )
+    if traces:
+        print("\n| trace bytes by record type | tables | references | traces named | by reference |")
+        print("|---|---:|---:|---:|---:|")
+        for name, (table, refs, named, by_ref) in sorted(traces.items()):
+            print(f"| `{name}` | {table} | {refs} | {named} | {by_ref / named:.1%} |")
+        table, refs, named, by_ref = (sum(row[i] for row in traces.values()) for i in range(4))
+        print(f"| **total** | {table} | {refs} | {named} | {by_ref / max(1, named):.1%} |")
     scanned = {}
     for record in read_metrics(os.path.join(corpus_dir, METRICS_FILENAME)):
         if record.get("type") == "metrics":

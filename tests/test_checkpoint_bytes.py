@@ -9,8 +9,9 @@ older full-dump layout must still resume — cold, not crash — and one whose
 traces and RNG state are JSON number lists must resume bit-identically.
 
 Nor does a checkpoint re-journal what the journal holds: an individual names
-its outcome by its trace (the cache op log carries it), and the history goes
-as its tail, which replay folds back into the whole list at any kill point.
+its outcome by its trace (the cache op log carries it), the history goes as
+its tail, which replay folds back into the whole list at any kill point, and
+each trace is carried once per file, by the first record that names it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from repro.core.fuzzer import CCFuzz
 from repro.coverage.archive import BehaviorArchive
 from repro.exec.cache import TraceCache
 from repro.journal import CampaignJournal, JournalRecord
+from repro.journal.codec import inflate, named_digests
+from repro.journal.events import canonical_json, make_record
 from repro.scoring.objectives import make_score_function
 from repro.tcp.cca import cca_factory
 
@@ -216,6 +219,40 @@ def test_checkpoints_journal_outcomes_by_reference_and_history_as_its_tail(run, 
     ]
 
 
+#: Each record type's journal bytes over what it would take with every trace
+#: inline, on the pinned campaign (measured 0.958 / 0.727 / 0.590 serial,
+#: 0.960 / 0.803 / 0.572 inline fleet): a checkpoint's population is mostly
+#: new traces, a behavior delta's elites and a harvest's inserts mostly not.
+INLINE_SHARE_BOUNDS = {"generation_checkpoint": 0.97, "behavior_delta": 0.82, "corpus_insert": 0.6}
+
+
+@pytest.mark.parametrize("run", [run_serial, run_inline_fleet])
+def test_each_trace_is_journaled_once_per_file(run, tmp_path):
+    """Every trace a record names is carried by exactly one record's table,
+    so the tables hold each distinct trace's bytes once (plus its digest as
+    the key), and each record type is bounded against its inline size."""
+    run(tmp_path)
+    records = CampaignJournal(CampaignJournal.corpus_path(str(tmp_path))).records()
+    traces: dict = {}
+    sizes: dict = {}
+    for record in records:
+        traces.update(record.traces)
+        inline = make_record(record.seq, record.type, inflate(record.type, record.data, traces))
+        size = sizes.setdefault(record.type, [0, 0])
+        size[0] += len(record.to_line())
+        size[1] += len(inline.to_line())
+    named = {d for r in records for d in named_digests(r.type, r.data)}
+    assert sum(len(r.traces) for r in records) == len(named) == len(traces)
+    tables = [r.traces_json() for r in records if r.traces]
+    # ``{"<digest>":<trace>,...}``: 32 hex digits, two quotes, a colon, a comma.
+    assert sum(map(len, tables)) == len(tables) + sum(
+        36 + len(canonical_json(trace)) for trace in traces.values()
+    )
+    for name, bound in INLINE_SHARE_BOUNDS.items():
+        written, inline = sizes[name]
+        assert written <= bound * inline, (name, written / inline)
+
+
 #: A lease that has expired by the time anybody looks: a resumed fleet steals
 #: the dead worker's scenario at once instead of waiting the default 30 s.
 KILL_SPEC = {"lease_ttl": 0.001}
@@ -333,11 +370,13 @@ def test_a_checkpoint_the_restored_cache_cannot_serve_restarts_its_scenario(stal
     lines = _journal_lines(tmp_path / "uninterrupted")
     corpus_dir = str(tmp_path / "killed")
     os.makedirs(corpus_dir)
+    traces: dict = {}
     with CampaignJournal(CampaignJournal.corpus_path(corpus_dir), fsync=False) as journal:
         for record in _records(lines[: _after_checkpoint_2(lines)]):
             if stale == "cache-schema" and "cache" in record.data:
                 record.data["cache"]["schema"] = "o1"
-            journal.append(record.type, record.data)
+            traces.update(record.traces)
+            journal.append(record.type, inflate(record.type, record.data, traces))
     messages = []
     resumed = CampaignRunner.resume(
         corpus_dir,

@@ -77,11 +77,7 @@ def test_delta_since_serialises_the_cells_touched_since_the_mark(tmp_path):
     # The point of the stamps: late checkpoints write a few cells of a big map.
     assert any(serialised < size for serialised, _, size in archive.calls)
     # The journaled deltas are those same cells, and they rebuild the map.
-    deltas = [
-        record.data
-        for record in CampaignJournal(CampaignJournal.corpus_path(str(tmp_path))).records()
-        if record.type == "behavior_delta"
-    ]
+    deltas = CampaignJournal(CampaignJournal.corpus_path(str(tmp_path))).replay().behavior_deltas
     assert [len(data["cells"]) for data in deltas] == [call[0] for call in archive.calls]
     rebuilt = BehaviorArchive()
     for data in deltas:
@@ -138,11 +134,8 @@ def _campaign_files(corpus_dir) -> dict:
     for name in ("index.json", ARCHIVE_FILENAME):
         with open(os.path.join(str(corpus_dir), name), "rb") as handle:
             files[name] = handle.read()
-    files["behavior_deltas"] = [
-        record.data
-        for record in CampaignJournal(CampaignJournal.corpus_path(str(corpus_dir))).records()
-        if record.type == "behavior_delta"
-    ]
+    journal = CampaignJournal(CampaignJournal.corpus_path(str(corpus_dir)))
+    files["behavior_deltas"] = journal.replay().behavior_deltas
     return files
 
 

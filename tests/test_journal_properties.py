@@ -1,8 +1,9 @@
 """Property-based tests for the campaign journal.
 
 The journal's correctness claims are algebraic — replay is insensitive to
-record order after dedup, merge is commutative/associative/idempotent, and a
-torn tail of *any* length is detected and skipped — so Hypothesis searches
+record order after dedup, merge is commutative/associative/idempotent, a
+torn tail of *any* length is detected and skipped, and every trace a record
+names by digest was carried by a record before it — so Hypothesis searches
 for the interleavings and cut points that violate them.
 """
 
@@ -11,13 +12,19 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import signal
+import subprocess
+import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
+from journal_bytes import dangling_refs
 
+from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore, run_fleet
 from repro.exec.cache import TraceCache, make_cache_key
 from repro.journal import (
+    JOURNAL_SCHEMA,
     CampaignJournal,
     JournalCorruption,
     JournalRecord,
@@ -25,9 +32,11 @@ from repro.journal import (
     merge_records,
     replay_records,
 )
+from repro.journal.codec import TRACE_PATHS, deflate, inflate, named_digests, trace_digest
 from repro.journal.events import EVENT_TYPES, make_record
 from repro.journal.log import JournalCursor, _scan_bytes
 from repro.scoring.base import Score
+from repro.traces.trace import LinkTrace, LossTrace, TrafficTrace
 
 #: JSON-native scalar payload values.
 scalars_st = st.one_of(
@@ -518,19 +527,20 @@ def _legacy_dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def legacy_encode(seq: int, event_type: str, data):
+def legacy_encode(seq: int, event_type: str, data, schema: int = 1):
     """The encoder this repository shipped before the serialise-once codec,
-    kept verbatim as the reference: ``make_record`` dumped and re-parsed the
-    data, ``checksum`` dumped it again and ``to_line`` a third time."""
+    kept verbatim as the reference (``schema`` aside): ``make_record`` dumped
+    and re-parsed the data, ``checksum`` dumped it again and ``to_line`` a
+    third time.  A schema-2 record without a trace table is framed the same."""
     normalised = json.loads(_legacy_dumps(data))
     crc = hashlib.blake2b(
-        _legacy_dumps([1, seq, event_type, normalised]).encode("utf-8"), digest_size=4
+        _legacy_dumps([schema, seq, event_type, normalised]).encode("utf-8"), digest_size=4
     ).hexdigest()
     dedup = hashlib.blake2b(
-        _legacy_dumps([1, event_type, normalised]).encode("utf-8"), digest_size=8
+        _legacy_dumps([schema, event_type, normalised]).encode("utf-8"), digest_size=8
     ).hexdigest()
     line = _legacy_dumps(
-        {"schema": 1, "seq": seq, "type": event_type, "data": normalised, "crc": crc}
+        {"schema": schema, "seq": seq, "type": event_type, "data": normalised, "crc": crc}
     ) + "\n"
     return line, crc, dedup, normalised
 
@@ -560,7 +570,7 @@ payloads_st = st.dictionaries(st.text(max_size=6), json_values_st, max_size=5)
 )
 @settings(max_examples=200, deadline=None)
 def test_serialise_once_codec_matches_the_legacy_triple_dump(seq, event_type, data):
-    line, crc, dedup, normalised = legacy_encode(seq, event_type, data)
+    line, crc, dedup, normalised = legacy_encode(seq, event_type, data, JOURNAL_SCHEMA)
     record = make_record(seq, event_type, data)
     assert record.to_line() == line
     assert record.checksum() == crc
@@ -569,6 +579,11 @@ def test_serialise_once_codec_matches_the_legacy_triple_dump(seq, event_type, da
     reread = JournalRecord.from_line(line)
     assert reread == record
     assert (reread.to_line(), reread.checksum(), reread.dedup_key()) == (line, crc, dedup)
+    # A schema-1 line (inline traces, no table) still reads, and re-encodes as itself.
+    line, crc, dedup, _ = legacy_encode(seq, event_type, data, 1)
+    legacy = JournalRecord.from_line(line)
+    assert (legacy.schema, legacy.data, legacy.traces) == (1, normalised, {})
+    assert (legacy.to_line(), legacy.checksum(), legacy.dedup_key()) == (line, crc, dedup)
 
 
 @given(
@@ -614,7 +629,8 @@ cache_payload_st = st.one_of(
 @st.composite
 def cursor_event_st(draw):
     """Events that exercise every fold: leases and their epochs, fenced data
-    records, cache op-deltas, behavior deltas, the insert and quarantine WALs."""
+    records, cache op-deltas, behavior deltas, the insert and quarantine WALs,
+    and traces (named by digest once a writer has carried them)."""
     kind = draw(st.sampled_from([t for t in EVENT_TYPES if t != "compaction_snapshot"]))
     sid = draw(st.sampled_from(CURSOR_SIDS))
     epoch = draw(st.sampled_from([None, 1, 2, 3]))
@@ -630,15 +646,18 @@ def cursor_event_st(draw):
         "lease_release": lambda: {"scenario_id": sid, "lease_epoch": epoch or 0},
         "scenario_seeds": lambda: {"campaign": "c0", "corpus": [], "seeds": {sid: CURSOR_FPS[: n % 3]}},
         "generation_checkpoint": lambda: {
-            "scenario_id": sid, "generation": n, "fuzzer": {"generation": n},
+            "scenario_id": sid, "generation": n,
+            "fuzzer": {"generation": n, "islands": [[{"trace": draw(trace_st)}]]},
             "cache": draw(cache_payload_st), **stamp,
         },
         "behavior_delta": lambda: {
-            "scenario_id": sid, "generation": n, "cells": {f"cell{n % 2}": {"hits": n}},
+            "scenario_id": sid, "generation": n,
+            "cells": {f"cell{n % 2}": {"hits": n, "trace": draw(trace_st)}},
             "counters": draw(st.sampled_from([None, {"observed": n}])), **stamp,
         },
         "corpus_insert": lambda: {
-            "scenario_id": sid, "fingerprint": draw(st.sampled_from(CURSOR_FPS)), "new": bool(n % 2), **stamp,
+            "scenario_id": sid, "fingerprint": draw(st.sampled_from(CURSOR_FPS)), "new": bool(n % 2),
+            "entry": {"trace": draw(trace_st)}, **stamp,
         },
         "scenario_complete": lambda: {
             "scenario_id": sid, "outcome": {"best_fitness": n}, "cache": draw(cache_payload_st), **stamp,
@@ -808,3 +827,227 @@ def test_a_folded_line_rewritten_in_place_forces_a_reread(tmp_path):
         assert cursor.advance() == _from_scratch(path, cursor.observing)
         assert cursor.advance().campaign == {"campaign": "c1"}
         cursor.close()
+
+
+# ---------------------------------------------------------------------- #
+# Trace references: every name resolves, whatever is done to the file
+# ---------------------------------------------------------------------- #
+
+TRACE_POOL = [
+    TrafficTrace([0.1, 0.2], duration=1.0, metadata={"origin": "seed"}, max_packets=4).to_dict(),
+    TrafficTrace([0.1, 0.2], duration=1.0, metadata={"origin": "mutation"}, max_packets=4).to_dict(),
+    LinkTrace([0.25, 0.5, 0.75], duration=1.0).to_dict(),
+    LossTrace([0.3], duration=1.0).to_dict(),
+]
+trace_st = st.one_of(st.none(), st.sampled_from(TRACE_POOL))
+
+
+@st.composite
+def trace_payload_st(draw, kinds=tuple(sorted(TRACE_PATHS))):
+    """A payload of a trace-bearing record type, traces drawn from a small
+    pool so that repeats (within a record and across records) are common."""
+    kind = draw(st.sampled_from(kinds))
+    sid = draw(scenario_ids_st)
+
+    def checkpoint():
+        individual = st.builds(lambda trace: {"trace": trace, "origin": "seed"}, trace_st)
+        islands = draw(st.lists(st.lists(individual, max_size=3), max_size=2))
+        return {"scenario_id": sid, "generation": draw(small_int_st), "fuzzer": {"islands": islands}}
+
+    def delta():
+        elite = st.builds(lambda trace: {"trace": trace, "score": 1.0}, trace_st)
+        cells = draw(st.dictionaries(st.sampled_from(["c0", "c1", "c2"]), elite, max_size=3))
+        return {"scenario_id": sid, "generation": draw(small_int_st), "cells": cells}
+
+    def insert():
+        entry = {"trace": draw(trace_st), "origin": "fuzz"}
+        return {"scenario_id": sid, "fingerprint": draw(st.sampled_from(CURSOR_FPS)), "entry": entry}
+
+    return kind, {
+        "generation_checkpoint": checkpoint,
+        "behavior_delta": delta,
+        "corpus_insert": insert,
+        "compaction_snapshot": lambda: {"snapshot_schema": 2, "view": {
+            "checkpoints": {sid: checkpoint()}, "behavior_deltas": [delta()], "inserts": [insert()],
+        }},
+    }[kind]()
+
+
+@given(payload=trace_payload_st(), known=st.sets(st.sampled_from(range(len(TRACE_POOL)))))
+@settings(max_examples=150, deadline=None)
+def test_inflating_a_deflated_payload_gives_it_back(payload, known):
+    kind, data = payload
+    pool = {trace_digest(trace): trace for trace in TRACE_POOL}
+    held = {trace_digest(TRACE_POOL[i]) for i in known}
+    deflated, table, named = deflate(kind, data, held)
+    names = named_digests(kind, deflated)
+    assert named == len(names) and set(table) == set(names) - held
+    assert all(pool[digest] is trace for digest, trace in table.items())
+    assert inflate(kind, deflated, {**{d: pool[d] for d in held}, **table}) == data
+
+
+def _journaled(events, path: str):
+    """``events`` appended by one writer; its records as a reader sees them."""
+    with CampaignJournal(path, fsync=False) as journal:
+        for kind, data in events:
+            journal.append(kind, data)
+    return CampaignJournal(path).records()
+
+
+machine_st = st.lists(trace_payload_st(kinds=tuple(sorted(set(TRACE_PATHS) - {"compaction_snapshot"}))), max_size=6)
+
+
+@given(a=machine_st, b=machine_st, c=machine_st)
+@settings(max_examples=40, deadline=None)
+def test_merged_journals_resolve_every_trace_they_name(a, b, c):
+    """Three writers' journals, each naming the traces it carried first:
+    merge stays commutative, associative and idempotent, every name in a
+    merge has its table earlier in fold order, and the merge replays to the
+    view of the raw union."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"{name}.jsonl") for name in "abc"]
+        ra, rb, rc = (_journaled(events, path) for events, path in zip((a, b, c), paths))
+        ab = merge_records([ra, rb])
+        assert ab == merge_records([rb, ra])
+        assert merge_records([ab, rc]) == merge_records([ra, merge_records([rb, rc])])
+        assert merge_records([ab, ab]) == ab
+        merged = os.path.join(tmp, "merged.jsonl")
+        merge_journals(paths, merged)
+        records = CampaignJournal(merged).records()
+        assert records == merge_records([ab, rc])
+        assert dangling_refs(records) == []
+        assert view_fingerprint(replay_records(records)) == view_fingerprint(
+            replay_records(ra + rb + rc)
+        )
+
+
+#: A two-scenario fleet campaign small enough to resume once per example.
+REFS_SPEC = {
+    "name": "trace-ref-properties", "ccas": ["reno", "cubic"], "modes": ["traffic"],
+    "objectives": ["throughput"], "conditions": [{"name": "base"}],
+    "budget": {"population_size": 4, "generations": 3, "duration": 0.12},
+    "seed": 7, "seed_limit": 2, "lease_ttl": 0.001,
+}
+
+
+def _resume_serial(corpus_dir: str) -> str:
+    return CampaignRunner.resume(corpus_dir, telemetry=False).run().deterministic_digest()
+
+
+def _resume_fleet(corpus_dir: str) -> str:
+    spec = CampaignSpec.from_dict(REFS_SPEC)
+    return run_fleet(
+        spec, corpus_dir, workers=0, register_attacks=False, telemetry=False
+    ).deterministic_digest()
+
+
+def _lines(corpus_dir) -> list:
+    with open(CampaignJournal.corpus_path(str(corpus_dir)), "rb") as handle:
+        return handle.read().splitlines(keepends=True)
+
+
+@pytest.fixture(scope="module")
+def ref_journals(tmp_path_factory):
+    """The serial journal, and a fleet journal whose first scenario a resume
+    stole after its generation-1 checkpoint, with their uninterrupted digests."""
+    root = tmp_path_factory.mktemp("refs")
+    spec = CampaignSpec.from_dict(REFS_SPEC)
+    serial = CampaignRunner(
+        spec, CorpusStore(str(root / "serial")), register_attacks=False, telemetry=False
+    ).run()
+    fleet_digest = _resume_fleet(str(root / "fleet"))
+    lines = _lines(root / "fleet")
+    first = spec.expand()[0].scenario_id
+    cut = next(
+        index + 1 for index, line in enumerate(lines)
+        if (record := JournalRecord.from_line(line.decode())).type == "generation_checkpoint"
+        and record.data["scenario_id"] == first and record.data["generation"] == 1
+    )
+    os.makedirs(root / "stolen")
+    (root / "stolen" / "journal.jsonl").write_bytes(b"".join(lines[:cut]))
+    assert _resume_fleet(str(root / "stolen")) == fleet_digest
+    assert CampaignJournal(CampaignJournal.corpus_path(str(root / "stolen"))).replay().leases[
+        first
+    ]["lease_epoch"] == 2
+    return {
+        "serial": (_lines(root / "serial"), serial.deterministic_digest(), _resume_serial),
+        "stolen": (_lines(root / "stolen"), fleet_digest, _resume_fleet),
+    }
+
+
+@pytest.mark.parametrize("kind", ["serial", "stolen"])
+@given(
+    at=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    torn=st.booleans(),
+    merged=st.booleans(),
+    compacted=st.booleans(),
+)
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_kill_point_keeps_every_trace_reference_and_resumes_bit_identically(
+    kind, at, torn, merged, compacted, ref_journals
+):
+    """Killed after any record (or half-way through the next one), merged
+    with an earlier cut of itself and compacted or not: every digest a kept
+    record names was carried before it, and the resume is the uninterrupted run."""
+    lines, digest, resume = ref_journals[kind]
+    count = 1 + int(at * (len(lines) - 1))
+    tail = lines[count][: len(lines[count]) // 2] if torn and count < len(lines) else b""
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_dir = os.path.join(tmp, "corpus")
+        os.makedirs(corpus_dir)
+        path = CampaignJournal.corpus_path(corpus_dir)
+        with open(path, "wb") as handle:
+            handle.write(b"".join(lines[:count]) + tail)
+        if merged:
+            earlier = os.path.join(tmp, "earlier.jsonl")
+            with open(earlier, "wb") as handle:
+                handle.write(b"".join(lines[: 1 + count // 2]))
+            merge_journals([earlier, path], path)
+        if compacted:
+            with CampaignJournal(path, fsync=False) as journal:
+                journal.compact()
+        assert dangling_refs(CampaignJournal(path).records()) == []
+        assert resume(corpus_dir) == digest
+        assert dangling_refs(CampaignJournal(path).records()) == []
+
+
+CRASHSIM = os.path.join(os.path.dirname(__file__), "crashsim.py")
+
+
+def _crashsim(corpus_dir: str, spec_path: str, *injection: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(CRASHSIM), "..", "src"))
+    return subprocess.run(
+        [sys.executable, CRASHSIM, "--corpus", corpus_dir, "--spec", spec_path, *injection],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+@pytest.fixture(scope="module")
+def crashsim_baseline(tmp_path_factory):
+    """The serial spec run uninterrupted by the crash harness (builtins registered)."""
+    root = tmp_path_factory.mktemp("crashsim")
+    spec_path = str(root / "spec.json")
+    with open(spec_path, "w", encoding="utf-8") as handle:
+        json.dump(REFS_SPEC, handle)
+    done = _crashsim(str(root / "baseline"), spec_path)
+    assert done.returncode == 0, done.stderr
+    return spec_path, json.loads(done.stdout.splitlines()[-1])["digest"]
+
+
+@pytest.mark.parametrize("injection", [
+    ("--point", "mid-append", "--nth", "9"),
+    ("--point", "mid-append", "--nth", "2", "--event-type", "generation_checkpoint"),
+    ("--point", "post-append", "--nth", "8"),
+    ("--point", "post-checkpoint", "--nth", "4"),
+], ids=lambda injection: "-".join(injection[1::2]))
+def test_a_crashsim_kill_leaves_every_trace_reference_resolvable(injection, tmp_path, crashsim_baseline):
+    """SIGKILLed by the crash harness (a torn append, or right after a
+    journaled insert or checkpoint): the journal left behind names no trace
+    it does not carry, and resumes to the uninterrupted run."""
+    spec_path, digest = crashsim_baseline
+    corpus_dir = str(tmp_path / "corpus")
+    assert _crashsim(corpus_dir, spec_path, *injection).returncode == -signal.SIGKILL
+    journal = CampaignJournal.corpus_path(corpus_dir)
+    assert dangling_refs(CampaignJournal(journal).records()) == []
+    assert _resume_serial(corpus_dir) == digest
+    assert dangling_refs(CampaignJournal(journal).records()) == []

@@ -141,6 +141,45 @@ def test_cli_campaign_leaves_well_formed_telemetry(tmp_path, capsys):
     assert (corpus_dir / PROMETHEUS_FILENAME).exists()
 
 
+#: Runs a campaign (``argv[1]`` spec, ``argv[2]`` corpus) with every way of
+#: starting a child process made to raise.
+NO_CHILD_PROCESS = (
+    "import os, subprocess, sys\n"
+    "def refuse(*args, **kwargs):\n"
+    "    raise AssertionError('the campaign started a child process')\n"
+    "subprocess.Popen.__init__ = refuse\n"
+    "for name in ('fork', 'posix_spawn', 'posix_spawnp', 'system', 'execv', 'execve'):\n"
+    "    setattr(os, name, refuse)\n"
+    "from repro.cli import campaign_main\n"
+    "sys.exit(campaign_main(['run', '--spec', sys.argv[1], '--corpus', sys.argv[2], '-q']))\n"
+)
+
+
+def test_a_serial_campaign_writes_its_manifest_without_a_child_process(tmp_path):
+    """``platform.platform()`` runs ``uname -p`` in a child process; the
+    manifest's host facts come from ``os.uname()`` instead.  Run in a fresh
+    interpreter, where nothing has cached the platform probe yet."""
+    import subprocess
+    import sys
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(tiny_spec(budget={
+        "population_size": 2, "generations": 1, "duration": 0.5,
+    }).to_dict()))
+    corpus_dir = tmp_path / "corpus"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", NO_CHILD_PROCESS, str(spec_path), str(corpus_dir)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    host = read_manifest(corpus_dir)["host"]
+    uname = os.uname()
+    assert host["platform"] == f"{uname.sysname}-{uname.release}-{uname.machine}"
+
+
 class TestTelemetryStream:
     @pytest.fixture(scope="class")
     def campaign(self, tmp_path_factory):
