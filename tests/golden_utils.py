@@ -60,6 +60,8 @@ def result_digest(result: SimulationResult) -> Dict[str, Any]:
         "ingress_times_cca": _hash_floats(monitor.ingress_times(CCA_FLOW)),
         "ingress_times_cross": _hash_floats(monitor.ingress_times(CROSS_FLOW)),
         "queueing_delays": _hash_pairs(result.queueing_delays()),
+        "queueing_delays_cross": _hash_pairs(result.queueing_delays(CROSS_FLOW)),
+        "max_egress_gap_cross": monitor.max_egress_gap(CROSS_FLOW, result.duration),
         "windowed_throughput": _hash_pairs(result.windowed_throughput(window=0.25)),
         "windowed_ingress_cross": _hash_pairs(
             monitor.windowed_rate(
