@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterable, Set, Tuple
 
-from ..netsim.packet import CCA_FLOW, Packet
+from ..netsim.packet import Packet
 
 
 class TargetedLoss:
@@ -39,8 +39,6 @@ class TargetedLoss:
         self.dropped: list = []
 
     def __call__(self, packet: Packet, now: float) -> bool:
-        if packet.flow != CCA_FLOW:
-            return False
         self._seen[packet.seq] += 1
         key = (packet.seq, self._seen[packet.seq])
         if key in self.rules:

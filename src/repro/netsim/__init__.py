@@ -1,11 +1,10 @@
 """Discrete-event network simulation substrate (the NS3 replacement).
 
 Public surface: the event scheduler, the dumbbell topology components
-(drop-tail queue, fixed-rate and trace-driven bottleneck links, cross-traffic
-source), per-flow monitoring and the :func:`run_simulation` entry point.
+(drop-tail queue, fixed-rate and trace-driven bottleneck links), per-flow
+monitoring and the :func:`run_simulation` entry point.
 """
 
-from .crosstraffic import CrossTrafficSource
 from .engine import EventScheduler, FifoLane, LazyTimer
 from .link import FixedRateLink, TraceDrivenLink, mbps_to_pps, pps_to_mbps
 from .monitor import FlowMonitor
@@ -23,7 +22,6 @@ __all__ = [
     "AckPacket",
     "CCA_FLOW",
     "CROSS_FLOW",
-    "CrossTrafficSource",
     "DEFAULT_MSS",
     "DropTailQueue",
     "DumbbellTopology",

@@ -22,8 +22,11 @@ hold entries, because every GA generation bottoms out in millions of them:
   are merged with the heap at pop time by the global ``(time, seq)`` key, so
   the execution order is exactly what a pure-heap scheduler would produce —
   including tie-breaks (``tests/test_engine.py`` holds the reference).
-  Cross-traffic sink arrivals are no events at all: the link counts them
-  at service time (see :mod:`repro.netsim.link`).
+
+What the events move is the gateway FIFO's content: ``Packet``s of the flow
+under test and cross-traffic admission times (plain floats).  A cross
+injection is one lane event; its sink arrival is no event at all: the link
+records it at service time (see :mod:`repro.netsim.link`).
 """
 
 from __future__ import annotations

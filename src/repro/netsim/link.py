@@ -9,10 +9,13 @@ Two service disciplines are provided, matching the paper's two fuzzing modes
   a list of packet transmission opportunities, used in link-fuzzing mode,
   where the adversary controls the bottleneck service curve itself.
 
-Both links drain the shared drop-tail gateway queue and hand packets of the
-flow under test to a delivery callback after the fixed one-way propagation
-delay.  Cross traffic is open-loop, only counted at the sink (section 3.3),
-so its arrival is no event: the link counts it when it serves the packet.
+Both links drain the shared drop-tail gateway queue, whose FIFO holds
+:class:`Packet`s of the flow under test and cross admission times (floats),
+and tell the two apart by type.  A packet of the flow under test goes to a
+delivery callback after the fixed one-way propagation delay.  Cross traffic
+is open-loop, only counted at the sink (section 3.3), so its arrival is no
+event: a served cross item that reaches the sink by the run's horizon
+appends its admission and departure times to two columns.
 
 The service loop is self-clocked on scheduler fast lanes: while the queue is
 busy, each service completion chains dequeue → transmit → next completion
@@ -26,16 +29,10 @@ from __future__ import annotations
 from typing import Callable, List, Sequence
 
 from .engine import EventScheduler, FifoLane, sorted_input_times
-from .packet import CCA_FLOW, Packet
+from .packet import Packet
 from .queue import DropTailQueue
 
 DeliveryCallback = Callable[[Packet], None]
-#: Records a cross packet's sink arrival: ``(packet, arrival_time)``.
-SinkCounter = Callable[[Packet, float], None]
-
-
-def _uncounted(packet: Packet, arrival: float) -> None:
-    """A link started without a sink counter keeps no cross-traffic count."""
 
 
 def mbps_to_pps(rate_mbps: float, mss_bytes: int = 1500) -> float:
@@ -56,14 +53,14 @@ class Link:
     A link is attached to the gateway queue and a scheduler.  Packets of the
     flow under test are passed to ``deliver`` after ``propagation_delay``
     seconds, modelling the fixed-propagation bottleneck of the paper's
-    topology.  Any other packet is cross traffic: at service time it goes to
-    the ``count_at_sink`` that :meth:`start` was given, with its arrival time,
-    if that is at or before the run's (inclusive) horizon.
+    topology.  A served cross item whose sink arrival is at or before the
+    run's (inclusive) horizon is recorded in ``cross_admissions`` /
+    ``cross_departures``.
     """
 
     __slots__ = (
         "scheduler", "queue", "deliver", "propagation_delay", "horizon",
-        "count_at_sink", "_delivery_lane",
+        "cross_admissions", "cross_departures", "_delivery_lane",
     )
 
     def __init__(
@@ -78,27 +75,24 @@ class Link:
         self.deliver = deliver
         self.propagation_delay = propagation_delay
         self.horizon = float("inf")
-        self.count_at_sink: SinkCounter = _uncounted
+        #: Admission and departure times of the cross packets that reached
+        #: the sink, in service order.
+        self.cross_admissions: List[float] = []
+        self.cross_departures: List[float] = []
         # Deliveries happen a fixed propagation delay after each (monotone)
         # service completion, so they form a monotone fast lane.  The
         # topology shares this lane for returning ACKs (same fixed delay,
         # same nondecreasing clock), keeping the per-event lane scan short.
         self._delivery_lane: FifoLane = scheduler.fifo_lane()
-        queue.set_enqueue_callback(self.on_enqueue)
 
     @property
     def propagation_lane(self) -> FifoLane:
         """The monotone lane carrying fixed-propagation-delay events."""
         return self._delivery_lane
 
-    def on_enqueue(self, packet: Packet, now: float) -> None:
-        """Hook called by the queue when a packet is admitted."""
-
-    def start(self, horizon: float, count_at_sink: SinkCounter = _uncounted) -> None:
-        """Install any service events needed before a run of ``horizon``
-        seconds, whose cross-traffic arrivals go to ``count_at_sink``."""
+    def start(self, horizon: float) -> None:
+        """Install any service events needed before a run of ``horizon`` seconds."""
         self.horizon = horizon
-        self.count_at_sink = count_at_sink
 
 
 class FixedRateLink(Link):
@@ -127,21 +121,26 @@ class FixedRateLink(Link):
         # While busy, completions fire every service time; pushes happen at
         # nondecreasing times, so the stream is monotone.
         self._service_lane: FifoLane = scheduler.fifo_lane()
+        queue.set_enqueue_callback(self.on_enqueue)
 
-    def on_enqueue(self, packet: Packet, now: float) -> None:
+    def on_enqueue(self, now: float) -> None:
+        """The queue admitted an item at ``now``: start serving if idle."""
         if not self._busy:
             self._busy = True
             self._service_lane.push_at(now + self._service_time, self._finish_service)
 
     def _finish_service(self) -> None:
         now = self.scheduler.now
-        packet = self.queue.dequeue(now)
-        if packet is not None:
+        item = self.queue.dequeue(now)
+        if item is not None:
             arrival = now + self.propagation_delay
-            if packet.flow == CCA_FLOW:
-                self._delivery_lane.push_at(arrival, self.deliver, packet)
-            elif arrival <= self.horizon:
-                self.count_at_sink(packet, arrival)
+            if type(item) is float:
+                if arrival <= self.horizon:
+                    self.cross_admissions.append(item)
+                    self.cross_departures.append(now)
+            else:
+                item.dequeue_time = now
+                self._delivery_lane.push_at(arrival, self.deliver, item)
         if self.queue._queue:
             # Busy self-clocking: chain the next departure without going
             # idle (matches the work-conserving service discipline).
@@ -183,9 +182,9 @@ class TraceDrivenLink(Link):
         # Opportunities are installed pre-sorted, so they form a monotone lane.
         self._opportunity_lane: FifoLane = scheduler.fifo_lane()
 
-    def start(self, horizon: float, count_at_sink: SinkCounter = _uncounted) -> None:
+    def start(self, horizon: float) -> None:
         """Schedule all transmission opportunities up to ``horizon``."""
-        super().start(horizon, count_at_sink)
+        super().start(horizon)
         lane = self._opportunity_lane
         callback = self._service_opportunity
         for t in self.opportunities:
@@ -195,12 +194,15 @@ class TraceDrivenLink(Link):
 
     def _service_opportunity(self) -> None:
         now = self.scheduler.now
-        packet = self.queue.dequeue(now)
-        if packet is None:
+        item = self.queue.dequeue(now)
+        if item is None:
             self.wasted_opportunities += 1
             return
         arrival = now + self.propagation_delay
-        if packet.flow == CCA_FLOW:
-            self._delivery_lane.push_at(arrival, self.deliver, packet)
-        elif arrival <= self.horizon:
-            self.count_at_sink(packet, arrival)
+        if type(item) is float:
+            if arrival <= self.horizon:
+                self.cross_admissions.append(item)
+                self.cross_departures.append(now)
+        else:
+            item.dequeue_time = now
+            self._delivery_lane.push_at(arrival, self.deliver, item)

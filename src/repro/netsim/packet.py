@@ -19,10 +19,12 @@ from typing import Optional, Tuple
 #: Default maximum segment size in bytes (Ethernet MTU sized frames).
 DEFAULT_MSS = 1500
 
-#: Flow identifier used for the congestion-controlled flow under test.
+#: Flow identifier of the congestion-controlled flow under test: every
+#: :class:`Packet` belongs to it.
 CCA_FLOW = "cca"
 
-#: Flow identifier used for adversarial cross traffic.
+#: Flow identifier of the adversarial cross traffic, which is no
+#: :class:`Packet`: the gateway queue holds each one as its admission time.
 CROSS_FLOW = "cross"
 
 _packet_ids = itertools.count()
@@ -30,15 +32,12 @@ _next_packet_id = _packet_ids.__next__
 
 
 class Packet:
-    """A data packet traversing the bottleneck.
+    """A data packet of the flow under test traversing the bottleneck.
 
     Attributes
     ----------
-    flow:
-        Either :data:`CCA_FLOW` or :data:`CROSS_FLOW`.
     seq:
-        Segment sequence number (segment index, not a byte offset).  Cross
-        traffic packets use a per-source counter.
+        Segment sequence number (segment index, not a byte offset).
     size_bytes:
         Wire size of the packet.
     is_retransmit:
@@ -46,10 +45,11 @@ class Packet:
     enqueue_time:
         Stamped by the gateway queue on admission; used for queueing-delay
         accounting.
+    dequeue_time:
+        Stamped by the bottleneck link when it serves the packet.
     """
 
     __slots__ = (
-        "flow",
         "seq",
         "size_bytes",
         "is_retransmit",
@@ -61,7 +61,6 @@ class Packet:
 
     def __init__(
         self,
-        flow: str,
         seq: int,
         size_bytes: int = DEFAULT_MSS,
         is_retransmit: bool = False,
@@ -70,7 +69,6 @@ class Packet:
         dequeue_time: Optional[float] = None,
         packet_id: Optional[int] = None,
     ) -> None:
-        self.flow = flow
         self.seq = seq
         self.size_bytes = size_bytes
         self.is_retransmit = is_retransmit
@@ -81,7 +79,7 @@ class Packet:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "retx" if self.is_retransmit else "data"
-        return f"Packet({self.flow}:{self.seq} {kind} @{self.sent_time:.4f})"
+        return f"Packet({self.seq} {kind} @{self.sent_time:.4f})"
 
 
 class SackBlock:

@@ -14,13 +14,11 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .packet import Packet
-
 from ..obs.metrics import get_registry
 from ..tcp.cca.base import CongestionControl
 from .engine import EventScheduler
 from .monitor import FlowMonitor
-from .packet import CCA_FLOW, CROSS_FLOW
+from .packet import CCA_FLOW, CROSS_FLOW, Packet
 from .topology import DumbbellTopology
 
 #: Factory producing a fresh congestion-control instance for every run.
@@ -293,9 +291,9 @@ def run_simulation(
             "rcv_next": receiver.rcv_next,
         },
         queue_drops=dict(topology.queue.drops),
-        cross_sent=topology.cross_traffic.sent if topology.cross_traffic else 0,
+        cross_sent=topology.cross_sent,
         cross_delivered=topology.cross_delivered,
-        cross_dropped_at_queue=topology.cross_traffic.dropped if topology.cross_traffic else 0,
+        cross_dropped_at_queue=topology.queue.drops.get(CROSS_FLOW, 0),
         link_wasted_opportunities=getattr(link, "wasted_opportunities", 0),
         forced_losses=topology.forced_losses,
         events_executed=events_executed,

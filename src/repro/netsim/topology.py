@@ -4,23 +4,29 @@ The paper's network model (section 3.1): two sources — the flow under test
 and a cross-traffic source — feed a gateway with a fixed-size drop-tail FIFO
 queue; the gateway is connected to the sink by a bottleneck link with fixed
 propagation delay.  ACKs return over an uncongested reverse path with the
-same propagation delay.  Cross traffic is open-loop and only counted at the
-sink, which the link does when it serves a cross packet: those arrivals are
-not scheduler events.
+same propagation delay.
+
+The FIFO holds :class:`Packet`s of the flow under test and cross admission
+times.  Cross traffic is open-loop and only counted at the sink, so it is no
+object at all: each injection is one event on a pre-sorted lane that calls
+:meth:`DropTailQueue.admit_cross` with its time, the link records the
+admission and departure times of the cross packets it delivers, and the
+monitor derives the cross flow's series from those columns when they are
+first read.  Sink arrivals are not scheduler events.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from bisect import bisect_right
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from ..tcp.cca.base import CongestionControl
 from ..tcp.receiver import TcpReceiver
 from ..tcp.sender import TcpSender
-from .crosstraffic import CrossTrafficSource
 from .engine import EventScheduler, sorted_input_times
 from .link import FixedRateLink, Link, TraceDrivenLink, mbps_to_pps
 from .monitor import FlowMonitor
-from .packet import AckPacket, Packet
+from .packet import CROSS_FLOW, AckPacket, Packet
 from .queue import DropTailQueue
 
 if TYPE_CHECKING:
@@ -91,21 +97,20 @@ class DumbbellTopology:
             record_series=config.record_series,
         )
 
-        self.cross_traffic: Optional[CrossTrafficSource] = None
+        # Cross-traffic injections, pre-sorted, so they form a monotone lane.
+        self._cross_times: Optional[List[float]] = None
+        self._cross_scheduled = 0
         if cross_traffic_times is not None:
-            self.cross_traffic = CrossTrafficSource(
-                scheduler,
-                enqueue=self._inject_cross_traffic,
-                injection_times=cross_traffic_times,
-                mss_bytes=config.mss_bytes,
+            self._cross_times = sorted_input_times(
+                cross_traffic_times, "cross-traffic injection times"
             )
+            self._cross_lane = scheduler.fifo_lane()
 
         # ACKs return after the same fixed propagation delay as forward-path
         # deliveries, from nondecreasing emission times, so they share the
         # link's monotone propagation lane.
         self._ack_lane = self.link.propagation_lane
 
-        self.cross_delivered = 0
         # Random-loss schedule (section 5 extension): each entry drops the
         # next CCA packet departing the bottleneck at or after that time.
         self._pending_losses = sorted_input_times(loss_times or (), "loss times")
@@ -129,11 +134,6 @@ class DumbbellTopology:
         admitted = self.queue.enqueue(packet, now)
         self.monitor.on_ingress(packet, now, admitted)
 
-    def _inject_cross_traffic(self, packet: Packet, now: float) -> bool:
-        admitted = self.queue.enqueue(packet, now)
-        self.monitor.on_ingress(packet, now, admitted)
-        return admitted
-
     def _deliver_to_sink(self, packet: Packet) -> None:
         """A packet of the flow under test reaches the receiver."""
         now = self.scheduler.now
@@ -144,11 +144,6 @@ class DumbbellTopology:
         self.monitor.on_egress(packet, now)
         self.receiver.on_segment(packet)
 
-    def _count_cross_at_sink(self, packet: Packet, arrival: float) -> None:
-        """A cross packet reaches the sink at ``arrival``: counted, no event."""
-        self.monitor.on_egress(packet, arrival)
-        self.cross_delivered += 1
-
     def _return_ack(self, ack: AckPacket) -> None:
         self._ack_lane.push_at(
             self.scheduler.now + self.propagation_delay, self.sender.on_ack, ack
@@ -158,12 +153,28 @@ class DumbbellTopology:
     # Execution
     # ------------------------------------------------------------------ #
 
+    @property
+    def cross_sent(self) -> int:
+        """Cross packets injected so far: the injection events that ran."""
+        if self._cross_times is None:
+            return 0
+        return self._cross_scheduled - len(self._cross_lane)
+
+    @property
+    def cross_delivered(self) -> int:
+        """Cross packets that reached the sink by the run's horizon."""
+        return len(self.link.cross_departures)
+
     def start(self) -> None:
         """Install all initial events."""
         horizon = self.config.duration
-        self.link.start(horizon, self._count_cross_at_sink)
-        if self.cross_traffic is not None:
-            self.cross_traffic.start(horizon=horizon)
+        self.link.start(horizon)
+        if self._cross_times is not None:
+            self._cross_scheduled = bisect_right(self._cross_times, horizon)
+            push_at = self._cross_lane.push_at
+            admit = self.queue.admit_cross
+            for t in self._cross_times[: self._cross_scheduled]:
+                push_at(t, admit, t)
         self.sender.start()
 
     def run(self) -> int:
@@ -177,4 +188,13 @@ class DumbbellTopology:
         # Propagate queue depth samples to the monitor for analysis
         # (``depth_samples`` materialises a fresh list of pairs).
         self.monitor.queue_depth = self.queue.depth_samples
+        if self._cross_times is not None:
+            link = self.link
+            self.monitor.record_cross_traffic(
+                self._cross_times[: self.cross_sent],
+                self.queue.drops.get(CROSS_FLOW, 0),
+                link.cross_admissions,
+                link.cross_departures,
+                self.propagation_delay,
+            )
         return executed

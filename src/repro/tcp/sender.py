@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from ..netsim.engine import EventScheduler
-from ..netsim.packet import AckPacket, CCA_FLOW, DEFAULT_MSS, Packet
+from ..netsim.packet import AckPacket, DEFAULT_MSS, Packet
 from .cca.base import AckEvent, CongestionControl
 from .rate_sampler import DeliveryRateEstimator
 from .rto import RttEstimator
@@ -257,7 +257,7 @@ class TcpSender:
             on_transmit(seq, now, on_segment_sent(now, pipe, is_retransmit))
             if rto_timer._deadline is None:
                 self._rearm_rto(now)
-            transmit(Packet(CCA_FLOW, seq, mss_bytes, is_retransmit, now))
+            transmit(Packet(seq, mss_bytes, is_retransmit, now))
             if paced:
                 next_time = self._next_send_time
                 self._next_send_time = (now if now > next_time else next_time) + pace_step

@@ -27,7 +27,7 @@ from repro.attacks import (
     lowrate_attack_times,
     lowrate_attack_trace,
 )
-from repro.netsim import CCA_FLOW, Packet, SimulationConfig, run_simulation
+from repro.netsim import Packet, SimulationConfig, run_simulation
 from repro.tcp import Reno
 from repro.traces import LinkTrace, TrafficTrace, is_valid_trace
 
@@ -77,20 +77,19 @@ class TestBbrAttackTraces:
 class TestTargetedLoss:
     def test_drops_requested_transmissions_only(self):
         loss = TargetedLoss([(5, 1), (5, 2)])
-        first = Packet(flow=CCA_FLOW, seq=5)
+        first = Packet(seq=5)
         assert loss(first, 0.1) is True
-        second = Packet(flow=CCA_FLOW, seq=5)
+        second = Packet(seq=5)
         assert loss(second, 0.2) is True
-        third = Packet(flow=CCA_FLOW, seq=5)
+        third = Packet(seq=5)
         assert loss(third, 0.3) is False
-        other = Packet(flow=CCA_FLOW, seq=6)
+        other = Packet(seq=6)
         assert loss(other, 0.4) is False
         assert loss.drops_performed == 2
 
-    def test_ignores_cross_traffic(self):
-        loss = lose_segment_and_retransmission(0)
-        cross = Packet(flow="cross", seq=0)
-        assert loss(cross, 0.0) is False
+    def test_seed_event_loses_a_segment_and_its_retransmission(self):
+        loss = lose_segment_and_retransmission(3)
+        assert [loss(Packet(seq=3), 0.0) for _ in range(3)] == [True, True, False]
 
 
 class TestAnalysisHelpers:

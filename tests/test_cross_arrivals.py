@@ -1,11 +1,18 @@
-"""Cross-traffic sink arrivals are counted at service time, not scheduled.
+"""Cross traffic as admission times matches cross traffic as packets.
 
-The oracle is a link that delivers cross packets the way every other
-delayed packet travels: as an event on the propagation lane, stamped by the
-scheduler's clock when it runs, and dropped by the run loop's horizon when it
-lands after ``duration``.  Swapped into the topology for the real links, it
-must give the same result bit for bit; the only difference is one scheduler
-event per cross packet that reached the sink.
+The simulator keeps cross traffic as columns: the gateway FIFO holds each
+cross packet as its admission time, the link records the admission and
+departure times of those that reach the sink by the horizon, and the monitor
+derives the cross flow's series from them on first read.
+
+The oracle here is the path cross traffic took as a packet.  One
+``CrossPacket`` per injection is admitted through a queue that counts drops
+by ``packet.flow`` and streamed into the monitor at ingress and egress.  Its
+sink arrival is an event on the propagation lane, stamped by the scheduler's
+clock when it runs and dropped by the run loop's horizon when it lands after
+``duration``.  Swapped into the topology, the packet path must give the same
+result bit for bit; the only difference is one scheduler event per cross
+packet that reached the sink.
 """
 
 from __future__ import annotations
@@ -18,47 +25,160 @@ from hypothesis import strategies as st
 
 from golden_utils import result_digest
 from repro.attacks import builtin_attack_traces
-from repro.netsim import topology
-from repro.netsim.link import FixedRateLink, TraceDrivenLink, mbps_to_pps
+from repro.netsim import simulation, topology
+from repro.netsim.link import mbps_to_pps
+from repro.netsim.monitor import FlowMonitor, _FlowSeries
+from repro.netsim.packet import CCA_FLOW, CROSS_FLOW
+from repro.netsim.queue import DropTailQueue
 from repro.netsim.simulation import SimulationConfig, run_simulation
 from repro.tcp import Bbr, Reno
 from repro.tcp.cca import cca_factory
 from repro.traces.trace import LinkTrace
 
 
-def _scheduled_arrivals(link_class):
-    """``link_class`` delivering each cross packet as a propagation-lane
-    event, counted when (and if) the run loop reaches it."""
+class CrossPacket:
+    """A cross packet as the gateway queue held it: an object with a flow."""
 
-    class ScheduledArrivalLink(link_class):
-        def start(self, horizon, count_at_sink):
-            super().start(horizon, self._schedule_arrival)
-            self._count = count_at_sink
-            # Schedule every arrival: the run loop's horizon decides.
-            self.horizon = math.inf
+    __slots__ = ("flow", "seq", "is_retransmit", "packet_id", "enqueue_time", "dequeue_time")
 
-        def _schedule_arrival(self, packet, arrival):
-            self._delivery_lane.push_at(arrival, self._arrive, packet)
-
-        def _arrive(self, packet):
-            self._count(packet, self.scheduler.now)
-
-    return ScheduledArrivalLink
+    def __init__(self, seq: int) -> None:
+        self.flow = CROSS_FLOW
+        self.seq = seq
+        self.is_retransmit = False
+        self.packet_id = ("cross", seq)
+        self.enqueue_time = None
+        self.dequeue_time = None
 
 
-def _both_runs(cca, config, **inputs):
-    """(counted at service time, scheduled oracle) results for one input."""
-    counted = run_simulation(cca, config, **inputs)
+def flow_of(packet) -> str:
+    """A packet's flow: a ``Packet`` carries none, it is the flow under test."""
+    return getattr(packet, "flow", CCA_FLOW)
+
+
+class PacketQueue(DropTailQueue):
+    """The drop-tail queue that held packets of both flows, counting drops by
+    ``packet.flow``."""
+
+    __slots__ = ()
+
+    def enqueue(self, packet, now):
+        queue = self._queue
+        if len(queue) >= self.capacity:
+            flow = flow_of(packet)
+            self.drops[flow] = self.drops.get(flow, 0) + 1
+            if self._sample_depth:
+                self._depth_times.append(now)
+                self._depth_values.append(len(queue))
+            return False
+        packet.enqueue_time = now
+        queue.append(packet)
+        if self._sample_depth:
+            self._depth_times.append(now)
+            self._depth_values.append(len(queue))
+        if self._on_enqueue is not None:
+            self._on_enqueue(now)
+        return True
+
+
+class StreamingMonitor(FlowMonitor):
+    """The monitor that streamed every flow packet by packet."""
+
+    __slots__ = ()
+
+    def on_ingress(self, packet, now, admitted):
+        series = self._flows.setdefault(flow_of(packet), _FlowSeries())
+        series.ingress_times.append(now)
+        if not admitted:
+            series.dropped += 1
+
+    def on_egress(self, packet, now):
+        series = self._flows.get(flow_of(packet))
+        if packet.enqueue_time is None or series is None:
+            return
+        series.egress_times.append(now)
+        departed = packet.dequeue_time if packet.dequeue_time is not None else now
+        series.delay_pairs.append((now, departed - packet.enqueue_time))
+
+    def record_cross_traffic(self, injections, dropped, admissions, departures, propagation_delay):
+        # The FIFO held no admission times, so the link recorded nothing.
+        assert not admissions and not departures
+
+
+class PacketTopology(topology.DumbbellTopology):
+    """The dumbbell with cross traffic as packets and sink arrivals as events."""
+
+    monitor_class = StreamingMonitor
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.monitor = self.monitor_class()
+        self.sent = self.dropped = self.delivered = 0
+
+    cross_sent = property(lambda self: self.sent)
+    cross_delivered = property(lambda self: self.delivered)
+
+    def start(self):
+        horizon = self.config.duration
+        self.link.start(horizon)
+        for t in self._cross_times or ():
+            if t <= horizon:
+                self._cross_lane.push_at(t, self._inject)
+        self.sender.start()
+
+    def _inject(self):
+        now = self.scheduler.now
+        packet = CrossPacket(self.sent)
+        self.sent += 1
+        admitted = self.queue.enqueue(packet, now)
+        if not admitted:
+            self.dropped += 1
+        self.monitor.on_ingress(packet, now, admitted)
+
+    def _deliver_to_sink(self, packet):
+        if flow_of(packet) == CCA_FLOW:
+            super()._deliver_to_sink(packet)
+            return
+        # The link saw no float, so it put the packet on the propagation
+        # lane: this is its sink arrival, and the run loop's horizon decides.
+        self.monitor.on_egress(packet, self.scheduler.now)
+        self.delivered += 1
+
+
+def run_packet_path(cca, config, monitor_class=StreamingMonitor, **inputs):
+    """``run_simulation`` with cross traffic as packets, streamed into
+    ``monitor_class``; returns the result and the source's drop count."""
+    built = []
+
+    class Topology(PacketTopology):
+        def __init__(self, *args, **kwargs):
+            self.monitor_class = monitor_class
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(topology, "FixedRateLink", _scheduled_arrivals(FixedRateLink))
-        patch.setattr(topology, "TraceDrivenLink", _scheduled_arrivals(TraceDrivenLink))
-        scheduled = run_simulation(cca, config, **inputs)
-    return counted, scheduled
+        patch.setattr(topology, "DropTailQueue", PacketQueue)
+        patch.setattr(simulation, "DumbbellTopology", Topology)
+        result = run_simulation(cca, config, **inputs)
+    return result, built[0].dropped
 
 
-def _assert_equivalent(counted, scheduled):
-    assert result_digest(counted) == result_digest(scheduled)
-    assert scheduled.events_executed - counted.events_executed == counted.cross_delivered
+def _assert_equivalent(cca, config, **inputs):
+    """The columnar run equals the packet path; returns the columnar result."""
+    columns = run_simulation(cca, config, **inputs)
+    packets, source_dropped = run_packet_path(cca, config, **inputs)
+    assert result_digest(columns) == result_digest(packets)
+    duration = config.duration
+    derived, streamed = columns.monitor, packets.monitor
+    assert derived.queueing_delays(CROSS_FLOW) == streamed.queueing_delays(CROSS_FLOW)
+    assert derived.max_egress_gap(CROSS_FLOW, duration) == streamed.max_egress_gap(
+        CROSS_FLOW, duration
+    )
+    assert derived.flow_episodes(CROSS_FLOW, duration) == streamed.flow_episodes(
+        CROSS_FLOW, duration
+    )
+    assert columns.cross_dropped_at_queue == source_dropped
+    assert packets.events_executed - columns.events_executed == columns.cross_delivered
+    return columns
 
 
 GOLDEN_ATTACKS = [
@@ -72,46 +192,44 @@ def test_golden_scenarios_match_scheduled_arrivals(attack, cca):
     """The scenarios ``golden_sim_results.json`` pins, at its 5 s duration."""
     trace = builtin_attack_traces(duration=5.0)[attack]
     keyword = "link_trace" if isinstance(trace, LinkTrace) else "cross_traffic_times"
-    counted, scheduled = _both_runs(
-        cca_factory(cca), SimulationConfig(duration=5.0),
-        **{keyword: trace.timestamps},
+    result = _assert_equivalent(
+        cca_factory(cca), SimulationConfig(duration=5.0), **{keyword: trace.timestamps}
     )
-    _assert_equivalent(counted, scheduled)
     if keyword == "cross_traffic_times":
-        assert counted.cross_delivered > 0
+        assert result.cross_delivered > 0
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     duration=st.floats(min_value=0.2, max_value=1.5),
-    fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=300),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.1), max_size=300),
     opportunities=st.one_of(
         st.none(), st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=600)
     ),
     rate_mbps=st.sampled_from([3.0, 12.0, 48.0]),
     queue=st.sampled_from([5, 60]),
+    record_series=st.booleans(),
 )
 def test_random_cross_traffic_matches_scheduled_arrivals(
-    duration, fractions, opportunities, rate_mbps, queue
+    duration, fractions, opportunities, rate_mbps, queue, record_series
 ):
-    """Hypothesis cross traffic, on a fixed-rate link or a random service curve."""
+    """Hypothesis cross traffic (some of it after the horizon), on a
+    fixed-rate link or with a random service curve."""
     config = SimulationConfig(
         duration=duration, bottleneck_rate_mbps=rate_mbps, queue_capacity=queue,
-        record_series=False,
+        record_series=record_series,
     )
     inputs = {"cross_traffic_times": [f * duration for f in fractions]}
     if opportunities is not None:
         inputs["link_trace"] = [f * duration for f in opportunities]
-    _assert_equivalent(*_both_runs(Bbr, config, **inputs))
+    _assert_equivalent(Bbr, config, **inputs)
 
 
 def _lone_cross_packet(duration, **inputs):
     """How many cross packets reached the sink in a run of ``duration`` with
-    no flow under test (its sender starts after the run); both runs agree."""
+    no flow under test (its sender starts after the run); both paths agree."""
     config = SimulationConfig(duration=duration, sender_start_time=duration + 1.0)
-    counted, scheduled = _both_runs(Reno, config, **inputs)
-    _assert_equivalent(counted, scheduled)
-    return counted.cross_delivered
+    return _assert_equivalent(Reno, config, **inputs).cross_delivered
 
 
 @pytest.mark.parametrize("link", ["fixed", "trace"])

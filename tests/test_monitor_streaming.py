@@ -1,11 +1,14 @@
-"""Property tests: the streaming FlowMonitor matches the naive seed monitor.
+"""Property tests: the FlowMonitor matches the naive seed monitor.
 
 ``ReferenceFlowMonitor`` below is the pre-fast-path implementation, kept
-verbatim: a single ``records`` list that every derived series re-scans.  The
-streaming monitor maintains per-flow columnar accumulators instead; these
-tests assert both produce identical derived series — on adversarial
-hand-driven event streams (hypothesis) and on randomized whole simulations —
-and that nothing an evaluation returns depends on ``record_series``.
+nearly verbatim: a single ``records`` list that every derived series
+re-scans, one record per packet of either flow.  The FlowMonitor streams the
+flow under test into columnar accumulators and derives the cross flow from
+the columns the link records; these tests assert both produce identical
+derived series — on adversarial hand-driven journeys (hypothesis) and on
+randomized whole simulations, where the reference is fed by the packet path
+of ``test_cross_arrivals`` — and that nothing an evaluation returns depends
+on ``record_series``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import dataclasses
 import random as random_module
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,15 +25,15 @@ from hypothesis import strategies as st
 from repro.campaign import CampaignSpec, CorpusEntry
 from repro.core.fuzzer import FuzzConfig
 from repro.exec import EvaluationJob, evaluate_job, job_cache_key
-from repro.netsim import topology
 from repro.netsim.monitor import FlowMonitor
 from repro.netsim.packet import CCA_FLOW, CROSS_FLOW, Packet
 from repro.netsim.simulation import SimulationConfig, run_simulation
 from repro.scoring.objectives import make_score_function
 from repro.tcp.cca import CCA_FACTORIES, cca_factory
 from repro.traces.trace import LinkTrace, LossTrace, TrafficTrace
+from test_cross_arrivals import StreamingMonitor, flow_of, run_packet_path
 
-FLOWS = [CCA_FLOW, CROSS_FLOW, "background"]
+FLOWS = [CCA_FLOW, CROSS_FLOW]
 
 
 @dataclass
@@ -61,11 +63,11 @@ class ReferenceFlowMonitor:
 
     records: List[PacketRecord] = field(default_factory=list)
     queue_depth: List[Tuple[float, int]] = field(default_factory=list)
-    _by_packet_id: Dict[int, PacketRecord] = field(default_factory=dict)
+    _by_packet_id: Dict[object, PacketRecord] = field(default_factory=dict)
 
-    def on_ingress(self, packet: Packet, now: float, admitted: bool) -> None:
+    def on_ingress(self, packet: Packet, now: float, admitted: bool, flow: str = CCA_FLOW) -> None:
         record = PacketRecord(
-            flow=packet.flow,
+            flow=flow,
             seq=packet.seq,
             is_retransmit=packet.is_retransmit,
             ingress_time=now,
@@ -138,6 +140,10 @@ class ReferenceFlowMonitor:
             return 0.0
         return self.delivered_count(flow) * mss_bytes * 8.0 / duration / 1e6
 
+    def max_egress_gap(self, flow: str, duration: float) -> float:
+        edges = [0.0] + self.egress_times(flow) + [duration]
+        return max(b - a for a, b in zip(edges, edges[1:]))
+
     def loss_rate(self, flow: str) -> float:
         sent = self.sent_count(flow)
         if sent == 0:
@@ -158,6 +164,7 @@ def assert_monitors_match(monitor: FlowMonitor, reference: ReferenceFlowMonitor,
         assert monitor.average_rate_mbps(flow, duration) == reference.average_rate_mbps(
             flow, duration
         )
+        assert monitor.max_egress_gap(flow, duration) == reference.max_egress_gap(flow, duration)
         for window in (0.25, 0.1):
             for use_ingress in (False, True):
                 assert monitor.windowed_rate(
@@ -169,7 +176,7 @@ def assert_monitors_match(monitor: FlowMonitor, reference: ReferenceFlowMonitor,
 #: whether/when it leaves the queue and reaches the sink.
 packet_events = st.lists(
     st.tuples(
-        st.integers(min_value=0, max_value=2),                      # flow index
+        st.integers(min_value=0, max_value=1),                      # flow index
         st.floats(min_value=0.0, max_value=0.5, allow_nan=False),   # ingress gap
         st.booleans(),                                              # admitted
         st.booleans(),                                              # delivered (if admitted)
@@ -184,19 +191,28 @@ packet_events = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(events=packet_events)
-def test_streaming_matches_reference_on_event_streams(events):
-    """Hand-driven ingress/egress streams: all derived series identical."""
+@given(events=packet_events, cross_propagation=st.floats(min_value=0.0, max_value=0.1))
+def test_streaming_matches_reference_on_event_streams(events, cross_propagation):
+    """Hand-driven journeys: the flow under test streamed packet by packet,
+    the cross flow handed over as columns, all derived series identical."""
     monitor = FlowMonitor()
     reference = ReferenceFlowMonitor()
     now = 0.0
     pending = []
-    seq_by_flow = {flow: 0 for flow in FLOWS}
+    injections, dropped, cross_served = [], 0, []
     for flow_idx, gap, admitted, delivered, qdelay, prop, stamped, retx in events:
-        flow = FLOWS[flow_idx]
         now += gap
-        packet = Packet(flow, seq_by_flow[flow], is_retransmit=retx)
-        seq_by_flow[flow] += 1
+        packet = Packet(len(injections) + len(pending), is_retransmit=retx)
+        if FLOWS[flow_idx] == CROSS_FLOW:
+            # A cross packet is its admission time; its egress is its
+            # departure plus the link's one propagation delay.
+            injections.append(now)
+            dropped += not admitted
+            reference.on_ingress(packet, now, admitted, CROSS_FLOW)
+            if admitted and delivered:
+                packet.dequeue_time = now + qdelay
+                cross_served.append((packet, now, packet.dequeue_time))
+            continue
         if admitted:
             packet.enqueue_time = now
         monitor.on_ingress(packet, now, admitted)
@@ -211,23 +227,34 @@ def test_streaming_matches_reference_on_event_streams(events):
         packet.dequeue_time = dequeue_time
         monitor.on_egress(packet, egress_time)
         reference.on_egress(packet, egress_time)
+    cross_served.sort(key=lambda item: item[2])
+    for packet, _, departed in cross_served:
+        reference.on_egress(packet, departed + cross_propagation)
+    monitor.record_cross_traffic(
+        injections, dropped,
+        [admitted for _, admitted, _ in cross_served],
+        [departed for _, _, departed in cross_served],
+        cross_propagation,
+    )
 
     duration = now + 1.0
     assert_monitors_match(monitor, reference, duration)
+
 
 @settings(max_examples=10, deadline=None)
 @given(
     cca=st.sampled_from(["reno", "cubic", "bbr"]),
     seed=st.integers(min_value=0, max_value=2**31),
     link_mode=st.booleans(),
+    cross=st.booleans(),
     packets=st.integers(min_value=0, max_value=400),
 )
-def test_streaming_matches_reference_on_random_simulations(cca, seed, link_mode, packets):
-    """Randomized short simulations: the naive reference, fed the same
-    ingress/egress calls, reproduces every derived series of the streaming
-    monitor."""
+def test_streaming_matches_reference_on_random_simulations(cca, seed, link_mode, cross, packets):
+    """Randomized short simulations: the naive reference, fed every packet of
+    both flows by the packet path, reproduces every derived series of the
+    monitor of the columnar run."""
 
-    class TeeMonitor(FlowMonitor):
+    class TeeMonitor(StreamingMonitor):
         __slots__ = ("reference",)
 
         def __init__(self) -> None:
@@ -236,7 +263,7 @@ def test_streaming_matches_reference_on_random_simulations(cca, seed, link_mode,
 
         def on_ingress(self, packet, now, admitted):
             super().on_ingress(packet, now, admitted)
-            self.reference.on_ingress(packet, now, admitted)
+            self.reference.on_ingress(packet, now, admitted, flow_of(packet))
 
         def on_egress(self, packet, now):
             super().on_egress(packet, now)
@@ -246,13 +273,13 @@ def test_streaming_matches_reference_on_random_simulations(cca, seed, link_mode,
     duration = 0.8
     times = sorted(rng.uniform(0.0, duration) for _ in range(packets))
     config = SimulationConfig(duration=duration)
-    with mock.patch.object(topology, "FlowMonitor", TeeMonitor):
-        if link_mode:
-            result = run_simulation(cca_factory(cca), config, link_trace=times)
-        else:
-            result = run_simulation(cca_factory(cca), config, cross_traffic_times=times)
+    inputs = {"link_trace": times} if link_mode else {}
+    if cross or not link_mode:
+        inputs["cross_traffic_times"] = sorted(rng.uniform(0.0, duration) for _ in range(packets))
+    result = run_simulation(cca_factory(cca), config, **inputs)
+    packet_path, _ = run_packet_path(cca_factory(cca), config, TeeMonitor, **inputs)
     assert result.monitor.sent_count(CCA_FLOW) > 0
-    assert_monitors_match(result.monitor, result.monitor.reference, duration)
+    assert_monitors_match(result.monitor, packet_path.monitor.reference, duration)
 
 
 TRACE_TYPES = {"link": LinkTrace, "traffic": TrafficTrace, "loss": LossTrace}

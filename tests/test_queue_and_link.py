@@ -10,8 +10,8 @@ from repro.netsim.packet import CCA_FLOW, CROSS_FLOW, Packet
 from repro.netsim.queue import DropTailQueue
 
 
-def make_packet(seq: int = 0, flow: str = CCA_FLOW) -> Packet:
-    return Packet(flow=flow, seq=seq)
+def make_packet(seq: int = 0) -> Packet:
+    return Packet(seq=seq)
 
 
 class TestDropTailQueue:
@@ -27,17 +27,24 @@ class TestDropTailQueue:
         for seq in range(3):
             assert queue.enqueue(make_packet(seq), now=0.0)
         assert not queue.enqueue(make_packet(99), now=0.0)
-        assert queue.drops_for(CCA_FLOW) == 1
+        assert queue.drops == {CCA_FLOW: 1}
         assert len(queue) == 3
 
     def test_per_flow_drop_accounting(self):
         queue = DropTailQueue(capacity_packets=1)
-        queue.enqueue(make_packet(0, CCA_FLOW), now=0.0)
-        queue.enqueue(make_packet(1, CCA_FLOW), now=0.0)
-        queue.enqueue(make_packet(0, CROSS_FLOW), now=0.0)
-        assert queue.drops_for(CCA_FLOW) == 1
-        assert queue.drops_for(CROSS_FLOW) == 1
-        assert queue.total_drops() == 2
+        queue.enqueue(make_packet(0), now=0.0)
+        queue.enqueue(make_packet(1), now=0.0)
+        queue.admit_cross(0.0)
+        assert queue.drops == {CCA_FLOW: 1, CROSS_FLOW: 1}
+
+    def test_cross_packet_is_its_admission_time(self):
+        queue = DropTailQueue(capacity_packets=5)
+        queue.enqueue(make_packet(0), now=0.1)
+        queue.admit_cross(0.2)
+        assert queue.depth_samples == [(0.1, 1), (0.2, 2)]
+        assert queue.dequeue(now=0.3).seq == 0
+        assert queue.dequeue(now=0.4) == 0.2
+        assert queue.depth_samples[-1] == (0.4, 0)
 
     def test_enqueue_stamps_time_and_samples_depth(self):
         queue = DropTailQueue(capacity_packets=5)
@@ -57,9 +64,10 @@ class TestDropTailQueue:
     def test_enqueue_callback_invoked(self):
         calls = []
         queue = DropTailQueue(capacity_packets=5)
-        queue.set_enqueue_callback(lambda p, t: calls.append((p.seq, t)))
+        queue.set_enqueue_callback(calls.append)
         queue.enqueue(make_packet(7), now=0.5)
-        assert calls == [(7, 0.5)]
+        queue.admit_cross(0.75)
+        assert calls == [0.5, 0.75]
 
 
 class TestRateConversions:
@@ -120,6 +128,25 @@ class TestFixedRateLink:
         scheduler.schedule(0.0, lambda: queue.enqueue(make_packet(1), scheduler.now))
         scheduler.run(until=1.0)
         assert len(delivered) == 2
+
+    def test_cross_items_are_recorded_not_delivered(self):
+        """A served cross item reaching the sink by the horizon lands in the
+        link's columns; one arriving after it is served but not recorded."""
+        scheduler = EventScheduler()
+        queue = DropTailQueue(capacity_packets=10)
+        delivered = []
+        link = FixedRateLink(
+            scheduler, queue, delivered.append, rate_pps=100.0, propagation_delay=0.05,
+        )
+        link.start(horizon=0.075)
+        queue.admit_cross(0.0)
+        queue.enqueue(make_packet(0), now=0.0)
+        queue.admit_cross(0.0)
+        scheduler.run(until=0.075)
+        assert [p.seq for p in delivered] == [0]
+        assert link.cross_admissions == [0.0]
+        assert link.cross_departures == [0.01]
+        assert len(queue) == 0
 
     def test_invalid_rate_rejected(self):
         scheduler = EventScheduler()

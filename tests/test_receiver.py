@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
 from repro.netsim.engine import EventScheduler
-from repro.netsim.packet import CCA_FLOW, Packet, SackBlock
+from repro.netsim.packet import Packet, SackBlock
 from repro.tcp.receiver import TcpReceiver
 
 
@@ -20,7 +20,7 @@ def make_receiver(delayed_ack: bool = True, delack_timeout: float = 0.040):
 
 
 def segment(seq: int) -> Packet:
-    return Packet(flow=CCA_FLOW, seq=seq)
+    return Packet(seq=seq)
 
 
 class TestInOrderDelivery:
