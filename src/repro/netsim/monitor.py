@@ -10,13 +10,13 @@ The gateway FIFO holds :class:`Packet`s of the flow under test and cross
 admission times, and the monitor follows the same split.  The flow under
 test is streamed into append-only columns (ingress times, egress times,
 delay pairs) plus a drop counter.  The cross flow is handed over after the
-run as the columns the link and queue keep (:meth:`FlowMonitor.
-record_cross_traffic`), and its columns are derived from them the first time
-one is read; fuzzing reads only the counts, which the topology keeps.  Every
-series and counter is read off those columns, so nothing is kept per packet
-beyond them, and what is collected does not depend on ``record_series``
-(which only gates the queue-depth samples the topology feeds in and the
-sender's per-ACK series).
+run as the columns the link and queue keep
+(:meth:`FlowMonitor.record_cross_traffic`), and its columns are derived from
+them the first time one is read; fuzzing reads only the counts, which the
+topology keeps.  Every series and counter is read off those columns, so
+nothing is kept per packet beyond them, and what is collected does not
+depend on ``record_series`` (which only gates the queue-depth samples the
+topology feeds in and the sender's per-ACK series).
 """
 
 from __future__ import annotations

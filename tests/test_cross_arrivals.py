@@ -107,11 +107,9 @@ class StreamingMonitor(FlowMonitor):
 class PacketTopology(topology.DumbbellTopology):
     """The dumbbell with cross traffic as packets and sink arrivals as events."""
 
-    monitor_class = StreamingMonitor
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.monitor = self.monitor_class()
+        self.monitor = StreamingMonitor()
         self.sent = self.dropped = self.delivered = 0
 
     cross_sent = property(lambda self: self.sent)
@@ -151,8 +149,8 @@ def run_packet_path(cca, config, monitor_class=StreamingMonitor, **inputs):
 
     class Topology(PacketTopology):
         def __init__(self, *args, **kwargs):
-            self.monitor_class = monitor_class
             super().__init__(*args, **kwargs)
+            self.monitor = monitor_class()
             built.append(self)
 
     with pytest.MonkeyPatch.context() as patch:
