@@ -7,55 +7,19 @@ paper and prints the corresponding rows/series, so running
 
 reproduces the full evaluation section.  Wall-clock timings are reported by
 pytest-benchmark; the asserted properties are the *shape* of each result
-(who wins, by roughly what factor), not absolute numbers.
+(who wins, by roughly what factor), not absolute numbers.  The two harness
+files beside them (telemetry overhead, dashboard replay) assert counts and
+budgets, never a timing.
+
+Performance is measured in one place, ``benchmarks/campaign/`` (campaigns,
+calibrated CPU time, bounds from ``BENCHMARK.json``), and judged by running
+two commits' copies of it in alternating pairs on one host:
+``python benchmarks/compare_commits.py BASE_DIR``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Sequence
-
-import pytest
-
-#: Machine-readable output of the simulation-core throughput harness
-#: (``test_sim_core_throughput.py``).  Committed alongside the code so every
-#: future PR has a perf trajectory to compare against; the CI benchmark-smoke
-#: job fails on a >20% events/sec regression against the committed numbers.
-BENCH_SIM_CORE_PATH = Path(__file__).resolve().parent.parent / "BENCH_sim_core.json"
-
-
-@pytest.fixture(scope="session")
-def sim_core_bench():
-    """Collects simulation-core benchmark rows and emits BENCH_sim_core.json.
-
-    Tests insert named result dicts (and optionally a ``baseline`` entry with
-    the frozen seed-commit numbers); at session end the collected rows are
-    written as the ``current`` section of the JSON file.
-
-    The file is only written when ``REPRO_WRITE_BENCH`` is set: the committed
-    numbers are a deliberate reference measurement, and a plain ``pytest``
-    run (which also collects these tests, possibly filtered or under
-    full-suite load) must not silently rewrite them.
-    """
-    results: Dict[str, Dict[str, Any]] = {}
-    yield results
-    if not results or not os.environ.get("REPRO_WRITE_BENCH"):
-        return
-    baseline = results.pop("baseline", None)
-    payload = {
-        "schema": 1,
-        "baseline": baseline,
-        "current": results,
-        "meta": {
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-            "cpu_count": os.cpu_count(),
-        },
-    }
-    BENCH_SIM_CORE_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+from typing import Callable, Dict, Iterable, Sequence
 
 
 def run_once(benchmark, func: Callable, *args, **kwargs):

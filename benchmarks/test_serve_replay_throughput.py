@@ -4,11 +4,11 @@ The serving story behind the dashboard is that replaying a stored attack is
 a one-time cost: the first ``/api/replay`` for an (entry, CCA) pair runs
 real simulations, every later one is a cache lookup plus JSON assembly.
 This harness measures both sides over real HTTP against a live server and
-records the rows in the BENCH output.  What it asserts is counted, not timed
-(a loaded CI host can make any two wall-clock readings cross): the cached
-sweep runs zero simulations, every one of its requests is a cache hit, and
-cached responses are byte-identical to the cold ones (the determinism
-contract).  The timings are printed rows only.
+prints them.  What it asserts is counted, not timed (a loaded CI host can
+make any two wall-clock readings cross): the cached sweep runs zero
+simulations, every one of its requests is a cache hit, and cached responses
+are byte-identical to the cold ones (the determinism contract).  The timings
+are printed rows only.
 
 ``-k smoke`` selects the single seconds-scale variant (also run by the CI
 ``dashboard-smoke`` job).
@@ -66,7 +66,7 @@ def replay_sweep(server: DashboardServer, fingerprints) -> tuple:
     return payloads, time.perf_counter() - started
 
 
-def test_smoke_replay_endpoint_throughput(benchmark, corpus_dir, sim_core_bench):
+def test_smoke_replay_endpoint_throughput(benchmark, corpus_dir):
     """Cold replays simulate, cached replays don't."""
     with DashboardServer(corpus_dir) as server:
         index = fetch(f"{server.url}/api/corpus")
@@ -113,9 +113,3 @@ def test_smoke_replay_endpoint_throughput(benchmark, corpus_dir, sim_core_bench)
         },
     ]
     print_rows("replay endpoint throughput (cold vs cached)", rows)
-    for row in rows:
-        sim_core_bench[f"serve_replay_{row['path']}"] = {
-            "requests": row["requests"],
-            "wall_clock_s": round(row["wall_clock_s"], 4),
-            "replays_per_sec": round(row["replays_per_sec"], 2),
-        }

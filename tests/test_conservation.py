@@ -1,22 +1,26 @@
-"""Cross-traffic conservation: every injected cross packet is accounted for.
+"""Packet conservation: every packet of either flow is accounted for.
 
-Cross traffic is open-loop: each injection at or before ``duration`` is
-sent, and a sent packet is dropped at the gateway, delivered to the sink, or
-still on its way (queued, or propagating past the horizon) when the run ends.
-Once the link has had time to drain a full queue behind the last injection,
-nothing is left on the way.  The FIFO serves items in admission order, so
-behind the last cross packet there are at most ``queue_capacity`` items
-ahead of it and including it: at a service rate ``r`` it has reached the sink
-``queue_capacity / r + propagation_delay`` after its injection.
+Both halves run on the same random inputs; the flow under test's half is
+stated at its test.  Cross traffic is open-loop: each injection at or before
+``duration`` is sent, and a sent packet is dropped at the gateway, delivered
+to the sink, or still on its way (queued, or propagating past the horizon)
+when the run ends.  Once the link has had time to drain a full queue behind
+the last injection, nothing is left on the way.  The FIFO serves items in
+admission order, so behind the last cross packet there are at most
+``queue_capacity`` items ahead of it and including it: at a service rate
+``r`` it has reached the sink ``queue_capacity / r + propagation_delay``
+after its injection.
 """
 
 from __future__ import annotations
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.link import mbps_to_pps
-from repro.netsim.packet import CROSS_FLOW
+from repro.netsim.packet import CCA_FLOW, CROSS_FLOW
 from repro.netsim.simulation import SimulationConfig, run_simulation
 from repro.tcp import Bbr, Reno
 
@@ -31,8 +35,8 @@ def _assert_conserved(result, injections, drained):
         assert result.cross_delivered + dropped == sent
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+#: Random cross traffic, all injected by ``last``, on either link kind.
+SCENARIOS = dict(
     cca=st.sampled_from([Reno, Bbr]),
     fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=200),
     last=st.floats(min_value=0.0, max_value=0.6),
@@ -42,10 +46,10 @@ def _assert_conserved(result, injections, drained):
     rate_mbps=st.sampled_from([3.0, 12.0, 48.0]),
     queue=st.sampled_from([3, 20, 60]),
 )
-def test_cross_traffic_is_conserved(
-    cca, fractions, last, slack, trace_link, opportunities, rate_mbps, queue
-):
-    """Random cross traffic, all injected by ``last``, on either link kind.
+
+
+def _scenario(fractions, last, slack, trace_link, opportunities, rate_mbps, queue):
+    """``(config, run_simulation inputs, injections, drained)`` for one draw.
 
     The drain bound is ``queue / rate + propagation_delay``.  A trace-driven
     link gets ``queue`` opportunities at ``rate`` right after ``last`` on top
@@ -66,9 +70,50 @@ def test_cross_traffic_is_conserved(
         duration=duration, bottleneck_rate_mbps=rate_mbps, queue_capacity=queue,
         propagation_delay=propagation_delay, record_series=False,
     )
-    result = run_simulation(cca, config, **inputs)
     # A margin over the bound absorbs the rounding of the service clock.
-    _assert_conserved(result, injections, drained=slack > 1e-9)
+    return config, inputs, injections, slack > 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(**SCENARIOS)
+def test_cross_traffic_is_conserved(cca, **draw):
+    config, inputs, injections, drained = _scenario(**draw)
+    result = run_simulation(cca, config, **inputs)
+    _assert_conserved(result, injections, drained)
+
+
+@settings(max_examples=60, deadline=None)
+@given(losses=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20), **SCENARIOS)
+def test_flow_under_test_is_conserved(cca, losses, **draw):
+    """Every segment the sender transmits is accounted for at the horizon.
+
+    The access link is instantaneous, so each transmission reaches the
+    gateway at once: the sender's count equals the monitor's ingress count.
+    A sent segment is delivered, dropped at the queue, dropped by the random
+    loss schedule, or still on its way: queued (at most the queue's
+    capacity), or served within the last propagation delay and propagating
+    past the horizon (at most the service that window holds: a fixed-rate
+    link completes one service per ``1 / rate``, a trace-driven link one per
+    opportunity).
+    """
+    config, inputs, _, _ = _scenario(**draw)
+    horizon = config.duration
+    inputs["loss_times"] = [f * horizon for f in losses]
+    result = run_simulation(cca, config, **inputs)
+
+    sent = result.monitor.sent_count(CCA_FLOW)
+    assert result.sender_stats.segments_sent == sent
+    accounted = (
+        result.delivered_segments() + result.queue_drops.get(CCA_FLOW, 0)
+        + result.forced_losses
+    )
+    assert accounted <= sent
+    window = config.propagation_delay
+    if "link_trace" in inputs:
+        in_flight = sum(horizon - window <= t <= horizon for t in inputs["link_trace"])
+    else:
+        in_flight = math.ceil(window * mbps_to_pps(config.bottleneck_rate_mbps)) + 1
+    assert sent - accounted <= config.queue_capacity + in_flight
 
 
 @settings(max_examples=15, deadline=None)
