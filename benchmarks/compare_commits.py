@@ -1,15 +1,18 @@
 """Judge this checkout against another commit with the campaign benchmark.
 
-    python benchmarks/compare_commits.py BASE_DIR [--pairs 5] [--seed 7] [--out DIR]
+    python benchmarks/compare_commits.py BASE_DIR [--pairs 5] [--out DIR]
 
 Pair ``i`` runs each tree's own ``benchmarks/campaign/run.py --trace 0
 --seed SEED+i``, the base first in even pairs and the head (this checkout)
 first in odd ones, so a host whose speed drifts weighs on both sides alike.
 Each side's runs are merged into one run-set document (``DIR/base.json``,
 ``DIR/head.json``) and judged by the head's ``run.py compare`` against
-``BENCHMARK.json``'s bounds; its table also goes to ``DIR/compare.txt`` and
-its exit code is returned.  A run that exits non-zero (``run.py`` does when
-an output was wrong) stops the script, non-zero, before any compare.
+``BENCHMARK.json``'s bounds.  Its table, with a count of the ``unresolved``
+rows (spread wider than the bound), goes to stdout and ``DIR/compare.txt``.
+The exit code is compare's (1 on any ``worse`` row), or 1 if an
+``evals_per_s`` row is unresolved: the gate cannot tell whether the change
+is slower.  A run that exits non-zero (``run.py`` does when an output was
+wrong) stops the script, non-zero, before any compare.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from typing import Any, Dict, List, Optional
 HEAD = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "head")
 RUN_PY = os.path.join("benchmarks", "campaign", "run.py")  #: run from each tree's root
+SEED = 7  #: pair i runs at SEED + i, run.py's own default seed first
+GATED = "evals_per_s"  #: an unresolved row of this metric fails the gate
 
 
 def merge(paths: List[str]) -> Dict[str, Any]:
@@ -43,7 +48,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="checkout of the commit to compare against")
     parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", default=os.path.join(HEAD, ".bench_work", "compare"))
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -56,7 +60,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     runs: Dict[str, List[str]] = {side: [] for side in SIDES}
     for pair in range(args.pairs):
-        seed = args.seed + pair
+        seed = SEED + pair
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
             path = os.path.join(out, f"{side}-{seed}.json")
             print(f"compare_commits: pair {pair}, {side}, seed {seed}", flush=True)
@@ -73,10 +77,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             handle.write("\n")
     compared = subprocess.run([sys.executable, RUN_PY, "compare", *documents],
                               cwd=HEAD, env=env, stdout=subprocess.PIPE, text=True)
-    sys.stdout.write(compared.stdout)
+    table, code = compared.stdout, compared.returncode
+    rows = table.splitlines()[1:]
+    unresolved = [row.split()[1] for row in rows if row.endswith(" unresolved")]
+    table += f"compare_commits: {len(unresolved)} of {len(rows)} rows unresolved\n"
+    if GATED in unresolved:
+        table += f"compare_commits: {GATED} is unresolved, so a slowdown cannot be ruled out\n"
+        code = code or 1
+    sys.stdout.write(table)
     with open(os.path.join(out, "compare.txt"), "w", encoding="utf-8") as handle:
-        handle.write(compared.stdout)
-    return compared.returncode
+        handle.write(table)
+    return code
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 Each stub tree's ``benchmarks/campaign/run.py`` logs its side and argv to a
 shared file and writes a canned run-set document; the head's ``compare``
-exits with a canned code.  The runner under test is a copy of
+prints a canned table and exits with a canned code.  The runner under test is a copy of
 ``compare_commits.py`` placed in the stub head, which is how it finds the
 head tree.
 """
@@ -20,6 +20,11 @@ import pytest
 RUNNER = Path(__file__).resolve().parent / "compare_commits.py"
 WORKLOADS = ("sim_bound", "wide_matrix")
 COMPARE_EXIT = 3
+#: Rows as run.py compare prints them, columns narrowed.
+HEADER = "workload  metric  before  after  worse by  spread  bound  verdict"
+WITHIN = "sim_bound  evals_per_s  79.4  79.1  0.4%  3.0%  20%  within bound"
+UNRESOLVED = "wide_matrix  query_heavy_ms  41.2  42.0  1.9%  26.6%  25%  unresolved"
+UNRESOLVED_GATED = "wide_matrix  evals_per_s  367.7  360.2  2.0%  21.0%  20%  unresolved"
 
 STUB = """\
 import json, os, sys
@@ -29,7 +34,7 @@ argv = sys.argv[1:]
 with open({log!r}, "a") as handle:
     handle.write(json.dumps({{"side": side, "argv": argv}}) + "\\n")
 if argv[0] == "compare":
-    print("the compare table")
+    print({table!r})
     sys.exit({compare_exit})
 seed = int(argv[argv.index("--seed") + 1])
 run = {{"correct": True, "side": side, "seed": seed, "end_to_end": {{"evals_per_s": 1.0}}}}
@@ -41,14 +46,15 @@ sys.exit(1 if seed == {failing_seed} else 0)
 """
 
 
-def build_trees(root: Path, failing_seed: int = -1):
+def build_trees(root: Path, failing_seed: int = -1, rows=(WITHIN, UNRESOLVED),
+                compare_exit: int = COMPARE_EXIT):
     log = root / "log.jsonl"
     for side in ("base", "head"):
         campaign = root / side / "benchmarks" / "campaign"
         campaign.mkdir(parents=True)
         (campaign / "run.py").write_text(STUB.format(
-            log=str(log), compare_exit=COMPARE_EXIT, workloads=WORKLOADS,
-            failing_seed=failing_seed,
+            log=str(log), compare_exit=compare_exit, workloads=WORKLOADS,
+            failing_seed=failing_seed, table="\n".join((HEADER, *rows)),
         ))
     shutil.copy(RUNNER, root / "head" / "benchmarks" / "compare_commits.py")
     return log
@@ -68,7 +74,7 @@ def read_log(log: Path):
 def three_pairs(tmp_path_factory):
     root = tmp_path_factory.mktemp("compare-commits")
     log = build_trees(root)
-    completed = run_runner(root, "--pairs", "3", "--seed", "7")
+    completed = run_runner(root, "--pairs", "3")
     return root, read_log(log), completed
 
 
@@ -102,8 +108,23 @@ def test_head_compares_base_against_head_and_its_exit_code_is_returned(three_pai
     }
     assert sum(entry["argv"][0] == "compare" for entry in entries) == 1
     assert completed.returncode == COMPARE_EXIT
-    assert "the compare table" in completed.stdout
-    assert (root / "out" / "compare.txt").read_text() == "the compare table\n"
+    table = "\n".join((HEADER, WITHIN, UNRESOLVED, "compare_commits: 1 of 2 rows unresolved", ""))
+    assert completed.stdout.endswith(table)
+    assert (root / "out" / "compare.txt").read_text() == table
+
+
+@pytest.mark.parametrize("rows, code", [
+    ((WITHIN, UNRESOLVED), 0),
+    ((WITHIN, UNRESOLVED, UNRESOLVED_GATED), 1),
+])
+def test_an_unresolved_evals_per_s_row_fails_the_gate(tmp_path, rows, code):
+    """Compare exits 0 (no ``worse`` row); only an unresolved ``evals_per_s``
+    turns that into a failure."""
+    build_trees(tmp_path, rows=rows, compare_exit=0)
+    completed = run_runner(tmp_path, "--pairs", "1")
+    assert completed.returncode == code
+    assert f"compare_commits: {len(rows) - 1} of {len(rows)} rows unresolved" in completed.stdout
+    assert ("evals_per_s is unresolved" in completed.stdout) == bool(code)
 
 
 def test_a_failing_run_fails_the_script_before_any_compare(tmp_path):

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.netsim import simulation, topology
 from repro.netsim.link import mbps_to_pps
 from repro.netsim.packet import CCA_FLOW, CROSS_FLOW
 from repro.netsim.simulation import SimulationConfig, run_simulation
@@ -82,6 +84,22 @@ def test_cross_traffic_is_conserved(cca, **draw):
     _assert_conserved(result, injections, drained)
 
 
+def _run_keeping_topology(cca, config, **inputs):
+    """``run_simulation``, and the topology it ran, to read what is still on
+    the way at the horizon."""
+    built = []
+
+    class Topology(topology.DumbbellTopology):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "DumbbellTopology", Topology)
+        result = run_simulation(cca, config, **inputs)
+    return result, built[0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(losses=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20), **SCENARIOS)
 def test_flow_under_test_is_conserved(cca, losses, **draw):
@@ -90,30 +108,36 @@ def test_flow_under_test_is_conserved(cca, losses, **draw):
     The access link is instantaneous, so each transmission reaches the
     gateway at once: the sender's count equals the monitor's ingress count.
     A sent segment is delivered, dropped at the queue, dropped by the random
-    loss schedule, or still on its way: queued (at most the queue's
-    capacity), or served within the last propagation delay and propagating
-    past the horizon (at most the service that window holds: a fixed-rate
-    link completes one service per ``1 / rate``, a trace-driven link one per
-    opportunity).
+    loss schedule, or still on its way, exactly: queued (at most the queue's
+    capacity; cross items in the FIFO are floats), or served and propagating
+    past the horizon on the link's delivery lane (at most the service of the
+    last propagation delay: a fixed-rate link completes one service per
+    ``1 / rate``, a trace-driven link one per opportunity).
     """
     config, inputs, _, _ = _scenario(**draw)
     horizon = config.duration
     inputs["loss_times"] = [f * horizon for f in losses]
-    result = run_simulation(cca, config, **inputs)
+    result, network = _run_keeping_topology(cca, config, **inputs)
 
     sent = result.monitor.sent_count(CCA_FLOW)
     assert result.sender_stats.segments_sent == sent
+    queued = sum(type(item) is not float for item in network.queue._queue)
+    deliver = network.link.deliver
+    propagating = sum(
+        event[3] == deliver for event in network.link.propagation_lane._events
+    )
     accounted = (
         result.delivered_segments() + result.queue_drops.get(CCA_FLOW, 0)
         + result.forced_losses
     )
-    assert accounted <= sent
+    assert accounted + queued + propagating == sent
+    assert queued <= config.queue_capacity
     window = config.propagation_delay
     if "link_trace" in inputs:
-        in_flight = sum(horizon - window <= t <= horizon for t in inputs["link_trace"])
+        served = sum(horizon - window <= t <= horizon for t in inputs["link_trace"])
     else:
-        in_flight = math.ceil(window * mbps_to_pps(config.bottleneck_rate_mbps)) + 1
-    assert sent - accounted <= config.queue_capacity + in_flight
+        served = math.ceil(window * mbps_to_pps(config.bottleneck_rate_mbps)) + 1
+    assert propagating <= served
 
 
 @settings(max_examples=15, deadline=None)
