@@ -11,22 +11,25 @@ There is one event primitive: an entry ``(time, seq, timer-or-None,
 callback, args)``, where ``seq`` is the global insertion number claimed when
 the event is scheduled.  Events cannot be cancelled; the two things TCP needs
 to take back — the retransmission and delayed-ACK timers — are
-:class:`LazyTimer` objects, which move a deadline instead.  Two structures
-hold entries, because every GA generation bottoms out in millions of them:
+:class:`LazyTimer` objects, which move a deadline instead.  Three sources
+hold events, because every GA generation bottoms out in millions of them:
 
 * the heap, for :meth:`EventScheduler.schedule` /
   :meth:`EventScheduler.schedule_at` and timer bookkeeping entries;
-* :class:`FifoLane` deques, for event streams whose times are pushed in
-  nondecreasing order (bottleneck service completions, propagation-delayed
-  deliveries, returning ACKs, pre-sorted cross-traffic injections).  Lanes
-  are merged with the heap at pop time by the global ``(time, seq)`` key, so
-  the execution order is exactly what a pure-heap scheduler would produce —
-  including tie-breaks (``tests/test_engine.py`` holds the reference).
+* the propagation lane (:class:`FifoLane`), for deliveries and returning
+  ACKs, pushed in nondecreasing time order;
+* the bottleneck link's own schedule (:meth:`EventScheduler.attach_link`):
+  cross arrivals, service completions and transmission opportunities.  When
+  ``link.head``, its next ``(time, seq)`` or None, is the earliest key and
+  due by the horizon, ``link.run_events(bound, horizon, budget)`` runs every
+  link event before the entry ``bound`` (None: no other), by ``horizon`` and
+  within ``budget`` (negative: no cap), at least one; it leaves ``now`` at
+  the last and returns the count.
 
-What the events move is the gateway FIFO's content: ``Packet``s of the flow
-under test and cross-traffic admission times (plain floats).  A cross
-injection is one lane event; its sink arrival is no event at all: the link
-records it at service time (see :mod:`repro.netsim.link`).
+All three are keyed by ``(time, seq)`` and share the ``seq`` counter, so the
+run loop executes exactly what a pure-heap scheduler would — tie-breaks
+included (``tests/test_engine.py`` and ``tests/test_link_schedule.py`` hold
+the references).
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from math import isfinite
+from sys import float_info
 from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
 #: One scheduled event: (time, insertion seq, timer-or-None, callback, args).
@@ -132,20 +136,11 @@ class LazyTimer:
 
 
 class FifoLane:
-    """A monotone fast lane of events, merged with the scheduler's heap.
+    """The propagation lane: events pushed in nondecreasing time order.
 
-    A lane accepts events whose absolute times are pushed in nondecreasing
-    order (each stream of fixed-delay or pre-sorted events satisfies this).
-    Pushing and popping are O(1) deque operations instead of O(log n) heap
-    operations.
-
-    Lanes share the scheduler's insertion-sequence counter, so merging the
-    lane heads with the heap head by ``(time, seq)`` reproduces the exact
-    execution order — tie-breaks included — of scheduling every event
-    through the heap.
-
-    Create lanes via :meth:`EventScheduler.fifo_lane` before calling
-    :meth:`EventScheduler.run`.
+    Deliveries and ACKs land a fixed propagation delay after a nondecreasing
+    clock, so pushing and popping are O(1) deque operations instead of
+    O(log n) heap operations.
     """
 
     __slots__ = ("_scheduler", "_events", "_last_time")
@@ -154,9 +149,6 @@ class FifoLane:
         self._scheduler = scheduler
         self._events: Deque[_Entry] = deque()
         self._last_time = 0.0
-
-    def __len__(self) -> int:
-        return len(self._events)
 
     def push_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """Append ``callback(*args)`` to fire at absolute simulation ``time``."""
@@ -190,7 +182,7 @@ class EventScheduler:
     ['b', 'a']
     """
 
-    __slots__ = ("now", "_seq", "_heap", "_lanes", "_running")
+    __slots__ = ("now", "_seq", "_heap", "lane", "_link", "_running")
 
     def __init__(self) -> None:
         #: Current simulation time in seconds.  A plain attribute rather than
@@ -199,20 +191,13 @@ class EventScheduler:
         self.now = 0.0
         self._seq = 0
         self._heap: List[_Entry] = []
-        self._lanes: List[FifoLane] = []
+        self.lane = FifoLane(self)
+        self._link: Any = None
         self._running = False
 
-    def fifo_lane(self) -> FifoLane:
-        """Create a new monotone fast lane merged into this scheduler.
-
-        Lanes must be created before :meth:`run` starts (the run loop
-        snapshots the lane set once for speed).
-        """
-        if self._running:
-            raise RuntimeError("cannot create a lane while the scheduler is running")
-        lane = FifoLane(self)
-        self._lanes.append(lane)
-        return lane
+    def attach_link(self, link: Any) -> None:
+        """Merge ``link``'s own schedule into the run loop (see above)."""
+        self._link = link
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
@@ -258,23 +243,29 @@ class EventScheduler:
         self._running = True
         executed = 0
         heap = self._heap
-        lanes = [lane._events for lane in self._lanes]
+        lane = self.lane._events
+        link = self._link
         heappop = heapq.heappop
-        horizon = float("inf") if until is None else until
+        # The largest float, not inf: a link's exhausted stream sits at inf.
+        horizon = float_info.max if until is None else min(until, float_info.max)
         budget = -1 if max_events is None else max_events
         try:
             while True:
-                # Select the earliest event across the heap and every lane.
-                # Entries compare by (time, seq); seqs are unique, so the
-                # comparison never reaches the non-orderable fields.
+                # Select the earliest event of the heap, the lane and the
+                # link.  Entries compare by (time, seq); seqs are unique, so
+                # the comparison never reaches the non-orderable fields.
                 entry = heap[0] if heap else None
                 winner = None
-                for lane_events in lanes:
-                    if lane_events:
-                        head = lane_events[0]
-                        if entry is None or head < entry:
-                            entry = head
-                            winner = lane_events
+                if lane and (entry is None or lane[0] < entry):
+                    entry = lane[0]
+                    winner = lane
+                if link is not None:
+                    head = link.head
+                    if head is not None and (entry is None or head < entry) and head[0] <= horizon:
+                        if executed == budget:
+                            break
+                        executed += link.run_events(entry, horizon, budget - executed)
+                        continue
                 if entry is None or entry[0] > horizon:
                     if until is not None and self.now < until:
                         self.now = until

@@ -17,22 +17,26 @@ is open-loop, only counted at the sink (section 3.3), so its arrival is no
 event: a served cross item that reaches the sink by the run's horizon
 appends its admission and departure times to two columns.
 
-The service loop is self-clocked on scheduler fast lanes: while the queue is
-busy, each service completion chains dequeue → transmit → next completion
-directly, and both the completion stream and the propagation-delayed delivery
-stream are monotone in time, so neither round-trips packets through the event
-heap.  Execution order (tie-breaks included) is identical to heap scheduling.
+The link runs its own schedule, not scheduler entries (see
+:mod:`repro.netsim.engine`), in one loop for both kinds, and claims each
+event's ``seq`` where scheduling it as an entry would have: a block for the
+opportunities and then one for the cross arrivals at start, and each
+fixed-rate completion when it is armed.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from bisect import bisect_right
+from typing import Any, Callable, List, Optional, Sequence
 
-from .engine import EventScheduler, FifoLane, sorted_input_times
-from .packet import Packet
+from .engine import EventScheduler, sorted_input_times
+from .packet import CCA_FLOW, CROSS_FLOW, Packet
 from .queue import DropTailQueue
 
 DeliveryCallback = Callable[[Packet], None]
+
+#: Where an exhausted or idle stream of the link sits.
+INF = float("inf")
 
 
 def mbps_to_pps(rate_mbps: float, mss_bytes: int = 1500) -> float:
@@ -56,11 +60,17 @@ class Link:
     topology.  A served cross item whose sink arrival is at or before the
     run's (inclusive) horizon is recorded in ``cross_admissions`` /
     ``cross_departures``.
+
+    Its events are the cross arrivals ``_cross[i]``, keyed ``_cross_seq + i``,
+    and services, the next keyed ``(_serve_at, _serve_seq)``; ``head`` is the
+    earlier key.
     """
 
     __slots__ = (
         "scheduler", "queue", "deliver", "propagation_delay", "horizon",
-        "cross_admissions", "cross_departures", "_delivery_lane",
+        "cross_admissions", "cross_departures", "cross_sent", "wasted_opportunities",
+        "head", "_service_time", "_opportunities", "_opportunity_seq",
+        "_cross", "_cross_seq", "_serve_at", "_serve_seq",
     )
 
     def __init__(
@@ -74,25 +84,134 @@ class Link:
         self.queue = queue
         self.deliver = deliver
         self.propagation_delay = propagation_delay
-        self.horizon = float("inf")
+        self.horizon = INF
         #: Admission and departure times of the cross packets that reached
         #: the sink, in service order.
         self.cross_admissions: List[float] = []
         self.cross_departures: List[float] = []
-        # Deliveries happen a fixed propagation delay after each (monotone)
-        # service completion, so they form a monotone fast lane.  The
-        # topology shares this lane for returning ACKs (same fixed delay,
-        # same nondecreasing clock), keeping the per-event lane scan short.
-        self._delivery_lane: FifoLane = scheduler.fifo_lane()
+        #: Cross arrivals run so far, and services that found the queue empty.
+        self.cross_sent = self.wasted_opportunities = 0
+        self.head: Optional[tuple] = None
+        # A fixed-rate link's time per service; None on a trace-driven link,
+        # whose services are ``_opportunities[k]`` keyed ``_opportunity_seq + k``.
+        self._service_time: Optional[float] = None
+        self._opportunities: Optional[List[float]] = None
+        self._cross, self._cross_seq = [INF], 0
+        self._serve_at = self._serve_seq = self._opportunity_seq = INF
+        scheduler.attach_link(self)
 
-    @property
-    def propagation_lane(self) -> FifoLane:
-        """The monotone lane carrying fixed-propagation-delay events."""
-        return self._delivery_lane
+    def _claim(self, times: Sequence[float], horizon: float) -> tuple:
+        """The sorted ``times`` up to ``horizon`` + an ``INF`` sentinel, and their first ``seq``."""
+        count = bisect_right(times, horizon)
+        first = self.scheduler._seq
+        self.scheduler._seq += count
+        return [*times[:count], INF], first
 
-    def start(self, horizon: float) -> None:
-        """Install any service events needed before a run of ``horizon`` seconds."""
+    def start(self, horizon: float, cross_times: Sequence[float] = ()) -> None:
+        """Claim the ``seq`` block of the sorted ``cross_times`` up to ``horizon``."""
         self.horizon = horizon
+        self._cross, self._cross_seq = self._claim(cross_times, horizon)
+        head = min((self._cross[0], self._cross_seq), (self._serve_at, self._serve_seq))
+        self.head = head if head[0] < INF else None
+
+    def admit(self, packet: Packet, now: float) -> bool:
+        """A packet of the flow under test reaches the gateway at ``now``:
+        queued, or tail-dropped; True if queued."""
+        queue, fifo = self.queue, self.queue._queue
+        admitted = len(fifo) < queue.capacity
+        if admitted:
+            packet.enqueue_time = now
+            fifo.append(packet)
+            if self._serve_at == INF and self._service_time is not None:
+                # An idle fixed-rate link starts serving.  Its completion
+                # claims the newest seq, so only an earlier time moves head.
+                scheduler = self.scheduler
+                self._serve_at, self._serve_seq = now + self._service_time, scheduler._seq
+                scheduler._seq += 1
+                if self.head is None or self._serve_at < self.head[0]:
+                    self.head = (self._serve_at, self._serve_seq)
+        else:
+            queue.drops[CCA_FLOW] = queue.drops.get(CCA_FLOW, 0) + 1
+        if queue._sample_depth:
+            queue._depth_times.append(now)
+            queue._depth_values.append(len(fifo))
+        return admitted
+
+    def run_events(self, bound: Any, horizon: float, budget: int) -> int:
+        """Run this link's events keyed before ``bound`` and at or before
+        ``horizon``, at most ``budget`` of them (see :mod:`.engine`)."""
+        # An event keyed (t, s) runs while (t, s) < (end, end_seq).
+        end, end_seq = (horizon, INF) if bound is None or horizon < bound[0] else bound[:2]
+        scheduler, queue, lane = self.scheduler, self.queue, self.scheduler.lane
+        seq, deliveries = scheduler._seq, lane._events
+        fifo, capacity, sampling = queue._queue, queue.capacity, queue._sample_depth
+        depth_times, depth_values = queue._depth_times, queue._depth_values
+        delay, deliver, record_until = self.propagation_delay, self.deliver, self.horizon
+        service_time, opportunities = self._service_time, self._opportunities
+        cross, cross_seq, sent = self._cross, self._cross_seq, self.cross_sent
+        serve_at, serve_seq = self._serve_at, self._serve_seq
+        ran = 0
+        while True:
+            at = cross[sent]
+            if at < serve_at or (at == serve_at and cross_seq + sent < serve_seq):
+                # A cross arrival: queued as its time, or tail-dropped.
+                if ran == budget or at > end or (at == end and cross_seq + sent > end_seq):
+                    head = (at, cross_seq + sent) if at < INF else None
+                    break
+                now = at
+                sent += 1
+                if len(fifo) < capacity:
+                    fifo.append(now)
+                    if serve_at == INF and service_time is not None:
+                        serve_at, serve_seq = now + service_time, seq
+                        seq += 1
+                else:
+                    queue.drops[CROSS_FLOW] = queue.drops.get(CROSS_FLOW, 0) + 1
+                if sampling:
+                    depth_times.append(now)
+                    depth_values.append(len(fifo))
+            else:
+                # A service: a completion or a transmission opportunity.
+                if ran == budget or serve_at > end or (serve_at == end and serve_seq > end_seq):
+                    head = (serve_at, serve_seq) if serve_at < INF else None
+                    break
+                now = serve_at
+                if fifo:
+                    item = fifo.popleft()
+                    if sampling:
+                        depth_times.append(now)
+                        depth_values.append(len(fifo))
+                    arrival = now + delay
+                    if type(item) is float:
+                        if arrival <= record_until:
+                            self.cross_admissions.append(item)
+                            self.cross_departures.append(now)
+                    else:
+                        item.dequeue_time = now
+                        deliveries.append((arrival, seq, None, deliver, (item,)))
+                        # The delivery is an entry of the propagation lane:
+                        # no later link event may run before it.
+                        if arrival < end or (arrival == end and seq < end_seq):
+                            end, end_seq = arrival, seq
+                        seq += 1
+                else:
+                    self.wasted_opportunities += 1
+                if opportunities is not None:
+                    serve_seq += 1
+                    serve_at = opportunities[serve_seq - self._opportunity_seq]
+                elif fifo:
+                    # Busy self-clocking: chain the next completion.
+                    serve_at, serve_seq = now + service_time, seq
+                    seq += 1
+                else:
+                    serve_at = serve_seq = INF
+            ran += 1
+        scheduler.now, scheduler._seq = now, seq
+        if deliveries:
+            lane._last_time = deliveries[-1][0]
+        self.cross_sent, self.head = sent, head
+        self._serve_at, self._serve_seq = serve_at, serve_seq
+        return ran
 
 
 class FixedRateLink(Link):
@@ -102,7 +221,7 @@ class FixedRateLink(Link):
     queue is non-empty.  Service is work-conserving.
     """
 
-    __slots__ = ("rate_pps", "_service_time", "_busy", "_service_lane")
+    __slots__ = ("rate_pps",)
 
     def __init__(
         self,
@@ -117,36 +236,6 @@ class FixedRateLink(Link):
             raise ValueError("link rate must be positive")
         self.rate_pps = rate_pps
         self._service_time = 1.0 / rate_pps
-        self._busy = False
-        # While busy, completions fire every service time; pushes happen at
-        # nondecreasing times, so the stream is monotone.
-        self._service_lane: FifoLane = scheduler.fifo_lane()
-        queue.set_enqueue_callback(self.on_enqueue)
-
-    def on_enqueue(self, now: float) -> None:
-        """The queue admitted an item at ``now``: start serving if idle."""
-        if not self._busy:
-            self._busy = True
-            self._service_lane.push_at(now + self._service_time, self._finish_service)
-
-    def _finish_service(self) -> None:
-        now = self.scheduler.now
-        item = self.queue.dequeue(now)
-        if item is not None:
-            arrival = now + self.propagation_delay
-            if type(item) is float:
-                if arrival <= self.horizon:
-                    self.cross_admissions.append(item)
-                    self.cross_departures.append(now)
-            else:
-                item.dequeue_time = now
-                self._delivery_lane.push_at(arrival, self.deliver, item)
-        if self.queue._queue:
-            # Busy self-clocking: chain the next departure without going
-            # idle (matches the work-conserving service discipline).
-            self._service_lane.push_at(now + self._service_time, self._finish_service)
-        else:
-            self._busy = False
 
 
 class TraceDrivenLink(Link):
@@ -164,7 +253,7 @@ class TraceDrivenLink(Link):
         pre-sorted.
     """
 
-    __slots__ = ("opportunities", "wasted_opportunities", "_opportunity_lane")
+    __slots__ = ("opportunities",)
 
     def __init__(
         self,
@@ -178,31 +267,10 @@ class TraceDrivenLink(Link):
         self.opportunities: List[float] = sorted_input_times(
             opportunities, "transmission opportunities"
         )
-        self.wasted_opportunities = 0
-        # Opportunities are installed pre-sorted, so they form a monotone lane.
-        self._opportunity_lane: FifoLane = scheduler.fifo_lane()
 
-    def start(self, horizon: float) -> None:
-        """Schedule all transmission opportunities up to ``horizon``."""
-        super().start(horizon)
-        lane = self._opportunity_lane
-        callback = self._service_opportunity
-        for t in self.opportunities:
-            if t > horizon:
-                continue
-            lane.push_at(t, callback)
-
-    def _service_opportunity(self) -> None:
-        now = self.scheduler.now
-        item = self.queue.dequeue(now)
-        if item is None:
-            self.wasted_opportunities += 1
-            return
-        arrival = now + self.propagation_delay
-        if type(item) is float:
-            if arrival <= self.horizon:
-                self.cross_admissions.append(item)
-                self.cross_departures.append(now)
-        else:
-            item.dequeue_time = now
-            self._delivery_lane.push_at(arrival, self.deliver, item)
+    def start(self, horizon: float, cross_times: Sequence[float] = ()) -> None:
+        """Claim the opportunities' ``seq`` block, then the cross arrivals'."""
+        opportunities, first = self._claim(self.opportunities, horizon)
+        self._opportunities, self._opportunity_seq = opportunities, first
+        self._serve_at, self._serve_seq = opportunities[0], first
+        super().start(horizon, cross_times)

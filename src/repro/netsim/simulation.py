@@ -277,7 +277,6 @@ def run_simulation(
         raise SimulationTruncated(events_executed, scheduler.now, config.max_events)
 
     receiver = topology.receiver
-    link = topology.link
     return SimulationResult(
         config=config,
         monitor=topology.monitor,
@@ -294,7 +293,7 @@ def run_simulation(
         cross_sent=topology.cross_sent,
         cross_delivered=topology.cross_delivered,
         cross_dropped_at_queue=topology.queue.drops.get(CROSS_FLOW, 0),
-        link_wasted_opportunities=getattr(link, "wasted_opportunities", 0),
+        link_wasted_opportunities=topology.link.wasted_opportunities,
         forced_losses=topology.forced_losses,
         events_executed=events_executed,
     )

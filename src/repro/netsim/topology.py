@@ -8,16 +8,15 @@ same propagation delay.
 
 The FIFO holds :class:`Packet`s of the flow under test and cross admission
 times.  Cross traffic is open-loop and only counted at the sink, so it is no
-object at all: each injection is one event on a pre-sorted lane that calls
-:meth:`DropTailQueue.admit_cross` with its time, the link records the
+object at all: the link takes the pre-sorted injection times at start and
+runs them in its own schedule (see :mod:`repro.netsim.link`), records the
 admission and departure times of the cross packets it delivers, and the
 monitor derives the cross flow's series from those columns when they are
-first read.  Sink arrivals are not scheduler events.
+first read.  Neither injections nor sink arrivals are scheduler entries.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from ..tcp.cca.base import CongestionControl
@@ -97,19 +96,16 @@ class DumbbellTopology:
             record_series=config.record_series,
         )
 
-        # Cross-traffic injections, pre-sorted, so they form a monotone lane.
+        # Cross-traffic injections, pre-sorted for the link's schedule.
         self._cross_times: Optional[List[float]] = None
-        self._cross_scheduled = 0
         if cross_traffic_times is not None:
             self._cross_times = sorted_input_times(
                 cross_traffic_times, "cross-traffic injection times"
             )
-            self._cross_lane = scheduler.fifo_lane()
 
         # ACKs return after the same fixed propagation delay as forward-path
-        # deliveries, from nondecreasing emission times, so they share the
-        # link's monotone propagation lane.
-        self._ack_lane = self.link.propagation_lane
+        # deliveries, from nondecreasing emission times: the propagation lane.
+        self._ack_lane = scheduler.lane
 
         # Random-loss schedule (section 5 extension): each entry drops the
         # next CCA packet departing the bottleneck at or after that time.
@@ -131,7 +127,7 @@ class DumbbellTopology:
             self.forced_losses += 1
             self.monitor.on_ingress(packet, now, admitted=False)
             return
-        admitted = self.queue.enqueue(packet, now)
+        admitted = self.link.admit(packet, now)
         self.monitor.on_ingress(packet, now, admitted)
 
     def _deliver_to_sink(self, packet: Packet) -> None:
@@ -155,10 +151,8 @@ class DumbbellTopology:
 
     @property
     def cross_sent(self) -> int:
-        """Cross packets injected so far: the injection events that ran."""
-        if self._cross_times is None:
-            return 0
-        return self._cross_scheduled - len(self._cross_lane)
+        """Cross packets injected so far: the link's cross arrivals that ran."""
+        return self.link.cross_sent
 
     @property
     def cross_delivered(self) -> int:
@@ -167,14 +161,7 @@ class DumbbellTopology:
 
     def start(self) -> None:
         """Install all initial events."""
-        horizon = self.config.duration
-        self.link.start(horizon)
-        if self._cross_times is not None:
-            self._cross_scheduled = bisect_right(self._cross_times, horizon)
-            push_at = self._cross_lane.push_at
-            admit = self.queue.admit_cross
-            for t in self._cross_times[: self._cross_scheduled]:
-                push_at(t, admit, t)
+        self.link.start(self.config.duration, self._cross_times or ())
         self.sender.start()
 
     def run(self) -> int:

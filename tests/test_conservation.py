@@ -1,7 +1,8 @@
 """Packet conservation: every packet of either flow is accounted for.
 
 Both halves run on the same random inputs; the flow under test's half is
-stated at its test.  Cross traffic is open-loop: each injection at or before
+stated at its test, and so is the bound that holds the link's service to
+its capacity on those inputs.  Cross traffic is open-loop: each injection at or before
 ``duration`` is sent, and a sent packet is dropped at the gateway, delivered
 to the sink, or still on its way (queued, or propagating past the horizon)
 when the run ends.  Once the link has had time to drain a full queue behind
@@ -124,7 +125,7 @@ def test_flow_under_test_is_conserved(cca, losses, **draw):
     queued = sum(type(item) is not float for item in network.queue._queue)
     deliver = network.link.deliver
     propagating = sum(
-        event[3] == deliver for event in network.link.propagation_lane._events
+        event[3] == deliver for event in network.scheduler.lane._events
     )
     accounted = (
         result.delivered_segments() + result.queue_drops.get(CCA_FLOW, 0)
@@ -138,6 +139,39 @@ def test_flow_under_test_is_conserved(cca, losses, **draw):
     else:
         served = math.ceil(window * mbps_to_pps(config.bottleneck_rate_mbps)) + 1
     assert propagating <= served
+
+
+@settings(max_examples=60, deadline=None)
+@given(**SCENARIOS)
+def test_service_is_within_capacity(cca, **draw):
+    """Delivered <= capacity, read from the run's topology.
+
+    Every item the gateway admitted (either flow's) was served by the
+    horizon or is still queued.  A trace-driven link serves at most one item
+    per opportunity at or before the horizon, and each it does not serve is
+    counted as wasted, so the two add up exactly.  A fixed-rate link serves
+    at most one item per ``1 / rate`` of the run (one more absorbs the
+    rounding of its service clock).  The FIFO never holds more than its
+    capacity, at any admission, drop or service.
+    """
+    config, inputs, _, _ = _scenario(**draw)
+    config = config.with_overrides(record_series=True)
+    horizon = config.duration
+    result, network = _run_keeping_topology(cca, config, **inputs)
+
+    admitted = (
+        result.monitor.sent_count(CCA_FLOW) - result.queue_drops.get(CCA_FLOW, 0)
+        + result.cross_sent - result.cross_dropped_at_queue
+    )
+    served = admitted - len(network.queue)
+    if "link_trace" in inputs:
+        opportunities = sum(t <= horizon for t in inputs["link_trace"])
+        assert served + result.link_wasted_opportunities == opportunities
+    else:
+        rate_pps = mbps_to_pps(config.bottleneck_rate_mbps)
+        assert served <= math.floor(horizon * rate_pps) + 1
+    depths = [depth for _, depth in network.queue.depth_samples]
+    assert max(depths, default=0) <= config.queue_capacity
 
 
 @settings(max_examples=15, deadline=None)

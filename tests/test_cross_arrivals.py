@@ -6,8 +6,9 @@ departure times of those that reach the sink by the horizon, and the monitor
 derives the cross flow's series from them on first read.
 
 The oracle here is the path cross traffic took as a packet.  One
-``CrossPacket`` per injection is admitted through a queue that counts drops
-by ``packet.flow`` and streamed into the monitor at ingress and egress.  Its
+``CrossPacket`` per injection is admitted to the link like a packet of the
+flow under test, or tail-dropped and counted by ``packet.flow``, and streamed
+into the monitor at ingress and egress.  Its
 sink arrival is an event on the propagation lane, stamped by the scheduler's
 clock when it runs and dropped by the run loop's horizon when it lands after
 ``duration``.  Swapped into the topology, the packet path must give the same
@@ -29,7 +30,6 @@ from repro.netsim import simulation, topology
 from repro.netsim.link import mbps_to_pps
 from repro.netsim.monitor import FlowMonitor, _FlowSeries
 from repro.netsim.packet import CCA_FLOW, CROSS_FLOW
-from repro.netsim.queue import DropTailQueue
 from repro.netsim.simulation import SimulationConfig, run_simulation
 from repro.tcp import Bbr, Reno
 from repro.tcp.cca import cca_factory
@@ -53,31 +53,6 @@ class CrossPacket:
 def flow_of(packet) -> str:
     """A packet's flow: a ``Packet`` carries none, it is the flow under test."""
     return getattr(packet, "flow", CCA_FLOW)
-
-
-class PacketQueue(DropTailQueue):
-    """The drop-tail queue that held packets of both flows, counting drops by
-    ``packet.flow``."""
-
-    __slots__ = ()
-
-    def enqueue(self, packet, now):
-        queue = self._queue
-        if len(queue) >= self.capacity:
-            flow = flow_of(packet)
-            self.drops[flow] = self.drops.get(flow, 0) + 1
-            if self._sample_depth:
-                self._depth_times.append(now)
-                self._depth_values.append(len(queue))
-            return False
-        packet.enqueue_time = now
-        queue.append(packet)
-        if self._sample_depth:
-            self._depth_times.append(now)
-            self._depth_values.append(len(queue))
-        if self._on_enqueue is not None:
-            self._on_enqueue(now)
-        return True
 
 
 class StreamingMonitor(FlowMonitor):
@@ -105,7 +80,11 @@ class StreamingMonitor(FlowMonitor):
 
 
 class PacketTopology(topology.DumbbellTopology):
-    """The dumbbell with cross traffic as packets and sink arrivals as events."""
+    """The dumbbell with cross traffic as packets and sink arrivals as events.
+
+    Injections are heap entries, scheduled where the link claims its cross
+    arrivals' ``seq`` block: right after the opportunities'.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -120,16 +99,24 @@ class PacketTopology(topology.DumbbellTopology):
         self.link.start(horizon)
         for t in self._cross_times or ():
             if t <= horizon:
-                self._cross_lane.push_at(t, self._inject)
+                self.scheduler.schedule_at(t, self._inject)
         self.sender.start()
 
     def _inject(self):
         now = self.scheduler.now
         packet = CrossPacket(self.sent)
         self.sent += 1
-        admitted = self.queue.enqueue(packet, now)
-        if not admitted:
+        queue = self.queue
+        admitted = len(queue) < queue.capacity
+        if admitted:
+            self.link.admit(packet, now)
+        else:
+            # The queue counted a tail drop by ``packet.flow``.
             self.dropped += 1
+            queue.drops[CROSS_FLOW] = queue.drops.get(CROSS_FLOW, 0) + 1
+            if queue._sample_depth:
+                queue._depth_times.append(now)
+                queue._depth_values.append(len(queue))
         self.monitor.on_ingress(packet, now, admitted)
 
     def _deliver_to_sink(self, packet):
@@ -154,7 +141,6 @@ def run_packet_path(cca, config, monitor_class=StreamingMonitor, **inputs):
             built.append(self)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(topology, "DropTailQueue", PacketQueue)
         patch.setattr(simulation, "DumbbellTopology", Topology)
         result = run_simulation(cca, config, **inputs)
     return result, built[0].dropped

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event scheduler, and the reference its two
-equivalence claims are held to: lanes merged by ``(time, seq)`` behave as a
-pure heap, and ``LazyTimer.arm`` as cancel + reschedule."""
+equivalence claims are held to: the lane merged by ``(time, seq)`` behaves
+as a pure heap, and ``LazyTimer.arm`` as cancel + reschedule.  The third
+source, a link's own schedule, is held to its reference in
+``tests/test_link_schedule.py``; its hand-off is tested here."""
 
 from __future__ import annotations
 
@@ -11,6 +13,9 @@ import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
 from repro.netsim.engine import EventScheduler, LazyTimer
+from repro.netsim.link import TraceDrivenLink
+from repro.netsim.packet import Packet
+from repro.netsim.queue import DropTailQueue
 
 
 def test_events_run_in_time_order():
@@ -110,6 +115,44 @@ def test_max_events_leaves_the_clock_at_the_last_event():
     assert scheduler.now == 5.0
 
 
+class CountedLink(TraceDrivenLink):
+    """Records how many events each hand-off ran."""
+
+    __slots__ = ("calls",)
+
+    def run_events(self, *args):
+        ran = super().run_events(*args)
+        self.calls.append(ran)
+        assert ran, "a hand-off that runs nothing spins the run loop"
+        return ran
+
+
+def test_a_hand_off_runs_at_least_one_event_and_one_at_the_horizon():
+    """The run loop hands the link control only when its first event is due
+    before every other entry and at or before ``until``; each call runs at
+    least one event, including events at exactly ``until``."""
+    scheduler = EventScheduler()
+    queue = DropTailQueue(capacity_packets=5)
+    delivered = []
+    link = CountedLink(
+        scheduler, queue, delivered.append, opportunities=[0.5, 1.0], propagation_delay=0.0
+    )
+    link.calls = []
+    link.start(1.0, [0.25, 1.0])
+    scheduler.schedule_at(0.5, link.admit, Packet(seq=7), 0.5)
+    # Link: the 0.25 arrival, the 0.5 opportunity (reserved before the heap
+    # entry, so it serves the cross item).  Heap: the packet.  Link: the 1.0
+    # opportunity serves it, then the 1.0 arrival.  Lane: its delivery.
+    assert scheduler.run(until=1.0) == 6
+    assert link.calls == [2, 2]
+    assert scheduler.now == 1.0
+    assert [p.seq for p in delivered] == [7]
+    assert list(queue._queue) == [1.0] and link.cross_sent == 2
+    # Nothing of the link's is left at or before the horizon: no hand-off.
+    assert scheduler.run(until=1.0) == 0
+    assert link.calls == [2, 2]
+
+
 # --------------------------------------------------------------------------- #
 # Oracle: EventScheduler against a pure-heap cancel-and-reschedule scheduler
 # --------------------------------------------------------------------------- #
@@ -191,9 +234,9 @@ class KeepsSeqOnRearmTimer(LazyTimer):
 
 
 TICK = 0.25  # exact in binary, and coarse: most generated events share a timestamp
-LANES = TIMERS = 2
+TIMERS = 2
 
-#: (kind, lane-or-timer, delay in ticks, offset of the first child op, child count):
+#: (kind, timer, delay in ticks, offset of the first child op, child count):
 #: a fired event executes its child ops, which always lie after it in the program.
 OP = st.tuples(
     st.sampled_from(["schedule", "schedule_at", "push", "arm", "disarm"]),
@@ -218,22 +261,21 @@ PROGRAM = st.tuples(
 
 def real_world(timer_class=LazyTimer):
     scheduler = EventScheduler()
-    lanes = [scheduler.fifo_lane() for _ in range(LANES)]
-    return scheduler, lanes, functools.partial(timer_class, scheduler)
+    return scheduler, scheduler.lane, functools.partial(timer_class, scheduler)
 
 
 def reference_world():
     scheduler = ReferenceScheduler()
-    return scheduler, [scheduler] * LANES, scheduler.timer
+    return scheduler, scheduler, scheduler.timer
 
 
 def run_program(world, program):
     """Drive one scheduler through ``program``; returns everything observable:
     the executed ``(time, label)`` sequence and ``(executed, clock)`` per run."""
     ops, timer_programs, prelude, runs = program
-    scheduler, lanes, make_timer = world
+    scheduler, lane, make_timer = world
     log = []
-    lane_floor = [0.0] * LANES  # lanes take nondecreasing times only
+    lane_floor = [0.0]  # the lane takes nondecreasing times only
     fuel = [120]  # programs may loop (a timer re-arming itself at delay 0)
 
     def fire(index):
@@ -260,8 +302,8 @@ def run_program(world, program):
             elif kind == "schedule_at":
                 scheduler.schedule_at(max(now, ticks * TICK), fire, index)
             elif kind == "push":
-                lane_floor[which] = time = max(now + ticks * TICK, lane_floor[which])
-                lanes[which].push_at(time, fire, index)
+                lane_floor[0] = time = max(now + ticks * TICK, lane_floor[0])
+                lane.push_at(time, fire, index)
             elif kind == "arm":
                 timers[which].arm(now + ticks * TICK)
             else:

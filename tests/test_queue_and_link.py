@@ -14,60 +14,90 @@ def make_packet(seq: int = 0) -> Packet:
     return Packet(seq=seq)
 
 
+def trace_link(queue, opportunities=(), deliver=lambda p: None):
+    """A trace-driven link on ``queue`` with no propagation delay."""
+    return TraceDrivenLink(
+        EventScheduler(), queue, deliver, opportunities=opportunities, propagation_delay=0.0
+    )
+
+
 class TestDropTailQueue:
     def test_enqueue_dequeue_fifo_order(self):
         queue = DropTailQueue(capacity_packets=10)
+        delivered = []
+        link = trace_link(queue, [1.0] * 5, delivered.append)
         for seq in range(5):
-            assert queue.enqueue(make_packet(seq), now=0.0)
-        order = [queue.dequeue(now=1.0).seq for _ in range(5)]
-        assert order == [0, 1, 2, 3, 4]
+            assert link.admit(make_packet(seq), now=0.0)
+        link.start(horizon=1.0)
+        link.scheduler.run(until=1.0)
+        assert [p.seq for p in delivered] == [0, 1, 2, 3, 4]
 
     def test_tail_drop_when_full(self):
         queue = DropTailQueue(capacity_packets=3)
+        link = trace_link(queue)
         for seq in range(3):
-            assert queue.enqueue(make_packet(seq), now=0.0)
-        assert not queue.enqueue(make_packet(99), now=0.0)
+            assert link.admit(make_packet(seq), now=0.0)
+        assert not link.admit(make_packet(99), now=0.0)
         assert queue.drops == {CCA_FLOW: 1}
         assert len(queue) == 3
 
     def test_per_flow_drop_accounting(self):
+        scheduler = EventScheduler()
         queue = DropTailQueue(capacity_packets=1)
-        queue.enqueue(make_packet(0), now=0.0)
-        queue.enqueue(make_packet(1), now=0.0)
-        queue.admit_cross(0.0)
+        link = FixedRateLink(scheduler, queue, lambda p: None, rate_pps=100.0)
+        link.start(horizon=1.0, cross_times=[0.0])
+        assert link.admit(make_packet(0), now=0.0)
+        assert not link.admit(make_packet(1), now=0.0)
+        assert scheduler.run(max_events=1) == 1  # the cross arrival, into a full queue
         assert queue.drops == {CCA_FLOW: 1, CROSS_FLOW: 1}
 
     def test_cross_packet_is_its_admission_time(self):
+        scheduler = EventScheduler()
         queue = DropTailQueue(capacity_packets=5)
-        queue.enqueue(make_packet(0), now=0.1)
-        queue.admit_cross(0.2)
-        assert queue.depth_samples == [(0.1, 1), (0.2, 2)]
-        assert queue.dequeue(now=0.3).seq == 0
-        assert queue.dequeue(now=0.4) == 0.2
+        link = TraceDrivenLink(
+            scheduler, queue, lambda p: None, opportunities=[0.3, 0.4], propagation_delay=0.0
+        )
+        link.admit(make_packet(0), now=0.1)
+        link.start(horizon=1.0, cross_times=[0.2])
+        scheduler.run(until=0.35)
+        assert queue.depth_samples == [(0.1, 1), (0.2, 2), (0.3, 1)]
+        assert list(queue._queue) == [0.2]
+        scheduler.run(until=1.0)
+        assert (link.cross_admissions, link.cross_departures) == ([0.2], [0.4])
         assert queue.depth_samples[-1] == (0.4, 0)
 
     def test_enqueue_stamps_time_and_samples_depth(self):
         queue = DropTailQueue(capacity_packets=5)
         packet = make_packet(0)
-        queue.enqueue(packet, now=1.25)
+        trace_link(queue).admit(packet, now=1.25)
         assert packet.enqueue_time == 1.25
         assert queue.depth_samples[-1] == (1.25, 1)
 
-    def test_dequeue_empty_returns_none(self):
+    def test_an_empty_queue_is_served_nothing_and_not_sampled(self):
         queue = DropTailQueue(capacity_packets=5)
-        assert queue.dequeue(now=0.0) is None
+        link = trace_link(queue, [0.5])
+        link.start(horizon=1.0)
+        assert link.scheduler.run(until=1.0) == 1
+        assert link.wasted_opportunities == 1
+        assert queue.depth_samples == []
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             DropTailQueue(capacity_packets=0)
 
-    def test_enqueue_callback_invoked(self):
-        calls = []
-        queue = DropTailQueue(capacity_packets=5)
-        queue.set_enqueue_callback(calls.append)
-        queue.enqueue(make_packet(7), now=0.5)
-        queue.admit_cross(0.75)
-        assert calls == [0.5, 0.75]
+    def test_admitting_starts_an_idle_fixed_rate_link(self):
+        """Admitting to an idle link arms its next completion, claiming a
+        ``seq``; admitting to a busy one, or a refused packet, claims none."""
+        scheduler = EventScheduler()
+        queue = DropTailQueue(capacity_packets=2)
+        link = FixedRateLink(scheduler, queue, lambda p: None, rate_pps=4.0)
+        link.start(horizon=1.0)
+        assert link.head is None
+        link.admit(make_packet(7), now=0.5)
+        link.admit(make_packet(8), now=0.5)
+        link.admit(make_packet(9), now=0.5)
+        assert link.head == (0.75, 0)
+        assert scheduler._seq == 1
 
 
 class TestRateConversions:
@@ -93,7 +123,7 @@ class TestFixedRateLink:
         )
         link.start(horizon=1.0)
         for seq in range(10):
-            queue.enqueue(make_packet(seq), now=0.0)
+            link.admit(make_packet(seq), now=0.0)
         scheduler.run(until=1.0)
         assert len(delivered) == 10
         # One packet every 10 ms at 100 packets/s.
@@ -110,7 +140,7 @@ class TestFixedRateLink:
             rate_pps=1000.0, propagation_delay=0.02,
         )
         link.start(horizon=1.0)
-        queue.enqueue(make_packet(0), now=0.0)
+        link.admit(make_packet(0), now=0.0)
         scheduler.run(until=1.0)
         assert delivered[0] == pytest.approx(0.001 + 0.02)
 
@@ -123,9 +153,9 @@ class TestFixedRateLink:
             rate_pps=1000.0, propagation_delay=0.0,
         )
         link.start(horizon=1.0)
-        queue.enqueue(make_packet(0), now=0.0)
+        link.admit(make_packet(0), now=0.0)
         scheduler.run(until=0.5)
-        scheduler.schedule(0.0, lambda: queue.enqueue(make_packet(1), scheduler.now))
+        scheduler.schedule(0.0, lambda: link.admit(make_packet(1), scheduler.now))
         scheduler.run(until=1.0)
         assert len(delivered) == 2
 
@@ -138,10 +168,8 @@ class TestFixedRateLink:
         link = FixedRateLink(
             scheduler, queue, delivered.append, rate_pps=100.0, propagation_delay=0.05,
         )
-        link.start(horizon=0.075)
-        queue.admit_cross(0.0)
-        queue.enqueue(make_packet(0), now=0.0)
-        queue.admit_cross(0.0)
+        link.start(horizon=0.075, cross_times=[0.0, 0.005])
+        scheduler.schedule_at(0.0, link.admit, make_packet(0), 0.0)
         scheduler.run(until=0.075)
         assert [p.seq for p in delivered] == [0]
         assert link.cross_admissions == [0.0]
@@ -165,7 +193,7 @@ class TestTraceDrivenLink:
             opportunities=[0.1, 0.2, 0.3], propagation_delay=0.0,
         )
         for seq in range(2):
-            queue.enqueue(make_packet(seq), now=0.0)
+            link.admit(make_packet(seq), now=0.0)
         link.start(horizon=1.0)
         scheduler.run(until=1.0)
         assert [seq for seq, _ in delivered] == [0, 1]
@@ -196,7 +224,7 @@ class TestTraceDrivenLink:
             opportunities=[0.3, 0.1, 0.2], propagation_delay=0.0,
         )
         for seq in range(3):
-            queue.enqueue(make_packet(seq), now=0.0)
+            link.admit(make_packet(seq), now=0.0)
         link.start(horizon=1.0)
         scheduler.run(until=1.0)
         assert delivered == pytest.approx([0.1, 0.2, 0.3])
