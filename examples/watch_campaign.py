@@ -4,8 +4,9 @@ Every campaign (unless run with ``--no-telemetry``) streams its progress
 into the corpus directory as it runs:
 
 * ``metrics.jsonl`` — an append-only event stream (campaign/scenario/
-  generation records plus periodic metrics-registry snapshots);
-* ``metrics.prom`` — the final registry snapshot in Prometheus text format;
+  generation records plus periodic metrics-registry snapshots; the latest
+  one is what ``status --prometheus`` and the dashboard's ``/metrics``
+  render as Prometheus text);
 * ``run_manifest.json`` — config fingerprints, versions, host info and the
   result digest, written at campaign end.
 

@@ -102,9 +102,9 @@ class CorpusEntry:
         Its own trace under its recorded network condition, scored by its
         recorded objective, against the CCA it was found with — or against
         ``cca``, which is what replay varies.  Every re-evaluation of a
-        stored entry (replay, the dashboard, ``map --rebuild``, the chaos
-        checks) builds its job here, so they all land on the cache key
-        discovery used.  Raises ``ValueError`` for an unregistered CCA name.
+        stored entry (replay, the dashboard, the chaos checks) builds its job
+        here, so they all land on the cache key discovery used.  Raises
+        ``ValueError`` for an unregistered CCA name.
         """
         return EvaluationJob(
             cca_factory(cca or self.cca), self.sim_config(), self.trace, self.score_function()
@@ -487,17 +487,6 @@ class CorpusStore(CorpusReader):
                 old.behavior = dict(behavior)
             self._commit(old)
             return False
-
-    def annotate_behavior(self, fingerprint: str, payload: Dict[str, Any]) -> None:
-        """Attach (or replace) a behavior-signature annotation and persist it.
-
-        Used by ``repro-coverage map --rebuild`` to backfill entries that
-        predate the coverage subsystem.
-        """
-        with self._lock:
-            entry = self.get(fingerprint)
-            entry.behavior = dict(payload)
-            self._commit(entry)
 
     def annotate_triage(self, fingerprint: str, payload: Dict[str, Any]) -> None:
         """Attach triage metadata to an existing entry and persist it.

@@ -46,10 +46,9 @@ from .coverage import (
     GUIDANCE_MODES,
     BehaviorArchive,
     diff_archives,
-    signature_from_summary,
 )
+from .coverage.archive import read_corpus_map
 from .exec.backend import BACKENDS, create_backend
-from .exec.batch import Evaluator
 from .exec.workers import simulate_packet_trace
 from .journal import CampaignJournal, JournalCorruption
 from .journal.log import read_corpus_journal_view
@@ -59,9 +58,6 @@ from .obs import (
     CampaignTelemetry,
     Console,
     add_console_flags,
-    latest_snapshot,
-    prometheus_text,
-    read_metrics,
 )
 from .scoring.objectives import OBJECTIVES
 from .tcp.cca import CCA_FACTORIES
@@ -165,7 +161,7 @@ def _add_launch_options(parser: _Parser) -> None:
     )
     parser.add_argument(
         "--no-telemetry", action="store_true",
-        help="do not write metrics.jsonl / metrics.prom / run_manifest.json "
+        help="do not write metrics.jsonl / run_manifest.json "
              "into the corpus directory (the journal still records the outcome "
              "that 'report' shows)",
     )
@@ -476,93 +472,28 @@ def _triage(args: _Args, parser: _Parser, console: Console) -> None:
 # --------------------------------------------------------------------------- #
 
 
-def _annotated_archive(corpus: CorpusReader) -> BehaviorArchive:
-    """The behavior map a corpus's per-entry annotations describe (no simulation).
-
-    An elite's ``objective`` is its score function's fingerprint, as a
-    campaign records it, so a rebuilt map's scores compare with a live one's.
-    """
-    archive = BehaviorArchive()
-    for entry in corpus.entries():
-        signature = signature_from_summary({"behavior_signature": entry.behavior})
-        if signature is None:
-            continue
-        archive.observe(
-            signature,
-            entry.score,
-            entry.fingerprint,
-            trace=entry.trace,
-            provenance={
-                "scenario": entry.scenario_id,
-                "objective": entry.score_function().fingerprint(),
-            },
-        )
-    return archive
-
-
 def _load_archive(path: str, parser: _Parser) -> BehaviorArchive:
-    """Load a behavior archive from a map file or a campaign corpus dir.
-
-    A corpus directory is resolved through its ``behavior_map.json`` when a
-    campaign has written one; otherwise the archive is reconstructed from
-    the per-entry behavior annotations in the corpus index.
-    """
+    """A behavior map file, or a corpus directory's map read as
+    ``/api/coverage`` reads it (:func:`read_corpus_map`)."""
     if os.path.isdir(path):
-        map_path = BehaviorArchive.corpus_path(path)
-        if not os.path.exists(map_path):
-            if not CorpusReader.is_corpus(path):
-                parser.error(f"{path} is neither a behavior map nor a corpus directory")
-            return _annotated_archive(CorpusReader(path))
-        path = map_path
-    elif not os.path.exists(path):
+        if not any(
+            os.path.exists(source)
+            for source in (BehaviorArchive.corpus_path(path), CampaignJournal.corpus_path(path))
+        ):
+            parser.error(f"{path} holds neither a behavior map nor a campaign journal")
+        with _usage_errors(parser):
+            payload, _ = read_corpus_map(path, read_corpus_journal_view(path), strict=True)
+            return BehaviorArchive.from_dict(payload)
+    if not os.path.exists(path):
         parser.error(f"no behavior map or corpus at {path}")
     with _usage_errors(parser):
         return BehaviorArchive.load(path)
 
 
-def _rebuild_corpus_coverage(corpus_dir: str, console: Console) -> BehaviorArchive:
-    """Re-evaluate a corpus to refresh behavior annotations + the map."""
-    store = CorpusStore(corpus_dir)
-    # No recorded discovery CCA (builtin attacks, imports) means no
-    # discovery-time behavior to reproduce; annotating such entries with an
-    # arbitrary CCA's behavior would invent coverage no fuzzing run produced.
-    entries = [entry for entry in store.entries() if entry.cca]
-    skipped = len(store) - len(entries)
-    # The jobs are the ones discovery ran, so the outcomes carry the
-    # discovery-time signatures: rebuilding an unchanged corpus leaves every
-    # annotation as it was.
-    outcomes = Evaluator().evaluate([entry.evaluation_job() for entry in entries])
-    for entry, (_, summary) in zip(entries, outcomes):
-        signature = signature_from_summary(summary)
-        if signature is None:
-            console.status(f"evaluation of {entry.fingerprint[:12]} failed; annotation kept")
-            continue
-        store.annotate_behavior(entry.fingerprint, signature.to_dict())
-    if skipped:
-        console.status(
-            f"skipped {skipped} entries with no recorded discovery CCA "
-            "(builtins/imports)"
-        )
-    # The map is, by definition, what the (refreshed) annotations describe.
-    archive = _annotated_archive(store)
-    archive.save(BehaviorArchive.corpus_path(corpus_dir))
-    return archive
-
-
 def _coverage_map(args: _Args, parser: _Parser, console: Console) -> None:
     from .analysis.reporting import format_coverage_map
 
-    if args.rebuild:
-        if not (os.path.isdir(args.path) and CorpusReader.is_corpus(args.path)):
-            parser.error("--rebuild needs a corpus directory")
-        archive = _rebuild_corpus_coverage(args.path, console)
-        # Status goes to stderr so `--rebuild --json` still emits clean
-        # JSON on stdout.
-        console.status(
-            f"behavior map rebuilt and written to {BehaviorArchive.corpus_path(args.path)}"
-        )
-    else:
-        archive = _load_archive(args.path, parser)
+    archive = _load_archive(args.path, parser)
     if args.json:
         console.result(json.dumps(archive.to_dict(), indent=1, sort_keys=True))
     else:
@@ -757,13 +688,13 @@ def _campaign_status(args: _Args, parser: _Parser, console: Console) -> None:
             f"no campaign telemetry at {metrics_path} "
             "(run the campaign without --no-telemetry)"
         )
-    if args.prometheus:
-        snapshot = latest_snapshot(read_metrics(metrics_path))
-        if snapshot is None:
-            parser.error(f"no metrics snapshot in {metrics_path} yet")
-        console.result(prometheus_text(snapshot), end="")
-        return
     watcher = StatusWatcher(args.corpus)
+    if args.prometheus:
+        text = watcher.prometheus()
+        if text is None:
+            parser.error(f"no metrics snapshot in {metrics_path} yet")
+        console.result(text, end="")
+        return
     clear = "\x1b[2J\x1b[H" if args.watch is not None and sys.stdout.isatty() else ""
     try:
         while True:
@@ -1006,11 +937,6 @@ def coverage_main(argv: Optional[List[str]] = None) -> int:
                          help="elite cells to list")
         cmd.add_argument("--json", action="store_true",
                          help="print the raw archive JSON instead of the ASCII map")
-        cmd.add_argument(
-            "--rebuild", action="store_true",
-            help="re-simulate every corpus entry to (re)compute its behavior "
-                 "signature, annotate the corpus and rewrite behavior_map.json",
-        )
 
     with _command(_coverage_diff, commands, "diff", help="compare two behavior maps") as cmd:
         cmd.add_argument("path_a", help="baseline map or corpus dir")
@@ -1063,7 +989,8 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
                                    help="emit the status as JSON")
         status_format.add_argument(
             "--prometheus", action="store_true",
-            help="emit the latest metrics snapshot in Prometheus text format",
+            help="emit this run's latest metrics snapshot in Prometheus text "
+                 "format (what the dashboard's /metrics serves)",
         )
         cmd.add_argument(
             "--watch", type=_positive_float("--watch"), default=None, metavar="SECONDS",

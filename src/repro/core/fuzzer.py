@@ -434,12 +434,7 @@ class CCFuzz:
 
     def _next_generation(self, population: Population, generation: int) -> Population:
         cfg = self.config
-        if self._guidance.name == "score":
-            # The exact pre-coverage path: pure fitness ranking, no archive
-            # reads, no extra rng draws — bit-identical by construction.
-            ranked = population.sorted_by_fitness()
-        else:
-            ranked = self._guidance.rank(population, self.archive)
+        ranked = self._guidance.rank(population, self.archive)
         next_population = Population()
 
         # With the cache enabled, elite clones are left unevaluated and served

@@ -33,12 +33,15 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..obs.metrics import get_registry
 from ..storage import publish_json, read_json_object
 from ..traces.trace import PacketTrace
 from .signature import SIGNATURE_SCHEMA, BehaviorSignature
+
+if TYPE_CHECKING:
+    from ..journal.view import JournalView
 
 #: behavior_map.json schema version, bumped on incompatible layout changes.
 ARCHIVE_SCHEMA = 1
@@ -391,10 +394,7 @@ class BehaviorArchive:
         """Strict deserialization: an unusable payload raises ``ValueError``."""
         cells = _archive_cells(payload)
         if cells is None:
-            raise ValueError(
-                f"behavior archive is missing, torn, or not schema {ARCHIVE_SCHEMA} "
-                f"with signature schema {SIGNATURE_SCHEMA}"
-            )
+            raise ValueError(_UNUSABLE)
         archive = cls()
         archive.observations = int(payload.get("observations", 0))
         archive.new_cells = int(payload.get("new_cells", 0))
@@ -425,6 +425,12 @@ class BehaviorArchive:
         return cls.load(path) if os.path.exists(path) else cls()
 
 
+_UNUSABLE = (
+    f"behavior archive is missing, torn, or not schema {ARCHIVE_SCHEMA} "
+    f"with signature schema {SIGNATURE_SCHEMA}"
+)
+
+
 def _archive_cells(payload: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
     """The one schema check of an archive payload: its cells, or ``None``."""
     if (
@@ -437,19 +443,40 @@ def _archive_cells(payload: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]
     return cells if isinstance(cells, dict) else None
 
 
-def read_archive_cells(path: str) -> Dict[str, Dict[str, Any]]:
-    """Cell payloads from a ``behavior_map.json``, strictly read-only.
+def read_corpus_map(
+    corpus_dir: str, view: "JournalView", strict: bool = False
+) -> Tuple[Dict[str, Any], int]:
+    """A corpus directory's behavior map: the one reader ``repro-coverage``
+    and ``/api/coverage`` share, ``view`` being the corpus's replayed journal.
 
-    The observer's side of :meth:`BehaviorArchive.load`: the same read and
-    schema check, but a missing, torn or mismatched file yields ``{}`` (the
-    dashboard overlays live journal deltas on top, so an absent on-disk map
-    just means the campaign has not finalised one yet).  Payloads are
-    returned as plain dicts — exactly what :meth:`CellElite.to_dict` wrote
-    and what journal ``behavior_delta`` records carry — so callers can merge
-    the two sources without a strict deserialization step in between.
+    ``behavior_map.json`` is final when its ``observations`` differ from the
+    ``archive_baseline`` of the journal's ``campaign_start`` (that campaign
+    saved it), and is read alone: a fleet's deltas hold per-scenario
+    payloads the finalize merge has summed.  Otherwise the file predates the
+    journal's campaign, and the journal's delta cells and counters overlay
+    it (a live or killed run).  Returns the map as :meth:`BehaviorArchive.to_dict`
+    shapes it and how many cells the file held.  A missing file holds none,
+    and so does a torn or mismatched one, which ``strict`` raises for.
     """
-    cells = _archive_cells(read_json_object(path)) or {}
-    return {cell: payload for cell, payload in cells.items() if isinstance(payload, dict)}
+    path = BehaviorArchive.corpus_path(corpus_dir)
+    stored = read_json_object(path)
+    stored_cells = _archive_cells(stored)
+    if stored_cells is None:
+        if strict and os.path.exists(path):
+            raise ValueError(_UNUSABLE)
+        stored, stored_cells = {}, {}
+    cells = {cell: payload for cell, payload in stored_cells.items() if isinstance(payload, dict)}
+    counters = {name: stored.get(name, 0) for name in ("observations", "new_cells", "improvements")}
+    file_cells = len(cells)
+    baseline = (view.campaign or {}).get("archive_baseline")
+    if not stored or not isinstance(baseline, dict) or (
+        stored.get("observations") == baseline.get("observations")
+    ):
+        cells.update((cell, p) for cell, p in view.behavior_cells.items() if isinstance(p, dict))
+        if isinstance(view.archive_counters, dict):
+            counters = view.archive_counters
+    return {"schema": ARCHIVE_SCHEMA, "signature_schema": SIGNATURE_SCHEMA, **counters,
+            "cells": cells}, file_cells
 
 
 def diff_archives(a: BehaviorArchive, b: BehaviorArchive) -> Dict[str, Any]:

@@ -15,9 +15,9 @@ It is the one path from a batch of
 :class:`~repro.exec.workers.EvaluationJob` to its outcomes — key each job
 (:func:`~repro.exec.cache.job_cache_key`), resolve through the cache, run the
 misses on a backend — and every producer of a score or a behavior signature
-(the GA, the triage engines, corpus replay, the dashboard's replay endpoint,
-``repro-coverage map --rebuild``) calls it, so "simulations run" and "cache
-hits" mean exactly the same thing everywhere.
+(the GA, the triage engines, corpus replay, the dashboard's replay
+endpoint) calls it, so "simulations run" and "cache hits" mean exactly the
+same thing everywhere.
 """
 
 from __future__ import annotations

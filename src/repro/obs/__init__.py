@@ -10,9 +10,9 @@ safe to leave on everywhere:
    granularity, never per-event (<2% overhead, benchmark-gated);
 3. crash-tolerant, not crash-proof — telemetry files are unfsync'd and
    readers tolerate torn tails (durability lives in ``repro.journal``);
-4. queryable — ``metrics.jsonl``, ``metrics.prom`` and
-   ``run_manifest.json`` are machine-readable artifacts, rendered live by
-   ``repro-campaign status``.
+4. queryable — ``metrics.jsonl`` and ``run_manifest.json`` are
+   machine-readable artifacts, rendered live by ``repro-campaign status``
+   (``--prometheus``, like ``/metrics``, renders the latest snapshot).
 """
 
 from .console import Console, add_console_flags
@@ -36,12 +36,10 @@ from .metrics import (
 from .sinks import (
     METRICS_FILENAME,
     MetricsJsonlSink,
-    PROMETHEUS_FILENAME,
     latest_snapshot,
     prometheus_text,
     read_metrics,
     tail_metrics_records,
-    write_prometheus,
 )
 from .spans import PhaseTracer
 from .status import (
@@ -71,12 +69,10 @@ __all__ = [
     "set_enabled",
     "METRICS_FILENAME",
     "MetricsJsonlSink",
-    "PROMETHEUS_FILENAME",
     "latest_snapshot",
     "prometheus_text",
     "read_metrics",
     "tail_metrics_records",
-    "write_prometheus",
     "PhaseTracer",
     "StatusWatcher",
     "collect_status",

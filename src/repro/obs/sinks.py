@@ -1,4 +1,4 @@
-"""Telemetry sinks: the ``metrics.jsonl`` stream and Prometheus text export.
+"""Telemetry sinks: the ``metrics.jsonl`` stream and its Prometheus rendering.
 
 Telemetry artifacts live next to the corpus they describe but are strictly
 write-only from the campaign's point of view — nothing in the search ever
@@ -6,8 +6,8 @@ reads them back, so they cannot perturb results.  Unlike the journal, the
 stream's appends are *not* fsync'd (losing the tail of a metrics stream on
 a crash is acceptable; losing campaign state is not), and its one reader,
 :func:`tail_metrics_records`, leaves a torn final line unread for the same
-reason.  ``metrics.prom`` is a whole-file artifact and is published like
-every other (:func:`repro.storage.publish`).
+reason.  Prometheus text is rendered from its latest ``metrics`` record
+(:func:`prometheus_text`), never stored.
 
 ``metrics.jsonl`` is a stream of one-object-per-line records.  Every record
 has ``t`` (wall-clock seconds since the epoch — telemetry is the one place
@@ -19,20 +19,20 @@ snapshot), ``campaign_complete``.  Readers must ignore unknown types.
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..storage import publish, read_appended, split_lines
+from ..storage import read_appended, split_lines
 from .metrics import METRICS_SCHEMA, MetricsRegistry, Snapshot
 
 #: Default seconds between periodic full-snapshot records.
 DEFAULT_SNAPSHOT_INTERVAL_S = 5.0
 
 METRICS_FILENAME = "metrics.jsonl"
-PROMETHEUS_FILENAME = "metrics.prom"
 
 
 class MetricsJsonlSink:
@@ -156,8 +156,10 @@ def latest_snapshot(records: List[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
 # ---------------------------------------------------------------------- #
 
 
+@functools.lru_cache(maxsize=1024)
 def _prom_name(name: str) -> str:
-    """``sim.wall_s`` -> ``repro_sim_wall_s`` (Prometheus-legal)."""
+    """``sim.wall_s`` -> ``repro_sim_wall_s`` (Prometheus-legal); memoized,
+    as the per-character sanitiser is most of a render's cost."""
     sanitized = "".join(
         ch if ch.isalnum() or ch == "_" else "_" for ch in name.replace(".", "_")
     )
@@ -203,9 +205,3 @@ def prometheus_text(snapshot: Snapshot) -> str:
         lines.append(f"{prom}_sum {payload['sum']}")
     return "\n".join(lines) + "\n"
 
-
-def write_prometheus(snapshot: Snapshot, directory: Union[str, Path]) -> Path:
-    """Publish ``<dir>/metrics.prom`` for file-based scraping."""
-    target = Path(directory) / PROMETHEUS_FILENAME
-    publish(target, prometheus_text(snapshot))
-    return target

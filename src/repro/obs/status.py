@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from .manifest import read_manifest
-from .sinks import METRICS_FILENAME, latest_snapshot, tail_metrics_records
+from .sinks import METRICS_FILENAME, latest_snapshot, prometheus_text, tail_metrics_records
 
 #: The exec layer's fault counters ``status`` shows (registry ``exec.<name>``).
 _FAULT_COUNTERS = (
@@ -57,9 +57,17 @@ def _attach_artifacts(status: Dict[str, Any], corpus_dir: Path) -> Dict[str, Any
 
     Both the CLI renderer and the dashboard's ``/api/status`` consume the
     dict this produces, so manifest presence, the result digest and the
-    quarantine count can never diverge between the two front ends.
+    quarantine count can never diverge between the two front ends.  The
+    manifest is the current run's only when it names the run's campaign and
+    was finished at or after the run started; an earlier run's is not shown.
     """
     manifest = read_manifest(corpus_dir)
+    started_at = status.get("started_at")
+    if manifest is not None and (
+        manifest.get("campaign") != status.get("campaign")
+        or started_at is not None and _num(manifest, "finished_at", -math.inf) < started_at
+    ):
+        manifest = None
     status["manifest"] = manifest
     status["manifest_present"] = manifest is not None
     status["result_digest"] = ((manifest or {}).get("result") or {}).get(
@@ -318,13 +326,13 @@ def fold_status(
 class StatusWatcher:
     """Poll a live campaign's status with incremental stream reads.
 
-    Used by both ``repro-campaign status --watch`` and the dashboard's
-    ``/api/status`` endpoint: each :meth:`poll` reads only the bytes appended
-    to ``metrics.jsonl`` since the previous one (it carries the byte offset
-    :func:`~repro.obs.sinks.tail_metrics_records` returns) and refolds what
-    it has accumulated.  Records before the latest ``campaign_start``/
-    ``campaign_resume`` are dropped as they are superseded, so memory stays
-    bounded by the current run.
+    Used by both ``repro-campaign status`` and the dashboard's
+    ``/api/status`` and ``/metrics`` endpoints: each :meth:`poll` or
+    :meth:`prometheus` reads only the bytes appended to ``metrics.jsonl``
+    since the previous call (it carries the byte offset
+    :func:`~repro.obs.sinks.tail_metrics_records` returns).  Records before
+    the latest ``campaign_start``/``campaign_resume`` are dropped as they are
+    superseded, so memory stays bounded by the current run.
     """
 
     def __init__(self, corpus_dir: Union[str, Path]) -> None:
@@ -333,14 +341,28 @@ class StatusWatcher:
         self._offset = 0
         self._records: List[Dict[str, Any]] = []
 
-    def poll(self) -> Dict[str, Any]:
-        """Return the current status dict (same shape as :func:`collect_status`)."""
+    def _advance(self) -> None:
         new_records, offset = tail_metrics_records(self._stream, self._offset)
         if offset < self._offset:
             self._records = []             # the stream was replaced under us
         self._offset = offset
         self._records = _current_run(self._records + new_records)
+
+    def poll(self) -> Dict[str, Any]:
+        """Return the current status dict (same shape as :func:`collect_status`)."""
+        self._advance()
         return fold_status(self._records, self.corpus_dir)
+
+    def prometheus(self) -> Optional[str]:
+        """The current run's latest ``metrics`` record as Prometheus text
+        (``None`` without a well-formed one): the one reader behind ``status
+        --prometheus`` and ``/metrics``.  It tails the stream, folding nothing."""
+        self._advance()
+        snapshot = latest_snapshot(self._records)
+        try:
+            return prometheus_text(snapshot) if snapshot is not None else None
+        except (KeyError, TypeError, ValueError, AttributeError):
+            return None
 
 
 def _fmt_rate(value: Optional[float], unit: str = "/s") -> str:

@@ -8,7 +8,7 @@ every evaluated generation); the telemetry object turns them into
 * ``metrics.jsonl`` records (plus throttled full registry snapshots),
 * one span per scenario with its counter attribution,
 * an optional single-line live progress report on stderr,
-* and, at campaign end, the Prometheus export and ``run_manifest.json``.
+* and, at campaign end, a final snapshot and ``run_manifest.json``.
 
 Everything here is strictly observational: hooks read counters the search
 already maintains and write to files the search never reads, so a campaign
@@ -20,13 +20,12 @@ no-op so call sites never branch.
 from __future__ import annotations
 
 import contextlib
-import sys
 import time
 from typing import IO, Any, Dict, Iterable, Optional
 
 from .manifest import build_manifest, write_manifest
 from .metrics import get_registry
-from .sinks import MetricsJsonlSink, write_prometheus
+from .sinks import MetricsJsonlSink
 from .spans import PhaseTracer
 
 
@@ -143,14 +142,12 @@ class CampaignTelemetry:
         )
 
     def campaign_completed(self, spec, result=None, *, resumed: bool = False) -> None:
-        """Final flush: completion record, Prometheus export, manifest."""
+        """Final flush: last snapshot, completion record, manifest."""
         if not self.enabled:
             return
         self._clear_progress_line()
-        registry = get_registry()
-        snapshot = registry.snapshot()
         assert self._sink is not None and self.tracer is not None
-        self._sink.maybe_snapshot(registry, force=True)
+        self._sink.maybe_snapshot(get_registry(), force=True)
         self._emit(
             "campaign_complete",
             {
@@ -159,7 +156,6 @@ class CampaignTelemetry:
                 "phases": self.tracer.summary(),
             },
         )
-        write_prometheus(snapshot, self.corpus_dir)
         write_manifest(
             build_manifest(spec, result=result, started_at=self._started_at, resumed=resumed),
             self.corpus_dir,

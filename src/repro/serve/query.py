@@ -21,17 +21,10 @@ from ..campaign.corpus import (
     read_corpus_entry,
     read_corpus_index,
 )
-from ..coverage.archive import BehaviorArchive, read_archive_cells
+from ..coverage.archive import read_corpus_map
 from ..journal.log import JOURNAL_FILENAME, JournalCursor
 from ..journal.view import JournalView
-from ..obs.sinks import (
-    METRICS_FILENAME,
-    PROMETHEUS_FILENAME,
-    latest_snapshot,
-    prometheus_text,
-    read_metrics,
-    tail_metrics_records,
-)
+from ..obs.sinks import METRICS_FILENAME, tail_metrics_records
 from ..obs.status import StatusWatcher
 
 #: Longest long-poll wait the stream endpoint will honour (seconds).
@@ -136,19 +129,11 @@ class DashboardQuery:
     # ------------------------------------------------------------------ #
 
     def coverage(self) -> Dict[str, Any]:
-        """Behavior-map heatmap + gaps, overlaying live journal deltas.
-
-        ``behavior_map.json`` is only finalised at campaign boundaries; the
-        journal's ``behavior_delta`` records carry the cells opened since.
-        Journal cells win on conflict — they are the fresher fold.
-        """
-        cells = read_archive_cells(BehaviorArchive.corpus_path(self.corpus_dir))
-        archive_cells = len(cells)
+        """Behavior-map heatmap + gaps, read as ``repro-coverage`` reads it
+        (:func:`~repro.coverage.archive.read_corpus_map`)."""
         view = self._journal_view()
-        for cell, payload in view.behavior_cells.items():
-            if isinstance(payload, dict):
-                cells[cell] = payload
-        shaped = shape_coverage(cells)
+        payload, archive_cells = read_corpus_map(self.corpus_dir, view)
+        shaped = shape_coverage(payload["cells"])
         shaped["sources"] = {
             "archive_cells": archive_cells,
             "journal_cells": len(view.behavior_cells),
@@ -187,22 +172,8 @@ class DashboardQuery:
     # ------------------------------------------------------------------ #
 
     def prometheus(self) -> str:
-        """Prometheus text exposition for the mounted campaign.
-
-        Prefers the campaign's own atomically-written ``metrics.prom``;
-        falls back to rendering the latest registry snapshot from the
-        telemetry stream (a still-running campaign refreshes those every
-        few seconds, long before it finalises the ``.prom`` file).
-        """
-        prom_path = Path(self.corpus_dir) / PROMETHEUS_FILENAME
-        try:
-            return prom_path.read_text(encoding="utf-8")
-        except OSError:
-            pass
-        snapshot = latest_snapshot(read_metrics(self.metrics_path))
-        if snapshot is not None:
-            try:
-                return prometheus_text(snapshot)
-            except (KeyError, TypeError, ValueError):
-                pass                       # a malformed snapshot reads as none
-        return "# no metrics recorded yet\n"
+        """The bytes ``status --prometheus`` prints: the status watcher's
+        rendering of the latest snapshot (a poll tails, never re-folds)."""
+        with self._watcher_lock:
+            text = self._watcher.prometheus()
+        return text if text is not None else "# no metrics recorded yet\n"

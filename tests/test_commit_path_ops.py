@@ -101,7 +101,6 @@ def test_an_insert_encodes_one_index_row_whatever_the_corpus_size(tmp_path, size
     for write in (
         lambda: store.add(_trace(size), scenario_id="s", score=1.0),                 # new
         lambda: store.add(_trace(3), scenario_id="s", objective="throughput", score=9e9),  # re-find
-        lambda: store.annotate_behavior(_trace(5).fingerprint(), {"cell": "c"}),
         lambda: store.annotate_triage(_trace(6).fingerprint(), {"class": "robust"}),
     ):
         before = _rows_encoded()

@@ -27,12 +27,12 @@ from repro.netsim.simulation import SimulationConfig, simulate_packet_trace
 from repro.obs import (
     MANIFEST_FILENAME,
     METRICS_FILENAME,
-    PROMETHEUS_FILENAME,
     CampaignTelemetry,
     Console,
     MetricsJsonlSink,
     MetricsRegistry,
     PhaseTracer,
+    StatusWatcher,
     collect_status,
     format_status,
     prometheus_text,
@@ -41,7 +41,6 @@ from repro.obs import (
     set_enabled,
     spec_fingerprint,
     status_json,
-    write_prometheus,
 )
 from repro.obs.metrics import get_registry, reset_registry
 from repro.obs.spans import SPAN_FIELDS
@@ -138,7 +137,7 @@ def test_cli_campaign_leaves_well_formed_telemetry(tmp_path, capsys):
     assert manifest["spec_fingerprint"]
     assert manifest["result"]["deterministic_digest"]
     assert manifest["result"]["total_evaluations"] > 0
-    assert (corpus_dir / PROMETHEUS_FILENAME).exists()
+    assert "# TYPE repro_fuzzer_evaluations counter" in StatusWatcher(corpus_dir).prometheus()
 
 
 #: Runs a campaign (``argv[1]`` spec, ``argv[2]`` corpus) with every way of
@@ -232,12 +231,6 @@ class TestTelemetryStream:
         records = read_metrics(corpus_dir / METRICS_FILENAME)
         assert records[-1]["type"] == "campaign_complete" and records[-1]["phases"]
         assert any(record["type"] == "metrics" for record in records)
-
-    def test_prometheus_file_is_exported(self, campaign):
-        corpus_dir, _ = campaign
-        text = (corpus_dir / PROMETHEUS_FILENAME).read_text()
-        assert "# TYPE repro_fuzzer_evaluations counter" in text
-        assert "repro_sim_events" in text
 
     def test_status_view(self, campaign):
         corpus_dir, result = campaign
@@ -455,7 +448,7 @@ class TestSinks:
         sink.emit("metrics", {})  # must not raise or resurrect the handle
         assert len(read_metrics(tmp_path / METRICS_FILENAME)) == 1
 
-    def test_prometheus_rendering(self, tmp_path):
+    def test_prometheus_rendering(self):
         registry = MetricsRegistry()
         registry.inc("sim.events", 5)
         registry.gauge_set("exec.workers", 2)
@@ -475,10 +468,6 @@ class TestSinks:
             if line.startswith("repro_journal_append_s_bucket")
         ]
         assert counts == sorted(counts)
-
-        path = write_prometheus(snapshot, str(tmp_path))
-        assert str(path) == str(tmp_path / PROMETHEUS_FILENAME)
-        assert (tmp_path / PROMETHEUS_FILENAME).read_text() == text
 
 
 class TestPhaseTracer:

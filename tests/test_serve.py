@@ -24,7 +24,6 @@ from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore, replay_cor
 from repro.campaign.corpus import read_corpus_index
 from repro.cli import campaign_main
 from repro.coverage import BehaviorArchive
-from repro.coverage.archive import read_archive_cells
 from repro.obs import collect_status
 from repro.serve import DashboardServer
 
@@ -143,10 +142,8 @@ class TestEndpoints:
         corpus_dir, _ = campaign
         status, payload = fetch(server, "/api/coverage")
         assert status == 200
-        archived = read_archive_cells(
-            BehaviorArchive.corpus_path(str(corpus_dir))
-        )
-        assert payload["cells"] >= len(archived) > 0
+        archived = BehaviorArchive.load(BehaviorArchive.corpus_path(str(corpus_dir)))
+        assert payload["cells"] == len(archived) > 0
         assert payload["sources"]["archive_cells"] == len(archived)
         for heat in payload["heatmap"].values():
             assert len(heat["counts"]) == len(heat["rows"])
@@ -324,6 +321,6 @@ class TestObservationalInvariance:
         assert read_corpus_index(str(observed_dir)) == read_corpus_index(
             str(control_dir)
         )
-        assert read_archive_cells(
+        assert BehaviorArchive.load(
             BehaviorArchive.corpus_path(str(observed_dir))
-        ) == read_archive_cells(BehaviorArchive.corpus_path(str(control_dir)))
+        ).to_dict() == BehaviorArchive.load(BehaviorArchive.corpus_path(str(control_dir))).to_dict()

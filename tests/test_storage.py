@@ -22,8 +22,6 @@ from repro.exec.quarantine import QuarantineStore
 from repro.journal import CampaignJournal, JournalCorruption, merge_journals
 from repro.journal.log import read_journal_view
 from repro.obs.manifest import write_manifest
-from repro.obs.metrics import empty_snapshot
-from repro.obs.sinks import write_prometheus
 from repro.storage import publish
 from repro.traces import TrafficTrace
 
@@ -65,7 +63,6 @@ PUBLISH_SITES = {
         lambda d: lambda: BehaviorArchive().save(BehaviorArchive.corpus_path(str(d))),
     ),
     "run_manifest.json": ("run_manifest.json", lambda d: lambda: write_manifest({"a": 1}, d)),
-    "metrics.prom": ("metrics.prom", lambda d: lambda: write_prometheus(empty_snapshot(), d)),
     "compact": ("journal.jsonl", lambda d: _journal_with_records(d).compact),
     "merge_journals": (
         "merged.jsonl",
@@ -155,7 +152,7 @@ def test_readers_leave_a_live_corpus_directory_alone(tmp_path, capsys):
     CampaignRunner(
         CampaignSpec.from_dict(TINY_SPEC), CorpusStore(str(corpus_dir)), telemetry=False
     ).run()
-    # Without a finalised map, ``coverage gaps`` rebuilds from the corpus.
+    # Without a finalised map, ``coverage gaps`` reads the journal's cells.
     os.remove(corpus_dir / "behavior_map.json")
     for planted in ("index.json.tmp", "entries/abc.json.tmp", "journal.jsonl.tmp",
                     "behavior_map.json.tmp"):

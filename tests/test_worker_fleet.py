@@ -92,7 +92,7 @@ def test_fleet_with_killed_worker_matches_serial_control(
     assert state["attacks_registered"] == fleet_control["attacks_registered"]
     # The worker subprocesses were told what the driver was: no telemetry
     # files, and — no progress callback given — nothing on stdout.
-    for name in ("metrics.jsonl", "metrics.prom", "run_manifest.json"):
+    for name in ("metrics.jsonl", "run_manifest.json"):
         assert not (corpus_dir / name).exists(), name
     assert capfd.readouterr().out == ""
 
