@@ -2,15 +2,15 @@
 
 Two writes sit on the per-insert / per-generation commit path:
 
-* ``CorpusStore.add`` — entry file + ``index.json``, both published
-  atomically with their fsyncs — timed per insert into a corpus that already
-  holds N entries, and
+* ``CorpusStore.add`` — an insert in memory (``CorpusStore.fold`` publishes
+  the entry file and ``index.json`` once, when the campaign ends) — timed per
+  insert into a corpus that already holds N entries, and
 * ``BehaviorArchive.delta_since`` — the cells a ``behavior_delta`` record
   carries — timed per call with 4 cells touched since the mark, out of N.
 
-Both should stay flat in N: an insert encodes one index row and a delta
-serialises the touched cells (``tests/test_commit_path_ops.py`` asserts those
-counts; this script only reports times, for the README table).
+Both should stay flat in N: an insert publishes nothing and a delta
+serialises the touched cells (``tests/test_commit_path_ops.py`` asserts both;
+this script only reports times, for the README table).
 
     PYTHONPATH=src python benchmarks/commit_path_scaling.py
 """

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 
 from repro import CCFuzz, FuzzConfig, Reno, SimulationConfig, run_simulation
-from repro.analysis import ascii_chart, format_generation_progress, format_table
+from repro.analysis import ascii_chart, format_table
 
 
 def main() -> None:
@@ -43,9 +43,6 @@ def main() -> None:
             f"(mean {stats.mean_fitness:.3f})"
         )
     )
-
-    print("\nGeneration progress:")
-    print(format_generation_progress(result.generations))
 
     best_trace = result.best_trace
     clean = run_simulation(Reno, SimulationConfig(duration=args.duration))

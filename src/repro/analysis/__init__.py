@@ -1,12 +1,11 @@
 """Analysis utilities: metrics, queueing analysis, stall timelines, findings, reporting."""
 
 from .findings import FINDINGS, findings_of, verdict_table
-from .metrics import FlowMetrics, compute_metrics, goodput_mbps
-from .queueing import max_queue_depth, queue_depth_series, time_above_delay
+from .metrics import FlowMetrics, compute_metrics
+from .queueing import max_queue_depth, queue_depth_series
 from .reporting import (
     ascii_chart,
     format_campaign_summary,
-    format_generation_progress,
     format_table,
     format_triage_report,
 )
@@ -22,12 +21,9 @@ __all__ = [
     "describe_bug_timeline",
     "findings_of",
     "format_campaign_summary",
-    "format_generation_progress",
     "format_table",
     "format_triage_report",
-    "goodput_mbps",
     "max_queue_depth",
     "queue_depth_series",
-    "time_above_delay",
     "verdict_table",
 ]

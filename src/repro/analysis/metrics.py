@@ -54,13 +54,3 @@ def compute_metrics(result: SimulationResult) -> FlowMetrics:
         cross_traffic_packets=result.cross_sent,
     )
 
-
-def goodput_mbps(result: SimulationResult) -> float:
-    """Application goodput: unique segments delivered per second, in Mbps.
-
-    Retransmitted copies of already-delivered segments do not count, so the
-    goodput of a flow suffering heavy spurious retransmission is visibly lower
-    than its raw throughput.
-    """
-    unique_delivered = result.receiver_stats.get("rcv_next", 0)
-    return unique_delivered * result.config.mss_bytes * 8.0 / result.duration / 1e6

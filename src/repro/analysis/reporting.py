@@ -410,18 +410,3 @@ def shape_rankings(
         "triage_classes": dict(sorted(classifications.items())),
     }
 
-
-def format_generation_progress(generations: Sequence[object]) -> str:
-    """Table of per-generation GA statistics (works with GenerationStats)."""
-    rows = []
-    for stats in generations:
-        rows.append(
-            {
-                "generation": getattr(stats, "generation", "?"),
-                "best_fitness": getattr(stats, "best_fitness", float("nan")),
-                "top_k_mean": getattr(stats, "top_k_mean_fitness", float("nan")),
-                "mean_fitness": getattr(stats, "mean_fitness", float("nan")),
-                "evaluations": getattr(stats, "evaluations", 0),
-            }
-        )
-    return format_table(rows)

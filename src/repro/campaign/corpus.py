@@ -3,52 +3,82 @@
 On-disk layout (one directory per corpus)::
 
     corpus/
+      journal.jsonl        # the campaign journal; its corpus_insert records
       index.json           # schema version + per-entry summaries
       entries/<fp>.json    # full entry: the trace plus its provenance
+      folded.json          # the journal size and mtime the files hold
 
 Entries are keyed by :meth:`PacketTrace.fingerprint`, so re-discovering a
 trace (same timestamps, duration, MSS) in another scenario or campaign never
 duplicates it — instead the entry's ``rediscoveries`` counter grows and its
-recorded score is upgraded if the new find scored higher.  Every write is
-published through :func:`repro.storage.publish` straight away, so a corpus
-directory is always loadable even if a campaign is interrupted mid-run.
+recorded score is upgraded if the new find scored higher.
 
-Access comes in two types.  :class:`CorpusReader` only ever opens files for
-reading, so it is safe on a directory another process is writing, and
-everything that only reads (fleet workers, ``report``/``replay``,
-``repro-triage --corpus``, ``repro-coverage``) holds one.
-:class:`CorpusStore` is that reader plus ``add``/``annotate_*``, the orphan
-sweep and the index publish; one process at a time may hold it on a
-directory.  Both go through the same parse of each file; an index it cannot
+The corpus is a fold of the journal.  During a campaign an insert is only a
+``corpus_insert`` record (:class:`~repro.campaign.scheduler.InsertLog`); when
+it ends, :meth:`CorpusStore.fold` publishes each changed entry file, then
+``index.json``, then (unless it failed) ``folded.json``, once.  Every
+reader sees the files plus the journal's inserts they lack, applied by
+:meth:`CorpusReader.apply`, so a killed or live campaign's corpus reads as
+its journal says, and a finished one costs a ``stat`` of the journal
+against ``folded.json``, not a parse.
+
+:class:`CorpusReader` only ever opens files for reading, so it is safe on a
+directory another process is writing; everything that only reads holds one.
+:class:`CorpusStore` adds ``add``/``annotate_triage``/``fold`` and the orphan
+sweep; one process at a time may hold it on a directory.  An index it cannot
 use is an empty corpus to the reader and a refusal to open to the store.
-
-Entries arrive two ways: a campaign's harvest, through the write-ahead
-:class:`~repro.campaign.scheduler.InsertLog` (``repro-fuzz`` runs a
-one-scenario campaign, so its ``--output-dir`` is a corpus like any other),
-and the triage pipeline's minimized variants.
+Triage, the one writer outside a campaign, folds after each entry.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set
 
 from ..exec.workers import EvaluationJob
+from ..journal import CampaignJournal, JournalView
+from ..journal.log import JOURNAL_FILENAME, read_corpus_journal_view
 from ..netsim.simulation import SimulationConfig
 from ..obs.metrics import get_registry
 from ..scoring.base import ScoreFunction
 from ..scoring.objectives import make_score_function
-from ..storage import publish, read_json_object
+from ..storage import dump_json, file_stamp, publish_all, publish_json, read_json_object
 from ..tcp.cca import cca_factory
 from ..traces.constraints import may_join_population
-from ..traces.trace import PacketTrace
+from ..traces.trace import TRACE_CLASSES, PacketTrace
 from .spec import NetworkCondition
 
 #: index.json schema version, bumped on incompatible layout changes.
 CORPUS_SCHEMA = 1
+
+#: The file naming the journal bytes the last fold put into the files.  It is
+#: not a key of index.json because the journal differs between a resumed
+#: campaign and an uninterrupted one, while their index.json must not.
+FOLD_MARK_FILENAME = "folded.json"
+
+#: The provenance fields an insert may set, with their values when it does not.
+ENTRY_FIELDS: Dict[str, Any] = {
+    "scenario_id": "",
+    "cca": "",
+    "objective": "",
+    "score": None,
+    "generation_found": 0,
+    "origin": "fuzz",
+    "campaign": "",
+    "condition": {},
+    "derived_from": "",
+    "triage": {},
+    "behavior": {},
+}
+
+#: The payload fields an index.json row repeats.
+_ROW_FIELDS = ("mode", "scenario_id", "cca", "objective", "score", "origin",
+               "generation_found", "rediscoveries", "derived_from")
+
+#: A serialised trace's ``type`` -> its fuzzing mode.
+_MODES_BY_TYPE = {cls.__name__: mode for mode, cls in TRACE_CLASSES.items()}
 
 #: Objective assumed for entries that carry none (builtin attacks).
 DEFAULT_OBJECTIVE = "throughput"
@@ -115,25 +145,6 @@ class CorpusEntry:
         default one for entries that record none)."""
         return make_score_function(self.objective or DEFAULT_OBJECTIVE, self.mode)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "fingerprint": self.fingerprint,
-            "mode": self.mode,
-            "scenario_id": self.scenario_id,
-            "cca": self.cca,
-            "objective": self.objective,
-            "score": self.score,
-            "generation_found": self.generation_found,
-            "origin": self.origin,
-            "campaign": self.campaign,
-            "condition": dict(self.condition),
-            "rediscoveries": self.rediscoveries,
-            "derived_from": self.derived_from,
-            "triage": dict(self.triage),
-            "behavior": dict(self.behavior),
-            "trace": self.trace.to_dict(),
-        }
-
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "CorpusEntry":
         trace = PacketTrace.from_dict(payload["trace"])
@@ -141,51 +152,14 @@ class CorpusEntry:
             trace=trace,
             fingerprint=payload["fingerprint"],
             mode=payload.get("mode", trace.mode),
-            scenario_id=payload.get("scenario_id", ""),
-            cca=payload.get("cca", ""),
-            objective=payload.get("objective", ""),
-            score=payload.get("score"),
-            generation_found=int(payload.get("generation_found", 0)),
-            origin=payload.get("origin", "fuzz"),
-            campaign=payload.get("campaign", ""),
-            condition=dict(payload.get("condition", {})),
             rediscoveries=int(payload.get("rediscoveries", 0)),
-            derived_from=payload.get("derived_from", ""),
-            triage=dict(payload.get("triage", {})),
-            behavior=dict(payload.get("behavior", {})),
+            **_given(payload),
         )
 
-    def summary(self) -> Dict[str, Any]:
-        """The compact index.json row (everything except the trace itself)."""
-        return {
-            "mode": self.mode,
-            "scenario_id": self.scenario_id,
-            "cca": self.cca,
-            "objective": self.objective,
-            "score": self.score,
-            "origin": self.origin,
-            "duration": self.duration,
-            "packets": self.trace.packet_count,
-            "average_rate_mbps": self.trace.average_rate_mbps,
-            "generation_found": self.generation_found,
-            "rediscoveries": self.rediscoveries,
-            "derived_from": self.derived_from,
-            "triaged": bool(self.triage),
-            "behavior_cell": self.behavior.get("cell", ""),
-        }
-
 
 # ---------------------------------------------------------------------- #
-# Reading the files
+# The one reader: the files plus the journal's unfolded inserts
 # ---------------------------------------------------------------------- #
-#
-# An observer (dashboard, status poll, read-only CLI command, fleet worker)
-# must never construct a CorpusStore against a live campaign's directory:
-# its constructor creates entries/, sweeps orphan *.tmp files (which would
-# race the owning campaign's in-flight publishes) and writes index.json when
-# missing.  These helpers only ever open files for reading and return
-# ``None``/empty instead of raising — a query answering mid-write should
-# render what it can.  The writer parses through them too.
 
 
 def _index_rows(corpus_dir: str) -> Optional[Dict[str, Dict[str, Any]]]:
@@ -197,14 +171,15 @@ def _index_rows(corpus_dir: str) -> Optional[Dict[str, Dict[str, Any]]]:
     return dict(entries) if isinstance(entries, dict) else None
 
 
-def read_corpus_index(corpus_dir: str) -> Dict[str, Dict[str, Any]]:
-    """``index.json`` rows (fingerprint -> summary), ``{}`` when unusable.
+def _journal_mark(corpus_dir: str) -> Optional[Dict[str, int]]:
+    """Size and mtime of the corpus's journal (``None``: there is none)."""
+    stamp = file_stamp(CampaignJournal.corpus_path(corpus_dir))
+    return None if stamp is None else {"bytes": stamp[1], "mtime_ns": stamp[2]}
 
-    Publishes are atomic, so a *torn* index can only be seen through a
-    non-atomic copy of the directory, but an observer should answer sanely
-    against that too.
-    """
-    return _index_rows(corpus_dir) or {}
+
+def read_corpus_index(corpus_dir: str) -> Dict[str, Dict[str, Any]]:
+    """The corpus's rows (fingerprint -> summary) as :class:`CorpusReader` reads them."""
+    return CorpusReader(corpus_dir).index_rows()
 
 
 def _safe_fingerprint(fingerprint: str) -> bool:
@@ -214,38 +189,119 @@ def _safe_fingerprint(fingerprint: str) -> bool:
     )
 
 
-def read_corpus_entry(corpus_dir: str, fingerprint: str) -> Optional[Dict[str, Any]]:
-    """One entry's full JSON payload (trace included), or ``None``."""
-    if not _safe_fingerprint(fingerprint):
-        return None
-    return read_json_object(
-        os.path.join(str(corpus_dir), "entries", f"{fingerprint}.json")
+def _summary(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The index.json row of an entry payload: everything except the trace."""
+    trace, duration = payload["trace"], float(payload["trace"]["duration"])
+    packed = trace.get("timestamps_f64le")         # the packet count, off the blob's length
+    packets = len(trace["timestamps"]) if not isinstance(packed, str) else (
+        len(packed) * 3 // 4 - packed.endswith("=") - packed.endswith("==")) // 8
+    return dict(
+        {key: payload[key] for key in _ROW_FIELDS},
+        duration=duration,
+        packets=packets,
+        average_rate_mbps=packets / duration * int(trace.get("mss_bytes", 1500)) * 8.0 / 1e6,
+        triaged=bool(payload["triage"]),
+        behavior_cell=payload["behavior"].get("cell", ""),
     )
 
 
+def _given(fields: Dict[str, Any]) -> Dict[str, Any]:
+    """An insert's entry fields, with the defaults of those it leaves out or
+    sets to ``None`` (dicts copied: the journal's payloads are shared)."""
+    given = {key: fields[key] if fields.get(key) is not None else default
+             for key, default in ENTRY_FIELDS.items()}
+    return {key: dict(value) if isinstance(value, dict) else value for key, value in given.items()}
+
+
+def _entry_payload(
+    fingerprint: str, fields: Dict[str, Any], rediscoveries: int = 0
+) -> Optional[Dict[str, Any]]:
+    """An entry payload with every field: an insert's journaled fields and
+    trace dict (never re-parsed), or a stored payload's, with defaults for
+    what they leave out; ``None`` for a trace that is lost or of no mode."""
+    trace = fields.get("trace")
+    mode = _MODES_BY_TYPE.get(trace.get("type")) if isinstance(trace, dict) else None
+    if mode is None:
+        return None
+    return {"fingerprint": fingerprint, "mode": mode, "rediscoveries": rediscoveries,
+            **_given(fields), "trace": trace}
+
+
+def _rediscovered(old: Dict[str, Any], fields: Dict[str, Any]) -> Dict[str, Any]:
+    """``old`` re-found: one more rediscovery and, when the new find scored
+    strictly higher on a comparable scale, its score and best-discovery
+    provenance (``origin`` keeps recording where the trace *first* came from)."""
+    given = _given(fields)
+    payload = dict(old, rediscoveries=old["rediscoveries"] + 1)
+    old_score, score = old["score"], given["score"]
+    # Scores from different objectives (and different network conditions)
+    # live on incomparable scales, so the best-discovery provenance is only
+    # upgraded by a like-for-like rediscovery.
+    comparable = old_score is None or (
+        old["objective"] == given["objective"] and old["condition"] == given["condition"]
+    )
+    if score is not None and comparable and (old_score is None or score > old_score):
+        for key in ("score", "scenario_id", "cca", "objective", "generation_found",
+                    "campaign", "condition"):
+            payload[key] = given[key]
+        if given["behavior"]:
+            payload["behavior"] = given["behavior"]
+    elif given["behavior"] and not old["behavior"]:
+        # A rediscovery may bring the first behavior annotation for an entry
+        # that predates the coverage subsystem.
+        payload["behavior"] = given["behavior"]
+    return payload
+
+
 class CorpusReader:
-    """Read-only view of a corpus directory: its index as of when it was
-    opened, its entry files as of when each is first asked for.
+    """The corpus as of when it was opened: ``index.json`` and the entry
+    files plus the journal's inserts they lack (none, and no journal read,
+    when ``folded.json`` matches the journal's size and mtime).  The journal
+    comes from ``journal_view`` when a caller has replayed it, else it is
+    read as an observer.
 
     Has no method that creates a directory, removes a file or publishes.
-    Thread-safe.  Entry payloads are loaded lazily and memoized, so
-    replaying a large corpus reads each trace file exactly once.
+    Thread-safe.  Entry files are read lazily and memoized.
     """
 
-    def __init__(self, path: str) -> None:
+    def __init__(
+        self, path: str, journal_view: Optional[Callable[[], JournalView]] = None
+    ) -> None:
         self.path = str(path)
         self._lock = threading.RLock()
-        self._index: Dict[str, Dict[str, Any]] = {}
+        #: fingerprint -> entry payload applied in memory; ``_dirty`` names
+        #: those the entry files do not hold yet.
+        self._payloads: Dict[str, Dict[str, Any]] = {}
+        self._dirty: Set[str] = set()
         self._loaded: Dict[str, CorpusEntry] = {}
-        self._open()
+        #: Journaled rediscoveries of a missing entry, applied as new inserts.
+        self.repairs = 0
+        # The mark is read before the index: a fold publishes it after the
+        # index, so an index read later holds at least what the mark says.
+        mark = read_json_object(os.path.join(self.path, FOLD_MARK_FILENAME))
+        self._mark = mark.get("journal") if mark is not None else None
+        journal = _journal_mark(self.path)
+        rows = self._read_rows()
+        self._index: Dict[str, Dict[str, Any]] = rows or {}
+        if journal is not None and (rows is None or journal != self._mark):
+            view = journal_view() if journal_view else read_corpus_journal_view(self.path)
+            for data in view.inserts:
+                self.apply(data)
 
-    def _open(self) -> None:
-        self._index = read_corpus_index(self.path)
+    def _read_rows(self) -> Optional[Dict[str, Dict[str, Any]]]:
+        return _index_rows(self.path)
+
+    @property
+    def unpublished(self) -> bool:
+        """Whether it holds entries the files do not (yet)."""
+        with self._lock:
+            return bool(self._dirty)
 
     @staticmethod
     def is_corpus(path: str) -> bool:
-        """Whether ``path`` already holds a corpus (has an index.json)."""
-        return os.path.exists(os.path.join(str(path), "index.json"))
+        """Whether ``path`` already holds a corpus (an index.json or a journal)."""
+        names = ("index.json", JOURNAL_FILENAME)
+        return any(os.path.exists(os.path.join(str(path), name)) for name in names)
 
     def __len__(self) -> int:
         with self._lock:
@@ -265,14 +321,24 @@ class CorpusReader:
         with self._lock:
             return {fingerprint: dict(row) for fingerprint, row in self._index.items()}
 
+    def payload(self, fingerprint: str) -> Optional[Dict[str, Any]]:
+        """One entry's full payload (trace included, every field filled in),
+        or ``None``.  Shared with the reader: do not change it."""
+        with self._lock:
+            staged = self._payloads.get(fingerprint)
+        if staged is not None or not _safe_fingerprint(fingerprint):
+            return staged
+        raw = read_json_object(os.path.join(self.path, "entries", f"{fingerprint}.json"))
+        return None if raw is None else _entry_payload(fingerprint, raw, raw.get("rediscoveries", 0))
+
     def get(self, fingerprint: str) -> CorpusEntry:
         """The entry stored under ``fingerprint`` (``KeyError`` when there is
-        no readable entry file for it), read once and memoized."""
+        no readable entry for it), read once and memoized."""
         with self._lock:
             entry = self._loaded.get(fingerprint)
             if entry is None:
                 try:
-                    entry = CorpusEntry.from_dict(read_corpus_entry(self.path, fingerprint))
+                    entry = CorpusEntry.from_dict(self.payload(fingerprint))
                 except (KeyError, TypeError, ValueError):  # TypeError: no file (None)
                     raise KeyError(fingerprint) from None
                 self._loaded[fingerprint] = entry
@@ -282,6 +348,53 @@ class CorpusReader:
         """Every entry, in fingerprint order."""
         for fingerprint in self.fingerprints():
             yield self.get(fingerprint)
+
+    def apply(self, data: Dict[str, Any]) -> None:
+        """Apply one journaled ``corpus_insert`` in memory, idempotently.
+
+        * a ``new`` insert is applied only if the fingerprint is still absent;
+        * a rediscovery is applied only while the stored entry's counter is
+          below the journaled post-insert value;
+        * a rediscovery whose entry is missing or unreadable (hand-pruned
+          corpus dir, partial copy, journal merged from another machine) is
+          applied as new instead, counted in ``repairs``;
+        * one journaled without a post-insert value (a duplicate builtin
+          registration, a fleet worker's find) is a no-op.
+
+        Each is decided on the index row before any trace is read, and a
+        rediscovery the row lacks on the entry file too, which a fold killed
+        before its ``index.json`` publish leaves ahead of its row.  An
+        insert whose trace the journal lost is skipped.
+        """
+        fingerprint, after = data["fingerprint"], data.get("rediscoveries_after")
+        with self._lock:
+            row = self._index.get(fingerprint)
+            if data["new"]:
+                if row is not None:
+                    return
+            elif after is None or (row is not None and row["rediscoveries"] >= after):
+                return
+            old = None if row is None else self.payload(fingerprint)
+            if old is not None and old["rediscoveries"] >= after:
+                self._index[fingerprint] = _summary(old)        # the row catches up
+                return
+            fields = data["entry"]
+            payload = _entry_payload(fingerprint, fields) if old is None else (
+                _rediscovered(old, fields)
+            )
+            if payload is None:
+                return
+            self._stage(fingerprint, payload)
+            if not data["new"] and old is None:
+                self.repairs += 1
+                get_registry().inc("campaign.insert_warnings")
+
+    def _stage(self, fingerprint: str, payload: Dict[str, Any]) -> None:
+        """Hold ``payload`` as the entry under ``fingerprint``."""
+        self._payloads[fingerprint] = payload
+        self._dirty.add(fingerprint)
+        self._index[fingerprint] = _summary(payload)
+        self._loaded.pop(fingerprint, None)
 
     def seeds_for(
         self,
@@ -361,18 +474,18 @@ class CorpusReader:
 
 
 class CorpusStore(CorpusReader):
-    """The corpus writer: fingerprint-deduped and write-through.
+    """The corpus writer: fingerprint-deduped, published by :meth:`fold`.
 
-    Opening one claims the directory (the single-writer assumption the
-    write-through design makes): it creates ``entries/``, sweeps orphan temp
-    files and publishes an empty index when there is none.
+    Opening one claims the directory (one writer at a time): it creates
+    ``entries/`` and sweeps orphan temp files.  Inserts change only its
+    memory until the next :meth:`fold`.
     """
 
-    def _open(self) -> None:
+    def _read_rows(self) -> Optional[Dict[str, Dict[str, Any]]]:
         self._entries_dir = os.path.join(self.path, "entries")
         self._index_path = os.path.join(self.path, "index.json")
         # Refuse, before touching anything, an index this version cannot
-        # use: the first publish would replace it with what we failed to read.
+        # use: the next fold would replace it with what we failed to read.
         rows = _index_rows(self.path)
         if rows is None and os.path.exists(self._index_path):
             raise ValueError(
@@ -381,14 +494,7 @@ class CorpusStore(CorpusReader):
             )
         os.makedirs(self._entries_dir, exist_ok=True)
         self._sweep_orphan_tmp_files()
-        #: fingerprint -> that row's line of index.json, encoded when the row
-        #: was last replaced, so publishing the index never re-encodes rows
-        #: that did not change.
-        self._index_lines: Dict[str, str] = {}
-        for fingerprint, row in (rows or {}).items():
-            self._set_row(fingerprint, row)
-        if rows is None:
-            self._write_index()
+        return rows
 
     def _sweep_orphan_tmp_files(self) -> None:
         """Remove ``*.tmp`` droppings left by interrupted atomic writes.
@@ -397,8 +503,7 @@ class CorpusStore(CorpusReader):
         crash, but dying between the temp-file write and the rename orphans
         the ``<name>.tmp`` next to it; sweeping on load keeps killed
         campaigns from accumulating them.  Only this process may write to a
-        corpus it has opened (the single-writer assumption the whole
-        write-through design already makes).
+        corpus it has opened (the single-writer assumption the fold makes).
         """
         for directory in (self.path, self._entries_dir):
             try:
@@ -415,6 +520,7 @@ class CorpusStore(CorpusReader):
     def add(
         self,
         trace: PacketTrace,
+        journal: Optional[Callable[[Dict[str, Any]], Any]] = None,
         *,
         scenario_id: str,
         cca: str = "",
@@ -430,66 +536,41 @@ class CorpusStore(CorpusReader):
     ) -> bool:
         """Insert a trace; returns True iff it was new (not a duplicate).
 
-        A duplicate bumps the existing entry's ``rediscoveries`` counter and,
-        when the new find scored strictly higher, upgrades the recorded score
-        and best-discovery provenance (``origin`` always keeps recording where
-        the trace *first* came from).  Re-registering a builtin attack or a
-        triage-minimized variant is a no-op — both bootstraps are idempotent,
-        so ``rediscoveries`` only ever counts genuine re-finds by a search.
+        Decided on the index and applied by :meth:`apply`, like a journaled
+        insert: a duplicate counts a rediscovery and may upgrade the score,
+        and re-registering a builtin attack or a triage-minimized variant is
+        a no-op.  ``journal``, when given, gets the insert's
+        ``corpus_insert`` fields first (a campaign's write-ahead record).
         """
+        if trace.mode is None:
+            raise TypeError(f"trace type {type(trace).__name__} has no fuzzing mode")
         fingerprint = trace.fingerprint()
-        entry = CorpusEntry(
-            trace=trace.copy(),
-            fingerprint=fingerprint,
-            mode=trace.mode,
-            scenario_id=scenario_id,
-            cca=cca,
-            objective=objective,
-            score=score,
-            generation_found=generation_found,
-            origin=origin,
-            campaign=campaign,
-            condition=dict(condition or {}),
-            derived_from=derived_from,
-            triage=dict(triage or {}),
-            behavior=dict(behavior or {}),
-        )
+        fields = {
+            "scenario_id": scenario_id, "cca": cca, "objective": objective, "score": score,
+            "generation_found": generation_found, "origin": origin, "campaign": campaign,
+            "condition": condition, "derived_from": derived_from, "triage": triage,
+            "behavior": behavior,
+        }
+        # The record carries what differs from the defaults (apply restores them).
+        entry = {key: value for key, value in fields.items()
+                 if value not in (None, ENTRY_FIELDS[key])}
+        entry["trace"] = trace.to_dict()
         with self._lock:
-            existing = self._index.get(fingerprint)
-            if existing is None:
-                self._loaded[fingerprint] = entry
-                self._commit(entry)
-                return True
-            if origin in ("builtin", "triage"):
-                return False
-            old = self.get(fingerprint)
-            old.rediscoveries += 1
-            # Scores from different objectives (and different network
-            # conditions) live on incomparable scales, so the best-discovery
-            # provenance is only upgraded by a like-for-like rediscovery.
-            comparable = (
-                old.score is None
-                or (old.objective == objective and old.condition == dict(condition or {}))
-            )
-            if score is not None and comparable and (old.score is None or score > old.score):
-                old.score = score
-                old.scenario_id = scenario_id
-                old.cca = cca
-                old.objective = objective
-                old.generation_found = generation_found
-                old.campaign = campaign
-                old.condition = dict(condition or {})
-                if behavior:
-                    old.behavior = dict(behavior)
-            elif behavior and not old.behavior:
-                # A rediscovery may bring the first behavior annotation for an
-                # entry that predates the coverage subsystem.
-                old.behavior = dict(behavior)
-            self._commit(old)
-            return False
+            row = self._index.get(fingerprint)
+            refind = row is not None and origin not in ("builtin", "triage")
+            data = {
+                "fingerprint": fingerprint,
+                "new": row is None,
+                "rediscoveries_after": row["rediscoveries"] + 1 if refind else None,
+                "entry": entry,
+            }
+            if journal is not None:
+                journal(data)
+            self.apply(data)
+            return row is None
 
     def annotate_triage(self, fingerprint: str, payload: Dict[str, Any]) -> None:
-        """Attach triage metadata to an existing entry and persist it.
+        """Attach triage metadata to an existing entry (``KeyError`` if none).
 
         The verdict is *replaced*, not merged: it describes one triage run,
         and keeping keys from an earlier run (e.g. a classification computed
@@ -499,34 +580,35 @@ class CorpusStore(CorpusReader):
         idempotent across runs.
         """
         with self._lock:
-            entry = self.get(fingerprint)
-            entry.triage = dict(payload)
-            self._commit(entry)
+            entry = self.payload(fingerprint) if fingerprint in self._index else None
+            if entry is None:
+                raise KeyError(fingerprint)
+            self._stage(fingerprint, dict(entry, triage=dict(payload)))
 
-    def _commit(self, entry: CorpusEntry) -> None:
-        """Publish ``entry``'s file, then the index whose row names it."""
-        self._set_row(entry.fingerprint, entry.summary())
-        publish(
-            os.path.join(self._entries_dir, f"{entry.fingerprint}.json"),
-            json.dumps(entry.to_dict()),
-        )
-        self._write_index()
+    def fold(self, mark: bool = True) -> None:
+        """Publish each entry changed since the last fold, then
+        ``index.json``, then ``folded.json`` naming the journal bytes they
+        now hold (nothing, when nothing changed).  Call it when the journal
+        holds every insert this store applied; dying before or inside it
+        loses nothing, since every reader applies the inserts the files lack.
 
-    def _set_row(self, fingerprint: str, row: Dict[str, Any]) -> None:
-        """Replace one index row and its encoded index.json line."""
-        self._index[fingerprint] = row
-        self._index_lines[fingerprint] = (
-            f"  {json.dumps(fingerprint)}: {json.dumps(row, sort_keys=True)}"
-        )
-        get_registry().inc("corpus.index_rows_encoded")
-
-    def _write_index(self) -> None:
-        """Publish index.json: schema + one already-encoded row per line."""
-        lines = ",\n".join(self._index_lines[fp] for fp in sorted(self._index_lines))
-        entries = f"{{\n{lines}\n }}" if lines else "{}"
-        publish(
-            self._index_path, f'{{\n "entries": {entries},\n "schema": {CORPUS_SCHEMA}\n}}'
-        )
+        ``mark=False``, for a campaign that raised (its journal may hold a
+        fleet's inserts this store never applied), writes no ``folded.json``.
+        """
+        with self._lock:
+            journal = _journal_mark(self.path) if mark else None
+            if not self._dirty and journal == self._mark:
+                return
+            publish_all(
+                (os.path.join(self._entries_dir, f"{fingerprint}.json"),
+                 dump_json(self._payloads[fingerprint]))
+                for fingerprint in sorted(self._dirty)
+            )
+            publish_json(self._index_path, {"entries": self._index, "schema": CORPUS_SCHEMA})
+            if journal is not None:
+                publish_json(os.path.join(self.path, FOLD_MARK_FILENAME), {"journal": journal})
+            self._dirty.clear()
+            self._mark = journal
 
 
 def provenance_chain(

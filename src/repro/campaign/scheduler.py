@@ -4,16 +4,16 @@ The paper's unit of work is one GA search per (CCA, trace mode, objective).
 That unit exists here exactly once, as :meth:`ScenarioEngine.run_scenario`:
 build the :class:`CCFuzz`, journal a behavior delta and then a checkpoint
 after every evaluated generation, harvest the top-k survivors through the
-write-ahead :class:`InsertLog`, assemble the :class:`ScenarioOutcome` and
+:class:`InsertLog`, assemble the :class:`ScenarioOutcome` and
 journal ``scenario_complete``.  Everything that legitimately differs between
 the two ways a campaign isolates its scenarios reaches that body as *data*,
 in a :class:`ScenarioScope`:
 
 * the **campaign-wide** scope (:meth:`CampaignRunner.run`, this module) —
   one evaluation cache and one behavior archive shared by every scenario,
-  seeds drawn from the *live* corpus, inserts decided against and written
-  to that corpus.  Scenarios run in matrix order, so each one is seeded by
-  everything earlier ones found — e.g. winners against Reno seeding the
+  seeds drawn from the *live* corpus, inserts decided against and applied
+  to that corpus's memory.  Scenarios run in matrix order, so each one is
+  seeded by everything earlier ones found — e.g. winners against Reno seeding the
   CUBIC and BBR searches.  A seed is still simulated afresh: every cache
   key carries its scenario's CCA, simulation and score identities, so a hit
   crosses scenarios only between two conditions with identical parameters;
@@ -34,8 +34,9 @@ Every run appends its progress to an append-only
 :class:`~repro.journal.CampaignJournal` next to the corpus
 (``journal.jsonl``): the campaign spec and archive baseline at start, one
 lease per scenario, one behavior-map delta plus fuzzer checkpoint per
-evaluated generation, a write-ahead record for every corpus insert, and one
-completion record per scenario.  :meth:`CampaignRunner.resume` replays that
+evaluated generation, a record for every corpus insert (the corpus files
+are their fold, published when the campaign ends), and one completion
+record per scenario.  :meth:`CampaignRunner.resume` replays that
 log after a crash and continues mid-campaign; the resumed run's corpus,
 behavior map and summary digest are bit-identical to an uninterrupted run
 with the same seed (the crash-recovery harness in ``tests/crashsim.py``
@@ -58,7 +59,6 @@ from ..exec.cache import TraceCache
 from ..exec.faults import FaultPolicy
 from ..exec.quarantine import QuarantineStore
 from ..journal import CampaignJournal, JournalView
-from ..obs.metrics import get_registry
 from ..obs.telemetry import CampaignTelemetry
 from ..scoring.objectives import make_score_function
 from ..tcp.cca import cca_factory
@@ -67,22 +67,6 @@ from .corpus import CorpusStore
 from .spec import CampaignSpec, Scenario
 
 ProgressCallback = Callable[[str], None]
-
-#: Corpus-insert provenance fields that ride along in the journal WAL.
-_INSERT_KWARGS = (
-    "scenario_id",
-    "cca",
-    "objective",
-    "score",
-    "generation_found",
-    "origin",
-    "campaign",
-    "condition",
-    "derived_from",
-    "triage",
-    "behavior",
-)
-
 
 @dataclass
 class ScenarioOutcome:
@@ -194,15 +178,14 @@ def journaled_outcomes(
 
 
 class InsertLog:
-    """Write-ahead corpus inserts: journal the intent, then apply it.
+    """Write-ahead corpus inserts: the journal record *is* the insert, and
+    :meth:`CorpusStore.fold` publishes them when the campaign ends.
 
-    ``snapshot`` is the isolation policy's "is it new" oracle.  ``None``
-    decides against the live corpus and writes it right after the journal
-    append.  A fingerprint collection decides against that journaled launch
-    snapshot instead — a rule every fleet worker evaluates identically,
-    whatever the live corpus holds by then — and leaves the corpus alone
-    (fleet workers pass ``corpus=None``): the fleet driver folds the insert
-    WAL into it at finalize.
+    ``corpus`` is the campaign-wide scope's live corpus: inserts are decided
+    against it and applied to its memory, so later scenarios are seeded by
+    them.  Fleet workers hold no corpus; they decide "is it new" against
+    ``snapshot``, the fingerprints journaled at launch — a rule every worker
+    evaluates identically, whatever the corpus holds by then.
 
     ``prior`` holds the inserts a dead process (or an earlier lease epoch)
     already journaled, scenario key -> fingerprint -> event; a re-run harvest
@@ -215,15 +198,12 @@ class InsertLog:
         journal: CampaignJournal,
         *,
         prior: Optional[Dict[str, Dict[str, Dict[str, Any]]]] = None,
-        snapshot: Optional[Collection[str]] = None,
+        snapshot: Collection[str] = (),
     ) -> None:
         self.corpus = corpus
         self.journal = journal
         self.prior = prior or {}
         self.snapshot = snapshot
-        #: Journaled rediscoveries whose corpus entry had vanished (pruned or
-        #: partial corpus dir) and were re-applied as fresh inserts instead.
-        self.warnings = 0
 
     def add(
         self,
@@ -232,64 +212,24 @@ class InsertLog:
         stamp: Optional[Dict[str, Any]] = None,
         **kwargs: Any,
     ) -> bool:
-        """Insert ``trace`` under ``scenario_key``; returns True iff it was new.
-
-        The intended insert is journaled (and fsync'd) *before* the corpus is
-        touched, so a crash between the two is replayed forward on resume —
-        the corpus can only ever lag the journal, never diverge from it.
-        """
-        live = self.snapshot is None
+        """Journal the insert of ``trace`` under ``scenario_key``, then apply
+        it; returns True iff it was new."""
         fingerprint = trace.fingerprint()
         prior = self.prior.get(scenario_key, {}).get(fingerprint)
-        if prior is not None:
-            if live:
-                self.apply(prior)
+        if prior is not None:       # the corpus applied it when it read the journal
             return bool(prior["new"])
-        is_new = fingerprint not in (self.corpus if live else self.snapshot)
-        rediscoveries_after: Optional[int] = None
-        if live and not is_new and kwargs.get("origin", "fuzz") not in ("builtin", "triage"):
-            rediscoveries_after = self.corpus.get(fingerprint).rediscoveries + 1
-        entry = {key: kwargs[key] for key in _INSERT_KWARGS if key in kwargs}
-        entry["trace"] = trace.to_dict()
-        self.journal.append(
-            "corpus_insert",
-            {
-                "scenario_id": scenario_key,
-                "fingerprint": fingerprint,
-                "new": is_new,
-                "rediscoveries_after": rediscoveries_after,
-                "entry": entry,
-                **(stamp or {}),
-            },
-        )
-        return self.corpus.add(trace, **kwargs) if live else is_new
 
-    def apply(self, data: Dict[str, Any]) -> None:
-        """Idempotently apply one journaled ``corpus_insert`` to the corpus.
+        def journal(data: Dict[str, Any]) -> None:
+            self.journal.append(
+                "corpus_insert", {"scenario_id": scenario_key, **data, **(stamp or {})}
+            )
 
-        * a ``new`` insert is applied only if the fingerprint is still absent;
-        * a rediscovery is applied only while the stored entry's counter is
-          below the journaled post-insert value;
-        * a rediscovery whose corpus entry is *missing* (hand-pruned corpus
-          dir, partial copy, journal merged from another machine) degrades to
-          applying the insert as new, counted in ``warnings`` — resume must
-          repair such corpora, not crash on them;
-        * a duplicate builtin/triage registration is a no-op (as it was live).
-        """
-        fingerprint = data["fingerprint"]
-        entry = data["entry"]
-        kwargs = {key: entry[key] for key in _INSERT_KWARGS if key in entry and entry[key] is not None}
-        trace = PacketTrace.from_dict(entry["trace"])
-        if data["new"]:
-            if fingerprint not in self.corpus:
-                self.corpus.add(trace, **kwargs)
-        elif data.get("rediscoveries_after") is not None:
-            if fingerprint not in self.corpus:
-                self.warnings += 1
-                get_registry().inc("campaign.insert_warnings")
-                self.corpus.add(trace, **kwargs)
-            elif self.corpus.get(fingerprint).rediscoveries < data["rediscoveries_after"]:
-                self.corpus.add(trace, **kwargs)
+        if self.corpus is not None:
+            return self.corpus.add(trace, journal, **kwargs)
+        is_new = fingerprint not in self.snapshot
+        journal({"fingerprint": fingerprint, "new": is_new, "rediscoveries_after": None,
+                 "entry": dict(kwargs, trace=trace.to_dict())})
+        return is_new
 
 
 @dataclass
@@ -595,8 +535,8 @@ class CampaignRunner:
 
         Replays ``<corpus_dir>/journal.jsonl`` into a consistent view, then
         rebuilds: the spec and knobs from the start record, the corpus (the
-        insert WAL is re-applied idempotently, repairing writes the crash cut
-        off), the behavior archive (baseline + journaled deltas), every
+        files plus the journal's inserts, read from that one replay), the
+        behavior archive (baseline + journaled deltas), every
         completed scenario's outcome, and the in-flight scenario's full GA
         state from its latest generation checkpoint, including the RNG and
         the shared evaluation cache.  The returned runner's :meth:`run` picks
@@ -611,7 +551,7 @@ class CampaignRunner:
         start = view.campaign
         runner = cls(
             CampaignSpec.from_dict(start["spec"]),
-            CorpusStore(str(corpus_dir)),
+            CorpusStore(str(corpus_dir), lambda: view),
             backend=backend,
             cache=cache,
             archive=BehaviorArchive.from_dict(start["archive_baseline"]),
@@ -640,15 +580,9 @@ class CampaignRunner:
         return runner
 
     def _repair(self, view: JournalView) -> None:
-        """Roll the corpus and the quarantine store forward to the journal.
-
-        Re-applies the insert WAL in journal order and the journaled
-        ``job_quarantined`` events.  Every apply is idempotent, so events
-        whose write survived a crash are no-ops and the one the crash cut
-        off is completed.
-        """
-        for data in view.inserts:
-            self.inserts.apply(data)
+        """Roll the quarantine store forward to the journal (the corpus read
+        the journal's inserts when it was opened) and hand the harvest the
+        inserts it journaled already.  Every apply is idempotent."""
         self.inserts.prior = view.inserts_by_scenario
         for entry in view.quarantined:
             self.quarantine.apply_event(entry)
@@ -697,7 +631,8 @@ class CampaignRunner:
         else:
             # A journal holding a previous campaign_start records a
             # *different* campaign over this corpus; archive it so this
-            # run's log replays standalone.
+            # run's log replays standalone — once the files hold its inserts.
+            self.corpus.fold()
             journal.rotate()
             journal.append(
                 "campaign_start",
@@ -746,15 +681,18 @@ class CampaignRunner:
         statistics to report.
         """
         started = time.perf_counter()
+        executed = False
         try:
             try:
                 attacks_registered = self._bootstrap(view, start_fields)
                 outcome_by_id, cache_stats = execute()
+                executed = True
             finally:
-                # Persist the behavior map even if a scenario failed
-                # mid-campaign: completed scenarios already wrote their
-                # corpus entries, and the coverage CLI and future campaigns
-                # resume the map from here.
+                # Fold the corpus and persist the behavior map even if a
+                # scenario failed mid-campaign: the coverage CLI and future
+                # campaigns resume the map from here.  Only a matrix that ran
+                # to the end has applied every journaled insert and may mark it.
+                self.corpus.fold(mark=executed)
                 self.archive.save(BehaviorArchive.corpus_path(self.corpus.path))
                 self._journal.close()
             result = CampaignResult(

@@ -31,13 +31,13 @@ policy.  Three rules make that true:
 
 * every scenario draws its seeds from the ``scenario_seeds`` plan the driver
   journals once at launch (the corpus snapshot after builtin registration) —
-  never from the live corpus another worker may be mutating;
+  never from whatever the corpus holds by then — and reads them through the
+  one corpus reader (the builtins are journal records until the fold);
 * every scenario runs against a private, initially-cold trace cache and a
   private behavior archive seeded from the campaign baseline (both restored
   from the journal on a steal), so no cross-scenario state leaks in;
-* workers never write the corpus — they journal ``corpus_insert`` intents
-  (``new`` decided against the journaled snapshot, not the live corpus) and
-  the driver folds the insert WAL into the corpus at finalize.
+* workers only journal ``corpus_insert`` records (``new`` decided against
+  the journaled snapshot, not the live corpus); the driver folds them.
 """
 
 from __future__ import annotations
@@ -106,9 +106,6 @@ class FleetWorker:
         self._telemetry_enabled = telemetry
         self._progress = progress or (lambda message: None)
         self.journal = CampaignJournal(CampaignJournal.corpus_path(self.corpus_dir))
-        # A reader, not the store: opening the store would sweep the
-        # driver's in-flight temp files out from under it.
-        self.corpus = CorpusReader(self.corpus_dir)
         # Quarantine state lives in the journal, not in a file this worker
         # owns: entries journal through the hook (epoch-stamped, so fenced
         # like any other record) and flow back in via replay; the driver
@@ -135,6 +132,9 @@ class FleetWorker:
             )
         spec = CampaignSpec.from_dict(start["spec"])
         scenarios = spec.expand()
+        # A reader, not the store: opening the store would sweep the
+        # driver's in-flight temp files out from under it.
+        self.corpus = CorpusReader(self.corpus_dir, lambda: view)
         telemetry = CampaignTelemetry(
             self.corpus_dir, enabled=self._telemetry_enabled, worker_id=self.worker_id
         )
@@ -317,8 +317,8 @@ def run_fleet(
     (:meth:`CampaignRunner._conduct`); its way of running the matrix is to
     journal the seed plan, spawn ``workers`` subprocesses, wait for them,
     drain any scenarios left over (e.g. every worker died) inline, and then
-    read the result back from the journal: fold the corpus-insert WAL into
-    the corpus and the per-scenario archives into ``behavior_map.json``.
+    read the result back from the journal: apply the corpus inserts and merge
+    the per-scenario archives into ``behavior_map.json``.
 
     ``workers=0`` runs the whole campaign inline in this process — the
     uninterrupted single-process control that fleet runs (of any size, with
@@ -334,9 +334,9 @@ def run_fleet(
     the corpus's ``behavior_map.json``); a resumed one starts from its
     journaled baseline.
 
-    A corpus whose journal already holds this campaign, incomplete, is
-    resumed (the matrix picks up where the dead fleet stopped); anything
-    else is rotated away and started fresh.
+    A corpus whose journal already holds this campaign, incomplete or not
+    yet folded, is resumed (the matrix picks up where the dead fleet
+    stopped); anything else is rotated away and started fresh.
     """
     if workers < 0:
         raise ValueError("workers must be >= 0")
@@ -344,15 +344,17 @@ def run_fleet(
     journal = CampaignJournal(CampaignJournal.corpus_path(corpus_dir))
     view = journal.replay()
     scenarios = spec.expand()
+    corpus = CorpusStore(corpus_dir, lambda: view)
+    unfinished = any(s.scenario_id not in view.completed for s in scenarios)
     resuming = (
         view.campaign is not None
         and view.campaign.get("campaign") == spec.name
         and view.scenario_seeds is not None
-        and any(s.scenario_id not in view.completed for s in scenarios)
+        and (unfinished or corpus.unpublished)      # or its driver died before the fold
     )
     runner = CampaignRunner(
         spec,
-        CorpusStore(corpus_dir),
+        corpus,
         # The map the merge at the end starts from is the journaled baseline.
         archive=BehaviorArchive.from_dict(view.campaign["archive_baseline"]) if resuming else archive,
         register_attacks=register_attacks,
@@ -419,8 +421,10 @@ def run_fleet(
                 runner._progress(f"driver drained {drained} leftover scenarios inline")
             final = journal.replay()
         # Workers journal inserts and quarantines but never touch the corpus
-        # or quarantine.json (one file, many processes); the driver folds the
-        # surviving — unfenced — events in here, exactly once.
+        # or quarantine.json (one file, many processes); the driver applies
+        # the surviving — unfenced — events here, and folds at finalize.
+        for data in final.inserts:
+            runner.corpus.apply(data)
         runner._repair(final)
         for scenario in scenarios:
             if scenario.scenario_id not in final.completed:

@@ -239,7 +239,7 @@ def _existing_corpus(args: _Args, parser: _Parser) -> str:
     """``--corpus`` of the commands that read one: creating an empty corpus
     on a mistyped path would silently "succeed" with zero entries."""
     if not CorpusReader.is_corpus(args.corpus):
-        parser.error(f"no corpus at {args.corpus} (missing index.json)")
+        parser.error(f"no corpus at {args.corpus} (no index.json or journal.jsonl)")
     return args.corpus
 
 
@@ -728,9 +728,9 @@ def _campaign_replay(args: _Args, parser: _Parser, console: Console) -> None:
 def _campaign_report(args: _Args, parser: _Parser, console: Console) -> None:
     from .campaign.report import format_corpus_report, format_last_campaign
 
-    corpus = CorpusReader(_existing_corpus(args, parser))
-    console.result(format_corpus_report(corpus, top=args.top))
-    last_campaign = format_last_campaign(read_corpus_journal_view(args.corpus))
+    view = read_corpus_journal_view(_existing_corpus(args, parser))
+    console.result(format_corpus_report(CorpusReader(args.corpus, lambda: view), top=args.top))
+    last_campaign = format_last_campaign(view)
     if last_campaign is not None:
         console.result("\n" + last_campaign)
 

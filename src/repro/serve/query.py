@@ -10,22 +10,20 @@ see the package docstring for why the writer-side classes are off limits.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..analysis.reporting import shape_coverage, shape_rankings
-from ..campaign.corpus import (
-    provenance_chain,
-    read_corpus_entry,
-    read_corpus_index,
-)
+from ..campaign.corpus import CorpusReader, provenance_chain
 from ..coverage.archive import read_corpus_map
 from ..journal.log import JOURNAL_FILENAME, JournalCursor
 from ..journal.view import JournalView
 from ..obs.sinks import METRICS_FILENAME, tail_metrics_records
 from ..obs.status import StatusWatcher
+from ..storage import file_stamp
 
 #: Longest long-poll wait the stream endpoint will honour (seconds).
 MAX_STREAM_WAIT_S = 25.0
@@ -50,6 +48,9 @@ class DashboardQuery:
             str(Path(self.corpus_dir) / JOURNAL_FILENAME), observing=True
         )
         self._journal_lock = threading.Lock()
+        #: The last corpus read, and the stamps of the files it was read from.
+        self._corpus_read: Optional[Tuple[Tuple[Any, ...], CorpusReader]] = None
+        self._corpus_lock = threading.Lock()
 
     def close(self) -> None:
         with self._journal_lock:
@@ -105,9 +106,20 @@ class DashboardQuery:
     # /api/corpus
     # ------------------------------------------------------------------ #
 
+    def _corpus(self) -> CorpusReader:
+        """The corpus now: its files plus, through this query's journal
+        cursor, the journal's inserts they lack.  Read again only when
+        ``index.json`` (every fold replaces it) or the journal has changed."""
+        stamps = tuple(file_stamp(os.path.join(self.corpus_dir, name))
+                       for name in ("index.json", JOURNAL_FILENAME))
+        with self._corpus_lock:
+            if self._corpus_read is None or self._corpus_read[0] != stamps:
+                self._corpus_read = (stamps, CorpusReader(self.corpus_dir, self._journal_view))
+            return self._corpus_read[1]
+
     def corpus_index(self) -> Dict[str, Any]:
         """The corpus index as a sorted row list (no trace files read)."""
-        index = read_corpus_index(self.corpus_dir)
+        index = self._corpus().index_rows()
         rows = [
             {"fingerprint": fingerprint, **row}
             for fingerprint, row in sorted(index.items())
@@ -116,13 +128,11 @@ class DashboardQuery:
 
     def corpus_entry(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """One entry's full payload plus its provenance chain, or ``None``."""
-        payload = read_corpus_entry(self.corpus_dir, fingerprint)
+        corpus = self._corpus()
+        payload = corpus.payload(fingerprint)
         if payload is None:
             return None
-        index = read_corpus_index(self.corpus_dir)
-        payload = dict(payload)
-        payload["provenance"] = provenance_chain(index, fingerprint)
-        return payload
+        return dict(payload, provenance=provenance_chain(corpus.index_rows(), fingerprint))
 
     # ------------------------------------------------------------------ #
     # /api/coverage
@@ -149,13 +159,13 @@ class DashboardQuery:
     def rankings(self) -> Dict[str, Any]:
         """Per-CCA vulnerability table from journal + corpus + triage."""
         view = self._journal_view()
-        index = read_corpus_index(self.corpus_dir)
+        corpus = self._corpus()
+        index = corpus.index_rows()
         triage_rows = []
         for fingerprint, row in sorted(index.items()):
             if not row.get("triaged"):
                 continue
-            entry = read_corpus_entry(self.corpus_dir, fingerprint)
-            verdict = (entry or {}).get("triage")
+            verdict = (corpus.payload(fingerprint) or {}).get("triage")
             if isinstance(verdict, dict) and verdict:
                 triage_rows.append({"fingerprint": fingerprint, **verdict})
         shaped = shape_rankings(

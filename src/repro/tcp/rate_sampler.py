@@ -58,7 +58,6 @@ class DeliveryRateEstimator:
         self.delivered = 0
         self.delivered_time = 0.0
         self.first_tx_time = 0.0
-        self.app_limited = False
 
     def on_segment_sent(self, now: float, packets_in_flight: int, is_retransmit: bool) -> SegmentTxState:
         """Stamp a segment at transmission time.

@@ -3,7 +3,6 @@
 from .constraints import (
     TraceValidationError,
     burstiness_index,
-    check_link_invariants,
     is_valid_trace,
     longest_silence,
     max_rate_deviation,
@@ -33,7 +32,6 @@ __all__ = [
     "TrafficTrace",
     "TrafficTraceGenerator",
     "burstiness_index",
-    "check_link_invariants",
     "crossover_loss_traces",
     "crossover_traces",
     "crossover_traffic_traces",

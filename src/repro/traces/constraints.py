@@ -10,9 +10,9 @@ validity checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from .trace import LinkTrace, PacketTrace, TrafficTrace
+from .trace import PacketTrace, TrafficTrace
 
 
 @dataclass
@@ -124,33 +124,3 @@ def longest_silence(trace: PacketTrace) -> float:
     gaps.extend(b - a for a, b in zip(trace.timestamps, trace.timestamps[1:]))
     gaps.append(trace.duration - trace.timestamps[-1])
     return max(gaps)
-
-
-def check_link_invariants(
-    original: LinkTrace,
-    evolved: LinkTrace,
-    window: Optional[float] = None,
-) -> List[str]:
-    """Check the link-fuzzing invariants the GA must preserve across generations.
-
-    Returns a list of human-readable violations (empty when all hold).
-    """
-    violations: List[str] = []
-    if evolved.packet_count != original.packet_count:
-        violations.append(
-            f"total packet count changed: {original.packet_count} -> {evolved.packet_count}"
-        )
-    if abs(evolved.duration - original.duration) > 1e-9:
-        violations.append("trace duration changed")
-    if not is_valid_trace(evolved):
-        violations.append("evolved trace is structurally invalid")
-    if window is not None:
-        original_dev = max_rate_deviation(original, window)
-        evolved_dev = max_rate_deviation(evolved, window)
-        # Allow some slack: the generative constraint is recursive, so windowed
-        # deviation is only an approximate invariant.
-        if evolved_dev > max(4.0, 2.0 * original_dev):
-            violations.append(
-                f"windowed rate deviation grew from {original_dev:.2f} to {evolved_dev:.2f}"
-            )
-    return violations

@@ -325,6 +325,8 @@ def triage_corpus(
             fingerprint,
             dict(report.metadata(), minimized_fingerprint=minimized_fingerprint),
         )
+        # Published per entry: a killed triage keeps every verdict it finished.
+        corpus.fold()
         row = CorpusTriageRow(
             fingerprint=fingerprint,
             scenario_id=entry.scenario_id,

@@ -17,15 +17,15 @@ Injection points (``--point``):
     record's bytes, fsync them, SIGKILL.  Exercises the torn-tail repair.
 ``post-append``
     SIGKILL immediately after the Nth ``corpus_insert`` journal record is
-    durable but (possibly) before the corpus write it announces — the
-    journal is ahead of the corpus, resume must roll the insert forward.
+    durable — the journal is ahead of the corpus files (a campaign writes
+    them only at its fold), resume must fold the insert in.
 ``post-checkpoint``
     SIGKILL immediately after the Nth ``generation_checkpoint`` record is
     durable — mid-scenario death; resume restores the GA mid-flight.
 ``pre-rename``
     SIGKILL after the Nth corpus JSON temp file is written but before the
-    ``os.replace`` that publishes it — leaves an orphan ``*.tmp`` plus an
-    index that lags the journal.
+    ``os.replace`` that publishes it — a kill inside the fold; leaves orphan
+    ``*.tmp`` files plus an index that lags the journal.
 
 ``--event-type`` narrows ``mid-append`` to records of one type (by default
 every append counts).  All points count from 1 via ``--nth``.

@@ -11,10 +11,8 @@ from repro.analysis import (
     compute_metrics,
     describe_bug_timeline,
     format_table,
-    goodput_mbps,
     max_queue_depth,
     queue_depth_series,
-    time_above_delay,
 )
 from repro.attacks import (
     TargetedLoss,
@@ -104,16 +102,10 @@ class TestAnalysisHelpers:
         assert metrics.segments_delivered > 0
         assert isinstance(metrics.as_dict(), dict)
 
-    def test_goodput_close_to_throughput_on_clean_link(self, result):
-        assert goodput_mbps(result) == pytest.approx(result.throughput_mbps(), rel=0.05)
-
     def test_queue_depth_series_nonempty(self, result):
         series = queue_depth_series(result)
         assert series
         assert max_queue_depth(result) <= result.config.queue_capacity
-
-    def test_time_above_delay_fractional(self, result):
-        assert 0.0 <= time_above_delay(result, threshold_s=0.01) <= 1.0
 
     def test_bug_evidence_on_clean_run(self, result):
         evidence = bbr_bug_evidence(result)

@@ -114,6 +114,7 @@ class TestCorpusStore:
         store = CorpusStore(str(tmp_path / "corpus"))
         trace = traffic_trace([0.1, 0.2, 0.3])
         store.add(trace, scenario_id="s", cca="reno", objective="throughput", score=1.0)
+        store.fold()
         orphans = [
             os.path.join(store.path, "index.json.tmp"),
             os.path.join(store.path, "entries", "deadbeef.json.tmp"),
@@ -133,6 +134,7 @@ class TestCorpusStore:
                          cca="reno", objective="throughput", score=-1.5,
                          condition={"queue_capacity": 60})
         assert len(store) == 1
+        store.fold()
         reloaded = CorpusStore(str(tmp_path / "corpus"))
         assert len(reloaded) == 1
         entry = reloaded.get(trace.fingerprint())
@@ -230,13 +232,14 @@ class TestCorpusStore:
         assert len(store.seeds_for("link", 1.0, limit=10)) == 2
 
     def test_rediscovery_count_persists_across_reload(self, tmp_path):
-        # The upgrade path is write-through: a rediscovery must land in the
-        # entry file AND the index row, and survive a cold reload.
+        # A folded rediscovery must land in the entry file AND the index
+        # row, and survive a cold reload.
         store = CorpusStore(str(tmp_path / "corpus"))
         trace = traffic_trace([0.15, 0.35])
         store.add(trace, scenario_id="a", objective="throughput", score=-5.0)
         store.add(trace.copy(), scenario_id="b", objective="throughput", score=-7.0)
         store.add(trace.copy(), scenario_id="c", objective="throughput", score=-2.0)
+        store.fold()
         reloaded = CorpusStore(str(tmp_path / "corpus"))
         entry = reloaded.get(trace.fingerprint())
         assert entry.rediscoveries == 2
@@ -301,6 +304,26 @@ class TestCorpusStore:
         assert entry.derived_from == ""
         assert entry.triage == {}
 
+    def test_legacy_entry_file_takes_a_rediscovery_and_a_verdict(self, tmp_path):
+        # An entry file from before the triage subsystem lacks most fields;
+        # re-finding and annotating it must fill them with their defaults.
+        store = CorpusStore(str(tmp_path / "corpus"))
+        trace = traffic_trace([0.35])
+        store.add(trace, scenario_id="a", score=-2.0)
+        store.fold()
+        legacy = {"fingerprint": trace.fingerprint(), "mode": "traffic", "scenario_id": "a",
+                  "trace": trace.to_dict()}
+        (tmp_path / "corpus" / "entries" / f"{trace.fingerprint()}.json").write_text(
+            json.dumps(legacy), encoding="utf-8"
+        )
+        reloaded = CorpusStore(str(tmp_path / "corpus"))
+        assert not reloaded.add(trace.copy(), scenario_id="b", score=-1.0)
+        reloaded.annotate_triage(trace.fingerprint(), {"classification": "generic"})
+        entry = reloaded.get(trace.fingerprint())
+        assert (entry.rediscoveries, entry.score, entry.scenario_id) == (1, -1.0, "b")
+        assert entry.triage == {"classification": "generic"} and entry.derived_from == ""
+        assert reloaded.index_rows()[trace.fingerprint()]["triaged"] is True
+
     def test_annotate_triage_replaces_and_persists(self, tmp_path):
         # A verdict describes one triage run; a re-triage (e.g. --force with
         # different engines) must not inherit stale keys from the last run.
@@ -309,6 +332,7 @@ class TestCorpusStore:
         store.add(trace, scenario_id="a", score=-1.0)
         store.annotate_triage(trace.fingerprint(), {"classification": "generic"})
         store.annotate_triage(trace.fingerprint(), {"robustness_score": 0.75})
+        store.fold()
         reloaded = CorpusStore(str(tmp_path / "corpus"))
         entry = reloaded.get(trace.fingerprint())
         assert entry.triage == {"robustness_score": 0.75}
@@ -334,6 +358,8 @@ class TestCorpusStore:
         store = CorpusStore(str(corpus_dir))
         trace = traffic_trace([0.3])
         store.add(trace, scenario_id="x", score=0.0)
+        assert not (corpus_dir / "index.json").exists()      # published by the fold
+        store.fold()
         assert (corpus_dir / "index.json").exists()
         entry_file = corpus_dir / "entries" / f"{trace.fingerprint()}.json"
         assert entry_file.exists()

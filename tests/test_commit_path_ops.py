@@ -1,12 +1,12 @@
 """The commit path costs what changed: counted ops, no clock.
 
-Two writes happen on every generation checkpoint / corpus insert and used to
-cost O(total state): ``BehaviorArchive.delta_since`` serialised and hashed
-every cell to find the changed ones, and ``CorpusStore.add`` re-encoded every
-row of ``index.json``.  Both now write a registry counter where the work
-happens — ``archive.delta_cells_serialised`` and ``corpus.index_rows_encoded``
-— and these tests pin them to the work done since the last commit, whatever
-the size of the archive or the corpus.
+Two writes used to cost O(total state) on every generation checkpoint or
+corpus insert: ``BehaviorArchive.delta_since`` serialised and hashed every
+cell to find the changed ones, and every ``CorpusStore.add`` republished the
+whole ``index.json``.  The archive now counts the cells it serialises
+(``archive.delta_cells_serialised``), pinned here to the cells touched since
+the last delta; a corpus insert publishes nothing, and one fold publishes
+each changed entry file and ``index.json`` once.
 """
 
 from __future__ import annotations
@@ -85,37 +85,41 @@ def test_delta_since_serialises_the_cells_touched_since_the_mark(tmp_path):
     assert rebuilt.to_dict() == archive.to_dict()
 
 
-def _rows_encoded() -> float:
-    return get_registry().counter("corpus.index_rows_encoded")
-
-
 def _trace(i: int) -> TrafficTrace:
     return TrafficTrace(timestamps=[0.001 * i, 0.5, 0.75], duration=1.0)
 
 
 @pytest.mark.parametrize("size", [10, 200])
-def test_an_insert_encodes_one_index_row_whatever_the_corpus_size(tmp_path, size):
+def test_inserts_publish_nothing_until_one_fold_publishes_each_file_once(
+    tmp_path, monkeypatch, size
+):
     store = CorpusStore(str(tmp_path))
+    replaced = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        replaced.append(os.path.relpath(dst, str(tmp_path)))
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
     for i in range(size):
         store.add(_trace(i), scenario_id="s", objective="throughput", score=float(i))
-    for write in (
-        lambda: store.add(_trace(size), scenario_id="s", score=1.0),                 # new
-        lambda: store.add(_trace(3), scenario_id="s", objective="throughput", score=9e9),  # re-find
-        lambda: store.annotate_triage(_trace(6).fingerprint(), {"class": "robust"}),
-    ):
-        before = _rows_encoded()
-        write()
-        assert _rows_encoded() - before == 1
-    # The published file is the whole index, one row per line, and reopens.
+    store.add(_trace(3), scenario_id="s", objective="throughput", score=9e9)    # re-find
+    store.annotate_triage(_trace(6).fingerprint(), {"class": "robust"})
+    assert replaced == []
+    store.fold()
+    assert sorted(replaced) == sorted(
+        ["index.json"] + [f"entries/{fp}.json" for fp in store.fingerprints()]
+    )
+    store.fold()                                   # nothing new: nothing published
+    assert len(replaced) == size + 1
     with open(os.path.join(str(tmp_path), "index.json"), "r", encoding="utf-8") as handle:
-        text = handle.read()
-    assert json.loads(text) == {"schema": CORPUS_SCHEMA, "entries": store.index_rows()}
-    assert len(text.splitlines()) == len(store) + 5
+        assert json.load(handle) == {"schema": CORPUS_SCHEMA, "entries": store.index_rows()}
     assert CorpusStore(str(tmp_path)).index_rows() == store.index_rows()
 
 
 def test_an_index_in_the_indented_layout_still_opens(tmp_path):
-    """``index.json`` as written before rows were cached (``indent=1``)."""
+    """``index.json`` as written by older versions (``indent=1``)."""
     store = CorpusStore(str(tmp_path))
     for i in range(3):
         store.add(_trace(i), scenario_id="s", score=float(i))
@@ -125,6 +129,7 @@ def test_an_index_in_the_indented_layout_still_opens(tmp_path):
     reopened = CorpusStore(str(tmp_path))
     assert reopened.index_rows() == rows
     assert reopened.add(_trace(9), scenario_id="s") is True
+    reopened.fold()
     assert set(CorpusStore(str(tmp_path)).index_rows()) == set(rows) | {_trace(9).fingerprint()}
 
 

@@ -200,7 +200,7 @@ class TestCampaignCoverage:
         for entry in annotated:
             signature = signature_from_summary({"behavior_signature": entry.behavior})
             assert signature is not None
-            assert entry.summary()["behavior_cell"] == signature.cell_key()
+            assert corpus.index_rows()[entry.fingerprint]["behavior_cell"] == signature.cell_key()
         cells = {row.get("behavior_cell") for row in corpus.index_rows().values()}
         assert cells - {None, ""} == {entry.behavior["cell"] for entry in annotated}
 

@@ -142,21 +142,23 @@ def test_resume_after_torn_append(tmp_path, spec_file, baseline):
 @pytest.mark.slow
 @pytest.mark.parametrize("nth", [1, N_BUILTINS + 1])
 def test_resume_after_journaled_insert(tmp_path, spec_file, baseline, nth):
-    """Kill with a corpus_insert durable in the journal but its corpus write
-    not yet performed: resume rolls the WAL forward (nth=1 dies during
-    builtin registration, nth=N_BUILTINS+1 during the first harvest)."""
+    """Kill with a corpus_insert durable in the journal and no corpus file
+    written: resume folds the WAL (nth=1 dies during builtin registration,
+    nth=N_BUILTINS+1 during the first harvest)."""
     corpus_dir = tmp_path / "corpus"
     run_killed(corpus_dir, spec_file, "post-append", nth=nth)
     view = CampaignJournal(CampaignJournal.corpus_path(str(corpus_dir))).replay()
     assert len(view.inserts) == nth
-    # The last journaled insert never reached the corpus: a new trace is
-    # still absent, a rediscovery's stored counter still lags the journal.
+    # Nothing reaches the corpus files before the campaign's fold, so they
+    # lag the journal by every insert, the last one included; a reader
+    # applies them all.
+    assert not os.path.exists(os.path.join(corpus_dir, "index.json"))
     last = view.inserts[-1]
     store = CorpusStore(str(corpus_dir))
     if last["new"]:
-        assert last["fingerprint"] not in store
+        assert last["fingerprint"] in store
     else:
-        assert store.get(last["fingerprint"]).rediscoveries == last["rediscoveries_after"] - 1
+        assert store.get(last["fingerprint"]).rediscoveries == last["rediscoveries_after"]
     resume_and_compare(corpus_dir, baseline)
 
 
@@ -164,8 +166,8 @@ def test_resume_after_journaled_insert(tmp_path, spec_file, baseline, nth):
 def test_resume_after_kill_before_corpus_rename(tmp_path, spec_file, baseline):
     """Kill between writing a corpus temp file and the os.replace publishing
     it: the orphan ``*.tmp`` is swept on reload and the journal replays the
-    insert forward.  (nth=2: rename #1 is the fresh store's empty index;
-    rename #2 publishes the first builtin's entry file.)"""
+    insert forward.  (nth=2: a campaign's first corpus renames are its
+    fold's, one per entry file; rename #2 publishes the second entry file.)"""
     corpus_dir = tmp_path / "corpus"
     run_killed(corpus_dir, spec_file, "pre-rename", nth=2)
     orphans = [name for name in os.listdir(corpus_dir) if name.endswith(".tmp")] + [

@@ -8,6 +8,7 @@ read-only access that cannot touch a live directory.
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -45,7 +46,7 @@ def _journal_with_records(directory) -> CampaignJournal:
 
 def _publish_corpus(directory):
     store = CorpusStore(str(directory))
-    return lambda: store.add(_trace(), scenario_id="s")
+    return lambda: (store.add(_trace(), scenario_id="s"), store.fold())
 
 
 #: site -> (file published under the directory, set-up returning the action)
@@ -221,7 +222,7 @@ def test_journal_writer_and_observer_share_one_scan(tmp_path_factory, payloads, 
 @pytest.mark.parametrize(
     "damage",
     [
-        lambda text: text.replace('"schema": 1', '"schema": 99'),
+        lambda text: json.dumps(dict(json.loads(text), schema=99)),
         lambda text: text[: len(text) // 2],
     ],
     ids=["schema-mismatch", "truncated"],
@@ -229,6 +230,7 @@ def test_journal_writer_and_observer_share_one_scan(tmp_path_factory, payloads, 
 def test_unusable_index_reads_empty_and_refuses_to_open_for_writing(tmp_path, damage):
     store = CorpusStore(str(tmp_path))
     store.add(_trace(), scenario_id="s")
+    store.fold()
     index_path = tmp_path / "index.json"
     index_path.write_text(damage(index_path.read_text()), encoding="utf-8")
     (tmp_path / "index.json.tmp").write_text("orphan", encoding="utf-8")

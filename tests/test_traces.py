@@ -30,7 +30,6 @@ from repro.traces import (
     TrafficTrace,
     TrafficTraceGenerator,
     burstiness_index,
-    check_link_invariants,
     crossover_traffic_traces,
     is_valid_trace,
     longest_silence,
@@ -223,7 +222,9 @@ class TestMutation:
         evolved = original
         for _ in range(25):
             evolved = mutate_link_trace(evolved, rng)
-        assert check_link_invariants(original, evolved) == []
+        assert evolved.packet_count == original.packet_count
+        assert evolved.duration == pytest.approx(original.duration, abs=1e-9)
+        assert is_valid_trace(evolved)
 
     def test_traffic_mutation_respects_budget(self, rng):
         trace = TrafficTraceGenerator(duration=5.0, max_packets=200, seed=2).generate()

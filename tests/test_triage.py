@@ -513,6 +513,7 @@ class TestTriageCli:
             objective="throughput",
             score=-1.0,
         )
+        corpus.fold()
         exit_code = campaign_main(
             [
                 "triage",
@@ -546,6 +547,7 @@ class TestTriageCli:
             score=-1.0,
             condition={"queue_capacity": 20},
         )
+        corpus.fold()
         exit_code = triage_main(
             [
                 "--corpus", str(tmp_path / "corpus"),

@@ -410,12 +410,12 @@ def test_rediscovery_of_missing_corpus_entry_degrades_to_new(tmp_path):
         "rediscoveries_after": 3,
         "entry": {"scenario_id": SID, "cca": "reno", "trace": trace.to_dict()},
     }
-    runner.inserts.apply(data)
-    assert runner.inserts.warnings == 1
+    runner.corpus.apply(data)
+    assert runner.corpus.repairs == 1
     assert trace.fingerprint() in runner.corpus
     # Once repaired, replaying the same event again is a plain no-op path.
-    runner.inserts.apply(data)
-    assert runner.inserts.warnings == 1
+    runner.corpus.apply(data)
+    assert runner.corpus.repairs == 1
 
 
 def test_append_detects_journal_replaced_under_open_handle(tmp_path):
@@ -529,6 +529,33 @@ def test_run_fleet_closes_journal_and_telemetry_when_it_fails(tmp_path, monkeypa
         run_fleet(CampaignSpec.from_dict(FLEET_SPEC), str(tmp_path / "corpus"), workers=0)
     assert journals and all(journal._handle is None for journal in journals)
     assert telemetry_closes
+
+
+def test_a_driver_that_raises_after_the_matrix_keeps_the_workers_finds(
+    tmp_path, monkeypatch, fleet_control
+):
+    """Bugfix: a driver that raised after the last ``scenario_complete`` but
+    before applying its workers' inserts still marked the journal as folded,
+    so readers skipped those finds and a rerun rotated them away.  A failed
+    campaign's fold marks nothing; the rerun resumes and finishes it."""
+    from repro.campaign import CorpusReader
+    from repro.campaign.worker import FleetWorker
+
+    corpus_dir = str(tmp_path / "corpus")
+    spec = CampaignSpec.from_dict(FLEET_SPEC)
+    drain = FleetWorker.run
+
+    def drain_then_raise(self):
+        drain(self)
+        raise RuntimeError("driver interrupted")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FleetWorker, "run", drain_then_raise)
+        with pytest.raises(RuntimeError, match="driver interrupted"):
+            run_fleet(spec, corpus_dir, workers=0, telemetry=False)
+    assert CorpusReader(corpus_dir).fingerprints() == fleet_control["fingerprints"]
+    result = run_fleet(spec, corpus_dir, workers=0, telemetry=False)
+    assert _state_of(corpus_dir, result) == fleet_control
 
 
 LEGACY_THREAD_MODE_JOURNAL = os.path.join(
