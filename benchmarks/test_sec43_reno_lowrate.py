@@ -19,6 +19,7 @@ from repro.analysis import findings_of
 from repro.attacks import lowrate_attack_trace
 from repro.core import CCFuzz, FuzzConfig
 from repro.netsim import CROSS_FLOW, SimulationConfig, run_simulation
+from repro.netsim.simulation import simulate_packet_trace
 from repro.scoring import LowUtilizationScore, MinimalTrafficScore, ScoreFunction
 from repro.tcp import Reno
 from repro.traces import longest_silence
@@ -49,7 +50,7 @@ def run_experiment():
         seed_traces=[baseline_trace],
     )
     fuzz_result = fuzzer.run()
-    evolved = fuzzer.simulate_trace(fuzz_result.best_trace)
+    evolved = simulate_packet_trace(Reno, fuzz_config.sim, fuzz_result.best_trace)
     return clean, baseline_trace, baseline, fuzz_result, evolved
 
 

@@ -16,6 +16,7 @@ import argparse
 
 from repro import CCFuzz, FuzzConfig, Reno, SimulationConfig, run_simulation
 from repro.analysis import ascii_chart, format_table
+from repro.netsim.simulation import simulate_packet_trace
 
 
 def main() -> None:
@@ -46,7 +47,7 @@ def main() -> None:
 
     best_trace = result.best_trace
     clean = run_simulation(Reno, SimulationConfig(duration=args.duration))
-    adversarial = fuzzer.simulate_trace(best_trace)
+    adversarial = simulate_packet_trace(Reno, fuzzer.config.sim, best_trace)
 
     print("\nBest adversarial trace vs clean run:")
     print(format_table([

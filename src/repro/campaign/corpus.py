@@ -35,8 +35,9 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
+from ..coverage.archive import BehaviorArchive, read_archive_payload
 from ..exec.workers import EvaluationJob
 from ..journal import CampaignJournal, JournalView
 from ..journal.log import JOURNAL_FILENAME, read_corpus_journal_view
@@ -48,7 +49,7 @@ from ..storage import dump_json, file_stamp, publish_all, publish_json, read_jso
 from ..tcp.cca import cca_factory
 from ..traces.constraints import may_join_population
 from ..traces.trace import TRACE_CLASSES, PacketTrace
-from .spec import NetworkCondition
+from .spec import CampaignSpec, NetworkCondition
 
 #: index.json schema version, bumped on incompatible layout changes.
 CORPUS_SCHEMA = 1
@@ -177,6 +178,56 @@ def _journal_mark(corpus_dir: str) -> Optional[Dict[str, int]]:
     return None if stamp is None else {"bytes": stamp[1], "mtime_ns": stamp[2]}
 
 
+def _fold_mark(corpus_dir: str) -> Optional[Dict[str, int]]:
+    """The journal size and mtime ``folded.json`` names (``None``: there is none)."""
+    mark = read_json_object(os.path.join(str(corpus_dir), FOLD_MARK_FILENAME))
+    return mark.get("journal") if mark is not None else None
+
+
+def read_corpus_map(
+    corpus_dir: str,
+    view: Optional[JournalView] = None,
+    generation_limits: Optional[Dict[str, int]] = None,
+    strict: bool = False,
+) -> Tuple[Dict[str, Any], int]:
+    """A corpus directory's behavior map, the one function that computes it
+    (``repro-coverage``, ``/api/coverage``, a fresh campaign's starting map,
+    resume, a fleet's finalize, :meth:`CorpusStore.fold`).
+
+    With no journal, or a ``folded.json`` that matches it, the map is
+    ``behavior_map.json`` alone.  Otherwise it is the journal campaign's
+    ``archive_baseline`` with the journal (``view``, its replay, when given)
+    folded in: each scenario's deltas
+    (:meth:`JournalView.behavior_state`, capped by ``generation_limits``,
+    which always reads the journal), except that a completed scenario's
+    journaled private archive (a fleet's) is merged over the baseline
+    instead, in matrix order; its deltas would count its visits twice.
+
+    Returns the map as :meth:`BehaviorArchive.to_dict` shapes it, and how
+    many cells the file held: none when it is missing, torn or of another
+    schema, which ``strict`` raises for.
+    """
+    stored = read_archive_payload(BehaviorArchive.corpus_path(corpus_dir), strict)
+    stored = stored or BehaviorArchive().to_dict()
+    journal = _journal_mark(corpus_dir)
+    if journal is None or (generation_limits is None and journal == _fold_mark(corpus_dir)):
+        return stored, len(stored["cells"])
+    view = view if view is not None else read_corpus_journal_view(corpus_dir)
+    base = (view.campaign or {}).get("archive_baseline") or stored
+    private = {sid: done["archive"] for sid, done in view.completed.items()
+               if isinstance(done.get("archive"), dict)}
+    limits = {**(generation_limits or {}), **dict.fromkeys(private, -1)}
+    cells, counters = view.behavior_state(limits)
+    payload = dict(base, **(counters or {}), cells={**base["cells"], **cells})
+    if private:
+        archive, baseline = BehaviorArchive.from_dict(payload), BehaviorArchive.from_dict(base)
+        for scenario in CampaignSpec.from_dict(view.campaign["spec"]).expand():
+            if scenario.scenario_id in private:
+                archive.merge(BehaviorArchive.from_dict(private[scenario.scenario_id]), baseline)
+        payload = archive.to_dict()
+    return payload, len(stored["cells"])
+
+
 def read_corpus_index(corpus_dir: str) -> Dict[str, Dict[str, Any]]:
     """The corpus's rows (fingerprint -> summary) as :class:`CorpusReader` reads them."""
     return CorpusReader(corpus_dir).index_rows()
@@ -278,8 +329,7 @@ class CorpusReader:
         self.repairs = 0
         # The mark is read before the index: a fold publishes it after the
         # index, so an index read later holds at least what the mark says.
-        mark = read_json_object(os.path.join(self.path, FOLD_MARK_FILENAME))
-        self._mark = mark.get("journal") if mark is not None else None
+        self._mark = _fold_mark(self.path)
         journal = _journal_mark(self.path)
         rows = self._read_rows()
         self._index: Dict[str, Dict[str, Any]] = rows or {}
@@ -585,27 +635,39 @@ class CorpusStore(CorpusReader):
                 raise KeyError(fingerprint)
             self._stage(fingerprint, dict(entry, triage=dict(payload)))
 
-    def fold(self, mark: bool = True) -> None:
+    def fold(self, mark: bool = True, archive: Optional[BehaviorArchive] = None) -> None:
         """Publish each entry changed since the last fold, then
-        ``index.json``, then ``folded.json`` naming the journal bytes they
-        now hold (nothing, when nothing changed).  Call it when the journal
-        holds every insert this store applied; dying before or inside it
-        loses nothing, since every reader applies the inserts the files lack.
+        ``index.json``, then the behavior map, then ``folded.json`` naming
+        the journal bytes they now hold (nothing, when nothing changed).
+        Call it when the journal holds every insert this store applied;
+        dying before or inside it loses nothing, since every reader applies
+        the inserts the files lack and reads the map from the journal until
+        ``folded.json`` matches it.
 
-        ``mark=False``, for a campaign that raised (its journal may hold a
-        fleet's inserts this store never applied), writes no ``folded.json``.
+        The map is ``archive`` (a campaign's own), or else the journal's
+        (:func:`read_corpus_map`), and it is written only when it differs
+        from ``behavior_map.json``.  ``mark=False``, for a campaign
+        that raised (its journal may hold a fleet's inserts this store never
+        applied), writes no ``folded.json``.
         """
         with self._lock:
             journal = _journal_mark(self.path) if mark else None
-            if not self._dirty and journal == self._mark:
-                return
-            publish_all(
-                (os.path.join(self._entries_dir, f"{fingerprint}.json"),
-                 dump_json(self._payloads[fingerprint]))
-                for fingerprint in sorted(self._dirty)
-            )
-            publish_json(self._index_path, {"entries": self._index, "schema": CORPUS_SCHEMA})
-            if journal is not None:
+            marking = journal is not None and journal != self._mark
+            if self._dirty or journal != self._mark:
+                publish_all(
+                    (os.path.join(self._entries_dir, f"{fingerprint}.json"),
+                     dump_json(self._payloads[fingerprint]))
+                    for fingerprint in sorted(self._dirty)
+                )
+                publish_json(self._index_path, {"entries": self._index, "schema": CORPUS_SCHEMA})
+            if archive is not None or marking:
+                path = BehaviorArchive.corpus_path(self.path)
+                behavior = archive.to_dict() if archive is not None else (
+                    read_corpus_map(self.path, strict=True)[0]
+                )
+                if read_json_object(path) != behavior:
+                    publish_json(path, behavior)
+            if marking:
                 publish_json(os.path.join(self.path, FOLD_MARK_FILENAME), {"journal": journal})
             self._dirty.clear()
             self._mark = journal

@@ -63,7 +63,7 @@ from ..obs.telemetry import CampaignTelemetry
 from ..scoring.objectives import make_score_function
 from ..tcp.cca import cca_factory
 from ..traces.trace import PacketTrace
-from .corpus import CorpusStore
+from .corpus import CorpusStore, read_corpus_map
 from .spec import CampaignSpec, Scenario
 
 ProgressCallback = Callable[[str], None]
@@ -464,7 +464,12 @@ class ScenarioEngine:
 
 
 class CampaignRunner:
-    """Plans, runs and records a whole campaign of fuzzing scenarios."""
+    """Plans, runs and records a whole campaign of fuzzing scenarios.
+
+    ``archive``, the map it starts from and journals as ``archive_baseline``,
+    is by default the corpus's (:func:`~repro.campaign.corpus.read_corpus_map`).
+    The fold at finalize publishes the campaign's map.
+    """
 
     def __init__(
         self,
@@ -484,10 +489,11 @@ class CampaignRunner:
             raise ValueError("harvest_top_k must be at least 1")
         self.spec = spec
         self.corpus = corpus
-        # One behavior archive spans the whole campaign; a pre-existing
-        # behavior_map.json next to the corpus is resumed so coverage
-        # accumulates across campaigns like the corpus itself does.
-        self.archive = archive if archive is not None else BehaviorArchive.for_corpus(corpus.path)
+        # One behavior archive spans the whole campaign; coverage accumulates
+        # across campaigns like the corpus itself does.
+        self.archive = archive if archive is not None else BehaviorArchive.from_dict(
+            read_corpus_map(corpus.path, strict=True)[0]
+        )
         self.register_attacks = register_attacks
         self.harvest_top_k = harvest_top_k
         self._progress = progress or (lambda message: None)
@@ -536,8 +542,9 @@ class CampaignRunner:
         Replays ``<corpus_dir>/journal.jsonl`` into a consistent view, then
         rebuilds: the spec and knobs from the start record, the corpus (the
         files plus the journal's inserts, read from that one replay), the
-        behavior archive (baseline + journaled deltas), every
-        completed scenario's outcome, and the in-flight scenario's full GA
+        behavior map (:func:`~repro.campaign.corpus.read_corpus_map` of that
+        replay, unfinished scenarios held back), every completed scenario's
+        outcome, and the in-flight scenario's full GA
         state from its latest generation checkpoint, including the RNG and
         the shared evaluation cache.  The returned runner's :meth:`run` picks
         up exactly where the dead process stopped.
@@ -549,12 +556,23 @@ class CampaignRunner:
                 f"nothing to resume: no campaign journal under {corpus_dir!r}"
             )
         start = view.campaign
+        # An unfinished scenario's deltas wait for :meth:`run`, which applies
+        # them up to the checkpoint generation once the checkpoint proves
+        # resumable (deltas are journaled *before* their checkpoint, so a
+        # trailing one may describe a generation the resumed search
+        # re-evaluates), and none when the scenario restarts from scratch.
+        limits = {
+            scenario_id: -1
+            for scenario_id in (*view.leases, *view.checkpoints)
+            if scenario_id not in view.completed
+        }
+        behavior, _ = read_corpus_map(str(corpus_dir), view, limits)
         runner = cls(
             CampaignSpec.from_dict(start["spec"]),
             CorpusStore(str(corpus_dir), lambda: view),
             backend=backend,
             cache=cache,
-            archive=BehaviorArchive.from_dict(start["archive_baseline"]),
+            archive=BehaviorArchive.from_dict(behavior),
             register_attacks=bool(start.get("register_attacks", True)),
             harvest_top_k=int(start.get("harvest_top_k", 3)),
             progress=progress,
@@ -563,20 +581,6 @@ class CampaignRunner:
         )
         runner._resume_view = view
         runner._repair(view)
-        # The constructor seeded ``archive`` with the journaled baseline;
-        # fold the completed scenarios' deltas back in.  An unfinished
-        # scenario's deltas wait for :meth:`run`, which applies them up to
-        # the checkpoint generation once the checkpoint proves resumable
-        # (deltas are journaled *before* their checkpoint, so a trailing one
-        # may describe a generation the resumed search re-evaluates), and
-        # none when the scenario restarts from scratch.
-        limits = {
-            scenario_id: -1
-            for scenario_id in (*view.leases, *view.checkpoints)
-            if scenario_id not in view.completed
-        }
-        runner.archive.apply_delta(*view.behavior_state(generation_limits=limits))
-        runner._merge_private_archives(view)
         return runner
 
     def _repair(self, view: JournalView) -> None:
@@ -586,20 +590,6 @@ class CampaignRunner:
         self.inserts.prior = view.inserts_by_scenario
         for entry in view.quarantined:
             self.quarantine.apply_event(entry)
-
-    def _merge_private_archives(self, view: JournalView) -> None:
-        """Fold the archives completed scenarios ran on privately into ours.
-
-        Fleet workers — and journals of the retired thread scheduling mode —
-        carry each scenario's private archive in its ``scenario_complete``
-        record.  Each was seeded from the campaign baseline, so only its
-        contribution beyond that is merged, in matrix order.
-        """
-        baseline = BehaviorArchive.from_dict(view.campaign["archive_baseline"])
-        for scenario in self.spec.expand():
-            payload = view.completed.get(scenario.scenario_id)
-            if payload is not None and payload.get("archive") is not None:
-                self.archive.merge(BehaviorArchive.from_dict(payload["archive"]), baseline=baseline)
 
     # ------------------------------------------------------------------ #
     # Lifecycle shared by both isolation policies
@@ -631,7 +621,8 @@ class CampaignRunner:
         else:
             # A journal holding a previous campaign_start records a
             # *different* campaign over this corpus; archive it so this
-            # run's log replays standalone — once the files hold its inserts.
+            # run's log replays standalone — once the files hold its inserts
+            # and its map.
             self.corpus.fold()
             journal.rotate()
             journal.append(
@@ -688,12 +679,10 @@ class CampaignRunner:
                 outcome_by_id, cache_stats = execute()
                 executed = True
             finally:
-                # Fold the corpus and persist the behavior map even if a
-                # scenario failed mid-campaign: the coverage CLI and future
-                # campaigns resume the map from here.  Only a matrix that ran
-                # to the end has applied every journaled insert and may mark it.
-                self.corpus.fold(mark=executed)
-                self.archive.save(BehaviorArchive.corpus_path(self.corpus.path))
+                # Fold the corpus and the behavior map even if a scenario
+                # failed mid-campaign.  Only a matrix that ran to the end has
+                # applied every journaled insert and may mark the fold.
+                self.corpus.fold(mark=executed, archive=self.archive)
                 self._journal.close()
             result = CampaignResult(
                 spec=self.spec,

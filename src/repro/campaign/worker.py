@@ -59,7 +59,7 @@ from ..exec.quarantine import QuarantineStore
 from ..journal import CampaignJournal, JournalView
 from ..obs.console import Console, add_console_flags
 from ..obs.telemetry import CampaignTelemetry
-from .corpus import CorpusReader, CorpusStore
+from .corpus import CorpusReader, CorpusStore, read_corpus_map
 from .scheduler import (
     CampaignResult,
     CampaignRunner,
@@ -317,8 +317,10 @@ def run_fleet(
     (:meth:`CampaignRunner._conduct`); its way of running the matrix is to
     journal the seed plan, spawn ``workers`` subprocesses, wait for them,
     drain any scenarios left over (e.g. every worker died) inline, and then
-    read the result back from the journal: apply the corpus inserts and merge
-    the per-scenario archives into ``behavior_map.json``.
+    read the result back from the journal: apply the corpus inserts, and take
+    the map :func:`~repro.campaign.corpus.read_corpus_map` computes from it
+    (the per-scenario archives merged over the baseline), which the fold
+    publishes as ``behavior_map.json``.
 
     ``workers=0`` runs the whole campaign inline in this process — the
     uninterrupted single-process control that fleet runs (of any size, with
@@ -331,8 +333,8 @@ def run_fleet(
     dies inside a scenario nobody else has claimed.
 
     ``archive`` is the behavior map a fresh campaign starts from (default:
-    the corpus's ``behavior_map.json``); a resumed one starts from its
-    journaled baseline.
+    the corpus's, :func:`~repro.campaign.corpus.read_corpus_map`); a resumed
+    one reads its map back from its journal.
 
     A corpus whose journal already holds this campaign, incomplete or not
     yet folded, is resumed (the matrix picks up where the dead fleet
@@ -355,8 +357,7 @@ def run_fleet(
     runner = CampaignRunner(
         spec,
         corpus,
-        # The map the merge at the end starts from is the journaled baseline.
-        archive=BehaviorArchive.from_dict(view.campaign["archive_baseline"]) if resuming else archive,
+        archive=archive,
         register_attacks=register_attacks,
         harvest_top_k=harvest_top_k,
         progress=progress,
@@ -429,7 +430,7 @@ def run_fleet(
         for scenario in scenarios:
             if scenario.scenario_id not in final.completed:
                 raise FleetError(f"scenario {scenario.scenario_id} never completed")
-        runner._merge_private_archives(final)
+        runner.archive = BehaviorArchive.from_dict(read_corpus_map(corpus_dir, final)[0])
         return journaled_outcomes(spec, final), {}
 
     return runner._conduct(run_matrix, view if resuming else None, fleet=workers)

@@ -38,7 +38,7 @@ import tempfile
 import time
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence
 
-from .campaign.corpus import CorpusReader, CorpusStore
+from .campaign.corpus import CorpusReader, CorpusStore, read_corpus_map
 from .campaign.scheduler import CampaignResult, CampaignRunner
 from .campaign.spec import DEFAULT_POLL_S, CampaignSpec, GaBudget
 from .core.fuzzer import MODES
@@ -47,7 +47,6 @@ from .coverage import (
     BehaviorArchive,
     diff_archives,
 )
-from .coverage.archive import read_corpus_map
 from .exec.backend import BACKENDS, create_backend
 from .exec.workers import simulate_packet_trace
 from .journal import CampaignJournal, JournalCorruption
@@ -281,8 +280,7 @@ def _fuzz(args: _Args, parser: _Parser, console: Console) -> None:
         else tempfile.TemporaryDirectory(prefix="repro-fuzz-")
     )
     with corpus as corpus_dir:
-        with _usage_errors(parser):
-            archive = BehaviorArchive.for_corpus(corpus_dir)
+        archive = _corpus_archive(corpus_dir, parser)
         runner = CampaignRunner(
             spec,
             CorpusStore(corpus_dir),
@@ -472,18 +470,22 @@ def _triage(args: _Args, parser: _Parser, console: Console) -> None:
 # --------------------------------------------------------------------------- #
 
 
+def _corpus_archive(corpus_dir: str, parser: _Parser) -> BehaviorArchive:
+    """A corpus directory's behavior map (:func:`read_corpus_map`): what a
+    fresh campaign over it starts from, and what ``/api/coverage`` shows."""
+    with _usage_errors(parser):
+        return BehaviorArchive.from_dict(read_corpus_map(corpus_dir, strict=True)[0])
+
+
 def _load_archive(path: str, parser: _Parser) -> BehaviorArchive:
-    """A behavior map file, or a corpus directory's map read as
-    ``/api/coverage`` reads it (:func:`read_corpus_map`)."""
+    """A behavior map file, or a corpus directory's map."""
     if os.path.isdir(path):
         if not any(
             os.path.exists(source)
             for source in (BehaviorArchive.corpus_path(path), CampaignJournal.corpus_path(path))
         ):
             parser.error(f"{path} holds neither a behavior map nor a campaign journal")
-        with _usage_errors(parser):
-            payload, _ = read_corpus_map(path, read_corpus_journal_view(path), strict=True)
-            return BehaviorArchive.from_dict(payload)
+        return _corpus_archive(path, parser)
     if not os.path.exists(path):
         parser.error(f"no behavior map or corpus at {path}")
     with _usage_errors(parser):
@@ -599,8 +601,7 @@ def _campaign_run(args: _Args, parser: _Parser, console: Console) -> None:
         parser.error("one of --spec or --resume is required")
     overridable = ("backend", "workers", "job_timeout", "max_retries")
     spec = None if args.resume else _launch_spec(args, parser, overridable)
-    with _usage_errors(parser):
-        archive = None if args.resume else BehaviorArchive.for_corpus(args.corpus)
+    archive = None if args.resume else _corpus_archive(args.corpus, parser)
     # Every usage error of a fresh run is raised above: constructing the
     # telemetry creates the corpus directory and metrics.jsonl.
     telemetry = CampaignTelemetry(
@@ -633,8 +634,7 @@ def _campaign_workers(args: _Args, parser: _Parser, console: Console) -> None:
     if (args.kill_worker is None) != (args.kill_after_checkpoints is None):
         parser.error("--kill-worker and --kill-after-checkpoints go together")
     spec = _launch_spec(args, parser, ("job_timeout", "max_retries"))
-    with _usage_errors(parser):
-        archive = BehaviorArchive.for_corpus(args.corpus)
+    archive = _corpus_archive(args.corpus, parser)
     result = run_fleet(
         spec,
         args.corpus,

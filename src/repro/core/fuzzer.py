@@ -33,8 +33,8 @@ from ..coverage.signature import signature_from_summary
 from ..exec.backend import EvaluationBackend, create_backend
 from ..exec.batch import Evaluator
 from ..exec.cache import CachedOutcome, TraceCache, factory_identity, make_cache_key
-from ..exec.workers import EvaluationJob, simulate_packet_trace
-from ..netsim.simulation import CcaFactory, SimulationConfig, SimulationResult
+from ..exec.workers import EvaluationJob
+from ..netsim.simulation import CcaFactory, SimulationConfig
 from ..scoring.base import Score, ScoreFunction
 from ..scoring.objectives import make_score_function
 from ..traces.constraints import may_join_population
@@ -338,10 +338,6 @@ class CCFuzz:
         return self.cache.peek(make_cache_key(
             trace.fingerprint(), self.cca_key, self._sim_fingerprint, self._score_fingerprint
         ))
-
-    def simulate_trace(self, trace: PacketTrace) -> SimulationResult:
-        """Run the CCA under test against a single trace."""
-        return simulate_packet_trace(self.cca_factory, self.config.sim, trace)
 
     @staticmethod
     def _apply_outcome(individual: Individual, score: Score, summary: Dict[str, object]) -> None:

@@ -33,15 +33,12 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.metrics import get_registry
 from ..storage import publish_json, read_json_object
 from ..traces.trace import PacketTrace
 from .signature import SIGNATURE_SCHEMA, BehaviorSignature
-
-if TYPE_CHECKING:
-    from ..journal.view import JournalView
 
 #: behavior_map.json schema version, bumped on incompatible layout changes.
 ARCHIVE_SCHEMA = 1
@@ -258,9 +255,6 @@ class BehaviorArchive:
         with self._lock:
             return cell in self._cells
 
-    def cell_count(self) -> int:
-        return len(self)
-
     def cell_keys(self) -> List[str]:
         """All cell keys, sorted for deterministic iteration."""
         with self._lock:
@@ -417,13 +411,6 @@ class BehaviorArchive:
         """Where the archive lives inside a campaign corpus directory."""
         return os.path.join(str(corpus_dir), ARCHIVE_FILENAME)
 
-    @classmethod
-    def for_corpus(cls, corpus_dir: str) -> "BehaviorArchive":
-        """A corpus's map, strictly :meth:`load`-ed, or an empty archive when
-        the corpus has none yet."""
-        path = cls.corpus_path(corpus_dir)
-        return cls.load(path) if os.path.exists(path) else cls()
-
 
 _UNUSABLE = (
     f"behavior archive is missing, torn, or not schema {ARCHIVE_SCHEMA} "
@@ -443,40 +430,17 @@ def _archive_cells(payload: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]
     return cells if isinstance(cells, dict) else None
 
 
-def read_corpus_map(
-    corpus_dir: str, view: "JournalView", strict: bool = False
-) -> Tuple[Dict[str, Any], int]:
-    """A corpus directory's behavior map: the one reader ``repro-coverage``
-    and ``/api/coverage`` share, ``view`` being the corpus's replayed journal.
-
-    ``behavior_map.json`` is final when its ``observations`` differ from the
-    ``archive_baseline`` of the journal's ``campaign_start`` (that campaign
-    saved it), and is read alone: a fleet's deltas hold per-scenario
-    payloads the finalize merge has summed.  Otherwise the file predates the
-    journal's campaign, and the journal's delta cells and counters overlay
-    it (a live or killed run).  Returns the map as :meth:`BehaviorArchive.to_dict`
-    shapes it and how many cells the file held.  A missing file holds none,
-    and so does a torn or mismatched one, which ``strict`` raises for.
-    """
-    path = BehaviorArchive.corpus_path(corpus_dir)
-    stored = read_json_object(path)
-    stored_cells = _archive_cells(stored)
-    if stored_cells is None:
+def read_archive_payload(path: str, strict: bool = False) -> Optional[Dict[str, Any]]:
+    """The map stored at ``path``, unparsed and less any cell that is not an
+    object, or ``None`` when it is missing, torn or of another schema
+    (``strict`` raises ``ValueError`` for a file that exists but is unusable)."""
+    payload = read_json_object(path)
+    cells = _archive_cells(payload)
+    if cells is None:
         if strict and os.path.exists(path):
             raise ValueError(_UNUSABLE)
-        stored, stored_cells = {}, {}
-    cells = {cell: payload for cell, payload in stored_cells.items() if isinstance(payload, dict)}
-    counters = {name: stored.get(name, 0) for name in ("observations", "new_cells", "improvements")}
-    file_cells = len(cells)
-    baseline = (view.campaign or {}).get("archive_baseline")
-    if not stored or not isinstance(baseline, dict) or (
-        stored.get("observations") == baseline.get("observations")
-    ):
-        cells.update((cell, p) for cell, p in view.behavior_cells.items() if isinstance(p, dict))
-        if isinstance(view.archive_counters, dict):
-            counters = view.archive_counters
-    return {"schema": ARCHIVE_SCHEMA, "signature_schema": SIGNATURE_SCHEMA, **counters,
-            "cells": cells}, file_cells
+        return None
+    return dict(payload, cells={cell: p for cell, p in cells.items() if isinstance(p, dict)})
 
 
 def diff_archives(a: BehaviorArchive, b: BehaviorArchive) -> Dict[str, Any]:

@@ -102,11 +102,7 @@ class JournalView:
     inserts_by_scenario: Dict[str, Dict[str, Dict[str, Any]]] = field(default_factory=dict)
     #: scenario_id -> ``scenario_complete`` payload.
     completed: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: cell -> latest elite payload from ``behavior_delta`` records.
-    behavior_cells: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: latest absolute archive counters from a ``behavior_delta``, if any.
-    archive_counters: Optional[Dict[str, int]] = None
-    #: every ``behavior_delta`` payload in fold order (for limit-aware folds).
+    #: every ``behavior_delta`` payload in fold order (:meth:`behavior_state`).
     behavior_deltas: List[Dict[str, Any]] = field(default_factory=list)
     #: cache scope -> that cache's folded op log as one ``base``-0 payload
     #: (what ``TraceCache.restore`` takes).  Scope is the scenario id for a
@@ -152,7 +148,6 @@ class JournalView:
                 for sid, by_fingerprint in self.inserts_by_scenario.items()
             },
             completed=dict(self.completed),
-            behavior_cells=dict(self.behavior_cells),
             behavior_deltas=list(self.behavior_deltas),
             caches={scope: _own_ops(payload) for scope, payload in self.caches.items()},
             quarantined=list(self.quarantined),
@@ -433,15 +428,6 @@ def _fold_cache(view: JournalView, data: Dict[str, Any]) -> None:
     view.caches[scope] = {**delta, "base": 0, "ops": folded}
 
 
-def _fold_delta(view: JournalView, data: Dict[str, Any]) -> None:
-    view.behavior_deltas.append(data)
-    for cell, payload in data.get("cells", {}).items():
-        view.behavior_cells[cell] = payload
-    counters = data.get("counters")
-    if counters is not None:
-        view.archive_counters = counters
-
-
 def _fold_insert(view: JournalView, data: Dict[str, Any]) -> None:
     view.inserts.append(data)
     per_scenario = view.inserts_by_scenario.setdefault(data["scenario_id"], {})
@@ -491,8 +477,7 @@ def _fold_snapshot(
     view.resumes.extend(snapshot_view.get("resumes") or [])
     for checkpoint in (snapshot_view.get("checkpoints") or {}).values():
         _fold_checkpoint(view, checkpoint)
-    for delta in snapshot_view.get("behavior_deltas") or []:
-        _fold_delta(view, delta)
+    view.behavior_deltas.extend(snapshot_view.get("behavior_deltas") or [])
     for insert in snapshot_view.get("inserts") or []:
         _fold_insert(view, insert)
     for entry in snapshot_view.get("quarantined") or []:
@@ -583,7 +568,7 @@ class JournalFold:
             _fold_checkpoint(view, data)
             _fold_cache(view, data)
         elif record.type == "behavior_delta":
-            _fold_delta(view, data)
+            view.behavior_deltas.append(data)
         elif record.type == "corpus_insert":
             _fold_insert(view, data)
         elif record.type == "job_quarantined":

@@ -17,8 +17,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from ..analysis.reporting import shape_coverage, shape_rankings
-from ..campaign.corpus import CorpusReader, provenance_chain
-from ..coverage.archive import read_corpus_map
+from ..campaign.corpus import CorpusReader, provenance_chain, read_corpus_map
 from ..journal.log import JOURNAL_FILENAME, JournalCursor
 from ..journal.view import JournalView
 from ..obs.sinks import METRICS_FILENAME, tail_metrics_records
@@ -140,13 +139,13 @@ class DashboardQuery:
 
     def coverage(self) -> Dict[str, Any]:
         """Behavior-map heatmap + gaps, read as ``repro-coverage`` reads it
-        (:func:`~repro.coverage.archive.read_corpus_map`)."""
+        (:func:`~repro.campaign.corpus.read_corpus_map`)."""
         view = self._journal_view()
         payload, archive_cells = read_corpus_map(self.corpus_dir, view)
         shaped = shape_coverage(payload["cells"])
         shaped["sources"] = {
             "archive_cells": archive_cells,
-            "journal_cells": len(view.behavior_cells),
+            "journal_cells": len(view.behavior_state()[0]),
             "torn_records": view.torn_records,
             "fenced_records": view.fenced_records,
         }

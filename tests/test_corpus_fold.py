@@ -1,7 +1,8 @@
 """The corpus is a fold of the journal.
 
 A campaign writes its inserts only as journal records and publishes each
-changed entry file, ``index.json`` and ``folded.json`` once, at its fold.
+changed entry file, ``index.json``, ``behavior_map.json`` and
+``folded.json`` once, at its fold.
 Every reader sees the files plus the journal's inserts they lack, so a
 killed campaign's corpus reads as it would once folded, and a finished one
 is read without opening the journal.
@@ -137,14 +138,14 @@ def test_a_serial_campaign_publishes_each_corpus_file_once_at_its_fold(tmp_path,
     runner.run()
     monkeypatch.undo()
 
-    corpus_files = ["index.json", "folded.json"] + [
+    corpus_files = ["index.json", "behavior_map.json", "folded.json"] + [
         f"entries/{fingerprint}.json" for fingerprint in runner.corpus.fingerprints()
     ]
     published = [event for event in events if event in corpus_files]
     assert sorted(published) == sorted(corpus_files)        # each file, once
     first = events.index(published[0])
     assert not [event for event in events[first:] if event.startswith("journal:")]
-    assert published[-2:] == ["index.json", "folded.json"]
+    assert published[-3:] == ["index.json", "behavior_map.json", "folded.json"]
 
 
 def test_a_finished_corpus_is_read_without_opening_its_journal(
@@ -192,6 +193,7 @@ def _slow(point, nth):
         pytest.param("post-checkpoint", 2, id="post-checkpoint-2"),     # mid-scenario
         _slow("pre-rename", 1),                     # the fold's first entry file
         _slow("pre-rename", "index"),               # the fold's index.json
+        _slow("pre-rename", "map"),                 # the fold's behavior_map.json
         _slow("pre-rename", "mark"),                # the fold's folded.json
     ],
 )
@@ -199,7 +201,7 @@ def test_a_killed_campaign_reads_as_its_folded_corpus(
     tmp_path, spec_file, entry_files, capsys, point, nth
 ):
     killed, folded = str(tmp_path / "killed"), str(tmp_path / "folded")
-    nth = {"index": entry_files + 1, "mark": entry_files + 2}.get(nth, nth)
+    nth = {"index": entry_files + 1, "map": entry_files + 2, "mark": entry_files + 3}.get(nth, nth)
     _killed(killed, spec_file, point, nth)
     shutil.copytree(killed, folded)
     CorpusStore(folded).fold()

@@ -82,7 +82,7 @@ def view_fingerprint(view) -> tuple:
         view.checkpoints,
         view.inserts,
         view.completed,
-        view.behavior_cells,
+        view.behavior_state(),
         view.behavior_deltas,
         view.record_count,
     )
@@ -272,8 +272,7 @@ def resume_fingerprint(view) -> tuple:
         view.pending_checkpoints(),
         view.completed,
         view.behavior_deltas,
-        view.behavior_cells,
-        view.archive_counters,
+        view.behavior_state(),
         view.cache_state,
         view.inserts_by_scenario,
     )

@@ -195,7 +195,7 @@ def _assert_zombie_fenced(journal: CampaignJournal, victim: dict) -> None:
     assert view.fenced_records == before + 4
     assert SID not in view.completed
     assert not view.inserts
-    assert "zz" not in view.behavior_cells
+    assert "zz" not in view.behavior_state()[0]
 
 
 def test_forward_clock_step_lets_a_live_lease_be_stolen_but_fenced(tmp_path):
@@ -278,7 +278,7 @@ def test_fencing_drops_zombie_records_keeps_victim_progress(tmp_path):
     assert view.checkpoints[SID]["generation"] == 0
     assert SID not in view.completed
     assert not view.inserts
-    assert "zz" not in view.behavior_cells
+    assert "zz" not in view.behavior_state()[0]
 
 
 def test_legacy_epochless_records_are_never_fenced(tmp_path):
@@ -345,8 +345,7 @@ def _resume_view(view) -> tuple:
         view.pending_checkpoints(),
         view.completed,
         view.behavior_deltas,
-        view.behavior_cells,
-        view.archive_counters,
+        view.behavior_state(),
         view.cache_state,
         view.inserts_by_scenario,
     )
