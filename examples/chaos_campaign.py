@@ -4,7 +4,7 @@ The exec layer guarantees that one broken evaluation cannot take down a
 campaign: every failure — an exception, a malformed return value, a hung
 worker, a worker that dies outright — becomes a deterministic penalty
 outcome with structured metadata, deterministic crashers are quarantined
-(``quarantine.json`` next to the corpus, write-ahead journaled), hung
+(journaled, then published as ``quarantine.json`` with the corpus), hung
 workers are killed at ``job_timeout`` and replaced, and dead workers are
 respawned with the job retried under exponential backoff.
 
@@ -26,14 +26,8 @@ import argparse
 import sys
 import tempfile
 
-from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
-from repro.exec import (
-    BACKENDS,
-    ChaosPlan,
-    QuarantineStore,
-    chaos_injection,
-    evaluate_job,
-)
+from repro.campaign import CampaignRunner, CampaignSpec, CorpusReader, CorpusStore
+from repro.exec import BACKENDS, ChaosPlan, chaos_injection, evaluate_job
 from repro.obs.status import collect_status
 
 
@@ -112,7 +106,7 @@ def main() -> int:
         print(f"campaign completed: {len(result.outcomes)} scenario(s), "
               f"{result.outcomes[0].evaluations} evaluations")
 
-        store = QuarantineStore.for_corpus(corpus_dir)
+        store = CorpusReader(corpus_dir).quarantine
         print(f"\nquarantined {len(store)} deterministic crasher(s):")
         for entry in store.entries():
             print(f"  {entry['fingerprint'][:12]}  kind={entry['kind']:<12} "

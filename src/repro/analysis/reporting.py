@@ -330,13 +330,15 @@ def shape_coverage(cell_payloads: Dict[str, Dict[str, Any]], top: int = 20) -> D
 def shape_rankings(
     outcome_rows: Sequence[Dict[str, Any]],
     index_rows: Dict[str, Dict[str, Any]],
-    quarantine_counts: Optional[Dict[str, int]] = None,
+    quarantine_entries: Sequence[Dict[str, Any]] = (),
     triage_rows: Optional[Sequence[Dict[str, Any]]] = None,
 ) -> Dict[str, Any]:
     """Per-CCA vulnerability table from scenario outcomes + corpus evidence.
 
     ``outcome_rows`` come from :meth:`~repro.journal.view.JournalView.outcome_rows`,
-    ``index_rows`` from the corpus index, ``triage_rows`` are
+    ``index_rows`` from the corpus index, ``quarantine_entries`` from the
+    corpus's quarantine (each counted under the CCA of its ``scenario_id``,
+    not its ``cca``, which is the CCA's identity hash), ``triage_rows`` are
     differential-triage verdicts (``{"fingerprint", "classification",
     "most_vulnerable", "vulnerable_ccas"}``).  A CCA's headline number is
     the worst (highest) best-fitness any completed scenario reached against
@@ -382,9 +384,10 @@ def shape_rankings(
         if cca:
             row_for(cca)["corpus_entries"] += 1
 
-    for cca, count in (quarantine_counts or {}).items():
+    for entry in quarantine_entries:
+        cca = str(entry.get("scenario_id") or "").split("/")[0]
         if cca:
-            row_for(str(cca))["quarantined"] += int(count)
+            row_for(cca)["quarantined"] += 1
 
     classifications: Dict[str, int] = {}
     for verdict in triage_rows or []:

@@ -6,6 +6,7 @@ On-disk layout (one directory per corpus)::
       journal.jsonl        # the campaign journal; its corpus_insert records
       index.json           # schema version + per-entry summaries
       entries/<fp>.json    # full entry: the trace plus its provenance
+      quarantine.json      # the permanently refused (trace, CCA) pairs
       folded.json          # the journal size and mtime the files hold
 
 Entries are keyed by :meth:`PacketTrace.fingerprint`, so re-discovering a
@@ -16,11 +17,12 @@ recorded score is upgraded if the new find scored higher.
 The corpus is a fold of the journal.  During a campaign an insert is only a
 ``corpus_insert`` record (:class:`~repro.campaign.scheduler.InsertLog`); when
 it ends, :meth:`CorpusStore.fold` publishes each changed entry file, then
-``index.json``, then (unless it failed) ``folded.json``, once.  Every
-reader sees the files plus the journal's inserts they lack, applied by
-:meth:`CorpusReader.apply`, so a killed or live campaign's corpus reads as
-its journal says, and a finished one costs a ``stat`` of the journal
-against ``folded.json``, not a parse.
+``index.json``, the behavior map and ``quarantine.json``, then (unless it
+failed) ``folded.json``, once.  Every reader sees the files plus the
+journal's inserts and ``job_quarantined`` events they lack, applied by
+:meth:`CorpusReader.apply_journal`, so a killed or live campaign's corpus
+reads as its journal says, and a finished one costs a ``stat`` of the
+journal against ``folded.json``, not a parse.
 
 :class:`CorpusReader` only ever opens files for reading, so it is safe on a
 directory another process is writing; everything that only reads holds one.
@@ -38,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..coverage.archive import BehaviorArchive, read_archive_payload
+from ..exec.quarantine import QUARANTINE_FILENAME, QuarantineStore, read_quarantine_entries
 from ..exec.workers import EvaluationJob
 from ..journal import CampaignJournal, JournalView
 from ..journal.log import JOURNAL_FILENAME, read_corpus_journal_view
@@ -305,11 +308,11 @@ def _rediscovered(old: Dict[str, Any], fields: Dict[str, Any]) -> Dict[str, Any]
 
 
 class CorpusReader:
-    """The corpus as of when it was opened: ``index.json`` and the entry
-    files plus the journal's inserts they lack (none, and no journal read,
-    when ``folded.json`` matches the journal's size and mtime).  The journal
-    comes from ``journal_view`` when a caller has replayed it, else it is
-    read as an observer.
+    """The corpus as of when it was opened: ``index.json``, the entry files
+    and ``quarantine.json`` plus the journal's inserts and quarantines they
+    lack (none, and no journal read, when ``folded.json`` matches the
+    journal's size and mtime).  The journal comes from ``journal_view`` when
+    a caller has replayed it, else it is read as an observer.
 
     Has no method that creates a directory, removes a file or publishes.
     Thread-safe.  Entry files are read lazily and memoized.
@@ -333,10 +336,14 @@ class CorpusReader:
         journal = _journal_mark(self.path)
         rows = self._read_rows()
         self._index: Dict[str, Dict[str, Any]] = rows or {}
+        #: The permanent quarantine (memory only: every campaign's store starts from it).
+        self.quarantine = QuarantineStore(
+            read_quarantine_entries(os.path.join(self.path, QUARANTINE_FILENAME))
+        )
         if journal is not None and (rows is None or journal != self._mark):
-            view = journal_view() if journal_view else read_corpus_journal_view(self.path)
-            for data in view.inserts:
-                self.apply(data)
+            self.apply_journal(
+                journal_view() if journal_view else read_corpus_journal_view(self.path)
+            )
 
     def _read_rows(self) -> Optional[Dict[str, Dict[str, Any]]]:
         return _index_rows(self.path)
@@ -398,6 +405,13 @@ class CorpusReader:
         """Every entry, in fingerprint order."""
         for fingerprint in self.fingerprints():
             yield self.get(fingerprint)
+
+    def apply_journal(self, view: JournalView) -> None:
+        """Apply a journal's inserts and quarantines in memory, idempotently."""
+        for data in view.inserts:
+            self.apply(data)
+        for entry in view.quarantined:
+            self.quarantine.apply_event(entry)
 
     def apply(self, data: Dict[str, Any]) -> None:
         """Apply one journaled ``corpus_insert`` in memory, idempotently.
@@ -635,20 +649,27 @@ class CorpusStore(CorpusReader):
                 raise KeyError(fingerprint)
             self._stage(fingerprint, dict(entry, triage=dict(payload)))
 
-    def fold(self, mark: bool = True, archive: Optional[BehaviorArchive] = None) -> None:
+    def fold(
+        self,
+        mark: bool = True,
+        archive: Optional[BehaviorArchive] = None,
+        quarantine: Optional[QuarantineStore] = None,
+    ) -> None:
         """Publish each entry changed since the last fold, then
-        ``index.json``, then the behavior map, then ``folded.json`` naming
-        the journal bytes they now hold (nothing, when nothing changed).
-        Call it when the journal holds every insert this store applied;
-        dying before or inside it loses nothing, since every reader applies
-        the inserts the files lack and reads the map from the journal until
-        ``folded.json`` matches it.
+        ``index.json``, then the behavior map and the quarantine, then
+        ``folded.json`` naming the journal bytes they now hold (nothing,
+        when nothing changed).  Call it when the journal holds every insert
+        and quarantine this store applied; dying before or inside it loses
+        nothing, since every reader applies what the files lack and reads
+        the map from the journal until ``folded.json`` matches it.
 
         The map is ``archive`` (a campaign's own), or else the journal's
-        (:func:`read_corpus_map`), and it is written only when it differs
-        from ``behavior_map.json``.  ``mark=False``, for a campaign
-        that raised (its journal may hold a fleet's inserts this store never
-        applied), writes no ``folded.json``.
+        (:func:`read_corpus_map`); the quarantine is ``quarantine`` (a
+        campaign's store), or else this reader's.  Each is written only
+        when it differs from its file (``quarantine.json`` not at all while
+        it would be empty).  ``mark=False``, for a campaign that raised (its
+        journal may hold a fleet's inserts this store never applied), writes
+        no ``folded.json``.
         """
         with self._lock:
             journal = _journal_mark(self.path) if mark else None
@@ -667,6 +688,12 @@ class CorpusStore(CorpusReader):
                 )
                 if read_json_object(path) != behavior:
                     publish_json(path, behavior)
+            if quarantine is not None or marking:
+                path = os.path.join(self.path, QUARANTINE_FILENAME)
+                refused = (quarantine if quarantine is not None else self.quarantine).to_dict()
+                if (refused["entries"] or os.path.exists(path)) and read_json_object(path) != refused:
+                    publish_json(path, refused)
+                self.quarantine = QuarantineStore(refused["entries"])
             if marking:
                 publish_json(os.path.join(self.path, FOLD_MARK_FILENAME), {"journal": journal})
             self._dirty.clear()

@@ -504,12 +504,12 @@ class CampaignRunner:
         if journal is None:
             journal = CampaignJournal(CampaignJournal.corpus_path(corpus.path))
         self._journal = journal
-        # Deterministic crashers are quarantined next to the corpus, with the
-        # journal as write-ahead log: the hook appends a ``job_quarantined``
-        # event before quarantine.json is rewritten, so resume and fleet
-        # workers replay the same refusals no matter where a crash landed.
-        self.quarantine = QuarantineStore.for_corpus(
-            corpus.path, journal_hook=lambda entry: journal.append("job_quarantined", entry)
+        # Deterministic crashers are refused from the corpus's quarantine on;
+        # each new one is a ``job_quarantined`` record first, and the fold
+        # publishes quarantine.json with the corpus.
+        self.quarantine = QuarantineStore(
+            corpus.quarantine.entries(),
+            journal_hook=lambda entry: journal.append("job_quarantined", entry),
         )
         # ``telemetry=True`` (the default) streams metrics.jsonl into the
         # corpus directory; pass a configured CampaignTelemetry to add the
@@ -540,8 +540,9 @@ class CampaignRunner:
         """Reconstruct an interrupted campaign from its journal.
 
         Replays ``<corpus_dir>/journal.jsonl`` into a consistent view, then
-        rebuilds: the spec and knobs from the start record, the corpus (the
-        files plus the journal's inserts, read from that one replay), the
+        rebuilds: the spec and knobs from the start record, the corpus and its
+        quarantine (the files plus the journal's inserts and quarantines,
+        read from that one replay), the
         behavior map (:func:`~repro.campaign.corpus.read_corpus_map` of that
         replay, unfinished scenarios held back), every completed scenario's
         outcome, and the in-flight scenario's full GA
@@ -580,16 +581,9 @@ class CampaignRunner:
             telemetry=telemetry,
         )
         runner._resume_view = view
-        runner._repair(view)
+        # The harvest replays the inserts it journaled already.
+        runner.inserts.prior = view.inserts_by_scenario
         return runner
-
-    def _repair(self, view: JournalView) -> None:
-        """Roll the quarantine store forward to the journal (the corpus read
-        the journal's inserts when it was opened) and hand the harvest the
-        inserts it journaled already.  Every apply is idempotent."""
-        self.inserts.prior = view.inserts_by_scenario
-        for entry in view.quarantined:
-            self.quarantine.apply_event(entry)
 
     # ------------------------------------------------------------------ #
     # Lifecycle shared by both isolation policies
@@ -621,8 +615,8 @@ class CampaignRunner:
         else:
             # A journal holding a previous campaign_start records a
             # *different* campaign over this corpus; archive it so this
-            # run's log replays standalone — once the files hold its inserts
-            # and its map.
+            # run's log replays standalone — once the files hold its
+            # inserts, its map and its quarantine.
             self.corpus.fold()
             journal.rotate()
             journal.append(
@@ -682,7 +676,7 @@ class CampaignRunner:
                 # Fold the corpus and the behavior map even if a scenario
                 # failed mid-campaign.  Only a matrix that ran to the end has
                 # applied every journaled insert and may mark the fold.
-                self.corpus.fold(mark=executed, archive=self.archive)
+                self.corpus.fold(mark=executed, archive=self.archive, quarantine=self.quarantine)
                 self._journal.close()
             result = CampaignResult(
                 spec=self.spec,

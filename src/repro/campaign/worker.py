@@ -106,13 +106,6 @@ class FleetWorker:
         self._telemetry_enabled = telemetry
         self._progress = progress or (lambda message: None)
         self.journal = CampaignJournal(CampaignJournal.corpus_path(self.corpus_dir))
-        # Quarantine state lives in the journal, not in a file this worker
-        # owns: entries journal through the hook (epoch-stamped, so fenced
-        # like any other record) and flow back in via replay; the driver
-        # materialises quarantine.json once, at finalize.
-        self.quarantine = QuarantineStore(
-            journal_hook=lambda entry: self.journal.append("job_quarantined", entry)
-        )
         self.scenarios_run = 0
 
     def run(self) -> int:
@@ -135,6 +128,14 @@ class FleetWorker:
         # A reader, not the store: opening the store would sweep the
         # driver's in-flight temp files out from under it.
         self.corpus = CorpusReader(self.corpus_dir, lambda: view)
+        # The quarantine starts from the reader's (every earlier campaign's
+        # plus this journal's); new entries journal through the hook
+        # (epoch-stamped, so fenced like any other record) and reach
+        # quarantine.json at the driver's fold.
+        self.quarantine = QuarantineStore(
+            self.corpus.quarantine.entries(),
+            journal_hook=lambda entry: self.journal.append("job_quarantined", entry),
+        )
         telemetry = CampaignTelemetry(
             self.corpus_dir, enabled=self._telemetry_enabled, worker_id=self.worker_id
         )
@@ -317,7 +318,8 @@ def run_fleet(
     (:meth:`CampaignRunner._conduct`); its way of running the matrix is to
     journal the seed plan, spawn ``workers`` subprocesses, wait for them,
     drain any scenarios left over (e.g. every worker died) inline, and then
-    read the result back from the journal: apply the corpus inserts, and take
+    read the result back from the journal: apply the corpus inserts and
+    quarantines, and take
     the map :func:`~repro.campaign.corpus.read_corpus_map` computes from it
     (the per-scenario archives merged over the baseline), which the fold
     publishes as ``behavior_map.json``.
@@ -365,7 +367,7 @@ def run_fleet(
         telemetry=CampaignTelemetry(corpus_dir, enabled=telemetry),
     )
     if resuming:
-        runner._repair(view)
+        runner.inserts.prior = view.inserts_by_scenario
 
     def run_matrix() -> "tuple[Dict[str, ScenarioOutcome], Dict[str, Any]]":
         if not resuming:
@@ -422,11 +424,10 @@ def run_fleet(
                 runner._progress(f"driver drained {drained} leftover scenarios inline")
             final = journal.replay()
         # Workers journal inserts and quarantines but never touch the corpus
-        # or quarantine.json (one file, many processes); the driver applies
-        # the surviving — unfenced — events here, and folds at finalize.
-        for data in final.inserts:
-            runner.corpus.apply(data)
-        runner._repair(final)
+        # files (one directory, many processes); the driver applies the
+        # surviving — unfenced — events here, and folds at finalize.
+        runner.corpus.apply_journal(final)
+        runner.quarantine = runner.corpus.quarantine
         for scenario in scenarios:
             if scenario.scenario_id not in final.completed:
                 raise FleetError(f"scenario {scenario.scenario_id} never completed")

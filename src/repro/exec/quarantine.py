@@ -6,12 +6,14 @@ worker-killer that exhausted its retries) together with provenance: the
 failure kind, message, attempt count and — when a campaign attaches context
 — the scenario, lease epoch and worker that first saw the failure.
 
-Persistence follows the journal's write-ahead discipline: ``record`` first
-hands the entry to the ``journal_hook`` (which appends a ``job_quarantined``
-event), then applies it to memory and publishes ``quarantine.json`` anew.
-Resume and fleet finalisation replay journal events through
-:meth:`apply_event`, which is idempotent and never re-journals, so crashes
-between the journal append and the file write converge to the same store.  File contents are fully deterministic (sorted entries, no wall
+The store is memory plus a journal hook.  ``record`` first hands the entry
+to the ``journal_hook`` (which appends a ``job_quarantined`` event), then
+applies it.  ``quarantine.json`` is a fold of the journal, like the corpus
+files: :class:`~repro.campaign.corpus.CorpusReader` reads it together with
+the journal's unfolded events (through :meth:`apply_event`, idempotent and
+never re-journaling), every campaign's store starts from that reader, and
+:meth:`~repro.campaign.corpus.CorpusStore.fold` publishes :meth:`to_dict`.
+The file's contents are fully deterministic (sorted entries, no wall
 times): two runs quarantining the same jobs produce byte-identical files.
 """
 
@@ -19,25 +21,19 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from ..storage import publish_json, read_json_object
+from ..storage import read_json_object
 from .faults import EvaluationFailure
 
 QUARANTINE_FILENAME = "quarantine.json"
 QUARANTINE_SCHEMA = 1
 
-#: Keys a campaign may stamp into ``QuarantineStore.context`` so entries and
-#: journal events carry fleet provenance (and fence correctly on lease
-#: steals: the view fences by ``scenario_id`` + ``lease_epoch``).
-CONTEXT_KEYS = ("scenario_id", "lease_epoch", "worker")
-
 
 def read_quarantine_entries(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Well-formed entries of a ``quarantine.json``, strictly read-only.
 
-    What the store loads through, and what an observer should use instead of
-    constructing a store.  Missing, torn or malformed reads as ``[]``.
+    Missing, torn or malformed reads as ``[]``.
     """
     payload = read_json_object(path) or {}
     entries = payload.get("entries")
@@ -49,39 +45,25 @@ def read_quarantine_entries(path: Union[str, Path]) -> List[Dict[str, Any]]:
 
 
 class QuarantineStore:
-    """Thread-safe set of quarantined jobs, optionally file/journal-backed."""
+    """Thread-safe set of quarantined jobs, optionally journal-backed."""
 
     def __init__(
         self,
-        path: Optional[Union[str, Path]] = None,
+        entries: Iterable[Dict[str, Any]] = (),
         journal_hook: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> None:
-        self._path = Path(path) if path is not None else None
         self._journal_hook = journal_hook
         self._lock = threading.RLock()
         self._entries: Dict[Tuple[str, str], Dict[str, Any]] = {}
         #: Provenance merged into every new entry; fleet workers set
         #: ``{"scenario_id": ..., "lease_epoch": ..., "worker": ...}`` per
-        #: scenario, single-process campaigns stamp only ``scenario_id``
-        #: (epoch-less events are never fenced, matching serial inserts).
+        #: scenario (the view fences events by ``scenario_id`` +
+        #: ``lease_epoch`` on a steal), single-process campaigns stamp only
+        #: ``scenario_id`` (epoch-less events are never fenced, matching
+        #: serial inserts).
         self.context: Dict[str, Any] = {}
-        if self._path is not None:
-            # A torn or missing file loads as empty: it rebuilds from the
-            # journal on resume.
-            for entry in read_quarantine_entries(self._path):
-                self._entries[(str(entry["fingerprint"]), str(entry["cca"]))] = entry
-
-    @classmethod
-    def for_corpus(
-        cls,
-        corpus_dir: Union[str, Path],
-        journal_hook: Optional[Callable[[Dict[str, Any]], None]] = None,
-    ) -> "QuarantineStore":
-        return cls(Path(corpus_dir) / QUARANTINE_FILENAME, journal_hook=journal_hook)
-
-    @property
-    def path(self) -> Optional[Path]:
-        return self._path
+        for entry in entries:
+            self.apply_event(entry)
 
     def __len__(self) -> int:
         with self._lock:
@@ -92,6 +74,10 @@ class QuarantineStore:
         with self._lock:
             return [dict(self._entries[key]) for key in sorted(self._entries)]
 
+    def to_dict(self) -> Dict[str, Any]:
+        """The ``quarantine.json`` payload."""
+        return {"schema": QUARANTINE_SCHEMA, "entries": self.entries()}
+
     def find(self, fingerprint: str, cca: str) -> Optional[Dict[str, Any]]:
         with self._lock:
             entry = self._entries.get((fingerprint, cca))
@@ -100,8 +86,8 @@ class QuarantineStore:
     def record(self, failure: EvaluationFailure) -> bool:
         """Quarantine a freshly observed deterministic failure.
 
-        Write-ahead: the journal hook runs before the entry is applied or
-        persisted.  Returns True when the entry is new; an already-known
+        Write-ahead: the journal hook runs before the entry is applied.
+        Returns True when the entry is new; an already-known
         (fingerprint, cca) is a no-op that never re-journals.
         """
         entry = failure.to_dict()
@@ -114,25 +100,14 @@ class QuarantineStore:
             if self._journal_hook is not None:
                 self._journal_hook(dict(entry))
             self._entries[key] = entry
-            self._persist()
             return True
 
     def apply_event(self, entry: Dict[str, Any]) -> bool:
-        """Idempotently apply a replayed ``job_quarantined`` event."""
+        """Idempotently apply a stored entry or a replayed ``job_quarantined`` event."""
         entry = dict(entry)
         key = (str(entry.get("fingerprint", "unknown")), str(entry.get("cca", "unknown")))
         with self._lock:
             if key in self._entries:
                 return False
             self._entries[key] = entry
-            self._persist()
             return True
-
-    def _persist(self) -> None:
-        if self._path is None:
-            return
-        payload = {
-            "schema": QUARANTINE_SCHEMA,
-            "entries": [self._entries[key] for key in sorted(self._entries)],
-        }
-        publish_json(self._path, payload)

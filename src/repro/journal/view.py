@@ -110,9 +110,8 @@ class JournalView:
     caches: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: latest ``scenario_seeds`` payload (the fleet's journaled seed plan).
     scenario_seeds: Optional[Dict[str, Any]] = None
-    #: ``job_quarantined`` payloads in fold order (the quarantine WAL);
-    #: resume and fleet finalisation replay these through
-    #: :meth:`repro.exec.quarantine.QuarantineStore.apply_event`.
+    #: ``job_quarantined`` payloads in fold order (the quarantine WAL), which
+    #: :meth:`repro.campaign.corpus.CorpusReader.apply_journal` applies.
     quarantined: List[Dict[str, Any]] = field(default_factory=list)
 
     record_count: int = 0
@@ -270,17 +269,6 @@ class JournalView:
                 }
             )
         return rows
-
-    def quarantine_counts(self) -> Dict[str, int]:
-        """Distinct quarantined (fingerprint, cca) pairs, keyed by cca."""
-        pairs = {
-            (entry.get("fingerprint"), entry.get("cca"))
-            for entry in self.quarantined
-        }
-        counts: Dict[str, int] = {}
-        for _, cca in pairs:
-            counts[str(cca)] = counts.get(str(cca), 0) + 1
-        return counts
 
     # ------------------------------------------------------------------ #
     # Compaction

@@ -73,10 +73,9 @@ def _attach_artifacts(status: Dict[str, Any], corpus_dir: Path) -> Dict[str, Any
     status["result_digest"] = ((manifest or {}).get("result") or {}).get(
         "deterministic_digest"
     )
-    # A read-only peek through the store's own parser, never a
-    # QuarantineStore: a status poll must not be able to create or rewrite a
-    # running campaign's quarantine state.  Imported here because ``exec``
-    # imports :mod:`repro.obs.metrics`.
+    # The entries on disk (the last fold's), through the corpus reader's own
+    # parser; a status poll never parses the journal.  Imported here because
+    # ``exec`` imports :mod:`repro.obs.metrics`.
     from ..exec.quarantine import QUARANTINE_FILENAME, read_quarantine_entries
 
     status["quarantine_entries"] = len(read_quarantine_entries(corpus_dir / QUARANTINE_FILENAME))

@@ -107,8 +107,9 @@ class DashboardQuery:
 
     def _corpus(self) -> CorpusReader:
         """The corpus now: its files plus, through this query's journal
-        cursor, the journal's inserts they lack.  Read again only when
-        ``index.json`` (every fold replaces it) or the journal has changed."""
+        cursor, the journal's inserts and quarantines they lack.  Read again
+        only when ``index.json`` (every fold replaces it) or the journal has
+        changed."""
         stamps = tuple(file_stamp(os.path.join(self.corpus_dir, name))
                        for name in ("index.json", JOURNAL_FILENAME))
         with self._corpus_lock:
@@ -170,7 +171,7 @@ class DashboardQuery:
         shaped = shape_rankings(
             view.outcome_rows(),
             index,
-            quarantine_counts=view.quarantine_counts(),
+            quarantine_entries=corpus.quarantine.entries(),
             triage_rows=triage_rows,
         )
         shaped["corpus_dir"] = self.corpus_dir

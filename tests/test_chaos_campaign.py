@@ -18,19 +18,24 @@ import pytest
 from repro.campaign.corpus import CorpusReader, CorpusStore
 from repro.campaign.scheduler import CampaignRunner
 from repro.campaign.spec import CampaignSpec, GaBudget
+from repro.campaign.worker import FleetWorker, run_fleet
 from repro.exec import (
     ChaosPlan,
+    EvaluationBackend,
     QuarantineStore,
     SerialBackend,
     cca_identity,
     chaos_injection,
     clear_chaos,
     evaluate_job,
+    failure_from_summary,
     read_quarantine_entries,
 )
 from repro.journal import CampaignJournal
 from repro.journal.log import read_corpus_journal_view
+from repro.obs.metrics import get_registry
 from repro.obs.status import collect_status, format_status
+from repro.serve import DashboardQuery
 from repro.tcp import Reno
 
 
@@ -84,6 +89,50 @@ def first_batch_fingerprints(tmp_path):
     return ordered
 
 
+class Killed(BaseException):
+    """A process death, as far as the code under test can tell."""
+
+
+def kill_before_fold(monkeypatch):
+    """Make the next campaign die just before its closing fold (the one
+    handed the campaign's map; the bootstrap fold runs)."""
+    real = CorpusStore.fold
+
+    def fold(self, mark=True, archive=None, quarantine=None):
+        if archive is not None:
+            raise Killed
+        real(self, mark, archive, quarantine)
+
+    monkeypatch.setattr(CorpusStore, "fold", fold)
+
+
+def kill_fleet_driver_before_finalize(monkeypatch):
+    """Make a fleet driver die once its matrix is complete, before it
+    applies the journal to the corpus (its fold still runs, unmarked)."""
+    drain = FleetWorker.run
+
+    def run(self):
+        drain(self)
+        raise Killed
+
+    monkeypatch.setattr(FleetWorker, "run", run)
+
+
+def record_failure_kinds(monkeypatch):
+    """The failure kind of every evaluation outcome, in order."""
+    kinds = []
+    evaluate_batch = EvaluationBackend.evaluate_batch
+
+    def recording(self, jobs):
+        outcomes = evaluate_batch(self, jobs)
+        failures = (failure_from_summary(summary) for _, summary in outcomes)
+        kinds.extend(failure.kind for failure in failures if failure is not None)
+        return outcomes
+
+    monkeypatch.setattr(EvaluationBackend, "evaluate_batch", recording)
+    return kinds
+
+
 def reevaluate_entry(entry):
     """Fault-free re-evaluation of a corpus entry, discovery-conditions exact."""
     score, _ = evaluate_job(entry.evaluation_job())
@@ -101,7 +150,7 @@ class TestChaosCampaignSerial:
         assert len(result.outcomes) == 1
 
         # 2. Deterministic crashers were quarantined, with provenance.
-        store = QuarantineStore.for_corpus(corpus_dir)
+        store = CorpusReader(str(corpus_dir)).quarantine
         assert len(store) == len(faults)
         reno = cca_identity(Reno())
         for fingerprint, kind in faults.items():
@@ -115,7 +164,7 @@ class TestChaosCampaignSerial:
         #    them into a fresh store reproduces quarantine.json exactly.
         view = CampaignJournal(CampaignJournal.corpus_path(str(corpus_dir))).replay()
         assert {e["fingerprint"] for e in view.quarantined} == set(faults)
-        replayed = QuarantineStore(tmp_path / "replayed.json")
+        replayed = QuarantineStore()
         for event in view.quarantined:
             replayed.apply_event(event)
         assert replayed.entries() == store.entries()
@@ -138,19 +187,74 @@ class TestChaosCampaignSerial:
         assert status["faults"]["quarantined"] >= len(faults)
         assert "faults:" in format_status(status)
 
-    def test_resume_rebuilds_quarantine_from_journal(self, tmp_path):
-        # The crash window the WAL exists for: the journal append survived
-        # but quarantine.json was lost.  _prepare_resume folds the journaled
-        # events back into the store, rebuilding the file.
+    def test_resume_rebuilds_quarantine_from_journal(self, tmp_path, monkeypatch):
+        # The one state where quarantine.json lacks a journaled entry: a
+        # campaign killed before its fold.  The resumed campaign's store
+        # starts from the reader (the file plus the journal), and its fold
+        # publishes what the uninterrupted run's did, byte for byte.
         targets = first_batch_fingerprints(tmp_path)
         faults = {targets[0]: "crash"}
+        with chaos_injection(ChaosPlan(faults=faults)):
+            run_campaign(tiny_spec(), tmp_path / "uninterrupted")
+            kill_before_fold(monkeypatch)
+            with pytest.raises(Killed):
+                run_campaign(tiny_spec(), tmp_path / "killed")
+        monkeypatch.undo()
+        corpus_dir = tmp_path / "killed"
+        assert not (corpus_dir / "quarantine.json").exists()
+        runner = CampaignRunner.resume(str(corpus_dir))
+        assert [entry["fingerprint"] for entry in runner.quarantine.entries()] == list(faults)
+        runner.run()
+        assert (corpus_dir / "quarantine.json").read_bytes() == (
+            tmp_path / "uninterrupted" / "quarantine.json"
+        ).read_bytes()
+
+    def test_new_campaign_keeps_a_journaled_quarantine_the_file_lacks(
+        self, tmp_path, monkeypatch
+    ):
+        # A fleet driver that dies before finalize leaves its workers'
+        # quarantines in the journal alone.  The next campaign rotates that
+        # journal away, so it must publish them first.
+        targets = first_batch_fingerprints(tmp_path)
+        corpus_dir = tmp_path / "fleet"
+        kill_fleet_driver_before_finalize(monkeypatch)
+        with chaos_injection(ChaosPlan(faults={targets[0]: "crash"})), pytest.raises(Killed):
+            run_fleet(tiny_spec(), str(corpus_dir), workers=0)
+        monkeypatch.undo()
+        journaled = read_corpus_journal_view(str(corpus_dir)).quarantined
+        assert [entry["fingerprint"] for entry in journaled] == [targets[0]]
+        assert read_quarantine_entries(corpus_dir / "quarantine.json") == []
+
+        run_campaign(tiny_spec(name="next"), corpus_dir)
+        assert (corpus_dir / "journal-1.jsonl").exists()
+        stored = read_quarantine_entries(corpus_dir / "quarantine.json")
+        assert stored == journaled
+
+    def test_fleet_refuses_an_earlier_campaigns_quarantine(self, tmp_path, monkeypatch):
+        targets = first_batch_fingerprints(tmp_path)
+        corpus_dir = tmp_path / "chaos"
+        with chaos_injection(ChaosPlan(faults={targets[0]: "crash"})):
+            run_campaign(tiny_spec(), corpus_dir)
+        assert len(read_quarantine_entries(corpus_dir / "quarantine.json")) == 1
+        kinds = record_failure_kinds(monkeypatch)
+        hits = get_registry().counter("exec.quarantine_hits")
+        run_fleet(tiny_spec(name="fleet"), str(corpus_dir), workers=0)
+        assert "quarantined" in kinds
+        assert get_registry().counter("exec.quarantine_hits") - hits >= 1
+
+    def test_rankings_count_quarantines_under_the_scenario_cca(self, tmp_path):
+        targets = first_batch_fingerprints(tmp_path)
+        faults = {targets[0]: "crash", targets[1]: "garbage"}
         corpus_dir = tmp_path / "chaos"
         with chaos_injection(ChaosPlan(faults=faults)):
             run_campaign(tiny_spec(), corpus_dir)
-        before = QuarantineStore.for_corpus(corpus_dir).entries()
-        (corpus_dir / "quarantine.json").unlink()
-        runner = CampaignRunner.resume(str(corpus_dir))
-        assert runner.quarantine.entries() == before
+        query = DashboardQuery(str(corpus_dir))
+        try:
+            rows = query.rankings()["rows"]
+        finally:
+            query.close()
+        assert [row["cca"] for row in rows] == ["reno"]   # no "reno:<hash>" row
+        assert rows[0]["quarantined"] == len(faults)
 
 
 class TestChaosCampaignProcess:
@@ -162,7 +266,7 @@ class TestChaosCampaignProcess:
         with chaos_injection(ChaosPlan(faults=faults, hang_s=300.0)):
             result = run_campaign(spec, corpus_dir)
         assert len(result.outcomes) == 1
-        store = QuarantineStore.for_corpus(corpus_dir)
+        store = CorpusReader(str(corpus_dir)).quarantine
         reno = cca_identity(Reno())
         hung = store.find(targets[0], reno)
         assert hung is not None and hung["kind"] == "timeout"

@@ -38,6 +38,7 @@ from repro.exec import (
     guarded_evaluate,
 )
 from repro.exec.faults import backoff_s
+from repro.campaign.corpus import CorpusReader, CorpusStore
 from repro.campaign.scheduler import campaign_backend
 from repro.campaign.spec import CampaignSpec
 from repro.netsim import SimulationConfig
@@ -275,11 +276,13 @@ class TestQuarantineStore:
         )
 
     def test_record_persists_and_reloads(self, tmp_path):
-        store = QuarantineStore.for_corpus(tmp_path)
+        store = QuarantineStore()
         assert store.record(self.make_failure()) is True
         assert store.record(self.make_failure()) is False  # idempotent
         assert len(store) == 1
-        reloaded = QuarantineStore.for_corpus(tmp_path)
+        # The corpus fold is quarantine.json's one writer, its reader the one reader.
+        CorpusStore(str(tmp_path)).fold(quarantine=store)
+        reloaded = CorpusReader(str(tmp_path)).quarantine
         assert reloaded.find("fp-1", "reno")["kind"] == "crash"
         payload = json.loads((tmp_path / "quarantine.json").read_text())
         assert payload["schema"] == 1
@@ -288,12 +291,24 @@ class TestQuarantineStore:
     def test_file_contents_are_deterministic(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         for directory, order in ((a_dir, (1, 2)), (b_dir, (2, 1))):
-            store = QuarantineStore.for_corpus(directory)
+            store = QuarantineStore()
             for index in order:
                 store.record(self.make_failure(fingerprint=f"fp-{index}"))
+            CorpusStore(str(directory)).fold(quarantine=store)
         assert (a_dir / "quarantine.json").read_bytes() == (
             b_dir / "quarantine.json"
         ).read_bytes()
+
+    def test_fold_publishes_only_a_change(self, tmp_path):
+        corpus = CorpusStore(str(tmp_path))
+        corpus.fold(quarantine=QuarantineStore())
+        assert not (tmp_path / "quarantine.json").exists()  # nothing refused, no file
+        store = QuarantineStore([self.make_failure().to_dict()])
+        corpus.fold(quarantine=store)
+        published = (tmp_path / "quarantine.json").stat().st_ino
+        corpus.fold(quarantine=store)           # unchanged: not replaced
+        assert (tmp_path / "quarantine.json").stat().st_ino == published
+        assert corpus.quarantine.entries() == store.entries()
 
     def test_journal_hook_runs_before_persistence(self, tmp_path):
         events = []
@@ -303,7 +318,7 @@ class TestQuarantineStore:
             # Write-ahead: at hook time the entry must not be applied yet.
             assert len(store) == 0
 
-        store = QuarantineStore.for_corpus(tmp_path, journal_hook=hook)
+        store = QuarantineStore(journal_hook=hook)
         store.context = {"scenario_id": "s1", "worker": "w0"}
         store.record(self.make_failure())
         assert events[0]["scenario_id"] == "s1"
@@ -312,7 +327,7 @@ class TestQuarantineStore:
 
     def test_apply_event_is_idempotent_and_never_journals(self, tmp_path):
         events = []
-        store = QuarantineStore.for_corpus(tmp_path, journal_hook=events.append)
+        store = QuarantineStore(journal_hook=events.append)
         entry = {"kind": "crash", "message": "m", "fingerprint": "fp", "cca": "reno"}
         assert store.apply_event(entry) is True
         assert store.apply_event(entry) is False
@@ -321,8 +336,7 @@ class TestQuarantineStore:
     def test_torn_file_is_tolerated(self, tmp_path):
         path = tmp_path / "quarantine.json"
         path.write_text('{"schema": 1, "entr')
-        store = QuarantineStore(path)
-        assert len(store) == 0
+        assert len(CorpusReader(str(tmp_path)).quarantine) == 0
 
 
 class TestBackendFaultHandling:
@@ -397,7 +411,7 @@ class TestBackendFaultHandling:
         assert outcomes[1:] == BASELINE[1:]
 
     def test_quarantined_jobs_are_refused_on_later_batches(self, tmp_path):
-        store = QuarantineStore.for_corpus(tmp_path)
+        store = QuarantineStore()
         plan = ChaosPlan(faults={FINGERPRINTS[0]: "crash"})
         backend = SerialBackend(policy=FaultPolicy(quarantine=store))
         with chaos_injection(plan):
@@ -413,7 +427,7 @@ class TestBackendFaultHandling:
         assert second[1:] == BASELINE[1:]
 
     def test_worker_death_is_not_quarantined_until_retries_exhausted(self, tmp_path):
-        store = QuarantineStore.for_corpus(tmp_path)
+        store = QuarantineStore()
         plan = ChaosPlan(faults={FINGERPRINTS[0]: "exit"})
         backend = ProcessPoolBackend(
             workers=2,

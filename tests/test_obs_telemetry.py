@@ -19,9 +19,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.attacks import builtin_attack_traces
-from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
+from repro.campaign import CampaignRunner, CampaignSpec, CorpusReader, CorpusStore
 from repro.cli import campaign_main
-from repro.exec import QUARANTINE_FILENAME, QuarantineStore
+from repro.exec import QUARANTINE_FILENAME
 from repro.journal import CampaignJournal
 from repro.netsim.simulation import SimulationConfig, simulate_packet_trace
 from repro.obs import (
@@ -271,8 +271,8 @@ class TestTelemetryStream:
             status = collect_status(corpus_dir)
             assert status["state"] == "complete"
             assert status["evaluations"] == sum(o.evaluations for o in result.outcomes)
-            # Counted by the store's own parser, so the two cannot disagree.
-            assert status["quarantine_entries"] == len(QuarantineStore.for_corpus(corpus_dir)) == 1
+            # Counted by the reader's own parser, so the two cannot disagree.
+            assert status["quarantine_entries"] == len(CorpusReader(str(corpus_dir)).quarantine) == 1
         finally:
             path.write_bytes(original)
             quarantine.unlink()

@@ -21,13 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec import QuarantineStore
+from repro.campaign import CorpusReader
+from repro.exec import cca_identity
 from repro.journal import CampaignJournal
 from repro.journal.events import make_record
 from repro.journal.log import read_corpus_journal_view
 from repro.obs.sinks import METRICS_FILENAME, read_metrics, tail_metrics_records
 from repro.obs.status import collect_status
 from repro.serve import DashboardServer
+from repro.tcp import Reno
 
 API_PATHS = [
     "/",
@@ -150,10 +152,10 @@ class TestDegradedDirectories:
             assert "error" not in status
             assert status["state"] == "running"
             assert status["manifest_present"] is False
-            # ... and count what the store would load, through its parser.
+            # ... and count what the corpus reader loads, through its parser.
             assert status["quarantine_entries"] == 1
             assert collect_status(corpus_dir)["quarantine_entries"] == 1
-            assert len(QuarantineStore.for_corpus(corpus_dir)) == 1
+            assert len(CorpusReader(str(corpus_dir)).quarantine) == 1
         assert snapshot_dir(corpus_dir) == before
 
     def test_torn_metrics_tail_heals_on_completion(self, tmp_path):
@@ -321,7 +323,7 @@ class TestJournalStates:
                         outcome_data("reno/traffic/throughput/base")),
             make_record(3, "job_quarantined", {
                 "scenario_id": "reno/traffic/throughput/base",
-                "fingerprint": "a" * 32, "cca": "reno", "reason": "timeout",
+                "fingerprint": "a" * 32, "cca": cca_identity(Reno()), "reason": "timeout",
             }),
         ])
         with DashboardServer(str(corpus_dir)) as server:

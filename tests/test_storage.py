@@ -55,8 +55,8 @@ PUBLISH_SITES = {
     "corpus-entry": (f"entries/{_trace().fingerprint()}.json", _publish_corpus),
     "quarantine.json": (
         "quarantine.json",
-        lambda d: lambda: QuarantineStore.for_corpus(d).apply_event(
-            {"fingerprint": "f", "cca": "c"}
+        lambda d: lambda store=CorpusStore(str(d)): store.fold(
+            quarantine=QuarantineStore([{"fingerprint": "f", "cca": "c"}])
         ),
     ),
     "behavior_map.json": (
