@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
-"""Link-mode fuzzing with trace annealing and realism screening.
+"""Link-mode fuzzing with realism screening.
 
 Demonstrates the second fuzzing mode (adversarial bottleneck service curves)
-plus two of the paper's quality-control ideas: Gaussian trace annealing, which
-smooths evolved link traces so they are easier to read, and realism scoring
-(section 5), which rejects traces that would make *any* congestion control
-look bad.
+plus the paper's realism scoring (section 5), which rejects traces that
+would make *any* congestion control look bad.  (``repro-triage``'s
+segment-merging stage is what makes an evolved link trace easier to read.)
 
 Usage:
     python examples/link_fuzzing_with_realism.py [--generations N]
@@ -31,11 +30,10 @@ def main() -> None:
         population_size=args.population,
         generations=args.generations,
         duration=args.duration,
-        annealing_sigma=3.0,
         seed=2,
     )
     print(f"Link fuzzing BBR: {config.total_population} service curves/generation, "
-          f"{config.generations} generations, annealing sigma {config.annealing_sigma}\n")
+          f"{config.generations} generations\n")
 
     fuzzer = CCFuzz(Bbr, config=config)
     result = fuzzer.run(

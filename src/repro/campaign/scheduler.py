@@ -675,9 +675,12 @@ class CampaignRunner:
             finally:
                 # Fold the corpus and the behavior map even if a scenario
                 # failed mid-campaign.  Only a matrix that ran to the end has
-                # applied every journaled insert and may mark the fold.
-                self.corpus.fold(mark=executed, archive=self.archive, quarantine=self.quarantine)
-                self._journal.close()
+                # applied every journaled insert and may mark the fold.  A
+                # fold that raises still releases the journal's handles.
+                try:
+                    self.corpus.fold(mark=executed, archive=self.archive, quarantine=self.quarantine)
+                finally:
+                    self._journal.close()
             result = CampaignResult(
                 spec=self.spec,
                 outcomes=[

@@ -139,12 +139,8 @@ class Scenario:
         return self.condition.sim_config(self.budget.duration)
 
     def fuzz_config(self) -> FuzzConfig:
-        """The :class:`FuzzConfig` for this cell.
-
-        The backend named here is irrelevant when the campaign scheduler
-        injects its shared backend object into :class:`CCFuzz`; it only
-        matters for running a scenario standalone.
-        """
+        """The :class:`FuzzConfig` for this cell (the campaign injects its
+        backend into :class:`CCFuzz`)."""
         return FuzzConfig(
             mode=self.mode,
             population_size=self.budget.population_size,
@@ -197,7 +193,7 @@ class CampaignSpec:
     workers: Optional[int] = None
     seed_limit: int = 4                    #: max corpus seeds injected per scenario
     #: Search-guidance strategy every scenario runs under.  "score" keeps the
-    #: classic fitness-only campaign; "novelty"/"elites" schedule a
+    #: classic fitness-only campaign; "novelty" schedules a
     #: behavior-coverage campaign over the shared archive.
     guidance: str = "score"
     #: Scenario-lease time-to-live (seconds) for fleet workers: a worker that

@@ -828,7 +828,7 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
         parser.add_argument(
             "--guidance", choices=sorted(GUIDANCE_MODES), default="score",
             help="search guidance: 'score' is the paper's pure-fitness GA; "
-                 "'novelty'/'elites' reward behaviorally diverse traces via the "
+                 "'novelty' rewards behaviorally diverse traces via the "
                  "MAP-Elites behavior archive",
         )
     return _dispatch(parser, argv)

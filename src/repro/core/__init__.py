@@ -1,7 +1,5 @@
 """CC-Fuzz core: the genetic-algorithm fuzzing loop and its building blocks."""
 
-from .annealing import anneal_link_trace, gaussian_kernel, smooth_timestamps
-from .convergence import ConvergenceCriterion
 from .fuzzer import CCFuzz, FuzzConfig, MODES
 from .islands import IslandModel
 from .population import Individual, Population
@@ -10,7 +8,6 @@ from .selection import RankSelection, pick_elites
 
 __all__ = [
     "CCFuzz",
-    "ConvergenceCriterion",
     "FuzzConfig",
     "FuzzResult",
     "GenerationStats",
@@ -19,8 +16,5 @@ __all__ = [
     "MODES",
     "Population",
     "RankSelection",
-    "anneal_link_trace",
-    "gaussian_kernel",
     "pick_elites",
-    "smooth_timestamps",
 ]

@@ -8,13 +8,11 @@ control algorithm.  Each generation:
 3. ``crossover_fraction`` of the next generation comes from splicing parent
    pairs chosen with rank-proportional probability (in the modes that have
    a crossover operator — not link, section 3.2),
-4. the remainder are mutations of rank-selected parents (optionally after
-   Gaussian trace annealing for link traces),
+4. the remainder are mutations of rank-selected parents,
 5. islands exchange their best traces every ``migration_interval``
    generations.
 
-The loop runs until the convergence criterion fires (generation budget,
-plateau patience or target fitness).
+The loop runs for ``generations`` generations.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from ..obs.metrics import get_registry
 from ..coverage.archive import BehaviorArchive
 from ..coverage.guidance import GUIDANCE_MODES, make_guidance
 from ..coverage.signature import signature_from_summary
-from ..exec.backend import EvaluationBackend, create_backend
+from ..exec.backend import EvaluationBackend, SerialBackend
 from ..exec.batch import Evaluator
 from ..exec.cache import CachedOutcome, TraceCache, factory_identity, make_cache_key
 from ..exec.workers import EvaluationJob
@@ -42,8 +40,6 @@ from ..traces.crossover import CROSSOVER_OPERATORS, crossover_traces
 from ..traces.generator import LinkTraceGenerator, LossTraceGenerator, TrafficTraceGenerator
 from ..traces.mutation import mutate_trace
 from ..traces.trace import MODES, PacketTrace, pack_le, unpack_le
-from .annealing import ANNEALED_MODES, anneal_link_trace
-from .convergence import ConvergenceCriterion
 from .islands import IslandModel
 from .population import Individual, Population
 from .results import FuzzResult, GenerationStats
@@ -97,21 +93,13 @@ class FuzzConfig:
     max_losses: int = 20
     k_agg: float = 0.05
     rate_bound: float = 2.0
-    annealing_sigma: Optional[float] = None
 
-    # Convergence.
-    patience: Optional[int] = None
-    target_fitness: Optional[float] = None
-
-    # Evaluation backend.
-    backend: str = "serial"                #: "serial" or "process"
-    workers: Optional[int] = None          #: pool size (None = one per CPU)
     use_cache: bool = True                 #: memoize (trace, cca, sim) -> score
 
     # Behavior-coverage guidance.  "score" (default) is the paper's pure
     # fitness search and stays bit-identical to the pre-coverage fuzzer;
     # "novelty" blends archive rarity into selection and immigrates from
-    # under-covered cells; "elites" is MAP-Elites-style per-cell selection.
+    # under-covered cells.
     guidance: str = "score"
     novelty_weight: float = 1.0            #: rarity bonus in fitness-spread units
     immigrant_fraction: float = 0.25       #: offspring slots refilled from the archive
@@ -148,8 +136,6 @@ class FuzzConfig:
             raise ValueError("k_agg must be finite and non-negative")
         if not (math.isfinite(self.rate_bound) and self.rate_bound > 1.0):
             raise ValueError("rate_bound must be finite and exceed 1.0")
-        # The backend's own rules, by building it (pools start lazily).
-        create_backend(self.backend, self.workers)
         if self.guidance not in GUIDANCE_MODES:
             raise ValueError(
                 f"guidance must be one of {GUIDANCE_MODES}, got {self.guidance!r}"
@@ -202,9 +188,9 @@ class CCFuzz:
        job up in the :class:`~repro.exec.TraceCache` — elites, migrants and
        duplicate offspring resolve there without a simulation, and identical
        traces within the batch are coalesced into one job — and runs the
-       misses on the configured :class:`~repro.exec.EvaluationBackend`
-       (``serial`` or ``process``), which may execute in any order but must
-       return in input order;
+       misses on the injected :class:`~repro.exec.EvaluationBackend` (an
+       in-process ``SerialBackend`` when none is), which may execute in any
+       order but must return in input order;
     2. writes the ``(Score, summary)`` outcomes back onto the individuals.
 
     Results are bit-identical across backends for a fixed seed: the
@@ -248,8 +234,8 @@ class CCFuzz:
             novelty_weight=self.config.novelty_weight,
             immigrant_fraction=self.config.immigrant_fraction,
         )
-        # An injected backend/cache overrides the config; an injected backend
-        # is owned by the caller and is not closed after run().
+        # An injected backend is owned by the caller and is not closed after
+        # run(); without one a run evaluates in-process.
         self._injected_backend = backend
         if cache is not None:
             self.cache = cache
@@ -399,8 +385,6 @@ class CCFuzz:
 
     def _mutate(self, trace: PacketTrace) -> PacketTrace:
         cfg = self.config
-        if cfg.annealing_sigma is not None and trace.mode in ANNEALED_MODES:
-            trace = anneal_link_trace(trace, sigma=cfg.annealing_sigma)
         return mutate_trace(
             trace, self.rng, k_agg=cfg.k_agg, rate_bound=cfg.rate_bound, max_losses=cfg.max_losses
         )
@@ -552,12 +536,6 @@ class CCFuzz:
             behavior_cells=self.new_cells,
         )
 
-    def _make_backend(self) -> Tuple[EvaluationBackend, bool]:
-        """The backend for this run and whether we own (must close) it."""
-        if self._injected_backend is not None:
-            return self._injected_backend, False
-        return create_backend(self.config.backend, self.config.workers), True
-
     def _advance(self, model: IslandModel, generation: int) -> int:
         """Construct the next generation (migration + offspring); returns its index.
 
@@ -578,7 +556,6 @@ class CCFuzz:
     def _snapshot(
         self,
         model: IslandModel,
-        criterion: ConvergenceCriterion,
         history: List[GenerationStats],
         generation: int,
         converged: bool,
@@ -607,7 +584,6 @@ class CCFuzz:
             "cache_hits": self.cache_hits,
             "new_cells": self.new_cells,
             "seed_fingerprints": list(self._injected_seed_fingerprints),
-            "criterion": criterion.state_dict(),
             "migrations_performed": model.migrations_performed,
             "islands": [
                 [self._individual_payload(individual) for individual in island]
@@ -636,8 +612,10 @@ class CCFuzz:
 
     def _restore(
         self, state: Dict[str, object]
-    ) -> Tuple[IslandModel, ConvergenceCriterion, List[GenerationStats], int, bool]:
-        """Rebuild mid-run state from a :meth:`_snapshot` payload."""
+    ) -> Tuple[IslandModel, List[GenerationStats], int, bool]:
+        """Rebuild mid-run state from a :meth:`_snapshot` payload.  Older
+        snapshots also carry ``criterion``, the progress of an early-stopping
+        rule no campaign could enable; it is ignored."""
         cfg = self.config
         if state.get("schema") not in (1, SNAPSHOT_SCHEMA):
             raise ValueError(
@@ -693,14 +671,8 @@ class CCFuzz:
             migration_fraction=cfg.migration_fraction,
         )
         model.migrations_performed = int(state["migrations_performed"])  # type: ignore[arg-type]
-        criterion = ConvergenceCriterion(
-            max_generations=cfg.generations,
-            patience=cfg.patience,
-            target_fitness=cfg.target_fitness,
-        )
-        criterion.load_state(dict(state["criterion"]))  # type: ignore[arg-type]
         history = [GenerationStats.from_dict(payload) for payload in state["history"]]  # type: ignore[union-attr]
-        return model, criterion, history, int(state["generation"]), bool(state["converged"])  # type: ignore[arg-type]
+        return model, history, int(state["generation"]), bool(state["converged"])  # type: ignore[arg-type]
 
     def run(
         self,
@@ -719,18 +691,14 @@ class CCFuzz:
         """
         cfg = self.config
         if resume_from is not None:
-            model, criterion, history, generation, converged = self._restore(resume_from)
+            model, history, generation, converged = self._restore(resume_from)
         else:
             model = self._initial_islands()
-            criterion = ConvergenceCriterion(
-                max_generations=cfg.generations,
-                patience=cfg.patience,
-                target_fitness=cfg.target_fitness,
-            )
             history = []
             generation = 0
             converged = False
-        backend, owns_backend = self._make_backend()
+        owns_backend = self._injected_backend is None
+        backend = SerialBackend() if owns_backend else self._injected_backend
         evaluator = Evaluator(backend, self.cache)
         try:
             if resume_from is not None and not converged:
@@ -756,9 +724,9 @@ class CCFuzz:
                 history.append(stats)
                 if progress is not None:
                     progress(stats)
-                converged = criterion.update(generation, stats.best_fitness)
+                converged = generation + 1 >= cfg.generations
                 if checkpoint is not None:
-                    checkpoint(self._snapshot(model, criterion, history, generation, converged))
+                    checkpoint(self._snapshot(model, history, generation, converged))
                 if not converged:
                     generation = self._advance(model, generation)
         finally:

@@ -72,7 +72,7 @@ class FuzzResult:
     #: Fingerprints of the injected seed traces that made it into the initial
     #: population (corpus seeding provenance; empty for unseeded runs).
     seed_fingerprints: List[str] = field(default_factory=list)
-    #: Guidance strategy the search ran under ("score"/"novelty"/"elites").
+    #: Guidance strategy the search ran under ("score"/"novelty").
     guidance: str = "score"
     #: Behavior-archive cells this run discovered (new cells, not visits).
     behavior_cells: int = 0

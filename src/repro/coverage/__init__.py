@@ -10,7 +10,7 @@ signal about behavioral diversity*:
 * :mod:`archive` — a MAP-Elites :class:`BehaviorArchive` mapping descriptor
   cells to the best trace seen in each behavioral regime, serializable
   into a campaign corpus directory;
-* :mod:`guidance` — pluggable ``score``/``novelty``/``elites`` strategies
+* :mod:`guidance` — pluggable ``score``/``novelty`` strategies
   that blend archive rarity into GA selection and immigrate traces from
   under-covered cells.
 """
@@ -24,7 +24,6 @@ from .archive import (
 )
 from .guidance import (
     GUIDANCE_MODES,
-    ElitesGuidance,
     NoveltyGuidance,
     SearchGuidance,
     make_guidance,
@@ -46,7 +45,6 @@ __all__ = [
     "BehaviorArchive",
     "BehaviorSignature",
     "CellElite",
-    "ElitesGuidance",
     "GOODPUT_BUCKETS",
     "GUIDANCE_MODES",
     "NoveltyGuidance",

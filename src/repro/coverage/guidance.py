@@ -8,7 +8,7 @@ fitness alone:
 * **immigration** — extra individuals injected into the next generation
   from the behavior archive.
 
-Three strategies ship:
+Two strategies ship:
 
 * ``score`` (default) — pure fitness, draws nothing from the archive and
   consumes no randomness, so runs are bit-identical to the pre-coverage
@@ -16,9 +16,6 @@ Three strategies ship:
 * ``novelty`` — blends an archive-rarity bonus into the ranking (rare or
   unseen cells rank above equally-fit crowded ones) and immigrates mutants
   of elites from the least-visited cells.
-* ``elites`` — MAP-Elites-flavoured: the current population's cell elites
-  rank first (rarest cell first), and immigrants are drawn uniformly from
-  the whole archive, so selection pressure is per-cell instead of global.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ if TYPE_CHECKING:  # import at type-time only: core.fuzzer imports this module
     from ..core.population import Individual, Population
 
 #: Guidance strategy names accepted by FuzzConfig and campaign specs.
-GUIDANCE_MODES = ("score", "novelty", "elites")
+GUIDANCE_MODES = ("score", "novelty")
 
 
 class SearchGuidance:
@@ -139,50 +136,6 @@ class NoveltyGuidance(SearchGuidance):
         return [rng.choice(candidates).copy() for _ in range(count)]
 
 
-class ElitesGuidance(SearchGuidance):
-    """MAP-Elites-flavoured selection: per-cell champions lead the ranking."""
-
-    name = "elites"
-
-    def __init__(self, immigrant_fraction: float = 0.25) -> None:
-        if not 0.0 <= immigrant_fraction <= 1.0:
-            raise ValueError("immigrant_fraction must be in [0, 1]")
-        self.immigrant_fraction = immigrant_fraction
-
-    def rank(self, population: "Population", archive: BehaviorArchive) -> List["Individual"]:
-        # One champion per cell present in the population (best fitness in
-        # that cell), ordered rarest-cell-first; everyone else follows by
-        # plain fitness.  Signature-less individuals can never lead.
-        champions = {}
-        for individual in population.sorted_by_fitness():
-            cell = _cell_of(individual)
-            if cell is not None and cell not in champions:
-                champions[cell] = individual
-        leaders = sorted(
-            champions.items(), key=lambda item: (archive.visits(item[0]), item[1].fitness * -1)
-        )
-        lead_individuals = [individual for _, individual in leaders]
-        lead_ids = {id(individual) for individual in lead_individuals}
-        rest = [
-            individual
-            for individual in population.sorted_by_fitness()
-            if id(individual) not in lead_ids
-        ]
-        return lead_individuals + rest
-
-    def immigrant_count(self, slots: int) -> int:
-        return min(slots, int(round(self.immigrant_fraction * slots)))
-
-    def immigrants(
-        self, archive: BehaviorArchive, count: int, rng: random.Random
-    ) -> List[PacketTrace]:
-        # Classic MAP-Elites parent selection: uniform over all filled cells.
-        candidates = [elite.trace for elite in archive.cells() if elite.trace is not None]
-        if not candidates:
-            return []
-        return [rng.choice(candidates).copy() for _ in range(count)]
-
-
 def make_guidance(
     name: str,
     novelty_weight: float = 1.0,
@@ -195,6 +148,4 @@ def make_guidance(
         return NoveltyGuidance(
             novelty_weight=novelty_weight, immigrant_fraction=immigrant_fraction
         )
-    if name == "elites":
-        return ElitesGuidance(immigrant_fraction=immigrant_fraction)
     raise ValueError(f"guidance must be one of {GUIDANCE_MODES}, got {name!r}")

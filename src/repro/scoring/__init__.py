@@ -2,12 +2,7 @@
 
 from .base import PerformanceScore, Score, ScoreFunction, TraceScore
 from .objectives import OBJECTIVES, make_score_function
-from .performance import (
-    HighDelayScore,
-    HighLossScore,
-    LowUtilizationScore,
-    WholeRunThroughputScore,
-)
+from .performance import HighDelayScore, HighLossScore, LowUtilizationScore
 from .realism import RealismReport, RealismScorer, default_reference_panel
 from .trace_score import MinimalTrafficScore
 from .windowed import bottom_fraction_mean, percentile, top_fraction_mean
@@ -24,7 +19,6 @@ __all__ = [
     "Score",
     "ScoreFunction",
     "TraceScore",
-    "WholeRunThroughputScore",
     "bottom_fraction_mean",
     "default_reference_panel",
     "make_score_function",

@@ -35,16 +35,6 @@ class LowUtilizationScore(PerformanceScore):
         return -bottom_fraction_mean(rates, self.bottom_fraction)
 
 
-class WholeRunThroughputScore(PerformanceScore):
-    """Negated whole-run throughput — the naive alternative the paper argues
-    against; provided for the ablation benchmarks."""
-
-    name = "whole_run_throughput"
-
-    def __call__(self, result: SimulationResult) -> float:
-        return -result.throughput_mbps()
-
-
 class HighDelayScore(PerformanceScore):
     """Rewards traces that cause persistently high queueing delay.
 

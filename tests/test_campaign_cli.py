@@ -408,6 +408,40 @@ class TestFuzzIsACampaign:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_removed_guidance_mode_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            fuzz_main(FUZZ_ARGV + ["--guidance", "elites", "--output-dir", str(tmp_path / "d")])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'elites'" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_resuming_a_journal_that_names_a_removed_guidance_mode(self, tmp_path, capsys):
+        """A journal written while "elites" was a guidance mode does not
+        resume under another strategy: it is refused, naming the modes."""
+        from repro.campaign import CampaignSpec
+        from repro.journal import CampaignJournal
+
+        spec = CampaignSpec.from_dict(dict(FUZZ_SPEC, guidance="novelty")).to_dict()
+        spec["guidance"] = "elites"
+        journal_path = CampaignJournal.corpus_path(str(tmp_path))
+        with CampaignJournal(journal_path) as journal:
+            journal.append("campaign_start", {
+                "campaign": spec["name"],
+                "spec": spec,
+                "harvest_top_k": 3,
+                "register_attacks": False,
+                "archive_baseline": BehaviorArchive().to_dict(),
+            })
+        before = (tmp_path / "journal.jsonl").read_bytes()
+        with pytest.raises(SystemExit) as excinfo:
+            campaign_main(["run", "--corpus", str(tmp_path), "--resume", "--no-telemetry"])
+        assert excinfo.value.code == 2
+        assert (
+            "error: guidance must be one of ('score', 'novelty'), got 'elites'"
+            in capsys.readouterr().err
+        )
+        assert (tmp_path / "journal.jsonl").read_bytes() == before
+
 
 class TestRangeUsageErrors:
     @pytest.mark.parametrize("main, argv", [
@@ -489,6 +523,10 @@ class TestBadSpecFiles:
         ({"seed": True}, "campaign spec key 'seed' must be int, got true"),
         ({"conditions": [{"name": "x", "propagation_delay": float("nan")}]},
          "propagation_delay must be non-negative and finite"),
+        # A GA budget never carried an early-stopping key, and "elites" is
+        # no longer a guidance mode.
+        ({"budget": {"patience": 3}}, "unknown GA budget keys: patience"),
+        ({"guidance": "elites"}, "guidance must be one of ('score', 'novelty'), got 'elites'"),
     ])
     @pytest.mark.parametrize("command", ["run", "workers"])
     def test_wrong_types_are_usage_errors(self, command, spec, message, tmp_path, capsys):

@@ -148,6 +148,25 @@ def test_a_serial_campaign_publishes_each_corpus_file_once_at_its_fold(tmp_path,
     assert published[-3:] == ["index.json", "behavior_map.json", "folded.json"]
 
 
+def test_a_fold_that_raises_still_closes_the_journal(tmp_path, monkeypatch):
+    real_fold = CorpusStore.fold
+
+    def full_disk(self, **kwargs):
+        if "mark" not in kwargs:        # the fold before the journal rotates
+            return real_fold(self, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    runner = CampaignRunner(
+        CampaignSpec.from_dict(SPEC), CorpusStore(str(tmp_path / "corpus")), telemetry=False
+    )
+    monkeypatch.setattr(CorpusStore, "fold", full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        runner.run()
+    journal = runner._journal
+    assert journal._handle is None
+    assert journal._cursor._handle is None
+
+
 def test_a_finished_corpus_is_read_without_opening_its_journal(
     finished, tmp_path, monkeypatch, capsys
 ):

@@ -23,6 +23,7 @@ from repro.attacks import cubic_two_burst_trace
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore, GaBudget
 from repro.core.fuzzer import CCFuzz, FuzzConfig
 from repro.coverage import (
+    GUIDANCE_MODES,
     BehaviorArchive,
     make_guidance,
     signature_from_summary,
@@ -134,26 +135,24 @@ class TestNoveltyCoverage:
             counts = {ind.trace.packet_count for ind in result.final_population}
             assert counts == {budget}, f"{rate_mbps} Mbps population holds {counts}"
 
-    def test_elites_guidance_runs(self):
-        result = CCFuzz(
-            cca_factory("cubic"),
-            config=FuzzConfig(
-                mode="traffic", population_size=6, generations=3, duration=1.0,
-                max_traffic_packets=60, seed=3, guidance="elites",
-            ),
-        ).run()
-        assert result.guidance == "elites"
-        assert result.behavior_cells >= 1
-
 
 class TestValidation:
     def test_unknown_guidance_rejected(self):
-        with pytest.raises(ValueError, match="guidance"):
-            FuzzConfig(guidance="random")
-        with pytest.raises(ValueError, match="guidance"):
-            CampaignSpec(guidance="random")
-        with pytest.raises(ValueError, match="guidance"):
-            make_guidance("random")
+        # "elites" (MAP-Elites per-cell selection) was removed: no campaign,
+        # flag or benchmark selected it.
+        for name in ("random", "elites"):
+            with pytest.raises(ValueError, match="guidance"):
+                FuzzConfig(guidance=name)
+            with pytest.raises(ValueError, match="guidance"):
+                CampaignSpec(guidance=name)
+            with pytest.raises(ValueError, match="guidance"):
+                make_guidance(name)
+
+    def test_every_mode_builds_the_strategy_it_names(self):
+        assert GUIDANCE_MODES == ("score", "novelty")
+        for name in GUIDANCE_MODES:
+            assert make_guidance(name).name == name
+            assert FuzzConfig(guidance=name).guidance == name
 
     def test_invalid_weights_rejected(self):
         with pytest.raises(ValueError):

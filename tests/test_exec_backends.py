@@ -75,8 +75,8 @@ class TestBackendEquivalence:
     def test_all_backends_identical_histories(self, mode):
         results = {}
         for backend in BACKENDS:
-            config = tiny_config(mode, backend=backend, workers=2)
-            results[backend] = CCFuzz(Reno, config=config).run()
+            with create_backend(backend, workers=2) as pool:
+                results[backend] = CCFuzz(Reno, config=tiny_config(mode), backend=pool).run()
         serial = results["serial"]
         other = results["process"]
         assert history_signature(other) == history_signature(serial)
@@ -93,6 +93,31 @@ class TestBackendEquivalence:
         assert backend._pool_instance is not None
         backend.close()
         assert backend._pool_instance is None
+
+    def test_standalone_run_evaluates_on_a_serial_backend_it_closes(self, monkeypatch):
+        import repro.core.fuzzer as fuzzer_module
+
+        made = []
+
+        class RecordingSerial(SerialBackend):
+            def __init__(self):
+                super().__init__()
+                self.batches = 0
+                self.closed = False
+                made.append(self)
+
+            def _run_jobs(self, jobs):
+                self.batches += 1
+                return super()._run_jobs(jobs)
+
+            def close(self):
+                self.closed = True
+
+        monkeypatch.setattr(fuzzer_module, "SerialBackend", RecordingSerial)
+        result = CCFuzz(Reno, config=tiny_config("traffic")).run()
+        assert len(made) == 1
+        assert made[0].batches == len(result.generations)
+        assert made[0].closed
 
     def test_batch_results_preserve_input_order(self):
         generator = TrafficTraceGenerator(duration=1.0, max_packets=30, seed=3)

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.fuzzer import CCFuzz, FuzzConfig, SNAPSHOT_SCHEMA
 from repro.coverage.archive import BehaviorArchive
+from repro.exec.backend import create_backend
 from repro.exec.cache import TraceCache
 from repro.scoring.objectives import make_score_function
 from repro.tcp.cca import cca_factory
@@ -22,21 +23,14 @@ from repro.traces.trace import unpack_le
 SCORE = make_score_function("throughput", "traffic")
 
 
-def make_fuzzer(backend="serial", seed=7, archive=None, cache=None, cca="reno", **overrides):
-    params = dict(
-        mode="traffic",
-        population_size=4,
-        generations=3,
-        duration=1.0,
-        seed=seed,
-        backend=backend,
-        workers=2 if backend != "serial" else None,
-    )
+def make_fuzzer(backend=None, seed=7, archive=None, cache=None, cca="reno", **overrides):
+    params = dict(mode="traffic", population_size=4, generations=3, duration=1.0, seed=seed)
     params.update(overrides)
     return CCFuzz(
         cca_factory(cca),
         config=FuzzConfig(**params),
         score_function=SCORE,
+        backend=backend,
         archive=archive,
         cache=cache,
     )
@@ -59,7 +53,7 @@ def run_capturing(fuzzer, cache=None):
     return result, snapshots, cache_dumps
 
 
-def resume_at(index, snapshots, cache_dumps, backend="serial", **overrides):
+def resume_at(index, snapshots, cache_dumps, backend=None, **overrides):
     """Fresh fuzzer + restored cache, resumed from the index-th checkpoint."""
     cache = TraceCache()
     cache.restore(cache_dumps[index])
@@ -84,12 +78,41 @@ def result_fingerprint(result):
 @pytest.mark.parametrize("backend", ["serial", "process"])
 def test_resume_from_midrun_snapshot_is_bit_identical(backend):
     cache = TraceCache()
-    baseline, snapshots, cache_dumps = run_capturing(make_fuzzer(backend, cache=cache), cache)
-    assert len(snapshots) == baseline.converged_generation + 1
-    assert snapshots[0]["generation"] == 0 and not snapshots[0]["converged"]
-    # resume_at JSON-round-trips the snapshot: that is exactly what the
-    # campaign journal does to it.
-    resumed = resume_at(0, snapshots, cache_dumps, backend)
+    with create_backend(backend, workers=2) as pool:
+        baseline, snapshots, cache_dumps = run_capturing(make_fuzzer(pool, cache=cache), cache)
+        assert len(snapshots) == baseline.converged_generation + 1
+        assert snapshots[0]["generation"] == 0 and not snapshots[0]["converged"]
+        # resume_at JSON-round-trips the snapshot: that is exactly what the
+        # campaign journal does to it.
+        resumed = resume_at(0, snapshots, cache_dumps, pool)
+    assert result_fingerprint(resumed) == result_fingerprint(baseline)
+
+
+def test_snapshots_before_early_stopping_went_still_resume():
+    """Snapshots written while the search could stop early carry the stopping
+    rule's progress as ``criterion``; a resume ignores it."""
+    cache = TraceCache()
+    baseline, snapshots, cache_dumps = run_capturing(make_fuzzer(cache=cache), cache)
+    assert all("criterion" not in state for state in snapshots)
+    state = json.loads(json.dumps(snapshots[0]))
+    state["criterion"] = {"best": baseline.generations[0].best_fitness, "stale_generations": 0}
+    restored = TraceCache()
+    restored.restore(cache_dumps[0])
+    resumed = make_fuzzer(cache=restored).run(resume_from=state)
+    assert result_fingerprint(resumed) == result_fingerprint(baseline)
+
+
+@pytest.mark.parametrize("index", [1, 2])
+def test_resume_from_a_later_snapshot_stops_at_the_same_generation(index):
+    """The stopping rule is a function of the generation alone: a run resumed
+    from any checkpoint before the last finishes exactly where the baseline did."""
+    cache = TraceCache()
+    baseline, snapshots, cache_dumps = run_capturing(
+        make_fuzzer(cache=cache, generations=4), cache
+    )
+    assert [state["converged"] for state in snapshots] == [False, False, False, True]
+    resumed = resume_at(index, snapshots, cache_dumps, generations=4)
+    assert resumed.converged_generation == 3
     assert result_fingerprint(resumed) == result_fingerprint(baseline)
 
 

@@ -1,8 +1,9 @@
-"""Tests for the genetic-algorithm core: selection, islands, annealing, convergence,
-population bookkeeping and the CCFuzz loop (driven by a fast fake evaluator)."""
+"""Tests for the genetic-algorithm core: selection, islands, population
+bookkeeping and the CCFuzz loop (driven by a fast fake evaluator)."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -11,20 +12,16 @@ from fake_backend import FunctionBackend
 
 from repro.core import (
     CCFuzz,
-    ConvergenceCriterion,
     FuzzConfig,
     Individual,
     IslandModel,
     Population,
     RankSelection,
-    anneal_link_trace,
-    gaussian_kernel,
     pick_elites,
-    smooth_timestamps,
 )
 from repro.scoring.base import Score
 from repro.tcp.cca.reno import Reno
-from repro.traces import LinkTrace, LinkTraceGenerator, TrafficTrace
+from repro.traces import TrafficTrace
 
 
 def individual(fitness: float, seq: int = 0) -> Individual:
@@ -136,71 +133,6 @@ class TestIslandModel:
         assert model.best().fitness == 12.0
 
 
-class TestAnnealing:
-    def test_gaussian_kernel_normalised(self):
-        kernel = gaussian_kernel(sigma=2.0, radius=4)
-        assert sum(kernel) == pytest.approx(1.0)
-        assert kernel[4] == max(kernel)
-
-    def test_invalid_kernel_parameters(self):
-        with pytest.raises(ValueError):
-            gaussian_kernel(sigma=0.0, radius=3)
-        with pytest.raises(ValueError):
-            gaussian_kernel(sigma=1.0, radius=-1)
-
-    def test_smoothing_preserves_count_order_and_range(self):
-        trace = LinkTraceGenerator(duration=5.0, seed=4).generate()
-        smoothed = smooth_timestamps(trace.timestamps, sigma=3.0, duration=5.0)
-        assert len(smoothed) == trace.packet_count
-        assert smoothed == sorted(smoothed)
-        assert all(0.0 <= t <= 5.0 for t in smoothed)
-
-    def test_smoothing_reduces_burstiness(self):
-        from repro.traces import burstiness_index
-
-        trace = LinkTraceGenerator(duration=5.0, seed=5).generate()
-        annealed = anneal_link_trace(trace, sigma=5.0)
-        assert burstiness_index(annealed, 0.05) <= burstiness_index(trace, 0.05)
-
-    def test_annealed_trace_keeps_packet_budget(self):
-        trace = LinkTraceGenerator(duration=5.0, seed=6).generate()
-        annealed = anneal_link_trace(trace, sigma=2.0)
-        assert annealed.packet_count == trace.packet_count
-        assert isinstance(annealed, LinkTrace)
-
-    def test_empty_trace_smoothing(self):
-        assert smooth_timestamps([], sigma=1.0, duration=1.0) == []
-
-
-class TestConvergence:
-    def test_stops_at_max_generations(self):
-        criterion = ConvergenceCriterion(max_generations=3)
-        assert not criterion.update(0, 1.0)
-        assert not criterion.update(1, 2.0)
-        assert criterion.update(2, 3.0)
-
-    def test_patience_triggers_on_plateau(self):
-        criterion = ConvergenceCriterion(max_generations=100, patience=2)
-        assert not criterion.update(0, 1.0)
-        assert not criterion.update(1, 1.0)
-        assert criterion.update(2, 1.0)
-
-    def test_improvement_resets_patience(self):
-        criterion = ConvergenceCriterion(max_generations=100, patience=2)
-        criterion.update(0, 1.0)
-        criterion.update(1, 1.0)
-        assert not criterion.update(2, 2.0)
-        assert criterion.stale_generations == 0
-
-    def test_target_fitness_stops_immediately(self):
-        criterion = ConvergenceCriterion(max_generations=100, target_fitness=5.0)
-        assert criterion.update(0, 6.0)
-
-    def test_invalid_max_generations(self):
-        with pytest.raises(ValueError):
-            ConvergenceCriterion(max_generations=0)
-
-
 def early_packets_fitness(trace):
     """Deterministic fitness: prefers traffic traces with many early packets.
 
@@ -307,10 +239,20 @@ class TestCCFuzzLoop:
         top = result.top_individuals(3)
         assert top[0].fitness >= top[1].fitness >= top[2].fitness
 
-    def test_patience_stops_early(self):
-        fuzzer, _ = self.make_fuzzer(generations=50, patience=2)
+    @pytest.mark.parametrize("generations", [1, 3])
+    def test_runs_exactly_the_generation_budget(self, generations):
+        fuzzer, _ = self.make_fuzzer(generations=generations)
         result = fuzzer.run()
-        assert result.converged_generation < 49
+        assert [stats.generation for stats in result.generations] == list(range(generations))
+        assert result.converged_generation == generations - 1
+
+    def test_only_the_last_checkpoint_is_converged(self):
+        fuzzer, _ = self.make_fuzzer(generations=3)
+        snapshots = []
+        fuzzer.run(checkpoint=snapshots.append)
+        assert [(s["generation"], s["converged"]) for s in snapshots] == [
+            (0, False), (1, False), (2, True),
+        ]
 
     def test_signatureless_outcomes_are_skipped_by_the_archive(self):
         # The fake backend's summaries carry no behavior signature: nothing
@@ -324,7 +266,52 @@ class TestCCFuzzLoop:
         assert all(stats.behavior_cells == 0 for stats in result.generations)
 
 
+#: Every FuzzConfig field -> who sets it, or why it stays.  A field nothing
+#: sets is deleted, not kept: a new field names its caller here.
+PENDING_SEARCH_AUDIT = "item 4, after 1(b)"
+FUZZ_CONFIG_CALLERS = {
+    "mode": "Scenario.fuzz_config (spec modes, repro-fuzz --mode)",
+    "population_size": "GaBudget (spec budget, repro-fuzz --population)",
+    "generations": "GaBudget (spec budget, repro-fuzz --generations)",
+    "k_elite": PENDING_SEARCH_AUDIT,
+    "crossover_fraction": PENDING_SEARCH_AUDIT,
+    "islands": PENDING_SEARCH_AUDIT,
+    "migration_interval": PENDING_SEARCH_AUDIT,
+    "migration_fraction": PENDING_SEARCH_AUDIT,
+    "seed": "Scenario.fuzz_config (the scenario's seed)",
+    "top_k": "GaBudget (spec budget)",
+    "duration": "GaBudget (spec budget, repro-fuzz --duration)",
+    "average_rate_mbps": "Scenario.fuzz_config (the condition's bottleneck rate)",
+    "max_traffic_packets": "figure benchmarks (fig4d, sec43) and the simulation goldens",
+    "max_losses": "loss-mode trace shape for the generator and mutation",
+    "k_agg": "DIST_PACKETS trace shape for the generator and mutation",
+    "rate_bound": "DIST_PACKETS trace shape for the generator and mutation",
+    "use_cache": "the uncached reference (tests/test_exec_backends.py)",
+    "guidance": "spec guidance, repro-fuzz --guidance",
+    "novelty_weight": PENDING_SEARCH_AUDIT,
+    "immigrant_fraction": PENDING_SEARCH_AUDIT,
+    "sim": "Scenario.fuzz_config (the condition's simulation)",
+}
+
+
 class TestFuzzConfig:
+    def test_every_field_names_its_caller(self):
+        fields = [field.name for field in dataclasses.fields(FuzzConfig)]
+        assert fields == list(FUZZ_CONFIG_CALLERS)
+
+    @pytest.mark.parametrize("knob, value", [
+        ("annealing_sigma", 2.0),
+        ("patience", 3),
+        ("target_fitness", 5.0),
+        ("backend", "process"),
+        ("workers", 2),
+    ])
+    def test_removed_knobs_are_rejected(self, knob, value):
+        # These knobs had no caller and were deleted; passing one is an
+        # error, never a silently ignored setting.
+        with pytest.raises(TypeError, match=knob):
+            FuzzConfig(**{knob: value})
+
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             FuzzConfig(mode="bogus")
@@ -373,14 +360,6 @@ class TestFuzzConfig:
     def test_generations_must_be_positive(self, generations):
         with pytest.raises(ValueError, match="generations"):
             FuzzConfig(generations=generations)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            FuzzConfig(backend="gpu")
-
-    def test_workers_must_be_positive(self):
-        with pytest.raises(ValueError, match="workers"):
-            FuzzConfig(workers=0)
 
     def test_paper_defaults_match_section_4(self):
         config = FuzzConfig.paper_defaults()

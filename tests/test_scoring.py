@@ -12,7 +12,6 @@ from repro.scoring import (
     MinimalTrafficScore,
     Score,
     ScoreFunction,
-    WholeRunThroughputScore,
     bottom_fraction_mean,
     percentile,
     top_fraction_mean,
@@ -66,11 +65,6 @@ class TestPerformanceScores:
     def test_low_utilization_prefers_congested_run(self, clean_result, congested_result):
         score = LowUtilizationScore(window=0.25)
         assert score(congested_result) > score(clean_result)
-
-    def test_whole_run_throughput_score(self, clean_result):
-        assert WholeRunThroughputScore()(clean_result) == pytest.approx(
-            -clean_result.throughput_mbps()
-        )
 
     def test_high_delay_score_positive_under_congestion(self, congested_result):
         assert HighDelayScore(percentile_rank=50)(congested_result) > 0
