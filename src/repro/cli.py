@@ -602,8 +602,6 @@ def _campaign_run(args: _Args, parser: _Parser, console: Console) -> None:
     overridable = ("backend", "workers", "job_timeout", "max_retries")
     spec = None if args.resume else _launch_spec(args, parser, overridable)
     archive = None if args.resume else _corpus_archive(args.corpus, parser)
-    # Every usage error of a fresh run is raised above: constructing the
-    # telemetry creates the corpus directory and metrics.jsonl.
     telemetry = CampaignTelemetry(
         args.corpus,
         enabled=not args.no_telemetry,

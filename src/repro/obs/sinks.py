@@ -24,7 +24,7 @@ import json
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import IO, Any, Dict, List, Optional, Tuple, Union
 
 from ..storage import read_appended, split_lines
 from .metrics import METRICS_SCHEMA, MetricsRegistry, Snapshot
@@ -38,8 +38,10 @@ METRICS_FILENAME = "metrics.jsonl"
 class MetricsJsonlSink:
     """Appends telemetry records to ``<dir>/metrics.jsonl``.
 
-    The file handle stays open for the campaign's lifetime (line-buffered
-    appends, no fsync).  ``emit`` writes one record immediately;
+    The file (and its directory) is created by the first ``emit``, so a sink
+    that never emits leaves nothing behind; the handle then stays open for
+    the campaign's lifetime (line-buffered appends, no fsync).  ``emit``
+    writes one record immediately;
     ``maybe_snapshot`` throttles full registry snapshots to at most one per
     ``interval_s`` unless forced (phase boundaries force one so the stream
     always ends on fresh numbers).
@@ -61,8 +63,8 @@ class MetricsJsonlSink:
         # A campaign emits from the one thread that runs it; the lock keeps
         # each record on its own line if a host program emits from another.
         self._lock = threading.Lock()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = open(self.path, "a", encoding="utf-8")
+        self._handle: Optional[IO[str]] = None
+        self._closed = False
 
     def emit(self, record_type: str, payload: Optional[Dict[str, Any]] = None) -> None:
         record = {"t": time.time(), "type": record_type}
@@ -70,8 +72,11 @@ class MetricsJsonlSink:
             record.update(payload)
         line = json.dumps(record, sort_keys=True) + "\n"
         with self._lock:
-            if self._handle.closed:
+            if self._closed:
                 return
+            if self._handle is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._handle = open(self.path, "a", encoding="utf-8")
             self._handle.write(line)
             self._handle.flush()
 
@@ -93,7 +98,8 @@ class MetricsJsonlSink:
 
     def close(self) -> None:
         with self._lock:
-            if not self._handle.closed:
+            self._closed = True
+            if self._handle is not None:
                 self._handle.close()
 
     def __enter__(self) -> "MetricsJsonlSink":

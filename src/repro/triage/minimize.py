@@ -6,10 +6,14 @@ while preserving (a configurable fraction of) its attack score, turning e.g.
 a 400-packet cross-traffic cloud into the two bursts that actually kill the
 flow — the distillation the paper performs by hand in section 4.2.
 
-The reduction runs in deterministic stages, each of which proposes a batch
-of candidate traces, scores them through the :class:`TraceScorer` (and so
-through the shared evaluation backend + cache), and greedily accepts the
-best acceptable candidate:
+Stages propose, the driver accepts.  Each stage is a generator that looks at
+the current trace and yields a batch of candidate traces.  One driver,
+:meth:`_Reduction.run`, scores every batch through the :class:`TraceScorer`
+(and so through the shared evaluation backend + cache), accepts the
+candidate at or above the retention floor with the fewest events, counts the
+round, stops at :data:`MAX_ROUNDS` and charges the evaluation budget.  It
+sends the accepted trace (or ``None``) back, and the stage decides whether
+to propose again, refine its granularity or stop.  The stages, in order:
 
 1. **segment removal** (traffic/loss): ddmin-flavoured — drop whole bursts
    when the trace has burst structure, otherwise drop fixed chunks with the
@@ -22,18 +26,19 @@ best acceptable candidate:
 4. **burst coalescing** (traffic): merge adjacent bursts into one uniform
    burst, and canonicalise surviving bursts to even spacing;
 5. **segment merging** (link): replace adjacent time segments with one
-   uniform-rate segment of the same packet count — link traces carry a fixed
-   packet budget (the service curve's bandwidth), so they are simplified
-   structurally, never shortened.
+   uniform-rate segment of the same packet count, halving the segment count
+   after a failed pass — link traces carry a fixed packet budget (the
+   service curve's bandwidth), so they are simplified structurally, never
+   shortened.
 
-Every stage is a pure function of the input trace and scores, so for a given
+Every stage is a pure function of the traces it is sent, so for a given
 trace/scorer the minimization is bit-reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..traces.trace import PacketTrace
 
@@ -169,46 +174,82 @@ def _uniform(start: float, end: float, count: int) -> List[float]:
     return [start + i * step for i in range(count)]
 
 
-class _Budget:
-    """Shared evaluation budget across all stages of one minimization."""
+def _splice(
+    trace: PacketTrace,
+    segments: List[List[float]],
+    index: int,
+    replacement: Sequence[float],
+    span: int = 1,
+) -> PacketTrace:
+    """``trace`` with ``segments[index:index + span]`` replaced by ``replacement``."""
+    kept = [t for segment in segments[:index] for t in segment]
+    kept.extend(replacement)
+    kept.extend(t for segment in segments[index + span :] for t in segment)
+    return trace.with_timestamps(kept)
 
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
-        self.spent = 0
 
-    def take(self, want: int) -> int:
-        """Reserve up to ``want`` evaluations; returns how many were granted."""
-        granted = max(0, min(want, self.limit - self.spent))
-        self.spent += granted
-        return granted
+def _pair_merges(trace: PacketTrace, segments: List[List[float]]) -> List[PacketTrace]:
+    """One candidate per adjacent pair of ``segments``, respaced as one even run."""
+    candidates = []
+    for index in range(len(segments) - 1):
+        pair = segments[index] + segments[index + 1]
+        merged = _uniform(pair[0], pair[-1], len(pair))
+        candidates.append(_splice(trace, segments, index, merged, span=2))
+    return candidates
+
+
+#: A stage's proposals: it yields candidate batches and is sent the accepted trace.
+_Proposals = Generator[List[PacketTrace], Optional[PacketTrace], None]
 
 
 class _Reduction:
-    """Greedy accept-the-best-candidate loop shared by every stage."""
+    """The one greedy loop every stage runs under, with the evaluation budget
+    all stages of one minimization share."""
 
-    def __init__(self, scorer, floor: float, budget: _Budget) -> None:
+    def __init__(self, scorer, limit: int) -> None:
         self.scorer = scorer
-        self.floor = floor
-        self.budget = budget
+        self.limit = limit
+        self.spent = 0
+        self.floor = float("nan")
 
-    def best_acceptable(
-        self, candidates: List[PacketTrace]
-    ) -> Optional[Tuple[PacketTrace, float]]:
-        """Score candidates (within budget) and pick the acceptable one with
-        the fewest events; ties break on batch position, so the outcome is a
-        deterministic function of the candidate order."""
-        granted = self.budget.take(len(candidates))
-        if granted == 0:
-            return None
-        candidates = candidates[:granted]
-        scores = self.scorer.scores(candidates)
-        best: Optional[Tuple[PacketTrace, float]] = None
-        for trace, score in zip(candidates, scores):
-            if score < self.floor:
-                continue
-            if best is None or trace.packet_count < best[0].packet_count:
-                best = (trace, score)
-        return best
+    def score(self, traces: List[PacketTrace]) -> List[float]:
+        """Scores of the leading traces the budget still covers, charged
+        before cache resolution."""
+        granted = traces[: max(0, self.limit - self.spent)]
+        self.spent += len(granted)
+        return self.scorer.scores(granted) if granted else []
+
+    def run(
+        self, stage: Callable[[PacketTrace], _Proposals], trace: PacketTrace, score: float
+    ) -> Tuple[PacketTrace, float, int]:
+        """Drive ``stage`` from ``trace``; returns the reduced trace, its score
+        and the rounds accepted (at most :data:`MAX_ROUNDS`).
+
+        Of each batch the stage proposes, the candidate at or above the floor
+        with the fewest events is accepted (ties break on batch position, so
+        the outcome is a deterministic function of the candidate order); an
+        accept that changes nothing counts as none.  The stage is sent the
+        accepted trace, or ``None``, and proposes its next batch or returns.
+        """
+        proposals = stage(trace)
+        accepted: Optional[PacketTrace] = None
+        rounds = 0
+        while rounds < MAX_ROUNDS:
+            try:
+                candidates = proposals.send(accepted)
+            except StopIteration:
+                break
+            accepted = None
+            for candidate, value in zip(candidates, self.score(candidates)):
+                if value < self.floor:
+                    continue
+                if accepted is None or candidate.packet_count < accepted.packet_count:
+                    accepted, best = candidate, value
+            if accepted is not None and accepted.fingerprint() != trace.fingerprint():
+                trace, score, rounds = accepted, best, rounds + 1
+            else:
+                accepted = None
+        return trace, score, rounds
 
 
 # --------------------------------------------------------------------------- #
@@ -216,132 +257,68 @@ class _Reduction:
 # --------------------------------------------------------------------------- #
 
 
-def _stage_segment_removal(
-    trace: PacketTrace, reduction: _Reduction
-) -> Tuple[PacketTrace, float, int]:
+def _segment_removal(current: PacketTrace) -> _Proposals:
     """ddmin-style removal: drop bursts, falling back to ever finer chunks."""
-    current, score, rounds = trace, float("nan"), 0
     granularity = 2
-    while rounds < MAX_ROUNDS and current.packet_count >= 2:
-        bursts = split_bursts(current.timestamps)
-        if len(bursts) >= 2:
-            segments = bursts
-        else:
+    while current.packet_count >= 2:
+        segments = split_bursts(current.timestamps)
+        bursty = len(segments) >= 2
+        if not bursty:
             segments = _equal_chunks(current.timestamps, granularity)
-        if len(segments) < 2:
-            break
-        candidates = []
-        for index in range(len(segments)):
-            kept = [t for j, seg in enumerate(segments) if j != index for t in seg]
-            candidates.append(current.with_timestamps(kept))
-        accepted = reduction.best_acceptable(candidates)
+            if len(segments) < 2:
+                return
+        accepted = yield [_splice(current, segments, i, ()) for i in range(len(segments))]
         if accepted is not None:
-            current, score = accepted
-            rounds += 1
-            granularity = 2
-            continue
-        if segments is bursts or granularity >= current.packet_count:
-            break
-        granularity = min(current.packet_count, granularity * 2)
-    return current, score, rounds
+            current, granularity = accepted, 2
+        elif bursty or granularity >= current.packet_count:
+            return
+        else:
+            granularity = min(current.packet_count, granularity * 2)
 
 
-def _stage_thinning(
-    trace: PacketTrace, reduction: _Reduction
-) -> Tuple[PacketTrace, float, int]:
+def _thinning(current: PacketTrace) -> _Proposals:
     """Halve packet density — of the whole trace, or of one burst at a time."""
-    current, score, rounds = trace, float("nan"), 0
-    while rounds < MAX_ROUNDS and current.packet_count >= 2:
+    while current is not None and current.packet_count >= 2:
         candidates = [current.with_timestamps(current.timestamps[::2])]
         bursts = split_bursts(current.timestamps)
         if len(bursts) >= 2:
-            for index, burst in enumerate(bursts):
-                if len(burst) < 2:
-                    continue
-                kept = [
-                    t
-                    for j, seg in enumerate(bursts)
-                    for t in (seg[::2] if j == index else seg)
-                ]
-                candidates.append(current.with_timestamps(kept))
-        accepted = reduction.best_acceptable(candidates)
-        if accepted is None:
-            break
-        current, score = accepted
-        rounds += 1
-    return current, score, rounds
+            candidates += [
+                _splice(current, bursts, i, burst[::2])
+                for i, burst in enumerate(bursts)
+                if len(burst) >= 2
+            ]
+        current = yield candidates
 
 
-def _stage_single_event(
-    trace: PacketTrace, reduction: _Reduction
-) -> Tuple[PacketTrace, float, int]:
+def _single_event(current: PacketTrace) -> _Proposals:
     """One-at-a-time event removal (quadratic; only run on small traces)."""
-    current, score, rounds = trace, float("nan"), 0
     if current.packet_count > SINGLE_EVENT_LIMIT:
-        return current, score, rounds
-    while rounds < MAX_ROUNDS and current.packet_count >= 1:
-        timestamps = current.timestamps
-        candidates = [
-            current.with_timestamps(timestamps[:i] + timestamps[i + 1 :])
-            for i in range(len(timestamps))
-        ]
-        accepted = reduction.best_acceptable(candidates)
-        if accepted is None:
-            break
-        current, score = accepted
-        rounds += 1
-    return current, score, rounds
+        return
+    while current is not None and current.packet_count >= 1:
+        events = [[t] for t in current.timestamps]
+        current = yield [_splice(current, events, i, ()) for i in range(len(events))]
 
 
-def _stage_burst_coalescing(
-    trace: PacketTrace, reduction: _Reduction
-) -> Tuple[PacketTrace, float, int]:
+def _burst_coalescing(current: PacketTrace) -> _Proposals:
     """Merge adjacent bursts and canonicalise bursts to even spacing.
 
     Packet counts never change here; the goal is interpretability — a
     minimal attack reads as "k uniform bursts at these times", not as k
     ragged packet clouds.
     """
-    current, score, rounds = trace, float("nan"), 0
-    while rounds < MAX_ROUNDS:
+    while current is not None:
         bursts = split_bursts(current.timestamps)
-        candidates = []
-        for index in range(len(bursts) - 1):
-            merged_pair = bursts[index] + bursts[index + 1]
-            merged = _uniform(merged_pair[0], merged_pair[-1], len(merged_pair))
-            kept = [
-                t
-                for j, seg in enumerate(bursts)
-                if j != index + 1
-                for t in (merged if j == index else seg)
-            ]
-            candidates.append(current.with_timestamps(kept))
+        candidates = _pair_merges(current, bursts)
         for index, burst in enumerate(bursts):
             canonical = _uniform(burst[0], burst[-1], len(burst))
-            if canonical == burst:
-                continue
-            kept = [
-                t
-                for j, seg in enumerate(bursts)
-                for t in (canonical if j == index else seg)
-            ]
-            candidates.append(current.with_timestamps(kept))
+            if canonical != burst:
+                candidates.append(_splice(current, bursts, index, canonical))
         if not candidates:
-            break
-        accepted = reduction.best_acceptable(candidates)
-        if accepted is None:
-            break
-        accepted_trace, accepted_score = accepted
-        if accepted_trace.fingerprint() == current.fingerprint():
-            break
-        current, score = accepted_trace, accepted_score
-        rounds += 1
-    return current, score, rounds
+            return
+        current = yield candidates
 
 
-def _stage_link_segment_merging(
-    trace: PacketTrace, reduction: _Reduction
-) -> Tuple[PacketTrace, float, int]:
+def _link_segment_merging(current: PacketTrace) -> _Proposals:
     """Replace chunks of a link trace with uniform-rate segments.
 
     Link traces must keep their packet budget (the service curve's average
@@ -350,42 +327,21 @@ def _stage_link_segment_merging(
     opportunities as an evenly spaced segment of the same count, erasing
     rate structure that was not load-bearing for the attack.
     """
-    current, score, rounds = trace, float("nan"), 0
     segment_count = LINK_SEGMENTS
-    while rounds < MAX_ROUNDS and segment_count >= 2:
+    while segment_count >= 2:
         segments = _equal_chunks(current.timestamps, segment_count)
         if len(segments) < 2:
-            break
-        candidates = []
-        for index in range(len(segments) - 1):
-            pair = segments[index] + segments[index + 1]
-            merged = _uniform(pair[0], pair[-1], len(pair))
-            kept = [
-                t
-                for j, seg in enumerate(segments)
-                if j != index + 1
-                for t in (merged if j == index else seg)
-            ]
-            candidates.append(current.with_timestamps(kept))
+            return
         # The fully uniform trace (no attack structure at all) is always a
         # candidate: if it still meets the floor, the "attack" was never
         # about the link's rate pattern.
-        if current.packet_count >= 2:
-            candidates.append(
-                current.with_timestamps(
-                    _uniform(current.timestamps[0], current.timestamps[-1], current.packet_count)
-                )
-            )
-        accepted = reduction.best_acceptable(candidates)
-        accepted_is_new = (
-            accepted is not None and accepted[0].fingerprint() != current.fingerprint()
-        )
-        if accepted_is_new:
-            current, score = accepted  # type: ignore[misc]
-            rounds += 1
-        else:
+        timestamps = current.timestamps
+        uniform = current.with_timestamps(_uniform(timestamps[0], timestamps[-1], len(timestamps)))
+        accepted = yield _pair_merges(current, segments) + [uniform]
+        if accepted is None:
             segment_count //= 2
-    return current, score, rounds
+        else:
+            current = accepted
 
 
 # --------------------------------------------------------------------------- #
@@ -393,17 +349,17 @@ def _stage_link_segment_merging(
 # --------------------------------------------------------------------------- #
 
 _REMOVAL_STAGES = (
-    ("segment-removal", _stage_segment_removal),
-    ("thinning", _stage_thinning),
-    ("single-event", _stage_single_event),
+    ("segment-removal", _segment_removal),
+    ("thinning", _thinning),
+    ("single-event", _single_event),
 )
 
 #: Fuzzing mode -> reduction stages, in the order they run.  A link trace's
 #: packet budget is fixed, so it is only ever reshaped, never thinned; an
 #: untyped trace (mode ``None``) is a bare event list and gets plain removal.
 STAGES_BY_MODE = {
-    "link": (("segment-merging", _stage_link_segment_merging),),
-    "traffic": _REMOVAL_STAGES + (("burst-coalescing", _stage_burst_coalescing),),
+    "link": (("segment-merging", _link_segment_merging),),
+    "traffic": _REMOVAL_STAGES + (("burst-coalescing", _burst_coalescing),),
     "loss": _REMOVAL_STAGES,
     None: _REMOVAL_STAGES,
 }
@@ -422,21 +378,14 @@ def minimize_trace(
     input, and scores at least ``retention_floor(baseline, retention)``.
     """
     config = config or MinimizeConfig()
-    budget = _Budget(config.max_evaluations)
-    budget.take(1)
-    baseline = scorer.scores([trace])[0]
-    floor = retention_floor(baseline, config.retention)
-    reduction = _Reduction(scorer, floor, budget)
+    reduction = _Reduction(scorer, config.max_evaluations)
+    baseline = reduction.score([trace])[0]
+    reduction.floor = floor = retention_floor(baseline, config.retention)
 
-    stages = STAGES_BY_MODE[trace.mode]
-
-    current = trace
-    current_score = baseline
+    current, current_score = trace, baseline
     stage_log: List[Dict[str, Any]] = []
-    for name, stage in stages:
-        reduced, score, rounds = stage(current, reduction)
-        if rounds > 0:
-            current, current_score = reduced, score
+    for name, stage in STAGES_BY_MODE[trace.mode]:
+        current, current_score, rounds = reduction.run(stage, current, current_score)
         stage_log.append(
             {"stage": name, "rounds": rounds, "events": current.packet_count}
         )
@@ -450,6 +399,6 @@ def minimize_trace(
         minimized_score=current_score,
         retention=config.retention,
         floor=floor,
-        evaluations=budget.spent,
+        evaluations=reduction.spent,
         stages=stage_log,
     )

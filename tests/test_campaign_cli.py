@@ -415,16 +415,15 @@ class TestFuzzIsACampaign:
         assert "invalid choice: 'elites'" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
-    def test_resuming_a_journal_that_names_a_removed_guidance_mode(self, tmp_path, capsys):
-        """A journal written while "elites" was a guidance mode does not
-        resume under another strategy: it is refused, naming the modes."""
+    @staticmethod
+    def _journal_naming_elites(corpus_dir):
+        """A journal written while "elites" was a guidance mode."""
         from repro.campaign import CampaignSpec
         from repro.journal import CampaignJournal
 
         spec = CampaignSpec.from_dict(dict(FUZZ_SPEC, guidance="novelty")).to_dict()
         spec["guidance"] = "elites"
-        journal_path = CampaignJournal.corpus_path(str(tmp_path))
-        with CampaignJournal(journal_path) as journal:
+        with CampaignJournal(CampaignJournal.corpus_path(str(corpus_dir))) as journal:
             journal.append("campaign_start", {
                 "campaign": spec["name"],
                 "spec": spec,
@@ -432,6 +431,11 @@ class TestFuzzIsACampaign:
                 "register_attacks": False,
                 "archive_baseline": BehaviorArchive().to_dict(),
             })
+
+    def test_resuming_a_journal_that_names_a_removed_guidance_mode(self, tmp_path, capsys):
+        """Such a journal does not resume under another strategy: it is
+        refused, naming the modes."""
+        self._journal_naming_elites(tmp_path)
         before = (tmp_path / "journal.jsonl").read_bytes()
         with pytest.raises(SystemExit) as excinfo:
             campaign_main(["run", "--corpus", str(tmp_path), "--resume", "--no-telemetry"])
@@ -441,6 +445,26 @@ class TestFuzzIsACampaign:
             in capsys.readouterr().err
         )
         assert (tmp_path / "journal.jsonl").read_bytes() == before
+
+    def test_resume_usage_errors_create_nothing_with_telemetry_on(self, tmp_path, capsys):
+        """Usage errors exit 2 and create nothing, telemetry on included: no
+        corpus directory for a missing one, no metrics.jsonl beside a journal
+        that cannot resume."""
+        missing = tmp_path / "missing"
+        with pytest.raises(SystemExit) as excinfo:
+            campaign_main(["run", "--corpus", str(missing), "--resume"])
+        assert excinfo.value.code == 2
+        assert "nothing to resume" in capsys.readouterr().err
+        assert not missing.exists()
+
+        corpus_dir = tmp_path / "elites"
+        self._journal_naming_elites(corpus_dir)
+        before = {path.name: path.read_bytes() for path in corpus_dir.iterdir()}
+        with pytest.raises(SystemExit) as excinfo:
+            campaign_main(["run", "--corpus", str(corpus_dir), "--resume"])
+        assert excinfo.value.code == 2
+        assert "got 'elites'" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in corpus_dir.iterdir()} == before
 
 
 class TestRangeUsageErrors:
