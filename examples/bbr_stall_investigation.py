@@ -76,13 +76,13 @@ def main() -> None:
             "variant": "bbr default",
             "throughput_mbps": attacked.throughput_mbps(),
             "segments_delivered": attacked.delivered_segments(),
-            "spurious_retransmissions": attacked.sender_stats.spurious_retransmissions,
+            "spurious_retransmissions": attacked.spurious_retransmissions,
         },
         {
             "variant": "bbr + probertt-on-rto",
             "throughput_mbps": fixed.throughput_mbps(),
             "segments_delivered": fixed.delivered_segments(),
-            "spurious_retransmissions": fixed.sender_stats.spurious_retransmissions,
+            "spurious_retransmissions": fixed.spurious_retransmissions,
         },
     ]))
 

@@ -48,7 +48,7 @@ def compute_metrics(result: SimulationResult) -> FlowMetrics:
         loss_rate=result.loss_rate(CCA_FLOW),
         retransmission_ratio=result.sender_stats.retransmissions / sent,
         rto_count=result.sender_stats.rto_count,
-        spurious_retransmissions=result.sender_stats.spurious_retransmissions,
+        spurious_retransmissions=result.spurious_retransmissions,
         longest_stall_s=result.monitor.max_egress_gap(CCA_FLOW, result.duration),
         segments_delivered=result.delivered_segments(CCA_FLOW),
         cross_traffic_packets=result.cross_sent,

@@ -340,7 +340,7 @@ def shape_rankings(
     corpus's quarantine (each counted under the CCA of its ``scenario_id``,
     not its ``cca``, which is the CCA's identity hash), ``triage_rows`` are
     differential-triage verdicts (``{"fingerprint", "classification",
-    "most_vulnerable", "vulnerable_ccas"}``).  A CCA's headline number is
+    "most_vulnerable"}``).  A CCA's headline number is
     the worst (highest) best-fitness any completed scenario reached against
     it — fitness measures attack damage, so higher means more vulnerable —
     alongside how much corpus evidence backs that up.
@@ -360,7 +360,6 @@ def shape_rankings(
                 "behavior_cells": 0,
                 "quarantined": 0,
                 "triage_most_vulnerable": 0,
-                "triage_vulnerable": 0,
             },
         )
 
@@ -397,8 +396,6 @@ def shape_rankings(
         most = str(verdict.get("most_vulnerable") or "")
         if most:
             row_for(most)["triage_most_vulnerable"] += 1
-        for cca in verdict.get("vulnerable_ccas") or []:
-            row_for(str(cca))["triage_vulnerable"] += 1
 
     rows = sorted(
         per_cca.values(),

@@ -5,7 +5,8 @@ retransmissions and in-flight SACKs interact to corrupt BBR's probing rounds
 and collapse its bandwidth estimate.  This module extracts the observable
 evidence of that mechanism from a finished run:
 
-* RTO events and spurious retransmissions (sender scoreboard),
+* RTO events (sender) and spurious retransmissions (duplicate arrivals at
+  the receiver),
 * premature probe-round endings (rounds closed by a sample anchored on a
   retransmitted segment) and the bandwidth estimate's peak and final values
   (BBR diagnostics),
@@ -47,7 +48,7 @@ def bbr_bug_evidence(result: SimulationResult) -> BbrBugEvidence:
     diag = result.cca_diagnostics
     return BbrBugEvidence(
         rto_count=result.sender_stats.rto_count,
-        spurious_retransmissions=result.sender_stats.spurious_retransmissions,
+        spurious_retransmissions=result.spurious_retransmissions,
         premature_round_ends=int(diag.get("premature_round_ends", 0)),
         final_bandwidth_estimate_pps=float(diag.get("btlbw", 0.0)),
         peak_bandwidth_estimate_pps=float(diag.get("peak_btlbw", 0.0)),
@@ -61,7 +62,7 @@ def describe_bug_timeline(evidence: BbrBugEvidence) -> str:
     lines = [
         "BBR stall mechanism evidence (paper Fig. 4c):",
         f"  1. retransmission timeouts fired: {evidence.rto_count}",
-        f"  2. spurious retransmissions sent while SACKs were in flight: "
+        f"  2. spurious retransmissions (segments the receiver already had): "
         f"{evidence.spurious_retransmissions}",
         f"  3. probing rounds ended prematurely by retransmission-anchored samples: "
         f"{evidence.premature_round_ends}",

@@ -135,6 +135,9 @@ class SimulationResult:
     cross_dropped_at_queue: int = 0
     link_wasted_opportunities: int = 0
     forced_losses: int = 0
+    #: Retransmissions whose segment had already arrived: the receiver's
+    #: count of duplicate arrivals (RTO-driven ones are the Fig. 4c chain).
+    spurious_retransmissions: int = 0
     #: Scheduler events processed (perf accounting).  Cross-traffic sink
     #: arrivals are counted at service time and are not events.
     events_executed: int = 0
@@ -191,7 +194,7 @@ class SimulationResult:
             "recovery_entries": int(diag.get("recovery_entries", 0)),
             "recovery_exits": int(diag.get("recovery_exits", 0)),
             "retransmissions": self.sender_stats.retransmissions,
-            "spurious_retransmissions": self.sender_stats.spurious_retransmissions,
+            "spurious_retransmissions": self.spurious_retransmissions,
             "fast_retransmit_entries": self.sender_stats.fast_retransmit_entries,
             "cca_drops": self.monitor.drops(CCA_FLOW),
             "delivered": flow["delivered"],
@@ -213,7 +216,7 @@ class SimulationResult:
             "cross_delivered": self.cross_delivered,
             "cross_drops": self.queue_drops.get(CROSS_FLOW, 0),
             "retransmissions": self.sender_stats.retransmissions,
-            "spurious_retransmissions": self.sender_stats.spurious_retransmissions,
+            "spurious_retransmissions": self.spurious_retransmissions,
             "rto_count": self.sender_stats.rto_count,
         }
 
@@ -295,6 +298,7 @@ def run_simulation(
         cross_dropped_at_queue=topology.queue.drops.get(CROSS_FLOW, 0),
         link_wasted_opportunities=topology.link.wasted_opportunities,
         forced_losses=topology.forced_losses,
+        spurious_retransmissions=receiver.duplicate_segments,
         events_executed=events_executed,
     )
 

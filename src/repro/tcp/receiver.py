@@ -7,7 +7,7 @@ BBR's bandwidth-estimate collapse, and they shape the feedback loop that
 keeps a stalled BBR stalled.
 
 The SACK blocks are exactly the maximal runs of buffered out-of-order
-segments, most recently extended first (the first ``max_sack_blocks`` go on
+segments, most recently extended first (the first ``MAX_SACK_BLOCKS`` go on
 the wire).  So a new out-of-order segment touches a block only when its
 neighbour is buffered — two set lookups decide.  Extending the newest block
 replaces ``_recent_blocks[0]`` and a new island is one ``insert(0, …)``;
@@ -25,6 +25,9 @@ from ..netsim.packet import AckPacket, Packet, SackBlock
 
 AckSendCallback = Callable[[AckPacket], None]
 
+#: SACK blocks reported per ACK (3, as in practice with timestamps enabled).
+MAX_SACK_BLOCKS = 3
+
 
 class TcpReceiver:
     """Receives data segments and emits (possibly delayed) ACKs.
@@ -41,9 +44,6 @@ class TcpReceiver:
         ``delack_timeout`` if only one segment is pending).
     delack_timeout:
         Delayed-ACK timer, 40 ms by default (the common Linux value).
-    max_sack_blocks:
-        Number of SACK blocks reported per ACK (3, as in practice with
-        timestamps enabled).
     """
 
     def __init__(
@@ -52,13 +52,11 @@ class TcpReceiver:
         send_ack: AckSendCallback,
         delayed_ack: bool = True,
         delack_timeout: float = 0.040,
-        max_sack_blocks: int = 3,
     ) -> None:
         self.scheduler = scheduler
         self.send_ack = send_ack
         self.delayed_ack = delayed_ack
         self.delack_timeout = delack_timeout
-        self.max_sack_blocks = max_sack_blocks
 
         self.rcv_next = 0
         self._out_of_order: Set[int] = set()
@@ -84,8 +82,9 @@ class TcpReceiver:
         self.segments_received += 1
 
         if seq < self.rcv_next or seq in self._out_of_order:
-            # Duplicate (e.g. a spurious retransmission): ACK immediately so
-            # the sender learns its state is stale.
+            # Duplicate: one copy of a spurious retransmission (this count is
+            # ``SimulationResult.spurious_retransmissions``).  ACK immediately
+            # so the sender learns its state is stale.
             self.duplicate_segments += 1
             self._emit_ack(now)
             return
@@ -124,7 +123,7 @@ class TcpReceiver:
         pending = self._pending_segments
         ack = AckPacket(
             self.rcv_next,
-            tuple(blocks[: self.max_sack_blocks]) if blocks else (),
+            tuple(blocks[:MAX_SACK_BLOCKS]) if blocks else (),
             pending if pending > 1 else 1,
             now,
         )

@@ -1,13 +1,15 @@
-"""SACK scoreboard.
+"""SACK scoreboard (RFC 6675).
 
 The scoreboard tracks per-segment state on the sender: which segments have
 been selectively acknowledged, which are presumed lost, how often each has
 been (re)transmitted, and the rate-sampling stamps of the most recent
-transmission.  Loss detection follows the standard SACK heuristic (a segment
-is presumed lost once ``dupthresh`` segments above it have been SACKed,
-RFC 6675) plus Linux's RTO behaviour of marking every outstanding un-SACKed
-segment lost — the behaviour that produces the spurious retransmissions BBR
-trips over (paper section 4.1).
+transmission.  Loss detection is RFC 6675's: a segment is presumed lost once
+``DUPTHRESH`` segments above it have been SACKed.  A retransmission is never
+re-marked lost by SACKs (as in NS3 and pre-RACK Linux): a lost retransmission
+waits for the RTO, and the RTO marks every outstanding un-SACKed segment lost
+(Linux) — the behaviour that produces the spurious retransmissions BBR trips
+over (paper section 4.1).  Whether a retransmission was spurious is not the
+scoreboard's call: the receiver counts the duplicates that arrive.
 
 Every sent segment at or above ``snd_una`` is in exactly one of four states,
 and three of them have an ascending index, so an ACK costs what it changes —
@@ -26,10 +28,9 @@ of segments pile up above the hole:
   retransmission.
 * *cumulatively ACKed*: below ``snd_una``, indexed by nothing.
 
-``detect_losses`` reads its cutoff (the ``dupthresh``-th largest SACKed seq)
+``detect_losses`` reads its cutoff (the ``DUPTHRESH``-th largest SACKed seq)
 off the last ranges; every first transmission below it is lost, which is one
-bisect and one slice.  Retransmissions are only re-examined when
-``redetect_lost_retransmissions`` asks for it.
+bisect and one slice.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..netsim.packet import SackBlock
 from .rate_sampler import SegmentTxState
+
+#: SACKed segments above a hole that mark it lost (RFC 6675's DupThresh).
+DUPTHRESH = 3
 
 
 @dataclass(slots=True)
@@ -67,27 +71,9 @@ def _discard(index: List[int], seq: int) -> None:
 class SackScoreboard:
     """Per-connection scoreboard of all sent-but-not-cumulatively-ACKed segments."""
 
-    def __init__(
-        self,
-        dupthresh: int = 3,
-        redetect_lost_retransmissions: bool = False,
-        spurious_rtt_floor: float = 0.035,
-    ) -> None:
-        self.dupthresh = dupthresh
-        #: A (S)ACK delivering a retransmitted segment sooner than this after
-        #: its latest transmission must refer to an earlier copy, so the
-        #: latest retransmission was spurious.  The default sits just below
-        #: the minimum possible RTT of the paper's topology (2 x 20 ms).
-        self.spurious_rtt_floor = spurious_rtt_floor
-        #: When False (default, matching NS3 and pre-RACK Linux — the
-        #: behaviour the paper's findings rely on), a retransmission that is
-        #: itself lost is only recovered by the retransmission timeout.  When
-        #: True, RACK-style evidence (a SACK for data sent after the
-        #: retransmission) re-marks it lost so it can be retransmitted again.
-        self.redetect_lost_retransmissions = redetect_lost_retransmissions
+    def __init__(self) -> None:
         self.segments: Dict[int, SegmentState] = {}
         self.snd_una = 0          #: lowest unacknowledged sequence number
-        self.spurious_retransmissions = 0
 
         self._pipe = 0                        #: outstanding segments
         self._sack_starts: List[int] = []     #: SACKed ranges [start, end) above snd_una
@@ -95,11 +81,9 @@ class SackScoreboard:
         self._first_tx: List[int] = []        #: outstanding, sent once
         self._retx: List[int] = []            #: outstanding, retransmitted
         self._lost_unsent: List[int] = []     #: marked lost, awaiting retransmission
-        self._latest_sacked_send = 0.0        #: newest send time among SACKed segments
         # Set when new SACK information arrives; ``detect_losses`` is a no-op
         # otherwise (new first transmissions are always above the SACK
-        # frontier, and retransmissions sent after the newest SACK can never
-        # satisfy the RACK-style ordering check), so most ACKs skip it.
+        # frontier), so most ACKs skip it.
         self._detect_dirty = False
 
     # ------------------------------------------------------------------ #
@@ -185,9 +169,7 @@ class SackScoreboard:
                 starts[0] = cumulative_ack
         return newly_delivered, newly_full_acked
 
-    def apply_sack_blocks(
-        self, blocks: Iterable[SackBlock], now: Optional[float] = None
-    ) -> List[SegmentState]:
+    def apply_sack_blocks(self, blocks: Iterable[SackBlock]) -> List[SegmentState]:
         """Mark segments covered by ``blocks`` as SACKed; return newly SACKed states.
 
         The walk visits only the gaps between the SACKed ranges, so a block
@@ -200,7 +182,6 @@ class SackScoreboard:
         segments = self.segments
         snd_una = self.snd_una
         pipe = self._pipe
-        latest = self._latest_sacked_send
         for block in blocks:
             seq = block.start if block.start > snd_una else snd_una
             end = block.end
@@ -224,15 +205,7 @@ class SackScoreboard:
                     else:
                         state.lost = False
                         _discard(self._lost_unsent, seq)
-                    sent = state.last_sent_time
-                    if state.transmissions > 1 and now is not None:
-                        # Delivered sooner after the latest retransmission than
-                        # a round trip allows means an earlier copy arrived: that
-                        # retransmission was spurious (the Fig. 4c situation).
-                        self.spurious_retransmissions += now - sent < self.spurious_rtt_floor
                     state.sacked = True
-                    if sent > latest:
-                        latest = sent
                     newly_sacked.append(state)
                     seq += 1
                 if stop < end:
@@ -250,7 +223,6 @@ class SackScoreboard:
                 ends[i:j] = [seq]
         if newly_sacked:
             self._pipe = pipe
-            self._latest_sacked_send = latest
             self._detect_dirty = True
         return newly_sacked
 
@@ -259,26 +231,21 @@ class SackScoreboard:
     # ------------------------------------------------------------------ #
 
     def detect_losses(self) -> List[SegmentState]:
-        """RFC 6675 style detection: mark un-SACKed holes below recent SACKs lost.
-
-        A segment that has already been retransmitted is only re-marked lost
-        when ``redetect_lost_retransmissions`` is enabled *and* there is fresh
-        evidence that the retransmission itself was lost — a SACK for data
-        sent after the retransmission (RACK-style ordering).  The default
-        matches NS3 / pre-RACK Linux, where a lost retransmission waits for
-        the RTO (the behaviour the paper's findings depend on).
-        """
+        """RFC 6675 detection: mark un-SACKed first transmissions below the
+        ``DUPTHRESH``-th largest SACKed seq lost.  Retransmissions are left to
+        the RTO (NS3 / pre-RACK Linux, the behaviour the paper's findings
+        depend on)."""
         if not self._detect_dirty:
             return []
         self._detect_dirty = False
-        # ``dupthresh`` SACKs lie above an un-SACKed seq exactly when it is
-        # below the dupthresh-th largest SACKed seq: walk back to that one.
+        # ``DUPTHRESH`` SACKs lie above an un-SACKed seq exactly when it is
+        # below the DUPTHRESH-th largest SACKed seq: walk back to that one.
         starts, ends = self._sack_starts, self._sack_ends
-        need = self.dupthresh
+        need = DUPTHRESH
         index = len(ends)
         while True:
             if not index:
-                return []  # fewer than dupthresh SACKed segments
+                return []  # fewer than DUPTHRESH SACKed segments
             index -= 1
             width = ends[index] - starts[index]
             if width >= need:
@@ -289,18 +256,6 @@ class SackScoreboard:
         cut = bisect.bisect_left(first_tx, cutoff)
         lost = first_tx[:cut]
         del first_tx[:cut]
-        if self.redetect_lost_retransmissions:
-            retx = self._retx
-            cut = bisect.bisect_left(retx, cutoff)
-            latest = self._latest_sacked_send
-            keep: List[int] = []
-            for seq in retx[:cut]:
-                if latest <= self.segments[seq].last_sent_time + 1e-12:
-                    keep.append(seq)
-                else:
-                    lost.append(seq)
-            retx[:cut] = keep
-            lost.sort()
         return self._mark_lost(lost)
 
     def mark_all_outstanding_lost(self) -> List[SegmentState]:

@@ -39,7 +39,6 @@ class SenderStats:
     segments_sent: int = 0              #: total transmissions, including retransmissions
     data_segments_sent: int = 0         #: distinct data segments transmitted at least once
     retransmissions: int = 0
-    spurious_retransmissions: int = 0
     rto_count: int = 0
     fast_retransmit_entries: int = 0
     delivered: int = 0
@@ -63,7 +62,6 @@ class TcpSender:
         min_rto: float = 1.0,
         start_time: float = 0.0,
         record_series: bool = True,
-        redetect_lost_retransmissions: bool = False,
     ) -> None:
         self.scheduler = scheduler
         self.cca = cca
@@ -72,9 +70,7 @@ class TcpSender:
         self.start_time = start_time
         self.record_series = record_series
 
-        self.scoreboard = SackScoreboard(
-            redetect_lost_retransmissions=redetect_lost_retransmissions
-        )
+        self.scoreboard = SackScoreboard()
         self.rtt_estimator = RttEstimator(min_rto=min_rto)
         self.rate_estimator = DeliveryRateEstimator()
         self.stats = SenderStats()
@@ -119,7 +115,7 @@ class TcpSender:
         sack_blocks = ack.sack_blocks
         if sack_blocks:
             stats.sack_acks += 1
-            newly_sacked_states = scoreboard.apply_sack_blocks(sack_blocks, now)
+            newly_sacked_states = scoreboard.apply_sack_blocks(sack_blocks)
         else:
             newly_sacked_states = []
         cumulative_ack = ack.cumulative_ack
@@ -181,7 +177,6 @@ class TcpSender:
 
         delivered = self.rate_estimator.delivered
         stats.delivered = delivered
-        stats.spurious_retransmissions = scoreboard.spurious_retransmissions
         # Bound scoreboard memory on long transfers: fully acknowledged
         # segments far below snd_una are never consulted again.
         if scoreboard.snd_una - self._last_purge > 2048:

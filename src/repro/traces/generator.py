@@ -90,23 +90,19 @@ class TrafficTraceGenerator(TraceGenerator):
         max_packets: int,
         mss_bytes: int = 1500,
         k_agg: float = DEFAULT_K_AGG,
-        min_packets: int = 0,
         seed: Optional[int] = None,
     ) -> None:
         self.duration = _positive_finite("duration", duration)
         if max_packets <= 0:
             raise ValueError("max_packets must be positive")
-        if not 0 <= min_packets <= max_packets:
-            raise ValueError("min_packets must lie in [0, max_packets]")
         self.max_packets = max_packets
-        self.min_packets = min_packets
         self.mss_bytes = mss_bytes
         self.k_agg = k_agg
         self.rng = random.Random(seed)
 
     def generate(self) -> TrafficTrace:
         """One injection vector with a random packet budget (no rate bounds)."""
-        count = self.rng.randint(self.min_packets, self.max_packets)
+        count = self.rng.randint(0, self.max_packets)
         timestamps = dist_packets(
             count,
             0.0,
@@ -135,18 +131,16 @@ class LossTraceGenerator(TraceGenerator):
         self,
         duration: float,
         max_losses: int,
-        min_losses: int = 0,
         seed: Optional[int] = None,
     ) -> None:
         if max_losses < 0:
             raise ValueError("max_losses must be non-negative")
         self.duration = _positive_finite("duration", duration)
         self.max_losses = max_losses
-        self.min_losses = min_losses
         self.rng = random.Random(seed)
 
     def generate(self) -> LossTrace:
-        count = self.rng.randint(self.min_losses, self.max_losses)
+        count = self.rng.randint(0, self.max_losses)
         timestamps = sorted(self.rng.uniform(0.0, self.duration) for _ in range(count))
         return LossTrace(
             timestamps=timestamps,

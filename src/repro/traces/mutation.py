@@ -20,6 +20,10 @@ from typing import Optional
 from .distpackets import DEFAULT_K_AGG, DEFAULT_RATE_BOUND, dist_packets
 from .trace import LinkTrace, LossTrace, TrafficTrace
 
+#: Standard deviation (s) of the Gaussian nudge ``mutate_loss_trace`` gives one
+#: loss time.
+LOSS_JITTER_S = 0.1
+
 
 def _mutant(parent, timestamps):
     """``parent`` with new event times: same mode, duration, MSS and budget."""
@@ -89,7 +93,6 @@ def mutate_loss_trace(
     trace: LossTrace,
     rng: random.Random,
     max_losses: Optional[int] = None,
-    jitter: float = 0.1,
 ) -> LossTrace:
     """Perturb a loss schedule: jitter, add or remove individual loss times."""
     max_losses = max_losses if max_losses is not None else max(trace.packet_count, 1)
@@ -98,7 +101,7 @@ def mutate_loss_trace(
     if action < 0.4 and times:
         # Jitter one loss time.
         idx = rng.randrange(len(times))
-        times[idx] = min(max(times[idx] + rng.gauss(0.0, jitter), 0.0), trace.duration)
+        times[idx] = min(max(times[idx] + rng.gauss(0.0, LOSS_JITTER_S), 0.0), trace.duration)
     elif action < 0.7 and len(times) < max_losses:
         times.append(rng.uniform(0.0, trace.duration))
     elif times:

@@ -8,12 +8,12 @@ flow — the distillation the paper performs by hand in section 4.2.
 
 Stages propose, the driver accepts.  Each stage is a generator that looks at
 the current trace and yields a batch of candidate traces.  One driver,
-:meth:`_Reduction.run`, scores every batch through the :class:`TraceScorer`
-(and so through the shared evaluation backend + cache), accepts the
-candidate at or above the retention floor with the fewest events, counts the
-round, stops at :data:`MAX_ROUNDS` and charges the evaluation budget.  It
-sends the accepted trace (or ``None``) back, and the stage decides whether
-to propose again, refine its granularity or stop.  The stages, in order:
+:meth:`_Reduction.run`, scores every candidate that differs from the current
+trace through the :class:`TraceScorer` (and so through the shared evaluation
+backend + cache), accepts the candidate at or above the retention floor with
+the fewest events, counts the round, stops at :data:`MAX_ROUNDS` and charges
+the evaluation budget.  It sends the accepted trace (or ``None``) back, and
+the stage decides whether to propose again, refine its granularity or stop.  The stages, in order:
 
 1. **segment removal** (traffic/loss): ddmin-flavoured — drop whole bursts
    when the trace has burst structure, otherwise drop fixed chunks with the
@@ -225,11 +225,12 @@ class _Reduction:
         """Drive ``stage`` from ``trace``; returns the reduced trace, its score
         and the rounds accepted (at most :data:`MAX_ROUNDS`).
 
-        Of each batch the stage proposes, the candidate at or above the floor
-        with the fewest events is accepted (ties break on batch position, so
-        the outcome is a deterministic function of the candidate order); an
-        accept that changes nothing counts as none.  The stage is sent the
-        accepted trace, or ``None``, and proposes its next batch or returns.
+        Of each batch the stage proposes, candidates equal to the current
+        trace are dropped unscored, and the remaining candidate at or above
+        the floor with the fewest events is accepted (ties break on batch
+        position, so the outcome is a deterministic function of the candidate
+        order).  The stage is sent the accepted trace, or ``None``, and
+        proposes its next batch or returns.
         """
         proposals = stage(trace)
         accepted: Optional[PacketTrace] = None
@@ -239,16 +240,16 @@ class _Reduction:
                 candidates = proposals.send(accepted)
             except StopIteration:
                 break
+            current = trace.fingerprint()
+            candidates = [c for c in candidates if c.fingerprint() != current]
             accepted = None
             for candidate, value in zip(candidates, self.score(candidates)):
                 if value < self.floor:
                     continue
                 if accepted is None or candidate.packet_count < accepted.packet_count:
                     accepted, best = candidate, value
-            if accepted is not None and accepted.fingerprint() != trace.fingerprint():
+            if accepted is not None:
                 trace, score, rounds = accepted, best, rounds + 1
-            else:
-                accepted = None
         return trace, score, rounds
 
 

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.packet import SackBlock
 from repro.tcp.rate_sampler import SegmentTxState
-from repro.tcp.sack import SackScoreboard
+from repro.tcp.sack import DUPTHRESH, SackScoreboard
 
 
 def tx_state(time: float = 0.0) -> SegmentTxState:
@@ -97,17 +96,6 @@ class TestLossDetection:
         board.apply_sack_blocks([SackBlock(5, 9)])       # more SACK evidence
         assert board.detect_losses() == []
 
-    def test_rack_style_redetection_when_enabled(self):
-        board = SackScoreboard(redetect_lost_retransmissions=True)
-        send_range(board, 0, 10, time=0.0)
-        board.apply_sack_blocks([SackBlock(1, 5)])
-        assert [s.seq for s in board.detect_losses()] == [0]
-        board.on_transmit(0, 1.0, tx_state(1.0))
-        # Segments sent *after* the retransmission get SACKed -> evidence.
-        board.on_transmit(10, 2.0, tx_state(2.0))
-        board.apply_sack_blocks([SackBlock(10, 11)])
-        assert [s.seq for s in board.detect_losses()] == [0]
-
     def test_rto_marks_all_outstanding_lost(self):
         board = SackScoreboard()
         send_range(board, 0, 10)
@@ -126,28 +114,7 @@ class TestLossDetection:
         assert board.next_lost_segment() in (1, 2)
 
 
-class TestSpuriousRetransmissionAccounting:
-    def test_sack_arriving_after_retransmission_counts_spurious(self):
-        board = SackScoreboard()
-        send_range(board, 0, 10)
-        board.apply_sack_blocks([SackBlock(1, 5)])
-        board.detect_losses()
-        board.mark_all_outstanding_lost()
-        board.on_transmit(5, 1.0, tx_state(1.0))                # spurious: original still in flight
-        board.apply_sack_blocks([SackBlock(5, 6)], now=1.005)   # SACK for the original arrives
-        assert board.spurious_retransmissions >= 1
-
-    def test_sack_long_after_retransmission_is_not_spurious(self):
-        board = SackScoreboard()
-        send_range(board, 0, 10)
-        board.apply_sack_blocks([SackBlock(1, 5)], now=0.04)
-        board.detect_losses()
-        board.on_transmit(0, 0.05, tx_state(0.05))
-        # The SACK arrives a full RTT after the retransmission: it plausibly
-        # acknowledges the retransmitted copy itself, so it is not spurious.
-        board.apply_sack_blocks([SackBlock(0, 1)], now=0.10)
-        assert board.spurious_retransmissions == 0
-
+class TestMemory:
     def test_purge_acked_bounds_memory(self):
         board = SackScoreboard()
         send_range(board, 0, 100)
@@ -184,19 +151,15 @@ OPS = st.lists(
 )
 
 
-def expected_losses(board: SackScoreboard, latest_sacked_send: float) -> list:
-    """RFC 6675 detection, restated over every segment with no index."""
+def expected_losses(board: SackScoreboard) -> list:
+    """RFC 6675 detection, restated over every segment with no index: a first
+    transmission with ``DUPTHRESH`` SACKed segments above it."""
     sacked = [s.seq for s in board.segments.values() if s.sacked and not s.acked]
     lost = []
     for seq, state in sorted(board.segments.items()):
         if state.sacked or state.acked or state.lost:
             continue
-        if sum(1 for other in sacked if other > seq) < board.dupthresh:
-            continue
-        if state.transmissions > 1 and not (
-            board.redetect_lost_retransmissions
-            and latest_sacked_send > state.last_sent_time + 1e-12
-        ):
+        if state.transmissions > 1 or sum(1 for other in sacked if other > seq) < DUPTHRESH:
             continue
         lost.append(seq)
     return lost
@@ -237,16 +200,15 @@ def assert_indices_match_recomputation(board: SackScoreboard) -> None:
 
 
 @settings(max_examples=300, deadline=None)
-@given(ops=OPS, redetect=st.booleans())
-def test_incremental_indices_match_recomputation(ops, redetect):
+@given(ops=OPS)
+def test_incremental_indices_match_recomputation(ops):
     """The ``ReferenceFlowMonitor`` pattern for the scoreboard: drive it as a
     sender would (new data, retransmissions of ``next_lost_segment()``, SACKs,
     cumulative ACKs, loss detection, RTO, purge) and after every step compare
     each incrementally maintained index with what ``segments`` says."""
-    board = SackScoreboard(redetect_lost_retransmissions=redetect)
+    board = SackScoreboard()
     next_seq = 0
     now = 0.0
-    latest_sacked_send = 0.0
     for op in ops:
         now += 0.01
         kind = op[0]
@@ -272,10 +234,8 @@ def test_incremental_indices_match_recomputation(ops, redetect):
                     fresh = [seq for seq in range(start, min(end, next_seq)) if seq not in sacked]
                     expected += fresh
                     sacked.update(fresh)
-            newly_sacked = board.apply_sack_blocks(blocks, now)
+            newly_sacked = board.apply_sack_blocks(blocks)
             assert [s.seq for s in newly_sacked] == expected
-            for state in newly_sacked:
-                latest_sacked_send = max(latest_sacked_send, state.last_sent_time)
         elif kind == "ack":
             before = board.snd_una
             target = min(before + op[1], next_seq)
@@ -284,7 +244,7 @@ def test_incremental_indices_match_recomputation(ops, redetect):
             assert all(s.acked for s in full_acked)
             assert {s.seq for s in delivered} <= {s.seq for s in full_acked}
         elif kind == "detect":
-            expected = expected_losses(board, latest_sacked_send)
+            expected = expected_losses(board)
             assert [s.seq for s in board.detect_losses()] == expected
         elif kind == "rto":
             expected = sorted(

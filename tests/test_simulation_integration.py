@@ -113,6 +113,34 @@ class TestForcedLosses:
         assert result.forced_losses == 1
 
 
+class TestSpuriousRetransmissions:
+    """The count is the receiver's: a retransmission was spurious exactly when
+    a copy of its segment had already arrived.  Both cases defeat a fixed
+    timing rule ("SACKed within 35 ms of the retransmission, so an earlier
+    copy arrived"): at 5 ms propagation CUBIC's retransmissions are themselves
+    SACKed that fast, and on ``bbr-stall-link`` 12 copies arrive twice later
+    than that."""
+
+    @pytest.mark.parametrize(
+        "attack, factory, config, expected",
+        [
+            ("lowrate", Cubic, SimulationConfig(duration=6.0, propagation_delay=0.005), 0),
+            ("bbr-stall-link", Bbr, SimulationConfig(), 12),
+        ],
+        ids=["cubic-lowrate-5ms", "bbr-stall-link"],
+    )
+    def test_count_is_the_receivers_duplicates(self, attack, factory, config, expected):
+        from repro.attacks import builtin_attack_traces
+        from repro.netsim.simulation import simulate_packet_trace
+
+        trace = builtin_attack_traces(config.duration, config.mss_bytes)[attack]
+        result = simulate_packet_trace(factory, config, trace)
+        assert result.receiver_stats["duplicate_segments"] == expected
+        assert result.spurious_retransmissions == expected
+        assert result.summary()["spurious_retransmissions"] == expected
+        assert result.episode_summary()["spurious_retransmissions"] == expected
+
+
 class TestResultSummaries:
     def test_summary_fields(self):
         result = run_simulation(Reno, SimulationConfig(duration=1.0))

@@ -199,8 +199,6 @@ class TestGenerators:
             LinkTraceGenerator(duration=0.0)
         with pytest.raises(ValueError):
             TrafficTraceGenerator(duration=5.0, max_packets=0)
-        with pytest.raises(ValueError):
-            TrafficTraceGenerator(duration=5.0, max_packets=5, min_packets=9)
 
 
 class TestMutation:

@@ -450,6 +450,39 @@ class TestCorpusTriage:
         assert result.skipped == 0
         assert result.remaining == 1
 
+    def test_rankings_count_the_stored_verdicts(self, corpus):
+        from collections import Counter
+
+        from repro.serve import DashboardQuery
+
+        corpus.add(
+            traffic_trace(burst(0.2, 40, 0.05)),
+            scenario_id="reno/traffic/throughput/base",
+            cca="reno",
+            objective="throughput",
+            score=-2.0,
+        )
+        triage_corpus(corpus, config=TriageConfig(
+            differential=DifferentialConfig(ccas=["bbr", "cubic", "reno"]),
+            run_minimize=False,
+            run_robustness=False,
+        ))
+        verdicts = [corpus.get(fingerprint).triage for fingerprint in corpus.fingerprints()]
+        assert len(verdicts) == 2 and all("classification" in v for v in verdicts)
+        query = DashboardQuery(corpus.path)
+        try:
+            rankings = query.rankings()
+        finally:
+            query.close()
+        rows = rankings["rows"]
+        # One triage column per CCA: the verdict stores no list of vulnerable CCAs.
+        for row in rows:
+            assert [key for key in row if key.startswith("triage_")] == ["triage_most_vulnerable"]
+        counted = {row["cca"]: row["triage_most_vulnerable"] for row in rows}
+        most = Counter(v["most_vulnerable"] for v in verdicts)
+        assert {cca: n for cca, n in counted.items() if n} == dict(most)
+        assert rankings["triage_classes"] == dict(Counter(v["classification"] for v in verdicts))
+
     def test_result_to_dict_serialisable(self, corpus):
         result = triage_corpus(corpus, config=self.tiny_config())
         payload = json.loads(json.dumps(result.to_dict()))

@@ -21,7 +21,7 @@ import os
 import pytest
 
 from repro.traces import LinkTrace, LossTrace, PacketTrace, TrafficTrace
-from repro.triage import MinimizeConfig, minimize_trace
+from repro.triage import MinimizeConfig, minimize, minimize_trace
 from repro.triage.minimize import SINGLE_EVENT_LIMIT
 from test_triage_properties import NegativeScorer, WindowScorer
 
@@ -72,7 +72,7 @@ CASES = {
     # ends above the single-event stage's size gate
     "loss-gate": (LossTrace(_grid(0.40, 0.59, 0.005), 1.0), WindowScorer, 400),
     "loss-small": (LossTrace([0.1, 0.3, 0.42, 0.45, 0.47, 0.5, 0.7, 0.95], 1.0), WindowScorer, 400),
-    # merges that change nothing, then halving
+    # merges that only respace already-even runs (float rounding) until MAX_ROUNDS
     "link-window": (
         LinkTrace(_grid(0.0, 0.35, 0.05) + _grid(0.4, 0.6, 0.005) + _grid(0.65, 1.0, 0.05), 1.0),
         WindowScorer,
@@ -122,6 +122,41 @@ def test_cases_exercise_every_stage(golden):
     gated = golden["loss-gate"]["stages"]
     assert gated[-1]["stage"] == "single-event" and gated[-1]["rounds"] == 0
     assert gated[-2]["events"] > SINGLE_EVENT_LIMIT
+
+
+@pytest.mark.parametrize("name", ["link-negative", "link-window"])
+def test_no_candidate_equal_to_the_current_trace_is_scored(name, monkeypatch):
+    """Segment merging proposes no-ops (a merge of two chunks that are already
+    one even run); the driver drops them before they cost an evaluation."""
+    trace, scorer_class, budget = CASES[name]
+    current = {}
+
+    def tracked(stage):
+        def proposals(start):
+            current["trace"] = start
+            inner, accepted = stage(start), None
+            while True:
+                try:
+                    batch = inner.send(accepted)
+                except StopIteration:
+                    return
+                accepted = yield batch
+                if accepted is not None:
+                    current["trace"] = accepted
+        return proposals
+
+    class Checked(scorer_class):
+        def scores(self, traces):
+            if "trace" in current:  # the baseline is scored before any stage runs
+                fingerprint = current["trace"].fingerprint()
+                assert all(t.fingerprint() != fingerprint for t in traces)
+            return super().scores(traces)
+
+    monkeypatch.setattr(minimize, "STAGES_BY_MODE", {
+        mode: tuple((label, tracked(stage)) for label, stage in stages)
+        for mode, stages in minimize.STAGES_BY_MODE.items()
+    })
+    minimize_trace(trace, Checked(), MinimizeConfig(retention=0.9, max_evaluations=budget))
 
 
 if __name__ == "__main__":
