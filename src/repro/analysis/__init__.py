@@ -1,8 +1,7 @@
-"""Analysis utilities: metrics, queueing analysis, stall timelines, findings, reporting."""
+"""Analysis utilities: metrics, stall timelines, findings, reporting."""
 
 from .findings import FINDINGS, findings_of, verdict_table
 from .metrics import FlowMetrics, compute_metrics
-from .queueing import max_queue_depth, queue_depth_series
 from .reporting import (
     ascii_chart,
     format_campaign_summary,
@@ -23,7 +22,5 @@ __all__ = [
     "format_campaign_summary",
     "format_table",
     "format_triage_report",
-    "max_queue_depth",
-    "queue_depth_series",
     "verdict_table",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import get_registry
@@ -86,8 +86,9 @@ class FuzzConfig:
     seed: Optional[int] = 0
     top_k: int = 20                        #: size of the "top traces" aggregate (Fig. 4d)
 
-    # Trace-generation parameters.
-    duration: float = 5.0
+    # Trace-generation parameters.  ``duration`` is also the simulation's:
+    # pass it here or as ``sim.duration`` (5 s when neither is given).
+    duration: Optional[float] = None
     average_rate_mbps: float = 12.0
     max_traffic_packets: Optional[int] = None
     max_losses: int = 20
@@ -109,9 +110,7 @@ class FuzzConfig:
     # sender's aggregate counters, so per-ACK cwnd/pacing/RTT time-series
     # recording is off by default; pass an explicit SimulationConfig
     # (e.g. ``paper_defaults``) to record them.
-    sim: SimulationConfig = field(
-        default_factory=lambda: SimulationConfig(record_series=False)
-    )
+    sim: Optional[SimulationConfig] = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -144,8 +143,16 @@ class FuzzConfig:
             raise ValueError("novelty_weight must be non-negative")
         if not 0.0 <= self.immigrant_fraction <= 1.0:
             raise ValueError("immigrant_fraction must be in [0, 1]")
-        # SimulationConfig states the duration's range.
-        self.sim = replace(self.sim, duration=self.duration)
+        # One duration, from whichever of the two the caller set; both set
+        # must agree.  SimulationConfig states the duration's range.
+        if self.sim is None:
+            duration = 5.0 if self.duration is None else self.duration
+            self.sim = SimulationConfig(duration=duration, record_series=False)
+        elif self.duration is not None and self.duration != self.sim.duration:
+            raise ValueError(
+                f"duration={self.duration} disagrees with sim.duration={self.sim.duration}"
+            )
+        self.duration = self.sim.duration
 
     @property
     def total_population(self) -> int:
@@ -167,11 +174,13 @@ class FuzzConfig:
             crossover_fraction=0.3,
             migration_interval=10,
             migration_fraction=0.1,
-            duration=5.0,
             average_rate_mbps=12.0,
-            sim=SimulationConfig.paper_defaults(),
         )
         params.update(overrides)
+        # The paper's simulation, at the overridden duration if there is one.
+        paper_sim = SimulationConfig.paper_defaults()
+        duration = params.get("duration", paper_sim.duration)
+        params.setdefault("sim", paper_sim.with_overrides(duration=duration))
         return cls(**params)
 
 

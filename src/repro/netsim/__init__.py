@@ -1,15 +1,15 @@
 """Discrete-event network simulation substrate (the NS3 replacement).
 
 Public surface: the event scheduler, the dumbbell topology components
-(drop-tail queue, fixed-rate and trace-driven bottleneck links), per-flow
-monitoring and the :func:`run_simulation` entry point.
+(fixed-rate and trace-driven bottleneck links, each owning its drop-tail
+gateway queue), per-flow monitoring and the :func:`run_simulation` entry
+point.
 """
 
 from .engine import EventScheduler, FifoLane, LazyTimer
 from .link import FixedRateLink, TraceDrivenLink, mbps_to_pps, pps_to_mbps
 from .monitor import FlowMonitor
 from .packet import AckPacket, CCA_FLOW, CROSS_FLOW, DEFAULT_MSS, Packet, SackBlock
-from .queue import DropTailQueue
 from .simulation import (
     SimulationConfig,
     SimulationResult,
@@ -23,7 +23,6 @@ __all__ = [
     "CCA_FLOW",
     "CROSS_FLOW",
     "DEFAULT_MSS",
-    "DropTailQueue",
     "DumbbellTopology",
     "EventScheduler",
     "FifoLane",

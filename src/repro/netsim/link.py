@@ -1,21 +1,23 @@
-"""Bottleneck link models.
+"""The bottleneck link and its drop-tail gateway queue.
 
-Two service disciplines are provided, matching the paper's two fuzzing modes
-(section 3.1):
+The paper's network model (section 3.1) has one gateway: a fixed-size
+drop-tail FIFO, shared by the flow under test and the cross traffic, feeding
+the bottleneck.  The link is that queue's one writer, so it owns it:
+:meth:`Link.admit` offers it packets of the flow under test, and the link's
+own event loop (:meth:`Link.run_events`) admits cross arrivals and serves
+the head of line.  Two service disciplines match the paper's fuzzing modes:
+:class:`FixedRateLink` (traffic mode: the adversary controls cross traffic)
+and the MahiMahi-style :class:`TraceDrivenLink` (link mode: the adversary
+controls the service curve, a list of transmission opportunities).
 
-* :class:`FixedRateLink` — a constant-rate bottleneck used in traffic-fuzzing
-  mode, where the adversary controls cross traffic only.
-* :class:`TraceDrivenLink` — a MahiMahi-style link whose service is defined by
-  a list of packet transmission opportunities, used in link-fuzzing mode,
-  where the adversary controls the bottleneck service curve itself.
-
-Both links drain the shared drop-tail gateway queue, whose FIFO holds
-:class:`Packet`s of the flow under test and cross admission times (floats),
-and tell the two apart by type.  A packet of the flow under test goes to a
-delivery callback after the fixed one-way propagation delay.  Cross traffic
-is open-loop, only counted at the sink (section 3.3), so its arrival is no
+The FIFO holds :class:`Packet`s of the flow under test and cross admission
+times (floats), told apart by type.  A packet of the flow under test goes to
+``deliver`` after the fixed one-way propagation delay.  Cross traffic is
+open-loop, only counted at the sink (section 3.3), so its arrival is no
 event: a served cross item that reaches the sink by the run's horizon
-appends its admission and departure times to two columns.
+appends its admission and departure times to two columns.  Depth samples,
+one per admission, tail drop and service, are two columns too (times,
+depths): a tuple per sample was a measurable slice of the per-packet cost.
 
 The link runs its own schedule, not scheduler entries (see
 :mod:`repro.netsim.engine`), in one loop for both kinds, and claims each
@@ -27,11 +29,11 @@ fixed-rate completion when it is armed.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Callable, List, Optional, Sequence
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from .engine import EventScheduler, sorted_input_times
 from .packet import CCA_FLOW, CROSS_FLOW, Packet
-from .queue import DropTailQueue
 
 DeliveryCallback = Callable[[Packet], None]
 
@@ -52,14 +54,15 @@ def pps_to_mbps(rate_pps: float, mss_bytes: int = 1500) -> float:
 
 
 class Link:
-    """Common behaviour for bottleneck links.
+    """Common behaviour for bottleneck links, and their gateway queue.
 
-    A link is attached to the gateway queue and a scheduler.  Packets of the
-    flow under test are passed to ``deliver`` after ``propagation_delay``
-    seconds, modelling the fixed-propagation bottleneck of the paper's
-    topology.  A served cross item whose sink arrival is at or before the
-    run's (inclusive) horizon is recorded in ``cross_admissions`` /
-    ``cross_departures``.
+    Packets of the flow under test are passed to ``deliver`` after
+    ``propagation_delay`` seconds.  A served cross item whose sink arrival is
+    at or before the run's (inclusive) horizon is recorded in
+    ``cross_admissions`` / ``cross_departures``.  The FIFO holds
+    ``capacity_packets`` (60 is roughly 1.5x the bandwidth-delay product of
+    the paper's 12 Mbps / 40 ms RTT setup); ``sample_depth`` is off in
+    fuzzing runs (``record_series=False``), which never read the samples.
 
     Its events are the cross arrivals ``_cross[i]``, keyed ``_cross_seq + i``,
     and services, the next keyed ``(_serve_at, _serve_seq)``; ``head`` is the
@@ -67,7 +70,8 @@ class Link:
     """
 
     __slots__ = (
-        "scheduler", "queue", "deliver", "propagation_delay", "horizon",
+        "scheduler", "deliver", "propagation_delay", "horizon",
+        "capacity", "fifo", "drops", "_sample_depth", "_depth_times", "_depth_values",
         "cross_admissions", "cross_departures", "cross_sent", "wasted_opportunities",
         "head", "_service_time", "_opportunities", "_opportunity_seq",
         "_cross", "_cross_seq", "_serve_at", "_serve_seq",
@@ -76,15 +80,25 @@ class Link:
     def __init__(
         self,
         scheduler: EventScheduler,
-        queue: DropTailQueue,
         deliver: DeliveryCallback,
         propagation_delay: float = 0.02,
+        *,
+        capacity_packets: int = 60,
+        sample_depth: bool = True,
     ) -> None:
+        if capacity_packets <= 0:
+            raise ValueError("queue capacity must be positive")
         self.scheduler = scheduler
-        self.queue = queue
         self.deliver = deliver
         self.propagation_delay = propagation_delay
         self.horizon = INF
+        self.capacity = capacity_packets
+        self.fifo: Deque[Union[Packet, float]] = deque()
+        #: Tail drops at the gateway, by flow.
+        self.drops: Dict[str, int] = {}
+        self._sample_depth = sample_depth
+        self._depth_times: List[float] = []
+        self._depth_values: List[int] = []
         #: Admission and departure times of the cross packets that reached
         #: the sink, in service order.
         self.cross_admissions: List[float] = []
@@ -99,6 +113,11 @@ class Link:
         self._cross, self._cross_seq = [INF], 0
         self._serve_at = self._serve_seq = self._opportunity_seq = INF
         scheduler.attach_link(self)
+
+    @property
+    def depth_samples(self) -> List[Tuple[float, int]]:
+        """(time, depth) samples, one per admission, tail drop and service."""
+        return list(zip(self._depth_times, self._depth_values))
 
     def _claim(self, times: Sequence[float], horizon: float) -> tuple:
         """The sorted ``times`` up to ``horizon`` + an ``INF`` sentinel, and their first ``seq``."""
@@ -117,8 +136,8 @@ class Link:
     def admit(self, packet: Packet, now: float) -> bool:
         """A packet of the flow under test reaches the gateway at ``now``:
         queued, or tail-dropped; True if queued."""
-        queue, fifo = self.queue, self.queue._queue
-        admitted = len(fifo) < queue.capacity
+        fifo = self.fifo
+        admitted = len(fifo) < self.capacity
         if admitted:
             packet.enqueue_time = now
             fifo.append(packet)
@@ -131,10 +150,10 @@ class Link:
                 if self.head is None or self._serve_at < self.head[0]:
                     self.head = (self._serve_at, self._serve_seq)
         else:
-            queue.drops[CCA_FLOW] = queue.drops.get(CCA_FLOW, 0) + 1
-        if queue._sample_depth:
-            queue._depth_times.append(now)
-            queue._depth_values.append(len(fifo))
+            self.drops[CCA_FLOW] = self.drops.get(CCA_FLOW, 0) + 1
+        if self._sample_depth:
+            self._depth_times.append(now)
+            self._depth_values.append(len(fifo))
         return admitted
 
     def run_events(self, bound: Any, horizon: float, budget: int) -> int:
@@ -142,10 +161,10 @@ class Link:
         ``horizon``, at most ``budget`` of them (see :mod:`.engine`)."""
         # An event keyed (t, s) runs while (t, s) < (end, end_seq).
         end, end_seq = (horizon, INF) if bound is None or horizon < bound[0] else bound[:2]
-        scheduler, queue, lane = self.scheduler, self.queue, self.scheduler.lane
+        scheduler, lane = self.scheduler, self.scheduler.lane
         seq, deliveries = scheduler._seq, lane._events
-        fifo, capacity, sampling = queue._queue, queue.capacity, queue._sample_depth
-        depth_times, depth_values = queue._depth_times, queue._depth_values
+        fifo, capacity, drops, sampling = self.fifo, self.capacity, self.drops, self._sample_depth
+        depth_times, depth_values = self._depth_times, self._depth_values
         delay, deliver, record_until = self.propagation_delay, self.deliver, self.horizon
         service_time, opportunities = self._service_time, self._opportunities
         cross, cross_seq, sent = self._cross, self._cross_seq, self.cross_sent
@@ -166,7 +185,7 @@ class Link:
                         serve_at, serve_seq = now + service_time, seq
                         seq += 1
                 else:
-                    queue.drops[CROSS_FLOW] = queue.drops.get(CROSS_FLOW, 0) + 1
+                    drops[CROSS_FLOW] = drops.get(CROSS_FLOW, 0) + 1
                 if sampling:
                     depth_times.append(now)
                     depth_values.append(len(fifo))
@@ -218,7 +237,8 @@ class FixedRateLink(Link):
     """Constant-rate bottleneck (traffic-fuzzing mode).
 
     The link serves one packet every ``1 / rate_pps`` seconds whenever the
-    queue is non-empty.  Service is work-conserving.
+    queue is non-empty.  Service is work-conserving.  ``gateway`` is the
+    queue's ``capacity_packets`` and ``sample_depth`` (see :class:`Link`).
     """
 
     __slots__ = ("rate_pps",)
@@ -226,12 +246,12 @@ class FixedRateLink(Link):
     def __init__(
         self,
         scheduler: EventScheduler,
-        queue: DropTailQueue,
         deliver: DeliveryCallback,
         rate_pps: float,
         propagation_delay: float = 0.02,
+        **gateway: Any,
     ) -> None:
-        super().__init__(scheduler, queue, deliver, propagation_delay)
+        super().__init__(scheduler, deliver, propagation_delay, **gateway)
         if rate_pps <= 0:
             raise ValueError("link rate must be positive")
         self.rate_pps = rate_pps
@@ -251,6 +271,8 @@ class TraceDrivenLink(Link):
     opportunities:
         Packet transmission opportunity times, in seconds.  They need not be
         pre-sorted.
+    gateway:
+        The queue's ``capacity_packets`` and ``sample_depth`` (see :class:`Link`).
     """
 
     __slots__ = ("opportunities",)
@@ -258,12 +280,12 @@ class TraceDrivenLink(Link):
     def __init__(
         self,
         scheduler: EventScheduler,
-        queue: DropTailQueue,
         deliver: DeliveryCallback,
         opportunities: Sequence[float],
         propagation_delay: float = 0.02,
+        **gateway: Any,
     ) -> None:
-        super().__init__(scheduler, queue, deliver, propagation_delay)
+        super().__init__(scheduler, deliver, propagation_delay, **gateway)
         self.opportunities: List[float] = sorted_input_times(
             opportunities, "transmission opportunities"
         )

@@ -132,7 +132,6 @@ class SimulationResult:
     queue_drops: Dict[str, int]
     cross_sent: int = 0
     cross_delivered: int = 0
-    cross_dropped_at_queue: int = 0
     link_wasted_opportunities: int = 0
     forced_losses: int = 0
     #: Retransmissions whose segment had already arrived: the receiver's
@@ -196,7 +195,6 @@ class SimulationResult:
             "retransmissions": self.sender_stats.retransmissions,
             "spurious_retransmissions": self.spurious_retransmissions,
             "fast_retransmit_entries": self.sender_stats.fast_retransmit_entries,
-            "cca_drops": self.monitor.drops(CCA_FLOW),
             "delivered": flow["delivered"],
             "max_egress_gap": flow["max_egress_gap"],
             "state_transitions": dict(diag.get("state_transitions", {})),
@@ -279,7 +277,7 @@ def run_simulation(
     if scheduler.now < config.duration:
         raise SimulationTruncated(events_executed, scheduler.now, config.max_events)
 
-    receiver = topology.receiver
+    receiver, link = topology.receiver, topology.link
     return SimulationResult(
         config=config,
         monitor=topology.monitor,
@@ -292,11 +290,10 @@ def run_simulation(
             "duplicate_segments": receiver.duplicate_segments,
             "rcv_next": receiver.rcv_next,
         },
-        queue_drops=dict(topology.queue.drops),
-        cross_sent=topology.cross_sent,
-        cross_delivered=topology.cross_delivered,
-        cross_dropped_at_queue=topology.queue.drops.get(CROSS_FLOW, 0),
-        link_wasted_opportunities=topology.link.wasted_opportunities,
+        queue_drops=dict(link.drops),
+        cross_sent=link.cross_sent,
+        cross_delivered=len(link.cross_departures),
+        link_wasted_opportunities=link.wasted_opportunities,
         forced_losses=topology.forced_losses,
         spurious_retransmissions=receiver.duplicate_segments,
         events_executed=events_executed,

@@ -26,14 +26,13 @@ from .engine import EventScheduler, sorted_input_times
 from .link import FixedRateLink, Link, TraceDrivenLink, mbps_to_pps
 from .monitor import FlowMonitor
 from .packet import CROSS_FLOW, AckPacket, Packet
-from .queue import DropTailQueue
 
 if TYPE_CHECKING:
     from .simulation import SimulationConfig
 
 
 class DumbbellTopology:
-    """Wires the sender, cross traffic, gateway queue, bottleneck and sink.
+    """Wires the sender, cross traffic, bottleneck (with its gateway queue) and sink.
 
     Every setting comes from ``config``; the keyword arguments are the run's
     inputs (see :func:`repro.netsim.simulation.run_simulation`).
@@ -54,30 +53,23 @@ class DumbbellTopology:
         self.config = config
         self.propagation_delay = config.propagation_delay
         # record_series=False (fuzzing) skips the series no evaluation
-        # reads: queue-depth samples and the sender's cwnd/pacing/RTT series.
-        # The monitor's derived series — what the scoring functions and
-        # behavior signatures consume — are always collected.
+        # reads: the gateway's depth samples and the sender's cwnd/pacing/RTT
+        # series.  The monitor's derived series — what the scoring functions
+        # and behavior signatures consume — are always collected.
         self.monitor = FlowMonitor()
-
-        self.queue = DropTailQueue(
-            capacity_packets=config.queue_capacity, sample_depth=config.record_series
+        link_options = dict(
+            propagation_delay=config.propagation_delay,
+            capacity_packets=config.queue_capacity,
+            sample_depth=config.record_series,
         )
-
         if link_trace is not None:
             self.link: Link = TraceDrivenLink(
-                scheduler,
-                self.queue,
-                self._deliver_to_sink,
-                opportunities=link_trace,
-                propagation_delay=config.propagation_delay,
+                scheduler, self._deliver_to_sink, opportunities=link_trace, **link_options
             )
         else:
+            rate_pps = mbps_to_pps(config.bottleneck_rate_mbps, config.mss_bytes)
             self.link = FixedRateLink(
-                scheduler,
-                self.queue,
-                self._deliver_to_sink,
-                rate_pps=mbps_to_pps(config.bottleneck_rate_mbps, config.mss_bytes),
-                propagation_delay=config.propagation_delay,
+                scheduler, self._deliver_to_sink, rate_pps=rate_pps, **link_options
             )
 
         self.receiver = TcpReceiver(
@@ -149,16 +141,6 @@ class DumbbellTopology:
     # Execution
     # ------------------------------------------------------------------ #
 
-    @property
-    def cross_sent(self) -> int:
-        """Cross packets injected so far: the link's cross arrivals that ran."""
-        return self.link.cross_sent
-
-    @property
-    def cross_delivered(self) -> int:
-        """Cross packets that reached the sink by the run's horizon."""
-        return len(self.link.cross_departures)
-
     def start(self) -> None:
         """Install all initial events."""
         self.link.start(self.config.duration, self._cross_times or ())
@@ -174,12 +156,12 @@ class DumbbellTopology:
         )
         # Propagate queue depth samples to the monitor for analysis
         # (``depth_samples`` materialises a fresh list of pairs).
-        self.monitor.queue_depth = self.queue.depth_samples
+        link = self.link
+        self.monitor.queue_depth = link.depth_samples
         if self._cross_times is not None:
-            link = self.link
             self.monitor.record_cross_traffic(
-                self._cross_times[: self.cross_sent],
-                self.queue.drops.get(CROSS_FLOW, 0),
+                self._cross_times[: link.cross_sent],
+                link.drops.get(CROSS_FLOW, 0),
                 link.cross_admissions,
                 link.cross_departures,
                 self.propagation_delay,

@@ -1,20 +1,15 @@
 """Shared console output for the CLI entry points.
 
 Every ``repro-*`` script routes its human-facing output through one
-:class:`Console` so ``--quiet``/``--verbose`` mean the same thing
-everywhere:
+:class:`Console` so ``--quiet`` means the same thing everywhere:
 
 * :meth:`Console.result` — the command's primary output (reports, tables,
   JSON).  Always printed; ``--quiet`` never swallows the answer.
 * :meth:`Console.info` — progress and confirmations ("generation 3 ...",
   "report written to ...").  Suppressed by ``--quiet``.
-* :meth:`Console.detail` — extra diagnostics.  Printed only with
-  ``--verbose``.
-* :meth:`Console.status` — advisory notes that must not pollute a
-  machine-readable stdout (goes to stderr; suppressed by ``--quiet``).
 * :meth:`Console.error` — always printed, to stderr.
 
-The default (neither flag) prints ``result`` + ``info`` to stdout exactly
+The default (no flag) prints ``result`` + ``info`` to stdout exactly
 as the historical ``print`` calls did, so scripted consumers of the CLIs
 see byte-identical output.
 """
@@ -33,14 +28,10 @@ class Console:
         self,
         *,
         quiet: bool = False,
-        verbose: bool = False,
         out: Optional[IO[str]] = None,
         err: Optional[IO[str]] = None,
     ) -> None:
-        if quiet and verbose:
-            raise ValueError("quiet and verbose are mutually exclusive")
         self.quiet = quiet
-        self.verbose = verbose
         self._out = out
         self._err = err
 
@@ -63,35 +54,17 @@ class Console:
         if not self.quiet:
             print(message, file=self.out)
 
-    def detail(self, message: str = "") -> None:
-        """Extra diagnostics; printed only with ``--verbose``."""
-        if self.verbose:
-            print(message, file=self.out)
-
-    def status(self, message: str = "") -> None:
-        """Advisory stderr note (keeps stdout machine-readable)."""
-        if not self.quiet:
-            print(message, file=self.err)
-
     def error(self, message: str = "") -> None:
         print(message, file=self.err)
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "Console":
-        return cls(
-            quiet=getattr(args, "quiet", False),
-            verbose=getattr(args, "verbose", False),
-        )
+        return cls(quiet=getattr(args, "quiet", False))
 
 
 def add_console_flags(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--quiet``/``--verbose`` flags to a parser."""
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
+    """Attach the shared ``--quiet`` flag to a parser."""
+    parser.add_argument(
         "-q", "--quiet", action="store_true",
         help="suppress progress output (primary results still print)",
-    )
-    group.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="print extra diagnostics",
     )

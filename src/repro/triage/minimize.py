@@ -38,6 +38,7 @@ trace/scorer the minimization is bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..traces.trace import PacketTrace
@@ -159,19 +160,19 @@ def split_bursts(timestamps: Sequence[float]) -> List[List[float]]:
 def _equal_chunks(timestamps: Sequence[float], count: int) -> List[List[float]]:
     """Split into ``count`` contiguous chunks of (nearly) equal size."""
     n = len(timestamps)
-    count = min(count, n)
+    count = max(1, min(count, n))
     bounds = [round(i * n / count) for i in range(count + 1)]
     return [list(timestamps[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
 def _uniform(start: float, end: float, count: int) -> List[float]:
-    """``count`` evenly spaced timestamps across ``[start, end]``."""
+    """``count`` evenly spaced timestamps across ``[start, end]``, both ends exact."""
     if count <= 0:
         return []
     if count == 1:
         return [start]
     step = (end - start) / (count - 1)
-    return [start + i * step for i in range(count)]
+    return [start + i * step for i in range(count - 1)] + [end]
 
 
 def _splice(
@@ -327,21 +328,40 @@ def _link_segment_merging(current: PacketTrace) -> _Proposals:
     simplification: each accepted merge rewrites a chunk of transmission
     opportunities as an evenly spaced segment of the same count, erasing
     rate structure that was not load-bearing for the attack.
+
+    The packet count never changes, so a merge is an index span that stays
+    put.  An accepted span is never proposed again (respacing an even run
+    only moves it by float rounding, and two overlapping merges would take
+    turns), and once the whole trace is one even run the stage is done.
     """
+    count, merged = current.packet_count, set()
     segment_count = LINK_SEGMENTS
-    while segment_count >= 2:
+    while segment_count >= 2 and (0, count) not in merged:
         segments = _equal_chunks(current.timestamps, segment_count)
         if len(segments) < 2:
             return
-        # The fully uniform trace (no attack structure at all) is always a
-        # candidate: if it still meets the floor, the "attack" was never
-        # about the link's rate pattern.
+        bounds = [0, *accumulate(map(len, segments))]
+        # Adjacent pairs of chunks, then the whole trace: the fully uniform
+        # trace (no attack structure at all) is always a candidate, and if it
+        # still meets the floor the "attack" was never about the link's rate
+        # pattern.
+        spans = [
+            span for span in dict.fromkeys([*zip(bounds, bounds[2:]), (0, count)])
+            if span not in merged
+        ]
         timestamps = current.timestamps
-        uniform = current.with_timestamps(_uniform(timestamps[0], timestamps[-1], len(timestamps)))
-        accepted = yield _pair_merges(current, segments) + [uniform]
+        candidates = [
+            current.with_timestamps(
+                timestamps[:a] + _uniform(timestamps[a], timestamps[b - 1], b - a) + timestamps[b:]
+            )
+            for a, b in spans
+        ]
+        accepted = yield candidates
         if accepted is None:
             segment_count //= 2
         else:
+            # `_Reduction.run` sends back the accepted candidate itself.
+            merged.add(spans[next(i for i, c in enumerate(candidates) if c is accepted)])
             current = accepted
 
 

@@ -84,5 +84,7 @@ def result_digest(result: SimulationResult) -> Dict[str, Any]:
         "link_wasted_opportunities": result.link_wasted_opportunities,
         "cross_sent": result.cross_sent,
         "cross_delivered": result.cross_delivered,
-        "cross_dropped_at_queue": result.cross_dropped_at_queue,
+        # The result no longer restates this count; the key keeps every
+        # pinned digest string.
+        "cross_dropped_at_queue": result.queue_drops.get(CROSS_FLOW, 0),
     }

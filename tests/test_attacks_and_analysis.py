@@ -11,8 +11,6 @@ from repro.analysis import (
     compute_metrics,
     describe_bug_timeline,
     format_table,
-    max_queue_depth,
-    queue_depth_series,
 )
 from repro.attacks import (
     TargetedLoss,
@@ -103,9 +101,9 @@ class TestAnalysisHelpers:
         assert isinstance(metrics.as_dict(), dict)
 
     def test_queue_depth_series_nonempty(self, result):
-        series = queue_depth_series(result)
-        assert series
-        assert max_queue_depth(result) <= result.config.queue_capacity
+        depths = [depth for _, depth in result.monitor.queue_depth]
+        assert depths
+        assert max(depths) <= result.config.queue_capacity
 
     def test_bug_evidence_on_clean_run(self, result):
         evidence = bbr_bug_evidence(result)

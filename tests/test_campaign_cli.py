@@ -819,6 +819,20 @@ class TestServeUsage:
         assert not missing.exists()
 
 
+def test_verbose_is_a_usage_error_that_creates_nothing(tmp_path, capsys):
+    from repro.cli import fuzz_main
+
+    corpus, output = tmp_path / "corpus", tmp_path / "best.json"
+    with pytest.raises(SystemExit) as excinfo:
+        fuzz_main([
+            "-v", "--cca", "reno", "--population", "2", "--generations", "1",
+            "--duration", "0.2", "--output-dir", str(corpus), "--output", str(output),
+        ])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: -v" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _leaf_parsers(main, monkeypatch):
     """Every parser ``main`` can dispatch to (the program's, or its subcommands')."""
     from repro import cli
@@ -850,12 +864,9 @@ class TestEveryParser:
                 flag: action for action in parser._actions for flag in action.option_strings
             }
             assert options["-q"] is options["--quiet"]
-            assert options["-v"] is options["--verbose"]
             assert callable(parser.get_default("handler"))
-            with pytest.raises(SystemExit) as excinfo:
-                parser.parse_args(["-q", "-v"])
-            assert excinfo.value.code == 2
-            assert "not allowed with" in capsys.readouterr().err
+            # There is no verbose level: -v is a usage error, not a no-op.
+            assert "-v" not in options and "--verbose" not in options
             if "--backend" in options:
                 assert tuple(options["--backend"].choices) == BACKENDS
             # A pool size is at least 1 — checked while parsing, one message.

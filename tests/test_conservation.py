@@ -32,7 +32,6 @@ def _assert_conserved(result, injections, drained):
     sent = sum(1 for t in injections if t <= result.duration)
     dropped = result.queue_drops.get(CROSS_FLOW, 0)
     assert result.cross_sent == sent
-    assert result.cross_dropped_at_queue == dropped
     assert result.cross_delivered + dropped <= sent
     if drained:
         assert result.cross_delivered + dropped == sent
@@ -122,7 +121,7 @@ def test_flow_under_test_is_conserved(cca, losses, **draw):
 
     sent = result.monitor.sent_count(CCA_FLOW)
     assert result.sender_stats.segments_sent == sent
-    queued = sum(type(item) is not float for item in network.queue._queue)
+    queued = sum(type(item) is not float for item in network.link.fifo)
     deliver = network.link.deliver
     propagating = sum(
         event[3] == deliver for event in network.scheduler.lane._events
@@ -161,16 +160,16 @@ def test_service_is_within_capacity(cca, **draw):
 
     admitted = (
         result.monitor.sent_count(CCA_FLOW) - result.queue_drops.get(CCA_FLOW, 0)
-        + result.cross_sent - result.cross_dropped_at_queue
+        + result.cross_sent - result.queue_drops.get(CROSS_FLOW, 0)
     )
-    served = admitted - len(network.queue)
+    served = admitted - len(network.link.fifo)
     if "link_trace" in inputs:
         opportunities = sum(t <= horizon for t in inputs["link_trace"])
         assert served + result.link_wasted_opportunities == opportunities
     else:
         rate_pps = mbps_to_pps(config.bottleneck_rate_mbps)
         assert served <= math.floor(horizon * rate_pps) + 1
-    depths = [depth for _, depth in network.queue.depth_samples]
+    depths = [depth for _, depth in network.link.depth_samples]
     assert max(depths, default=0) <= config.queue_capacity
 
 

@@ -129,7 +129,7 @@ class TestNoveltyCoverage:
             config = FuzzConfig(
                 mode="link", guidance="novelty", population_size=10, generations=6,
                 duration=2.0, average_rate_mbps=rate_mbps,
-                sim=SimulationConfig(bottleneck_rate_mbps=rate_mbps),
+                sim=SimulationConfig(duration=2.0, bottleneck_rate_mbps=rate_mbps),
             )
             result = CCFuzz(cca_factory("reno"), config=config, archive=archive).run()
             counts = {ind.trace.packet_count for ind in result.final_population}

@@ -15,7 +15,6 @@ from hypothesis import Phase, find, given, settings, strategies as st
 from repro.netsim.engine import EventScheduler, LazyTimer
 from repro.netsim.link import TraceDrivenLink
 from repro.netsim.packet import Packet
-from repro.netsim.queue import DropTailQueue
 
 
 def test_events_run_in_time_order():
@@ -132,10 +131,10 @@ def test_a_hand_off_runs_at_least_one_event_and_one_at_the_horizon():
     before every other entry and at or before ``until``; each call runs at
     least one event, including events at exactly ``until``."""
     scheduler = EventScheduler()
-    queue = DropTailQueue(capacity_packets=5)
     delivered = []
     link = CountedLink(
-        scheduler, queue, delivered.append, opportunities=[0.5, 1.0], propagation_delay=0.0
+        scheduler, delivered.append, opportunities=[0.5, 1.0], propagation_delay=0.0,
+        capacity_packets=5,
     )
     link.calls = []
     link.start(1.0, [0.25, 1.0])
@@ -147,7 +146,7 @@ def test_a_hand_off_runs_at_least_one_event_and_one_at_the_horizon():
     assert link.calls == [2, 2]
     assert scheduler.now == 1.0
     assert [p.seq for p in delivered] == [7]
-    assert list(queue._queue) == [1.0] and link.cross_sent == 2
+    assert list(link.fifo) == [1.0] and link.cross_sent == 2
     # Nothing of the link's is left at or before the horizon: no hand-off.
     assert scheduler.run(until=1.0) == 0
     assert link.calls == [2, 2]

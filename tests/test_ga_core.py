@@ -19,6 +19,7 @@ from repro.core import (
     RankSelection,
     pick_elites,
 )
+from repro.netsim import SimulationConfig
 from repro.scoring.base import Score
 from repro.tcp.cca.reno import Reno
 from repro.traces import TrafficTrace
@@ -375,3 +376,14 @@ class TestFuzzConfig:
     def test_duration_propagates_to_simulation(self):
         config = FuzzConfig(duration=3.0)
         assert config.sim.duration == 3.0
+        paper = FuzzConfig.paper_defaults(duration=2.0)
+        assert paper.sim == SimulationConfig.paper_defaults().with_overrides(duration=2.0)
+
+    def test_an_explicit_sim_keeps_its_duration(self):
+        config = FuzzConfig(sim=SimulationConfig(duration=2.0))
+        assert (config.duration, config.sim.duration) == (2.0, 2.0)
+        assert FuzzConfig(duration=2.0, sim=SimulationConfig(duration=2.0)).duration == 2.0
+
+    def test_disagreeing_durations_rejected(self):
+        with pytest.raises(ValueError, match="duration"):
+            FuzzConfig(duration=3.0, sim=SimulationConfig(duration=2.0))

@@ -28,16 +28,16 @@ from hypothesis import strategies as st
 from golden_utils import result_digest
 from repro.netsim import simulation, topology
 from repro.netsim.engine import sorted_input_times
-from repro.netsim.link import mbps_to_pps
+from repro.netsim.link import Link, mbps_to_pps
 from repro.netsim.packet import CCA_FLOW, CROSS_FLOW
-from repro.netsim.queue import DropTailQueue
 from repro.netsim.simulation import SimulationConfig, SimulationTruncated, run_simulation
 from repro.tcp import Bbr, Reno
 
 
-class EntryQueue(DropTailQueue):
-    """The queue whose methods admitted, dropped and served, kicking a
-    fixed-rate link through an enqueue callback."""
+class EntryQueue(Link):
+    """The gateway queue whose methods admitted, dropped and served, kicking
+    a fixed-rate link through an enqueue callback.  The link's own schedule
+    never runs: ``head`` stays None, so the run loop never hands it control."""
 
     __slots__ = ("_on_enqueue",)
 
@@ -48,12 +48,12 @@ class EntryQueue(DropTailQueue):
     def _sample(self, now):
         if self._sample_depth:
             self._depth_times.append(now)
-            self._depth_values.append(len(self._queue))
+            self._depth_values.append(len(self.fifo))
 
     def _admit(self, item, flow, now):
-        admitted = len(self._queue) < self.capacity
+        admitted = len(self.fifo) < self.capacity
         if admitted:
-            self._queue.append(item)
+            self.fifo.append(item)
             if self._on_enqueue is not None:
                 self._on_enqueue(now)
         else:
@@ -62,7 +62,7 @@ class EntryQueue(DropTailQueue):
         return admitted
 
     def enqueue(self, packet, now):
-        if len(self._queue) < self.capacity:
+        if len(self.fifo) < self.capacity:
             packet.enqueue_time = now
         return self._admit(packet, CCA_FLOW, now)
 
@@ -70,31 +70,21 @@ class EntryQueue(DropTailQueue):
         self._admit(now, CROSS_FLOW, now)
 
     def dequeue(self, now):
-        if not self._queue:
+        if not self.fifo:
             return None
-        item = self._queue.popleft()
+        item = self.fifo.popleft()
         self._sample(now)
         return item
 
 
-class EntryLink:
+class EntryLink(EntryQueue):
     """A link whose every event is a scheduler entry."""
-
-    def __init__(self, scheduler, queue, deliver, propagation_delay=0.02):
-        self.scheduler = scheduler
-        self.queue = queue
-        self.deliver = deliver
-        self.propagation_delay = propagation_delay
-        self.horizon = float("inf")
-        self.cross_admissions = []
-        self.cross_departures = []
-        self.wasted_opportunities = 0
 
     def start(self, horizon):
         self.horizon = horizon
 
     def admit(self, packet, now):
-        return self.queue.enqueue(packet, now)
+        return self.enqueue(packet, now)
 
     def _serve(self, now, item):
         arrival = now + self.propagation_delay
@@ -108,11 +98,11 @@ class EntryLink:
 
 
 class EntryFixedRateLink(EntryLink):
-    def __init__(self, scheduler, queue, deliver, rate_pps, propagation_delay=0.02):
-        super().__init__(scheduler, queue, deliver, propagation_delay)
+    def __init__(self, scheduler, deliver, rate_pps, propagation_delay=0.02, **gateway):
+        super().__init__(scheduler, deliver, propagation_delay, **gateway)
         self._service_time = 1.0 / rate_pps
         self._busy = False
-        queue._on_enqueue = self.on_enqueue
+        self._on_enqueue = self.on_enqueue
 
     def on_enqueue(self, now):
         if not self._busy:
@@ -121,18 +111,18 @@ class EntryFixedRateLink(EntryLink):
 
     def _finish_service(self):
         now = self.scheduler.now
-        item = self.queue.dequeue(now)
+        item = self.dequeue(now)
         if item is not None:
             self._serve(now, item)
-        if self.queue._queue:
+        if self.fifo:
             self.scheduler.schedule_at(now + self._service_time, self._finish_service)
         else:
             self._busy = False
 
 
 class EntryTraceDrivenLink(EntryLink):
-    def __init__(self, scheduler, queue, deliver, opportunities, propagation_delay=0.02):
-        super().__init__(scheduler, queue, deliver, propagation_delay)
+    def __init__(self, scheduler, deliver, opportunities, propagation_delay=0.02, **gateway):
+        super().__init__(scheduler, deliver, propagation_delay, **gateway)
         self.opportunities = sorted_input_times(opportunities, "transmission opportunities")
 
     def start(self, horizon):
@@ -143,7 +133,7 @@ class EntryTraceDrivenLink(EntryLink):
 
     def _service_opportunity(self):
         now = self.scheduler.now
-        item = self.queue.dequeue(now)
+        item = self.dequeue(now)
         if item is None:
             self.wasted_opportunities += 1
         else:
@@ -152,8 +142,6 @@ class EntryTraceDrivenLink(EntryLink):
 
 class EntryTopology(topology.DumbbellTopology):
     """The dumbbell scheduling one ``admit_cross`` event per injection."""
-
-    cross_sent = 0
 
     def start(self):
         horizon = self.config.duration
@@ -164,8 +152,8 @@ class EntryTopology(topology.DumbbellTopology):
         self.sender.start()
 
     def _admit_cross(self, now):
-        self.cross_sent += 1
-        self.queue.admit_cross(now)
+        self.link.cross_sent += 1
+        self.link.admit_cross(now)
 
 
 def _run(per_entry, cca, config, **inputs):
@@ -182,7 +170,6 @@ def _run(per_entry, cca, config, **inputs):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulation, "DumbbellTopology", Topology)
         if per_entry:
-            patch.setattr(topology, "DropTailQueue", EntryQueue)
             patch.setattr(topology, "FixedRateLink", EntryFixedRateLink)
             patch.setattr(topology, "TraceDrivenLink", EntryTraceDrivenLink)
         try:
@@ -194,15 +181,15 @@ def _run(per_entry, cca, config, **inputs):
 
 def _state(network):
     """What a run leaves behind, truncated or not."""
-    queue, link, monitor = network.queue, network.link, network.monitor
+    link, monitor = network.link, network.monitor
     return {
         "now": network.scheduler.now,
         "seq": network.scheduler._seq,
-        "fifo": [item if type(item) is float else item.seq for item in queue._queue],
-        "drops": dict(queue.drops),
-        "depth": queue.depth_samples,
+        "fifo": [item if type(item) is float else item.seq for item in link.fifo],
+        "drops": dict(link.drops),
+        "depth": link.depth_samples,
         "cross_columns": (link.cross_admissions, link.cross_departures),
-        "cross_sent": network.cross_sent,
+        "cross_sent": link.cross_sent,
         "wasted": link.wasted_opportunities,
         "propagating": [(e[0], e[1]) for e in network.scheduler.lane._events],
         "sent": monitor.sent_count(CCA_FLOW),
@@ -285,7 +272,7 @@ def test_cross_arrival_at_a_completion_instant():
     times = [0.1, first, first + SERVICE]
     result = _assert_identical(Reno, _quiet(queue_capacity=1), cross_traffic_times=times)
     # The second finds the slot still taken; the third, an idle link.
-    assert result.cross_dropped_at_queue == 1
+    assert result.queue_drops[CROSS_FLOW] == 1
     assert result.cross_delivered == 2
 
 

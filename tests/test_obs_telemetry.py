@@ -500,28 +500,15 @@ class TestConsole:
         console = Console(out=out, err=err)
         console.result("r")
         console.info("i")
-        console.detail("d")      # verbose-only: suppressed
-        console.status("s")
         console.error("e")
         assert out.getvalue() == "r\ni\n"
-        assert err.getvalue() == "s\ne\n"
+        assert err.getvalue() == "e\n"
 
     def test_quiet_keeps_results_and_errors_only(self):
         out, err = io.StringIO(), io.StringIO()
         console = Console(quiet=True, out=out, err=err)
         console.result("r")
         console.info("i")
-        console.status("s")
         console.error("e")
         assert out.getvalue() == "r\n"
         assert err.getvalue() == "e\n"
-
-    def test_verbose_adds_detail(self):
-        out = io.StringIO()
-        console = Console(verbose=True, out=out)
-        console.detail("d")
-        assert out.getvalue() == "d\n"
-
-    def test_quiet_and_verbose_conflict(self):
-        with pytest.raises(ValueError):
-            Console(quiet=True, verbose=True)

@@ -29,6 +29,7 @@ from repro.triage import (
     triage_trace,
     validate_robustness,
 )
+from repro.triage.minimize import MAX_ROUNDS
 
 SIM = SimulationConfig(duration=1.0)
 SCORE = make_score_function("throughput", "traffic")
@@ -181,6 +182,11 @@ class TestMinimizer:
         assert result.events_after == result.events_before
         assert result.minimized_score >= result.floor
         validate_trace(result.minimized)
+
+    def test_empty_link_trace_is_left_alone(self):
+        trace = LinkTrace(timestamps=[], duration=1.0)
+        result = minimize_trace(trace, self.scorer(), MinimizeConfig(max_evaluations=10))
+        assert result.evaluations == 1 and not result.reduced
 
     def test_loss_trace_pruning(self):
         trace = LossTrace(timestamps=[0.1, 0.2, 0.3, 0.5, 0.7], duration=1.0)
@@ -533,6 +539,26 @@ class TestTriageCli:
         capsys.readouterr()
         minimization = json.loads(out_report.read_text())["minimization"]
         assert minimization["events_after"] < minimization["events_before"], minimization
+        assert minimization["achieved_retention"] >= 0.9, minimization
+
+    def test_link_minimization_converges_before_its_budget(self, tmp_path, capsys):
+        # CI's link-mode triage smoke: segment merging runs out of merges
+        # that change the rate structure long before 150 evaluations.
+        from repro.cli import triage_main
+
+        out_report = tmp_path / "report.json"
+        assert triage_main(
+            [
+                "--attack", "bbr-stall-link", "--cca", "bbr", "--duration", "2.0",
+                "--max-evaluations", "150", "--skip-robustness", "--skip-differential",
+                "--output", str(out_report),
+            ]
+        ) == 0
+        capsys.readouterr()
+        minimization = json.loads(out_report.read_text())["minimization"]
+        assert minimization["evaluations"] < 150, minimization
+        assert minimization["stages"][0]["rounds"] < MAX_ROUNDS, minimization
+        assert minimization["events_after"] == minimization["events_before"]
         assert minimization["achieved_retention"] >= 0.9, minimization
 
     def test_campaign_triage_subcommand(self, tmp_path, capsys):

@@ -72,13 +72,13 @@ CASES = {
     # ends above the single-event stage's size gate
     "loss-gate": (LossTrace(_grid(0.40, 0.59, 0.005), 1.0), WindowScorer, 400),
     "loss-small": (LossTrace([0.1, 0.3, 0.42, 0.45, 0.47, 0.5, 0.7, 0.95], 1.0), WindowScorer, 400),
-    # merges that only respace already-even runs (float rounding) until MAX_ROUNDS
+    # merges, a failed pass, and a merge accepted after halving
     "link-window": (
         LinkTrace(_grid(0.0, 0.35, 0.05) + _grid(0.4, 0.6, 0.005) + _grid(0.65, 1.0, 0.05), 1.0),
         WindowScorer,
         400,
     ),
-    # merges accepted after halving
+    # merges until the whole trace is one even run, then nothing left to propose
     "link-negative": (
         LinkTrace(_grid(0.0, 0.5, 0.01) + _grid(0.55, 1.0, 0.05), 1.0),
         NegativeScorer,
@@ -126,8 +126,8 @@ def test_cases_exercise_every_stage(golden):
 
 @pytest.mark.parametrize("name", ["link-negative", "link-window"])
 def test_no_candidate_equal_to_the_current_trace_is_scored(name, monkeypatch):
-    """Segment merging proposes no-ops (a merge of two chunks that are already
-    one even run); the driver drops them before they cost an evaluation."""
+    """A candidate equal to the current trace (a merge of a span that is
+    already one even run) never costs an evaluation."""
     trace, scorer_class, budget = CASES[name]
     current = {}
 
