@@ -37,7 +37,7 @@ def _offered_pps(result: SimulationResult, trace: Optional[PacketTrace]) -> floa
     """Packets/s the bottleneck offered: a link trace's own rate, else the configured rate."""
     if trace is not None and trace.mode == "link":
         return trace.packet_count / trace.duration
-    return mbps_to_pps(result.config.bottleneck_rate_mbps, result.config.mss_bytes)
+    return mbps_to_pps(result.config.bottleneck_rate_mbps)
 
 
 def _bbr_stall(result: SimulationResult, trace: Optional[PacketTrace]) -> bool:
@@ -105,7 +105,7 @@ def known_runs(
     """``(cca, input, trace, result)`` for each registered CCA on each known
     input: the clean run, the double-loss filter and each builtin attack."""
     inputs: Dict[str, Optional[PacketTrace]] = {"clean": None, DOUBLE_LOSS_INPUT: None}
-    inputs.update(builtin_attack_traces(config.duration, config.mss_bytes))
+    inputs.update(builtin_attack_traces(config.duration))
     for cca, factory in CCA_FACTORIES.items():
         for name, trace in inputs.items():
             if trace is not None:

@@ -14,7 +14,7 @@ from .fault_injection import TargetedLoss, lose_segment_and_retransmission
 from .lowrate import attack_rate_mbps, lowrate_attack_times, lowrate_attack_trace
 
 
-def builtin_attack_traces(duration: float, mss_bytes: int = 1500) -> Dict[str, PacketTrace]:
+def builtin_attack_traces(duration: float) -> Dict[str, PacketTrace]:
     """Every hand-crafted attack as a named trace of the given duration.
 
     The campaign subsystem registers these as the initial entries of a fresh
@@ -22,12 +22,12 @@ def builtin_attack_traces(duration: float, mss_bytes: int = 1500) -> Dict[str, P
     CCA under test and seeds the genetic search alongside random traces.
     """
     return {
-        "lowrate": lowrate_attack_trace(duration=duration, mss_bytes=mss_bytes),
-        "cubic-two-burst": cubic_two_burst_trace(duration=duration, mss_bytes=mss_bytes),
-        "bbr-stall": bbr_stall_traffic_trace(duration=duration, mss_bytes=mss_bytes),
-        "bbr-double-loss": bbr_double_loss_burst_trace(duration=duration, mss_bytes=mss_bytes),
-        "bbr-delay": bbr_delay_attack_trace(duration=duration, mss_bytes=mss_bytes),
-        "bbr-stall-link": bbr_stall_link_trace(duration=duration, mss_bytes=mss_bytes),
+        "lowrate": lowrate_attack_trace(duration=duration),
+        "cubic-two-burst": cubic_two_burst_trace(duration=duration),
+        "bbr-stall": bbr_stall_traffic_trace(duration=duration),
+        "bbr-double-loss": bbr_double_loss_burst_trace(duration=duration),
+        "bbr-delay": bbr_delay_attack_trace(duration=duration),
+        "bbr-stall-link": bbr_stall_link_trace(duration=duration),
     }
 
 

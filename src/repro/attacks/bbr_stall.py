@@ -36,7 +36,6 @@ def bbr_stall_traffic_trace(
     burst_packets: int = 350,
     burst_duration: float = 0.25,
     burst_period: float = 1.05,
-    mss_bytes: int = 1500,
 ) -> TrafficTrace:
     """Cross-traffic pattern that wrecks default BBR's bandwidth estimate.
 
@@ -62,7 +61,6 @@ def bbr_stall_traffic_trace(
     return TrafficTrace(
         timestamps=times,
         duration=duration,
-        mss_bytes=mss_bytes,
         metadata={
             "kind": "traffic",
             "attack": "bbr_stall",
@@ -80,7 +78,6 @@ def bbr_double_loss_burst_trace(
     retransmission_burst_packets: int = 250,
     rto_burst_packets: int = 900,
     rto_delay: float = 0.95,
-    mss_bytes: int = 1500,
 ) -> TrafficTrace:
     """The minimal three-spike pattern behind the Fig. 4a finding.
 
@@ -96,7 +93,6 @@ def bbr_double_loss_burst_trace(
     return TrafficTrace(
         timestamps=times,
         duration=duration,
-        mss_bytes=mss_bytes,
         metadata={"kind": "traffic", "attack": "bbr_double_loss"},
         max_packets=max(len(times), 1),
     )
@@ -106,7 +102,6 @@ def bbr_stall_link_trace(
     duration: float = 6.0,
     average_rate_mbps: float = 12.0,
     outages: Optional[Sequence[Tuple[float, float]]] = None,
-    mss_bytes: int = 1500,
 ) -> LinkTrace:
     """Link-mode equivalent of the stall trace: repeated service outages.
 
@@ -128,7 +123,7 @@ def bbr_stall_link_trace(
         # RTO, and the catch-up bursts deliver those SACKs right after the
         # spurious retransmissions.
         outages = ((1.0, 1.15), (2.6, 0.45), (3.8, 0.45), (5.0, 0.45))
-    rate_pps = mbps_to_pps(average_rate_mbps, mss_bytes)
+    rate_pps = mbps_to_pps(average_rate_mbps)
     total_packets = int(round(rate_pps * duration))
     interval = 1.0 / rate_pps
 
@@ -155,7 +150,6 @@ def bbr_stall_link_trace(
     return LinkTrace(
         timestamps=times,
         duration=duration,
-        mss_bytes=mss_bytes,
         metadata={"kind": "link", "attack": "bbr_stall", "outages": list(outages)},
     )
 
@@ -167,7 +161,6 @@ def bbr_delay_attack_trace(
     reinforce_start: float = 0.3,
     reinforce_end: float = 1.4,
     reinforce_packets: int = 300,
-    mss_bytes: int = 1500,
 ) -> TrafficTrace:
     """Cross traffic that makes BBR hold a large standing queue (Fig. 4e).
 
@@ -189,7 +182,6 @@ def bbr_delay_attack_trace(
     return TrafficTrace(
         timestamps=times,
         duration=duration,
-        mss_bytes=mss_bytes,
         metadata={"kind": "traffic", "attack": "bbr_delay"},
         max_packets=max(len(times), 1),
     )

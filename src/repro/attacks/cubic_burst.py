@@ -25,7 +25,6 @@ def cubic_two_burst_trace(
     hole_burst_packets: int = 120,
     retransmission_burst_packets: int = 250,
     retransmission_delay: float = 0.06,
-    mss_bytes: int = 1500,
 ) -> TrafficTrace:
     """The minimal CUBIC attack: drop a segment, then its fast retransmission.
 
@@ -46,7 +45,6 @@ def cubic_two_burst_trace(
     return TrafficTrace(
         timestamps=times,
         duration=duration,
-        mss_bytes=mss_bytes,
         metadata={"kind": "traffic", "attack": "cubic_two_burst"},
         max_packets=max(len(times), 1),
     )

@@ -66,7 +66,6 @@ def lowrate_attack_trace(
     burst_packets: int = 280,
     burst_duration: float = 0.22,
     start: float = 0.5,
-    mss_bytes: int = 1500,
 ) -> TrafficTrace:
     """The shrew attack as a :class:`TrafficTrace` (the known baseline)."""
     times = lowrate_attack_times(
@@ -79,7 +78,6 @@ def lowrate_attack_trace(
     return TrafficTrace(
         timestamps=times,
         duration=duration,
-        mss_bytes=mss_bytes,
         metadata={
             "kind": "traffic",
             "attack": "lowrate",

@@ -10,7 +10,7 @@ On-disk layout (one directory per corpus)::
       folded.json          # the journal size and mtime the files hold
 
 Entries are keyed by :meth:`PacketTrace.fingerprint`, so re-discovering a
-trace (same timestamps, duration, MSS) in another scenario or campaign never
+trace (same type, timestamps and duration) in another scenario or campaign never
 duplicates it — instead the entry's ``rediscoveries`` counter grows and its
 recorded score is upgraded if the new find scored higher.
 
@@ -44,6 +44,7 @@ from ..exec.quarantine import QUARANTINE_FILENAME, QuarantineStore, read_quarant
 from ..exec.workers import EvaluationJob
 from ..journal import CampaignJournal, JournalView
 from ..journal.log import JOURNAL_FILENAME, read_corpus_journal_view
+from ..netsim.packet import MSS_BYTES
 from ..netsim.simulation import SimulationConfig
 from ..obs.metrics import get_registry
 from ..scoring.base import ScoreFunction
@@ -253,7 +254,7 @@ def _summary(payload: Dict[str, Any]) -> Dict[str, Any]:
         {key: payload[key] for key in _ROW_FIELDS},
         duration=duration,
         packets=packets,
-        average_rate_mbps=packets / duration * int(trace.get("mss_bytes", 1500)) * 8.0 / 1e6,
+        average_rate_mbps=packets / duration * MSS_BYTES * 8.0 / 1e6,
         triaged=bool(payload["triage"]),
         behavior_cell=payload["behavior"].get("cell", ""),
     )

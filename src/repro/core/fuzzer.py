@@ -32,6 +32,7 @@ from ..exec.backend import EvaluationBackend, SerialBackend
 from ..exec.batch import Evaluator
 from ..exec.cache import CachedOutcome, TraceCache, factory_identity, make_cache_key
 from ..exec.workers import EvaluationJob
+from ..netsim.packet import MSS_BYTES
 from ..netsim.simulation import CcaFactory, SimulationConfig
 from ..scoring.base import Score, ScoreFunction
 from ..scoring.objectives import make_score_function
@@ -279,7 +280,6 @@ class CCFuzz:
             return LinkTraceGenerator(
                 duration=cfg.duration,
                 average_rate_mbps=cfg.average_rate_mbps,
-                mss_bytes=cfg.sim.mss_bytes,
                 k_agg=k_agg,
                 rate_bound=cfg.rate_bound,
                 seed=seed,
@@ -290,12 +290,11 @@ class CCFuzz:
                 # Default budget: enough cross traffic to fully displace the
                 # flow for roughly half the run.
                 max_packets = int(
-                    round(cfg.average_rate_mbps * 1e6 / (8 * cfg.sim.mss_bytes) * cfg.duration / 2)
+                    round(cfg.average_rate_mbps * 1e6 / (8 * MSS_BYTES) * cfg.duration / 2)
                 )
             return TrafficTraceGenerator(
                 duration=cfg.duration,
                 max_packets=max(1, int(round(max_packets * scale))),
-                mss_bytes=cfg.sim.mss_bytes,
                 k_agg=k_agg,
                 seed=seed,
             )

@@ -102,7 +102,7 @@ def _trajectory_shape(result: SimulationResult) -> str:
     """
     duration = result.duration
     rates = [rate for _, rate in result.monitor.windowed_rate(
-        CCA_FLOW, duration / SHAPE_WINDOWS, duration, result.config.mss_bytes
+        CCA_FLOW, duration / SHAPE_WINDOWS, duration
     )][:SHAPE_WINDOWS]
     rates += [0.0] * (SHAPE_WINDOWS - len(rates))
     return _quantize_shape(rates, result.config.bottleneck_rate_mbps)
@@ -187,23 +187,26 @@ def extract_signature(result: SimulationResult) -> BehaviorSignature:
     ``(trace, CCA, config)`` yields the same signature in any process and on
     any evaluation backend.
     """
-    episodes = result.episode_summary()
+    diag = result.cca_diagnostics
     utilization = result.utilization()
     goodput_bucket = min(max(int(utilization * GOODPUT_BUCKETS), 0), GOODPUT_BUCKETS)
     transitions = tuple(
         sorted(
             (edge, count_bucket(count))
-            for edge, count in episodes["state_transitions"].items()
+            for edge, count in diag.get("state_transitions", {}).items()
         )
     )
+    duration = result.duration
     return BehaviorSignature(
         cca=result.cca_name,
         goodput_bucket=goodput_bucket,
-        loss_bucket=count_bucket(episodes["loss_events"]),
-        rto_bucket=count_bucket(episodes["rto_events"]),
-        recovery_bucket=count_bucket(episodes["recovery_entries"]),
+        loss_bucket=count_bucket(int(diag.get("loss_events", 0))),
+        rto_bucket=count_bucket(result.sender_stats.rto_count),
+        recovery_bucket=count_bucket(int(diag.get("recovery_entries", 0))),
         stall_class=stall_class(
-            episodes["max_egress_gap"], result.duration, episodes["delivered"]
+            result.monitor.max_egress_gap(CCA_FLOW, duration),
+            duration,
+            result.delivered_segments(),
         ),
         shape=_trajectory_shape(result),
         transitions=transitions,

@@ -33,10 +33,10 @@ TRACE_PATHS: Dict[str, Tuple[Tuple[str, ...], ...]] = {
 
 
 def trace_digest(trace: Dict[str, Any]) -> str:
-    """Content address of one serialised trace: type, duration, MSS,
-    metadata and ``max_packets`` as canonical JSON, then the timestamps as the
-    packed string they already are (never re-encoded) — the dict whole, so
-    inflating gives back exactly what was journaled."""
+    """Content address of one serialised trace: type, duration, the constant
+    ``mss_bytes``, metadata and ``max_packets`` as canonical JSON, then the
+    timestamps as the packed string they already are (never re-encoded) —
+    the dict whole, so inflating gives back exactly what was journaled."""
     packed = trace.get("timestamps_f64le")
     if isinstance(packed, str):
         rest = {name: value for name, value in trace.items() if name != "timestamps_f64le"}

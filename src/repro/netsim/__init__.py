@@ -9,7 +9,7 @@ point.
 from .engine import EventScheduler, FifoLane, LazyTimer
 from .link import FixedRateLink, TraceDrivenLink, mbps_to_pps, pps_to_mbps
 from .monitor import FlowMonitor
-from .packet import AckPacket, CCA_FLOW, CROSS_FLOW, DEFAULT_MSS, Packet, SackBlock
+from .packet import AckPacket, CCA_FLOW, CROSS_FLOW, MSS_BYTES, Packet, SackBlock
 from .simulation import (
     SimulationConfig,
     SimulationResult,
@@ -22,13 +22,13 @@ __all__ = [
     "AckPacket",
     "CCA_FLOW",
     "CROSS_FLOW",
-    "DEFAULT_MSS",
     "DumbbellTopology",
     "EventScheduler",
     "FifoLane",
     "FixedRateLink",
     "FlowMonitor",
     "LazyTimer",
+    "MSS_BYTES",
     "Packet",
     "SackBlock",
     "SimulationConfig",

@@ -33,7 +33,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from .engine import EventScheduler, sorted_input_times
-from .packet import CCA_FLOW, CROSS_FLOW, Packet
+from .packet import CCA_FLOW, CROSS_FLOW, MSS_BYTES, Packet
 
 DeliveryCallback = Callable[[Packet], None]
 
@@ -41,16 +41,16 @@ DeliveryCallback = Callable[[Packet], None]
 INF = float("inf")
 
 
-def mbps_to_pps(rate_mbps: float, mss_bytes: int = 1500) -> float:
+def mbps_to_pps(rate_mbps: float) -> float:
     """Convert a rate in Mbps to MSS-sized packets per second."""
     if rate_mbps <= 0:
         raise ValueError("rate must be positive")
-    return rate_mbps * 1e6 / (8.0 * mss_bytes)
+    return rate_mbps * 1e6 / (8.0 * MSS_BYTES)
 
 
-def pps_to_mbps(rate_pps: float, mss_bytes: int = 1500) -> float:
+def pps_to_mbps(rate_pps: float) -> float:
     """Convert a rate in packets per second to Mbps."""
-    return rate_pps * 8.0 * mss_bytes / 1e6
+    return rate_pps * 8.0 * MSS_BYTES / 1e6
 
 
 class Link:

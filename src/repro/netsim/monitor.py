@@ -25,7 +25,7 @@ import bisect
 from operator import sub
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .packet import CCA_FLOW, CROSS_FLOW, Packet
+from .packet import CCA_FLOW, CROSS_FLOW, MSS_BYTES, Packet
 
 
 class _FlowSeries:
@@ -158,7 +158,6 @@ class FlowMonitor:
         flow: str,
         window: float,
         duration: float,
-        mss_bytes: int = 1500,
         use_ingress: bool = False,
     ) -> List[Tuple[float, float]]:
         """Windowed rate in Mbps over consecutive ``window``-second bins.
@@ -177,7 +176,7 @@ class FlowMonitor:
             hi = bisect.bisect_left(times, end)
             count = hi - lo
             span = end - start
-            rate_mbps = count * mss_bytes * 8.0 / span / 1e6 if span > 0 else 0.0
+            rate_mbps = count * MSS_BYTES * 8.0 / span / 1e6 if span > 0 else 0.0
             series.append((start, rate_mbps))
             start += window
         return series
@@ -201,24 +200,11 @@ class FlowMonitor:
             longest = tail_gap
         return longest
 
-    def flow_episodes(self, flow: str, duration: float) -> Dict[str, float]:
-        """Per-flow episode counters (for scoring + signatures)."""
-        series = self._series(flow)
-        egress = series.egress_times
-        return {
-            "sent": len(series.ingress_times),
-            "delivered": len(egress),
-            "dropped": series.dropped,
-            "first_egress": egress[0] if egress else None,
-            "last_egress": egress[-1] if egress else None,
-            "max_egress_gap": self.max_egress_gap(flow, duration),
-        }
-
-    def average_rate_mbps(self, flow: str, duration: float, mss_bytes: int = 1500) -> float:
+    def average_rate_mbps(self, flow: str, duration: float) -> float:
         """Average egress rate of ``flow`` over the whole run."""
         if duration <= 0:
             return 0.0
-        return self.delivered_count(flow) * mss_bytes * 8.0 / duration / 1e6
+        return self.delivered_count(flow) * MSS_BYTES * 8.0 / duration / 1e6
 
     def loss_rate(self, flow: str) -> float:
         """Fraction of packets of ``flow`` dropped at the gateway."""

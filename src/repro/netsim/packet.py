@@ -3,7 +3,9 @@
 Data flows at segment granularity: every data packet carries exactly one
 MSS-sized segment identified by an integer sequence number.  This mirrors the
 packet-train abstraction used by the paper's NS3 setup (and by MahiMahi),
-where the unit of link service is one MTU-sized packet.
+where the unit of link service is one MTU-sized packet.  So the packet size
+is one constant, :data:`MSS_BYTES`: every Mbps <-> packets conversion reads
+it, and nothing (config, trace, generator, sender) can set another.
 
 ``Packet`` and ``AckPacket`` are ``__slots__`` classes with hand-written
 constructors: tens of thousands are created per simulation, so the per-object
@@ -16,8 +18,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-#: Default maximum segment size in bytes (Ethernet MTU sized frames).
-DEFAULT_MSS = 1500
+#: The size in bytes of every packet the simulator carries (one Ethernet
+#: MTU): the one packet size, so a rate in Mbps converts to packets with it.
+MSS_BYTES = 1500
 
 #: Flow identifier of the congestion-controlled flow under test: every
 #: :class:`Packet` belongs to it.
@@ -38,8 +41,6 @@ class Packet:
     ----------
     seq:
         Segment sequence number (segment index, not a byte offset).
-    size_bytes:
-        Wire size of the packet.
     is_retransmit:
         True when this packet is a TCP retransmission.
     enqueue_time:
@@ -51,7 +52,6 @@ class Packet:
 
     __slots__ = (
         "seq",
-        "size_bytes",
         "is_retransmit",
         "sent_time",
         "enqueue_time",
@@ -62,7 +62,6 @@ class Packet:
     def __init__(
         self,
         seq: int,
-        size_bytes: int = DEFAULT_MSS,
         is_retransmit: bool = False,
         sent_time: float = 0.0,
         enqueue_time: Optional[float] = None,
@@ -70,7 +69,6 @@ class Packet:
         packet_id: Optional[int] = None,
     ) -> None:
         self.seq = seq
-        self.size_bytes = size_bytes
         self.is_retransmit = is_retransmit
         self.sent_time = sent_time
         self.enqueue_time = enqueue_time

@@ -18,7 +18,7 @@ from ..obs.metrics import get_registry
 from ..tcp.cca.base import CongestionControl
 from .engine import EventScheduler
 from .monitor import FlowMonitor
-from .packet import CCA_FLOW, CROSS_FLOW, Packet
+from .packet import CCA_FLOW, CROSS_FLOW, MSS_BYTES, Packet
 from .topology import DumbbellTopology
 
 #: Factory producing a fresh congestion-control instance for every run.
@@ -33,7 +33,6 @@ class SimulationConfig:
     bottleneck_rate_mbps: float = 12.0
     propagation_delay: float = 0.02
     queue_capacity: int = 60
-    mss_bytes: int = 1500
     delayed_ack: bool = True
     delack_timeout: float = 0.040
     min_rto: float = 1.0
@@ -88,11 +87,16 @@ class SimulationConfig:
         return replace(self, record_series=True)._digest()
 
     def _digest(self, omit: Optional[str] = None) -> str:
-        canonical = ";".join(
-            f"{f.name}={getattr(self, f.name)!r}"
-            for f in fields(self)
-            if not f.name.startswith("_") and f.name != omit
-        )
+        terms = []
+        for f in fields(self):
+            if f.name.startswith("_") or f.name == omit:
+                continue
+            terms.append(f"{f.name}={getattr(self, f.name)!r}")
+            if f.name == "queue_capacity":
+                # The packet size keeps its term at this position: recorded
+                # cache keys, snapshots and journals hash it.
+                terms.append(f"mss_bytes={MSS_BYTES!r}")
+        canonical = ";".join(terms)
         return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
 
     @classmethod
@@ -151,7 +155,7 @@ class SimulationResult:
 
     def throughput_mbps(self, flow: str = CCA_FLOW) -> float:
         """Average egress throughput of ``flow`` over the run."""
-        return self.monitor.average_rate_mbps(flow, self.duration, self.config.mss_bytes)
+        return self.monitor.average_rate_mbps(flow, self.duration)
 
     def delivered_segments(self, flow: str = CCA_FLOW) -> int:
         return self.monitor.delivered_count(flow)
@@ -162,7 +166,7 @@ class SimulationResult:
     def windowed_throughput(
         self, window: float = 0.25, flow: str = CCA_FLOW
     ) -> List[Tuple[float, float]]:
-        return self.monitor.windowed_rate(flow, window, self.duration, self.config.mss_bytes)
+        return self.monitor.windowed_rate(flow, window, self.duration)
 
     def queueing_delays(self, flow: str = CCA_FLOW) -> List[Tuple[float, float]]:
         return self.monitor.queueing_delays(flow)
@@ -175,30 +179,6 @@ class SimulationResult:
         if self.config.bottleneck_rate_mbps <= 0:
             return 0.0
         return self.throughput_mbps(flow) / self.config.bottleneck_rate_mbps
-
-    def episode_summary(self) -> Dict[str, Any]:
-        """Stable episode counters shared by scoring and signature extraction.
-
-        Everything here comes from single-pass streaming accumulators (the
-        monitor's per-flow counters, the sender's aggregate stats and the
-        CCA's uniform diagnostics), so it is available — and cheap — even
-        with ``record_series=False``.  Kept separate from :meth:`summary`
-        so the golden result digests captured from the seed stay valid.
-        """
-        diag = self.cca_diagnostics
-        flow = self.monitor.flow_episodes(CCA_FLOW, self.duration)
-        return {
-            "loss_events": int(diag.get("loss_events", 0)),
-            "rto_events": self.sender_stats.rto_count,
-            "recovery_entries": int(diag.get("recovery_entries", 0)),
-            "recovery_exits": int(diag.get("recovery_exits", 0)),
-            "retransmissions": self.sender_stats.retransmissions,
-            "spurious_retransmissions": self.spurious_retransmissions,
-            "fast_retransmit_entries": self.sender_stats.fast_retransmit_entries,
-            "delivered": flow["delivered"],
-            "max_egress_gap": flow["max_egress_gap"],
-            "state_transitions": dict(diag.get("state_transitions", {})),
-        }
 
     def summary(self) -> Dict[str, Any]:
         """Compact dictionary summary used by reports and the CLI."""

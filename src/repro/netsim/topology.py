@@ -67,7 +67,7 @@ class DumbbellTopology:
                 scheduler, self._deliver_to_sink, opportunities=link_trace, **link_options
             )
         else:
-            rate_pps = mbps_to_pps(config.bottleneck_rate_mbps, config.mss_bytes)
+            rate_pps = mbps_to_pps(config.bottleneck_rate_mbps)
             self.link = FixedRateLink(
                 scheduler, self._deliver_to_sink, rate_pps=rate_pps, **link_options
             )
@@ -82,7 +82,6 @@ class DumbbellTopology:
             scheduler,
             cca=cca,
             transmit=self._send_from_source,
-            mss_bytes=config.mss_bytes,
             min_rto=config.min_rto,
             start_time=config.sender_start_time,
             record_series=config.record_series,

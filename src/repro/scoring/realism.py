@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..netsim.packet import MSS_BYTES
 from ..netsim.simulation import SimulationConfig, SimulationResult, simulate_packet_trace
 from ..tcp.cca.base import CongestionControl
 from ..tcp.cca.bbr import Bbr
@@ -86,7 +87,7 @@ class RealismScorer:
             # Cross traffic competes for the fixed-rate bottleneck; the flow
             # can at best use what the cross traffic leaves behind.
             cross_share = (
-                trace.packet_count * trace.mss_bytes * 8.0 / trace.duration / 1e6
+                trace.packet_count * MSS_BYTES * 8.0 / trace.duration / 1e6
             )
             available_mbps = max(self.config.bottleneck_rate_mbps - cross_share, 0.1)
         return min(result.throughput_mbps() / available_mbps, 1.5)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from ..netsim.engine import EventScheduler
-from ..netsim.packet import AckPacket, DEFAULT_MSS, Packet
+from ..netsim.packet import AckPacket, Packet
 from .cca.base import AckEvent, CongestionControl
 from .rate_sampler import DeliveryRateEstimator
 from .rto import RttEstimator
@@ -58,7 +58,6 @@ class TcpSender:
         scheduler: EventScheduler,
         cca: CongestionControl,
         transmit: TransmitCallback,
-        mss_bytes: int = DEFAULT_MSS,
         min_rto: float = 1.0,
         start_time: float = 0.0,
         record_series: bool = True,
@@ -66,7 +65,6 @@ class TcpSender:
         self.scheduler = scheduler
         self.cca = cca
         self.transmit = transmit
-        self.mss_bytes = mss_bytes
         self.start_time = start_time
         self.record_series = record_series
 
@@ -226,7 +224,6 @@ class TcpSender:
         if cwnd < 1:
             cwnd = 1
         stats = self.stats
-        mss_bytes = self.mss_bytes
         rto_timer = self._rto_timer
         on_segment_sent = self.rate_estimator.on_segment_sent
         on_transmit = scoreboard.on_transmit
@@ -252,7 +249,7 @@ class TcpSender:
             on_transmit(seq, now, on_segment_sent(now, pipe, is_retransmit))
             if rto_timer._deadline is None:
                 self._rearm_rto(now)
-            transmit(Packet(seq, mss_bytes, is_retransmit, now))
+            transmit(Packet(seq, is_retransmit, now))
             if paced:
                 next_time = self._next_send_time
                 self._next_send_time = (now if now > next_time else next_time) + pace_step

@@ -52,7 +52,6 @@ def crossover_traffic_traces(
     child = TrafficTrace(
         timestamps=combined,
         duration=parent_a.duration,
-        mss_bytes=parent_a.mss_bytes,
         metadata={"kind": "traffic", "crossover": True},
         max_packets=max_packets,
     )
@@ -73,7 +72,6 @@ def crossover_loss_traces(
     return LossTrace(
         timestamps=left + right,
         duration=parent_a.duration,
-        mss_bytes=parent_a.mss_bytes,
         metadata={"kind": "loss", "crossover": True},
     )
 

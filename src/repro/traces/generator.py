@@ -45,19 +45,17 @@ class LinkTraceGenerator(TraceGenerator):
         self,
         duration: float,
         average_rate_mbps: float = 12.0,
-        mss_bytes: int = 1500,
         k_agg: float = DEFAULT_K_AGG,
         rate_bound: float = DEFAULT_RATE_BOUND,
         total_packets: Optional[int] = None,
         seed: Optional[int] = None,
     ) -> None:
         self.duration = _positive_finite("duration", duration)
-        self.mss_bytes = mss_bytes
         self.k_agg = k_agg
         self.rate_bound = rate_bound
         self.average_rate_mbps = _positive_finite("average rate", average_rate_mbps)
         if total_packets is None:
-            total_packets = int(round(mbps_to_pps(average_rate_mbps, mss_bytes) * duration))
+            total_packets = int(round(mbps_to_pps(average_rate_mbps) * duration))
         if total_packets <= 0:
             raise ValueError("total_packets must be positive")
         self.total_packets = total_packets
@@ -76,7 +74,6 @@ class LinkTraceGenerator(TraceGenerator):
         return LinkTrace(
             timestamps=timestamps,
             duration=self.duration,
-            mss_bytes=self.mss_bytes,
             metadata={"kind": "link", "k_agg": self.k_agg, "rate_bound": self.rate_bound},
         )
 
@@ -88,7 +85,6 @@ class TrafficTraceGenerator(TraceGenerator):
         self,
         duration: float,
         max_packets: int,
-        mss_bytes: int = 1500,
         k_agg: float = DEFAULT_K_AGG,
         seed: Optional[int] = None,
     ) -> None:
@@ -96,7 +92,6 @@ class TrafficTraceGenerator(TraceGenerator):
         if max_packets <= 0:
             raise ValueError("max_packets must be positive")
         self.max_packets = max_packets
-        self.mss_bytes = mss_bytes
         self.k_agg = k_agg
         self.rng = random.Random(seed)
 
@@ -114,7 +109,6 @@ class TrafficTraceGenerator(TraceGenerator):
         return TrafficTrace(
             timestamps=timestamps,
             duration=self.duration,
-            mss_bytes=self.mss_bytes,
             metadata={"kind": "traffic"},
             max_packets=self.max_packets,
         )

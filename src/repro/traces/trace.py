@@ -21,6 +21,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..netsim.packet import MSS_BYTES
+
 
 def pack_le(values: Sequence[Any], code: str = "d") -> str:
     """``values`` as base64 of little-endian ``struct`` items (``"d"`` doubles,
@@ -67,7 +69,6 @@ class PacketTrace:
 
     timestamps: List[float]
     duration: float
-    mss_bytes: int = 1500
     metadata: Dict[str, object] = field(default_factory=dict)
     #: Lazily computed by :meth:`fingerprint`.  Valid because timestamps are
     #: normalised once at construction and every mutation/crossover/triage
@@ -99,7 +100,7 @@ class PacketTrace:
 
     @property
     def average_rate_mbps(self) -> float:
-        return self.average_rate_pps * self.mss_bytes * 8.0 / 1e6
+        return self.average_rate_pps * MSS_BYTES * 8.0 / 1e6
 
     def copy(self) -> "PacketTrace":
         """A field-wise clone: same type and state, own timestamp list and metadata.
@@ -114,7 +115,7 @@ class PacketTrace:
         return clone
 
     def with_timestamps(self, timestamps: Iterable[float]) -> "PacketTrace":
-        """A trace of the same type/duration/MSS but different event times.
+        """A trace of the same type and duration but different event times.
 
         Goes through the constructor so subclass invariants (e.g. the traffic
         packet budget) are re-checked; the triage reducers derive every
@@ -124,7 +125,6 @@ class PacketTrace:
         return type(self)(
             timestamps=list(timestamps),
             duration=self.duration,
-            mss_bytes=self.mss_bytes,
             metadata=dict(self.metadata),
         )
 
@@ -132,9 +132,10 @@ class PacketTrace:
         """Stable content hash used as a memoization key by the exec cache.
 
         Covers everything that influences a simulation — trace type,
-        duration, MSS and the exact timestamp doubles — and nothing that
-        does not (metadata is deliberately excluded, so mutation/crossover
-        provenance tags never defeat the cache).
+        duration and the exact timestamp doubles — and nothing that does not
+        (metadata is deliberately excluded, so mutation/crossover provenance
+        tags never defeat the cache).  The constant packet size keeps its
+        place in the hashed bytes, so every recorded trace digest holds.
 
         Computed once per trace: the evaluation cache keys every lookup and
         store by it, and traces are immutable after construction.
@@ -144,7 +145,7 @@ class PacketTrace:
             return cached
         digest = hashlib.blake2b(digest_size=16)
         digest.update(type(self).__name__.encode("ascii"))
-        digest.update(struct.pack("<dq", self.duration, self.mss_bytes))
+        digest.update(struct.pack("<dq", self.duration, MSS_BYTES))
         digest.update(struct.pack(f"<{len(self.timestamps)}d", *self.timestamps))
         self._fingerprint_cache = result = digest.hexdigest()
         return result
@@ -174,7 +175,7 @@ class PacketTrace:
     def windowed_rates_mbps(self, window: float) -> List[Tuple[float, float]]:
         """Windowed rate series in Mbps."""
         return [
-            (start, count * self.mss_bytes * 8.0 / window / 1e6)
+            (start, count * MSS_BYTES * 8.0 / window / 1e6)
             for start, count in self.windowed_counts(window)
         ]
 
@@ -187,11 +188,12 @@ class PacketTrace:
     # ------------------------------------------------------------------ #
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe form; the timestamps are :func:`pack_le` doubles."""
+        """JSON-safe form; the timestamps are :func:`pack_le` doubles, and
+        ``mss_bytes`` is always :data:`MSS_BYTES`."""
         return {
             "type": type(self).__name__,
             "duration": self.duration,
-            "mss_bytes": self.mss_bytes,
+            "mss_bytes": MSS_BYTES,
             "timestamps_f64le": pack_le(self.timestamps),
             "metadata": dict(self.metadata),
         }
@@ -203,14 +205,19 @@ class PacketTrace:
     def from_dict(cls, payload: Dict[str, object]) -> "PacketTrace":
         """The one trace reader: :meth:`to_dict`'s form or the older
         ``timestamps`` list, as the class ``type`` names (else ``cls``).  A
-        missing or mistyped field or a damaged blob is a ``ValueError``."""
+        missing or mistyped field, a damaged blob or a packet size other than
+        :data:`MSS_BYTES` (the simulator has one) is a ``ValueError``."""
         try:
+            if payload.get("mss_bytes", MSS_BYTES) != MSS_BYTES:
+                raise ValueError(
+                    f"malformed trace: mss_bytes is {payload['mss_bytes']!r}, "
+                    f"and every packet is {MSS_BYTES} bytes"
+                )
             target_cls = _TRACE_TYPES.get(str(payload.get("type", cls.__name__)), cls)
             packed = payload.get("timestamps_f64le")
             fields: Dict[str, Any] = {
                 "timestamps": list(payload["timestamps"]) if packed is None else unpack_le(packed),
                 "duration": float(payload["duration"]),  # type: ignore[arg-type]
-                "mss_bytes": int(payload.get("mss_bytes", 1500)),  # type: ignore[arg-type]
                 "metadata": dict(payload.get("metadata", {})),  # type: ignore[arg-type]
             }
             if "max_packets" in payload:
@@ -257,14 +264,12 @@ class TrafficTrace(PacketTrace):
         self,
         timestamps: Sequence[float],
         duration: float,
-        mss_bytes: int = 1500,
         metadata: Optional[Dict[str, object]] = None,
         max_packets: Optional[int] = None,
     ) -> None:
         super().__init__(
             timestamps=list(timestamps),
             duration=duration,
-            mss_bytes=mss_bytes,
             metadata=dict(metadata or {}),
         )
         self.max_packets = max_packets if max_packets is not None else len(self.timestamps)
@@ -277,7 +282,6 @@ class TrafficTrace(PacketTrace):
         return TrafficTrace(
             timestamps=list(timestamps),
             duration=self.duration,
-            mss_bytes=self.mss_bytes,
             metadata=dict(self.metadata),
             max_packets=self.max_packets,
         )

@@ -68,7 +68,6 @@ def result_digest(result: SimulationResult) -> Dict[str, Any]:
                 CROSS_FLOW,
                 0.25,
                 result.duration,
-                result.config.mss_bytes,
                 use_ingress=True,
             )
         ),

@@ -594,6 +594,11 @@ class TestBadTraceFiles:
             {"type": "TrafficTrace", "duration": 1.0, "timestamps_f64le": "AAAA"},
             "not whole 8-byte items",
         ),
+        # Such a file used to run at 1500 bytes while reporting 72 Mbps.
+        "foreign-packet-size": (
+            {"type": "LinkTrace", "duration": 1.0, "timestamps": [0.1], "mss_bytes": 9000},
+            "malformed trace: mss_bytes is 9000",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(FILES))
@@ -613,6 +618,21 @@ class TestBadTraceFiles:
         captured = capsys.readouterr()
         assert "error: " in captured.err and message in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("main, argv", [
+        (simulate_main, ["--cca", "reno", "--duration", "1", "--trace", "{path}"]),
+        (triage_main, ["--cca", "reno", "--trace", "{path}", "--output", "{out}.json",
+                       "--output-trace", "{out}-trace.json"]),
+    ], ids=["simulate", "triage"])
+    def test_a_foreign_packet_size_creates_nothing(self, main, argv, tmp_path, capsys):
+        content, message = self.FILES["foreign-packet-size"]
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(content))
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(path=path, out=tmp_path / "out") for arg in argv])
+        assert excinfo.value.code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestUnopenableInputFiles:

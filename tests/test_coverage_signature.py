@@ -97,12 +97,6 @@ class TestExtraction:
         _, _, full = _simulate(5, record_series=True)
         assert full.sender_stats.cwnd_series
         assert extract_signature(full) == signature
-        # The lite result exposes the episode counters the signature needs.
-        episodes = lite.episode_summary()
-        assert set(episodes) >= {
-            "loss_events", "rto_events", "recovery_entries", "recovery_exits",
-            "max_egress_gap", "delivered", "state_transitions",
-        }
 
     def test_descriptor_projects_cell_key(self):
         _, _, result = _simulate(1)

@@ -26,7 +26,7 @@ from repro.campaign import CampaignSpec, CorpusEntry
 from repro.core.fuzzer import FuzzConfig
 from repro.exec import EvaluationJob, evaluate_job, job_cache_key
 from repro.netsim.monitor import FlowMonitor
-from repro.netsim.packet import CCA_FLOW, CROSS_FLOW, Packet
+from repro.netsim.packet import CCA_FLOW, CROSS_FLOW, MSS_BYTES, Packet
 from repro.netsim.simulation import SimulationConfig, run_simulation
 from repro.scoring.objectives import make_score_function
 from repro.tcp.cca import CCA_FACTORIES, cca_factory
@@ -118,7 +118,6 @@ class ReferenceFlowMonitor:
         flow: str,
         window: float,
         duration: float,
-        mss_bytes: int = 1500,
         use_ingress: bool = False,
     ) -> List[Tuple[float, float]]:
         times = self.ingress_times(flow) if use_ingress else self.egress_times(flow)
@@ -130,15 +129,15 @@ class ReferenceFlowMonitor:
             hi = bisect.bisect_left(times, end)
             count = hi - lo
             span = end - start
-            rate_mbps = count * mss_bytes * 8.0 / span / 1e6 if span > 0 else 0.0
+            rate_mbps = count * MSS_BYTES * 8.0 / span / 1e6 if span > 0 else 0.0
             series.append((start, rate_mbps))
             start += window
         return series
 
-    def average_rate_mbps(self, flow: str, duration: float, mss_bytes: int = 1500) -> float:
+    def average_rate_mbps(self, flow: str, duration: float) -> float:
         if duration <= 0:
             return 0.0
-        return self.delivered_count(flow) * mss_bytes * 8.0 / duration / 1e6
+        return self.delivered_count(flow) * MSS_BYTES * 8.0 / duration / 1e6
 
     def max_egress_gap(self, flow: str, duration: float) -> float:
         edges = [0.0] + self.egress_times(flow) + [duration]
@@ -337,7 +336,7 @@ def test_record_series_is_the_only_field_outside_identity():
     base = SimulationConfig()
     changed = {
         "duration": 4.0, "bottleneck_rate_mbps": 6.0, "propagation_delay": 0.03,
-        "queue_capacity": 30, "mss_bytes": 1000, "delayed_ack": False,
+        "queue_capacity": 30, "delayed_ack": False,
         "delack_timeout": 0.1, "min_rto": 0.2, "sender_start_time": 0.5,
         "record_series": False, "max_events": None,
     }

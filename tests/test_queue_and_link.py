@@ -99,7 +99,7 @@ class TestGatewayAdmission:
 
 class TestRateConversions:
     def test_12_mbps_is_1000_packets_per_second(self):
-        assert mbps_to_pps(12.0, 1500) == pytest.approx(1000.0)
+        assert mbps_to_pps(12.0) == pytest.approx(1000.0)
 
     def test_roundtrip(self):
         assert pps_to_mbps(mbps_to_pps(7.5)) == pytest.approx(7.5)

@@ -191,8 +191,6 @@ class TestFingerprint:
         assert loss_trace(stamps).fingerprint() != base.fingerprint()
         longer = LinkTrace(timestamps=stamps, duration=DURATION + 1.0)
         assert longer.fingerprint() != base.fingerprint()
-        wider = LinkTrace(timestamps=stamps, duration=DURATION, mss_bytes=9000)
-        assert wider.fingerprint() != base.fingerprint()
 
 
 def _bits(values):
@@ -233,7 +231,7 @@ class TestCodec:
             LinkTrace(timestamps=timestamps, duration=duration),
             TrafficTrace(timestamps=timestamps, duration=duration,
                          max_packets=len(timestamps) + spare),
-            LossTrace(timestamps=timestamps, duration=duration, mss_bytes=1200),
+            LossTrace(timestamps=timestamps, duration=duration),
         ):
             packed = trace.to_dict()
             assert "timestamps" not in packed

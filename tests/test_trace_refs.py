@@ -161,7 +161,6 @@ class TestCodec:
         variants = [
             base.with_timestamps([0.1, 0.3]),
             TrafficTrace([0.1, 0.2], duration=2.0, metadata={"origin": "seed"}, max_packets=4),
-            TrafficTrace([0.1, 0.2], 1.0, mss_bytes=1000, metadata={"origin": "seed"}, max_packets=4),
             TrafficTrace([0.1, 0.2], duration=1.0, metadata={"origin": "mutation"}, max_packets=4),
             TrafficTrace([0.1, 0.2], duration=1.0, metadata={"origin": "seed"}, max_packets=5),
             LinkTrace([0.1, 0.2], duration=1.0, metadata={"origin": "seed"}),

@@ -118,7 +118,7 @@ class TestPacketTrace:
             PacketTrace(timestamps=[0.2, 0.1], duration=1.0),
             LinkTrace(timestamps=[0.2, 0.1], duration=1.0),
             TrafficTrace(timestamps=[0.2, 0.1], duration=1.0, max_packets=40),
-            LossTrace(timestamps=[0.2, 0.1], duration=1.0, mss_bytes=1200),
+            LossTrace(timestamps=[0.2, 0.1], duration=1.0),
         ],
         ids=lambda trace: type(trace).__name__,
     )
@@ -412,7 +412,7 @@ class TestModeRulebook:
             result = run_simulation(CCA_FACTORIES[cca], config, **simulator_input)
             return result, (
                 result.summary(),
-                result.episode_summary(),
+                result.cca_diagnostics,
                 extract_signature(result).to_dict(),
                 result.events_executed,
             )
