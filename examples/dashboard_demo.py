@@ -68,8 +68,12 @@ def main() -> int:
     parser.add_argument("--poll", type=float, default=0.3,
                         help="seconds between status polls while the campaign runs")
     args = parser.parse_args()
+    with tempfile.TemporaryDirectory(prefix="dashboard-demo-") as corpus_dir:
+        return run_demo(args, corpus_dir)
 
-    corpus_dir = tempfile.mkdtemp(prefix="dashboard-demo-")
+
+def run_demo(args: argparse.Namespace, corpus_dir: str) -> int:
+    """Run the campaign in ``corpus_dir`` while its dashboard serves it."""
     corpus = CorpusStore(corpus_dir)
     runner = CampaignRunner(build_spec(args), corpus, register_attacks=True)
 

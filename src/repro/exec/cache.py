@@ -62,7 +62,10 @@ def cca_identity(cca: Any) -> str:
     variant's scores to the other.  Hashing the initial attribute state
     (which the constructor arguments determine) distinguishes every variant.
     """
-    canonical = stable_state(cca, depth=1)
+    # CCAs were built with ``_sender=None``; recorded identities hash that term.
+    state = sorted(dict(vars(cca), _sender=None).items())
+    attrs = ",".join(f"{name}={stable_state(value, 0)}" for name, value in state)
+    canonical = f"{type(cca).__qualname__}({attrs})"
     digest = hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).hexdigest()
     return f"{cca.name}:{digest}"
 

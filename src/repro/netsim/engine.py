@@ -18,7 +18,7 @@ hold events, because every GA generation bottoms out in millions of them:
   :meth:`EventScheduler.schedule_at` and timer bookkeeping entries;
 * the propagation lane (:class:`FifoLane`), for deliveries and returning
   ACKs, pushed in nondecreasing time order;
-* the bottleneck link's own schedule (:meth:`EventScheduler.attach_link`):
+* the bottleneck link's own schedule (a link sets itself as ``_link``):
   cross arrivals, service completions and transmission opportunities.  When
   ``link.head``, its next ``(time, seq)`` or None, is the earliest key and
   due by the horizon, ``link.run_events(bound, horizon, budget)`` runs every
@@ -83,11 +83,7 @@ class LazyTimer:
         self._deadline: Optional[float] = None
         self._seq = -1
         self._entry_times: List[float] = []
-
-    @property
-    def deadline(self) -> Optional[float]:
-        """The live deadline, or None when the timer is not armed."""
-        return self._deadline
+        scheduler._timers.append(self)
 
     def arm(self, deadline: float) -> None:
         """(Re)start the timer to fire at absolute time ``deadline``."""
@@ -114,10 +110,7 @@ class LazyTimer:
 
     def _on_pop(self, time: float, seq: int) -> bool:
         """Handle a popped bookkeeping entry; True when the timer must fire."""
-        try:
-            self._entry_times.remove(time)
-        except ValueError:  # pragma: no cover - defensive
-            pass
+        self._entry_times.remove(time)
         deadline = self._deadline
         if deadline is None:
             return False
@@ -182,7 +175,7 @@ class EventScheduler:
     ['b', 'a']
     """
 
-    __slots__ = ("now", "_seq", "_heap", "lane", "_link", "_running")
+    __slots__ = ("now", "_seq", "_heap", "lane", "_link", "_timers", "_running")
 
     def __init__(self) -> None:
         #: Current simulation time in seconds.  A plain attribute rather than
@@ -193,11 +186,8 @@ class EventScheduler:
         self._heap: List[_Entry] = []
         self.lane = FifoLane(self)
         self._link: Any = None
+        self._timers: List[LazyTimer] = []
         self._running = False
-
-    def attach_link(self, link: Any) -> None:
-        """Merge ``link``'s own schedule into the run loop (see above)."""
-        self._link = link
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
@@ -217,6 +207,15 @@ class EventScheduler:
     def timer(self, callback: Callable[[], None]) -> LazyTimer:
         """Create a restartable :class:`LazyTimer` bound to this scheduler."""
         return LazyTimer(self, callback)
+
+    def clear(self) -> None:
+        """Drop the pending events, the link and the timers' callbacks, which
+        lead back here or to their owners (see ``DumbbellTopology.teardown``)."""
+        self._heap.clear()
+        self.lane._events.clear()
+        self.lane._scheduler = self._link = None
+        while self._timers:
+            self._timers.pop()._callback = None
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run events in time order.

@@ -112,7 +112,7 @@ class Link:
         self._opportunities: Optional[List[float]] = None
         self._cross, self._cross_seq = [INF], 0
         self._serve_at = self._serve_seq = self._opportunity_seq = INF
-        scheduler.attach_link(self)
+        scheduler._link = self  # the run loop merges this link's own schedule
 
     @property
     def depth_samples(self) -> List[Tuple[float, int]]:

@@ -62,8 +62,9 @@ class Packet:
     def __init__(
         self,
         seq: int,
-        is_retransmit: bool = False,
-        sent_time: float = 0.0,
+        is_retransmit: bool,
+        sent_time: float,
+        *,
         enqueue_time: Optional[float] = None,
         dequeue_time: Optional[float] = None,
         packet_id: Optional[int] = None,
@@ -146,10 +147,6 @@ class AckPacket:
         self.ack_count = ack_count
         self.sent_time = sent_time
         self.packet_id = _next_packet_id() if packet_id is None else packet_id
-
-    def sacked(self, seq: int) -> bool:
-        """True when ``seq`` is covered by one of the SACK blocks."""
-        return any(seq in block for block in self.sack_blocks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         blocks = ",".join(f"[{b.start},{b.end})" for b in self.sack_blocks)

@@ -241,43 +241,46 @@ def run_simulation(
         loss_times=loss_times,
         drop_filter=drop_filter,
     )
-    # Telemetry wraps the run at whole-simulation granularity (never
-    # per-event: the event loop itself stays untouched) and only ever
-    # *writes* counters, so results are bit-identical with telemetry on.
-    sim_started = time.perf_counter()
-    events_executed = topology.run()
-    registry = get_registry()
-    registry.inc("sim.simulations")
-    registry.inc("sim.events", events_executed)
-    sender_stats = topology.sender.stats
-    registry.inc("sim.acks", sender_stats.acks)
-    registry.inc("sim.acks_sack", sender_stats.sack_acks)
-    registry.inc("sim.acks_recovery", sender_stats.recovery_acks)
-    registry.observe("sim.wall_s", time.perf_counter() - sim_started)
-    if scheduler.now < config.duration:
-        raise SimulationTruncated(events_executed, scheduler.now, config.max_events)
+    try:
+        # Telemetry wraps the run at whole-simulation granularity (never
+        # per-event: the event loop itself stays untouched) and only ever
+        # *writes* counters, so results are bit-identical with telemetry on.
+        sim_started = time.perf_counter()
+        events_executed = topology.run()
+        registry = get_registry()
+        registry.inc("sim.simulations")
+        registry.inc("sim.events", events_executed)
+        sender_stats = topology.sender.stats
+        registry.inc("sim.acks", sender_stats.acks)
+        registry.inc("sim.acks_sack", sender_stats.sack_acks)
+        registry.inc("sim.acks_recovery", sender_stats.recovery_acks)
+        registry.observe("sim.wall_s", time.perf_counter() - sim_started)
+        if scheduler.now < config.duration:
+            raise SimulationTruncated(events_executed, scheduler.now, config.max_events)
 
-    receiver, link = topology.receiver, topology.link
-    return SimulationResult(
-        config=config,
-        monitor=topology.monitor,
-        sender_stats=topology.sender.stats,
-        cca_name=cca.name,
-        cca_diagnostics=cca.diagnostics(),
-        receiver_stats={
-            "segments_received": receiver.segments_received,
-            "acks_sent": receiver.acks_sent,
-            "duplicate_segments": receiver.duplicate_segments,
-            "rcv_next": receiver.rcv_next,
-        },
-        queue_drops=dict(link.drops),
-        cross_sent=link.cross_sent,
-        cross_delivered=len(link.cross_departures),
-        link_wasted_opportunities=link.wasted_opportunities,
-        forced_losses=topology.forced_losses,
-        spurious_retransmissions=receiver.duplicate_segments,
-        events_executed=events_executed,
-    )
+        receiver, link = topology.receiver, topology.link
+        return SimulationResult(
+            config=config,
+            monitor=topology.monitor,
+            sender_stats=sender_stats,
+            cca_name=cca.name,
+            cca_diagnostics=cca.diagnostics(),
+            receiver_stats={
+                "segments_received": receiver.segments_received,
+                "acks_sent": receiver.acks_sent,
+                "duplicate_segments": receiver.duplicate_segments,
+                "rcv_next": receiver.rcv_next,
+            },
+            queue_drops=dict(link.drops),
+            cross_sent=link.cross_sent,
+            cross_delivered=len(link.cross_departures),
+            link_wasted_opportunities=link.wasted_opportunities,
+            forced_losses=topology.forced_losses,
+            spurious_retransmissions=receiver.duplicate_segments,
+            events_executed=events_executed,
+        )
+    finally:
+        topology.teardown()
 
 
 def simulate_packet_trace(

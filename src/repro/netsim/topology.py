@@ -166,3 +166,10 @@ class DumbbellTopology:
                 self.propagation_delay,
             )
         return executed
+
+    def teardown(self) -> None:
+        """Cut the run's reference cycles, so refcounting frees its graph.
+        ``run_simulation`` calls it once the result has what it keeps, also
+        when the run raised; a test reading post-run state overrides it."""
+        self.scheduler.clear()
+        self.link.deliver = self.receiver.send_ack = self.sender.transmit = None

@@ -40,7 +40,6 @@ class CongestionControl(abc.ABC):
     name: str = "base"
 
     def __init__(self) -> None:
-        self._sender: Optional[Any] = None
         # State-machine transition multiset ("OLD>NEW" -> count), maintained by
         # the concrete algorithms via _track_state().  Bounded by the (small)
         # number of distinct state pairs, so it is safe to keep for arbitrarily
@@ -49,14 +48,6 @@ class CongestionControl(abc.ABC):
         self._last_tracked_state: Optional[str] = None
         self.recovery_entries = 0
         self.recovery_exits = 0
-
-    def attach(self, sender: Any) -> None:
-        """Bind the algorithm to the sender that owns it."""
-        self._sender = sender
-
-    @property
-    def sender(self) -> Any:
-        return self._sender
 
     # ------------------------------------------------------------------ #
     # Event callbacks

@@ -87,8 +87,6 @@ class TcpSender:
         self._started = False
         self._last_purge = 0
 
-        cca.attach(self)
-
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #

@@ -73,19 +73,19 @@ class TestBbrAttackTraces:
 class TestTargetedLoss:
     def test_drops_requested_transmissions_only(self):
         loss = TargetedLoss([(5, 1), (5, 2)])
-        first = Packet(seq=5)
+        first = Packet(5, False, 0.0)
         assert loss(first, 0.1) is True
-        second = Packet(seq=5)
+        second = Packet(5, False, 0.0)
         assert loss(second, 0.2) is True
-        third = Packet(seq=5)
+        third = Packet(5, False, 0.0)
         assert loss(third, 0.3) is False
-        other = Packet(seq=6)
+        other = Packet(6, False, 0.0)
         assert loss(other, 0.4) is False
         assert loss.drops_performed == 2
 
     def test_seed_event_loses_a_segment_and_its_retransmission(self):
         loss = lose_segment_and_retransmission(3)
-        assert [loss(Packet(seq=3), 0.0) for _ in range(3)] == [True, True, False]
+        assert [loss(Packet(3, False, 0.0), 0.0) for _ in range(3)] == [True, True, False]
 
 
 class TestAnalysisHelpers:

@@ -86,13 +86,16 @@ def test_cross_traffic_is_conserved(cca, **draw):
 
 def _run_keeping_topology(cca, config, **inputs):
     """``run_simulation``, and the topology it ran, to read what is still on
-    the way at the horizon."""
+    the way at the horizon.  The teardown empties the lane and unhooks the
+    link's ``deliver``, so both are kept as the run left them."""
     built = []
 
     class Topology(topology.DumbbellTopology):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
+        def teardown(self):
+            self.lane_events = list(self.scheduler.lane._events)
+            self.deliver = self.link.deliver
             built.append(self)
+            super().teardown()
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulation, "DumbbellTopology", Topology)
@@ -122,10 +125,8 @@ def test_flow_under_test_is_conserved(cca, losses, **draw):
     sent = result.monitor.sent_count(CCA_FLOW)
     assert result.sender_stats.segments_sent == sent
     queued = sum(type(item) is not float for item in network.link.fifo)
-    deliver = network.link.deliver
-    propagating = sum(
-        event[3] == deliver for event in network.scheduler.lane._events
-    )
+    deliver = network.deliver
+    propagating = sum(event[3] == deliver for event in network.lane_events)
     accounted = (
         result.delivered_segments() + result.queue_drops.get(CCA_FLOW, 0)
         + result.forced_losses

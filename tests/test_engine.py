@@ -138,7 +138,7 @@ def test_a_hand_off_runs_at_least_one_event_and_one_at_the_horizon():
     )
     link.calls = []
     link.start(1.0, [0.25, 1.0])
-    scheduler.schedule_at(0.5, link.admit, Packet(seq=7), 0.5)
+    scheduler.schedule_at(0.5, link.admit, Packet(7, False, 0.0), 0.5)
     # Link: the 0.25 arrival, the 0.5 opportunity (reserved before the heap
     # entry, so it serves the cross item).  Heap: the packet.  Link: the 1.0
     # opportunity serves it, then the 1.0 arrival.  Lane: its delivery.

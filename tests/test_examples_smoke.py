@@ -1,8 +1,9 @@
 """Smoke-run every script in ``examples/`` so the examples cannot rot.
 
 Each example is executed as a subprocess (the way users run them) with the
-smallest budget its flags allow; the test only asserts a clean exit and
-non-empty output, not specific numbers.
+smallest budget its flags allow; the test only asserts a clean exit,
+non-empty output and an empty temporary directory afterwards (an example
+removes what it makes), not specific numbers.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ def test_every_example_is_covered():
 
 
 @pytest.mark.parametrize("script", sorted(EXAMPLES))
-def test_example_runs_clean(script):
+def test_example_runs_clean(script, tmp_path):
     env = dict(os.environ)
     src = os.path.join(REPO_ROOT, "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["TMPDIR"] = str(tmp_path)
     completed = subprocess.run(
         [sys.executable, os.path.join(EXAMPLES_DIR, script)] + EXAMPLES[script],
         capture_output=True,
@@ -55,3 +57,4 @@ def test_example_runs_clean(script):
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip(), f"{script} produced no output"
+    assert not os.listdir(tmp_path), f"{script} left temporary files behind"

@@ -158,14 +158,15 @@ class EntryTopology(topology.DumbbellTopology):
 
 def _run(per_entry, cca, config, **inputs):
     """``run_simulation`` on either design; returns the result (or the
-    ``SimulationTruncated`` it raised) and the topology it ran."""
+    ``SimulationTruncated`` it raised) and the :func:`_state` of the topology
+    it ran, read before the teardown empties the lane."""
     built = []
     base = EntryTopology if per_entry else topology.DumbbellTopology
 
     class Topology(base):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
+        def teardown(self):
+            built.append(_state(self))
+            super().teardown()
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulation, "DumbbellTopology", Topology)
@@ -200,11 +201,11 @@ def _state(network):
 
 def _assert_identical(cca, config, **inputs):
     """Both designs run alike; returns the link schedule's outcome."""
-    outcome, network = _run(False, cca, config, **inputs)
-    reference, entry_network = _run(True, cca, config, **inputs)
+    outcome, state = _run(False, cca, config, **inputs)
+    reference, entry_state = _run(True, cca, config, **inputs)
     assert type(outcome) is type(reference)
     assert outcome.events_executed == reference.events_executed
-    assert _state(network) == _state(entry_network)
+    assert state == entry_state
     if not isinstance(outcome, SimulationTruncated):
         assert result_digest(outcome) == result_digest(reference)
     return outcome

@@ -201,7 +201,7 @@ def test_streaming_matches_reference_on_event_streams(events, cross_propagation)
     injections, dropped, cross_served = [], 0, []
     for flow_idx, gap, admitted, delivered, qdelay, prop, stamped, retx in events:
         now += gap
-        packet = Packet(0, is_retransmit=retx)
+        packet = Packet(0, is_retransmit=retx, sent_time=0.0)
         if FLOWS[flow_idx] == CROSS_FLOW:
             # A cross packet is its admission time; its egress is its
             # departure plus the link's one propagation delay.

@@ -33,6 +33,15 @@ def test_removed_knobs_are_rejected(knob, build):
         build()
 
 
+@pytest.mark.parametrize("args", [(0, 1500), (0, 1500, False, 0.0)], ids=["two", "four"])
+def test_a_packet_takes_no_size_positionally(args):
+    # Only ``seq``, ``is_retransmit`` and ``sent_time`` are positional, and
+    # all three are required: a size passed where ``is_retransmit`` sat
+    # would otherwise be read as a (truthy) retransmission flag.
+    with pytest.raises(TypeError):
+        Packet(*args)
+
+
 class TestTraceFormat:
     """The on-disk form is unchanged: ``mss_bytes`` is written as 1500 and a
     file may omit it, but a trace claiming another size is malformed."""

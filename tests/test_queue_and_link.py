@@ -10,7 +10,7 @@ from repro.netsim.packet import CCA_FLOW, CROSS_FLOW, Packet
 
 
 def make_packet(seq: int = 0) -> Packet:
-    return Packet(seq=seq)
+    return Packet(seq=seq, is_retransmit=False, sent_time=0.0)
 
 
 def trace_link(capacity, opportunities=(), deliver=lambda p: None):

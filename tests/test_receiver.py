@@ -20,7 +20,7 @@ def make_receiver(delayed_ack: bool = True, delack_timeout: float = 0.040):
 
 
 def segment(seq: int) -> Packet:
-    return Packet(seq=seq)
+    return Packet(seq=seq, is_retransmit=False, sent_time=0.0)
 
 
 class TestInOrderDelivery:
