@@ -1,10 +1,13 @@
-"""Behavior-coverage-guided fuzzing: find *different* failures, not one.
+"""Behavior-coverage-guided fuzzing: the map of regimes a search reached.
 
-A score-guided GA converges on the single highest-damage attack family and
-keeps rediscovering it.  This example runs the same CUBIC search twice —
-once with classic ``score`` guidance and once with ``novelty`` guidance —
-and renders the MAP-Elites behavior map each one filled: which goodput /
-stall / loss / RTO regimes the discovered traces actually drove CUBIC into.
+This example runs the same CUBIC search twice — once with the paper's
+``score`` guidance and once with ``novelty`` guidance, both at the shipped
+GA constants — and renders the MAP-Elites behavior map novelty filled:
+which goodput / stall / loss / RTO regimes the discovered traces drove
+CUBIC into.  It closes with both runs' cell counts.  At the defaults
+(seed 16, 6 traces, 8 generations) score guidance fills 9 cells and
+novelty 10.  That is one seed, not a ranking: over seeds 0-6 the counts
+move with the seed, with wins for each guidance and ties.
 
 Run with no arguments for a laptop-scale demo::
 
@@ -27,16 +30,12 @@ def run_search(guidance: str, args: argparse.Namespace):
         mode="traffic",
         population_size=args.population,
         generations=args.generations,
-        k_elite=min(4, args.population - 1),
-        crossover_fraction=0.0,
         duration=args.duration,
         seed=args.seed,
         guidance=guidance,
-        novelty_weight=2.0,
-        immigrant_fraction=1.0,
     )
-    # Seed the whole population from the known two-burst attack: score
-    # guidance exploits it, novelty guidance must diversify away from it.
+    # Seed the whole population from the known two-burst attack, so both
+    # searches start from one behavior cell.
     seeds = [cubic_two_burst_trace(duration=args.duration)] * args.population
     fuzzer = CCFuzz(cca_factory("cubic"), config=config, seed_traces=seeds)
     return fuzzer.run()
@@ -66,9 +65,8 @@ def main() -> int:
 
     print("\n" + format_coverage_map(novelty_run.archive, top=5))
     print(
-        f"\nnovelty guidance filled {novelty_run.behavior_cells} cells vs "
-        f"{score_run.behavior_cells} for score guidance "
-        f"({novelty_run.behavior_cells / max(score_run.behavior_cells, 1):.1f}x)"
+        f"\nnovelty filled {novelty_run.behavior_cells} cells vs "
+        f"{score_run.behavior_cells} for score"
     )
     return 0
 

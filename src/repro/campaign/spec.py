@@ -148,7 +148,6 @@ class Scenario:
             islands=self.budget.islands,
             top_k=self.budget.top_k,
             duration=self.budget.duration,
-            average_rate_mbps=self.condition.bottleneck_rate_mbps,
             seed=self.seed,
             sim=self.sim_config(),
             guidance=self.guidance,

@@ -4,24 +4,25 @@
 control algorithm.  Each generation:
 
 1. every trace is scored by simulating the CCA against it,
-2. the ``k_elite`` best traces survive unchanged,
-3. ``crossover_fraction`` of the next generation comes from splicing parent
-   pairs chosen with rank-proportional probability (in the modes that have
-   a crossover operator — not link, section 3.2),
+2. the best trace of each island survives unchanged (``FuzzConfig.k_elite``),
+3. 30 % of the next generation (``FuzzConfig.crossover_fraction``) comes
+   from splicing parent pairs chosen with rank-proportional probability (in
+   the modes that have a crossover operator — not link, section 3.2),
 4. the remainder are mutations of rank-selected parents,
-5. islands exchange their best traces every ``migration_interval``
-   generations.
+5. islands pass 10 % of their traces on every 10 generations
+   (:mod:`repro.core.islands`).
 
-The loop runs for ``generations`` generations.
+The loop runs for ``generations`` generations.  These rules are the
+paper's section-4 constants; :class:`FuzzConfig` holds only what a campaign
+scenario sets, and a link trace's rate is the simulated bottleneck's.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import get_registry
 
@@ -38,7 +39,13 @@ from ..scoring.base import Score, ScoreFunction
 from ..scoring.objectives import make_score_function
 from ..traces.constraints import may_join_population
 from ..traces.crossover import CROSSOVER_OPERATORS, crossover_traces
-from ..traces.generator import LinkTraceGenerator, LossTraceGenerator, TrafficTraceGenerator
+from ..traces.distpackets import DEFAULT_K_AGG
+from ..traces.generator import (
+    MAX_LOSSES,
+    LinkTraceGenerator,
+    LossTraceGenerator,
+    TrafficTraceGenerator,
+)
 from ..traces.mutation import mutate_trace
 from ..traces.trace import MODES, PacketTrace, pack_le, unpack_le
 from .islands import IslandModel
@@ -70,31 +77,26 @@ LEGACY_CCA_KEYS = {
 
 @dataclass
 class FuzzConfig:
-    """Configuration of a fuzzing run.
+    """Configuration of a fuzzing run: what a campaign scenario sets.
 
     Defaults are laptop-scale; :meth:`paper_defaults` returns the exact
-    section-4 setup (500 traces across 20 islands).
+    section-4 setup (500 traces across 20 islands).  The rest of the
+    paper's GA is fixed: ``k_elite`` and ``crossover_fraction`` here, the
+    migration rule in :mod:`repro.core.islands`, the trace shape in
+    :mod:`repro.traces`, the novelty blend in :mod:`repro.coverage.guidance`.
     """
 
     mode: str = "traffic"
     population_size: int = 20              #: traces per island
     generations: int = 15
-    k_elite: int = 1
-    crossover_fraction: float = 0.3
     islands: int = 1
-    migration_interval: int = 10
-    migration_fraction: float = 0.1
     seed: Optional[int] = 0
     top_k: int = 20                        #: size of the "top traces" aggregate (Fig. 4d)
 
-    # Trace-generation parameters.  ``duration`` is also the simulation's:
-    # pass it here or as ``sim.duration`` (5 s when neither is given).
+    # ``duration`` is also the simulation's: pass it here or as
+    # ``sim.duration`` (5 s when neither is given).
     duration: Optional[float] = None
-    average_rate_mbps: float = 12.0
     max_traffic_packets: Optional[int] = None
-    max_losses: int = 20
-    k_agg: float = 0.05
-    rate_bound: float = 2.0
 
     use_cache: bool = True                 #: memoize (trace, cca, sim) -> score
 
@@ -103,8 +105,6 @@ class FuzzConfig:
     # "novelty" blends archive rarity into selection and immigrates from
     # under-covered cells.
     guidance: str = "score"
-    novelty_weight: float = 1.0            #: rarity bonus in fitness-spread units
-    immigrant_fraction: float = 0.25       #: offspring slots refilled from the archive
 
     # Simulation parameters.
     # Fuzzing evaluations only consume the monitor's derived series and the
@@ -113,6 +113,10 @@ class FuzzConfig:
     # (e.g. ``paper_defaults``) to record them.
     sim: Optional[SimulationConfig] = None
 
+    #: The paper's GA (section 4): one elite per island, 30 % crossovers.
+    k_elite: ClassVar[int] = 1
+    crossover_fraction: ClassVar[float] = 0.3
+
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -120,30 +124,14 @@ class FuzzConfig:
             raise ValueError("population_size must be at least 2")
         if self.generations < 1:
             raise ValueError("generations must be at least 1")
-        if self.k_elite >= self.population_size:
-            raise ValueError("k_elite must be smaller than population_size")
-        if not 0.0 <= self.crossover_fraction < 1.0:
-            raise ValueError("crossover_fraction must be in [0, 1)")
         if self.islands < 1:
             raise ValueError("islands must be at least 1")
-        if not 0.0 <= self.migration_fraction <= 1.0:
-            raise ValueError("migration_fraction must be in [0, 1]")
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
-        # DIST_PACKETS' trace shape, checked here rather than mid-run: a NaN
-        # k_agg would never relax a short interval.
-        if not (math.isfinite(self.k_agg) and self.k_agg >= 0):
-            raise ValueError("k_agg must be finite and non-negative")
-        if not (math.isfinite(self.rate_bound) and self.rate_bound > 1.0):
-            raise ValueError("rate_bound must be finite and exceed 1.0")
         if self.guidance not in GUIDANCE_MODES:
             raise ValueError(
                 f"guidance must be one of {GUIDANCE_MODES}, got {self.guidance!r}"
             )
-        if self.novelty_weight < 0:
-            raise ValueError("novelty_weight must be non-negative")
-        if not 0.0 <= self.immigrant_fraction <= 1.0:
-            raise ValueError("immigrant_fraction must be in [0, 1]")
         # One duration, from whichever of the two the caller set; both set
         # must agree.  SimulationConfig states the duration's range.
         if self.sim is None:
@@ -156,6 +144,12 @@ class FuzzConfig:
         self.duration = self.sim.duration
 
     @property
+    def average_rate_mbps(self) -> float:
+        """The simulated bottleneck's rate: a link trace's rate and the
+        basis of the default cross-traffic budget."""
+        return self.sim.bottleneck_rate_mbps
+
+    @property
     def total_population(self) -> int:
         return self.population_size * self.islands
 
@@ -163,20 +157,10 @@ class FuzzConfig:
     def paper_defaults(cls, mode: str = "traffic", **overrides) -> "FuzzConfig":
         """The exact GA setup from section 4 of the paper.
 
-        500 traces, 20 islands (25 traces each), 10 % migration every 10
-        generations, one elite per island, 30 % crossovers.
+        500 traces, 20 islands (25 traces each); the elite, crossover and
+        migration rules are the paper's already.
         """
-        params = dict(
-            mode=mode,
-            population_size=25,
-            islands=20,
-            generations=50,
-            k_elite=1,
-            crossover_fraction=0.3,
-            migration_interval=10,
-            migration_fraction=0.1,
-            average_rate_mbps=12.0,
-        )
+        params = dict(mode=mode, population_size=25, islands=20, generations=50)
         params.update(overrides)
         # The paper's simulation, at the overridden duration if there is one.
         paper_sim = SimulationConfig.paper_defaults()
@@ -239,11 +223,7 @@ class CCFuzz:
         # scheduler's) accumulates cells across runs.
         self.archive = archive if archive is not None else BehaviorArchive()
         self.new_cells = 0                 #: archive cells this run discovered
-        self._guidance = make_guidance(
-            self.config.guidance,
-            novelty_weight=self.config.novelty_weight,
-            immigrant_fraction=self.config.immigrant_fraction,
-        )
+        self._guidance = make_guidance(self.config.guidance)
         # An injected backend is owned by the caller and is not closed after
         # run(); without one a run evaluates in-process.
         self._injected_backend = backend
@@ -263,25 +243,22 @@ class CCFuzz:
     # Defaults
     # ------------------------------------------------------------------ #
 
-    def _make_generator(self, seed: int, k_agg: Optional[float] = None, scale: float = 1.0):
+    def _make_generator(self, seed: int, k_agg: float = DEFAULT_K_AGG, scale: float = 1.0):
         """Trace generator for the configured mode.
 
-        ``k_agg``/``scale`` override the configured burstiness and packet
+        ``k_agg``/``scale`` override the paper's burstiness and the packet
         budget: the coverage-guided exploration restarts sweep generator
-        regimes the base configuration never samples (sparse low-rate
+        regimes the initial population never samples (sparse low-rate
         traces, maximally bursty traces), because that is where untouched
         behavior cells live.  The initial population always uses the
-        configured regime (``k_agg=None``, ``scale=1.0``).
+        defaults.
         """
         cfg = self.config
-        if k_agg is None:
-            k_agg = cfg.k_agg
         if cfg.mode == "link":
             return LinkTraceGenerator(
                 duration=cfg.duration,
                 average_rate_mbps=cfg.average_rate_mbps,
                 k_agg=k_agg,
-                rate_bound=cfg.rate_bound,
                 seed=seed,
             )
         if cfg.mode == "traffic":
@@ -300,7 +277,7 @@ class CCFuzz:
             )
         return LossTraceGenerator(
             duration=cfg.duration,
-            max_losses=max(1, int(round(cfg.max_losses * scale))),
+            max_losses=max(1, int(round(MAX_LOSSES * scale))),
             seed=seed,
         )
 
@@ -392,10 +369,7 @@ class CCFuzz:
     # ------------------------------------------------------------------ #
 
     def _mutate(self, trace: PacketTrace) -> PacketTrace:
-        cfg = self.config
-        return mutate_trace(
-            trace, self.rng, k_agg=cfg.k_agg, rate_bound=cfg.rate_bound, max_losses=cfg.max_losses
-        )
+        return mutate_trace(trace, self.rng, max_losses=MAX_LOSSES)
 
     def _crossover_count(self) -> int:
         if self.config.mode not in CROSSOVER_OPERATORS:
@@ -519,11 +493,7 @@ class CCFuzz:
             while len(individuals) < cfg.population_size:
                 individuals.append(Individual(trace=generator.generate(), origin="initial"))
             islands.append(Population(individuals))
-        return IslandModel(
-            islands,
-            migration_interval=cfg.migration_interval,
-            migration_fraction=cfg.migration_fraction,
-        )
+        return IslandModel(islands)
 
     def _generation_stats(
         self, model: IslandModel, generation: int, evaluations: int, cache_hits: int
@@ -673,11 +643,7 @@ class CCFuzz:
         self.cache_hits = int(state["cache_hits"])  # type: ignore[arg-type]
         self.new_cells = int(state["new_cells"])  # type: ignore[arg-type]
         self._injected_seed_fingerprints = [str(fp) for fp in state["seed_fingerprints"]]  # type: ignore[union-attr]
-        model = IslandModel(
-            islands,
-            migration_interval=cfg.migration_interval,
-            migration_fraction=cfg.migration_fraction,
-        )
+        model = IslandModel(islands)
         model.migrations_performed = int(state["migrations_performed"])  # type: ignore[arg-type]
         history = [GenerationStats.from_dict(payload) for payload in state["history"]]  # type: ignore[union-attr]
         return model, history, int(state["generation"]), bool(state["converged"])  # type: ignore[arg-type]

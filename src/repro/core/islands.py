@@ -13,25 +13,19 @@ from typing import List
 
 from .population import Individual, Population
 
+#: Migration runs after every ``MIGRATION_INTERVAL``-th generation and moves
+#: ``MIGRATION_FRACTION`` of each island's traces (section 4).
+MIGRATION_INTERVAL = 10
+MIGRATION_FRACTION = 0.1
+
 
 class IslandModel:
     """A ring of isolated populations with periodic migration."""
 
-    def __init__(
-        self,
-        islands: List[Population],
-        migration_interval: int = 10,
-        migration_fraction: float = 0.1,
-    ) -> None:
+    def __init__(self, islands: List[Population]) -> None:
         if not islands:
             raise ValueError("at least one island is required")
-        if migration_interval <= 0:
-            raise ValueError("migration_interval must be positive")
-        if not 0.0 <= migration_fraction <= 1.0:
-            raise ValueError("migration_fraction must be in [0, 1]")
         self.islands = islands
-        self.migration_interval = migration_interval
-        self.migration_fraction = migration_fraction
         self.migrations_performed = 0
 
     def __len__(self) -> int:
@@ -50,10 +44,10 @@ class IslandModel:
         return max(self.all_individuals(), key=lambda ind: ind.fitness)
 
     def should_migrate(self, generation: int) -> bool:
-        """Migration happens after every ``migration_interval``-th generation."""
+        """Migration happens after every ``MIGRATION_INTERVAL``-th generation."""
         if len(self.islands) < 2:
             return False
-        return (generation + 1) % self.migration_interval == 0
+        return (generation + 1) % MIGRATION_INTERVAL == 0
 
     def migrate(self, generation: int) -> int:
         """Copy each island's best traces into the next island in the ring.
@@ -62,7 +56,7 @@ class IslandModel:
         scores (the simulator is deterministic, so re-evaluation would be
         wasted work) and replace the destination island's worst members.
         """
-        count_per_island = max(1, int(round(self.migration_fraction * len(self.islands[0]))))
+        count_per_island = max(1, int(round(MIGRATION_FRACTION * len(self.islands[0]))))
         moved = 0
         # Collect migrants first so that migration is simultaneous, not
         # cascading around the ring within a single call.

@@ -33,6 +33,11 @@ if TYPE_CHECKING:  # import at type-time only: core.fuzzer imports this module
 #: Guidance strategy names accepted by FuzzConfig and campaign specs.
 GUIDANCE_MODES = ("score", "novelty")
 
+#: Novelty's rarity bonus, in units of the population's fitness spread.
+NOVELTY_WEIGHT = 1.0
+#: Share of each generation's offspring slots refilled from the archive.
+IMMIGRANT_FRACTION = 0.25
+
 
 class SearchGuidance:
     """Base strategy: pure fitness (the paper's GA), archive-blind."""
@@ -82,17 +87,9 @@ class NoveltyGuidance(SearchGuidance):
 
     name = "novelty"
 
-    def __init__(self, novelty_weight: float = 1.0, immigrant_fraction: float = 0.25) -> None:
-        if novelty_weight < 0:
-            raise ValueError("novelty_weight must be non-negative")
-        if not 0.0 <= immigrant_fraction <= 1.0:
-            raise ValueError("immigrant_fraction must be in [0, 1]")
-        self.novelty_weight = novelty_weight
-        self.immigrant_fraction = immigrant_fraction
-
     def rank(self, population: "Population", archive: BehaviorArchive) -> List["Individual"]:
         spread = _fitness_spread(population.individuals)
-        scale = self.novelty_weight * spread
+        scale = NOVELTY_WEIGHT * spread
 
         # Local competition: within one behavior cell only the fittest
         # individual competes globally (tier 0); its cellmates drop to tier 1
@@ -120,7 +117,7 @@ class NoveltyGuidance(SearchGuidance):
         return sorted(population.individuals, key=guided, reverse=True)
 
     def immigrant_count(self, slots: int) -> int:
-        return min(slots, int(round(self.immigrant_fraction * slots)))
+        return min(slots, int(round(IMMIGRANT_FRACTION * slots)))
 
     def immigrants(
         self, archive: BehaviorArchive, count: int, rng: random.Random
@@ -136,16 +133,10 @@ class NoveltyGuidance(SearchGuidance):
         return [rng.choice(candidates).copy() for _ in range(count)]
 
 
-def make_guidance(
-    name: str,
-    novelty_weight: float = 1.0,
-    immigrant_fraction: float = 0.25,
-) -> SearchGuidance:
+def make_guidance(name: str) -> SearchGuidance:
     """Build a guidance strategy by name."""
     if name == "score":
         return SearchGuidance()
     if name == "novelty":
-        return NoveltyGuidance(
-            novelty_weight=novelty_weight, immigrant_fraction=immigrant_fraction
-        )
+        return NoveltyGuidance()
     raise ValueError(f"guidance must be one of {GUIDANCE_MODES}, got {name!r}")

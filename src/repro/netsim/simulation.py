@@ -231,16 +231,21 @@ def run_simulation(
     """
     config = config or SimulationConfig()
     scheduler = EventScheduler()
-    cca = cca_factory()
-    topology = DumbbellTopology(
-        scheduler,
-        cca,
-        config,
-        link_trace=link_trace,
-        cross_traffic_times=cross_traffic_times,
-        loss_times=loss_times,
-        drop_filter=drop_filter,
-    )
+    try:
+        cca = cca_factory()
+        topology = DumbbellTopology(
+            scheduler,
+            cca,
+            config,
+            link_trace=link_trace,
+            cross_traffic_times=cross_traffic_times,
+            loss_times=loss_times,
+            drop_filter=drop_filter,
+        )
+    except BaseException:
+        # A half-built topology is held only by the scheduler's own links.
+        scheduler.clear()
+        raise
     try:
         # Telemetry wraps the run at whole-simulation granularity (never
         # per-event: the event loop itself stays untouched) and only ever

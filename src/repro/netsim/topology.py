@@ -52,6 +52,18 @@ class DumbbellTopology:
         self.scheduler = scheduler
         self.config = config
         self.propagation_delay = config.propagation_delay
+        # Cross and loss times are checked before the link, receiver and
+        # sender point back here: a rejected input (a link trace's too)
+        # leaves cycles only through the scheduler, which the caller clears.
+        # Cross-traffic injections, pre-sorted for the link's schedule.
+        self._cross_times: Optional[List[float]] = None
+        if cross_traffic_times is not None:
+            self._cross_times = sorted_input_times(
+                cross_traffic_times, "cross-traffic injection times"
+            )
+        # Random-loss schedule (section 5 extension): each entry drops the
+        # next CCA packet departing the bottleneck at or after that time.
+        self._pending_losses = sorted_input_times(loss_times or (), "loss times")
         # record_series=False (fuzzing) skips the series no evaluation
         # reads: the gateway's depth samples and the sender's cwnd/pacing/RTT
         # series.  The monitor's derived series — what the scoring functions
@@ -87,20 +99,10 @@ class DumbbellTopology:
             record_series=config.record_series,
         )
 
-        # Cross-traffic injections, pre-sorted for the link's schedule.
-        self._cross_times: Optional[List[float]] = None
-        if cross_traffic_times is not None:
-            self._cross_times = sorted_input_times(
-                cross_traffic_times, "cross-traffic injection times"
-            )
-
         # ACKs return after the same fixed propagation delay as forward-path
         # deliveries, from nondecreasing emission times: the propagation lane.
         self._ack_lane = scheduler.lane
 
-        # Random-loss schedule (section 5 extension): each entry drops the
-        # next CCA packet departing the bottleneck at or after that time.
-        self._pending_losses = sorted_input_times(loss_times or (), "loss times")
         self.forced_losses = 0
         # Fault-injection hook: drops matching CCA packets before they reach
         # the gateway (used to reproduce specific loss patterns such as

@@ -114,6 +114,10 @@ class TrafficTraceGenerator(TraceGenerator):
         )
 
 
+#: At most this many forced drops in one loss trace (the fuzzer's cap).
+MAX_LOSSES = 20
+
+
 class LossTraceGenerator(TraceGenerator):
     """Generates random-loss schedules (section 5 extension).
 

@@ -43,10 +43,8 @@ def tiny_config(mode: str, **overrides) -> FuzzConfig:
         mode=mode,
         population_size=4,
         generations=3,
-        duration=1.0,
-        average_rate_mbps=3.0,
+        sim=SimulationConfig(duration=1.0, bottleneck_rate_mbps=3.0, record_series=False),
         max_traffic_packets=40,
-        max_losses=5,
         seed=13,
     )
     params.update(overrides)
@@ -302,8 +300,9 @@ class TestEvaluator:
 
 
 class TestFuzzerCacheIntegration:
-    def test_elite_reevaluations_drop_to_zero(self):
-        config = tiny_config("traffic", generations=5, k_elite=2)
+    def test_elite_reevaluations_drop_to_zero(self, monkeypatch):
+        monkeypatch.setattr(FuzzConfig, "k_elite", 2)
+        config = tiny_config("traffic", generations=5)
         fuzzer = CCFuzz(Reno, config=config)
         result = fuzzer.run()
         # Elites are cloned unevaluated and must all be cache hits: the

@@ -250,7 +250,7 @@ class TestConfigPlumbing:
     def test_snapshot_carrying_legacy_fault_knobs_resumes(self):
         config = FuzzConfig(
             mode="traffic", population_size=4, generations=2, duration=1.0,
-            average_rate_mbps=3.0, max_traffic_packets=40, seed=13,
+            max_traffic_packets=40, seed=13,
         )
         snapshots = []
         # A snapshot names each outcome by reference to the cache it came from.
@@ -465,7 +465,7 @@ class TestGaUnderFaults:
         plan = ChaosPlan(fraction=0.2, kinds=("crash", "garbage"), salt="ga")
         config = FuzzConfig(
             mode="traffic", population_size=6, generations=3, duration=1.0,
-            average_rate_mbps=3.0, max_traffic_packets=40, seed=13,
+            max_traffic_packets=40, seed=13,
         )
         with chaos_injection(plan):
             result = CCFuzz(Reno, config=config).run()

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.core import islands as islands_module
 from repro.core.fuzzer import CCFuzz, FuzzConfig, SNAPSHOT_SCHEMA
 from repro.coverage.archive import BehaviorArchive
 from repro.exec.backend import create_backend
@@ -155,8 +156,10 @@ def test_restore_refuses_outcomes_the_cache_does_not_hold():
         make_fuzzer(cache=TraceCache()).run(resume_from=snapshots[0])
 
 
-def test_islands_and_migration_state_roundtrip():
-    config = dict(islands=2, population_size=4, generations=4, migration_interval=2)
+def test_islands_and_migration_state_roundtrip(monkeypatch):
+    # A migration within the four generations, before and after the resume.
+    monkeypatch.setattr(islands_module, "MIGRATION_INTERVAL", 2)
+    config = dict(islands=2, population_size=4, generations=4)
     cache = TraceCache()
     baseline, snapshots, cache_dumps = run_capturing(
         make_fuzzer(cache=cache, **config), cache

@@ -97,3 +97,14 @@ def test_evaluate_job_leaves_no_cycles(generator):
         generator.generate(), ScoreFunction(performance=LowUtilizationScore()),
     )
     assert _cyclic_garbage(lambda: evaluate_job(job)) == 0
+
+
+@pytest.mark.parametrize("inputs", [
+    {"link_trace": [0.1, float("nan"), 0.3]},
+    {"cross_traffic_times": [0.1, -0.2]},
+    {"loss_times": [0.1, float("inf")]},
+], ids=["nan-link-trace", "negative-cross-time", "infinite-loss-time"])
+def test_a_rejected_input_leaves_no_cycles(inputs):
+    # The input is refused while the topology is built, before the run.
+    call = lambda: run_simulation(Reno, SimulationConfig(duration=DURATION), **inputs)
+    assert _cyclic_garbage(call, raises=ValueError) == 0
