@@ -9,8 +9,8 @@ Two writes sit on the per-insert / per-generation commit path:
   carries — timed per call with 4 cells touched since the mark, out of N.
 
 Both should stay flat in N: an insert publishes nothing and a delta
-serialises the touched cells (``tests/test_commit_path_ops.py`` asserts both;
-this script only reports times, for the README table).
+serialises the touched cells (``tests/test_commit_path_ops.py`` asserts both
+by counted operations; this script only reports times).
 
     PYTHONPATH=src python benchmarks/commit_path_scaling.py
 """

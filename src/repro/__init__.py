@@ -6,6 +6,19 @@ algorithm-based fuzzing for stress testing congestion control algorithms"
 packet-level discrete-event network simulator, a SACK/delayed-ACK TCP stack
 with Linux-style rate sampling, and Reno/CUBIC/BBR congestion control.
 
+Imports
+-------
+Every fleet worker, ``status`` poll and CLI call is a fresh interpreter, so
+each process loads only what its command runs.  ``import repro`` loads no
+submodule: this package and :mod:`repro.campaign` serve their public names
+from one ``{name: submodule}`` table each (PEP 562) and import a subsystem
+when one of its names is first read; the other subpackages import their
+modules eagerly.  One rule keeps it honest: a module that every campaign run
+needs is imported when the runner is built, never deferred into ``run()``.
+Deferring it would only move its cost past the benchmark's warm-up into the
+first round, and pool workers fork after the parent has loaded the
+simulator, so nothing they need may wait until after the fork.
+
 Quickstart
 ----------
 >>> from repro import CCFuzz, FuzzConfig, Reno

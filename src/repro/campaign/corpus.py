@@ -6,8 +6,53 @@ On-disk layout (one directory per corpus)::
       journal.jsonl        # the campaign journal; its corpus_insert records
       index.json           # schema version + per-entry summaries
       entries/<fp>.json    # full entry: the trace plus its provenance
+      behavior_map.json    # the behavior map (read_corpus_map)
       quarantine.json      # the permanently refused (trace, CCA) pairs
       folded.json          # the journal size and mtime the files hold
+      metrics.jsonl        # telemetry stream (repro.obs.sinks)
+      run_manifest.json    # provenance and result digest (repro.obs.manifest)
+
+Each file follows the rules of :mod:`repro.storage`.  Per file: its format;
+who writes it; who reads it; what a torn or unusable copy reads as.
+
+* ``index.json`` — a JSON object, ``schema`` plus rows (sorted keys, no
+  whitespace); :meth:`CorpusStore.fold`, once per campaign (per triaged
+  entry under ``triage``); :class:`CorpusReader` (:func:`read_corpus_index`)
+  over the journal's unfolded inserts; an empty corpus, so the journal's
+  inserts alone (and :class:`CorpusStore` refuses to open).
+* ``entries/<fp>.json`` — a JSON object (sorted keys, no whitespace), the
+  trace plus provenance; the fold, before the index that names it, as one
+  :func:`~repro.storage.publish_all` batch; :meth:`CorpusReader.get` /
+  ``payload``; entry not found (``get`` raises).
+* ``behavior_map.json`` — a JSON object (sorted keys, no whitespace); the
+  fold, after the index and before ``folded.json``, only when its bytes
+  change; :func:`read_corpus_map`; no cells wherever it is read alone (a
+  fresh campaign, ``repro-coverage``, :meth:`BehaviorArchive.load` and a fold
+  that computes the journal's map raise instead).
+* ``quarantine.json`` — a JSON object with deterministic bytes; the fold,
+  after the map, only when its bytes change and never while empty;
+  :attr:`CorpusReader.quarantine`, over the journal's unfolded
+  ``job_quarantined`` records; no entries, so the journal's alone.
+* ``folded.json`` — a JSON object, the journal's ``bytes`` and ``mtime_ns``
+  at the fold; the fold, last, only when the campaign did not raise;
+  :class:`CorpusReader` and :func:`read_corpus_map`, as one ``stat`` of the
+  journal; the journal is read (its inserts applied again, a no-op for
+  folded ones, and its map computed).
+* ``journal.jsonl`` (with its ``.lock`` sidecar and ``journal-<k>.jsonl``
+  archives) — checksummed JSONL, appended and fsynced per record under the
+  lock's ``flock``; :class:`~repro.journal.CampaignJournal` (``compact`` and
+  ``merge`` publish, ``rotate`` renames); a :class:`JournalCursor` with
+  ``observing=True`` (:func:`read_journal_view` is one cold read); bad lines
+  are skipped and counted in ``torn_records`` (a writer repairs a torn final
+  line and raises :class:`JournalCorruption` on any earlier one).
+* ``metrics.jsonl`` — JSONL, appended unfsynced; the campaign's
+  :class:`~repro.obs.sinks.MetricsJsonlSink`;
+  :func:`~repro.obs.sinks.tail_metrics_records`, whose latest ``metrics``
+  record ``status --prometheus`` and ``/metrics`` render; a torn tail is
+  left unread until complete, a bad interior line skipped.
+* ``run_manifest.json`` — a JSON object (sorted keys, no whitespace),
+  ``schema`` 2; :func:`~repro.obs.manifest.write_manifest` at campaign end;
+  :func:`~repro.obs.manifest.read_manifest`; ``manifest_present: false``.
 
 Entries are keyed by :meth:`PacketTrace.fingerprint`, so re-discovering a
 trace (same type, timestamps and duration) in another scenario or campaign never
@@ -29,7 +74,11 @@ directory another process is writing; everything that only reads holds one.
 :class:`CorpusStore` adds ``add``/``annotate_triage``/``fold`` and the orphan
 sweep; one process at a time may hold it on a directory.  An index it cannot
 use is an empty corpus to the reader and a refusal to open to the store.
-Triage, the one writer outside a campaign, folds after each entry.
+Triage, the one writer outside a campaign, folds after each entry.  So only
+a campaign (``repro-campaign run|workers``, and ``repro-fuzz``, which runs
+one) and ``repro-campaign triage`` hold a store; ``report``, ``replay``,
+``repro-triage --corpus`` and every fleet worker hold a reader, and
+``repro-coverage`` and the dashboard go through the module-level readers.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ A finished campaign is recorded once, in the corpus's journal: the spec at
 ``campaign_start`` and each scenario's outcome at ``scenario_complete``.
 :func:`format_last_campaign` reads that record back, so ``repro-campaign
 report`` describes the last campaign whether it ran with telemetry or not,
-was compacted since, or was killed before it finished.
+was compacted since, or was killed before it finished (``(unfinished)``).
+Its seconds are the sum of the scenarios' own wall times: the journal keeps
+no campaign wall time.
 """
 
 from __future__ import annotations

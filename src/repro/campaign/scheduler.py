@@ -466,6 +466,10 @@ class ScenarioEngine:
 class CampaignRunner:
     """Plans, runs and records a whole campaign of fuzzing scenarios.
 
+    With ``register_attacks`` (``--no-attacks`` clears it) the builtin
+    attacks of :mod:`repro.attacks` are registered as curated corpus entries
+    at the start of each run, so every scenario can be seeded with them.
+
     ``archive``, the map it starts from and journals as ``archive_baseline``,
     is by default the corpus's (:func:`~repro.campaign.corpus.read_corpus_map`).
     The fold at finalize publishes the campaign's map.

@@ -20,7 +20,13 @@ Every command is a pair: a ``with _command(handler, …)`` block in its entry
 point declares the arguments, the handler runs them.  An option two commands
 share is declared by one ``_add_*_options`` function; a numeric range is an
 argparse ``type=``; what the library validates itself reaches the user
-through :func:`_usage_errors`, never a restated check.
+through :func:`_usage_errors`, never a restated check.  Either way a usage
+error exits 2 with ``error: <reason>`` before any file or directory is
+created, and so does an input the command cannot use: a file that cannot be
+opened, a trace file that is not a trace, a torn or other-schema
+``behavior_map.json``, or a journal with a corrupt record before its final
+line (the corpus is left as it was).  A flag the input would contradict is
+rejected, not ignored (:func:`_input` for trace inputs).
 
 Module level imports only what a campaign run needs; every other subsystem
 is imported by the handler that uses it, so a process loads what it runs.
@@ -36,7 +42,7 @@ import os
 import sys
 import tempfile
 import time
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .campaign.corpus import CorpusReader, CorpusStore, read_corpus_map
 from .campaign.scheduler import CampaignResult, CampaignRunner
@@ -69,14 +75,12 @@ if TYPE_CHECKING:
 _Args = argparse.Namespace
 _Parser = argparse.ArgumentParser
 
-#: ``repro-trace generate --mode``: the modes with a standalone generator.
+#: ``repro-trace generate --mode``: each mode with a standalone generator, and
+#: the one option that sizes it: its flag, the generator keyword it sets and
+#: its default.  The other mode's option is rejected, not ignored.
 _TRACE_GENERATORS = {
-    "link": lambda args: LinkTraceGenerator(
-        duration=args.duration, average_rate_mbps=args.rate_mbps, seed=args.seed
-    ),
-    "traffic": lambda args: TrafficTraceGenerator(
-        duration=args.duration, max_packets=args.max_packets, seed=args.seed
-    ),
+    "link": (LinkTraceGenerator, "--rate-mbps", "average_rate_mbps", 12.0),
+    "traffic": (TrafficTraceGenerator, "--max-packets", "max_packets", 1000),
 }
 
 
@@ -224,14 +228,43 @@ def _builtin_attacks(duration: float) -> Dict[str, PacketTrace]:
     return builtin_attack_traces(duration)
 
 
-def _require_typed(trace: PacketTrace, parser: _Parser) -> PacketTrace:
-    """The trace type picks the simulator input, so a bare one cannot run."""
-    if trace.mode is None:
-        parser.error(
-            "trace has no concrete type (LinkTrace/TrafficTrace/LossTrace); "
-            're-export it with a "type" field'
-        )
-    return trace
+def _input(
+    args: _Args, parser: _Parser, attack_duration: float, entry: Optional[PacketTrace] = None
+) -> Tuple[Optional[PacketTrace], SimulationConfig]:
+    """The trace a command runs and the simulation it runs under: the CLI's
+    one rule for an input trace and the flags it would contradict, which
+    are rejected, not ignored.  The trace is a corpus ``entry``'s, the
+    ``--trace`` file's, or the builtin ``--attack`` built for ``--duration``
+    (default ``attack_duration``); ``--attack none`` or no source is no trace.
+    A file or an entry carries its own duration, so ``--duration`` applies
+    only to an attack or to no trace.  A link trace is the bottleneck's
+    service curve, so ``--rate-mbps`` conflicts with it and the rate is the
+    trace's own average.  The trace type picks the simulator input, so an
+    untyped trace cannot run.  An unset flag is ``SimulationConfig``'s default."""
+    trace, attack = entry, args.attack not in (None, "none")
+    if args.trace:
+        trace = _read_trace(args.trace, parser)
+    elif attack:
+        with _usage_errors(parser):
+            duration = attack_duration if args.duration is None else args.duration
+            trace = _builtin_attacks(duration)[args.attack]
+    if trace is not None and not attack and args.duration is not None:
+        parser.error("--duration only applies to --attack or no trace "
+                     "(a trace file or corpus entry carries its own duration)")
+    if trace is not None and trace.mode is None:
+        parser.error('trace has no concrete type (LinkTrace/TrafficTrace/LossTrace); '
+                     're-export it with a "type" field')
+    link = isinstance(trace, LinkTrace)
+    if link and args.rate_mbps is not None:
+        parser.error("--rate-mbps conflicts with a link trace (the trace itself is the "
+                     "service curve and fixes the bandwidth)")
+    settings = {
+        "duration": args.duration if trace is None else trace.duration,
+        "bottleneck_rate_mbps": trace.average_rate_mbps if link else args.rate_mbps,
+        "queue_capacity": args.queue,
+    }
+    with _usage_errors(parser):
+        return trace, SimulationConfig(**{k: v for k, v in settings.items() if v is not None})
 
 
 def _existing_corpus(args: _Args, parser: _Parser) -> str:
@@ -254,9 +287,10 @@ def _write_json(path: str, payload: Dict[str, object]) -> None:
 
 def _fuzz(args: _Args, parser: _Parser, console: Console) -> None:
     """One search is a one-scenario campaign under the default network
-    condition: ``repro-campaign run --no-attacks`` on the matching spec, with
-    ``--seed`` as the campaign seed and a temporary corpus unless
-    ``--output-dir`` names one to keep."""
+    condition: ``repro-campaign run --no-attacks --harvest-top-k K`` on the
+    matching spec (the two write byte-identical corpora), with ``--seed`` as
+    the campaign seed and a temporary corpus unless ``--output-dir`` names
+    one to keep."""
     with _usage_errors(parser):
         spec = CampaignSpec(
             name="repro-fuzz",
@@ -314,17 +348,7 @@ def _simulate(args: _Args, parser: _Parser, console: Console) -> None:
         parser.error("--trace and --attack are mutually exclusive; pick one input")
 
     factory = CCA_FACTORIES[args.cca]
-    with _usage_errors(parser):
-        config = SimulationConfig(
-            duration=args.duration,
-            bottleneck_rate_mbps=args.rate_mbps,
-            queue_capacity=args.queue,
-        )
-    trace = None
-    if args.trace:
-        trace = _require_typed(_read_trace(args.trace, parser), parser)
-    elif args.attack != "none":
-        trace = _builtin_attacks(args.duration)[args.attack]
+    trace, config = _input(args, parser, attack_duration=5.0)
     try:
         if trace is not None:
             result = simulate_packet_trace(factory, config, trace)
@@ -353,8 +377,13 @@ def _simulate(args: _Args, parser: _Parser, console: Console) -> None:
 
 
 def _trace_generate(args: _Args, parser: _Parser, console: Console) -> None:
+    for mode, (_, flag, keyword, _) in _TRACE_GENERATORS.items():
+        if mode != args.mode and getattr(args, keyword) is not None:
+            parser.error(f"{flag} only applies to --mode {mode}")
+    build, _, keyword, default = _TRACE_GENERATORS[args.mode]
+    size = default if getattr(args, keyword) is None else getattr(args, keyword)
     with _usage_errors(parser):
-        generator = _TRACE_GENERATORS[args.mode](args)
+        generator = build(duration=args.duration, seed=args.seed, **{keyword: size})
     trace = generator.generate()
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(trace.to_json())
@@ -392,21 +421,16 @@ def _triage(args: _Args, parser: _Parser, console: Console) -> None:
     if args.fingerprint and not args.corpus:
         parser.error("--fingerprint only makes sense with --corpus")
     # Flags that would be silently overridden are rejected, not ignored: a
-    # corpus entry replays under its recorded network condition, and file
-    # traces carry their own duration.
+    # corpus entry replays under its recorded network condition.
     if args.corpus and (args.rate_mbps is not None or args.queue is not None):
         parser.error("--rate-mbps/--queue conflict with --corpus "
                      "(the entry's recorded condition is used)")
-    if args.duration is not None and not args.attack:
-        parser.error("--duration only applies to --attack traces")
     config = _triage_config(args, parser)
 
     cca = args.cca or "reno"
     objective = args.objective or "throughput"
-    sim_config = None
-    if args.trace:
-        trace = _read_trace(args.trace, parser)
-    elif args.corpus:
+    entry = None
+    if args.corpus:
         if not args.fingerprint:
             parser.error("--corpus needs --fingerprint to pick an entry")
         store = CorpusReader(_existing_corpus(args, parser))
@@ -416,31 +440,14 @@ def _triage(args: _Args, parser: _Parser, console: Console) -> None:
                 f"fingerprint {args.fingerprint!r} matches {len(matches)} corpus entries"
             )
         entry = store.get(matches[0])
-        trace = entry.trace
+        cca = args.cca or entry.cca or "reno"
+        objective = args.objective or entry.objective or "throughput"
+    entry_trace = entry.trace if entry is not None else None
+    trace, sim_config = _input(args, parser, attack_duration=6.0, entry=entry_trace)
+    if entry is not None:
         # The entry's provenance wins over the generic sim flags: triage it
         # under the conditions (and against the CCA) it was discovered with.
         sim_config = entry.sim_config()
-        cca = args.cca or entry.cca or "reno"
-        objective = args.objective or entry.objective or "throughput"
-    else:
-        with _usage_errors(parser):
-            trace = _builtin_attacks(args.duration if args.duration is not None else 6.0)[
-                args.attack
-            ]
-    _require_typed(trace, parser)
-    if isinstance(trace, LinkTrace) and args.rate_mbps is not None:
-        parser.error(
-            "--rate-mbps conflicts with a link trace (the trace itself is the "
-            "service curve and fixes the bandwidth)"
-        )
-
-    if sim_config is None:
-        with _usage_errors(parser):
-            sim_config = SimulationConfig(
-                duration=trace.duration,
-                bottleneck_rate_mbps=args.rate_mbps if args.rate_mbps is not None else 12.0,
-                queue_capacity=args.queue if args.queue is not None else 60,
-            )
     with create_backend(args.backend, args.workers) as backend:
         report = triage_trace(
             trace,
@@ -840,10 +847,9 @@ def simulate_main(argv: Optional[List[str]] = None) -> int:
     )
     with _command(_simulate, parser):
         parser.add_argument("--cca", choices=sorted(CCA_FACTORIES), default="bbr")
-        parser.add_argument("--duration", type=float, default=5.0)
-        parser.add_argument("--rate-mbps", type=float, default=12.0)
-        parser.add_argument("--queue", type=int, default=60,
-                            help="gateway queue capacity in packets")
+        parser.add_argument("--duration", type=float, help="default 5.0; not with --trace")
+        parser.add_argument("--rate-mbps", type=float, help="default 12.0; not with a link trace")
+        parser.add_argument("--queue", type=int, help="gateway queue in packets (default 60)")
         parser.add_argument("--trace", help="JSON trace file (link, traffic or loss)")
         parser.add_argument(
             "--attack", choices=["none", *sorted(_builtin_attacks(1.0))], default="none",
@@ -862,8 +868,9 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     with _command(_trace_generate, commands, "generate", help="generate a random trace") as cmd:
         cmd.add_argument("--mode", choices=sorted(_TRACE_GENERATORS), default="link")
         cmd.add_argument("--duration", type=float, default=5.0)
-        cmd.add_argument("--rate-mbps", type=float, default=12.0)
-        cmd.add_argument("--max-packets", type=int, default=1000)
+        for mode, (_, flag, keyword, default) in _TRACE_GENERATORS.items():
+            cmd.add_argument(flag, dest=keyword, type=type(default),
+                             help=f"{mode} mode only (default {default})")
         cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--output", required=True)
 

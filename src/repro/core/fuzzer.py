@@ -14,7 +14,13 @@ control algorithm.  Each generation:
 
 The loop runs for ``generations`` generations.  These rules are the
 paper's section-4 constants; :class:`FuzzConfig` holds only what a campaign
-scenario sets, and a link trace's rate is the simulated bottleneck's.
+scenario sets, and a link trace's rate is the simulated bottleneck's.  Each
+constant lives in the module whose rule it is: ``FuzzConfig.k_elite`` and
+``crossover_fraction``; ``MIGRATION_INTERVAL`` and ``MIGRATION_FRACTION``
+(:mod:`repro.core.islands`); DIST_PACKETS' ``DEFAULT_K_AGG`` and
+``DEFAULT_RATE_BOUND`` (:mod:`repro.traces.distpackets`); the loss cap
+``MAX_LOSSES`` (:mod:`repro.traces.generator`); novelty's ``NOVELTY_WEIGHT``
+and ``IMMIGRANT_FRACTION`` (:mod:`repro.coverage.guidance`).
 """
 
 from __future__ import annotations
@@ -84,6 +90,8 @@ class FuzzConfig:
     paper's GA is fixed: ``k_elite`` and ``crossover_fraction`` here, the
     migration rule in :mod:`repro.core.islands`, the trace shape in
     :mod:`repro.traces`, the novelty blend in :mod:`repro.coverage.guidance`.
+    A campaign always caches evaluations; ``use_cache=False`` is the
+    library's uncached reference.
     """
 
     mode: str = "traffic"

@@ -26,7 +26,10 @@ encounter without executing.
 
 Pools are created lazily on first use, reused across generations, and
 lazily restarted after :meth:`EvaluationBackend.close` (which is
-idempotent); use the backend as a context manager to release workers.
+idempotent); use the backend as a context manager to release workers.  A
+serial campaign never loads :mod:`repro.exec.supervisor` or
+``multiprocessing``: a ``process`` backend imports them when it builds its
+pool, on its first batch, before it forks.
 """
 
 from __future__ import annotations

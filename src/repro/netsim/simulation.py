@@ -27,7 +27,15 @@ CcaFactory = Callable[[], CongestionControl]
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Parameters of one simulation run (paper defaults from section 4)."""
+    """Parameters of one simulation run (paper defaults from section 4).
+
+    ``record_series`` is an observation switch and nothing else: it gates
+    the sender's per-ACK series and the queue-depth samples, a run's
+    ``(Score, summary)`` and behavior signature are identical either way,
+    and it is outside :meth:`fingerprint`, so it moves no cache key or
+    snapshot identity.  Every search evaluation (campaign, replay, triage)
+    runs with it off; whoever plots one run keeps the default.
+    """
 
     duration: float = 5.0
     bottleneck_rate_mbps: float = 12.0

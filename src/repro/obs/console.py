@@ -11,7 +11,8 @@ Every ``repro-*`` script routes its human-facing output through one
 
 The default (no flag) prints ``result`` + ``info`` to stdout exactly
 as the historical ``print`` calls did, so scripted consumers of the CLIs
-see byte-identical output.
+see byte-identical output.  There is no verbose level: ``-v`` is a usage
+error.
 """
 
 from __future__ import annotations

@@ -21,7 +21,41 @@ without plumbing a handle through every constructor; :func:`set_enabled`
 swaps in a no-op registry so benchmarks can measure the instrumentation
 itself.  Worker *processes* (the ``process`` backend) have their own global
 registry whose counts stay in the worker; the exec layer's submit-side
-metrics cover that path.
+metrics cover that path.  :func:`set_enabled(False) <set_enabled>` is what
+``--no-telemetry`` uses; the disabled path is a few attribute lookups.
+
+Catalog (``status --prometheus`` renders each as ``repro_<name>``):
+
+* ``sim.simulations``, ``sim.events`` — simulations run and scheduler
+  events executed (cross-traffic sink arrivals are none); ``sim.acks``,
+  ``sim.acks_sack``, ``sim.acks_recovery`` — ACKs the sender processed,
+  those carrying SACK blocks and those arriving in fast or RTO recovery
+  (the ACK mix: which ``on_ack`` path a workload exercises); ``sim.wall_s``
+  — a histogram of wall seconds per simulation.
+* ``fuzzer.generations``, ``fuzzer.evaluations``, ``fuzzer.cache_hits``,
+  ``fuzzer.new_cells``; ``fuzzer.generation_wall_s`` (histogram).
+* ``exec.batches``, ``exec.jobs``; the gauges ``exec.workers`` and
+  ``exec.jobs_in_flight``; ``exec.batch_wall_s`` and
+  ``exec.batch_occupancy`` (histograms); the fault counters
+  ``exec.failures`` (and ``exec.failures.<kind>``), ``exec.timeouts``,
+  ``exec.retries``, ``exec.quarantined``, ``exec.quarantine_hits``,
+  ``exec.worker_restarts`` and ``exec.serial_fallbacks``.
+* ``cache.hits``, ``cache.misses``, ``cache.evictions`` — trace-cache traffic.
+* ``journal.appends``, ``journal.bytes``, ``journal.append_s`` (fsynced
+  append latency); ``journal.bytes.<record type>`` — the same bytes by
+  type (``status``'s ``journal:`` line); ``journal.bytes.traces`` and
+  ``journal.trace_refs`` — the part of them that is ``traces`` tables, and
+  the trace occurrences written as a digest only (kept out of the by-type
+  split); ``journal.scans`` and ``journal.bytes_scanned`` — reads that
+  reached the journal parser and their bytes.  ``bytes_scanned / bytes``
+  is the *read amplification* ``status`` prints: 0 for a serial run, below
+  1 for a resume.  Counters are per process, so a fleet driver, which
+  appends little and parses every worker's bytes once, reads far above 1
+  without re-reading anything; ``tests/journal_bytes.py`` divides by the
+  journal on disk instead (about 1 per process).
+* ``archive.delta_cells_serialised`` — behavior-map cells serialised by
+  ``delta_since``: the cells touched since the reader's mark, never the
+  size of the map.
 """
 
 from __future__ import annotations

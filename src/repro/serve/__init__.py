@@ -13,7 +13,8 @@ unattached run.  Concretely, nothing in this package ever constructs the
 writer-side objects (``CorpusStore`` sweeps temp files, ``CampaignJournal``
 repairs torn tails — both would perturb a live directory).  Every file has
 one parser, and this package calls it under the observer's policy — open
-read-only, unusable reads as empty (README, "On-disk layout", lists them) —
+read-only, unusable reads as empty (:mod:`repro.storage` states the rules,
+:mod:`repro.campaign.corpus` lists the files and their readers) —
 so every endpoint degrades to well-formed JSON against torn, mid-compaction
 or half-written state instead of erroring.  Queries re-read per request, and
 replay memoizes entry files as they are first asked for: a dashboard must see

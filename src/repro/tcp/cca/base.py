@@ -35,7 +35,11 @@ class AckEvent:
 
 
 class CongestionControl(abc.ABC):
-    """Abstract congestion-control algorithm."""
+    """Abstract congestion-control algorithm.
+
+    A CCA keeps no per-ACK history: its run-long record is its
+    :meth:`diagnostics` scalars and its ``state_transition_counts``.
+    """
 
     name: str = "base"
 

@@ -6,8 +6,39 @@ representation, section 3.2).  :class:`LinkTrace` holds transmission
 opportunities; :class:`TrafficTrace` holds cross-traffic injection times.
 
 Each concrete class declares its fuzzing ``mode`` and the ``run_simulation``
-keyword its timestamps feed (``simulator_input``); :data:`MODES` is derived
-from those declarations and every other layer asks the trace.
+keyword its timestamps feed (``simulator_input``); :data:`TRACE_CLASSES` and
+:data:`MODES` (what ``--mode``, campaign specs and ``FuzzConfig`` accept) are
+derived from those declarations and every other layer asks the trace
+(``trace.mode``); an untyped :class:`PacketTrace` has no mode.  The
+dispatchers are ``mutate_trace``, ``crossover_traces`` /
+``CROSSOVER_OPERATORS``, ``netsim.simulation.simulate_packet_trace``,
+``make_score_function(objective, mode)`` and ``STAGES_BY_MODE``; the one
+mode -> generator rule is ``CCFuzz._make_generator``; what may join a
+population (same mode and duration, and for a link trace the same packet
+budget) is ``traces.constraints.may_join_population``.  Adding a mode
+touches, in order:
+
+1. this module: a :class:`PacketTrace` subclass with ``mode`` and
+   ``simulator_input``, added to the tuple :data:`TRACE_CLASSES` is built
+   from (``MODES``, the CLI choices, spec validation, :meth:`from_dict`, the
+   corpus's ``mode`` column and triage follow from it);
+2. ``netsim/simulation.py::run_simulation``: the keyword, if it is a new
+   kind of input;
+3. ``traces/generator.py``: a ``TraceGenerator`` subclass, and its branch in
+   ``CCFuzz._make_generator``;
+4. ``traces/mutation.py``: the operator and its branch in ``mutate_trace``;
+5. ``traces/crossover.py``: an entry in ``CROSSOVER_OPERATORS``, if it has one;
+6. ``scoring/objectives.py::make_score_function``: its trace score, if any;
+7. ``triage/minimize.py::STAGES_BY_MODE``: its reduction stages;
+8. the rules that exist once and name a mode: ``may_join_population``,
+   ``RealismScorer.score``, the robustness validator's bandwidth cells and
+   ``cli._TRACE_GENERATORS`` (to offer it in ``repro-trace generate``).
+
+Every serialised trace — corpus entries, ``behavior_map.json``, the
+journal's records and the files ``repro-fuzz --output``, ``repro-trace
+generate`` and ``repro-triage --output-trace`` write — is
+:meth:`PacketTrace.to_dict`, and :meth:`PacketTrace.from_dict` is its one
+reader.
 """
 
 from __future__ import annotations

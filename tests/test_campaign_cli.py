@@ -519,6 +519,11 @@ class TestRangeUsageErrors:
         (trace_main, ["generate", "--output", "t.json", "--mode", "link", "--rate-mbps", "nan"],
          "average rate must be positive and finite"),
         (fuzz_main, ["--duration", "inf"], "duration must be positive and finite"),
+        # The other mode's sizing option is rejected, not ignored.
+        (trace_main, ["generate", "--output", "t.json", "--mode", "link", "--max-packets", "7"],
+         "--max-packets only applies to --mode traffic"),
+        (trace_main, ["generate", "--output", "t.json", "--mode", "traffic", "--rate-mbps", "7"],
+         "--rate-mbps only applies to --mode link"),
     ])
     def test_ranges_are_usage_errors(self, main, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -603,7 +608,7 @@ class TestBadTraceFiles:
 
     @pytest.mark.parametrize("name", sorted(FILES))
     @pytest.mark.parametrize("main, argv", [
-        (simulate_main, ["--cca", "reno", "--duration", "1", "--trace"]),
+        (simulate_main, ["--cca", "reno", "--trace"]),
         (trace_main, ["inspect"]),
         (triage_main, ["--cca", "reno", "--skip-minimize", "--skip-robustness",
                        "--skip-differential", "--trace"]),
@@ -620,7 +625,7 @@ class TestBadTraceFiles:
         assert captured.out == ""
 
     @pytest.mark.parametrize("main, argv", [
-        (simulate_main, ["--cca", "reno", "--duration", "1", "--trace", "{path}"]),
+        (simulate_main, ["--cca", "reno", "--trace", "{path}"]),
         (triage_main, ["--cca", "reno", "--trace", "{path}", "--output", "{out}.json",
                        "--output-trace", "{out}-trace.json"]),
     ], ids=["simulate", "triage"])
@@ -644,7 +649,7 @@ class TestUnopenableInputFiles:
     ])
     @pytest.mark.parametrize("main, argv", [
         (trace_main, ["inspect", "{path}"]),
-        (simulate_main, ["--cca", "reno", "--duration", "1", "--trace", "{path}"]),
+        (simulate_main, ["--cca", "reno", "--trace", "{path}"]),
         (triage_main, ["--cca", "reno", "--trace", "{path}"]),
         (campaign_main, ["run", "--spec", "{path}", "--corpus", "{corpus}"]),
         (campaign_main, ["workers", "--spec", "{path}", "--corpus", "{corpus}"]),
@@ -783,8 +788,7 @@ class TestSimulateTraceAttackConflict:
             TrafficTrace(timestamps=[0.1], duration=1.0, max_packets=4).to_json()
         )
         assert simulate_main(
-            ["--cca", "reno", "--duration", "1.0",
-             "--trace", str(trace_path), "--attack", "none"]
+            ["--cca", "reno", "--trace", str(trace_path), "--attack", "none"]
         ) == 0
         capsys.readouterr()
 
@@ -812,7 +816,7 @@ class TestSimulateTraceAttackConflict:
         trace_path = tmp_path / "trace.json"
         trace_path.write_text(trace.to_json())
         assert simulate_main(
-            ["--cca", "reno", "--duration", "2", "--trace", str(trace_path)]
+            ["--cca", "reno", "--trace", str(trace_path)]
         ) == 0
         expected = compute_metrics(
             simulate_packet_trace(CCA_FACTORIES["reno"], SimulationConfig(duration=2.0), trace)
@@ -827,6 +831,59 @@ class TestSimulateTraceAttackConflict:
         for name in ["none", *builtin_attack_traces(1.0)]:
             assert simulate_main(["--cca", "reno", "--duration", "1", "--attack", name]) == 0
         capsys.readouterr()
+
+
+class TestTraceInputRule:
+    """A trace file carries its own duration and a link trace its own rate:
+    ``repro-simulate`` and ``repro-triage`` reject the flags that would
+    contradict them instead of running something else."""
+
+    def _link_trace(self, tmp_path, capsys):
+        path = tmp_path / "link.json"
+        assert trace_main(["generate", "--mode", "link", "--rate-mbps", "6", "--duration", "3",
+                           "--output", str(path)]) == 0
+        capsys.readouterr()
+        return path
+
+    def test_a_link_trace_runs_for_its_own_length_at_its_own_rate(self, tmp_path, capsys):
+        path = self._link_trace(tmp_path, capsys)
+        assert simulate_main(["--cca", "cubic", "--trace", str(path)]) == 0
+        header, _, values = capsys.readouterr().out.splitlines()[:3]
+        cells = [[cell.strip() for cell in line.split("|")] for line in (header, values)]
+        row = dict(zip(*cells))
+        assert row["duration"] == "3.000"
+        assert 0.0 < float(row["utilization"]) <= 1.0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--trace", "{path}", "--duration", "1"], "--duration only applies to --attack"),
+        (["--trace", "{path}", "--rate-mbps", "6"], "--rate-mbps conflicts with a link trace"),
+        (["--attack", "bbr-stall-link", "--rate-mbps", "5", "--duration", "1"],
+         "--rate-mbps conflicts with a link trace"),
+    ])
+    def test_simulate_rejects_a_contradicting_flag(self, argv, message, tmp_path, capsys):
+        path = self._link_trace(tmp_path, capsys)
+        with pytest.raises(SystemExit) as excinfo:
+            simulate_main(["--cca", "bbr", *[arg.format(path=path) for arg in argv]])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err and captured.out == ""
+
+    def test_triage_runs_a_link_trace_at_its_own_rate(self, tmp_path, capsys, monkeypatch):
+        import repro.triage
+
+        path = self._link_trace(tmp_path, capsys)
+
+        class Captured(Exception):
+            pass
+
+        def capture(trace, *, sim_config, **kwargs):
+            raise Captured(sim_config)
+
+        monkeypatch.setattr(repro.triage, "triage_trace", capture)
+        with pytest.raises(Captured) as captured:
+            triage_main(["--cca", "bbr", "--trace", str(path)])
+        (sim,) = captured.value.args
+        assert (sim.duration, sim.bottleneck_rate_mbps) == (3.0, 6.0)
 
 
 class TestServeUsage:

@@ -108,7 +108,7 @@ class TestCli:
     def test_simulate_with_trace_file(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
         trace_main(["generate", "--mode", "link", "--duration", "1.0", "--output", str(path)])
-        assert simulate_main(["--cca", "cubic", "--duration", "1.0", "--trace", str(path)]) == 0
+        assert simulate_main(["--cca", "cubic", "--trace", str(path)]) == 0
 
     def test_fuzz_small_run(self, tmp_path, capsys):
         output = tmp_path / "best.json"
