@@ -10,12 +10,12 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
-def format_table(rows: Sequence[Dict[str, object]], columns: Optional[Sequence[str]] = None) -> str:
-    """Render a list of dictionaries as an aligned ASCII table."""
+def format_table(rows: Sequence[Dict[str, object]]) -> str:
+    """Render a list of dictionaries as an aligned ASCII table, one column per
+    key of the first row."""
     if not rows:
         return "(no rows)"
-    if columns is None:
-        columns = list(rows[0].keys())
+    columns = list(rows[0].keys())
     rendered_rows = [[_format_cell(row.get(col)) for col in columns] for row in rows]
     widths = [
         max(len(str(col)), max(len(cells[i]) for cells in rendered_rows))

@@ -19,10 +19,41 @@ keeps it collapsed.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from ..netsim.link import mbps_to_pps
 from ..traces.trace import LinkTrace, TrafficTrace
+
+
+#: :func:`bbr_stall_traffic_trace`: the first burst, then one every
+#: ``STALL_BURST_PERIOD`` s (about one minimum RTO), each
+#: ``STALL_BURST_PACKETS`` packets over ``STALL_BURST_DURATION`` s.
+STALL_FIRST_BURST_TIME = 1.0
+STALL_BURST_PACKETS = 350
+STALL_BURST_DURATION = 0.25
+STALL_BURST_PERIOD = 1.05
+
+#: :func:`bbr_double_loss_burst_trace`'s three spikes: the hole at
+#: ``DOUBLE_LOSS_HOLE_TIME``, the retransmission killer 60 ms later, and the
+#: RTO spike ``DOUBLE_LOSS_RTO_DELAY`` s after the hole.
+DOUBLE_LOSS_HOLE_TIME = 1.0
+DOUBLE_LOSS_HOLE_BURST_PACKETS = 100
+DOUBLE_LOSS_RETRANSMISSION_BURST_PACKETS = 250
+DOUBLE_LOSS_RTO_BURST_PACKETS = 900
+DOUBLE_LOSS_RTO_DELAY = 0.95
+
+#: :func:`bbr_stall_link_trace`'s outages as (start, length) in seconds: one
+#: long outage that spans the victim's retransmission timeout plus periodic
+#: follow-up outages.  Packets (and retransmissions) sent into the blocked,
+#: overflowing queue are lost, SACKs are delayed past the RTO, and the
+#: catch-up bursts deliver those SACKs right after the spurious
+#: retransmissions.
+STALL_OUTAGES = ((1.0, 1.15), (2.6, 0.45), (3.8, 0.45), (5.0, 0.45))
+
+#: :func:`bbr_delay_attack_trace`: the prefill lands at the start of the
+#: trace, and the reinforcing stream starts during BBR's STARTUP.
+DELAY_PREFILL_TIME = 0.0
+DELAY_REINFORCE_START = 0.3
 
 
 def _burst(start: float, packets: int, duration: float) -> List[float]:
@@ -30,13 +61,7 @@ def _burst(start: float, packets: int, duration: float) -> List[float]:
     return [start + i * spacing for i in range(packets)]
 
 
-def bbr_stall_traffic_trace(
-    duration: float = 6.0,
-    first_burst_time: float = 1.0,
-    burst_packets: int = 350,
-    burst_duration: float = 0.25,
-    burst_period: float = 1.05,
-) -> TrafficTrace:
+def bbr_stall_traffic_trace(duration: float = 6.0) -> TrafficTrace:
     """Cross-traffic pattern that wrecks default BBR's bandwidth estimate.
 
     This is the structure CC-Fuzz's traffic fuzzing converges to for the
@@ -51,12 +76,12 @@ def bbr_stall_traffic_trace(
     idle, yet BBR cannot use it because its own estimate has collapsed.
     """
     times: List[float] = []
-    start = first_burst_time
+    start = STALL_FIRST_BURST_TIME
     while start < duration:
         times.extend(
-            t for t in _burst(start, burst_packets, burst_duration) if t < duration
+            t for t in _burst(start, STALL_BURST_PACKETS, STALL_BURST_DURATION) if t < duration
         )
-        start += burst_period
+        start += STALL_BURST_PERIOD
     times.sort()
     return TrafficTrace(
         timestamps=times,
@@ -64,21 +89,14 @@ def bbr_stall_traffic_trace(
         metadata={
             "kind": "traffic",
             "attack": "bbr_stall",
-            "burst_packets": burst_packets,
-            "burst_period": burst_period,
+            "burst_packets": STALL_BURST_PACKETS,
+            "burst_period": STALL_BURST_PERIOD,
         },
         max_packets=max(len(times), 1),
     )
 
 
-def bbr_double_loss_burst_trace(
-    duration: float = 6.0,
-    hole_time: float = 1.0,
-    hole_burst_packets: int = 100,
-    retransmission_burst_packets: int = 250,
-    rto_burst_packets: int = 900,
-    rto_delay: float = 0.95,
-) -> TrafficTrace:
+def bbr_double_loss_burst_trace(duration: float = 6.0) -> TrafficTrace:
     """The minimal three-spike pattern behind the Fig. 4a finding.
 
     Spike 1 creates the hole, spike 2 (one RTT later) kills its fast
@@ -86,9 +104,10 @@ def bbr_double_loss_burst_trace(
     timeout so that the flow's SACKs are delayed past the RTO.  After the
     cross traffic ends the flow remains persistently degraded.
     """
-    spike_1 = _burst(hole_time, hole_burst_packets, 0.01)
-    spike_2 = _burst(hole_time + 0.06, retransmission_burst_packets, 0.16)
-    spike_3 = _burst(hole_time + rto_delay, rto_burst_packets, 0.35)
+    hole_time = DOUBLE_LOSS_HOLE_TIME
+    spike_1 = _burst(hole_time, DOUBLE_LOSS_HOLE_BURST_PACKETS, 0.01)
+    spike_2 = _burst(hole_time + 0.06, DOUBLE_LOSS_RETRANSMISSION_BURST_PACKETS, 0.16)
+    spike_3 = _burst(hole_time + DOUBLE_LOSS_RTO_DELAY, DOUBLE_LOSS_RTO_BURST_PACKETS, 0.35)
     times = sorted(t for t in spike_1 + spike_2 + spike_3 if t < duration)
     return TrafficTrace(
         timestamps=times,
@@ -98,11 +117,7 @@ def bbr_double_loss_burst_trace(
     )
 
 
-def bbr_stall_link_trace(
-    duration: float = 6.0,
-    average_rate_mbps: float = 12.0,
-    outages: Optional[Sequence[Tuple[float, float]]] = None,
-) -> LinkTrace:
+def bbr_stall_link_trace(duration: float = 6.0, average_rate_mbps: float = 12.0) -> LinkTrace:
     """Link-mode equivalent of the stall trace: repeated service outages.
 
     During each outage the bottleneck serves nothing, so the flow's packets
@@ -112,17 +127,10 @@ def bbr_stall_link_trace(
     right after each outage, so the trace keeps the fixed total packet budget
     (and therefore the 12 Mbps average) that link fuzzing requires.
 
-    The default outage schedule mirrors what link fuzzing converges to: one
-    outage pair that creates a hole and kills its retransmission, and a later,
-    longer outage that overlaps the resulting retransmission timeout.
+    The outage schedule, :data:`STALL_OUTAGES`, mirrors what link fuzzing
+    converges to.
     """
-    if outages is None:
-        # One long outage that spans the victim's retransmission timeout plus
-        # periodic follow-up outages: packets (and retransmissions) sent into
-        # the blocked, overflowing queue are lost, SACKs are delayed past the
-        # RTO, and the catch-up bursts deliver those SACKs right after the
-        # spurious retransmissions.
-        outages = ((1.0, 1.15), (2.6, 0.45), (3.8, 0.45), (5.0, 0.45))
+    outages = STALL_OUTAGES
     rate_pps = mbps_to_pps(average_rate_mbps)
     total_packets = int(round(rate_pps * duration))
     interval = 1.0 / rate_pps
@@ -157,8 +165,6 @@ def bbr_stall_link_trace(
 def bbr_delay_attack_trace(
     duration: float = 5.0,
     prefill_packets: int = 150,
-    prefill_time: float = 0.0,
-    reinforce_start: float = 0.3,
     reinforce_end: float = 1.4,
     reinforce_packets: int = 300,
 ) -> TrafficTrace:
@@ -176,8 +182,10 @@ def bbr_delay_attack_trace(
     ``SimulationConfig(queue_capacity=250)`` (as the Fig. 4e benchmark does)
     and a sender start time slightly after the prefill.
     """
-    prefill = _burst(prefill_time, prefill_packets, duration=0.03)
-    reinforce = _burst(reinforce_start, reinforce_packets, duration=reinforce_end - reinforce_start)
+    prefill = _burst(DELAY_PREFILL_TIME, prefill_packets, duration=0.03)
+    reinforce = _burst(
+        DELAY_REINFORCE_START, reinforce_packets, duration=reinforce_end - DELAY_REINFORCE_START
+    )
     times = sorted(t for t in prefill + reinforce if t < duration)
     return TrafficTrace(
         timestamps=times,

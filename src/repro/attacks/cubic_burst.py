@@ -19,27 +19,30 @@ from ..traces.trace import TrafficTrace
 from .bbr_stall import _burst
 
 
-def cubic_two_burst_trace(
-    duration: float = 6.0,
-    hole_time: float = 1.0,
-    hole_burst_packets: int = 120,
-    retransmission_burst_packets: int = 250,
-    retransmission_delay: float = 0.06,
-) -> TrafficTrace:
+#: The first burst, at ``HOLE_TIME`` s, must overflow the 12 Mbps /
+#: 60-packet bottleneck queue of the section-4 setup, so one of the victim's
+#: segments is lost.
+HOLE_TIME = 1.0
+HOLE_BURST_PACKETS = 120
+#: The second burst must still be saturating the queue when the fast
+#: retransmission of that hole arrives: roughly one round trip (plus
+#: queue-drain time) after the first burst.
+RETRANSMISSION_BURST_PACKETS = 250
+RETRANSMISSION_DELAY = 0.06
+
+
+def cubic_two_burst_trace(duration: float = 6.0) -> TrafficTrace:
     """The minimal CUBIC attack: drop a segment, then its fast retransmission.
 
-    Parameters mirror the section-4 setup: the first burst must overflow the
-    12 Mbps / 60-packet bottleneck queue (so one of the victim's segments is
-    lost), and the second burst must still be saturating the queue when the
-    fast retransmission of that hole arrives — roughly one round-trip (plus
-    queue-drain time) after the first burst.
+    The two bursts are this module's constants, sized for the section-4
+    bottleneck.
     """
     # Short traces pull the hole forward instead of silently dropping every
     # packet past the end: the attack stays non-empty at any duration.
-    hole_time = min(hole_time, duration * 0.4)
-    spike_hole = _burst(hole_time, hole_burst_packets, 0.02)
+    hole_time = min(HOLE_TIME, duration * 0.4)
+    spike_hole = _burst(hole_time, HOLE_BURST_PACKETS, 0.02)
     spike_retransmission = _burst(
-        hole_time + retransmission_delay, retransmission_burst_packets, 0.16
+        hole_time + RETRANSMISSION_DELAY, RETRANSMISSION_BURST_PACKETS, 0.16
     )
     times = sorted(t for t in spike_hole + spike_retransmission if t < duration)
     return TrafficTrace(

@@ -14,13 +14,21 @@ from typing import List
 
 from ..traces.trace import TrafficTrace
 
+#: The shrew attack's bursts for the paper's 12 Mbps / 60-packet-queue
+#: bottleneck: ``BURST_PACKETS`` over ``BURST_DURATION`` s saturate the queue
+#: for ~200 ms, and the first burst starts at ``START`` s, after the victim's
+#: slow start has begun.
+BURST_PACKETS = 280
+BURST_DURATION = 0.22
+START = 0.5
+
 
 def lowrate_attack_times(
     duration: float,
     period: float = 1.0,
-    burst_packets: int = 280,
-    burst_duration: float = 0.22,
-    start: float = 0.5,
+    burst_packets: int = BURST_PACKETS,
+    burst_duration: float = BURST_DURATION,
+    start: float = START,
 ) -> List[float]:
     """Injection times for a periodic low-rate attack.
 
@@ -35,8 +43,7 @@ def lowrate_attack_times(
     burst_packets:
         Packets per burst; it must be enough to keep the bottleneck queue full
         for the whole burst so that the victim's packets *and* their fast
-        retransmissions are dropped.  The default saturates the paper's
-        12 Mbps / 60-packet-queue bottleneck for ~200 ms.
+        retransmissions are dropped.
     burst_duration:
         Length of each burst; it must cover the victim's fast-retransmission
         window (a couple of round-trip times plus the full-queue drain time).
@@ -60,21 +67,10 @@ def lowrate_attack_times(
     return times
 
 
-def lowrate_attack_trace(
-    duration: float,
-    period: float = 1.0,
-    burst_packets: int = 280,
-    burst_duration: float = 0.22,
-    start: float = 0.5,
-) -> TrafficTrace:
-    """The shrew attack as a :class:`TrafficTrace` (the known baseline)."""
-    times = lowrate_attack_times(
-        duration=duration,
-        period=period,
-        burst_packets=burst_packets,
-        burst_duration=burst_duration,
-        start=start,
-    )
+def lowrate_attack_trace(duration: float, period: float = 1.0) -> TrafficTrace:
+    """The shrew attack as a :class:`TrafficTrace` (the known baseline), with
+    this module's burst constants."""
+    times = lowrate_attack_times(duration=duration, period=period)
     return TrafficTrace(
         timestamps=times,
         duration=duration,
@@ -82,8 +78,8 @@ def lowrate_attack_trace(
             "kind": "traffic",
             "attack": "lowrate",
             "period": period,
-            "burst_packets": burst_packets,
-            "burst_duration": burst_duration,
+            "burst_packets": BURST_PACKETS,
+            "burst_duration": BURST_DURATION,
         },
         max_packets=max(len(times), 1),
     )

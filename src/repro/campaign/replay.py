@@ -79,9 +79,9 @@ class ReplayReport:
                 best[row.objective] = row
         return best
 
-    def regressions(self, threshold: float = 0.0) -> List[ReplayRow]:
+    def regressions(self) -> List[ReplayRow]:
         """Entries scoring higher on replay than at discovery (worse CCA)."""
-        return [row for row in self.rows if row.delta is not None and row.delta > threshold]
+        return [row for row in self.rows if row.delta is not None and row.delta > 0.0]
 
     def to_dict(self) -> Dict[str, Any]:
         return {

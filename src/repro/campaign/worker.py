@@ -53,7 +53,6 @@ import time
 from typing import Any, Dict, List, Optional
 
 from ..coverage.archive import BehaviorArchive
-from ..exec.backend import EvaluationBackend
 from ..exec.cache import TraceCache
 from ..exec.quarantine import QuarantineStore
 from ..journal import CampaignJournal, JournalView
@@ -90,7 +89,6 @@ class FleetWorker:
         *,
         poll_s: float = DEFAULT_POLL_S,
         kill_after_checkpoints: Optional[int] = None,
-        backend: Optional[EvaluationBackend] = None,
         telemetry: bool = True,
         progress: Optional[ProgressCallback] = None,
     ) -> None:
@@ -102,7 +100,6 @@ class FleetWorker:
         #: exact window the steal-and-resume machinery exists for.
         self.kill_after_checkpoints = kill_after_checkpoints
         self._checkpoints_written = 0
-        self._injected_backend = backend
         self._telemetry_enabled = telemetry
         self._progress = progress or (lambda message: None)
         self.journal = CampaignJournal(CampaignJournal.corpus_path(self.corpus_dir))
@@ -139,9 +136,7 @@ class FleetWorker:
         telemetry = CampaignTelemetry(
             self.corpus_dir, enabled=self._telemetry_enabled, worker_id=self.worker_id
         )
-        with contextlib.closing(telemetry), campaign_backend(
-            spec, self.quarantine, self._injected_backend
-        ) as backend:
+        with contextlib.closing(telemetry), campaign_backend(spec, self.quarantine) as backend:
             engine = ScenarioEngine(
                 spec.name, int(start.get("harvest_top_k", 3)), self.journal, backend,
                 telemetry, self.quarantine, self._progress,

@@ -44,7 +44,7 @@ import tempfile
 import time
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .campaign.corpus import CorpusReader, CorpusStore, read_corpus_map
+from .campaign.corpus import DEFAULT_OBJECTIVE, CorpusReader, CorpusStore, read_corpus_map
 from .campaign.scheduler import CampaignResult, CampaignRunner
 from .campaign.spec import DEFAULT_POLL_S, CampaignSpec, GaBudget
 from .core.fuzzer import MODES
@@ -240,7 +240,9 @@ def _input(
     only to an attack or to no trace.  A link trace is the bottleneck's
     service curve, so ``--rate-mbps`` conflicts with it and the rate is the
     trace's own average.  The trace type picks the simulator input, so an
-    untyped trace cannot run.  An unset flag is ``SimulationConfig``'s default."""
+    untyped trace cannot run, and an attack with no events at its duration
+    would run a clean simulation, so it cannot either.  An unset flag is
+    ``SimulationConfig``'s default."""
     trace, attack = entry, args.attack not in (None, "none")
     if args.trace:
         trace = _read_trace(args.trace, parser)
@@ -248,6 +250,9 @@ def _input(
         with _usage_errors(parser):
             duration = attack_duration if args.duration is None else args.duration
             trace = _builtin_attacks(duration)[args.attack]
+        if not trace.timestamps:
+            parser.error(f"--attack {args.attack} has no events in {duration:g} s; "
+                         "give a longer --duration")
     if trace is not None and not attack and args.duration is not None:
         parser.error("--duration only applies to --attack or no trace "
                      "(a trace file or corpus entry carries its own duration)")
@@ -415,6 +420,7 @@ def _trace_inspect(args: _Args, parser: _Parser, console: Console) -> None:
 def _triage(args: _Args, parser: _Parser, console: Console) -> None:
     from .analysis.reporting import format_triage_report
     from .triage import triage_trace
+    from .triage.pipeline import DEFAULT_CCA
 
     if args.output_trace and args.skip_minimize:
         parser.error("--output-trace needs the minimizer; drop --skip-minimize")
@@ -427,8 +433,8 @@ def _triage(args: _Args, parser: _Parser, console: Console) -> None:
                      "(the entry's recorded condition is used)")
     config = _triage_config(args, parser)
 
-    cca = args.cca or "reno"
-    objective = args.objective or "throughput"
+    cca = args.cca or DEFAULT_CCA
+    objective = args.objective or DEFAULT_OBJECTIVE
     entry = None
     if args.corpus:
         if not args.fingerprint:
@@ -440,8 +446,8 @@ def _triage(args: _Args, parser: _Parser, console: Console) -> None:
                 f"fingerprint {args.fingerprint!r} matches {len(matches)} corpus entries"
             )
         entry = store.get(matches[0])
-        cca = args.cca or entry.cca or "reno"
-        objective = args.objective or entry.objective or "throughput"
+        cca = args.cca or entry.cca or DEFAULT_CCA
+        objective = args.objective or entry.objective or DEFAULT_OBJECTIVE
     entry_trace = entry.trace if entry is not None else None
     trace, sim_config = _input(args, parser, attack_duration=6.0, entry=entry_trace)
     if entry is not None:
@@ -743,6 +749,7 @@ def _campaign_report(args: _Args, parser: _Parser, console: Console) -> None:
 def _campaign_triage(args: _Args, parser: _Parser, console: Console) -> None:
     from .analysis.reporting import format_table
     from .triage import triage_corpus
+    from .triage.pipeline import DEFAULT_CCA
 
     config = _triage_config(args, parser)
     corpus = CorpusStore(_existing_corpus(args, parser))
@@ -751,7 +758,7 @@ def _campaign_triage(args: _Args, parser: _Parser, console: Console) -> None:
             corpus,
             backend=backend,
             config=config,
-            default_cca=args.default_cca,
+            default_cca=args.default_cca or DEFAULT_CCA,
             limit=args.limit,
             force=args.force,
             progress=console.info,
@@ -1040,8 +1047,9 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
     ) as cmd:
         cmd.add_argument("--corpus", required=True)
         cmd.add_argument(
-            "--default-cca", choices=sorted(CCA_FACTORIES), default="reno",
-            help="CCA for entries without a recorded discovery CCA (builtins, imports)",
+            "--default-cca", choices=sorted(CCA_FACTORIES), default=None,
+            help="CCA for entries without a recorded discovery CCA (builtins, imports); "
+                 "default: the triage pipeline's",
         )
         cmd.add_argument("--limit", type=_int_at_least(1, "--limit"), default=None,
                          help="triage at most this many entries")

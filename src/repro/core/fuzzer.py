@@ -162,13 +162,13 @@ class FuzzConfig:
         return self.population_size * self.islands
 
     @classmethod
-    def paper_defaults(cls, mode: str = "traffic", **overrides) -> "FuzzConfig":
+    def paper_defaults(cls, **overrides) -> "FuzzConfig":
         """The exact GA setup from section 4 of the paper.
 
         500 traces, 20 islands (25 traces each); the elite, crossover and
         migration rules are the paper's already.
         """
-        params = dict(mode=mode, population_size=25, islands=20, generations=50)
+        params = dict(population_size=25, islands=20, generations=50)
         params.update(overrides)
         # The paper's simulation, at the overridden duration if there is one.
         paper_sim = SimulationConfig.paper_defaults()

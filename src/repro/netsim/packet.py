@@ -59,22 +59,13 @@ class Packet:
         "packet_id",
     )
 
-    def __init__(
-        self,
-        seq: int,
-        is_retransmit: bool,
-        sent_time: float,
-        *,
-        enqueue_time: Optional[float] = None,
-        dequeue_time: Optional[float] = None,
-        packet_id: Optional[int] = None,
-    ) -> None:
+    def __init__(self, seq: int, is_retransmit: bool, sent_time: float) -> None:
         self.seq = seq
         self.is_retransmit = is_retransmit
         self.sent_time = sent_time
-        self.enqueue_time = enqueue_time
-        self.dequeue_time = dequeue_time
-        self.packet_id = _next_packet_id() if packet_id is None else packet_id
+        self.enqueue_time: Optional[float] = None
+        self.dequeue_time: Optional[float] = None
+        self.packet_id = _next_packet_id()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "retx" if self.is_retransmit else "data"
@@ -132,7 +123,7 @@ class AckPacket:
         previous ACK (>= 1; 2 when a delayed ACK covers two segments).
     """
 
-    __slots__ = ("cumulative_ack", "sack_blocks", "ack_count", "sent_time", "packet_id")
+    __slots__ = ("cumulative_ack", "sack_blocks", "ack_count", "sent_time")
 
     def __init__(
         self,
@@ -140,13 +131,11 @@ class AckPacket:
         sack_blocks: Tuple[SackBlock, ...] = (),
         ack_count: int = 1,
         sent_time: float = 0.0,
-        packet_id: Optional[int] = None,
     ) -> None:
         self.cumulative_ack = cumulative_ack
         self.sack_blocks = sack_blocks
         self.ack_count = ack_count
         self.sent_time = sent_time
-        self.packet_id = _next_packet_id() if packet_id is None else packet_id
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         blocks = ",".join(f"[{b.start},{b.end})" for b in self.sack_blocks)

@@ -161,15 +161,15 @@ class SimulationResult:
     def duration(self) -> float:
         return self.config.duration
 
-    def throughput_mbps(self, flow: str = CCA_FLOW) -> float:
-        """Average egress throughput of ``flow`` over the run."""
-        return self.monitor.average_rate_mbps(flow, self.duration)
+    def throughput_mbps(self) -> float:
+        """Average egress throughput of the flow under test over the run."""
+        return self.monitor.average_rate_mbps(CCA_FLOW, self.duration)
 
     def delivered_segments(self, flow: str = CCA_FLOW) -> int:
         return self.monitor.delivered_count(flow)
 
-    def segments_sent(self, flow: str = CCA_FLOW) -> int:
-        return self.monitor.sent_count(flow)
+    def segments_sent(self) -> int:
+        return self.monitor.sent_count(CCA_FLOW)
 
     def windowed_throughput(
         self, window: float = 0.25, flow: str = CCA_FLOW
@@ -182,11 +182,11 @@ class SimulationResult:
     def loss_rate(self, flow: str = CCA_FLOW) -> float:
         return self.monitor.loss_rate(flow)
 
-    def utilization(self, flow: str = CCA_FLOW) -> float:
-        """Fraction of the nominal bottleneck rate achieved by ``flow``."""
+    def utilization(self) -> float:
+        """Fraction of the nominal bottleneck rate the flow under test achieved."""
         if self.config.bottleneck_rate_mbps <= 0:
             return 0.0
-        return self.throughput_mbps(flow) / self.config.bottleneck_rate_mbps
+        return self.throughput_mbps() / self.config.bottleneck_rate_mbps
 
     def summary(self) -> Dict[str, Any]:
         """Compact dictionary summary used by reports and the CLI."""

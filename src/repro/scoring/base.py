@@ -89,16 +89,19 @@ class TraceScore(abc.ABC):
 class ScoreFunction:
     """Combines a performance score and an optional trace score."""
 
+    #: The performance component counts in full: the fitness is in its units,
+    #: and ``trace_weight`` scales the trace score against it.
+    PERFORMANCE_WEIGHT = 1.0
+
     def __init__(
         self,
         performance: PerformanceScore,
         trace: Optional[TraceScore] = None,
-        performance_weight: float = 1.0,
         trace_weight: float = 1.0,
     ) -> None:
         self.performance = performance
         self.trace = trace
-        self.performance_weight = performance_weight
+        self.performance_weight = self.PERFORMANCE_WEIGHT
         self.trace_weight = trace_weight
 
     def __call__(self, result: SimulationResult, trace: PacketTrace) -> Score:

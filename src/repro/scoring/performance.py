@@ -40,16 +40,17 @@ class HighDelayScore(PerformanceScore):
 
     The paper's BBR-delay experiment (section 4.3) scores traces by the 10th
     percentile of queueing delay: a high *low* percentile means the delay was
-    high essentially all the time, not just in a spike.
+    high essentially all the time, not just in a spike.  The delays are the
+    flow under test's.
     """
 
     name = "high_delay"
 
-    def __init__(self, percentile_rank: float = 10.0, flow: str = CCA_FLOW) -> None:
+    def __init__(self, percentile_rank: float = 10.0) -> None:
         if not 0 <= percentile_rank <= 100:
             raise ValueError("percentile_rank must be in [0, 100]")
         self.percentile_rank = percentile_rank
-        self.flow = flow
+        self.flow = CCA_FLOW
 
     def __call__(self, result: SimulationResult) -> float:
         delays = [delay for _, delay in result.queueing_delays(self.flow)]

@@ -22,9 +22,13 @@ class MinimalTrafficScore(TraceScore):
 
     name = "minimal_traffic"
 
-    def __init__(self, packet_weight: float = 1.0, drop_weight: float = 1.0) -> None:
-        self.packet_weight = packet_weight
-        self.drop_weight = drop_weight
+    #: Cost of one injected packet and of one dropped at the queue.
+    PACKET_WEIGHT = 1.0
+    DROP_WEIGHT = 1.0
+
+    def __init__(self) -> None:
+        self.packet_weight = self.PACKET_WEIGHT
+        self.drop_weight = self.DROP_WEIGHT
 
     def __call__(self, trace: PacketTrace, result: Optional[SimulationResult] = None) -> float:
         if not isinstance(trace, TrafficTrace):

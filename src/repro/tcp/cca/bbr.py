@@ -44,19 +44,16 @@ class Bbr(CongestionControl):
     RTPROP_FILTER_SECONDS = 10.0
     PROBE_RTT_DURATION = 0.2                #: seconds spent at the minimal window
     MIN_CWND = 4.0
+    INITIAL_CWND = 10.0                     #: segments, as Linux's initial window
+    #: seconds; paces the first window until the first RTT sample
+    INITIAL_RTT = 0.04
 
     STARTUP = "STARTUP"
     DRAIN = "DRAIN"
     PROBE_BW = "PROBE_BW"
     PROBE_RTT = "PROBE_RTT"
 
-    def __init__(
-        self,
-        initial_cwnd: float = 10.0,
-        initial_rtt: float = 0.04,
-        probe_rtt_on_rto: bool = False,
-        min_pacing_rate: float = 0.25,
-    ) -> None:
+    def __init__(self, probe_rtt_on_rto: bool = False, min_pacing_rate: float = 0.25) -> None:
         super().__init__()
         self.probe_rtt_on_rto = probe_rtt_on_rto
         self.min_pacing_rate = min_pacing_rate
@@ -65,8 +62,8 @@ class Bbr(CongestionControl):
         self.pacing_gain = self.HIGH_GAIN
         self.cwnd_gain = self.HIGH_GAIN
 
-        self._cwnd = float(initial_cwnd)
-        self.initial_rtt = initial_rtt
+        self._cwnd = self.INITIAL_CWND
+        self.initial_rtt = self.INITIAL_RTT
 
         # Bottleneck bandwidth max filter over (round_count, rate) samples,
         # kept as a monotonic-decreasing deque so the windowed max is O(1)

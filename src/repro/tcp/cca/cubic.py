@@ -32,28 +32,30 @@ class Cubic(WindowCongestionControl):
     C = 0.4
     #: Multiplicative decrease factor.
     BETA = 0.7
+    #: Fast convergence (RFC 8312 §4.6), on as in Linux and NS3.
+    FAST_CONVERGENCE = True
+    #: HyStart's delay-increase threshold bounds, in seconds (Linux's 4 and
+    #: 16 ms).
+    HYSTART_MIN_DELAY_INCREASE = 0.004
+    HYSTART_MAX_DELAY_INCREASE = 0.016
 
     def __init__(
         self,
         initial_cwnd: float = 10.0,
         initial_ssthresh: float = float("inf"),
-        min_cwnd: float = 1.0,
         ns3_slow_start_bug: bool = False,
-        fast_convergence: bool = True,
         hystart: bool = True,
-        hystart_min_delay_increase: float = 0.004,
-        hystart_max_delay_increase: float = 0.016,
     ) -> None:
-        super().__init__(initial_cwnd, initial_ssthresh, min_cwnd)
+        super().__init__(initial_cwnd, initial_ssthresh)
         self.ns3_slow_start_bug = ns3_slow_start_bug
-        self.fast_convergence = fast_convergence
+        self.fast_convergence = self.FAST_CONVERGENCE
         #: HyStart (delay-increase variant), enabled by default as in both the
         #: Linux and NS3 CUBIC implementations: slow start exits as soon as the
         #: RTT rises noticeably above its observed minimum, avoiding the huge
         #: overshoot-and-timeout that blind doubling causes on shallow buffers.
         self.hystart = hystart
-        self.hystart_min_delay_increase = hystart_min_delay_increase
-        self.hystart_max_delay_increase = hystart_max_delay_increase
+        self.hystart_min_delay_increase = self.HYSTART_MIN_DELAY_INCREASE
+        self.hystart_max_delay_increase = self.HYSTART_MAX_DELAY_INCREASE
         self.hystart_min_samples = 8
         self._min_rtt: float = float("inf")
         self._round_min_rtt: float = float("inf")

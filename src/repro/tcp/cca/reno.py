@@ -21,15 +21,14 @@ class Reno(WindowCongestionControl):
 
     name = "reno"
 
+    #: RFC 5681's multiplicative decrease: ssthresh is half the flight size.
+    LOSS_REDUCTION = 0.5
+
     def __init__(
-        self,
-        initial_cwnd: float = 10.0,
-        initial_ssthresh: float = float("inf"),
-        min_cwnd: float = 1.0,
-        loss_reduction: float = 0.5,
+        self, initial_cwnd: float = 10.0, initial_ssthresh: float = float("inf")
     ) -> None:
-        super().__init__(initial_cwnd, initial_ssthresh, min_cwnd)
-        self.loss_reduction = float(loss_reduction)
+        super().__init__(initial_cwnd, initial_ssthresh)
+        self.loss_reduction = self.LOSS_REDUCTION
 
     # ------------------------------------------------------------------ #
     # Event handling

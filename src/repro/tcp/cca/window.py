@@ -18,14 +18,18 @@ from typing import Any, Dict
 from .base import CongestionControl
 
 
+#: RFC 5681's loss window: an RTO collapses the window to one segment.
+LOSS_WINDOW = 1.0
+
+
 class WindowCongestionControl(CongestionControl):
     """Slow start / congestion avoidance / recovery around a ``cwnd``."""
 
-    def __init__(self, initial_cwnd: float, initial_ssthresh: float, min_cwnd: float) -> None:
+    def __init__(self, initial_cwnd: float, initial_ssthresh: float) -> None:
         super().__init__()
         self._cwnd = float(initial_cwnd)
         self.ssthresh = float(initial_ssthresh)
-        self.min_cwnd = float(min_cwnd)
+        self.min_cwnd = LOSS_WINDOW
         self._in_recovery = False
         self._exited_via_rto = False
         self.loss_events = 0

@@ -10,7 +10,7 @@ spurious retransmissions occur.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 
 @dataclass
@@ -27,11 +27,13 @@ class RttEstimator:
         RTO used before the first RTT sample (RFC 6298 recommends 1 s).
     """
 
+    #: RFC 6298's smoothing gains for SRTT and RTTVAR.
+    alpha: ClassVar[float] = 1.0 / 8.0
+    beta: ClassVar[float] = 1.0 / 4.0
+
     min_rto: float = 1.0
     max_rto: float = 60.0
     initial_rto: float = 1.0
-    alpha: float = 1.0 / 8.0
-    beta: float = 1.0 / 4.0
     srtt: Optional[float] = None
     rttvar: Optional[float] = None
     backoff_count: int = field(default=0)

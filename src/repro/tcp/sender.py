@@ -20,7 +20,7 @@ The application is an infinite bulk transfer (the paper's single long flow).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from ..netsim.engine import EventScheduler
 from ..netsim.packet import AckPacket, Packet
@@ -37,16 +37,13 @@ class SenderStats:
     """Aggregate counters and time series exposed after a run."""
 
     segments_sent: int = 0              #: total transmissions, including retransmissions
-    data_segments_sent: int = 0         #: distinct data segments transmitted at least once
     retransmissions: int = 0
     rto_count: int = 0
-    fast_retransmit_entries: int = 0
     delivered: int = 0
     acks: int = 0                       #: ACKs processed
     sack_acks: int = 0                  #: ... carrying at least one SACK block
     recovery_acks: int = 0              #: ... arriving during fast or RTO recovery
     cwnd_series: List[Tuple[float, float]] = field(default_factory=list)
-    pacing_series: List[Tuple[float, Optional[float]]] = field(default_factory=list)
     rtt_series: List[Tuple[float, float]] = field(default_factory=list)
 
 
@@ -156,7 +153,6 @@ class TcpSender:
         if newly_lost and not self.in_recovery and not self.in_rto_recovery:
             self.in_recovery = True
             self.recovery_point = self.next_seq
-            stats.fast_retransmit_entries += 1
             cca.on_loss(now, scoreboard._pipe)
 
         if (self.in_recovery or self.in_rto_recovery) and scoreboard.snd_una >= self.recovery_point:
@@ -242,7 +238,6 @@ class TcpSender:
             else:
                 seq = self.next_seq
                 self.next_seq += 1
-                stats.data_segments_sent += 1
             stats.segments_sent += 1
             on_transmit(seq, now, on_segment_sent(now, pipe, is_retransmit))
             if rto_timer._deadline is None:
@@ -296,4 +291,3 @@ class TcpSender:
         if not self.record_series:
             return
         self.stats.cwnd_series.append((now, float(self.cca.cwnd)))
-        self.stats.pacing_series.append((now, self.cca.pacing_rate))

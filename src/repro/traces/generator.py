@@ -39,7 +39,10 @@ class TraceGenerator:
 
 
 class LinkTraceGenerator(TraceGenerator):
-    """Generates bottleneck service curves (link-fuzzing mode, section 3.2)."""
+    """Generates bottleneck service curves (link-fuzzing mode, section 3.2).
+
+    Every curve carries ``average_rate_mbps`` × ``duration`` worth of packets.
+    """
 
     def __init__(
         self,
@@ -47,15 +50,13 @@ class LinkTraceGenerator(TraceGenerator):
         average_rate_mbps: float = 12.0,
         k_agg: float = DEFAULT_K_AGG,
         rate_bound: float = DEFAULT_RATE_BOUND,
-        total_packets: Optional[int] = None,
         seed: Optional[int] = None,
     ) -> None:
         self.duration = _positive_finite("duration", duration)
         self.k_agg = k_agg
         self.rate_bound = rate_bound
         self.average_rate_mbps = _positive_finite("average rate", average_rate_mbps)
-        if total_packets is None:
-            total_packets = int(round(mbps_to_pps(average_rate_mbps) * duration))
+        total_packets = int(round(mbps_to_pps(average_rate_mbps) * duration))
         if total_packets <= 0:
             raise ValueError("total_packets must be positive")
         self.total_packets = total_packets

@@ -17,7 +17,7 @@ import bisect
 import random
 from typing import Optional
 
-from .distpackets import DEFAULT_K_AGG, DEFAULT_RATE_BOUND, dist_packets
+from .distpackets import dist_packets
 from .trace import LinkTrace, LossTrace, TrafficTrace
 
 #: Standard deviation (s) of the Gaussian nudge ``mutate_loss_trace`` gives one
@@ -32,12 +32,7 @@ def _mutant(parent, timestamps):
     return mutated
 
 
-def mutate_link_trace(
-    trace: LinkTrace,
-    rng: random.Random,
-    k_agg: float = DEFAULT_K_AGG,
-    rate_bound: float = DEFAULT_RATE_BOUND,
-) -> LinkTrace:
+def mutate_link_trace(trace: LinkTrace, rng: random.Random) -> LinkTrace:
     """Regenerate one side of a random split point, preserving packet count."""
     if trace.packet_count == 0:
         return trace.copy()
@@ -48,24 +43,18 @@ def mutate_link_trace(
     if regenerate_left:
         kept = trace.timestamps[split_index:]
         count = split_index
-        regenerated = dist_packets(count, 0.0, split_time, rng, k_agg=k_agg, rate_bound=rate_bound)
+        regenerated = dist_packets(count, 0.0, split_time, rng)
         new_timestamps = regenerated + kept
     else:
         kept = trace.timestamps[:split_index]
         count = trace.packet_count - split_index
-        regenerated = dist_packets(
-            count, split_time, trace.duration, rng, k_agg=k_agg, rate_bound=rate_bound
-        )
+        regenerated = dist_packets(count, split_time, trace.duration, rng)
         new_timestamps = kept + regenerated
 
     return _mutant(trace, new_timestamps)
 
 
-def mutate_traffic_trace(
-    trace: TrafficTrace,
-    rng: random.Random,
-    k_agg: float = DEFAULT_K_AGG,
-) -> TrafficTrace:
+def mutate_traffic_trace(trace: TrafficTrace, rng: random.Random) -> TrafficTrace:
     """Regenerate one side of a random split with a re-drawn packet count."""
     split_time = rng.uniform(0.0, trace.duration)
     split_index = bisect.bisect_left(trace.timestamps, split_time)
@@ -75,15 +64,13 @@ def mutate_traffic_trace(
         kept = trace.timestamps[split_index:]
         budget = max(0, trace.max_packets - len(kept))
         count = rng.randint(0, budget)
-        regenerated = dist_packets(count, 0.0, split_time, rng, k_agg=k_agg, rate_bound=None)
+        regenerated = dist_packets(count, 0.0, split_time, rng, rate_bound=None)
         new_timestamps = regenerated + kept
     else:
         kept = trace.timestamps[:split_index]
         budget = max(0, trace.max_packets - len(kept))
         count = rng.randint(0, budget)
-        regenerated = dist_packets(
-            count, split_time, trace.duration, rng, k_agg=k_agg, rate_bound=None
-        )
+        regenerated = dist_packets(count, split_time, trace.duration, rng, rate_bound=None)
         new_timestamps = kept + regenerated
 
     return _mutant(trace, new_timestamps)
@@ -109,22 +96,17 @@ def mutate_loss_trace(
     return _mutant(trace, times)
 
 
-def mutate_trace(
-    trace,
-    rng: random.Random,
-    k_agg: float = DEFAULT_K_AGG,
-    rate_bound: float = DEFAULT_RATE_BOUND,
-    max_losses: Optional[int] = None,
-):
+def mutate_trace(trace, rng: random.Random, max_losses: Optional[int] = None):
     """Apply the mutation operator of ``trace``'s mode — the one type dispatcher.
 
-    ``k_agg`` shapes link and traffic regeneration, ``rate_bound`` constrains
-    link traces only, ``max_losses`` caps a loss schedule.
+    Link and traffic regeneration use DIST_PACKETS' ``DEFAULT_K_AGG``, and
+    ``DEFAULT_RATE_BOUND`` constrains link traces only; ``max_losses`` caps a
+    loss schedule.
     """
     if trace.mode == "link":
-        return mutate_link_trace(trace, rng, k_agg=k_agg, rate_bound=rate_bound)
+        return mutate_link_trace(trace, rng)
     if trace.mode == "traffic":
-        return mutate_traffic_trace(trace, rng, k_agg=k_agg)
+        return mutate_traffic_trace(trace, rng)
     if trace.mode == "loss":
         return mutate_loss_trace(trace, rng, max_losses=max_losses)
     raise TypeError(f"no mutation operator for trace type {type(trace).__name__}")

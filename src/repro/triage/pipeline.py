@@ -10,8 +10,7 @@ annotated too, which is what makes corpus triage idempotent: re-running
 triaged.
 
 All three engines share one :class:`Evaluator` — one backend pool, one
-cache — so triaging a corpus right after a campaign reuses the campaign's
-simulations wherever fingerprints line up.
+cache — and ``triage_corpus`` keeps that cache across the entries it triages.
 """
 
 from __future__ import annotations
@@ -243,7 +242,6 @@ def triage_corpus(
     corpus: CorpusStore,
     *,
     backend: Optional[EvaluationBackend] = None,
-    cache: Optional[TraceCache] = None,
     config: Optional[TriageConfig] = None,
     default_cca: str = DEFAULT_CCA,
     limit: Optional[int] = None,
@@ -264,12 +262,9 @@ def triage_corpus(
     config = config or TriageConfig()
     emit = progress or (lambda message: None)
     started = time.perf_counter()
-    if cache is None:
-        # Entries minimize toward similar reduced forms (and triage re-scores
-        # corpus traces the campaign may already have evaluated when a
-        # campaign cache is injected); a default cache still pays off within
-        # one corpus pass.
-        cache = TraceCache(max_entries=16384)
+    # Entries minimize toward similar reduced forms, so a cache pays off
+    # within one corpus pass.
+    cache = TraceCache(max_entries=16384)
     simulations = 0
     cache_hits = 0
 

@@ -828,8 +828,9 @@ class TestSimulateTraceAttackConflict:
     def test_attack_offers_every_builtin(self, capsys):
         from repro.attacks import builtin_attack_traces
 
-        for name in ["none", *builtin_attack_traces(1.0)]:
-            assert simulate_main(["--cca", "reno", "--duration", "1", "--attack", name]) == 0
+        # 2 s is the shortest figure length at which every builtin has events.
+        for name in ["none", *builtin_attack_traces(2.0)]:
+            assert simulate_main(["--cca", "reno", "--duration", "2", "--attack", name]) == 0
         capsys.readouterr()
 
 
@@ -884,6 +885,20 @@ class TestTraceInputRule:
             triage_main(["--cca", "bbr", "--trace", str(path)])
         (sim,) = captured.value.args
         assert (sim.duration, sim.bottleneck_rate_mbps) == (3.0, 6.0)
+
+    @pytest.mark.parametrize("main", [simulate_main, triage_main], ids=["simulate", "triage"])
+    @pytest.mark.parametrize("attack, duration", [
+        ("bbr-stall", "0.9"), ("lowrate", "0.3"), ("bbr-double-loss", "1"),
+    ])
+    def test_an_empty_attack_is_a_usage_error(self, main, attack, duration, capsys):
+        # Below its first burst an attack has no events; running it would
+        # report a clean simulation as the attack's effect.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--cca", "reno", "--attack", attack, "--duration", duration])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: --attack {attack} has no events in {duration} s" in captured.err
+        assert captured.out == ""
 
 
 class TestServeUsage:

@@ -28,13 +28,11 @@ from repro.exec import (
     cca_identity,
     create_backend,
     evaluate_job,
-    factory_identity,
     job_cache_key,
 )
 from repro.netsim import SimulationConfig
 from repro.scoring import LowUtilizationScore, ScoreFunction
 from repro.tcp import Cubic, Reno
-from repro.tcp.cca import CCA_FACTORIES
 from repro.traces import LossTrace, TrafficTrace, TrafficTraceGenerator
 
 
@@ -347,20 +345,6 @@ class TestFuzzerCacheIntegration:
         ).run()
         # The fixed-BBR run must re-simulate everything, not reuse buggy-BBR scores.
         assert fixed_run.total_evaluations > 0
-
-    def test_registered_cca_identities_are_pinned(self):
-        # An identity is a hash of a fresh instance's attribute names and
-        # values; it keys every cache entry, snapshot and journal record, so
-        # a refactor of a CCA class that moves one of these invalidates them.
-        # The BBR pair moved once, when ``Bbr`` stopped keeping its per-ACK
-        # histories; ``core.fuzzer.LEGACY_CCA_KEYS`` maps the old pair here.
-        assert {name: factory_identity(f) for name, f in CCA_FACTORIES.items()} == {
-            "bbr": "bbr:36361303b618935d",
-            "bbr-fixed": "bbr:cd7ded59cf1641e7",
-            "cubic": "cubic:5dd9eef7949b43f2",
-            "cubic-ns3bug": "cubic:1a05b443a3f1ca54",
-            "reno": "reno:3870615df1b4bd03",
-        }
 
     def test_shared_cache_never_mixes_score_functions(self):
         from repro.scoring import MinimalTrafficScore
