@@ -42,12 +42,12 @@ def test_fig3_service_curve_distribution(benchmark):
         [
             {
                 "window": "1.25 s (coarse)",
-                "mean_max_deviation": statistics.mean(coarse_deviation),
+                "median_max_deviation": statistics.median(coarse_deviation),
                 "worst": max(coarse_deviation),
             },
             {
                 "window": "50 ms (fine)",
-                "mean_max_deviation": statistics.mean(fine_deviation),
+                "median_max_deviation": statistics.median(fine_deviation),
                 "worst": max(fine_deviation),
             },
         ],
@@ -57,5 +57,7 @@ def test_fig3_service_curve_distribution(benchmark):
     assert all(trace.packet_count == 5000 for trace in traces)
     # Long-term variation is bounded by the recursive 0.5x-2x constraint...
     assert statistics.mean(coarse_deviation) < 3.0
-    # ...while sub-k_agg windows are allowed to be much burstier.
-    assert statistics.mean(fine_deviation) > 1.5 * statistics.mean(coarse_deviation)
+    # ...while sub-k_agg windows are allowed to be much burstier.  Medians: a
+    # trace with one empty 50 ms window deviates infinitely, which a mean
+    # would let carry the comparison alone.
+    assert statistics.median(fine_deviation) > 1.5 * statistics.median(coarse_deviation)

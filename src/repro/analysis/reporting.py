@@ -38,9 +38,9 @@ def _format_cell(value: object) -> str:
 
 def ascii_chart(
     series: Sequence[Tuple[float, float]],
+    title: str,
     width: int = 70,
     height: int = 12,
-    title: str = "",
     y_label: str = "",
 ) -> str:
     """Render an (x, y) series as a rough ASCII line chart."""
@@ -52,7 +52,7 @@ def ascii_chart(
     y_min, y_max = min(ys), max(ys)
     if x_max == x_min:
         x_max = x_min + 1.0
-    if y_max == y_min:
+    if y_max - y_min <= 1e-9 * abs(y_max):     # flat, up to float noise
         y_max = y_min + 1.0
 
     grid = [[" "] * width for _ in range(height)]
@@ -61,9 +61,7 @@ def ascii_chart(
         row = int((y - y_min) / (y_max - y_min) * (height - 1))
         grid[height - 1 - row][col] = "*"
 
-    lines: List[str] = []
-    if title:
-        lines.append(title)
+    lines: List[str] = [title]
     for i, row_cells in enumerate(grid):
         if i == 0:
             label = f"{y_max:9.2f} |"
@@ -81,8 +79,8 @@ def ascii_chart(
 
 def format_campaign_summary(
     scenario_rows: Sequence[Dict[str, object]],
-    corpus_stats: Optional[Dict[str, object]] = None,
-    cache_stats: Optional[Dict[str, object]] = None,
+    corpus_stats: Optional[Dict[str, object]],
+    cache_stats: Optional[Dict[str, object]],
 ) -> str:
     """Campaign summary: per-scenario table plus corpus/cache one-liners."""
     sections: List[str] = [format_table(scenario_rows)]
@@ -154,7 +152,7 @@ def format_triage_report(report: Dict[str, object]) -> str:
     return "\n\n".join(sections)
 
 
-def format_coverage_map(archive, top: int = 10) -> str:
+def format_coverage_map(archive, top: int) -> str:
     """ASCII behavior-coverage map of a :class:`~repro.coverage.BehaviorArchive`.
 
     Per CCA, renders the goodput x stall-class occupancy plane (each cell of
@@ -330,8 +328,8 @@ def shape_coverage(cell_payloads: Dict[str, Dict[str, Any]], top: int = 20) -> D
 def shape_rankings(
     outcome_rows: Sequence[Dict[str, Any]],
     index_rows: Dict[str, Dict[str, Any]],
-    quarantine_entries: Sequence[Dict[str, Any]] = (),
-    triage_rows: Optional[Sequence[Dict[str, Any]]] = None,
+    quarantine_entries: Sequence[Dict[str, Any]],
+    triage_rows: Sequence[Dict[str, Any]],
 ) -> Dict[str, Any]:
     """Per-CCA vulnerability table from scenario outcomes + corpus evidence.
 
@@ -389,7 +387,7 @@ def shape_rankings(
             row_for(cca)["quarantined"] += 1
 
     classifications: Dict[str, int] = {}
-    for verdict in triage_rows or []:
+    for verdict in triage_rows:
         classification = str(verdict.get("classification") or "")
         if classification:
             classifications[classification] = classifications.get(classification, 0) + 1

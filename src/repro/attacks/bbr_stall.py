@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..netsim.link import mbps_to_pps
+from ..netsim.simulation import SimulationConfig
 from ..traces.trace import LinkTrace, TrafficTrace
 
 
@@ -61,7 +62,7 @@ def _burst(start: float, packets: int, duration: float) -> List[float]:
     return [start + i * spacing for i in range(packets)]
 
 
-def bbr_stall_traffic_trace(duration: float = 6.0) -> TrafficTrace:
+def bbr_stall_traffic_trace(duration: float) -> TrafficTrace:
     """Cross-traffic pattern that wrecks default BBR's bandwidth estimate.
 
     This is the structure CC-Fuzz's traffic fuzzing converges to for the
@@ -96,7 +97,7 @@ def bbr_stall_traffic_trace(duration: float = 6.0) -> TrafficTrace:
     )
 
 
-def bbr_double_loss_burst_trace(duration: float = 6.0) -> TrafficTrace:
+def bbr_double_loss_burst_trace(duration: float) -> TrafficTrace:
     """The minimal three-spike pattern behind the Fig. 4a finding.
 
     Spike 1 creates the hole, spike 2 (one RTT later) kills its fast
@@ -117,7 +118,7 @@ def bbr_double_loss_burst_trace(duration: float = 6.0) -> TrafficTrace:
     )
 
 
-def bbr_stall_link_trace(duration: float = 6.0, average_rate_mbps: float = 12.0) -> LinkTrace:
+def bbr_stall_link_trace(duration: float) -> LinkTrace:
     """Link-mode equivalent of the stall trace: repeated service outages.
 
     During each outage the bottleneck serves nothing, so the flow's packets
@@ -125,13 +126,14 @@ def bbr_stall_link_trace(duration: float = 6.0, average_rate_mbps: float = 12.0)
     window an outage covers), and SACKs are delayed until service resumes.
     The withheld transmission opportunities are replayed in a catch-up burst
     right after each outage, so the trace keeps the fixed total packet budget
-    (and therefore the 12 Mbps average) that link fuzzing requires.
+    (and therefore ``SimulationConfig``'s average rate) that link fuzzing
+    requires.
 
     The outage schedule, :data:`STALL_OUTAGES`, mirrors what link fuzzing
     converges to.
     """
     outages = STALL_OUTAGES
-    rate_pps = mbps_to_pps(average_rate_mbps)
+    rate_pps = mbps_to_pps(SimulationConfig.bottleneck_rate_mbps)
     total_packets = int(round(rate_pps * duration))
     interval = 1.0 / rate_pps
 
@@ -163,7 +165,7 @@ def bbr_stall_link_trace(duration: float = 6.0, average_rate_mbps: float = 12.0)
 
 
 def bbr_delay_attack_trace(
-    duration: float = 5.0,
+    duration: float,
     prefill_packets: int = 150,
     reinforce_end: float = 1.4,
     reinforce_packets: int = 300,

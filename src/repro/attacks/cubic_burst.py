@@ -31,7 +31,7 @@ RETRANSMISSION_BURST_PACKETS = 250
 RETRANSMISSION_DELAY = 0.06
 
 
-def cubic_two_burst_trace(duration: float = 6.0) -> TrafficTrace:
+def cubic_two_burst_trace(duration: float) -> TrafficTrace:
     """The minimal CUBIC attack: drop a segment, then its fast retransmission.
 
     The two bursts are this module's constants, sized for the section-4

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import List
 
+from ..netsim.simulation import SimulationConfig
 from ..traces.trace import TrafficTrace
 
 #: The shrew attack's bursts for the paper's 12 Mbps / 60-packet-queue
@@ -25,7 +26,7 @@ START = 0.5
 
 def lowrate_attack_times(
     duration: float,
-    period: float = 1.0,
+    period: float,
     burst_packets: int = BURST_PACKETS,
     burst_duration: float = BURST_DURATION,
     start: float = START,
@@ -38,8 +39,8 @@ def lowrate_attack_times(
         Length of the attack trace in seconds.
     period:
         Spacing between bursts.  The classic attack uses the victim's minimum
-        RTO (1 second in the paper's setup) so every recovery attempt runs
-        into the next burst.
+        RTO (:func:`lowrate_attack_trace`'s default) so every recovery
+        attempt runs into the next burst.
     burst_packets:
         Packets per burst; it must be enough to keep the bottleneck queue full
         for the whole burst so that the victim's packets *and* their fast
@@ -67,7 +68,7 @@ def lowrate_attack_times(
     return times
 
 
-def lowrate_attack_trace(duration: float, period: float = 1.0) -> TrafficTrace:
+def lowrate_attack_trace(duration: float, period: float = SimulationConfig.min_rto) -> TrafficTrace:
     """The shrew attack as a :class:`TrafficTrace` (the known baseline), with
     this module's burst constants."""
     times = lowrate_attack_times(duration=duration, period=period)

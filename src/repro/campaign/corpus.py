@@ -85,7 +85,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..coverage.archive import BehaviorArchive, read_archive_payload
@@ -149,18 +149,19 @@ class CorpusEntry:
     cca: str                               #: CCA the trace was found against
     objective: str
     score: Optional[float]                 #: fitness when found (None for builtins)
-    generation_found: int = 0
-    origin: str = "fuzz"                   #: "fuzz", "builtin", "import" or "triage"
-    campaign: str = ""
-    condition: Dict[str, Any] = field(default_factory=dict)
-    rediscoveries: int = 0                 #: times the same trace was re-found
-    derived_from: str = ""                 #: fingerprint this entry was distilled from
-    triage: Dict[str, Any] = field(default_factory=dict)  #: minimization/robustness metadata
+    generation_found: int
+    origin: str                            #: "fuzz", "builtin", "import" or "triage"
+    campaign: str
+    condition: Dict[str, Any]
+    rediscoveries: int                     #: times the same trace was re-found
+    derived_from: str                      #: fingerprint this entry was distilled from
+    triage: Dict[str, Any]                 #: minimization/robustness metadata
     #: Behavior annotation: the serialized BehaviorSignature this trace
     #: produced when discovered (its "cell" key groups entries by failure
     #: mechanism; empty for entries never evaluated under the coverage
-    #: subsystem).
-    behavior: Dict[str, Any] = field(default_factory=dict)
+    #: subsystem).  :meth:`from_dict` fills what a payload leaves out from
+    #: :data:`ENTRY_FIELDS`.
+    behavior: Dict[str, Any]
 
     def __post_init__(self) -> None:
         if self.trace.mode is None:
@@ -637,41 +638,32 @@ class CorpusStore(CorpusReader):
         journal: Optional[Callable[[Dict[str, Any]], Any]] = None,
         *,
         scenario_id: str,
-        cca: str = "",
-        objective: str = "",
-        score: Optional[float] = None,
-        generation_found: int = 0,
-        origin: str = "fuzz",
-        campaign: str = "",
-        condition: Optional[Dict[str, Any]] = None,
-        derived_from: str = "",
-        triage: Optional[Dict[str, Any]] = None,
-        behavior: Optional[Dict[str, Any]] = None,
+        **fields: Any,
     ) -> bool:
         """Insert a trace; returns True iff it was new (not a duplicate).
 
-        Decided on the index and applied by :meth:`apply`, like a journaled
-        insert: a duplicate counts a rediscovery and may upgrade the score,
-        and re-registering a builtin attack or a triage-minimized variant is
-        a no-op.  ``journal``, when given, gets the insert's
-        ``corpus_insert`` fields first (a campaign's write-ahead record).
+        ``fields`` are the other :data:`ENTRY_FIELDS`; one left out (or
+        ``None``) takes its default there.  Decided on the index and applied
+        by :meth:`apply`, like a journaled insert: a duplicate counts a
+        rediscovery and may upgrade the score, and re-registering a builtin
+        attack or a triage-minimized variant is a no-op.  ``journal``, when
+        given, gets the insert's ``corpus_insert`` fields first (a campaign's
+        write-ahead record).
         """
         if trace.mode is None:
             raise TypeError(f"trace type {type(trace).__name__} has no fuzzing mode")
+        unknown = sorted(set(fields) - set(ENTRY_FIELDS))
+        if unknown:
+            raise TypeError(f"unknown corpus entry fields: {', '.join(unknown)}")
         fingerprint = trace.fingerprint()
-        fields = {
-            "scenario_id": scenario_id, "cca": cca, "objective": objective, "score": score,
-            "generation_found": generation_found, "origin": origin, "campaign": campaign,
-            "condition": condition, "derived_from": derived_from, "triage": triage,
-            "behavior": behavior,
-        }
+        fields["scenario_id"] = scenario_id
         # The record carries what differs from the defaults (apply restores them).
-        entry = {key: value for key, value in fields.items()
-                 if value not in (None, ENTRY_FIELDS[key])}
+        entry = {key: fields[key] for key in ENTRY_FIELDS
+                 if fields.get(key) not in (None, ENTRY_FIELDS[key])}
         entry["trace"] = trace.to_dict()
         with self._lock:
             row = self._index.get(fingerprint)
-            refind = row is not None and origin not in ("builtin", "triage")
+            refind = row is not None and entry.get("origin") not in ("builtin", "triage")
             data = {
                 "fingerprint": fingerprint,
                 "new": row is None,

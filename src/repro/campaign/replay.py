@@ -14,7 +14,7 @@ column compares like with like: *this trace, this scenario, other CCA*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..exec.backend import EvaluationBackend
@@ -32,7 +32,7 @@ class ReplayRow:
     objective: str
     original_score: Optional[float]
     replay_score: float
-    summary: Dict[str, Any] = field(default_factory=dict)
+    summary: Dict[str, Any]
 
     @property
     def delta(self) -> Optional[float]:

@@ -42,7 +42,7 @@ def format_campaign_report(result: CampaignResult) -> str:
     return body
 
 
-def format_corpus_report(corpus: CorpusReader, top: int = 10) -> str:
+def format_corpus_report(corpus: CorpusReader, top: int) -> str:
     """Corpus composition plus its highest-scoring entries."""
     stats = corpus.stats()
     lines = [

@@ -68,6 +68,9 @@ from .spec import CampaignSpec, Scenario
 
 ProgressCallback = Callable[[str], None]
 
+#: How many of each scenario's top traces a campaign stores in the corpus.
+HARVEST_TOP_K = 3
+
 @dataclass
 class ScenarioOutcome:
     """What one scenario of the matrix produced."""
@@ -81,7 +84,7 @@ class ScenarioOutcome:
     new_corpus_entries: int
     converged_generation: int
     wall_time_s: float
-    behavior_cells: int = 0                #: archive cells this scenario opened
+    behavior_cells: int                    #: archive cells this scenario opened
 
     def summary_row(self) -> Dict[str, Any]:
         return {
@@ -134,10 +137,10 @@ class CampaignResult:
     outcomes: List[ScenarioOutcome]
     corpus_stats: Dict[str, Any]
     cache_stats: Dict[str, Any]
-    wall_time_s: float = 0.0
-    attacks_registered: int = 0
+    wall_time_s: float
+    attacks_registered: int
     #: Campaign-level behavior-coverage statistics (the shared archive).
-    coverage: Dict[str, Any] = field(default_factory=dict)
+    coverage: Dict[str, Any]
 
     def summary_rows(self) -> List[Dict[str, Any]]:
         return [outcome.summary_row() for outcome in self.outcomes]
@@ -245,6 +248,8 @@ class ScenarioScope:
     inserts: InsertLog
     #: The extra ``scenario_complete`` fields, cut when the record is built.
     completion: Callable[["ScenarioScope"], Dict[str, Any]]
+    cache_mark: int
+    cell_mark: int
     #: Stamped on every record written under this scope: nothing, or the
     #: ``{lease_epoch, worker}`` that replay fences a stolen lease's zombie by.
     stamp: Dict[str, Any] = field(default_factory=dict)
@@ -253,8 +258,6 @@ class ScenarioScope:
     seeds: List[PacketTrace] = field(default_factory=list)
     #: The fuzzer snapshot to continue from; its population replaces ``seeds``.
     resume_state: Optional[Dict[str, Any]] = None
-    cache_mark: int = 0
-    cell_mark: int = 0
 
     def cache_delta(self) -> Dict[str, Any]:
         """The cache touches since the last journaled delta."""
@@ -484,7 +487,7 @@ class CampaignRunner:
         cache: Optional[TraceCache] = None,
         archive: Optional[BehaviorArchive] = None,
         register_attacks: bool = True,
-        harvest_top_k: int = 3,
+        harvest_top_k: int = HARVEST_TOP_K,
         progress: Optional[ProgressCallback] = None,
         journal: Optional[CampaignJournal] = None,
         telemetry: Union[CampaignTelemetry, bool] = True,
@@ -579,7 +582,7 @@ class CampaignRunner:
             cache=cache,
             archive=BehaviorArchive.from_dict(behavior),
             register_attacks=bool(start.get("register_attacks", True)),
-            harvest_top_k=int(start.get("harvest_top_k", 3)),
+            harvest_top_k=int(start.get("harvest_top_k", HARVEST_TOP_K)),
             progress=progress,
             journal=journal,
             telemetry=telemetry,

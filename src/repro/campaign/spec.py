@@ -60,9 +60,9 @@ class NetworkCondition:
     """One bottleneck configuration of the dumbbell topology."""
 
     name: str = "base"
-    bottleneck_rate_mbps: float = 12.0
-    queue_capacity: int = 60
-    propagation_delay: float = 0.02
+    bottleneck_rate_mbps: float = SimulationConfig.bottleneck_rate_mbps
+    queue_capacity: int = SimulationConfig.queue_capacity
+    propagation_delay: float = SimulationConfig.propagation_delay
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -129,7 +129,7 @@ class Scenario:
     condition: NetworkCondition
     budget: GaBudget
     seed: int
-    guidance: str = "score"                #: search-guidance strategy for this cell
+    guidance: str                          #: search-guidance strategy for this cell
 
     @property
     def scenario_id(self) -> str:
@@ -194,7 +194,7 @@ class CampaignSpec:
     #: Search-guidance strategy every scenario runs under.  "score" keeps the
     #: classic fitness-only campaign; "novelty" schedules a
     #: behavior-coverage campaign over the shared archive.
-    guidance: str = "score"
+    guidance: str = FuzzConfig.guidance
     #: Scenario-lease time-to-live (seconds) for fleet workers: a worker that
     #: misses heartbeats this long is presumed dead and its scenario stolen.
     lease_ttl: float = 30.0
@@ -203,7 +203,7 @@ class CampaignSpec:
     job_timeout: Optional[float] = None
     #: How often a job whose pool worker died is retried (with exponential
     #: backoff) before being failed and quarantined as a worker-killer.
-    max_retries: int = 2
+    max_retries: int = FaultPolicy.max_retries
 
     def __post_init__(self) -> None:
         if not self.name:

@@ -60,6 +60,7 @@ from ..obs.console import Console, add_console_flags
 from ..obs.telemetry import CampaignTelemetry
 from .corpus import CorpusReader, CorpusStore, read_corpus_map
 from .scheduler import (
+    HARVEST_TOP_K,
     CampaignResult,
     CampaignRunner,
     InsertLog,
@@ -89,7 +90,7 @@ class FleetWorker:
         *,
         poll_s: float = DEFAULT_POLL_S,
         kill_after_checkpoints: Optional[int] = None,
-        telemetry: bool = True,
+        telemetry: bool,
         progress: Optional[ProgressCallback] = None,
     ) -> None:
         self.corpus_dir = str(corpus_dir)
@@ -138,7 +139,7 @@ class FleetWorker:
         )
         with contextlib.closing(telemetry), campaign_backend(spec, self.quarantine) as backend:
             engine = ScenarioEngine(
-                spec.name, int(start.get("harvest_top_k", 3)), self.journal, backend,
+                spec.name, int(start.get("harvest_top_k", HARVEST_TOP_K)), self.journal, backend,
                 telemetry, self.quarantine, self._progress,
             )
             while True:
@@ -297,12 +298,12 @@ def run_fleet(
     spec: CampaignSpec,
     corpus_dir: str,
     *,
-    workers: int = 2,
+    workers: int,
     poll_s: float = DEFAULT_POLL_S,
     kill_worker: Optional[int] = None,
     kill_after_checkpoints: Optional[int] = None,
     register_attacks: bool = True,
-    harvest_top_k: int = 3,
+    harvest_top_k: int = HARVEST_TOP_K,
     telemetry: bool = True,
     progress: Optional[ProgressCallback] = None,
     archive: Optional[BehaviorArchive] = None,

@@ -45,9 +45,9 @@ import time
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .campaign.corpus import DEFAULT_OBJECTIVE, CorpusReader, CorpusStore, read_corpus_map
-from .campaign.scheduler import CampaignResult, CampaignRunner
+from .campaign.scheduler import HARVEST_TOP_K, CampaignResult, CampaignRunner
 from .campaign.spec import DEFAULT_POLL_S, CampaignSpec, GaBudget
-from .core.fuzzer import MODES
+from .core.fuzzer import MODES, FuzzConfig
 from .coverage import (
     GUIDANCE_MODES,
     BehaviorArchive,
@@ -75,11 +75,14 @@ if TYPE_CHECKING:
 _Args = argparse.Namespace
 _Parser = argparse.ArgumentParser
 
+#: The simulation every unset flag leaves, whose defaults the help quotes.
+_SIM = SimulationConfig()
+
 #: ``repro-trace generate --mode``: each mode with a standalone generator, and
 #: the one option that sizes it: its flag, the generator keyword it sets and
 #: its default.  The other mode's option is rejected, not ignored.
 _TRACE_GENERATORS = {
-    "link": (LinkTraceGenerator, "--rate-mbps", "average_rate_mbps", 12.0),
+    "link": (LinkTraceGenerator, "--rate-mbps", "average_rate_mbps", _SIM.bottleneck_rate_mbps),
     "traffic": (TrafficTraceGenerator, "--max-packets", "max_packets", 1000),
 }
 
@@ -159,7 +162,7 @@ def _add_launch_options(parser: _Parser) -> None:
         help="do not register the builtin attack library as initial corpus entries",
     )
     parser.add_argument(
-        "--harvest-top-k", type=_int_at_least(1, "--harvest-top-k"), default=3,
+        "--harvest-top-k", type=_int_at_least(1, "--harvest-top-k"), default=HARVEST_TOP_K,
         help="how many top traces per scenario to store in the corpus",
     )
     parser.add_argument(
@@ -353,7 +356,7 @@ def _simulate(args: _Args, parser: _Parser, console: Console) -> None:
         parser.error("--trace and --attack are mutually exclusive; pick one input")
 
     factory = CCA_FACTORIES[args.cca]
-    trace, config = _input(args, parser, attack_duration=5.0)
+    trace, config = _input(args, parser, attack_duration=_SIM.duration)
     try:
         if trace is not None:
             result = simulate_packet_trace(factory, config, trace)
@@ -799,12 +802,18 @@ def _command(
 def _dispatch(parser: _Parser, argv: Optional[List[str]]) -> int:
     """Run the chosen command; usage errors leave through ``parser.error`` (exit 2),
     and so does a journal with a corrupt interior record, which every writer
-    refuses before it changes a byte."""
+    refuses before it changes a byte.  A reader that stops reading (``| head``)
+    ends the command with exit 1 and no traceback."""
     args = parser.parse_args(argv)
     try:
         args.handler(args, args.parser, Console.from_args(args))
     except JournalCorruption as exc:
         args.parser.error(str(exc))
+    except BrokenPipeError:
+        # Point stdout at devnull, or the interpreter's exit flush raises again.
+        with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     return 0
 
 
@@ -821,7 +830,7 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
         parser.add_argument("--population", type=int, default=16, help="traces per island")
         parser.add_argument("--islands", type=int, default=1)
         parser.add_argument("--generations", type=int, default=10)
-        parser.add_argument("--duration", type=float, default=5.0,
+        parser.add_argument("--duration", type=float, default=_SIM.duration,
                             help="seconds simulated per trace")
         parser.add_argument(
             "--seed", type=int, default=0,
@@ -838,7 +847,7 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
                             help="how many best traces to store in the corpus")
         _add_pool_options(parser)
         parser.add_argument(
-            "--guidance", choices=sorted(GUIDANCE_MODES), default="score",
+            "--guidance", choices=sorted(GUIDANCE_MODES), default=FuzzConfig.guidance,
             help="search guidance: 'score' is the paper's pure-fitness GA; "
                  "'novelty' rewards behaviorally diverse traces via the "
                  "MAP-Elites behavior archive",
@@ -854,9 +863,12 @@ def simulate_main(argv: Optional[List[str]] = None) -> int:
     )
     with _command(_simulate, parser):
         parser.add_argument("--cca", choices=sorted(CCA_FACTORIES), default="bbr")
-        parser.add_argument("--duration", type=float, help="default 5.0; not with --trace")
-        parser.add_argument("--rate-mbps", type=float, help="default 12.0; not with a link trace")
-        parser.add_argument("--queue", type=int, help="gateway queue in packets (default 60)")
+        parser.add_argument("--duration", type=float,
+                            help=f"default {_SIM.duration}; not with --trace")
+        parser.add_argument("--rate-mbps", type=float,
+                            help=f"default {_SIM.bottleneck_rate_mbps}; not with a link trace")
+        parser.add_argument("--queue", type=int,
+                            help=f"gateway queue in packets (default {_SIM.queue_capacity})")
         parser.add_argument("--trace", help="JSON trace file (link, traffic or loss)")
         parser.add_argument(
             "--attack", choices=["none", *sorted(_builtin_attacks(1.0))], default="none",
@@ -874,7 +886,7 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
 
     with _command(_trace_generate, commands, "generate", help="generate a random trace") as cmd:
         cmd.add_argument("--mode", choices=sorted(_TRACE_GENERATORS), default="link")
-        cmd.add_argument("--duration", type=float, default=5.0)
+        cmd.add_argument("--duration", type=float, default=_SIM.duration)
         for mode, (_, flag, keyword, default) in _TRACE_GENERATORS.items():
             cmd.add_argument(flag, dest=keyword, type=type(default),
                              help=f"{mode} mode only (default {default})")
@@ -920,11 +932,11 @@ def triage_main(argv: Optional[List[str]] = None) -> int:
                             help="trace duration for --attack (default 6.0; "
                                  "--trace/--corpus traces carry their own)")
         parser.add_argument("--rate-mbps", type=float, default=None,
-                            help="bottleneck rate (default 12.0; a --corpus entry "
-                                 "replays under its recorded condition)")
+                            help=f"bottleneck rate (default {_SIM.bottleneck_rate_mbps}; a "
+                                 "--corpus entry replays under its recorded condition)")
         parser.add_argument("--queue", type=int, default=None,
-                            help="queue capacity (default 60; a --corpus entry "
-                                 "replays under its recorded condition)")
+                            help=f"queue capacity (default {_SIM.queue_capacity}; "
+                                 "a --corpus entry replays under its recorded condition)")
         parser.add_argument("--output", help="write the full triage report as JSON")
         parser.add_argument("--output-trace", help="write the minimized trace as JSON")
         _add_triage_options(parser)

@@ -102,7 +102,7 @@ class FuzzConfig:
     top_k: int = 20                        #: size of the "top traces" aggregate (Fig. 4d)
 
     # ``duration`` is also the simulation's: pass it here or as
-    # ``sim.duration`` (5 s when neither is given).
+    # ``sim.duration`` (``SimulationConfig``'s when neither is given).
     duration: Optional[float] = None
     max_traffic_packets: Optional[int] = None
 
@@ -143,7 +143,7 @@ class FuzzConfig:
         # One duration, from whichever of the two the caller set; both set
         # must agree.  SimulationConfig states the duration's range.
         if self.sim is None:
-            duration = 5.0 if self.duration is None else self.duration
+            duration = SimulationConfig.duration if self.duration is None else self.duration
             self.sim = SimulationConfig(duration=duration, record_series=False)
         elif self.duration is not None and self.duration != self.sim.duration:
             raise ValueError(
@@ -171,9 +171,8 @@ class FuzzConfig:
         params = dict(population_size=25, islands=20, generations=50)
         params.update(overrides)
         # The paper's simulation, at the overridden duration if there is one.
-        paper_sim = SimulationConfig.paper_defaults()
-        duration = params.get("duration", paper_sim.duration)
-        params.setdefault("sim", paper_sim.with_overrides(duration=duration))
+        duration = params.get("duration", SimulationConfig.duration)
+        params.setdefault("sim", SimulationConfig(duration=duration))
         return cls(**params)
 
 
@@ -205,7 +204,7 @@ class CCFuzz:
     def __init__(
         self,
         cca_factory: CcaFactory,
-        config: Optional[FuzzConfig] = None,
+        config: FuzzConfig,
         score_function: Optional[ScoreFunction] = None,
         seed_traces: Optional[Sequence[PacketTrace]] = None,
         backend: Optional[EvaluationBackend] = None,
@@ -213,7 +212,7 @@ class CCFuzz:
         archive: Optional[BehaviorArchive] = None,
     ) -> None:
         self.cca_factory = cca_factory
-        self.config = config or FuzzConfig()
+        self.config = config
         # Default: the low-utilisation objective every front door calls "throughput".
         self.score_function = score_function or make_score_function(
             "throughput", self.config.mode

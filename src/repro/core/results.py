@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List
 
 from ..traces.trace import PacketTrace
 from .population import Individual
@@ -21,11 +21,11 @@ class GenerationStats:
     best_fitness: float
     mean_fitness: float
     top_k_mean_fitness: float
-    best_summary: Dict[str, Any] = field(default_factory=dict)
-    evaluations: int = 0                   #: simulations actually run (cache misses)
-    per_island_best: List[float] = field(default_factory=list)
-    cache_hits: int = 0                    #: evaluations avoided by the trace cache
-    behavior_cells: int = 0                #: cumulative archive cells this run opened
+    best_summary: Dict[str, Any]
+    evaluations: int                       #: simulations actually run (cache misses)
+    per_island_best: List[float]
+    cache_hits: int                        #: evaluations avoided by the trace cache
+    behavior_cells: int                    #: cumulative archive cells this run opened
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -66,20 +66,20 @@ class FuzzResult:
     generations: List[GenerationStats]
     total_evaluations: int                 #: simulator/evaluator executions (cache misses)
     converged_generation: int
-    cache_hits: int = 0                    #: this run's evaluations served from the cache
+    cache_hits: int                        #: this run's evaluations served from the cache
     #: Cache-lifetime counters; spans multiple runs when a cache is shared.
-    cache_stats: Dict[str, Any] = field(default_factory=dict)
+    cache_stats: Dict[str, Any]
     #: Fingerprints of the injected seed traces that made it into the initial
     #: population (corpus seeding provenance; empty for unseeded runs).
-    seed_fingerprints: List[str] = field(default_factory=list)
+    seed_fingerprints: List[str]
     #: Guidance strategy the search ran under ("score"/"novelty").
-    guidance: str = "score"
+    guidance: str
     #: Behavior-archive cells this run discovered (new cells, not visits).
-    behavior_cells: int = 0
+    behavior_cells: int
     #: Snapshot of the archive's coverage statistics at the end of the run.
-    coverage: Dict[str, Any] = field(default_factory=dict)
+    coverage: Dict[str, Any]
     #: The behavior archive itself (shared object when one was injected).
-    archive: Optional[Any] = None
+    archive: Any
 
     @property
     def best_trace(self) -> PacketTrace:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.metrics import get_registry
@@ -56,7 +56,7 @@ class CellElite:
     score: Optional[float]                 #: elite fitness (None for unscored imports)
     trace_fingerprint: str
     trace: Optional[PacketTrace]           #: the elite's trace (for reseeding)
-    provenance: Dict[str, Any] = field(default_factory=dict)
+    provenance: Dict[str, Any]
     visits: int = 1
     improvements: int = 0
 
@@ -430,7 +430,7 @@ def _archive_cells(payload: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]
     return cells if isinstance(cells, dict) else None
 
 
-def read_archive_payload(path: str, strict: bool = False) -> Optional[Dict[str, Any]]:
+def read_archive_payload(path: str, strict: bool) -> Optional[Dict[str, Any]]:
     """The map stored at ``path``, unparsed and less any cell that is not an
     object, or ``None`` when it is missing, torn or of another schema
     (``strict`` raises ``ValueError`` for a file that exists but is unusable)."""

@@ -146,12 +146,12 @@ class SupervisedProcessPool:
     def __init__(
         self,
         workers: int,
-        policy: Optional[FaultPolicy] = None,
+        policy: FaultPolicy,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be a positive integer")
         self.workers = workers
-        self.policy = policy or FaultPolicy()
+        self.policy = policy
         self._context = multiprocessing.get_context()
         self._lock = threading.Lock()
         self._running = False
@@ -170,7 +170,7 @@ class SupervisedProcessPool:
     # ------------------------------------------------------------------ #
 
     def submit_batch(
-        self, jobs: List[EvaluationJob], chaos: Any = None, prefetch: int = 1
+        self, jobs: List[EvaluationJob], chaos: Any, prefetch: int
     ) -> List[Tuple[str, Any]]:
         """Evaluate ``jobs``; one ``(status, payload)`` per job, in order.
 

@@ -52,7 +52,8 @@ each record once.  :func:`replay_records` is the same fold over one batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .codec import inflate
@@ -88,40 +89,42 @@ class JournalView:
     """Consistent state reconstructed from an event log."""
 
     #: ``campaign_start`` payload (spec, knobs, archive baseline), or ``None``.
-    campaign: Optional[Dict[str, Any]] = None
+    campaign: Optional[Dict[str, Any]] = field(init=False, default=None)
     #: ``campaign_resume`` payloads, in fold order.
-    resumes: List[Dict[str, Any]] = field(default_factory=list)
+    resumes: List[Dict[str, Any]] = field(init=False, default_factory=list)
     #: scenario_id -> current-holder ``scenario_lease`` payload (highest
     #: epoch wins; ``lease_renew``/``lease_release`` update it in place).
-    leases: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    leases: Dict[str, Dict[str, Any]] = field(init=False, default_factory=dict)
     #: scenario_id -> latest ``generation_checkpoint`` payload.
-    checkpoints: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    checkpoints: Dict[str, Dict[str, Any]] = field(init=False, default_factory=dict)
     #: ``corpus_insert`` payloads in fold order (the replayable WAL).
-    inserts: List[Dict[str, Any]] = field(default_factory=list)
+    inserts: List[Dict[str, Any]] = field(init=False, default_factory=list)
     #: scenario_id -> fingerprint -> latest ``corpus_insert`` payload.
-    inserts_by_scenario: Dict[str, Dict[str, Dict[str, Any]]] = field(default_factory=dict)
+    inserts_by_scenario: Dict[str, Dict[str, Dict[str, Any]]] = field(
+        init=False, default_factory=dict
+    )
     #: scenario_id -> ``scenario_complete`` payload.
-    completed: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    completed: Dict[str, Dict[str, Any]] = field(init=False, default_factory=dict)
     #: every ``behavior_delta`` payload in fold order (:meth:`behavior_state`).
-    behavior_deltas: List[Dict[str, Any]] = field(default_factory=list)
+    behavior_deltas: List[Dict[str, Any]] = field(init=False, default_factory=list)
     #: cache scope -> that cache's folded op log as one ``base``-0 payload
     #: (what ``TraceCache.restore`` takes).  Scope is the scenario id for a
     #: fleet worker's private cache, ``""`` for the campaign-wide one.
-    caches: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    caches: Dict[str, Dict[str, Any]] = field(init=False, default_factory=dict)
     #: latest ``scenario_seeds`` payload (the fleet's journaled seed plan).
-    scenario_seeds: Optional[Dict[str, Any]] = None
+    scenario_seeds: Optional[Dict[str, Any]] = field(init=False, default=None)
     #: ``job_quarantined`` payloads in fold order (the quarantine WAL), which
     #: :meth:`repro.campaign.corpus.CorpusReader.apply_journal` applies.
-    quarantined: List[Dict[str, Any]] = field(default_factory=list)
+    quarantined: List[Dict[str, Any]] = field(init=False, default_factory=list)
 
-    record_count: int = 0
-    duplicates: int = 0
-    torn_records: int = 0
+    record_count: int = field(init=False, default=0)
+    duplicates: int = field(init=False, default=0)
+    torn_records: int = field(init=False, default=0)
     #: stale-epoch records dropped by lease fencing.
-    fenced_records: int = 0
+    fenced_records: int = field(init=False, default=0)
     #: records folded away by an applied ``compaction_snapshot``.
-    compacted_records: int = 0
-    last_seq: int = 0
+    compacted_records: int = field(init=False, default=0)
+    last_seq: int = field(init=False, default=0)
 
     @property
     def cache_state(self) -> Optional[Dict[str, Any]]:
@@ -136,21 +139,19 @@ class JournalView:
         record payloads inside are shared with the fold, which only ever
         replaces them, and are not for the caller to mutate.
         """
-        return replace(
-            self,
-            resumes=list(self.resumes),
-            leases={sid: dict(lease) for sid, lease in self.leases.items()},
-            checkpoints={sid: _own_history(cp) for sid, cp in self.checkpoints.items()},
-            inserts=list(self.inserts),
-            inserts_by_scenario={
-                sid: dict(by_fingerprint)
-                for sid, by_fingerprint in self.inserts_by_scenario.items()
-            },
-            completed=dict(self.completed),
-            behavior_deltas=list(self.behavior_deltas),
-            caches={scope: _own_ops(payload) for scope, payload in self.caches.items()},
-            quarantined=list(self.quarantined),
-        )
+        view = copy.copy(self)        # the payloads and counters
+        view.resumes = list(self.resumes)
+        view.leases = {sid: dict(lease) for sid, lease in self.leases.items()}
+        view.checkpoints = {sid: _own_history(cp) for sid, cp in self.checkpoints.items()}
+        view.inserts = list(self.inserts)
+        view.inserts_by_scenario = {
+            sid: dict(by_fingerprint) for sid, by_fingerprint in self.inserts_by_scenario.items()
+        }
+        view.completed = dict(self.completed)
+        view.behavior_deltas = list(self.behavior_deltas)
+        view.caches = {scope: _own_ops(payload) for scope, payload in self.caches.items()}
+        view.quarantined = list(self.quarantined)
+        return view
 
     def pending_checkpoints(self) -> Dict[str, Dict[str, Any]]:
         """Checkpoints for scenarios that never reached completion."""

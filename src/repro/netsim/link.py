@@ -60,9 +60,9 @@ class Link:
     ``propagation_delay`` seconds.  A served cross item whose sink arrival is
     at or before the run's (inclusive) horizon is recorded in
     ``cross_admissions`` / ``cross_departures``.  The FIFO holds
-    ``capacity_packets`` (60 is roughly 1.5x the bandwidth-delay product of
-    the paper's 12 Mbps / 40 ms RTT setup); ``sample_depth`` is off in
-    fuzzing runs (``record_series=False``), which never read the samples.
+    ``capacity_packets`` (``SimulationConfig.queue_capacity``);
+    ``sample_depth`` is off in fuzzing runs (``record_series=False``), which
+    never read the samples.
 
     Its events are the cross arrivals ``_cross[i]``, keyed ``_cross_seq + i``,
     and services, the next keyed ``(_serve_at, _serve_seq)``; ``head`` is the
@@ -81,9 +81,9 @@ class Link:
         self,
         scheduler: EventScheduler,
         deliver: DeliveryCallback,
-        propagation_delay: float = 0.02,
+        propagation_delay: float,
         *,
-        capacity_packets: int = 60,
+        capacity_packets: int,
         sample_depth: bool = True,
     ) -> None:
         if capacity_packets <= 0:
@@ -248,7 +248,7 @@ class FixedRateLink(Link):
         scheduler: EventScheduler,
         deliver: DeliveryCallback,
         rate_pps: float,
-        propagation_delay: float = 0.02,
+        propagation_delay: float,
         **gateway: Any,
     ) -> None:
         super().__init__(scheduler, deliver, propagation_delay, **gateway)
@@ -282,7 +282,7 @@ class TraceDrivenLink(Link):
         scheduler: EventScheduler,
         deliver: DeliveryCallback,
         opportunities: Sequence[float],
-        propagation_delay: float = 0.02,
+        propagation_delay: float,
         **gateway: Any,
     ) -> None:
         super().__init__(scheduler, deliver, propagation_delay, **gateway)

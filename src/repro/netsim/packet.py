@@ -128,9 +128,9 @@ class AckPacket:
     def __init__(
         self,
         cumulative_ack: int,
-        sack_blocks: Tuple[SackBlock, ...] = (),
-        ack_count: int = 1,
-        sent_time: float = 0.0,
+        sack_blocks: Tuple[SackBlock, ...],
+        ack_count: int,
+        sent_time: float,
     ) -> None:
         self.cumulative_ack = cumulative_ack
         self.sack_blocks = sack_blocks

@@ -27,7 +27,8 @@ CcaFactory = Callable[[], CongestionControl]
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Parameters of one simulation run (paper defaults from section 4).
+    """Parameters of one simulation run; the field defaults are the paper's
+    section-4 setup, stated nowhere else.
 
     ``record_series`` is an observation switch and nothing else: it gates
     the sender's per-ACK series and the queue-depth samples, a run's
@@ -107,12 +108,6 @@ class SimulationConfig:
         canonical = ";".join(terms)
         return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
 
-    @classmethod
-    def paper_defaults(cls) -> "SimulationConfig":
-        """The exact setup described in section 4 of the paper: the field
-        defaults above."""
-        return cls()
-
 
 class SimulationTruncated(RuntimeError):
     """``max_events`` ended a run before ``duration``: what was measured
@@ -142,16 +137,16 @@ class SimulationResult:
     cca_diagnostics: Dict[str, Any]
     receiver_stats: Dict[str, Any]
     queue_drops: Dict[str, int]
-    cross_sent: int = 0
-    cross_delivered: int = 0
-    link_wasted_opportunities: int = 0
-    forced_losses: int = 0
+    cross_sent: int
+    cross_delivered: int
+    link_wasted_opportunities: int
+    forced_losses: int
     #: Retransmissions whose segment had already arrived: the receiver's
     #: count of duplicate arrivals (RTO-driven ones are the Fig. 4c chain).
-    spurious_retransmissions: int = 0
+    spurious_retransmissions: int
     #: Scheduler events processed (perf accounting).  Cross-traffic sink
     #: arrivals are counted at service time and are not events.
-    events_executed: int = 0
+    events_executed: int
 
     # ------------------------------------------------------------------ #
     # Convenience metrics
@@ -172,14 +167,14 @@ class SimulationResult:
         return self.monitor.sent_count(CCA_FLOW)
 
     def windowed_throughput(
-        self, window: float = 0.25, flow: str = CCA_FLOW
+        self, window: float, flow: str = CCA_FLOW
     ) -> List[Tuple[float, float]]:
         return self.monitor.windowed_rate(flow, window, self.duration)
 
     def queueing_delays(self, flow: str = CCA_FLOW) -> List[Tuple[float, float]]:
         return self.monitor.queueing_delays(flow)
 
-    def loss_rate(self, flow: str = CCA_FLOW) -> float:
+    def loss_rate(self, flow: str) -> float:
         return self.monitor.loss_rate(flow)
 
     def utilization(self) -> float:
@@ -209,7 +204,7 @@ class SimulationResult:
 
 def run_simulation(
     cca_factory: CcaFactory,
-    config: Optional[SimulationConfig] = None,
+    config: SimulationConfig,
     link_trace: Optional[Sequence[float]] = None,
     cross_traffic_times: Optional[Sequence[float]] = None,
     loss_times: Optional[Sequence[float]] = None,
@@ -223,7 +218,8 @@ def run_simulation(
         Zero-argument callable returning a fresh CCA instance (e.g. ``Bbr`` or
         ``lambda: Cubic(ns3_slow_start_bug=True)``).
     config:
-        Simulation parameters; defaults to the paper's section-4 setup.
+        Simulation parameters (``SimulationConfig()`` is the paper's
+        section-4 setup).
     link_trace:
         Bottleneck transmission-opportunity times (link-fuzzing mode).  When
         omitted the bottleneck is a fixed-rate link.
@@ -237,7 +233,6 @@ def run_simulation(
         which it returns True are dropped before reaching the gateway.  Used
         to reproduce surgical loss patterns (e.g. "drop segment N twice").
     """
-    config = config or SimulationConfig()
     scheduler = EventScheduler()
     try:
         cca = cca_factory()
@@ -297,7 +292,7 @@ def run_simulation(
 
 
 def simulate_packet_trace(
-    cca_factory: CcaFactory, sim_config: Optional[SimulationConfig], trace: Any
+    cca_factory: CcaFactory, sim_config: SimulationConfig, trace: Any
 ) -> SimulationResult:
     """Run one simulation with ``trace`` as the simulator input its class names.
 

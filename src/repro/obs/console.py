@@ -55,7 +55,7 @@ class Console:
         if not self.quiet:
             print(message, file=self.out)
 
-    def error(self, message: str = "") -> None:
+    def error(self, message: str) -> None:
         print(message, file=self.err)
 
     @classmethod

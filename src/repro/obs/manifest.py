@@ -38,9 +38,9 @@ def spec_fingerprint(spec_dict: Dict[str, Any]) -> str:
 def build_manifest(
     spec,
     *,
-    result=None,
-    started_at: Optional[float] = None,
-    resumed: bool = False,
+    result,
+    started_at: Optional[float],
+    resumed: bool,
 ) -> Dict[str, Any]:
     """Assemble the manifest payload for a finished campaign.
 

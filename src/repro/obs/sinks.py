@@ -110,7 +110,7 @@ class MetricsJsonlSink:
 
 
 def tail_metrics_records(
-    path: Union[str, Path], offset: int = 0
+    path: Union[str, Path], offset: int
 ) -> Tuple[List[Dict[str, Any]], int]:
     """Read records appended since byte ``offset``; returns ``(records, new_offset)``.
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator
 
 from .metrics import delta, get_registry
 
@@ -27,13 +27,13 @@ SPAN_FIELDS = ("phase", "name", "wall_s", "counters")
 class PhaseTracer:
     """Times spans and keeps per-phase aggregates.
 
-    ``on_close`` (if given) receives each finished-span record — the sink
+    ``on_close`` receives each finished-span record — the sink
     layer uses it to stream span records into ``metrics.jsonl``.  Aggregates
     (:meth:`summary`) survive after spans close and feed the phase table of
     the ``campaign_complete`` record.
     """
 
-    def __init__(self, on_close: Optional[Callable[[Dict[str, Any]], None]] = None) -> None:
+    def __init__(self, on_close: Callable[[Dict[str, Any]], None]) -> None:
         self._on_close = on_close
         self._lock = threading.Lock()
         self._totals: Dict[str, Dict[str, Any]] = {}
@@ -59,8 +59,7 @@ class PhaseTracer:
                 totals["count"] += 1
                 totals["wall_s"] += record["wall_s"]
                 totals["max_wall_s"] = max(totals["max_wall_s"], record["wall_s"])
-            if self._on_close is not None:
-                self._on_close(record)
+            self._on_close(record)
 
     def summary(self) -> Dict[str, Dict[str, Any]]:
         """Per-phase aggregate: span count, total and max wall seconds."""

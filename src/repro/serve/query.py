@@ -73,7 +73,7 @@ class DashboardQuery:
     # ------------------------------------------------------------------ #
 
     def stream(
-        self, offset: int = 0, wait: float = 0.0
+        self, offset: int, wait: float = 0.0
     ) -> Dict[str, Any]:
         """Telemetry records appended past byte ``offset`` (long-poll).
 

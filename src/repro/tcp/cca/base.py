@@ -15,6 +15,9 @@ from typing import Any, Dict, Optional
 
 from ..rate_sampler import RateSample
 
+#: Segments in the initial congestion window: Linux's IW10 (RFC 6928).
+INITIAL_CWND = 10.0
+
 
 @dataclass(slots=True)
 class AckEvent:

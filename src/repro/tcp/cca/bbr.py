@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, Optional, Tuple
 
-from .base import AckEvent, CongestionControl
+from .base import INITIAL_CWND, AckEvent, CongestionControl
 
 
 class Bbr(CongestionControl):
@@ -44,7 +44,6 @@ class Bbr(CongestionControl):
     RTPROP_FILTER_SECONDS = 10.0
     PROBE_RTT_DURATION = 0.2                #: seconds spent at the minimal window
     MIN_CWND = 4.0
-    INITIAL_CWND = 10.0                     #: segments, as Linux's initial window
     #: seconds; paces the first window until the first RTT sample
     INITIAL_RTT = 0.04
 
@@ -62,7 +61,7 @@ class Bbr(CongestionControl):
         self.pacing_gain = self.HIGH_GAIN
         self.cwnd_gain = self.HIGH_GAIN
 
-        self._cwnd = self.INITIAL_CWND
+        self._cwnd = INITIAL_CWND
         self.initial_rtt = self.INITIAL_RTT
 
         # Bottleneck bandwidth max filter over (round_count, rate) samples,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from .base import AckEvent
+from .base import INITIAL_CWND, AckEvent
 from .window import WindowCongestionControl
 
 
@@ -41,7 +41,7 @@ class Cubic(WindowCongestionControl):
 
     def __init__(
         self,
-        initial_cwnd: float = 10.0,
+        initial_cwnd: float = INITIAL_CWND,
         initial_ssthresh: float = float("inf"),
         ns3_slow_start_bug: bool = False,
         hystart: bool = True,

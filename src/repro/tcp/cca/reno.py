@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from .base import AckEvent
+from .base import INITIAL_CWND, AckEvent
 from .window import WindowCongestionControl
 
 
@@ -25,7 +25,7 @@ class Reno(WindowCongestionControl):
     LOSS_REDUCTION = 0.5
 
     def __init__(
-        self, initial_cwnd: float = 10.0, initial_ssthresh: float = float("inf")
+        self, initial_cwnd: float = INITIAL_CWND, initial_ssthresh: float = float("inf")
     ) -> None:
         super().__init__(initial_cwnd, initial_ssthresh)
         self.loss_reduction = self.LOSS_REDUCTION

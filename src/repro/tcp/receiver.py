@@ -43,15 +43,15 @@ class TcpReceiver:
         Enable the delayed-ACK algorithm (ACK every second segment, or after
         ``delack_timeout`` if only one segment is pending).
     delack_timeout:
-        Delayed-ACK timer, 40 ms by default (the common Linux value).
+        Delayed-ACK timer (``SimulationConfig.delack_timeout``).
     """
 
     def __init__(
         self,
         scheduler: EventScheduler,
         send_ack: AckSendCallback,
-        delayed_ack: bool = True,
-        delack_timeout: float = 0.040,
+        delayed_ack: bool,
+        delack_timeout: float,
     ) -> None:
         self.scheduler = scheduler
         self.send_ack = send_ack

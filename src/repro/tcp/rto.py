@@ -20,7 +20,8 @@ class RttEstimator:
     Parameters
     ----------
     min_rto:
-        Lower bound on the computed RTO (1 second per the paper).
+        Lower bound on the computed RTO (``SimulationConfig.min_rto``: 1
+        second per the paper).
     max_rto:
         Upper bound applied after exponential backoff.
     initial_rto:
@@ -31,12 +32,12 @@ class RttEstimator:
     alpha: ClassVar[float] = 1.0 / 8.0
     beta: ClassVar[float] = 1.0 / 4.0
 
-    min_rto: float = 1.0
+    min_rto: float
     max_rto: float = 60.0
     initial_rto: float = 1.0
-    srtt: Optional[float] = None
-    rttvar: Optional[float] = None
-    backoff_count: int = field(default=0)
+    srtt: Optional[float] = field(init=False, default=None)
+    rttvar: Optional[float] = field(init=False, default=None)
+    backoff_count: int = field(init=False, default=0)
 
     def update(self, rtt_sample: float) -> None:
         """Fold a new RTT sample into the smoothed estimators."""

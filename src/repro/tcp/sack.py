@@ -36,7 +36,7 @@ bisect and one slice.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..netsim.packet import SackBlock
@@ -51,13 +51,13 @@ class SegmentState:
     """Sender-side state for one segment."""
 
     seq: int
-    transmissions: int = 0
-    tx_state: Optional[SegmentTxState] = None
-    last_sent_time: Optional[float] = None
-    outstanding: bool = False
-    sacked: bool = False
-    lost: bool = False
-    acked: bool = False
+    transmissions: int
+    tx_state: Optional[SegmentTxState]
+    last_sent_time: Optional[float]
+    outstanding: bool
+    sacked: bool = field(init=False, default=False)
+    lost: bool = field(init=False, default=False)
+    acked: bool = field(init=False, default=False)
 
 
 def _discard(index: List[int], seq: int) -> None:
@@ -293,7 +293,7 @@ class SackScoreboard:
         """Whether any sent segment is undelivered: outstanding or lost."""
         return self._pipe > 0 or bool(self._lost_unsent)
 
-    def purge_acked(self, keep_below: int = 0) -> None:
+    def purge_acked(self, keep_below: int) -> None:
         """Drop fully acknowledged segments below ``snd_una`` to bound memory."""
         threshold = self.snd_una - keep_below
         for seq in [seq for seq in self.segments if seq < threshold]:

@@ -36,15 +36,15 @@ TransmitCallback = Callable[[Packet], None]
 class SenderStats:
     """Aggregate counters and time series exposed after a run."""
 
-    segments_sent: int = 0              #: total transmissions, including retransmissions
-    retransmissions: int = 0
-    rto_count: int = 0
-    delivered: int = 0
-    acks: int = 0                       #: ACKs processed
-    sack_acks: int = 0                  #: ... carrying at least one SACK block
-    recovery_acks: int = 0              #: ... arriving during fast or RTO recovery
-    cwnd_series: List[Tuple[float, float]] = field(default_factory=list)
-    rtt_series: List[Tuple[float, float]] = field(default_factory=list)
+    segments_sent: int = field(init=False, default=0)  #: retransmissions included
+    retransmissions: int = field(init=False, default=0)
+    rto_count: int = field(init=False, default=0)
+    delivered: int = field(init=False, default=0)
+    acks: int = field(init=False, default=0)           #: ACKs processed
+    sack_acks: int = field(init=False, default=0)      #: ... carrying at least one SACK block
+    recovery_acks: int = field(init=False, default=0)  #: ... during fast or RTO recovery
+    cwnd_series: List[Tuple[float, float]] = field(init=False, default_factory=list)
+    rtt_series: List[Tuple[float, float]] = field(init=False, default_factory=list)
 
 
 class TcpSender:
@@ -55,9 +55,9 @@ class TcpSender:
         scheduler: EventScheduler,
         cca: CongestionControl,
         transmit: TransmitCallback,
-        min_rto: float = 1.0,
-        start_time: float = 0.0,
-        record_series: bool = True,
+        min_rto: float,
+        start_time: float,
+        record_series: bool,
     ) -> None:
         self.scheduler = scheduler
         self.cca = cca

@@ -57,7 +57,7 @@ def may_join_population(
     *,
     into_mode: str,
     into_duration: float,
-    link_rate_mbps: Optional[float] = None,
+    link_rate_mbps: Optional[float],
 ) -> bool:
     """Whether a trace of this mode, duration and rate may join a population.
 
@@ -82,10 +82,9 @@ def windowed_rate_extremes(
     trace: PacketTrace, window: float
 ) -> Tuple[float, float, float]:
     """(min, mean, max) windowed rate in packets/second for the given window."""
-    counts = [count for _, count in trace.windowed_counts(window)]
-    if not counts:
+    rates = [rate for _, rate in trace.windowed_rates_pps(window)]
+    if not rates:
         return (0.0, 0.0, 0.0)
-    rates = [c / window for c in counts]
     return (min(rates), sum(rates) / len(rates), max(rates))
 
 
@@ -104,15 +103,15 @@ def max_rate_deviation(trace: PacketTrace, window: float) -> float:
     return max(over, under)
 
 
-def burstiness_index(trace: PacketTrace, window: float = 0.05) -> float:
-    """Coefficient of variation of windowed packet counts (0 = perfectly smooth)."""
-    counts = [count for _, count in trace.windowed_counts(window)]
-    if not counts:
+def burstiness_index(trace: PacketTrace, window: float) -> float:
+    """Coefficient of variation of windowed rates (0 = perfectly smooth)."""
+    rates = [rate for _, rate in trace.windowed_rates_pps(window)]
+    if not rates:
         return 0.0
-    mean = sum(counts) / len(counts)
+    mean = sum(rates) / len(rates)
     if mean == 0:
         return 0.0
-    variance = sum((c - mean) ** 2 for c in counts) / len(counts)
+    variance = sum((r - mean) ** 2 for r in rates) / len(rates)
     return (variance ** 0.5) / mean
 
 

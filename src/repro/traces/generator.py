@@ -17,6 +17,7 @@ import random
 from typing import List, Optional
 
 from ..netsim.link import mbps_to_pps
+from ..netsim.simulation import SimulationConfig
 from .distpackets import DEFAULT_K_AGG, DEFAULT_RATE_BOUND, dist_packets
 from .trace import LinkTrace, LossTrace, PacketTrace, TrafficTrace
 
@@ -47,7 +48,7 @@ class LinkTraceGenerator(TraceGenerator):
     def __init__(
         self,
         duration: float,
-        average_rate_mbps: float = 12.0,
+        average_rate_mbps: float = SimulationConfig.bottleneck_rate_mbps,
         k_agg: float = DEFAULT_K_AGG,
         rate_bound: float = DEFAULT_RATE_BOUND,
         seed: Optional[int] = None,
@@ -130,7 +131,7 @@ class LossTraceGenerator(TraceGenerator):
         self,
         duration: float,
         max_losses: int,
-        seed: Optional[int] = None,
+        seed: Optional[int],
     ) -> None:
         if max_losses < 0:
             raise ValueError("max_losses must be non-negative")

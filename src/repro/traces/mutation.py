@@ -79,7 +79,7 @@ def mutate_traffic_trace(trace: TrafficTrace, rng: random.Random) -> TrafficTrac
 def mutate_loss_trace(
     trace: LossTrace,
     rng: random.Random,
-    max_losses: Optional[int] = None,
+    max_losses: Optional[int],
 ) -> LossTrace:
     """Perturb a loss schedule: jitter, add or remove individual loss times."""
     max_losses = max_losses if max_losses is not None else max(trace.packet_count, 1)

@@ -50,7 +50,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..netsim.packet import MSS_BYTES
 
@@ -191,24 +191,33 @@ class PacketTrace:
         hi = bisect.bisect_left(self.timestamps, end)
         return hi - lo
 
-    def windowed_counts(self, window: float) -> List[Tuple[float, int]]:
-        """Packet counts over consecutive windows (``(window_start, count)``)."""
+    def _windows(self, window: float) -> Iterator[Tuple[float, float]]:
+        """``[start, end)`` of consecutive windows over ``[0, duration)``:
+        window *i* starts at ``i * window`` (a running sum would drift into
+        a sliver window at the end), and the last one ends at ``duration``."""
         if window <= 0:
             raise ValueError("window must be positive")
-        out: List[Tuple[float, int]] = []
-        start = 0.0
-        while start < self.duration:
-            end = min(start + window, self.duration)
-            out.append((start, self.packets_in_interval(start, end)))
-            start += window
-        return out
+        i = 0
+        while i * window < self.duration:
+            yield i * window, min((i + 1) * window, self.duration)
+            i += 1
+
+    def windowed_counts(self, window: float) -> List[Tuple[float, int]]:
+        """Packet counts over consecutive windows (``(window_start, count)``)."""
+        return [(start, self.packets_in_interval(start, end))
+                for start, end in self._windows(window)]
+
+    def windowed_rates_pps(self, window: float) -> List[Tuple[float, float]]:
+        """Windowed rate series in packets/s; each window's count is divided
+        by its own span, so a partial last window is no slower than its
+        packets."""
+        return [(start, self.packets_in_interval(start, end) / (end - start))
+                for start, end in self._windows(window)]
 
     def windowed_rates_mbps(self, window: float) -> List[Tuple[float, float]]:
         """Windowed rate series in Mbps."""
-        return [
-            (start, count * MSS_BYTES * 8.0 / window / 1e6)
-            for start, count in self.windowed_counts(window)
-        ]
+        return [(start, pps * MSS_BYTES * 8.0 / 1e6)
+                for start, pps in self.windowed_rates_pps(window)]
 
     def cumulative_counts(self) -> List[Tuple[float, int]]:
         """(timestamp, cumulative packet count) pairs — the paper's Fig. 3 axes."""

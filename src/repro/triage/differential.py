@@ -16,7 +16,7 @@ per-CCA vulnerability and classifies the attack:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..exec.batch import Evaluator
@@ -59,7 +59,7 @@ class DifferentialRow:
     score: float
     vulnerability: float                   #: 0 (least hurt) .. 1 (most hurt)
     vulnerable: bool
-    summary: Dict[str, Any] = field(default_factory=dict)
+    summary: Dict[str, Any]
 
     def as_dict(self) -> Dict[str, Any]:
         return {

@@ -14,7 +14,7 @@ here to exercise minimization logic without the simulator.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..exec.batch import Evaluator
 from ..exec.workers import EvaluationJob, EvaluationOutcome
@@ -35,12 +35,12 @@ class TraceScorer:
         cca_factory: CcaFactory,
         sim_config: SimulationConfig,
         score_function: ScoreFunction,
-        evaluator: Optional[Evaluator] = None,
+        evaluator: Evaluator,
     ) -> None:
         self.cca_factory = cca_factory
         self.sim_config = sim_config
         self.score_function = score_function
-        self.evaluator = evaluator or Evaluator()
+        self.evaluator = evaluator
 
     def outcomes(self, traces: Sequence[PacketTrace]) -> List[EvaluationOutcome]:
         jobs = [

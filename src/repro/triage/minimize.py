@@ -37,7 +37,7 @@ trace/scorer the minimization is bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -106,7 +106,7 @@ class MinimizationResult:
     retention: float                       #: configured bound
     floor: float                           #: the acceptance threshold used
     evaluations: int                       #: candidate evaluations charged (cached or simulated)
-    stages: List[Dict[str, Any]] = field(default_factory=list)
+    stages: List[Dict[str, Any]]
 
     @property
     def events_before(self) -> int:
@@ -389,7 +389,7 @@ STAGES_BY_MODE = {
 def minimize_trace(
     trace: PacketTrace,
     scorer,
-    config: Optional[MinimizeConfig] = None,
+    config: MinimizeConfig,
 ) -> MinimizationResult:
     """Shrink ``trace`` while keeping ≥ ``config.retention`` of its score.
 
@@ -398,7 +398,6 @@ def minimize_trace(
     ``minimized`` trace is always structurally valid, never longer than the
     input, and scores at least ``retention_floor(baseline, retention)``.
     """
-    config = config or MinimizeConfig()
     reduction = _Reduction(scorer, config.max_evaluations)
     baseline = reduction.score([trace])[0]
     reduction.floor = floor = retention_floor(baseline, config.retention)

@@ -107,12 +107,12 @@ class TriageReport:
 def triage_trace(
     trace: PacketTrace,
     *,
-    cca: str = DEFAULT_CCA,
+    cca: str,
     objective: str = DEFAULT_OBJECTIVE,
     sim_config: Optional[SimulationConfig] = None,
     backend: Optional[EvaluationBackend] = None,
     cache: Optional[TraceCache] = None,
-    config: Optional[TriageConfig] = None,
+    config: TriageConfig,
 ) -> TriageReport:
     """Run the full triage pipeline on one trace.
 
@@ -123,7 +123,6 @@ def triage_trace(
     if trace.mode is None:
         # Nothing to simulate: a failed evaluation would be scored, not raised.
         raise TypeError(f"trace type {type(trace).__name__} has no fuzzing mode")
-    config = config or TriageConfig()
     started = time.perf_counter()
     if sim_config is None:
         sim_config = SimulationConfig(duration=trace.duration)
@@ -242,7 +241,7 @@ def triage_corpus(
     corpus: CorpusStore,
     *,
     backend: Optional[EvaluationBackend] = None,
-    config: Optional[TriageConfig] = None,
+    config: TriageConfig,
     default_cca: str = DEFAULT_CCA,
     limit: Optional[int] = None,
     force: bool = False,
@@ -259,7 +258,6 @@ def triage_corpus(
     earlier run with some engines skipped); triage output itself is never
     re-triaged.
     """
-    config = config or TriageConfig()
     emit = progress or (lambda message: None)
     started = time.perf_counter()
     # Entries minimize toward similar reduced forms, so a cache pays off

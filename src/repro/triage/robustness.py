@@ -95,7 +95,7 @@ class RobustnessReport:
 
     baseline_score: float
     retention_bound: float
-    cells: List[RobustnessCell] = field(default_factory=list)
+    cells: List[RobustnessCell] = field(init=False, default_factory=list)
 
     @property
     def robustness_score(self) -> float:
@@ -142,10 +142,9 @@ def validate_robustness(
     score_function: ScoreFunction,
     *,
     evaluator: Optional[Evaluator] = None,
-    config: Optional[RobustnessConfig] = None,
+    config: RobustnessConfig,
 ) -> RobustnessReport:
     """Score ``trace`` across the perturbation matrix around ``sim_config``."""
-    config = config or RobustnessConfig()
     evaluator = evaluator or Evaluator()
 
     cells: List[Tuple[str, str, PacketTrace, SimulationConfig]] = []

@@ -24,4 +24,4 @@ def short_config() -> SimulationConfig:
 @pytest.fixture
 def paper_config() -> SimulationConfig:
     """The paper's section-4 configuration (5 s at 12 Mbps, 20 ms delay)."""
-    return SimulationConfig.paper_defaults()
+    return SimulationConfig()

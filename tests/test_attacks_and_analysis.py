@@ -43,7 +43,7 @@ class TestLowRateAttackTrace:
         with pytest.raises(ValueError):
             lowrate_attack_times(duration=5.0, period=0.0)
         with pytest.raises(ValueError):
-            lowrate_attack_times(duration=5.0, burst_packets=0)
+            lowrate_attack_times(duration=5.0, period=1.0, burst_packets=0)
 
 
 class TestBbrAttackTraces:
@@ -60,7 +60,7 @@ class TestBbrAttackTraces:
         assert len(spike_windows) >= 2
 
     def test_link_trace_preserves_average_rate(self):
-        trace = bbr_stall_link_trace(duration=6.0, average_rate_mbps=12.0)
+        trace = bbr_stall_link_trace(duration=6.0)
         assert isinstance(trace, LinkTrace)
         assert trace.average_rate_mbps == pytest.approx(12.0, rel=0.02)
 

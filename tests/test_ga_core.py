@@ -373,7 +373,7 @@ class TestFuzzConfig:
         config = FuzzConfig(duration=3.0)
         assert config.sim.duration == 3.0
         paper = FuzzConfig.paper_defaults(duration=2.0)
-        assert paper.sim == SimulationConfig.paper_defaults().with_overrides(duration=2.0)
+        assert paper.sim == SimulationConfig(duration=2.0)
 
     def test_an_explicit_sim_keeps_its_duration(self):
         config = FuzzConfig(sim=SimulationConfig(duration=2.0))

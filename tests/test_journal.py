@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import os
 
@@ -274,6 +275,21 @@ class TestView:
         view = replay_records([record, future])
         assert view.record_count == 2
         assert view.leases == {"s": {"scenario_id": "s"}}
+
+    def test_a_copy_owns_every_container_and_keeps_every_counter(self):
+        # A compaction snapshot and a fenced zombie, folded with two
+        # duplicates and a torn record: every counter the fold keeps is set.
+        fixture = os.path.join(os.path.dirname(__file__), "trace_ref_journal.jsonl")
+        records = list(CampaignJournal(fixture).records())
+        view = replay_records(records + records[:2], torn_records=1)
+        copied = view.copy()
+        assert copied == view
+        for f in dataclasses.fields(view):
+            value = getattr(view, f.name)
+            if isinstance(value, int):
+                assert value > 0 and getattr(copied, f.name) == value, f.name
+            elif isinstance(value, (list, dict)) and f.name not in ("campaign", "scenario_seeds"):
+                assert getattr(copied, f.name) is not value, f.name
 
 
 class TestCursor:

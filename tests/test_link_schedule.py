@@ -98,7 +98,7 @@ class EntryLink(EntryQueue):
 
 
 class EntryFixedRateLink(EntryLink):
-    def __init__(self, scheduler, deliver, rate_pps, propagation_delay=0.02, **gateway):
+    def __init__(self, scheduler, deliver, rate_pps, propagation_delay, **gateway):
         super().__init__(scheduler, deliver, propagation_delay, **gateway)
         self._service_time = 1.0 / rate_pps
         self._busy = False
@@ -121,7 +121,7 @@ class EntryFixedRateLink(EntryLink):
 
 
 class EntryTraceDrivenLink(EntryLink):
-    def __init__(self, scheduler, deliver, opportunities, propagation_delay=0.02, **gateway):
+    def __init__(self, scheduler, deliver, opportunities, propagation_delay, **gateway):
         super().__init__(scheduler, deliver, propagation_delay, **gateway)
         self.opportunities = sorted_input_times(opportunities, "transmission opportunities")
 

@@ -353,10 +353,11 @@ def test_record_series_is_the_only_field_outside_identity():
     })
     (scenario,) = spec.expand()
     trace = TrafficTrace(timestamps=[0.1, 0.2], duration=1.0)
-    entry = CorpusEntry(
-        trace, trace.fingerprint(), "traffic", scenario.scenario_id, "reno", "throughput",
-        None, condition=scenario.condition.to_dict(),
-    )
+    entry = CorpusEntry.from_dict({
+        "trace": trace.to_dict(), "fingerprint": trace.fingerprint(),
+        "scenario_id": scenario.scenario_id, "cca": "reno", "objective": "throughput",
+        "condition": scenario.condition.to_dict(),
+    })
     standalone = FuzzConfig(duration=1.0).sim.with_overrides(queue_capacity=20)
     score_function = make_score_function("throughput", "traffic")
     keys = {

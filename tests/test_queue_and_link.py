@@ -41,7 +41,9 @@ class TestGatewayAdmission:
 
     def test_per_flow_drop_accounting(self):
         scheduler = EventScheduler()
-        link = FixedRateLink(scheduler, lambda p: None, rate_pps=100.0, capacity_packets=1)
+        link = FixedRateLink(
+            scheduler, lambda p: None, rate_pps=100.0, propagation_delay=0.02, capacity_packets=1
+        )
         link.start(horizon=1.0, cross_times=[0.0])
         assert link.admit(make_packet(0), now=0.0)
         assert not link.admit(make_packet(1), now=0.0)
@@ -76,7 +78,8 @@ class TestGatewayAdmission:
     @pytest.mark.parametrize("make", [
         lambda capacity: trace_link(capacity),
         lambda capacity: FixedRateLink(
-            EventScheduler(), lambda p: None, rate_pps=1.0, capacity_packets=capacity
+            EventScheduler(), lambda p: None, rate_pps=1.0, propagation_delay=0.02,
+            capacity_packets=capacity,
         ),
     ])
     def test_invalid_capacity_rejected(self, make):
@@ -87,7 +90,9 @@ class TestGatewayAdmission:
         """Admitting to an idle link arms its next completion, claiming a
         ``seq``; admitting to a busy one, or a refused packet, claims none."""
         scheduler = EventScheduler()
-        link = FixedRateLink(scheduler, lambda p: None, rate_pps=4.0, capacity_packets=2)
+        link = FixedRateLink(
+            scheduler, lambda p: None, rate_pps=4.0, propagation_delay=0.02, capacity_packets=2
+        )
         link.start(horizon=1.0)
         assert link.head is None
         link.admit(make_packet(7), now=0.5)
@@ -115,7 +120,7 @@ class TestFixedRateLink:
         delivered = []
         link = FixedRateLink(
             scheduler, lambda p: delivered.append((p.seq, scheduler.now)),
-            rate_pps=100.0, propagation_delay=0.0,
+            rate_pps=100.0, propagation_delay=0.0, capacity_packets=60,
         )
         link.start(horizon=1.0)
         for seq in range(10):
@@ -132,7 +137,7 @@ class TestFixedRateLink:
         delivered = []
         link = FixedRateLink(
             scheduler, lambda p: delivered.append(scheduler.now),
-            rate_pps=1000.0, propagation_delay=0.02,
+            rate_pps=1000.0, propagation_delay=0.02, capacity_packets=60,
         )
         link.start(horizon=1.0)
         link.admit(make_packet(0), now=0.0)
@@ -144,7 +149,7 @@ class TestFixedRateLink:
         delivered = []
         link = FixedRateLink(
             scheduler, lambda p: delivered.append(scheduler.now),
-            rate_pps=1000.0, propagation_delay=0.0,
+            rate_pps=1000.0, propagation_delay=0.0, capacity_packets=60,
         )
         link.start(horizon=1.0)
         link.admit(make_packet(0), now=0.0)
@@ -159,7 +164,7 @@ class TestFixedRateLink:
         scheduler = EventScheduler()
         delivered = []
         link = FixedRateLink(
-            scheduler, delivered.append, rate_pps=100.0, propagation_delay=0.05,
+            scheduler, delivered.append, rate_pps=100.0, propagation_delay=0.05, capacity_packets=60,
         )
         link.start(horizon=0.075, cross_times=[0.0, 0.005])
         scheduler.schedule_at(0.0, link.admit, make_packet(0), 0.0)
@@ -172,7 +177,10 @@ class TestFixedRateLink:
     def test_invalid_rate_rejected(self):
         scheduler = EventScheduler()
         with pytest.raises(ValueError):
-            FixedRateLink(scheduler, lambda p: None, rate_pps=0.0)
+            FixedRateLink(
+                scheduler, lambda p: None, rate_pps=0.0, propagation_delay=0.02,
+                capacity_packets=60,
+            )
 
 
 class TestTraceDrivenLink:
@@ -181,7 +189,7 @@ class TestTraceDrivenLink:
         delivered = []
         link = TraceDrivenLink(
             scheduler, lambda p: delivered.append((p.seq, scheduler.now)),
-            opportunities=[0.1, 0.2, 0.3], propagation_delay=0.0,
+            opportunities=[0.1, 0.2, 0.3], propagation_delay=0.0, capacity_packets=60,
         )
         for seq in range(2):
             link.admit(make_packet(seq), now=0.0)
@@ -193,7 +201,8 @@ class TestTraceDrivenLink:
     def test_opportunity_wasted_when_queue_empty(self):
         scheduler = EventScheduler()
         link = TraceDrivenLink(
-            scheduler, lambda p: None, opportunities=[0.1, 0.2], propagation_delay=0.0
+            scheduler, lambda p: None, opportunities=[0.1, 0.2], propagation_delay=0.0,
+            capacity_packets=60,
         )
         link.start(horizon=1.0)
         scheduler.run(until=1.0)
@@ -202,14 +211,17 @@ class TestTraceDrivenLink:
     def test_negative_opportunity_rejected(self):
         scheduler = EventScheduler()
         with pytest.raises(ValueError):
-            TraceDrivenLink(scheduler, lambda p: None, opportunities=[-0.5])
+            TraceDrivenLink(
+                scheduler, lambda p: None, opportunities=[-0.5], propagation_delay=0.02,
+                capacity_packets=60,
+            )
 
     def test_opportunities_sorted_internally(self):
         scheduler = EventScheduler()
         delivered = []
         link = TraceDrivenLink(
             scheduler, lambda p: delivered.append(scheduler.now),
-            opportunities=[0.3, 0.1, 0.2], propagation_delay=0.0,
+            opportunities=[0.3, 0.1, 0.2], propagation_delay=0.0, capacity_packets=60,
         )
         for seq in range(3):
             link.admit(make_packet(seq), now=0.0)

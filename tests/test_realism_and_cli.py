@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import io
 import json
 
 import pytest
@@ -94,6 +95,34 @@ class TestCli:
         assert payload["type"] == "LinkTrace"
         assert trace_main(["inspect", str(path)]) == 0
         assert "average rate" in capsys.readouterr().out
+
+    def test_a_reader_that_leaves_ends_the_command_without_a_traceback(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``repro-trace inspect t.json | head -8``: the write that finds the
+        pipe closed ends the command with exit 1, not a traceback."""
+        path = tmp_path / "trace.json"
+        assert trace_main(["generate", "--mode", "link", "--duration", "5.0",
+                           "--output", str(path)]) == 0
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert trace_main(["inspect", str(path), "--window", "2"]) == 1
+        assert capsys.readouterr().err == ""
+
+    def test_trace_inspect_ends_on_the_last_whole_window(self, tmp_path, capsys):
+        """A 5 s trace at ``--window 0.1`` has 50 windows: no sliver window
+        at ~5.0 s charting a bogus 0 Mbps point."""
+        path = tmp_path / "trace.json"
+        path.write_text(LinkTrace([(i + 0.5) * 0.005 for i in range(1000)], 5.0).to_json())
+        assert trace_main(["inspect", str(path), "--window", "0.1", "-q"]) == 0
+        assert "0.00 |" not in capsys.readouterr().out
 
     def test_trace_generate_traffic_mode(self, tmp_path):
         path = tmp_path / "traffic.json"

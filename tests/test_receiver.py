@@ -199,7 +199,9 @@ def run_arrivals(receiver_class, program):
     schedule, delayed_ack = program
     scheduler = EventScheduler()
     acks = []
-    receiver = receiver_class(scheduler, send_ack=acks.append, delayed_ack=delayed_ack)
+    receiver = receiver_class(
+        scheduler, send_ack=acks.append, delayed_ack=delayed_ack, delack_timeout=0.040
+    )
     blocks_after = []
     now = 0.0
     for seq, delay in schedule:

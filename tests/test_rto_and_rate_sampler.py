@@ -12,13 +12,13 @@ from repro.tcp.rto import RttEstimator
 
 class TestRttEstimator:
     def test_first_sample_initialises_srtt(self):
-        estimator = RttEstimator()
+        estimator = RttEstimator(min_rto=1.0)
         estimator.update(0.1)
         assert estimator.srtt == pytest.approx(0.1)
         assert estimator.rttvar == pytest.approx(0.05)
 
     def test_smoothing_follows_rfc6298(self):
-        estimator = RttEstimator()
+        estimator = RttEstimator(min_rto=1.0)
         estimator.update(0.1)
         estimator.update(0.2)
         assert estimator.srtt == pytest.approx(0.1 * 7 / 8 + 0.2 / 8)
@@ -58,11 +58,11 @@ class TestRttEstimator:
         assert estimator.rto == 8.0
 
     def test_initial_rto_before_samples(self):
-        estimator = RttEstimator(initial_rto=1.0)
+        estimator = RttEstimator(min_rto=1.0, initial_rto=1.0)
         assert estimator.rto == 1.0
 
     def test_non_positive_sample_rejected(self):
-        estimator = RttEstimator()
+        estimator = RttEstimator(min_rto=1.0)
         with pytest.raises(ValueError):
             estimator.update(0.0)
 

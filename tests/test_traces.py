@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import random
 
 import pytest
@@ -301,6 +302,29 @@ class TestConstraints:
     def test_max_rate_deviation_uniform(self):
         uniform = PacketTrace(timestamps=[i * 0.01 for i in range(500)], duration=5.0)
         assert max_rate_deviation(uniform, window=1.0) == pytest.approx(1.0, rel=0.05)
+
+
+#: 1,000 evenly spaced packets over 5 s, each mid-way between two 5 ms
+#: marks, so no window boundary lands on a packet.
+UNIFORM = PacketTrace(timestamps=[(i + 0.5) * 0.005 for i in range(1000)], duration=5.0)
+
+
+class TestWindows:
+    """Window *i* is ``[i * window, (i + 1) * window)``, the last one ends at
+    the duration, and a window's rate divides by its own span."""
+
+    @pytest.mark.parametrize("window", [0.05, 0.1, 0.3, 1.25])
+    def test_windows_tile_the_duration_without_a_sliver(self, window):
+        counts = UNIFORM.windowed_counts(window)
+        assert len(counts) == math.ceil(round(5.0 / window, 9))
+        assert [start for start, _ in counts] == [i * window for i in range(len(counts))]
+        assert sum(count for _, count in counts) == UNIFORM.packet_count
+
+    @pytest.mark.parametrize("window", [0.05, 0.1, 0.3])
+    def test_a_uniform_trace_is_smooth_at_every_window(self, window):
+        assert max_rate_deviation(UNIFORM, window=window) == pytest.approx(1.0)
+        assert burstiness_index(UNIFORM, window=window) == pytest.approx(0.0, abs=1e-9)
+        assert {round(rate, 9) for _, rate in UNIFORM.windowed_rates_mbps(window)} == {2.4}
 
 
 #: The paper's mode -> simulator input mapping, restated here (and nowhere in
