@@ -97,7 +97,7 @@ from ..netsim.packet import MSS_BYTES
 from ..netsim.simulation import SimulationConfig
 from ..obs.metrics import get_registry
 from ..scoring.base import ScoreFunction
-from ..scoring.objectives import make_score_function
+from ..scoring.objectives import DEFAULT_OBJECTIVE, make_score_function
 from ..storage import dump_json, file_stamp, publish_all, publish_json, read_json_object
 from ..tcp.cca import cca_factory
 from ..traces.constraints import may_join_population
@@ -133,9 +133,6 @@ _ROW_FIELDS = ("mode", "scenario_id", "cca", "objective", "score", "origin",
 
 #: A serialised trace's ``type`` -> its fuzzing mode.
 _MODES_BY_TYPE = {cls.__name__: mode for mode, cls in TRACE_CLASSES.items()}
-
-#: Objective assumed for entries that carry none (builtin attacks).
-DEFAULT_OBJECTIVE = "throughput"
 
 
 @dataclass

@@ -19,7 +19,8 @@ from typing import Any, Dict, List, Optional
 
 from ..exec.backend import EvaluationBackend
 from ..exec.batch import Evaluator
-from .corpus import DEFAULT_OBJECTIVE, CorpusReader
+from ..scoring.objectives import DEFAULT_OBJECTIVE
+from .corpus import CorpusReader
 
 
 @dataclass

@@ -21,7 +21,7 @@ from ..coverage.guidance import GUIDANCE_MODES
 from ..exec.backend import create_backend
 from ..exec.faults import FaultPolicy
 from ..netsim.simulation import SimulationConfig
-from ..scoring.objectives import OBJECTIVES
+from ..scoring.objectives import DEFAULT_OBJECTIVE, OBJECTIVES
 from ..tcp.cca import CCA_FACTORIES
 
 
@@ -184,7 +184,7 @@ class CampaignSpec:
     name: str = "campaign"
     ccas: List[str] = field(default_factory=lambda: ["reno", "cubic", "bbr"])
     modes: List[str] = field(default_factory=lambda: ["traffic"])
-    objectives: List[str] = field(default_factory=lambda: ["throughput"])
+    objectives: List[str] = field(default_factory=lambda: [DEFAULT_OBJECTIVE])
     conditions: List[NetworkCondition] = field(default_factory=lambda: [NetworkCondition()])
     budget: GaBudget = field(default_factory=GaBudget)
     seed: int = 0

@@ -44,7 +44,7 @@ import tempfile
 import time
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .campaign.corpus import DEFAULT_OBJECTIVE, CorpusReader, CorpusStore, read_corpus_map
+from .campaign.corpus import CorpusReader, CorpusStore, read_corpus_map
 from .campaign.scheduler import HARVEST_TOP_K, CampaignResult, CampaignRunner
 from .campaign.spec import DEFAULT_POLL_S, CampaignSpec, GaBudget
 from .core.fuzzer import MODES, FuzzConfig
@@ -64,7 +64,7 @@ from .obs import (
     Console,
     add_console_flags,
 )
-from .scoring.objectives import OBJECTIVES
+from .scoring.objectives import DEFAULT_OBJECTIVE, OBJECTIVES
 from .tcp.cca import CCA_FACTORIES
 from .traces.generator import LinkTraceGenerator, TrafficTraceGenerator
 from .traces.trace import LinkTrace, PacketTrace
@@ -826,7 +826,7 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
     with _command(_fuzz, parser):
         parser.add_argument("--cca", choices=sorted(CCA_FACTORIES), default="bbr")
         parser.add_argument("--mode", choices=MODES, default="traffic")
-        parser.add_argument("--objective", choices=sorted(OBJECTIVES), default="throughput")
+        parser.add_argument("--objective", choices=sorted(OBJECTIVES), default=DEFAULT_OBJECTIVE)
         parser.add_argument("--population", type=int, default=16, help="traces per island")
         parser.add_argument("--islands", type=int, default=1)
         parser.add_argument("--generations", type=int, default=10)

@@ -42,7 +42,7 @@ from ..exec.workers import EvaluationJob
 from ..netsim.packet import MSS_BYTES
 from ..netsim.simulation import CcaFactory, SimulationConfig
 from ..scoring.base import Score, ScoreFunction
-from ..scoring.objectives import make_score_function
+from ..scoring.objectives import DEFAULT_OBJECTIVE, make_score_function
 from ..traces.constraints import may_join_population
 from ..traces.crossover import CROSSOVER_OPERATORS, crossover_traces
 from ..traces.distpackets import DEFAULT_K_AGG
@@ -213,9 +213,8 @@ class CCFuzz:
     ) -> None:
         self.cca_factory = cca_factory
         self.config = config
-        # Default: the low-utilisation objective every front door calls "throughput".
         self.score_function = score_function or make_score_function(
-            "throughput", self.config.mode
+            DEFAULT_OBJECTIVE, self.config.mode
         )
         self.seed_traces = list(seed_traces or [])
         self.rng = random.Random(self.config.seed)

@@ -91,18 +91,9 @@ class EvaluationBackend(abc.ABC):
             return []
         with self._record_batch(len(jobs)):
             blocked = self._quarantine_precheck(jobs)
-            if not blocked:
-                outcomes = self._run_jobs(jobs)
-            else:
-                pending = [
-                    (index, job) for index, job in enumerate(jobs) if index not in blocked
-                ]
-                executed = self._run_jobs([job for _, job in pending]) if pending else []
-                outcomes = [None] * len(jobs)  # type: ignore[list-item]
-                for (index, _), outcome in zip(pending, executed):
-                    outcomes[index] = outcome
-                for index, outcome in blocked.items():
-                    outcomes[index] = outcome
+            pending = [job for index, job in enumerate(jobs) if index not in blocked]
+            executed = iter(self._run_jobs(pending) if pending else [])
+            outcomes = [blocked[i] if i in blocked else next(executed) for i in range(len(jobs))]
             self._account_outcomes(outcomes)
             return outcomes
 

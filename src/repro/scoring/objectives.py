@@ -17,6 +17,10 @@ from .trace_score import MinimalTrafficScore
 #: Objective names accepted by ``--objective`` and campaign specs.
 OBJECTIVES = ("throughput", "delay", "loss")
 
+#: The objective of a search that names none, and of corpus entries that
+#: carry none (builtin attacks): the paper's low-utilisation score.
+DEFAULT_OBJECTIVE = "throughput"
+
 
 def make_score_function(objective: str, mode: str) -> ScoreFunction:
     """Build the score function for an objective/mode pair.

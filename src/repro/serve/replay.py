@@ -26,11 +26,12 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Optional, Tuple
 
-from ..campaign.corpus import DEFAULT_OBJECTIVE, CorpusEntry, CorpusReader
+from ..campaign.corpus import CorpusEntry, CorpusReader
 from ..exec.backend import EvaluationBackend
 from ..exec.batch import Evaluator
 from ..exec.cache import TraceCache
 from ..exec.workers import EvaluationJob, simulate_packet_trace
+from ..scoring.objectives import DEFAULT_OBJECTIVE
 
 #: Averaging window for the throughput sparkline series (seconds).
 SERIES_WINDOW_S = 0.25

@@ -19,12 +19,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from ..campaign.corpus import DEFAULT_OBJECTIVE, CorpusStore
+from ..campaign.corpus import CorpusStore
 from ..exec.backend import EvaluationBackend
 from ..exec.batch import Evaluator
 from ..exec.cache import TraceCache
 from ..netsim.simulation import SimulationConfig
-from ..scoring.objectives import make_score_function
+from ..scoring.objectives import DEFAULT_OBJECTIVE, make_score_function
 from ..tcp.cca import cca_factory
 from ..traces.trace import PacketTrace
 from .differential import DifferentialConfig, DifferentialReport, compare_ccas

@@ -289,9 +289,11 @@ def test_cli_campaign_under_env_chaos_spares_healthy_results(tmp_path, monkeypat
     Read back through the read-only readers: nothing here writes the corpus."""
     from repro.cli import campaign_main
 
+    # 24 candidates on 2 workers give a prefetch of ceil(24 / 8) = 3, so
+    # faults land mid-chunk, not only on a chunk's first ticket.
     spec = tiny_spec(
         name="ci-chaos-smoke",
-        budget=GaBudget(population_size=6, generations=2, duration=2.0),
+        budget=GaBudget(population_size=24, generations=2, duration=2.0),
         backend="process", workers=2, job_timeout=2.0, max_retries=1,
     )
     spec_path = tmp_path / "spec.json"

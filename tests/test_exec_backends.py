@@ -181,6 +181,41 @@ class TestCreateBackend:
         assert backend._prefetch(80) == 10
         assert backend._prefetch(81) == 11
 
+    def test_the_pool_sends_and_receives_one_message_per_chunk(self, monkeypatch):
+        # The wire is per chunk, not per job: a batch of N jobs on one worker
+        # crosses the parent's pipe as ceil(N / prefetch) job messages and
+        # comes back as as many result messages.
+        from multiprocessing.connection import Connection
+
+        parent = os.getpid()
+        messages = {"send": 0, "recv": 0}
+
+        def counted(name):
+            method = getattr(Connection, name)
+
+            def wrapper(self, *args):
+                if os.getpid() == parent:  # forked workers inherit the patch
+                    messages[name] += 1
+                return method(self, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(Connection, "send", counted("send"))
+        monkeypatch.setattr(Connection, "recv", counted("recv"))
+        generator = TrafficTraceGenerator(duration=1.0, max_packets=30, seed=3)
+        score_function = ScoreFunction(performance=LowUtilizationScore())
+        jobs = [
+            EvaluationJob(Reno, SimulationConfig(duration=1.0), trace, score_function)
+            for trace in generator.generate_population(12)
+        ]
+        backend = ProcessPoolBackend(workers=1)
+        assert backend._prefetch(len(jobs)) == 3
+        with backend:
+            outcomes = backend.evaluate_batch(jobs)
+            wire = dict(messages)  # before close() sends the shutdown sentinel
+        assert wire == {"send": 4, "recv": 4}
+        assert outcomes == [evaluate_job(job) for job in jobs]
+
 
 class TestTraceCache:
     SCORE = ScoreFunction(performance=LowUtilizationScore())

@@ -440,6 +440,71 @@ class TestBackendFaultHandling:
         assert entry["attempts"] == 2
 
 
+class TestMidChunkFaults:
+    """A fault at chunk position > 0 blames that ticket, not its chunk.
+
+    One worker and 12 jobs give a prefetch of 3, so jobs 3-5 travel as one
+    chunk and job 4 is its second ticket.  The worker's progress slot, not
+    the chunk's first ticket, says which one was running; job 3, finished
+    but never replied for, is rerun without an attempt charge.
+    """
+
+    JOBS = make_jobs(count=12, seed=5)
+    FAULTED = 4
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        return [evaluate_job(job) for job in self.JOBS]
+
+    def run_faulted(self, monkeypatch, fault, policy):
+        from repro.exec.supervisor import SupervisedProcessPool
+
+        completions = []
+        complete = SupervisedProcessPool._complete_locked
+
+        def recording(pool, ticket, status, payload):
+            completions.append((ticket.index, ticket.attempts))
+            complete(pool, ticket, status, payload)
+
+        monkeypatch.setattr(SupervisedProcessPool, "_complete_locked", recording)
+        backend = ProcessPoolBackend(workers=1, policy=policy)
+        assert backend._prefetch(len(self.JOBS)) == 3
+        plan = ChaosPlan(faults={self.JOBS[self.FAULTED].trace.fingerprint(): fault})
+        with chaos_injection(plan), backend:
+            outcomes = backend.evaluate_batch(self.JOBS)
+        return outcomes, completions
+
+    def assert_others_complete_once_unchanged(self, outcomes, completions, baseline):
+        others = [entry for entry in completions if entry[0] != self.FAULTED]
+        expected = [index for index in range(len(self.JOBS)) if index != self.FAULTED]
+        assert sorted(index for index, _ in others) == expected
+        assert all(attempts == 0 for _, attempts in others)
+        for index in expected:
+            assert outcomes[index] == baseline[index]
+
+    def test_a_hang_times_out_that_ticket_only(self, monkeypatch, baseline):
+        outcomes, completions = self.run_faulted(
+            monkeypatch, "hang", FaultPolicy(job_timeout=1.0, max_retries=0)
+        )
+        failure = failure_from_summary(outcomes[self.FAULTED][1])
+        assert failure.kind == "timeout"
+        assert failure.attempts == 1
+        assert failure_from_summary(outcomes[self.FAULTED - 1][1]) is None
+        self.assert_others_complete_once_unchanged(outcomes, completions, baseline)
+
+    def test_an_exit_is_blamed_and_retried_up_to_max_retries(self, monkeypatch, baseline):
+        retries_before = get_registry().counter("exec.retries")
+        outcomes, completions = self.run_faulted(
+            monkeypatch, "exit", FaultPolicy(max_retries=2)
+        )
+        failure = failure_from_summary(outcomes[self.FAULTED][1])
+        assert failure.kind == "worker-death"
+        assert "exit code 23" in failure.message
+        assert failure.attempts == 3  # initial try + max_retries
+        assert get_registry().counter("exec.retries") - retries_before == 2
+        self.assert_others_complete_once_unchanged(outcomes, completions, baseline)
+
+
 class TestCloseAndRestart:
     @pytest.mark.parametrize(
         "backend_factory",
