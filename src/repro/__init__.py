@@ -8,7 +8,7 @@ with Linux-style rate sampling, and Reno/CUBIC/BBR congestion control.
 
 Imports
 -------
-Every fleet worker, ``status`` poll and CLI call is a fresh interpreter, so
+Every ``status`` poll and CLI call is a fresh interpreter, so
 each process loads only what its command runs.  ``import repro`` loads no
 submodule: this package and :mod:`repro.campaign` serve their public names
 from one ``{name: submodule}`` table each (PEP 562) and import a subsystem

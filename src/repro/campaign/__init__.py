@@ -7,18 +7,15 @@ benchmark sweep:
   network conditions) expanded into a deterministic scenario matrix;
 * :mod:`corpus` — the persistent on-disk attack corpus: fingerprint-deduped
   winning traces with full provenance;
-* :mod:`scheduler` — the one scenario body, the campaign lifecycle around
-  it, and the campaign-wide scope: every scenario through one shared
+* :mod:`scheduler` — the campaign runner: every scenario through one
   evaluation backend, trace cache and archive, seeded from the live corpus
   (cache keys carry each scenario's identities, so hits stay within one);
-* :mod:`worker` — the same body under a per-scenario scope: a fleet of
-  worker processes claiming scenario leases over the shared journal;
 * :mod:`replay` — regression mode: re-simulate the whole corpus against a
   CCA and report score deltas;
 * :mod:`report` — plain-text campaign, corpus and replay summaries.
 
 Each name loads its submodule on first read, as in :mod:`repro`: building a
-runner loads neither the fleet, the replay nor the report module.
+runner loads neither the replay nor the report module.
 """
 
 from .. import _lazy_exports
@@ -42,8 +39,6 @@ _EXPORTS = {
     "GaBudget": "spec",
     "NetworkCondition": "spec",
     "Scenario": "spec",
-    "FleetWorker": "worker",
-    "run_fleet": "worker",
 }
 
 __all__ = list(_EXPORTS)

@@ -60,7 +60,7 @@ duplicates it — instead the entry's ``rediscoveries`` counter grows and its
 recorded score is upgraded if the new find scored higher.
 
 The corpus is a fold of the journal.  During a campaign an insert is only a
-``corpus_insert`` record (:class:`~repro.campaign.scheduler.InsertLog`); when
+``corpus_insert`` record (:meth:`CorpusStore.add` journals it); when
 it ends, :meth:`CorpusStore.fold` publishes each changed entry file, then
 ``index.json``, the behavior map and ``quarantine.json``, then (unless it
 failed) ``folded.json``, once.  Every reader sees the files plus the
@@ -75,9 +75,9 @@ directory another process is writing; everything that only reads holds one.
 sweep; one process at a time may hold it on a directory.  An index it cannot
 use is an empty corpus to the reader and a refusal to open to the store.
 Triage, the one writer outside a campaign, folds after each entry.  So only
-a campaign (``repro-campaign run|workers``, and ``repro-fuzz``, which runs
-one) and ``repro-campaign triage`` hold a store; ``report``, ``replay``,
-``repro-triage --corpus`` and every fleet worker hold a reader, and
+a campaign (``repro-campaign run``, and ``repro-fuzz``, which runs
+one) and ``repro-campaign triage`` hold a store; ``report``, ``replay`` and
+``repro-triage --corpus`` hold a reader, and
 ``repro-coverage`` and the dashboard go through the module-level readers.
 """
 
@@ -243,7 +243,7 @@ def read_corpus_map(
 ) -> Tuple[Dict[str, Any], int]:
     """A corpus directory's behavior map, the one function that computes it
     (``repro-coverage``, ``/api/coverage``, a fresh campaign's starting map,
-    resume, a fleet's finalize, :meth:`CorpusStore.fold`).
+    resume, :meth:`CorpusStore.fold`).
 
     With no journal, or a ``folded.json`` that matches it, the map is
     ``behavior_map.json`` alone.  Otherwise it is the journal campaign's
@@ -251,8 +251,9 @@ def read_corpus_map(
     folded in: each scenario's deltas
     (:meth:`JournalView.behavior_state`, capped by ``generation_limits``,
     which always reads the journal), except that a completed scenario's
-    journaled private archive (a fleet's) is merged over the baseline
-    instead, in matrix order; its deltas would count its visits twice.
+    journaled private archive (the retired thread mode wrote one) is merged
+    over the baseline instead, in matrix order; its deltas would count its
+    visits twice.
 
     Returns the map as :meth:`BehaviorArchive.to_dict` shapes it, and how
     many cells the file held: none when it is missing, torn or of another
@@ -272,7 +273,7 @@ def read_corpus_map(
     payload = dict(base, **(counters or {}), cells={**base["cells"], **cells})
     if private:
         archive, baseline = BehaviorArchive.from_dict(payload), BehaviorArchive.from_dict(base)
-        for scenario in CampaignSpec.from_dict(view.campaign["spec"]).expand():
+        for scenario in CampaignSpec.from_journal(view.campaign["spec"]).expand():
             if scenario.scenario_id in private:
                 archive.merge(BehaviorArchive.from_dict(private[scenario.scenario_id]), baseline)
         payload = archive.to_dict()
@@ -471,7 +472,7 @@ class CorpusReader:
           corpus dir, partial copy, journal merged from another machine) is
           applied as new instead, counted in ``repairs``;
         * one journaled without a post-insert value (a duplicate builtin
-          registration, a fleet worker's find) is a no-op.
+          registration) is a no-op.
 
         Each is decided on the index row before any trace is read, and a
         rediscovery the row lacks on the entry file too, which a fold killed
@@ -707,8 +708,8 @@ class CorpusStore(CorpusReader):
         campaign's store), or else this reader's.  Each is written only
         when it differs from its file (``quarantine.json`` not at all while
         it would be empty).  ``mark=False``, for a campaign that raised (its
-        journal may hold a fleet's inserts this store never applied), writes
-        no ``folded.json``.
+        journal may hold inserts this store never applied), writes no
+        ``folded.json``.
         """
         with self._lock:
             journal = _journal_mark(self.path) if mark else None

@@ -117,7 +117,7 @@ def format_last_campaign(view: JournalView) -> Optional[str]:
     the completed scenarios' own.
     """
     try:
-        spec = CampaignSpec.from_dict(view.campaign["spec"])
+        spec = CampaignSpec.from_journal(view.campaign["spec"])
         outcomes = journaled_outcomes(spec, view).values()
     except (KeyError, TypeError, ValueError):
         return None

@@ -1,32 +1,23 @@
-"""Campaign execution: one scenario body, run under two isolation scopes.
+"""Campaign execution: every scenario of the matrix, one after another.
 
 The paper's unit of work is one GA search per (CCA, trace mode, objective).
-That unit exists here exactly once, as :meth:`ScenarioEngine.run_scenario`:
+That unit exists here exactly once, as :meth:`CampaignRunner._run_scenario`:
 build the :class:`CCFuzz`, journal a behavior delta and then a checkpoint
-after every evaluated generation, harvest the top-k survivors through the
-:class:`InsertLog`, assemble the :class:`ScenarioOutcome` and
-journal ``scenario_complete``.  Everything that legitimately differs between
-the two ways a campaign isolates its scenarios reaches that body as *data*,
-in a :class:`ScenarioScope`:
+after every evaluated generation, harvest the top-k survivors as journaled
+corpus inserts, assemble the :class:`ScenarioOutcome` and journal
+``scenario_complete``.
 
-* the **campaign-wide** scope (:meth:`CampaignRunner.run`, this module) —
-  one evaluation cache and one behavior archive shared by every scenario,
-  seeds drawn from the *live* corpus, inserts decided against and applied
-  to that corpus's memory.  Scenarios run in matrix order, so each one is
-  seeded by everything earlier ones found — e.g. winners against Reno seeding the
-  CUBIC and BBR searches.  A seed is still simulated afresh: every cache
-  key carries its scenario's CCA, simulation and score identities, so a hit
-  crosses scenarios only between two conditions with identical parameters;
-* the **per-scenario** scope (:mod:`repro.campaign.worker`) — private cache
-  and archive, seeds and the "is it new" rule from a snapshot journaled at
-  launch, every record stamped with a lease epoch, so scenarios are
-  independent and any number of processes can run, die and be stolen from.
-
-The two policies compute different campaigns (beyond a two-scenario matrix
-their seeds, corpora and digests differ) and both are kept.  What they share
-is the body, the lifecycle around it (:meth:`CampaignRunner._conduct`:
-bootstrap, run the matrix, finalize in a ``finally``) and the backend
-constructor (:func:`campaign_backend`).
+A campaign has one policy.  One evaluation backend, one trace cache and one
+behavior archive serve every scenario; seeds are drawn from the *live*
+corpus, and inserts are decided against and applied to that corpus's
+memory.  Scenarios run in matrix order, so each one is seeded by everything
+earlier ones found — e.g. winners against Reno seeding the CUBIC and BBR
+searches.  A seed is still simulated afresh: every cache key carries its
+scenario's CCA, simulation and score identities, so a hit crosses scenarios
+only between two conditions with identical parameters.  Parallelism lives
+inside a generation: ``"backend": "process"`` evaluates each population on
+a pool of worker processes (:mod:`repro.exec`), with the same results as the
+serial backend.
 
 Durability
 ----------
@@ -40,7 +31,7 @@ record per scenario.  :meth:`CampaignRunner.resume` replays that
 log after a crash and continues mid-campaign; the resumed run's corpus,
 behavior map and summary digest are bit-identical to an uninterrupted run
 with the same seed (the crash-recovery harness in ``tests/crashsim.py``
-enforces this under SIGKILL).
+enforces this under SIGKILL, for either backend).
 """
 
 from __future__ import annotations
@@ -49,8 +40,8 @@ import contextlib
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Collection, Dict, Iterator, List, Optional, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 from ..core.fuzzer import CCFuzz, restorable
 from ..coverage.archive import BehaviorArchive
@@ -176,105 +167,8 @@ def journaled_outcomes(
 
 
 # ---------------------------------------------------------------------- #
-# The scenario body and what an isolation policy hands it
+# Resume and the backend
 # ---------------------------------------------------------------------- #
-
-
-class InsertLog:
-    """Write-ahead corpus inserts: the journal record *is* the insert, and
-    :meth:`CorpusStore.fold` publishes them when the campaign ends.
-
-    ``corpus`` is the campaign-wide scope's live corpus: inserts are decided
-    against it and applied to its memory, so later scenarios are seeded by
-    them.  Fleet workers hold no corpus; they decide "is it new" against
-    ``snapshot``, the fingerprints journaled at launch — a rule every worker
-    evaluates identically, whatever the corpus holds by then.
-
-    ``prior`` holds the inserts a dead process (or an earlier lease epoch)
-    already journaled, scenario key -> fingerprint -> event; a re-run harvest
-    replays their recorded intent instead of journaling them again.
-    """
-
-    def __init__(
-        self,
-        corpus: Optional[CorpusStore],
-        journal: CampaignJournal,
-        *,
-        prior: Optional[Dict[str, Dict[str, Dict[str, Any]]]] = None,
-        snapshot: Collection[str] = (),
-    ) -> None:
-        self.corpus = corpus
-        self.journal = journal
-        self.prior = prior or {}
-        self.snapshot = snapshot
-
-    def add(
-        self,
-        trace: PacketTrace,
-        scenario_key: str,
-        stamp: Optional[Dict[str, Any]] = None,
-        **kwargs: Any,
-    ) -> bool:
-        """Journal the insert of ``trace`` under ``scenario_key``, then apply
-        it; returns True iff it was new."""
-        fingerprint = trace.fingerprint()
-        prior = self.prior.get(scenario_key, {}).get(fingerprint)
-        if prior is not None:       # the corpus applied it when it read the journal
-            return bool(prior["new"])
-
-        def journal(data: Dict[str, Any]) -> None:
-            self.journal.append(
-                "corpus_insert", {"scenario_id": scenario_key, **data, **(stamp or {})}
-            )
-
-        if self.corpus is not None:
-            return self.corpus.add(trace, journal, **kwargs)
-        is_new = fingerprint not in self.snapshot
-        journal({"fingerprint": fingerprint, "new": is_new, "rediscoveries_after": None,
-                 "entry": dict(kwargs, trace=trace.to_dict())})
-        return is_new
-
-
-@dataclass
-class ScenarioScope:
-    """What an isolation policy hands the scenario body, as data.
-
-    The marks say how much of the cache's op log and of the archive's touch
-    stamps the journal already holds; each journaled delta moves its mark.
-    """
-
-    cache: TraceCache
-    archive: BehaviorArchive
-    inserts: InsertLog
-    #: The extra ``scenario_complete`` fields, cut when the record is built.
-    completion: Callable[["ScenarioScope"], Dict[str, Any]]
-    cache_mark: int
-    cell_mark: int
-    #: Stamped on every record written under this scope: nothing, or the
-    #: ``{lease_epoch, worker}`` that replay fences a stolen lease's zombie by.
-    stamp: Dict[str, Any] = field(default_factory=dict)
-    #: Runs once a generation's checkpoint is durable (lease heartbeat).
-    after_checkpoint: Callable[[], None] = lambda: None
-    seeds: List[PacketTrace] = field(default_factory=list)
-    #: The fuzzer snapshot to continue from; its population replaces ``seeds``.
-    resume_state: Optional[Dict[str, Any]] = None
-
-    def cache_delta(self) -> Dict[str, Any]:
-        """The cache touches since the last journaled delta."""
-        delta, self.cache_mark = self.cache.delta_since(self.cache_mark)
-        return delta
-
-
-def restore_cache(cache: TraceCache, state: Optional[Dict[str, Any]], warn: ProgressCallback) -> int:
-    """Load a journaled op log into ``cache``; returns the mark it reaches."""
-    if state is not None:
-        try:
-            return cache.restore(state)
-        except ValueError:
-            # A dump from an older outcome schema or journal layout cannot be
-            # trusted; resuming cold is still correct, just slower.
-            warn("journaled cache dump is stale; resuming with a cold cache")
-    return 0
 
 
 def resume_checkpoint(
@@ -285,8 +179,8 @@ def resume_checkpoint(
     warn: ProgressCallback,
 ) -> Optional[Dict[str, Any]]:
     """The checkpoint ``scenario_id`` continues from, its behavior deltas up
-    to that generation applied to ``archive`` (deltas from earlier lease
-    epochs agree: a resumed epoch re-evaluates its first generation
+    to that generation applied to ``archive`` (deltas an earlier run wrote
+    past it agree: a resumed run re-evaluates its first generation
     bit-identically); ``None`` for a fresh start.  A checkpoint naming
     outcomes the restored ``cache`` lacks (a stale dump, a cache smaller than
     the population), or a trace the journal does not hold, is refused: the
@@ -340,129 +234,8 @@ def campaign_backend(
         backend.close()
 
 
-@dataclass
-class ScenarioEngine:
-    """The scenario body plus the per-process collaborators it runs on."""
-
-    campaign: str
-    harvest_top_k: int
-    journal: CampaignJournal
-    backend: EvaluationBackend
-    telemetry: CampaignTelemetry
-    quarantine: QuarantineStore
-    progress: ProgressCallback
-
-    def run_scenario(self, scenario: Scenario, scope: ScenarioScope) -> ScenarioOutcome:
-        """One GA search, journaled, harvested and completed under ``scope``."""
-        started = time.perf_counter()
-        journal = self.journal
-        scenario_id = scenario.scenario_id
-        # Provenance on every quarantine entry this scenario produces; under
-        # a lease the epoch also fences the journaled event on a steal.
-        self.quarantine.context = {"scenario_id": scenario_id, **scope.stamp}
-
-        def checkpoint(state: Dict[str, Any]) -> None:
-            # The behavior-map delta goes *first*, then the fuzzer checkpoint
-            # (with the cache touches since the last one): resume trusts the
-            # checkpoint and applies deltas only up to its generation, so a
-            # kill between the two appends cannot leave the archive ahead of
-            # (or behind) the GA state.
-            changed, scope.cell_mark = scope.archive.delta_since(scope.cell_mark)
-            journal.append(
-                "behavior_delta",
-                {
-                    "scenario_id": scenario_id,
-                    "generation": state["generation"],
-                    "cells": changed,
-                    "counters": scope.archive.counters(),
-                    **scope.stamp,
-                },
-            )
-            # The history goes as its tail: the view folds the whole list.
-            journal.append(
-                "generation_checkpoint",
-                {
-                    "scenario_id": scenario_id,
-                    "generation": state["generation"],
-                    "fuzzer": {**state, "history": state["history"][-1:]},
-                    "cache": scope.cache_delta(),
-                    **scope.stamp,
-                },
-            )
-            scope.after_checkpoint()
-
-        fuzzer = CCFuzz(
-            cca_factory(scenario.cca),
-            config=scenario.fuzz_config(),
-            score_function=make_score_function(scenario.objective, scenario.mode),
-            seed_traces=scope.seeds,
-            backend=self.backend,
-            cache=scope.cache,
-            archive=scope.archive,
-        )
-        with self.telemetry.scenario_span(scenario):
-            result = fuzzer.run(
-                progress=lambda stats: self.telemetry.generation(scenario, stats),
-                checkpoint=checkpoint,
-                resume_from=scope.resume_state,
-            )
-            new_entries = 0
-            harvested: set = set()
-            for individual in result.top_individuals(self.harvest_top_k):
-                if not individual.is_evaluated:
-                    continue
-                fingerprint = individual.trace.fingerprint()
-                if fingerprint in harvested:
-                    continue
-                harvested.add(fingerprint)
-                behavior = individual.result_summary.get("behavior_signature")
-                new_entries += scope.inserts.add(
-                    individual.trace,
-                    scenario_id,
-                    scope.stamp,
-                    scenario_id=scenario_id,
-                    cca=scenario.cca,
-                    objective=scenario.objective,
-                    score=individual.fitness,
-                    generation_found=individual.generation_born,
-                    origin="fuzz",
-                    campaign=self.campaign,
-                    condition=scenario.condition.to_dict(),
-                    behavior=dict(behavior) if isinstance(behavior, dict) else None,
-                )
-        outcome = ScenarioOutcome(
-            scenario=scenario,
-            best_fitness=result.best_fitness,
-            best_fingerprint=result.best_trace.fingerprint(),
-            evaluations=result.total_evaluations,
-            cache_hits=result.cache_hits,
-            seeds_injected=len(result.seed_fingerprints),
-            new_corpus_entries=new_entries,
-            converged_generation=result.converged_generation,
-            wall_time_s=time.perf_counter() - started,
-            behavior_cells=result.behavior_cells,
-        )
-        journal.append(
-            "scenario_complete",
-            {
-                "scenario_id": scenario_id,
-                "outcome": outcome.to_journal_dict(),
-                **scope.completion(scope),
-                **scope.stamp,
-            },
-        )
-        self.telemetry.scenario_completed(outcome)
-        self.progress(
-            f"[{scenario_id}] best={outcome.best_fitness:.4f} "
-            f"evals={outcome.evaluations} hits={outcome.cache_hits} "
-            f"seeds={outcome.seeds_injected} new={outcome.new_corpus_entries} "
-            f"cells={outcome.behavior_cells} ({outcome.wall_time_s:.1f}s)"
-        )
-        return outcome
-
-
 # ---------------------------------------------------------------------- #
-# The campaign lifecycle, and the campaign-wide isolation policy
+# The campaign runner
 # ---------------------------------------------------------------------- #
 
 
@@ -526,9 +299,12 @@ class CampaignRunner:
         if not isinstance(telemetry, CampaignTelemetry):
             telemetry = CampaignTelemetry(corpus.path, enabled=bool(telemetry))
         self._telemetry = telemetry
-        self.inserts = InsertLog(corpus, self._journal)
         #: The replayed journal of the interrupted campaign :meth:`run` continues.
         self._resume_view: Optional[JournalView] = None
+        #: The inserts a dead run already journaled, scenario key ->
+        #: fingerprint -> event; a re-run harvest replays their recorded
+        #: intent instead of journaling them again.
+        self._prior_inserts: Dict[str, Dict[str, Dict[str, Any]]] = {}
 
     # ------------------------------------------------------------------ #
     # Resume
@@ -576,7 +352,7 @@ class CampaignRunner:
         }
         behavior, _ = read_corpus_map(str(corpus_dir), view, limits)
         runner = cls(
-            CampaignSpec.from_dict(start["spec"]),
+            CampaignSpec.from_journal(start["spec"]),
             CorpusStore(str(corpus_dir), lambda: view),
             backend=backend,
             cache=cache,
@@ -588,15 +364,14 @@ class CampaignRunner:
             telemetry=telemetry,
         )
         runner._resume_view = view
-        # The harvest replays the inserts it journaled already.
-        runner.inserts.prior = view.inserts_by_scenario
+        runner._prior_inserts = view.inserts_by_scenario
         return runner
 
     # ------------------------------------------------------------------ #
-    # Lifecycle shared by both isolation policies
+    # The lifecycle: bootstrap, the matrix, the fold
     # ------------------------------------------------------------------ #
 
-    def _bootstrap(self, view: Optional[JournalView], start_fields: Dict[str, Any]) -> int:
+    def _bootstrap(self, view: Optional[JournalView]) -> int:
         """Open the campaign in the journal; returns the builtins registered."""
         scenarios = self.spec.expand()
         journal = self._journal
@@ -634,7 +409,6 @@ class CampaignRunner:
                     "harvest_top_k": self.harvest_top_k,
                     "register_attacks": self.register_attacks,
                     "archive_baseline": self.archive.to_dict(),
-                    **start_fields,
                 },
             )
         attacks_registered = 0
@@ -646,7 +420,7 @@ class CampaignRunner:
             from ..attacks import builtin_attack_traces
 
             for name, trace in builtin_attack_traces(self.spec.budget.duration).items():
-                attacks_registered += self.inserts.add(
+                attacks_registered += self._insert(
                     trace,
                     f"builtin/{name}",
                     scenario_id=f"builtin/{name}",
@@ -659,31 +433,23 @@ class CampaignRunner:
         )
         return attacks_registered
 
-    def _conduct(
-        self,
-        execute: Callable[[], "tuple[Dict[str, ScenarioOutcome], Dict[str, Any]]"],
-        view: Optional[JournalView] = None,
-        **start_fields: Any,
-    ) -> CampaignResult:
-        """Bootstrap, run the matrix through ``execute``, finalize.
+    def run(self) -> CampaignResult:
+        """Execute every unfinished scenario and return the campaign summary.
 
-        ``view`` is the replayed journal when an interrupted campaign is
-        being continued.  ``execute`` returns the outcomes by scenario id
-        (with ``self.archive`` holding the campaign's map) and the cache
-        statistics to report.
+        The corpus and the behavior map are folded even if a scenario
+        failed mid-campaign; only a matrix that ran to the end has applied
+        every journaled insert and may mark the fold.
         """
+        view = self._resume_view
         started = time.perf_counter()
         executed = False
         try:
             try:
-                attacks_registered = self._bootstrap(view, start_fields)
-                outcome_by_id, cache_stats = execute()
+                attacks_registered = self._bootstrap(view)
+                outcome_by_id, cache_stats = self._run_matrix(view)
                 executed = True
             finally:
-                # Fold the corpus and the behavior map even if a scenario
-                # failed mid-campaign.  Only a matrix that ran to the end has
-                # applied every journaled insert and may mark the fold.  A
-                # fold that raises still releases the journal's handles.
+                # A fold that raises still releases the journal's handles.
                 try:
                     self.corpus.fold(mark=executed, archive=self.archive, quarantine=self.quarantine)
                 finally:
@@ -711,6 +477,54 @@ class CampaignRunner:
             # tolerate that by design).
             self._telemetry.close()
 
+    def _run_matrix(
+        self, view: Optional[JournalView]
+    ) -> "tuple[Dict[str, ScenarioOutcome], Dict[str, Any]]":
+        """Run the unfinished scenarios in matrix order; returns the outcomes
+        by scenario id and the cache statistics.
+
+        Later scenarios see (and are seeded by) everything earlier ones put
+        into the corpus — and, with coverage guidance, every cell earlier
+        scenarios opened in the shared archive.
+        """
+        scenarios = self.spec.expand()
+        cache = self._injected_cache
+        if cache is None:
+            population = self.spec.budget.population_size * self.spec.budget.islands
+            cache = TraceCache(max_entries=max(8192, 8 * population * len(scenarios)))
+        #: How much of the cache's op log the journal already holds.
+        self._cache, self._cache_mark = cache, 0
+        if view is not None and view.cache_state is not None:
+            try:
+                self._cache_mark = cache.restore(view.cache_state)
+            except ValueError:
+                # A dump from an older outcome schema or journal layout
+                # cannot be trusted; resuming cold is still correct, just
+                # slower.
+                self._progress("journaled cache dump is stale; resuming with a cold cache")
+        outcome_by_id = journaled_outcomes(self.spec, view)
+        with campaign_backend(self.spec, self.quarantine, self._injected_backend) as backend:
+            for scenario in scenarios:
+                scenario_id = scenario.scenario_id
+                if scenario_id in outcome_by_id:
+                    self._progress(f"[{scenario_id}] already complete (journal)")
+                    continue
+                # A checkpointed scenario restores its population (seeds
+                # included) from the snapshot; only fresh starts draw seeds
+                # from the corpus.
+                checkpoint = resume_checkpoint(
+                    view, scenario_id, cache, self.archive, self._progress
+                )
+                seeds = [] if checkpoint is not None else self._scenario_seeds(scenario)
+                self._journal.append(
+                    "scenario_lease",
+                    {"scenario_id": scenario_id, "seed": scenario.seed, "campaign": self.spec.name},
+                )
+                outcome_by_id[scenario_id] = self._run_scenario(
+                    scenario, backend, seeds, checkpoint["fuzzer"] if checkpoint else None
+                )
+        return outcome_by_id, dict(cache.stats())
+
     def _scenario_seeds(self, scenario: Scenario) -> List[PacketTrace]:
         return self.corpus.seeds_for(
             scenario.mode,
@@ -720,63 +534,137 @@ class CampaignRunner:
             bottleneck_rate_mbps=scenario.condition.bottleneck_rate_mbps,
         )
 
-    # ------------------------------------------------------------------ #
-    # The campaign-wide scope
-    # ------------------------------------------------------------------ #
+    def _cache_delta(self) -> Dict[str, Any]:
+        """The cache touches since the last journaled delta."""
+        delta, self._cache_mark = self._cache.delta_since(self._cache_mark)
+        return delta
 
-    def run(self) -> CampaignResult:
-        """Execute every scenario and return the campaign summary."""
-        return self._conduct(self._run_matrix, self._resume_view)
-
-    def _run_matrix(self) -> "tuple[Dict[str, ScenarioOutcome], Dict[str, Any]]":
-        """Run the unfinished scenarios, in matrix order, under one scope.
-
-        Later scenarios see (and are seeded by) everything earlier ones put
-        into the corpus — and, with coverage guidance, every cell earlier
-        scenarios opened in the shared archive.
-        """
-        view = self._resume_view
-        scenarios = self.spec.expand()
-        cache = self._injected_cache
-        if cache is None:
-            population = self.spec.budget.population_size * self.spec.budget.islands
-            cache = TraceCache(max_entries=max(8192, 8 * population * len(scenarios)))
-        scope = ScenarioScope(
-            cache=cache,
-            archive=self.archive,
-            inserts=self.inserts,
-            completion=lambda scope: {"cache": scope.cache_delta()},
-            cache_mark=restore_cache(
-                cache, view.cache_state if view is not None else None, self._progress
-            ),
-            cell_mark=self.archive.mark,
+    def _insert(self, trace: PacketTrace, scenario_key: str, **fields: Any) -> bool:
+        """Journal the insert of ``trace`` under ``scenario_key``, then apply
+        it to the corpus; returns True iff it was new.  The journal record
+        *is* the insert: :meth:`CorpusStore.fold` publishes it when the
+        campaign ends."""
+        prior = self._prior_inserts.get(scenario_key, {}).get(trace.fingerprint())
+        if prior is not None:       # the corpus applied it when it read the journal
+            return bool(prior["new"])
+        return self.corpus.add(
+            trace,
+            lambda data: self._journal.append("corpus_insert", {"scenario_id": scenario_key, **data}),
+            **fields,
         )
-        outcome_by_id = journaled_outcomes(self.spec, view)
-        with campaign_backend(self.spec, self.quarantine, self._injected_backend) as backend:
-            engine = ScenarioEngine(
-                self.spec.name, self.harvest_top_k, self._journal, backend,
-                self._telemetry, self.quarantine, self._progress,
+
+    def _run_scenario(
+        self,
+        scenario: Scenario,
+        backend: EvaluationBackend,
+        seeds: List[PacketTrace],
+        resume_state: Optional[Dict[str, Any]],
+    ) -> ScenarioOutcome:
+        """One GA search, journaled, harvested and completed.
+
+        ``resume_state`` is the fuzzer snapshot to continue from; its
+        population replaces ``seeds``.
+        """
+        started = time.perf_counter()
+        journal, archive = self._journal, self.archive
+        scenario_id = scenario.scenario_id
+        # Provenance on every quarantine entry this scenario produces.
+        self.quarantine.context = {"scenario_id": scenario_id}
+        #: How many of the archive's touch stamps the journal already holds.
+        cell_mark = archive.mark
+
+        def checkpoint(state: Dict[str, Any]) -> None:
+            # The behavior-map delta goes *first*, then the fuzzer checkpoint
+            # (with the cache touches since the last one): resume trusts the
+            # checkpoint and applies deltas only up to its generation, so a
+            # kill between the two appends cannot leave the archive ahead of
+            # (or behind) the GA state.
+            nonlocal cell_mark
+            changed, cell_mark = archive.delta_since(cell_mark)
+            journal.append(
+                "behavior_delta",
+                {
+                    "scenario_id": scenario_id,
+                    "generation": state["generation"],
+                    "cells": changed,
+                    "counters": archive.counters(),
+                },
             )
-            for scenario in scenarios:
-                if scenario.scenario_id in outcome_by_id:
-                    self._progress(f"[{scenario.scenario_id}] already complete (journal)")
+            # The history goes as its tail: the view folds the whole list.
+            journal.append(
+                "generation_checkpoint",
+                {
+                    "scenario_id": scenario_id,
+                    "generation": state["generation"],
+                    "fuzzer": {**state, "history": state["history"][-1:]},
+                    "cache": self._cache_delta(),
+                },
+            )
+
+        fuzzer = CCFuzz(
+            cca_factory(scenario.cca),
+            config=scenario.fuzz_config(),
+            score_function=make_score_function(scenario.objective, scenario.mode),
+            seed_traces=seeds,
+            backend=backend,
+            cache=self._cache,
+            archive=archive,
+        )
+        telemetry = self._telemetry
+        with telemetry.scenario_span(scenario):
+            result = fuzzer.run(
+                progress=lambda stats: telemetry.generation(scenario, stats),
+                checkpoint=checkpoint,
+                resume_from=resume_state,
+            )
+            new_entries = 0
+            harvested: set = set()
+            for individual in result.top_individuals(self.harvest_top_k):
+                if not individual.is_evaluated:
                     continue
-                # A checkpointed scenario restores its population (seeds
-                # included) from the snapshot; only fresh starts draw seeds
-                # from the corpus.
-                checkpoint = resume_checkpoint(
-                    view, scenario.scenario_id, cache, self.archive, self._progress
+                fingerprint = individual.trace.fingerprint()
+                if fingerprint in harvested:
+                    continue
+                harvested.add(fingerprint)
+                behavior = individual.result_summary.get("behavior_signature")
+                new_entries += self._insert(
+                    individual.trace,
+                    scenario_id,
+                    scenario_id=scenario_id,
+                    cca=scenario.cca,
+                    objective=scenario.objective,
+                    score=individual.fitness,
+                    generation_found=individual.generation_born,
+                    origin="fuzz",
+                    campaign=self.spec.name,
+                    condition=scenario.condition.to_dict(),
+                    behavior=dict(behavior) if isinstance(behavior, dict) else None,
                 )
-                scope.resume_state = checkpoint["fuzzer"] if checkpoint is not None else None
-                scope.seeds = [] if checkpoint is not None else self._scenario_seeds(scenario)
-                scope.cell_mark = self.archive.mark
-                self._journal.append(
-                    "scenario_lease",
-                    {
-                        "scenario_id": scenario.scenario_id,
-                        "seed": scenario.seed,
-                        "campaign": self.spec.name,
-                    },
-                )
-                outcome_by_id[scenario.scenario_id] = engine.run_scenario(scenario, scope)
-        return outcome_by_id, dict(cache.stats())
+        outcome = ScenarioOutcome(
+            scenario=scenario,
+            best_fitness=result.best_fitness,
+            best_fingerprint=result.best_trace.fingerprint(),
+            evaluations=result.total_evaluations,
+            cache_hits=result.cache_hits,
+            seeds_injected=len(result.seed_fingerprints),
+            new_corpus_entries=new_entries,
+            converged_generation=result.converged_generation,
+            wall_time_s=time.perf_counter() - started,
+            behavior_cells=result.behavior_cells,
+        )
+        journal.append(
+            "scenario_complete",
+            {
+                "scenario_id": scenario_id,
+                "outcome": outcome.to_journal_dict(),
+                "cache": self._cache_delta(),
+            },
+        )
+        telemetry.scenario_completed(outcome)
+        self._progress(
+            f"[{scenario_id}] best={outcome.best_fitness:.4f} "
+            f"evals={outcome.evaluations} hits={outcome.cache_hits} "
+            f"seeds={outcome.seeds_injected} new={outcome.new_corpus_entries} "
+            f"cells={outcome.behavior_cells} ({outcome.wall_time_s:.1f}s)"
+        )
+        return outcome

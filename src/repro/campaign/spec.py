@@ -173,8 +173,10 @@ def _scenario_seed(campaign_seed: int, scenario_id: str) -> int:
     return int(digest, 16)
 
 
-#: How long an idle fleet worker sleeps before re-polling for claimable scenarios.
-DEFAULT_POLL_S = 0.25
+#: Keys a ``campaign_start`` record's spec may carry from an older writer,
+#: which no field reads any more: :meth:`CampaignSpec.from_journal` drops
+#: them, while a spec *file* naming one is an unknown key.
+RETIRED_SPEC_KEYS = ("lease_ttl",)
 
 
 @dataclass
@@ -195,9 +197,6 @@ class CampaignSpec:
     #: classic fitness-only campaign; "novelty" schedules a
     #: behavior-coverage campaign over the shared archive.
     guidance: str = FuzzConfig.guidance
-    #: Scenario-lease time-to-live (seconds) for fleet workers: a worker that
-    #: misses heartbeats this long is presumed dead and its scenario stolen.
-    lease_ttl: float = 30.0
     #: Per-evaluation wall-clock limit (seconds); enforced by the process
     #: backend, which kills and replaces the worker running an overdue job.
     job_timeout: Optional[float] = None
@@ -230,8 +229,6 @@ class CampaignSpec:
             raise ValueError(
                 f"guidance must be one of {GUIDANCE_MODES}, got {self.guidance!r}"
             )
-        if self.lease_ttl <= 0:
-            raise ValueError("lease_ttl must be positive")
         # Validate the execution values early, before any run, by building
         # what they feed (pools start lazily, so nothing is spawned).
         create_backend(
@@ -285,7 +282,6 @@ class CampaignSpec:
             "workers": self.workers,
             "seed_limit": self.seed_limit,
             "guidance": self.guidance,
-            "lease_ttl": self.lease_ttl,
             "job_timeout": self.job_timeout,
             "max_retries": self.max_retries,
         }
@@ -303,6 +299,12 @@ class CampaignSpec:
         if "budget" in data:
             data["budget"] = GaBudget.from_dict(data["budget"])
         return cls(**data)
+
+    @classmethod
+    def from_journal(cls, payload: Dict[str, Any]) -> "CampaignSpec":
+        """The spec a ``campaign_start`` record journaled, whichever version
+        wrote it: the one reader of journaled specs."""
+        return cls.from_dict({k: v for k, v in payload.items() if k not in RETIRED_SPEC_KEYS})
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignSpec":

@@ -25,8 +25,9 @@ error exits 2 with ``error: <reason>`` before any file or directory is
 created, and so does an input the command cannot use: a file that cannot be
 opened, a trace file that is not a trace, a torn or other-schema
 ``behavior_map.json``, or a journal with a corrupt record before its final
-line (the corpus is left as it was).  A flag the input would contradict is
-rejected, not ignored (:func:`_input` for trace inputs).
+line or written by a worker fleet (the corpus is left as it was).  A flag
+the input would contradict is rejected, not ignored (:func:`_input` for
+trace inputs).
 
 Module level imports only what a campaign run needs; every other subsystem
 is imported by the handler that uses it, so a process loads what it runs.
@@ -42,11 +43,11 @@ import os
 import sys
 import tempfile
 import time
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .campaign.corpus import CorpusReader, CorpusStore, read_corpus_map
 from .campaign.scheduler import HARVEST_TOP_K, CampaignResult, CampaignRunner
-from .campaign.spec import DEFAULT_POLL_S, CampaignSpec, GaBudget
+from .campaign.spec import CampaignSpec, GaBudget
 from .core.fuzzer import MODES, FuzzConfig
 from .coverage import (
     GUIDANCE_MODES,
@@ -55,7 +56,7 @@ from .coverage import (
 )
 from .exec.backend import BACKENDS, create_backend
 from .exec.workers import simulate_packet_trace
-from .journal import CampaignJournal, JournalCorruption
+from .journal import CampaignJournal, FleetJournalError, JournalCorruption
 from .journal.log import read_corpus_journal_view
 from .netsim.simulation import SimulationConfig, SimulationTruncated, run_simulation
 from .obs import (
@@ -142,34 +143,6 @@ def _add_pool_options(parser: _Parser, backend: Optional[str] = "serial") -> Non
         "--workers", type=_int_at_least(1, "--workers"), default=None,
         help="override the spec's pool size" if overriding else
              "worker pool size for the process backend (default: one per usable CPU)",
-    )
-
-
-def _add_launch_options(parser: _Parser) -> None:
-    """Options of the commands that launch a campaign (``run``, ``workers``)."""
-    parser.add_argument(
-        "--job-timeout", type=_positive_float("--job-timeout"), default=None, metavar="SECONDS",
-        help="override the spec's per-evaluation wall-clock limit "
-             "(process backend kills and replaces the overdue worker)",
-    )
-    parser.add_argument(
-        "--max-retries", type=_int_at_least(0, "--max-retries"), default=None,
-        help="override the spec's retry budget for evaluations whose pool "
-             "worker died",
-    )
-    parser.add_argument(
-        "--no-attacks", action="store_true",
-        help="do not register the builtin attack library as initial corpus entries",
-    )
-    parser.add_argument(
-        "--harvest-top-k", type=_int_at_least(1, "--harvest-top-k"), default=HARVEST_TOP_K,
-        help="how many top traces per scenario to store in the corpus",
-    )
-    parser.add_argument(
-        "--no-telemetry", action="store_true",
-        help="do not write metrics.jsonl / run_manifest.json "
-             "into the corpus directory (the journal still records the outcome "
-             "that 'report' shows)",
     )
 
 
@@ -582,16 +555,16 @@ def _serve(args: _Args, parser: _Parser, console: Console) -> None:
 
 
 def _launch_spec(
-    args: _Args,
-    parser: _Parser,
-    overridable: Sequence[str],
-    spec: Optional[CampaignSpec] = None,
+    args: _Args, parser: _Parser, spec: Optional[CampaignSpec] = None
 ) -> CampaignSpec:
-    """The spec a launch runs: ``--spec``'s file (or ``spec``, which a resume
-    recovered from the journal) with the command line's overrides applied
-    through :class:`CampaignSpec`'s own validation (``None`` = keep the spec's)."""
+    """The spec ``run`` launches: ``--spec``'s file (or ``spec``, which a
+    resume recovered from the journal) with the command line's pool and fault
+    overrides applied through :class:`CampaignSpec`'s own validation (``None``
+    = keep the spec's)."""
     overrides = {
-        name: getattr(args, name) for name in overridable if getattr(args, name) is not None
+        name: getattr(args, name)
+        for name in ("backend", "workers", "job_timeout", "max_retries")
+        if getattr(args, name) is not None
     }
     with _usage_errors(parser):
         if spec is None:
@@ -615,8 +588,7 @@ def _campaign_run(args: _Args, parser: _Parser, console: Console) -> None:
         parser.error("--resume recovers the spec from the journal; drop --spec")
     if not args.resume and args.spec is None:
         parser.error("one of --spec or --resume is required")
-    overridable = ("backend", "workers", "job_timeout", "max_retries")
-    spec = None if args.resume else _launch_spec(args, parser, overridable)
+    spec = None if args.resume else _launch_spec(args, parser)
     archive = None if args.resume else _corpus_archive(args.corpus, parser)
     telemetry = CampaignTelemetry(
         args.corpus,
@@ -628,7 +600,7 @@ def _campaign_run(args: _Args, parser: _Parser, console: Console) -> None:
             runner = CampaignRunner.resume(
                 args.corpus, progress=console.info, telemetry=telemetry
             )
-        runner.spec = _launch_spec(args, parser, overridable, runner.spec)
+        runner.spec = _launch_spec(args, parser, runner.spec)
     else:
         runner = CampaignRunner(
             spec,
@@ -640,31 +612,6 @@ def _campaign_run(args: _Args, parser: _Parser, console: Console) -> None:
             telemetry=telemetry,
         )
     _report_campaign(runner.run(), console)
-
-
-def _campaign_workers(args: _Args, parser: _Parser, console: Console) -> None:
-    from .campaign.worker import run_fleet
-
-    if (args.kill_worker is None) != (args.kill_after_checkpoints is None):
-        parser.error("--kill-worker and --kill-after-checkpoints go together")
-    spec = _launch_spec(args, parser, ("job_timeout", "max_retries"))
-    archive = _corpus_archive(args.corpus, parser)
-    result = run_fleet(
-        spec,
-        args.corpus,
-        workers=args.workers,
-        poll_s=args.poll,
-        kill_worker=args.kill_worker,
-        kill_after_checkpoints=args.kill_after_checkpoints,
-        register_attacks=not args.no_attacks,
-        harvest_top_k=args.harvest_top_k,
-        telemetry=not args.no_telemetry,
-        # No progress callback is how a fleet is told to keep quiet, worker
-        # subprocesses included.
-        progress=None if console.quiet else console.info,
-        archive=archive,
-    )
-    _report_campaign(result, console)
 
 
 def _campaign_compact(args: _Args, parser: _Parser, console: Console) -> None:
@@ -696,6 +643,10 @@ def _campaign_status(args: _Args, parser: _Parser, console: Console) -> None:
 
     if args.watch is not None and args.prometheus:
         parser.error("--watch cannot be combined with --prometheus")
+    # The status fold reads telemetry only.  Opening the corpus folds a
+    # journal its files do not hold yet (a finished corpus costs a stat), so
+    # one a worker fleet wrote is refused here as every reader refuses it.
+    CorpusReader(args.corpus)
     metrics_path = os.path.join(args.corpus, METRICS_FILENAME)
     if not os.path.exists(metrics_path):
         parser.error(
@@ -802,12 +753,13 @@ def _command(
 def _dispatch(parser: _Parser, argv: Optional[List[str]]) -> int:
     """Run the chosen command; usage errors leave through ``parser.error`` (exit 2),
     and so does a journal with a corrupt interior record, which every writer
-    refuses before it changes a byte.  A reader that stops reading (``| head``)
-    ends the command with exit 1 and no traceback."""
+    refuses before it changes a byte, or one a worker fleet wrote.  A reader
+    that stops reading (``| head``) ends the command with exit 1 and no
+    traceback."""
     args = parser.parse_args(argv)
     try:
         args.handler(args, args.parser, Console.from_args(args))
-    except JournalCorruption as exc:
+    except (JournalCorruption, FleetJournalError) as exc:
         args.parser.error(str(exc))
     except BrokenPipeError:
         # Point stdout at devnull, or the interpreter's exit flush raises again.
@@ -996,7 +948,30 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
                  "(the spec is recovered from the journal; --spec is not allowed)",
         )
         _add_pool_options(cmd, backend=None)
-        _add_launch_options(cmd)
+        cmd.add_argument(
+            "--job-timeout", type=_positive_float("--job-timeout"), default=None, metavar="SECONDS",
+            help="override the spec's per-evaluation wall-clock limit "
+                 "(process backend kills and replaces the overdue worker)",
+        )
+        cmd.add_argument(
+            "--max-retries", type=_int_at_least(0, "--max-retries"), default=None,
+            help="override the spec's retry budget for evaluations whose pool "
+                 "worker died",
+        )
+        cmd.add_argument(
+            "--no-attacks", action="store_true",
+            help="do not register the builtin attack library as initial corpus entries",
+        )
+        cmd.add_argument(
+            "--harvest-top-k", type=_int_at_least(1, "--harvest-top-k"), default=HARVEST_TOP_K,
+            help="how many top traces per scenario to store in the corpus",
+        )
+        cmd.add_argument(
+            "--no-telemetry", action="store_true",
+            help="do not write metrics.jsonl / run_manifest.json "
+                 "into the corpus directory (the journal still records the outcome "
+                 "that 'report' shows)",
+        )
         cmd.add_argument(
             "--progress", action="store_true",
             help="render a live one-line progress status on stderr while the campaign runs",
@@ -1071,26 +1046,6 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
                  "(e.g. after a run with --skip-* engines)",
         )
         _add_triage_options(cmd)
-
-    with _command(
-        _campaign_workers, commands, "workers",
-        help="run a campaign with a fleet of worker processes sharing one "
-             "corpus (expired leases are stolen; digest matches the inline -n 0 run)",
-    ) as cmd:
-        cmd.add_argument("--spec", required=True, help="campaign spec JSON file")
-        cmd.add_argument("--corpus", required=True, help="shared corpus directory")
-        cmd.add_argument(
-            "-n", "--workers", type=_int_at_least(0, "--workers"), default=2,
-            help="worker processes to spawn (0 = run everything inline in this process)",
-        )
-        cmd.add_argument(
-            "--poll", type=_positive_float("--poll"), default=DEFAULT_POLL_S,
-            help="seconds an idle worker waits between lease-claim attempts",
-        )
-        _add_launch_options(cmd)
-        cmd.add_argument("--kill-worker", type=int, default=None, help=argparse.SUPPRESS)
-        cmd.add_argument("--kill-after-checkpoints", type=int, default=None,
-                         help=argparse.SUPPRESS)
 
     with _command(
         _campaign_compact, commands, "compact",

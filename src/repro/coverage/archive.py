@@ -183,9 +183,10 @@ class BehaviorArchive:
         archives reports the same coverage a shared archive would.
 
         ``baseline`` handles archives that were *seeded from a snapshot of
-        this archive* (a fleet worker's per-scenario archive): only ``other``'s
-        contribution beyond the baseline is folded in, so the inherited
-        cells' visits are not double-counted once per scenario.
+        this archive* (a per-scenario archive the retired thread mode
+        journaled in ``scenario_complete``): only ``other``'s contribution
+        beyond the baseline is folded in, so the inherited cells' visits are
+        not double-counted once per scenario.
         """
         changed = 0
         base_cells: Dict[str, CellElite] = (

@@ -9,8 +9,8 @@ every retry, in every run — which is what lets the fault-tolerance tests
 assert exact quarantine contents and bit-identical healthy outcomes.
 
 Plans reach evaluations two ways: :func:`install_chaos` sets a process-global
-plan (and mirrors it into the ``REPRO_CHAOS`` environment variable so fleet
-worker subprocesses inherit it), and the supervised process pool additionally
+plan (and mirrors it into the ``REPRO_CHAOS`` environment variable so
+subprocesses inherit it), and the supervised process pool additionally
 ships the active plan inside each job message, so a long-lived pool observes
 plan changes made after its workers forked.
 

@@ -7,8 +7,8 @@ an exception (or a dead pool worker) abort the whole batch, every failure is
 folded into a *failure outcome* — a deterministic penalty :class:`Score`
 plus a ``summary["failure"]`` record describing what happened.  Failure
 outcomes flow through the coalescing cache, the GA and the journal exactly
-like healthy ones, which is what keeps faulted campaigns resumable and
-fleet-replayable bit-identically.
+like healthy ones, which is what keeps faulted campaigns resumable
+bit-identically.
 
 Failure taxonomy (``EvaluationFailure.kind``):
 

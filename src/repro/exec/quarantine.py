@@ -55,12 +55,8 @@ class QuarantineStore:
         self._journal_hook = journal_hook
         self._lock = threading.RLock()
         self._entries: Dict[Tuple[str, str], Dict[str, Any]] = {}
-        #: Provenance merged into every new entry; fleet workers set
-        #: ``{"scenario_id": ..., "lease_epoch": ..., "worker": ...}`` per
-        #: scenario (the view fences events by ``scenario_id`` +
-        #: ``lease_epoch`` on a steal), single-process campaigns stamp only
-        #: ``scenario_id`` (epoch-less events are never fenced, matching
-        #: serial inserts).
+        #: Provenance merged into every new entry: a campaign sets
+        #: ``{"scenario_id": ...}`` per scenario.
         self.context: Dict[str, Any] = {}
         for entry in entries:
             self.apply_event(entry)

@@ -67,6 +67,10 @@ class SupervisorError(RuntimeError):
     """The pool cannot run at all (spawn failure, closed mid-submit)."""
 
 
+#: How often an idle worker checks that the process that started it lives.
+ORPHAN_CHECK_S = 1.0
+
+
 def _pool_worker_main(conn, progress_block, slot: int) -> None:
     """Worker process entry: evaluate chunks from ``conn`` until sentinel.
 
@@ -87,8 +91,15 @@ def _pool_worker_main(conn, progress_block, slot: int) -> None:
         except Exception:
             continue
         break
+    # A parent killed outright sends no sentinel, and the forked workers
+    # hold the parent's ends of the pipes open, so no EOF comes either: an
+    # idle worker leaves once it has been handed to another parent.
+    parent = os.getppid()
     while True:
         try:
+            while not conn.poll(ORPHAN_CHECK_S):
+                if os.getppid() != parent:
+                    return
             message = conn.recv()
         except (EOFError, OSError):
             return
@@ -500,7 +511,7 @@ class SupervisedProcessPool:
 
     def _timeout_worker_locked(self, worker: _Worker, ticket_id: int) -> None:
         blamed = self._take_running_locked(worker, ticket_id)
-        self._kill_worker(worker)
+        self._abort_worker(worker)
         self._spawn_worker_locked(worker.slot)
         registry = get_registry()
         registry.inc("exec.timeouts")
@@ -510,7 +521,7 @@ class SupervisedProcessPool:
             failure = _failure("timeout", message, blamed.job, blamed.attempts + 1)
             self._complete_locked(blamed, "fail", failure)
 
-    def _kill_worker(self, worker: _Worker) -> None:
+    def _abort_worker(self, worker: _Worker) -> None:
         proc = worker.proc
         if proc.is_alive() and hasattr(signal, "SIGABRT"):
             try:

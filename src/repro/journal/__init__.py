@@ -16,26 +16,19 @@ from .events import (
     JournalRecord,
     canonical_json,
 )
-from .log import (
-    DEFAULT_LEASE_TTL,
-    CampaignJournal,
-    merge_journals,
-    merge_records,
-)
-from .view import FENCED_EVENT_TYPES, JournalView, lease_epoch_of, replay_records
+from .log import CampaignJournal, merge_journals, merge_records
+from .view import FleetJournalError, JournalView, replay_records
 
 __all__ = [
-    "DEFAULT_LEASE_TTL",
     "EVENT_TYPES",
-    "FENCED_EVENT_TYPES",
     "JOURNAL_SCHEMA",
     "CampaignJournal",
+    "FleetJournalError",
     "JournalCorruption",
     "JournalError",
     "JournalRecord",
     "JournalView",
     "canonical_json",
-    "lease_epoch_of",
     "merge_journals",
     "merge_records",
     "replay_records",

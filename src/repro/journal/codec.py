@@ -8,7 +8,6 @@ the dicts back, so every reader sees exactly the payload that was appended;
 the dicts are shared between records and read-only.  A digest no table holds
 inflates to ``None``: that cell or corpus entry has no trace, and a
 checkpoint with such an individual restarts its scenario from its seeds.
-(``scenario_seeds`` names its seeds by fingerprint already.)
 """
 
 from __future__ import annotations

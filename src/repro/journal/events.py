@@ -47,9 +47,6 @@ EVENT_TYPES = (
     "campaign_start",
     "campaign_resume",
     "scenario_lease",
-    "lease_renew",
-    "lease_release",
-    "scenario_seeds",
     "generation_checkpoint",
     "behavior_delta",
     "corpus_insert",

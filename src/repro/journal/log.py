@@ -15,22 +15,19 @@ Crash-safety contract:
   truncated away, and the sequence counter continues after the last valid
   record.
 
-Multi-process contract (the worker-fleet mode):
+Multi-process contract (a ``compact`` run beside a live campaign, or two
+writers that share a journal by mistake):
 
 * appends are serialised across processes by an advisory ``flock`` on a
-  sidecar ``<journal>.lock`` file, so two workers can never interleave bytes
+  sidecar ``<journal>.lock`` file, so two writers can never interleave bytes
   of one record;
 * before writing, the holder re-checks its open handle against the path
   (``fstat`` inode/device) and reads any bytes other writers appended since
   its last write, so a journal rotated, compacted or appended-to under an
-  open handle is picked up instead of written past;
-* :meth:`claim_lease` / :meth:`renew_lease` / :meth:`release_lease` turn
-  ``scenario_lease`` records into an atomic claim protocol: a claim brings
-  its view of the log up to date *under the file lock* and only appends if
-  no live lease exists, granting a fresh fencing epoch.
+  open handle is picked up instead of written past.
 
-Read cost: every reader — a writer's :meth:`CampaignJournal.replay`, a lease
-claim, the repair before an append, compaction, the dashboard — goes through
+Read cost: every reader — a writer's :meth:`CampaignJournal.replay`, the
+repair before an append, compaction, the dashboard — goes through
 a :class:`JournalCursor`, which parses each byte of the file once and keeps
 the fold; a later read costs the bytes appended since.  Only what breaks the
 append-only assumption makes it read the file again from the start: a
@@ -58,9 +55,6 @@ except ImportError:  # pragma: no cover
     fcntl = None  # type: ignore[assignment]
 
 JOURNAL_FILENAME = "journal.jsonl"
-
-#: Default scenario-lease time-to-live for fleet workers (seconds).
-DEFAULT_LEASE_TTL = 30.0
 
 
 def _scan_bytes(
@@ -277,15 +271,15 @@ class CampaignJournal:
     """Append-only JSONL event log for one campaign corpus.
 
     Thread-safe (the quarantine hook appends from wherever a job failed),
-    and — via the sidecar file lock — process-safe too: a fleet of worker
-    processes appends to one journal file without interleaving records.
+    and — via the sidecar file lock — process-safe too: several processes
+    append to one journal file without interleaving records.
     Everything it knows about the file's contents lives in one
     :class:`JournalCursor`, so each byte is parsed once per journal object:
-    :meth:`replay`, lease claims, the repair before an append and compaction
-    all continue from where the last of them stopped.  A journal nobody has
-    asked for a view (a serial campaign's) parses and folds nothing: its own
-    appends are folded as they are written only once :meth:`replay` or
-    :meth:`claim_lease` has been called, and are read back if one is later.
+    :meth:`replay`, the repair before an append and compaction all continue
+    from where the last of them stopped.  A journal nobody has asked for a
+    view (a fresh campaign's) parses and folds nothing: its own appends are
+    folded as they are written only once :meth:`replay` has been called, and
+    are read back if it is later.
     """
 
     def __init__(self, path: str, *, fsync: bool = True) -> None:
@@ -341,7 +335,7 @@ class CampaignJournal:
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
         except OSError:
             # Filesystems without flock support degrade to thread-only
-            # locking — same guarantees as before the fleet existed.
+            # locking, which is all one writing process needs.
             handle.close()
             return
         self._lock_handle = handle
@@ -522,105 +516,6 @@ class CampaignJournal:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # Scenario leases
-    # ------------------------------------------------------------------ #
-
-    def claim_lease(
-        self,
-        scenario_id: str,
-        worker_id: str,
-        *,
-        ttl: float = DEFAULT_LEASE_TTL,
-        now: Optional[float] = None,
-        extra: Optional[Dict[str, Any]] = None,
-    ) -> Optional[Dict[str, Any]]:
-        """Atomically claim a scenario; returns the lease payload or ``None``.
-
-        Under the cross-process file lock the view is brought up to date
-        (which costs the records appended since this journal last looked);
-        the claim succeeds only if the scenario is not complete and no live
-        (unexpired, unreleased) lease exists.  A successful claim appends a
-        ``scenario_lease`` with the next fencing epoch — records a previous
-        holder writes *after* this point are dropped at replay.
-
-        ``expires_at`` is wall-clock (``time.time()``; ``now`` injects it), so
-        a clock step moves *when* a scenario becomes claimable, never *who*
-        may write to it — that is the epoch's job:
-
-        * a **forward** step of ``d`` makes a live lease look expired up to
-          ``d`` early, so a holder that is still alive can be stolen from.
-          The thief claims the next epoch and the old holder's later records
-          are fenced, so the cost is the work since its last checkpoint, done
-          twice;
-        * a **backward** step of ``d`` keeps a lease claimed before the step
-          live for up to ``ttl + d`` of the new clock: a dead holder's
-          scenario waits that much longer for a thief, and nothing else.  A
-          holder that is alive heartbeats, and its first renewal after the
-          step re-bases the expiry on the new clock.
-        """
-        with self._lock:
-            self._acquire_file_lock()
-            try:
-                moment = time.time() if now is None else float(now)
-                self._following = True
-                view = self._cursor.advance()
-                if not view.lease_claimable(scenario_id, moment):
-                    return None
-                data: Dict[str, Any] = dict(extra or {})
-                data.update(
-                    {
-                        "scenario_id": scenario_id,
-                        "worker_id": worker_id,
-                        "lease_epoch": view.next_lease_epoch(scenario_id),
-                        "expires_at": moment + float(ttl),
-                        "ttl": float(ttl),
-                    }
-                )
-                self.append("scenario_lease", data)
-                return data
-            finally:
-                self._release_file_lock()
-
-    def renew_lease(
-        self,
-        lease: Dict[str, Any],
-        *,
-        ttl: Optional[float] = None,
-        now: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        """Heartbeat: push the lease's expiry forward.
-
-        No claim check is needed — a renew for a stolen (stale-epoch) lease
-        is simply ignored at replay, exactly like the zombie's data records.
-
-        The latest renewal *replaces* the expiry (it is not a maximum), so
-        after a wall-clock step in either direction the first heartbeat puts
-        ``expires_at`` back on the clock the claimers read: ``ttl`` ahead of
-        it, whatever the lease said before (see :meth:`claim_lease`).
-        """
-        moment = time.time() if now is None else float(now)
-        horizon = float(ttl if ttl is not None else lease.get("ttl", DEFAULT_LEASE_TTL))
-        data = {
-            "scenario_id": lease["scenario_id"],
-            "worker_id": lease.get("worker_id", ""),
-            "lease_epoch": lease.get("lease_epoch", 0),
-            "expires_at": moment + horizon,
-        }
-        self.append("lease_renew", data)
-        lease["expires_at"] = data["expires_at"]
-        return data
-
-    def release_lease(self, lease: Dict[str, Any]) -> Dict[str, Any]:
-        """Voluntarily give a scenario back (clean worker shutdown)."""
-        data = {
-            "scenario_id": lease["scenario_id"],
-            "worker_id": lease.get("worker_id", ""),
-            "lease_epoch": lease.get("lease_epoch", 0),
-        }
-        self.append("lease_release", data)
-        return data
-
-    # ------------------------------------------------------------------ #
     # Rotation
     # ------------------------------------------------------------------ #
 
@@ -666,8 +561,8 @@ class CampaignJournal:
         number of the last folded record, so appends continue exactly where
         they would have; replaying the compacted file yields a view
         equivalent to replaying the original for everything a resume reads.
-        Runs under the cross-process lock — concurrent workers block, then
-        transparently reopen the replaced file via their ``fstat`` check.
+        Runs under the cross-process lock — a concurrent writer blocks, then
+        transparently reopens the replaced file via its ``fstat`` check.
 
         Returns ``{"records_before", "records_after", "bytes_before",
         "bytes_after", "torn_records"}``, or ``None`` for an empty journal.

@@ -1,34 +1,16 @@
 """Replay: fold journal records into one consistent campaign view.
 
 The fold is deliberately CRDT-like: records are deduplicated by content and
-applied in ``(seq, type, dedup_key)`` order with keyed last-writer-wins (or
-max-generation) semantics, so replaying a merged journal gives the same view
-regardless of which machine's records came first.
+applied in ``(seq, type, dedup_key)`` order with keyed first-writer-wins,
+last-writer-wins or max-generation semantics, so replaying a merged journal
+gives the same view regardless of which machine's records came first.
 
-Leases are a real coordination primitive, not a log line: a
-``scenario_lease`` record may carry ``worker_id``, ``lease_epoch`` and
-``expires_at``; the view tracks the *current* holder per scenario (highest
-epoch wins, first writer wins among equal epochs, which keeps legacy
-epoch-less leases on their original first-wins semantics).  ``lease_renew``
-pushes the current holder's expiry forward and ``lease_release`` retires it.
-
-Fencing: a data record (checkpoint, delta, insert, completion) written under
-a lease carries that lease's epoch.  During the fold, a record whose epoch is
-*lower* than the highest lease epoch granted at an earlier sequence number is
-dropped (counted in ``fenced_records``) — a zombie worker whose lease was
-stolen cannot corrupt the view, while everything the victim wrote *before*
-the steal stays visible so the thief can resume from its checkpoint.
-Records without a ``lease_epoch`` (legacy serial campaigns) are never fenced.
-
-Evaluation caches are journaled as op-deltas (see
+The evaluation cache is journaled as op-deltas (see
 :meth:`repro.exec.cache.TraceCache.delta_since`): each checkpoint or
 completion carries only the cache touches since the previous one, with
-``base`` = how many ops came before.  The fold is positional, per cache — a
-record written under a lease belongs to that scenario's private cache, any
-other to the one campaign-wide cache: truncate the cache's op log to ``base``,
-then extend it.  A generation re-done after a resume or a lease steal
-therefore overwrites the ops it replaces instead of duplicating them, and
-fencing (applied first) keeps a zombie's ops out altogether.
+``base`` = how many ops came before.  The fold is positional: truncate the
+cache's op log to ``base``, then extend it.  A generation re-done after a
+resume therefore overwrites the ops it replaces instead of duplicating them.
 
 A checkpoint journals its generation history as its tail; the view keeps
 each scenario's whole list (entries for generations before the tail's, then
@@ -36,18 +18,23 @@ the tail), so a re-done generation replaces its entry and a full history
 replaces the list, at O(tail) per checkpoint.
 
 Traces come by digest (:mod:`repro.journal.codec`): the fold keeps every
-record's ``traces`` table, taken before the duplicate and fencing checks —
-a trace is its content, so one a fenced zombie brought in is still the right
-bytes for the thief that names it — and inflates each payload it applies.
-A record that names a trace sorts after the one that brought it in (a
-writer's next seq is higher; :func:`repro.journal.log.merge_records` keeps
-the order), so one pass in fold order resolves every reference, and a
-reader following the file resolves exactly what a from-scratch one does.
+record's ``traces`` table, taken before the duplicate check (a trace is its
+content, so a duplicate's table is still the right bytes), and inflates each
+payload it applies.  A record that names a trace sorts after the one that
+brought it in (a writer's next seq is higher;
+:func:`repro.journal.log.merge_records` keeps the order), so one pass in fold
+order resolves every reference, and a reader following the file resolves
+exactly what a from-scratch one does.
+
+Earlier versions also ran a campaign as a fleet of worker processes, whose
+journals hold lease epochs, heartbeats and a seed plan.  The fold refuses
+such a journal, or a compaction snapshot of one, with
+:class:`FleetJournalError` rather than read it as the one campaign it is not.
 
 The fold can be *continued*: :class:`JournalFold` keeps the view together
-with the dedup set, the fencing epochs and the last fold key, so a reader
-that follows a growing file (:class:`repro.journal.log.JournalCursor`) folds
-each record once.  :func:`replay_records` is the same fold over one batch.
+with the dedup set and the last fold key, so a reader that follows a growing
+file (:class:`repro.journal.log.JournalCursor`) folds each record once.
+:func:`replay_records` is the same fold over one batch.
 """
 
 from __future__ import annotations
@@ -57,16 +44,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .codec import inflate
-from .events import JournalRecord
+from .events import JournalError, JournalRecord
 
-#: Event types subject to lease-epoch fencing.
-FENCED_EVENT_TYPES = (
-    "generation_checkpoint",
-    "behavior_delta",
-    "corpus_insert",
-    "scenario_complete",
-    "job_quarantined",
-)
+#: Record types only a worker fleet wrote.
+FLEET_EVENT_TYPES = ("lease_renew", "lease_release", "scenario_seeds")
 
 #: Version of the ``compaction_snapshot`` payload layout.  2 carries each
 #: cache's folded op log under ``caches``; 1 carried one full dump under
@@ -74,14 +55,23 @@ FENCED_EVENT_TYPES = (
 SNAPSHOT_VIEW_SCHEMA = 2
 
 
-def lease_epoch_of(payload: Optional[Dict[str, Any]]) -> int:
-    """The lease epoch a payload carries (legacy epoch-less records are 0)."""
-    if not payload:
-        return 0
-    try:
-        return int(payload.get("lease_epoch") or 0)
-    except (TypeError, ValueError):
-        return 0
+class FleetJournalError(JournalError):
+    """The journal was written by a worker fleet, which this version does not
+    read: a record carries a ``lease_epoch``, is a :data:`FLEET_EVENT_TYPES`
+    record, or is a compaction snapshot of such a journal."""
+
+
+def _fleet_written(record: JournalRecord) -> bool:
+    data = record.data
+    if record.type in FLEET_EVENT_TYPES or "lease_epoch" in data:
+        return True
+    view = data.get("view") if record.type == "compaction_snapshot" else None
+    if not isinstance(view, dict):
+        return False
+    leases = view.get("leases")
+    return view.get("scenario_seeds") is not None or isinstance(leases, dict) and any(
+        isinstance(lease, dict) and "lease_epoch" in lease for lease in leases.values()
+    )
 
 
 @dataclass
@@ -92,8 +82,7 @@ class JournalView:
     campaign: Optional[Dict[str, Any]] = field(init=False, default=None)
     #: ``campaign_resume`` payloads, in fold order.
     resumes: List[Dict[str, Any]] = field(init=False, default_factory=list)
-    #: scenario_id -> current-holder ``scenario_lease`` payload (highest
-    #: epoch wins; ``lease_renew``/``lease_release`` update it in place).
+    #: scenario_id -> its first ``scenario_lease`` payload.
     leases: Dict[str, Dict[str, Any]] = field(init=False, default_factory=dict)
     #: scenario_id -> latest ``generation_checkpoint`` payload.
     checkpoints: Dict[str, Dict[str, Any]] = field(init=False, default_factory=dict)
@@ -107,12 +96,9 @@ class JournalView:
     completed: Dict[str, Dict[str, Any]] = field(init=False, default_factory=dict)
     #: every ``behavior_delta`` payload in fold order (:meth:`behavior_state`).
     behavior_deltas: List[Dict[str, Any]] = field(init=False, default_factory=list)
-    #: cache scope -> that cache's folded op log as one ``base``-0 payload
-    #: (what ``TraceCache.restore`` takes).  Scope is the scenario id for a
-    #: fleet worker's private cache, ``""`` for the campaign-wide one.
-    caches: Dict[str, Dict[str, Any]] = field(init=False, default_factory=dict)
-    #: latest ``scenario_seeds`` payload (the fleet's journaled seed plan).
-    scenario_seeds: Optional[Dict[str, Any]] = field(init=False, default=None)
+    #: the evaluation cache's folded op log as one ``base``-0 payload (what
+    #: ``TraceCache.restore`` takes), if any record carried one.
+    cache_state: Optional[Dict[str, Any]] = field(init=False, default=None)
     #: ``job_quarantined`` payloads in fold order (the quarantine WAL), which
     #: :meth:`repro.campaign.corpus.CorpusReader.apply_journal` applies.
     quarantined: List[Dict[str, Any]] = field(init=False, default_factory=list)
@@ -120,28 +106,21 @@ class JournalView:
     record_count: int = field(init=False, default=0)
     duplicates: int = field(init=False, default=0)
     torn_records: int = field(init=False, default=0)
-    #: stale-epoch records dropped by lease fencing.
-    fenced_records: int = field(init=False, default=0)
     #: records folded away by an applied ``compaction_snapshot``.
     compacted_records: int = field(init=False, default=0)
     last_seq: int = field(init=False, default=0)
 
-    @property
-    def cache_state(self) -> Optional[Dict[str, Any]]:
-        """The campaign-wide evaluation cache, if any record carried one."""
-        return self.caches.get("")
-
     def copy(self) -> "JournalView":
         """A view that later folds cannot change.
 
-        Owns every container the fold grows or updates in place (lease
-        payloads, cache op lists and checkpoint histories included); the
+        Owns every container the fold grows or updates in place (the cache
+        op list and checkpoint histories included); the
         record payloads inside are shared with the fold, which only ever
         replaces them, and are not for the caller to mutate.
         """
         view = copy.copy(self)        # the payloads and counters
         view.resumes = list(self.resumes)
-        view.leases = {sid: dict(lease) for sid, lease in self.leases.items()}
+        view.leases = dict(self.leases)
         view.checkpoints = {sid: _own_history(cp) for sid, cp in self.checkpoints.items()}
         view.inserts = list(self.inserts)
         view.inserts_by_scenario = {
@@ -149,7 +128,7 @@ class JournalView:
         }
         view.completed = dict(self.completed)
         view.behavior_deltas = list(self.behavior_deltas)
-        view.caches = {scope: _own_ops(payload) for scope, payload in self.caches.items()}
+        view.cache_state = _own_ops(self.cache_state)
         view.quarantined = list(self.quarantined)
         return view
 
@@ -175,8 +154,7 @@ class JournalView:
         kill between the two appends leaves a trailing delta that must be
         dropped — the resumed search re-evaluates that generation and
         re-observes it identically.  ``scenario_id`` keeps only that
-        scenario's deltas: the state of the private archive a fleet worker
-        ran it on.
+        scenario's deltas.
         """
         limits = generation_limits or {}
         cells: Dict[str, Dict[str, Any]] = {}
@@ -192,43 +170,6 @@ class JournalView:
             if delta.get("counters") is not None:
                 counters = delta["counters"]
         return cells, counters
-
-    # ------------------------------------------------------------------ #
-    # Lease state
-    # ------------------------------------------------------------------ #
-
-    def lease_holder(self, scenario_id: str, now: float) -> Optional[str]:
-        """The worker holding a *live* lease on the scenario, or ``None``.
-
-        A lease is live iff it has not been released and its ``expires_at``
-        lies in the future.  Legacy leases without an expiry (the old
-        log-line form) never count as a live hold — they predate leases
-        meaning anything, so a fleet may claim over them.
-        """
-        lease = self.leases.get(scenario_id)
-        if not lease or lease.get("released"):
-            return None
-        expires = lease.get("expires_at")
-        if expires is None:
-            return None
-        try:
-            if float(expires) <= now:
-                return None
-        except (TypeError, ValueError):
-            return None
-        worker = lease.get("worker_id")
-        return str(worker) if worker else ""
-
-    def lease_claimable(self, scenario_id: str, now: float) -> bool:
-        """Whether a worker may claim the scenario right now."""
-        return (
-            scenario_id not in self.completed
-            and self.lease_holder(scenario_id, now) is None
-        )
-
-    def next_lease_epoch(self, scenario_id: str) -> int:
-        """The epoch a fresh claim of this scenario must use."""
-        return lease_epoch_of(self.leases.get(scenario_id)) + 1
 
     # ------------------------------------------------------------------ #
     # Query folds (dashboard / reporting)
@@ -279,13 +220,11 @@ class JournalView:
         """The ``compaction_snapshot`` payload equivalent to this view.
 
         Equivalence is over everything a resume consumes: the campaign and
-        resume records, current lease state, the journaled seed plan,
-        *pending* checkpoints with their folded histories (completed
-        scenarios' checkpoints are dead weight — nothing reads them),
-        completions, the full behavior-delta
-        list (kept verbatim so limit-aware folds still work after later
-        checkpoints move a scenario's limit), the folded cache op logs, and the
-        insert WAL folded to the latest record per (scenario, fingerprint)
+        resume records, the leases, *pending* checkpoints with their folded
+        histories (completed scenarios' checkpoints are dead weight — nothing
+        reads them), completions, the full behavior-delta list (kept verbatim
+        so limit-aware folds still work after later checkpoints move a
+        scenario's limit), the folded cache op log, and the insert WAL folded to the latest record per (scenario, fingerprint)
         — applying only the latest is corpus-equivalent because every event
         for a fingerprint carries the full entry and applies idempotently.
         """
@@ -303,12 +242,11 @@ class JournalView:
             "view": {
                 "campaign": self.campaign,
                 "resumes": list(self.resumes),
-                "leases": {sid: dict(lease) for sid, lease in self.leases.items()},
-                "scenario_seeds": self.scenario_seeds,
+                "leases": dict(self.leases),
                 "checkpoints": dict(self.pending_checkpoints()),
                 "completed": dict(self.completed),
                 "behavior_deltas": list(self.behavior_deltas),
-                "caches": self.caches,
+                "caches": {} if self.cache_state is None else {"": self.cache_state},
                 "inserts": folded_inserts,
                 "quarantined": folded_quarantined,
                 "record_count": self.record_count + self.compacted_records,
@@ -328,28 +266,8 @@ def _own_ops(payload: Any) -> Any:
     return payload
 
 
-def _fold_lease(
-    view: JournalView, data: Dict[str, Any], max_epoch: Dict[str, int]
-) -> None:
-    scenario_id = data["scenario_id"]
-    epoch = lease_epoch_of(data)
-    max_epoch[scenario_id] = max(max_epoch.get(scenario_id, 0), epoch)
-    current = view.leases.get(scenario_id)
-    if current is None or epoch > lease_epoch_of(current):
-        view.leases[scenario_id] = dict(data)
-
-
-def _fold_lease_renew(view: JournalView, data: Dict[str, Any]) -> None:
-    current = view.leases.get(data.get("scenario_id", ""))
-    if current is not None and lease_epoch_of(data) == lease_epoch_of(current):
-        if "expires_at" in data:
-            current["expires_at"] = data["expires_at"]
-
-
-def _fold_lease_release(view: JournalView, data: Dict[str, Any]) -> None:
-    current = view.leases.get(data.get("scenario_id", ""))
-    if current is not None and lease_epoch_of(data) == lease_epoch_of(current):
-        current["released"] = True
+def _fold_lease(view: JournalView, data: Dict[str, Any]) -> None:
+    view.leases.setdefault(data["scenario_id"], data)
 
 
 def _history(checkpoint: Optional[Dict[str, Any]]) -> Optional[List[Any]]:
@@ -390,9 +308,6 @@ def _fold_cache(view: JournalView, data: Dict[str, Any]) -> None:
     delta = data.get("cache")
     if delta is None:
         return
-    # Fleet workers (the only writers of lease epochs) run every scenario on
-    # a private cache; a serial campaign shares one across scenarios.
-    scope = data.get("scenario_id", "") if "lease_epoch" in data else ""
     ops = delta.get("ops") if isinstance(delta, dict) else None
     base = delta.get("base") if isinstance(ops, list) else None
     folded: Optional[List[Any]] = None
@@ -402,7 +317,7 @@ def _fold_cache(view: JournalView, data: Dict[str, Any]) -> None:
         # A ``base``-0 payload in the view always owns its op list (built
         # here or copied from a snapshot), so truncating in place never
         # touches a record's own data.
-        current = view.caches.get(scope)
+        current = view.cache_state
         log = current.get("ops") if isinstance(current, dict) and current.get("base") == 0 else None
         if isinstance(log, list) and base <= len(log):
             del log[base:]
@@ -411,10 +326,10 @@ def _fold_cache(view: JournalView, data: Dict[str, Any]) -> None:
         # Not an op-delta (a full dump from an older writer), or one whose
         # predecessors are missing: keep it as found and let
         # ``TraceCache.restore`` refuse it, which resumes cold.
-        view.caches[scope] = delta
+        view.cache_state = delta
         return
     folded.extend(ops)
-    view.caches[scope] = {**delta, "base": 0, "ops": folded}
+    view.cache_state = {**delta, "base": 0, "ops": folded}
 
 
 def _fold_insert(view: JournalView, data: Dict[str, Any]) -> None:
@@ -431,32 +346,13 @@ def _fold_complete(view: JournalView, data: Dict[str, Any]) -> None:
     view.completed[data["scenario_id"]] = data
 
 
-def _is_fenced(data: Dict[str, Any], max_epoch: Dict[str, int]) -> bool:
-    """Stale-epoch check: fenced iff the record's epoch predates the highest
-    lease epoch already folded (i.e. granted at a lower sequence number)."""
-    epoch = data.get("lease_epoch")
-    if epoch is None:
-        return False
-    scenario_id = data.get("scenario_id", "")
-    try:
-        return int(epoch) < max_epoch.get(scenario_id, 0)
-    except (TypeError, ValueError):
-        return False
-
-
-def _fold_snapshot(
-    view: JournalView, data: Dict[str, Any], max_epoch: Dict[str, int]
-) -> None:
+def _fold_snapshot(view: JournalView, data: Dict[str, Any]) -> None:
     """Seed the view from a ``compaction_snapshot`` payload.
 
     Data records are re-folded through the same per-type helpers replay
-    uses, *before* the snapshot's lease state enters the fencing map — the
-    snapshotted records already passed fencing when the snapshot was taken,
-    and a victim's pre-steal checkpoint must stay visible.  Folding the lease
-    epochs afterwards re-arms the fence against zombie records appended
-    after the compaction.  Cache deltas inside snapshotted records are *not*
-    re-folded (they are no longer in log order); the snapshot carries the
-    folded op logs themselves.
+    uses.  Cache deltas inside snapshotted records are *not* re-folded (they
+    are no longer in log order); the snapshot carries the folded op log
+    itself.
     """
     snapshot_view = data.get("view")
     if not isinstance(snapshot_view, dict):
@@ -473,13 +369,12 @@ def _fold_snapshot(
         _fold_quarantine(view, entry)
     for _, payload in sorted((snapshot_view.get("completed") or {}).items()):
         _fold_complete(view, payload)
-    for scope, payload in (snapshot_view.get("caches") or {}).items():
-        view.caches[scope] = _own_ops(payload)
-    if snapshot_view.get("scenario_seeds") is not None:
-        view.scenario_seeds = snapshot_view["scenario_seeds"]
+    cache = (snapshot_view.get("caches") or {}).get("")
+    if cache is not None:
+        view.cache_state = _own_ops(cache)
     for _, lease in sorted((snapshot_view.get("leases") or {}).items()):
         if isinstance(lease, dict) and "scenario_id" in lease:
-            _fold_lease(view, lease, max_epoch)
+            _fold_lease(view, lease)
     try:
         view.compacted_records += int(snapshot_view.get("record_count") or 0)
     except (TypeError, ValueError):
@@ -499,15 +394,13 @@ class JournalFold:
     that does not is refused whole, and the caller starts a new fold.
     """
 
-    __slots__ = ("view", "traces", "_seen", "_max_epoch", "_last_key")
+    __slots__ = ("view", "traces", "_seen", "_last_key")
 
     def __init__(self) -> None:
         self.view = JournalView()
         #: digest -> trace, from every folded record's ``traces`` table.
         self.traces: Dict[str, Dict[str, Any]] = {}
         self._seen: set = set()
-        #: scenario_id -> highest lease epoch granted so far in fold order.
-        self._max_epoch: Dict[str, int] = {}
         self._last_key: Optional[Tuple[int, str, str]] = None
 
     def extend(self, records: Iterable[JournalRecord]) -> bool:
@@ -524,7 +417,12 @@ class JournalFold:
         return True
 
     def _fold(self, record: JournalRecord) -> None:
-        view, max_epoch = self.view, self._max_epoch
+        if _fleet_written(record):
+            raise FleetJournalError(
+                f"journal record {record.seq} ({record.type}) was written by a worker "
+                "fleet, which this version no longer runs or reads"
+            )
+        view = self.view
         if record.traces:
             self.traces.update(record.traces)
         key = record.dedup_key()
@@ -535,9 +433,6 @@ class JournalFold:
         view.record_count += 1
         view.last_seq = max(view.last_seq, record.seq)
         data = record.data
-        if record.type in FENCED_EVENT_TYPES and _is_fenced(data, max_epoch):
-            view.fenced_records += 1
-            return
         if record.schema > 1:
             data = inflate(record.type, data, self.traces)
         if record.type == "campaign_start":
@@ -546,13 +441,7 @@ class JournalFold:
         elif record.type == "campaign_resume":
             view.resumes.append(data)
         elif record.type == "scenario_lease":
-            _fold_lease(view, data, max_epoch)
-        elif record.type == "lease_renew":
-            _fold_lease_renew(view, data)
-        elif record.type == "lease_release":
-            _fold_lease_release(view, data)
-        elif record.type == "scenario_seeds":
-            view.scenario_seeds = data
+            _fold_lease(view, data)
         elif record.type == "generation_checkpoint":
             _fold_checkpoint(view, data)
             _fold_cache(view, data)
@@ -566,7 +455,7 @@ class JournalFold:
             _fold_complete(view, data)
             _fold_cache(view, data)
         elif record.type == "compaction_snapshot":
-            _fold_snapshot(view, data, max_epoch)
+            _fold_snapshot(view, data)
         # Unknown event types within a supported schema are ignored, so a
         # newer writer's extra events do not break an older reader.
 

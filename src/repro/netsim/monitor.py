@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 from operator import sub
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .packet import CCA_FLOW, CROSS_FLOW, MSS_BYTES, Packet
 
@@ -60,6 +60,18 @@ def _cross_series(
     egress = series.egress_times = [d + propagation_delay for d in departures]
     series.delay_pairs = [(e, d - a) for e, d, a in zip(egress, departures, admissions)]
     return series
+
+
+def time_windows(duration: float, window: float) -> Iterator[Tuple[float, float]]:
+    """``[start, end)`` of consecutive windows over ``[0, duration)``: window
+    *i* starts at ``i * window`` (a running sum would drift into a sliver
+    window at the end), and the last one ends at ``duration``."""
+    if window <= 0:
+        raise ValueError("window must be positive")
+    i = 0
+    while i * window < duration:
+        yield i * window, min((i + 1) * window, duration)
+        i += 1
 
 
 class FlowMonitor:
@@ -160,26 +172,17 @@ class FlowMonitor:
         duration: float,
         use_ingress: bool = False,
     ) -> List[Tuple[float, float]]:
-        """Windowed rate in Mbps over consecutive ``window``-second bins.
+        """Windowed rate in Mbps over :func:`time_windows`' bins.
 
         Returns a list of ``(window_start_time, rate_mbps)`` tuples covering
         ``[0, duration)``.
         """
-        if window <= 0:
-            raise ValueError("window must be positive")
         times = self.ingress_times(flow) if use_ingress else self.egress_times(flow)
-        series: List[Tuple[float, float]] = []
-        start = 0.0
-        while start < duration:
-            end = min(start + window, duration)
-            lo = bisect.bisect_left(times, start)
-            hi = bisect.bisect_left(times, end)
-            count = hi - lo
-            span = end - start
-            rate_mbps = count * MSS_BYTES * 8.0 / span / 1e6 if span > 0 else 0.0
-            series.append((start, rate_mbps))
-            start += window
-        return series
+        return [
+            (start, (bisect.bisect_left(times, end) - bisect.bisect_left(times, start))
+             * MSS_BYTES * 8.0 / (end - start) / 1e6)
+            for start, end in time_windows(duration, window)
+        ]
 
     def max_egress_gap(self, flow: str, duration: float) -> float:
         """Longest interval of ``[0, duration]`` with no delivered packet.

@@ -48,11 +48,9 @@ Catalog (``status --prometheus`` renders each as ``repro_<name>``):
   the trace occurrences written as a digest only (kept out of the by-type
   split); ``journal.scans`` and ``journal.bytes_scanned`` — reads that
   reached the journal parser and their bytes.  ``bytes_scanned / bytes``
-  is the *read amplification* ``status`` prints: 0 for a serial run, below
-  1 for a resume.  Counters are per process, so a fleet driver, which
-  appends little and parses every worker's bytes once, reads far above 1
-  without re-reading anything; ``tests/journal_bytes.py`` divides by the
-  journal on disk instead (about 1 per process).
+  is the *read amplification* ``status`` prints: 0 for a fresh run, below
+  1 for a resume.  Counters are per process; ``tests/journal_bytes.py``
+  divides by the journal on disk instead (about 1 per process).
 * ``archive.delta_cells_serialised`` — behavior-map cells serialised by
   ``delta_since``: the cells touched since the reader's mark, never the
   size of the map.

@@ -133,7 +133,6 @@ def fold_status(
         "behavior_cells": 0,
         "progress_fraction": None,
         "eta_s": None,
-        "workers": {},
         "manifest": None,
         "manifest_present": False,
         "result_digest": None,
@@ -150,40 +149,11 @@ def fold_status(
 
     generations_total: Dict[str, int] = {}
     scenarios: Dict[str, Dict[str, Any]] = {}
-    workers: Dict[str, Dict[str, Any]] = {}
     snapshots: List[Dict[str, Any]] = []
     started_at: Optional[float] = None
 
     for record in records:
         rtype = record["type"]
-        # Fleet workers stamp their identity into every record they emit;
-        # fold those into per-worker rows (single-process campaigns emit no
-        # "worker" field and the table stays empty).
-        worker_id = record.get("worker")
-        if worker_id is not None:
-            worker = workers.setdefault(
-                str(worker_id),
-                {
-                    "scenario": None,
-                    "scenarios_completed": 0,
-                    "generations": 0,
-                    "evaluations": 0,
-                    "cache_hits": 0,
-                    "last_seen": None,
-                },
-            )
-            worker["last_seen"] = _num(record, "t", worker["last_seen"])
-            if rtype == "generation":
-                worker["scenario"] = record.get("scenario")
-                worker["generations"] += 1
-                worker["evaluations"] += int(_num(record, "evaluations"))
-                worker["cache_hits"] += int(_num(record, "cache_hits"))
-            elif rtype == "scenario_state":
-                if record.get("state") == "complete":
-                    worker["scenarios_completed"] += 1
-                    worker["scenario"] = None
-                else:
-                    worker["scenario"] = record.get("scenario")
         if rtype in ("campaign_start", "campaign_resume"):
             status["campaign"] = record.get("campaign")
             status["state"] = "running"
@@ -281,9 +251,8 @@ def fold_status(
         status["journal_trace_bytes"] = status["journal_bytes"].pop("traces", 0)
         status["journal_trace_refs"] = int(_num(counters, "journal.trace_refs"))
         # Read amplification: journal bytes this process parsed per byte it
-        # appended.  0 for a serial campaign (it never reads its own log),
-        # under 1 for a resume; a fleet driver, which appends little and
-        # parses every worker's bytes once, legitimately reads far above 1.
+        # appended: 0 for a fresh campaign (it never reads its own log),
+        # under 1 for a resume.
         scanned = _num(counters, "journal.bytes_scanned")
         written = _num(counters, "journal.bytes")
         status["journal_bytes_scanned"] = int(scanned)
@@ -318,7 +287,6 @@ def fold_status(
         status["progress_fraction"] = 1.0
         status["eta_s"] = 0.0
 
-    status["workers"] = workers
     return _attach_artifacts(status, corpus_dir)
 
 
@@ -477,23 +445,6 @@ def format_status(status: Dict[str, Any]) -> str:
                 f"{gen.ljust(5)}  {best_text.ljust(10)}  "
                 f"{str(entry.get('evaluations', 0)).ljust(5)}  "
                 f"{entry.get('cells', 0)}"
-            )
-    workers = status.get("workers") or {}
-    if workers:
-        lines.append("")
-        width = max(len(worker_id) for worker_id in workers)
-        width = max(width, len("worker"))
-        lines.append(
-            f"  {'worker'.ljust(width)}  done  gens   evals  on"
-        )
-        for worker_id in sorted(workers):
-            row = workers[worker_id]
-            lines.append(
-                f"  {worker_id.ljust(width)}  "
-                f"{str(row.get('scenarios_completed', 0)).ljust(4)}  "
-                f"{str(row.get('generations', 0)).ljust(5)}  "
-                f"{str(row.get('evaluations', 0)).ljust(5)}  "
-                f"{row.get('scenario') or '-'}"
             )
     return "\n".join(lines)
 

@@ -38,13 +38,9 @@ class CampaignTelemetry:
         *,
         enabled: bool = True,
         progress_stream: Optional[IO[str]] = None,
-        worker_id: Optional[str] = None,
     ) -> None:
         self.enabled = enabled
         self.corpus_dir = str(corpus_dir)
-        #: Fleet worker identity stamped into every emitted record (``worker``
-        #: field), so ``repro-campaign status`` can render per-worker rows.
-        self.worker_id = worker_id
         self._progress_stream = progress_stream
         self._started_at: Optional[float] = None
         self._scenario_totals: Dict[str, int] = {}
@@ -163,9 +159,6 @@ class CampaignTelemetry:
 
     def _emit(self, record_type: str, payload: Dict[str, Any]) -> None:
         assert self._sink is not None
-        if self.worker_id is not None:
-            payload = dict(payload)
-            payload["worker"] = self.worker_id
         self._sink.emit(record_type, payload)
 
     def close(self) -> None:

@@ -7,7 +7,7 @@ HTML dashboard, with a memoized replay endpoint that re-simulates stored
 attacks on demand.
 
 The subsystem's one hard rule is that it is **strictly observational**:
-attaching a dashboard to a running campaign (serial or fleet) must leave
+attaching a dashboard to a running campaign must leave
 digests, corpus fingerprints and behavior maps bit-identical to an
 unattached run.  Concretely, nothing in this package ever constructs the
 writer-side objects (``CorpusStore`` sweeps temp files, ``CampaignJournal``

@@ -118,9 +118,7 @@ function renderStatus(s) {
   const faultText = Object.values(faults).some(v => v)
     ? ` · faults: ${faults.failures} failed, ${faults.retries} retried, ` +
       `${faults.quarantined} quarantined` : "";
-  const workerCount = Object.keys(s.workers || {}).length;
   $("extras").textContent =
-    (workerCount ? `${workerCount} fleet workers · ` : "") +
     `quarantine file: ${s.quarantine_entries} entries` +
     (s.manifest_present ? ` · manifest digest ${(s.result_digest || "n/a").slice(0, 16)}`
                         : " · no manifest yet") + faultText;

@@ -148,7 +148,6 @@ class DashboardQuery:
             "archive_cells": archive_cells,
             "journal_cells": len(view.behavior_state()[0]),
             "torn_records": view.torn_records,
-            "fenced_records": view.fenced_records,
         }
         return shaped
 

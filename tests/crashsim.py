@@ -29,17 +29,6 @@ Injection points (``--point``):
 
 ``--event-type`` narrows ``mid-append`` to records of one type (by default
 every append counts).  All points count from 1 via ``--nth``.
-
-Fleet mode (``--fleet N``) runs the campaign through
-:func:`repro.campaign.worker.run_fleet` with N worker subprocesses instead
-of a serial in-process runner.  ``--kill-worker I --kill-after-checkpoints
-K`` makes worker I SIGKILL itself right after its Kth generation-checkpoint
-append — the driver survives, another worker steals the orphaned lease and
-resumes from the victim's checkpoint, and the harness prints the same JSON
-report for bit-identity comparison.  The ``--point`` injections still apply
-to the *driver* process (e.g. ``post-append`` dies during builtin
-registration), after which re-running with the same ``--fleet``/``--spec``
-resumes the fleet campaign from the journal.
 """
 
 from __future__ import annotations
@@ -119,20 +108,7 @@ def run(args: argparse.Namespace) -> int:
     from repro.coverage.archive import BehaviorArchive
 
     install_injection(args.point, args.nth, args.event_type)
-    if args.fleet is not None:
-        from repro.campaign.worker import run_fleet
-
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            spec = CampaignSpec.from_json(handle.read())
-        result = run_fleet(
-            spec,
-            args.corpus,
-            workers=args.fleet,
-            kill_worker=args.kill_worker,
-            kill_after_checkpoints=args.kill_after_checkpoints,
-        )
-        corpus = CorpusStore(args.corpus)
-    elif args.resume:
+    if args.resume:
         runner = CampaignRunner.resume(args.corpus)
         result = runner.run()
         corpus = runner.corpus
@@ -171,17 +147,7 @@ def main(argv=None) -> int:
                         help="1-based occurrence of the injection point to kill at")
     parser.add_argument("--event-type", default=None,
                         help="restrict mid-append to records of this type")
-    parser.add_argument("--fleet", type=int, default=None,
-                        help="run via run_fleet with this many worker processes")
-    parser.add_argument("--kill-worker", type=int, default=None,
-                        help="fleet worker index that SIGKILLs itself")
-    parser.add_argument("--kill-after-checkpoints", type=int, default=None,
-                        help="checkpoints the killed worker writes before dying")
     args = parser.parse_args(argv)
-    if args.fleet is not None and args.resume:
-        parser.error("--fleet resumes from the journal automatically; drop --resume")
-    if args.fleet is not None and args.spec is None:
-        parser.error("--fleet requires --spec")
     if not args.resume and args.spec is None:
         parser.error("--spec is required unless --resume is given")
     return run(args)

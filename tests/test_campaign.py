@@ -417,6 +417,24 @@ class TestCampaignRunner:
         assert sum(o.cache_hits for o in result.outcomes) > 0
         assert result.cache_stats["hits"] > 0
 
+    def test_a_later_scenario_is_seeded_from_an_earlier_ones_harvest(self, tmp_path):
+        """With the default ``seed_limit``, scenario 2 draws its seeds from
+        the live corpus, scenario 1's harvest included."""
+        from repro.journal import CampaignJournal
+
+        spec = CampaignSpec.from_dict({
+            "name": "live-seeds", "ccas": ["reno", "cubic"], "modes": ["traffic"],
+            "objectives": ["throughput"], "conditions": [{"name": "base"}],
+            "budget": {"population_size": 8, "generations": 3, "duration": 0.12},
+            "seed": 7,
+        })
+        reno, cubic = [scenario.scenario_id for scenario in spec.expand()]
+        corpus_dir = str(tmp_path / "corpus")
+        CampaignRunner(spec, CorpusStore(corpus_dir), telemetry=False).run()
+        view = CampaignJournal(CampaignJournal.corpus_path(corpus_dir)).replay()
+        seeds = view.checkpoints[cubic]["fuzzer"]["seed_fingerprints"]
+        assert set(seeds) & set(view.inserts_by_scenario[reno])
+
     def test_campaign_is_deterministic(self, campaign, tmp_path):
         spec, corpus, result = campaign
         corpus2 = CorpusStore(str(tmp_path / "corpus2"))

@@ -65,10 +65,8 @@ class TestCampaignRun:
         [
             pytest.param("run", [], "--spec", id="extra0"),
             pytest.param("run", ["--resume", "--spec", "spec.json"], "--spec", id="extra1"),
-            ("workers", ["--spec", "spec.json", "--harvest-top-k", "0"], "--harvest-top-k"),
-            ("workers", ["--spec", "spec.json", "--job-timeout", "0"], "--job-timeout"),
-            ("workers", ["--spec", "spec.json", "--kill-worker", "0"],
-             "--kill-after-checkpoints"),
+            ("run", ["--spec", "spec.json", "--harvest-top-k", "0"], "--harvest-top-k"),
+            ("run", ["--spec", "spec.json", "--job-timeout", "0"], "--job-timeout"),
         ],
     )
     def test_usage_errors_leave_no_corpus_dir_behind(
@@ -510,8 +508,6 @@ class TestRangeUsageErrors:
         (campaign_main, ["serve", "corpus", "--port", "-1"], "--port must be in 0..65535, got -1"),
         (campaign_main, ["serve", "corpus", "--port", "70000"],
          "--port must be in 0..65535, got 70000"),
-        (campaign_main, ["workers", "--spec", "s.json", "--corpus", "c", "--poll", "-1"],
-         "--poll must be positive, got -1.0"),
         (trace_main, ["generate", "--output", "t.json", "--mode", "traffic", "--duration", "nan"],
          "duration must be positive and finite"),
         (trace_main, ["generate", "--output", "t.json", "--mode", "link", "--duration", "inf"],
@@ -552,12 +548,13 @@ class TestBadSpecFiles:
         ({"seed": True}, "campaign spec key 'seed' must be int, got true"),
         ({"conditions": [{"name": "x", "propagation_delay": float("nan")}]},
          "propagation_delay must be non-negative and finite"),
-        # A GA budget never carried an early-stopping key, and "elites" is
-        # no longer a guidance mode.
+        # A GA budget never carried an early-stopping key, "elites" is no
+        # longer a guidance mode, and there is no fleet for a lease to time.
         ({"budget": {"patience": 3}}, "unknown GA budget keys: patience"),
         ({"guidance": "elites"}, "guidance must be one of ('score', 'novelty'), got 'elites'"),
+        ({"lease_ttl": 30.0}, "unknown campaign spec keys: lease_ttl"),
     ])
-    @pytest.mark.parametrize("command", ["run", "workers"])
+    @pytest.mark.parametrize("command", ["run"])
     def test_wrong_types_are_usage_errors(self, command, spec, message, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(spec))
@@ -652,8 +649,7 @@ class TestUnopenableInputFiles:
         (simulate_main, ["--cca", "reno", "--trace", "{path}"]),
         (triage_main, ["--cca", "reno", "--trace", "{path}"]),
         (campaign_main, ["run", "--spec", "{path}", "--corpus", "{corpus}"]),
-        (campaign_main, ["workers", "--spec", "{path}", "--corpus", "{corpus}"]),
-    ], ids=["inspect", "simulate", "triage", "run", "workers"])
+    ], ids=["inspect", "simulate", "triage", "run"])
     def test_unopenable_input_is_a_usage_error(self, main, argv, kind, reason, tmp_path, capsys):
         path = tmp_path / "input.json"
         if kind == "directory":
@@ -710,10 +706,9 @@ class TestUnreadableCorpusFiles:
         (coverage_main, ["diff", "{dir}", "{dir}"]),
         (coverage_main, ["gaps", "{dir}"]),
         (campaign_main, ["run", "--spec", "{spec}", "--corpus", "{dir}"]),
-        (campaign_main, ["workers", "--spec", "{spec}", "--corpus", "{dir}", "-n", "0"]),
         (fuzz_main, ["--cca", "reno", "--population", "4", "--generations", "1",
                      "--duration", "1", "--output-dir", "{dir}"]),
-    ], ids=["map", "map-file", "diff", "gaps", "run", "workers", "fuzz"])
+    ], ids=["map", "map-file", "diff", "gaps", "run", "fuzz"])
     def test_bad_behavior_map_is_a_usage_error(
         self, main, argv, bad_map_dir, spec_path, capsys
     ):
@@ -740,8 +735,7 @@ class TestUnreadableCorpusFiles:
     @pytest.mark.parametrize("argv", [
         ["compact", "{dir}"],
         ["run", "--resume", "--corpus", "{dir}"],
-        ["workers", "--spec", "{spec}", "--corpus", "{dir}", "-n", "0"],
-    ], ids=["compact", "resume", "workers"])
+    ], ids=["compact", "resume"])
     def test_corrupt_interior_journal_record_is_a_usage_error(
         self, argv, campaign_corpus, tmp_path, capsys
     ):
@@ -942,7 +936,7 @@ class TestEveryParser:
 
     @pytest.mark.parametrize("name, commands", [
         ("fuzz_main", 1), ("simulate_main", 1), ("trace_main", 2), ("triage_main", 1),
-        ("coverage_main", 3), ("campaign_main", 8),
+        ("coverage_main", 3), ("campaign_main", 7),
     ])
     def test_help_console_flags_and_the_pool_options(self, name, commands, monkeypatch, capsys):
         from repro import cli
@@ -962,8 +956,7 @@ class TestEveryParser:
             if "--backend" in options:
                 assert tuple(options["--backend"].choices) == BACKENDS
             # A pool size is at least 1 — checked while parsing, one message.
-            # (``workers -n/--workers`` is a fleet size: 0 means "run inline".)
-            if "--workers" in options and "-n" not in options:
+            if "--workers" in options:
                 with pytest.raises(SystemExit) as excinfo:
                     parser.parse_args(["--workers", "0"])
                 assert excinfo.value.code == 2

@@ -18,7 +18,6 @@ import pytest
 from repro.campaign.corpus import CorpusReader, CorpusStore
 from repro.campaign.scheduler import CampaignRunner
 from repro.campaign.spec import CampaignSpec, GaBudget
-from repro.campaign.worker import FleetWorker, run_fleet
 from repro.exec import (
     ChaosPlan,
     EvaluationBackend,
@@ -104,18 +103,6 @@ def kill_before_fold(monkeypatch):
         real(self, mark, archive, quarantine)
 
     monkeypatch.setattr(CorpusStore, "fold", fold)
-
-
-def kill_fleet_driver_before_finalize(monkeypatch):
-    """Make a fleet driver die once its matrix is complete, before it
-    applies the journal to the corpus (its fold still runs, unmarked)."""
-    drain = FleetWorker.run
-
-    def run(self):
-        drain(self)
-        raise Killed
-
-    monkeypatch.setattr(FleetWorker, "run", run)
 
 
 def record_failure_kinds(monkeypatch):
@@ -212,14 +199,14 @@ class TestChaosCampaignSerial:
     def test_new_campaign_keeps_a_journaled_quarantine_the_file_lacks(
         self, tmp_path, monkeypatch
     ):
-        # A fleet driver that dies before finalize leaves its workers'
-        # quarantines in the journal alone.  The next campaign rotates that
-        # journal away, so it must publish them first.
+        # A campaign that dies before its fold leaves its quarantines in the
+        # journal alone.  The next campaign rotates that journal away, so it
+        # must publish them first.
         targets = first_batch_fingerprints(tmp_path)
-        corpus_dir = tmp_path / "fleet"
-        kill_fleet_driver_before_finalize(monkeypatch)
+        corpus_dir = tmp_path / "killed"
+        kill_before_fold(monkeypatch)
         with chaos_injection(ChaosPlan(faults={targets[0]: "crash"})), pytest.raises(Killed):
-            run_fleet(tiny_spec(), str(corpus_dir), workers=0)
+            run_campaign(tiny_spec(), corpus_dir)
         monkeypatch.undo()
         journaled = read_corpus_journal_view(str(corpus_dir)).quarantined
         assert [entry["fingerprint"] for entry in journaled] == [targets[0]]
@@ -230,7 +217,9 @@ class TestChaosCampaignSerial:
         stored = read_quarantine_entries(corpus_dir / "quarantine.json")
         assert stored == journaled
 
-    def test_fleet_refuses_an_earlier_campaigns_quarantine(self, tmp_path, monkeypatch):
+    def test_a_later_campaign_refuses_an_earlier_campaigns_quarantine(
+        self, tmp_path, monkeypatch
+    ):
         targets = first_batch_fingerprints(tmp_path)
         corpus_dir = tmp_path / "chaos"
         with chaos_injection(ChaosPlan(faults={targets[0]: "crash"})):
@@ -238,7 +227,7 @@ class TestChaosCampaignSerial:
         assert len(read_quarantine_entries(corpus_dir / "quarantine.json")) == 1
         kinds = record_failure_kinds(monkeypatch)
         hits = get_registry().counter("exec.quarantine_hits")
-        run_fleet(tiny_spec(name="fleet"), str(corpus_dir), workers=0)
+        run_campaign(tiny_spec(name="later"), corpus_dir)
         assert "quarantined" in kinds
         assert get_registry().counter("exec.quarantine_hits") - hits >= 1
 

@@ -26,7 +26,7 @@ import pytest
 from golden_utils import list_timestamps
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore, run_fleet
+from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
 from repro.core.fuzzer import CCFuzz
 from repro.coverage.archive import BehaviorArchive
 from repro.exec.cache import TraceCache
@@ -65,11 +65,7 @@ def run_serial(corpus_dir) -> None:
     ).run()
 
 
-def run_inline_fleet(corpus_dir) -> None:
-    run_fleet(pinned_spec(), str(corpus_dir), workers=0, register_attacks=False, telemetry=False)
-
-
-@pytest.mark.parametrize("run", [run_serial, run_inline_fleet])
+@pytest.mark.parametrize("run", [run_serial])
 def test_checkpoint_cache_payload_is_bounded_by_one_generation(run, tmp_path):
     run(tmp_path)
     checkpoints = [
@@ -78,16 +74,15 @@ def test_checkpoint_cache_payload_is_bounded_by_one_generation(run, tmp_path):
         if record.type == "generation_checkpoint"
     ]
     assert len(checkpoints) == 2 * GENERATIONS
-    position = {}
+    position = 0
     for data in checkpoints:
-        scope = data["scenario_id"] if "lease_epoch" in data else ""
         delta = data["cache"]
         puts = [op for op in delta["ops"] if len(op) == 3]
         assert len(puts) <= POPULATION
         assert len(delta["ops"]) <= POPULATION  # a lookup is a put or a hit, never both
-        # Deltas tile each cache's op log with no gap and no overlap.
-        assert delta["base"] == position.get(scope, 0)
-        position[scope] = delta["base"] + len(delta["ops"])
+        # Deltas tile the cache's op log with no gap and no overlap.
+        assert delta["base"] == position
+        position = delta["base"] + len(delta["ops"])
     for scenario in pinned_spec().expand():
         sizes = [
             len(json.dumps(data["cache"]))
@@ -112,7 +107,7 @@ def test_parent_layout_journal_resumes_cold(tmp_path):
     # They were also written before ``record_series`` left the simulation
     # identity: the recorded fingerprint is not today's, and resume accepts it
     # through the one compatibility rule, ``legacy_fingerprint()``.
-    spec = CampaignSpec.from_dict(view.campaign["spec"])
+    spec = CampaignSpec.from_journal(view.campaign["spec"])
     scenarios = {scenario.scenario_id: scenario for scenario in spec.expand()}
     for scenario_id, checkpoint in view.pending_checkpoints().items():
         scenario = scenarios[scenario_id]
@@ -188,7 +183,7 @@ def test_list_timestamps_journal_resumes_to_the_uninterrupted_run(tmp_path):
     assert all("timestamps" in t and "timestamps_f64le" not in t for t in traces)
 
     resumed = _run_outputs(CampaignRunner.resume(str(corpus_dir), telemetry=False), corpus_dir)
-    spec = CampaignSpec.from_dict(records[0].data["spec"])   # the campaign_start record
+    spec = CampaignSpec.from_journal(records[0].data["spec"])   # the campaign_start record
     fresh_dir = tmp_path / "fresh"
     fresh = _run_outputs(
         CampaignRunner(spec, CorpusStore(str(fresh_dir)), register_attacks=False, telemetry=False),
@@ -197,12 +192,61 @@ def test_list_timestamps_journal_resumes_to_the_uninterrupted_run(tmp_path):
     assert resumed == fresh == LIST_TIMESTAMPS_UNINTERRUPTED
 
 
+LEGACY_THREAD_MODE_JOURNAL = os.path.join(
+    os.path.dirname(__file__), "legacy_thread_mode_journal.jsonl"
+)
+
+
+def test_legacy_thread_mode_journal_resumes_serially(tmp_path):
+    """A journal written by the retired ``max_parallel: 2`` thread mode —
+    no generation checkpoints, private-archive snapshots in its
+    ``scenario_complete`` records, killed with one scenario leased but not
+    complete — still resumes: the completed scenarios' archives are merged
+    baseline-aware and the rest of the matrix runs serially."""
+    corpus_dir = tmp_path / "legacy"
+    corpus_dir.mkdir()
+    journal_path = CampaignJournal.corpus_path(str(corpus_dir))
+    shutil.copy(LEGACY_THREAD_MODE_JOURNAL, journal_path)
+    before = CampaignJournal(journal_path).replay()
+    assert before.campaign["max_parallel"] == 2
+    assert before.campaign["spec"]["lease_ttl"] == 30.0     # the older spec's key
+    assert not before.checkpoints
+    done = sorted(before.completed)
+    assert len(done) == 2 and all(before.completed[sid]["archive"]["cells"] for sid in done)
+
+    runner = CampaignRunner.resume(str(corpus_dir), telemetry=False)
+    # Baseline-aware merge: every private archive's cells, each observation
+    # counted exactly once.
+    journaled = [BehaviorArchive.from_dict(before.completed[sid]["archive"]) for sid in done]
+    assert set(runner.archive.cell_keys()) == {
+        cell for archive in journaled for cell in archive.cell_keys()
+    }
+    assert runner.archive.counters()["observations"] == sum(
+        archive.counters()["observations"] for archive in journaled
+    )
+
+    result = runner.run()
+    assert len(result.outcomes) == 3
+    by_id = {outcome.scenario.scenario_id: outcome for outcome in result.outcomes}
+    for sid in done:
+        assert by_id[sid].best_fingerprint == before.completed[sid]["outcome"]["best_fingerprint"]
+    # The unfinished scenario ran serially: one journaled delta per generation.
+    (resumed_sid,) = set(by_id) - set(done)
+    after = CampaignJournal(journal_path).replay()
+    assert [d["generation"] for d in after.behavior_deltas] == [0, 1]
+    assert {d["scenario_id"] for d in after.behavior_deltas} == {resumed_sid}
+    saved = BehaviorArchive.load(BehaviorArchive.corpus_path(str(corpus_dir)))
+    assert set(runner.archive.cell_keys()) == set(saved.cell_keys())
+    # Its digest, as the code that could still run the fleet resumed it.
+    assert result.deterministic_digest() == "32204c4eea46f77feb4f2600870a51f4"
+
+
 # ---------------------------------------------------------------------- #
 # Checkpoints name what the journal already holds
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("run", [run_serial, run_inline_fleet])
+@pytest.mark.parametrize("run", [run_serial])
 def test_checkpoints_journal_outcomes_by_reference_and_history_as_its_tail(run, tmp_path):
     """With a cache, a checkpoint individual is its trace, birth and origin:
     the score and summary are the cache put's, which the op log journals
@@ -220,13 +264,13 @@ def test_checkpoints_journal_outcomes_by_reference_and_history_as_its_tail(run, 
 
 
 #: Each record type's journal bytes over what it would take with every trace
-#: inline, on the pinned campaign (measured 0.958 / 0.727 / 0.590 serial,
-#: 0.960 / 0.803 / 0.572 inline fleet): a checkpoint's population is mostly
+#: inline, on the pinned campaign (measured 0.958 / 0.727 / 0.590): a
+#: checkpoint's population is mostly
 #: new traces, a behavior delta's elites and a harvest's inserts mostly not.
 INLINE_SHARE_BOUNDS = {"generation_checkpoint": 0.97, "behavior_delta": 0.82, "corpus_insert": 0.6}
 
 
-@pytest.mark.parametrize("run", [run_serial, run_inline_fleet])
+@pytest.mark.parametrize("run", [run_serial])
 def test_each_trace_is_journaled_once_per_file(run, tmp_path):
     """Every trace a record names is carried by exactly one record's table,
     so the tables hold each distinct trace's bytes once (plus its digest as
@@ -253,11 +297,6 @@ def test_each_trace_is_journaled_once_per_file(run, tmp_path):
         assert written <= bound * inline, (name, written / inline)
 
 
-#: A lease that has expired by the time anybody looks: a resumed fleet steals
-#: the dead worker's scenario at once instead of waiting the default 30 s.
-KILL_SPEC = {"lease_ttl": 0.001}
-
-
 def _journal_lines(corpus_dir) -> list:
     with open(CampaignJournal.corpus_path(str(corpus_dir)), "rb") as handle:
         return handle.read().splitlines(keepends=True)
@@ -275,12 +314,6 @@ def _killed_copy(lines, count: int, corpus_dir) -> str:
 
 def _resume_serial(corpus_dir):
     return CampaignRunner.resume(corpus_dir, telemetry=False).run()
-
-
-def _resume_fleet(corpus_dir):
-    return run_fleet(
-        pinned_spec(**KILL_SPEC), corpus_dir, workers=0, register_attacks=False, telemetry=False
-    )
 
 
 def _records(lines) -> list:
@@ -313,32 +346,17 @@ def _tails(lines) -> dict:
 
 @pytest.fixture(scope="module")
 def uninterrupted(tmp_path_factory):
-    """Three pinned campaigns run to the end: serial, inline fleet, and an
-    inline fleet killed in its first scenario whose lease a resume stole."""
+    """The pinned campaign run to the end."""
     root = tmp_path_factory.mktemp("uninterrupted")
     serial = CampaignRunner(
-        pinned_spec(**KILL_SPEC), CorpusStore(str(root / "serial")),
+        pinned_spec(), CorpusStore(str(root / "serial")),
         register_attacks=False, telemetry=False,
     ).run()
-    fleet = _resume_fleet(str(root / "fleet"))
-    fleet_lines = _journal_lines(root / "fleet")
-    stolen = _resume_fleet(
-        _killed_copy(fleet_lines, _after_checkpoint_2(fleet_lines), root / "stolen")
-    )
-    view = CampaignJournal(CampaignJournal.corpus_path(str(root / "stolen"))).replay()
-    assert view.leases[FIRST]["lease_epoch"] == 2, "the resume did not steal the lease"
-    assert stolen.deterministic_digest() == fleet.deterministic_digest()
-    fleet_histories = _tails(fleet_lines)
-    return {
-        "serial": (_journal_lines(root / "serial"), serial.deterministic_digest(),
-                   _tails(_journal_lines(root / "serial")), _resume_serial),
-        "fleet": (fleet_lines, fleet.deterministic_digest(), fleet_histories, _resume_fleet),
-        "stolen": (_journal_lines(root / "stolen"), fleet.deterministic_digest(),
-                   fleet_histories, _resume_fleet),
-    }
+    lines = _journal_lines(root / "serial")
+    return {"serial": (lines, serial.deterministic_digest(), _tails(lines), _resume_serial)}
 
 
-@pytest.mark.parametrize("kind", ["serial", "fleet", "stolen"])
+@pytest.mark.parametrize("kind", ["serial"])
 @given(at=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_any_kill_point_folds_the_full_history_and_resumes_bit_identically(

@@ -287,3 +287,50 @@ def test_a_dashboard_reads_the_corpus_again_once_it_changes(tmp_path):
         assert query.corpus_entry(second.fingerprint())["trace"] == second.to_dict()
     assert os.path.exists(os.path.join(corpus_dir, "folded.json"))
     query.close()
+
+
+def test_rediscovery_of_missing_corpus_entry_degrades_to_new(tmp_path):
+    """Bugfix: replaying a rediscovery insert whose corpus entry is missing
+    (pruned dir, partial copy, cross-machine merge) used to crash resume;
+    it now applies the insert as new and counts a repair."""
+    from repro.traces import TrafficTrace
+
+    corpus = CorpusStore(str(tmp_path / "corpus"))
+    trace = TrafficTrace(timestamps=[0.1, 0.2], duration=1.0)
+    data = {
+        "scenario_id": "reno/traffic/throughput/base",
+        "fingerprint": trace.fingerprint(),
+        "new": False,
+        "rediscoveries_after": 3,
+        "entry": {"scenario_id": "reno/traffic/throughput/base", "cca": "reno",
+                  "trace": trace.to_dict()},
+    }
+    corpus.apply(data)
+    assert corpus.repairs == 1
+    assert trace.fingerprint() in corpus
+    # Once repaired, replaying the same event again is a plain no-op path.
+    corpus.apply(data)
+    assert corpus.repairs == 1
+
+
+def test_a_campaign_that_raises_after_its_matrix_marks_no_fold(tmp_path, monkeypatch):
+    """A campaign that raised after its last ``scenario_complete`` folds its
+    files unmarked, so readers still apply the journal, and a resume
+    finishes it as the uninterrupted run."""
+    spec = CampaignSpec.from_dict(SPEC)
+    control_dir, corpus_dir = str(tmp_path / "control"), str(tmp_path / "corpus")
+    control = CampaignRunner(spec, CorpusStore(control_dir), telemetry=False).run()
+    run_matrix = CampaignRunner._run_matrix
+
+    def interrupted(self, view):
+        run_matrix(self, view)
+        raise RuntimeError("interrupted")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CampaignRunner, "_run_matrix", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            CampaignRunner(spec, CorpusStore(corpus_dir), telemetry=False).run()
+    assert not os.path.exists(os.path.join(corpus_dir, "folded.json"))
+    assert CorpusReader(corpus_dir).fingerprints() == CorpusReader(control_dir).fingerprints()
+    resumed = CampaignRunner.resume(corpus_dir, telemetry=False).run()
+    assert resumed.deterministic_digest() == control.deterministic_digest()

@@ -9,8 +9,8 @@ end and campaign, and :meth:`~repro.campaign.corpus.CorpusStore.fold`
 publishes it before ``folded.json``.  The snapshot has one reader,
 :meth:`repro.obs.status.StatusWatcher.prometheus`.  These tests build the
 corpora on which two readers used to disagree — a killed campaign, a
-finished fleet, a killed campaign over a finished one, a campaign or a
-triage over a killed one, a kill inside the fold — and pin that they agree.
+killed campaign over a finished one, a campaign or a triage over a killed
+one, a kill inside the fold — and pin that they agree.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import pytest
 
 from repro.analysis.reporting import shape_coverage
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
-from repro.campaign.scheduler import ScenarioEngine
 from repro.cli import campaign_main, coverage_main
 from repro.coverage.archive import BehaviorArchive
 from repro.journal.log import read_corpus_journal_view
@@ -154,11 +153,11 @@ def test_a_killed_campaign_with_its_own_map_reads_as_it_resumes(tmp_path, capsys
 
     resumed = {}
 
-    def first_scenario(engine, scenario, scope):
-        resumed.update(scope.archive.to_dict())
+    def first_scenario(runner, scenario, backend, seeds, resume_state):
+        resumed.update(runner.archive.to_dict())
         raise _Resumed
 
-    monkeypatch.setattr(ScenarioEngine, "run_scenario", first_scenario)
+    monkeypatch.setattr(CampaignRunner, "_run_scenario", first_scenario)
     with pytest.raises(_Resumed):
         CampaignRunner.resume(str(corpus_dir), telemetry=False).run()
     assert reads == json.loads(json.dumps(resumed))
@@ -227,21 +226,6 @@ def test_a_kill_between_the_maps_publish_and_the_fold_mark(tmp_path, fold_contro
     control = BehaviorArchive.load(BehaviorArchive.corpus_path(control_dir)).to_dict()
     assert _map_reads(corpus_dir, capsys) == json.loads(json.dumps(control))
     _resumes_to(corpus_dir, control_dir)
-
-
-def test_a_finished_fleet_map_is_the_file(tmp_path):
-    """On a finished ``workers -n 0`` corpus whose scenarios share cells,
-    ``/api/coverage`` shows the merged map the campaign finalised — not the
-    per-scenario payloads its workers journaled."""
-    corpus_dir = tmp_path / "fleet"
-    spec = dict(NOVELTY_SPEC, name="views-fleet", ccas=["reno"], modes=["traffic", "loss"])
-    assert _crashsim(corpus_dir, spec, "--fleet", "0") == 0
-
-    final = BehaviorArchive.load(BehaviorArchive.corpus_path(str(corpus_dir))).to_dict()["cells"]
-    journaled = read_corpus_journal_view(str(corpus_dir)).behavior_state()[0]
-    shared = [cell for cell in final if journaled[cell]["visits"] != final[cell]["visits"]]
-    assert shared, "no cell was visited by more than one scenario"
-    assert _api_coverage(corpus_dir) == shape_coverage(final)
 
 
 def test_prometheus_has_one_reader(tmp_path, capsys):

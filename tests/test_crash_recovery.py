@@ -1,29 +1,36 @@
 """Crash-recovery tests: SIGKILL a campaign, resume it, demand bit-identity.
 
-The harness in :mod:`crashsim` runs a seeded serial campaign in a subprocess
-with a SIGKILL planted at a deterministic injection point.  Each test then
-resumes the wreckage in-process via :meth:`CampaignRunner.resume` and asserts
-the final corpus fingerprints, behavior map and campaign summary digest are
-bit-identical to an uninterrupted run of the same spec and seed.
+The harness in :mod:`crashsim` runs a seeded campaign in a subprocess with a
+SIGKILL planted at a deterministic injection point.  Each test then resumes
+the wreckage (in-process via :meth:`CampaignRunner.resume`, or through
+``repro-campaign run --resume``) and asserts the final corpus fingerprints,
+behavior map and campaign summary digest are bit-identical to an
+uninterrupted serial run of the same spec and seed.
 
 The golden resume-equivalence test (kill after generation 1 of the first
-scenario) runs in tier-1; the full injection matrix is ``slow``.
+scenario) and its twin on the process pool run in tier-1; the full
+injection matrix is ``slow``.
 """
 
 from __future__ import annotations
 
+import filecmp
+import glob
 import json
 import os
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
 from repro.attacks import builtin_attack_traces
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
+from repro.cli import campaign_main
 from repro.coverage.archive import BehaviorArchive
 from repro.journal import CampaignJournal
+from repro.obs.manifest import read_manifest
 
 CRASHSIM = os.path.join(os.path.dirname(__file__), "crashsim.py")
 
@@ -58,14 +65,18 @@ def baseline(tmp_path_factory):
     corpus_dir = tmp_path_factory.mktemp("baseline") / "corpus"
     spec = CampaignSpec.from_dict(SPEC_PAYLOAD)
     result = CampaignRunner(spec, CorpusStore(str(corpus_dir))).run()
-    return _state_of(str(corpus_dir), result)
+    return dict(_state_of(str(corpus_dir), result), corpus_dir=str(corpus_dir))
+
+
+def _write_spec(tmp_path, payload) -> str:
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
 
 
 @pytest.fixture()
 def spec_file(tmp_path):
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(SPEC_PAYLOAD), encoding="utf-8")
-    return str(path)
+    return _write_spec(tmp_path, SPEC_PAYLOAD)
 
 
 def run_killed(corpus_dir: str, spec_file: str, point: str, nth: int,
@@ -182,87 +193,51 @@ def test_resume_after_kill_before_corpus_rename(tmp_path, spec_file, baseline):
 
 
 # ---------------------------------------------------------------------- #
-# Fleet crash recovery: kill a *worker* (the driver survives and the lease
-# is stolen), and kill the *driver* (a rerun resumes the fleet campaign).
+# The process pool: kill the driver mid-scenario, resume from the CLI
 # ---------------------------------------------------------------------- #
 
-FLEET_SPEC_PAYLOAD = dict(SPEC_PAYLOAD, name="crash-recovery-fleet", lease_ttl=2.0)
+
+def _processes_naming(text: str) -> list:
+    """Live processes whose command line contains ``text`` (Linux ``/proc``)."""
+    found = []
+    for path in glob.glob("/proc/[0-9]*/cmdline"):
+        try:
+            with open(path, "rb") as handle:
+                cmdline = handle.read()
+        except OSError:
+            continue            # exited while we looked
+        if text.encode("utf-8") in cmdline:
+            found.append(path.split("/")[2])
+    return found
 
 
-@pytest.fixture()
-def fleet_spec_file(tmp_path):
-    path = tmp_path / "fleet-spec.json"
-    path.write_text(json.dumps(FLEET_SPEC_PAYLOAD), encoding="utf-8")
-    return str(path)
-
-
-def run_fleet_sim(corpus_dir: str, spec_file: str, *extra: str) -> dict:
-    """Run crashsim in fleet mode to completion; returns its JSON report.
-
-    Worker subprocesses share stdout, so the report is the last line.
-    """
-    argv = [
-        sys.executable, CRASHSIM,
-        "--corpus", str(corpus_dir), "--spec", spec_file, "--fleet",
-    ] + list(extra)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(os.path.dirname(CRASHSIM), "..", "src")
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, (
-        f"fleet harness failed: {proc.returncode}\n"
-        f"stdout: {proc.stdout}\nstderr: {proc.stderr}"
+def test_a_killed_parallel_run_resumes_to_the_serial_run(tmp_path, baseline, capsys):
+    """SIGKILL a ``"backend": "process", "workers": 2`` campaign right after
+    its second generation checkpoint; ``run --resume`` finishes it to the
+    uninterrupted serial run's digest, entries, index and behavior map, and
+    no pool worker of the killed driver outlives it."""
+    corpus_dir = str(tmp_path / "corpus")
+    spec_file = _write_spec(tmp_path, dict(SPEC_PAYLOAD, backend="process", workers=2))
+    run_killed(corpus_dir, spec_file, "post-checkpoint", nth=2)
+    if os.path.isdir("/proc/self"):
+        deadline = time.monotonic() + 10.0
+        while _processes_naming(corpus_dir) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _processes_naming(corpus_dir) == []
+    assert CampaignJournal(CampaignJournal.corpus_path(corpus_dir)).replay().pending_checkpoints()
+    assert campaign_main(["run", "--corpus", corpus_dir, "--resume"]) == 0
+    capsys.readouterr()
+    spec = CampaignJournal(CampaignJournal.corpus_path(corpus_dir)).replay().campaign["spec"]
+    assert (spec["backend"], spec["workers"]) == ("process", 2)
+    assert read_manifest(corpus_dir)["result"]["deterministic_digest"] == baseline["digest"]
+    for name in ("index.json", "behavior_map.json"):
+        assert filecmp.cmp(
+            os.path.join(corpus_dir, name), os.path.join(baseline["corpus_dir"], name), shallow=False
+        ), name
+    entries = filecmp.dircmp(
+        os.path.join(corpus_dir, "entries"), os.path.join(baseline["corpus_dir"], "entries")
     )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-@pytest.fixture(scope="module")
-def fleet_baseline(tmp_path_factory):
-    """Uninterrupted inline (``--fleet 0``) control for the fleet spec."""
-    corpus_dir = tmp_path_factory.mktemp("fleet-baseline") / "corpus"
-    spec_path = corpus_dir.parent / "spec.json"
-    spec_path.write_text(json.dumps(FLEET_SPEC_PAYLOAD), encoding="utf-8")
-    return run_fleet_sim(corpus_dir, str(spec_path), "0")
-
-
-@pytest.mark.slow
-def test_fleet_kill_worker_mid_generation(tmp_path, fleet_spec_file, fleet_baseline):
-    """Worker w0 SIGKILLs itself right after its first generation checkpoint;
-    the survivor steals the lease, resumes from the checkpoint, and the
-    campaign is bit-identical to the uninterrupted control."""
-    corpus_dir = tmp_path / "corpus"
-    report = run_fleet_sim(
-        corpus_dir, fleet_spec_file,
-        "2", "--kill-worker", "0", "--kill-after-checkpoints", "1",
-    )
-    assert report == fleet_baseline
-    view = CampaignJournal(CampaignJournal.corpus_path(str(corpus_dir))).replay()
-    stolen = [
-        sid for sid, lease in view.leases.items()
-        if lease.get("lease_epoch", 0) >= 2
-    ]
-    assert stolen, "the killed worker's lease was never stolen"
-
-
-@pytest.mark.slow
-def test_fleet_driver_killed_then_resumed(tmp_path, fleet_spec_file, fleet_baseline):
-    """SIGKILL the fleet *driver* mid-scenario (after the second generation
-    checkpoint of its inline drain); rerunning the same fleet command resumes
-    the campaign from the journal to bit-identity."""
-    corpus_dir = tmp_path / "corpus"
-    argv = [
-        sys.executable, CRASHSIM,
-        "--corpus", str(corpus_dir), "--spec", fleet_spec_file,
-        "--fleet", "0", "--point", "post-checkpoint", "--nth", "2",
-    ]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(os.path.dirname(CRASHSIM), "..", "src")
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == -signal.SIGKILL, proc.stderr
-    view = CampaignJournal(CampaignJournal.corpus_path(str(corpus_dir))).replay()
-    assert view.scenario_seeds is not None
-    assert view.pending_checkpoints()
-    report = run_fleet_sim(corpus_dir, fleet_spec_file, "0")
-    assert report == fleet_baseline
+    assert not (entries.left_only or entries.right_only or entries.diff_files)
 
 
 @pytest.mark.slow

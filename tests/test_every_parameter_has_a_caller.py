@@ -20,7 +20,10 @@ defaulted ``__init__`` field of a public dataclass (``ClassVar`` and
 Calls are matched by name, not by type: ``x.f(...)`` is a call of every
 ``f``, ``C(...)`` (and ``cls(...)`` inside ``C``) of ``C.__init__`` (or of
 the nearest base class that defines one), and ``super().__init__(...)`` /
-``Base.__init__(self, ...)`` of the base's.  Two callers live outside
+``Base.__init__(self, ...)`` of the base's.  A callable handed to a
+function that calls its parameter is called there: ``f(C, ...)``, where
+``f``'s body calls the parameter ``C`` arrives at, is a call of ``C`` with
+the arguments of each such call in ``f``.  Two callers live outside
 Python files and are parsed too: ``setup.py``'s ``console_scripts`` (each
 calls its function with no argument) and the ``python -c`` steps of the CI
 workflows.  A value that no call sets is a constant of the module whose
@@ -135,9 +138,43 @@ def _classes() -> Dict[str, Tuple[List[str], bool]]:
     return classes
 
 
+def _parameter_calls(trees: Sequence[ast.Module]) -> Dict[str, List[Tuple[str, int, Call]]]:
+    """Function name -> (parameter, position, call) for each call its body
+    makes of one of its own parameters (``def f(make): make(x=1)``)."""
+    forwarders: Dict[str, List[Tuple[str, int, Call]]] = {}
+    for tree in trees:
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            params = {arg.arg: i for i, arg in enumerate(fn.args.posonlyargs + fn.args.args)}
+            params.update((arg.arg, -1) for arg in fn.args.kwonlyargs)
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in params):
+                    forwarders.setdefault(fn.name, []).append(
+                        (node.func.id, params[node.func.id], (node.args, node.keywords))
+                    )
+    return forwarders
+
+
+def _handed(call: Call, param: str, position: int) -> Optional[str]:
+    """The name ``call`` passes as ``param`` (at ``position``, -1: keyword-only)."""
+    args, keywords = call
+    for kw in keywords:
+        if kw.arg == param:
+            return _name(kw.value)
+    if 0 <= position < len(args) and not any(
+        isinstance(arg, ast.Starred) for arg in args[: position + 1]
+    ):
+        return _name(args[position])
+    return None
+
+
 def _calls() -> Dict[str, List[Call]]:
     """Callee name -> every call of it in the scanned trees."""
     classes = _classes()
+    trees = list(_trees())
+    forwarders = _parameter_calls(trees)
 
     def constructor(name: Optional[str]) -> Optional[str]:
         # A class without its own ``__init__`` is built by its base's.
@@ -148,7 +185,13 @@ def _calls() -> Dict[str, List[Call]]:
         return name
 
     calls: Dict[str, List[Call]] = {}
-    for tree in _trees():
+
+    def add(name: str, call: Call) -> None:
+        calls.setdefault(name, []).append(call)
+        if name in classes:
+            calls.setdefault(constructor(name), []).append(call)
+
+    for tree in trees:
         for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
             for node in ast.walk(cls):
                 if not isinstance(node, ast.Call):
@@ -169,10 +212,13 @@ def _calls() -> Dict[str, List[Call]]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name, call = _callee(node)
-                if name is not None:
-                    calls.setdefault(name, []).append(call)
-                    if name in classes:
-                        calls.setdefault(constructor(name), []).append(call)
+                if name is None:
+                    continue
+                add(name, call)
+                for param, position, inner in forwarders.get(name, ()):
+                    handed = _handed(call, param, position)
+                    if handed is not None:
+                        add(handed, inner)
     return calls
 
 
@@ -350,6 +396,34 @@ def test_every_default_has_a_caller_that_relies_on_it():
 def test_every_allowed_seam_is_still_uncalled():
     # An entry that gained a caller, or whose parameter went, is stale.
     assert sorted(set(ALLOWED) - set(census()) - set(overridden())) == []
+
+
+def test_the_census_follows_a_callable_into_the_function_that_calls_it():
+    # ``run_arrivals(TcpReceiver, program)`` builds the receiver it is handed.
+    tree = ast.parse(textwrap.dedent("""
+        def build(factory, n):
+            return factory(n, rate=2)
+
+        build(Receiver, 1)
+        build(n=2, factory=Sender)
+    """))
+    forwarders = _parameter_calls([tree])
+    ((param, position, inner),) = forwarders["build"]
+    assert (param, position) == ("factory", 0)
+    assert [kw.arg for kw in inner[1]] == ["rate"]
+    handed = [_handed(_callee(node)[1], param, position) for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and _name(node.func) == "build"]
+    assert handed == ["Receiver", "Sender"]
+    module = _parse(ROOT / "tests" / "test_receiver.py")
+    run_arrivals = next(
+        node for node in module.body
+        if isinstance(node, ast.FunctionDef) and node.name == "run_arrivals"
+    )
+    built = next(
+        node for node in ast.walk(run_arrivals)
+        if isinstance(node, ast.Call) and _name(node.func) == "receiver_class"
+    )
+    assert any(keywords is built.keywords for _, keywords in _calls()["TcpReceiver"])
 
 
 def _one_call(text: str) -> Call:

@@ -30,7 +30,6 @@ EXAMPLES = {
     "dashboard_demo.py": ["--generations", "2", "--population", "4", "--duration", "1.0"],
     "resume_campaign.py": ["--generations", "2", "--population", "4", "--duration", "1.0"],
     "watch_campaign.py": ["--generations", "2", "--population", "4", "--duration", "1.0"],
-    "worker_fleet.py": ["--generations", "2", "--population", "4", "--duration", "1.0"],
 }
 
 

@@ -1,7 +1,7 @@
 """What each entry point loads, and the lazy ``repro`` / ``repro.campaign`` facades.
 
-A process should load only the subsystems its command runs: every fleet
-worker, status poll and CLI call starts a fresh interpreter, and each one
+A process should load only the subsystems its command runs: every status
+poll and CLI call starts a fresh interpreter, and each one
 pays for what it imports.  The loading checks run in a fresh interpreter
 each, since this test process has long since imported everything.
 """
@@ -26,7 +26,7 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 #: Subsystems no campaign run needs: only their own commands load them.
 OFF_THE_RUN_PATH = ("repro.analysis", "repro.attacks", "repro.triage", "repro.serve")
 #: Campaign modules a single-process runner never uses.
-NOT_THE_RUNNER = ("repro.campaign.report", "repro.campaign.replay", "repro.campaign.worker")
+NOT_THE_RUNNER = ("repro.campaign.report", "repro.campaign.replay")
 
 #: A one-scenario campaign of two short evaluations.
 TINY_SPEC = {

@@ -277,9 +277,9 @@ class TestView:
         assert view.leases == {"s": {"scenario_id": "s"}}
 
     def test_a_copy_owns_every_container_and_keeps_every_counter(self):
-        # A compaction snapshot and a fenced zombie, folded with two
+        # A compaction snapshot and the records after it, folded with two
         # duplicates and a torn record: every counter the fold keeps is set.
-        fixture = os.path.join(os.path.dirname(__file__), "trace_ref_journal.jsonl")
+        fixture = os.path.join(os.path.dirname(__file__), "legacy_compacted_journal.jsonl")
         records = list(CampaignJournal(fixture).records())
         view = replay_records(records + records[:2], torn_records=1)
         copied = view.copy()
@@ -288,7 +288,7 @@ class TestView:
             value = getattr(view, f.name)
             if isinstance(value, int):
                 assert value > 0 and getattr(copied, f.name) == value, f.name
-            elif isinstance(value, (list, dict)) and f.name not in ("campaign", "scenario_seeds"):
+            elif isinstance(value, (list, dict)) and f.name != "campaign":
                 assert getattr(copied, f.name) is not value, f.name
 
 
@@ -297,34 +297,32 @@ class TestCursor:
     random histories lives in test_journal_properties.py)."""
 
     def test_a_handed_out_view_never_changes(self, tmp_path):
-        """``resume`` and ``run_fleet`` keep a view across later appends and
-        replays of the same journal; the fold must not reach into it."""
+        """``resume`` keeps a view across later appends and replays of the
+        same journal; the fold must not reach into it."""
         journal = journal_at(tmp_path)
         journal.append("campaign_start", {"campaign": "c", "archive_baseline": {}})
-        lease = journal.claim_lease("s", "w0", ttl=30.0, now=100.0)
-        stamp = {"lease_epoch": lease["lease_epoch"], "worker": "w0"}
+        journal.append("scenario_lease", {"scenario_id": "s", "seed": 1, "campaign": "c"})
         delta = {"schema": 1, "base": 0, "ops": [["k0"]], "counters": {"hits": 0}}
-        journal.append("behavior_delta", {"scenario_id": "s", "generation": 0, "cells": {"c0": {}}, "counters": None, **stamp})
-        journal.append("generation_checkpoint", {"scenario_id": "s", "generation": 0, "fuzzer": {}, "cache": delta, **stamp})
-        journal.append("corpus_insert", {"scenario_id": "s", "fingerprint": "fp0", **stamp})
+        journal.append("behavior_delta", {"scenario_id": "s", "generation": 0, "cells": {"c0": {}}, "counters": None})
+        journal.append("generation_checkpoint", {"scenario_id": "s", "generation": 0, "fuzzer": {}, "cache": delta})
+        journal.append("corpus_insert", {"scenario_id": "s", "fingerprint": "fp0"})
         view = journal.replay()
         frozen = copy.deepcopy(view)
 
-        # Every fold that updates a container in place: lease expiry and
-        # release, a cache op log, the per-scenario insert map, the lists.
-        journal.renew_lease(lease, now=110.0)
-        journal.append("behavior_delta", {"scenario_id": "s", "generation": 1, "cells": {"c1": {}}, "counters": None, **stamp})
-        journal.append("generation_checkpoint", {"scenario_id": "s", "generation": 1, "fuzzer": {}, "cache": {**delta, "base": 1, "ops": [["k1"]]}, **stamp})
-        journal.append("corpus_insert", {"scenario_id": "s", "fingerprint": "fp1", **stamp})
-        journal.append("job_quarantined", {"scenario_id": "s", "fingerprint": "fp1", "cca": "reno", **stamp})
-        journal.append("scenario_complete", {"scenario_id": "s", "outcome": {}, **stamp})
-        journal.release_lease(lease)
+        # Every fold that updates a container in place: the cache op log,
+        # the leases, the per-scenario insert map, the lists.
+        journal.append("scenario_lease", {"scenario_id": "t", "seed": 2, "campaign": "c"})
+        journal.append("behavior_delta", {"scenario_id": "s", "generation": 1, "cells": {"c1": {}}, "counters": None})
+        journal.append("generation_checkpoint", {"scenario_id": "s", "generation": 1, "fuzzer": {}, "cache": {**delta, "base": 1, "ops": [["k1"]]}})
+        journal.append("corpus_insert", {"scenario_id": "s", "fingerprint": "fp1"})
+        journal.append("job_quarantined", {"scenario_id": "s", "fingerprint": "fp1", "cca": "reno"})
+        journal.append("scenario_complete", {"scenario_id": "s", "outcome": {}})
         journal.append("campaign_resume", {"campaign": "c"})
         later = journal.replay()
 
         assert view == frozen
-        assert later.caches["s"]["ops"] == [["k0"], ["k1"]] and view.caches["s"]["ops"] == [["k0"]]
-        assert later.leases["s"].get("released") and not view.leases["s"].get("released")
+        assert later.cache_state["ops"] == [["k0"], ["k1"]] and view.cache_state["ops"] == [["k0"]]
+        assert set(later.leases) == {"s", "t"} and set(view.leases) == {"s"}
         assert later == CampaignJournal(journal.path).replay()
 
     def test_records_that_sort_before_folded_ones_force_a_reread(self, tmp_path):
@@ -367,3 +365,30 @@ class TestCursor:
         assert archived is not None and os.path.exists(archived)
         journal.append("campaign_start", {"campaign": "new"})
         assert journal.replay().campaign == {"campaign": "new"}
+
+
+def test_compact_of_empty_journal_is_a_noop(tmp_path):
+    journal = CampaignJournal(str(tmp_path / "journal.jsonl"), fsync=False)
+    assert journal.compact() is None
+    assert not os.path.exists(journal.path)
+
+
+def test_append_detects_journal_replaced_under_open_handle(tmp_path):
+    """Bugfix: append() kept writing to its original (now unlinked) inode
+    after another process rotated/compacted/replaced the journal file; the
+    fstat check now reopens the new file and continues its sequence."""
+    path = str(tmp_path / "journal.jsonl")
+    journal = CampaignJournal(path, fsync=False)
+    journal.append("campaign_start", {"campaign": "old"})
+    journal.append("campaign_resume", {"campaign": "old"})
+
+    other = CampaignJournal(str(tmp_path / "other.jsonl"), fsync=False)
+    other.append("campaign_start", {"campaign": "new"})
+    other.close()
+    os.replace(str(tmp_path / "other.jsonl"), path)
+
+    record = journal.append("scenario_lease", {"scenario_id": "s", "campaign": "new"})
+    assert record.seq == 2  # continues after the replacement file's records
+    records = journal.records()
+    assert [r.type for r in records] == ["campaign_start", "scenario_lease"]
+    assert records[0].data["campaign"] == "new"

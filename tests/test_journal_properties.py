@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from journal_bytes import dangling_refs
 
-from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore, run_fleet
+from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
 from repro.exec.cache import TraceCache, make_cache_key
 from repro.journal import (
     JOURNAL_SCHEMA,
@@ -132,143 +132,12 @@ def test_merge_is_idempotent_and_ordered(records):
     )
 
 
-@st.composite
-def lease_ops_st(draw):
-    """A timeline of lease operations by competing workers.
-
-    Each op is ``(kind, worker, dt)``: the clock advances by ``dt`` then the
-    worker claims, renews its last lease, or releases it.
-    """
-    return draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["claim", "renew", "release"]),
-                st.sampled_from(["w0", "w1", "w2"]),
-                st.integers(min_value=0, max_value=7),
-            ),
-            max_size=24,
-        )
-    )
-
-
-@given(ops=lease_ops_st())
-@settings(max_examples=40, deadline=None)
-def test_lease_protocol_admits_at_most_one_live_holder(ops):
-    """Model-based safety: under any interleaving of claim/renew/release and
-    clock advances, the journal grants a claim exactly when the model says no
-    live lease exists, epochs increase by one per grant, and the replayed
-    holder always matches the model's."""
-    TTL = 5.0
-    with tempfile.TemporaryDirectory() as tmp:
-        journal = CampaignJournal(os.path.join(tmp, "journal.jsonl"), fsync=False)
-        now = 0.0
-        model = None  # (worker, epoch, expires_at, released)
-        held = {}  # worker -> its live lease payload
-        for kind, worker, dt in ops:
-            now += dt
-            live = (
-                model is not None
-                and not model[3]
-                and model[2] > now
-            )
-            if kind == "claim":
-                lease = journal.claim_lease("sid", worker, ttl=TTL, now=now)
-                if live:
-                    assert lease is None
-                else:
-                    assert lease is not None
-                    assert lease["lease_epoch"] == (model[1] if model else 0) + 1
-                    model = (worker, lease["lease_epoch"], now + TTL, False)
-                    held[worker] = lease
-            elif kind == "renew" and worker in held:
-                journal.renew_lease(held[worker], now=now)
-                if model and model[0] == worker and model[1] == held[worker]["lease_epoch"]:
-                    model = (model[0], model[1], now + TTL, model[3])
-            elif kind == "release" and worker in held:
-                journal.release_lease(held.pop(worker))
-                if model and model[0] == worker:
-                    model = (model[0], model[1], model[2], True)
-            expected = (
-                model[0]
-                if model is not None and not model[3] and model[2] > now
-                else None
-            )
-            assert journal.replay().lease_holder("sid", now) == expected
-
-
-@st.composite
-def fenced_timeline_st(draw):
-    """Interleaved claims and epoch-stamped checkpoints for one scenario."""
-    return draw(
-        st.lists(
-            st.one_of(
-                st.just(("claim", None)),
-                st.tuples(
-                    st.just("checkpoint"),
-                    st.tuples(
-                        st.integers(min_value=0, max_value=4),  # epoch offset back
-                        st.integers(min_value=0, max_value=5),  # generation
-                    ),
-                ),
-            ),
-            min_size=1,
-            max_size=16,
-        )
-    )
-
-
-@given(timeline=fenced_timeline_st())
-@settings(max_examples=60, deadline=None)
-def test_fencing_drops_exactly_the_stale_epoch_records(timeline):
-    """Fold-level fencing: a checkpoint is dropped iff its epoch is lower
-    than the highest lease epoch granted earlier in the log."""
-    records = []
-    seq = 0
-    granted = 0
-    kept = {}  # what an unfenced fold should retain (max-gen, ties -> later)
-    expected_fenced = 0
-    for kind, payload in timeline:
-        seq += 1
-        if kind == "claim":
-            granted += 1
-            records.append(
-                make_record(
-                    seq,
-                    "scenario_lease",
-                    {"scenario_id": "sid", "worker_id": "w", "lease_epoch": granted,
-                     "expires_at": 10.0**9, "nonce": seq},
-                )
-            )
-        else:
-            offset, generation = payload
-            epoch = max(0, granted - offset)
-            records.append(
-                make_record(
-                    seq,
-                    "generation_checkpoint",
-                    {"scenario_id": "sid", "generation": generation,
-                     "lease_epoch": epoch, "nonce": seq},
-                )
-            )
-            if epoch < granted:
-                expected_fenced += 1
-            elif not kept or generation >= kept["generation"]:
-                kept = {"generation": generation, "nonce": seq}
-    view = replay_records(records)
-    assert view.fenced_records == expected_fenced
-    if kept:
-        assert view.checkpoints["sid"]["nonce"] == kept["nonce"]
-    else:
-        assert "sid" not in view.checkpoints
-
-
 def resume_fingerprint(view) -> tuple:
-    """Everything a fleet resume reads (compaction must preserve this)."""
+    """Everything a resume reads (compaction must preserve this)."""
     return (
         view.campaign,
         view.resumes,
         view.leases,
-        view.scenario_seeds,
         view.pending_checkpoints(),
         view.completed,
         view.behavior_deltas,
@@ -364,13 +233,10 @@ def play(cache: TraceCache, touches) -> None:
 class CheckpointedCache:
     """The checkpoint call sites in miniature: one cache, one journal, one mark."""
 
-    def __init__(self, tmp: str, max_entries, stamp=None) -> None:
+    def __init__(self, tmp: str, max_entries) -> None:
         self.path = os.path.join(tmp, "journal.jsonl")
         self.journal = CampaignJournal(self.path, fsync=False)
         self.max_entries = max_entries
-        #: ``{"lease_epoch": n}`` makes the records a fleet worker's (private
-        #: per-scenario cache); ``{}`` a serial campaign's (one shared cache).
-        self.stamp = dict(stamp or {})
         self.cache = TraceCache(max_entries=max_entries)
         self.mark = 0
 
@@ -378,13 +244,12 @@ class CheckpointedCache:
         delta, self.mark = self.cache.delta_since(self.mark)
         self.journal.append(
             event,
-            {"scenario_id": CACHE_SID, "generation": generation, "cache": delta, **self.stamp},
+            {"scenario_id": CACHE_SID, "generation": generation, "cache": delta},
         )
 
     def journaled(self):
-        """The folded payload a resume (or a thief) would restore."""
-        view = CampaignJournal(self.path, fsync=False).replay()
-        return view.caches.get(CACHE_SID if self.stamp else "")
+        """The folded payload a resume would restore."""
+        return CampaignJournal(self.path, fsync=False).replay().cache_state
 
     def resume(self) -> None:
         """A new process: fresh cache, restored from the journal alone."""
@@ -407,7 +272,6 @@ class CheckpointedCache:
 
 @given(
     max_entries=max_entries_st,
-    fleet=st.booleans(),
     generations=generations_st,
     incident=st.sampled_from(["none", "kill", "torn", "redo", "compact"]),
     at=st.integers(min_value=0, max_value=5),
@@ -415,7 +279,7 @@ class CheckpointedCache:
 )
 @settings(max_examples=150, deadline=None)
 def test_cache_deltas_fold_back_to_the_live_cache(
-    max_entries, fleet, generations, incident, at, redone
+    max_entries, generations, incident, at, redone
 ):
     """Random put/hit/miss sequences on evicting and non-evicting caches, cut
     at every generation, journaled, folded and restored, equal the live cache
@@ -423,7 +287,7 @@ def test_cache_deltas_fold_back_to_the_live_cache(
     compaction at a random generation."""
     at = min(at, len(generations) - 1)
     with tempfile.TemporaryDirectory() as tmp:
-        run = CheckpointedCache(tmp, max_entries, {"lease_epoch": 1} if fleet else None)
+        run = CheckpointedCache(tmp, max_entries)
         for generation, touches in enumerate(generations):
             play(run.cache, touches)
             run.checkpoint(generation)
@@ -450,7 +314,7 @@ def test_cache_deltas_fold_back_to_the_live_cache(
                 # second delta must replace the first (truncate to ``base``),
                 # not pile up behind it.
                 records = CampaignJournal(run.path, fsync=False).records()
-                before = replay_records(records[:-1]).caches.get(CACHE_SID if fleet else "")
+                before = replay_records(records[:-1]).cache_state
                 run.cache = TraceCache(max_entries=max_entries)
                 run.mark = run.cache.restore(before) if before is not None else 0
                 play(run.cache, redone)
@@ -481,40 +345,6 @@ def test_peek_counts_nothing_moves_nothing_logs_nothing(max_entries, generations
         delta, _ = plain.delta_since(mark)
         assert peeked.delta_since(mark) == (delta, mark + len(delta["ops"]))
         mark += len(delta["ops"])
-
-
-@given(
-    max_entries=max_entries_st,
-    before=generations_st,
-    after=st.lists(st.tuples(st.lists(touch_st, max_size=8), st.lists(touch_st, max_size=8)),
-                   min_size=1, max_size=4),
-)
-@settings(max_examples=60, deadline=None)
-def test_cache_deltas_of_a_fenced_zombie_never_reach_the_fold(max_entries, before, after):
-    """A stolen scenario: the thief restores the victim's journaled cache and
-    carries on; the victim, still alive, keeps journaling deltas under its
-    stale epoch in between.  The fold is the thief's cache exactly."""
-    with tempfile.TemporaryDirectory() as tmp:
-        victim = CheckpointedCache(tmp, max_entries)
-        victim.stamp = {
-            "lease_epoch": victim.journal.claim_lease(CACHE_SID, "victim", ttl=1.0, now=0.0)["lease_epoch"]
-        }
-        for generation, touches in enumerate(before):
-            play(victim.cache, touches)
-            victim.checkpoint(generation)
-        thief = CheckpointedCache(tmp, max_entries)
-        thief.stamp = {
-            "lease_epoch": thief.journal.claim_lease(CACHE_SID, "thief", ttl=1.0, now=5.0)["lease_epoch"]
-        }
-        thief.resume()
-        for offset, (zombie_touches, thief_touches) in enumerate(after):
-            generation = len(before) + offset
-            play(victim.cache, zombie_touches)
-            victim.checkpoint(generation)
-            play(thief.cache, thief_touches)
-            thief.checkpoint(generation)
-        assert thief.journal.replay().fenced_records == len(after)
-        thief.assert_journal_equals_live()
 
 
 # ---------------------------------------------------------------------- #
@@ -627,42 +457,35 @@ cache_payload_st = st.one_of(
 
 @st.composite
 def cursor_event_st(draw):
-    """Events that exercise every fold: leases and their epochs, fenced data
-    records, cache op-deltas, behavior deltas, the insert and quarantine WALs,
-    and traces (named by digest once a writer has carried them)."""
+    """Events that exercise every fold: leases, cache op-deltas, behavior
+    deltas, the insert and quarantine WALs, and traces (named by digest once
+    a writer has carried them)."""
     kind = draw(st.sampled_from([t for t in EVENT_TYPES if t != "compaction_snapshot"]))
     sid = draw(st.sampled_from(CURSOR_SIDS))
-    epoch = draw(st.sampled_from([None, 1, 2, 3]))
-    stamp = {} if epoch is None else {"lease_epoch": epoch, "worker": f"w{epoch}"}
     n = draw(small_int_st)
     data = {
         "campaign_start": lambda: {"campaign": f"c{n % 2}", "archive_baseline": {}},
         "campaign_resume": lambda: {"campaign": "c0", "n": n},
-        "scenario_lease": lambda: {"scenario_id": sid, "worker_id": f"w{n}", **(
-            {} if epoch is None else {"lease_epoch": epoch, "expires_at": 100 + n}
-        )},
-        "lease_renew": lambda: {"scenario_id": sid, "lease_epoch": epoch or 0, "expires_at": 200 + n},
-        "lease_release": lambda: {"scenario_id": sid, "lease_epoch": epoch or 0},
-        "scenario_seeds": lambda: {"campaign": "c0", "corpus": [], "seeds": {sid: CURSOR_FPS[: n % 3]}},
+        "scenario_lease": lambda: {"scenario_id": sid, "seed": n, "campaign": "c0"},
         "generation_checkpoint": lambda: {
             "scenario_id": sid, "generation": n,
             "fuzzer": {"generation": n, "islands": [[{"trace": draw(trace_st)}]]},
-            "cache": draw(cache_payload_st), **stamp,
+            "cache": draw(cache_payload_st),
         },
         "behavior_delta": lambda: {
             "scenario_id": sid, "generation": n,
             "cells": {f"cell{n % 2}": {"hits": n, "trace": draw(trace_st)}},
-            "counters": draw(st.sampled_from([None, {"observed": n}])), **stamp,
+            "counters": draw(st.sampled_from([None, {"observed": n}])),
         },
         "corpus_insert": lambda: {
             "scenario_id": sid, "fingerprint": draw(st.sampled_from(CURSOR_FPS)), "new": bool(n % 2),
-            "entry": {"trace": draw(trace_st)}, **stamp,
+            "entry": {"trace": draw(trace_st)},
         },
         "scenario_complete": lambda: {
-            "scenario_id": sid, "outcome": {"best_fitness": n}, "cache": draw(cache_payload_st), **stamp,
+            "scenario_id": sid, "outcome": {"best_fitness": n}, "cache": draw(cache_payload_st),
         },
         "job_quarantined": lambda: {
-            "scenario_id": sid, "fingerprint": draw(st.sampled_from(CURSOR_FPS)), "cca": "reno", **stamp,
+            "scenario_id": sid, "fingerprint": draw(st.sampled_from(CURSOR_FPS)), "cca": "reno",
         },
     }[kind]()
     return kind, data
@@ -793,7 +616,7 @@ def test_a_followed_inode_cannot_come_back_as_another_file(tmp_path):
     followed = cursor.identity
     for round_ in range(2):
         other = CampaignJournal(path, fsync=False)
-        other.append("lease_renew", {"scenario_id": "s", "lease_epoch": 0, "expires_at": round_})
+        other.append("campaign_resume", {"campaign": "c", "round": round_})
         assert other.compact() is not None
         other.close()
         status = os.stat(path)
@@ -920,24 +743,17 @@ def test_merged_journals_resolve_every_trace_they_name(a, b, c):
         )
 
 
-#: A two-scenario fleet campaign small enough to resume once per example.
+#: A two-scenario campaign small enough to resume once per example.
 REFS_SPEC = {
     "name": "trace-ref-properties", "ccas": ["reno", "cubic"], "modes": ["traffic"],
     "objectives": ["throughput"], "conditions": [{"name": "base"}],
     "budget": {"population_size": 4, "generations": 3, "duration": 0.12},
-    "seed": 7, "seed_limit": 2, "lease_ttl": 0.001,
+    "seed": 7, "seed_limit": 2,
 }
 
 
 def _resume_serial(corpus_dir: str) -> str:
     return CampaignRunner.resume(corpus_dir, telemetry=False).run().deterministic_digest()
-
-
-def _resume_fleet(corpus_dir: str) -> str:
-    spec = CampaignSpec.from_dict(REFS_SPEC)
-    return run_fleet(
-        spec, corpus_dir, workers=0, register_attacks=False, telemetry=False
-    ).deterministic_digest()
 
 
 def _lines(corpus_dir) -> list:
@@ -946,35 +762,16 @@ def _lines(corpus_dir) -> list:
 
 
 @pytest.fixture(scope="module")
-def ref_journals(tmp_path_factory):
-    """The serial journal, and a fleet journal whose first scenario a resume
-    stole after its generation-1 checkpoint, with their uninterrupted digests."""
+def ref_journal(tmp_path_factory):
+    """The journal of an uninterrupted run of ``REFS_SPEC``, and its digest."""
     root = tmp_path_factory.mktemp("refs")
-    spec = CampaignSpec.from_dict(REFS_SPEC)
-    serial = CampaignRunner(
-        spec, CorpusStore(str(root / "serial")), register_attacks=False, telemetry=False
+    result = CampaignRunner(
+        CampaignSpec.from_dict(REFS_SPEC), CorpusStore(str(root / "serial")),
+        register_attacks=False, telemetry=False,
     ).run()
-    fleet_digest = _resume_fleet(str(root / "fleet"))
-    lines = _lines(root / "fleet")
-    first = spec.expand()[0].scenario_id
-    cut = next(
-        index + 1 for index, line in enumerate(lines)
-        if (record := JournalRecord.from_line(line.decode())).type == "generation_checkpoint"
-        and record.data["scenario_id"] == first and record.data["generation"] == 1
-    )
-    os.makedirs(root / "stolen")
-    (root / "stolen" / "journal.jsonl").write_bytes(b"".join(lines[:cut]))
-    assert _resume_fleet(str(root / "stolen")) == fleet_digest
-    assert CampaignJournal(CampaignJournal.corpus_path(str(root / "stolen"))).replay().leases[
-        first
-    ]["lease_epoch"] == 2
-    return {
-        "serial": (_lines(root / "serial"), serial.deterministic_digest(), _resume_serial),
-        "stolen": (_lines(root / "stolen"), fleet_digest, _resume_fleet),
-    }
+    return _lines(root / "serial"), result.deterministic_digest()
 
 
-@pytest.mark.parametrize("kind", ["serial", "stolen"])
 @given(
     at=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
     torn=st.booleans(),
@@ -983,12 +780,12 @@ def ref_journals(tmp_path_factory):
 )
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_any_kill_point_keeps_every_trace_reference_and_resumes_bit_identically(
-    kind, at, torn, merged, compacted, ref_journals
+    at, torn, merged, compacted, ref_journal
 ):
     """Killed after any record (or half-way through the next one), merged
     with an earlier cut of itself and compacted or not: every digest a kept
     record names was carried before it, and the resume is the uninterrupted run."""
-    lines, digest, resume = ref_journals[kind]
+    lines, digest = ref_journal
     count = 1 + int(at * (len(lines) - 1))
     tail = lines[count][: len(lines[count]) // 2] if torn and count < len(lines) else b""
     with tempfile.TemporaryDirectory() as tmp:
@@ -1006,7 +803,7 @@ def test_any_kill_point_keeps_every_trace_reference_and_resumes_bit_identically(
             with CampaignJournal(path, fsync=False) as journal:
                 journal.compact()
         assert dangling_refs(CampaignJournal(path).records()) == []
-        assert resume(corpus_dir) == digest
+        assert _resume_serial(corpus_dir) == digest
         assert dangling_refs(CampaignJournal(path).records()) == []
 
 

@@ -3,22 +3,18 @@
 Every reader of the journal goes through one :class:`JournalCursor`, and the
 one parser it feeds counts what enters it — ``journal.scans`` and
 ``journal.bytes_scanned`` — so these tests pin the read cost of the four ways
-a journal is used to the bytes each had not yet seen: an inline fleet, a
-resume, a dashboard poll, and a serial campaign (which reads nothing).
+a journal is used to the bytes each had not yet seen: a resume, a dashboard
+poll, and a fresh campaign (which reads nothing).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 
 import pytest
-from golden_utils import list_timestamps
 
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
-from repro.campaign.worker import run_fleet
-from repro.coverage.archive import BehaviorArchive
 from repro.journal import CampaignJournal
 from repro.obs.metrics import get_registry, set_enabled
 from repro.serve.query import DashboardQuery
@@ -69,41 +65,6 @@ class Scanned:
 
 def _journal_size(corpus_dir) -> int:
     return os.path.getsize(CampaignJournal.corpus_path(str(corpus_dir)))
-
-
-def _sha(payload) -> str:
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()[:16]
-
-
-#: What ``run_fleet(matrix_spec(), workers=0)`` produced at the commit before
-#: the cursor existed (62-scan era): the read path must not change results.
-#: ``behavior_map`` was re-pinned (from 6e9963fcbba0e2bb) when the signature
-#: ``shape`` became the egress-rate silhouette for series-recording runs too:
-#: 48 cells, each differing from the old map in ``shape`` and the signature
-#: ``fingerprint`` only; digest and corpus are the 62-scan era's.  The map is
-#: hashed with its traces' timestamps as lists, the spelling it had then.
-PARENT_INLINE_FLEET = {
-    "digest": "10698166e616f9387eb05f0c7723c180",
-    "corpus": "59a505dbef4d654b",
-    "behavior_map": "0e421a78243a6f93",
-}
-
-
-def test_inline_fleet_parses_each_journal_byte_at_most_three_times(tmp_path):
-    spec = matrix_spec()
-    assert spec.scenario_count == 18
-    scanned = Scanned()
-    result = run_fleet(spec, str(tmp_path), workers=0, telemetry=False)
-    # Driver and inline worker each follow the file once; the parent commit
-    # replayed it on every claim (3 replays x 18 scenarios, ~30x the bytes).
-    assert 0 < scanned.bytes <= 3 * _journal_size(tmp_path)
-    with open(BehaviorArchive.corpus_path(str(tmp_path)), "r", encoding="utf-8") as handle:
-        behavior_map = json.load(handle)
-    assert {
-        "digest": result.deterministic_digest(),
-        "corpus": _sha(sorted(CorpusStore(str(tmp_path)).fingerprints())),
-        "behavior_map": _sha(list_timestamps(behavior_map)),
-    } == PARENT_INLINE_FLEET
 
 
 class Interrupted(Exception):

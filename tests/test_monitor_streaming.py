@@ -122,16 +122,16 @@ class ReferenceFlowMonitor:
     ) -> List[Tuple[float, float]]:
         times = self.ingress_times(flow) if use_ingress else self.egress_times(flow)
         series: List[Tuple[float, float]] = []
-        start = 0.0
-        while start < duration:
-            end = min(start + window, duration)
+        i = 0
+        while i * window < duration:             # window i starts at i * window
+            start, end = i * window, min((i + 1) * window, duration)
             lo = bisect.bisect_left(times, start)
             hi = bisect.bisect_left(times, end)
             count = hi - lo
             span = end - start
             rate_mbps = count * MSS_BYTES * 8.0 / span / 1e6 if span > 0 else 0.0
             series.append((start, rate_mbps))
-            start += window
+            i += 1
         return series
 
     def average_rate_mbps(self, flow: str, duration: float) -> float:

@@ -1,11 +1,11 @@
-"""Dashboard reads racing campaign writes: torn, compacted, fenced state.
+"""Dashboard reads racing campaign writes: torn and compacted state.
 
 The server's error contract is that a ``/api/*`` endpoint never returns a
 500 and never a partial JSON body, no matter what half-written state the
 mounted directory is in.  These tests drive every endpoint against the
 states a live campaign actually produces mid-write — torn ``metrics.jsonl``
-and ``journal.jsonl`` tails, mid-compaction snapshots, stale-epoch records
-appended by a fenced (lease-stolen) zombie worker — plus outright garbage,
+and ``journal.jsonl`` tails, mid-compaction snapshots, a journal an older
+version's worker fleet wrote — plus outright garbage,
 and a property test pinning the incremental tail reader against whole-file
 reads under arbitrary chunked/torn append schedules.
 """
@@ -22,8 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import CorpusReader
+from repro.cli import campaign_main
 from repro.exec import cca_identity
-from repro.journal import CampaignJournal
+from repro.journal import CampaignJournal, FleetJournalError
 from repro.journal.events import make_record
 from repro.journal.log import read_corpus_journal_view
 from repro.obs.sinks import METRICS_FILENAME, read_metrics, tail_metrics_records
@@ -87,7 +88,7 @@ def write_journal(corpus_dir, records):
     return path
 
 
-def outcome_data(scenario_id, epoch=None, **overrides):
+def outcome_data(scenario_id, **overrides):
     outcome = {
         "best_fitness": -1.0,
         "best_fingerprint": "f" * 32,
@@ -100,10 +101,7 @@ def outcome_data(scenario_id, epoch=None, **overrides):
         "behavior_cells": 3,
     }
     outcome.update(overrides)
-    data = {"scenario_id": scenario_id, "outcome": outcome}
-    if epoch is not None:
-        data["lease_epoch"] = epoch
-    return data
+    return {"scenario_id": scenario_id, "outcome": outcome}
 
 
 class TestDegradedDirectories:
@@ -273,10 +271,11 @@ class TestJournalStates:
                     ).to_line())
             assert poll(server) == (3, 0)          # the line last read is gone: read afresh
 
-    def test_stale_epoch_records_are_fenced(self, tmp_path):
-        """A zombie worker's post-steal appends must not leak into rankings
-        or coverage; they surface only as the fenced-record count."""
-        corpus_dir = tmp_path / "fenced"
+    def test_a_fleet_journal_is_refused_before_serving(self, tmp_path, capsys):
+        """A journal an earlier version's worker fleet wrote: ``serve``
+        exits 2 naming the refusal, as every reader of the journal does, and
+        leaves the directory as it was."""
+        corpus_dir = tmp_path / "fleet"
         corpus_dir.mkdir()
         scenario = "bbr/traffic/throughput/base"
         write_journal(corpus_dir, [
@@ -284,35 +283,16 @@ class TestJournalStates:
             make_record(2, "scenario_lease", {
                 "scenario_id": scenario, "lease_epoch": 1, "worker_id": "w1",
             }),
-            make_record(3, "scenario_lease", {
-                "scenario_id": scenario, "lease_epoch": 2, "worker_id": "w2",
-            }),
-            # Zombie w1 completes with its stale epoch: fenced.
-            make_record(4, "scenario_complete", outcome_data(
-                scenario, epoch=1, best_fitness=-99.0, evaluations=999,
-            )),
-            make_record(5, "behavior_delta", {
-                "scenario_id": scenario, "lease_epoch": 1,
-                "cells": {"zombie/cell": {"cell": "zombie/cell", "score": 0.0}},
-            }),
-            # The steal's winner completes for real.
-            make_record(6, "scenario_complete", outcome_data(
-                scenario, epoch=2, best_fitness=-1.5,
-            )),
+            make_record(3, "scenario_complete", outcome_data(scenario)),
         ])
-        view = read_corpus_journal_view(str(corpus_dir))
-        assert view.fenced_records == 2
-        with DashboardServer(str(corpus_dir)) as server:
-            assert_all_endpoints_wellformed(server)
-            _, _, body = fetch_raw(server, "/api/rankings")
-            rankings = json.loads(body)
-            (row,) = rankings["rows"]
-            assert row["cca"] == "bbr"
-            assert row["worst_fitness"] == -1.5  # not the zombie's -99
-            _, _, body = fetch_raw(server, "/api/coverage")
-            coverage = json.loads(body)
-            assert coverage["sources"]["fenced_records"] == 2
-            assert "zombie/cell" not in json.dumps(coverage)
+        before = snapshot_dir(corpus_dir)
+        with pytest.raises(FleetJournalError):
+            read_corpus_journal_view(str(corpus_dir))
+        with pytest.raises(SystemExit) as excinfo:
+            campaign_main(["serve", str(corpus_dir), "--port", "0"])
+        assert excinfo.value.code == 2
+        assert "written by a worker fleet" in capsys.readouterr().err
+        assert snapshot_dir(corpus_dir) == before
 
     def test_quarantine_counts_reach_rankings(self, tmp_path):
         corpus_dir = tmp_path / "quarantine"

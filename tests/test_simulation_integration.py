@@ -153,6 +153,16 @@ class TestResultSummaries:
         assert len(series) == 4
         assert series[0][0] == 0.0
 
+    def test_small_windows_do_not_drift_into_a_sliver(self):
+        # Summing 0.05 a hundred times overshoots 4.95 by a hair, so a
+        # running start once left a 101st window ~1e-15 s wide whose rate
+        # was ~1e12 Mbps; window i starts at i * 0.05.
+        result = run_simulation(Reno, SimulationConfig(duration=5.0))
+        series = result.windowed_throughput(window=0.05)
+        assert len(series) == 100
+        start, rate = series[-1]
+        assert math.isclose(start, 4.95) and math.isfinite(rate)
+
     def test_event_cap_raises_instead_of_reporting_a_partial_run(self):
         # Capped at 3,000 events this run used to come back as 4.46 Mbps with a
         # 1.81 s egress gap (11.70 Mbps / 0.033 s uncapped): the clock was

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusReader, CorpusStore
 from repro.campaign.corpus import read_corpus_index
-from repro.campaign.worker import FleetWorker
 from repro.cli import campaign_main, coverage_main, triage_main
 from repro.coverage.archive import BehaviorArchive
 from repro.exec.quarantine import QuarantineStore
@@ -146,9 +145,9 @@ def _snapshot(directory) -> dict:
 
 
 def test_readers_leave_a_live_corpus_directory_alone(tmp_path, capsys):
-    """``report``, ``replay``, ``coverage gaps``, ``repro-triage --corpus``
-    and a fleet worker hold a reader: another process's in-flight temp files
-    survive them, and no byte of the directory changes."""
+    """``report``, ``replay``, ``coverage gaps`` and ``repro-triage --corpus``
+    hold a reader: another process's in-flight temp files survive them, and
+    no byte of the directory changes."""
     corpus_dir = tmp_path / "corpus"
     CampaignRunner(
         CampaignSpec.from_dict(TINY_SPEC), CorpusStore(str(corpus_dir)), telemetry=False
@@ -166,7 +165,6 @@ def test_readers_leave_a_live_corpus_directory_alone(tmp_path, capsys):
     assert coverage_main(["gaps", str(corpus_dir)]) == 0
     assert triage_main(["--corpus", str(corpus_dir), "--fingerprint", fingerprint,
                         "--skip-minimize", "--skip-robustness", "--skip-differential"]) == 0
-    FleetWorker(str(corpus_dir), "w0", telemetry=False)
     capsys.readouterr()
 
     assert _snapshot(corpus_dir) == before

@@ -1,21 +1,19 @@
 """A trace is journaled once: records name traces by content digest.
 
-``trace_ref_journal.jsonl`` is a schema-2 fleet journal of a two-scenario
+``legacy_compacted_journal.jsonl`` is a schema-2 journal of a two-scenario
 campaign (``reno`` and ``cubic`` traffic, population 4, 3 generations of
-0.12 s, seed 7, ``seed_limit`` 2, ``lease_ttl`` 0.001).  It was made from an
-uninterrupted ``run_fleet(workers=0)`` journal of that spec:
+0.12 s, seed 7, ``seed_limit`` 2, no builtins), written while the journaled
+spec still carried ``lease_ttl``:
 
 1. the records up to the first scenario's generation-1 checkpoint, compacted
    into one ``compaction_snapshot``;
-2. a ``scenario_lease`` at epoch 2 for that scenario (a thief's claim);
-3. the victim waking up: its epoch-1 ``behavior_delta`` and generation-2
-   checkpoint, both fenced, the checkpoint carrying three traces no earlier
-   record held;
-4. ``run_fleet`` resuming the file, cut after its epoch-3 generation-2
-   checkpoint, which names those three traces without carrying them.
+2. the resumed run, cut after its generation-2 checkpoint, which names a
+   trace only the snapshot carries.
 
-It pins the fold (a fenced record's table still serves the thief) and the
-resume (the uninterrupted run's digest and corpus).
+It pins the fold (a checkpoint resolves its references against an earlier
+record's table) and the resume (the uninterrupted run's digest and corpus).
+``trace_ref_journal.jsonl`` is a worker fleet's journal of the same shape,
+which every reader refuses.
 """
 
 from __future__ import annotations
@@ -29,8 +27,11 @@ import shutil
 import pytest
 from journal_bytes import dangling_refs
 
-from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore, run_fleet
-from repro.journal import CampaignJournal, JournalCorruption, JournalRecord, merge_records
+from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
+from repro.cli import campaign_main
+from repro.journal import (
+    CampaignJournal, FleetJournalError, JournalCorruption, JournalRecord, merge_records,
+)
 from repro.journal.codec import deflate, inflate, named_digests, trace_digest
 from repro.journal.events import canonical_json, make_record
 from repro.journal.log import read_journal_view
@@ -38,29 +39,29 @@ from repro.obs.metrics import get_registry
 from repro.serve.query import DashboardQuery
 from repro.traces.trace import LinkTrace, TrafficTrace
 
-FIXTURE = os.path.join(os.path.dirname(__file__), "trace_ref_journal.jsonl")
+FIXTURE = os.path.join(os.path.dirname(__file__), "legacy_compacted_journal.jsonl")
+FLEET_FIXTURE = os.path.join(os.path.dirname(__file__), "trace_ref_journal.jsonl")
 FIRST = "reno/traffic/throughput/base"
 #: What the uninterrupted run of the fixture's spec gives, and its resume.
 FIXTURE_RESUMED = {
-    "digest": "f56cd81a19a1940c93a88fa156717ed5",
+    "digest": "6f385a343b7ee8b81d4df1eea9f3000d",
     "fingerprints": [
         "124e69654d6211dda1d7359233fe4d50", "3c5da7cec6088d6cecd57d36bc47f4ec",
-        "6bcd10d0a23f13cbaeaad5dd486d3873", "7f416518df77cdeff3917ac0a42c34f8",
-        "966ffbdbee5faae417e1f89bc62ad735", "9d3fa2ee5b4854b1b5ceb5a560948e2e",
+        "7fd821beb44dfba2465adea171438b00", "966ffbdbee5faae417e1f89bc62ad735",
+        "decc0e3f90cd845e57cc3ab84b1b683c",
     ],
 }
 
 
-def _fixture_copy(tmp_path) -> str:
+def _fixture_copy(tmp_path, fixture: str = FIXTURE) -> str:
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()
-    shutil.copy(FIXTURE, CampaignJournal.corpus_path(str(corpus_dir)))
+    shutil.copy(fixture, CampaignJournal.corpus_path(str(corpus_dir)))
     return str(corpus_dir)
 
 
-def _resume_fleet(corpus_dir: str) -> dict:
-    spec = CampaignSpec.from_dict(read_journal_view(CampaignJournal.corpus_path(corpus_dir)).campaign["spec"])
-    result = run_fleet(spec, corpus_dir, workers=0, register_attacks=False, telemetry=False)
+def _resume(corpus_dir: str) -> dict:
+    result = CampaignRunner.resume(corpus_dir, telemetry=False).run()
     assert dangling_refs(CampaignJournal(CampaignJournal.corpus_path(corpus_dir)).records()) == []
     return {
         "digest": result.deterministic_digest(),
@@ -69,36 +70,35 @@ def _resume_fleet(corpus_dir: str) -> dict:
 
 
 class TestFixture:
-    def test_its_fold_inflates_a_fenced_zombies_trace_for_the_thief(self):
+    def test_its_checkpoint_names_a_trace_only_the_snapshot_carries(self):
         records = CampaignJournal(FIXTURE).records()
         assert [r.type for r in records] == [
-            "compaction_snapshot", "scenario_lease", "behavior_delta", "generation_checkpoint",
-            "campaign_resume", "scenario_lease", "behavior_delta", "generation_checkpoint",
+            "compaction_snapshot", "campaign_resume", "scenario_lease", "behavior_delta",
+            "generation_checkpoint",
         ]
         assert {r.schema for r in records} == {2}
         assert dangling_refs(records) == []
-        snapshot, thief_lease, _, zombie, _, _, _, thief = records
-        assert thief_lease.data["lease_epoch"] == 2
-        assert (zombie.data["lease_epoch"], thief.data["lease_epoch"]) == (1, 3)
-        assert zombie.data["generation"] == thief.data["generation"] == 2
-        # The snapshot is self-contained; the zombie brings three new traces
-        # and the thief names them, carrying nothing.
+        snapshot, checkpoint = records[0], records[-1]
+        # The snapshot is self-contained; the checkpoint carries the traces
+        # it brings and names one more that only the snapshot holds.
         assert set(named_digests(snapshot.type, snapshot.data)) == set(snapshot.traces)
-        assert len(zombie.traces) == 3 and thief.traces == {}
-        assert set(zombie.traces) <= set(named_digests(thief.type, thief.data))
+        named = set(named_digests(checkpoint.type, checkpoint.data))
+        earlier = named - set(checkpoint.traces)
+        assert earlier and earlier <= set(snapshot.traces)
 
         view = read_journal_view(FIXTURE)
-        assert (view.fenced_records, view.compacted_records, view.record_count) == (2, 8, 8)
-        checkpoint = view.checkpoints[FIRST]
-        assert (checkpoint["generation"], checkpoint["lease_epoch"]) == (2, 3)
-        individuals = [i for island in checkpoint["fuzzer"]["islands"] for i in island]
-        assert [trace_digest(i["trace"]) for i in individuals] == named_digests(thief.type, thief.data)
-        for digest, trace in zombie.traces.items():
-            assert trace_digest(trace) == digest
-        assert [h["generation"] for h in checkpoint["fuzzer"]["history"]] == [0, 1, 2]
+        assert (view.compacted_records, view.record_count) == (6, 5)
+        assert view.campaign["spec"]["lease_ttl"] == 30.0     # the older spec's key
+        folded = view.checkpoints[FIRST]
+        assert folded["generation"] == 2
+        individuals = [i for island in folded["fuzzer"]["islands"] for i in island]
+        assert [trace_digest(i["trace"]) for i in individuals] == named_digests(
+            checkpoint.type, checkpoint.data
+        )
+        assert [h["generation"] for h in folded["fuzzer"]["history"]] == [0, 1, 2]
 
     def test_it_resumes_to_the_uninterrupted_run(self, tmp_path):
-        assert _resume_fleet(_fixture_copy(tmp_path)) == FIXTURE_RESUMED
+        assert _resume(_fixture_copy(tmp_path)) == FIXTURE_RESUMED
 
     def test_it_compacts_to_one_self_contained_record_that_resumes_alike(self, tmp_path):
         corpus_dir = _fixture_copy(tmp_path)
@@ -109,15 +109,68 @@ class TestFixture:
         assert set(named_digests(snapshot.type, snapshot.data)) == set(snapshot.traces)
         assert journal.replay().pending_checkpoints() == before.pending_checkpoints()
         journal.close()
-        assert _resume_fleet(corpus_dir) == FIXTURE_RESUMED
+        assert _resume(corpus_dir) == FIXTURE_RESUMED
+
+
+class TestFleetJournals:
+    """A journal an earlier version's worker fleet wrote is refused, by one
+    named error, wherever it is read; the journal is left as it was."""
+
+    def test_the_fold_refuses_it(self):
+        assert any("lease_epoch" in r.data for r in CampaignJournal(FLEET_FIXTURE).records())
+        with pytest.raises(FleetJournalError, match="written by a worker fleet"):
+            read_journal_view(FLEET_FIXTURE)
+
+    @pytest.mark.parametrize("record", [
+        make_record(1, "scenario_lease", {"scenario_id": "s", "lease_epoch": 1}),
+        make_record(1, "generation_checkpoint", {"scenario_id": "s", "generation": 0,
+                                                 "lease_epoch": 2}),
+        JournalRecord(1, "lease_renew", {"scenario_id": "s"}),
+        JournalRecord(1, "lease_release", {"scenario_id": "s"}),
+        JournalRecord(1, "scenario_seeds", {"campaign": "c", "seeds": {}}),
+        make_record(1, "compaction_snapshot", {"view": {"scenario_seeds": {"seeds": {}}}}),
+        make_record(1, "compaction_snapshot", {"view": {"leases": {
+            "s": {"scenario_id": "s", "lease_epoch": 1}}}}),
+    ], ids=["lease", "epoch-stamped", "renew", "release", "seeds", "snapshot-seeds",
+            "snapshot-lease"])
+    def test_each_fleet_record_is_refused(self, record, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        path.write_text(
+            make_record(0, "campaign_start", {"campaign": "c"}).to_line() + record.to_line()
+        )
+        with pytest.raises(FleetJournalError):
+            read_journal_view(str(path))
+
+    @pytest.mark.parametrize("argv", [
+        ["status", "{dir}"],
+        ["report", "--corpus", "{dir}"],
+        ["replay", "--corpus", "{dir}", "--cca", "reno"],
+        ["run", "--corpus", "{dir}", "--resume"],
+    ], ids=["status", "report", "replay", "resume"])
+    def test_every_reader_exits_2_naming_it(self, argv, tmp_path, capsys):
+        corpus_dir = _fixture_copy(tmp_path, FLEET_FIXTURE)
+        journal = CampaignJournal.corpus_path(corpus_dir)
+        with open(journal, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(SystemExit) as excinfo:
+            campaign_main([arg.format(dir=corpus_dir) for arg in argv])
+        assert excinfo.value.code == 2
+        assert "error: journal record 8 (compaction_snapshot) was written by a worker fleet" in (
+            capsys.readouterr().err
+        )
+        with open(journal, "rb") as handle:
+            assert handle.read() == before
 
 
 #: sha256 (16 hex digits) of each schema-1 fixture's whole folded view as
-#: sorted-key JSON, as the code before trace references folded it.
+#: sorted-key JSON, as the code before trace references folded it.  Derived
+#: again from that code when the fleet's view fields went (``scenario_seeds``,
+#: ``fenced_records``, and the per-scope ``caches`` that became
+#: ``cache_state``): every field that is left folds as it did.
 LEGACY_FOLDS = {
-    "legacy_full_dump_journal.jsonl": "5afe60d2d2f5a409",
-    "legacy_list_timestamps_journal.jsonl": "af24ef23ff7651cc",
-    "legacy_thread_mode_journal.jsonl": "0136dc7b01e1b420",
+    "legacy_full_dump_journal.jsonl": "eeeaa77cb8dc2530",
+    "legacy_list_timestamps_journal.jsonl": "bbf09267d25a6dae",
+    "legacy_thread_mode_journal.jsonl": "da801962d541be29",
 }
 
 
@@ -138,7 +191,7 @@ def test_a_schema_1_journal_folds_as_before_and_compacts_to_references(name, tmp
         compacted = journal.replay()
     assert snapshot.schema == 2 and set(named_digests(snapshot.type, snapshot.data)) == set(snapshot.traces)
     assert compacted.pending_checkpoints() == view.pending_checkpoints()
-    for field in ("behavior_deltas", "inserts_by_scenario", "completed", "caches"):
+    for field in ("behavior_deltas", "inserts_by_scenario", "completed", "cache_state"):
         assert getattr(compacted, field) == getattr(view, field), field
 
 
