@@ -39,6 +39,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -108,12 +109,14 @@ def _int_at_least(minimum: int, flag: str, maximum: Optional[int] = None) -> Cal
 
 
 def _positive_float(flag: str) -> Callable[[str], float]:
-    """argparse ``type=``: a float greater than zero."""
+    """argparse ``type=``: a finite float greater than zero."""
 
     def parse(text: str) -> float:
         value = float(text)
         if not value > 0:
             raise argparse.ArgumentTypeError(f"{flag} must be positive, got {value}")
+        if value == math.inf:
+            raise argparse.ArgumentTypeError(f"{flag} must be finite, got {value}")
         return value
 
     parse.__name__ = "float"

@@ -22,6 +22,7 @@ topology feeds in and the sender's per-ACK series).
 from __future__ import annotations
 
 import bisect
+import math
 from operator import sub
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -65,13 +66,14 @@ def _cross_series(
 def time_windows(duration: float, window: float) -> Iterator[Tuple[float, float]]:
     """``[start, end)`` of consecutive windows over ``[0, duration)``: window
     *i* starts at ``i * window`` (a running sum would drift into a sliver
-    window at the end), and the last one ends at ``duration``."""
-    if window <= 0:
-        raise ValueError("window must be positive")
-    i = 0
-    while i * window < duration:
-        yield i * window, min((i + 1) * window, duration)
-        i += 1
+    window at the end), and the last one ends at ``duration``.  A remainder
+    within rounding of zero is no window of its own: ``0.9`` in windows of
+    ``0.3`` is three windows, though ``3 * 0.3 < 0.9`` in floating point."""
+    if not 0 < window < math.inf:
+        raise ValueError("window must be positive and finite")
+    count = math.ceil(round(duration / window, 9))
+    for i in range(count):
+        yield i * window, duration if i == count - 1 else (i + 1) * window
 
 
 class FlowMonitor:

@@ -530,6 +530,23 @@ class TestRangeUsageErrors:
         assert "error: " in err and message in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("main, argv", [
+        (trace_main, ["inspect", "t.json", "--window", "inf"]),
+        (campaign_main, ["run", "--spec", "s.json", "--corpus", "c", "--job-timeout", "inf"]),
+        (campaign_main, ["status", "c", "--watch", "inf"]),
+    ], ids=["window", "job-timeout", "watch"])
+    def test_an_infinite_interval_is_a_usage_error(self, main, argv, tmp_path, monkeypatch, capsys):
+        # An infinite window once drew an empty chart instead of a refusal.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        flag = argv[-2]
+        assert f"error: argument {flag}: {flag} must be finite, got inf" in (
+            capsys.readouterr().err
+        )
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBadSpecFiles:
     """A spec file whose values have the wrong JSON type exits 2 with an

@@ -12,7 +12,10 @@ aborting.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import threading
 import time
+from multiprocessing.heap import BufferWrapper
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,6 +40,7 @@ from repro.exec import (
     failure_from_summary,
     guarded_evaluate,
 )
+from repro.exec import supervisor
 from repro.exec.faults import backoff_s
 from repro.campaign.corpus import CorpusReader, CorpusStore
 from repro.campaign.scheduler import campaign_backend
@@ -523,6 +527,25 @@ class TestCloseAndRestart:
         # Evaluate-after-close: the pool restarts lazily instead of raising.
         assert backend.evaluate_batch(jobs) == BASELINE[:2]
         backend.close()
+
+    def test_an_idle_worker_leaves_once_its_parent_is_gone(self, monkeypatch):
+        # A SIGKILLed driver sends no sentinel, and the pipe gives no EOF
+        # while another process holds its other end: the worker sees that
+        # it was handed to another parent.
+        parents = iter([4242, 4242, 4242])
+        monkeypatch.setattr(supervisor.os, "getppid", lambda: next(parents, 1))
+        monkeypatch.setattr(supervisor, "ORPHAN_CHECK_S", 0.01)
+        monkeypatch.setattr(supervisor.faulthandler, "enable", lambda file: None)
+        conn, held = multiprocessing.Pipe()
+        worker = threading.Thread(
+            target=supervisor._pool_worker_main, args=(conn, BufferWrapper(16), 0), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert next(parents, None) is None
+        held.close()
+        conn.close()
 
 
 class TestGaUnderFaults:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import math
 import random as random_module
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -122,16 +123,17 @@ class ReferenceFlowMonitor:
     ) -> List[Tuple[float, float]]:
         times = self.ingress_times(flow) if use_ingress else self.egress_times(flow)
         series: List[Tuple[float, float]] = []
-        i = 0
-        while i * window < duration:             # window i starts at i * window
-            start, end = i * window, min((i + 1) * window, duration)
+        # window i starts at i * window; a remainder within rounding of
+        # zero is no window, and the last one ends at duration
+        windows = math.ceil(round(duration / window, 9))
+        for i in range(windows):
+            start, end = i * window, duration if i == windows - 1 else (i + 1) * window
             lo = bisect.bisect_left(times, start)
             hi = bisect.bisect_left(times, end)
             count = hi - lo
             span = end - start
             rate_mbps = count * MSS_BYTES * 8.0 / span / 1e6 if span > 0 else 0.0
             series.append((start, rate_mbps))
-            i += 1
         return series
 
     def average_rate_mbps(self, flow: str, duration: float) -> float:

@@ -112,6 +112,22 @@ class TestFixture:
         assert _resume(corpus_dir) == FIXTURE_RESUMED
 
 
+#: One of each record a worker fleet wrote that the fold refuses.
+FLEET_RECORDS = [
+    make_record(1, "scenario_lease", {"scenario_id": "s", "lease_epoch": 1}),
+    make_record(1, "generation_checkpoint", {"scenario_id": "s", "generation": 0,
+                                             "lease_epoch": 2}),
+    JournalRecord(1, "lease_renew", {"scenario_id": "s"}),
+    JournalRecord(1, "lease_release", {"scenario_id": "s"}),
+    JournalRecord(1, "scenario_seeds", {"campaign": "c", "seeds": {}}),
+    make_record(1, "compaction_snapshot", {"view": {"scenario_seeds": {"seeds": {}}}}),
+    make_record(1, "compaction_snapshot", {"view": {"leases": {
+        "s": {"scenario_id": "s", "lease_epoch": 1}}}}),
+]
+FLEET_RECORD_IDS = ["lease", "epoch-stamped", "renew", "release", "seeds", "snapshot-seeds",
+                    "snapshot-lease"]
+
+
 class TestFleetJournals:
     """A journal an earlier version's worker fleet wrote is refused, by one
     named error, wherever it is read; the journal is left as it was."""
@@ -121,18 +137,7 @@ class TestFleetJournals:
         with pytest.raises(FleetJournalError, match="written by a worker fleet"):
             read_journal_view(FLEET_FIXTURE)
 
-    @pytest.mark.parametrize("record", [
-        make_record(1, "scenario_lease", {"scenario_id": "s", "lease_epoch": 1}),
-        make_record(1, "generation_checkpoint", {"scenario_id": "s", "generation": 0,
-                                                 "lease_epoch": 2}),
-        JournalRecord(1, "lease_renew", {"scenario_id": "s"}),
-        JournalRecord(1, "lease_release", {"scenario_id": "s"}),
-        JournalRecord(1, "scenario_seeds", {"campaign": "c", "seeds": {}}),
-        make_record(1, "compaction_snapshot", {"view": {"scenario_seeds": {"seeds": {}}}}),
-        make_record(1, "compaction_snapshot", {"view": {"leases": {
-            "s": {"scenario_id": "s", "lease_epoch": 1}}}}),
-    ], ids=["lease", "epoch-stamped", "renew", "release", "seeds", "snapshot-seeds",
-            "snapshot-lease"])
+    @pytest.mark.parametrize("record", FLEET_RECORDS, ids=FLEET_RECORD_IDS)
     def test_each_fleet_record_is_refused(self, record, tmp_path):
         path = tmp_path / "journal.jsonl"
         path.write_text(
@@ -160,6 +165,55 @@ class TestFleetJournals:
         )
         with open(journal, "rb") as handle:
             assert handle.read() == before
+
+    @pytest.mark.parametrize("record", FLEET_RECORDS, ids=FLEET_RECORD_IDS)
+    def test_a_resume_refuses_each_fleet_record_and_writes_nothing(self, record, tmp_path, capsys):
+        # The serial fixture resumes; one fleet record after its tail is
+        # enough for ``run --resume`` to refuse it before it writes a file.
+        corpus_dir = _fixture_copy(tmp_path)
+        journal = CampaignJournal.corpus_path(corpus_dir)
+        seq = CampaignJournal(journal).records()[-1].seq + 1
+        with open(journal, "a", encoding="utf-8") as handle:
+            handle.write(JournalRecord(seq, record.type, record.data).to_line())
+        with open(journal, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(SystemExit) as excinfo:
+            campaign_main(["run", "--corpus", corpus_dir, "--resume"])
+        assert excinfo.value.code == 2
+        assert f"error: journal record {seq} ({record.type}) was written by a worker fleet" in (
+            capsys.readouterr().err
+        )
+        with open(journal, "rb") as handle:
+            assert handle.read() == before
+        assert os.listdir(corpus_dir) == [os.path.basename(journal)]
+
+    def test_compaction_refuses_it_and_leaves_it_as_it_was(self, tmp_path):
+        corpus_dir = _fixture_copy(tmp_path, FLEET_FIXTURE)
+        journal = CampaignJournal.corpus_path(corpus_dir)
+        with open(journal, "rb") as handle:
+            before = handle.read()
+        with CampaignJournal(journal) as log, pytest.raises(FleetJournalError):
+            log.compact()
+        with open(journal, "rb") as handle:
+            assert handle.read() == before
+
+
+#: Every serial journal an earlier version wrote; each journaled spec
+#: carries the retired ``lease_ttl``.
+LEGACY_FIXTURES = [
+    "legacy_compacted_journal.jsonl", "legacy_full_dump_journal.jsonl",
+    "legacy_list_timestamps_journal.jsonl", "legacy_thread_mode_journal.jsonl",
+]
+
+
+@pytest.mark.parametrize("name", LEGACY_FIXTURES)
+def test_a_journaled_spec_reads_without_its_retired_key(name):
+    journaled = read_journal_view(os.path.join(os.path.dirname(__file__), name)).campaign["spec"]
+    assert journaled["lease_ttl"] == 30.0
+    with pytest.raises(ValueError, match="unknown campaign spec keys: lease_ttl"):
+        CampaignSpec.from_dict(journaled)
+    spec = CampaignSpec.from_journal(journaled)
+    assert spec.to_dict() == {k: v for k, v in journaled.items() if k != "lease_ttl"}
 
 
 #: sha256 (16 hex digits) of each schema-1 fixture's whole folded view as

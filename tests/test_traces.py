@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from fake_backend import FunctionBackend
@@ -16,6 +17,7 @@ from repro.attacks import builtin_attack_traces
 from repro.core.fuzzer import MODES, CCFuzz, FuzzConfig
 from repro.coverage.signature import extract_signature
 from repro.exec.workers import simulate_packet_trace
+from repro.netsim.monitor import time_windows
 from repro.netsim.simulation import SimulationConfig, run_simulation
 from repro.scoring.base import Score
 from repro.scoring.objectives import make_score_function
@@ -319,6 +321,36 @@ class TestWindows:
         assert len(counts) == math.ceil(round(5.0 / window, 9))
         assert [start for start, _ in counts] == [i * window for i in range(len(counts))]
         assert sum(count for _, count in counts) == UNIFORM.packet_count
+
+    @pytest.mark.parametrize("duration, window", [
+        ("0.9", "0.3"), ("2.1", "0.7"), ("4.2", "0.7"), ("5", "0.05"), ("1", "0.3"),
+        ("5.1", "0.25"), ("0.12", "0.05"), ("3", "0.1"), ("6", "1.1"), ("0.3", "0.1"),
+        ("8", "0.25"), ("0.7", "0.1"),
+    ])
+    def test_the_window_count_is_the_exact_quotient_rounded_up(self, duration, window):
+        # Counted from the decimals as written: 3 * 0.3 < 0.9 in floating
+        # point, which once made a fourth window ~1e-16 s wide.
+        windows = list(time_windows(float(duration), float(window)))
+        assert len(windows) == math.ceil(Fraction(duration) / Fraction(window))
+        assert [start for start, _ in windows] == [i * float(window) for i in range(len(windows))]
+        assert all(end == start for (_, end), (start, _) in zip(windows, windows[1:]))
+        assert windows[-1][1] == float(duration)
+        assert windows[-1][1] - windows[-1][0] > float(window) / 1e6
+
+    @pytest.mark.parametrize("duration, window", [(0.9, 0.3), (2.1, 0.7), (4.2, 0.7)])
+    def test_a_packet_on_the_rounded_boundary_counts_at_the_window_rate(self, duration, window):
+        # The packet sits where a sliver window once started, and its rate
+        # came out ~1e16 packets/s.
+        whole = round(duration / window)
+        trace = PacketTrace(timestamps=[whole * window], duration=duration)
+        rates = trace.windowed_rates_pps(window)
+        assert len(rates) == whole
+        assert rates[-1][1] == pytest.approx(1 / window)
+
+    @pytest.mark.parametrize("window", [0.0, -0.25, math.nan, math.inf])
+    def test_a_window_must_be_positive_and_finite(self, window):
+        with pytest.raises(ValueError, match="window must be positive and finite"):
+            UNIFORM.windowed_counts(window)
 
     @pytest.mark.parametrize("window", [0.05, 0.1, 0.3])
     def test_a_uniform_trace_is_smooth_at_every_window(self, window):
