@@ -21,8 +21,9 @@ import tempfile
 import time
 
 from repro.campaign import CorpusStore
-from repro.coverage import BehaviorArchive, BehaviorSignature
-from repro.traces import TrafficTrace
+from repro.coverage.archive import BehaviorArchive
+from repro.coverage.signature import BehaviorSignature
+from repro.traces.trace import TrafficTrace
 
 PACKETS = 200          #: timestamps per trace, about a campaign elite's size
 REPEATS = 50

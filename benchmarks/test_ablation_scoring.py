@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from conftest import print_rows, run_once
 
-from repro.netsim import SimulationConfig, run_simulation
-from repro.scoring import LowUtilizationScore
-from repro.tcp import Reno
-from repro.traces import TrafficTrace
+from repro.netsim.simulation import SimulationConfig, run_simulation
+from repro.scoring.performance import LowUtilizationScore
+from repro.tcp.cca.reno import Reno
+from repro.traces.trace import TrafficTrace
 
 DURATION = 4.0
 

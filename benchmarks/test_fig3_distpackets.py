@@ -14,7 +14,8 @@ import statistics
 
 from conftest import print_rows, print_series, run_once
 
-from repro.traces import LinkTraceGenerator, max_rate_deviation
+from repro.traces.constraints import max_rate_deviation
+from repro.traces.generator import LinkTraceGenerator
 
 
 def generate_population(count: int = 20, duration: float = 5.0):

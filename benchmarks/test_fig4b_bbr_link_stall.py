@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from conftest import print_rows, print_series, run_once
 
-from repro.analysis import bbr_bug_evidence, findings_of
-from repro.attacks import bbr_stall_link_trace
-from repro.netsim import CCA_FLOW, SimulationConfig, run_simulation
-from repro.tcp import Bbr
+from repro.analysis.findings import findings_of
+from repro.analysis.timeline import bbr_bug_evidence
+from repro.attacks.bbr_stall import bbr_stall_link_trace
+from repro.netsim.packet import CCA_FLOW
+from repro.netsim.simulation import SimulationConfig, run_simulation
+from repro.tcp.cca.bbr import Bbr
 
 DURATION = 6.0
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from conftest import print_rows, run_once
 
-from repro.analysis import bbr_bug_evidence, describe_bug_timeline
-from repro.attacks import lose_segment_and_retransmission
-from repro.netsim import SimulationConfig, run_simulation
-from repro.tcp import Bbr
+from repro.analysis.timeline import bbr_bug_evidence, describe_bug_timeline
+from repro.attacks.fault_injection import lose_segment_and_retransmission
+from repro.netsim.simulation import SimulationConfig, run_simulation
+from repro.tcp.cca.bbr import Bbr
 
 DURATION = 6.0
 VICTIM_SEGMENT = 2000

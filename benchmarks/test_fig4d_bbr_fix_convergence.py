@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from conftest import print_rows, run_once
 
-from repro.attacks import bbr_stall_traffic_trace
-from repro.core import CCFuzz, FuzzConfig
-from repro.scoring import LowUtilizationScore, MinimalTrafficScore, ScoreFunction
-from repro.tcp import Bbr
+from repro.attacks.bbr_stall import bbr_stall_traffic_trace
+from repro.core.fuzzer import CCFuzz, FuzzConfig
+from repro.scoring.base import ScoreFunction
+from repro.scoring.performance import LowUtilizationScore
+from repro.scoring.trace_score import MinimalTrafficScore
+from repro.tcp.cca.bbr import Bbr
 
 DURATION = 5.0
 GENERATIONS = 4

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from conftest import print_rows, print_series, run_once
 
-from repro.attacks import bbr_delay_attack_trace
-from repro.netsim import CCA_FLOW, CROSS_FLOW, SimulationConfig, run_simulation
-from repro.scoring import HighDelayScore
+from repro.attacks.bbr_stall import bbr_delay_attack_trace
+from repro.netsim.packet import CCA_FLOW, CROSS_FLOW
+from repro.netsim.simulation import SimulationConfig, run_simulation
+from repro.scoring.performance import HighDelayScore
 from repro.scoring.windowed import percentile
-from repro.tcp import Bbr
+from repro.tcp.cca.bbr import Bbr
 
 DURATION = 6.0
 QUEUE_CAPACITY = 250

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from conftest import print_rows, run_once
 
-from repro.netsim import SimulationConfig
-from repro.scoring import RealismScorer
-from repro.traces import LinkTrace, LinkTraceGenerator, dist_packets
+from repro.netsim.simulation import SimulationConfig
+from repro.scoring.realism import RealismScorer
+from repro.traces.distpackets import dist_packets
+from repro.traces.generator import LinkTraceGenerator
+from repro.traces.trace import LinkTrace
 
 DURATION = 3.0
 

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from conftest import print_rows, run_once
 
-from repro.analysis import findings_of
-from repro.attacks import lose_segment_and_retransmission
-from repro.netsim import CCA_FLOW, SimulationConfig, run_simulation
-from repro.tcp import Cubic
+from repro.analysis.findings import findings_of
+from repro.attacks.fault_injection import lose_segment_and_retransmission
+from repro.netsim.packet import CCA_FLOW
+from repro.netsim.simulation import SimulationConfig, run_simulation
+from repro.tcp.cca.cubic import Cubic
 
 DURATION = 6.0
 VICTIM_SEGMENT = 2000

@@ -15,14 +15,16 @@ from __future__ import annotations
 
 from conftest import print_rows, print_series, run_once
 
-from repro.analysis import findings_of
-from repro.attacks import lowrate_attack_trace
-from repro.core import CCFuzz, FuzzConfig
-from repro.netsim import CROSS_FLOW, SimulationConfig, run_simulation
-from repro.netsim.simulation import simulate_packet_trace
-from repro.scoring import LowUtilizationScore, MinimalTrafficScore, ScoreFunction
-from repro.tcp import Reno
-from repro.traces import longest_silence
+from repro.analysis.findings import findings_of
+from repro.attacks.lowrate import lowrate_attack_trace
+from repro.core.fuzzer import CCFuzz, FuzzConfig
+from repro.netsim.packet import CROSS_FLOW
+from repro.netsim.simulation import SimulationConfig, run_simulation, simulate_packet_trace
+from repro.scoring.base import ScoreFunction
+from repro.scoring.performance import LowUtilizationScore
+from repro.scoring.trace_score import MinimalTrafficScore
+from repro.tcp.cca.reno import Reno
+from repro.traces.constraints import longest_silence
 
 DURATION = 6.0
 

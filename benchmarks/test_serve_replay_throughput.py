@@ -25,7 +25,7 @@ import pytest
 from conftest import print_rows, run_once
 
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
-from repro.serve import DashboardServer
+from repro.serve.server import DashboardServer
 
 REPLAY_CCAS = ["reno", "cubic", "bbr"]
 

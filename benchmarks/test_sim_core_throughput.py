@@ -18,10 +18,10 @@ import time
 from conftest import print_rows, run_once
 
 from repro.attacks import builtin_attack_traces
-from repro.core import CCFuzz, FuzzConfig
+from repro.core.fuzzer import CCFuzz, FuzzConfig
 from repro.netsim.simulation import SimulationConfig, run_simulation
-from repro.tcp import Reno
 from repro.tcp.cca import cca_factory
+from repro.tcp.cca.reno import Reno
 
 #: Timing repeats for the informational A/B rates; the best is reported.
 REPEATS = 3

@@ -20,9 +20,17 @@ from __future__ import annotations
 
 import argparse
 
-from repro import Bbr, SimulationConfig, run_simulation
-from repro.analysis import ascii_chart, bbr_bug_evidence, describe_bug_timeline, format_table
-from repro.attacks import bbr_stall_traffic_trace, lose_segment_and_retransmission
+from repro import (
+    Bbr,
+    SimulationConfig,
+    bbr_bug_evidence,
+    bbr_stall_traffic_trace,
+    format_table,
+    run_simulation,
+)
+from repro.analysis.reporting import ascii_chart
+from repro.analysis.timeline import describe_bug_timeline
+from repro.attacks.fault_injection import lose_segment_and_retransmission
 
 
 def main() -> None:

@@ -27,7 +27,9 @@ import sys
 import tempfile
 
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusReader, CorpusStore
-from repro.exec import BACKENDS, ChaosPlan, chaos_injection, evaluate_job
+from repro.exec.backend import BACKENDS
+from repro.exec.chaos import ChaosPlan, chaos_injection
+from repro.exec.workers import evaluate_job
 from repro.obs.status import collect_status
 
 

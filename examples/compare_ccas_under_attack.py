@@ -14,9 +14,17 @@ from __future__ import annotations
 
 import argparse
 
-from repro import Bbr, Cubic, Reno, SimulationConfig, run_simulation
-from repro.analysis import compute_metrics, format_table
-from repro.attacks import bbr_stall_traffic_trace, lowrate_attack_trace
+from repro import (
+    Bbr,
+    Cubic,
+    Reno,
+    SimulationConfig,
+    bbr_stall_traffic_trace,
+    compute_metrics,
+    format_table,
+    lowrate_attack_trace,
+    run_simulation,
+)
 
 CCAS = {
     "reno": Reno,

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import argparse
 
+from repro import CCFuzz, FuzzConfig
 from repro.analysis.reporting import format_coverage_map
-from repro.attacks import cubic_two_burst_trace
-from repro.core.fuzzer import CCFuzz, FuzzConfig
+from repro.attacks.cubic_burst import cubic_two_burst_trace
 from repro.tcp.cca import cca_factory
 
 

@@ -32,7 +32,7 @@ import time
 import urllib.request
 
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore, replay_corpus
-from repro.serve import DashboardServer
+from repro.serve.server import DashboardServer
 
 
 def build_spec(args: argparse.Namespace) -> CampaignSpec:

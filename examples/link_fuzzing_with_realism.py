@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro import Bbr, CCFuzz, FuzzConfig, RealismScorer, SimulationConfig
-from repro.analysis import ascii_chart, format_table
+from repro import Bbr, CCFuzz, FuzzConfig, RealismScorer, SimulationConfig, format_table
+from repro.analysis.reporting import ascii_chart
 
 
 def main() -> None:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro import CCFuzz, FuzzConfig, Reno, SimulationConfig, run_simulation
-from repro.analysis import ascii_chart, format_table
+from repro import CCFuzz, FuzzConfig, Reno, SimulationConfig, format_table, run_simulation
+from repro.analysis.reporting import ascii_chart
 from repro.netsim.simulation import simulate_packet_trace
 
 

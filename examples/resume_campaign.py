@@ -56,7 +56,7 @@ def build_spec(args: argparse.Namespace) -> CampaignSpec:
 
 def child_main(corpus_dir: str, spec_json: str) -> None:
     """Run the campaign, but SIGKILL ourselves after the first checkpoint."""
-    from repro.journal import CampaignJournal
+    from repro.journal.log import CampaignJournal
 
     original = CampaignJournal.append
 

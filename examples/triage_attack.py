@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import argparse
 
-from repro.analysis import format_triage_report
-from repro.attacks import builtin_attack_traces
-from repro.netsim import SimulationConfig
-from repro.triage import MinimizeConfig, TriageConfig, triage_trace
+from repro import SimulationConfig, TriageConfig, builtin_attack_traces, triage_trace
+from repro.analysis.reporting import format_triage_report
+from repro.triage.minimize import MinimizeConfig
 
 #: CCA each builtin attack was designed against.
 TARGET_CCA = {

@@ -32,7 +32,8 @@ import threading
 import time
 
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
-from repro.obs import collect_status, format_status, read_manifest
+from repro.obs.manifest import read_manifest
+from repro.obs.status import collect_status, format_status
 
 
 def build_spec(args: argparse.Namespace) -> CampaignSpec:

@@ -8,13 +8,16 @@ with Linux-style rate sampling, and Reno/CUBIC/BBR congestion control.
 
 Imports
 -------
-Every ``status`` poll and CLI call is a fresh interpreter, so
-each process loads only what its command runs.  ``import repro`` loads no
-submodule: this package and :mod:`repro.campaign` serve their public names
-from one ``{name: submodule}`` table each (PEP 562) and import a subsystem
-when one of its names is first read; the other subpackages import their
-modules eagerly.  One rule keeps it honest: a module that every campaign run
-needs is imported when the runner is built, never deferred into ``run()``.
+Each public name has one import path.  This package serves the documented
+API from one ``{name: module}`` table (PEP 562), importing a module when one
+of its names is first read; every other name is imported from the module
+that defines it.  The other packages' ``__init__`` modules re-export nothing,
+except :mod:`repro.campaign`'s own lazy table and
+:mod:`repro.journal`'s ``CampaignJournal``.  Every ``status`` poll and CLI
+call is a fresh interpreter, so each process loads only what its command
+runs, and ``import repro`` loads no submodule.  One rule keeps it honest: a
+module that every campaign run needs is imported when the runner is built,
+never deferred into ``run()``.
 Deferring it would only move its cost past the benchmark's warm-up into the
 first round, and pool workers fork after the parent has loaded the
 simulator, so nothing they need may wait until after the fork.
@@ -33,57 +36,59 @@ from typing import Any, Callable, Dict, Tuple
 
 __version__ = "1.0.0"
 
-#: Each public name and the subpackage that defines it.  ``import repro``
-#: loads no submodule: a process loads only the subsystems it touches.
+#: Each public name and the module that defines it.  ``import repro``
+#: loads no submodule: a process loads only the modules it touches.
 _EXPORTS = {
-    "bbr_bug_evidence": "analysis",
-    "compute_metrics": "analysis",
-    "bbr_stall_traffic_trace": "attacks",
+    "verdict_table": "analysis.findings",
+    "compute_metrics": "analysis.metrics",
+    "format_table": "analysis.reporting",
+    "bbr_bug_evidence": "analysis.timeline",
     "builtin_attack_traces": "attacks",
-    "lowrate_attack_trace": "attacks",
-    "CampaignRunner": "campaign",
-    "CampaignSpec": "campaign",
-    "CorpusStore": "campaign",
-    "GaBudget": "campaign",
-    "NetworkCondition": "campaign",
-    "replay_corpus": "campaign",
-    "CCFuzz": "core",
-    "FuzzConfig": "core",
-    "FuzzResult": "core",
-    "GenerationStats": "core",
-    "Individual": "core",
-    "Population": "core",
-    "BehaviorArchive": "coverage",
-    "BehaviorSignature": "coverage",
-    "extract_signature": "coverage",
-    "make_guidance": "coverage",
-    "EvaluationBackend": "exec",
-    "ProcessPoolBackend": "exec",
-    "SerialBackend": "exec",
-    "TraceCache": "exec",
-    "create_backend": "exec",
-    "SimulationConfig": "netsim",
-    "SimulationResult": "netsim",
-    "run_simulation": "netsim",
-    "HighDelayScore": "scoring",
-    "LowUtilizationScore": "scoring",
-    "MinimalTrafficScore": "scoring",
-    "RealismScorer": "scoring",
-    "ScoreFunction": "scoring",
-    "Bbr": "tcp",
-    "Cubic": "tcp",
-    "Reno": "tcp",
-    "LinkTrace": "traces",
-    "LinkTraceGenerator": "traces",
-    "LossTrace": "traces",
-    "PacketTrace": "traces",
-    "TrafficTrace": "traces",
-    "TrafficTraceGenerator": "traces",
-    "dist_packets": "traces",
-    "TriageConfig": "triage",
-    "TriageReport": "triage",
-    "triage_corpus": "triage",
-    "triage_trace": "triage",
+    "bbr_stall_traffic_trace": "attacks.bbr_stall",
+    "lowrate_attack_trace": "attacks.lowrate",
+    "CorpusStore": "campaign.corpus",
+    "replay_corpus": "campaign.replay",
+    "CampaignRunner": "campaign.scheduler",
+    "CampaignSpec": "campaign.spec",
+    "GaBudget": "campaign.spec",
+    "NetworkCondition": "campaign.spec",
+    "CCFuzz": "core.fuzzer",
+    "FuzzConfig": "core.fuzzer",
+    "Individual": "core.population",
+    "Population": "core.population",
+    "FuzzResult": "core.results",
+    "GenerationStats": "core.results",
+    "BehaviorArchive": "coverage.archive",
+    "make_guidance": "coverage.guidance",
+    "BehaviorSignature": "coverage.signature",
+    "extract_signature": "coverage.signature",
+    "EvaluationBackend": "exec.backend",
+    "ProcessPoolBackend": "exec.backend",
+    "SerialBackend": "exec.backend",
+    "create_backend": "exec.backend",
+    "TraceCache": "exec.cache",
+    "SimulationConfig": "netsim.simulation",
+    "SimulationResult": "netsim.simulation",
+    "run_simulation": "netsim.simulation",
+    "ScoreFunction": "scoring.base",
+    "HighDelayScore": "scoring.performance",
+    "LowUtilizationScore": "scoring.performance",
+    "RealismScorer": "scoring.realism",
+    "MinimalTrafficScore": "scoring.trace_score",
+    "Bbr": "tcp.cca.bbr",
+    "Cubic": "tcp.cca.cubic",
+    "Reno": "tcp.cca.reno",
+    "dist_packets": "traces.distpackets",
+    "LinkTraceGenerator": "traces.generator",
+    "TrafficTraceGenerator": "traces.generator",
+    "LinkTrace": "traces.trace",
+    "LossTrace": "traces.trace",
+    "PacketTrace": "traces.trace",
+    "TrafficTrace": "traces.trace",
+    "TriageConfig": "triage.pipeline",
+    "TriageReport": "triage.pipeline",
+    "triage_corpus": "triage.pipeline",
+    "triage_trace": "triage.pipeline",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

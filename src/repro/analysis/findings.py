@@ -2,7 +2,7 @@
 
 A finding judges one simulation: its :class:`SimulationResult` plus the
 trace that drove it (``None`` for a clean or a drop-filter run), the same
-pair a :class:`~repro.scoring.ScoreFunction` reads.  No rule runs a second
+pair a :class:`~repro.scoring.base.ScoreFunction` reads.  No rule runs a second
 simulation.  Each threshold is scaled by the run's own condition (the rate
 the path offered, its minimum RTO) and placed between the values measured on
 the builtin attacks at 6 s on the default condition, quoted in each rule.
@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..attacks import builtin_attack_traces, lose_segment_and_retransmission
+from ..attacks import builtin_attack_traces
+from ..attacks.fault_injection import lose_segment_and_retransmission
 from ..netsim.link import mbps_to_pps
 from ..netsim.simulation import (
     SimulationConfig,

@@ -153,7 +153,7 @@ def format_triage_report(report: Dict[str, object]) -> str:
 
 
 def format_coverage_map(archive, top: int) -> str:
-    """ASCII behavior-coverage map of a :class:`~repro.coverage.BehaviorArchive`.
+    """ASCII behavior-coverage map of a :class:`~repro.coverage.archive.BehaviorArchive`.
 
     Per CCA, renders the goodput x stall-class occupancy plane (each cell of
     the plane aggregates the loss/RTO/recovery descriptor axes behind it)

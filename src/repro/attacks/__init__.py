@@ -10,8 +10,7 @@ from .bbr_stall import (
     bbr_stall_traffic_trace,
 )
 from .cubic_burst import cubic_two_burst_trace
-from .fault_injection import TargetedLoss, lose_segment_and_retransmission
-from .lowrate import attack_rate_mbps, lowrate_attack_times, lowrate_attack_trace
+from .lowrate import lowrate_attack_trace
 
 
 def builtin_attack_traces(duration: float) -> Dict[str, PacketTrace]:
@@ -30,17 +29,3 @@ def builtin_attack_traces(duration: float) -> Dict[str, PacketTrace]:
         "bbr-stall-link": bbr_stall_link_trace(duration=duration),
     }
 
-
-__all__ = [
-    "TargetedLoss",
-    "attack_rate_mbps",
-    "bbr_delay_attack_trace",
-    "bbr_double_loss_burst_trace",
-    "bbr_stall_link_trace",
-    "bbr_stall_traffic_trace",
-    "builtin_attack_traces",
-    "cubic_two_burst_trace",
-    "lose_segment_and_retransmission",
-    "lowrate_attack_times",
-    "lowrate_attack_trace",
-]

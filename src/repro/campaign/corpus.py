@@ -40,7 +40,7 @@ who writes it; who reads it; what a torn or unusable copy reads as.
   folded ones, and its map computed).
 * ``journal.jsonl`` (with its ``.lock`` sidecar and ``journal-<k>.jsonl``
   archives) — checksummed JSONL, appended and fsynced per record under the
-  lock's ``flock``; :class:`~repro.journal.CampaignJournal` (``compact`` and
+  lock's ``flock``; :class:`~repro.journal.log.CampaignJournal` (``compact`` and
   ``merge`` publish, ``rotate`` renames); a :class:`JournalCursor` with
   ``observing=True`` (:func:`read_journal_view` is one cold read); bad lines
   are skipped and counted in ``torn_records`` (a writer repairs a torn final
@@ -83,6 +83,7 @@ one) and ``repro-campaign triage`` hold a store; ``report``, ``replay`` and
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 from dataclasses import dataclass
@@ -91,8 +92,8 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 from ..coverage.archive import BehaviorArchive, read_archive_payload
 from ..exec.quarantine import QUARANTINE_FILENAME, QuarantineStore, read_quarantine_entries
 from ..exec.workers import EvaluationJob
-from ..journal import CampaignJournal, JournalView
-from ..journal.log import JOURNAL_FILENAME, read_corpus_journal_view
+from ..journal.log import JOURNAL_FILENAME, CampaignJournal, read_corpus_journal_view
+from ..journal.view import JournalView
 from ..netsim.packet import MSS_BYTES
 from ..netsim.simulation import SimulationConfig
 from ..obs.metrics import get_registry
@@ -397,12 +398,6 @@ class CorpusReader:
     def _read_rows(self) -> Optional[Dict[str, Dict[str, Any]]]:
         return _index_rows(self.path)
 
-    @property
-    def unpublished(self) -> bool:
-        """Whether it holds entries the files do not (yet)."""
-        with self._lock:
-            return bool(self._dirty)
-
     @staticmethod
     def is_corpus(path: str) -> bool:
         """Whether ``path`` already holds a corpus (an index.json or a journal)."""
@@ -589,10 +584,28 @@ class CorpusReader:
 class CorpusStore(CorpusReader):
     """The corpus writer: fingerprint-deduped, published by :meth:`fold`.
 
-    Opening one claims the directory (one writer at a time): it creates
-    ``entries/`` and sweeps orphan temp files.  Inserts change only its
-    memory until the next :meth:`fold`.
+    Opening one claims the directory (one writer at a time): once its index
+    and journal are read and accepted it sweeps orphan temp files, and a
+    corpus refused for either is left as it was.  Inserts change only its
+    memory until the next :meth:`fold`, which creates what it publishes.
     """
+
+    def __init__(
+        self, path: str, journal_view: Optional[Callable[[], JournalView]] = None
+    ) -> None:
+        super().__init__(path, journal_view)
+        # Remove the ``*.tmp`` droppings of interrupted atomic writes.
+        # :func:`repro.storage.publish` guarantees the *target* file survives
+        # a crash, but dying between the temp-file write and the rename
+        # orphans the ``<name>.tmp`` next to it; sweeping on open keeps killed
+        # campaigns from accumulating them.  Only this process may write to a
+        # corpus it has opened (the single-writer assumption the fold makes).
+        for directory in (self.path, self._entries_dir):
+            names = os.listdir(directory) if os.path.isdir(directory) else []
+            for name in names:
+                if name.endswith(".tmp"):
+                    with contextlib.suppress(OSError):
+                        os.remove(os.path.join(directory, name))
 
     def _read_rows(self) -> Optional[Dict[str, Dict[str, Any]]]:
         self._entries_dir = os.path.join(self.path, "entries")
@@ -605,30 +618,7 @@ class CorpusStore(CorpusReader):
                 f"corpus at {self.path} has an index.json that is torn or not "
                 f"schema {CORPUS_SCHEMA}; refusing to open it for writing"
             )
-        os.makedirs(self._entries_dir, exist_ok=True)
-        self._sweep_orphan_tmp_files()
         return rows
-
-    def _sweep_orphan_tmp_files(self) -> None:
-        """Remove ``*.tmp`` droppings left by interrupted atomic writes.
-
-        :func:`repro.storage.publish` guarantees the *target* file survives a
-        crash, but dying between the temp-file write and the rename orphans
-        the ``<name>.tmp`` next to it; sweeping on load keeps killed
-        campaigns from accumulating them.  Only this process may write to a
-        corpus it has opened (the single-writer assumption the fold makes).
-        """
-        for directory in (self.path, self._entries_dir):
-            try:
-                names = os.listdir(directory)
-            except OSError:
-                continue
-            for name in names:
-                if name.endswith(".tmp"):
-                    try:
-                        os.remove(os.path.join(directory, name))
-                    except OSError:
-                        pass
 
     def add(
         self,

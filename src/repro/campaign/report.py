@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..analysis.reporting import format_campaign_summary, format_table
-from ..journal import JournalView
+from ..journal.view import JournalView
 from .corpus import CorpusReader
 from .replay import ReplayReport
 from .scheduler import CampaignResult, journaled_outcomes

@@ -22,7 +22,7 @@ serial backend.
 Durability
 ----------
 Every run appends its progress to an append-only
-:class:`~repro.journal.CampaignJournal` next to the corpus
+:class:`~repro.journal.log.CampaignJournal` next to the corpus
 (``journal.jsonl``): the campaign spec and archive baseline at start, one
 lease per scenario, one behavior-map delta plus fuzzer checkpoint per
 evaluated generation, a record for every corpus insert (the corpus files
@@ -49,7 +49,8 @@ from ..exec.backend import EvaluationBackend, create_backend
 from ..exec.cache import TraceCache
 from ..exec.faults import FaultPolicy
 from ..exec.quarantine import QuarantineStore
-from ..journal import CampaignJournal, JournalView
+from ..journal.log import CampaignJournal
+from ..journal.view import JournalView
 from ..obs.telemetry import CampaignTelemetry
 from ..scoring.objectives import make_score_function
 from ..tcp.cca import cca_factory
@@ -395,12 +396,6 @@ class CampaignRunner:
                 f"already complete, {len(inflight)} checkpointed mid-run"
             )
         else:
-            # A journal holding a previous campaign_start records a
-            # *different* campaign over this corpus; archive it so this
-            # run's log replays standalone — once the files hold its
-            # inserts, its map and its quarantine.
-            self.corpus.fold()
-            journal.rotate()
             journal.append(
                 "campaign_start",
                 {
@@ -442,16 +437,29 @@ class CampaignRunner:
         """
         view = self._resume_view
         started = time.perf_counter()
-        executed = False
+        opened = executed = False
         try:
             try:
+                if view is None:
+                    # A journal holding a previous campaign_start records a
+                    # *different* campaign over this corpus; archive it so
+                    # this run's log replays standalone — once the files
+                    # hold its inserts, its map and its quarantine.  A
+                    # journal this version refuses raises here, and the
+                    # corpus directory is left as it was.
+                    self.corpus.fold()
+                    self._journal.rotate()
+                opened = True
                 attacks_registered = self._bootstrap(view)
                 outcome_by_id, cache_stats = self._run_matrix(view)
                 executed = True
             finally:
                 # A fold that raises still releases the journal's handles.
                 try:
-                    self.corpus.fold(mark=executed, archive=self.archive, quarantine=self.quarantine)
+                    if opened:
+                        self.corpus.fold(
+                            mark=executed, archive=self.archive, quarantine=self.quarantine
+                        )
                 finally:
                     self._journal.close()
             result = CampaignResult(

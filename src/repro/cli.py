@@ -50,29 +50,24 @@ from .campaign.corpus import CorpusReader, CorpusStore, read_corpus_map
 from .campaign.scheduler import HARVEST_TOP_K, CampaignResult, CampaignRunner
 from .campaign.spec import CampaignSpec, GaBudget
 from .core.fuzzer import MODES, FuzzConfig
-from .coverage import (
-    GUIDANCE_MODES,
-    BehaviorArchive,
-    diff_archives,
-)
+from .coverage.archive import BehaviorArchive, diff_archives
+from .coverage.guidance import GUIDANCE_MODES
 from .exec.backend import BACKENDS, create_backend
 from .exec.workers import simulate_packet_trace
-from .journal import CampaignJournal, FleetJournalError, JournalCorruption
-from .journal.log import read_corpus_journal_view
+from .journal.events import JournalCorruption
+from .journal.log import CampaignJournal, read_corpus_journal_view
+from .journal.view import FleetJournalError
 from .netsim.simulation import SimulationConfig, SimulationTruncated, run_simulation
-from .obs import (
-    METRICS_FILENAME,
-    CampaignTelemetry,
-    Console,
-    add_console_flags,
-)
+from .obs.console import Console, add_console_flags
+from .obs.sinks import METRICS_FILENAME
+from .obs.telemetry import CampaignTelemetry
 from .scoring.objectives import DEFAULT_OBJECTIVE, OBJECTIVES
 from .tcp.cca import CCA_FACTORIES
 from .traces.generator import LinkTraceGenerator, TrafficTraceGenerator
 from .traces.trace import LinkTrace, PacketTrace
 
 if TYPE_CHECKING:
-    from .triage import TriageConfig
+    from .triage.pipeline import TriageConfig
 
 _Args = argparse.Namespace
 _Parser = argparse.ArgumentParser
@@ -170,7 +165,10 @@ def _add_triage_options(parser: _Parser) -> None:
 
 
 def _triage_config(args: _Args, parser: _Parser) -> TriageConfig:
-    from .triage import DifferentialConfig, MinimizeConfig, RobustnessConfig, TriageConfig
+    from .triage.differential import DifferentialConfig
+    from .triage.minimize import MinimizeConfig
+    from .triage.pipeline import TriageConfig
+    from .triage.robustness import RobustnessConfig
 
     with _usage_errors(parser):
         return TriageConfig(
@@ -398,8 +396,7 @@ def _trace_inspect(args: _Args, parser: _Parser, console: Console) -> None:
 
 def _triage(args: _Args, parser: _Parser, console: Console) -> None:
     from .analysis.reporting import format_triage_report
-    from .triage import triage_trace
-    from .triage.pipeline import DEFAULT_CCA
+    from .triage.pipeline import DEFAULT_CCA, triage_trace
 
     if args.output_trace and args.skip_minimize:
         parser.error("--output-trace needs the minimizer; drop --skip-minimize")
@@ -531,7 +528,7 @@ def _coverage_gaps(args: _Args, parser: _Parser, console: Console) -> None:
 
 def _serve(args: _Args, parser: _Parser, console: Console) -> None:
     """Start a dashboard server (replays run on the evaluation pool) and block."""
-    from .serve import DashboardServer
+    from .serve.server import DashboardServer
 
     if not os.path.isdir(args.corpus):
         parser.error(f"no corpus directory at {args.corpus}")
@@ -705,8 +702,7 @@ def _campaign_report(args: _Args, parser: _Parser, console: Console) -> None:
 
 def _campaign_triage(args: _Args, parser: _Parser, console: Console) -> None:
     from .analysis.reporting import format_table
-    from .triage import triage_corpus
-    from .triage.pipeline import DEFAULT_CCA
+    from .triage.pipeline import DEFAULT_CCA, triage_corpus
 
     config = _triage_config(args, parser)
     corpus = CorpusStore(_existing_corpus(args, parser))

@@ -184,12 +184,12 @@ class CCFuzz:
     Each generation the fuzzer gathers **every** unevaluated individual
     across **all** islands into one batch, then:
 
-    1. wraps each trace in an :class:`~repro.exec.EvaluationJob` and hands the
-       batch to the run's :class:`~repro.exec.Evaluator`, which looks each
-       job up in the :class:`~repro.exec.TraceCache` — elites, migrants and
+    1. wraps each trace in an :class:`~repro.exec.workers.EvaluationJob` and hands the
+       batch to the run's :class:`~repro.exec.batch.Evaluator`, which looks each
+       job up in the :class:`~repro.exec.cache.TraceCache` — elites, migrants and
        duplicate offspring resolve there without a simulation, and identical
        traces within the batch are coalesced into one job — and runs the
-       misses on the injected :class:`~repro.exec.EvaluationBackend` (an
+       misses on the injected :class:`~repro.exec.backend.EvaluationBackend` (an
        in-process ``SerialBackend`` when none is), which may execute in any
        order but must return in input order;
     2. writes the ``(Score, summary)`` outcomes back onto the individuals.

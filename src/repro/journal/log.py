@@ -526,9 +526,12 @@ class CampaignJournal:
         or a compaction snapshot's copy of one), the file is renamed to
         ``journal-<k>.jsonl`` (first free ``k``) next to it and the sequence
         counter resets.  A missing or startless journal is left in place.
-        Returns the archive path, or ``None`` if nothing rotated.
+        Returns the archive path, or ``None`` if nothing rotated.  A journal
+        this version refuses raises before the lock file is made, so the
+        refusal leaves the directory as it was.
         """
         with self._lock:
+            self._cursor.advance()
             self._acquire_file_lock()
             try:
                 self._close_append()

@@ -14,70 +14,3 @@ safe to leave on everywhere:
    machine-readable artifacts, rendered live by ``repro-campaign status``
    (``--prometheus``, like ``/metrics``, renders the latest snapshot).
 """
-
-from .console import Console, add_console_flags
-from .manifest import (
-    MANIFEST_FILENAME,
-    build_manifest,
-    read_manifest,
-    spec_fingerprint,
-    write_manifest,
-)
-from .metrics import (
-    METRICS_SCHEMA,
-    MetricsRegistry,
-    NullRegistry,
-    delta,
-    empty_snapshot,
-    get_registry,
-    reset_registry,
-    set_enabled,
-)
-from .sinks import (
-    METRICS_FILENAME,
-    MetricsJsonlSink,
-    latest_snapshot,
-    prometheus_text,
-    read_metrics,
-    tail_metrics_records,
-)
-from .spans import PhaseTracer
-from .status import (
-    StatusWatcher,
-    collect_status,
-    fold_status,
-    format_status,
-    status_json,
-)
-from .telemetry import CampaignTelemetry
-
-__all__ = [
-    "Console",
-    "add_console_flags",
-    "MANIFEST_FILENAME",
-    "build_manifest",
-    "read_manifest",
-    "spec_fingerprint",
-    "write_manifest",
-    "METRICS_SCHEMA",
-    "MetricsRegistry",
-    "NullRegistry",
-    "delta",
-    "empty_snapshot",
-    "get_registry",
-    "reset_registry",
-    "set_enabled",
-    "METRICS_FILENAME",
-    "MetricsJsonlSink",
-    "latest_snapshot",
-    "prometheus_text",
-    "read_metrics",
-    "tail_metrics_records",
-    "PhaseTracer",
-    "StatusWatcher",
-    "collect_status",
-    "fold_status",
-    "format_status",
-    "status_json",
-    "CampaignTelemetry",
-]

@@ -29,7 +29,7 @@ def stable_state(obj, depth: int) -> str:
     nested objects degrade to their class name, which keeps the output
     stable across processes at the cost of not distinguishing exotic
     deeply-nested configurations.  Also used by
-    :func:`repro.exec.cca_identity` to fingerprint CCA variants.
+    :func:`repro.exec.cache.cca_identity` to fingerprint CCA variants.
     """
     if isinstance(obj, (bool, int, float, str, type(None))):
         return repr(obj)

@@ -20,9 +20,3 @@ or half-written state instead of erroring.  Queries re-read per request, and
 replay memoizes entry files as they are first asked for: a dashboard must see
 what a live campaign adds after the server started.
 """
-
-from .query import DashboardQuery
-from .replay import ReplayService
-from .server import DEFAULT_HOST, DashboardServer
-
-__all__ = ["DashboardQuery", "ReplayService", "DashboardServer", "DEFAULT_HOST"]

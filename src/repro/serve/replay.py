@@ -5,7 +5,7 @@ traffic story; this module is that serving path.  A replay request scores a
 stored corpus entry against any registered CCA **exactly** like
 :func:`repro.campaign.replay.replay_corpus` does — the same
 :meth:`~repro.campaign.corpus.CorpusEntry.evaluation_job` through the same
-:class:`~repro.exec.Evaluator` — so an HTTP replay score is bit-identical to
+:class:`~repro.exec.batch.Evaluator` — so an HTTP replay score is bit-identical to
 the CLI's (the simulator is deterministic and the evaluation path is shared,
 not re-implemented).
 

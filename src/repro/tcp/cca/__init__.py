@@ -3,7 +3,7 @@
 import functools
 from typing import Callable, Dict
 
-from .base import AckEvent, CongestionControl
+from .base import CongestionControl
 from .bbr import Bbr
 from .cubic import Cubic
 from .reno import Reno
@@ -37,14 +37,3 @@ def cca_factory(name: str) -> Callable[[], CongestionControl]:
         known = ", ".join(sorted(CCA_FACTORIES))
         raise ValueError(f"unknown CCA {name!r} (known: {known})") from None
 
-
-__all__ = [
-    "AckEvent",
-    "Bbr",
-    "CCA_FACTORIES",
-    "CCA_REGISTRY",
-    "CongestionControl",
-    "Cubic",
-    "Reno",
-    "cca_factory",
-]

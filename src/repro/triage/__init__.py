@@ -3,7 +3,7 @@
 A GA winner is a starting point, not a finding.  This subsystem distills it
 into the paper's actual deliverable through three cooperating engines, all
 batching their candidate evaluations through the shared
-:class:`~repro.exec.EvaluationBackend` / :class:`~repro.exec.TraceCache`
+:class:`~repro.exec.backend.EvaluationBackend` / :class:`~repro.exec.cache.TraceCache`
 machinery:
 
 * :mod:`minimize` — delta-debugging reduction: shrink a trace while keeping
@@ -16,59 +16,3 @@ machinery:
 * :mod:`pipeline` — one-trace and whole-corpus orchestration, writing
   minimized variants back into the corpus with provenance links.
 """
-
-from .differential import (
-    DifferentialConfig,
-    DifferentialReport,
-    DifferentialRow,
-    compare_ccas,
-)
-from .evaluation import TraceScorer
-from .minimize import (
-    MinimizationResult,
-    MinimizeConfig,
-    minimize_trace,
-    observed_retention,
-    retention_floor,
-    split_bursts,
-)
-from .pipeline import (
-    CorpusTriageResult,
-    CorpusTriageRow,
-    TriageConfig,
-    TriageReport,
-    triage_corpus,
-    triage_trace,
-)
-from .robustness import (
-    RobustnessCell,
-    RobustnessConfig,
-    RobustnessReport,
-    shift_trace,
-    validate_robustness,
-)
-
-__all__ = [
-    "CorpusTriageResult",
-    "CorpusTriageRow",
-    "DifferentialConfig",
-    "DifferentialReport",
-    "DifferentialRow",
-    "MinimizationResult",
-    "MinimizeConfig",
-    "RobustnessCell",
-    "RobustnessConfig",
-    "RobustnessReport",
-    "TraceScorer",
-    "TriageConfig",
-    "TriageReport",
-    "compare_ccas",
-    "minimize_trace",
-    "observed_retention",
-    "retention_floor",
-    "shift_trace",
-    "split_bursts",
-    "triage_corpus",
-    "triage_trace",
-    "validate_robustness",
-]

@@ -3,7 +3,7 @@
 Triage generates large batches of *candidate* evaluations — reduced traces
 from the minimizer, perturbed configurations from the robustness validator,
 per-CCA runs from the differential comparator — and pushes every one of them
-through a shared :class:`~repro.exec.Evaluator` (so triage parallelizes and
+through a shared :class:`~repro.exec.batch.Evaluator` (so triage parallelizes and
 memoizes exactly like the GA).
 
 :class:`TraceScorer` is the narrow interface the minimizer consumes: a batch

@@ -12,7 +12,7 @@ seeds" are realised as sender start-time offsets: each offset changes the
 phase relationship between the flow under test and the trace, which is
 exactly the run-to-run variation a testbed would produce.
 
-Every cell is one :class:`~repro.exec.EvaluationJob`; the whole matrix goes
+Every cell is one :class:`~repro.exec.workers.EvaluationJob`; the whole matrix goes
 to the backend as a single batch, so a process pool evaluates the matrix in
 parallel just like a GA generation.
 """

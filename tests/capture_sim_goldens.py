@@ -18,10 +18,10 @@ from pathlib import Path
 
 from golden_utils import result_digest
 from repro.attacks import builtin_attack_traces
-from repro.core import CCFuzz, FuzzConfig
+from repro.core.fuzzer import CCFuzz, FuzzConfig
 from repro.netsim.simulation import SimulationConfig, run_simulation
-from repro.tcp import Reno
 from repro.tcp.cca import cca_factory
+from repro.tcp.cca.reno import Reno
 from repro.traces.trace import LinkTrace
 
 DURATION = 5.0

@@ -7,13 +7,13 @@ whichever of the two pytest loaded last.
 
 from __future__ import annotations
 
-from repro.exec import EvaluationBackend
+from repro.exec.backend import EvaluationBackend
 
 
 class FunctionBackend(EvaluationBackend):
     """Scores each job's trace with ``function(trace) -> (Score, summary)``.
 
-    The seam for driving the GA or an :class:`~repro.exec.Evaluator` without
+    The seam for driving the GA or an :class:`~repro.exec.batch.Evaluator` without
     the simulator: everything above the backend (cache, coalescing,
     accounting, failure bookkeeping) is the real path.  ``calls`` counts the
     jobs actually executed.

@@ -27,9 +27,9 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from repro.journal import CampaignJournal  # noqa: E402
 from repro.journal.codec import deflate, named_digests  # noqa: E402
 from repro.journal.events import canonical_json  # noqa: E402
+from repro.journal.log import CampaignJournal  # noqa: E402
 from repro.obs.sinks import METRICS_FILENAME, read_metrics  # noqa: E402
 
 

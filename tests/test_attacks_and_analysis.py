@@ -4,28 +4,22 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import (
-    BbrBugEvidence,
-    ascii_chart,
-    bbr_bug_evidence,
-    compute_metrics,
-    describe_bug_timeline,
-    format_table,
-)
-from repro.attacks import (
-    TargetedLoss,
-    attack_rate_mbps,
+from repro.analysis.metrics import compute_metrics
+from repro.analysis.reporting import ascii_chart, format_table
+from repro.analysis.timeline import BbrBugEvidence, bbr_bug_evidence, describe_bug_timeline
+from repro.attacks.bbr_stall import (
     bbr_delay_attack_trace,
     bbr_double_loss_burst_trace,
     bbr_stall_link_trace,
     bbr_stall_traffic_trace,
-    lose_segment_and_retransmission,
-    lowrate_attack_times,
-    lowrate_attack_trace,
 )
-from repro.netsim import Packet, SimulationConfig, run_simulation
-from repro.tcp import Reno
-from repro.traces import LinkTrace, TrafficTrace, is_valid_trace
+from repro.attacks.fault_injection import TargetedLoss, lose_segment_and_retransmission
+from repro.attacks.lowrate import attack_rate_mbps, lowrate_attack_times, lowrate_attack_trace
+from repro.netsim.packet import Packet
+from repro.netsim.simulation import SimulationConfig, run_simulation
+from repro.tcp.cca.reno import Reno
+from repro.traces.constraints import is_valid_trace
+from repro.traces.trace import LinkTrace, TrafficTrace
 
 
 class TestLowRateAttackTrace:

@@ -420,7 +420,7 @@ class TestCampaignRunner:
     def test_a_later_scenario_is_seeded_from_an_earlier_ones_harvest(self, tmp_path):
         """With the default ``seed_limit``, scenario 2 draws its seeds from
         the live corpus, scenario 1's harvest included."""
-        from repro.journal import CampaignJournal
+        from repro.journal.log import CampaignJournal
 
         spec = CampaignSpec.from_dict({
             "name": "live-seeds", "ccas": ["reno", "cubic"], "modes": ["traffic"],

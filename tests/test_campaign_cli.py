@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
 
 import pytest
 
 from repro.campaign import CorpusStore
-from repro.coverage import BehaviorArchive
 from repro.cli import (
     campaign_main,
     coverage_main,
@@ -18,6 +18,7 @@ from repro.cli import (
     trace_main,
     triage_main,
 )
+from repro.coverage.archive import BehaviorArchive
 from repro.journal.log import read_corpus_journal_view
 
 TINY_SPEC = {
@@ -369,7 +370,7 @@ class TestFuzzIsACampaign:
         assert output.read_text() == direct.best_trace.to_json()
 
     def test_interrupted_run_resumes_through_campaign_run(self, tmp_path, monkeypatch, capsys):
-        from repro.journal import CampaignJournal
+        from repro.journal.log import CampaignJournal
 
         whole, broken = tmp_path / "whole", tmp_path / "broken"
         assert fuzz_main(FUZZ_ARGV + ["--output-dir", str(whole)]) == 0
@@ -417,7 +418,7 @@ class TestFuzzIsACampaign:
     def _journal_naming_elites(corpus_dir):
         """A journal written while "elites" was a guidance mode."""
         from repro.campaign import CampaignSpec
-        from repro.journal import CampaignJournal
+        from repro.journal.log import CampaignJournal
 
         spec = CampaignSpec.from_dict(dict(FUZZ_SPEC, guidance="novelty")).to_dict()
         spec["guidance"] = "elites"
@@ -774,6 +775,39 @@ class TestUnreadableCorpusFiles:
         assert "error: corrupt journal record before the final line" in capsys.readouterr().err
         assert journal.read_bytes() == before
 
+    @pytest.mark.parametrize("index", [False, True], ids=["journal", "journal-and-index"])
+    def test_a_refused_run_over_a_finished_corpus_changes_nothing(
+        self, index, spec_path, tmp_path, capsys
+    ):
+        # A worker fleet's journal, folded: the files claim to hold it all,
+        # so the writer only finds out it cannot read the journal when it
+        # opens it (or rotates it).  Refusing must not create, remove or
+        # change anything under the corpus directory.
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        journal = corpus_dir / "journal.jsonl"
+        fixture = os.path.join(os.path.dirname(__file__), "trace_ref_journal.jsonl")
+        shutil.copyfile(fixture, journal)
+        if index:
+            (corpus_dir / "index.json").write_text(json.dumps({"entries": {}, "schema": 1}))
+        stat = journal.stat()
+        (corpus_dir / "folded.json").write_text(
+            json.dumps({"journal": {"bytes": stat.st_size, "mtime_ns": stat.st_mtime_ns}})
+        )
+
+        def snapshot():
+            return sorted(
+                (str(path.relative_to(corpus_dir)), path.is_dir() or path.read_bytes())
+                for path in corpus_dir.rglob("*")
+            )
+
+        before = snapshot()
+        with pytest.raises(SystemExit) as excinfo:
+            campaign_main(["run", "--spec", str(spec_path), "--corpus", str(corpus_dir)])
+        assert excinfo.value.code == 2
+        assert "was written by a worker fleet" in capsys.readouterr().err
+        assert snapshot() == before
+
 
 class TestSimulateTraceAttackConflict:
     def test_trace_plus_attack_is_an_error(self, tmp_path, capsys):
@@ -881,7 +915,7 @@ class TestTraceInputRule:
         assert f"error: {message}" in captured.err and captured.out == ""
 
     def test_triage_runs_a_link_trace_at_its_own_rate(self, tmp_path, capsys, monkeypatch):
-        import repro.triage
+        import repro.triage.pipeline
 
         path = self._link_trace(tmp_path, capsys)
 
@@ -891,7 +925,7 @@ class TestTraceInputRule:
         def capture(trace, *, sim_config, **kwargs):
             raise Captured(sim_config)
 
-        monkeypatch.setattr(repro.triage, "triage_trace", capture)
+        monkeypatch.setattr(repro.triage.pipeline, "triage_trace", capture)
         with pytest.raises(Captured) as captured:
             triage_main(["--cca", "bbr", "--trace", str(path)])
         (sim,) = captured.value.args

@@ -18,24 +18,17 @@ import pytest
 from repro.campaign.corpus import CorpusReader, CorpusStore
 from repro.campaign.scheduler import CampaignRunner
 from repro.campaign.spec import CampaignSpec, GaBudget
-from repro.exec import (
-    ChaosPlan,
-    EvaluationBackend,
-    QuarantineStore,
-    SerialBackend,
-    cca_identity,
-    chaos_injection,
-    clear_chaos,
-    evaluate_job,
-    failure_from_summary,
-    read_quarantine_entries,
-)
-from repro.journal import CampaignJournal
-from repro.journal.log import read_corpus_journal_view
+from repro.exec.backend import EvaluationBackend, SerialBackend
+from repro.exec.cache import cca_identity
+from repro.exec.chaos import ChaosPlan, chaos_injection, clear_chaos
+from repro.exec.faults import failure_from_summary
+from repro.exec.quarantine import QuarantineStore, read_quarantine_entries
+from repro.exec.workers import evaluate_job
+from repro.journal.log import CampaignJournal, read_corpus_journal_view
 from repro.obs.metrics import get_registry
 from repro.obs.status import collect_status, format_status
-from repro.serve import DashboardQuery
-from repro.tcp import Reno
+from repro.serve.query import DashboardQuery
+from repro.tcp.cca.reno import Reno
 
 
 @pytest.fixture(autouse=True)

@@ -30,9 +30,9 @@ from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
 from repro.core.fuzzer import CCFuzz
 from repro.coverage.archive import BehaviorArchive
 from repro.exec.cache import TraceCache
-from repro.journal import CampaignJournal, JournalRecord
 from repro.journal.codec import inflate, named_digests
-from repro.journal.events import canonical_json, make_record
+from repro.journal.events import JournalRecord, canonical_json, make_record
+from repro.journal.log import CampaignJournal
 from repro.scoring.objectives import make_score_function
 from repro.tcp.cca import cca_factory
 

@@ -19,9 +19,9 @@ import pytest
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
 from repro.campaign.corpus import CORPUS_SCHEMA
 from repro.coverage.archive import ARCHIVE_FILENAME, BehaviorArchive
-from repro.journal import CampaignJournal
+from repro.journal.log import CampaignJournal
 from repro.obs.metrics import get_registry, set_enabled
-from repro.traces import TrafficTrace
+from repro.traces.trace import TrafficTrace
 
 GENERATIONS = 3
 

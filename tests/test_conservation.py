@@ -25,7 +25,8 @@ from repro.netsim import simulation, topology
 from repro.netsim.link import mbps_to_pps
 from repro.netsim.packet import CCA_FLOW, CROSS_FLOW
 from repro.netsim.simulation import SimulationConfig, run_simulation
-from repro.tcp import Bbr, Reno
+from repro.tcp.cca.bbr import Bbr
+from repro.tcp.cca.reno import Reno
 
 
 def _assert_conserved(result, injections, drained):

@@ -25,7 +25,7 @@ from repro.attacks import builtin_attack_traces
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusReader, CorpusStore
 from repro.campaign.corpus import read_corpus_index
 from repro.cli import campaign_main
-from repro.journal import CampaignJournal
+from repro.journal.log import CampaignJournal
 from repro.serve.query import DashboardQuery
 
 CRASHSIM = os.path.join(os.path.dirname(__file__), "crashsim.py")
@@ -265,7 +265,7 @@ def test_a_refind_killed_before_its_index_reads_and_resumes_as_uninterrupted(
 
 
 def test_a_dashboard_reads_the_corpus_again_once_it_changes(tmp_path):
-    from repro.traces import TrafficTrace
+    from repro.traces.trace import TrafficTrace
 
     corpus_dir = str(tmp_path / "corpus")
     first, second = (TrafficTrace(timestamps=[t], duration=1.0) for t in (0.1, 0.2))
@@ -293,7 +293,7 @@ def test_rediscovery_of_missing_corpus_entry_degrades_to_new(tmp_path):
     """Bugfix: replaying a rediscovery insert whose corpus entry is missing
     (pruned dir, partial copy, cross-machine merge) used to crash resume;
     it now applies the insert as new and counts a repair."""
-    from repro.traces import TrafficTrace
+    from repro.traces.trace import TrafficTrace
 
     corpus = CorpusStore(str(tmp_path / "corpus"))
     trace = TrafficTrace(timestamps=[0.1, 0.2], duration=1.0)

@@ -28,7 +28,7 @@ from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
 from repro.cli import campaign_main, coverage_main
 from repro.coverage.archive import BehaviorArchive
 from repro.journal.log import read_corpus_journal_view
-from repro.obs import collect_status, format_status
+from repro.obs.status import collect_status, format_status
 from repro.serve.query import DashboardQuery
 
 CRASHSIM = os.path.join(os.path.dirname(__file__), "crashsim.py")

@@ -9,8 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coverage import BehaviorArchive, BehaviorSignature, diff_archives
-from repro.coverage.signature import COUNT_BUCKET_MAX, GOODPUT_BUCKETS, STALL_CLASSES
+from repro.coverage.archive import BehaviorArchive, diff_archives
+from repro.coverage.signature import (
+    COUNT_BUCKET_MAX,
+    GOODPUT_BUCKETS,
+    STALL_CLASSES,
+    BehaviorSignature,
+)
 from repro.traces.trace import TrafficTrace
 
 signatures = st.builds(

@@ -19,18 +19,15 @@ import os
 
 import pytest
 
-from repro.attacks import cubic_two_burst_trace
+from repro.attacks.cubic_burst import cubic_two_burst_trace
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore, GaBudget
 from repro.core.fuzzer import CCFuzz, FuzzConfig
-from repro.coverage import (
-    GUIDANCE_MODES,
-    BehaviorArchive,
-    guidance as guidance_module,
-    make_guidance,
-    signature_from_summary,
-)
+from repro.coverage import guidance as guidance_module
+from repro.coverage.archive import BehaviorArchive
+from repro.coverage.guidance import GUIDANCE_MODES, make_guidance
+from repro.coverage.signature import signature_from_summary
 from repro.netsim.simulation import SimulationConfig
-from repro.obs import read_manifest
+from repro.obs.manifest import read_manifest
 from repro.tcp.cca import cca_factory
 
 

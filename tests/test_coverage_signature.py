@@ -12,8 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coverage import (
+from repro.coverage.signature import (
+    COUNT_BUCKET_MAX,
     GOODPUT_BUCKETS,
+    SHAPE_LEVELS,
+    SHAPE_WINDOWS,
     STALL_CLASSES,
     BehaviorSignature,
     count_bucket,
@@ -21,13 +24,8 @@ from repro.coverage import (
     signature_from_summary,
     stall_class,
 )
-from repro.coverage.signature import COUNT_BUCKET_MAX, SHAPE_LEVELS, SHAPE_WINDOWS
-from repro.exec import (
-    EvaluationJob,
-    ProcessPoolBackend,
-    SerialBackend,
-    evaluate_job,
-)
+from repro.exec.backend import ProcessPoolBackend, SerialBackend
+from repro.exec.workers import EvaluationJob, evaluate_job
 from repro.netsim.simulation import SimulationConfig, run_simulation
 from repro.scoring.objectives import make_score_function
 from repro.tcp.cca import cca_factory

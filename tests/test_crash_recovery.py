@@ -29,7 +29,7 @@ from repro.attacks import builtin_attack_traces
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
 from repro.cli import campaign_main
 from repro.coverage.archive import BehaviorArchive
-from repro.journal import CampaignJournal
+from repro.journal.log import CampaignJournal
 from repro.obs.manifest import read_manifest
 
 CRASHSIM = os.path.join(os.path.dirname(__file__), "crashsim.py")

@@ -31,8 +31,9 @@ from repro.netsim.link import mbps_to_pps
 from repro.netsim.monitor import FlowMonitor, _FlowSeries
 from repro.netsim.packet import CCA_FLOW, CROSS_FLOW
 from repro.netsim.simulation import SimulationConfig, run_simulation
-from repro.tcp import Bbr, Reno
 from repro.tcp.cca import cca_factory
+from repro.tcp.cca.bbr import Bbr
+from repro.tcp.cca.reno import Reno
 from repro.traces.trace import LinkTrace
 
 

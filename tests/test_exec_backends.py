@@ -17,23 +17,18 @@ import pickle
 import pytest
 from fake_backend import FunctionBackend
 
-from repro.core import CCFuzz, FuzzConfig
-from repro.exec import (
-    BACKENDS,
-    EvaluationJob,
-    Evaluator,
-    ProcessPoolBackend,
-    SerialBackend,
-    TraceCache,
-    cca_identity,
-    create_backend,
-    evaluate_job,
-    job_cache_key,
-)
-from repro.netsim import SimulationConfig
-from repro.scoring import LowUtilizationScore, ScoreFunction
-from repro.tcp import Cubic, Reno
-from repro.traces import LossTrace, TrafficTrace, TrafficTraceGenerator
+from repro.core.fuzzer import CCFuzz, FuzzConfig
+from repro.exec.backend import BACKENDS, ProcessPoolBackend, SerialBackend, create_backend
+from repro.exec.batch import Evaluator
+from repro.exec.cache import TraceCache, cca_identity, job_cache_key
+from repro.exec.workers import EvaluationJob, evaluate_job
+from repro.netsim.simulation import SimulationConfig
+from repro.scoring.base import ScoreFunction
+from repro.scoring.performance import LowUtilizationScore
+from repro.tcp.cca.cubic import Cubic
+from repro.tcp.cca.reno import Reno
+from repro.traces.generator import TrafficTraceGenerator
+from repro.traces.trace import LossTrace, TrafficTrace
 
 
 def tiny_config(mode: str, **overrides) -> FuzzConfig:
@@ -360,7 +355,7 @@ class TestFuzzerCacheIntegration:
         assert second.best_fitness == first.best_fitness
 
     def test_shared_cache_never_mixes_cca_variants(self):
-        from repro.tcp import Bbr
+        from repro.tcp.cca.bbr import Bbr
 
         buggy = cca_identity(Bbr())
         fixed = cca_identity(Bbr(probe_rtt_on_rto=True))
@@ -382,7 +377,7 @@ class TestFuzzerCacheIntegration:
         assert fixed_run.total_evaluations > 0
 
     def test_shared_cache_never_mixes_score_functions(self):
-        from repro.scoring import MinimalTrafficScore
+        from repro.scoring.trace_score import MinimalTrafficScore
 
         light = ScoreFunction(
             performance=LowUtilizationScore(), trace=MinimalTrafficScore(), trace_weight=1e-3

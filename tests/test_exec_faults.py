@@ -21,35 +21,30 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import CCFuzz, FuzzConfig
-from repro.exec import (
-    ChaosPlan,
-    EvaluationFailure,
-    EvaluationJob,
-    FaultPolicy,
-    PENALTY_FITNESS,
-    ProcessPoolBackend,
-    QuarantineStore,
-    SerialBackend,
-    TraceCache,
-    active_plan,
-    cca_identity,
-    chaos_injection,
-    clear_chaos,
-    evaluate_job,
-    failure_from_summary,
-    guarded_evaluate,
-)
-from repro.exec import supervisor
-from repro.exec.faults import backoff_s
 from repro.campaign.corpus import CorpusReader, CorpusStore
 from repro.campaign.scheduler import campaign_backend
 from repro.campaign.spec import CampaignSpec
-from repro.netsim import SimulationConfig
+from repro.core.fuzzer import CCFuzz, FuzzConfig
+from repro.exec import supervisor
+from repro.exec.backend import ProcessPoolBackend, SerialBackend
+from repro.exec.cache import TraceCache, cca_identity
+from repro.exec.chaos import ChaosPlan, active_plan, chaos_injection, clear_chaos
+from repro.exec.faults import (
+    PENALTY_FITNESS,
+    EvaluationFailure,
+    FaultPolicy,
+    backoff_s,
+    failure_from_summary,
+    guarded_evaluate,
+)
+from repro.exec.quarantine import QuarantineStore
+from repro.exec.workers import EvaluationJob, evaluate_job
+from repro.netsim.simulation import SimulationConfig
 from repro.obs.metrics import get_registry
-from repro.scoring import LowUtilizationScore, ScoreFunction
-from repro.tcp import Reno
-from repro.traces import TrafficTraceGenerator
+from repro.scoring.base import ScoreFunction
+from repro.scoring.performance import LowUtilizationScore
+from repro.tcp.cca.reno import Reno
+from repro.traces.generator import TrafficTraceGenerator
 
 
 def make_jobs(count: int = 6, seed: int = 3):

@@ -9,20 +9,15 @@ import random
 import pytest
 from fake_backend import FunctionBackend
 
-from repro.core import (
-    CCFuzz,
-    FuzzConfig,
-    Individual,
-    IslandModel,
-    Population,
-    RankSelection,
-    islands as islands_module,
-    pick_elites,
-)
-from repro.netsim import SimulationConfig
+from repro.core import islands as islands_module
+from repro.core.fuzzer import CCFuzz, FuzzConfig
+from repro.core.islands import IslandModel
+from repro.core.population import Individual, Population
+from repro.core.selection import RankSelection, pick_elites
+from repro.netsim.simulation import SimulationConfig
 from repro.scoring.base import Score
 from repro.tcp.cca.reno import Reno
-from repro.traces import TrafficTrace
+from repro.traces.trace import TrafficTrace
 
 
 def individual(fitness: float, seq: int = 0) -> Individual:

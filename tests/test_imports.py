@@ -1,4 +1,5 @@
-"""What each entry point loads, and the lazy ``repro`` / ``repro.campaign`` facades.
+"""What each entry point loads, the lazy ``repro`` / ``repro.campaign``
+facades, and the rule that no other ``__init__.py`` re-exports.
 
 A process should load only the subsystems its command runs: every status
 poll and CLI call starts a fresh interpreter, and each one
@@ -8,25 +9,34 @@ each, since this test process has long since imported everything.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
 import pkgutil
 import subprocess
 import sys
-from typing import Set
+from typing import List, Set
 
 import pytest
 
 import repro
 import repro.campaign
+import repro.journal
+import repro.journal.log
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 #: Subsystems no campaign run needs: only their own commands load them.
-OFF_THE_RUN_PATH = ("repro.analysis", "repro.attacks", "repro.triage", "repro.serve")
-#: Campaign modules a single-process runner never uses.
-NOT_THE_RUNNER = ("repro.campaign.report", "repro.campaign.replay")
+OFF_THE_RUN_PATH = (
+    "repro.analysis", "repro.attacks", "repro.triage", "repro.serve", "repro.scoring.realism",
+)
+#: Modules a single-process runner never uses.
+NOT_THE_RUNNER = ("repro.campaign.report", "repro.campaign.replay", "repro.obs.status")
+#: The names an ``__init__.py`` may import without using them itself: the one
+#: re-export outside the lazy tables (``repro`` and ``repro.campaign`` use
+#: what they import).
+RE_EXPORTS = {"repro.journal": {"CampaignJournal"}}
 
 #: A one-scenario campaign of two short evaluations.
 TINY_SPEC = {
@@ -68,6 +78,56 @@ def _under(modules: Set[str], *packages: str) -> Set[str]:
     }
 
 
+def _modules_of(name: str) -> List[str]:
+    """``name`` and, if it is a package, every module under it, sorted."""
+    root = os.path.join(SRC_DIR, *name.split("."))
+    if not os.path.isdir(root):
+        return [name]
+    modules = []
+    for directory, _, files in os.walk(root):
+        package = os.path.relpath(directory, SRC_DIR).replace(os.sep, ".")
+        modules += [
+            package if file == "__init__.py" else f"{package}.{file[:-3]}"
+            for file in files if file.endswith(".py")
+        ]
+    return sorted(modules)
+
+
+def _inits() -> List[str]:
+    return [module for module in _modules_of("repro")
+            if os.path.isdir(os.path.join(SRC_DIR, *module.split(".")))]
+
+
+class TestNoReExports:
+    """Each public name has one import path: no ``__init__.py`` imports a
+    name it does not use itself, except :data:`RE_EXPORTS`."""
+
+    @pytest.mark.parametrize("package", _inits())
+    def test_an_init_imports_only_what_it_uses(self, package):
+        path = os.path.join(SRC_DIR, *package.split("."), "__init__.py")
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported - used == RE_EXPORTS.get(package, set())
+        declared = {
+            target.id for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        if package not in ("repro", "repro.campaign"):
+            assert ("__all__" in declared) == (package in RE_EXPORTS)
+
+    def test_the_journal_re_exports_only_campaign_journal(self):
+        assert repro.journal.CampaignJournal is repro.journal.log.CampaignJournal
+        assert repro.journal.__all__ == ["CampaignJournal"]
+
+
 class TestFacades:
     """``repro`` and ``repro.campaign`` serve their names from one table."""
 
@@ -80,7 +140,8 @@ class TestFacades:
             if name == "__version__":
                 assert isinstance(value, str)
                 continue
-            assert value.__module__.startswith(package.__name__ + "."), name
+            # The table names the defining module itself, not a subpackage.
+            assert value.__module__ == f"{package.__name__}.{package._EXPORTS[name]}", name
             defining = importlib.import_module(value.__module__)
             assert getattr(defining, name) is value, name
 
@@ -102,13 +163,18 @@ class TestFacades:
 
 class TestWhatEachEntryPointLoads:
     def test_every_subpackage_imports_first(self):
-        # No eager ``repro/__init__`` fixes the order any more: whichever
-        # subpackage a process reaches first must import on its own.
+        # No eager ``__init__`` fixes the order: whichever subpackage a
+        # process reaches first must import on its own, and so must its
+        # modules, each imported in sorted order after the ones before it.
         names = sorted(info.name for info in pkgutil.iter_modules(repro.__path__, "repro."))
         assert "repro.tcp" in names
         failed = {}
         for name in names:
-            done = _python(f"import {name}")
+            done = _python(
+                "import importlib\n"
+                f"for module in {_modules_of(name)!r}:\n"
+                "    importlib.import_module(module)"
+            )
             if done.returncode:
                 failed[name] = done.stderr
         assert failed == {}

@@ -9,19 +9,17 @@ import os
 
 import pytest
 
-from repro.journal import (
+from repro.journal.events import (
     EVENT_TYPES,
     JOURNAL_SCHEMA,
-    CampaignJournal,
     JournalCorruption,
     JournalError,
     JournalRecord,
     canonical_json,
-    merge_journals,
-    merge_records,
-    replay_records,
+    make_record,
 )
-from repro.journal.events import make_record
+from repro.journal.log import CampaignJournal, merge_journals, merge_records
+from repro.journal.view import replay_records
 from repro.obs.metrics import get_registry
 
 

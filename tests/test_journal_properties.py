@@ -23,18 +23,22 @@ from journal_bytes import dangling_refs
 
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
 from repro.exec.cache import TraceCache, make_cache_key
-from repro.journal import (
+from repro.journal.codec import TRACE_PATHS, deflate, inflate, named_digests, trace_digest
+from repro.journal.events import (
+    EVENT_TYPES,
     JOURNAL_SCHEMA,
-    CampaignJournal,
     JournalCorruption,
     JournalRecord,
+    make_record,
+)
+from repro.journal.log import (
+    CampaignJournal,
+    JournalCursor,
+    _scan_bytes,
     merge_journals,
     merge_records,
-    replay_records,
 )
-from repro.journal.codec import TRACE_PATHS, deflate, inflate, named_digests, trace_digest
-from repro.journal.events import EVENT_TYPES, make_record
-from repro.journal.log import JournalCursor, _scan_bytes
+from repro.journal.view import replay_records
 from repro.scoring.base import Score
 from repro.traces.trace import LinkTrace, LossTrace, TrafficTrace
 

@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
-from repro.journal import CampaignJournal
+from repro.journal.log import CampaignJournal
 from repro.obs.metrics import get_registry, set_enabled
 from repro.serve.query import DashboardQuery
 

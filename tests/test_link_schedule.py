@@ -31,7 +31,8 @@ from repro.netsim.engine import sorted_input_times
 from repro.netsim.link import Link, mbps_to_pps
 from repro.netsim.packet import CCA_FLOW, CROSS_FLOW
 from repro.netsim.simulation import SimulationConfig, SimulationTruncated, run_simulation
-from repro.tcp import Bbr, Reno
+from repro.tcp.cca.bbr import Bbr
+from repro.tcp.cca.reno import Reno
 
 
 class EntryQueue(Link):

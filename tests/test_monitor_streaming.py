@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 
 from repro.campaign import CampaignSpec, CorpusEntry
 from repro.core.fuzzer import FuzzConfig
-from repro.exec import EvaluationJob, evaluate_job, job_cache_key
+from repro.exec.cache import job_cache_key
+from repro.exec.workers import EvaluationJob, evaluate_job
 from repro.netsim.monitor import FlowMonitor
 from repro.netsim.packet import CCA_FLOW, CROSS_FLOW, MSS_BYTES, Packet
 from repro.netsim.simulation import SimulationConfig, run_simulation

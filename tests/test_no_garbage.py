@@ -9,13 +9,13 @@ import gc
 
 import pytest
 
-from repro.exec import EvaluationJob, evaluate_job
-from repro.netsim import SimulationConfig
-from repro.netsim.simulation import SimulationTruncated, run_simulation
-from repro.scoring import LowUtilizationScore, ScoreFunction
-from repro.tcp import Reno
+from repro.exec.workers import EvaluationJob, evaluate_job
+from repro.netsim.simulation import SimulationConfig, SimulationTruncated, run_simulation
+from repro.scoring.base import ScoreFunction
+from repro.scoring.performance import LowUtilizationScore
 from repro.tcp.cca import CCA_FACTORIES
-from repro.traces import LinkTraceGenerator, LossTraceGenerator, TrafficTraceGenerator
+from repro.tcp.cca.reno import Reno
+from repro.traces.generator import LinkTraceGenerator, LossTraceGenerator, TrafficTraceGenerator
 
 DURATION = 1.0
 

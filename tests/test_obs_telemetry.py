@@ -21,31 +21,17 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.attacks import builtin_attack_traces
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusReader, CorpusStore
 from repro.cli import campaign_main
-from repro.exec import QUARANTINE_FILENAME
-from repro.journal import CampaignJournal
+from repro.exec.quarantine import QUARANTINE_FILENAME
+from repro.journal.log import CampaignJournal
 from repro.netsim.simulation import SimulationConfig, simulate_packet_trace
-from repro.obs import (
-    MANIFEST_FILENAME,
-    METRICS_FILENAME,
-    CampaignTelemetry,
-    Console,
-    MetricsJsonlSink,
-    MetricsRegistry,
-    PhaseTracer,
-    StatusWatcher,
-    collect_status,
-    format_status,
-    prometheus_text,
-    read_manifest,
-    read_metrics,
-    set_enabled,
-    spec_fingerprint,
-    status_json,
-)
-from repro.obs.metrics import get_registry, reset_registry
-from repro.obs.spans import SPAN_FIELDS
-from repro.obs.status import fold_status
-from repro.tcp.cca import Bbr
+from repro.obs.console import Console
+from repro.obs.manifest import MANIFEST_FILENAME, read_manifest, spec_fingerprint
+from repro.obs.metrics import MetricsRegistry, get_registry, reset_registry, set_enabled
+from repro.obs.sinks import METRICS_FILENAME, MetricsJsonlSink, prometheus_text, read_metrics
+from repro.obs.spans import SPAN_FIELDS, PhaseTracer
+from repro.obs.status import StatusWatcher, collect_status, fold_status, format_status, status_json
+from repro.obs.telemetry import CampaignTelemetry
+from repro.tcp.cca.bbr import Bbr
 
 #: One well-formed entry between two the store's parser drops.
 HALF_GARBAGE_QUARANTINE = {

@@ -8,7 +8,8 @@ from __future__ import annotations
 import pytest
 
 from repro.attacks import builtin_attack_traces
-from repro.netsim import MSS_BYTES, Packet, SimulationConfig
+from repro.netsim.packet import MSS_BYTES, Packet
+from repro.netsim.simulation import SimulationConfig
 from repro.traces.generator import LinkTraceGenerator, TrafficTraceGenerator
 from repro.traces.trace import LinkTrace, PacketTrace, TrafficTrace
 

@@ -12,13 +12,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import FINDINGS, bbr_bug_evidence, findings_of, verdict_table
-from repro.analysis.findings import DOUBLE_LOSS_INPUT, known_runs
-from repro.attacks import lowrate_attack_trace
-from repro.netsim import CCA_FLOW, SimulationConfig
-from repro.netsim.simulation import simulate_packet_trace
-from repro.tcp import Reno
+from repro.analysis.findings import (
+    DOUBLE_LOSS_INPUT,
+    FINDINGS,
+    findings_of,
+    known_runs,
+    verdict_table,
+)
+from repro.analysis.timeline import bbr_bug_evidence
+from repro.attacks.lowrate import lowrate_attack_trace
+from repro.netsim.packet import CCA_FLOW
+from repro.netsim.simulation import SimulationConfig, simulate_packet_trace
 from repro.tcp.cca import CCA_FACTORIES
+from repro.tcp.cca.reno import Reno
 
 #: Per finding, the ``(cca, input)`` runs of :func:`known_runs` where it
 #: holds, as measured.  ``reno-low-rate`` holds for every CCA under both

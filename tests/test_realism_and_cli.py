@@ -9,10 +9,10 @@ import json
 import pytest
 
 from repro.cli import fuzz_main, simulate_main, trace_main
-from repro.netsim import SimulationConfig
-from repro.scoring import RealismScorer, default_reference_panel
-from repro.tcp import Reno
-from repro.traces import LinkTrace, PacketTrace, TrafficTrace
+from repro.netsim.simulation import SimulationConfig
+from repro.scoring.realism import RealismScorer, default_reference_panel
+from repro.tcp.cca.reno import Reno
+from repro.traces.trace import LinkTrace, PacketTrace, TrafficTrace
 
 
 class TestRealismScorer:

@@ -5,19 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.netsim.simulation import SimulationConfig, run_simulation
-from repro.scoring import (
-    HighDelayScore,
-    HighLossScore,
-    LowUtilizationScore,
-    MinimalTrafficScore,
-    Score,
-    ScoreFunction,
-    bottom_fraction_mean,
-    percentile,
-    top_fraction_mean,
-)
+from repro.scoring.base import Score, ScoreFunction
+from repro.scoring.performance import HighDelayScore, HighLossScore, LowUtilizationScore
+from repro.scoring.trace_score import MinimalTrafficScore
+from repro.scoring.windowed import bottom_fraction_mean, percentile, top_fraction_mean
 from repro.tcp.cca.reno import Reno
-from repro.traces import LinkTrace, TrafficTrace
+from repro.traces.trace import LinkTrace, TrafficTrace
 
 
 @pytest.fixture(scope="module")

@@ -23,9 +23,9 @@ import pytest
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore, replay_corpus
 from repro.campaign.corpus import read_corpus_index
 from repro.cli import campaign_main
-from repro.coverage import BehaviorArchive
-from repro.obs import collect_status
-from repro.serve import DashboardServer
+from repro.coverage.archive import BehaviorArchive
+from repro.obs.status import collect_status
+from repro.serve.server import DashboardServer
 
 REPLAY_CCAS = ["reno", "cubic", "bbr"]
 

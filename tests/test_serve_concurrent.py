@@ -23,14 +23,14 @@ from hypothesis import strategies as st
 
 from repro.campaign import CorpusReader
 from repro.cli import campaign_main
-from repro.exec import cca_identity
-from repro.journal import CampaignJournal, FleetJournalError
+from repro.exec.cache import cca_identity
 from repro.journal.events import make_record
-from repro.journal.log import read_corpus_journal_view
+from repro.journal.log import CampaignJournal, read_corpus_journal_view
+from repro.journal.view import FleetJournalError
 from repro.obs.sinks import METRICS_FILENAME, read_metrics, tail_metrics_records
 from repro.obs.status import collect_status
-from repro.serve import DashboardServer
-from repro.tcp import Reno
+from repro.serve.server import DashboardServer
+from repro.tcp.cca.reno import Reno
 
 API_PATHS = [
     "/",

@@ -6,14 +6,11 @@ import math
 
 import pytest
 
-from repro.netsim import (
-    CCA_FLOW,
-    CROSS_FLOW,
-    SimulationConfig,
-    SimulationTruncated,
-    run_simulation,
-)
-from repro.tcp import Bbr, Cubic, Reno
+from repro.netsim.packet import CCA_FLOW, CROSS_FLOW
+from repro.netsim.simulation import SimulationConfig, SimulationTruncated, run_simulation
+from repro.tcp.cca.bbr import Bbr
+from repro.tcp.cca.cubic import Cubic
+from repro.tcp.cca.reno import Reno
 
 
 class TestCleanLink:
@@ -104,7 +101,7 @@ class TestForcedLosses:
         assert result.sender_stats.retransmissions >= 3
 
     def test_drop_filter_invoked(self):
-        from repro.attacks import TargetedLoss
+        from repro.attacks.fault_injection import TargetedLoss
 
         config = SimulationConfig(duration=2.0)
         loss = TargetedLoss([(100, 1)])

@@ -19,11 +19,11 @@ from repro.campaign.corpus import read_corpus_index
 from repro.cli import campaign_main, coverage_main, triage_main
 from repro.coverage.archive import BehaviorArchive
 from repro.exec.quarantine import QuarantineStore
-from repro.journal import CampaignJournal, JournalCorruption, merge_journals
-from repro.journal.log import read_journal_view
+from repro.journal.events import JournalCorruption
+from repro.journal.log import CampaignJournal, merge_journals, read_journal_view
 from repro.obs.manifest import write_manifest
 from repro.storage import publish
-from repro.traces import TrafficTrace
+from repro.traces.trace import TrafficTrace
 
 
 def _trace(i: int = 0) -> TrafficTrace:

@@ -15,28 +15,28 @@ import struct
 
 from hypothesis import given, settings, strategies as st
 
-from repro.traces import (
-    LinkTrace,
-    LinkTraceGenerator,
-    LossTrace,
-    LossTraceGenerator,
-    PacketTrace,
-    TrafficTrace,
-    TrafficTraceGenerator,
-)
 from repro.traces.crossover import (
     CROSSOVER_OPERATORS,
     crossover_loss_traces,
     crossover_traces,
     crossover_traffic_traces,
 )
+from repro.traces.generator import LinkTraceGenerator, LossTraceGenerator, TrafficTraceGenerator
 from repro.traces.mutation import (
     mutate_link_trace,
     mutate_loss_trace,
     mutate_trace,
     mutate_traffic_trace,
 )
-from repro.traces.trace import MODES, pack_le, unpack_le
+from repro.traces.trace import (
+    MODES,
+    LinkTrace,
+    LossTrace,
+    PacketTrace,
+    TrafficTrace,
+    pack_le,
+    unpack_le,
+)
 
 DURATION = 2.0
 

@@ -29,12 +29,10 @@ from journal_bytes import dangling_refs
 
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore
 from repro.cli import campaign_main
-from repro.journal import (
-    CampaignJournal, FleetJournalError, JournalCorruption, JournalRecord, merge_records,
-)
 from repro.journal.codec import deflate, inflate, named_digests, trace_digest
-from repro.journal.events import canonical_json, make_record
-from repro.journal.log import read_journal_view
+from repro.journal.events import JournalCorruption, JournalRecord, canonical_json, make_record
+from repro.journal.log import CampaignJournal, merge_records, read_journal_view
+from repro.journal.view import FleetJournalError
 from repro.obs.metrics import get_registry
 from repro.serve.query import DashboardQuery
 from repro.traces.trace import LinkTrace, TrafficTrace

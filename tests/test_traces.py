@@ -22,27 +22,20 @@ from repro.netsim.simulation import SimulationConfig, run_simulation
 from repro.scoring.base import Score
 from repro.scoring.objectives import make_score_function
 from repro.scoring.realism import RealismScorer
-from repro.tcp.cca import CCA_FACTORIES, Reno
-from repro.traces import (
-    LinkTrace,
-    LinkTraceGenerator,
-    LossTrace,
-    LossTraceGenerator,
-    PacketTrace,
+from repro.tcp.cca import CCA_FACTORIES
+from repro.tcp.cca.reno import Reno
+from repro.traces.constraints import (
     TraceValidationError,
-    TrafficTrace,
-    TrafficTraceGenerator,
     burstiness_index,
-    crossover_traffic_traces,
     is_valid_trace,
     longest_silence,
     max_rate_deviation,
-    mutate_link_trace,
-    mutate_trace,
-    mutate_traffic_trace,
     validate_trace,
 )
-from repro.traces.trace import TRACE_CLASSES
+from repro.traces.crossover import crossover_traffic_traces
+from repro.traces.generator import LinkTraceGenerator, LossTraceGenerator, TrafficTraceGenerator
+from repro.traces.mutation import mutate_link_trace, mutate_trace, mutate_traffic_trace
+from repro.traces.trace import TRACE_CLASSES, LinkTrace, LossTrace, PacketTrace, TrafficTrace
 from repro.triage.minimize import STAGES_BY_MODE
 
 

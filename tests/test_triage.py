@@ -7,29 +7,27 @@ import json
 import pytest
 
 from repro.campaign import CorpusStore
-from repro.exec import BACKENDS, Evaluator, TraceCache, create_backend
+from repro.exec.backend import BACKENDS, create_backend
+from repro.exec.batch import Evaluator
+from repro.exec.cache import TraceCache
 from repro.exec.workers import EvaluationJob
-from repro.netsim import SimulationConfig
+from repro.netsim.simulation import SimulationConfig
 from repro.scoring.objectives import make_score_function
-from repro.tcp import Reno
 from repro.tcp.cca import CCA_FACTORIES
-from repro.traces import LinkTrace, LossTrace, TrafficTrace, validate_trace
-from repro.triage import (
-    DifferentialConfig,
+from repro.tcp.cca.reno import Reno
+from repro.traces.constraints import validate_trace
+from repro.traces.trace import LinkTrace, LossTrace, TrafficTrace
+from repro.triage.differential import DifferentialConfig, compare_ccas
+from repro.triage.evaluation import TraceScorer
+from repro.triage.minimize import (
+    MAX_ROUNDS,
     MinimizeConfig,
-    RobustnessConfig,
-    TraceScorer,
-    TriageConfig,
-    compare_ccas,
     minimize_trace,
     retention_floor,
-    shift_trace,
     split_bursts,
-    triage_corpus,
-    triage_trace,
-    validate_robustness,
 )
-from repro.triage.minimize import MAX_ROUNDS
+from repro.triage.pipeline import TriageConfig, triage_corpus, triage_trace
+from repro.triage.robustness import RobustnessConfig, shift_trace, validate_robustness
 
 SIM = SimulationConfig(duration=1.0)
 SCORE = make_score_function("throughput", "traffic")
@@ -459,7 +457,7 @@ class TestCorpusTriage:
     def test_rankings_count_the_stored_verdicts(self, corpus):
         from collections import Counter
 
-        from repro.serve import DashboardQuery
+        from repro.serve.query import DashboardQuery
 
         corpus.add(
             traffic_trace(burst(0.2, 40, 0.05)),
@@ -630,7 +628,7 @@ class TestTriageCli:
 
     def test_repro_triage_rejects_typeless_trace(self, tmp_path):
         from repro.cli import triage_main
-        from repro.traces import PacketTrace
+        from repro.traces.trace import PacketTrace
 
         trace_path = tmp_path / "plain.json"
         trace_path.write_text(PacketTrace(timestamps=[0.1], duration=1.0).to_json())

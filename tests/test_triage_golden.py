@@ -11,21 +11,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.attacks import builtin_attack_traces, cubic_two_burst_trace, lowrate_attack_trace
-from repro.exec import Evaluator
-from repro.netsim import SimulationConfig
+from repro.attacks import builtin_attack_traces
+from repro.attacks.cubic_burst import cubic_two_burst_trace
+from repro.attacks.lowrate import lowrate_attack_trace
+from repro.exec.batch import Evaluator
+from repro.netsim.simulation import SimulationConfig
 from repro.scoring.objectives import make_score_function
 from repro.tcp.cca import CCA_FACTORIES
-from repro.traces import LinkTrace, validate_trace
-from repro.triage import (
-    MinimizeConfig,
-    RobustnessConfig,
-    TraceScorer,
-    TriageConfig,
-    minimize_trace,
-    split_bursts,
-    triage_trace,
-)
+from repro.traces.constraints import validate_trace
+from repro.traces.trace import LinkTrace
+from repro.triage.evaluation import TraceScorer
+from repro.triage.minimize import MinimizeConfig, minimize_trace, split_bursts
+from repro.triage.pipeline import TriageConfig, triage_trace
+from repro.triage.robustness import RobustnessConfig
 
 # Spikes inside one burst are ~1 ms apart; distinct bursts are ≥40 ms apart.
 # ``split_bursts`` applies the minimizer's own burst gap, so the structure the

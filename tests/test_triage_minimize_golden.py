@@ -20,9 +20,9 @@ import os
 
 import pytest
 
-from repro.traces import LinkTrace, LossTrace, PacketTrace, TrafficTrace
-from repro.triage import MinimizeConfig, minimize, minimize_trace
-from repro.triage.minimize import SINGLE_EVENT_LIMIT
+from repro.traces.trace import LinkTrace, LossTrace, PacketTrace, TrafficTrace
+from repro.triage import minimize
+from repro.triage.minimize import SINGLE_EVENT_LIMIT, MinimizeConfig, minimize_trace
 from test_triage_properties import NegativeScorer, WindowScorer
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_minimize.json")

@@ -12,8 +12,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.traces import LinkTrace, LossTrace, TrafficTrace, validate_trace
-from repro.triage import MinimizeConfig, minimize_trace, retention_floor
+from repro.traces.constraints import validate_trace
+from repro.traces.trace import LinkTrace, LossTrace, TrafficTrace
+from repro.triage.minimize import MinimizeConfig, minimize_trace, retention_floor
 
 DURATION = 1.0
 
