@@ -699,12 +699,12 @@ class CorpusStore(CorpusReader):
         when it differs from its file (``quarantine.json`` not at all while
         it would be empty).  ``mark=False``, for a campaign that raised (its
         journal may hold inserts this store never applied), writes no
-        ``folded.json``.
+        ``folded.json`` and so publishes only changed entries and their index.
         """
         with self._lock:
             journal = _journal_mark(self.path) if mark else None
             marking = journal is not None and journal != self._mark
-            if self._dirty or journal != self._mark:
+            if self._dirty or marking:
                 publish_all(
                     (os.path.join(self._entries_dir, f"{fingerprint}.json"),
                      dump_json(self._payloads[fingerprint]))
@@ -726,8 +726,8 @@ class CorpusStore(CorpusReader):
                 self.quarantine = QuarantineStore(refused["entries"])
             if marking:
                 publish_json(os.path.join(self.path, FOLD_MARK_FILENAME), {"journal": journal})
+                self._mark = journal
             self._dirty.clear()
-            self._mark = journal
 
 
 def provenance_chain(

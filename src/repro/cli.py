@@ -635,9 +635,9 @@ def _campaign_status(args: _Args, parser: _Parser, console: Console) -> None:
     """One render, or with ``--watch N`` one every N seconds until the campaign completes.
 
     Each tick tails only the bytes appended to ``metrics.jsonl`` since the
-    last one (the same incremental reader the dashboard's ``/api/stream``
-    endpoint uses), so watching a long campaign stays O(new records) per
-    tick instead of re-reading the whole stream.
+    last one (the follower behind the dashboard's ``/api/status``,
+    ``/api/stream`` and ``/metrics``), so watching a long campaign stays
+    O(new records) per tick instead of re-reading the whole stream.
     """
     from .obs.status import StatusWatcher, format_status, status_json
 

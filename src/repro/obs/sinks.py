@@ -110,7 +110,7 @@ class MetricsJsonlSink:
 
 
 def tail_metrics_records(
-    path: Union[str, Path], offset: int
+    path: Union[str, Path], offset: int, starts: Optional[List[int]] = None
 ) -> Tuple[List[Dict[str, Any]], int]:
     """Read records appended since byte ``offset``; returns ``(records, new_offset)``.
 
@@ -125,23 +125,40 @@ def tail_metrics_records(
     A file that shrank (rotation, truncation) is read again from the start;
     the returned offset is then smaller than the one passed in, which tells
     an accumulating caller to discard what it folded so far.  A missing file
-    yields ``([], 0)``.
+    yields ``([], 0)``.  ``starts``, when given, gets the byte offset at which
+    each returned record's line begins.
+
+    A read is decoded once and its lines parsed as ``str``; a line that fails
+    so (a BOM, a UTF-16 line) is retried on its bytes, and a read that is not
+    UTF-8 is parsed line by line as bytes, so each line is kept or skipped
+    exactly as ``json.loads`` of its bytes would.
     """
     try:
         with open(path, "rb") as handle:
             raw, offset = read_appended(handle, offset)
     except OSError:
         return [], 0
-    lines, remainder = split_lines(raw)
+    byte_lines, remainder = split_lines(raw)
+    try:
+        lines: List[Any] = raw[: len(raw) - len(remainder)].decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        lines = byte_lines
     records: List[Dict[str, Any]] = []
-    for line in lines:
+    position = offset
+    for line, original in zip(lines, byte_lines):
         try:
             record = json.loads(line)
         except ValueError:
-            continue                       # advisory stream: skip, don't raise
+            try:
+                record = json.loads(original)
+            except ValueError:
+                record = None              # advisory stream: skip, don't raise
         if isinstance(record, dict) and "type" in record:
             records.append(record)
-    return records, offset + len(raw) - len(remainder)
+            if starts is not None:
+                starts.append(position)
+        position += len(original) + 1
+    return records, position
 
 
 def read_metrics(path: Union[str, Path]) -> List[Dict[str, Any]]:

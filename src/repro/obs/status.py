@@ -11,11 +11,12 @@ degrades a field to ``None``/empty; nothing here raises on what it finds.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .manifest import read_manifest
 from .sinks import METRICS_FILENAME, latest_snapshot, prometheus_text, tail_metrics_records
@@ -91,12 +92,13 @@ def collect_status(corpus_dir: Union[str, Path]) -> Dict[str, Any]:
     return StatusWatcher(corpus_dir).poll()
 
 
-def _current_run(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """The slice of ``records`` from the latest campaign start/resume on."""
-    for index in range(len(records) - 1, 0, -1):
+def _run_start(records: List[Dict[str, Any]], first: int = 1) -> int:
+    """The index of the latest campaign start/resume in ``records[first:]``,
+    or 0: the first record never starts a run of its own."""
+    for index in range(len(records) - 1, max(first, 1) - 1, -1):
         if records[index]["type"] in ("campaign_start", "campaign_resume"):
-            return records[index:]
-    return records
+            return index
+    return 0
 
 
 def fold_status(
@@ -110,7 +112,7 @@ def fold_status(
     every field degrades to ``None``/empty rather than raising.
     """
     corpus_dir = Path(corpus_dir)
-    records = _current_run(records)
+    records = records[_run_start(records):]
 
     status: Dict[str, Any] = {
         "corpus_dir": str(corpus_dir),
@@ -293,27 +295,45 @@ def fold_status(
 class StatusWatcher:
     """Poll a live campaign's status with incremental stream reads.
 
-    Used by both ``repro-campaign status`` and the dashboard's
-    ``/api/status`` and ``/metrics`` endpoints: each :meth:`poll` or
-    :meth:`prometheus` reads only the bytes appended to ``metrics.jsonl``
-    since the previous call (it carries the byte offset
-    :func:`~repro.obs.sinks.tail_metrics_records` returns).  Records before
-    the latest ``campaign_start``/``campaign_resume`` are dropped as they are
-    superseded, so memory stays bounded by the current run.
+    The one follower of ``metrics.jsonl`` behind ``repro-campaign status``
+    and the dashboard's ``/api/status``, ``/api/stream`` and ``/metrics``:
+    each call reads only the bytes appended since the previous one (it
+    carries the byte offset :func:`~repro.obs.sinks.tail_metrics_records`
+    returns), and one that finds nothing appended touches no record.
+    Records before the latest ``campaign_start``/``campaign_resume`` are
+    dropped as they are superseded, so memory stays bounded by the current
+    run.  Like any offset-carrying reader, it notices a stream that shrank
+    only while it is shorter than the offset read so far.
     """
 
     def __init__(self, corpus_dir: Union[str, Path]) -> None:
         self.corpus_dir = Path(corpus_dir)
         self._stream = self.corpus_dir / METRICS_FILENAME
         self._offset = 0
+        # The current run's records and the byte offset each one's line starts at.
         self._records: List[Dict[str, Any]] = []
+        self._starts: List[int] = []
 
     def _advance(self) -> None:
-        new_records, offset = tail_metrics_records(self._stream, self._offset)
-        if offset < self._offset:
-            self._records = []             # the stream was replaced under us
+        starts: List[int] = []
+        records, offset = tail_metrics_records(self._stream, self._offset, starts)
+        if offset < self._offset:          # the stream was replaced under us
+            self._records, self._starts = [], []
         self._offset = offset
-        self._records = _current_run(self._records + new_records)
+        self._records += records
+        self._starts += starts
+        cut = _run_start(self._records, first=len(self._records) - len(records))
+        del self._records[:cut], self._starts[:cut]
+
+    def since(self, offset: int) -> Optional[Tuple[List[Dict[str, Any]], int]]:
+        """What ``tail_metrics_records(stream, offset)`` returns, from memory,
+        or ``None`` unless ``offset`` begins one of the current run's records
+        or is the end of what was read."""
+        self._advance()
+        index = bisect.bisect_left(self._starts, offset)
+        if offset != self._offset and self._starts[index:index + 1] != [offset]:
+            return None
+        return self._records[index:], self._offset
 
     def poll(self) -> Dict[str, Any]:
         """Return the current status dict (same shape as :func:`collect_status`)."""

@@ -6,6 +6,10 @@ artifacts — the server layer turns whatever comes back into a complete
 response, so a poll can race the owning campaign's writes at any point and
 still render.  All reads go through the strictly read-only module helpers;
 see the package docstring for why the writer-side classes are off limits.
+Each query follows ``metrics.jsonl`` with one
+:class:`~repro.obs.status.StatusWatcher` and the journal with one cursor,
+so whichever endpoint asks first parses what was appended and the others
+read what it kept.
 """
 
 from __future__ import annotations
@@ -23,9 +27,6 @@ from ..journal.view import JournalView
 from ..obs.sinks import METRICS_FILENAME, tail_metrics_records
 from ..obs.status import StatusWatcher
 from ..storage import file_stamp
-
-#: Longest long-poll wait the stream endpoint will honour (seconds).
-MAX_STREAM_WAIT_S = 25.0
 
 #: Poll interval while a long-poll waits for fresh records.
 STREAM_POLL_INTERVAL_S = 0.2
@@ -80,18 +81,20 @@ class DashboardQuery:
         Stateless: the client carries the returned ``offset`` into its next
         request, so any number of dashboards can tail one stream without
         server-side subscriptions.  With ``wait > 0`` the call blocks up to
-        that many seconds (capped) for fresh records before returning an
-        empty batch.  Only newline-complete lines are consumed, so a
-        response can never contain a partial record even while the campaign
-        is mid-append.
+        that many seconds for fresh records before returning an empty batch
+        (the server parses both arguments and caps ``wait``).  Only
+        newline-complete lines are consumed, so a response can never contain
+        a partial record even while the campaign is mid-append.  The status
+        watcher's records answer an ``offset`` that begins one of the current
+        run's records or is the end of what it read, so the stream is parsed
+        once per query; any other offset (before the current run, off a
+        record boundary, past a stream that shrank) is read cold.
         """
-        try:
-            offset = max(0, int(offset))
-        except (TypeError, ValueError):
-            offset = 0
-        deadline = time.monotonic() + min(max(0.0, float(wait)), MAX_STREAM_WAIT_S)
+        deadline = time.monotonic() + wait
         while True:
-            records, new_offset = tail_metrics_records(self.metrics_path, offset)
+            with self._watcher_lock:
+                kept = self._watcher.since(offset)
+            records, new_offset = kept or tail_metrics_records(self.metrics_path, offset)
             if records or new_offset < offset or time.monotonic() >= deadline:
                 return {
                     "records": records,

@@ -33,10 +33,13 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..exec.backend import EvaluationBackend
 from .html import DASHBOARD_HTML
-from .query import MAX_STREAM_WAIT_S, DashboardQuery
+from .query import DashboardQuery
 from .replay import ReplayService
 
 DEFAULT_HOST = "127.0.0.1"
+
+#: Longest long-poll wait the stream endpoint will honour (seconds).
+MAX_STREAM_WAIT_S = 25.0
 
 
 class _DashboardHandler(BaseHTTPRequestHandler):
@@ -99,7 +102,7 @@ class _DashboardHandler(BaseHTTPRequestHandler):
         elif path == "/api/status":
             self._send_json(query.status())
         elif path == "/api/stream":
-            self._handle_stream(params)
+            self._send_json(query.stream(*self._stream_args(params)))
         elif path == "/api/corpus":
             self._send_json(query.corpus_index())
         elif path.startswith("/api/corpus/"):
@@ -142,10 +145,6 @@ class _DashboardHandler(BaseHTTPRequestHandler):
         except ValueError:
             wait = 0.0
         return offset, wait
-
-    def _handle_stream(self, params: Dict[str, str]) -> None:
-        offset, wait = self._stream_args(params)
-        self._send_json(self.dashboard.query.stream(offset=offset, wait=wait))
 
     def _handle_replay(self, fingerprint: str, params: Dict[str, str]) -> None:
         cca = params.get("cca", "")

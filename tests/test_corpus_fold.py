@@ -334,3 +334,21 @@ def test_a_campaign_that_raises_after_its_matrix_marks_no_fold(tmp_path, monkeyp
     assert CorpusReader(corpus_dir).fingerprints() == CorpusReader(control_dir).fingerprints()
     resumed = CampaignRunner.resume(corpus_dir, telemetry=False).run()
     assert resumed.deterministic_digest() == control.deterministic_digest()
+
+
+def test_a_fold_with_nothing_to_publish_replaces_no_file(finished, tmp_path):
+    """Neither an unmarked fold nor the marked one after it republishes a
+    finished corpus's ``index.json`` or ``folded.json``."""
+    corpus_dir = shutil.copytree(finished, str(tmp_path / "corpus"))
+
+    def inodes():
+        return [os.stat(os.path.join(corpus_dir, name)).st_ino
+                for name in ("index.json", "folded.json")]
+
+    before = inodes()
+    store = CorpusStore(corpus_dir)
+    store.fold(mark=False)
+    assert inodes() == before
+    store.fold()
+    CorpusStore(corpus_dir).fold()
+    assert inodes() == before

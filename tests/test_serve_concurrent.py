@@ -7,13 +7,16 @@ states a live campaign actually produces mid-write — torn ``metrics.jsonl``
 and ``journal.jsonl`` tails, mid-compaction snapshots, a journal an older
 version's worker fleet wrote — plus outright garbage,
 and a property test pinning the incremental tail reader against whole-file
-reads under arbitrary chunked/torn append schedules.
+reads under arbitrary chunked/torn append schedules, and the dashboard's
+stream follower against that cold reader.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 import urllib.error
 import urllib.request
 
@@ -21,6 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.obs.status as status_module
+import repro.serve.query as query_module
 from repro.campaign import CorpusReader
 from repro.cli import campaign_main
 from repro.exec.cache import cca_identity
@@ -29,6 +34,7 @@ from repro.journal.log import CampaignJournal, read_corpus_journal_view
 from repro.journal.view import FleetJournalError
 from repro.obs.sinks import METRICS_FILENAME, read_metrics, tail_metrics_records
 from repro.obs.status import collect_status
+from repro.serve.query import DashboardQuery
 from repro.serve.server import DashboardServer
 from repro.tcp.cca.reno import Reno
 
@@ -370,3 +376,229 @@ class TestTailReaderProperty:
             assert new_offset < offset                 # the reset signal
             assert batch == regrown
             assert tail_metrics_records(path, new_offset) == ([], new_offset)
+
+
+#: Interior lines the one parser must keep or skip as ``json.loads`` of
+#: their bytes does: not UTF-8, a BOM, NUL bytes, UTF-16, a lone surrogate,
+#: JSON that is no record, and multi-byte UTF-8 that moves byte offsets.
+ODD_LINES = [
+    b"\xff\xfe not utf-8",
+    b'\xef\xbb\xbf{"type": "bom", "n": 1}',
+    b'{"type": "nul", "n": 2}\x00',
+    b'\x00{"type": "nul", "n": 3}',
+    '{"type": "utf16", "n": 4}'.encode("utf-16-le"),
+    b'{"type": "surrogate \xed\xa0\x80", "n": 5}',
+    '{"type": "café", "n": 6}'.encode("utf-8"),
+    b'{"type": "cr", "n": 7}\r',
+    b"[1, 2]",
+    b'"type"',
+    b'{"n": 8}',
+    b"",
+]
+
+
+def reference_records(blob):
+    """The records a reader that runs ``json.loads`` on each complete
+    line's bytes keeps: dicts that carry a ``type``."""
+    records = []
+    for line in blob.split(b"\n")[:-1]:
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(record, dict) and "type" in record:
+            records.append(record)
+    return records
+
+
+class TestDecodingOnce:
+    @pytest.mark.parametrize("line", ODD_LINES + [b"\n".join(ODD_LINES)])
+    def test_each_line_is_kept_or_skipped_as_its_bytes_parse(self, tmp_path, line):
+        blob = b'{"type": "generation", "n": 0}\n' + line + b'\n{"type": "span", "n": 9}\n{"ty'
+        path = tmp_path / METRICS_FILENAME
+        path.write_bytes(blob)
+        starts = []
+        records, offset = tail_metrics_records(path, 0, starts)
+        assert records == reference_records(blob)
+        assert offset == blob.rindex(b"\n") + 1
+        # Each start is where its record's line begins, in bytes.
+        lines = blob[:offset].split(b"\n")[:-1]
+        begins = [sum(len(previous) + 1 for previous in lines[:i]) for i in range(len(lines))]
+        assert starts == [
+            begin for begin, text in zip(begins, lines) if reference_records(text + b"\n")
+        ]
+
+
+def _record_line(kind, n):
+    return (json.dumps({"type": kind, "n": n}) + "\n").encode("utf-8")
+
+
+_STEPS = st.one_of(
+    st.tuples(
+        st.just("record"),
+        st.sampled_from(["generation", "metrics", "span", "campaign_start", "campaign_resume"]),
+        st.integers(0, 999),
+    ),
+    st.tuples(st.just("torn"), st.integers(1, 12), st.integers(0, 999)),
+    st.tuples(st.just("odd"), st.sampled_from(range(len(ODD_LINES))), st.just(0)),
+    st.tuples(st.just("truncate"), st.integers(0, 100), st.just(0)),
+)
+
+
+_RUN_STARTS = ("campaign_start", "campaign_resume")
+
+
+def memory_offsets(blob):
+    """The offsets a query that has followed ``blob`` answers from memory:
+    the start of each record line of its current run, and the end of its
+    complete lines."""
+    end = blob.rfind(b"\n") + 1
+    starts, kinds, position = [], [], 0
+    for line in blob[:end].split(b"\n")[:-1]:
+        kept = reference_records(line + b"\n")
+        if kept:
+            starts.append(position)
+            kinds.append(kept[0]["type"])
+        position += len(line) + 1
+    cut = max((i for i, kind in enumerate(kinds) if i and kind in _RUN_STARTS), default=0)
+    return {end} | set(starts[cut:])
+
+
+class TestStreamFollowerProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(_STEPS, min_size=1, max_size=14))
+    def test_stream_answers_as_the_cold_reader(self, tmp_path_factory, steps):
+        """One query that served ``status()`` and one asked only ``stream``:
+        after every append, torn tail, odd line, new campaign or truncation,
+        ``stream(offset)`` equals a cold ``tail_metrics_records(path,
+        offset)`` at 0, at every line start, at every offset it returned, and
+        at offsets off a boundary or past the end.  It reads cold exactly the
+        offsets that are not a boundary of the current run."""
+        corpus_dir = tmp_path_factory.mktemp("follow")
+        path = corpus_dir / METRICS_FILENAME
+        cold = []
+
+        def counted(*args):
+            cold.append(args[1])
+            return tail_metrics_records(*args)
+
+        watched, streamed = DashboardQuery(str(corpus_dir)), DashboardQuery(str(corpus_dir))
+        returned = {0}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(query_module, "tail_metrics_records", counted)
+            for kind, a, b in steps:
+                blob = path.read_bytes() if path.exists() else b""
+                if kind == "truncate":
+                    blob = blob[: len(blob) * a // 100]
+                    path.write_bytes(blob)             # in place: the inode stays
+                else:
+                    if kind == "record":
+                        added = _record_line(a, b)
+                    elif kind == "torn":
+                        added = _record_line("generation", b)[:a]
+                    else:
+                        added = ODD_LINES[a] + b"\n"
+                    with open(path, "ab") as handle:
+                        handle.write(added)
+                    blob += added
+                watched.status()
+                line_starts = {0} | {i + 1 for i, byte in enumerate(blob) if byte == 0x0A}
+                offsets = sorted(line_starts | returned | {1, len(blob) + 7})
+                for query in (streamed, watched):
+                    for offset in offsets:
+                        del cold[:]
+                        answer = query.stream(offset)
+                        records, new_offset = tail_metrics_records(path, offset)
+                        assert answer == {
+                            "records": records, "offset": new_offset, "reset": new_offset < offset,
+                        }
+                        assert (cold == []) == (offset in memory_offsets(blob))
+                        returned.add(new_offset)
+        watched.close()
+        streamed.close()
+
+    def test_a_light_pass_parses_each_record_of_one_campaign_once(self, tmp_path, monkeypatch):
+        """``status()``, ``stream(0)`` and ``prometheus()`` on a fresh query
+        parse a one-campaign stream once; with an earlier campaign before
+        it, ``stream(0)`` reads the file cold and the current run's start
+        is still answered from memory."""
+        parsed = []
+
+        def counted(*args):
+            records, offset = tail_metrics_records(*args)
+            parsed.append(len(records))
+            return records, offset
+
+        for module in (status_module, query_module):
+            monkeypatch.setattr(module, "tail_metrics_records", counted)
+        path = tmp_path / METRICS_FILENAME
+        run = [_record_line("campaign_start", 0)] + [_record_line("generation", n) for n in range(5)]
+        path.write_bytes(b"".join(run))
+        query = DashboardQuery(str(tmp_path))
+        query.status()
+        assert len(query.stream(0)["records"]) == 6
+        query.prometheus()
+        assert sum(parsed) == 6
+        query.close()
+
+        earlier = b"".join(run[:3])
+        path.write_bytes(earlier + b"".join(run))
+        del parsed[:]
+        query = DashboardQuery(str(tmp_path))
+        query.status()
+        assert len(query.stream(0)["records"]) == 9
+        assert len(query.stream(len(earlier))["records"]) == 6
+        assert sum(parsed) == 9 + 9
+        query.close()
+
+    def test_clients_sharing_one_follower_lose_and_repeat_no_record(self, tmp_path):
+        """Stream clients, a status poller and a writer on one query, with
+        more threads than cores and a short switch interval: each client that
+        carries its offsets collects exactly the stream's records."""
+        path = tmp_path / METRICS_FILENAME
+        lines = [_record_line("campaign_start", 0)] + [
+            _record_line("generation", n) for n in range(1, 400)
+        ]
+        query = DashboardQuery(str(tmp_path))
+        written = threading.Event()
+        collected = [[] for _ in range(4)]
+
+        def write():
+            with open(path, "ab") as handle:
+                for line in lines:
+                    handle.write(line[:7])       # torn, then whole
+                    handle.flush()
+                    handle.write(line[7:])
+                    handle.flush()
+            written.set()
+
+        def follow(into):
+            offset = 0
+            while True:
+                done = written.is_set()
+                answer = query.stream(offset)
+                into.extend(answer["records"])
+                offset = answer["offset"]
+                if done and not answer["records"]:
+                    return
+
+        def poll():
+            while not written.is_set():
+                query.status()
+                query.prometheus()
+
+        threads = [threading.Thread(target=follow, args=(into,)) for into in collected]
+        threads += [threading.Thread(target=poll), threading.Thread(target=write)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = [json.loads(line) for line in lines]
+        assert collected == [expected] * 4
+        query.close()
